@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test lint vet race bench
+.PHONY: build test lint vet race bench benchmark
 
 build:
 	go build ./...
@@ -23,3 +23,9 @@ vet:
 
 bench:
 	go test -run=NONE -bench=. -benchtime=1x ./...
+
+# The repository benchmark (BENCHMARK.json): all four live-replay workloads,
+# one process each, end-to-end metrics and output checks. See
+# benchmark/README.md for single workloads, seeds and the traced mode.
+benchmark:
+	bash benchmark/run.sh

@@ -5,6 +5,9 @@
 //
 //   - calls into fmt, errors or log (string building, argument boxing);
 //   - make, new;
+//   - append to a slice variable the function itself declared without
+//     capacity (var out []T, out := []T(nil)): it grows from nil on every
+//     call, however well the function is otherwise behaved;
 //   - composite literals that escape: &T{…}, slice and map literals
 //     (plain struct/array value literals stay on the stack and are fine);
 //   - closures (the func value and its captures allocate);
@@ -52,7 +55,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if _, ok := pass.FuncDirective(fd.Doc, fd.Pos(), "hotpath"); !ok {
 				continue
 			}
-			c := &checker{pass: pass, fnType: fd.Type}
+			c := &checker{pass: pass, fnType: fd.Type, grown: map[types.Object]bool{}}
 			c.stmts(fd.Body.List)
 		}
 	}
@@ -62,6 +65,10 @@ func run(pass *analysis.Pass) (any, error) {
 type checker struct {
 	pass   *analysis.Pass
 	fnType *ast.FuncType
+	// grown holds the function's local slice variables that start without
+	// capacity and have only been assigned append results of themselves
+	// since: appending to one allocates on every call.
+	grown map[types.Object]bool
 }
 
 // stmts checks a hot statement list, skipping cold branches and
@@ -77,8 +84,10 @@ func (c *checker) stmt(s ast.Stmt) {
 		if d.Justification == "" {
 			c.pass.Reportf(s.Pos(), "//datawa:alloc needs a justification (why is this allocation acceptable on the hot path?)")
 		}
+		c.track(s) // a sanctioned make still gives its variable capacity
 		return
 	}
+	c.track(s)
 	switch s := s.(type) {
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -177,6 +186,74 @@ func (c *checker) stmt(s ast.Stmt) {
 	}
 }
 
+// track follows the assignments and declarations of a statement for the
+// append rule.
+func (c *checker) track(s ast.Stmt) {
+	switch s := s.(type) {
+	case *ast.AssignStmt:
+		if len(s.Lhs) == len(s.Rhs) {
+			for i, lhs := range s.Lhs {
+				c.assigned(lhs, s.Rhs[i])
+			}
+		}
+	case *ast.DeclStmt:
+		gd, _ := s.Decl.(*ast.GenDecl)
+		if gd == nil {
+			return
+		}
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
+				continue
+			}
+			for i, name := range vs.Names {
+				if len(vs.Values) == 0 {
+					c.assigned(name, nil)
+				} else if len(vs.Values) == len(vs.Names) {
+					c.assigned(name, vs.Values[i])
+				}
+			}
+		}
+	}
+}
+
+// assigned tracks whether the slice variable named by lhs holds storage
+// without capacity: a declaration without a value, nil, a []T(nil) conversion
+// — or the append result of a variable that is itself still tracked.
+func (c *checker) assigned(lhs, rhs ast.Expr) {
+	id, ok := unparen(lhs).(*ast.Ident)
+	if !ok {
+		return
+	}
+	obj := c.pass.TypesInfo.ObjectOf(id)
+	if obj == nil {
+		return
+	}
+	if _, isSlice := obj.Type().Underlying().(*types.Slice); !isSlice {
+		return
+	}
+	c.grown[obj] = c.capless(rhs)
+}
+
+func (c *checker) capless(e ast.Expr) bool {
+	switch e := unparen(e).(type) {
+	case nil:
+		return true
+	case *ast.Ident:
+		return e.Name == "nil" || c.grown[c.pass.TypesInfo.ObjectOf(e)]
+	case *ast.CallExpr:
+		if tv, ok := c.pass.TypesInfo.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+			return c.capless(e.Args[0]) // []T(nil)
+		}
+		if id, ok := unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" && len(e.Args) > 0 {
+			if _, isBuiltin := c.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
+				return c.capless(e.Args[0])
+			}
+		}
+	}
+	return false
+}
+
 // coldBlock reports whether a block is a terminal reject path: its last
 // statement returns with a non-nil error or panics.
 func (c *checker) coldBlock(b *ast.BlockStmt) bool {
@@ -272,6 +349,11 @@ func (c *checker) call(call *ast.CallExpr) {
 				c.report(call.Pos(), "make in a hotpath function allocates; preallocate in the owner and reuse")
 			case "new":
 				c.report(call.Pos(), "new in a hotpath function allocates; use a caller-owned value")
+			case "append":
+				if len(call.Args) > 0 && c.capless(call.Args[0]) {
+					c.report(call.Pos(), "append grows a slice this hotpath function declared without capacity, allocating on every call; "+
+						"append into storage the caller or the owner provides")
+				}
 			}
 			return
 		}

@@ -58,6 +58,45 @@ func hotBareAlloc(n int) []int {
 	return make([]int, n) // want `//datawa:alloc needs a justification \(why is this allocation acceptable on the hot path\?\)`
 }
 
+// Appending to a slice the function declared without capacity grows it from
+// nil on every call — the shape that made the search's candidate filter the
+// program's top allocator while annotated hotpath.
+//
+//datawa:hotpath
+func hotGrowFromNil(xs []int) ([]int, []int, []int) {
+	var out []int
+	evens := []int(nil)
+	var odds []int = nil
+	for _, x := range xs {
+		out = append(out, x) // want `append grows a slice this hotpath function declared without capacity, allocating on every call`
+		if x%2 == 0 {
+			evens = append(evens, x) // want `append grows a slice this hotpath function declared without capacity, allocating on every call`
+		} else {
+			odds = append(odds, x) // want `append grows a slice this hotpath function declared without capacity, allocating on every call`
+		}
+	}
+	return out, evens, odds
+}
+
+// Appending into storage somebody else owns is the sanctioned shape, also
+// when it reaches the function's own variable through an assignment.
+//
+//datawa:hotpath
+func hotAppendInto(dst, scratch []int, xs []int) ([]int, []int, []int) {
+	var out, slab []int
+	out = scratch[:0]
+	if len(xs) > 0 {
+		//datawa:alloc one slab per call, sized exactly
+		slab = make([]int, 0, len(xs))
+	}
+	for _, x := range xs {
+		dst = append(dst, x)
+		out = append(out, x)
+		slab = append(slab, x)
+	}
+	return dst, out, slab
+}
+
 // No annotation, no rules.
 func coldPath(s string, n int) []byte {
 	defer release()

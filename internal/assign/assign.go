@@ -7,8 +7,8 @@
 package assign
 
 import (
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -148,20 +148,42 @@ type Search struct {
 	// Samples accumulates RL training data across Plan calls when Collect
 	// is set.
 	Samples []tvf.Sample
-	// NodesLastPlan reports the exact-search nodes expended by the most
-	// recent Plan call, for diagnostics and efficiency experiments.
-	NodesLastPlan int
+	// NodesLastPlan reports the search calls made by the most recent Plan:
+	// the nodes the exact search (or DFSearch_TVF) expanded plus, once a
+	// tree's MaxNodes is spent, one per pending branch handed straight to
+	// greedy completion. GreedyCompletionsLastPlan is that second term and
+	// BudgetBoundTreesLastPlan the number of trees it was non-zero for —
+	// "how often does the search budget bind".
+	NodesLastPlan             int
+	GreedyCompletionsLastPlan int
+	BudgetBoundTreesLastPlan  int
 
 	// Per-instant scratch (a Search serves one shard from one goroutine, but
 	// fans tree searches out internally — runs is indexed by the worker
 	// goroutine, everything else stays on the driving goroutine).
-	sepScratch wds.Separator
-	runs       []searchRun
-	treeOf     map[int]int32
-	taskFlat   []*core.Task
-	taskOff    []int32
-	taskFill   []int32
-	treeTasks  [][]*core.Task
+	sep     wds.Separator
+	runs    []searchRun
+	results []treeResult
+	// The pool partitioned into per-tree task universes, by pool position:
+	// tree i owns taskFlat[taskOff[i]:taskOff[i+1]], in pool order; treeOf
+	// and local map a pool position to its tree (-1: reachable by nobody) and
+	// to its place in that tree's universe.
+	treeOf   []int32
+	local    []int32
+	taskOff  []int32
+	taskFlat []int32
+	// Worker i's reachable set as tree-local positions:
+	// reachLocal[reachOff[i]:reachOff[i+1]], parallel to Sets[i].Reach.
+	reachOff   []int32
+	reachLocal []int32
+}
+
+// treeResult locates one tree's outcome: its plan is run g's out[from:to].
+type treeResult struct {
+	g, from, to int
+	nodes       int
+	greedy      int
+	samples     []tvf.Sample
 }
 
 // Name implements Planner.
@@ -195,362 +217,471 @@ func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) c
 	if wdsOpts.Parallelism == 0 {
 		wdsOpts.Parallelism = o.Parallelism
 	}
-	sep := s.sepScratch.Separate(workers, tasks, now, wdsOpts)
+	sep := s.sep.Separate(workers, tasks, now, wdsOpts)
 	forest := sep.Forest
 	if o.Flat {
 		// Ablation: collapse each tree into a single node holding every
 		// worker of the component.
 		flat := make([]*wds.TreeNode, len(forest))
 		for i, root := range forest {
-			ws := root.AllWorkers()
-			sort.Slice(ws, func(a, b int) bool { return ws[a].ID < ws[b].ID })
-			flat[i] = &wds.TreeNode{Workers: ws}
+			index := root.AppendIndex(nil)
+			slices.SortFunc(index, func(a, b int32) int { return workers[a].ID - workers[b].ID })
+			node := &wds.TreeNode{Index: index}
+			for _, wi := range index {
+				node.Workers = append(node.Workers, workers[wi])
+			}
+			flat[i] = node
 		}
 		forest = flat
 	}
+	s.partition(sep, forest)
 
-	// Partition the pool into per-tree task universes in one pass: every
-	// task reachable by one of a tree's workers, in pool order. The
-	// reachable sets of different trees are disjoint (sharing a task merges
-	// two workers into one dependency component), so this is a partition,
-	// and tasks reachable by no worker can never appear in any candidate
-	// sequence. Scoping each tree's taskSet this way also scopes the RL
-	// state (stateFor → taskSet.slice) to the tree's own tasks, so TVF
-	// features and samples cannot depend on sibling completion order — a
-	// deliberate change from draining one global pool across the forest.
-	if s.treeOf == nil {
-		s.treeOf = make(map[int]int32)
-	} else {
-		clear(s.treeOf)
-	}
-	for i, root := range forest {
-		root.EachWorker(func(w *core.Worker) {
-			for _, t := range sep.Reachable[w.ID] {
-				s.treeOf[t.ID] = int32(i)
-			}
-		})
-	}
-	// Bucket the pool per tree into one flat buffer: count, prefix-sum, fill.
-	// The per-tree views stay in pool order, exactly as per-tree appends
-	// would produce, without a slice allocation per tree.
-	off := s.taskOff[:0]
-	for i := 0; i <= len(forest); i++ {
-		off = append(off, 0)
-	}
-	for _, t := range tasks {
-		if i, ok := s.treeOf[t.ID]; ok {
-			off[i+1]++
-		}
-	}
-	for i := 0; i < len(forest); i++ {
-		off[i+1] += off[i]
-	}
-	s.taskOff = off
-	fill := append(s.taskFill[:0], off[:len(forest)]...)
-	s.taskFill = fill
-	n := int(off[len(forest)])
-	flat := slices.Grow(s.taskFlat[:0], n)[:n]
-	for _, t := range tasks {
-		if i, ok := s.treeOf[t.ID]; ok {
-			flat[fill[i]] = t
-			fill[i]++
-		}
-	}
-	s.taskFlat = flat
-	treeTasks := s.treeTasks[:0]
-	for i := 0; i < len(forest); i++ {
-		treeTasks = append(treeTasks, flat[off[i]:off[i+1]])
-	}
-	s.treeTasks = treeTasks
-
-	type treeResult struct {
-		plan    core.Plan
-		nodes   int
-		samples []tvf.Sample
-	}
-	results := make([]treeResult, len(forest))
+	s.results = slices.Grow(s.results[:0], len(forest))[:len(forest)]
 	for len(s.runs) < par.Workers(o.Parallelism, len(forest)) {
 		s.runs = append(s.runs, searchRun{})
 	}
+	for g := range s.runs {
+		s.runs[g].out = s.runs[g].out[:0]
+	}
 	par.DoWorker(len(forest), o.Parallelism, func(g, i int) {
-		root := forest[i]
 		run := &s.runs[g]
 		run.opts, run.sep, run.now = o, sep, now
 		run.model, run.collect = s.Model, s.Collect
-		run.nodes = 0
-		run.samples = nil // escapes into results; never reuse the backing
-		run.ts.reset(treeTasks[i])
-		if run.seqIdx == nil {
-			run.seqIdx = make(map[int][][]int32)
-		} else {
-			clear(run.seqIdx)
-		}
-		if s.Model != nil {
-			results[i].plan = run.searchTVF(root, root.Workers)
-		} else {
-			_, results[i].plan = run.search(root, root.Workers)
-		}
-		results[i].nodes = run.nodes
-		results[i].samples = run.samples
+		run.reachOff, run.reachLocal = s.reachOff, s.reachLocal
+		s.results[i] = run.searchTree(forest[i], s.taskFlat[s.taskOff[i]:s.taskOff[i+1]])
+		s.results[i].g = g
 	})
 
-	var plan core.Plan
-	nodes := 0
-	for _, r := range results {
-		plan = append(plan, r.plan...)
-		nodes += r.nodes
+	total := 0
+	s.NodesLastPlan, s.GreedyCompletionsLastPlan, s.BudgetBoundTreesLastPlan = 0, 0, 0
+	for _, r := range s.results {
+		total += r.to - r.from
+		s.NodesLastPlan += r.nodes
+		s.GreedyCompletionsLastPlan += r.greedy
+		if r.greedy > 0 {
+			s.BudgetBoundTreesLastPlan++
+		}
 	}
-	s.NodesLastPlan = nodes
+	var plan core.Plan
+	if total > 0 {
+		plan = make(core.Plan, 0, total)
+	}
+	for _, r := range s.results {
+		for _, c := range s.runs[r.g].out[r.from:r.to] {
+			plan = append(plan, core.Assignment{Worker: workers[c.w], Seq: sep.Sets[c.w].Seqs[c.k]})
+		}
+	}
 	if s.Collect {
 		// Each tree collects under its own MaxSamples cap; the merged
 		// stream is re-capped so one Plan call still emits at most
 		// MaxSamples, exactly as a serial traversal of the forest would.
 		added := 0
-		for _, r := range results {
+		for i := range s.results {
+			samples := s.results[i].samples
+			s.results[i].samples = nil
 			room := o.MaxSamples - added
 			if room <= 0 {
-				break
+				continue
 			}
-			if len(r.samples) > room {
-				r.samples = r.samples[:room]
+			if len(samples) > room {
+				samples = samples[:room]
 			}
-			added += len(r.samples)
-			s.Samples = append(s.Samples, r.samples...)
+			added += len(samples)
+			s.Samples = append(s.Samples, samples...)
 		}
 	}
 	return plan
 }
 
-// searchRun carries the state of one tree's search within one Plan
-// invocation: the tree-local task availability set and, per worker, the
-// candidate sequences translated to task-index lists so the per-node
-// usability filter is a dense array scan instead of a hash lookup per task —
-// the filter runs once per worker per search node and dominated epoch CPU in
-// hotspot regimes before the translation.
+// partition splits the pool into per-tree task universes in one pass: every
+// task reachable by one of a tree's workers, in pool order. The reachable
+// sets of different trees are disjoint (sharing a task merges two workers
+// into one dependency component), so this is a partition, and tasks reachable
+// by no worker can never appear in any candidate sequence. Scoping each
+// tree's availability this way also scopes the RL state to the tree's own
+// tasks, so TVF features and samples cannot depend on sibling completion
+// order.
+func (s *Search) partition(sep *wds.Separation, forest []*wds.TreeNode) {
+	nt := len(sep.Tasks)
+	treeOf := slices.Grow(s.treeOf[:0], nt)[:nt]
+	for t := range treeOf {
+		treeOf[t] = -1
+	}
+	// Bucket the pool per tree into one flat buffer: count, prefix-sum, fill.
+	off := slices.Grow(s.taskOff[:0], len(forest)+1)[:len(forest)+1]
+	off[0] = 0
+	for i, root := range forest {
+		off[i+1] = off[i] + claim(root, int32(i), sep.Sets, treeOf)
+	}
+	flat := slices.Grow(s.taskFlat[:0], int(off[len(forest)]))[:off[len(forest)]]
+	local := slices.Grow(s.local[:0], nt)[:nt]
+	for t, i := range treeOf {
+		if i >= 0 {
+			flat[off[i]] = int32(t)
+			off[i]++
+		}
+	}
+	// The fill pass advanced every offset to its tree's end: shift them back.
+	copy(off[1:], off[:len(forest)])
+	off[0] = 0
+	for i := range forest {
+		for p, t := range flat[off[i]:off[i+1]] {
+			local[t] = int32(p)
+		}
+	}
+	s.treeOf, s.local, s.taskOff, s.taskFlat = treeOf, local, off, flat
+
+	reachOff, reachLocal := s.reachOff[:0], s.reachLocal[:0]
+	for i := range sep.Sets {
+		reachOff = append(reachOff, int32(len(reachLocal)))
+		for _, t := range sep.Sets[i].Index {
+			reachLocal = append(reachLocal, local[t])
+		}
+	}
+	s.reachOff, s.reachLocal = append(reachOff, int32(len(reachLocal))), reachLocal
+}
+
+// claim marks every task reachable from the subtree under n as belonging to
+// the given tree and returns how many it marked.
+func claim(n *wds.TreeNode, tree int32, sets []wds.WorkerSets, treeOf []int32) int32 {
+	claimed := int32(0)
+	for _, wi := range n.Index {
+		for _, t := range sets[wi].Index {
+			if treeOf[t] < 0 {
+				treeOf[t] = tree
+				claimed++
+			}
+		}
+	}
+	for _, child := range n.Children {
+		claimed += claim(child, tree, sets, treeOf)
+	}
+	return claimed
+}
+
+// searchRun carries one worker goroutine's search state across the trees it
+// serves within one Plan call. Nothing in it is keyed by id: tasks are
+// positions in the current tree's universe, workers positions in
+// Separation.Workers, sequences positions in their worker's Q_w, and "is
+// every task of q still free" is a bitmask test against the worker's
+// availability word (see wds.WorkerSets.Masks).
 type searchRun struct {
 	opts    Options
 	sep     *wds.Separation
 	now     float64
 	model   *tvf.Model
-	nodes   int
 	collect bool
+	// reachOff/reachLocal are Search's per-worker tree-local reachable sets.
+	reachOff, reachLocal []int32
+
+	// Per tree.
+	tasks   []int32 // the tree's universe as pool positions, pool order
+	avail   []bool  // availability by universe position
+	nodes   int
+	greedy  int
 	samples []tvf.Sample
-	// ts is the tree's availability set; seqIdx caches, per worker id, each
-	// sequence of Q_w as indices into ts (built on first use). Both are
-	// reset-reused across the trees a worker goroutine serves.
-	ts     taskSet
-	seqIdx map[int][][]int32
+	// stack holds the plans under construction as (worker, sequence)
+	// choices in DFS order: every search call leaves its best plan on top,
+	// so a parent keeps a child's result by not popping it. out collects the
+	// finished plans of the trees this goroutine served.
+	stack []choice
+	out   []choice
+
+	// RL state scratch: levels[d] is the state of the search call at depth d
+	// (a call's state must outlive the deeper calls made between building it
+	// and featurizing with it); open is the shared list of available tasks
+	// and stale whether an availability change has outdated it.
+	levels []level
+	open   []*core.Task
+	stale  bool
+	// DFSearch_TVF scratch: the usable sequences of the current worker and
+	// their features.
+	usable []int32
+	feats  [][tvf.FeatureDim]float64
 }
 
-// seqIndices returns w's candidate sequences as task-index lists into r.ts,
-// building and caching them on first use. A nil entry marks a sequence
-// containing a task outside the tree's universe (impossible by construction,
-// but kept unusable rather than misindexed).
+// choice assigns sequence k of Q_w to the worker at position w.
+type choice struct{ w, k int32 }
+
+// level is the RL state (W_N + W_C, S) of one search call.
+type level struct {
+	workers []*core.Worker
+	tasks   int // the state's task list is open[:tasks]
+}
+
+// searchTree searches one tree over its task universe and appends the plan
+// to r.out.
+func (r *searchRun) searchTree(root *wds.TreeNode, universe []int32) treeResult {
+	r.tasks = universe
+	r.avail = slices.Grow(r.avail[:0], len(universe))[:len(universe)]
+	for p := range r.avail {
+		r.avail[p] = true
+	}
+	r.nodes, r.greedy = 0, 0
+	r.samples = nil // escapes into the result; never reuse the backing
+	r.stack = r.stack[:0]
+	r.open, r.stale = slices.Grow(r.open[:0], len(universe)), true
+	if r.model != nil {
+		r.searchTVF(root, 0)
+	} else {
+		r.search(root, 0, 0)
+	}
+	res := treeResult{from: len(r.out), nodes: r.nodes, greedy: r.greedy, samples: r.samples}
+	r.out = append(r.out, r.stack...)
+	res.to = len(r.out)
+	return res
+}
+
+// reach returns worker wi's sets and its reachable tasks as universe
+// positions.
+func (r *searchRun) reach(wi int32) (*wds.WorkerSets, []int32) {
+	return &r.sep.Sets[wi], r.reachLocal[r.reachOff[wi]:r.reachOff[wi+1]]
+}
+
+// availMask gathers the availability of a worker's reachable tasks into one
+// word, bit k for Reach[k]. Past 64 reachable tasks the word is not used.
 //
 //datawa:hotpath
-func (r *searchRun) seqIndices(w *core.Worker) [][]int32 {
-	idxs, ok := r.seqIdx[w.ID]
-	if !ok {
-		seqs := r.sep.Sequences[w.ID]
-		//datawa:alloc cache build, once per worker per tree; every later node reuses it
-		idxs = make([][]int32, len(seqs))
-		for k, q := range seqs {
-			//datawa:alloc cache build, once per sequence per tree
-			l := make([]int32, len(q))
-			for j, s := range q {
-				i, in := r.ts.byID[s.ID]
-				if !in {
-					l = nil
-					break
+func (r *searchRun) availMask(local []int32) uint64 {
+	var m uint64
+	if len(local) <= 64 {
+		for k, p := range local {
+			if r.avail[p] {
+				m |= 1 << uint(k)
+			}
+		}
+	}
+	return m
+}
+
+// nextUsable returns the first k ≥ from such that every task of Seqs[k] is
+// available, or -1: the candidate filter of every search node and the
+// first-fit of greedy completion. avail must be availMask(local) for the
+// current availability.
+//
+//datawa:hotpath
+func (r *searchRun) nextUsable(set *wds.WorkerSets, local []int32, avail uint64, from int) int {
+	if len(local) <= 64 {
+		if avail == 0 {
+			return -1
+		}
+		for k := from; k < len(set.Masks); k++ {
+			if set.Masks[k]&^avail == 0 {
+				return k
+			}
+		}
+		return -1
+	}
+	words := set.Words()
+scan:
+	for k := from; k < len(set.Seqs); k++ {
+		for j, m := range set.Masks[k*words : (k+1)*words] {
+			for ; m != 0; m &= m - 1 {
+				if !r.avail[local[j<<6+bits.TrailingZeros64(m)]] {
+					continue scan
 				}
-				l[j] = i
 			}
-			idxs[k] = l
 		}
-		r.seqIdx[w.ID] = idxs
+		return k
 	}
-	return idxs
+	return -1
 }
 
-// candidates returns the usable subset of Q_w — the positions (into
-// r.sep.Sequences[w.ID]) of the precomputed sequences whose tasks are all
-// still available.
+// mark sets the availability of every task of Seqs[k].
 //
 //datawa:hotpath
-func (r *searchRun) candidates(w *core.Worker) []int32 {
-	idxs := r.seqIndices(w)
-	var out []int32
-	for k, l := range idxs {
-		if l == nil {
-			continue
-		}
-		ok := true
-		for _, i := range l {
-			if !r.ts.avail[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, int32(k))
+func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) {
+	words := set.Words()
+	for j, m := range set.Masks[k*words : (k+1)*words] {
+		for ; m != 0; m &= m - 1 {
+			r.avail[local[j<<6+bits.TrailingZeros64(m)]] = free
 		}
 	}
-	return out
+	r.stale = true
 }
 
-// search is Algorithm 1. It returns the best achievable objective value from
-// this node and the plan realizing it. Workers of the node are considered in
-// id order; each worker branches over every usable q ∈ Q_w plus the skip
-// option, which preserves the optimum the paper's worker loop explores while
-// avoiding redundant permutations. When the node budget is exhausted the
-// subtree completes greedily.
-func (r *searchRun) search(n *wds.TreeNode, workers []*core.Worker) (float64, core.Plan) {
+// markAll sets the availability of every task of a plan.
+//
+//datawa:hotpath
+func (r *searchRun) markAll(plan []choice, free bool) {
+	for _, c := range plan {
+		set, local := r.reach(c.w)
+		r.mark(set, local, int(c.k), free)
+	}
+}
+
+// search is Algorithm 1 on the workers n.Index[j:] and the subtrees below n.
+// It returns the best achievable objective value and leaves the plan
+// realizing it on top of r.stack. Workers of the node are considered in id
+// order; each worker branches over every usable q ∈ Q_w plus the skip option,
+// which preserves the optimum the paper's worker loop explores while avoiding
+// redundant permutations. When the node budget is exhausted the subtree
+// completes greedily. d is the call's depth, for the RL state scratch.
+func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 	r.nodes++
 	if r.nodes > r.opts.MaxNodes {
-		return r.greedyComplete(n, workers)
+		r.greedy++
+		return r.greedyComplete(n, j)
 	}
-	if len(workers) == 0 {
+	base := len(r.stack)
+	if j == len(n.Index) {
 		// Line 15–16: recurse into each child; sibling subtrees are
 		// independent, so their optima add.
 		total := 0.0
-		var plan core.Plan
 		for _, child := range n.Children {
-			v, sub := r.search(child, child.Workers)
-			for _, a := range sub {
-				r.ts.removeSeq(a.Seq)
-			}
-			total += v
-			plan = append(plan, sub...)
+			from := len(r.stack)
+			total += r.search(child, 0, d+1)
+			r.markAll(r.stack[from:], false)
 		}
-		for _, a := range plan {
-			r.ts.restoreSeq(a.Seq)
-		}
-		return total, plan
+		r.markAll(r.stack[base:], true)
+		return total
 	}
 
-	w := workers[0]
-	rest := workers[1:]
+	// Skip branch: the worker gets nothing.
+	best := r.search(n, j+1, d+1)
 
-	// Skip branch: w gets nothing.
-	bestVal, bestPlan := r.search(n, rest)
-
-	var st tvf.State
 	if r.collect {
-		st = r.stateFor(n, workers)
+		r.stateFor(r.levelAt(d), n, j)
 	}
-	seqs := r.sep.Sequences[w.ID]
-	idxs := r.seqIndices(w)
-	for _, k := range r.candidates(w) {
-		q := seqs[k]
-		r.ts.removeIdx(idxs[k])
-		v, sub := r.search(n, rest)
-		r.ts.restoreIdx(idxs[k])
-		total := v + seqValue(q, r.opts.VirtualWeight)
-		if total > bestVal {
-			bestVal = total
-			bestPlan = append(core.Plan{{Worker: w, Seq: q}}, sub...)
+	wi := n.Index[j]
+	set, local := r.reach(wi)
+	avail := r.availMask(local)
+	for k := r.nextUsable(set, local, avail, 0); k >= 0; k = r.nextUsable(set, local, avail, k+1) {
+		top := len(r.stack)
+		r.stack = append(r.stack, choice{wi, int32(k)})
+		r.mark(set, local, k, false)
+		v := r.search(n, j+1, d+1)
+		r.mark(set, local, k, true)
+		total := v + seqValue(set.Seqs[k], r.opts.VirtualWeight)
+		if total > best {
+			best = total
+			r.stack = r.stack[:base+copy(r.stack[base:], r.stack[top:])]
+		} else {
+			r.stack = r.stack[:top]
 		}
 		if r.collect && len(r.samples) < r.opts.MaxSamples {
 			// Lines 9–11: record (s_t, a_t, opt).
-			feat := tvf.Featurize(st, tvf.Action{Worker: w, Seq: q}, r.opts.WDS.Travel)
+			act := tvf.Action{Worker: r.sep.Workers[wi], Seq: set.Seqs[k]}
+			feat := tvf.Featurize(r.state(r.levelAt(d)), act, r.opts.WDS.Travel)
 			r.samples = append(r.samples, tvf.Sample{Features: feat, Opt: total})
 		}
 	}
-	return bestVal, bestPlan
+	return best
 }
 
 // greedyComplete finishes a subtree without branching once the exact budget
-// is spent: each worker takes its best immediate sequence.
-func (r *searchRun) greedyComplete(n *wds.TreeNode, workers []*core.Worker) (float64, core.Plan) {
+// is spent: each worker takes its best immediate sequence — the first usable
+// one, Q_w being sorted best first. The plan is left on top of r.stack and
+// availability restored.
+func (r *searchRun) greedyComplete(n *wds.TreeNode, j int) float64 {
+	base := len(r.stack)
+	total := r.greedyFill(n, j)
+	r.markAll(r.stack[base:], true)
+	return total
+}
+
+// greedyFill is greedyComplete's recursion: it leaves its picks marked.
+//
+//datawa:hotpath
+func (r *searchRun) greedyFill(n *wds.TreeNode, j int) float64 {
 	total := 0.0
-	var plan core.Plan
-	var removed []core.Sequence
-	for _, w := range workers {
-		cands := r.candidates(w)
-		if len(cands) == 0 {
-			continue
+	for _, wi := range n.Index[j:] {
+		set, local := r.reach(wi)
+		if k := r.nextUsable(set, local, r.availMask(local), 0); k >= 0 {
+			r.mark(set, local, k, false)
+			r.stack = append(r.stack, choice{wi, int32(k)})
+			total += seqValue(set.Seqs[k], r.opts.VirtualWeight)
 		}
-		q := r.sep.Sequences[w.ID][cands[0]]
-		r.ts.removeSeq(q)
-		removed = append(removed, q)
-		total += seqValue(q, r.opts.VirtualWeight)
-		plan = append(plan, core.Assignment{Worker: w, Seq: q})
 	}
 	for _, child := range n.Children {
-		v, sub := r.greedyComplete(child, child.Workers)
-		total += v
-		plan = append(plan, sub...)
-		for _, a := range sub {
-			r.ts.removeSeq(a.Seq)
-			removed = append(removed, a.Seq)
-		}
+		total += r.greedyFill(child, 0)
 	}
-	for _, q := range removed {
-		r.ts.restoreSeq(q)
-	}
-	return total, plan
+	return total
 }
 
 // searchTVF is Algorithm 2: at each worker it commits to the sequence in
 // Q_w whose predicted long-term value is highest (line 8:
 // q_best ← argmax_{q∈Q_W} TVF(s_t, (w,q))) and never backtracks. A worker
 // with no usable sequence is skipped.
-func (r *searchRun) searchTVF(n *wds.TreeNode, workers []*core.Worker) core.Plan {
+func (r *searchRun) searchTVF(n *wds.TreeNode, j int) {
 	r.nodes++
-	var plan core.Plan
-	if len(workers) > 0 {
-		w := workers[0]
-		ks := r.candidates(w)
-		if len(ks) > 0 {
-			seqs := r.sep.Sequences[w.ID]
-			cands := make([]core.Sequence, len(ks))
-			for i, k := range ks {
-				cands[i] = seqs[k]
-			}
-			st := r.stateFor(n, workers)
-			feats := make([][tvf.FeatureDim]float64, 0, len(cands))
-			for _, q := range cands {
-				feats = append(feats, tvf.Featurize(st, tvf.Action{Worker: w, Seq: q}, r.opts.WDS.Travel))
-			}
-			values := r.model.PredictBatch(feats)
-			bestIdx := 0
-			for i, v := range values {
-				if v > values[bestIdx] {
-					bestIdx = i
-				}
-			}
-			// The learned value is an approximation; among candidates the
-			// model considers near-equal (within a quarter task of the
-			// best), take the one with the higher immediate value so
-			// approximation noise cannot discard an obviously longer
-			// sequence.
-			const nearTie = 0.25
-			for i, v := range values {
-				if v >= values[bestIdx]-nearTie &&
-					seqValue(cands[i], r.opts.VirtualWeight) > seqValue(cands[bestIdx], r.opts.VirtualWeight) {
-					bestIdx = i
-				}
-			}
-			q := cands[bestIdx]
-			r.ts.removeSeq(q)
-			plan = append(plan, core.Assignment{Worker: w, Seq: q})
+	if j == len(n.Index) {
+		for _, child := range n.Children {
+			r.searchTVF(child, 0)
 		}
-		plan = append(plan, r.searchTVF(n, workers[1:])...)
-		return plan
+		return
 	}
-	for _, child := range n.Children {
-		plan = append(plan, r.searchTVF(child, child.Workers)...)
+	wi := n.Index[j]
+	set, local := r.reach(wi)
+	avail := r.availMask(local)
+	r.usable = r.usable[:0]
+	for k := r.nextUsable(set, local, avail, 0); k >= 0; k = r.nextUsable(set, local, avail, k+1) {
+		r.usable = append(r.usable, int32(k))
 	}
-	return plan
+	if len(r.usable) > 0 {
+		lv := r.levelAt(0)
+		r.stateFor(lv, n, j)
+		st, w := r.state(lv), r.sep.Workers[wi]
+		r.feats = r.feats[:0]
+		for _, k := range r.usable {
+			r.feats = append(r.feats, tvf.Featurize(st, tvf.Action{Worker: w, Seq: set.Seqs[k]}, r.opts.WDS.Travel))
+		}
+		values := r.model.PredictBatch(r.feats)
+		best := 0
+		for i, v := range values {
+			if v > values[best] {
+				best = i
+			}
+		}
+		// The learned value is an approximation; among candidates the
+		// model considers near-equal (within a quarter task of the
+		// best), take the one with the higher immediate value so
+		// approximation noise cannot discard an obviously longer
+		// sequence.
+		const nearTie = 0.25
+		value := func(i int) float64 { return seqValue(set.Seqs[r.usable[i]], r.opts.VirtualWeight) }
+		for i, v := range values {
+			if v >= values[best]-nearTie && value(i) > value(best) {
+				best = i
+			}
+		}
+		k := r.usable[best]
+		r.mark(set, local, int(k), false)
+		r.stack = append(r.stack, choice{wi, k})
+	}
+	r.searchTVF(n, j+1)
 }
 
-// stateFor materializes the RL state (W_N + W_C, S) at a search position.
-func (r *searchRun) stateFor(n *wds.TreeNode, workers []*core.Worker) tvf.State {
-	all := append([]*core.Worker(nil), workers...)
-	for _, child := range n.Children {
-		all = append(all, child.AllWorkers()...)
+// levelAt returns the RL state scratch of depth d. The pointer is only good
+// until the next levelAt call with a larger depth.
+func (r *searchRun) levelAt(d int) *level {
+	for len(r.levels) <= d {
+		r.levels = append(r.levels, level{})
 	}
-	return tvf.State{Workers: all, Tasks: r.ts.slice(), Now: r.now}
+	return &r.levels[d]
+}
+
+// stateFor materializes the RL state (W_N + W_C, S) at a search position
+// into lv.
+func (r *searchRun) stateFor(lv *level, n *wds.TreeNode, j int) {
+	lv.workers = append(lv.workers[:0], n.Workers[j:]...)
+	for _, child := range n.Children {
+		lv.workers = child.AppendWorkers(lv.workers)
+	}
+	if r.stale {
+		r.open = r.open[:0]
+		for p, t := range r.tasks {
+			if r.avail[p] {
+				r.open = append(r.open, r.sep.Tasks[t])
+			}
+		}
+		r.stale = false
+	}
+	lv.tasks = len(r.open)
+}
+
+func (r *searchRun) state(lv *level) tvf.State {
+	return tvf.State{Workers: lv.workers, Tasks: r.open[:lv.tasks], Now: r.now}
 }
 
 // ---------------------------------------------------------------------------
@@ -604,46 +735,11 @@ func (ts *taskSet) reset(tasks []*core.Task) {
 }
 
 //datawa:hotpath
-func (ts *taskSet) has(id int) bool {
-	i, ok := ts.byID[id]
-	return ok && ts.avail[i]
-}
-
-//datawa:hotpath
 func (ts *taskSet) removeSeq(q core.Sequence) {
 	for _, s := range q {
 		if i, ok := ts.byID[s.ID]; ok {
 			ts.avail[i] = false
 		}
-	}
-	ts.dirty = true
-}
-
-//datawa:hotpath
-func (ts *taskSet) restoreSeq(q core.Sequence) {
-	for _, s := range q {
-		if i, ok := ts.byID[s.ID]; ok {
-			ts.avail[i] = true
-		}
-	}
-	ts.dirty = true
-}
-
-// removeIdx and restoreIdx are the pre-translated (index list) forms of
-// removeSeq/restoreSeq used by the search's candidate loop.
-//
-//datawa:hotpath
-func (ts *taskSet) removeIdx(idxs []int32) {
-	for _, i := range idxs {
-		ts.avail[i] = false
-	}
-	ts.dirty = true
-}
-
-//datawa:hotpath
-func (ts *taskSet) restoreIdx(idxs []int32) {
-	for _, i := range idxs {
-		ts.avail[i] = true
 	}
 	ts.dirty = true
 }

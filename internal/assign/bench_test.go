@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/scenario"
 	"repro/internal/tvf"
 	"repro/internal/wds"
 )
@@ -131,4 +132,29 @@ func BenchmarkPlanScale(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkCrowdPlan measures one warm TPA call on the flash-crowd instant of
+// the event-spike archetype at 1.5x with the benchmark's 4000-node budget: the
+// regime where every tree's budget binds and the per-node candidate filter and
+// greedy completions set the epoch tail.
+func BenchmarkCrowdPlan(b *testing.B) {
+	a, _ := scenario.Get("event-spike")
+	sc := a.Generate(1.5)
+	crowd := poolAt(sc, "crowd", sc.T0)
+	for t := sc.T0; t < sc.T1; t += 2 {
+		if in := poolAt(sc, "crowd", t); len(in.tasks) > len(crowd.tasks) {
+			crowd = in
+		}
+	}
+	o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: 1}
+	s := &Search{Opts: o}
+	s.Plan(crowd.workers, crowd.tasks, crowd.now)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Plan(crowd.workers, crowd.tasks, crowd.now)
+	}
+	b.ReportMetric(float64(s.NodesLastPlan), "nodes")
+	b.ReportMetric(float64(s.GreedyCompletionsLastPlan), "greedy")
 }

@@ -1,0 +1,156 @@
+package assign
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/scenario"
+	"repro/internal/tvf"
+	"repro/internal/workload"
+)
+
+// instant is the planning pool of a trace at one time, built the way
+// Framework.TrainValue builds its sample instants: every worker available at
+// t, every task published and unexpired at t.
+type instant struct {
+	name    string
+	now     float64
+	workers []*core.Worker
+	tasks   []*core.Task
+}
+
+func poolAt(sc *workload.Scenario, name string, t float64) instant {
+	in := instant{name: name, now: t}
+	for _, w := range sc.Workers {
+		if w.Available(t) {
+			in.workers = append(in.workers, w)
+		}
+	}
+	for _, s := range sc.Tasks {
+		if s.Pub <= t && s.Exp > t {
+			in.tasks = append(in.tasks, s)
+		}
+	}
+	return in
+}
+
+// atlasInstants returns, for every atlas archetype at 1x, the crowd instant
+// (most open tasks on a 2 s grid) and the median one.
+func atlasInstants() []instant {
+	var out []instant
+	for _, a := range scenario.Registry() {
+		sc := a.Generate(1)
+		type load struct {
+			t    float64
+			open int
+		}
+		var grid []load
+		for t := sc.T0; t < sc.T1; t += 2 {
+			open := 0
+			for _, s := range sc.Tasks {
+				if s.Pub <= t && s.Exp > t {
+					open++
+				}
+			}
+			grid = append(grid, load{t, open})
+		}
+		// Busiest first; the stable sort keeps ties in time order.
+		sort.SliceStable(grid, func(i, j int) bool { return grid[i].open > grid[j].open })
+		crowd, median := grid[0], grid[len(grid)/2]
+		out = append(out, poolAt(sc, a.Name+"/crowd", crowd.t), poolAt(sc, a.Name+"/median", median.t))
+	}
+	return out
+}
+
+// sameOutcome asserts the dense core reproduced the reference run exactly:
+// plan (worker ids, task ids in order), node count and its exact/greedy
+// split, budget-bound trees, and the RL sample stream.
+func sameOutcome(t *testing.T, ref *refSearch, want core.Plan, s *Search, got core.Plan) {
+	t.Helper()
+	samePlans(t, want, got)
+	if s.NodesLastPlan != ref.NodesLastPlan {
+		t.Fatalf("nodes %d, reference %d", s.NodesLastPlan, ref.NodesLastPlan)
+	}
+	if s.GreedyCompletionsLastPlan != ref.greedyCalls || s.NodesLastPlan != ref.exactNodes+s.GreedyCompletionsLastPlan {
+		t.Fatalf("nodes %d = exact %d + greedy %d does not hold (reference greedy %d)",
+			s.NodesLastPlan, ref.exactNodes, s.GreedyCompletionsLastPlan, ref.greedyCalls)
+	}
+	if s.BudgetBoundTreesLastPlan != ref.boundTrees {
+		t.Fatalf("budget-bound trees %d, reference %d", s.BudgetBoundTreesLastPlan, ref.boundTrees)
+	}
+	if len(s.Samples) != len(ref.Samples) {
+		t.Fatalf("%d samples, reference %d", len(s.Samples), len(ref.Samples))
+	}
+	for i := range ref.Samples {
+		if s.Samples[i] != ref.Samples[i] {
+			t.Fatalf("sample %d of %d differs:\n got %v\nwant %v", i, len(ref.Samples), s.Samples[i], ref.Samples[i])
+		}
+	}
+}
+
+// TestSearchMatchesReference is the differential contract of the dense
+// planning core: on the crowd and median instants of every atlas archetype it
+// returns what the map-and-scan reference returns — with the budget binding
+// and not, the RTC tree on and flattened, serial and parallel, collecting
+// samples, guided by a value model, and past 64 reachable tasks per worker.
+func TestSearchMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 20 planning instants through the reference search")
+	}
+	instants := atlasInstants()
+
+	// One value model for every instant: fitted to the samples of the first
+	// crowd instant, it only has to be a fixed non-trivial function.
+	model := tvf.NewModel(16, 7)
+	train := opts()
+	train.MaxNodes = 4000
+	model.Train(CollectSamples(instants[0].workers, instants[0].tasks, instants[0].now, train), tvf.TrainConfig{Epochs: 5, Seed: 7})
+
+	bound := 0
+	for _, in := range instants {
+		type config struct {
+			name string
+			o    Options
+			tvf  bool
+		}
+		var configs []config
+		for _, maxNodes := range []int{50, 4000, 20000} {
+			for _, flat := range []bool{false, true} {
+				o := opts()
+				o.MaxNodes, o.Flat = maxNodes, flat
+				configs = append(configs, config{fmt.Sprintf("nodes=%d/flat=%v", maxNodes, flat), o, false})
+			}
+		}
+		configs = append(configs, config{"tvf", opts(), true})
+		wide := opts()
+		wide.MaxNodes = 4000
+		wide.WDS.MaxReachable, wide.WDS.MaxSeqLen = 70, 2
+		configs = append(configs, config{"reach=70", wide, false})
+
+		for _, c := range configs {
+			ref := &refSearch{Opts: c.o, Collect: !c.tvf}
+			if c.tvf {
+				ref.Model = model
+			}
+			want := ref.Plan(in.workers, in.tasks, in.now)
+			bound += ref.boundTrees
+			for _, p := range []int{1, 0} {
+				t.Run(fmt.Sprintf("%s/%s/par=%d", in.name, c.name, p), func(t *testing.T) {
+					o := c.o
+					o.Parallelism = p
+					s := &Search{Opts: o, Model: ref.Model, Collect: ref.Collect}
+					sameOutcome(t, ref, want, s, s.Plan(in.workers, in.tasks, in.now))
+					// A second call on the warm planner — every arena and
+					// scratch buffer reused — must plan the same again.
+					s.Samples = nil
+					sameOutcome(t, ref, want, s, s.Plan(in.workers, in.tasks, in.now))
+				})
+			}
+		}
+	}
+	if bound == 0 {
+		t.Fatal("no configuration exhausted a tree's node budget: the greedy-completion path went untested")
+	}
+}

@@ -47,9 +47,12 @@ type SSP struct {
 	CVaRAlpha float64
 	// Model, when trained, guides the inner searches (DFSearch_TVF).
 	Model *tvf.Model
-	// NodesLastPlan reports the exact-search nodes expended by the most
-	// recent Plan call, summed across scenarios.
-	NodesLastPlan int
+	// NodesLastPlan, GreedyCompletionsLastPlan and BudgetBoundTreesLastPlan
+	// are Search's counters of the same names for the most recent Plan call,
+	// summed across scenarios.
+	NodesLastPlan             int
+	GreedyCompletionsLastPlan int
+	BudgetBoundTreesLastPlan  int
 
 	// Per-instant scratch: one inner Search per fan-out goroutine, the
 	// per-scenario pools, and per-candidate value matrices.
@@ -74,6 +77,8 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 		s := p.innerAt(0, o, o.Parallelism)
 		plan := s.Plan(workers, tasks, now)
 		p.NodesLastPlan = s.NodesLastPlan
+		p.GreedyCompletionsLastPlan = s.GreedyCompletionsLastPlan
+		p.BudgetBoundTreesLastPlan = s.BudgetBoundTreesLastPlan
 		return plan
 	}
 
@@ -113,18 +118,20 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 		}
 	}
 	plans := make([]core.Plan, k)
-	nodes := make([]int, k)
+	counts := make([][3]int, k) // nodes, greedy completions, budget-bound trees
 	for len(p.inner) < outer {
 		p.inner = append(p.inner, &Search{})
 	}
 	par.DoWorker(k, o.Parallelism, func(g, s int) {
 		in := p.innerAt(g, o, innerPar)
 		plans[s] = in.Plan(workers, pools[s], now)
-		nodes[s] = in.NodesLastPlan
+		counts[s] = [3]int{in.NodesLastPlan, in.GreedyCompletionsLastPlan, in.BudgetBoundTreesLastPlan}
 	})
-	p.NodesLastPlan = 0
-	for _, n := range nodes {
-		p.NodesLastPlan += n
+	p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan = 0, 0, 0
+	for _, c := range counts {
+		p.NodesLastPlan += c[0]
+		p.GreedyCompletionsLastPlan += c[1]
+		p.BudgetBoundTreesLastPlan += c[2]
 	}
 
 	// Score candidate j under scenario s and fold through CVaR_α. The value

@@ -78,6 +78,37 @@ func TestSSPParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSSPBudgetCountersSumScenarios pins SSP's node, greedy-completion and
+// budget-bound-tree counters as the sums of the per-scenario searches', under
+// a budget small enough to bind.
+func TestSSPBudgetCountersSumScenarios(t *testing.T) {
+	const k = 4
+	ws, ts := sspScenario(23, k)
+	o := opts()
+	o.MaxNodes = 30
+	p := &SSP{Opts: o, Samples: k}
+	p.Plan(ws, ts, 0)
+
+	var want [3]int
+	for s := 0; s < k; s++ {
+		var pool []*core.Task
+		for _, task := range ts {
+			if task.SampleBits == 0 || task.SampleBits&(1<<s) != 0 {
+				pool = append(pool, task)
+			}
+		}
+		one := &Search{Opts: o}
+		one.Plan(ws, pool, 0)
+		want[0] += one.NodesLastPlan
+		want[1] += one.GreedyCompletionsLastPlan
+		want[2] += one.BudgetBoundTreesLastPlan
+	}
+	got := [3]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan}
+	if got != want || want[1] == 0 || want[2] == 0 {
+		t.Fatalf("nodes/greedy/bound-trees = %v, per-scenario sum %v (the budget must bind)", got, want)
+	}
+}
+
 // TestSSPRepeatedPlansIdentical guards the scratch reuse: back-to-back plans
 // on the same pool must not be perturbed by state left from the previous
 // instant.

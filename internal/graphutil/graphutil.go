@@ -3,79 +3,119 @@
 // Cardinality Search (Tarjan & Yannakakis 1984), chordal completion via the
 // elimination game, maximal cliques of chordal graphs, and a chordality
 // test. Vertices are dense ints in [0, N).
+//
+// Two representations, no hash maps: a Graph is sorted adjacency in CSR form,
+// and the chordal pipeline runs on a Chordal workspace — the vertex subset at
+// hand renumbered 0..m-1 with its induced subgraph as an m×m bit matrix, so
+// "make the later neighbours a clique" is a few word-wide ORs per neighbour.
 package graphutil
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
-// Graph is a simple undirected graph with a fixed vertex count.
+// Graph is a simple undirected graph with a fixed vertex count: sorted,
+// deduplicated adjacency in CSR form. AddEdge only buffers; the first query
+// after an insertion sorts the buffer into the CSR arrays, so building a
+// graph costs one sort however many duplicate edges the caller reports. A
+// Graph is safe for concurrent queries once a query has run after the last
+// AddEdge.
 type Graph struct {
-	n   int
-	adj []map[int]struct{}
+	n    int
+	offs []int32  // vertex v's neighbours are nbrs[offs[v]:offs[v+1]]; len n+1 once sealed
+	nbrs []int32  // ascending within each vertex
+	pend []uint64 // directed pairs u<<32|v added since the last seal, both directions
+	tmp  []uint64 // rebuild's second sort buffer
 }
 
-// New returns an empty graph on n vertices. Adjacency sets are allocated
-// lazily on first edge insertion, so a graph over many vertices with edges
-// confined to a small subset (the per-component chordal completions of the
-// RTC construction) costs memory proportional to its edges, not to n.
+// New returns an empty graph on n vertices.
 func New(n int) *Graph {
-	if n < 0 {
-		panic(fmt.Sprintf("graphutil: negative vertex count %d", n))
-	}
-	return &Graph{n: n, adj: make([]map[int]struct{}, n)}
+	g := &Graph{}
+	g.Reset(n)
+	return g
 }
 
 // N returns the vertex count.
 func (g *Graph) N() int { return g.n }
 
-// Reset reinitializes g to an empty graph on n vertices, reusing the
-// adjacency storage of earlier generations — the zero-steady-state-allocation
-// path for callers that rebuild a graph every planning instant. The zero
-// Graph value is valid input.
+// Reset reinitializes g to an empty graph on n vertices, reusing the storage
+// of earlier generations — the zero-steady-state-allocation path for callers
+// that rebuild a graph every planning instant. The zero Graph value is valid
+// input.
 func (g *Graph) Reset(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("graphutil: negative vertex count %d", n))
 	}
 	g.n = n
-	if cap(g.adj) < n {
-		g.adj = make([]map[int]struct{}, n)
-		return
-	}
-	// Clearing after the reslice also covers maps re-exposed by growing back
-	// within capacity, which may hold edges from an older, larger graph.
-	g.adj = g.adj[:n]
-	for _, a := range g.adj {
-		clear(a)
-	}
+	g.offs = g.offs[:0]
+	g.nbrs = g.nbrs[:0]
+	g.pend = g.pend[:0]
 }
 
-// EachNeighbor calls f for every neighbor of v, in unspecified order. It is
-// the allocation-free alternative to Neighbors for callers that sort or
-// aggregate on their own.
-func (g *Graph) EachNeighbor(v int, f func(u int)) {
-	g.check(v)
-	for u := range g.adj[v] {
-		f(u)
-	}
-}
-
-// AddEdge inserts the undirected edge {u, v}; self-loops are ignored.
+// AddEdge inserts the undirected edge {u, v}; self-loops are ignored and
+// duplicates are free.
 func (g *Graph) AddEdge(u, v int) {
 	if u == v {
 		return
 	}
 	g.check(u)
 	g.check(v)
-	if g.adj[u] == nil {
-		g.adj[u] = make(map[int]struct{})
+	g.pend = append(g.pend, uint64(u)<<32|uint64(v), uint64(v)<<32|uint64(u))
+}
+
+// seal makes the CSR arrays current; a no-op unless edges are buffered or the
+// graph was just Reset.
+func (g *Graph) seal() {
+	if len(g.pend) != 0 || len(g.offs) != g.n+1 {
+		g.rebuild()
 	}
-	if g.adj[v] == nil {
-		g.adj[v] = make(map[int]struct{})
+}
+
+// rebuild folds the buffered edges into the CSR arrays. The directed pairs
+// (the sealed ones included, when there are any) are radix-sorted with the
+// vertex id as the digit — a stable counting pass by target, then one by
+// source — which leaves them in CSR order in O(pairs + n), duplicates
+// adjacent.
+func (g *Graph) rebuild() {
+	for u := 0; u+1 < len(g.offs); u++ {
+		for _, v := range g.nbrs[g.offs[u]:g.offs[u+1]] {
+			g.pend = append(g.pend, uint64(u)<<32|uint64(v))
+		}
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
+	src, dst := g.pend, slices.Grow(g.tmp[:0], len(g.pend))[:len(g.pend)]
+	for shift := 0; shift <= 32; shift += 32 {
+		next := zeroed(g.offs, g.n+1) // next[d]: where the next pair with digit d goes
+		for _, p := range src {
+			next[uint32(p>>shift)+1]++
+		}
+		for d := 1; d < len(next); d++ {
+			next[d] += next[d-1]
+		}
+		for _, p := range src {
+			d := uint32(p >> shift)
+			dst[next[d]] = p
+			next[d]++
+		}
+		g.offs, src, dst = next, dst, src
+	}
+	g.tmp = dst
+	pairs := slices.Compact(src)
+	g.nbrs = slices.Grow(g.nbrs[:0], len(pairs))[:len(pairs)]
+	u := 0
+	g.offs[0] = 0
+	for i, p := range pairs {
+		for ; u < int(p>>32); u++ {
+			g.offs[u+1] = int32(i)
+		}
+		g.nbrs[i] = int32(uint32(p))
+	}
+	for ; u < g.n; u++ {
+		g.offs[u+1] = int32(len(pairs))
+	}
+	g.pend = src[:0]
 }
 
 func (g *Graph) check(v int) {
@@ -84,132 +124,101 @@ func (g *Graph) check(v int) {
 	}
 }
 
+// Neighbors returns the neighbors of v in ascending order. The slice is a
+// view into the graph's storage: read-only, valid until the next AddEdge or
+// Reset.
+func (g *Graph) Neighbors(v int) []int32 {
+	g.check(v)
+	g.seal()
+	return g.nbrs[g.offs[v]:g.offs[v+1]]
+}
+
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
-	g.check(u)
 	g.check(v)
-	_, ok := g.adj[u][v]
+	_, ok := slices.BinarySearch(g.Neighbors(u), int32(v))
 	return ok
 }
 
 // Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int) int {
-	g.check(v)
-	return len(g.adj[v])
-}
+func (g *Graph) Degree(v int) int { return len(g.Neighbors(v)) }
 
 // Edges returns the number of undirected edges.
 func (g *Graph) Edges() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total / 2
-}
-
-// Neighbors returns the sorted neighbor list of v.
-func (g *Graph) Neighbors(v int) []int {
-	g.check(v)
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
+	g.seal()
+	return len(g.nbrs) / 2
 }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	out := New(g.n)
-	for v, a := range g.adj {
-		for u := range a {
-			if u > v {
-				out.AddEdge(v, u)
-			}
-		}
-	}
-	return out
+	g.seal()
+	return &Graph{n: g.n, offs: slices.Clone(g.offs), nbrs: slices.Clone(g.nbrs)}
 }
 
 // Components returns the connected components over the vertices for which
 // include(v) is true (all vertices when include is nil). Each component is
 // sorted ascending and components are ordered by their smallest vertex.
 func (g *Graph) Components(include func(int) bool) [][]int {
-	in := func(v int) bool { return include == nil || include(v) }
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] || !in(s) {
-			continue
+	g.seal()
+	var seeds []int
+	for v := 0; v < g.n; v++ {
+		if include == nil || include(v) {
+			seeds = append(seeds, v)
 		}
-		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			comp = append(comp, v)
-			for u := range g.adj[v] {
-				if !seen[u] && in(u) {
-					seen[u] = true
-					queue = append(queue, u)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
+	return g.componentsFrom(seeds)
 }
 
 // ComponentsOf returns the connected components of the subgraph induced by
 // vertices, further restricted to those for which include(v) is true when
 // include is non-nil. The output format and ordering match Components —
-// each component ascending, components ordered by smallest vertex — but the
-// cost is proportional to the subset and its edges, never to the full
-// vertex range. (The RTC construction in internal/wds needs this query so
-// often that it inlines a CSR-specialized equivalent with reused scratch;
-// this method is the general-purpose form of the same contract.)
+// each component ascending, components ordered by smallest vertex. (The RTC
+// construction in internal/wds needs this query so often that it inlines an
+// equivalent with reused scratch; this method is the general-purpose form of
+// the same contract.)
 func (g *Graph) ComponentsOf(vertices []int, include func(int) bool) [][]int {
-	// Dense scratch beats maps here: the BFS probes in/seen once per edge,
-	// and the clique-selection loop of the RTC construction calls this many
-	// times per component.
-	in := make([]bool, g.n)
-	seen := make([]bool, g.n)
+	g.seal()
 	seeds := make([]int, 0, len(vertices))
 	for _, v := range vertices {
 		g.check(v)
 		if include == nil || include(v) {
-			in[v] = true
 			seeds = append(seeds, v)
 		}
 	}
-	sort.Ints(seeds)
+	slices.Sort(seeds)
+	return g.componentsFrom(seeds)
+}
+
+// componentsFrom runs the BFS behind Components and ComponentsOf over the
+// subgraph induced by seeds, which must ascend: seeding in that order yields
+// the components ordered by smallest vertex directly.
+func (g *Graph) componentsFrom(seeds []int) [][]int {
+	in := make([]bool, g.n)
+	for _, v := range seeds {
+		in[v] = true
+	}
 	var comps [][]int
+	var queue []int32
 	for _, s := range seeds {
-		if seen[s] {
-			continue
+		if !in[s] {
+			continue // already visited: in doubles as the not-yet-seen flag
 		}
+		in[s] = false
+		queue = append(queue[:0], int32(s))
 		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			comp = append(comp, v)
-			for u := range g.adj[v] {
-				if in[u] && !seen[u] {
-					seen[u] = true
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			comp = append(comp, int(v))
+			for _, u := range g.nbrs[g.offs[v]:g.offs[v+1]] {
+				if in[u] {
+					in[u] = false
 					queue = append(queue, u)
 				}
 			}
 		}
-		sort.Ints(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
-	// Seeds ascend, so components already come out ordered by smallest
-	// vertex, matching Components.
 	return comps
 }
 
@@ -219,38 +228,12 @@ func (g *Graph) ComponentsOf(vertices []int, include func(int) bool) [][]int {
 // visit order is a perfect elimination ordering when the induced subgraph
 // is chordal.
 func (g *Graph) MCS(vertices []int) []int {
-	in := make(map[int]bool, len(vertices))
-	for _, v := range vertices {
-		g.check(v)
-		in[v] = true
-	}
-	weight := make(map[int]int, len(vertices))
-	visited := make(map[int]bool, len(vertices))
-	order := make([]int, 0, len(vertices))
-	// Deterministic: scan ascending ids. The sorted id list is loop
-	// invariant, so it is built once, not per selection round.
-	sorted := make([]int, 0, len(in))
-	for v := range in {
-		sorted = append(sorted, v)
-	}
-	sort.Ints(sorted)
-	for len(order) < len(in) {
-		best, bestW := -1, -1
-		for _, v := range sorted {
-			if visited[v] {
-				continue
-			}
-			if weight[v] > bestW {
-				best, bestW = v, weight[v]
-			}
-		}
-		visited[best] = true
-		order = append(order, best)
-		for u := range g.adj[best] {
-			if in[u] && !visited[u] {
-				weight[u]++
-			}
-		}
+	var c Chordal
+	c.load(g, vertices)
+	c.mcs()
+	order := make([]int, len(c.order))
+	for i, v := range c.order {
+		order[i] = c.verts[v]
 	}
 	return order
 }
@@ -261,44 +244,27 @@ func (g *Graph) MCS(vertices []int) []int {
 // among the subset plus fill edges) and the perfect elimination ordering of
 // H (first eliminated first).
 func (g *Graph) FillIn(vertices []int) (*Graph, []int) {
-	order := g.MCS(vertices)
-	// Eliminate in reverse visit order.
-	peo := make([]int, len(order))
-	for i, v := range order {
-		peo[len(order)-1-i] = v
+	var c Chordal
+	c.load(g, vertices)
+	c.mcs()
+	c.eliminate()
+	peo := make([]int, len(c.peo))
+	for i, v := range c.peo {
+		peo[i] = c.verts[v]
 	}
-	pos := make(map[int]int, len(peo))
-	for i, v := range peo {
-		pos[v] = i
-	}
-	h := New(g.n)
-	in := make(map[int]bool, len(vertices))
-	for _, v := range vertices {
-		in[v] = true
-	}
-	for v, a := range g.adj {
-		if !in[v] {
-			continue
-		}
-		for u := range a {
-			if in[u] && u > v {
-				h.AddEdge(v, u)
-			}
+	// The filled bit rows are H's adjacency, already ascending.
+	h := &Graph{n: g.n, offs: make([]int32, g.n+1)}
+	for i, v := range c.verts {
+		for _, x := range c.row(c.rows, i) {
+			h.offs[v+1] += int32(bits.OnesCount64(x))
 		}
 	}
-	for _, v := range peo {
-		// Later neighbors of v (not yet eliminated) must form a clique.
-		later := make([]int, 0, len(h.adj[v]))
-		for u := range h.adj[v] {
-			if pos[u] > pos[v] {
-				later = append(later, u)
-			}
-		}
-		for i := 0; i < len(later); i++ {
-			for j := i + 1; j < len(later); j++ {
-				h.AddEdge(later[i], later[j])
-			}
-		}
+	for v := 0; v < g.n; v++ {
+		h.offs[v+1] += h.offs[v]
+	}
+	h.nbrs = make([]int32, 0, h.offs[g.n])
+	for i := range c.verts {
+		h.nbrs = c.appendBits(h.nbrs, c.row(c.rows, i))
 	}
 	return h, peo
 }
@@ -309,58 +275,15 @@ func (g *Graph) FillIn(vertices []int) (*Graph, []int) {
 // candidates are filtered out. Cliques are sorted internally and ordered by
 // their smallest vertex for determinism.
 func MaximalCliquesChordal(h *Graph, peo []int) [][]int {
-	pos := make(map[int]int, len(peo))
-	for i, v := range peo {
-		pos[v] = i
-	}
-	var cands [][]int
+	var c Chordal
+	c.load(h, peo)
+	c.peo = c.peo[:0]
 	for _, v := range peo {
-		c := []int{v}
-		for u := range h.adj[v] {
-			if p, ok := pos[u]; ok && p > pos[v] {
-				c = append(c, u)
-			}
-		}
-		sort.Ints(c)
-		cands = append(cands, c)
+		i, _ := slices.BinarySearch(c.verts, v)
+		c.peo = append(c.peo, int32(i))
 	}
-	// Filter cliques contained in another candidate.
-	var out [][]int
-	for i, c := range cands {
-		maximal := true
-		for j, d := range cands {
-			if i == j || len(c) > len(d) {
-				continue
-			}
-			if len(c) == len(d) && i < j {
-				continue // keep the first of duplicates
-			}
-			if subset(c, d) {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// subset reports whether sorted slice a ⊆ sorted slice b.
-func subset(a, b []int) bool {
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i] < x {
-			i++
-		}
-		if i >= len(b) || b[i] != x {
-			return false
-		}
-		i++
-	}
-	return true
+	c.eliminateAlong()
+	return c.maximalCliques()
 }
 
 // IsClique reports whether the given vertices are pairwise adjacent in g.
@@ -375,45 +298,232 @@ func (g *Graph) IsClique(vs []int) bool {
 	return true
 }
 
-// IsChordal reports whether the subgraph induced by vertices is chordal, by
-// checking the perfect-elimination property of the reverse MCS order.
+// IsChordal reports whether the subgraph induced by vertices is chordal: the
+// reverse MCS order is a perfect elimination ordering exactly when the
+// elimination game along it adds no edge.
 func (g *Graph) IsChordal(vertices []int) bool {
-	order := g.MCS(vertices)
-	in := make(map[int]bool, len(vertices))
-	for _, v := range vertices {
-		in[v] = true
+	var c Chordal
+	c.load(g, vertices)
+	c.mcs()
+	return c.eliminate() == 0
+}
+
+// Chordal is the reusable workspace of the chordal pipeline — MCS, the
+// elimination game, maximal-clique extraction — over one vertex subset at a
+// time. The subset is renumbered 0..m-1 in ascending vertex order (so
+// "smallest vertex id" tie-breaks are "smallest local index") and its induced
+// subgraph held as m rows of ⌈m/64⌉ words: the cost of a call follows the
+// subset, never the graph it was cut from. The zero value is ready to use; a
+// Chordal serves one goroutine at a time.
+type Chordal struct {
+	verts []int   // local index → vertex, ascending
+	local []int32 // vertex → local index + 1; all zero between calls
+	words int     // words per bit row
+	rows  []uint64
+	// cand row i is {v} ∪ {later neighbours of v} for the i-th eliminated v;
+	// maximal[i] tells whether no other candidate contains it.
+	cand    []uint64
+	maximal []bool
+	elim    []uint64 // the eliminated set, one bit row
+	pos     []int32  // local index → position in peo
+	weight  []int32
+	visited []bool
+	order   []int32 // MCS visit order, local indices
+	peo     []int32 // elimination order, local indices
+
+	flat    []int // clique storage handed out by maximalCliques
+	cliques [][]int
+}
+
+// Cliques returns the maximal cliques of the chordal completion of g's
+// subgraph induced by vertices — FillIn followed by MaximalCliquesChordal,
+// without materializing the completion as a Graph. The result is owned by the
+// workspace and valid until its next call.
+func (c *Chordal) Cliques(g *Graph, vertices []int) [][]int {
+	c.load(g, vertices)
+	c.mcs()
+	c.eliminate()
+	return c.maximalCliques()
+}
+
+// load renumbers the subset and fills the bit matrix with its induced
+// subgraph.
+func (c *Chordal) load(g *Graph, vertices []int) {
+	g.seal()
+	c.verts = append(c.verts[:0], vertices...)
+	slices.Sort(c.verts)
+	c.verts = slices.Compact(c.verts)
+	for _, v := range c.verts {
+		g.check(v)
 	}
-	pos := make(map[int]int, len(order))
-	for i, v := range order {
-		pos[v] = i
+	if len(c.local) < g.n {
+		c.local = make([]int32, g.n)
 	}
-	// Reverse visit order is the elimination order; equivalently, for each
-	// v, its already-visited neighbors at visit time must... the standard
-	// check: for elimination order σ = reverse(order), later neighbors of
-	// each vertex must form a clique.
-	for _, v := range order {
-		var earlier []int // visited before v ⇒ eliminated after v
-		for u := range g.adj[v] {
-			if in[u] && pos[u] < pos[v] {
-				earlier = append(earlier, u)
+	for i, v := range c.verts {
+		c.local[v] = int32(i + 1)
+	}
+	m := len(c.verts)
+	c.words = (m + 63) / 64
+	c.rows = zeroed(c.rows, m*c.words)
+	for i, v := range c.verts {
+		row := c.row(c.rows, i)
+		for _, u := range g.nbrs[g.offs[v]:g.offs[v+1]] {
+			if j := c.local[u]; j != 0 {
+				row[(j-1)>>6] |= 1 << uint((j-1)&63)
 			}
 		}
-		// v's earlier-visited neighbors: the one visited last, say w, must
-		// be adjacent to all others (the classic MCS chordality test).
-		if len(earlier) <= 1 {
-			continue
+	}
+	for _, v := range c.verts {
+		c.local[v] = 0
+	}
+}
+
+// zeroed returns s resized to n zero elements, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+func (c *Chordal) row(m []uint64, i int) []uint64 { return m[i*c.words : (i+1)*c.words] }
+
+// appendBits appends the vertices of a bit row to dst, ascending.
+func (c *Chordal) appendBits(dst []int32, row []uint64) []int32 {
+	for j, x := range row {
+		for ; x != 0; x &= x - 1 {
+			dst = append(dst, int32(c.verts[j<<6+bits.TrailingZeros64(x)]))
 		}
-		w := earlier[0]
-		for _, u := range earlier[1:] {
-			if pos[u] > pos[w] {
-				w = u
+	}
+	return dst
+}
+
+// mcs fills order with the Maximum Cardinality Search visit order of the
+// loaded subgraph and peo with its reverse.
+//
+//datawa:hotpath
+func (c *Chordal) mcs() {
+	m := len(c.verts)
+	c.weight = zeroed(c.weight, m)
+	c.visited = zeroed(c.visited, m)
+	c.order = c.order[:0]
+	for len(c.order) < m {
+		best, bestW := -1, int32(-1)
+		for v, w := range c.weight {
+			if w > bestW && !c.visited[v] {
+				best, bestW = v, w
 			}
 		}
-		for _, u := range earlier {
-			if u != w && !g.HasEdge(u, w) {
-				return false
+		c.visited[best] = true
+		c.order = append(c.order, int32(best))
+		for j, x := range c.row(c.rows, best) {
+			for ; x != 0; x &= x - 1 {
+				c.weight[j<<6+bits.TrailingZeros64(x)]++
 			}
+		}
+	}
+	c.peo = slices.Grow(c.peo[:0], m)[:m]
+	for i, v := range c.order {
+		c.peo[m-1-i] = v
+	}
+}
+
+// eliminate plays the elimination game along peo and returns the number of
+// fill edges it added.
+func (c *Chordal) eliminate() int {
+	before := c.bitCount()
+	c.eliminateAlong()
+	return (c.bitCount() - before) / 2
+}
+
+func (c *Chordal) bitCount() int {
+	n := 0
+	for _, x := range c.rows {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// eliminateAlong eliminates the vertices in peo order, turning each one's
+// not-yet-eliminated neighbours into a clique (in place, in rows) and
+// recording {v} ∪ those neighbours as v's candidate clique. A candidate can
+// only be contained in the candidate of an earlier-eliminated neighbour — a
+// containing set must hold v, and every candidate's members other than its
+// own vertex come later — so maximality is settled against exactly those.
+//
+//datawa:hotpath
+func (c *Chordal) eliminateAlong() {
+	m := len(c.peo)
+	c.cand = zeroed(c.cand, m*c.words)
+	c.maximal = zeroed(c.maximal, m)
+	c.elim = zeroed(c.elim, c.words)
+	c.pos = slices.Grow(c.pos[:0], len(c.verts))[:len(c.verts)]
+	for i, v := range c.peo {
+		c.pos[v] = int32(i)
+	}
+	for i, v32 := range c.peo {
+		v := int(v32)
+		row, later := c.row(c.rows, v), c.row(c.cand, i)
+		for j := range later {
+			later[j] = row[j] &^ c.elim[j]
+		}
+		for j, x := range later {
+			for ; x != 0; x &= x - 1 {
+				u := j<<6 + bits.TrailingZeros64(x)
+				ru := c.row(c.rows, u)
+				for k := range ru {
+					ru[k] |= later[k]
+				}
+				ru[u>>6] &^= 1 << uint(u&63)
+			}
+		}
+		later[v>>6] |= 1 << uint(v&63)
+		c.maximal[i] = true
+	earlier:
+		for j := range row {
+			for x := row[j] & c.elim[j]; x != 0; x &= x - 1 {
+				if subsetBits(later, c.row(c.cand, int(c.pos[j<<6+bits.TrailingZeros64(x)]))) {
+					c.maximal[i] = false
+					break earlier
+				}
+			}
+		}
+		c.elim[v>>6] |= 1 << uint(v&63)
+	}
+}
+
+// subsetBits reports whether bit row a ⊆ bit row b.
+//
+//datawa:hotpath
+func subsetBits(a, b []uint64) bool {
+	for j := range a {
+		if a[j]&^b[j] != 0 {
+			return false
 		}
 	}
 	return true
+}
+
+// maximalCliques materializes the maximal candidates as ascending vertex
+// lists, ordered by smallest vertex.
+func (c *Chordal) maximalCliques() [][]int {
+	c.flat = c.flat[:0]
+	c.cliques = c.cliques[:0]
+	for i, keep := range c.maximal {
+		if !keep {
+			continue
+		}
+		start := len(c.flat)
+		for j, x := range c.row(c.cand, i) {
+			for ; x != 0; x &= x - 1 {
+				c.flat = append(c.flat, c.verts[j<<6+bits.TrailingZeros64(x)])
+			}
+		}
+		c.cliques = append(c.cliques, c.flat[start:len(c.flat):len(c.flat)])
+	}
+	// Cliques sharing their smallest vertex tie here and sort.Slice is not
+	// stable: the RTC construction's clique choice breaks its own ties by
+	// position in this list, so the sort call is part of the contract.
+	out := c.cliques
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
 }

@@ -49,7 +49,7 @@ func TestBasicOps(t *testing.T) {
 	if g.Edges() != 2 {
 		t.Errorf("Edges = %d", g.Edges())
 	}
-	want := []int{0, 2}
+	want := []int32{0, 2}
 	got := g.Neighbors(1)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("Neighbors(1) = %v", got)
@@ -132,7 +132,7 @@ func TestComponentsPartitionProperty(t *testing.T) {
 		}
 		for v := 0; v < 12; v++ {
 			for _, u := range g.Neighbors(v) {
-				if compOf[u] != compOf[v] {
+				if compOf[int(u)] != compOf[v] {
 					return false
 				}
 			}
@@ -233,7 +233,7 @@ func TestFillInProducesChordal(t *testing.T) {
 		// Fill-in is a supergraph of g.
 		for v := 0; v < 10; v++ {
 			for _, u := range g.Neighbors(v) {
-				if !h.HasEdge(v, u) {
+				if !h.HasEdge(v, int(u)) {
 					return false
 				}
 			}

@@ -206,6 +206,19 @@ func (ix *Index) Within(p geo.Point, r float64) []*core.Task {
 // AppendWithin appends the tasks within distance r of p to dst and returns
 // the extended slice, letting per-worker query loops reuse one buffer.
 func (ix *Index) AppendWithin(dst []*core.Task, p geo.Point, r float64) []*core.Task {
+	// The stack buffer covers typical per-query candidate counts, so the
+	// steady-state planning loop performs no heap allocation here.
+	var hits [64]int32
+	for _, i := range ix.AppendIndicesWithin(hits[:0], p, r) {
+		dst = append(dst, ix.tasks[i])
+	}
+	return dst
+}
+
+// AppendIndicesWithin is AppendWithin returning positions into Tasks()
+// instead of the tasks themselves, ascending — the form planners use to give
+// every pool task one dense index for the whole planning instant.
+func (ix *Index) AppendIndicesWithin(dst []int32, p geo.Point, r float64) []int32 {
 	if r < 0 || math.IsNaN(r) {
 		return dst
 	}
@@ -216,9 +229,9 @@ func (ix *Index) AppendWithin(dst []*core.Task, p geo.Point, r float64) []*core.
 	spanX := math.Floor((p.X+r-ix.originX)/ix.cell) - math.Floor((p.X-r-ix.originX)/ix.cell) + 1
 	spanY := math.Floor((p.Y+r-ix.originY)/ix.cell) - math.Floor((p.Y-r-ix.originY)/ix.cell) + 1
 	if ix.flat || !(spanX*spanY <= float64(len(ix.tasks))) {
-		for _, t := range ix.tasks {
+		for i, t := range ix.tasks {
 			if geo.Dist(p, t.Loc) <= r {
-				dst = append(dst, t)
+				dst = append(dst, int32(i))
 			}
 		}
 		return dst
@@ -229,11 +242,8 @@ func (ix *Index) AppendWithin(dst []*core.Task, p geo.Point, r float64) []*core.
 	cy1 := ix.cellCoord(p.Y+r, ix.originY)
 
 	// Collect candidate indices cell by cell, then restore construction
-	// order so the result is identical to the brute-force scan's. The stack
-	// buffer covers typical per-query candidate counts, so the steady-state
-	// planning loop performs no heap allocation here.
-	var hitsBuf [64]int32
-	hits := hitsBuf[:0]
+	// order so the result is identical to the brute-force scan's.
+	start := len(dst)
 	for cx := cx0; cx <= cx1; cx++ {
 		for cy := cy0; cy <= cy1; cy++ {
 			v, ok := ix.buckets[ix.key(cx, cy)]
@@ -242,14 +252,11 @@ func (ix *Index) AppendWithin(dst []*core.Task, p geo.Point, r float64) []*core.
 			}
 			for _, i := range ix.order[v>>32 : uint32(v)] {
 				if geo.Dist(p, ix.tasks[i].Loc) <= r {
-					hits = append(hits, i)
+					dst = append(dst, i)
 				}
 			}
 		}
 	}
-	slices.Sort(hits)
-	for _, i := range hits {
-		dst = append(dst, ix.tasks[i])
-	}
+	slices.Sort(dst[start:])
 	return dst
 }

@@ -75,7 +75,7 @@ func (o Options) WithDefaults() Options {
 // tasks near w, with identical results.
 func ReachableTasks(w *core.Worker, tasks []*core.Task, now float64, o Options) []*core.Task {
 	var sc Scratch
-	return sc.reachableFrom(w, tasks, now, o.WithDefaults())
+	return sc.ReachableTasks(w, tasks, now, o)
 }
 
 // ReachableTasksIndexed returns RS_w exactly as ReachableTasks does, but
@@ -94,58 +94,92 @@ func ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Opt
 // Separate keeps one per worker goroutine, planners one per instance. The
 // zero value is ready to use.
 type Scratch struct {
-	cands   []*core.Task // spatial-index query results
-	keep    []cand       // reachableFrom's filtered candidates
-	used    []bool       // sequence-extension membership flags
+	near    []int32 // spatial-index query results, as pool positions
+	keep    []cand  // reachable's filtered candidates
+	used    []bool  // sequence-extension membership flags
 	cur     core.Sequence
-	entries []seqEntry       // per task-set best orderings (bitmask path)
+	entries []seqEntry       // per task-set best orderings
 	bests   map[uint64]int32 // task-set bitmask → index into entries
+	wide    map[string]int32 // SetKey → index into entries, past 64 reachable tasks
+
+	// Arenas behind the WorkerSets this goroutine produced in the current
+	// Separate call. Growth may move an arena; slices handed out earlier keep
+	// the old backing alive and stay valid.
+	reach []*core.Task
+	index []int32
+	seqs  []core.Sequence
+	masks []uint64
 }
 
-// cand pairs a reachable task with its distance for the sort in
-// reachableFrom.
+// cand is a reachable task — by position in the pool it was drawn from — with
+// its distance, reachable's sort key.
 type cand struct {
-	t *core.Task
 	d float64
+	i int32
 }
 
 // seqEntry is one deduped task set with its best (minimal-completion)
-// ordering.
+// ordering. mask is the set as a bitmask over the reachable set's positions,
+// meaningful while that set has at most 64 tasks.
 type seqEntry struct {
 	seq        core.Sequence
 	completion float64
+	mask       uint64
 }
 
 // ReachableTasks is the scratch-reusing form of the package function.
 func (sc *Scratch) ReachableTasks(w *core.Worker, tasks []*core.Task, now float64, o Options) []*core.Task {
-	return sc.reachableFrom(w, tasks, now, o.WithDefaults())
+	if !w.Available(now) {
+		return nil
+	}
+	return tasksOf(tasks, sc.reachable(w, tasks, nil, true, now, o.WithDefaults()))
 }
 
 // ReachableTasksIndexed is the scratch-reusing form of the package function.
 func (sc *Scratch) ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Options) []*core.Task {
-	o = o.WithDefaults()
 	if !w.Available(now) {
 		return nil
 	}
+	return tasksOf(ix.Tasks(), sc.reachableIndexed(w, ix, now, o.WithDefaults()))
+}
+
+// reachableIndexed is reachable over the index's neighbourhood of w.
+func (sc *Scratch) reachableIndexed(w *core.Worker, ix *spatial.Index, now float64, o Options) []cand {
 	// Condition (iii) bounds every reachable task to the disc of radius
 	// w.Reach; conditions (i)/(ii) only filter further.
-	sc.cands = ix.AppendWithin(sc.cands[:0], w.Loc, w.Reach)
-	out := sc.reachableFrom(w, sc.cands, now, o)
-	clear(sc.cands) // release task pointers held by the scratch buffer
+	sc.near = ix.AppendIndicesWithin(sc.near[:0], w.Loc, w.Reach)
+	return sc.reachable(w, ix.Tasks(), sc.near, false, now, o)
+}
+
+// tasksOf resolves reachable's result into a caller-owned task slice.
+func tasksOf(pool []*core.Task, keep []cand) []*core.Task {
+	out := make([]*core.Task, len(keep))
+	for k, c := range keep {
+		out[k] = pool[c.i]
+	}
 	return out
 }
 
-// reachableFrom applies the Section IV-A.1 constraints to a candidate pool.
-// Candidates must be a superset of the disc of radius w.Reach around w.Loc
-// intersected with the pool the caller reasons about; the exact filter here
-// makes the brute-force and indexed paths interchangeable.
-func (sc *Scratch) reachableFrom(w *core.Worker, cands []*core.Task, now float64, o Options) []*core.Task {
-	if !w.Available(now) {
-		return nil
-	}
+// reachable applies the Section IV-A.1 constraints for a worker inside its
+// window to the candidates pool[near[·]] — or to the whole pool when all is
+// set — and returns the survivors nearest first, capped at o.MaxReachable, in
+// scratch storage valid until the next call. The candidates must be a
+// superset of the disc of radius w.Reach around w.Loc intersected with the
+// pool; the exact filter here makes the brute-force and indexed paths
+// interchangeable.
+func (sc *Scratch) reachable(w *core.Worker, pool []*core.Task, near []int32, all bool, now float64, o Options) []cand {
 	window := w.Off - now
 	keep := sc.keep[:0]
-	for _, s := range cands {
+	n := len(near)
+	if all {
+		n = len(pool)
+	}
+	for k := 0; k < n; k++ {
+		i := int32(k)
+		if !all {
+			i = near[k]
+		}
+		s := pool[i]
 		if s.Exp <= now {
 			continue
 		}
@@ -160,7 +194,7 @@ func (sc *Scratch) reachableFrom(w *core.Worker, cands []*core.Task, now float64
 		if d > w.Reach {
 			continue // (iii)
 		}
-		keep = append(keep, cand{s, d})
+		keep = append(keep, cand{d, i})
 	}
 	slices.SortFunc(keep, func(a, b cand) int {
 		switch {
@@ -168,23 +202,14 @@ func (sc *Scratch) reachableFrom(w *core.Worker, cands []*core.Task, now float64
 			return -1
 		case a.d > b.d:
 			return 1
-		case a.t.ID < b.t.ID:
-			return -1
-		case a.t.ID > b.t.ID:
-			return 1
 		}
-		return 0
+		return pool[a.i].ID - pool[b.i].ID
 	})
+	sc.keep = keep[:0]
 	if len(keep) > o.MaxReachable {
 		keep = keep[:o.MaxReachable]
 	}
-	out := make([]*core.Task, len(keep))
-	for i, c := range keep {
-		out[i] = c.t
-	}
-	sc.keep = keep[:0]
-	clear(keep[:cap(keep)]) // release task pointers held by the scratch buffer
-	return out
+	return keep
 }
 
 // MaximalValidSequences computes Q_w: for every subset of the reachable set
@@ -208,19 +233,37 @@ func MaximalValidSequences(w *core.Worker, rs []*core.Task, now float64, o Optio
 // set (the common case on sparse workloads) returns nil without touching the
 // scratch at all.
 func (sc *Scratch) MaximalValidSequences(w *core.Worker, rs []*core.Task, now float64, o Options) []core.Sequence {
+	entries := sc.sequences(w, rs, now, o.WithDefaults())
+	if entries == nil {
+		return nil
+	}
+	out := make([]core.Sequence, len(entries))
+	for i := range out {
+		out[i] = entries[i].seq
+	}
+	clear(entries) // release the sequences held by the scratch
+	return out
+}
+
+// sequences generates Q_w as sorted, capped entries in scratch storage valid
+// until the next call (the caller clears them when done); nil for an empty rs.
+//
+// Task sets over at most 64 reachable tasks dedup by bitmask over rs
+// positions — rs holds distinct tasks, so equal masks ⟺ equal id sets,
+// exactly the SetKey equivalence without the string allocations — and the
+// mask travels out with the entry. Larger sets (only possible with
+// MaxReachable raised past 64) dedup by SetKey.
+func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Options) []seqEntry {
 	if len(rs) == 0 {
 		return nil
 	}
-	o = o.WithDefaults()
-	if len(rs) > 64 {
-		return maximalValidSequencesByKey(w, rs, now, o)
-	}
-	// Task sets over at most 64 reachable tasks dedup by bitmask over rs
-	// indices — rs holds distinct tasks, so equal masks ⟺ equal id sets,
-	// exactly the SetKey equivalence without the string allocations.
-	if sc.bests == nil {
+	wide := len(rs) > 64
+	switch {
+	case wide:
+		sc.wide = make(map[string]int32)
+	case sc.bests == nil:
 		sc.bests = make(map[uint64]int32, 64)
-	} else {
+	default:
 		clear(sc.bests)
 	}
 	entries := sc.entries[:0]
@@ -234,11 +277,20 @@ func (sc *Scratch) MaximalValidSequences(w *core.Worker, rs []*core.Task, now fl
 	var extend func(loc geo.Point, t float64, mask uint64)
 	extend = func(loc geo.Point, t float64, mask uint64) {
 		if len(cur) > 0 {
-			if i, ok := sc.bests[mask]; !ok {
+			var i int32
+			var ok bool
+			if wide {
+				key := cur.SetKey()
+				if i, ok = sc.wide[key]; !ok {
+					sc.wide[key] = int32(len(entries))
+				}
+			} else if i, ok = sc.bests[mask]; !ok {
 				sc.bests[mask] = int32(len(entries))
-				entries = append(entries, seqEntry{seq: cur.Clone(), completion: t})
+			}
+			if !ok {
+				entries = append(entries, seqEntry{seq: cur.Clone(), completion: t, mask: mask})
 			} else if t < entries[i].completion {
-				entries[i] = seqEntry{seq: cur.Clone(), completion: t}
+				entries[i].seq, entries[i].completion = cur.Clone(), t
 			}
 		}
 		if len(cur) >= o.MaxSeqLen {
@@ -267,6 +319,7 @@ func (sc *Scratch) MaximalValidSequences(w *core.Worker, rs []*core.Task, now fl
 	}
 	extend(w.Loc, now, 0)
 	sc.cur = cur[:0]
+	sc.wide = nil
 
 	slices.SortFunc(entries, func(a, b seqEntry) int {
 		if len(a.seq) != len(b.seq) {
@@ -284,87 +337,12 @@ func (sc *Scratch) MaximalValidSequences(w *core.Worker, rs []*core.Task, now fl
 		}
 		return 0
 	})
-	n := len(entries)
-	if n > o.MaxSequences {
-		n = o.MaxSequences
-	}
-	out := make([]core.Sequence, n)
-	for i := range out {
-		out[i] = entries[i].seq
-	}
 	sc.entries = entries[:0]
-	clear(entries[:cap(entries)]) // release the sequences held by the scratch
-	return out
-}
-
-// maximalValidSequencesByKey is the SetKey-deduped fallback for reachable
-// sets too large for a 64-bit index mask (only possible with MaxReachable
-// raised past 64).
-func maximalValidSequencesByKey(w *core.Worker, rs []*core.Task, now float64, o Options) []core.Sequence {
-	type best struct {
-		seq        core.Sequence
-		completion float64
+	if len(entries) > o.MaxSequences {
+		clear(entries[o.MaxSequences:]) // release the sequences past the cap
+		entries = entries[:o.MaxSequences]
 	}
-	bests := make(map[string]best)
-
-	var cur core.Sequence
-	used := make([]bool, len(rs))
-
-	var extend func(loc geo.Point, t float64)
-	extend = func(loc geo.Point, t float64) {
-		if len(cur) > 0 {
-			key := cur.SetKey()
-			if b, ok := bests[key]; !ok || t < b.completion {
-				bests[key] = best{seq: cur.Clone(), completion: t}
-			}
-		}
-		if len(cur) >= o.MaxSeqLen {
-			return
-		}
-		for i, s := range rs {
-			if used[i] {
-				continue
-			}
-			arrive := t + o.Travel.Time(loc, s.Loc)
-			if arrive < s.Pub {
-				arrive = s.Pub
-			}
-			if arrive >= s.Exp || arrive >= w.Off {
-				continue
-			}
-			if geo.Dist(w.Loc, s.Loc) > w.Reach {
-				continue
-			}
-			used[i] = true
-			cur = append(cur, s)
-			extend(s.Loc, arrive)
-			cur = cur[:len(cur)-1]
-			used[i] = false
-		}
-	}
-	extend(w.Loc, now)
-
-	out := make([]core.Sequence, 0, len(bests))
-	completions := make(map[string]float64, len(bests))
-	//datawa:unordered out is totally ordered by the sort.Slice below (length, completion, then lessIDs)
-	for key, b := range bests {
-		out = append(out, b.seq)
-		completions[key] = b.completion
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
-		}
-		ci, cj := completions[out[i].SetKey()], completions[out[j].SetKey()]
-		if ci != cj {
-			return ci < cj
-		}
-		return lessIDs(out[i], out[j])
-	})
-	if len(out) > o.MaxSequences {
-		out = out[:o.MaxSequences]
-	}
-	return out
+	return entries
 }
 
 func lessIDs(a, b core.Sequence) bool {
@@ -379,19 +357,43 @@ func lessIDs(a, b core.Sequence) bool {
 // Separation is the full Worker Dependency Separation state for one
 // planning instant: per-worker reachable sets and candidate sequences, the
 // dependency graph, and the RTC forest (one tree per connected component).
+//
+// Everything is addressed by dense index: Sets and the graph's vertices by
+// position in Workers, reachable tasks by position in Tasks, a sequence's
+// tasks by bit position in its worker's reachable set. Consumers translate
+// ids to small ints nowhere — the indices are handed out here, once.
 type Separation struct {
-	Workers   []*core.Worker
-	Reachable map[int][]*core.Task    // worker id → RS_w
-	Sequences map[int][]core.Sequence // worker id → Q_w
-	Graph     *graphutil.Graph        // vertices index Workers
-	Forest    []*TreeNode
+	Workers []*core.Worker
+	Tasks   []*core.Task     // the planning pool
+	Sets    []WorkerSets     // Sets[i] belongs to Workers[i]
+	Graph   *graphutil.Graph // vertices index Workers
+	Forest  []*TreeNode
 }
+
+// WorkerSets is one worker's reachable set RS_w and candidate sequences Q_w.
+type WorkerSets struct {
+	Reach []*core.Task // RS_w, nearest first
+	Index []int32      // Reach[k] is Separation.Tasks[Index[k]]
+	Seqs  []core.Sequence
+	// Masks holds each sequence's task set as a bitmask over Reach
+	// positions, Words() words per sequence: Seqs[j] uses Reach[k] iff bit k
+	// of row j is set. With the default MaxReachable a row is one word, and
+	// "are all of Seqs[j]'s tasks still free" is one AND-NOT against the
+	// worker's availability word.
+	Masks []uint64
+}
+
+// Words returns the number of words per row of Masks.
+func (s *WorkerSets) Words() int { return (len(s.Reach) + 63) / 64 }
 
 // TreeNode is one node of the RTC tree. Workers holds the clique X′
 // installed at this node; Children are the trees of the components obtained
 // by removing X′. Workers in sibling subtrees are independent.
 type TreeNode struct {
-	Workers  []*core.Worker
+	Workers []*core.Worker
+	// Index gives the node's workers as positions in Separation.Workers:
+	// Workers[k] is Separation.Workers[Index[k]].
+	Index    []int32
 	Children []*TreeNode
 }
 
@@ -401,30 +403,39 @@ func (n *TreeNode) AllWorkers() []*core.Worker {
 	if n == nil {
 		return nil
 	}
-	out := append([]*core.Worker(nil), n.Workers...)
-	for _, c := range n.Children {
-		out = append(out, c.AllWorkers()...)
-	}
-	return out
+	return n.AppendWorkers(make([]*core.Worker, 0, n.Size()))
 }
 
-// EachWorker visits every worker in the subtree in AllWorkers order without
-// materializing the slice — the allocation-free walk used by per-tree setup
-// loops that run once per planning instant.
-func (n *TreeNode) EachWorker(f func(*core.Worker)) {
-	if n == nil {
-		return
-	}
-	for _, w := range n.Workers {
-		f(w)
-	}
+// AppendWorkers appends the subtree's workers to dst in AllWorkers order.
+func (n *TreeNode) AppendWorkers(dst []*core.Worker) []*core.Worker {
+	dst = append(dst, n.Workers...)
 	for _, c := range n.Children {
-		c.EachWorker(f)
+		dst = c.AppendWorkers(dst)
 	}
+	return dst
+}
+
+// AppendIndex appends the subtree's worker positions (see Index) to dst in
+// AllWorkers order.
+func (n *TreeNode) AppendIndex(dst []int32) []int32 {
+	dst = append(dst, n.Index...)
+	for _, c := range n.Children {
+		dst = c.AppendIndex(dst)
+	}
+	return dst
 }
 
 // Size returns the number of workers in the subtree.
-func (n *TreeNode) Size() int { return len(n.AllWorkers()) }
+func (n *TreeNode) Size() int {
+	if n == nil {
+		return 0
+	}
+	size := len(n.Workers)
+	for _, c := range n.Children {
+		size += c.Size()
+	}
+	return size
+}
 
 // Depth returns the height of the subtree (a single node has depth 1).
 func (n *TreeNode) Depth() int {
@@ -456,27 +467,22 @@ func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options
 }
 
 // Separator runs the WDS pipeline with every intermediate structure — the
-// per-goroutine scratch, the spatial index, the dependency graph, the RTC
-// builder, and the Separation's own maps — reused across calls, so a planner
-// invoking it once per instant allocates only the per-worker results. The
-// returned Separation is owned by the Separator and valid until the next
-// Separate call; callers that retain it across instants must use the package
-// function instead. The zero value is ready to use.
+// per-goroutine scratch and result arenas, the spatial index, the dependency
+// graph, the chordal workspace and the RTC builder — reused across calls, so
+// a planner invoking it once per instant allocates only the sequences
+// themselves. The returned Separation is owned by the Separator and valid
+// until the next Separate call; callers that retain it across instants must
+// use the package function instead. The zero value is ready to use.
 type Separator struct {
-	scr   []Scratch
-	rs    [][]*core.Task
-	qs    [][]core.Sequence
-	pairs []taskWorker
-	ix    spatial.Index
-	g     graphutil.Graph
-	b     treeBuilder
-	sep   Separation
-}
-
-// taskWorker is one (task, worker-index) incidence of the reachable relation.
-type taskWorker struct {
-	task int
-	w    int32
+	scr []Scratch
+	ix  spatial.Index
+	g   graphutil.Graph
+	b   treeBuilder
+	sep Separation
+	// The reachable relation inverted by counting sort: the workers reaching
+	// pool task t are byTask[taskOff[t]:taskOff[t+1]], ascending.
+	taskOff []int32
+	byTask  []int32
 }
 
 // Separate is the scratch-reusing form of the package function; see the
@@ -484,14 +490,7 @@ type taskWorker struct {
 func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options) *Separation {
 	o = o.WithDefaults()
 	sep := &sp.sep
-	sep.Workers = workers
-	if sep.Reachable == nil {
-		sep.Reachable = make(map[int][]*core.Task, len(workers))
-		sep.Sequences = make(map[int][]core.Sequence, len(workers))
-	} else {
-		clear(sep.Reachable)
-		clear(sep.Sequences)
-	}
+	sep.Workers, sep.Tasks = workers, tasks
 	clear(sep.Forest)
 	sep.Forest = sep.Forest[:0]
 
@@ -502,62 +501,57 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 	}
 	// Each worker's RS_w and Q_w depend only on that worker and the shared
 	// read-only pool, so the loop is embarrassingly parallel; results land
-	// in per-index slots and the maps are filled afterwards.
-	rs := slices.Grow(sp.rs[:0], len(workers))[:len(workers)]
-	qs := slices.Grow(sp.qs[:0], len(workers))[:len(workers)]
-	sp.rs, sp.qs = rs, qs
+	// in per-index slots, backed by the arenas of whichever goroutine's
+	// scratch computed them.
+	clear(sep.Sets)
+	sep.Sets = slices.Grow(sep.Sets[:0], len(workers))[:len(workers)]
 	for len(sp.scr) < par.Workers(o.Parallelism, len(workers)) {
 		sp.scr = append(sp.scr, Scratch{})
 	}
-	par.DoWorker(len(workers), o.Parallelism, func(g, i int) {
-		sc := &sp.scr[g]
-		w := workers[i]
-		if ix != nil {
-			rs[i] = sc.ReachableTasksIndexed(w, ix, now, o)
-		} else {
-			rs[i] = sc.reachableFrom(w, tasks, now, o)
-		}
-		qs[i] = sc.MaximalValidSequences(w, rs[i], now, o)
-	})
-	for i, w := range workers {
-		sep.Reachable[w.ID] = rs[i]
-		sep.Sequences[w.ID] = qs[i]
+	for i := range sp.scr {
+		sp.scr[i].resetArenas()
 	}
+	par.DoWorker(len(workers), o.Parallelism, func(g, i int) {
+		if w := workers[i]; w.Available(now) {
+			sep.Sets[i] = sp.scr[g].workerSets(w, tasks, ix, now, o)
+		}
+	})
 
-	// Dependency graph: invert the reachable relation task → workers by
-	// sorting the incidence pairs (grouping replaces the former map of
-	// per-task worker lists), then connect workers sharing any task. This is
-	// O(Σ|RS| log Σ|RS| + edges) instead of the paper's O(|W|²·|RS|)
-	// pairwise scan.
+	// Dependency graph: invert the reachable relation task → workers by a
+	// counting sort over pool positions, then connect the workers sharing
+	// each task. This is O(|T| + Σ|RS| + edges) instead of the paper's
+	// O(|W|²·|RS|) pairwise scan.
+	off := slices.Grow(sp.taskOff[:0], len(tasks)+1)[:len(tasks)+1]
+	clear(off)
+	for i := range sep.Sets {
+		for _, t := range sep.Sets[i].Index {
+			off[t+1]++
+		}
+	}
+	for t := range tasks {
+		off[t+1] += off[t]
+	}
+	byTask := slices.Grow(sp.byTask[:0], int(off[len(tasks)]))[:off[len(tasks)]]
+	for i := range sep.Sets {
+		for _, t := range sep.Sets[i].Index {
+			byTask[off[t]] = int32(i)
+			off[t]++
+		}
+	}
+	sp.taskOff, sp.byTask = off, byTask
 	sp.g.Reset(len(workers))
 	sep.Graph = &sp.g
-	pairs := sp.pairs[:0]
-	for idx, w := range workers {
-		for _, s := range sep.Reachable[w.ID] {
-			pairs = append(pairs, taskWorker{task: s.ID, w: int32(idx)})
-		}
-	}
-	sp.pairs = pairs
-	slices.SortFunc(pairs, func(a, b taskWorker) int {
-		if a.task != b.task {
-			if a.task < b.task {
-				return -1
-			}
-			return 1
-		}
-		return int(a.w) - int(b.w)
-	})
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && pairs[j].task == pairs[i].task {
-			j++
-		}
-		for a := i; a < j; a++ {
-			for b := a + 1; b < j; b++ {
-				sep.Graph.AddEdge(int(pairs[a].w), int(pairs[b].w))
+	// The fill pass advanced every offset to its group's end, so group t
+	// starts where group t-1 ends.
+	start := int32(0)
+	for t := range tasks {
+		group := byTask[start:off[t]]
+		for a, u := range group {
+			for _, v := range group[a+1:] {
+				sep.Graph.AddEdge(int(u), int(v))
 			}
 		}
-		i = j
+		start = off[t]
 	}
 
 	sp.b.init(sep.Graph)
@@ -568,36 +562,84 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 	return sep
 }
 
-// treeBuilder carries the RTC construction state for one dependency graph: a
-// CSR copy of the adjacency (sorted neighbor slices beat per-edge map
-// iteration in the clique-probing BFS) and dense scratch reused across every
-// node of every tree, so probing a clique costs O(component + edges) with no
-// allocations beyond the result.
+// resetArenas empties the result arenas for a new Separate call, dropping
+// the task pointers of the previous one.
+func (sc *Scratch) resetArenas() {
+	clear(sc.reach)
+	clear(sc.seqs)
+	sc.reach, sc.index, sc.seqs, sc.masks = sc.reach[:0], sc.index[:0], sc.seqs[:0], sc.masks[:0]
+}
+
+// workerSets computes one available worker's RS_w and Q_w into the arenas.
+// Every returned slice is capacity-capped: nothing can append through it into
+// a neighbour's span.
+func (sc *Scratch) workerSets(w *core.Worker, tasks []*core.Task, ix *spatial.Index, now float64, o Options) WorkerSets {
+	var keep []cand
+	if ix != nil {
+		keep = sc.reachableIndexed(w, ix, now, o)
+	} else {
+		keep = sc.reachable(w, tasks, nil, true, now, o)
+	}
+	r0 := len(sc.reach)
+	for _, c := range keep {
+		sc.reach = append(sc.reach, tasks[c.i])
+		sc.index = append(sc.index, c.i)
+	}
+	ws := WorkerSets{
+		Reach: sc.reach[r0:len(sc.reach):len(sc.reach)],
+		Index: sc.index[r0:len(sc.index):len(sc.index)],
+	}
+	entries := sc.sequences(w, ws.Reach, now, o)
+	q0, m0, words := len(sc.seqs), len(sc.masks), ws.Words()
+	for _, e := range entries {
+		sc.seqs = append(sc.seqs, e.seq)
+		if words == 1 {
+			sc.masks = append(sc.masks, e.mask)
+			continue
+		}
+		// Past 64 reachable tasks the generator carries no mask: rebuild the
+		// row from the sequence's positions in Reach.
+		row := len(sc.masks)
+		sc.masks = append(sc.masks, make([]uint64, words)...)
+		for _, s := range e.seq {
+			k := slices.Index(ws.Reach, s)
+			sc.masks[row+k>>6] |= 1 << uint(k&63)
+		}
+	}
+	clear(entries)
+	ws.Seqs = sc.seqs[q0:len(sc.seqs):len(sc.seqs)]
+	ws.Masks = sc.masks[m0:len(sc.masks):len(sc.masks)]
+	return ws
+}
+
+// treeBuilder carries the RTC construction state for one dependency graph:
+// the chordal workspace and dense scratch reused across every node of every
+// tree, so probing a clique costs O(component + edges) with no allocations
+// beyond the result.
 type treeBuilder struct {
 	g       *graphutil.Graph
-	offs    []int32
-	nbrs    []int32
+	ch      graphutil.Chordal
 	inComp  []bool
 	removed []bool
 	seen    []bool
 	queue   []int32
 	touched []int32
-	// Arenas for the construction's results: tree nodes and the node.Workers
-	// backing. Both live until the next init call (the Separation's
-	// lifetime), so steady-state tree building allocates only on growth.
-	// Each node's Workers span is completed before any other node starts
+	// Arenas for the construction's results: tree nodes and the backing of
+	// node.Workers / node.Index. All live until the next init call (the
+	// Separation's lifetime), so steady-state tree building allocates only on
+	// growth. Each node's span is completed before any other node starts
 	// (cliques are installed before recursing), which keeps the spans
 	// contiguous; grown-over backings stay alive through the tree's own
 	// pointers.
 	nodes    []TreeNode
 	warena   []*core.Worker
+	iarena   []int32
 	compFlat []int
 	compOffs []int32
 }
 
-// init (re)binds the builder to a graph, rebuilding the CSR adjacency and
-// resetting the arenas; dense scratch is reused across generations (the
-// traversal invariants leave it all-false).
+// init (re)binds the builder to a graph and resets the arenas; dense scratch
+// is reused across generations (the traversal invariants leave it all-false).
 func (b *treeBuilder) init(g *graphutil.Graph) {
 	n := g.N()
 	b.g = g
@@ -610,26 +652,33 @@ func (b *treeBuilder) init(g *graphutil.Graph) {
 		b.removed = b.removed[:n]
 		b.seen = b.seen[:n]
 	}
-	b.offs = append(b.offs[:0], 0)
-	b.nbrs = b.nbrs[:0]
-	add := func(u int) { b.nbrs = append(b.nbrs, int32(u)) }
-	for v := 0; v < n; v++ {
-		start := len(b.nbrs)
-		g.EachNeighbor(v, add)
-		slices.Sort(b.nbrs[start:])
-		b.offs = append(b.offs, int32(len(b.nbrs)))
-	}
 	clear(b.nodes)
 	b.nodes = b.nodes[:0]
 	clear(b.warena)
 	b.warena = b.warena[:0]
+	b.iarena = b.iarena[:0]
 }
 
-// newNode allocates a tree node from the arena. Arena growth may move the
-// backing array; nodes handed out earlier remain valid (kept alive by the
-// tree's pointers), they just no longer share storage with newer ones.
-func (b *treeBuilder) newNode() *TreeNode {
-	b.nodes = append(b.nodes, TreeNode{})
+// newNode allocates a tree node from the arena and installs the workers at
+// the given positions, sorted by worker id, as its clique. Arena growth may
+// move a backing array; nodes and spans handed out earlier remain valid (kept
+// alive by the tree's pointers), they just no longer share storage with
+// newer ones. The spans are capacity-capped: nothing can append through them
+// into the arena.
+func (b *treeBuilder) newNode(workers []*core.Worker, clique ...int) *TreeNode {
+	start := len(b.iarena)
+	for _, v := range clique {
+		b.iarena = append(b.iarena, int32(v))
+	}
+	index := b.iarena[start:len(b.iarena):len(b.iarena)]
+	slices.SortFunc(index, func(x, y int32) int { return workers[x].ID - workers[y].ID })
+	for _, v := range index {
+		b.warena = append(b.warena, workers[v])
+	}
+	b.nodes = append(b.nodes, TreeNode{
+		Workers: b.warena[start:len(b.warena):len(b.warena)],
+		Index:   index,
+	})
 	return &b.nodes[len(b.nodes)-1]
 }
 
@@ -652,7 +701,7 @@ func (b *treeBuilder) components() (flat []int, offs []int32) {
 		for head := 0; head < len(b.queue); head++ {
 			v := b.queue[head]
 			b.compFlat = append(b.compFlat, int(v))
-			for _, u := range b.nbrs[b.offs[v]:b.offs[v+1]] {
+			for _, u := range b.g.Neighbors(int(v)) {
 				if !b.seen[u] {
 					b.seen[u] = true
 					b.queue = append(b.queue, u)
@@ -681,22 +730,10 @@ func (b *treeBuilder) build(comp []int, workers []*core.Worker) *TreeNode {
 	// the component itself — whose removal leaves nothing, so the tree is a
 	// single node. These dominate sparse instants; building them directly
 	// skips the chordal fill-in and clique machinery entirely.
-	if len(comp) == 1 {
-		node := b.newNode()
-		node.Workers = b.installWorkers(workers[comp[0]])
-		return node
+	if len(comp) <= 2 {
+		return b.newNode(workers, comp...)
 	}
-	if len(comp) == 2 {
-		u, v := workers[comp[0]], workers[comp[1]]
-		if v.ID < u.ID {
-			u, v = v, u
-		}
-		node := b.newNode()
-		node.Workers = b.installWorkers(u, v)
-		return node
-	}
-	chordal, peo := b.g.FillIn(comp)
-	cliques := graphutil.MaximalCliquesChordal(chordal, peo)
+	cliques := b.ch.Cliques(b.g, comp)
 
 	for _, v := range comp {
 		b.inComp[v] = true
@@ -740,27 +777,15 @@ func (b *treeBuilder) build(comp []int, workers []*core.Worker) *TreeNode {
 		b.inComp[v] = false
 	}
 
-	node := b.newNode()
-	start := len(b.warena)
-	for _, v := range cliques[bestIdx] {
-		b.warena = append(b.warena, workers[v])
-	}
-	node.Workers = b.warena[start:len(b.warena):len(b.warena)]
-	slices.SortFunc(node.Workers, func(a, b *core.Worker) int { return a.ID - b.ID })
+	// The clique list lives in the chordal workspace, which the children's
+	// builds reuse: install the winner before recursing.
+	node := b.newNode(workers, cliques[bestIdx]...)
 	for _, sub := range bestResidual {
 		if child := b.build(sub, workers); child != nil {
 			node.Children = append(node.Children, child)
 		}
 	}
 	return node
-}
-
-// installWorkers appends ws to the worker arena and returns the span as a
-// capacity-capped slice (nothing can append through it into the arena).
-func (b *treeBuilder) installWorkers(ws ...*core.Worker) []*core.Worker {
-	start := len(b.warena)
-	b.warena = append(b.warena, ws...)
-	return b.warena[start:len(b.warena):len(b.warena)]
 }
 
 // residual runs the BFS over comp minus the currently removed vertices and
@@ -790,7 +815,7 @@ func (b *treeBuilder) residual(comp []int, collect bool) (int, [][]int) {
 			if collect {
 				cc = append(cc, int(v))
 			}
-			for _, u := range b.nbrs[b.offs[v]:b.offs[v+1]] {
+			for _, u := range b.g.Neighbors(int(v)) {
 				if b.inComp[u] && !b.removed[u] && !b.seen[u] {
 					b.seen[u] = true
 					touched = append(touched, u)

@@ -3,6 +3,7 @@ package wds
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -384,8 +385,8 @@ func randomInstance(seed int64, nWorkers, nTasks int, span float64) ([]*core.Wor
 // and forest structure.
 func sameSeparation(t *testing.T, a, b *Separation) {
 	t.Helper()
-	for _, w := range a.Workers {
-		ra, rb := a.Reachable[w.ID], b.Reachable[w.ID]
+	for i, w := range a.Workers {
+		ra, rb := a.Sets[i].Reach, b.Sets[i].Reach
 		if len(ra) != len(rb) {
 			t.Fatalf("worker %d: reachable %d vs %d", w.ID, len(ra), len(rb))
 		}
@@ -394,7 +395,7 @@ func sameSeparation(t *testing.T, a, b *Separation) {
 				t.Fatalf("worker %d: reachable[%d] = %d vs %d", w.ID, i, ra[i].ID, rb[i].ID)
 			}
 		}
-		qa, qb := a.Sequences[w.ID], b.Sequences[w.ID]
+		qa, qb := a.Sets[i].Seqs, b.Sets[i].Seqs
 		if len(qa) != len(qb) {
 			t.Fatalf("worker %d: |Q| %d vs %d", w.ID, len(qa), len(qb))
 		}
@@ -477,5 +478,94 @@ func TestReachableTasksIndexedMatches(t *testing.T) {
 	b := ReachableTasksIndexed(zw, ix, 0, opts)
 	if len(a) != len(b) {
 		t.Fatalf("zero-reach worker: %d vs %d", len(a), len(b))
+	}
+}
+
+// TestSeparationDenseIndices pins the hand-off contract the search relies
+// on: Index addresses Reach in the pool, Masks rows are exactly the sequences'
+// task sets over Reach positions, tree nodes address Workers — at the default
+// one-word width and past 64 reachable tasks.
+func TestSeparationDenseIndices(t *testing.T) {
+	for _, maxReach := range []int{0, 70} {
+		ws, ts := randomInstance(33, 40, 600, 3)
+		o := opts
+		o.MaxReachable = maxReach
+		o.MaxSeqLen = 2
+		sep := Separate(ws, ts, 0, o)
+		wide := false
+		for i := range sep.Workers {
+			set := &sep.Sets[i]
+			if len(set.Index) != len(set.Reach) {
+				t.Fatalf("worker %d: %d indices for %d reachable tasks", i, len(set.Index), len(set.Reach))
+			}
+			for k, s := range set.Reach {
+				if sep.Tasks[set.Index[k]] != s {
+					t.Fatalf("worker %d: Index[%d] does not address Reach[%d]", i, k, k)
+				}
+			}
+			words := set.Words()
+			wide = wide || words > 1
+			if len(set.Masks) != words*len(set.Seqs) {
+				t.Fatalf("worker %d: %d mask words for %d sequences of %d words", i, len(set.Masks), len(set.Seqs), words)
+			}
+			for j, q := range set.Seqs {
+				want := make([]uint64, words)
+				for _, s := range q {
+					k := slices.Index(set.Reach, s)
+					want[k>>6] |= 1 << uint(k&63)
+				}
+				if !slices.Equal(set.Masks[j*words:(j+1)*words], want) {
+					t.Fatalf("worker %d sequence %d: mask %x, want %x", i, j, set.Masks[j*words:(j+1)*words], want)
+				}
+			}
+		}
+		if wide != (maxReach > 64) {
+			t.Fatalf("MaxReachable %d: wide masks = %v", maxReach, wide)
+		}
+		var check func(n *TreeNode)
+		check = func(n *TreeNode) {
+			if len(n.Index) != len(n.Workers) {
+				t.Fatalf("node has %d indices for %d workers", len(n.Index), len(n.Workers))
+			}
+			for k, w := range n.Workers {
+				if sep.Workers[n.Index[k]] != w {
+					t.Fatal("node Index does not address its Workers")
+				}
+			}
+			for _, c := range n.Children {
+				check(c)
+			}
+		}
+		for _, root := range sep.Forest {
+			check(root)
+			if got := root.AppendIndex(nil); len(got) != root.Size() {
+				t.Fatalf("AppendIndex returned %d positions for a subtree of %d", len(got), root.Size())
+			}
+		}
+	}
+}
+
+// TestWideSequencesMatchReference compares the unified generator past 64
+// reachable tasks with the SetKey-deduped generator it replaced.
+func TestWideSequencesMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 5; trial++ {
+		w := worker(1, 0, 0, 2, 0, 300+r.Float64()*600)
+		var rs []*core.Task
+		for i := 0; i < 65+r.Intn(40); i++ {
+			rs = append(rs, task(i+1, r.Float64()*1.4, r.Float64()*1.4, 0, 100+r.Float64()*500))
+		}
+		o := opts.WithDefaults()
+		o.MaxSeqLen = 2 + trial%2
+		o.MaxSequences = 500
+		got, want := MaximalValidSequences(w, rs, 0, o), refSequencesByKey(w, rs, 0, o)
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("trial %d: %d sequences, reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i].IDs(), want[i].IDs()) {
+				t.Fatalf("trial %d: sequence %d = %v, reference %v", trial, i, got[i].IDs(), want[i].IDs())
+			}
+		}
 	}
 }
