@@ -387,13 +387,10 @@ type searchRun struct {
 	stack []choice
 	out   []choice
 
-	// RL state scratch: levels[d] is the state of the search call at depth d
-	// (a call's state must outlive the deeper calls made between building it
-	// and featurizing with it); open is the shared list of available tasks
-	// and stale whether an availability change has outdated it.
-	levels []level
-	open   []*core.Task
-	stale  bool
+	// RL state scratch: levels[d] is the state of the search call at depth d.
+	// Per depth, not shared: a call builds its state, recurses, and only then
+	// featurizes with it, so the deeper calls' states must land elsewhere.
+	levels []tvf.State
 	// DFSearch_TVF scratch: the usable sequences of the current worker and
 	// their features.
 	usable []int32
@@ -402,12 +399,6 @@ type searchRun struct {
 
 // choice assigns sequence k of Q_w to the worker at position w.
 type choice struct{ w, k int32 }
-
-// level is the RL state (W_N + W_C, S) of one search call.
-type level struct {
-	workers []*core.Worker
-	tasks   int // the state's task list is open[:tasks]
-}
 
 // searchTree searches one tree over its task universe and appends the plan
 // to r.out.
@@ -420,7 +411,6 @@ func (r *searchRun) searchTree(root *wds.TreeNode, universe []int32) treeResult 
 	r.nodes, r.greedy = 0, 0
 	r.samples = nil // escapes into the result; never reuse the backing
 	r.stack = r.stack[:0]
-	r.open, r.stale = slices.Grow(r.open[:0], len(universe)), true
 	if r.model != nil {
 		r.searchTVF(root, 0)
 	} else {
@@ -497,7 +487,6 @@ func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) {
 			r.avail[local[j<<6+bits.TrailingZeros64(m)]] = free
 		}
 	}
-	r.stale = true
 }
 
 // markAll sets the availability of every task of a plan.
@@ -562,7 +551,7 @@ func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 		if r.collect && len(r.samples) < r.opts.MaxSamples {
 			// Lines 9–11: record (s_t, a_t, opt).
 			act := tvf.Action{Worker: r.sep.Workers[wi], Seq: set.Seqs[k]}
-			feat := tvf.Featurize(r.state(r.levelAt(d)), act, r.opts.WDS.Travel)
+			feat := tvf.Featurize(*r.levelAt(d), act, r.opts.WDS.Travel)
 			r.samples = append(r.samples, tvf.Sample{Features: feat, Opt: total})
 		}
 	}
@@ -619,12 +608,11 @@ func (r *searchRun) searchTVF(n *wds.TreeNode, j int) {
 		r.usable = append(r.usable, int32(k))
 	}
 	if len(r.usable) > 0 {
-		lv := r.levelAt(0)
-		r.stateFor(lv, n, j)
-		st, w := r.state(lv), r.sep.Workers[wi]
+		st, w := r.levelAt(0), r.sep.Workers[wi]
+		r.stateFor(st, n, j)
 		r.feats = r.feats[:0]
 		for _, k := range r.usable {
-			r.feats = append(r.feats, tvf.Featurize(st, tvf.Action{Worker: w, Seq: set.Seqs[k]}, r.opts.WDS.Travel))
+			r.feats = append(r.feats, tvf.Featurize(*st, tvf.Action{Worker: w, Seq: set.Seqs[k]}, r.opts.WDS.Travel))
 		}
 		values := r.model.PredictBatch(r.feats)
 		best := 0
@@ -654,34 +642,27 @@ func (r *searchRun) searchTVF(n *wds.TreeNode, j int) {
 
 // levelAt returns the RL state scratch of depth d. The pointer is only good
 // until the next levelAt call with a larger depth.
-func (r *searchRun) levelAt(d int) *level {
+func (r *searchRun) levelAt(d int) *tvf.State {
 	for len(r.levels) <= d {
-		r.levels = append(r.levels, level{})
+		r.levels = append(r.levels, tvf.State{})
 	}
 	return &r.levels[d]
 }
 
 // stateFor materializes the RL state (W_N + W_C, S) at a search position
-// into lv.
-func (r *searchRun) stateFor(lv *level, n *wds.TreeNode, j int) {
-	lv.workers = append(lv.workers[:0], n.Workers[j:]...)
+// into st, reusing its storage.
+func (r *searchRun) stateFor(st *tvf.State, n *wds.TreeNode, j int) {
+	st.Now = r.now
+	st.Workers = append(st.Workers[:0], n.Workers[j:]...)
 	for _, child := range n.Children {
-		lv.workers = child.AppendWorkers(lv.workers)
+		st.Workers = child.AppendWorkers(st.Workers)
 	}
-	if r.stale {
-		r.open = r.open[:0]
-		for p, t := range r.tasks {
-			if r.avail[p] {
-				r.open = append(r.open, r.sep.Tasks[t])
-			}
+	st.Tasks = st.Tasks[:0]
+	for p, t := range r.tasks {
+		if r.avail[p] {
+			st.Tasks = append(st.Tasks, r.sep.Tasks[t])
 		}
-		r.stale = false
 	}
-	lv.tasks = len(r.open)
-}
-
-func (r *searchRun) state(lv *level) tvf.State {
-	return tvf.State{Workers: lv.workers, Tasks: r.open[:lv.tasks], Now: r.now}
 }
 
 // ---------------------------------------------------------------------------

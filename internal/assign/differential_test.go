@@ -36,32 +36,38 @@ func poolAt(sc *workload.Scenario, name string, t float64) instant {
 	return in
 }
 
-// atlasInstants returns, for every atlas archetype at 1x, the crowd instant
-// (most open tasks on a 2 s grid) and the median one.
+// atlasInstants returns the crowd and median instants of every atlas
+// archetype.
 func atlasInstants() []instant {
 	var out []instant
 	for _, a := range scenario.Registry() {
-		sc := a.Generate(1)
-		type load struct {
-			t    float64
-			open int
-		}
-		var grid []load
-		for t := sc.T0; t < sc.T1; t += 2 {
-			open := 0
-			for _, s := range sc.Tasks {
-				if s.Pub <= t && s.Exp > t {
-					open++
-				}
-			}
-			grid = append(grid, load{t, open})
-		}
-		// Busiest first; the stable sort keeps ties in time order.
-		sort.SliceStable(grid, func(i, j int) bool { return grid[i].open > grid[j].open })
-		crowd, median := grid[0], grid[len(grid)/2]
-		out = append(out, poolAt(sc, a.Name+"/crowd", crowd.t), poolAt(sc, a.Name+"/median", median.t))
+		out = append(out, atlasInstantsOf(a)...)
 	}
 	return out
+}
+
+// atlasInstantsOf returns the archetype's crowd instant at 1x (most open
+// tasks on a 2 s grid) and its median one, in that order.
+func atlasInstantsOf(a scenario.Archetype) []instant {
+	sc := a.Generate(1)
+	type load struct {
+		t    float64
+		open int
+	}
+	var grid []load
+	for t := sc.T0; t < sc.T1; t += 2 {
+		open := 0
+		for _, s := range sc.Tasks {
+			if s.Pub <= t && s.Exp > t {
+				open++
+			}
+		}
+		grid = append(grid, load{t, open})
+	}
+	// Busiest first; the stable sort keeps ties in time order.
+	sort.SliceStable(grid, func(i, j int) bool { return grid[i].open > grid[j].open })
+	crowd, median := grid[0], grid[len(grid)/2]
+	return []instant{poolAt(sc, a.Name+"/crowd", crowd.t), poolAt(sc, a.Name+"/median", median.t)}
 }
 
 // sameOutcome asserts the dense core reproduced the reference run exactly:
@@ -152,5 +158,49 @@ func TestSearchMatchesReference(t *testing.T) {
 	}
 	if bound == 0 {
 		t.Fatal("no configuration exhausted a tree's node budget: the greedy-completion path went untested")
+	}
+}
+
+// TestSamplesFeaturizedFromTheirOwnState is the regression test of the RL
+// sample aliasing bug: exact search builds a call's state, recurses, and
+// featurizes with the state afterwards, and the old core handed every call
+// the same backing array for the state's task list — by the time a sample was
+// featurized, deeper calls had rewritten it (tasks missing, others
+// duplicated; feature 6 reads the list). On the event-spike crowd instant the
+// aliased reference must actually differ from the cloned-state one (or this
+// test guards nothing), and Search must agree with the latter.
+func TestSamplesFeaturizedFromTheirOwnState(t *testing.T) {
+	a, _ := scenario.Get("event-spike")
+	in := atlasInstantsOf(a)[0]
+	o := opts()
+	o.MaxNodes = 4000
+
+	cloned := &refSearch{Opts: o, Collect: true}
+	cloned.Plan(in.workers, in.tasks, in.now)
+	aliased := &refSearch{Opts: o, Collect: true, aliasState: true}
+	aliased.Plan(in.workers, in.tasks, in.now)
+	if len(aliased.Samples) != len(cloned.Samples) {
+		t.Fatalf("aliasing changed the sample count: %d vs %d", len(aliased.Samples), len(cloned.Samples))
+	}
+	corrupted := 0
+	for i := range cloned.Samples {
+		if aliased.Samples[i] != cloned.Samples[i] {
+			corrupted++
+		}
+	}
+	if corrupted == 0 {
+		t.Fatalf("none of %d samples depends on the state buffer being private: the instant does not exercise the bug", len(cloned.Samples))
+	}
+	t.Logf("%d of %d samples differ between the aliased and the cloned state", corrupted, len(cloned.Samples))
+
+	s := &Search{Opts: o, Collect: true}
+	s.Plan(in.workers, in.tasks, in.now)
+	if len(s.Samples) != len(cloned.Samples) {
+		t.Fatalf("%d samples, cloned-state reference %d", len(s.Samples), len(cloned.Samples))
+	}
+	for i := range cloned.Samples {
+		if s.Samples[i] != cloned.Samples[i] {
+			t.Fatalf("sample %d differs from the cloned-state reference:\n got %v\nwant %v", i, s.Samples[i], cloned.Samples[i])
+		}
 	}
 }
