@@ -429,16 +429,15 @@ func (r *searchRun) reach(wi int32) (*wds.WorkerSets, []int32) {
 }
 
 // availMask gathers the availability of a worker's reachable tasks into one
-// word, bit k for Reach[k]. Past 64 reachable tasks the word is not used.
+// word, bit k for Reach[k]. Past 64 reachable tasks the word is incomplete
+// and nextUsable does not read it.
 //
 //datawa:hotpath
 func (r *searchRun) availMask(local []int32) uint64 {
 	var m uint64
-	if len(local) <= 64 {
-		for k, p := range local {
-			if r.avail[p] {
-				m |= 1 << uint(k)
-			}
+	for k, p := range local {
+		if r.avail[p] {
+			m |= 1 << uint(k)
 		}
 	}
 	return m

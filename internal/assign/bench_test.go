@@ -140,13 +140,7 @@ func BenchmarkPlanScale(b *testing.B) {
 // greedy completions set the epoch tail.
 func BenchmarkCrowdPlan(b *testing.B) {
 	a, _ := scenario.Get("event-spike")
-	sc := a.Generate(1.5)
-	crowd := poolAt(sc, "crowd", sc.T0)
-	for t := sc.T0; t < sc.T1; t += 2 {
-		if in := poolAt(sc, "crowd", t); len(in.tasks) > len(crowd.tasks) {
-			crowd = in
-		}
-	}
+	crowd := atlasInstantsOf(a, 1.5)[0]
 	o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: 1}
 	s := &Search{Opts: o}
 	s.Plan(crowd.workers, crowd.tasks, crowd.now)

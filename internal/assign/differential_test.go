@@ -41,15 +41,15 @@ func poolAt(sc *workload.Scenario, name string, t float64) instant {
 func atlasInstants() []instant {
 	var out []instant
 	for _, a := range scenario.Registry() {
-		out = append(out, atlasInstantsOf(a)...)
+		out = append(out, atlasInstantsOf(a, 1)...)
 	}
 	return out
 }
 
-// atlasInstantsOf returns the archetype's crowd instant at 1x (most open
-// tasks on a 2 s grid) and its median one, in that order.
-func atlasInstantsOf(a scenario.Archetype) []instant {
-	sc := a.Generate(1)
+// atlasInstantsOf returns the archetype's crowd instant at the given density
+// (most open tasks on a 2 s grid) and its median one, in that order.
+func atlasInstantsOf(a scenario.Archetype, scale float64) []instant {
+	sc := a.Generate(scale)
 	type load struct {
 		t    float64
 		open int
@@ -171,7 +171,7 @@ func TestSearchMatchesReference(t *testing.T) {
 // test guards nothing), and Search must agree with the latter.
 func TestSamplesFeaturizedFromTheirOwnState(t *testing.T) {
 	a, _ := scenario.Get("event-spike")
-	in := atlasInstantsOf(a)[0]
+	in := atlasInstantsOf(a, 1)[0]
 	o := opts()
 	o.MaxNodes = 4000
 

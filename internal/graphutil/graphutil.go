@@ -160,58 +160,27 @@ func (g *Graph) Clone() *Graph {
 // sorted ascending and components are ordered by their smallest vertex.
 func (g *Graph) Components(include func(int) bool) [][]int {
 	g.seal()
-	var seeds []int
-	for v := 0; v < g.n; v++ {
-		if include == nil || include(v) {
-			seeds = append(seeds, v)
-		}
-	}
-	return g.componentsFrom(seeds)
-}
-
-// ComponentsOf returns the connected components of the subgraph induced by
-// vertices, further restricted to those for which include(v) is true when
-// include is non-nil. The output format and ordering match Components —
-// each component ascending, components ordered by smallest vertex. (The RTC
-// construction in internal/wds needs this query so often that it inlines an
-// equivalent with reused scratch; this method is the general-purpose form of
-// the same contract.)
-func (g *Graph) ComponentsOf(vertices []int, include func(int) bool) [][]int {
-	g.seal()
-	seeds := make([]int, 0, len(vertices))
-	for _, v := range vertices {
-		g.check(v)
-		if include == nil || include(v) {
-			seeds = append(seeds, v)
-		}
-	}
-	slices.Sort(seeds)
-	return g.componentsFrom(seeds)
-}
-
-// componentsFrom runs the BFS behind Components and ComponentsOf over the
-// subgraph induced by seeds, which must ascend: seeding in that order yields
-// the components ordered by smallest vertex directly.
-func (g *Graph) componentsFrom(seeds []int) [][]int {
-	in := make([]bool, g.n)
-	for _, v := range seeds {
-		in[v] = true
+	open := make([]bool, g.n) // included and not yet visited
+	for v := range open {
+		open[v] = include == nil || include(v)
 	}
 	var comps [][]int
 	var queue []int32
-	for _, s := range seeds {
-		if !in[s] {
-			continue // already visited: in doubles as the not-yet-seen flag
+	// Seeding in ascending order yields the components ordered by smallest
+	// vertex directly.
+	for s := range open {
+		if !open[s] {
+			continue
 		}
-		in[s] = false
+		open[s] = false
 		queue = append(queue[:0], int32(s))
 		var comp []int
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
 			comp = append(comp, int(v))
 			for _, u := range g.nbrs[g.offs[v]:g.offs[v+1]] {
-				if in[u] {
-					in[u] = false
+				if open[u] {
+					open[u] = false
 					queue = append(queue, u)
 				}
 			}
@@ -247,7 +216,7 @@ func (g *Graph) FillIn(vertices []int) (*Graph, []int) {
 	var c Chordal
 	c.load(g, vertices)
 	c.mcs()
-	c.eliminate()
+	c.eliminateAlong()
 	peo := make([]int, len(c.peo))
 	for i, v := range c.peo {
 		peo[i] = c.verts[v]
@@ -305,7 +274,9 @@ func (g *Graph) IsChordal(vertices []int) bool {
 	var c Chordal
 	c.load(g, vertices)
 	c.mcs()
-	return c.eliminate() == 0
+	before := c.bitCount()
+	c.eliminateAlong()
+	return c.bitCount() == before
 }
 
 // Chordal is the reusable workspace of the chordal pipeline — MCS, the
@@ -342,7 +313,7 @@ type Chordal struct {
 func (c *Chordal) Cliques(g *Graph, vertices []int) [][]int {
 	c.load(g, vertices)
 	c.mcs()
-	c.eliminate()
+	c.eliminateAlong()
 	return c.maximalCliques()
 }
 
@@ -427,14 +398,7 @@ func (c *Chordal) mcs() {
 	}
 }
 
-// eliminate plays the elimination game along peo and returns the number of
-// fill edges it added.
-func (c *Chordal) eliminate() int {
-	before := c.bitCount()
-	c.eliminateAlong()
-	return (c.bitCount() - before) / 2
-}
-
+// bitCount returns twice the number of edges in the bit matrix.
 func (c *Chordal) bitCount() int {
 	n := 0
 	for _, x := range c.rows {
@@ -443,7 +407,7 @@ func (c *Chordal) bitCount() int {
 	return n
 }
 
-// eliminateAlong eliminates the vertices in peo order, turning each one's
+// eliminateAlong plays the elimination game along peo, turning each vertex's
 // not-yet-eliminated neighbours into a clique (in place, in rows) and
 // recording {v} ∪ those neighbours as v's candidate clique. A candidate can
 // only be contained in the candidate of an earlier-eliminated neighbour — a

@@ -404,48 +404,6 @@ func TestCliquesSortedDeterministic(t *testing.T) {
 	}
 }
 
-func TestComponentsOfMatchesComponents(t *testing.T) {
-	g := New(10)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	g.AddEdge(5, 6)
-	g.AddEdge(6, 7)
-	g.AddEdge(7, 5)
-
-	all := make([]int, 10)
-	for i := range all {
-		all[i] = i
-	}
-	filter := func(v int) bool { return v != 1 && v != 6 }
-	want := g.Components(filter)
-	got := g.ComponentsOf(all, filter)
-	if len(got) != len(want) {
-		t.Fatalf("ComponentsOf found %d components, Components found %d", len(got), len(want))
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("component %d size differs: %v vs %v", i, got[i], want[i])
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("component %d: %v vs %v", i, got[i], want[i])
-			}
-		}
-	}
-	// Restricted to a subset: vertices outside are invisible.
-	sub := g.ComponentsOf([]int{0, 1, 5, 7}, nil)
-	if len(sub) != 2 {
-		t.Fatalf("subset components = %v, want {0,1} and {5,7}", sub)
-	}
-	if sub[0][0] != 0 || sub[0][1] != 1 || sub[1][0] != 5 || sub[1][1] != 7 {
-		t.Fatalf("subset components = %v", sub)
-	}
-	if comps := g.ComponentsOf(nil, nil); len(comps) != 0 {
-		t.Fatalf("empty subset gave %v", comps)
-	}
-}
-
 func TestLazyAdjacency(t *testing.T) {
 	// A graph whose edges touch few vertices must still answer queries for
 	// the untouched ones.
