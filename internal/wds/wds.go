@@ -119,12 +119,10 @@ type cand struct {
 }
 
 // seqEntry is one deduped task set with its best (minimal-completion)
-// ordering. mask is the set as a bitmask over the reachable set's positions,
-// meaningful while that set has at most 64 tasks.
+// ordering.
 type seqEntry struct {
 	seq        core.Sequence
 	completion float64
-	mask       uint64
 }
 
 // ReachableTasks is the scratch-reusing form of the package function.
@@ -250,9 +248,8 @@ func (sc *Scratch) MaximalValidSequences(w *core.Worker, rs []*core.Task, now fl
 //
 // Task sets over at most 64 reachable tasks dedup by bitmask over rs
 // positions — rs holds distinct tasks, so equal masks ⟺ equal id sets,
-// exactly the SetKey equivalence without the string allocations — and the
-// mask travels out with the entry. Larger sets (only possible with
-// MaxReachable raised past 64) dedup by SetKey.
+// exactly the SetKey equivalence without the string allocations. Larger sets
+// (only possible with MaxReachable raised past 64) dedup by SetKey.
 func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Options) []seqEntry {
 	if len(rs) == 0 {
 		return nil
@@ -288,9 +285,9 @@ func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Opt
 				sc.bests[mask] = int32(len(entries))
 			}
 			if !ok {
-				entries = append(entries, seqEntry{seq: cur.Clone(), completion: t, mask: mask})
+				entries = append(entries, seqEntry{seq: cur.Clone(), completion: t})
 			} else if t < entries[i].completion {
-				entries[i].seq, entries[i].completion = cur.Clone(), t
+				entries[i] = seqEntry{seq: cur.Clone(), completion: t}
 			}
 		}
 		if len(cur) >= o.MaxSeqLen {
@@ -593,12 +590,9 @@ func (sc *Scratch) workerSets(w *core.Worker, tasks []*core.Task, ix *spatial.In
 	q0, m0, words := len(sc.seqs), len(sc.masks), ws.Words()
 	for _, e := range entries {
 		sc.seqs = append(sc.seqs, e.seq)
-		if words == 1 {
-			sc.masks = append(sc.masks, e.mask)
-			continue
-		}
-		// Past 64 reachable tasks the generator carries no mask: rebuild the
-		// row from the sequence's positions in Reach.
+		// The sequence's task set as bits over its positions in Reach: a
+		// handful of pointer compares per task, next to the travel-time
+		// arithmetic that generated it.
 		row := len(sc.masks)
 		sc.masks = append(sc.masks, make([]uint64, words)...)
 		for _, s := range e.seq {
