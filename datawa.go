@@ -20,6 +20,7 @@ package datawa
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/assign"
 	"repro/internal/core"
@@ -364,7 +365,7 @@ func (f *Framework) forecaster() stream.Forecaster {
 		return nil
 	}
 	inner := predict.NewForecaster(f.demand, f.seriesConfig(), f.cfg.Window, f.cfg.Threshold, f.cfg.VirtualValidTime)
-	return &prefixedForecaster{inner: inner, prefix: f.history}
+	return newPrefixedForecaster(inner, f.history)
 }
 
 // sampledForecaster is forecaster with scenario sampling on top: the demand
@@ -375,7 +376,7 @@ func (f *Framework) sampledForecaster() stream.Forecaster {
 	}
 	point := predict.NewForecaster(f.demand, f.seriesConfig(), f.cfg.Window, f.cfg.Threshold, f.cfg.VirtualValidTime)
 	sampler := predict.NewScenarioSampler(point, f.cfg.Samples, f.cfg.Seed)
-	return &prefixedForecaster{inner: sampler, prefix: f.history}
+	return newPrefixedForecaster(sampler, f.history)
 }
 
 // historyBoundedForecaster is the contract both predict.Forecaster and
@@ -387,25 +388,34 @@ type historyBoundedForecaster interface {
 }
 
 // prefixedForecaster prepends training history so early stream windows are
-// complete.
+// complete. The clock it is called with never goes back (stream.Machine and
+// the dispatcher both forecast at cadence), so training tasks older than the
+// inner forecaster's window are dropped for good, and once none is left the
+// published feed goes to the inner forecaster as it is.
 type prefixedForecaster struct {
 	inner  historyBoundedForecaster
-	prefix []*Task
+	prefix []*Task // training tasks still inside the window; owned
+	joined []*Task // prefix+published scratch, reused
+}
+
+func newPrefixedForecaster(inner historyBoundedForecaster, history []*Task) *prefixedForecaster {
+	return &prefixedForecaster{inner: inner, prefix: slices.Clone(history)}
 }
 
 func (p *prefixedForecaster) Virtuals(published []*Task, now float64) []*Task {
-	all := make([]*Task, 0, len(p.prefix)+len(published))
-	all = append(all, p.prefix...)
-	all = append(all, published...)
-	return p.inner.Virtuals(all, now)
+	p.prefix = stream.PruneHistory(p.prefix, now-p.inner.HistorySpan())
+	if len(p.prefix) == 0 {
+		return p.inner.Virtuals(published, now)
+	}
+	p.joined = append(append(p.joined[:0], p.prefix...), published...)
+	return p.inner.Virtuals(p.joined, now)
 }
 
 func (p *prefixedForecaster) Span() float64 { return p.inner.Span() }
 
 // HistorySpan implements stream.HistoryBounded: long-running drivers may
-// prune their published feed to the inner forecaster's window. The training
-// prefix is prepended on every call, so pruning only sheds runtime tasks the
-// model no longer reads.
+// prune their published feed to the inner forecaster's window; the training
+// prefix is pruned to the same window here.
 func (p *prefixedForecaster) HistorySpan() float64 { return p.inner.HistorySpan() }
 
 // Run drives the adaptive streaming algorithm (Algorithm 3) over the full

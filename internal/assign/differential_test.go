@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/scenario"
 	"repro/internal/tvf"
 	"repro/internal/workload"
@@ -17,12 +18,13 @@ import (
 type instant struct {
 	name    string
 	now     float64
+	grid    geo.Grid
 	workers []*core.Worker
 	tasks   []*core.Task
 }
 
 func poolAt(sc *workload.Scenario, name string, t float64) instant {
-	in := instant{name: name, now: t}
+	in := instant{name: name, now: t, grid: sc.Grid}
 	for _, w := range sc.Workers {
 		if w.Available(t) {
 			in.workers = append(in.workers, w)

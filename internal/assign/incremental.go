@@ -16,33 +16,26 @@ import (
 // — incrementality changes the cost of the call, never its answer.
 type DirtyPlanner interface {
 	Planner
-	PlanDirty(workers []*core.Worker, tasks []*core.Task, now float64, dirty map[int]struct{}) core.Plan
+	PlanDirty(workers []*core.Worker, tasks []*core.Task, now float64, dirty spatial.CellSet) core.Plan
 }
 
-// WorkerCells returns the grid cells a worker positioned at p with the given
-// reach radius can influence: every cell overlapped by the reachability disk
-// around p clamped to the grid's region. Clamping mirrors task-cell routing
-// (Grid.CellOf snaps off-map points to boundary cells) and is sound because
-// coordinate clamping is a contraction — any task within reach of p has its
-// clamped cell inside the clamped disk. The dirty-marking side
-// (stream.Machine) and the partition side (Incremental) both use this
-// function, so an invalidation always covers the membership it must refresh.
-func WorkerCells(g geo.Grid, p geo.Point, reach float64) []int {
-	return AppendWorkerCells(nil, g, p, reach)
-}
-
-// AppendWorkerCells is WorkerCells appending into dst, so the per-worker
-// loops that run every planning instant (partition below, dirty-disk marking
-// in stream.Machine) can reuse one buffer instead of allocating a slice per
-// worker per instant.
-func AppendWorkerCells(dst []int, g geo.Grid, p geo.Point, reach float64) []int {
-	n := len(dst)
-	dst = spatial.AppendCellsInDisk(dst, g, g.Region.Clamp(p), reach)
-	if len(dst) == n {
-		// Negative or NaN reach: fall back to the worker's own cell.
-		dst = append(dst, g.CellOf(p))
-	}
-	return dst
+// AddWorkerCells adds to set the grid cells a worker positioned at p with the
+// given reach radius can influence — every cell overlapped by the reachability
+// disk around p clamped to the grid's region, and the worker's own cell, which
+// is all there is when the reach is negative or NaN — and returns the own
+// cell. Clamping mirrors task-cell routing (Grid.CellOf snaps off-map points
+// to boundary cells) and is sound because coordinate clamping is a
+// contraction — any task within reach of p has its clamped cell inside the
+// clamped disk. The dirty-marking side (stream.Machine) and the partition
+// side (Incremental) both use this function, so an invalidation always covers
+// the membership it must refresh.
+//
+//datawa:hotpath
+func AddWorkerCells(set spatial.CellSet, g geo.Grid, p geo.Point, reach float64) int {
+	own := g.CellOf(p)
+	set.AddDisk(g, g.Region.Clamp(p), reach)
+	set.Add(own)
+	return own
 }
 
 // IncrementalStats counts an Incremental planner's reuse behavior. Counters
@@ -67,7 +60,7 @@ type IncrementalStats struct {
 // Incremental wraps a Planner with dirty-region replanning. It partitions
 // each planning instant's pool into connected components over the
 // cell-granular reachability graph — workers own the cells of their reach
-// disk (WorkerCells), tasks their own cell, and overlapping cell sets merge
+// disk (AddWorkerCells), tasks their own cell, and overlapping cell sets merge
 // — re-plans only the components invalidated since the previous instant, and
 // splices the cached outcome of the rest.
 //
@@ -92,41 +85,40 @@ type Incremental struct {
 	full Planner
 	grid geo.Grid
 
-	// MaxDirtyFraction is the fraction of the worker pool above which an
-	// instant is replanned from scratch instead of incrementally (cache
-	// bookkeeping is pure overhead when almost everything is dirty).
-	// Non-positive selects the default 0.9.
-	MaxDirtyFraction float64
-
 	comps []*planComponent // cached partition; nil = cold
 	stats IncrementalStats
 
-	// Union-find scratch over grid cells, reused across instants.
-	parent []int32
-	gen    []int32
-	curGen int32
-
 	// Per-instant scratch, reused so a steady-state PlanDirty allocates only
 	// the component list it caches. free recycles planComponents dropped from
-	// the previous cache (their member/cell slices keep their capacity).
-	free     []*planComponent
-	wflat    []int   // worker reach cells, all workers back to back
-	woff     []int32 // wflat offsets; worker i owns wflat[woff[i]:woff[i+1]]
-	tcells   []int32
-	assigned map[int]bool
-	byRoot   map[int32]int32
-	retained []*planComponent
-	skipW    map[int]bool
-	skipT    map[int]bool
-	rw       []*core.Worker
-	rt       []*core.Task
+	// the previous cache (their member/cell storage keeps its capacity).
+	free   []*planComponent
+	cells  spatial.CellSet // one task's cell
+	masks  []uint64        // cell sets being merged, len(cells) words apiece
+	compOf []int32         // merged set → its component's position, -1 = none yet
+	tcell  []int32         // per task, its cell
+	// The pool workers' disks at this partition and, to be overwritten by the
+	// next one, at the one before: a worker that has not moved since — most
+	// have not — has its disk copied instead of rasterised.
+	disks, oldDisks []workerDisk
+	diskCells       []uint64 // disks[i]'s cells at [i*len(cells):], likewise
+	oldDiskCells    []uint64
+	retained        []*planComponent
+	skipW           map[int]bool
+	skipT           map[int]bool
+	rw              []*core.Worker
+	rt              []*core.Task
 }
+
+// maxDirtyFraction is the fraction of the worker pool above which an instant
+// is replanned from scratch instead of incrementally: cache bookkeeping is
+// pure overhead when almost everything is dirty.
+const maxDirtyFraction = 0.9
 
 // NewIncremental wraps full with dirty-region replanning over the given
 // grid. A degenerate grid (zero cells) yields a wrapper that plans from
 // scratch on every instant — callers need not special-case it.
 func NewIncremental(full Planner, grid geo.Grid) *Incremental {
-	return &Incremental{full: full, grid: grid}
+	return &Incremental{full: full, grid: grid, cells: spatial.NewCellSet(max(grid.Cells(), 0))}
 }
 
 // Name implements Planner.
@@ -153,7 +145,7 @@ func (inc *Incremental) Plan(workers []*core.Worker, tasks []*core.Task, now flo
 // PlanDirty implements DirtyPlanner. dirty is the set of grid cells touched
 // since the previous invocation; the caller retains ownership and may clear
 // it after the call.
-func (inc *Incremental) PlanDirty(workers []*core.Worker, tasks []*core.Task, now float64, dirty map[int]struct{}) core.Plan {
+func (inc *Incremental) PlanDirty(workers []*core.Worker, tasks []*core.Task, now float64, dirty spatial.CellSet) core.Plan {
 	inc.stats.Plans++
 	if inc.comps == nil || inc.grid.Cells() <= 0 || len(workers) == 0 {
 		return inc.fullPlan(workers, tasks, now)
@@ -170,7 +162,7 @@ func (inc *Incremental) PlanDirty(workers []*core.Worker, tasks []*core.Task, no
 		clear(inc.skipT)
 	}
 	for _, c := range inc.comps {
-		if c.empty && !c.touched(dirty) {
+		if c.empty && !c.cells.Intersects(dirty) {
 			retained = append(retained, c)
 			for _, id := range c.workers {
 				inc.skipW[id] = true
@@ -195,13 +187,9 @@ func (inc *Incremental) PlanDirty(workers []*core.Worker, tasks []*core.Task, no
 		}
 	}
 	inc.rw = rw
-	frac := inc.MaxDirtyFraction
-	if frac <= 0 {
-		frac = 0.9
-	}
 	// Past the threshold everything is replanned from scratch — the
 	// retained components are NOT spliced, so they don't count as hits.
-	if float64(len(rw)) > frac*float64(len(workers)) {
+	if float64(len(rw)) > maxDirtyFraction*float64(len(workers)) {
 		return inc.fullPlan(workers, tasks, now)
 	}
 	rt := inc.rt[:0]
@@ -238,130 +226,136 @@ func (inc *Incremental) fullPlan(workers []*core.Worker, tasks []*core.Task, now
 	return plan
 }
 
+// workerDisk identifies one worker's cell set: whose it is, where the worker
+// stood and how far it reached when the set was rasterised, and its own cell.
+type workerDisk struct {
+	id    int
+	loc   geo.Point
+	reach float64
+	own   int32
+}
+
 // planComponent is one cached connected component of the cell-granular
 // reachability graph: its covered cells, its member ids, and whether its
 // last plan assigned anything.
 type planComponent struct {
-	cells   []int // sorted, deduped
+	cells   spatial.CellSet
 	workers []int // member worker ids
 	tasks   []int // member task ids (virtuals carry their negative ids)
 	empty   bool  // last plan assigned nothing to these workers
 	keep    bool  // spliced into the next cache; not for the freelist
 }
 
-// touched reports whether any of the component's cells is in the dirty set.
-func (c *planComponent) touched(dirty map[int]struct{}) bool {
-	for _, cell := range c.cells {
-		if _, ok := dirty[cell]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // partition groups the pool into connected components: each worker's reach
 // disk claims its cells, each task its own cell, and cell overlap merges.
 // The component list is ordered by first appearance in the (deterministic)
-// pool order.
+// pool order, members in pool order within each. Components are pairwise
+// disjoint, so there are never more of them than grid cells; a member costs
+// one AND per word per component to place.
 func (inc *Incremental) partition(workers []*core.Worker, tasks []*core.Task, plan core.Plan) []*planComponent {
-	cells := inc.grid.Cells()
-	if cap(inc.parent) < cells {
-		inc.parent = make([]int32, cells)
-		inc.gen = make([]int32, cells)
-		inc.curGen = 0
-	}
-	inc.curGen++
 	inc.recycle()
 
-	wflat := inc.wflat[:0]
-	woff := append(inc.woff[:0], 0)
-	for _, w := range workers {
-		wflat = AppendWorkerCells(wflat, inc.grid, w.Loc, w.Reach)
-		woff = append(woff, int32(len(wflat)))
-		cs := wflat[woff[len(woff)-2]:]
-		for _, c := range cs[1:] {
-			inc.union(int32(cs[0]), int32(c))
+	// Merge every member's cells into pairwise disjoint sets — the
+	// components' cell sets — remembering one cell per member.
+	words := len(inc.cells)
+	masks, tcell := inc.masks[:0], inc.tcell[:0]
+	last, lastCells := inc.disks, inc.diskCells
+	disks := inc.oldDisks[:0]
+	diskCells := slices.Grow(inc.oldDiskCells[:0], len(workers)*words)[:len(workers)*words]
+	at := 0 // walks last alongside the pool; both ascend by id when the pool does
+	for i, w := range workers {
+		for at < len(last) && last[at].id < w.ID {
+			at++
 		}
+		d := workerDisk{id: w.ID, loc: w.Loc, reach: w.Reach}
+		set := spatial.CellSet(diskCells[i*words : (i+1)*words])
+		if at < len(last) && last[at].id == d.id && last[at].loc == d.loc && last[at].reach == d.reach {
+			d.own = last[at].own
+			copy(set, lastCells[at*words:])
+		} else {
+			set.Reset()
+			d.own = int32(AddWorkerCells(set, inc.grid, w.Loc, w.Reach))
+		}
+		disks = append(disks, d)
+		masks = mergeCells(masks, set)
 	}
-	inc.wflat, inc.woff = wflat, woff
-	tcells := inc.tcells[:0]
+	inc.disks, inc.diskCells, inc.oldDisks, inc.oldDiskCells = disks, diskCells, last, lastCells
 	for _, s := range tasks {
-		c := int32(inc.grid.CellOf(s.Loc))
-		tcells = append(tcells, c)
-		inc.find(c) // touch, so lone task cells root themselves
+		c := inc.grid.CellOf(s.Loc)
+		tcell = append(tcell, int32(c))
+		inc.cells.Reset()
+		inc.cells.Add(c)
+		masks = mergeCells(masks, inc.cells)
 	}
-	inc.tcells = tcells
-
-	if inc.assigned == nil {
-		inc.assigned = make(map[int]bool, len(plan))
-	} else {
-		clear(inc.assigned)
-	}
-	for _, a := range plan {
-		inc.assigned[a.Worker.ID] = true
+	inc.masks, inc.tcell = masks, tcell
+	inc.compOf = inc.compOf[:0]
+	for range len(masks) / words {
+		inc.compOf = append(inc.compOf, -1)
 	}
 
-	if inc.byRoot == nil {
-		inc.byRoot = make(map[int32]int32)
-	} else {
-		clear(inc.byRoot)
-	}
 	var comps []*planComponent
 	for i, w := range workers {
-		cs := wflat[woff[i]:woff[i+1]]
 		var c *planComponent
-		comps, c = inc.compOf(comps, inc.find(int32(cs[0])))
+		comps, c = inc.compAt(comps, int(disks[i].own))
 		c.workers = append(c.workers, w.ID)
-		c.cells = append(c.cells, cs...)
-		if inc.assigned[w.ID] {
-			c.empty = false
-		}
 	}
 	for j, s := range tasks {
 		var c *planComponent
-		comps, c = inc.compOf(comps, inc.find(tcells[j]))
+		comps, c = inc.compAt(comps, int(tcell[j]))
 		c.tasks = append(c.tasks, s.ID)
-		c.cells = append(c.cells, int(tcells[j]))
 	}
-	for _, c := range comps {
-		slices.Sort(c.cells)
-		dedup := c.cells[:0]
-		for i, cell := range c.cells {
-			if i == 0 || cell != dedup[len(dedup)-1] {
-				dedup = append(dedup, cell)
-			}
-		}
-		c.cells = dedup
+	// Every planned worker is a pool member, so its component exists; its own
+	// cell names it without a lookup by id.
+	for _, a := range plan {
+		_, c := inc.compAt(comps, inc.grid.CellOf(a.Worker.Loc))
+		c.empty = false
 	}
 	return comps
 }
 
-// find locates the union-find root of cell c, lazily (re)initializing cells
-// on first touch in the current generation.
-func (inc *Incremental) find(c int32) int32 {
-	if inc.gen[c] != inc.curGen {
-		inc.gen[c] = inc.curGen
-		inc.parent[c] = c
-		return c
+// mergeCells folds one member's cell set into the disjoint sets of masks
+// (len(cells) words apiece): the sets it overlaps become one set that also
+// holds cells, or cells starts a set of its own.
+//
+//datawa:hotpath
+func mergeCells(masks []uint64, cells spatial.CellSet) []uint64 {
+	words := len(cells)
+	into := spatial.CellSet(nil)
+	for at := 0; at < len(masks); at += words {
+		m := spatial.CellSet(masks[at : at+words])
+		if !m.Intersects(cells) {
+			continue
+		}
+		if into == nil {
+			into = m
+			continue
+		}
+		// A second overlapped set: fold it into the first and fill its slot
+		// with the last set, which then takes this turn of the loop.
+		into.Union(m)
+		copy(m, masks[len(masks)-words:])
+		masks = masks[:len(masks)-words]
+		at -= words
 	}
-	for inc.parent[c] != c {
-		inc.parent[c] = inc.parent[inc.parent[c]] // path halving
-		c = inc.parent[c]
+	if into == nil {
+		return append(masks, cells...)
 	}
-	return c
+	into.Union(cells)
+	return masks
 }
 
-func (inc *Incremental) union(a, b int32) {
-	ra, rb := inc.find(a), inc.find(b)
-	if ra != rb {
-		inc.parent[rb] = ra
+// compAt returns comps extended (if needed) with the component whose cells
+// include cell — a cell some member was merged with — plus that component.
+// New components come from the freelist when possible.
+func (inc *Incremental) compAt(comps []*planComponent, cell int) ([]*planComponent, *planComponent) {
+	words := len(inc.cells)
+	k := 0
+	mask := spatial.CellSet(inc.masks[:words])
+	for !mask.Has(cell) {
+		k++
+		mask = inc.masks[k*words : (k+1)*words]
 	}
-}
-
-// compOf returns comps extended (if needed) with the component for root,
-// plus that component. New components come from the freelist when possible.
-func (inc *Incremental) compOf(comps []*planComponent, root int32) ([]*planComponent, *planComponent) {
-	if i, ok := inc.byRoot[root]; ok {
+	if i := inc.compOf[k]; i >= 0 {
 		return comps, comps[i]
 	}
 	var c *planComponent
@@ -373,7 +367,8 @@ func (inc *Incremental) compOf(comps []*planComponent, root int32) ([]*planCompo
 	} else {
 		c = &planComponent{empty: true}
 	}
-	inc.byRoot[root] = int32(len(comps))
+	c.cells = append(c.cells[:0], mask...)
+	inc.compOf[k] = int32(len(comps))
 	return append(comps, c), c
 }
 
@@ -387,7 +382,6 @@ func (inc *Incremental) recycle() {
 			c.keep = false
 			continue
 		}
-		c.cells = c.cells[:0]
 		c.workers = c.workers[:0]
 		c.tasks = c.tasks[:0]
 		inc.free = append(inc.free, c)

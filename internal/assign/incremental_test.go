@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/spatial"
 )
 
 // poolRecorder scripts plans by worker id and records the pool of every
@@ -52,10 +53,10 @@ func incTask(id int, x, y float64) *core.Task {
 	return &core.Task{ID: id, Loc: geo.Point{X: x, Y: y}, Pub: 0, Exp: 1000, Cell: -1}
 }
 
-func dirtySet(cells ...int) map[int]struct{} {
-	d := make(map[int]struct{}, len(cells))
+func dirtySet(cells ...int) spatial.CellSet {
+	d := spatial.NewCellSet(incGrid.Cells())
 	for _, c := range cells {
-		d[c] = struct{}{}
+		d.Add(c)
 	}
 	return d
 }
@@ -119,8 +120,8 @@ func TestIncrementalNonEmptyComponentsReplan(t *testing.T) {
 func TestIncrementalDirtyFractionFallback(t *testing.T) {
 	rec := &poolRecorder{assign: map[int]int{}}
 	inc := NewIncremental(rec, incGrid)
-	inc.MaxDirtyFraction = 0.10 // replan >10% of workers → full
-	// Ten active workers around cell 0, one quiet worker in cell 15.
+	// Ten active workers around cell 0, one quiet worker in cell 15: reuse
+	// would spare 1 of 11, and 10/11 is past maxDirtyFraction.
 	var workers []*core.Worker
 	for i := 1; i <= 10; i++ {
 		workers = append(workers, incWorker(i, 0.5, 0.5, 0.4))
@@ -128,11 +129,16 @@ func TestIncrementalDirtyFractionFallback(t *testing.T) {
 	workers = append(workers, incWorker(99, 3.5, 3.5, 0.4))
 	inc.PlanDirty(workers, nil, 0, dirtySet())
 	inc.PlanDirty(workers, nil, 1, dirtySet(0))
-	if st := inc.Stats(); st.FullPlans != 2 {
-		t.Fatalf("stats = %+v, want both instants planned fully (dirty fraction 10/11 > 0.10)", st)
+	if st := inc.Stats(); st.FullPlans != 2 || st.ComponentsReused != 0 {
+		t.Fatalf("stats = %+v, want both instants planned fully (dirty fraction 10/11 > %v)", st, maxDirtyFraction)
 	}
 	if got := rec.pools[1]; len(got[0]) != 11 {
 		t.Fatalf("fallback pool = %v, want all 11 workers", got)
+	}
+	// One active worker fewer and the quiet one is worth splicing: 9/10.
+	inc.PlanDirty(workers[1:], nil, 2, dirtySet(0))
+	if got := rec.pools[2]; len(got[0]) != 9 {
+		t.Fatalf("pool = %v, want the 9 active workers only (9/10 is not past %v)", got, maxDirtyFraction)
 	}
 }
 
@@ -140,24 +146,14 @@ func TestIncrementalDirtyFractionFallback(t *testing.T) {
 // position, so off-map workers influence the boundary cells their clamped
 // reachability can cover — matching task-cell routing, which clamps too.
 func TestWorkerCellsClampsOffRegion(t *testing.T) {
-	cells := WorkerCells(incGrid, geo.Point{X: 10, Y: 10}, 0.5)
-	if len(cells) == 0 {
-		t.Fatal("off-region worker has no cells")
-	}
-	if !contains(cells, 15) {
-		t.Fatalf("cells = %v, want the clamped corner cell 15", cells)
+	set := spatial.NewCellSet(incGrid.Cells())
+	if own := AddWorkerCells(set, incGrid, geo.Point{X: 10, Y: 10}, 0.5); own != 15 || !set.Has(15) {
+		t.Fatalf("cells = %v own = %d, want the clamped corner cell 15", set.AppendCells(nil), own)
 	}
 	// Degenerate reach still yields the worker's own cell.
-	if got := WorkerCells(incGrid, geo.Point{X: 0.5, Y: 0.5}, -1); len(got) != 1 || got[0] != 0 {
+	set.Reset()
+	AddWorkerCells(set, incGrid, geo.Point{X: 0.5, Y: 0.5}, -1)
+	if got := set.AppendCells(nil); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("negative reach cells = %v, want [0]", got)
 	}
-}
-
-func contains(cells []int, c int) bool {
-	for _, x := range cells {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }

@@ -55,7 +55,10 @@ func BenchmarkLiveReplay(b *testing.B) {
 // planning core measures (11,729 / 18,005 / 46,283; the map-and-scan core
 // before it measured 19,326 / 36,900 / 445,663) — event-spike is the crowd
 // regime, where a per-node or per-worker allocation in the search shows as a
-// multiple, not a percentage.
+// multiple, not a percentage. The DTA+TP row is the forecast-fed one — DDGNN
+// training and a forecast every 15 s included — at ~1.5x the 316,754 that the
+// receptive-field forward with recycled value storage measures (946,348 with
+// the full-sequence forward and a Series since T0 per forecast).
 func TestSteadyStateAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -70,6 +73,7 @@ func TestSteadyStateAllocGate(t *testing.T) {
 		{"courier-grid", datawa.MethodGreedy, 25000},
 		{"courier-grid", datawa.MethodDTA, 27000},
 		{"event-spike", datawa.MethodDTA, 70000},
+		{"rush-hour", datawa.MethodDTATP, 475000},
 	} {
 		t.Run(tc.arch+"/"+string(tc.method), func(t *testing.T) {
 			allocs := testing.AllocsPerRun(2, func() { liveReplay(t, tc.arch, tc.method, 1) })

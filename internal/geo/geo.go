@@ -125,21 +125,27 @@ func (g Grid) Cells() int { return g.Rows * g.Cols }
 // clamp happens in the float domain: a coordinate beyond int range — or NaN,
 // which fails every ordered comparison — resolves to a boundary cell instead
 // of feeding an implementation-defined float→int conversion.
-func (g Grid) CellOf(p Point) int {
-	cw := g.Region.Width() / float64(g.Cols)
-	ch := g.Region.Height() / float64(g.Rows)
-	clamp := func(v float64, n int) int {
-		if !(v > 0) { // also catches NaN
-			return 0
-		}
-		if v >= float64(n) {
-			return n - 1
-		}
-		return int(v)
+func (g Grid) CellOf(p Point) int { return g.RowOf(p.Y)*g.Cols + g.ColOf(p.X) }
+
+// ColOf returns the column of the cells containing x, clamped like CellOf.
+func (g Grid) ColOf(x float64) int {
+	return axisCell((x-g.Region.MinX)/(g.Region.Width()/float64(g.Cols)), g.Cols)
+}
+
+// RowOf returns the row of the cells containing y, clamped like CellOf.
+func (g Grid) RowOf(y float64) int {
+	return axisCell((y-g.Region.MinY)/(g.Region.Height()/float64(g.Rows)), g.Rows)
+}
+
+// axisCell clamps a coordinate in cell units to a row or column of n.
+func axisCell(v float64, n int) int {
+	if !(v > 0) { // also catches NaN
+		return 0
 	}
-	col := clamp((p.X-g.Region.MinX)/cw, g.Cols)
-	row := clamp((p.Y-g.Region.MinY)/ch, g.Rows)
-	return row*g.Cols + col
+	if v >= float64(n) {
+		return n - 1
+	}
+	return int(v)
 }
 
 // CellRect returns the rectangle covered by cell i.

@@ -86,6 +86,32 @@ func Backward(root *Node) {
 	}
 }
 
+// Release returns root's value after recycling the storage of every other
+// operation result in its graph — values and, after a Backward, gradients —
+// for the next graph's operations to reuse (tensor.Recycle). Leaves and
+// parameters, which the caller owns, are untouched. The graph must not be
+// used afterwards.
+func Release(root *Node) *tensor.Matrix {
+	val := root.Val
+	root.Val = nil // marks a node as done; keeps root's value out of the pool
+	stack := append([]*Node(nil), root.prev...)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n.back == nil || n.Val == nil {
+			continue
+		}
+		tensor.Recycle(n.Val)
+		n.Val = nil
+		if n.Grad != nil {
+			tensor.Recycle(n.Grad)
+			n.Grad = nil
+		}
+		stack = append(stack, n.prev...)
+	}
+	return val
+}
+
 // ---------------------------------------------------------------------------
 // Primitive operations
 // ---------------------------------------------------------------------------

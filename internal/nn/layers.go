@@ -193,26 +193,37 @@ func NewCausalConv(p *Params, in, out, k, dilation int) *CausalConv {
 func (c *CausalConv) Forward(xs []*Node) []*Node {
 	out := make([]*Node, len(xs))
 	for t := range xs {
-		var acc *Node
-		for i, w := range c.Taps {
-			src := t - i*c.Dilation
-			if src < 0 {
-				continue // zero padding
-			}
-			term := MatMul(xs[src], w)
-			if acc == nil {
-				acc = term
-			} else {
-				acc = Add(acc, term)
-			}
-		}
-		if acc == nil {
-			// All taps out of range (cannot happen for i=0, but keep safe).
-			acc = MatMul(xs[t], c.Taps[0])
-		}
-		out[t] = AddBias(acc, c.B)
+		out[t] = c.at(xs, t)
 	}
 	return out
+}
+
+// at evaluates the convolution at step t alone. It reads xs only at the
+// taps' source steps (markSources), so the other entries may be nil.
+func (c *CausalConv) at(xs []*Node, t int) *Node {
+	var acc *Node
+	for i, w := range c.Taps {
+		src := t - i*c.Dilation
+		if src < 0 {
+			continue // zero padding
+		}
+		term := MatMul(xs[src], w)
+		if acc == nil {
+			acc = term
+		} else {
+			acc = Add(acc, term)
+		}
+	}
+	return AddBias(acc, c.B)
+}
+
+// markSources sets need[src] for every input step the output at step t reads.
+func (c *CausalConv) markSources(need []bool, t int) {
+	for i := range c.Taps {
+		if src := t - i*c.Dilation; src >= 0 {
+			need[src] = true
+		}
+	}
 }
 
 // GatedCausalConv is the gated temporal block of Eq. 7:
@@ -231,13 +242,59 @@ func NewGatedCausalConv(p *Params, in, out, k, dilation int) *GatedCausalConv {
 
 // Forward applies the gated convolution to the sequence.
 func (g *GatedCausalConv) Forward(xs []*Node) []*Node {
-	f := g.Filter.Forward(xs)
-	s := g.Gate.Forward(xs)
 	out := make([]*Node, len(xs))
 	for t := range xs {
-		out[t] = Mul(Tanh(f[t]), Sigmoid(s[t]))
+		out[t] = g.at(xs, t)
 	}
 	return out
+}
+
+func (g *GatedCausalConv) at(xs []*Node, t int) *Node {
+	return Mul(Tanh(g.Filter.at(xs, t)), Sigmoid(g.Gate.at(xs, t)))
+}
+
+// LastStep evaluates a temporal trunk — lift applied to every input step,
+// then the gated causal layers bottom to top — for a consumer that reads only
+// the top layer's final step, as all three graph predictors do. It walks the
+// stack down from that step to find which steps each layer must produce and
+// evaluates nothing else: with 8 inputs, 3 taps and dilations 1 and 2 that is
+// 1, 3 and 7 steps of the three levels instead of 8 each. Every node it does
+// build is the one Forward would have built, from the same operations on the
+// same operands, so values — and, since Backward only visits nodes reachable
+// from the loss, gradients — are bit-identical to slicing the full sequence.
+// lifted is the lift of the final input (DDGNN's residual skip).
+func LastStep(lift *Linear, inputs []*tensor.Matrix, layers ...*GatedCausalConv) (top, lifted *Node) {
+	n := len(inputs)
+	// need[l*n+t]: level l (0 = the lift, l = layers[l-1]'s output) is read
+	// at step t.
+	need := make([]bool, (len(layers)+1)*n)
+	need[len(need)-1] = true
+	for l := len(layers); l > 0; l-- {
+		below := need[(l-1)*n : l*n]
+		for t, wanted := range need[l*n : (l+1)*n] {
+			if wanted {
+				layers[l-1].Filter.markSources(below, t)
+				layers[l-1].Gate.markSources(below, t)
+			}
+		}
+	}
+	cur := make([]*Node, n)
+	for t, x := range inputs {
+		if need[t] {
+			cur[t] = lift.Forward(Leaf(x))
+		}
+	}
+	lifted = cur[n-1]
+	for l, g := range layers {
+		next := make([]*Node, n)
+		for t := range next {
+			if need[(l+1)*n+t] {
+				next[t] = g.at(cur, t)
+			}
+		}
+		cur = next
+	}
+	return cur[n-1], lifted
 }
 
 // NormalizeAdjacency builds Â = D^{-1/2}(A+I)D^{-1/2} differentiably, where

@@ -102,18 +102,16 @@ func (m *DDGNN) dependencyMatrix(inputs []*tensor.Matrix) *nn.Node {
 }
 
 func (m *DDGNN) forward(inputs []*tensor.Matrix) *nn.Node {
-	xs := make([]*nn.Node, len(inputs))
-	for i, x := range inputs {
-		xs[i] = m.lift.Forward(nn.Leaf(x))
-	}
-	skip := xs[len(xs)-1]
-	xs = m.temp1.Forward(xs)
-	xs = m.temp2.Forward(xs)
-	// Residual connection (Fig. 4's "+" merging conv output with input).
-	z := nn.Add(xs[len(xs)-1], nn.MatMul(skip, m.resid))
+	return m.propagate(inputs, nn.NormalizeAdjacency(m.dependencyMatrix(inputs)))
+}
 
-	adj := nn.NormalizeAdjacency(m.dependencyMatrix(inputs))
-	z = nn.APPNP(z, adj, m.alpha, m.hops) // Eqs. 8–9, ends in ReLU
+// propagate is the model downstream of the adjacency choice: the temporal
+// trunk at its last step, the residual, APPNP over normAdj and the head.
+func (m *DDGNN) propagate(inputs []*tensor.Matrix, normAdj *nn.Node) *nn.Node {
+	last, skip := nn.LastStep(m.lift, inputs, m.temp1, m.temp2)
+	// Residual connection (Fig. 4's "+" merging conv output with input).
+	z := nn.Add(last, nn.MatMul(skip, m.resid))
+	z = nn.APPNP(z, normAdj, m.alpha, m.hops) // Eqs. 8–9, ends in ReLU
 	h := nn.ReLU(m.hidden.Forward(z))
 	return nn.Sigmoid(m.out.Forward(h))
 }
@@ -125,7 +123,7 @@ func (m *DDGNN) Fit(train []Window) error {
 
 // Predict implements Predictor.
 func (m *DDGNN) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	return m.forward(inputs).Val
+	return nn.Release(m.forward(inputs))
 }
 
 // Adjacency exposes the current dynamic dependency matrix 𝒜_t for a window,
@@ -154,18 +152,7 @@ func NewStaticAdjacencyDDGNN(c DDGNNConfig) *StaticAdjacencyDDGNN {
 func (m *StaticAdjacencyDDGNN) Name() string { return "DDGNN-static" }
 
 func (m *StaticAdjacencyDDGNN) forward(inputs []*tensor.Matrix) *nn.Node {
-	xs := make([]*nn.Node, len(inputs))
-	for i, x := range inputs {
-		xs[i] = m.lift.Forward(nn.Leaf(x))
-	}
-	skip := xs[len(xs)-1]
-	xs = m.temp1.Forward(xs)
-	xs = m.temp2.Forward(xs)
-	z := nn.Add(xs[len(xs)-1], nn.MatMul(skip, m.resid))
-	adj := nn.Leaf(tensor.Eye(inputs[0].Rows))
-	z = nn.APPNP(z, adj, m.alpha, m.hops)
-	h := nn.ReLU(m.hidden.Forward(z))
-	return nn.Sigmoid(m.out.Forward(h))
+	return m.propagate(inputs, nn.Leaf(tensor.Eye(inputs[0].Rows)))
 }
 
 // Fit implements Predictor.
@@ -175,5 +162,5 @@ func (m *StaticAdjacencyDDGNN) Fit(train []Window) error {
 
 // Predict implements Predictor.
 func (m *StaticAdjacencyDDGNN) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	return m.forward(inputs).Val
+	return nn.Release(m.forward(inputs))
 }

@@ -6,10 +6,14 @@ import (
 )
 
 // Forecaster turns a trained Predictor into a stream-time source of virtual
-// tasks: at each prediction instant it rebuilds the task multivariate time
-// series from the tasks published so far, predicts the next vector, and
-// materializes cells×intervals whose probability clears the threshold.
+// tasks: at each prediction instant it bins the tasks published so far into
+// the model's history window, predicts the next vector, and materializes
+// cells×intervals whose probability clears the threshold. A forecast costs
+// one pass over the published tasks plus one model forward, whatever the
+// distance from Cfg.T0 — the series before the window is never built.
 type Forecaster struct {
+	// Model must only read the window Predict is handed: the Forecaster
+	// rewrites the same matrices at the next instant.
 	Model Predictor
 	Cfg   SeriesConfig
 	// History is the window length (in vectors) fed to the model.
@@ -25,6 +29,7 @@ type Forecaster struct {
 	Horizon int
 
 	nextID int
+	window []*tensor.Matrix // the History most recent vectors, reused
 }
 
 // NewForecaster wraps a trained model. idStart must be negative so virtual
@@ -62,18 +67,44 @@ func (f *Forecaster) Virtuals(published []*core.Task, now float64) []*core.Task 
 // enough history has accumulated. Virtuals and the scenario sampler share it
 // so a sampled forecast never predicts twice.
 func (f *Forecaster) forecast(published []*core.Task, now float64) (probs *tensor.Matrix, intervalStart float64, ok bool) {
-	s := BuildSeries(f.Cfg, published, now)
-	if s.P() < f.History {
+	p := f.Cfg.complete(now)
+	if p < f.History {
 		return nil, 0, false
 	}
-	window := s.Vectors[s.P()-f.History:]
-	probs = f.Model.Predict(window)
+	if len(f.window) != f.History {
+		f.window = make([]*tensor.Matrix, f.History)
+		for i := range f.window {
+			f.window[i] = tensor.New(f.Cfg.Grid.Cells(), f.Cfg.K)
+		}
+	}
+	f.fillWindow(published, p)
+	probs = f.Model.Predict(f.window)
 	horizon := f.Horizon
 	if horizon <= 0 {
 		horizon = 1
 	}
-	intervalStart = f.Cfg.T0 + float64(s.P()+horizon-1)*f.Cfg.VectorSpan()
+	intervalStart = f.Cfg.T0 + float64(p+horizon-1)*f.Cfg.VectorSpan()
 	return probs, intervalStart, true
+}
+
+// fillWindow rewrites f.window to vectors p−History … p−1 of the series
+// BuildSeries would build from published — the same bins, cell for cell.
+//
+//datawa:hotpath
+func (f *Forecaster) fillWindow(published []*core.Task, p int) {
+	for _, v := range f.window {
+		v.Zero()
+	}
+	first := p - f.History
+	end := f.Cfg.T0 + float64(p)*f.Cfg.VectorSpan()
+	for _, task := range published {
+		if task.Pub < f.Cfg.T0 || task.Pub >= end {
+			continue
+		}
+		if vec, dim := f.Cfg.bin(task.Pub); vec >= first {
+			f.window[vec-first].Set(f.Cfg.Grid.CellOf(task.Loc), dim, 1)
+		}
+	}
 }
 
 // Span returns the prediction cadence: one vector span kΔT.
@@ -82,8 +113,8 @@ func (f *Forecaster) Span() float64 { return f.Cfg.VectorSpan() }
 // HistorySpan returns how far back published tasks still influence a
 // prediction: the History-vector window plus one vector span of slack for
 // the flooring of partial vectors. Long-running callers may discard older
-// tasks — BuildSeries zeroes their vectors, but Predict never reads past the
-// window, so the forecast is unchanged.
+// tasks: they fall before the window fillWindow builds, so the forecast is
+// unchanged.
 func (f *Forecaster) HistorySpan() float64 {
 	return float64(f.History+1) * f.Cfg.VectorSpan()
 }

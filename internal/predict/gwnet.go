@@ -63,13 +63,7 @@ func (m *GraphWaveNet) adaptiveAdjacency() *nn.Node {
 }
 
 func (m *GraphWaveNet) forward(inputs []*tensor.Matrix) *nn.Node {
-	xs := make([]*nn.Node, len(inputs))
-	for i, x := range inputs {
-		xs[i] = m.lift.Forward(nn.Leaf(x))
-	}
-	xs = m.temp1.Forward(xs)
-	xs = m.temp2.Forward(xs)
-	z := xs[len(xs)-1] // last-step features, M×F
+	z, _ := nn.LastStep(m.lift, inputs, m.temp1, m.temp2) // last-step features, M×F
 
 	adj := m.adaptiveAdjacency()
 	diffused := nn.Add(
@@ -87,7 +81,7 @@ func (m *GraphWaveNet) Fit(train []Window) error {
 
 // Predict implements Predictor.
 func (m *GraphWaveNet) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	return m.forward(inputs).Val
+	return nn.Release(m.forward(inputs))
 }
 
 // ParamCount returns the number of trainable scalars, for diagnostics.

@@ -48,7 +48,7 @@ func (m *LSTMPredictor) Fit(train []Window) error {
 
 // Predict implements Predictor.
 func (m *LSTMPredictor) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	return m.forward(inputs).Val
+	return nn.Release(m.forward(inputs))
 }
 
 // ParamCount returns the number of trainable scalars, for diagnostics.

@@ -65,6 +65,7 @@ func fitModel(params *nn.Params, cfg TrainConfig, forward func(Window) *nn.Node,
 			nn.Backward(loss)
 			nn.ClipGrads(params.All(), cfg.ClipNorm)
 			opt.Step(params.All())
+			nn.Release(loss)
 		}
 	}
 	return nil

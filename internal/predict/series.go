@@ -43,41 +43,48 @@ type Series struct {
 // P returns the number of record vectors in the series.
 func (s *Series) P() int { return len(s.Vectors) }
 
+// complete returns the number of whole vectors in [c.T0, until), the series
+// length P at that instant. It panics on a configuration Eq. 2 excludes.
+func (c SeriesConfig) complete(until float64) int {
+	if c.K <= 1 {
+		panic(fmt.Sprintf("predict: K must exceed 1 (paper: k > 1), got %d", c.K))
+	}
+	if c.DeltaT <= 0 {
+		panic("predict: DeltaT must be positive")
+	}
+	return max(int((until-c.T0)/c.VectorSpan()), 0)
+}
+
+// bin returns the vector and the ΔT interval within it that a publication
+// time at or after c.T0 falls into, per Eq. 2.
+func (c SeriesConfig) bin(pub float64) (vec, dim int) {
+	span := c.VectorSpan()
+	rel := pub - c.T0
+	vec = int(rel / span)
+	dim = int((rel - float64(vec)*span) / c.DeltaT)
+	if dim >= c.K { // guard against float edge cases
+		dim = c.K - 1
+	}
+	return vec, dim
+}
+
 // BuildSeries discretizes tasks published in [cfg.T0, until) into a series.
 // Tasks outside the window or the grid region (clamped cells still count)
 // are binned by publication time per Eq. 2.
 func BuildSeries(cfg SeriesConfig, tasks []*core.Task, until float64) *Series {
-	if cfg.K <= 1 {
-		panic(fmt.Sprintf("predict: K must exceed 1 (paper: k > 1), got %d", cfg.K))
-	}
-	if cfg.DeltaT <= 0 {
-		panic("predict: DeltaT must be positive")
-	}
-	span := cfg.VectorSpan()
-	p := int((until - cfg.T0) / span)
-	if p < 0 {
-		p = 0
-	}
+	p := cfg.complete(until)
 	s := &Series{Config: cfg}
 	m := cfg.Grid.Cells()
 	for i := 0; i < p; i++ {
 		s.Vectors = append(s.Vectors, tensor.New(m, cfg.K))
 	}
-	if p == 0 {
-		return s
-	}
+	end := cfg.T0 + float64(p)*cfg.VectorSpan()
 	for _, task := range tasks {
-		if task.Pub < cfg.T0 || task.Pub >= cfg.T0+float64(p)*span {
+		if task.Pub < cfg.T0 || task.Pub >= end {
 			continue
 		}
-		rel := task.Pub - cfg.T0
-		vec := int(rel / span)
-		dim := int((rel - float64(vec)*span) / cfg.DeltaT)
-		if dim >= cfg.K { // guard against float edge cases
-			dim = cfg.K - 1
-		}
-		cell := cfg.Grid.CellOf(task.Loc)
-		s.Vectors[vec].Set(cell, dim, 1)
+		vec, dim := cfg.bin(task.Pub)
+		s.Vectors[vec].Set(cfg.Grid.CellOf(task.Loc), dim, 1)
 	}
 	return s
 }

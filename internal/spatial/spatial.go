@@ -43,46 +43,20 @@ import (
 // (internal/dispatch): the cells a reachability disk overlaps determine
 // which shards must see a replica of the task at its center. A negative or
 // NaN r returns nil; +Inf returns every cell; r == 0 returns the cell
-// containing an in-region p. The test is exact rectangle–disk intersection,
-// so a point outside the region reaches only the cells its disk truly
-// overlaps (unlike Grid.CellOf, which clamps).
+// containing an in-region p. The test (CellSet.AddDisk) is exact
+// rectangle–disk intersection, so a point outside the region reaches only the
+// cells its disk truly overlaps (unlike Grid.CellOf, which clamps).
 func CellsInDisk(g geo.Grid, p geo.Point, r float64) []int {
 	return AppendCellsInDisk(nil, g, p, r)
 }
 
-// AppendCellsInDisk is CellsInDisk appending into dst, so per-worker loops
-// (the incremental planner's partition, dirty-disk marking) can reuse one
-// buffer across calls instead of allocating a fresh slice per disk query.
+// AppendCellsInDisk is CellsInDisk appending into dst.
 func AppendCellsInDisk(dst []int, g geo.Grid, p geo.Point, r float64) []int {
-	if r < 0 || math.IsNaN(r) || math.IsInf(r, 1) {
-		if math.IsInf(r, 1) {
-			for i := 0; i < g.Cells(); i++ {
-				dst = append(dst, i)
-			}
-		}
-		return dst
-	}
-	c0 := g.CellOf(geo.Point{X: p.X - r, Y: p.Y - r})
-	c1 := g.CellOf(geo.Point{X: p.X + r, Y: p.Y + r})
-	row0, col0 := c0/g.Cols, c0%g.Cols
-	row1, col1 := c1/g.Cols, c1%g.Cols
-	for row := row0; row <= row1; row++ {
-		for col := col0; col <= col1; col++ {
-			i := row*g.Cols + col
-			rect := g.CellRect(i)
-			// Distance from p to the nearest point of the cell rectangle;
-			// the disk intersects the cell iff it is ≤ r. The upper edges are
-			// exclusive (cells tile disjointly), but the closed-rect distance
-			// is what makes a disk tangent to a boundary see both sides —
-			// exactly the conservative behavior replication wants.
-			dx := math.Max(0, math.Max(rect.MinX-p.X, p.X-rect.MaxX))
-			dy := math.Max(0, math.Max(rect.MinY-p.Y, p.Y-rect.MaxY))
-			if dx*dx+dy*dy <= r*r {
-				dst = append(dst, i)
-			}
-		}
-	}
-	return dst
+	var stack [4]uint64 // grids of up to 256 cells rasterise without allocating
+	words := (g.Cells() + 63) / 64
+	s := slices.Grow(CellSet(stack[:0]), words)[:words]
+	s.AddDisk(g, p, r)
+	return s.AppendCells(dst)
 }
 
 // Index is a uniform grid over a fixed set of tasks. Between Reset calls it

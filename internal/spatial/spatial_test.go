@@ -3,6 +3,7 @@ package spatial
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -233,5 +234,107 @@ func TestCellsInDiskEdgeCases(t *testing.T) {
 	// A disk tangent to the shared boundary sees both sides.
 	if got := CellsInDisk(g, geo.Point{X: 1, Y: 1.5}, 0.5); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("tangent disk returned %v, want [0 2]", got)
+	}
+}
+
+// refCellsInDisk is AppendCellsInDisk as it was before CellSet.AddDisk took
+// over the rasterisation — a geo.CellRect and four math.Max per candidate
+// cell — kept as the oracle AddDisk is compared against.
+func refCellsInDisk(dst []int, g geo.Grid, p geo.Point, r float64) []int {
+	if r < 0 || math.IsNaN(r) || math.IsInf(r, 1) {
+		if math.IsInf(r, 1) {
+			for i := 0; i < g.Cells(); i++ {
+				dst = append(dst, i)
+			}
+		}
+		return dst
+	}
+	c0 := g.CellOf(geo.Point{X: p.X - r, Y: p.Y - r})
+	c1 := g.CellOf(geo.Point{X: p.X + r, Y: p.Y + r})
+	row0, col0 := c0/g.Cols, c0%g.Cols
+	row1, col1 := c1/g.Cols, c1%g.Cols
+	for row := row0; row <= row1; row++ {
+		for col := col0; col <= col1; col++ {
+			i := row*g.Cols + col
+			rect := g.CellRect(i)
+			dx := math.Max(0, math.Max(rect.MinX-p.X, p.X-rect.MaxX))
+			dy := math.Max(0, math.Max(rect.MinY-p.Y, p.Y-rect.MaxY))
+			if dx*dx+dy*dy <= r*r {
+				dst = append(dst, i)
+			}
+		}
+	}
+	return dst
+}
+
+// TestCellSetDiskMatchesReference: AddDisk marks exactly the cells the old
+// list rasteriser returned — on random grids of one to three words and random
+// disks, and on the cases a rewrite gets wrong: tangent disks, centres on
+// cell corners and off the region, zero, negative, NaN and infinite radii,
+// non-finite centres. CellsInDisk, now built on AddDisk, must list them too.
+func TestCellSetDiskMatchesReference(t *testing.T) {
+	check := func(g geo.Grid, p geo.Point, r float64) {
+		t.Helper()
+		want := refCellsInDisk(nil, g, p, r)
+		set := NewCellSet(g.Cells())
+		set.AddDisk(g, p, r)
+		if got := set.AppendCells(nil); !slices.Equal(got, want) {
+			t.Fatalf("grid %+v p=%+v r=%v: AddDisk %v, reference %v", g, p, r, got, want)
+		}
+		if got := CellsInDisk(g, p, r); !slices.Equal(got, want) {
+			t.Fatalf("grid %+v p=%+v r=%v: CellsInDisk %v, reference %v", g, p, r, got, want)
+		}
+		for _, c := range want {
+			if !set.Has(c) {
+				t.Fatalf("Has(%d) false for a marked cell", c)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 3000; trial++ {
+		g := geo.NewGrid(geo.Rect{MinX: -3 + rng.Float64(), MinY: rng.Float64(), MaxX: 2 + 8*rng.Float64(), MaxY: 3 + 5*rng.Float64()}, 1+rng.Intn(13), 1+rng.Intn(13))
+		check(g, geo.Point{X: -6 + 20*rng.Float64(), Y: -4 + 16*rng.Float64()}, 4*rng.Float64())
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, g := range []geo.Grid{
+		geo.NewGrid(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 2, 2),
+		geo.NewGrid(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 6, 6),
+		geo.NewGrid(geo.Rect{MinX: -1, MinY: 2, MaxX: 8, MaxY: 5}, 7, 11), // 77 cells: two words
+	} {
+		for _, p := range []geo.Point{{X: 1, Y: 1}, {X: 1, Y: 1.5}, {X: 2, Y: 2}, {X: 0, Y: 0}, {X: 4, Y: 4}, {X: 4, Y: 1},
+			{X: -99, Y: 99}, {X: 5, Y: 2}, {X: 2, Y: -0.5}, {X: nan, Y: 1}, {X: 1, Y: nan}, {X: inf, Y: 1}, {X: -inf, Y: inf}} {
+			for _, r := range []float64{0, 0.5, 1, 2, 100, -1, -inf, nan, inf} {
+				check(g, p, r)
+			}
+		}
+	}
+}
+
+// TestCellSetOps pins the set algebra partition and dirty tracking run on.
+func TestCellSetOps(t *testing.T) {
+	a, b := NewCellSet(130), NewCellSet(130)
+	if len(a) != 3 {
+		t.Fatalf("130 cells take %d words, want 3", len(a))
+	}
+	a.Add(0)
+	a.Add(64)
+	b.Add(129)
+	if a.Intersects(b) || b.Intersects(a) {
+		t.Fatal("disjoint sets intersect")
+	}
+	b.Add(64)
+	if !a.Intersects(b) {
+		t.Fatal("sets sharing cell 64 do not intersect")
+	}
+	a.Union(b)
+	if got := a.AppendCells([]int{-1}); !slices.Equal(got, []int{-1, 0, 64, 129}) {
+		t.Fatalf("union lists %v, want [-1 0 64 129]", got)
+	}
+	a.Reset()
+	if a.Has(0) || a.Intersects(b) || len(a.AppendCells(nil)) != 0 {
+		t.Fatal("reset left cells behind")
+	}
+	if len(NewCellSet(0)) != 0 || len(NewCellSet(64)) != 1 || len(NewCellSet(65)) != 2 {
+		t.Fatal("word count is not ceil(cells/64)")
 	}
 }

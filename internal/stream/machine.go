@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/spatial"
 )
 
 // MachineConfig configures one assignment state machine. It is the part of
@@ -136,7 +138,7 @@ func (ws *workerState) pos(t float64) geo.Point {
 type Machine struct {
 	cfg MachineConfig
 
-	active    []*workerState
+	active    []*workerState // ascending worker id
 	byWorker  map[int]*workerState
 	open      map[int]*core.Task // published, unexpired, unassigned real tasks
 	openOrder []*core.Task
@@ -159,12 +161,11 @@ type Machine struct {
 	// last planner invocation. The set is cleared only after a planner call —
 	// planning instants with no plannable worker leave it accumulating.
 	dp    assign.DirtyPlanner
-	dirty map[int]struct{}
+	dirty spatial.CellSet
 
 	// Per-Step scratch, reused so a steady-state Step allocates only what it
 	// publishes (plans, commit logs). The machine is single-goroutine, so one
 	// set of buffers suffices.
-	cellScratch []int
 	planScratch []*workerState
 	wsScratch   []*core.Worker
 	poolScratch []*core.Task
@@ -221,7 +222,7 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if m.cfg.DirtyGrid.Cells() > 0 && !m.cfg.Fixed {
 		if dp, ok := m.cfg.Planner.(assign.DirtyPlanner); ok {
 			m.dp = dp
-			m.dirty = make(map[int]struct{})
+			m.dirty = spatial.NewCellSet(m.cfg.DirtyGrid.Cells())
 		}
 	}
 	return m
@@ -231,22 +232,18 @@ func NewMachine(cfg MachineConfig) *Machine {
 // location joins the dirty set.
 func (m *Machine) markCell(p geo.Point) {
 	if m.dp != nil {
-		m.dirty[m.cfg.DirtyGrid.CellOf(p)] = struct{}{}
+		m.dirty.Add(m.cfg.DirtyGrid.CellOf(p))
 	}
 }
 
 // markDisk records a worker-side change: every cell the worker's
 // reachability disk can influence joins the dirty set, so any cached
 // component whose tasks the worker could newly reach (or stop shadowing) is
-// invalidated. The geometry matches assign.WorkerCells — the partition and
-// the invalidation must see identical cell sets.
+// invalidated. The geometry is assign.AddWorkerCells' — the partition and the
+// invalidation must see identical cell sets.
 func (m *Machine) markDisk(p geo.Point, reach float64) {
-	if m.dp == nil {
-		return
-	}
-	m.cellScratch = assign.AppendWorkerCells(m.cellScratch[:0], m.cfg.DirtyGrid, p, reach)
-	for _, c := range m.cellScratch {
-		m.dirty[c] = struct{}{}
+	if m.dp != nil {
+		assign.AddWorkerCells(m.dirty, m.cfg.DirtyGrid, p, reach)
 	}
 }
 
@@ -263,7 +260,12 @@ func (m *Machine) AddWorker(w *core.Worker, now float64) bool {
 	}
 	cp := *w
 	ws := &workerState{w: &cp}
-	m.active = append(m.active, ws)
+	// Keeping the list in id order here is what hands the planner id-sorted
+	// workers with no sort per planning instant; evict and RemoveWorker
+	// delete in place. Ids mostly arrive ascending, so the search usually
+	// ends at the tail and the insert is an append.
+	at, _ := slices.BinarySearchFunc(m.active, cp.ID, func(ws *workerState, id int) int { return cmp.Compare(ws.w.ID, id) })
+	m.active = slices.Insert(m.active, at, ws)
 	m.byWorker[cp.ID] = ws
 	m.markDisk(cp.Loc, cp.Reach)
 	return true
@@ -710,7 +712,8 @@ func (m *Machine) replaceVirtuals(v []*core.Task) {
 
 // plan runs one planning instant (Algorithm 4 via the configured planner).
 func (m *Machine) plan(t float64) {
-	planners := m.planScratch[:0]
+	// m.active is in id order, so planners and workers are too.
+	planners, workers := m.planScratch[:0], m.wsScratch[:0]
 	for _, ws := range m.active {
 		if ws.committed != nil {
 			continue // executing a real task: not interruptible
@@ -725,27 +728,21 @@ func (m *Machine) plan(t float64) {
 			ws.entered = true
 			m.markDisk(ws.w.Loc, ws.w.Reach)
 		}
-		planners = append(planners, ws)
-	}
-	m.planScratch = planners
-	if len(planners) == 0 {
-		return
-	}
-	slices.SortFunc(planners, func(a, b *workerState) int { return a.w.ID - b.w.ID })
-
-	// Refresh worker locations to their positions now; repositioning
-	// workers are interrupted at their current point — a position change the
-	// dirty set must see before the planner runs.
-	workers := m.wsScratch[:0]
-	for _, ws := range planners {
+		// Refresh the worker's location to its position now; a repositioning
+		// worker is interrupted at its current point — a position change the
+		// dirty set must see before the planner runs.
 		ws.w.Loc = ws.pos(t)
-		if ws.moving && ws.committed == nil {
+		if ws.moving {
 			ws.moving = false
 			m.markDisk(ws.w.Loc, ws.w.Reach)
 		}
+		planners = append(planners, ws)
 		workers = append(workers, ws.w)
 	}
-	m.wsScratch = workers
+	m.planScratch, m.wsScratch = planners, workers
+	if len(planners) == 0 {
+		return
+	}
 
 	// Planning pool: open unreserved real tasks plus current virtuals. The
 	// identity check (not just id membership) keeps a stale openOrder entry
@@ -763,7 +760,7 @@ func (m *Machine) plan(t float64) {
 	var plan core.Plan
 	if m.dp != nil {
 		plan = m.dp.PlanDirty(workers, pool, t, m.dirty)
-		clear(m.dirty)
+		m.dirty.Reset()
 	} else {
 		plan = m.cfg.Planner.Plan(workers, pool, t)
 	}

@@ -1,12 +1,12 @@
 package stream
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/spatial"
 )
 
 // dirtyRecorder is a DirtyPlanner stub that records the dirty set handed to
@@ -22,13 +22,8 @@ func (r *dirtyRecorder) Plan(w []*core.Worker, s []*core.Task, now float64) core
 	return r.inner.Plan(w, s, now)
 }
 
-func (r *dirtyRecorder) PlanDirty(w []*core.Worker, s []*core.Task, now float64, dirty map[int]struct{}) core.Plan {
-	cells := make([]int, 0, len(dirty))
-	for c := range dirty {
-		cells = append(cells, c)
-	}
-	sort.Ints(cells)
-	r.calls = append(r.calls, cells)
+func (r *dirtyRecorder) PlanDirty(w []*core.Worker, s []*core.Task, now float64, dirty spatial.CellSet) core.Plan {
+	r.calls = append(r.calls, dirty.AppendCells(nil))
 	return r.inner.Plan(w, s, now)
 }
 

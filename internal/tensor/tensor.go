@@ -7,7 +7,9 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // Matrix is a dense row-major matrix of float64.
@@ -16,14 +18,29 @@ type Matrix struct {
 	Data       []float64
 }
 
+// recycled holds matrices handed to Recycle, by the bit length of their
+// capacity. A model evaluation builds the same few shapes again and again, so
+// New usually finds one that fits in the class of the size it needs.
+var recycled [65]sync.Pool
+
 // New returns a zero matrix of the given shape.
 // It panics on non-positive dimensions: shapes are static program structure.
 func New(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	n := rows * cols
+	if m, _ := recycled[bits.Len(uint(n))].Get().(*Matrix); m != nil && cap(m.Data) >= n {
+		m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+		clear(m.Data)
+		return m
+	}
+	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n)}
 }
+
+// Recycle hands m and its storage back for New to reuse. The caller must
+// hold the only reference to m and must not touch it afterwards.
+func Recycle(m *Matrix) { recycled[bits.Len(uint(cap(m.Data)))].Put(m) }
 
 // FromSlice wraps data (length rows*cols, row-major) in a matrix, copying it.
 func FromSlice(rows, cols int, data []float64) *Matrix {
