@@ -96,12 +96,8 @@ func (f *Forecaster) fillWindow(published []*core.Task, p int) {
 		v.Zero()
 	}
 	first := p - f.History
-	end := f.Cfg.T0 + float64(p)*f.Cfg.VectorSpan()
 	for _, task := range published {
-		if task.Pub < f.Cfg.T0 || task.Pub >= end {
-			continue
-		}
-		if vec, dim := f.Cfg.bin(task.Pub); vec >= first {
+		if vec, dim, ok := f.Cfg.bin(task.Pub, p); ok && vec >= first {
 			f.window[vec-first].Set(f.Cfg.Grid.CellOf(task.Loc), dim, 1)
 		}
 	}

@@ -55,17 +55,20 @@ func (c SeriesConfig) complete(until float64) int {
 	return max(int((until-c.T0)/c.VectorSpan()), 0)
 }
 
-// bin returns the vector and the ΔT interval within it that a publication
-// time at or after c.T0 falls into, per Eq. 2.
-func (c SeriesConfig) bin(pub float64) (vec, dim int) {
+// bin locates a publication time in a series of p vectors: the vector and the
+// ΔT interval within it, per Eq. 2, or ok=false outside [c.T0, c.T0+p·kΔT).
+func (c SeriesConfig) bin(pub float64, p int) (vec, dim int, ok bool) {
 	span := c.VectorSpan()
+	if pub < c.T0 || pub >= c.T0+float64(p)*span {
+		return 0, 0, false
+	}
 	rel := pub - c.T0
 	vec = int(rel / span)
 	dim = int((rel - float64(vec)*span) / c.DeltaT)
 	if dim >= c.K { // guard against float edge cases
 		dim = c.K - 1
 	}
-	return vec, dim
+	return vec, dim, true
 }
 
 // BuildSeries discretizes tasks published in [cfg.T0, until) into a series.
@@ -78,13 +81,10 @@ func BuildSeries(cfg SeriesConfig, tasks []*core.Task, until float64) *Series {
 	for i := 0; i < p; i++ {
 		s.Vectors = append(s.Vectors, tensor.New(m, cfg.K))
 	}
-	end := cfg.T0 + float64(p)*cfg.VectorSpan()
 	for _, task := range tasks {
-		if task.Pub < cfg.T0 || task.Pub >= end {
-			continue
+		if vec, dim, ok := cfg.bin(task.Pub, p); ok {
+			s.Vectors[vec].Set(cfg.Grid.CellOf(task.Loc), dim, 1)
 		}
-		vec, dim := cfg.bin(task.Pub)
-		s.Vectors[vec].Set(cfg.Grid.CellOf(task.Loc), dim, 1)
 	}
 	return s
 }
