@@ -6,7 +6,8 @@
 //
 //  1. A `for … range` over a map must have an order-insensitive body —
 //     commutative accumulation only (integer counters, keyed writes,
-//     deletes). Anything order-exposed needs `//datawa:unordered <why>`.
+//     deletes), and no read of an accumulator's running value. Anything
+//     order-exposed needs `//datawa:unordered <why>`.
 //  2. No ambient-environment reads: time.Now/Since/Until, the global
 //     math/rand functions, and os.Getenv/LookupEnv/Environ are banned.
 //     Wall-clock belongs to datawa-serve, obs, and LoadGen pacing; a
@@ -103,10 +104,53 @@ func checkRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 		}
 		return
 	}
-	if reason := orderSensitive(pass, rng.Body.List); reason != "" {
+	reason := orderSensitive(pass, rng.Body.List)
+	if reason == "" {
+		reason = runningValueRead(pass, rng.Body)
+	}
+	if reason != "" {
 		pass.Reportf(rng.Pos(), "map iteration with an order-sensitive body (%s): "+
 			"make the body commutative or annotate //datawa:unordered with a justification", reason)
 	}
+}
+
+// runningValueRead reports a body that reads an accumulator it also updates:
+// `starts[k] = total; total += n` passes statement by statement — a keyed
+// write and an integer accumulation — but the value stored for a key is the
+// sum over the keys that happened to come before it. Variables declared
+// inside the body start afresh every iteration and are not accumulators.
+func runningValueRead(pass *analysis.Pass, body *ast.BlockStmt) string {
+	acc := make(map[types.Object]bool)
+	updates := make(map[*ast.Ident]bool) // the occurrences that are the update's own target
+	ast.Inspect(body, func(n ast.Node) bool {
+		var targets []ast.Expr
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+				targets = n.Lhs
+			}
+		case *ast.IncDecStmt:
+			targets = []ast.Expr{n.X}
+		}
+		for _, e := range targets {
+			id, ok := e.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			if obj := pass.TypesInfo.Uses[id]; obj != nil && (obj.Pos() < body.Pos() || obj.Pos() > body.End()) {
+				acc[obj], updates[id] = true, true
+			}
+		}
+		return true
+	})
+	reason := ""
+	ast.Inspect(body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && reason == "" && !updates[id] && acc[pass.TypesInfo.Uses[id]] {
+			reason = "reads the running value of accumulator " + id.Name + ", which depends on the keys that came before"
+		}
+		return reason == ""
+	})
+	return reason
 }
 
 // orderSensitive reports why a statement list is not provably

@@ -47,6 +47,30 @@ func orderExposed(m map[int]float64) []int {
 	return keys
 }
 
+// A running value stored per key: every statement commutes on its own, the
+// stored prefix sums do not (spatial.Index.Reset laid its buckets out this
+// way until PR 14).
+func runningValue(counts map[int]int) map[int]int {
+	starts := make(map[int]int)
+	total := 0
+	for k, c := range counts { // want `reads the running value of accumulator total`
+		starts[k] = total
+		total += c
+	}
+	return starts
+}
+
+// An accumulator declared inside the body starts afresh per key: no finding.
+func perKeyAccumulator(m map[int][]int) map[int]int {
+	sizes := make(map[int]int)
+	for k, vs := range m {
+		var n int
+		n += len(vs)
+		sizes[k] = n
+	}
+	return sizes
+}
+
 // The escape hatch silences the finding when justified...
 func escapeHatch(m map[int]float64) []int {
 	var keys []int

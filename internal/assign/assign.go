@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/par"
+	"repro/internal/spatial"
 	"repro/internal/tvf"
 	"repro/internal/wds"
 )
@@ -103,9 +104,7 @@ type Planner interface {
 type Greedy struct {
 	Opts Options
 
-	ws    []*core.Worker
-	avail taskSet
-	sc    wds.Scratch
+	scan workerScan
 }
 
 // Name implements Planner.
@@ -113,20 +112,58 @@ func (g *Greedy) Name() string { return "Greedy" }
 
 // Plan implements Planner.
 func (g *Greedy) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
-	o := g.Opts.WithDefaults()
-	ws := append(g.ws[:0], workers...)
-	g.ws = ws
-	slices.SortFunc(ws, func(a, b *core.Worker) int { return a.ID - b.ID })
-	g.avail.reset(tasks)
-	var plan core.Plan
-	for _, w := range ws {
-		rs := g.sc.ReachableTasks(w, g.avail.slice(), now, o.WDS)
-		qs := g.sc.MaximalValidSequences(w, rs, now, o.WDS)
-		if len(qs) == 0 {
+	return g.scan.plan(workers, tasks, now, g.Opts.WithDefaults().WDS, false)
+}
+
+// workerScan is the sequential planners' per-instant state: the workers in id
+// order, a grid index over the pool, and one availability flag per pool
+// position — cleared when a worker takes the task, and from the start for a
+// repeated id or a task the planner does not plan with.
+type workerScan struct {
+	ws    []*core.Worker
+	ix    spatial.Index
+	avail []bool
+	ids   map[int]struct{}
+	sc    wds.Scratch
+}
+
+// plan hands each worker, in id order, the head of its Q_w over the tasks
+// still available — or, for the matcher, the nearest available real task.
+func (s *workerScan) plan(workers []*core.Worker, tasks []*core.Task, now float64, o wds.Options, match bool) core.Plan {
+	if len(tasks) == 0 {
+		return nil
+	}
+	s.ws = append(s.ws[:0], workers...)
+	slices.SortFunc(s.ws, func(a, b *core.Worker) int { return a.ID - b.ID })
+	s.ix.Reset(tasks, spatial.CellSizeForReach(workers))
+	s.avail = slices.Grow(s.avail[:0], len(tasks))[:len(tasks)]
+	if s.ids == nil {
+		s.ids = make(map[int]struct{}, len(tasks))
+	}
+	clear(s.ids)
+	for i, t := range tasks {
+		if match && t.Virtual {
+			s.avail[i] = false
 			continue
 		}
-		q := qs[0] // longest, then earliest completion: the maximal set
-		g.avail.removeSeq(q)
+		n := len(s.ids)
+		s.ids[t.ID] = struct{}{}
+		s.avail[i] = len(s.ids) > n // a repeated id is planned once
+	}
+	var plan core.Plan
+	for _, w := range s.ws {
+		pick := s.sc.Reachable(w, &s.ix, s.avail, now, o)
+		if !match {
+			pick = s.sc.BestSequence(w, tasks, pick, now, o)
+		}
+		if len(pick) == 0 {
+			continue
+		}
+		q := make(core.Sequence, len(pick))
+		for j, c := range pick {
+			q[j] = tasks[c.Pos]
+			s.avail[c.Pos] = false
+		}
 		plan = append(plan, core.Assignment{Worker: w, Seq: q})
 	}
 	return plan
@@ -689,84 +726,6 @@ func (r *searchRun) stateFor(lv *level, n *wds.TreeNode, j int) {
 
 func (r *searchRun) state(lv *level) tvf.State {
 	return tvf.State{Workers: lv.workers, Tasks: r.open[:lv.tasks], Now: r.now}
-}
-
-// ---------------------------------------------------------------------------
-// Task set bookkeeping
-// ---------------------------------------------------------------------------
-
-// taskSet tracks available tasks with O(1) removal and restoration and a
-// deterministic slice view. Membership is a dense bool array over the
-// deduped insertion order — the per-node candidate filter of the search
-// reads it millions of times per planning instant on hotspot workloads, so
-// availability checks must not hash. The id→index map is built once and
-// never mutated, letting sequences be pre-translated to index lists
-// (searchRun.seqIndices) that skip the map entirely.
-type taskSet struct {
-	byID  map[int]int32 // id → index into order; never mutated after build
-	order []*core.Task  // deduped insertion order
-	avail []bool        // availability by index
-	dirty bool
-	cache []*core.Task
-}
-
-func newTaskSet(tasks []*core.Task) *taskSet {
-	ts := &taskSet{}
-	ts.reset(tasks)
-	return ts
-}
-
-// reset reinitializes the set over tasks, reusing the map and slice capacity
-// of previous instants. An empty pool (the common case on quiet archetypes)
-// touches no map at all: reads on the nil byID of a zero taskSet are fine.
-func (ts *taskSet) reset(tasks []*core.Task) {
-	if ts.byID != nil {
-		clear(ts.byID)
-	} else if len(tasks) > 0 {
-		ts.byID = make(map[int]int32, len(tasks))
-	}
-	ts.order = ts.order[:0]
-	for _, t := range tasks {
-		if _, dup := ts.byID[t.ID]; dup {
-			continue
-		}
-		ts.byID[t.ID] = int32(len(ts.order))
-		ts.order = append(ts.order, t)
-	}
-	ts.avail = ts.avail[:0]
-	for range ts.order {
-		ts.avail = append(ts.avail, true)
-	}
-	ts.dirty = true
-	ts.cache = ts.cache[:0]
-}
-
-//datawa:hotpath
-func (ts *taskSet) removeSeq(q core.Sequence) {
-	for _, s := range q {
-		if i, ok := ts.byID[s.ID]; ok {
-			ts.avail[i] = false
-		}
-	}
-	ts.dirty = true
-}
-
-// slice returns the available tasks in insertion order.
-//
-//datawa:hotpath
-func (ts *taskSet) slice() []*core.Task {
-	if !ts.dirty {
-		return ts.cache
-	}
-	out := ts.cache[:0]
-	for i, t := range ts.order {
-		if ts.avail[i] {
-			out = append(out, t)
-		}
-	}
-	ts.cache = out
-	ts.dirty = false
-	return out
 }
 
 // CollectSamples runs the exact DFSearch over one planning instant purely to

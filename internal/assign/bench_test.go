@@ -35,17 +35,6 @@ func benchOpts() Options {
 	return Options{WDS: wds.Options{Travel: geo.NewTravelModel(0.005)}, MaxNodes: 5000}
 }
 
-// BenchmarkGreedyPlan measures the baseline planner at planning-instant size.
-func BenchmarkGreedyPlan(b *testing.B) {
-	ws, ts := benchInstance(30, 60)
-	g := &Greedy{Opts: benchOpts()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Plan(ws, ts, 0)
-	}
-}
-
 // BenchmarkExactSearchPlan measures one TPA call with the exact DFSearch.
 func BenchmarkExactSearchPlan(b *testing.B) {
 	ws, ts := benchInstance(30, 60)
@@ -151,4 +140,30 @@ func BenchmarkCrowdPlan(b *testing.B) {
 	}
 	b.ReportMetric(float64(s.NodesLastPlan), "nodes")
 	b.ReportMetric(float64(s.GreedyCompletionsLastPlan), "greedy")
+}
+
+// benchScan measures one warm Plan call of a sequential planner on the crowd
+// instant of the courier-grid archetype at 20x, the density churn-greedy
+// replays: one index build, then per worker a disc query, the nearest
+// MaxReachable candidates and (Greedy) the best-sequence pick.
+func benchScan(b *testing.B, p Planner) {
+	a, _ := scenario.Get("courier-grid")
+	crowd := atlasInstantsOf(a, 20)[0]
+	plan := p.Plan(crowd.workers, crowd.tasks, crowd.now)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan = p.Plan(crowd.workers, crowd.tasks, crowd.now)
+	}
+	b.ReportMetric(float64(len(crowd.workers)), "workers")
+	b.ReportMetric(float64(len(crowd.tasks)), "tasks")
+	b.ReportMetric(float64(plan.Size()), "assigned")
+}
+
+func BenchmarkGreedyPlan(b *testing.B) {
+	benchScan(b, &Greedy{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}}})
+}
+
+func BenchmarkMatchPlan(b *testing.B) {
+	benchScan(b, &Match{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}}})
 }

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -199,4 +200,104 @@ func TestCollectSamplesKnownAliasing(t *testing.T) {
 	if corrupted == 0 {
 		t.Fatal("Search now matches the cloned-state reference: the aliasing bug is fixed — see this test's comment")
 	}
+}
+
+// scanInstants returns the pools the sequential planners are held to their
+// map-and-scan references on: the atlas instants with a virtual task published
+// half a minute out beside every fourth real one, then the shapes the
+// availability flags and the per-instant index have to get right.
+func scanInstants() []instant {
+	var out []instant
+	for _, in := range atlasInstants() {
+		n := len(in.tasks)
+		for i := 0; i < n; i += 4 {
+			s := in.tasks[i]
+			in.tasks = append(in.tasks, &core.Task{ID: -1 - i, Loc: geo.Point{X: s.Loc.X + 0.05, Y: s.Loc.Y},
+				Pub: in.now + 30, Exp: in.now + 150, Cell: -1, Virtual: true})
+		}
+		out = append(out, in)
+	}
+	crowd := out[2] // courier-grid/crowd
+	if crowd.name != "courier-grid/crowd" {
+		panic("atlas order changed: " + crowd.name)
+	}
+
+	unsorted := crowd
+	unsorted.name = "unsorted-workers"
+	unsorted.workers = slices.Clone(crowd.workers)
+	slices.Reverse(unsorted.workers)
+	out = append(out, unsorted)
+
+	// A repeated id plans once, at its first position: the same task again,
+	// and another task under a used id next to a worker that would want it.
+	repeated := crowd
+	repeated.name = "repeated-id"
+	first, w := crowd.tasks[0], crowd.workers[0]
+	repeated.tasks = append(slices.Clone(crowd.tasks), first, crowd.tasks[len(crowd.tasks)/2],
+		&core.Task{ID: first.ID, Loc: w.Loc, Pub: first.Pub, Exp: first.Exp, Cell: -1})
+	out = append(out, repeated)
+
+	empty := crowd
+	empty.name, empty.tasks = "empty-pool", nil
+	out = append(out, empty)
+
+	// No worker has any reach: the index has no cell size to work with and
+	// answers by scanning; only a task under a worker's feet is reachable.
+	flat := instant{name: "zero-reach", now: crowd.now, tasks: crowd.tasks}
+	for i, w := range crowd.workers {
+		c := *w
+		c.Reach = 0
+		if i%2 == 0 {
+			c.Loc = crowd.tasks[i%len(crowd.tasks)].Loc
+		}
+		flat.workers = append(flat.workers, &c)
+	}
+	return append(out, flat)
+}
+
+// sameScan runs one warm planner over every scan instant, twice each, and
+// asserts the reference's plan: the same workers in the same order holding the
+// same tasks — the very pointers — in the same order.
+func sameScan(t *testing.T, plan, ref func(in instant) core.Plan) {
+	assigned := 0
+	for _, in := range scanInstants() {
+		want := ref(in)
+		assigned += want.Size()
+		for pass := 0; pass < 2; pass++ {
+			got := plan(in)
+			samePlans(t, want, got)
+			for i := range want {
+				if got[i].Worker != want[i].Worker || !slices.Equal(got[i].Seq, want[i].Seq) {
+					t.Fatalf("%s: assignment %d holds other worker or task values than the reference's", in.name, i)
+				}
+			}
+		}
+		if in.name == "empty-pool" && len(want) != 0 || in.name == "zero-reach" && len(want) == 0 {
+			t.Fatalf("%s: reference plan has %d assignments", in.name, len(want))
+		}
+	}
+	if assigned == 0 {
+		t.Fatal("nothing was assigned")
+	}
+}
+
+// TestGreedyMatchesReference: the indexed worker scan with the
+// branch-and-bound pick returns what the generate-everything Greedy returned.
+func TestGreedyMatchesReference(t *testing.T) {
+	for _, c := range []struct{ seqLen, reach int }{{0, 0}, {1, 3}, {2, 70}} {
+		o := opts()
+		o.WDS.MaxSeqLen, o.WDS.MaxReachable = c.seqLen, c.reach
+		g := &Greedy{Opts: o}
+		sameScan(t,
+			func(in instant) core.Plan { return g.Plan(in.workers, in.tasks, in.now) },
+			func(in instant) core.Plan { return refGreedy(o, in.workers, in.tasks, in.now) })
+	}
+}
+
+// TestMatchMatchesReference: likewise the matcher, virtual tasks passed over.
+func TestMatchMatchesReference(t *testing.T) {
+	m := &Match{Opts: opts()}
+	sameScan(t,
+		func(in instant) core.Plan { return m.Plan(in.workers, in.tasks, in.now) },
+		func(in instant) core.Plan { return refMatch(opts(), in.workers, in.tasks, in.now) })
 }

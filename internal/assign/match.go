@@ -1,11 +1,6 @@
 package assign
 
-import (
-	"sort"
-
-	"repro/internal/core"
-	"repro/internal/wds"
-)
+import "repro/internal/core"
 
 // Match is the reachability-only matcher: the cheapest planner on the
 // overload degradation ladder (dispatch.Governor). It scans workers in id
@@ -17,9 +12,11 @@ import (
 //
 // Like every planner, Match is deterministic: worker order is id order, the
 // per-worker choice is nearest-first with id tiebreak (inherited from
-// wds.ReachableTasks), so the same pool always produces the same plan.
+// wds.Scratch.Reachable), so the same pool always produces the same plan.
 type Match struct {
 	Opts Options
+
+	scan workerScan
 }
 
 // Name implements Planner.
@@ -27,33 +24,9 @@ func (m *Match) Name() string { return "Match" }
 
 // Plan implements Planner.
 func (m *Match) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
-	o := m.Opts.WithDefaults()
+	o := m.Opts.WithDefaults().WDS
 	// Nearest-one query: the distance-sorted reachable set capped at 1 is
 	// exactly the closest valid task.
-	o.WDS.MaxReachable = 1
-	ws := append([]*core.Worker(nil), workers...)
-	sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
-	avail := newTaskSet(realTasks(tasks))
-	var plan core.Plan
-	for _, w := range ws {
-		rs := wds.ReachableTasks(w, avail.slice(), now, o.WDS)
-		if len(rs) == 0 {
-			continue
-		}
-		q := core.Sequence{rs[0]}
-		avail.removeSeq(q)
-		plan = append(plan, core.Assignment{Worker: w, Seq: q})
-	}
-	return plan
-}
-
-// realTasks filters out virtual (predicted) tasks, preserving order.
-func realTasks(tasks []*core.Task) []*core.Task {
-	out := make([]*core.Task, 0, len(tasks))
-	for _, s := range tasks {
-		if !s.Virtual {
-			out = append(out, s)
-		}
-	}
-	return out
+	o.MaxReachable = 1
+	return m.scan.plan(workers, tasks, now, o, true)
 }

@@ -337,6 +337,113 @@ func (r *refRun) stateFor(n *wds.TreeNode, workers []*core.Worker) tvf.State {
 	return tvf.State{Workers: all, Tasks: tasks, Now: r.now}
 }
 
+// taskSet is the id-keyed availability set of the map-and-scan planners:
+// O(1) removal and restoration over the deduped insertion order, and a
+// deterministic slice view of what is left. The reference search and the
+// reference Greedy and Match below are its only users.
+type taskSet struct {
+	byID  map[int]int32 // id → index into order; never mutated after build
+	order []*core.Task  // deduped insertion order
+	avail []bool        // availability by index
+	dirty bool
+	cache []*core.Task
+}
+
+func newTaskSet(tasks []*core.Task) *taskSet {
+	ts := &taskSet{}
+	ts.reset(tasks)
+	return ts
+}
+
+// reset reinitializes the set over tasks, dropping every repeat of an id.
+func (ts *taskSet) reset(tasks []*core.Task) {
+	ts.byID = make(map[int]int32, len(tasks))
+	ts.order, ts.avail, ts.cache = nil, nil, nil
+	for _, t := range tasks {
+		if _, dup := ts.byID[t.ID]; dup {
+			continue
+		}
+		ts.byID[t.ID] = int32(len(ts.order))
+		ts.order = append(ts.order, t)
+		ts.avail = append(ts.avail, true)
+	}
+	ts.dirty = true
+}
+
+func (ts *taskSet) removeSeq(q core.Sequence) {
+	for _, s := range q {
+		if i, ok := ts.byID[s.ID]; ok {
+			ts.avail[i] = false
+		}
+	}
+	ts.dirty = true
+}
+
+// slice returns the available tasks in insertion order.
+func (ts *taskSet) slice() []*core.Task {
+	if !ts.dirty {
+		return ts.cache
+	}
+	out := ts.cache[:0]
+	for i, t := range ts.order {
+		if ts.avail[i] {
+			out = append(out, t)
+		}
+	}
+	ts.cache = out
+	ts.dirty = false
+	return out
+}
+
+// refGreedy is the Greedy this package ran before the indexed worker scan:
+// per worker, a brute-force reachable scan over the id-keyed set's slice view,
+// the whole of Q_w generated, its head taken. Kept as the oracle of
+// TestGreedyMatchesReference.
+func refGreedy(o Options, workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
+	o = o.WithDefaults()
+	ws := append([]*core.Worker(nil), workers...)
+	slices.SortFunc(ws, func(a, b *core.Worker) int { return a.ID - b.ID })
+	avail := newTaskSet(tasks)
+	var plan core.Plan
+	for _, w := range ws {
+		rs := wds.ReachableTasks(w, avail.slice(), now, o.WDS)
+		qs := wds.MaximalValidSequences(w, rs, now, o.WDS)
+		if len(qs) == 0 {
+			continue
+		}
+		avail.removeSeq(qs[0])
+		plan = append(plan, core.Assignment{Worker: w, Seq: qs[0]})
+	}
+	return plan
+}
+
+// refMatch is the Match of the same vintage: virtual tasks filtered out of
+// the pool, then the nearest reachable task of the slice view per worker.
+func refMatch(o Options, workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
+	o = o.WithDefaults()
+	o.WDS.MaxReachable = 1
+	ws := append([]*core.Worker(nil), workers...)
+	sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
+	var reals []*core.Task
+	for _, s := range tasks {
+		if !s.Virtual {
+			reals = append(reals, s)
+		}
+	}
+	avail := newTaskSet(reals)
+	var plan core.Plan
+	for _, w := range ws {
+		rs := wds.ReachableTasks(w, avail.slice(), now, o.WDS)
+		if len(rs) == 0 {
+			continue
+		}
+		q := core.Sequence{rs[0]}
+		avail.removeSeq(q)
+		plan = append(plan, core.Assignment{Worker: w, Seq: q})
+	}
+	return plan
+}
+
 func (ts *taskSet) has(id int) bool {
 	i, ok := ts.byID[id]
 	return ok && ts.avail[i]

@@ -8,9 +8,10 @@
 //
 // The cell size is normally derived from the largest worker reach radius at
 // the instant: with cell ≥ d, a radius-d query touches at most 3×3 cells.
-// Cells are stored sparsely (a map keyed by cell coordinates), so a tiny
-// reach radius inside a huge study area costs memory proportional to the
-// number of occupied cells, never to the area.
+// Cells are a dense row-major array over the tasks' bounding box, and the
+// index enlarges the cell until there are at most two cells per task, so a
+// tiny reach radius inside a huge study area costs memory proportional to the
+// number of tasks, never to the area.
 //
 // Queries are exact and deterministic: Within returns precisely the tasks
 // with Euclidean distance ≤ r from the query point, in the order the tasks
@@ -18,8 +19,9 @@
 // and the index are therefore interchangeable everywhere — the invariant the
 // package tests pin down against a linear-scan oracle.
 //
-// Cost model: building an Index is O(|S|) map inserts; one radius-d query
-// scans the cells the disc overlaps plus an exact distance check per
+// Cost model: building an Index is a counting sort of |S| tasks by cell, no
+// hashing; one radius-d query scans the cells the disc overlaps — one
+// contiguous range per grid column — plus an exact distance check per
 // candidate. The win over brute force grows with task count and demand
 // concentration — the courier-grid archetype (hundreds of tasks packed into
 // a 3 km square) is the regime the index exists for, while sparse-suburb
@@ -67,15 +69,18 @@ type Index struct {
 	// origin anchors cell (0,0); using the data's own min corner keeps cell
 	// coordinates small and well-conditioned.
 	originX, originY float64
-	// buckets maps packed cell coordinates to a start<<32|end range into
-	// order; order holds task indices grouped by cell, ascending within each
-	// group. The range encoding (instead of a slice per bucket) is what lets
-	// Reset rebuild the index every planning instant without allocating.
-	buckets map[uint64]uint64
-	order   []int32
+	// The grid is nx columns of ny cells, cell (cx, cy) numbered cx*ny+cy.
+	// order holds task indices grouped by cell in that numbering, ascending
+	// within a cell, and cell c is order[start[c]:start[c+1]] — so the layout
+	// is a pure function of the pool, a query's cells of one column are one
+	// contiguous range, and Reset rebuilds it all every planning instant
+	// without allocating or hashing.
+	nx, ny int
+	start  []int32
+	order  []int32
 	// flat is the no-grid fallback used when the cell size is unusable
-	// (no tasks, or a non-positive/non-finite cell): every query scans all
-	// tasks, preserving exactness.
+	// (no tasks, a non-positive/non-finite cell, or a non-finite location):
+	// every query scans all tasks, preserving exactness.
 	flat bool
 }
 
@@ -105,45 +110,48 @@ func NewIndex(tasks []*core.Task, cellSize float64) *Index {
 }
 
 // Reset rebuilds the index in place over a new task set and cell size,
-// reusing the bucket map and index storage of previous generations. It is
-// the steady-state path for planners that index the open pool once per
-// instant; queries from other goroutines must not overlap a Reset.
+// reusing the storage of previous generations. It is the steady-state path
+// for planners that index the open pool once per instant; queries from other
+// goroutines must not overlap a Reset.
 func (ix *Index) Reset(tasks []*core.Task, cellSize float64) {
 	ix.tasks = tasks
-	ix.cell = cellSize
-	ix.flat = false
-	if len(tasks) == 0 || cellSize <= 0 || math.IsInf(cellSize, 1) || math.IsNaN(cellSize) {
-		ix.flat = true
+	ix.flat = true
+	if len(tasks) == 0 || !(cellSize > 0) {
 		return
 	}
 	ix.originX, ix.originY = tasks[0].Loc.X, tasks[0].Loc.Y
+	maxX, maxY := ix.originX, ix.originY
 	for _, t := range tasks {
-		ix.originX = math.Min(ix.originX, t.Loc.X)
-		ix.originY = math.Min(ix.originY, t.Loc.Y)
+		ix.originX, maxX = math.Min(ix.originX, t.Loc.X), math.Max(maxX, t.Loc.X)
+		ix.originY, maxY = math.Min(ix.originY, t.Loc.Y), math.Max(maxY, t.Loc.Y)
 	}
-	if ix.buckets == nil {
-		ix.buckets = make(map[uint64]uint64, len(tasks))
-	} else {
-		clear(ix.buckets)
+	// A cell no smaller than √(wh/n) and (w+h)/n bounds the w×h box's grid by
+	// 2n+1 cells: (w/c+1)(h/c+1) = wh/c² + (w+h)/c + 1. Queries are exact at
+	// any cell size; a larger one only scans more per cell.
+	n, w, h := float64(len(tasks)), maxX-ix.originX, maxY-ix.originY
+	ix.cell = max(cellSize, math.Sqrt(w*h/n), (w+h)/n)
+	if math.IsInf(ix.cell, 1) || math.IsNaN(ix.cell) {
+		return
 	}
-	// Counting sort into the order array: per-bucket counts, then cursors
-	// (start<<32|next), then an ascending fill — which leaves every value as
-	// start<<32|end and every group in ascending task order.
+	ix.flat = false
+	ix.nx, ix.ny = ix.cellCoord(maxX, ix.originX)+1, ix.cellCoord(maxY, ix.originY)+1
+
+	// Counting sort into the order array: per-cell counts two slots up,
+	// prefix sums — which leave start[c+1] at the beginning of cell c — then
+	// an ascending fill that advances it to the cell's end.
+	ix.start = slices.Grow(ix.start[:0], ix.nx*ix.ny+2)[:ix.nx*ix.ny+2]
+	clear(ix.start)
 	for _, t := range tasks {
-		key := ix.key(ix.cellCoord(t.Loc.X, ix.originX), ix.cellCoord(t.Loc.Y, ix.originY))
-		ix.buckets[key]++
+		ix.start[ix.cellOf(t)+2]++
 	}
-	var total uint64
-	for key, count := range ix.buckets {
-		ix.buckets[key] = total<<32 | total
-		total += count
+	for c := 2; c < len(ix.start); c++ {
+		ix.start[c] += ix.start[c-1]
 	}
 	ix.order = slices.Grow(ix.order[:0], len(tasks))[:len(tasks)]
 	for i, t := range tasks {
-		key := ix.key(ix.cellCoord(t.Loc.X, ix.originX), ix.cellCoord(t.Loc.Y, ix.originY))
-		v := ix.buckets[key]
-		ix.order[uint32(v)] = int32(i)
-		ix.buckets[key] = v + 1
+		c := ix.cellOf(t) + 1
+		ix.order[ix.start[c]] = int32(i)
+		ix.start[c]++
 	}
 }
 
@@ -162,12 +170,13 @@ func (ix *Index) CellSize() float64 {
 // Tasks returns the indexed task slice in construction order.
 func (ix *Index) Tasks() []*core.Task { return ix.tasks }
 
-func (ix *Index) cellCoord(v, origin float64) int32 {
-	return int32(math.Floor((v - origin) / ix.cell))
+func (ix *Index) cellCoord(v, origin float64) int {
+	return int(math.Floor((v - origin) / ix.cell))
 }
 
-func (ix *Index) key(cx, cy int32) uint64 {
-	return uint64(uint32(cx))<<32 | uint64(uint32(cy))
+// cellOf returns the number of the cell holding an indexed task.
+func (ix *Index) cellOf(t *core.Task) int {
+	return ix.cellCoord(t.Loc.X, ix.originX)*ix.ny + ix.cellCoord(t.Loc.Y, ix.originY)
 }
 
 // Within returns the tasks at Euclidean distance ≤ r from p, in the order
@@ -190,47 +199,65 @@ func (ix *Index) AppendWithin(dst []*core.Task, p geo.Point, r float64) []*core.
 }
 
 // AppendIndicesWithin is AppendWithin returning positions into Tasks()
-// instead of the tasks themselves, ascending — the form planners use to give
-// every pool task one dense index for the whole planning instant.
+// instead of the tasks themselves, ascending.
 func (ix *Index) AppendIndicesWithin(dst []int32, p geo.Point, r float64) []int32 {
+	var hits [64]Candidate
+	start := len(dst)
+	for _, c := range ix.AppendCandidates(hits[:0], p, r) {
+		dst = append(dst, c.Pos)
+	}
+	// Restore construction order, so the result is identical to the
+	// brute-force scan's.
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// Candidate is a task inside a query disc: its position in Tasks() and its
+// distance from the query point.
+type Candidate struct {
+	Dist float64
+	Pos  int32
+}
+
+// AppendCandidates appends the tasks within distance r of p to dst with the
+// distances the query computed, in cell order — grid column by column, pool
+// order inside a cell: a pure function of the indexed tasks and the query, but
+// not ascending. It is the form planners use — they rank candidates by
+// distance anyway, and the position gives every pool task one dense index for
+// the whole planning instant.
+//
+//datawa:hotpath
+func (ix *Index) AppendCandidates(dst []Candidate, p geo.Point, r float64) []Candidate {
 	if r < 0 || math.IsNaN(r) {
 		return dst
 	}
 	// A query disc spanning more cells than there are tasks is cheaper to
-	// answer by scanning the tasks; this also covers r = +Inf and discs so
-	// large the cell coordinates would overflow int32, so the span check
-	// happens in float64 before any integer conversion.
-	spanX := math.Floor((p.X+r-ix.originX)/ix.cell) - math.Floor((p.X-r-ix.originX)/ix.cell) + 1
-	spanY := math.Floor((p.Y+r-ix.originY)/ix.cell) - math.Floor((p.Y-r-ix.originY)/ix.cell) + 1
-	if ix.flat || !(spanX*spanY <= float64(len(ix.tasks))) {
+	// answer by scanning the tasks; this also covers r = +Inf. The span and
+	// the clamp to the grid happen in float64, before any integer conversion:
+	// a disc can lie astronomically far from the data.
+	x0, x1 := math.Floor((p.X-r-ix.originX)/ix.cell), math.Floor((p.X+r-ix.originX)/ix.cell)
+	y0, y1 := math.Floor((p.Y-r-ix.originY)/ix.cell), math.Floor((p.Y+r-ix.originY)/ix.cell)
+	if ix.flat || !((x1-x0+1)*(y1-y0+1) <= float64(len(ix.tasks))) {
 		for i, t := range ix.tasks {
-			if geo.Dist(p, t.Loc) <= r {
-				dst = append(dst, int32(i))
+			if d := geo.Dist(p, t.Loc); d <= r {
+				dst = append(dst, Candidate{d, int32(i)})
 			}
 		}
 		return dst
 	}
-	cx0 := ix.cellCoord(p.X-r, ix.originX)
-	cx1 := ix.cellCoord(p.X+r, ix.originX)
-	cy0 := ix.cellCoord(p.Y-r, ix.originY)
-	cy1 := ix.cellCoord(p.Y+r, ix.originY)
-
-	// Collect candidate indices cell by cell, then restore construction
-	// order so the result is identical to the brute-force scan's.
-	start := len(dst)
-	for cx := cx0; cx <= cx1; cx++ {
-		for cy := cy0; cy <= cy1; cy++ {
-			v, ok := ix.buckets[ix.key(cx, cy)]
-			if !ok {
-				continue
-			}
-			for _, i := range ix.order[v>>32 : uint32(v)] {
-				if geo.Dist(p, ix.tasks[i].Loc) <= r {
-					dst = append(dst, i)
-				}
+	cx0, cx1 := clamp(x0, 0, ix.nx), clamp(x1, -1, ix.nx-1)
+	cy0, cy1 := clamp(y0, 0, ix.ny), clamp(y1, -1, ix.ny-1)
+	for cx := cx0; cx <= cx1 && cy0 <= cy1; cx++ {
+		for _, i := range ix.order[ix.start[cx*ix.ny+cy0]:ix.start[cx*ix.ny+cy1+1]] {
+			if d := geo.Dist(p, ix.tasks[i].Loc); d <= r {
+				dst = append(dst, Candidate{d, i})
 			}
 		}
 	}
-	slices.Sort(dst[start:])
 	return dst
+}
+
+// clamp converts a cell coordinate computed in float64 to an int in [lo, hi].
+func clamp(v float64, lo, hi int) int {
+	return int(min(max(v, float64(lo)), float64(hi)))
 }

@@ -338,3 +338,70 @@ func TestCellSetOps(t *testing.T) {
 		t.Fatal("word count is not ceil(cells/64)")
 	}
 }
+
+// TestIndexCandidatesMatchWithin pins the candidate query the planners use:
+// the same tasks as the pool-ordered query, each with the distance geo.Dist
+// gives, in an order that depends on the pool and the query alone — not on
+// which Index answered, nor on what it indexed before.
+func TestIndexCandidatesMatchWithin(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	var reused Index
+	for trial := 0; trial < 60; trial++ {
+		span := 0.5 + r.Float64()*8
+		tasks := randomTasks(r, 1+r.Intn(300), span)
+		cell := math.Pow(10, -1+2*r.Float64()) * span / 10
+		if trial%10 == 9 {
+			cell = 0 // flat mode
+		}
+		fresh := NewIndex(tasks, cell)
+		reused.Reset(tasks, cell)
+		if cell > 0 && !slices.Equal(fresh.order, reused.order) {
+			t.Fatalf("trial %d: two indexes over one pool lay their cells out differently", trial)
+		}
+		for q := 0; q < 20; q++ {
+			p := geo.Point{X: r.Float64()*span*1.4 - span*0.2, Y: r.Float64()*span*1.4 - span*0.2}
+			radius := r.Float64() * span / 2
+			got := fresh.AppendCandidates(nil, p, radius)
+			if again := reused.AppendCandidates(nil, p, radius); !slices.Equal(got, again) {
+				t.Fatalf("trial %d: two indexes over one pool answer in different orders:\n%v\n%v", trial, got, again)
+			}
+			var pos []int32
+			for _, c := range got {
+				if d := geo.Dist(p, tasks[c.Pos].Loc); c.Dist != d {
+					t.Fatalf("trial %d: task %d at distance %v reported at %v", trial, c.Pos, d, c.Dist)
+				}
+				pos = append(pos, c.Pos)
+			}
+			slices.Sort(pos)
+			if want := fresh.AppendIndicesWithin(nil, p, radius); !slices.Equal(pos, want) {
+				t.Fatalf("trial %d: candidates %v, within %v", trial, pos, want)
+			}
+			if len(pos) != len(bruteWithin(tasks, p, radius)) {
+				t.Fatalf("trial %d: %d candidates, linear scan finds %d", trial, len(pos), len(bruteWithin(tasks, p, radius)))
+			}
+		}
+	}
+}
+
+// TestSparseExtentBoundsGrid: a cell size far below the data's spacing must
+// not buy a grid the size of the area — the index enlarges the cell until
+// there are about two cells per task — and queries stay exact at the enlarged
+// size, near the data and absurdly far from it.
+func TestSparseExtentBoundsGrid(t *testing.T) {
+	r := rand.New(rand.NewSource(127))
+	for _, n := range []int{1, 2, 30, 500} {
+		tasks := randomTasks(r, n, 100)
+		ix := NewIndex(tasks, 0.01) // 10^8 cells of 10 m over 100 km
+		if len(ix.start) > 2*n+3 || ix.CellSize() < 0.01 {
+			t.Fatalf("%d tasks: %d cell offsets at cell size %v", n, len(ix.start), ix.CellSize())
+		}
+		for q := 0; q < 50; q++ {
+			p := geo.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
+			radius := r.Float64() * 5
+			sameTasks(t, ix.Within(p, radius), bruteWithin(tasks, p, radius))
+		}
+		for _, far := range []geo.Point{{X: 1e300, Y: 50}, {X: 50, Y: -1e300}, {X: -1e300, Y: 1e300}, {X: math.Inf(1), Y: 0}, {X: math.NaN(), Y: 0}} {
+			sameTasks(t, ix.Within(far, 3), bruteWithin(tasks, far, 3))
+		}
+	}
+}

@@ -70,12 +70,11 @@ func (o Options) WithDefaults() Options {
 // The result is sorted by distance (ties by id) and capped at
 // o.MaxReachable entries.
 //
-// This variant scans the given slice; Separate and ReachableTasksIndexed
-// answer the same query through a spatial grid index, scanning only the
-// tasks near w, with identical results.
+// This variant scans the given slice, as an index without a cell size does;
+// Separate and ReachableTasksIndexed answer the same query through a spatial
+// grid index, scanning only the tasks near w, with identical results.
 func ReachableTasks(w *core.Worker, tasks []*core.Task, now float64, o Options) []*core.Task {
-	var sc Scratch
-	return sc.ReachableTasks(w, tasks, now, o)
+	return ReachableTasksIndexed(w, spatial.NewIndex(tasks, 0), now, o)
 }
 
 // ReachableTasksIndexed returns RS_w exactly as ReachableTasks does, but
@@ -84,7 +83,7 @@ func ReachableTasks(w *core.Worker, tasks []*core.Task, now float64, o Options) 
 // O(k) in the local task count rather than O(|T|).
 func ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Options) []*core.Task {
 	var sc Scratch
-	return sc.ReachableTasksIndexed(w, ix, now, o)
+	return tasksOf(ix.Tasks(), sc.Reachable(w, ix, nil, now, o.WithDefaults()))
 }
 
 // Scratch holds the reusable intermediate buffers of the per-worker
@@ -94,13 +93,14 @@ func ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Opt
 // Separate keeps one per worker goroutine, planners one per instance. The
 // zero value is ready to use.
 type Scratch struct {
-	near    []int32 // spatial-index query results, as pool positions
-	keep    []cand  // reachable's filtered candidates
-	used    []bool  // sequence-extension membership flags
+	near    []spatial.Candidate // spatial-index query results
+	keep    []spatial.Candidate // Reachable's nearest survivors
+	used    []bool              // sequence-extension membership flags
 	cur     core.Sequence
 	entries []seqEntry       // per task-set best orderings
 	bests   map[uint64]int32 // task-set bitmask → index into entries
 	wide    map[string]int32 // SetKey → index into entries, past 64 reachable tasks
+	best    bestPick
 
 	// Arenas behind the WorkerSets this goroutine produced in the current
 	// Separate call. Growth may move an arena; slices handed out earlier keep
@@ -111,13 +111,6 @@ type Scratch struct {
 	masks []uint64
 }
 
-// cand is a reachable task — by position in the pool it was drawn from — with
-// its distance, reachable's sort key.
-type cand struct {
-	d float64
-	i int32
-}
-
 // seqEntry is one deduped task set with its best (minimal-completion)
 // ordering.
 type seqEntry struct {
@@ -125,89 +118,66 @@ type seqEntry struct {
 	completion float64
 }
 
-// ReachableTasks is the scratch-reusing form of the package function.
-func (sc *Scratch) ReachableTasks(w *core.Worker, tasks []*core.Task, now float64, o Options) []*core.Task {
+// Reachable returns RS_w over the indexed pool as (pool position, distance)
+// pairs, nearest first (ties by id), capped at o.MaxReachable, in scratch
+// storage valid until the next call. Only the tasks within w.Reach of w.Loc
+// are examined: the index query is condition (iii), exactly, and (i)/(ii) only
+// filter further — so a grid index and one without a cell size, which scans
+// the pool, are interchangeable. A non-nil avail holds one flag per pool
+// position; a position whose flag is clear is passed over before the cap
+// applies, as if it were not in the pool. Survivors are kept by bounded
+// insertion: a crowded disc costs a compare per candidate, not a sort of all
+// of them. o must have its defaults applied.
+//
+//datawa:hotpath
+func (sc *Scratch) Reachable(w *core.Worker, ix *spatial.Index, avail []bool, now float64, o Options) []spatial.Candidate {
 	if !w.Available(now) {
 		return nil
 	}
-	return tasksOf(tasks, sc.reachable(w, tasks, nil, true, now, o.WithDefaults()))
+	pool, window := ix.Tasks(), w.Off-now
+	sc.near = ix.AppendCandidates(sc.near[:0], w.Loc, w.Reach)
+	keep := sc.keep[:0]
+	for _, c := range sc.near {
+		if avail != nil && !avail[c.Pos] {
+			continue
+		}
+		s := pool[c.Pos]
+		if s.Exp <= now {
+			continue
+		}
+		if travel := o.Travel.TimeForDist(c.Dist); travel > s.Exp-now || travel > window {
+			continue // (i), (ii)
+		}
+		k := len(keep)
+		if k < o.MaxReachable {
+			keep = append(keep, c)
+		} else if k--; !nearer(pool, c, keep[k]) {
+			continue
+		}
+		for ; k > 0 && nearer(pool, c, keep[k-1]); k-- {
+			keep[k] = keep[k-1]
+		}
+		keep[k] = c
+	}
+	sc.keep = keep[:0]
+	return keep
 }
 
-// ReachableTasksIndexed is the scratch-reusing form of the package function.
-func (sc *Scratch) ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Options) []*core.Task {
-	if !w.Available(now) {
+// tasksOf resolves Reachable's result into a caller-owned task slice.
+func tasksOf(pool []*core.Task, keep []spatial.Candidate) []*core.Task {
+	if len(keep) == 0 {
 		return nil
 	}
-	return tasksOf(ix.Tasks(), sc.reachableIndexed(w, ix, now, o.WithDefaults()))
-}
-
-// reachableIndexed is reachable over the index's neighbourhood of w.
-func (sc *Scratch) reachableIndexed(w *core.Worker, ix *spatial.Index, now float64, o Options) []cand {
-	// Condition (iii) bounds every reachable task to the disc of radius
-	// w.Reach; conditions (i)/(ii) only filter further.
-	sc.near = ix.AppendIndicesWithin(sc.near[:0], w.Loc, w.Reach)
-	return sc.reachable(w, ix.Tasks(), sc.near, false, now, o)
-}
-
-// tasksOf resolves reachable's result into a caller-owned task slice.
-func tasksOf(pool []*core.Task, keep []cand) []*core.Task {
 	out := make([]*core.Task, len(keep))
 	for k, c := range keep {
-		out[k] = pool[c.i]
+		out[k] = pool[c.Pos]
 	}
 	return out
 }
 
-// reachable applies the Section IV-A.1 constraints for a worker inside its
-// window to the candidates pool[near[·]] — or to the whole pool when all is
-// set — and returns the survivors nearest first, capped at o.MaxReachable, in
-// scratch storage valid until the next call. The candidates must be a
-// superset of the disc of radius w.Reach around w.Loc intersected with the
-// pool; the exact filter here makes the brute-force and indexed paths
-// interchangeable.
-func (sc *Scratch) reachable(w *core.Worker, pool []*core.Task, near []int32, all bool, now float64, o Options) []cand {
-	window := w.Off - now
-	keep := sc.keep[:0]
-	n := len(near)
-	if all {
-		n = len(pool)
-	}
-	for k := 0; k < n; k++ {
-		i := int32(k)
-		if !all {
-			i = near[k]
-		}
-		s := pool[i]
-		if s.Exp <= now {
-			continue
-		}
-		d := geo.Dist(w.Loc, s.Loc)
-		travel := o.Travel.TimeForDist(d)
-		if travel > s.Exp-now {
-			continue // (i)
-		}
-		if travel > window {
-			continue // (ii)
-		}
-		if d > w.Reach {
-			continue // (iii)
-		}
-		keep = append(keep, cand{d, i})
-	}
-	slices.SortFunc(keep, func(a, b cand) int {
-		switch {
-		case a.d < b.d:
-			return -1
-		case a.d > b.d:
-			return 1
-		}
-		return pool[a.i].ID - pool[b.i].ID
-	})
-	sc.keep = keep[:0]
-	if len(keep) > o.MaxReachable {
-		keep = keep[:o.MaxReachable]
-	}
-	return keep
+// nearer is the reachable set's order: by distance, ties by id.
+func nearer(pool []*core.Task, a, b spatial.Candidate) bool {
+	return a.Dist < b.Dist || a.Dist == b.Dist && pool[a.Pos].ID < pool[b.Pos].ID
 }
 
 // MaximalValidSequences computes Q_w: for every subset of the reachable set
@@ -221,16 +191,6 @@ func (sc *Scratch) reachable(w *core.Worker, pool []*core.Task, near []int32, al
 // prefix-closed.
 func MaximalValidSequences(w *core.Worker, rs []*core.Task, now float64, o Options) []core.Sequence {
 	var sc Scratch
-	return sc.MaximalValidSequences(w, rs, now, o)
-}
-
-// MaximalValidSequences is the scratch-reusing form of the package function:
-// every intermediate structure — the per-set dedup table, the extension
-// stack, the usage flags — lives in the Scratch, so a planner's steady-state
-// per-worker loop allocates only the returned sequences. An empty reachable
-// set (the common case on sparse workloads) returns nil without touching the
-// scratch at all.
-func (sc *Scratch) MaximalValidSequences(w *core.Worker, rs []*core.Task, now float64, o Options) []core.Sequence {
 	entries := sc.sequences(w, rs, now, o.WithDefaults())
 	if entries == nil {
 		return nil
@@ -239,7 +199,6 @@ func (sc *Scratch) MaximalValidSequences(w *core.Worker, rs []*core.Task, now fl
 	for i := range out {
 		out[i] = entries[i].seq
 	}
-	clear(entries) // release the sequences held by the scratch
 	return out
 }
 
@@ -264,11 +223,13 @@ func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Opt
 		clear(sc.bests)
 	}
 	entries := sc.entries[:0]
-	if cap(sc.used) < len(rs) {
-		sc.used = make([]bool, len(rs))
+	// A task beyond the worker's reach can extend nothing: it starts out used
+	// and stays so.
+	used := slices.Grow(sc.used[:0], len(rs))[:len(rs)]
+	for i, s := range rs {
+		used[i] = geo.Dist(w.Loc, s.Loc) > w.Reach
 	}
-	used := sc.used[:len(rs)]
-	clear(used)
+	sc.used = used
 	cur := sc.cur[:0]
 
 	var extend func(loc geo.Point, t float64, mask uint64)
@@ -304,9 +265,6 @@ func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Opt
 			if arrive >= s.Exp || arrive >= w.Off {
 				continue
 			}
-			if geo.Dist(w.Loc, s.Loc) > w.Reach {
-				continue
-			}
 			used[i] = true
 			cur = append(cur, s)
 			extend(s.Loc, arrive, mask|1<<uint(i))
@@ -340,6 +298,112 @@ func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Opt
 		entries = entries[:o.MaxSequences]
 	}
 	return entries
+}
+
+// bestPick is the state of one BestSequence search.
+type bestPick struct {
+	w      *core.Worker
+	pool   []*core.Task
+	keep   []spatial.Candidate
+	travel geo.TravelModel
+	maxLen int
+	used   []bool
+	path   []spatial.Candidate // the sequence being extended
+	// The head of Q_w so far: its length and completion time, and one ordering
+	// per distinct task set that reached exactly those — the first the search
+	// came to — n entries apiece.
+	n    int
+	t    float64
+	reps []spatial.Candidate
+}
+
+// BestSequence returns the head of Q_w — what MaximalValidSequences(w, RS_w,
+// now, o)[0] holds: longest, then earliest completion, then least by ids — as
+// keep's entries in visiting order, in scratch storage valid until the next
+// call; empty when Q_w is. keep must be Reachable's result for the same
+// worker, pool, instant and options.
+//
+// It is the generator's depth-first extension (see sequences), in the
+// generator's order, with nothing kept but the current best: no per-set table,
+// no clones, no sort. Once a MaxSeqLen-long sequence is known, an extension
+// arriving strictly after its completion is cut — arrival times only grow
+// along a sequence, so nothing below it can displace the best.
+func (sc *Scratch) BestSequence(w *core.Worker, pool []*core.Task, keep []spatial.Candidate, now float64, o Options) []spatial.Candidate {
+	b := &sc.best
+	b.w, b.pool, b.keep, b.travel, b.maxLen = w, pool, keep, o.Travel, o.MaxSeqLen
+	b.used = slices.Grow(b.used[:0], len(keep))[:len(keep)]
+	clear(b.used)
+	b.path, b.reps, b.n = b.path[:0], b.reps[:0], 0
+	b.extend(w.Loc, now)
+
+	// Equal (length, completion) across different task sets: least by ids.
+	head := b.reps[:b.n]
+	for r := b.n; r < len(b.reps); r += b.n {
+		other := b.reps[r : r+b.n]
+		if slices.CompareFunc(other, head, func(x, y spatial.Candidate) int { return pool[x.Pos].ID - pool[y.Pos].ID }) < 0 {
+			head = other
+		}
+	}
+	return head
+}
+
+// extend offers the current path, ending at loc at time t, and tries every
+// unused reachable task after it.
+//
+//datawa:hotpath
+func (b *bestPick) extend(loc geo.Point, t float64) {
+	n := len(b.path)
+	if n > 0 {
+		b.offer(t)
+	}
+	if n >= b.maxLen {
+		return
+	}
+	for k, c := range b.keep {
+		if b.used[k] {
+			continue
+		}
+		s := b.pool[c.Pos]
+		arrive := t + b.travel.Time(loc, s.Loc)
+		if arrive < s.Pub {
+			arrive = s.Pub
+		}
+		if arrive >= s.Exp || arrive >= b.w.Off || b.n == b.maxLen && arrive > b.t {
+			continue
+		}
+		b.used[k] = true
+		b.path = append(b.path, c)
+		b.extend(s.Loc, arrive)
+		b.path = b.path[:n]
+		b.used[k] = false
+	}
+}
+
+// offer compares the current path, completing at t, with the best so far. A
+// task set is represented by its minimal-completion ordering and, among equal
+// completions, by the one reached first; completions tie exactly whenever the
+// last arrival is clamped to a virtual task's Pub, so orderings of one set
+// must not be compared by id — only distinct sets are, at the end.
+//
+//datawa:hotpath
+func (b *bestPick) offer(t float64) {
+	n := len(b.path)
+	switch {
+	case n > b.n || n == b.n && t < b.t:
+		b.n, b.t = n, t
+		b.reps = append(b.reps[:0], b.path...)
+	case n == b.n && t == b.t:
+	reps:
+		for r := 0; r < len(b.reps); r += n {
+			for _, c := range b.path {
+				if !slices.Contains(b.reps[r:r+n], c) {
+					continue reps
+				}
+			}
+			return // an earlier ordering of the same set
+		}
+		b.reps = append(b.reps, b.path...)
+	}
 }
 
 func lessIDs(a, b core.Sequence) bool {
@@ -491,11 +555,11 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 	clear(sep.Forest)
 	sep.Forest = sep.Forest[:0]
 
-	var ix *spatial.Index
-	if !o.BruteForce {
-		sp.ix.Reset(tasks, spatial.CellSizeForReach(workers))
-		ix = &sp.ix
+	cell := spatial.CellSizeForReach(workers)
+	if o.BruteForce {
+		cell = 0 // no grid: every query scans the pool
 	}
+	sp.ix.Reset(tasks, cell)
 	// Each worker's RS_w and Q_w depend only on that worker and the shared
 	// read-only pool, so the loop is embarrassingly parallel; results land
 	// in per-index slots, backed by the arenas of whichever goroutine's
@@ -510,7 +574,7 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 	}
 	par.DoWorker(len(workers), o.Parallelism, func(g, i int) {
 		if w := workers[i]; w.Available(now) {
-			sep.Sets[i] = sp.scr[g].workerSets(w, tasks, ix, now, o)
+			sep.Sets[i] = sp.scr[g].workerSets(w, &sp.ix, now, o)
 		}
 	})
 
@@ -570,17 +634,11 @@ func (sc *Scratch) resetArenas() {
 // workerSets computes one available worker's RS_w and Q_w into the arenas.
 // Every returned slice is capacity-capped: nothing can append through it into
 // a neighbour's span.
-func (sc *Scratch) workerSets(w *core.Worker, tasks []*core.Task, ix *spatial.Index, now float64, o Options) WorkerSets {
-	var keep []cand
-	if ix != nil {
-		keep = sc.reachableIndexed(w, ix, now, o)
-	} else {
-		keep = sc.reachable(w, tasks, nil, true, now, o)
-	}
+func (sc *Scratch) workerSets(w *core.Worker, ix *spatial.Index, now float64, o Options) WorkerSets {
 	r0 := len(sc.reach)
-	for _, c := range keep {
-		sc.reach = append(sc.reach, tasks[c.i])
-		sc.index = append(sc.index, c.i)
+	for _, c := range sc.Reachable(w, ix, nil, now, o) {
+		sc.reach = append(sc.reach, ix.Tasks()[c.Pos])
+		sc.index = append(sc.index, c.Pos)
 	}
 	ws := WorkerSets{
 		Reach: sc.reach[r0:len(sc.reach):len(sc.reach)],
