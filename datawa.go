@@ -154,7 +154,9 @@ type Config struct {
 
 	// MaxSeqLen and MaxReachable bound sequence generation (defaults 3, 8).
 	MaxSeqLen, MaxReachable int
-	// MaxSearchNodes bounds the exact DFSearch per planning call.
+	// MaxSearchNodes bounds the exact DFSearch per RTC tree (not per planning
+	// call: every tree of an instant's forest gets the full budget, then
+	// completes greedily); 0 takes assign.Options' default.
 	MaxSearchNodes int
 
 	// Epochs and TVFEpochs bound model training (defaults 15, 30).

@@ -25,11 +25,12 @@ type Options struct {
 	// budget a tree's search completes greedily (default 20000). The budget
 	// is per tree (not shared across the forest) so that every tree's
 	// search is independent of its siblings — the property the parallel
-	// planner relies on for byte-identical serial/parallel results. Note
-	// this deliberately differs from earlier revisions, where one budget
-	// was drained across the whole forest: when the budget binds,
-	// NodesLastPlan can exceed MaxNodes by up to a factor of the forest
-	// size.
+	// planner relies on for byte-identical serial/parallel results — so
+	// NodesLastPlan can reach MaxNodes times the forest size, plus the
+	// greedy completions. The budget counts the nodes of the exhaustive
+	// walk, whether a call expands them or takes them off the transposition
+	// table (ExpandedLastPlan): what a budget buys does not depend on how
+	// the planner gets there.
 	MaxNodes int
 	// VirtualWeight is the objective value of assigning a virtual
 	// (predicted) task relative to a real task's 1.0 (default 0.35,
@@ -194,6 +195,12 @@ type Search struct {
 	NodesLastPlan             int
 	GreedyCompletionsLastPlan int
 	BudgetBoundTreesLastPlan  int
+	// ExpandedLastPlan is how many of NodesLastPlan's calls the planner really
+	// made; the rest were counted off the transposition table (see
+	// transposition.go), which answers a subproblem the same tree search has
+	// already solved with the stored value, plan and node count. The two are
+	// equal whenever the table is not in use.
+	ExpandedLastPlan int
 
 	// Per-instant scratch (a Search serves one shard from one goroutine, but
 	// fans tree searches out internally — runs is indexed by the worker
@@ -219,6 +226,7 @@ type Search struct {
 type treeResult struct {
 	g, from, to int
 	nodes       int
+	expanded    int
 	greedy      int
 	samples     []tvf.Sample
 }
@@ -290,10 +298,11 @@ func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) c
 	})
 
 	total := 0
-	s.NodesLastPlan, s.GreedyCompletionsLastPlan, s.BudgetBoundTreesLastPlan = 0, 0, 0
+	s.NodesLastPlan, s.GreedyCompletionsLastPlan, s.BudgetBoundTreesLastPlan, s.ExpandedLastPlan = 0, 0, 0, 0
 	for _, r := range s.results {
 		total += r.to - r.from
 		s.NodesLastPlan += r.nodes
+		s.ExpandedLastPlan += r.expanded
 		s.GreedyCompletionsLastPlan += r.greedy
 		if r.greedy > 0 {
 			s.BudgetBoundTreesLastPlan++
@@ -417,6 +426,18 @@ type searchRun struct {
 	nodes   int
 	greedy  int
 	samples []tvf.Sample
+	// The transposition table (transposition.go), for the trees memo is set
+	// on. availWord mirrors avail, bit p for universe position p, across the
+	// exact search's own marks — expand keeps it; greedy completion, which
+	// restores what it marks before anything is looked up again, does not.
+	// relOff and rel are the per-(node, j) relevance masks; reused counts the
+	// nodes taken from table entries instead of expanded.
+	memo      bool
+	availWord uint64
+	relOff    []int32
+	rel       []uint64
+	reused    int
+	table     transTable
 	// stack holds the plans under construction as (worker, sequence)
 	// choices in DFS order: every search call leaves its best plan on top,
 	// so a parent keeps a child's result by not popping it. out collects the
@@ -462,16 +483,22 @@ func (r *searchRun) searchTree(root *wds.TreeNode, universe []int32) treeResult 
 	for p := range r.avail {
 		r.avail[p] = true
 	}
-	r.nodes, r.greedy = 0, 0
+	r.availWord = ^uint64(0)
+	r.nodes, r.greedy, r.reused = 0, 0, 0
 	r.samples = nil // escapes into the result; never reuse the backing
 	r.stack = r.stack[:0]
 	r.open, r.stale = slices.Grow(r.open[:0], len(universe)), true
+	if r.memo = r.useMemo(root, len(universe)); r.memo {
+		r.relOff, r.rel = r.relOff[:0], r.rel[:0]
+		r.buildRelevance(root)
+		r.table.reset()
+	}
 	if r.model != nil {
 		r.searchTVF(root, 0)
 	} else {
 		r.search(root, 0, 0)
 	}
-	res := treeResult{from: len(r.out), nodes: r.nodes, greedy: r.greedy, samples: r.samples}
+	res := treeResult{from: len(r.out), nodes: r.nodes, expanded: r.nodes - r.reused, greedy: r.greedy, samples: r.samples}
 	r.out = append(r.out, r.stack...)
 	res.to = len(r.out)
 	return res
@@ -531,42 +558,77 @@ scan:
 	return -1
 }
 
-// mark sets the availability of every task of Seqs[k].
+// mark sets the availability of every task of Seqs[k] and returns those tasks
+// as a universe word, for the caller that keeps availWord.
 //
 //datawa:hotpath
-func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) {
+func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) (word uint64) {
 	words := set.Words()
 	for j, m := range set.Masks[k*words : (k+1)*words] {
 		for ; m != 0; m &= m - 1 {
-			r.avail[local[j<<6+bits.TrailingZeros64(m)]] = free
+			p := local[j<<6+bits.TrailingZeros64(m)]
+			r.avail[p] = free
+			word |= 1 << uint(p)
 		}
 	}
 	r.stale = true
+	return word
 }
 
-// markAll sets the availability of every task of a plan.
+// markAll sets the availability of every task of a plan; the result is mark's.
 //
 //datawa:hotpath
-func (r *searchRun) markAll(plan []choice, free bool) {
+func (r *searchRun) markAll(plan []choice, free bool) (word uint64) {
 	for _, c := range plan {
 		set, local := r.reach(c.w)
-		r.mark(set, local, int(c.k), free)
+		word |= r.mark(set, local, int(c.k), free)
 	}
+	return word
 }
 
 // search is Algorithm 1 on the workers n.Index[j:] and the subtrees below n.
 // It returns the best achievable objective value and leaves the plan
-// realizing it on top of r.stack. Workers of the node are considered in id
-// order; each worker branches over every usable q ∈ Q_w plus the skip option,
-// which preserves the optimum the paper's worker loop explores while avoiding
-// redundant permutations. When the node budget is exhausted the subtree
-// completes greedily. d is the call's depth, for the RL state scratch.
+// realizing it on top of r.stack. When the node budget is exhausted the
+// subtree completes greedily. d is the call's depth, for the RL state scratch.
+//
+// On a memo tree a subproblem — (n, j) and the availability of the tasks it
+// can reach — is expanded once. A call that returned inside the budget stores
+// what it returned, left on the stack and counted; a repeat counts as many
+// nodes, pushes that plan and returns that value, which is what expanding it
+// again would do. A repeat whose count would cross the budget is expanded
+// again instead, so the budget falls on the same call, and splits exact from
+// greedy the same way, as in the plain walk.
 func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
+	before := r.nodes
 	r.nodes++
 	if r.nodes > r.opts.MaxNodes {
 		r.greedy++
 		return r.greedyComplete(n, j)
 	}
+	if !r.memo {
+		return r.expand(n, j, d)
+	}
+	row := r.relOff[n.ID] + int32(j)
+	word := r.availWord & r.rel[row]
+	if e := r.table.lookup(row, word); e != nil && before+int(e.nodes) <= r.opts.MaxNodes {
+		r.nodes = before + int(e.nodes)
+		r.reused += int(e.nodes)
+		r.stack = append(r.stack, r.table.plans[e.from:e.to]...)
+		return e.value
+	}
+	base := len(r.stack)
+	value := r.expand(n, j, d)
+	if r.nodes <= r.opts.MaxNodes { // past the budget no call of this tree looks anything up again
+		r.table.insert(row, word, value, r.nodes-before, r.stack[base:])
+	}
+	return value
+}
+
+// expand is the body of search. Workers of the node are considered in id
+// order; each worker branches over every usable q ∈ Q_w plus the skip option,
+// which preserves the optimum the paper's worker loop explores while avoiding
+// redundant permutations.
+func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 	base := len(r.stack)
 	if j == len(n.Index) {
 		// Line 15–16: recurse into each child; sibling subtrees are
@@ -575,14 +637,24 @@ func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 		for _, child := range n.Children {
 			from := len(r.stack)
 			total += r.search(child, 0, d+1)
-			r.markAll(r.stack[from:], false)
+			r.availWord &^= r.markAll(r.stack[from:], false)
 		}
-		r.markAll(r.stack[base:], true)
+		r.availWord |= r.markAll(r.stack[base:], true)
 		return total
 	}
+	// Below the last worker of a leaf node a call finds nothing to decide: it
+	// is counted where it would have been made, and the marks around it left
+	// out — nothing reads availability in between, and a task list rebuilt
+	// after the pair holds what it held before it.
+	last := j+1 == len(n.Index) && len(n.Children) == 0
 
 	// Skip branch: the worker gets nothing.
-	best := r.search(n, j+1, d+1)
+	var best float64
+	if last {
+		best = r.emptyCall()
+	} else {
+		best = r.search(n, j+1, d+1)
+	}
 
 	if r.collect {
 		r.stateFor(r.levelAt(d), n, j)
@@ -593,9 +665,14 @@ func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 	for k := r.nextUsable(set, local, avail, 0); k >= 0; k = r.nextUsable(set, local, avail, k+1) {
 		top := len(r.stack)
 		r.stack = append(r.stack, choice{wi, int32(k)})
-		r.mark(set, local, k, false)
-		v := r.search(n, j+1, d+1)
-		r.mark(set, local, k, true)
+		var v float64
+		if last {
+			v = r.emptyCall()
+		} else {
+			r.availWord &^= r.mark(set, local, k, false)
+			v = r.search(n, j+1, d+1)
+			r.availWord |= r.mark(set, local, k, true)
+		}
 		total := v + seqValue(set.Seqs[k], r.opts.VirtualWeight)
 		if total > best {
 			best = total
@@ -611,6 +688,17 @@ func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 		}
 	}
 	return best
+}
+
+// emptyCall stands in for a search call with no worker and no subtree left:
+// it counts a node — past the budget, a greedy completion — plans nothing and
+// is worth nothing.
+func (r *searchRun) emptyCall() float64 {
+	r.nodes++
+	if r.nodes > r.opts.MaxNodes {
+		r.greedy++
+	}
+	return 0
 }
 
 // greedyComplete finishes a subtree without branching once the exact budget

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -73,10 +74,10 @@ func atlasInstantsOf(a scenario.Archetype, scale float64) []instant {
 	return []instant{poolAt(sc, a.Name+"/crowd", crowd.t), poolAt(sc, a.Name+"/median", median.t)}
 }
 
-// sameOutcome asserts the dense core reproduced the reference run exactly:
-// plan (worker ids, task ids in order), node count and its exact/greedy
-// split, budget-bound trees, and the RL sample stream.
-func sameOutcome(t *testing.T, ref *refSearch, want core.Plan, s *Search, got core.Plan) {
+// sameSearch asserts the dense core reproduced the reference run's plan
+// (worker ids, task ids in order), node count and its exact/greedy split, and
+// budget-bound trees.
+func sameSearch(t *testing.T, ref *refSearch, want core.Plan, s *Search, got core.Plan) {
 	t.Helper()
 	samePlans(t, want, got)
 	if s.NodesLastPlan != ref.NodesLastPlan {
@@ -89,6 +90,20 @@ func sameOutcome(t *testing.T, ref *refSearch, want core.Plan, s *Search, got co
 	if s.BudgetBoundTreesLastPlan != ref.boundTrees {
 		t.Fatalf("budget-bound trees %d, reference %d", s.BudgetBoundTreesLastPlan, ref.boundTrees)
 	}
+	if s.ExpandedLastPlan > s.NodesLastPlan || s.ExpandedLastPlan <= 0 && s.NodesLastPlan > 0 {
+		t.Fatalf("expanded %d of %d nodes", s.ExpandedLastPlan, s.NodesLastPlan)
+	}
+}
+
+// sameOutcome is sameSearch plus the RL sample stream, for the runs that
+// produce one or are guided by a model: those never consult the transposition
+// table, so every node they report they expanded.
+func sameOutcome(t *testing.T, ref *refSearch, want core.Plan, s *Search, got core.Plan) {
+	t.Helper()
+	sameSearch(t, ref, want, s, got)
+	if s.ExpandedLastPlan != s.NodesLastPlan {
+		t.Fatalf("expanded %d of %d nodes with the table out of use", s.ExpandedLastPlan, s.NodesLastPlan)
+	}
 	if len(s.Samples) != len(ref.Samples) {
 		t.Fatalf("%d samples, reference %d", len(s.Samples), len(ref.Samples))
 	}
@@ -99,11 +114,33 @@ func sameOutcome(t *testing.T, ref *refSearch, want core.Plan, s *Search, got co
 	}
 }
 
+// chainInstant is a one-row lattice: n tasks a step apart on a line, and a
+// worker every stride steps that reaches exactly span of them — neighbours
+// share span−stride tasks, so the whole row is one dependency component and
+// its universe is exactly the n tasks.
+func chainInstant(n, span, stride int) instant {
+	const step = 0.1
+	in := instant{name: fmt.Sprintf("chain-%d", n)}
+	for i := 0; i < n; i++ {
+		in.tasks = append(in.tasks, task(i+1, step*float64(i), 0, 0, 1e5))
+	}
+	for i := 0; ; i++ {
+		first := min(stride*i, n-span)
+		in.workers = append(in.workers, worker(i+1, step*(float64(first)+float64(span-1)/2), 0, step*float64(span)/2, 0, 1e5))
+		if first == n-span {
+			return in
+		}
+	}
+}
+
 // TestSearchMatchesReference is the differential contract of the dense
 // planning core: on the crowd and median instants of every atlas archetype it
 // returns what the map-and-scan reference returns — with the budget binding
 // and not, the RTC tree on and flattened, serial and parallel, collecting
-// samples, guided by a value model, and past 64 reachable tasks per worker.
+// samples and not (the run the transposition table serves), guided by a value
+// model, and past 64 reachable tasks per worker. The table is then held to
+// the reference where it is most exposed: at every budget a small tree can
+// run out on, and on either side of the universe width it is switched on by.
 func TestSearchMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 20 planning instants through the reference search")
@@ -138,6 +175,7 @@ func TestSearchMatchesReference(t *testing.T) {
 		wide.WDS.MaxReachable, wide.WDS.MaxSeqLen = 70, 2
 		configs = append(configs, config{"reach=70", wide, false})
 
+		plain, answered := 0, false // table-served runs of this instant, and whether the table took nodes off one
 		for _, c := range configs {
 			ref := &refSearch{Opts: c.o, Collect: !c.tvf}
 			if c.tvf {
@@ -155,12 +193,85 @@ func TestSearchMatchesReference(t *testing.T) {
 					// scratch buffer reused — must plan the same again.
 					s.Samples = nil
 					sameOutcome(t, ref, want, s, s.Plan(in.workers, in.tasks, in.now))
+					if c.tvf {
+						return
+					}
+					// The same search without sample collection is the one
+					// the live planners run, and the one the table serves:
+					// cold, then warm over the previous call's entries.
+					live := &Search{Opts: o}
+					for pass := 0; pass < 2; pass++ {
+						sameSearch(t, ref, want, live, live.Plan(in.workers, in.tasks, in.now))
+						plain++
+						answered = answered || live.ExpandedLastPlan < live.NodesLastPlan
+					}
 				})
 			}
+		}
+		if strings.HasSuffix(in.name, "/crowd") && plain > 0 && !answered { // plain == 0: -run filtered the runs out
+			t.Fatalf("%s: no run expanded fewer nodes than it reports: the transposition table was bypassed", in.name)
 		}
 	}
 	if bound == 0 {
 		t.Fatal("no configuration exhausted a tree's node budget: the greedy-completion path went untested")
+	}
+
+	// Every budget from 1 to the unbudgeted node count of a four-worker row:
+	// whichever call the budget falls on, a stored subproblem that would carry
+	// the count across it must be expanded again, so the exact/greedy split
+	// and the plan stay the reference's.
+	t.Run("chain-10/budgets", func(t *testing.T) {
+		in := chainInstant(10, 4, 2)
+		o := opts()
+		o.WDS.MaxSeqLen = 2
+		o.MaxNodes = 1 << 30
+		free := &Search{Opts: o}
+		free.Plan(in.workers, in.tasks, in.now)
+		if free.GreedyCompletionsLastPlan != 0 || free.ExpandedLastPlan >= free.NodesLastPlan {
+			t.Fatalf("unbudgeted: %d nodes, %d expanded, %d greedy", free.NodesLastPlan, free.ExpandedLastPlan, free.GreedyCompletionsLastPlan)
+		}
+		warm, refused := &Search{}, 0
+		for o.MaxNodes = 1; o.MaxNodes <= free.NodesLastPlan; o.MaxNodes++ {
+			ref := &refSearch{Opts: o}
+			want := ref.Plan(in.workers, in.tasks, in.now)
+			warm.Opts = o
+			sameSearch(t, ref, want, warm, warm.Plan(in.workers, in.tasks, in.now))
+			if ref.greedyCalls > 0 && warm.ExpandedLastPlan < warm.NodesLastPlan {
+				refused++
+			}
+		}
+		if refused == 0 {
+			t.Fatal("no budget both bound and left the table something to answer")
+		}
+	})
+
+	// Universes of exactly 64 and 65 tasks: the widest tree the table takes
+	// and the narrowest it leaves to the plain walk.
+	for _, n := range []int{64, 65} {
+		in := chainInstant(n, 8, 4)
+		for _, flat := range []bool{false, true} {
+			for _, p := range []int{1, 0} {
+				t.Run(fmt.Sprintf("%s/flat=%v/par=%d", in.name, flat, p), func(t *testing.T) {
+					o := opts()
+					o.WDS.MaxSeqLen, o.MaxNodes, o.Flat, o.Parallelism = 1, 4000, flat, p
+					ref := &refSearch{Opts: o}
+					want := ref.Plan(in.workers, in.tasks, in.now)
+					s := &Search{Opts: o}
+					for pass := 0; pass < 2; pass++ {
+						sameSearch(t, ref, want, s, s.Plan(in.workers, in.tasks, in.now))
+						if len(s.taskOff) != 2 || int(s.taskOff[1]) != n {
+							t.Fatalf("universes %v, want one of %d tasks", s.taskOff, n)
+						}
+						if answered := s.ExpandedLastPlan < s.NodesLastPlan; answered != (n <= 64) {
+							t.Fatalf("%d tasks: %d of %d nodes expanded", n, s.ExpandedLastPlan, s.NodesLastPlan)
+						}
+					}
+					if ref.boundTrees != 1 {
+						t.Fatalf("budget bound %d trees, want the one", ref.boundTrees)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -47,18 +48,23 @@ type SSP struct {
 	CVaRAlpha float64
 	// Model, when trained, guides the inner searches (DFSearch_TVF).
 	Model *tvf.Model
-	// NodesLastPlan, GreedyCompletionsLastPlan and BudgetBoundTreesLastPlan
-	// are Search's counters of the same names for the most recent Plan call,
-	// summed across scenarios.
+	// NodesLastPlan, GreedyCompletionsLastPlan, BudgetBoundTreesLastPlan and
+	// ExpandedLastPlan are Search's counters of the same names for the most
+	// recent Plan call, summed across scenarios.
 	NodesLastPlan             int
 	GreedyCompletionsLastPlan int
 	BudgetBoundTreesLastPlan  int
+	ExpandedLastPlan          int
 
 	// Per-instant scratch: one inner Search per fan-out goroutine, the
-	// per-scenario pools, and per-candidate value matrices.
-	inner []*Search
-	pools [][]*core.Task
-	vals  []float64
+	// per-scenario pools, candidate plans and counters, the per-candidate
+	// value matrix and the CVaR fold's sort buffer.
+	inner  []*Search
+	pools  [][]*core.Task
+	plans  []core.Plan
+	counts [][4]int // nodes, greedy completions, budget-bound trees, expanded
+	vals   []float64
+	sorted []float64
 }
 
 // Name implements Planner.
@@ -79,6 +85,7 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 		p.NodesLastPlan = s.NodesLastPlan
 		p.GreedyCompletionsLastPlan = s.GreedyCompletionsLastPlan
 		p.BudgetBoundTreesLastPlan = s.BudgetBoundTreesLastPlan
+		p.ExpandedLastPlan = s.ExpandedLastPlan
 		return plan
 	}
 
@@ -117,21 +124,23 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 			innerPar = 1
 		}
 	}
-	plans := make([]core.Plan, k)
-	counts := make([][3]int, k) // nodes, greedy completions, budget-bound trees
+	p.plans = slices.Grow(p.plans[:0], k)[:k]
+	p.counts = slices.Grow(p.counts[:0], k)[:k]
+	plans, counts := p.plans, p.counts
 	for len(p.inner) < outer {
 		p.inner = append(p.inner, &Search{})
 	}
 	par.DoWorker(k, o.Parallelism, func(g, s int) {
 		in := p.innerAt(g, o, innerPar)
 		plans[s] = in.Plan(workers, pools[s], now)
-		counts[s] = [3]int{in.NodesLastPlan, in.GreedyCompletionsLastPlan, in.BudgetBoundTreesLastPlan}
+		counts[s] = [4]int{in.NodesLastPlan, in.GreedyCompletionsLastPlan, in.BudgetBoundTreesLastPlan, in.ExpandedLastPlan}
 	})
-	p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan = 0, 0, 0
+	p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan, p.ExpandedLastPlan = 0, 0, 0, 0
 	for _, c := range counts {
 		p.NodesLastPlan += c[0]
 		p.GreedyCompletionsLastPlan += c[1]
 		p.BudgetBoundTreesLastPlan += c[2]
+		p.ExpandedLastPlan += c[3]
 	}
 
 	// Score candidate j under scenario s and fold through CVaR_α. The value
@@ -143,13 +152,16 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 		}
 	}
 	p.vals = vals
+	p.sorted = slices.Grow(p.sorted[:0], k)
 	best, bestScore := 0, math.Inf(-1)
 	for j := 0; j < k; j++ {
-		if score := cvar(vals[j*k:(j+1)*k], p.CVaRAlpha); score > bestScore {
+		if score := cvar(vals[j*k:(j+1)*k], p.CVaRAlpha, p.sorted); score > bestScore {
 			best, bestScore = j, score
 		}
 	}
-	return plans[best]
+	plan := plans[best]
+	clear(plans) // the scratch must not keep the losing candidates alive
+	return plan
 }
 
 // innerAt returns the g-th inner search configured for this instant.
@@ -210,8 +222,9 @@ func planValue(plan core.Plan, s int, virtualWeight float64) float64 {
 
 // cvar folds per-scenario values through the conditional value at risk: the
 // mean of the worst ⌈α·K⌉ values. α ≥ 1 (or unset ≤ 0) recovers the plain
-// expectation; α → 0 degenerates to the single worst scenario.
-func cvar(vals []float64, alpha float64) float64 {
+// expectation; α → 0 degenerates to the single worst scenario. buf is sort
+// scratch: with room for len(vals) values the fold allocates nothing.
+func cvar(vals []float64, alpha float64, buf []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
@@ -229,9 +242,9 @@ func cvar(vals []float64, alpha float64) float64 {
 	if m > len(vals) {
 		m = len(vals)
 	}
-	// Insertion sort into a small scratch: K ≤ 64, and the planner must not
+	// Insertion sort into the scratch: K ≤ 64, and the planner must not
 	// disturb the input slice.
-	sorted := append(make([]float64, 0, len(vals)), vals...)
+	sorted := append(buf[:0], vals...)
 	for i := 1; i < len(sorted); i++ {
 		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]

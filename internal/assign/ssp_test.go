@@ -78,9 +78,9 @@ func TestSSPParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSSPBudgetCountersSumScenarios pins SSP's node, greedy-completion and
-// budget-bound-tree counters as the sums of the per-scenario searches', under
-// a budget small enough to bind.
+// TestSSPBudgetCountersSumScenarios pins SSP's node, greedy-completion,
+// budget-bound-tree and expanded-node counters as the sums of the per-scenario
+// searches', under a budget small enough to bind.
 func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 	const k = 4
 	ws, ts := sspScenario(23, k)
@@ -89,7 +89,7 @@ func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 	p := &SSP{Opts: o, Samples: k}
 	p.Plan(ws, ts, 0)
 
-	var want [3]int
+	var want [4]int
 	for s := 0; s < k; s++ {
 		var pool []*core.Task
 		for _, task := range ts {
@@ -102,10 +102,11 @@ func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 		want[0] += one.NodesLastPlan
 		want[1] += one.GreedyCompletionsLastPlan
 		want[2] += one.BudgetBoundTreesLastPlan
+		want[3] += one.ExpandedLastPlan
 	}
-	got := [3]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan}
-	if got != want || want[1] == 0 || want[2] == 0 {
-		t.Fatalf("nodes/greedy/bound-trees = %v, per-scenario sum %v (the budget must bind)", got, want)
+	got := [4]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan, p.ExpandedLastPlan}
+	if got != want || want[1] == 0 || want[2] == 0 || want[3] >= want[0] {
+		t.Fatalf("nodes/greedy/bound-trees/expanded = %v, per-scenario sum %v (the budget must bind and the table answer some nodes)", got, want)
 	}
 }
 
@@ -159,22 +160,22 @@ func TestPlanValuePerScenario(t *testing.T) {
 func TestCVaRMonotone(t *testing.T) {
 	vals := []float64{5, 1, 4, 2, 8, 3}
 	mean := 23.0 / 6
-	if got := cvar(vals, 1); math.Abs(got-mean) > 1e-12 {
+	if got := cvar(vals, 1, nil); math.Abs(got-mean) > 1e-12 {
 		t.Errorf("cvar(α=1) = %v, want mean %v", got, mean)
 	}
-	if got := cvar(vals, 0); math.Abs(got-mean) > 1e-12 {
+	if got := cvar(vals, 0, nil); math.Abs(got-mean) > 1e-12 {
 		t.Errorf("cvar(α=0, unset) = %v, want mean %v", got, mean)
 	}
 	prev := math.Inf(-1)
 	for _, alpha := range []float64{0.1, 0.2, 0.4, 0.6, 0.8, 0.99} {
-		got := cvar(vals, alpha)
+		got := cvar(vals, alpha, nil)
 		if got < prev-1e-12 {
 			t.Fatalf("cvar not monotone: α=%v gave %v after %v", alpha, got, prev)
 		}
 		prev = got
 	}
 	// α small enough for a single scenario: the worst value.
-	if got := cvar(vals, 0.01); got != 1 {
+	if got := cvar(vals, 0.01, nil); got != 1 {
 		t.Errorf("cvar(α→0) = %v, want worst value 1", got)
 	}
 	// The fold must not disturb the caller's slice.

@@ -59,7 +59,12 @@ func BenchmarkLiveReplay(b *testing.B) {
 // multiple, not a percentage. The DTA+TP row is the forecast-fed one — DDGNN
 // training and a forecast every 15 s included — at ~1.5x the 316,754 that the
 // receptive-field forward with recycled value storage measures (946,348 with
-// the full-sequence forward and a Series since T0 per forecast).
+// the full-sequence forward and a Series since T0 per forecast). The SSP row
+// adds the scenario sampler and five searches per instant, at ~1.4x the
+// 384,117 measured with the candidate plans, counters and CVaR sort buffer
+// kept as planner scratch (386,254 allocating them per call); the
+// transposition table's slots and plan arena are reused across trees and
+// instants and do not show.
 func TestSteadyStateAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -75,6 +80,7 @@ func TestSteadyStateAllocGate(t *testing.T) {
 		{"courier-grid", datawa.MethodDTA, 27000},
 		{"event-spike", datawa.MethodDTA, 70000},
 		{"rush-hour", datawa.MethodDTATP, 475000},
+		{"rush-hour", datawa.MethodSSP, 540000},
 	} {
 		t.Run(tc.arch+"/"+string(tc.method), func(t *testing.T) {
 			allocs := testing.AllocsPerRun(2, func() { liveReplay(t, tc.arch, tc.method, 1) })

@@ -108,7 +108,8 @@ type Options struct {
 	DisableIncremental bool
 	// Parallelism bounds planner fan-out (0 = one goroutine per CPU).
 	Parallelism int
-	// MaxNodes caps exact-search effort per planning call (default 4000).
+	// MaxNodes caps exact-search effort per RTC tree (default 4000); a
+	// planning call spends up to that on every tree of its forest.
 	MaxNodes int
 	// Samples is the demand futures SSP cells draw per forecast instant
 	// (0 = the framework default); CVaRAlpha their risk knob (0 = expected

@@ -456,6 +456,9 @@ type TreeNode struct {
 	// Workers[k] is Separation.Workers[Index[k]].
 	Index    []int32
 	Children []*TreeNode
+	// ID numbers the nodes of one tree 0, 1, … in pre-order (the root is 0),
+	// so per-node state of a tree's consumers is an array, not a map.
+	ID int32
 }
 
 // AllWorkers returns every worker in the subtree rooted at n, in
@@ -618,6 +621,7 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 	sp.b.init(sep.Graph)
 	flat, offs := sp.b.components()
 	for i := 0; i+1 < len(offs); i++ {
+		sp.b.treeStart = len(sp.b.nodes)
 		sep.Forest = append(sep.Forest, sp.b.build(flat[offs[i]:offs[i+1]], workers))
 	}
 	return sep
@@ -683,11 +687,12 @@ type treeBuilder struct {
 	// (cliques are installed before recursing), which keeps the spans
 	// contiguous; grown-over backings stay alive through the tree's own
 	// pointers.
-	nodes    []TreeNode
-	warena   []*core.Worker
-	iarena   []int32
-	compFlat []int
-	compOffs []int32
+	nodes     []TreeNode
+	treeStart int // len(nodes) when the tree under construction began
+	warena    []*core.Worker
+	iarena    []int32
+	compFlat  []int
+	compOffs  []int32
 }
 
 // init (re)binds the builder to a graph and resets the arenas; dense scratch
@@ -730,6 +735,9 @@ func (b *treeBuilder) newNode(workers []*core.Worker, clique ...int) *TreeNode {
 	b.nodes = append(b.nodes, TreeNode{
 		Workers: b.warena[start:len(b.warena):len(b.warena)],
 		Index:   index,
+		// A node is created before any of its descendants and after the whole
+		// of every earlier sibling's subtree: creation order is pre-order.
+		ID: int32(len(b.nodes) - b.treeStart),
 	})
 	return &b.nodes[len(b.nodes)-1]
 }

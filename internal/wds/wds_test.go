@@ -522,8 +522,13 @@ func TestSeparationDenseIndices(t *testing.T) {
 		if wide != (maxReach > 64) {
 			t.Fatalf("MaxReachable %d: wide masks = %v", maxReach, wide)
 		}
+		next := int32(0)
 		var check func(n *TreeNode)
 		check = func(n *TreeNode) {
+			if n.ID != next {
+				t.Fatalf("node ID %d, want pre-order position %d", n.ID, next)
+			}
+			next++
 			if len(n.Index) != len(n.Workers) {
 				t.Fatalf("node has %d indices for %d workers", len(n.Index), len(n.Workers))
 			}
@@ -537,6 +542,7 @@ func TestSeparationDenseIndices(t *testing.T) {
 			}
 		}
 		for _, root := range sep.Forest {
+			next = 0
 			check(root)
 			if got := root.AppendIndex(nil); len(got) != root.Size() {
 				t.Fatalf("AppendIndex returned %d positions for a subtree of %d", len(got), root.Size())
