@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -179,21 +180,9 @@ func runSuite(so suiteOptions) {
 	}
 	// Validate -methods up front against the live registry, so a typo fails
 	// in milliseconds with the current method names instead of mid-suite.
-	registered := datawa.Methods()
 	for _, m := range opts.Methods {
-		known := false
-		for _, r := range registered {
-			if datawa.Method(m) == r {
-				known = true
-				break
-			}
-		}
-		if !known {
-			names := make([]string, len(registered))
-			for i, r := range registered {
-				names[i] = string(r)
-			}
-			fatalf("unknown -methods entry %q (methods: %s)", m, strings.Join(names, ", "))
+		if !slices.Contains(datawa.Methods(), datawa.Method(m)) {
+			fatalf("unknown -methods entry %q (methods: %s)", m, datawa.MethodList())
 		}
 	}
 	for _, s := range splitList(so.scales) {

@@ -7,7 +7,7 @@
 //
 //	datawa-serve -addr :8080 -method DTA -shards 4
 //	datawa-serve -method DATA-WA -pretrain yueche -pretrain-scale 0.1
-//	datawa-serve -max-open-tasks 5000 -epoch-budget 0.05 -trace-depth 256 -pprof
+//	datawa-serve -max-open-tasks 5000 -epoch-budget 0.05 -span-depth 256 -pprof
 //
 // API (see internal/dispatch.Handler for the wire formats):
 //
@@ -18,7 +18,6 @@
 //	POST /v1/tasks/cancel       cancel task       {id}
 //	GET  /v1/plan?worker=ID     current schedule
 //	GET  /v1/metrics            snapshot (JSON)
-//	GET  /v1/trace?n=K          epoch trace ring (needs -trace-depth)
 //	GET  /v1/trace.json?n=K     Chrome trace-event JSON of stage spans (needs -span-depth)
 //	GET  /v1/tasks/{id}/history task lifecycle ledger chain (needs -ledger-tasks)
 //	GET  /v1/flight             flight-recorder dumps (needs -flight-depth)
@@ -59,7 +58,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		streamAddr = flag.String("stream-addr", "", "raw-TCP streaming ingest listen address (e.g. :9090); each connection carries binary wire frames or NDJSON until close (empty = off)")
-		method     = flag.String("method", "DTA", strings.Join(methodNames(), " | "))
+		method     = flag.String("method", "DTA", "one of "+datawa.MethodList())
 		shards     = flag.Int("shards", 4, "region shards planned in parallel")
 		halo       = flag.Float64("halo", 0, "cross-shard handoff radius in km (0 = auto from worker reach, negative = disable ghost replication)")
 		increment  = flag.Bool("incremental", true, "incremental epoch replanning (dirty-region invalidation; plans are identical either way)")
@@ -86,7 +85,6 @@ func main() {
 		budget     = flag.Float64("epoch-budget", 0, "SLA governor: per-shard epoch wall-time budget in seconds; over-budget p95 demotes the shard's planner down the ladder (0 = governor off)")
 		govWindow  = flag.Int("governor-window", 0, "SLA governor: epochs in the p95 cost window (0 = default 16)")
 		govDwell   = flag.Int("governor-dwell", 0, "SLA governor: minimum epochs between two tier transitions of one shard (0 = default 8)")
-		traceDepth = flag.Int("trace-depth", 0, "epoch trace ring depth served at /v1/trace (0 = off)")
 		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
 
 		spanDepth   = flag.Int("span-depth", 0, "stage-span ring depth in epochs served at /v1/trace.json (0 = off)")
@@ -105,8 +103,7 @@ func main() {
 	})
 
 	m := datawa.Method(*method)
-	needsDemand := m == datawa.MethodDTATP || m == datawa.MethodDATAWA || m == datawa.MethodSSP
-	if needsDemand {
+	if m.NeedsDemand() {
 		if *pretrain == "" {
 			fmt.Fprintf(os.Stderr, "method %s needs trained models: pass -pretrain yueche|didi\n", m)
 			os.Exit(2)
@@ -129,7 +126,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if m == datawa.MethodDATAWA {
+		if m.NeedsValue() {
 			fmt.Println("pretraining task value function ...")
 			if err := fw.TrainValue(sc.Workers, sc.Tasks, 8); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -154,7 +151,6 @@ func main() {
 		Governor: datawa.GovernorConfig{
 			Budget: *budget, Window: *govWindow, Dwell: *govDwell,
 		},
-		TraceDepth: *traceDepth,
 		Obs: datawa.ObsConfig{
 			Spans: *spanDepth, LedgerTasks: *ledgerTasks,
 			FlightDepth: *flightDepth, FlightDir: *flightDir,
@@ -245,12 +241,4 @@ func serveStreamTCP(ctx context.Context, ln net.Listener, d *dispatch.Dispatcher
 			_ = json.NewEncoder(conn).Encode(resp)
 		}()
 	}
-}
-
-func methodNames() []string {
-	var out []string
-	for _, m := range datawa.Methods() {
-		out = append(out, string(m))
-	}
-	return out
 }

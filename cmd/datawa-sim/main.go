@@ -30,7 +30,7 @@ func main() {
 		dataset  = flag.String("dataset", "yueche", "yueche | didi")
 		scen     = flag.String("scenario", "", "scenario-atlas archetype (overrides -dataset; see -scenarios)")
 		listScen = flag.Bool("scenarios", false, "list scenario-atlas archetypes and exit")
-		method   = flag.String("method", "DATA-WA", strings.Join(methodNames(), " | "))
+		method   = flag.String("method", "DATA-WA", "one of "+datawa.MethodList())
 		scale    = flag.Float64("scale", 0.15, "dataset shrink factor in (0,1], or atlas density multiplier with -scenario")
 		step     = flag.Float64("step", 2, "replan interval in seconds")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
@@ -90,14 +90,14 @@ func main() {
 	})
 
 	m := datawa.Method(*method)
-	if m == datawa.MethodDTATP || m == datawa.MethodDATAWA {
+	if m.NeedsDemand() {
 		fmt.Println("training demand model on history ...")
 		if err := fw.TrainDemand(sc.History); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if m == datawa.MethodDATAWA {
+	if m.NeedsValue() {
 		fmt.Println("training task value function ...")
 		if err := fw.TrainValue(sc.Workers, sc.Tasks, 8); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -117,12 +117,4 @@ func main() {
 	fmt.Printf("plan instants   %d\n", res.PlanCalls)
 	fmt.Printf("cpu / instant   %v\n", res.AvgPlanTime)
 	fmt.Printf("repositions     %d\n", res.Repositions)
-}
-
-func methodNames() []string {
-	var out []string
-	for _, m := range datawa.Methods() {
-		out = append(out, string(m))
-	}
-	return out
 }

@@ -21,6 +21,7 @@ package datawa
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/assign"
 	"repro/internal/core"
@@ -99,23 +100,104 @@ const (
 // Config.Samples is unset.
 const DefaultSamples = predict.DefaultSamples
 
+// plannerFunc builds one planner instance from the framework's options and
+// models. Planners are stateful: every run, shard and ladder tier gets its own.
+type plannerFunc func(f *Framework) assign.Planner
+
+func newGreedy(f *Framework) assign.Planner { return &assign.Greedy{Opts: f.assignOptions()} }
+func newMatch(f *Framework) assign.Planner  { return &assign.Match{Opts: f.assignOptions()} }
+func newSearch(f *Framework) assign.Planner { return &assign.Search{Opts: f.assignOptions()} }
+func newTVFSearch(f *Framework) assign.Planner {
+	return &assign.Search{Opts: f.assignOptions(), Model: f.value}
+}
+func newSSP(f *Framework) assign.Planner {
+	return &assign.SSP{Opts: f.assignOptions(), Samples: f.cfg.Samples, CVaRAlpha: f.cfg.CVaRAlpha}
+}
+
+// methodRow is one method of the registry: the adaptive loop of Algorithm 3
+// with its switches set. Run, NewDispatcher, Methods and the training
+// predicates all read methodTable and nothing else.
+type methodRow struct {
+	method Method
+	// ladder is the governor's degradation ladder, cheapest last. Its head is
+	// the method's own planner — all that runs without a governor.
+	ladder     []plannerFunc
+	fixed      bool // FTA semantics: a worker's plan is locked once made
+	needsValue bool // the planner reads the value model: TrainValue first
+	fullReplan bool // the dispatcher must replan every component every epoch
+	// forecast builds the demand source over the trained demand model
+	// (TrainDemand first); nil for a method that streams no virtual tasks.
+	forecast func(f *Framework) historyBoundedForecaster
+}
+
+var methodTable = []methodRow{
+	{method: MethodGreedy, ladder: []plannerFunc{newGreedy, newMatch}},
+	{method: MethodFTA, ladder: []plannerFunc{newSearch, newGreedy, newMatch}, fixed: true},
+	{method: MethodDTA, ladder: []plannerFunc{newSearch, newGreedy, newMatch}},
+	{method: MethodDTATP, ladder: []plannerFunc{newSearch, newGreedy, newMatch}, forecast: pointForecast},
+	{method: MethodDATAWA, ladder: []plannerFunc{newTVFSearch, newGreedy, newMatch}, forecast: pointForecast, needsValue: true},
+	// SSP replans in full: incremental replanning caches the plans of quiet
+	// empty components, which is sound only when a component's plan
+	// emptiness depends on the pool alone, and SSP's CVaR fold can flip a
+	// component between empty and non-empty across instants with an unchanged
+	// pool (a worst-case scenario tie breaking the other way), so the cache
+	// could splice a stale empty plan. Its ladder degrades through the
+	// point-forecast search first, so the first step under pressure sheds the
+	// K-fold sampling cost, not the look-ahead itself.
+	{method: MethodSSP, ladder: []plannerFunc{newSSP, newSearch, newGreedy, newMatch}, forecast: sampledForecast, fullReplan: true},
+}
+
+// row returns m's registry row; the zero row (no ladder) when unregistered.
+func (m Method) row() methodRow {
+	for _, r := range methodTable {
+		if r.method == m {
+			return r
+		}
+	}
+	return methodRow{}
+}
+
+// NeedsDemand reports whether the method forecasts demand, so Run and
+// NewDispatcher require TrainDemand first. False for an unregistered method.
+func (m Method) NeedsDemand() bool { return m.row().forecast != nil }
+
+// NeedsValue reports whether the method's planner reads the task value
+// function, so Run and NewDispatcher require TrainValue first. False for an
+// unregistered method.
+func (m Method) NeedsValue() bool { return m.row().needsValue }
+
 // Methods lists all supported methods: the paper's five in its order, then
 // SSP.
 func Methods() []Method {
-	return []Method{MethodGreedy, MethodFTA, MethodDTA, MethodDTATP, MethodDATAWA, MethodSSP}
+	out := make([]Method, len(methodTable))
+	for i, r := range methodTable {
+		out[i] = r.method
+	}
+	return out
 }
 
-// methodList renders the registered method names for error messages, so an
-// unknown-method error always enumerates the current registry.
-func methodList() string {
-	names := ""
-	for i, m := range Methods() {
-		if i > 0 {
-			names += ", "
-		}
-		names += string(m)
+// MethodList renders the registered method names for help and error texts.
+func MethodList() string {
+	names := make([]string, len(methodTable))
+	for i, r := range methodTable {
+		names[i] = string(r.method)
 	}
-	return names
+	return strings.Join(names, ", ")
+}
+
+// resolve looks m up in the registry and checks that the models its row
+// declares are trained. An unknown-method error enumerates the registry.
+func (f *Framework) resolve(m Method) (methodRow, error) {
+	r := m.row()
+	switch {
+	case r.ladder == nil:
+		return r, fmt.Errorf("datawa: unknown method %q (methods: %s)", m, MethodList())
+	case r.forecast != nil && f.demand == nil:
+		return r, fmt.Errorf("datawa: %s requires TrainDemand first", m)
+	case r.needsValue && f.value == nil:
+		return r, fmt.Errorf("datawa: %s requires TrainValue first", m)
+	}
+	return r, nil
 }
 
 // Config parameterizes a Framework. The zero value plus a Region is usable;
@@ -357,28 +439,26 @@ func (f *Framework) HasValueModel() bool { return f.value != nil }
 // uses the TVF-guided search when a value model is trained and the exact
 // DFSearch otherwise.
 func (f *Framework) Assign(workers []*Worker, tasks []*Task, now float64) Plan {
-	s := &assign.Search{Opts: f.assignOptions(), Model: f.value}
-	return s.Plan(workers, tasks, now)
+	return newTVFSearch(f).Plan(workers, tasks, now)
 }
 
-// forecaster builds the stream-time demand source, or nil without a model.
-func (f *Framework) forecaster() stream.Forecaster {
-	if f.demand == nil {
-		return nil
-	}
-	inner := predict.NewForecaster(f.demand, f.seriesConfig(), f.cfg.Window, f.cfg.Threshold, f.cfg.VirtualValidTime)
-	return newPrefixedForecaster(inner, f.history)
+// pointForecaster is the DDGNN's thresholded prediction over the trained
+// model; sampledForecast draws K futures from its predictive distribution on
+// top (MethodSSP).
+func (f *Framework) pointForecaster() *predict.Forecaster {
+	return predict.NewForecaster(f.demand, f.seriesConfig(), f.cfg.Window, f.cfg.Threshold, f.cfg.VirtualValidTime)
+}
+func pointForecast(f *Framework) historyBoundedForecaster { return f.pointForecaster() }
+func sampledForecast(f *Framework) historyBoundedForecaster {
+	return predict.NewScenarioSampler(f.pointForecaster(), f.cfg.Samples, f.cfg.Seed)
 }
 
-// sampledForecaster is forecaster with scenario sampling on top: the demand
-// source for MethodSSP. Nil without a trained model.
-func (f *Framework) sampledForecaster() stream.Forecaster {
-	if f.demand == nil {
+// forecaster builds the row's stream-time demand source, or nil without one.
+func (f *Framework) forecaster(r methodRow) stream.Forecaster {
+	if r.forecast == nil {
 		return nil
 	}
-	point := predict.NewForecaster(f.demand, f.seriesConfig(), f.cfg.Window, f.cfg.Threshold, f.cfg.VirtualValidTime)
-	sampler := predict.NewScenarioSampler(point, f.cfg.Samples, f.cfg.Seed)
-	return newPrefixedForecaster(sampler, f.history)
+	return newPrefixedForecaster(r.forecast(f), f.history)
 }
 
 // historyBoundedForecaster is the contract both predict.Forecaster and
@@ -421,46 +501,19 @@ func (p *prefixedForecaster) Span() float64 { return p.inner.Span() }
 func (p *prefixedForecaster) HistorySpan() float64 { return p.inner.HistorySpan() }
 
 // Run drives the adaptive streaming algorithm (Algorithm 3) over the full
-// worker/task streams on the clock range [t0, t1) using the chosen method.
-// MethodDTATP and MethodDATAWA require a trained demand model;
-// MethodDATAWA additionally requires a trained value function.
+// worker/task streams on the clock range [t0, t1) using the chosen method. It
+// fails until the models the method declares (Method.NeedsDemand,
+// Method.NeedsValue) are trained.
 func (f *Framework) Run(m Method, workers []*Worker, tasks []*Task, t0, t1 float64) (Result, error) {
-	in := stream.Input{Workers: workers, Tasks: tasks, T0: t0, T1: t1}
-	cfg := stream.Config{Step: f.cfg.Step, Travel: f.travel}
-	opts := f.assignOptions()
-	switch m {
-	case MethodGreedy:
-		cfg.Planner = &assign.Greedy{Opts: opts}
-	case MethodFTA:
-		cfg.Planner = &assign.Search{Opts: opts}
-		cfg.Fixed = true
-	case MethodDTA:
-		cfg.Planner = &assign.Search{Opts: opts}
-	case MethodDTATP:
-		if f.demand == nil {
-			return Result{}, fmt.Errorf("datawa: %s requires TrainDemand first", m)
-		}
-		cfg.Planner = &assign.Search{Opts: opts}
-		cfg.Forecast = f.forecaster()
-	case MethodDATAWA:
-		if f.demand == nil {
-			return Result{}, fmt.Errorf("datawa: %s requires TrainDemand first", m)
-		}
-		if f.value == nil {
-			return Result{}, fmt.Errorf("datawa: %s requires TrainValue first", m)
-		}
-		cfg.Planner = &assign.Search{Opts: opts, Model: f.value}
-		cfg.Forecast = f.forecaster()
-	case MethodSSP:
-		if f.demand == nil {
-			return Result{}, fmt.Errorf("datawa: %s requires TrainDemand first", m)
-		}
-		cfg.Planner = &assign.SSP{Opts: opts, Samples: f.cfg.Samples, CVaRAlpha: f.cfg.CVaRAlpha}
-		cfg.Forecast = f.sampledForecaster()
-	default:
-		return Result{}, fmt.Errorf("datawa: unknown method %q (methods: %s)", m, methodList())
+	r, err := f.resolve(m)
+	if err != nil {
+		return Result{}, err
 	}
-	return stream.Run(in, cfg), nil
+	in := stream.Input{Workers: workers, Tasks: tasks, T0: t0, T1: t1}
+	return stream.Run(in, stream.Config{
+		Step: f.cfg.Step, Travel: f.travel,
+		Planner: r.ladder[0](f), Fixed: r.fixed, Forecast: f.forecaster(r),
+	}), nil
 }
 
 // DispatchConfig parameterizes the live dispatch service built by
@@ -487,8 +540,6 @@ type DispatchConfig struct {
 	HaloRadius float64
 	// QueueSize bounds the ingest queue (default 4096).
 	QueueSize int
-	// LatencyWindow sizes the epoch-latency percentile window (default 1024).
-	LatencyWindow int
 	// DisableIncremental turns off incremental epoch replanning. By default
 	// each shard's planner reuses the plans of quiet pool regions across
 	// epochs (byte-identical to full replanning; see
@@ -504,9 +555,6 @@ type DispatchConfig struct {
 	// reachability-only Match) when its windowed p95 epoch cost exceeds
 	// the budget, recovering hysteretically. See dispatch.GovernorConfig.
 	Governor GovernorConfig
-	// TraceDepth retains the last N per-epoch trace records for the
-	// operability endpoints (0 = off).
-	TraceDepth int
 	// Obs enables the observability core: stage spans (GET /v1/trace.json),
 	// the per-task lifecycle ledger (GET /v1/tasks/{id}/history), and the
 	// flight recorder (GET /v1/flight). The epoch/stage wall-time histograms
@@ -525,13 +573,17 @@ type ObsConfig = dispatch.ObsConfig
 
 // NewDispatcher builds a live dispatch service running the chosen method:
 // the online counterpart of Run, fed by concurrent events instead of a
-// closed trace. Each shard receives its own planner (and forecaster, for the
-// prediction methods); MethodDTATP and MethodDATAWA require the same trained
-// models Run does. Drive the returned dispatcher with its Serve loop for
-// wall-clock operation, or Advance/Tick for deterministic replay.
+// closed trace. Each shard receives its own planner, and the method requires
+// the same trained models Run does. Drive the returned dispatcher with its
+// Serve loop for wall-clock operation, or Advance/Tick for deterministic
+// replay.
 func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, error) {
 	if dc.Shards > 1 && (f.cfg.Region.Width() <= 0 || f.cfg.Region.Height() <= 0) {
 		return nil, fmt.Errorf("datawa: %d shards require a non-empty Config.Region", dc.Shards)
+	}
+	r, err := f.resolve(m)
+	if err != nil {
+		return nil, err
 	}
 	cfg := dispatch.Config{
 		Shards:             dc.Shards,
@@ -539,14 +591,22 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 		Step:               dc.Step,
 		Now:                dc.Now,
 		QueueSize:          dc.QueueSize,
-		LatencyWindow:      dc.LatencyWindow,
-		DisableIncremental: dc.DisableIncremental,
+		DisableIncremental: dc.DisableIncremental || r.fullReplan,
 		Admission:          dc.Admission,
 		Governor:           dc.Governor,
-		TraceDepth:         dc.TraceDepth,
 		Obs:                dc.Obs,
 		Travel:             f.travel,
 		Parallelism:        f.cfg.Parallelism,
+		Fixed:              r.fixed,
+		Forecast:           f.forecaster(r),
+		NewPlanner:         func(int) assign.Planner { return r.ladder[0](f) },
+		NewLadder: func(int) []assign.Planner {
+			ladder := make([]assign.Planner, len(r.ladder))
+			for i, tier := range r.ladder {
+				ladder[i] = tier(f)
+			}
+			return ladder
+		},
 	}
 	if cfg.Step <= 0 {
 		cfg.Step = f.cfg.Step
@@ -556,71 +616,6 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 	// a region can only run single-shard, full-replan dispatch.
 	if f.cfg.Region.Width() > 0 && f.cfg.Region.Height() > 0 {
 		cfg.Grid = f.grid()
-	}
-	opts := f.assignOptions()
-	switch m {
-	case MethodGreedy:
-		cfg.NewPlanner = func(int) assign.Planner { return &assign.Greedy{Opts: opts} }
-	case MethodFTA:
-		cfg.NewPlanner = func(int) assign.Planner { return &assign.Search{Opts: opts} }
-		cfg.Fixed = true
-	case MethodDTA:
-		cfg.NewPlanner = func(int) assign.Planner { return &assign.Search{Opts: opts} }
-	case MethodDTATP:
-		if f.demand == nil {
-			return nil, fmt.Errorf("datawa: %s requires TrainDemand first", m)
-		}
-		cfg.NewPlanner = func(int) assign.Planner { return &assign.Search{Opts: opts} }
-		cfg.Forecast = f.forecaster()
-	case MethodDATAWA:
-		if f.demand == nil {
-			return nil, fmt.Errorf("datawa: %s requires TrainDemand first", m)
-		}
-		if f.value == nil {
-			return nil, fmt.Errorf("datawa: %s requires TrainValue first", m)
-		}
-		cfg.NewPlanner = func(int) assign.Planner { return &assign.Search{Opts: opts, Model: f.value} }
-		cfg.Forecast = f.forecaster()
-	case MethodSSP:
-		if f.demand == nil {
-			return nil, fmt.Errorf("datawa: %s requires TrainDemand first", m)
-		}
-		cfg.NewPlanner = func(int) assign.Planner {
-			return &assign.SSP{Opts: opts, Samples: f.cfg.Samples, CVaRAlpha: f.cfg.CVaRAlpha}
-		}
-		cfg.Forecast = f.sampledForecaster()
-		// Incremental replanning caches the plans of quiet empty components,
-		// which is sound only when a component's plan emptiness depends on
-		// the pool alone. SSP's CVaR fold can flip a component between empty
-		// and non-empty across instants with an unchanged pool (a worst-case
-		// scenario tie breaking the other way), so the cache could splice a
-		// stale empty plan. Force full replanning for this method.
-		cfg.DisableIncremental = true
-	default:
-		return nil, fmt.Errorf("datawa: unknown method %q (methods: %s)", m, methodList())
-	}
-	// Under a governor the method's planner becomes the top tier of a
-	// degradation ladder: full planner → Greedy → reachability-only Match.
-	// Greedy's ladder skips itself (Greedy → Match), and SSP degrades
-	// through the point-forecast search (SSP → DTA → Greedy → Match) so the
-	// first step under pressure sheds the K-fold sampling cost, not the
-	// look-ahead itself.
-	if dc.Governor.Budget > 0 {
-		top := cfg.NewPlanner
-		switch m {
-		case MethodGreedy:
-			cfg.NewLadder = func(shard int) []assign.Planner {
-				return []assign.Planner{top(shard), &assign.Match{Opts: opts}}
-			}
-		case MethodSSP:
-			cfg.NewLadder = func(shard int) []assign.Planner {
-				return []assign.Planner{top(shard), &assign.Search{Opts: opts}, &assign.Greedy{Opts: opts}, &assign.Match{Opts: opts}}
-			}
-		default:
-			cfg.NewLadder = func(shard int) []assign.Planner {
-				return []assign.Planner{top(shard), &assign.Greedy{Opts: opts}, &assign.Match{Opts: opts}}
-			}
-		}
 	}
 	return dispatch.New(cfg), nil
 }

@@ -208,28 +208,75 @@ func TestScenarioGenerators(t *testing.T) {
 	}
 }
 
+// TestMethodTrainingContract walks the registry: for every method, Run and
+// NewDispatcher both fail until exactly the training its row declares
+// (NeedsDemand, NeedsValue) has happened, and both succeed from then on.
+func TestMethodTrainingContract(t *testing.T) {
+	s := smallScenario()
+	for _, m := range Methods() {
+		t.Run(string(m), func(t *testing.T) {
+			fw := frameworkFor(s)
+			check := func(stage string, wantErr bool) {
+				t.Helper()
+				_, runErr := fw.Run(m, s.Workers, s.Tasks, s.T0, s.T1)
+				_, liveErr := fw.NewDispatcher(m, DispatchConfig{})
+				if (runErr != nil) != wantErr || (liveErr != nil) != wantErr {
+					t.Fatalf("%s: Run error %v, NewDispatcher error %v; want failure = %v", stage, runErr, liveErr, wantErr)
+				}
+			}
+			check("untrained", m.NeedsDemand() || m.NeedsValue())
+			if m.NeedsDemand() {
+				if err := fw.TrainDemand(s.History); err != nil {
+					t.Fatal(err)
+				}
+				check("after TrainDemand", m.NeedsValue())
+			}
+			if m.NeedsValue() {
+				if err := fw.TrainValue(s.Workers, s.Tasks, 3); err != nil {
+					t.Fatal(err)
+				}
+				check("after TrainValue", false)
+			}
+		})
+	}
+}
+
 func TestNewDispatcherMatchesRun(t *testing.T) {
 	s := smallScenario()
-	fw := frameworkFor(s)
-	ref, err := fw.Run(MethodDTA, s.Workers, s.Tasks, s.T0, s.T1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := fw.NewDispatcher(MethodDTA, DispatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range s.Workers {
-		d.Ingest(WorkerOnlineEvent(w))
-	}
-	for _, task := range s.Tasks {
-		d.Ingest(TaskSubmitEvent(task))
-	}
-	d.Advance(s.T1)
-	m := d.Snapshot()
-	if m.Assigned != ref.Assigned || m.Expired != ref.Expired {
-		t.Fatalf("dispatcher assigned/expired = %d/%d, Run = %d/%d",
-			m.Assigned, m.Expired, ref.Assigned, ref.Expired)
+	for _, m := range Methods() {
+		t.Run(string(m), func(t *testing.T) {
+			fw := frameworkFor(s)
+			if m.NeedsDemand() {
+				if err := fw.TrainDemand(s.History); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m.NeedsValue() {
+				if err := fw.TrainValue(s.Workers, s.Tasks, 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref, err := fw.Run(m, s.Workers, s.Tasks, s.T0, s.T1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := fw.NewDispatcher(m, DispatchConfig{Now: s.T0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range s.Workers {
+				d.Ingest(WorkerOnlineEvent(w))
+			}
+			for _, task := range s.Tasks {
+				d.Ingest(TaskSubmitEvent(task))
+			}
+			d.Advance(s.T1)
+			got := d.Snapshot()
+			if got.Assigned != ref.Assigned || got.Expired != ref.Expired {
+				t.Fatalf("dispatcher assigned/expired = %d/%d, Run = %d/%d",
+					got.Assigned, got.Expired, ref.Assigned, ref.Expired)
+			}
+		})
 	}
 }
 

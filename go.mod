@@ -1,5 +1,3 @@
 module repro
 
 go 1.24
-
-require honnef.co/go/tools v0.6.1

@@ -370,12 +370,12 @@ func framework(sc *datawa.Scenario, m datawa.Method, opts Options) (*datawa.Fram
 		Samples:        opts.Samples,
 		CVaRAlpha:      opts.CVaRAlpha,
 	})
-	if m == datawa.MethodDTATP || m == datawa.MethodDATAWA || m == datawa.MethodSSP {
+	if m.NeedsDemand() {
 		if err := fw.TrainDemand(sc.History); err != nil {
 			return nil, err
 		}
 	}
-	if m == datawa.MethodDATAWA {
+	if m.NeedsValue() {
 		if err := fw.TrainValue(sc.Workers, sc.Tasks, 6); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package benchsuite
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 
@@ -138,8 +139,10 @@ func TestFlashFloodDegradesAndRecovers(t *testing.T) {
 
 // TestStalledShardDemotesInIsolation pins the governor's per-shard scope on
 // the archetype built for it: with every task pinned to one shard band, the
-// epoch trace must show the hot shard over budget and demoted while at least
-// one idle sibling never leaves the full planner.
+// span trace must show the hot shard over budget and demoted while at least
+// one idle sibling never leaves the full planner. Each shard's step span
+// carries the tier the epoch planned at and the pool sizes the governor
+// scored; under the chaos profile the cost is workers × open.
 func TestStalledShardDemotesInIsolation(t *testing.T) {
 	arch, ok := scenario.Get("stalled-shard")
 	if !ok {
@@ -151,30 +154,39 @@ func TestStalledShardDemotesInIsolation(t *testing.T) {
 		GridRows: sc.Config.GridRows, GridCols: sc.Config.GridCols,
 		Step: 2, Seed: sc.Config.Seed, MaxSearchNodes: 4000,
 	})
-	dc := datawa.DispatchConfig{Shards: 4, Step: 2, Now: sc.T0, TraceDepth: 4096}
+	dc := datawa.DispatchConfig{Shards: 4, Step: 2, Now: sc.T0, Obs: datawa.ObsConfig{Spans: 4096}}
 	applyOverload(&dc, arch.Overload)
 	d, err := fw.NewDispatcher(datawa.MethodDTA, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dispatch.LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)
-	trace := d.Trace(0)
+	trace := d.SpanTrace(0)
 	if len(trace) == 0 {
-		t.Fatal("TraceDepth is set but no epoch trace records were retained")
+		t.Fatal("ObsConfig.Spans is set but no epoch spans were retained")
 	}
 	demoted := make([]bool, 4)
 	overBudget := make([]bool, 4)
 	for _, e := range trace {
-		if len(e.Shards) != 4 {
-			t.Fatalf("epoch %d trace has %d shards, want 4", e.Epoch, len(e.Shards))
+		shards := 0
+		for _, sp := range e.Spans {
+			if sp.Track == 0 {
+				continue
+			}
+			shards++
+			var workers, open, tier int
+			if _, err := fmt.Sscanf(sp.Detail, "workers=%d open=%d tier=%d", &workers, &open, &tier); err != nil {
+				t.Fatalf("epoch %d shard span detail %q: %v", e.Epoch, sp.Detail, err)
+			}
+			if tier > 0 {
+				demoted[sp.Track-1] = true
+			}
+			if float64(workers*open) > arch.Overload.BudgetUnits {
+				overBudget[sp.Track-1] = true
+			}
 		}
-		for i, s := range e.Shards {
-			if s.Tier > 0 {
-				demoted[i] = true
-			}
-			if s.Cost > arch.Overload.BudgetUnits {
-				overBudget[i] = true
-			}
+		if shards != 4 {
+			t.Fatalf("epoch %d has %d shard spans, want 4", e.Epoch, shards)
 		}
 	}
 	hot, idle := 0, 0

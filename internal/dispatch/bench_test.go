@@ -35,13 +35,12 @@ func BenchmarkReplayShards(b *testing.B) {
 	}
 }
 
-// BenchmarkIngest measures the producer-side cost of admitting events, across
-// both queue shapes (sharded lock-free rings vs. the legacy single channel)
-// and both transports (direct per-event Ingest vs. the batched wire path —
-// frame decode into a reused buffer plus IngestBatch). Direct cases are one
-// event per op; frame cases are one 256-event frame per op, so divide by 256
-// to compare per-event cost. Allocations are reported because the batched
-// path's per-event amortization is the point of the trajectory.
+// BenchmarkIngest measures the producer-side cost of admitting events on both
+// transports: direct per-event Ingest, and the batched wire path — frame
+// decode into a reused buffer plus IngestBatch. The direct case is one event
+// per op; the frame case is one 256-event frame per op, so divide by 256 to
+// compare per-event cost. Allocations are reported because the batched path's
+// per-event amortization is the point of the trajectory.
 func BenchmarkIngest(b *testing.B) {
 	const batch = 256
 	events := make([]wire.Event, batch)
@@ -52,49 +51,38 @@ func BenchmarkIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, shape := range []struct {
-		name   string
-		single bool
-	}{
-		{"sharded", false},
-		{"channel", true},
-	} {
-		newDispatcher := func() *Dispatcher {
-			return New(Config{
-				Step: 1, NewPlanner: greedyFactory(),
-				QueueSize: 1 << 20, SingleQueue: shape.single,
-			})
-		}
-		b.Run("direct/"+shape.name, func(b *testing.B) {
-			d := newDispatcher()
-			ev := Event{Time: 0, Kind: KindTaskCancel, ID: 1}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%(1<<19) == 0 {
-					d.Tick() // drain so the queue never blocks
-				}
-				d.Ingest(ev)
-			}
-		})
-		b.Run("frame/"+shape.name, func(b *testing.B) {
-			d := newDispatcher()
-			decoded := make([]wire.Event, 0, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%(1<<11) == 0 {
-					d.Tick() // drain so the queue never blocks
-				}
-				var err error
-				decoded, _, err = wire.DecodeFrame(frame, decoded[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, rej := d.IngestBatch(decoded); rej > 0 {
-					b.Fatalf("%d events rejected", rej)
-				}
-			}
-		})
+	newDispatcher := func() *Dispatcher {
+		return New(Config{Step: 1, NewPlanner: greedyFactory(), QueueSize: 1 << 20})
 	}
+	b.Run("direct", func(b *testing.B) {
+		d := newDispatcher()
+		ev := Event{Time: 0, Kind: KindTaskCancel, ID: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%(1<<19) == 0 {
+				d.Tick() // drain so the queue never spills
+			}
+			d.Ingest(ev)
+		}
+	})
+	b.Run("frame", func(b *testing.B) {
+		d := newDispatcher()
+		decoded := make([]wire.Event, 0, batch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%(1<<11) == 0 {
+				d.Tick() // drain so the queue never spills
+			}
+			var err error
+			decoded, _, err = wire.DecodeFrame(frame, decoded[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, rej := d.IngestBatch(decoded); rej > 0 {
+				b.Fatalf("%d events rejected", rej)
+			}
+		}
+	})
 }

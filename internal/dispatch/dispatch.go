@@ -1,8 +1,8 @@
 // Package dispatch is the live counterpart of internal/stream: a long-running
 // assignment service that accepts concurrent events — worker online/offline,
-// task submit/cancel, position updates — through a buffered ingest queue,
-// batches them into planning epochs at a fixed cadence, and runs each epoch
-// through the existing planner stack. The region is sharded over the demand
+// task submit/cancel, position updates — through sharded lock-free ingest
+// rings, batches them into planning epochs at a fixed cadence, and runs each
+// epoch through the existing planner stack. The region is sharded over the demand
 // grid, one stream.Machine per shard, and independent shards plan in parallel
 // via internal/par.
 //
@@ -19,7 +19,7 @@
 //
 // Ingestion (WorkerOnline, SubmitTask, …) is safe from any number of
 // goroutines and never touches planner state: producers only append to the
-// queue. All planning happens inside Advance/Tick under the dispatcher's
+// rings. All planning happens inside Advance/Tick under the dispatcher's
 // epoch lock, which Snapshot and PlanOf also take.
 //
 // Cross-shard handoff (multi-shard): shard ownership is an explicit
@@ -43,7 +43,9 @@
 // (CommitConflicts, Retractions); docs/BENCHMARKS.md records the residual
 // fidelity gap per workload in the BENCH_*.json trajectory.
 //
-// Measurement: Snapshot exposes counters and epoch-latency percentiles;
+// Measurement: Snapshot exposes counters and epoch-latency percentiles read
+// off the always-on epoch histogram (docs/OBSERVABILITY.md says which recorder
+// answers which question);
 // LoadGen replays a workload.Scenario trace against a dispatcher for
 // closed-loop throughput runs. The benchmark suite (internal/benchsuite,
 // cmd/datawa-bench -suite) drives exactly that pair for the live-path
@@ -51,11 +53,8 @@
 package dispatch
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,7 +62,6 @@ import (
 	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/stream"
 )
@@ -147,9 +145,6 @@ type Config struct {
 	// shard's windowed p95 epoch cost is held under the budget by stepping
 	// that shard down the ladder, recovering hysteretically.
 	Governor GovernorConfig
-	// TraceDepth retains the last N per-epoch trace records for the
-	// operability endpoints (0 = tracing off).
-	TraceDepth int
 	// Obs configures the observability core — stage spans, the per-task
 	// lifecycle ledger, and the flight recorder (see ObsConfig). The epoch
 	// and stage wall-time histograms are always on.
@@ -174,17 +169,6 @@ type Config struct {
 	// pending-buffer growth (Metrics.QueueDepth) and epoch latency, not as
 	// lost events.
 	QueueSize int
-	// SingleQueue selects the legacy single-channel ingest queue instead of
-	// the default sharded-by-cell lock-free rings. Event application order —
-	// and therefore all assignment state — is identical either way for any
-	// serialized event stream: events are globally sequenced and the pending
-	// heap replays them by (time, sequence) regardless of queue shape. The
-	// knob exists so the property tests and BenchmarkIngest can compare the
-	// two paths like-for-like.
-	SingleQueue bool
-	// LatencyWindow is how many recent epoch latencies feed the percentile
-	// snapshot (default 1024).
-	LatencyWindow int
 }
 
 func (c Config) withDefaults() Config {
@@ -199,9 +183,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 4096
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
 	}
 	return c
 }
@@ -278,8 +259,10 @@ type Metrics struct {
 	// PlanCalls and PlanTime aggregate planner invocations across shards.
 	PlanCalls int           `json:"plan_calls"`
 	PlanTime  time.Duration `json:"plan_time_ns"`
-	// EpochP50/P95/P99 are epoch wall-latency percentiles over the last
-	// LatencyWindow epochs.
+	// EpochP50/P95/P99 are whole-tick wall-latency percentiles (drain through
+	// arbitration) over the service's lifetime, estimated from the epoch
+	// histogram's buckets by the histogram_quantile convention — the answer a
+	// PromQL query over /metrics gives from the same buckets.
 	EpochP50 time.Duration `json:"epoch_p50_ns"`
 	EpochP95 time.Duration `json:"epoch_p95_ns"`
 	EpochP99 time.Duration `json:"epoch_p99_ns"`
@@ -291,12 +274,8 @@ type Metrics struct {
 // (from any goroutine), and advance its epoch clock either manually (Advance,
 // Tick — deterministic, used by tests and LoadGen) or on wall time (Serve).
 type Dispatcher struct {
-	cfg Config
-	// Exactly one of rings/queue is the live ingest buffer: the sharded
-	// lock-free rings by default, the legacy channel under
-	// Config.SingleQueue.
-	rings *shardedQueue
-	queue chan Event
+	cfg   Config
+	rings shardedQueue // the ingest buffer; set in New, immutable after
 
 	ingested   atomic.Int64
 	applied    atomic.Int64
@@ -328,13 +307,12 @@ type Dispatcher struct {
 	maxReach float64 // guarded by mu
 	reGhost  bool    // guarded by mu
 	// Halo/arbitration counters (see Metrics).
-	ghostCopies int64        // guarded by mu
-	ghostHits   int64        // guarded by mu
-	conflicts   int64        // guarded by mu
-	retractions int64        // guarded by mu
-	clock       float64      // next epoch instant; guarded by mu
-	epochs      int          // guarded by mu
-	lat         *latencyRing // guarded by mu
+	ghostCopies int64   // guarded by mu
+	ghostHits   int64   // guarded by mu
+	conflicts   int64   // guarded by mu
+	retractions int64   // guarded by mu
+	clock       float64 // next epoch instant; guarded by mu
+	epochs      int     // guarded by mu
 	// Admission state: shedIngest counts tasks terminally dropped on the
 	// ingest path (never admitted to a shard); deferred counts deferral
 	// events (non-terminal requeues); victims orders the open pool by
@@ -343,16 +321,11 @@ type Dispatcher struct {
 	deferred   int64      // guarded by mu
 	victims    victimHeap // guarded by mu
 	// Governor state: gov is nil when disabled; tiered holds each shard's
-	// ladder dispatcher; costs/preWorkers/preOpen/shardWall are per-tick
-	// scratch, allocated once.
-	gov        *Governor        // guarded by mu
-	tiered     []*tieredPlanner // guarded by mu
-	costFn     CostFunc         // guarded by mu
-	costs      []float64        // guarded by mu
-	preWorkers []int            // guarded by mu
-	preOpen    []int            // guarded by mu
-	shardWall  []time.Duration  // guarded by mu
-	trace      *traceRing       // guarded by mu
+	// ladder dispatcher. probe is what each epoch measures per shard for the
+	// governor and the shard spans — nil when neither is on.
+	gov    *Governor        // guarded by mu
+	tiered []*tieredPlanner // guarded by mu
+	probe  []shardProbe     // guarded by mu
 	// ob is the observability core: always non-nil — histograms are always
 	// on; spans/ledger/flight inside it are gated by Config.Obs.
 	ob *obsState // guarded by mu
@@ -382,15 +355,10 @@ func New(cfg Config) *Dispatcher {
 		taskOf: make(map[int]int),
 		ghosts: make(map[int][]int),
 		clock:  cfg.Now,
-		lat:    newLatencyRing(cfg.LatencyWindow),
-	}
-	if cfg.SingleQueue {
-		d.queue = make(chan Event, cfg.QueueSize)
-	} else {
-		d.rings = newShardedQueue(cfg.Shards, cfg.QueueSize)
+		rings:  newShardedQueue(cfg.Shards, cfg.QueueSize),
 	}
 	d.synthID.Store(syntheticIDBase)
-	d.ob = newObsState(cfg.Obs, cfg.Shards)
+	d.ob = newObsState(cfg.Obs)
 	if cfg.Shards > 1 {
 		d.smap = newShardMap(cfg.Grid, cfg.Shards)
 	}
@@ -464,15 +432,8 @@ func New(cfg Config) *Dispatcher {
 	if govOn {
 		d.gov = NewGovernor(cfg.Governor, cfg.Shards, len(d.tiered[0].ladder))
 	}
-	d.costFn = cfg.Governor.withDefaults().Cost
-	if cfg.TraceDepth > 0 {
-		d.trace = newTraceRing(cfg.TraceDepth)
-	}
-	if d.gov != nil || d.trace != nil || d.ob.spans != nil {
-		d.costs = make([]float64, cfg.Shards)
-		d.preWorkers = make([]int, cfg.Shards)
-		d.preOpen = make([]int, cfg.Shards)
-		d.shardWall = make([]time.Duration, cfg.Shards)
+	if d.gov != nil || d.ob.spans != nil {
+		d.probe = make([]shardProbe, cfg.Shards)
 	}
 	d.lastForecast = math.Inf(-1)
 	d.nowBits.Store(math.Float64bits(cfg.Now))
@@ -490,34 +451,19 @@ func (d *Dispatcher) Now() float64 {
 // concurrent use. When the queue is full the caller spills the backlog into
 // the pending buffer itself (taking the epoch lock), so a single goroutine
 // can enqueue arbitrarily many events without an intervening epoch. The fast
-// path on the default sharded queue is one atomic counter increment plus one
-// ring CAS — no lock, and no contention between producers in different
-// regions.
+// path is one atomic counter increment plus one ring CAS — no lock, and no
+// contention between producers in different regions.
 func (d *Dispatcher) Ingest(ev Event) {
-	if d.rings != nil {
-		se := stampedEvent{ev: ev, seq: d.seqCtr.Add(1)}
-		if !d.laneOf(ev).tryPush(se) {
-			// Full lane: spill everything queued into the pending heap and
-			// place this event there directly — never dropped, never blocked.
-			d.mu.Lock()
-			d.drainLocked()
-			d.pending.push(pendingEvent{ev: se.ev, seq: se.seq})
-			d.mu.Unlock()
-		}
-		d.ingested.Add(1)
-		return
+	se := stampedEvent{ev: ev, seq: d.seqCtr.Add(1)}
+	if !d.laneOf(ev).tryPush(se) {
+		// Full lane: spill everything queued into the pending heap and
+		// place this event there directly — never dropped, never blocked.
+		d.mu.Lock()
+		d.drainLocked()
+		d.pending.push(pendingEvent{ev: se.ev, seq: se.seq})
+		d.mu.Unlock()
 	}
-	for {
-		select {
-		case d.queue <- ev:
-			d.ingested.Add(1)
-			return
-		default:
-			d.mu.Lock()
-			d.drainLocked()
-			d.mu.Unlock()
-		}
-	}
+	d.ingested.Add(1)
 }
 
 // WorkerOnline admits a worker at the next epoch.
@@ -554,610 +500,6 @@ func (d *Dispatcher) shardOf(p geo.Point) int {
 	return d.smap.ownerOf(p)
 }
 
-// haloEnabled reports whether cross-shard ghost replication is active.
-func (d *Dispatcher) haloEnabled() bool {
-	return d.smap != nil && d.cfg.HaloRadius >= 0
-}
-
-// haloRadiusLocked resolves the current halo radius: the configured fixed
-// radius, or — in auto mode — the largest admitted worker reach so far.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) haloRadiusLocked() float64 {
-	if d.cfg.HaloRadius > 0 {
-		return d.cfg.HaloRadius
-	}
-	return d.maxReach
-}
-
-// replicateLocked installs ghost replicas of an owned open task into every
-// shard whose territory its halo disk overlaps. Already-replicated shards
-// are skipped (AddGhost rejects duplicates), so the call is idempotent —
-// re-running it after the auto halo radius grows adds only the missing
-// replicas. The disk is centered on the task's location clamped to the
-// region: ownership routing clamps off-map points (Grid.CellOf snaps stray
-// GPS fixes to boundary cells), so the halo query must reason from the same
-// snapped geometry — an exact off-region disk could overlap no cell at all
-// and leave a boundary worker blind to a reachable off-map task.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) replicateLocked(s *core.Task, owner int, t float64) {
-	r := d.haloRadiusLocked()
-	if r <= 0 {
-		return
-	}
-	p := d.cfg.Grid.Region.Clamp(s.Loc)
-	for _, g := range d.smap.shardsInDisk(p, r, owner) {
-		if d.shards[g].AddGhost(s, t) {
-			d.ghosts[s.ID] = append(d.ghosts[s.ID], g)
-			d.ghostCopies++
-			d.recordTask(s.ID, obs.GhostReplicated, g, 0, "")
-		}
-	}
-}
-
-// reGhostLocked re-evaluates replication for every open owned task — run
-// once per tick, after the epoch's events applied, when the automatic halo
-// radius grew: tasks submitted before a long-reach worker came online
-// become visible to its shard at the same planning instant that admits the
-// worker. Task ids are walked in sorted order: replication appends to each
-// shard's planning pool, so the order must be a pure function of the event
-// stream.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) reGhostLocked(t float64) {
-	ids := make([]int, 0, len(d.taskOf))
-	//datawa:unordered ids are sorted before any shard is touched
-	for id := range d.taskOf {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		owner := d.taskOf[id]
-		if s, ok := d.shards[owner].OpenTask(id); ok {
-			d.replicateLocked(s, owner, t)
-		}
-	}
-}
-
-// Tick runs exactly one planning epoch at the current clock instant and
-// advances the clock one step.
-func (d *Dispatcher) Tick() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.tickLocked()
-}
-
-// Advance runs epochs at the step cadence while the clock is before `to`
-// (exclusive, matching the engine's `for t := T0; t < T1` loop). Driving a
-// fresh dispatcher with Advance(T1) replays exactly the planning instants
-// stream.Engine executes on [Now, T1).
-func (d *Dispatcher) Advance(to float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for d.clock < to {
-		d.tickLocked()
-	}
-}
-
-// Serve drives epochs from wall time until the context is cancelled: one
-// epoch every Step/timeScale wall seconds (timeScale ≤ 0 means 1 — real
-// time; 60 runs a minute of logical time per wall second).
-func (d *Dispatcher) Serve(ctx context.Context, timeScale float64) error {
-	if timeScale <= 0 {
-		timeScale = 1
-	}
-	interval := time.Duration(d.cfg.Step / timeScale * float64(time.Second))
-	if interval <= 0 {
-		return fmt.Errorf("dispatch: step %v at scale %v yields no tick interval", d.cfg.Step, timeScale)
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-			d.Tick()
-		}
-	}
-}
-
-// tickLocked is one epoch: drain the queue, apply due events, plan every
-// shard concurrently, advance the clock. Caller holds d.mu. Every stage is
-// timed into the observability core's histograms; with span recording on
-// (ObsConfig.Spans) each stage also leaves a span — track 0 for the
-// dispatcher's sequential work, one track per shard for the parallel Steps.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) tickLocked() {
-	t := d.clock
-	o := d.ob
-	o.epoch, o.now = d.epochs, t
-	o.cur = o.cur[:0]
-	if o.arbitrated != nil {
-		clear(o.arbitrated)
-	}
-	tick0 := time.Now() //datawa:wallclock epoch histogram timing, observability only
-
-	t0 := time.Now() //datawa:wallclock stage-span timing, observability only
-	drained := d.drainLocked()
-	o.observe(stageDrain, t0, drained, "", true)
-
-	t0 = time.Now() //datawa:wallclock stage-span timing, observability only
-	applied := d.applyDueLocked(t)
-	o.observe(stageAdmission, t0, applied, "", true)
-
-	t0 = time.Now() //datawa:wallclock stage-span timing, observability only
-	ranReGhost := false
-	if d.reGhost {
-		d.reGhost = false
-		d.reGhostLocked(t)
-		ranReGhost = true
-	}
-	o.observe(stageReGhost, t0, 0, "", ranReGhost)
-
-	t0 = time.Now() //datawa:wallclock stage-span timing, observability only
-	ranForecast, virtuals := d.forecastLocked(t)
-	o.observe(stageForecast, t0, virtuals, "", ranForecast)
-
-	// Pool sizes at the planning instant feed the governor's cost function,
-	// the epoch trace, and the per-shard span details; captured before the
-	// Step mutates them.
-	instrument := d.gov != nil || d.trace != nil || o.spans != nil
-	if instrument {
-		for i, m := range d.shards {
-			d.preWorkers[i] = m.Workers()
-			d.preOpen[i] = m.OpenTasks()
-		}
-	}
-	start := time.Now() //datawa:wallclock stage-span timing, observability only
-	//datawa:locked(mu) the epoch lock is held across the whole parallel region; each worker touches only its own shard slot
-	par.Do(len(d.shards), d.cfg.Parallelism, func(i int) {
-		if instrument {
-			s0 := time.Now() //datawa:wallclock per-shard span timing, observability only
-			d.shards[i].Step(t)
-			d.shardWall[i] = time.Since(s0) //datawa:wallclock per-shard wall stats, observability only
-			if o.shardSpan != nil {
-				o.shardSpan[i] = obs.Span{
-					Name: "step", Track: 1 + i,
-					StartNS: s0.Sub(o.base).Nanoseconds(),
-					DurNS:   d.shardWall[i].Nanoseconds(),
-				}
-			}
-		} else {
-			d.shards[i].Step(t)
-		}
-	})
-	o.observe(stageStep, start, len(d.shards), "", true)
-	if o.shardSpan != nil {
-		// Per-shard spans were written into disjoint slots inside the
-		// parallel region; merge them in shard order with deterministic
-		// logical detail (the tier the epoch planned at, pool sizes).
-		for i := range o.shardSpan {
-			sp := o.shardSpan[i]
-			sp.N = d.preOpen[i]
-			if d.tiered != nil {
-				sp.Detail = fmt.Sprintf("workers=%d open=%d tier=%d", d.preWorkers[i], d.preOpen[i], d.tiered[i].tier)
-			} else {
-				sp.Detail = fmt.Sprintf("workers=%d open=%d", d.preWorkers[i], d.preOpen[i])
-			}
-			o.cur = append(o.cur, sp)
-		}
-	}
-
-	t0 = time.Now() //datawa:wallclock stage-span timing, observability only
-	rounds := d.arbitrateLocked(t)
-	o.observe(stageArbitration, t0, rounds, "", true)
-	d.drainDisposalsLocked()
-
-	// The latency ring keeps its historical meaning — Step + arbitration
-	// wall, the quantity the BENCH trajectory gates — while the epoch
-	// histogram covers the whole tick including ingest and forecast.
-	wall := time.Since(start) //datawa:wallclock latency ring sample, observability only
-	d.lat.add(wall)
-	o.epochHist.Observe(time.Since(tick0).Seconds()) //datawa:wallclock epoch histogram sample, observability only
-
-	// Retire routing entries for departed workers and closed tasks so the
-	// maps track the live population, not the service's lifetime history.
-	// The HasWorker/HasOpenTask guards keep an id that was re-admitted in
-	// this same epoch routable.
-	for shard, m := range d.shards {
-		for _, id := range m.TakeDepartedWorkers() {
-			if d.owner[id] == shard && !m.HasWorker(id) {
-				delete(d.owner, id)
-			}
-		}
-		for _, id := range m.TakeClosedTasks() {
-			if d.taskOf[id] == shard && !m.HasOpenTask(id) {
-				delete(d.taskOf, id)
-				// An owner-side expiry closes the replicas too (same Exp,
-				// same eviction instant); only the routing entry remains.
-				delete(d.ghosts, id)
-			}
-		}
-	}
-
-	if instrument {
-		for i := range d.shards {
-			d.costs[i] = d.costFn(i, d.shardWall[i], d.preWorkers[i], d.preOpen[i])
-		}
-	}
-	if d.gov != nil {
-		// Governor decisions apply from the next epoch: the tier is set
-		// after this epoch's Step, under the same lock the next Step plans
-		// under, so every shard's planner is fixed for a whole epoch.
-		for i := range d.shards {
-			d.tiered[i].setTier(d.gov.Observe(i, d.costs[i]))
-		}
-	}
-	if d.trace != nil {
-		rec := EpochTrace{Epoch: d.epochs, Now: t, WallNS: wall.Nanoseconds(),
-			Shards: make([]ShardTrace, len(d.shards))}
-		for i := range d.shards {
-			st := ShardTrace{
-				Workers: d.preWorkers[i], Open: d.preOpen[i],
-				Cost: d.costs[i], WallNS: d.shardWall[i].Nanoseconds(),
-			}
-			if d.tiered != nil {
-				st.Tier = d.tiered[i].tier
-				st.TierName = d.tiered[i].Name()
-			}
-			rec.Shards[i] = st
-		}
-		d.trace.add(rec)
-	}
-	if o.spans != nil {
-		o.spans.Add(obs.EpochSpans{Epoch: o.epoch, Now: t, Spans: append([]obs.Span(nil), o.cur...)})
-	}
-	d.maybeFlightLocked(t)
-	d.epochs++
-	d.clock = t + d.cfg.Step
-	d.nowBits.Store(math.Float64bits(d.clock))
-}
-
-// arbitrateLocked resolves cross-shard commits after the parallel Step.
-// Replicated tasks can be committed by several shards in one epoch; exactly
-// one commit may stand. The winner is chosen by earliest arrival (worker id,
-// then shard id break ties — a pure function of the merged commit set, so
-// the outcome is identical at every parallelism level), losers are
-// retracted, and every surviving copy of a committed task is dropped from
-// the other shards so no one can commit it in a later epoch. A retracted
-// worker immediately resumes the remainder of its plan, which can produce
-// fresh commits — hence the rounds; each round consumes plan entries, so the
-// loop terminates.
-// It returns the number of arbitration rounds that resolved at least one
-// task.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) arbitrateLocked(t float64) int {
-	if !d.haloEnabled() {
-		return 0
-	}
-	type commit struct {
-		shard int
-		c     stream.Commit
-	}
-	rounds := 0
-	for {
-		round0 := time.Now() //datawa:wallclock arbitration-round span timing, observability only
-		byTask := make(map[int][]commit)
-		for i, m := range d.shards {
-			for _, c := range m.TakeCommits() {
-				// Only replicated tasks can conflict or leave stale copies;
-				// a single-copy commit needs no arbitration.
-				if len(d.ghosts[c.Task]) > 0 {
-					byTask[c.Task] = append(byTask[c.Task], commit{shard: i, c: c})
-				}
-			}
-		}
-		if len(byTask) == 0 {
-			return rounds
-		}
-		rounds++
-		ids := make([]int, 0, len(byTask))
-		//datawa:unordered ids are sorted before arbitration begins
-		for id := range byTask {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		// Phase 1: pick each task's winner and purge every surviving copy of
-		// every arbitrated task. All drops happen before any retraction: a
-		// retracted worker resumes its plan immediately, and if a task later
-		// in this round still had an open replica the resume could commit it
-		// — a commit outside its own arbitration group, i.e. a double
-		// assignment.
-		var losers []commit
-		for _, id := range ids {
-			cms := byTask[id]
-			best := 0
-			for j := 1; j < len(cms); j++ {
-				a, b := cms[j], cms[best]
-				if a.c.Arrive != b.c.Arrive {
-					if a.c.Arrive < b.c.Arrive {
-						best = j
-					}
-					continue
-				}
-				if a.c.Worker != b.c.Worker {
-					if a.c.Worker < b.c.Worker {
-						best = j
-					}
-					continue
-				}
-				if a.shard < b.shard {
-					best = j
-				}
-			}
-			if len(cms) > 1 {
-				d.conflicts++
-			}
-			winner := cms[best].shard
-			owner, owned := d.taskOf[id]
-			if owned && winner != owner {
-				d.ghostHits++
-			}
-			for j, cm := range cms {
-				if j != best {
-					losers = append(losers, cm)
-					// Ledger the losing commits before the terminal
-					// assignment so the chain stays well-formed (nothing
-					// after a terminal state). The retraction itself runs
-					// in phase 2 below.
-					d.recordTask(id, obs.Retracted, cm.shard, cm.c.Worker,
-						fmt.Sprintf("lost arbitration to worker %d", cms[best].c.Worker))
-				}
-			}
-			cause := ""
-			switch {
-			case len(cms) > 1 && owned && winner != owner:
-				cause = fmt.Sprintf("ghost hit; won arbitration (%d commits)", len(cms))
-			case len(cms) > 1:
-				cause = fmt.Sprintf("won arbitration (%d commits)", len(cms))
-			case owned && winner != owner:
-				cause = "ghost hit"
-			}
-			d.recordTask(id, obs.Assigned, winner, cms[best].c.Worker, cause)
-			if d.ob.arbitrated != nil {
-				d.ob.arbitrated[id] = true
-			}
-			// Drop the copies that did not commit: the owner's (when a ghost
-			// won) and every other shard's replica.
-			if owned && winner != owner {
-				d.shards[owner].DropTask(id)
-			}
-			for _, g := range d.ghosts[id] {
-				if g != winner {
-					d.shards[g].DropTask(id)
-				}
-			}
-			delete(d.ghosts, id)
-			delete(d.taskOf, id)
-		}
-		// Phase 2: retract the losers. Resumed workers can only commit tasks
-		// not arbitrated yet — fresh replicated commits land in the machines'
-		// logs and the next round collects them.
-		retract0 := time.Now() //datawa:wallclock retraction span timing, observability only
-		for _, cm := range losers {
-			if d.shards[cm.shard].RetractCommit(cm.c.Worker, cm.c.Task, t) {
-				d.retractions++
-			}
-		}
-		if len(losers) > 0 {
-			d.ob.span("retract", 0, retract0, len(losers), fmt.Sprintf("round=%d", rounds))
-		}
-		d.ob.span("arbitration-round", 0, round0, len(ids),
-			fmt.Sprintf("round=%d tasks=%d losers=%d", rounds, len(ids), len(losers)))
-	}
-}
-
-// forecastLocked refreshes the global virtual-task sets at the forecaster's
-// cadence and hands each shard the virtuals for the cells it owns. The
-// forecaster sees the complete published stream — mirroring the engine's
-// forecast step — so sharding does not dilute the demand counts the model
-// was trained on. It reports whether a refresh ran and how many virtual
-// tasks it materialized.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) forecastLocked(t float64) (bool, int) {
-	if d.cfg.Forecast == nil {
-		return false, 0
-	}
-	if t-d.lastForecast < d.cfg.Forecast.Span() {
-		return false, 0
-	}
-	d.lastForecast = t
-	if hb, ok := d.cfg.Forecast.(stream.HistoryBounded); ok {
-		d.published = stream.PruneHistory(d.published, t-hb.HistorySpan())
-	}
-	virtuals := d.cfg.Forecast.Virtuals(d.published, t)
-	byShard := make([][]*core.Task, len(d.shards))
-	for _, v := range virtuals {
-		shard := d.shardOf(v.Loc)
-		byShard[shard] = append(byShard[shard], v)
-	}
-	for i, m := range d.shards {
-		m.SetVirtuals(byShard[i])
-	}
-	return true, len(virtuals)
-}
-
-// drainLocked moves queued events into the pending heap without blocking,
-// returning how many it moved. Sharded lanes carry their enqueue-time
-// sequence numbers; the legacy channel stamps at drain. Either way the heap
-// orders events by (time, sequence), so queue shape never changes what an
-// epoch sees.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) drainLocked() int {
-	n := 0
-	if d.rings != nil {
-		for _, l := range d.rings.lanes {
-			for {
-				se, ok := l.pop()
-				if !ok {
-					break
-				}
-				d.pending.push(pendingEvent{ev: se.ev, seq: se.seq})
-				n++
-			}
-		}
-		return n
-	}
-	for {
-		select {
-		case ev := <-d.queue:
-			d.pending.push(pendingEvent{ev: ev, seq: d.seqCtr.Add(1)})
-			n++
-		default:
-			return n
-		}
-	}
-}
-
-// applyDueLocked folds every pending event with Time ≤ t into shard state,
-// in (Time, ingest order) — extraction is O(due·log pending), never a scan
-// of the whole backlog. Cross-kind order within a batch is immaterial
-// (admissions touch disjoint state until the Step that follows, which is why
-// a trace replay matches the engine's workers-then-tasks batching); what
-// matters is that events about the *same* entity — an offline followed by a
-// re-online, a submit followed by a cancel — apply in the order produced.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) applyDueLocked(t float64) int {
-	submits, due := 0, 0
-	for len(d.pending) > 0 && d.pending[0].ev.Time <= t {
-		pe := d.pending.pop()
-		due++
-		if c := d.cfg.Admission.MaxSubmitsPerEpoch; c > 0 && pe.ev.Kind == KindTaskSubmit {
-			// Backpressure on the ingest path: past the per-epoch budget,
-			// due submits defer one epoch (requeued at t+Step, so the loop
-			// will not see them again this tick) or shed when too close to
-			// their deadline for a deferral to ever be served.
-			if submits >= c {
-				// The capped submit bypasses applyLocked, so run the
-				// first-application effects (forecast feed, ledger open)
-				// here — without this a capped-then-deferred task would
-				// never reach the forecaster.
-				d.noteSubmitLocked(pe.ev.Task, pe.requeued)
-				d.deferOrShedLocked(pe.ev.Task, t, "submit-cap")
-				continue
-			}
-			submits++
-		}
-		d.applyLocked(pe.ev, t, pe.requeued)
-	}
-	return due
-}
-
-// noteSubmitLocked runs a task submit's first-application side effects: the
-// global forecast feed and the ledger's chain-opening Submitted record. A
-// requeued (deferred/displaced) submit already ran them on first application.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) noteSubmitLocked(s *core.Task, requeued bool) {
-	if s == nil || requeued {
-		return
-	}
-	if d.cfg.Forecast != nil {
-		d.published = append(d.published, s)
-	}
-	d.recordTask(s.ID, obs.Submitted, -1, 0, "")
-}
-
-//datawa:locked(mu)
-func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
-	ok := false
-	switch ev.Kind {
-	case KindWorkerOnline:
-		if ev.Worker == nil {
-			break
-		}
-		// A second online for a still-active id is rejected rather than
-		// rebound: rebinding would orphan the live copy in its shard.
-		if prev, dup := d.owner[ev.Worker.ID]; dup && d.shards[prev].HasWorker(ev.Worker.ID) {
-			break
-		}
-		shard := d.shardOf(ev.Worker.Loc)
-		if ok = d.shards[shard].AddWorker(ev.Worker, t); ok {
-			d.owner[ev.Worker.ID] = shard
-			// In auto-halo mode a longer reach widens the halo band: mark a
-			// re-replication pass (run once, before this tick's Step) so
-			// already-open boundary tasks become visible to the new
-			// worker's shard.
-			if d.haloEnabled() && d.cfg.HaloRadius == 0 && ev.Worker.Reach > d.maxReach {
-				d.maxReach = ev.Worker.Reach
-				d.reGhost = true
-			}
-		}
-	case KindTaskSubmit:
-		if ev.Task == nil {
-			break
-		}
-		// Two live tasks with one id would let a shard's plan assign the id
-		// twice (fatal) or make cancel/ownership ambiguous across shards.
-		if prev, dup := d.taskOf[ev.Task.ID]; dup && d.shards[prev].HasOpenTask(ev.Task.ID) {
-			break
-		}
-		// First-application side effects: the global forecast feed mirrors
-		// the machine's own — every submit, including expired-on-arrival, is
-		// demand the model should see — and the ledger chain opens.
-		d.noteSubmitLocked(ev.Task, requeued)
-		// Admission control: a submit hitting a full open pool displaces
-		// the most deferrable open task, or itself defers or sheds — see
-		// AdmissionConfig. The ≥ comparison is deliberate: at exactly
-		// MaxOpenTasks the pool is full and the newcomer must displace or
-		// yield.
-		if c := d.cfg.Admission.MaxOpenTasks; c > 0 && len(d.taskOf) >= c {
-			if !d.admitOverCapLocked(ev.Task, t) {
-				ok = true // consumed: deferred or shed, both accounted
-				break
-			}
-		}
-		shard := d.shardOf(ev.Task.Loc)
-		if d.shards[shard].AddTask(ev.Task, t) {
-			d.taskOf[ev.Task.ID] = shard
-			d.recordTask(ev.Task.ID, obs.Admitted, shard, 0, "")
-			if d.cfg.Admission.MaxOpenTasks > 0 {
-				d.victims.push(victim{exp: ev.Task.Exp, id: ev.Task.ID, task: ev.Task, shard: shard})
-			}
-			if d.haloEnabled() {
-				d.replicateLocked(ev.Task, shard, t)
-			}
-		} else if ev.Task.Exp <= t {
-			d.recordTask(ev.Task.ID, obs.Expired, shard, 0, "expired on arrival")
-		}
-		// Expired-on-arrival still changed state (it counted as expired),
-		// so a rejected admission here is applied either way.
-		ok = true
-	case KindWorkerOffline:
-		if shard, known := d.owner[ev.ID]; known {
-			ok = d.shards[shard].RemoveWorker(ev.ID, t)
-		}
-	case KindTaskCancel:
-		if shard, known := d.taskOf[ev.ID]; known {
-			if ok = d.shards[shard].CancelTask(ev.ID); ok {
-				d.recordTask(ev.ID, obs.Cancelled, shard, 0, "withdrawn by requester")
-				// A withdrawn task must leave every replica pool before the
-				// next planning instant, or a ghost shard could assign it.
-				for _, g := range d.ghosts[ev.ID] {
-					d.shards[g].DropTask(ev.ID)
-				}
-				delete(d.ghosts, ev.ID)
-			}
-		}
-	case KindPosition:
-		if shard, known := d.owner[ev.ID]; known {
-			ok = d.shards[shard].UpdateWorkerPos(ev.ID, ev.Loc)
-		}
-	}
-	if ok {
-		d.applied.Add(1)
-	} else {
-		d.unroutable.Add(1)
-	}
-}
-
 // PlanOf returns the current schedule of a worker, or false when the worker
 // is unknown or already departed.
 func (d *Dispatcher) PlanOf(workerID int) (stream.WorkerPlan, bool) {
@@ -1180,7 +522,7 @@ func (d *Dispatcher) Snapshot() Metrics {
 		Ingested:        d.ingested.Load(),
 		Applied:         d.applied.Load(),
 		Unroutable:      d.unroutable.Load(),
-		QueueDepth:      d.queueDepthLocked() + len(d.pending),
+		QueueDepth:      d.rings.depth() + len(d.pending),
 		RoutedWorkers:   len(d.owner),
 		RoutedTasks:     len(d.taskOf),
 		RoutedGhosts:    len(d.ghosts),
@@ -1189,7 +531,8 @@ func (d *Dispatcher) Snapshot() Metrics {
 		CommitConflicts: d.conflicts,
 		Retractions:     d.retractions,
 	}
-	m.EpochP50, m.EpochP95, m.EpochP99 = d.lat.percentiles()
+	h := d.ob.epochHist
+	m.EpochP50, m.EpochP95, m.EpochP99 = seconds(h.Quantile(0.50)), seconds(h.Quantile(0.95)), seconds(h.Quantile(0.99))
 	for _, inc := range d.inc {
 		st := inc.Stats()
 		m.IncrementalHits += st.ComponentsReused
@@ -1222,146 +565,9 @@ func (d *Dispatcher) Snapshot() Metrics {
 	return m
 }
 
-// Quiesce runs planning epochs until the dispatcher is fully drained — no
-// queued or pending events, no open tasks — and, when the governor is on,
-// every shard has recovered to the top planner tier; maxEpochs bounds the
-// loop. It reports whether the drained-and-recovered state was reached.
-// After a successful Quiesce every submitted task is terminal, so the
-// conservation identity assigned + expired + cancelled + shed == submitted
-// holds exactly — the benchsuite's chaos gate asserts it.
-func (d *Dispatcher) Quiesce(maxEpochs int) bool {
-	for i := 0; i <= maxEpochs; i++ {
-		d.mu.Lock()
-		d.drainLocked()
-		done := d.queueDepthLocked() == 0 && len(d.pending) == 0 && len(d.taskOf) == 0
-		if done && d.gov != nil {
-			for s := range d.shards {
-				if d.gov.TierOf(s) != 0 {
-					done = false
-					break
-				}
-			}
-		}
-		if !done && i < maxEpochs {
-			d.tickLocked()
-		}
-		d.mu.Unlock()
-		if done {
-			return true
-		}
-	}
-	return false
-}
-
-// queueDepthLocked is the current ingest-buffer backlog, whichever queue
-// shape is live.
-func (d *Dispatcher) queueDepthLocked() int {
-	if d.rings != nil {
-		return d.rings.depth()
-	}
-	return len(d.queue)
-}
+// seconds converts a histogram reading, in seconds, to a Duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // nextSyntheticID allocates a server-assigned task id, above every
 // client-chosen one.
 func (d *Dispatcher) nextSyntheticID() int { return int(d.synthID.Add(1)) }
-
-// pendingEvent orders drained events by effect time, ingest order breaking
-// ties, so due extraction is logarithmic in the backlog size.
-type pendingEvent struct {
-	ev  Event
-	seq int64
-	// requeued marks an admission-control deferral: the event already went
-	// through first-application side effects (forecast feed) once.
-	requeued bool
-}
-
-// eventHeap is a concrete min-heap by (Time, seq). Hand-rolled rather than
-// container/heap: the interface's Push(any)/Pop() box every element, which
-// was one heap allocation per ingested event on the steady-state path the
-// alloc gates pin at zero.
-type eventHeap []pendingEvent
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].ev.Time != h[j].ev.Time {
-		return h[i].ev.Time < h[j].ev.Time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(pe pendingEvent) {
-	*h = append(*h, pe)
-	s := *h
-	// Sift up.
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() pendingEvent {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s[n] = pendingEvent{} // release the Task/Worker pointers
-	*h = s[:n]
-	// Sift down.
-	s = s[:n]
-	for i := 0; ; {
-		kid := 2*i + 1
-		if kid >= n {
-			break
-		}
-		if r := kid + 1; r < n && s.less(r, kid) {
-			kid = r
-		}
-		if !s.less(kid, i) {
-			break
-		}
-		s[i], s[kid] = s[kid], s[i]
-		i = kid
-	}
-	return top
-}
-
-// latencyRing keeps the last n epoch latencies for percentile snapshots.
-type latencyRing struct {
-	buf  []time.Duration
-	next int
-	full bool
-}
-
-func newLatencyRing(n int) *latencyRing { return &latencyRing{buf: make([]time.Duration, n)} }
-
-func (r *latencyRing) add(d time.Duration) {
-	r.buf[r.next] = d
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// percentiles returns p50/p95/p99 over the retained window (zeros when no
-// epoch has run yet).
-func (r *latencyRing) percentiles() (p50, p95, p99 time.Duration) {
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	s := append([]time.Duration(nil), r.buf[:n]...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	at := func(p float64) time.Duration {
-		i := int(p * float64(n-1))
-		return s[i]
-	}
-	return at(0.50), at(0.95), at(0.99)
-}

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/assign"
 	"repro/internal/core"
@@ -430,6 +431,31 @@ func TestSnapshotLatencies(t *testing.T) {
 	}
 	if m.PlanCalls == 0 || m.PlanTime <= 0 {
 		t.Fatalf("planner accounting missing: calls=%d time=%v", m.PlanCalls, m.PlanTime)
+	}
+}
+
+// TestSnapshotPercentilesReadEpochHistogram pins the one-recorder contract:
+// the snapshot's percentiles are the epoch histogram's quantiles, so
+// /v1/metrics and a histogram_quantile over /metrics agree by construction.
+func TestSnapshotPercentilesReadEpochHistogram(t *testing.T) {
+	d := singleShard(greedyFactory())
+	if m := d.Snapshot(); m.EpochP50 != 0 || m.EpochP99 != 0 {
+		t.Fatalf("percentiles before the first epoch = %v/%v, want 0", m.EpochP50, m.EpochP99)
+	}
+	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 0}, Reach: 1, On: 0, Off: 1000})
+	d.Advance(50)
+	m := d.Snapshot()
+	epoch, _ := d.Histograms()
+	if epoch.Count != uint64(m.Epochs) {
+		t.Fatalf("epoch histogram holds %d samples after %d epochs", epoch.Count, m.Epochs)
+	}
+	for _, c := range []struct {
+		q    float64
+		snap time.Duration
+	}{{0.50, m.EpochP50}, {0.95, m.EpochP95}, {0.99, m.EpochP99}} {
+		if want := seconds(epoch.Quantile(c.q)); c.snap != want {
+			t.Errorf("snapshot p%g = %v, histogram quantile = %v", 100*c.q, c.snap, want)
+		}
 	}
 }
 

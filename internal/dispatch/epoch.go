@@ -1,0 +1,628 @@
+package dispatch
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sort"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/par"
+	"repro/internal/stream"
+)
+
+// Tick runs exactly one planning epoch at the current clock instant and
+// advances the clock one step.
+func (d *Dispatcher) Tick() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.tickLocked()
+}
+
+// Advance runs epochs at the step cadence while the clock is before `to`
+// (exclusive, matching the engine's `for t := T0; t < T1` loop). Driving a
+// fresh dispatcher with Advance(T1) replays exactly the planning instants
+// stream.Engine executes on [Now, T1).
+func (d *Dispatcher) Advance(to float64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.clock < to {
+		d.tickLocked()
+	}
+}
+
+// Serve drives epochs from wall time until the context is cancelled: one
+// epoch every Step/timeScale wall seconds (timeScale ≤ 0 means 1 — real
+// time; 60 runs a minute of logical time per wall second).
+func (d *Dispatcher) Serve(ctx context.Context, timeScale float64) error {
+	if timeScale <= 0 {
+		timeScale = 1
+	}
+	interval := time.Duration(d.cfg.Step / timeScale * float64(time.Second))
+	if interval <= 0 {
+		return fmt.Errorf("dispatch: step %v at scale %v yields no tick interval", d.cfg.Step, timeScale)
+	}
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-ticker.C:
+			d.Tick()
+		}
+	}
+}
+
+// Quiesce runs planning epochs until the dispatcher is fully drained — no
+// queued or pending events, no open tasks — and, when the governor is on,
+// every shard has recovered to the top planner tier; maxEpochs bounds the
+// loop. It reports whether the drained-and-recovered state was reached.
+// After a successful Quiesce every submitted task is terminal, so the
+// conservation identity assigned + expired + cancelled + shed == submitted
+// holds exactly — the benchsuite's chaos gate asserts it.
+func (d *Dispatcher) Quiesce(maxEpochs int) bool {
+	for i := 0; i <= maxEpochs; i++ {
+		d.mu.Lock()
+		d.drainLocked()
+		done := d.rings.depth() == 0 && len(d.pending) == 0 && len(d.taskOf) == 0
+		if done && d.gov != nil {
+			for s := range d.shards {
+				if d.gov.TierOf(s) != 0 {
+					done = false
+					break
+				}
+			}
+		}
+		if !done && i < maxEpochs {
+			d.tickLocked()
+		}
+		d.mu.Unlock()
+		if done {
+			return true
+		}
+	}
+	return false
+}
+
+const numStages = 6
+
+// stage is one named step of the epoch loop. run reports the stage's work
+// count — events drained or applied, virtual tasks materialized, shards
+// stepped, arbitration rounds — and whether it did anything this epoch.
+type stage struct {
+	name string
+	run  func(d *Dispatcher, t float64) (n int, ran bool)
+}
+
+// epochStages is the epoch, in execution order. The entries are method
+// expressions, not closures, so running the table allocates nothing.
+var epochStages = [numStages]stage{
+	{"drain", (*Dispatcher).drainStage},
+	{"admission", (*Dispatcher).applyDueLocked},
+	{"reghost", (*Dispatcher).reGhostLocked},
+	{"forecast", (*Dispatcher).forecastLocked},
+	{"step", (*Dispatcher).stepLocked},
+	{"arbitration", (*Dispatcher).settleLocked},
+}
+
+// tickLocked is one epoch: run the stage table, retire routing state, let the
+// governor re-tier, advance the clock. Caller holds d.mu. Stage boundaries
+// are the epoch's only clock reads outside the parallel Steps: each stage
+// runs from the previous boundary to its own, so the six stage times sum to
+// the epoch histogram's sample exactly.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) tickLocked() {
+	t := d.clock
+	o := d.ob
+	o.epoch, o.now = d.epochs, t
+	o.cur = o.cur[:0]
+	if o.arbitrated != nil {
+		clear(o.arbitrated)
+	}
+	o.mark = time.Now() //datawa:wallclock epoch start, observability only
+	tick0 := o.mark
+	for i := range epochStages {
+		d.runStage(i, t)
+	}
+	o.epochHist.Observe(o.mark.Sub(tick0).Seconds())
+
+	// Retire routing entries for departed workers and closed tasks so the
+	// maps track the live population, not the service's lifetime history.
+	// The HasWorker/HasOpenTask guards keep an id that was re-admitted in
+	// this same epoch routable.
+	for shard, m := range d.shards {
+		for _, id := range m.TakeDepartedWorkers() {
+			if d.owner[id] == shard && !m.HasWorker(id) {
+				delete(d.owner, id)
+			}
+		}
+		for _, id := range m.TakeClosedTasks() {
+			if d.taskOf[id] == shard && !m.HasOpenTask(id) {
+				delete(d.taskOf, id)
+				// An owner-side expiry closes the replicas too (same Exp,
+				// same eviction instant); only the routing entry remains.
+				delete(d.ghosts, id)
+			}
+		}
+	}
+
+	if d.gov != nil {
+		// Governor decisions apply from the next epoch: the tier is set
+		// after this epoch's Step, under the same lock the next Step plans
+		// under, so every shard's planner is fixed for a whole epoch.
+		for i := range d.probe {
+			p := &d.probe[i]
+			p.cost = d.gov.cfg.Cost(i, p.wall, p.workers, p.open)
+			d.tiered[i].setTier(d.gov.Observe(i, p.cost))
+		}
+	}
+	if o.spans != nil {
+		o.spans.Add(obs.EpochSpans{Epoch: o.epoch, Now: t, Spans: append([]obs.Span(nil), o.cur...)})
+	}
+	d.maybeFlightLocked(t)
+	d.epochs++
+	d.clock = t + d.cfg.Step
+	d.nowBits.Store(math.Float64bits(d.clock))
+}
+
+// runStage runs stage i and records it. The one clock read closes the stage
+// and opens the next; the stage's wall time goes to its histogram every epoch
+// — a stage that did not run observes ~zero, which keeps every stage
+// histogram's _count equal to datawa_epochs_total (the exposition-lint test
+// relies on it) — and, when the stage ran and span recording is on
+// (ObsConfig.Spans), to a span on track 0, the dispatcher's sequential track.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) runStage(i int, t float64) {
+	n, ran := epochStages[i].run(d, t)
+	o := d.ob
+	end := time.Now() //datawa:wallclock stage boundary: histogram and span timing, observability only
+	dur := end.Sub(o.mark)
+	o.stageHist[i].Observe(dur.Seconds())
+	if ran && o.spans != nil {
+		o.cur = append(o.cur, obs.Span{
+			Name: epochStages[i].name, Track: 0, N: n,
+			StartNS: o.mark.Sub(o.base).Nanoseconds(), DurNS: dur.Nanoseconds(),
+		})
+	}
+	o.mark = end
+}
+
+//datawa:locked(mu)
+func (d *Dispatcher) drainStage(float64) (int, bool) { return d.drainLocked(), true }
+
+// shardProbe is one shard's measurement of one epoch: pool sizes at the
+// planning instant (before the Step mutates them), the Step's wall time, and
+// the cost the governor scored from them.
+type shardProbe struct {
+	workers, open int
+	start         time.Time
+	wall          time.Duration
+	cost          float64
+}
+
+// stepLocked plans every shard concurrently. With a governor or span
+// recording on it also fills each shard's probe, and leaves one span per
+// shard — its own track, the tier the epoch planned at and the pool sizes as
+// deterministic detail — ahead of the stage span that closes over them.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) stepLocked(t float64) (int, bool) {
+	//datawa:locked(mu) the epoch lock is held across the whole parallel region; each worker touches only its own shard slot
+	par.Do(len(d.shards), d.cfg.Parallelism, func(i int) {
+		if d.probe == nil {
+			d.shards[i].Step(t)
+			return
+		}
+		p := &d.probe[i]
+		p.workers, p.open = d.shards[i].Workers(), d.shards[i].OpenTasks()
+		p.start = time.Now() //datawa:wallclock per-shard span timing, observability only
+		d.shards[i].Step(t)
+		p.wall = time.Since(p.start) //datawa:wallclock per-shard wall stats, observability only
+	})
+	if o := d.ob; o.spans != nil {
+		for i, p := range d.probe {
+			detail := fmt.Sprintf("workers=%d open=%d", p.workers, p.open)
+			if d.tiered != nil {
+				detail += fmt.Sprintf(" tier=%d", d.tiered[i].tier)
+			}
+			o.cur = append(o.cur, obs.Span{
+				Name: "step", Track: 1 + i, N: p.open, Detail: detail,
+				StartNS: p.start.Sub(o.base).Nanoseconds(), DurNS: p.wall.Nanoseconds(),
+			})
+		}
+	}
+	return len(d.shards), true
+}
+
+// settleLocked closes the epoch's commits: cross-shard arbitration, then the
+// machines' Step-internal disposals folded into the ledger.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) settleLocked(t float64) (int, bool) {
+	rounds := d.arbitrateLocked(t)
+	d.drainDisposalsLocked()
+	return rounds, true
+}
+
+// applyDueLocked folds every pending event with Time ≤ t into shard state,
+// in (Time, ingest order) — extraction is O(due·log pending), never a scan
+// of the whole backlog. Cross-kind order within a batch is immaterial
+// (admissions touch disjoint state until the Step that follows, which is why
+// a trace replay matches the engine's workers-then-tasks batching); what
+// matters is that events about the *same* entity — an offline followed by a
+// re-online, a submit followed by a cancel — apply in the order produced.
+// It is the admission stage; its count is the events that came due.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) applyDueLocked(t float64) (int, bool) {
+	submits, due := 0, 0
+	for len(d.pending) > 0 && d.pending[0].ev.Time <= t {
+		pe := d.pending.pop()
+		due++
+		if c := d.cfg.Admission.MaxSubmitsPerEpoch; c > 0 && pe.ev.Kind == KindTaskSubmit {
+			// Backpressure on the ingest path: past the per-epoch budget,
+			// due submits defer one epoch (requeued at t+Step, so the loop
+			// will not see them again this tick) or shed when too close to
+			// their deadline for a deferral to ever be served.
+			if submits >= c {
+				// The capped submit bypasses applyLocked, so run the
+				// first-application effects (forecast feed, ledger open)
+				// here — without this a capped-then-deferred task would
+				// never reach the forecaster.
+				d.noteSubmitLocked(pe.ev.Task, pe.requeued)
+				d.deferOrShedLocked(pe.ev.Task, t, "submit-cap")
+				continue
+			}
+			submits++
+		}
+		d.applyLocked(pe.ev, t, pe.requeued)
+	}
+	return due, true
+}
+
+// noteSubmitLocked runs a task submit's first-application side effects: the
+// global forecast feed and the ledger's chain-opening Submitted record. A
+// requeued (deferred/displaced) submit already ran them on first application.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) noteSubmitLocked(s *core.Task, requeued bool) {
+	if s == nil || requeued {
+		return
+	}
+	if d.cfg.Forecast != nil {
+		d.published = append(d.published, s)
+	}
+	d.recordTask(s.ID, obs.Submitted, -1, 0, "")
+}
+
+//datawa:locked(mu)
+func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
+	ok := false
+	switch ev.Kind {
+	case KindWorkerOnline:
+		if ev.Worker == nil {
+			break
+		}
+		// A second online for a still-active id is rejected rather than
+		// rebound: rebinding would orphan the live copy in its shard.
+		if prev, dup := d.owner[ev.Worker.ID]; dup && d.shards[prev].HasWorker(ev.Worker.ID) {
+			break
+		}
+		shard := d.shardOf(ev.Worker.Loc)
+		if ok = d.shards[shard].AddWorker(ev.Worker, t); ok {
+			d.owner[ev.Worker.ID] = shard
+			// In auto-halo mode a longer reach widens the halo band: mark a
+			// re-replication pass (run once, before this tick's Step) so
+			// already-open boundary tasks become visible to the new
+			// worker's shard.
+			if d.haloEnabled() && d.cfg.HaloRadius == 0 && ev.Worker.Reach > d.maxReach {
+				d.maxReach = ev.Worker.Reach
+				d.reGhost = true
+			}
+		}
+	case KindTaskSubmit:
+		if ev.Task == nil {
+			break
+		}
+		// Two live tasks with one id would let a shard's plan assign the id
+		// twice (fatal) or make cancel/ownership ambiguous across shards.
+		if prev, dup := d.taskOf[ev.Task.ID]; dup && d.shards[prev].HasOpenTask(ev.Task.ID) {
+			break
+		}
+		// First-application side effects: the global forecast feed mirrors
+		// the machine's own — every submit, including expired-on-arrival, is
+		// demand the model should see — and the ledger chain opens.
+		d.noteSubmitLocked(ev.Task, requeued)
+		// Admission control: a submit hitting a full open pool displaces
+		// the most deferrable open task, or itself defers or sheds — see
+		// AdmissionConfig. The ≥ comparison is deliberate: at exactly
+		// MaxOpenTasks the pool is full and the newcomer must displace or
+		// yield.
+		if c := d.cfg.Admission.MaxOpenTasks; c > 0 && len(d.taskOf) >= c {
+			if !d.admitOverCapLocked(ev.Task, t) {
+				ok = true // consumed: deferred or shed, both accounted
+				break
+			}
+		}
+		shard := d.shardOf(ev.Task.Loc)
+		if d.shards[shard].AddTask(ev.Task, t) {
+			d.taskOf[ev.Task.ID] = shard
+			d.recordTask(ev.Task.ID, obs.Admitted, shard, 0, "")
+			if d.cfg.Admission.MaxOpenTasks > 0 {
+				d.victims.push(victim{exp: ev.Task.Exp, id: ev.Task.ID, task: ev.Task, shard: shard})
+			}
+			if d.haloEnabled() {
+				d.replicateLocked(ev.Task, shard, t)
+			}
+		} else if ev.Task.Exp <= t {
+			d.recordTask(ev.Task.ID, obs.Expired, shard, 0, "expired on arrival")
+		}
+		// Expired-on-arrival still changed state (it counted as expired),
+		// so a rejected admission here is applied either way.
+		ok = true
+	case KindWorkerOffline:
+		if shard, known := d.owner[ev.ID]; known {
+			ok = d.shards[shard].RemoveWorker(ev.ID, t)
+		}
+	case KindTaskCancel:
+		if shard, known := d.taskOf[ev.ID]; known {
+			if ok = d.shards[shard].CancelTask(ev.ID); ok {
+				d.recordTask(ev.ID, obs.Cancelled, shard, 0, "withdrawn by requester")
+				// A withdrawn task must leave every replica pool before the
+				// next planning instant, or a ghost shard could assign it.
+				for _, g := range d.ghosts[ev.ID] {
+					d.shards[g].DropTask(ev.ID)
+				}
+				delete(d.ghosts, ev.ID)
+			}
+		}
+	case KindPosition:
+		if shard, known := d.owner[ev.ID]; known {
+			ok = d.shards[shard].UpdateWorkerPos(ev.ID, ev.Loc)
+		}
+	}
+	if ok {
+		d.applied.Add(1)
+	} else {
+		d.unroutable.Add(1)
+	}
+}
+
+// haloEnabled reports whether cross-shard ghost replication is active.
+func (d *Dispatcher) haloEnabled() bool {
+	return d.smap != nil && d.cfg.HaloRadius >= 0
+}
+
+// haloRadiusLocked resolves the current halo radius: the configured fixed
+// radius, or — in auto mode — the largest admitted worker reach so far.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) haloRadiusLocked() float64 {
+	if d.cfg.HaloRadius > 0 {
+		return d.cfg.HaloRadius
+	}
+	return d.maxReach
+}
+
+// replicateLocked installs ghost replicas of an owned open task into every
+// shard whose territory its halo disk overlaps. Already-replicated shards
+// are skipped (AddGhost rejects duplicates), so the call is idempotent —
+// re-running it after the auto halo radius grows adds only the missing
+// replicas. The disk is centered on the task's location clamped to the
+// region: ownership routing clamps off-map points (Grid.CellOf snaps stray
+// GPS fixes to boundary cells), so the halo query must reason from the same
+// snapped geometry — an exact off-region disk could overlap no cell at all
+// and leave a boundary worker blind to a reachable off-map task.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) replicateLocked(s *core.Task, owner int, t float64) {
+	r := d.haloRadiusLocked()
+	if r <= 0 {
+		return
+	}
+	p := d.cfg.Grid.Region.Clamp(s.Loc)
+	for _, g := range d.smap.shardsInDisk(p, r, owner) {
+		if d.shards[g].AddGhost(s, t) {
+			d.ghosts[s.ID] = append(d.ghosts[s.ID], g)
+			d.ghostCopies++
+			d.recordTask(s.ID, obs.GhostReplicated, g, 0, "")
+		}
+	}
+}
+
+// reGhostLocked re-evaluates replication for every open owned task — the
+// reghost stage, after the epoch's events applied, running only when the
+// automatic halo radius grew (d.reGhost): tasks submitted before a long-reach
+// worker came online become visible to its shard at the same planning instant
+// that admits the worker. Task ids are walked in sorted order: replication
+// appends to each shard's planning pool, so the order must be a pure function
+// of the event stream.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) reGhostLocked(t float64) (int, bool) {
+	if !d.reGhost {
+		return 0, false
+	}
+	d.reGhost = false
+	ids := make([]int, 0, len(d.taskOf))
+	//datawa:unordered ids are sorted before any shard is touched
+	for id := range d.taskOf {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		owner := d.taskOf[id]
+		if s, ok := d.shards[owner].OpenTask(id); ok {
+			d.replicateLocked(s, owner, t)
+		}
+	}
+	return 0, true
+}
+
+// arbitrateLocked resolves cross-shard commits after the parallel Step.
+// Replicated tasks can be committed by several shards in one epoch; exactly
+// one commit may stand. The winner is chosen by earliest arrival (worker id,
+// then shard id break ties — a pure function of the merged commit set, so
+// the outcome is identical at every parallelism level), losers are
+// retracted, and every surviving copy of a committed task is dropped from
+// the other shards so no one can commit it in a later epoch. A retracted
+// worker immediately resumes the remainder of its plan, which can produce
+// fresh commits — hence the rounds; each round consumes plan entries, so the
+// loop terminates.
+// It returns the number of arbitration rounds that resolved at least one
+// task.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) arbitrateLocked(t float64) int {
+	if !d.haloEnabled() {
+		return 0
+	}
+	type commit struct {
+		shard int
+		c     stream.Commit
+	}
+	rounds := 0
+	for {
+		round0 := time.Now() //datawa:wallclock arbitration-round span timing, observability only
+		byTask := make(map[int][]commit)
+		for i, m := range d.shards {
+			for _, c := range m.TakeCommits() {
+				// Only replicated tasks can conflict or leave stale copies;
+				// a single-copy commit needs no arbitration.
+				if len(d.ghosts[c.Task]) > 0 {
+					byTask[c.Task] = append(byTask[c.Task], commit{shard: i, c: c})
+				}
+			}
+		}
+		if len(byTask) == 0 {
+			return rounds
+		}
+		rounds++
+		ids := make([]int, 0, len(byTask))
+		//datawa:unordered ids are sorted before arbitration begins
+		for id := range byTask {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		// Phase 1: pick each task's winner and purge every surviving copy of
+		// every arbitrated task. All drops happen before any retraction: a
+		// retracted worker resumes its plan immediately, and if a task later
+		// in this round still had an open replica the resume could commit it
+		// — a commit outside its own arbitration group, i.e. a double
+		// assignment.
+		var losers []commit
+		for _, id := range ids {
+			cms := byTask[id]
+			best := 0
+			for j := 1; j < len(cms); j++ {
+				a, b := cms[j], cms[best]
+				if a.c.Arrive != b.c.Arrive {
+					if a.c.Arrive < b.c.Arrive {
+						best = j
+					}
+					continue
+				}
+				if a.c.Worker != b.c.Worker {
+					if a.c.Worker < b.c.Worker {
+						best = j
+					}
+					continue
+				}
+				if a.shard < b.shard {
+					best = j
+				}
+			}
+			if len(cms) > 1 {
+				d.conflicts++
+			}
+			winner := cms[best].shard
+			owner, owned := d.taskOf[id]
+			if owned && winner != owner {
+				d.ghostHits++
+			}
+			for j, cm := range cms {
+				if j != best {
+					losers = append(losers, cm)
+					// Ledger the losing commits before the terminal
+					// assignment so the chain stays well-formed (nothing
+					// after a terminal state). The retraction itself runs
+					// in phase 2 below.
+					d.recordTask(id, obs.Retracted, cm.shard, cm.c.Worker,
+						fmt.Sprintf("lost arbitration to worker %d", cms[best].c.Worker))
+				}
+			}
+			cause := ""
+			switch {
+			case len(cms) > 1 && owned && winner != owner:
+				cause = fmt.Sprintf("ghost hit; won arbitration (%d commits)", len(cms))
+			case len(cms) > 1:
+				cause = fmt.Sprintf("won arbitration (%d commits)", len(cms))
+			case owned && winner != owner:
+				cause = "ghost hit"
+			}
+			d.recordTask(id, obs.Assigned, winner, cms[best].c.Worker, cause)
+			if d.ob.arbitrated != nil {
+				d.ob.arbitrated[id] = true
+			}
+			// Drop the copies that did not commit: the owner's (when a ghost
+			// won) and every other shard's replica.
+			if owned && winner != owner {
+				d.shards[owner].DropTask(id)
+			}
+			for _, g := range d.ghosts[id] {
+				if g != winner {
+					d.shards[g].DropTask(id)
+				}
+			}
+			delete(d.ghosts, id)
+			delete(d.taskOf, id)
+		}
+		// Phase 2: retract the losers. Resumed workers can only commit tasks
+		// not arbitrated yet — fresh replicated commits land in the machines'
+		// logs and the next round collects them.
+		retract0 := time.Now() //datawa:wallclock retraction span timing, observability only
+		for _, cm := range losers {
+			if d.shards[cm.shard].RetractCommit(cm.c.Worker, cm.c.Task, t) {
+				d.retractions++
+			}
+		}
+		if len(losers) > 0 {
+			d.ob.span("retract", 0, retract0, len(losers), fmt.Sprintf("round=%d", rounds))
+		}
+		d.ob.span("arbitration-round", 0, round0, len(ids),
+			fmt.Sprintf("round=%d tasks=%d losers=%d", rounds, len(ids), len(losers)))
+	}
+}
+
+// forecastLocked refreshes the global virtual-task sets at the forecaster's
+// cadence and hands each shard the virtuals for the cells it owns. The
+// forecaster sees the complete published stream — mirroring the engine's
+// forecast step — so sharding does not dilute the demand counts the model
+// was trained on. It reports how many virtual tasks it materialized and
+// whether a refresh ran.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) forecastLocked(t float64) (int, bool) {
+	if d.cfg.Forecast == nil || t-d.lastForecast < d.cfg.Forecast.Span() {
+		return 0, false
+	}
+	d.lastForecast = t
+	if hb, ok := d.cfg.Forecast.(stream.HistoryBounded); ok {
+		d.published = stream.PruneHistory(d.published, t-hb.HistorySpan())
+	}
+	virtuals := d.cfg.Forecast.Virtuals(d.published, t)
+	byShard := make([][]*core.Task, len(d.shards))
+	for _, v := range virtuals {
+		shard := d.shardOf(v.Loc)
+		byShard[shard] = append(byShard[shard], v)
+	}
+	for i, m := range d.shards {
+		m.SetVirtuals(byShard[i])
+	}
+	return len(virtuals), true
+}

@@ -152,8 +152,8 @@ func (g *Governor) Counters() (demotions, promotions int64) {
 // lifetime.
 func (g *Governor) Worst() int { return g.worst }
 
-// p95of returns the 95th percentile of the first n ring samples, matching the
-// latencyRing convention (index ⌊0.95·(n−1)⌋ of the sorted sample).
+// p95of returns the 95th percentile of the first n ring samples: index
+// ⌊0.95·(n−1)⌋ of the sorted sample.
 func p95of(ring []float64, n int) float64 {
 	if n == 0 {
 		return 0

@@ -25,7 +25,6 @@ const syntheticIDBase = 1 << 30
 //	POST /v1/stream             batched event stream       binary frames or NDJSON (internal/wire)
 //	GET  /v1/plan?worker=ID                                current schedule
 //	GET  /v1/metrics                                       snapshot (JSON)
-//	GET  /v1/trace?n=K                                     epoch trace records
 //	GET  /v1/trace.json?n=K                                Chrome trace-event JSON (spans)
 //	GET  /v1/tasks/{id}/history                            lifecycle ledger chain
 //	GET  /v1/flight                                        flight-recorder dumps
@@ -50,7 +49,6 @@ func NewHandler(d *Dispatcher) *Handler {
 	h.mux.HandleFunc("POST /v1/stream", h.stream)
 	h.mux.HandleFunc("GET /v1/plan", h.plan)
 	h.mux.HandleFunc("GET /v1/metrics", h.metrics)
-	h.mux.HandleFunc("GET /v1/trace", h.traceRecords)
 	h.mux.HandleFunc("GET /v1/trace.json", h.chromeTrace)
 	h.mux.HandleFunc("GET /v1/tasks/{id}/history", h.taskHistory)
 	h.mux.HandleFunc("GET /v1/flight", h.flight)
@@ -219,25 +217,6 @@ func (h *Handler) plan(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, h.d.Snapshot())
-}
-
-// traceRecords serves the epoch trace ring (empty without Config.TraceDepth):
-// ?n=K limits the response to the K most recent epochs.
-func (h *Handler) traceRecords(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			httpError(w, http.StatusBadRequest, "n query parameter must be a non-negative integer")
-			return
-		}
-		n = v
-	}
-	tr := h.d.Trace(n)
-	if tr == nil {
-		tr = []EpochTrace{}
-	}
-	writeJSON(w, http.StatusOK, tr)
 }
 
 // chromeTrace serves the stage-span ring as Chrome trace-event JSON — load

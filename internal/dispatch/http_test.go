@@ -284,58 +284,3 @@ func TestHTTPPrometheusExposition(t *testing.T) {
 		}
 	}
 }
-
-// TestHTTPTraceEndpoint pins the epoch-trace query surface: oldest-first
-// consecutive records bounded by the ring depth, ?n truncation to the most
-// recent epochs, 400 on a malformed n, and an empty (not null) array when
-// tracing is off.
-func TestHTTPTraceEndpoint(t *testing.T) {
-	d := New(Config{Step: 1, Travel: travel, NewPlanner: searchFactory(), TraceDepth: 8})
-	srv := httptest.NewServer(NewHandler(d))
-	defer srv.Close()
-	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 0}, Reach: 1, On: 0, Off: 1000})
-	d.Advance(20)
-
-	var all []EpochTrace
-	getJSON(t, srv, "/v1/trace", &all)
-	if len(all) != 8 {
-		t.Fatalf("ring depth 8 after 20 epochs returned %d records", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i].Epoch != all[i-1].Epoch+1 {
-			t.Fatalf("trace records out of order: epoch %d follows %d", all[i].Epoch, all[i-1].Epoch)
-		}
-	}
-	var tail []EpochTrace
-	getJSON(t, srv, "/v1/trace?n=2", &tail)
-	if len(tail) != 2 || tail[1].Epoch != all[len(all)-1].Epoch {
-		t.Fatalf("?n=2 returned %d records ending at the wrong epoch: %+v", len(tail), tail)
-	}
-
-	for _, q := range []string{"?n=-1", "?n=x"} {
-		resp, err := http.Get(srv.URL + "/v1/trace" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET /v1/trace%s: status %d, want 400", q, resp.StatusCode)
-		}
-	}
-
-	off := singleShard(searchFactory())
-	srvOff := httptest.NewServer(NewHandler(off))
-	defer srvOff.Close()
-	respOff, err := http.Get(srvOff.URL + "/v1/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer respOff.Body.Close()
-	raw, err := io.ReadAll(respOff.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(string(raw)); got != "[]" {
-		t.Fatalf("trace-off response = %q, want an empty JSON array", got)
-	}
-}

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -10,9 +9,21 @@ import (
 	"repro/internal/workload"
 )
 
-// replayShape replays the scenario trace with explicit control over the
-// ingest-queue shape and transport, returning the final snapshot.
-func replayShape(sc *workload.Scenario, parallelism int, single bool, queueSize int, stream bool, batch int) Metrics {
+// serialIngest is the queue-shape oracle: it takes the epoch lock and pushes
+// the event straight onto the pending heap under the next sequence number —
+// the order a single producer's enqueue-time stamps give, with no ring in
+// between (Ingest's full-lane spill branch does the same for one event).
+func serialIngest(d *Dispatcher, ev Event) {
+	d.mu.Lock()
+	d.pending.push(pendingEvent{ev: ev, seq: d.seqCtr.Add(1)})
+	d.mu.Unlock()
+	d.ingested.Add(1)
+}
+
+// replayShape replays the scenario trace through the ingest rings with
+// explicit control over their size and the transport, returning the final
+// snapshot.
+func replayShape(sc *workload.Scenario, parallelism, queueSize int, stream bool, batch int) Metrics {
 	d := New(Config{
 		Shards:      4,
 		Grid:        sc.Grid,
@@ -21,47 +32,56 @@ func replayShape(sc *workload.Scenario, parallelism int, single bool, queueSize 
 		Travel:      travel,
 		NewPlanner:  searchFactory(),
 		Parallelism: parallelism,
-		SingleQueue: single,
 		QueueSize:   queueSize,
 	})
 	return LoadGen{Events: sc.Events(), T1: sc.T1, Stream: stream, Batch: batch}.Run(d).Metrics
 }
 
 // TestQueueShapeEquivalence is the sharded-queue property test's sequential
-// half: for one event stream, the sharded lock-free queue and the legacy
-// single channel must produce byte-identical snapshots at every parallelism
-// level. Lane routing spreads contention; the (Time, seq) pending order — not
-// lane interleaving — decides what the epochs see.
+// half: for one event stream, the sharded lock-free rings must produce
+// snapshots byte-identical to the serial oracle's at every parallelism level.
+// Lane routing spreads contention; the (Time, seq) pending order — not lane
+// interleaving — decides what the epochs see.
 func TestQueueShapeEquivalence(t *testing.T) {
 	sc := testScenario(t)
-	ref := digest(replayShape(sc, 1, true, 0, false, 0))
+	oracle := New(Config{
+		Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
+		Travel: travel, NewPlanner: searchFactory(), Parallelism: 1,
+	})
+	for _, ev := range sc.Events() {
+		for oracle.Now() < ev.Time {
+			oracle.Tick()
+		}
+		serialIngest(oracle, traceEvent(ev))
+	}
+	oracle.Advance(sc.T1)
+	ref := digest(oracle.Snapshot())
 	for _, parallelism := range []int{1, 4, 0} {
-		sharded := digest(replayShape(sc, parallelism, false, 0, false, 0))
+		sharded := digest(replayShape(sc, parallelism, 0, false, 0))
 		if sharded != ref {
-			t.Fatalf("parallelism %d: sharded queue diverged from channel:\n got %s\nwant %s",
+			t.Fatalf("parallelism %d: sharded queue diverged from serial ingest:\n got %s\nwant %s",
 				parallelism, sharded, ref)
 		}
 	}
 }
 
-// TestQueueSpillEquivalence drives both queue shapes through the full-queue
-// spill-to-pending branch: a queue sized far below the burst forces every
-// producer past the ring/channel into the pending heap, and the outcome must
-// still match an amply-sized queue exactly. QueueSize 8 clamps the sharded
-// queue to its 64-slot lane minimum, so the 500-event single-cell burst
-// overflows the one lane it routes to by ~8x.
+// TestQueueSpillEquivalence drives the rings through the full-queue
+// spill-to-pending branch: a queue sized far below the burst forces the
+// producer past the ring into the pending heap, and the outcome must still
+// match both an amply-sized queue and the serial oracle exactly. QueueSize 8
+// clamps the sharded queue to its 64-slot lane minimum, so the 500-event
+// single-cell burst overflows the one lane it routes to by ~8x.
 func TestQueueSpillEquivalence(t *testing.T) {
-	run := func(single bool, queueSize int) Metrics {
+	run := func(ingest func(*Dispatcher, Event), queueSize int) Metrics {
 		d := New(Config{
 			Shards: 2, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: 1,
-			Travel: travel, NewPlanner: greedyFactory(),
-			SingleQueue: single, QueueSize: queueSize,
+			Travel: travel, NewPlanner: greedyFactory(), QueueSize: queueSize,
 		})
-		d.Ingest(Event{Time: 0, Kind: KindWorkerOnline,
+		ingest(d, Event{Time: 0, Kind: KindWorkerOnline,
 			Worker: &core.Worker{ID: 1, Loc: geo.Point{X: 3}, Reach: 1, On: 0, Off: 1000}})
 		const n = 500
 		for i := 0; i < n; i++ {
-			d.Ingest(Event{Time: 0, Kind: KindTaskSubmit,
+			ingest(d, Event{Time: 0, Kind: KindTaskSubmit,
 				Task: &core.Task{ID: i + 1, Loc: geo.Point{X: 3}, Pub: 0, Exp: 40, Cell: -1}})
 		}
 		if !d.Quiesce(1000) {
@@ -69,17 +89,15 @@ func TestQueueSpillEquivalence(t *testing.T) {
 		}
 		return d.Snapshot()
 	}
-	ref := digest(run(true, 4096))
+	ref := digest(run(serialIngest, 4096))
 	for _, tc := range []struct {
 		name      string
-		single    bool
 		queueSize int
 	}{
-		{"sharded/spill", false, 8},
-		{"sharded/ample", false, 4096},
-		{"channel/spill", true, 8},
+		{"spill", 8},
+		{"ample", 4096},
 	} {
-		if got := digest(run(tc.single, tc.queueSize)); got != ref {
+		if got := digest(run((*Dispatcher).Ingest, tc.queueSize)); got != ref {
 			t.Fatalf("%s diverged:\n got %s\nwant %s", tc.name, got, ref)
 		}
 	}
@@ -90,8 +108,8 @@ func TestQueueSpillEquivalence(t *testing.T) {
 // outcome. Each event carries a globally unique time, so the pending heap's
 // (Time, seq) order is a pure function of the trace regardless of which
 // producer's push lands first — and the post-Quiesce snapshot must equal the
-// sequential single-channel replay of the same stream, run after run. The
-// queue is sized to force concurrent spill-to-pending on top of ring pushes.
+// serial oracle's ingest of the same stream, run after run. The queue is
+// sized to force concurrent spill-to-pending on top of ring pushes.
 func TestConcurrentProducersDeterministic(t *testing.T) {
 	sc := testScenario(t)
 	base := sc.Events()
@@ -103,15 +121,14 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 		// bucketing is unchanged.
 		events[i].Time += float64(i) * 1e-6
 	}
-	run := func(producers int, single bool, queueSize int) Metrics {
+	run := func(producers int) Metrics {
 		d := New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			Travel: travel, NewPlanner: searchFactory(),
-			SingleQueue: single, QueueSize: queueSize,
+			Travel: travel, NewPlanner: searchFactory(), QueueSize: 64,
 		})
-		if producers <= 1 {
+		if producers == 0 {
 			for _, ev := range events {
-				d.Ingest(traceEvent(ev))
+				serialIngest(d, traceEvent(ev))
 			}
 		} else {
 			var wg sync.WaitGroup
@@ -131,27 +148,16 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 		}
 		return d.Snapshot()
 	}
-	ref := digest(run(1, true, 0))
+	ref := digest(run(0))
 	for run2 := 0; run2 < 2; run2++ {
 		for _, producers := range []int{2, 4, 8} {
-			got := digest(run(producers, false, 64))
+			got := digest(run(producers))
 			if got != ref {
-				t.Fatalf("run %d, %d producers: sharded queue diverged from sequential channel:\n got %s\nwant %s",
+				t.Fatalf("run %d, %d producers: sharded queue diverged from serial ingest:\n got %s\nwant %s",
 					run2, producers, got, ref)
 			}
 		}
 	}
-}
-
-// traceEvent converts a workload trace event to a dispatcher ingest event.
-func traceEvent(ev workload.Event) Event {
-	switch ev.Kind {
-	case workload.WorkerOnline:
-		return Event{Time: ev.Time, Kind: KindWorkerOnline, Worker: ev.Worker}
-	case workload.TaskSubmit:
-		return Event{Time: ev.Time, Kind: KindTaskSubmit, Task: ev.Task}
-	}
-	panic(fmt.Sprintf("unknown trace event kind %v", ev.Kind))
 }
 
 // TestTransportEquivalence pins determinism across transports: the batched
@@ -160,10 +166,10 @@ func traceEvent(ev workload.Event) Event {
 // and batch size, including single-event frames.
 func TestTransportEquivalence(t *testing.T) {
 	sc := testScenario(t)
-	ref := digest(replayShape(sc, 1, false, 0, false, 0))
+	ref := digest(replayShape(sc, 1, 0, false, 0))
 	for _, parallelism := range []int{1, 4, 0} {
 		for _, batch := range []int{1, 256} {
-			got := digest(replayShape(sc, parallelism, false, 0, true, batch))
+			got := digest(replayShape(sc, parallelism, 0, true, batch))
 			if got != ref {
 				t.Fatalf("parallelism %d batch %d: stream transport diverged:\n got %s\nwant %s",
 					parallelism, batch, got, ref)

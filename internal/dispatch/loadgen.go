@@ -57,75 +57,48 @@ type LoadResult struct {
 
 // Run replays the trace. The caller must not Advance or Serve the dispatcher
 // concurrently: LoadGen owns the epoch clock for the duration of the replay.
+//
+// The replay walks the trace in due-batches — maximal runs of events already
+// ingestible at the current clock, capped per transport — and runs every
+// epoch strictly before a batch's first instant, so each event is in the
+// queue when the epoch covering its Time executes. Only delivery differs by
+// transport: the per-event transport caps a batch at one event and hands it
+// to Ingest; the stream transport encodes the batch as one wire frame,
+// decodes it into a reused buffer and batch-ingests it. Both therefore admit
+// every event at the same planning instant.
 func (g LoadGen) Run(d *Dispatcher) LoadResult {
+	batchCap := 1
+	deliver := func(due []workload.Event) { d.Ingest(traceEvent(due[0])) }
 	if g.Stream {
-		return g.runStream(d)
-	}
-	start := time.Now() //datawa:wallclock replay pacing and wall-time report, sanctioned LoadGen use
-	var interval time.Duration
-	if g.Rate > 0 {
-		interval = time.Duration(float64(time.Second) / g.Rate)
-	}
-	next := start
-	for _, ev := range g.Events {
-		// Run every epoch strictly before the event's instant, so the event
-		// is in the queue when the epoch covering its Time executes.
-		for d.Now() < ev.Time {
-			d.Tick()
+		if batchCap = g.Batch; batchCap <= 0 {
+			batchCap = 256
 		}
-		switch ev.Kind {
-		case workload.WorkerOnline:
-			d.Ingest(Event{Time: ev.Time, Kind: KindWorkerOnline, Worker: ev.Worker})
-		case workload.TaskSubmit:
-			d.Ingest(Event{Time: ev.Time, Kind: KindTaskSubmit, Task: ev.Task})
-		}
-		if interval > 0 {
-			next = next.Add(interval)
-			if wait := time.Until(next); wait > 0 { //datawa:wallclock replay pacing, sanctioned LoadGen use
-				time.Sleep(wait)
+		var (
+			batch   = make([]wire.Event, 0, batchCap)
+			decoded = make([]wire.Event, 0, batchCap)
+			frame   []byte
+		)
+		deliver = func(due []workload.Event) {
+			batch = batch[:0]
+			for _, ev := range due {
+				batch = append(batch, wireEvent(ev))
+			}
+			var err error
+			if frame, err = wire.AppendFrame(frame[:0], batch); err != nil {
+				panic(fmt.Sprintf("loadgen: trace event does not encode: %v", err))
+			}
+			if decoded, _, err = wire.DecodeFrame(frame, decoded[:0]); err != nil {
+				panic(fmt.Sprintf("loadgen: frame does not decode: %v", err))
+			}
+			if _, rej := d.IngestBatch(decoded); rej > 0 {
+				panic(fmt.Sprintf("loadgen: %d trace events rejected by IngestBatch", rej))
 			}
 		}
 	}
-	// The replay ends at the logical horizon unconditionally: progress is
-	// driven by the epoch clock, never by awaiting per-event outcomes, so
-	// events the dispatcher shed under admission control end the replay as
-	// counters, not as a hang.
-	d.Advance(g.T1)
-	wall := time.Since(start) //datawa:wallclock achieved-rate report, sanctioned LoadGen use
-	m := d.Snapshot()
-	res := LoadResult{
-		Events:   len(g.Events),
-		Wall:     wall,
-		Shed:     m.Shed,
-		Deferred: m.Deferred,
-		Metrics:  m,
-	}
-	if wall > 0 {
-		res.AchievedRate = float64(res.Events) / wall.Seconds()
-	}
-	return res
-}
-
-// runStream is the binary-stream replay: it walks the trace in due-batches —
-// maximal runs of events already ingestible at the current clock — encodes
-// each as one wire frame, decodes it into a reused buffer, and batch-ingests
-// it. Ticking happens exactly when the per-event loop would tick (before the
-// first not-yet-due event), so both transports admit every event at the same
-// planning instant.
-func (g LoadGen) runStream(d *Dispatcher) LoadResult {
-	batchCap := g.Batch
-	if batchCap <= 0 {
-		batchCap = 256
-	}
 	var interval time.Duration
 	if g.Rate > 0 {
 		interval = time.Duration(float64(time.Second) / g.Rate)
 	}
-	var (
-		batch   = make([]wire.Event, 0, batchCap)
-		decoded = make([]wire.Event, 0, batchCap)
-		frame   []byte
-	)
 	start := time.Now() //datawa:wallclock replay pacing and wall-time report, sanctioned LoadGen use
 	next := start
 	for i := 0; i < len(g.Events); {
@@ -133,28 +106,23 @@ func (g LoadGen) runStream(d *Dispatcher) LoadResult {
 			d.Tick()
 		}
 		now := d.Now()
-		batch = batch[:0]
-		for i < len(g.Events) && len(batch) < batchCap && g.Events[i].Time <= now {
-			batch = append(batch, wireEvent(g.Events[i]))
-			i++
+		j := i + 1
+		for j < len(g.Events) && j-i < batchCap && g.Events[j].Time <= now {
+			j++
 		}
-		var err error
-		if frame, err = wire.AppendFrame(frame[:0], batch); err != nil {
-			panic(fmt.Sprintf("loadgen: trace event does not encode: %v", err))
-		}
-		if decoded, _, err = wire.DecodeFrame(frame, decoded[:0]); err != nil {
-			panic(fmt.Sprintf("loadgen: frame does not decode: %v", err))
-		}
-		if _, rej := d.IngestBatch(decoded); rej > 0 {
-			panic(fmt.Sprintf("loadgen: %d trace events rejected by IngestBatch", rej))
-		}
+		deliver(g.Events[i:j])
 		if interval > 0 {
-			next = next.Add(time.Duration(len(batch)) * interval)
+			next = next.Add(time.Duration(j-i) * interval)
 			if wait := time.Until(next); wait > 0 { //datawa:wallclock replay pacing, sanctioned LoadGen use
 				time.Sleep(wait)
 			}
 		}
+		i = j
 	}
+	// The replay ends at the logical horizon unconditionally: progress is
+	// driven by the epoch clock, never by awaiting per-event outcomes, so
+	// events the dispatcher shed under admission control end the replay as
+	// counters, not as a hang.
 	d.Advance(g.T1)
 	wall := time.Since(start) //datawa:wallclock achieved-rate report, sanctioned LoadGen use
 	m := d.Snapshot()
@@ -166,6 +134,17 @@ func (g LoadGen) runStream(d *Dispatcher) LoadResult {
 		res.AchievedRate = float64(res.Events) / wall.Seconds()
 	}
 	return res
+}
+
+// traceEvent converts one trace event to a dispatcher ingest event.
+func traceEvent(ev workload.Event) Event {
+	switch ev.Kind {
+	case workload.WorkerOnline:
+		return Event{Time: ev.Time, Kind: KindWorkerOnline, Worker: ev.Worker}
+	case workload.TaskSubmit:
+		return Event{Time: ev.Time, Kind: KindTaskSubmit, Task: ev.Task}
+	}
+	panic(fmt.Sprintf("loadgen: unknown trace event kind %v", ev.Kind))
 }
 
 // wireEvent converts one trace event to its wire form.

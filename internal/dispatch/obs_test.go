@@ -18,41 +18,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTraceRingWraparound is the wrap-around property for the epoch trace
-// ring: after M adds into a depth-D ring, last(n) must return the newest
-// min(n, min(M, D)) records, oldest first, for every n — including the
-// full/partial boundary and n > retained.
-func TestTraceRingWraparound(t *testing.T) {
-	for _, depth := range []int{1, 2, 3, 7} {
-		for adds := 0; adds <= 3*depth; adds++ {
-			r := newTraceRing(depth)
-			for i := 0; i < adds; i++ {
-				r.add(EpochTrace{Epoch: i, Now: float64(i)})
-			}
-			retained := adds
-			if retained > depth {
-				retained = depth
-			}
-			for _, n := range []int{0, 1, depth - 1, depth, depth + 3, -1} {
-				got := r.last(n)
-				want := retained
-				if n > 0 && n < want {
-					want = n
-				}
-				if len(got) != want {
-					t.Fatalf("depth=%d adds=%d last(%d): %d records, want %d", depth, adds, n, len(got), want)
-				}
-				for j, e := range got {
-					exp := adds - want + j
-					if e.Epoch != exp {
-						t.Fatalf("depth=%d adds=%d last(%d)[%d]: epoch %d, want %d (not oldest-first)", depth, adds, n, j, e.Epoch, exp)
-					}
-				}
-			}
-		}
-	}
-}
-
 // promFamily is one metric family seen in a /metrics scrape.
 type promFamily struct {
 	typ    string
@@ -253,7 +218,7 @@ func TestPrometheusExpositionLint(t *testing.T) {
 			t.Errorf("%s{%s}: _count %g != datawa_epochs_total %g", k.fam, k.labels, c, epochsTotal)
 		}
 	}
-	for i, stage := range stageNames {
+	for i, stage := range []string{"drain", "admission", "reghost", "forecast", "step", "arbitration"} {
 		k := histKey{"datawa_stage_wall_seconds", fmt.Sprintf("stage=%q", stage)}
 		if _, ok := counts[k]; !ok {
 			t.Errorf("stage %d (%s) has no _count series", i, stage)
@@ -524,13 +489,15 @@ func TestChromeTraceEndpoint(t *testing.T) {
 		t.Fatal("trace has no complete events")
 	}
 
-	resp, err = http.Get(srv.URL + "/v1/trace.json?n=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("GET /v1/trace.json?n=bogus: status %d, want 400", resp.StatusCode)
+	for _, q := range []string{"bogus", "-1"} {
+		resp, err = http.Get(srv.URL + "/v1/trace.json?n=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("GET /v1/trace.json?n=%s: status %d, want 400", q, resp.StatusCode)
+		}
 	}
 }
 

@@ -52,22 +52,6 @@ func (c ObsConfig) withDefaults() ObsConfig {
 	return c
 }
 
-// Stage indices for the per-stage histograms and span names. Every stage is
-// observed every epoch — stages that did not run observe a ~zero duration —
-// so each stage histogram's _count equals datawa_epochs_total, which the
-// exposition-lint test relies on.
-const (
-	stageDrain = iota
-	stageAdmission
-	stageReGhost
-	stageForecast
-	stageStep
-	stageArbitration
-	numStages
-)
-
-var stageNames = [numStages]string{"drain", "admission", "reghost", "forecast", "step", "arbitration"}
-
 // obsState is the dispatcher's observability state, mutated only under the
 // epoch lock. The histograms always exist; spans/ledger/flight are nil when
 // the corresponding ObsConfig knob is off. base is the wall origin all span
@@ -82,16 +66,15 @@ type obsState struct {
 	ledger    *obs.Ledger
 	flight    *obs.FlightRing
 
-	// Per-tick scratch: the logical position stamps ledger records, cur
-	// accumulates the epoch's spans, arbitrated collects task ids resolved
-	// by this tick's arbitration so their stale machine disposals are
-	// skipped, shardSpan holds per-shard Step spans written inside the
-	// parallel region (one slot per shard, no sharing).
+	// Per-tick scratch: the logical position stamps ledger records, mark is
+	// the last stage boundary (see runStage), cur accumulates the epoch's
+	// spans, arbitrated collects task ids resolved by this tick's arbitration
+	// so their stale machine disposals are skipped.
 	epoch      int
 	now        float64
+	mark       time.Time
 	cur        []obs.Span
 	arbitrated map[int]bool
-	shardSpan  []obs.Span
 
 	// Flight trigger baselines and cooldown.
 	flightAfter    int
@@ -100,7 +83,7 @@ type obsState struct {
 	lastViolations int64
 }
 
-func newObsState(cfg ObsConfig, shards int) *obsState {
+func newObsState(cfg ObsConfig) *obsState {
 	o := &obsState{cfg: cfg.withDefaults(), base: time.Now()} //datawa:wallclock span timebase, observability only
 	o.epochHist = obs.NewLatencyHistogram()
 	for i := range o.stageHist {
@@ -108,7 +91,6 @@ func newObsState(cfg ObsConfig, shards int) *obsState {
 	}
 	if o.cfg.Spans > 0 {
 		o.spans = obs.NewSpanRing(o.cfg.Spans)
-		o.shardSpan = make([]obs.Span, shards)
 	}
 	if o.cfg.LedgerTasks > 0 {
 		o.ledger = obs.NewLedger(o.cfg.LedgerTasks)
@@ -118,19 +100,6 @@ func newObsState(cfg ObsConfig, shards int) *obsState {
 		o.flight = obs.NewFlightRing(o.cfg.FlightMax)
 	}
 	return o
-}
-
-// observe records one stage's wall time and, when asked, its span. Called
-// once per stage per tick so stage _count stays locked to the epoch count.
-func (o *obsState) observe(stage int, start time.Time, n int, detail string, span bool) {
-	dur := time.Since(start) //datawa:wallclock stage histogram sample, observability only
-	o.stageHist[stage].Observe(dur.Seconds())
-	if span && o.spans != nil {
-		o.cur = append(o.cur, obs.Span{
-			Name: stageNames[stage], Track: 0, N: n, Detail: detail,
-			StartNS: start.Sub(o.base).Nanoseconds(), DurNS: dur.Nanoseconds(),
-		})
-	}
 }
 
 // span appends an ad-hoc span (arbitration rounds, retraction resumes).
@@ -208,9 +177,9 @@ func (d *Dispatcher) maybeFlightLocked(t float64) {
 		violations = o.ledger.Violations()
 	}
 	overBudget := false
-	if d.gov != nil && d.costs != nil {
-		for i := range d.shards {
-			if d.costs[i] > d.cfg.Governor.Budget {
+	if d.gov != nil {
+		for _, p := range d.probe {
+			if p.cost > d.cfg.Governor.Budget {
 				overBudget = true
 				break
 			}
@@ -340,7 +309,7 @@ func (d *Dispatcher) Histograms() (epoch obs.HistogramSnapshot, stages []StageHi
 	epoch = d.ob.epochHist.Snapshot()
 	stages = make([]StageHistogram, numStages)
 	for i := range d.ob.stageHist {
-		stages[i] = StageHistogram{Stage: stageNames[i], Data: d.ob.stageHist[i].Snapshot()}
+		stages[i] = StageHistogram{Stage: epochStages[i].name, Data: d.ob.stageHist[i].Snapshot()}
 	}
 	return epoch, stages
 }

@@ -9,9 +9,9 @@ import (
 // heap orders drained events by (Time, seq), so the heap — not lane
 // interleaving — defines the order events apply in; lane routing is purely a
 // contention-spreading decision. For a single producer, enqueue-time
-// stamping assigns exactly the arrival order the legacy channel's drain-time
-// stamping assigned, which is what keeps replays byte-identical across both
-// queue shapes (the property tests pin this).
+// stamping assigns exactly the arrival order, so a replay is byte-identical
+// to pushing the same stream straight onto the heap under the epoch lock
+// (the queue-shape property tests keep that serial ingest as their oracle).
 type stampedEvent struct {
 	ev  Event
 	seq int64
@@ -94,8 +94,7 @@ func (l *ingestLane) pop() (stampedEvent, bool) {
 }
 
 // depth is the published-but-unconsumed count. Exact under the epoch lock
-// (no concurrent consumer); a racing producer can make it stale by one, which
-// is no worse than len(chan) was.
+// (no concurrent consumer); a racing producer can make it stale by one.
 //
 //datawa:hotpath
 func (l *ingestLane) depth() int {
@@ -107,24 +106,19 @@ func (l *ingestLane) depth() int {
 }
 
 // shardedQueue is the ingest queue sharded by grid cell: one lane per shard,
-// so producers for different regions never touch the same cache lines, plus
-// one overflow lane for events that carry no location (offline, cancel)
-// routed by id. Total capacity ≈ QueueSize, split evenly.
-type shardedQueue struct {
-	lanes []*ingestLane
-}
+// so producers for different regions never touch the same cache lines;
+// events that carry no location (offline, cancel) are routed by id. Total
+// capacity ≈ QueueSize, split evenly.
+type shardedQueue []*ingestLane
 
-func newShardedQueue(lanes, capacity int) *shardedQueue {
-	if lanes < 1 {
-		lanes = 1
-	}
+func newShardedQueue(lanes, capacity int) shardedQueue {
 	per := capacity / lanes
 	if per < 64 {
 		per = 64
 	}
-	q := &shardedQueue{lanes: make([]*ingestLane, lanes)}
-	for i := range q.lanes {
-		q.lanes[i] = newIngestLane(per)
+	q := make(shardedQueue, lanes)
+	for i := range q {
+		q[i] = newIngestLane(per)
 	}
 	return q
 }
@@ -136,34 +130,118 @@ func newShardedQueue(lanes, capacity int) *shardedQueue {
 //datawa:hotpath
 func (d *Dispatcher) laneOf(ev Event) *ingestLane {
 	q := d.rings
-	n := len(q.lanes)
+	n := len(q)
 	if n == 1 {
-		return q.lanes[0]
+		return q[0]
 	}
 	switch ev.Kind {
 	case KindWorkerOnline:
 		if ev.Worker != nil {
-			return q.lanes[d.shardOf(ev.Worker.Loc)]
+			return q[d.shardOf(ev.Worker.Loc)]
 		}
 	case KindTaskSubmit:
 		if ev.Task != nil {
-			return q.lanes[d.shardOf(ev.Task.Loc)]
+			return q[d.shardOf(ev.Task.Loc)]
 		}
 	case KindPosition:
-		return q.lanes[d.shardOf(ev.Loc)]
+		return q[d.shardOf(ev.Loc)]
 	}
 	id := ev.ID
 	if id < 0 {
 		id = -id
 	}
-	return q.lanes[id%n]
+	return q[id%n]
 }
 
 //datawa:hotpath
-func (q *shardedQueue) depth() int {
+func (q shardedQueue) depth() int {
 	n := 0
-	for _, l := range q.lanes {
+	for _, l := range q {
 		n += l.depth()
 	}
 	return n
+}
+
+// drainLocked moves queued events into the pending heap without blocking,
+// returning how many it moved. Lanes carry enqueue-time sequence numbers and
+// the heap orders events by (time, sequence), so lane interleaving never
+// changes what an epoch sees.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) drainLocked() int {
+	n := 0
+	for _, l := range d.rings {
+		for {
+			se, ok := l.pop()
+			if !ok {
+				break
+			}
+			d.pending.push(pendingEvent{ev: se.ev, seq: se.seq})
+			n++
+		}
+	}
+	return n
+}
+
+// pendingEvent orders drained events by effect time, ingest order breaking
+// ties, so due extraction is logarithmic in the backlog size.
+type pendingEvent struct {
+	ev  Event
+	seq int64
+	// requeued marks an admission-control deferral: the event already went
+	// through first-application side effects (forecast feed) once.
+	requeued bool
+}
+
+// eventHeap is a concrete min-heap by (Time, seq). Hand-rolled rather than
+// container/heap: the interface's Push(any)/Pop() box every element, which
+// was one heap allocation per ingested event on the steady-state path the
+// alloc gates pin at zero.
+type eventHeap []pendingEvent
+
+func (h eventHeap) less(i, j int) bool {
+	if h[i].ev.Time != h[j].ev.Time {
+		return h[i].ev.Time < h[j].ev.Time
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *eventHeap) push(pe pendingEvent) {
+	*h = append(*h, pe)
+	s := *h
+	// Sift up.
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() pendingEvent {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = pendingEvent{} // release the Task/Worker pointers
+	*h = s[:n]
+	// Sift down.
+	s = s[:n]
+	for i := 0; ; {
+		kid := 2*i + 1
+		if kid >= n {
+			break
+		}
+		if r := kid + 1; r < n && s.less(r, kid) {
+			kid = r
+		}
+		if !s.less(kid, i) {
+			break
+		}
+		s[i], s[kid] = s[kid], s[i]
+		i = kid
+	}
+	return top
 }

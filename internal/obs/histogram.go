@@ -9,9 +9,10 @@ import (
 // Histogram is a log-bucketed latency histogram in the Prometheus shape:
 // fixed upper bounds, cumulative export, a sum and a count. Buckets are
 // log-spaced so one histogram covers microsecond planner steps and
-// multi-second overload epochs with bounded relative error; exact quantiles
-// stay with the dispatcher's latency ring — the histogram is the wire format,
-// not the SLA arbiter.
+// multi-second overload epochs with bounded relative error. Quantile reads
+// percentiles off the buckets the way a PromQL query over the exposition
+// would; exact per-epoch timing belongs to whoever times the epoch from
+// outside (the repository benchmark does).
 type Histogram struct {
 	bounds []float64 // upper bounds, ascending; +Inf is implicit
 	counts []uint64  // len(bounds)+1; last is the overflow bucket
@@ -54,6 +55,35 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
+// Quantile estimates the q-quantile (q clamped to [0, 1]) from the buckets by
+// Prometheus's histogram_quantile convention: the rank q·count falls in the
+// first bucket whose cumulative count reaches it, and the estimate is
+// interpolated linearly between that bucket's bounds (the first bucket's
+// lower bound is 0). A rank in the +Inf overflow bucket reports the highest
+// finite bound. An empty histogram reports 0 rather than NaN, so snapshots
+// stay JSON-encodable before the first epoch.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h.count == 0 {
+		return 0
+	}
+	rank := math.Min(math.Max(q, 0), 1) * float64(h.count)
+	var below uint64 // samples in the buckets before i
+	for i, c := range h.counts {
+		if c > 0 && float64(below+c) >= rank {
+			if i == len(h.bounds) {
+				break
+			}
+			lo := 0.0
+			if i > 0 {
+				lo = h.bounds[i-1]
+			}
+			return lo + (h.bounds[i]-lo)*(rank-float64(below))/float64(c)
+		}
+		below += c
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
 // HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {
 	// Bounds are the bucket upper bounds; Counts the per-bucket (not
@@ -73,6 +103,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Sum:    h.sum,
 		Count:  h.count,
 	}
+}
+
+// Quantile is Histogram.Quantile over the snapshot's buckets.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	return (&Histogram{bounds: s.Bounds, counts: s.Counts, count: s.Count}).Quantile(q)
 }
 
 // AppendProm writes the snapshot as Prometheus text-exposition series —

@@ -3,6 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -203,6 +206,56 @@ func TestHistogramBucketsAndExposition(t *testing.T) {
 	s.AppendProm(&b2, "y_seconds", "")
 	if !strings.Contains(b2.String(), `y_seconds_bucket{le="+Inf"} 4`) {
 		t.Fatalf("unlabelled exposition malformed:\n%s", b2.String())
+	}
+}
+
+// TestHistogramQuantile pins the histogram_quantile convention: an empty
+// histogram reads 0, a rank in the +Inf bucket reads the top finite bound,
+// quantiles are monotone in q, and on a seeded sample every estimate lands in
+// the bucket that holds the exact order statistic or on its boundary — the
+// one-bucket error a log-bucketed estimate is allowed.
+func TestHistogramQuantile(t *testing.T) {
+	h := NewLatencyHistogram()
+	if got := h.Quantile(0.95); got != 0 {
+		t.Fatalf("empty histogram p95 = %g, want 0", got)
+	}
+	h.Observe(1e6) // far past the 100 s top bound
+	top := h.bounds[len(h.bounds)-1]
+	if got := h.Quantile(0.5); got != top {
+		t.Fatalf("overflow-bucket p50 = %g, want the top bound %g", got, top)
+	}
+
+	h = NewLatencyHistogram()
+	rng := rand.New(rand.NewSource(7))
+	sample := make([]float64, 2000)
+	for i := range sample {
+		// Log-uniform over 10 µs … 1 s: the span epochs actually cover.
+		sample[i] = 1e-5 * math.Pow(10, 5*rng.Float64())
+		h.Observe(sample[i])
+	}
+	sort.Float64s(sample)
+	bucketOf := func(v float64) int { return sort.SearchFloat64s(h.bounds, v) }
+	prev := 0.0
+	for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
+		got := h.Quantile(q)
+		if got < prev {
+			t.Fatalf("q=%g: estimate %g below the previous quantile %g", q, got, prev)
+		}
+		prev = got
+		// The exact order statistic of rank ⌈q·n⌉ (1-based), as Prometheus
+		// defines the rank.
+		k := int(math.Ceil(q*float64(len(sample)))) - 1
+		if k < 0 {
+			k = 0
+		}
+		exact := sample[k]
+		if d := bucketOf(got) - bucketOf(exact); d < -1 || d > 0 {
+			t.Fatalf("q=%g: estimate %g (bucket %d) is not within the bucket of the exact order statistic %g (bucket %d)",
+				q, got, bucketOf(got), exact, bucketOf(exact))
+		}
+		if snap := h.Snapshot().Quantile(q); snap != got {
+			t.Fatalf("q=%g: snapshot quantile %g != live quantile %g", q, snap, got)
+		}
 	}
 }
 

@@ -6,10 +6,11 @@
 #
 #   1. gofmt         — formatting, including analyzer testdata fixtures
 #   2. go vet        — the stock analyzers
-#   3. staticcheck   — pinned via go.mod (see tools.go); skipped with a
-#                      warning when the module cache is cold and the network
-#                      is unreachable, so offline dev containers still get
-#                      the rest of the suite
+#   3. staticcheck   — pinned on the command line below (the module has no
+#                      dependencies, so go.mod carries no tool pin); skipped
+#                      with a warning when the module cache is cold and the
+#                      network is unreachable, so offline dev containers
+#                      still get the rest of the suite
 #   4. datawa-lint   — the repo's own go/analysis suite (determinism, lock
 #                      discipline, hot-path allocations, exposition format),
 #                      built from source and run through go vet -vettool so
@@ -31,13 +32,14 @@ echo "== go vet =="
 go vet ./... || fail=1
 
 echo "== staticcheck =="
-# Probe with GOFLAGS=-mod=mod disabled and network-free resolution first: if
-# the pinned module is neither in the build cache nor downloadable, skip
-# rather than fail — CI always runs it, so nothing merges unchecked.
-if GOPROXY=off go run honnef.co/go/tools/cmd/staticcheck -debug.version >/dev/null 2>&1; then
-    go run honnef.co/go/tools/cmd/staticcheck ./... || fail=1
-elif go run honnef.co/go/tools/cmd/staticcheck -debug.version >/dev/null 2>&1; then
-    go run honnef.co/go/tools/cmd/staticcheck ./... || fail=1
+# The same release CI runs. Probe with network-free resolution first: if the
+# pinned module is neither in the module cache nor downloadable, skip rather
+# than fail — CI always runs it, so nothing merges unchecked.
+staticcheck=honnef.co/go/tools/cmd/staticcheck@v0.6.1
+if GOPROXY=off go run "$staticcheck" -debug.version >/dev/null 2>&1; then
+    GOPROXY=off go run "$staticcheck" ./... || fail=1
+elif go run "$staticcheck" -debug.version >/dev/null 2>&1; then
+    go run "$staticcheck" ./... || fail=1
 else
     echo "staticcheck unavailable (cold module cache, no network); skipping — CI still runs it"
 fi
