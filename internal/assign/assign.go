@@ -422,20 +422,25 @@ type searchRun struct {
 
 	// Per tree.
 	tasks   []int32 // the tree's universe as pool positions, pool order
-	avail   []bool  // availability by universe position
+	avail   []bool  // availability by universe position, on the plain walk
 	nodes   int
 	greedy  int
 	samples []tvf.Sample
-	// The transposition table (transposition.go), for the trees memo is set
-	// on. availWord mirrors avail, bit p for universe position p, across the
-	// exact search's own marks — expand keeps it; greedy completion, which
-	// restores what it marks before anything is looked up again, does not.
-	// relOff and rel are the per-(node, j) relevance masks; reused counts the
-	// nodes taken from table entries instead of expanded.
+	// The word path (transposition.go), for the trees memo is set on: the
+	// universe fits one word, and availWord — bit p for universe position p —
+	// is the tree's availability, avail staying unused. Everything else is
+	// laid out once per tree by row, one row per (node, j): relOff and rel are
+	// the relevance masks the transposition table keys on, reachWord the
+	// tasks the row's worker n.Index[j] reaches and seqs its Q_w as universe
+	// words, out of arena. reused counts the nodes taken from table entries
+	// instead of expanded.
 	memo      bool
 	availWord uint64
 	relOff    []int32
 	rel       []uint64
+	reachWord []uint64
+	seqs      []seqRow
+	arena     seqArena
 	reused    int
 	table     transTable
 	// stack holds the plans under construction as (worker, sequence)
@@ -479,19 +484,19 @@ type level struct {
 // to r.out.
 func (r *searchRun) searchTree(root *wds.TreeNode, universe []int32) treeResult {
 	r.tasks = universe
-	r.avail = slices.Grow(r.avail[:0], len(universe))[:len(universe)]
-	for p := range r.avail {
-		r.avail[p] = true
-	}
-	r.availWord = ^uint64(0)
 	r.nodes, r.greedy, r.reused = 0, 0, 0
 	r.samples = nil // escapes into the result; never reuse the backing
 	r.stack = r.stack[:0]
 	r.open, r.stale = slices.Grow(r.open[:0], len(universe)), true
 	if r.memo = r.useMemo(root, len(universe)); r.memo {
-		r.relOff, r.rel = r.relOff[:0], r.rel[:0]
-		r.buildRelevance(root)
+		r.availWord = ^uint64(0)
+		r.layout(root)
 		r.table.reset()
+	} else {
+		r.avail = slices.Grow(r.avail[:0], len(universe))[:len(universe)]
+		for p := range r.avail {
+			r.avail[p] = true
+		}
 	}
 	if r.model != nil {
 		r.searchTVF(root, 0)
@@ -558,32 +563,27 @@ scan:
 	return -1
 }
 
-// mark sets the availability of every task of Seqs[k] and returns those tasks
-// as a universe word, for the caller that keeps availWord.
+// mark sets the availability of every task of Seqs[k].
 //
 //datawa:hotpath
-func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) (word uint64) {
+func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) {
 	words := set.Words()
 	for j, m := range set.Masks[k*words : (k+1)*words] {
 		for ; m != 0; m &= m - 1 {
-			p := local[j<<6+bits.TrailingZeros64(m)]
-			r.avail[p] = free
-			word |= 1 << uint(p)
+			r.avail[local[j<<6+bits.TrailingZeros64(m)]] = free
 		}
 	}
 	r.stale = true
-	return word
 }
 
-// markAll sets the availability of every task of a plan; the result is mark's.
+// markAll sets the availability of every task of a plan.
 //
 //datawa:hotpath
-func (r *searchRun) markAll(plan []choice, free bool) (word uint64) {
+func (r *searchRun) markAll(plan []choice, free bool) {
 	for _, c := range plan {
 		set, local := r.reach(c.w)
-		word |= r.mark(set, local, int(c.k), free)
+		r.mark(set, local, int(c.k), free)
 	}
-	return word
 }
 
 // search is Algorithm 1 on the workers n.Index[j:] and the subtrees below n.
@@ -608,6 +608,7 @@ func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 	if !r.memo {
 		return r.expand(n, j, d)
 	}
+	// No RL state on a memo tree: from here down d goes unread.
 	row := r.relOff[n.ID] + int32(j)
 	word := r.availWord & r.rel[row]
 	if e := r.table.lookup(row, word); e != nil && before+int(e.nodes) <= r.opts.MaxNodes {
@@ -617,17 +618,17 @@ func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 		return e.value
 	}
 	base := len(r.stack)
-	value := r.expand(n, j, d)
+	value := r.expandWords(n, j, row)
 	if r.nodes <= r.opts.MaxNodes { // past the budget no call of this tree looks anything up again
 		r.table.insert(row, word, value, r.nodes-before, r.stack[base:])
 	}
 	return value
 }
 
-// expand is the body of search. Workers of the node are considered in id
-// order; each worker branches over every usable q ∈ Q_w plus the skip option,
-// which preserves the optimum the paper's worker loop explores while avoiding
-// redundant permutations.
+// expand is the body of search on the plain walk. Workers of the node are
+// considered in id order; each worker branches over every usable q ∈ Q_w plus
+// the skip option, which preserves the optimum the paper's worker loop explores
+// while avoiding redundant permutations.
 func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 	base := len(r.stack)
 	if j == len(n.Index) {
@@ -637,9 +638,9 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 		for _, child := range n.Children {
 			from := len(r.stack)
 			total += r.search(child, 0, d+1)
-			r.availWord &^= r.markAll(r.stack[from:], false)
+			r.markAll(r.stack[from:], false)
 		}
-		r.availWord |= r.markAll(r.stack[base:], true)
+		r.markAll(r.stack[base:], true)
 		return total
 	}
 	// Below the last worker of a leaf node a call finds nothing to decide: it
@@ -669,9 +670,9 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 		if last {
 			v = r.emptyCall()
 		} else {
-			r.availWord &^= r.mark(set, local, k, false)
+			r.mark(set, local, k, false)
 			v = r.search(n, j+1, d+1)
-			r.availWord |= r.mark(set, local, k, true)
+			r.mark(set, local, k, true)
 		}
 		total := v + seqValue(set.Seqs[k], r.opts.VirtualWeight)
 		if total > best {
@@ -687,6 +688,65 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 			r.samples = append(r.samples, tvf.Sample{Features: feat, Opt: total})
 		}
 	}
+	return best
+}
+
+// expandWords is expand on a memo tree, at the given row: a sequence is usable
+// when its word lies inside the availability word, taking it clears the word,
+// and the branch is undone by putting the saved word back. A worker with no
+// reachable task free — most of a crowd instant's workers, most of the time —
+// is one AND against its reach word, not a scan of its Q_w.
+//
+// Sibling subtrees share no task (workers that share one are in the same
+// dependency component), so a child's plan is not taken out of availability
+// for the next child as the plain walk does: there only the RL state, which
+// lists the whole universe's open tasks, can tell.
+//
+//datawa:hotpath
+func (r *searchRun) expandWords(n *wds.TreeNode, j int, row int32) float64 {
+	if j == len(n.Index) {
+		total := 0.0
+		for _, child := range n.Children {
+			total += r.search(child, 0, 0)
+		}
+		return total
+	}
+	base := len(r.stack)
+	last := j+1 == len(n.Index) && len(n.Children) == 0 // see expand
+
+	var best float64
+	if last {
+		best = r.emptyCall()
+	} else {
+		best = r.search(n, j+1, 0)
+	}
+
+	avail := r.availWord
+	if avail&r.reachWord[row] == 0 {
+		return best
+	}
+	wi, q := n.Index[j], &r.seqs[row]
+	for k, word := range q.words {
+		if word&^avail != 0 {
+			continue
+		}
+		top := len(r.stack)
+		r.stack = append(r.stack, choice{wi, int32(k)})
+		var v float64
+		if last {
+			v = r.emptyCall()
+		} else {
+			r.availWord = avail &^ word
+			v = r.search(n, j+1, 0)
+		}
+		if total := v + q.vals[k]; total > best {
+			best = total
+			r.stack = r.stack[:base+copy(r.stack[base:], r.stack[top:])]
+		} else {
+			r.stack = r.stack[:top]
+		}
+	}
+	r.availWord = avail
 	return best
 }
 
@@ -706,6 +766,12 @@ func (r *searchRun) emptyCall() float64 {
 // one, Q_w being sorted best first. The plan is left on top of r.stack and
 // availability restored.
 func (r *searchRun) greedyComplete(n *wds.TreeNode, j int) float64 {
+	if r.memo {
+		avail := r.availWord
+		total := r.greedyFillWords(n, j)
+		r.availWord = avail
+		return total
+	}
 	base := len(r.stack)
 	total := r.greedyFill(n, j)
 	r.markAll(r.stack[base:], true)
@@ -727,6 +793,33 @@ func (r *searchRun) greedyFill(n *wds.TreeNode, j int) float64 {
 	}
 	for _, child := range n.Children {
 		total += r.greedyFill(child, 0)
+	}
+	return total
+}
+
+// greedyFillWords is greedyFill on a memo tree: it leaves its picks cleared
+// from availWord.
+//
+//datawa:hotpath
+func (r *searchRun) greedyFillWords(n *wds.TreeNode, j int) float64 {
+	row := r.relOff[n.ID] + int32(j)
+	total := 0.0
+	for _, wi := range n.Index[j:] {
+		if avail := r.availWord; avail&r.reachWord[row] != 0 {
+			q := &r.seqs[row]
+			for k, word := range q.words {
+				if word&^avail == 0 {
+					r.availWord = avail &^ word
+					r.stack = append(r.stack, choice{wi, int32(k)})
+					total += q.vals[k]
+					break
+				}
+			}
+		}
+		row++
+	}
+	for _, child := range n.Children {
+		total += r.greedyFillWords(child, 0)
 	}
 	return total
 }

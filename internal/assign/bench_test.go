@@ -125,23 +125,32 @@ func BenchmarkPlanScale(b *testing.B) {
 }
 
 // BenchmarkCrowdPlan measures one warm TPA call on the flash-crowd instant of
-// the event-spike archetype at 1.5x with the benchmark's 4000-node budget: the
-// regime where every tree's budget binds and the per-node candidate filter and
-// greedy completions set the epoch tail.
+// the event-spike archetype with the benchmark's 4000-node budget: the regime
+// where every tree's budget binds and the per-node candidate filter and greedy
+// completions set the epoch tail. At 1.5x every tree's universe fits one word
+// (the word path, transposition.go); at 5x the instant is one 113-task tree,
+// which takes the plain walk.
 func BenchmarkCrowdPlan(b *testing.B) {
 	a, _ := scenario.Get("event-spike")
-	crowd := atlasInstantsOf(a, 1.5)[0]
-	o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: 1}
-	s := &Search{Opts: o}
-	s.Plan(crowd.workers, crowd.tasks, crowd.now)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Plan(crowd.workers, crowd.tasks, crowd.now)
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"1.5x", 1.5}, {"5x", 5}} {
+		b.Run(c.name, func(b *testing.B) {
+			crowd := atlasInstantsOf(a, c.scale)[0]
+			o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: 1}
+			s := &Search{Opts: o}
+			s.Plan(crowd.workers, crowd.tasks, crowd.now)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Plan(crowd.workers, crowd.tasks, crowd.now)
+			}
+			b.ReportMetric(float64(s.NodesLastPlan), "nodes")
+			b.ReportMetric(float64(s.ExpandedLastPlan), "expanded")
+			b.ReportMetric(float64(s.GreedyCompletionsLastPlan), "greedy")
+		})
 	}
-	b.ReportMetric(float64(s.NodesLastPlan), "nodes")
-	b.ReportMetric(float64(s.ExpandedLastPlan), "expanded")
-	b.ReportMetric(float64(s.GreedyCompletionsLastPlan), "greedy")
 }
 
 // BenchmarkSSPPlan measures one warm scenario-sampling call (K=5) on the crowd

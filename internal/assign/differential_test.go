@@ -11,6 +11,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/scenario"
 	"repro/internal/tvf"
+	"repro/internal/wds"
 	"repro/internal/workload"
 )
 
@@ -114,11 +115,11 @@ func sameOutcome(t *testing.T, ref *refSearch, want core.Plan, s *Search, got co
 	}
 }
 
-// chainInstant is a one-row lattice: n tasks a step apart on a line, and a
-// worker every stride steps that reaches exactly span of them — neighbours
-// share span−stride tasks, so the whole row is one dependency component and
-// its universe is exactly the n tasks.
-func chainInstant(n, span, stride int) instant {
+// chainInstant is a one-row lattice: n tasks a step apart on a line, and every
+// stride steps a stack of workers, a hair apart, that each reach exactly span
+// of them — neighbouring stacks share span−stride tasks, so the whole row is
+// one dependency component and its universe is exactly the n tasks.
+func chainInstant(n, span, stride, stack int) instant {
 	const step = 0.1
 	in := instant{name: fmt.Sprintf("chain-%d", n)}
 	for i := 0; i < n; i++ {
@@ -126,11 +127,75 @@ func chainInstant(n, span, stride int) instant {
 	}
 	for i := 0; ; i++ {
 		first := min(stride*i, n-span)
-		in.workers = append(in.workers, worker(i+1, step*(float64(first)+float64(span-1)/2), 0, step*float64(span)/2, 0, 1e5))
+		for s := 0; s < stack; s++ {
+			in.workers = append(in.workers, worker(len(in.workers)+1,
+				step*(float64(first)+float64(span-1)/2), 0.001*float64(s), step*float64(span)/2, 0, 1e5))
+		}
 		if first == n-span {
 			return in
 		}
 	}
+}
+
+// valueTieInstant is a plan decided by the last bit of a sequence value. Worker
+// 1 can sweep west over tasks 1–3 (virtual, virtual, real) or east over 4–6
+// (real, virtual, virtual), nothing in between — deadlines forbid turning back —
+// and at a virtual weight of 0.1 seqValue sums the first to 1.2 and the second,
+// met second, to the double above it: east wins, but only if the values
+// compared are seqValue's running sums and not, say, 1 + 2·0.1. Workers 2 and 3
+// contend for task 7, virtual too, and make it a tree the word path takes.
+func valueTieInstant() instant {
+	in := instant{name: "value-tie"}
+	for i, x := range []float64{-0.1, -0.2, -0.3, 0.1, 0.2, 0.3} {
+		s := task(i+1, x, 0, 0, float64(10*(i%3+1)+1))
+		s.Virtual = i != 2 && i != 3
+		in.tasks = append(in.tasks, s)
+	}
+	in.tasks = append(in.tasks, vtask(7, 0, 0.3, 0, 31))
+	in.workers = []*core.Worker{worker(1, 0, 0, 0.35, 0, 1e5), worker(2, 0, 0.5, 0.25, 0, 1e5), worker(3, 0, 0.55, 0.3, 0, 1e5)}
+	return in
+}
+
+// wordPath asserts the planner searched its one tree (not flattened) — of the
+// given universe — on the availability word, and that the tree's layout is the
+// Separation's: every sequence's word is its tasks' universe positions and its
+// stored value is seqValue's, to the bit.
+func wordPath(t *testing.T, s *Search, universe int) {
+	t.Helper()
+	if len(s.taskOff) != 2 || int(s.taskOff[1]) != universe {
+		t.Fatalf("universes %v, want one of %d tasks", s.taskOff, universe)
+	}
+	run := &s.runs[0]
+	if !run.memo {
+		t.Fatal("the tree took the plain walk")
+	}
+	pos := make(map[*core.Task]int32)
+	for p, task := range run.sep.Tasks {
+		pos[task] = s.local[p]
+	}
+	var check func(n *wds.TreeNode)
+	check = func(n *wds.TreeNode) {
+		for j, wi := range n.Index {
+			set, q := &run.sep.Sets[wi], run.seqs[run.relOff[n.ID]+int32(j)]
+			if len(q.words) != len(set.Seqs) || len(q.vals) != len(set.Seqs) {
+				t.Fatalf("worker %d: %d words, %d values for %d sequences", wi, len(q.words), len(q.vals), len(set.Seqs))
+			}
+			for k, seq := range set.Seqs {
+				var word uint64
+				for _, task := range seq {
+					word |= 1 << uint(pos[task])
+				}
+				if q.words[k] != word || q.vals[k] != seqValue(seq, run.opts.VirtualWeight) {
+					t.Fatalf("worker %d sequence %d: word %b worth %v, want %b worth %v",
+						wi, k, q.words[k], q.vals[k], word, seqValue(seq, run.opts.VirtualWeight))
+				}
+			}
+		}
+		for _, child := range n.Children {
+			check(child)
+		}
+	}
+	check(run.sep.Forest[0])
 }
 
 // TestSearchMatchesReference is the differential contract of the dense
@@ -221,7 +286,7 @@ func TestSearchMatchesReference(t *testing.T) {
 	// the count across it must be expanded again, so the exact/greedy split
 	// and the plan stay the reference's.
 	t.Run("chain-10/budgets", func(t *testing.T) {
-		in := chainInstant(10, 4, 2)
+		in := chainInstant(10, 4, 2, 1)
 		o := opts()
 		o.WDS.MaxSeqLen = 2
 		o.MaxNodes = 1 << 30
@@ -248,7 +313,7 @@ func TestSearchMatchesReference(t *testing.T) {
 	// Universes of exactly 64 and 65 tasks: the widest tree the table takes
 	// and the narrowest it leaves to the plain walk.
 	for _, n := range []int{64, 65} {
-		in := chainInstant(n, 8, 4)
+		in := chainInstant(n, 8, 4, 1)
 		for _, flat := range []bool{false, true} {
 			for _, p := range []int{1, 0} {
 				t.Run(fmt.Sprintf("%s/flat=%v/par=%d", in.name, flat, p), func(t *testing.T) {
@@ -265,9 +330,69 @@ func TestSearchMatchesReference(t *testing.T) {
 						if answered := s.ExpandedLastPlan < s.NodesLastPlan; answered != (n <= 64) {
 							t.Fatalf("%d tasks: %d of %d nodes expanded", n, s.ExpandedLastPlan, s.NodesLastPlan)
 						}
+						if n <= 64 && !flat {
+							wordPath(t, s, n) // bit 63 included
+						}
 					}
 					if ref.boundTrees != 1 {
 						t.Fatalf("budget bound %d trees, want the one", ref.boundTrees)
+					}
+				})
+			}
+		}
+	}
+
+	// The word path where it is most exposed. A starved crowd: 44 workers in
+	// four stacks over 10 tasks, which the first five to pick take between them,
+	// under budgets small enough that most calls are greedy completions — each
+	// a walk over dozens of workers with nothing in reach left, answered by the
+	// reach word alone. A pool of real and virtual tasks at a virtual weight of
+	// 0.6. And, at 0.1, a tie only seqValue's own arithmetic breaks
+	// (valueTieInstant).
+	starved := chainInstant(10, 4, 2, 11)
+	starved.name = "starved-crowd"
+	mixed := chainInstant(12, 6, 3, 3)
+	mixed.name = "mixed-virtual"
+	for i, task := range mixed.tasks {
+		task.Virtual = i%3 != 0
+	}
+	tie := valueTieInstant()
+	for _, c := range []struct {
+		in            instant
+		seqLen        int
+		virtualWeight float64
+		budgets       []int
+		shape         func(t *testing.T, ref *refSearch, want core.Plan) // what the fixture is built to exhibit
+	}{
+		{starved, 2, 0, []int{60, 300, 4000}, func(t *testing.T, ref *refSearch, _ core.Plan) {
+			if ref.Opts.MaxNodes < 4000 && 2*ref.greedyCalls < ref.NodesLastPlan {
+				t.Fatalf("%d of %d nodes are greedy completions: completion does not dominate", ref.greedyCalls, ref.NodesLastPlan)
+			}
+		}},
+		{mixed, 3, 0.6, []int{300, 4000, 20000}, nil},
+		{tie, 3, 0.1, []int{4000}, func(t *testing.T, _ *refSearch, want core.Plan) {
+			if ids := want[0].Seq.IDs(); !slices.Equal(ids, []int{4, 5, 6}) {
+				t.Fatalf("worker 1 holds %v: the sweep worth the last bit more lost", ids)
+			}
+		}},
+	} {
+		for _, maxNodes := range c.budgets {
+			for _, p := range []int{1, 0} {
+				t.Run(fmt.Sprintf("%s/nodes=%d/par=%d", c.in.name, maxNodes, p), func(t *testing.T) {
+					o := opts()
+					o.WDS.MaxSeqLen, o.VirtualWeight, o.MaxNodes, o.Parallelism = c.seqLen, c.virtualWeight, maxNodes, p
+					ref := &refSearch{Opts: o}
+					want := ref.Plan(c.in.workers, c.in.tasks, c.in.now)
+					s := &Search{Opts: o}
+					for pass := 0; pass < 2; pass++ {
+						sameSearch(t, ref, want, s, s.Plan(c.in.workers, c.in.tasks, c.in.now))
+						wordPath(t, s, len(c.in.tasks))
+					}
+					if len(want) == 0 {
+						t.Fatal("nothing was assigned")
+					}
+					if c.shape != nil {
+						c.shape(t, ref, want)
 					}
 				})
 			}

@@ -21,36 +21,119 @@ import (
 // availability word; wider trees, trees of one or two workers (nothing to
 // share), Collect mode (every call emits samples) and DFSearch_TVF (no
 // backtracking, no repeats) take the plain walk.
+//
+// On the trees it serves that word is the search's availability, not a copy
+// kept for the key: each sequence is laid out once per tree as the universe
+// word of its tasks, so the search and its greedy completion (expandWords,
+// greedyFillWords) test, take and give back tasks a word at a time and never
+// touch the plain walk's per-task flags.
 
 // memoMinWorkers is the smallest tree the table is switched on for.
 const memoMinWorkers = 3
 
 // useMemo reports whether the tree under root, over a universe of the given
-// size, is searched with the transposition table.
+// size, is searched on one availability word with the transposition table.
 func (r *searchRun) useMemo(root *wds.TreeNode, universe int) bool {
 	return r.model == nil && !r.collect && universe <= 64 && root.Size() >= memoMinWorkers
 }
 
-// buildRelevance lays out one row of r.rel per (node, j) of the subtree under
-// n — row r.relOff[n.ID]+j is the set of tasks, as universe bits, reachable
-// from n.Index[j:] and every subtree below n — and returns row 0. Rows are
-// what a table key masks availability with, and their positions double as the
-// key's (node, j).
-func (r *searchRun) buildRelevance(n *wds.TreeNode) uint64 {
-	off := len(r.rel)
+// layout lays out the per-row scratch of a memo tree, sized to the tree: one
+// row per worker and one more per node, one word and one value per sequence.
+func (r *searchRun) layout(root *wds.TreeNode) {
+	nodes, rows, seqs := r.measure(root)
+	r.relOff = slices.Grow(r.relOff[:0], nodes)
+	r.rel = slices.Grow(r.rel[:0], rows)
+	r.reachWord = slices.Grow(r.reachWord[:0], rows)
+	r.seqs = slices.Grow(r.seqs[:0], rows)
+	r.arena.reset(seqs)
+	r.layoutRows(root)
+}
+
+// measure counts the nodes, rows and sequences of the subtree under n.
+func (r *searchRun) measure(n *wds.TreeNode) (nodes, rows, seqs int) {
+	nodes, rows = 1, len(n.Index)+1
+	for _, wi := range n.Index {
+		seqs += len(r.sep.Sets[wi].Seqs)
+	}
+	for _, child := range n.Children {
+		cn, cr, cs := r.measure(child)
+		nodes, rows, seqs = nodes+cn, rows+cr, seqs+cs
+	}
+	return nodes, rows, seqs
+}
+
+// layoutRows lays out the rows of the subtree under n, one per (node, j), in
+// pre-order — row r.relOff[n.ID]+j — and returns the relevance of its row 0. A
+// row's relevance is the set of tasks, as universe bits, reachable from
+// n.Index[j:] and every subtree below n: what a table key masks availability
+// with, the row's position doubling as the key's (node, j). For j < len(n.Index)
+// the row also carries worker n.Index[j]: its reach word, and its sequences in
+// Q_w order as universe words (the bits of Masks[k] sent through the worker's
+// tree-local reach positions) beside their seqValue. The node's last row,
+// j = len(n.Index), holds no worker and nothing reads those two of it.
+func (r *searchRun) layoutRows(n *wds.TreeNode) uint64 {
+	off, end := len(r.rel), len(r.rel)+len(n.Index)
 	r.relOff = append(r.relOff, int32(off)) // lands at n.ID: ids are pre-order, as is this walk
-	r.rel = slices.Grow(r.rel, len(n.Index)+1)[:off+len(n.Index)+1]
+	r.rel, r.reachWord, r.seqs = r.rel[:end+1], r.reachWord[:end+1], r.seqs[:end+1]
+	for j, wi := range n.Index {
+		set, local := r.reach(wi)
+		r.reachWord[off+j] = universeMask(local)
+		q := r.arena.take(len(set.Seqs))
+		for k, seq := range set.Seqs {
+			var word uint64
+			for m := set.Masks[k]; m != 0; m &= m - 1 { // one word a row: Reach lies inside the universe
+				word |= 1 << uint(local[bits.TrailingZeros64(m)])
+			}
+			q.words[k], q.vals[k] = word, seqValue(seq, r.opts.VirtualWeight)
+		}
+		r.seqs[off+j] = q
+	}
 	var m uint64
 	for _, child := range n.Children {
-		m |= r.buildRelevance(child)
+		m |= r.layoutRows(child)
 	}
-	r.rel[off+len(n.Index)] = m
+	r.rel[end] = m
 	for j := len(n.Index) - 1; j >= 0; j-- {
-		_, local := r.reach(n.Index[j])
-		m |= universeMask(local)
+		m |= r.reachWord[off+j]
 		r.rel[off+j] = m
 	}
 	return m
+}
+
+// seqRow is one worker's Q_w on a memo tree: the tasks of Seqs[k] as the
+// universe word words[k], worth vals[k].
+type seqRow struct {
+	words []uint64
+	vals  []float64
+}
+
+// seqArena is the storage behind a tree's seqRows. A planner meets a flash
+// crowd as a run of trees each larger than the last, and one array regrown to
+// fit each would allocate their sum; the arena keeps the chunks it has and adds
+// one for the shortfall only, so over its life it allocates the largest tree
+// once, and in steady state nothing.
+type seqArena struct {
+	words       [][]uint64
+	vals        [][]float64
+	chunk, used int // the next row starts at used in chunk chunk
+	rest        int // sequences the tree has still to place: what a new chunk has to hold
+}
+
+// reset frees every row handed out, for a tree of the given sequence count.
+func (a *seqArena) reset(seqs int) { a.chunk, a.used, a.rest = 0, 0, seqs }
+
+// take returns a row of n sequences.
+func (a *seqArena) take(n int) seqRow {
+	for a.chunk < len(a.words) && len(a.words[a.chunk])-a.used < n {
+		a.chunk, a.used = a.chunk+1, 0
+	}
+	if a.chunk == len(a.words) {
+		a.words = append(a.words, make([]uint64, a.rest))
+		a.vals = append(a.vals, make([]float64, a.rest))
+	}
+	from := a.used
+	a.used, a.rest = a.used+n, a.rest-n
+	return seqRow{a.words[a.chunk][from:a.used], a.vals[a.chunk][from:a.used]}
 }
 
 // universeMask gathers tree-local task positions into one universe word.

@@ -69,6 +69,9 @@ func TestSteadyStateAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
+	if raceEnabled {
+		t.Skip("the race detector allocates; the bench-suite job runs this gate without it")
+	}
 	for _, tc := range []struct {
 		arch   string
 		method datawa.Method
