@@ -81,22 +81,50 @@ func ExampleFramework_TrainDemand() {
 	// demand model trained: true
 }
 
-// ExampleConfig_parallelism plans the same instant serially and with a
-// 4-goroutine fan-out: plans are byte-identical at every parallelism level,
-// only planning CPU time changes.
+// exampleCrowd returns one busy instant of a whole city: 900 street corners a
+// kilometre apart, two couriers and five orders at each — some 45,000
+// candidate sequences, enough work for a planner to share out.
+func exampleCrowd() ([]*datawa.Worker, []*datawa.Task) {
+	var workers []*datawa.Worker
+	var tasks []*datawa.Task
+	for c := 0; c < 900; c++ {
+		x, y := float64(c%30), float64(c/30)
+		for k := 0; k < 2; k++ {
+			workers = append(workers, &datawa.Worker{
+				ID: 2*c + k + 1, Loc: datawa.Point{X: x + 0.1*float64(k), Y: y}, Reach: 0.4, On: 0, Off: 1800,
+			})
+		}
+		for k := 0; k < 5; k++ {
+			tasks = append(tasks, &datawa.Task{
+				ID: 5*c + k + 1, Loc: datawa.Point{X: x + 0.05*float64(k), Y: y + 0.03*float64(k*k%7)},
+				Pub: 0, Exp: 200 + 40*float64(k),
+			})
+		}
+	}
+	return workers, tasks
+}
+
+// ExampleConfig_parallelism plans the same instant serially and with up to
+// four goroutines: plans are byte-identical at every parallelism level, only
+// planning time changes. The planner fans out when the instant is large
+// enough to pay for the goroutines — this one is; the two couriers of
+// exampleWorkers are planned on the caller's goroutine at any setting.
 func ExampleConfig_parallelism() {
 	serial := datawa.New(datawa.Config{Parallelism: 1})
 	parallel := datawa.New(datawa.Config{Parallelism: 4})
 
-	a := serial.Assign(exampleWorkers(), exampleTasks(), 0)
-	b := parallel.Assign(exampleWorkers(), exampleTasks(), 0)
+	workers, tasks := exampleCrowd()
+	a := serial.Assign(workers, tasks, 0)
+	b := parallel.Assign(workers, tasks, 0)
 
 	same := len(a) == len(b)
 	for i := 0; same && i < len(a); i++ {
 		same = a[i].Worker.ID == b[i].Worker.ID &&
 			fmt.Sprint(a[i].Seq.IDs()) == fmt.Sprint(b[i].Seq.IDs())
 	}
+	fmt.Println("couriers with work:", len(a))
 	fmt.Println("identical plans:", same)
 	// Output:
+	// couriers with work: 1800
 	// identical plans: true
 }

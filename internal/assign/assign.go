@@ -222,6 +222,15 @@ type Search struct {
 	reachLocal []int32
 }
 
+// searchGrain is the least number of candidate sequences in a forest worth a
+// goroutine of its own. Laying a tree out and searching it costs ≈ 10–20 ns a
+// sequence while every tree is small (paper-yueche: a median instant's forest
+// holds a few dozen sequences), so a goroutine's ≈ 30–40 µs wake-up is repaid
+// from a few thousand sequences on; a forest that large and still one giant
+// tree gains nothing either way (BenchmarkCrowdPlan 5x against 5x-par,
+// docs/BENCHMARKS.md "PR 19 measured").
+const searchGrain = 4096
+
 // treeResult locates one tree's outcome: its plan is run g's out[from:to].
 type treeResult struct {
 	g, from, to int
@@ -282,13 +291,16 @@ func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) c
 	s.partition(sep, forest)
 
 	s.results = slices.Grow(s.results[:0], len(forest))[:len(forest)]
-	for len(s.runs) < par.Workers(o.Parallelism, len(forest)) {
+	// The forest fans out by the sequences in it, not by its trees: a hundred
+	// one-worker trees are ten microseconds of search.
+	fan := par.Workers(o.Parallelism, sep.Sequences, searchGrain)
+	for len(s.runs) < fan {
 		s.runs = append(s.runs, searchRun{})
 	}
 	for g := range s.runs {
 		s.runs[g].out = s.runs[g].out[:0]
 	}
-	par.DoWorker(len(forest), o.Parallelism, func(g, i int) {
+	par.DoWorker(len(forest), fan, func(g, i int) {
 		run := &s.runs[g]
 		run.opts, run.sep, run.now = o, sep, now
 		run.model, run.collect = s.Model, s.Collect

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/par"
 	"repro/internal/tvf"
 	"repro/internal/wds"
 )
@@ -366,57 +367,83 @@ func samePlans(t *testing.T, a, b core.Plan) {
 	}
 }
 
+// crowdScenario is a random scenario past Search.Plan's fan-out grain at
+// every setting the tests below try: some 800 trees of up to 20 workers
+// holding more than 5·searchGrain sequences. Anything much smaller plans
+// inline whatever Parallelism says, and proves nothing about the fan-out.
+func crowdScenario(seed int64) ([]*core.Worker, []*core.Task) {
+	return randomScenario(seed, 1500, 6000, 44)
+}
+
+// fannedOut fails the test unless s, having just planned (ws, ts) at time
+// now, searched the forest on min(p, Σ|Q_w|/searchGrain) goroutines — at
+// least two of them for a p that allows it.
+func fannedOut(t *testing.T, s *Search, ws []*core.Worker, ts []*core.Task, now float64, p int) {
+	t.Helper()
+	sequences := wds.Separate(ws, ts, now, s.Opts.WithDefaults().WDS).Sequences
+	fan := par.Workers(p, sequences, searchGrain)
+	if p >= 2 && fan < 2 {
+		t.Fatalf("parallelism %d: %d sequences resolve to %d goroutines — the instance is below the grain", p, sequences, fan)
+	}
+	if len(s.runs) != fan {
+		t.Fatalf("parallelism %d: %d search runs for %d goroutines", p, len(s.runs), fan)
+	}
+}
+
 // TestParallelPlanMatchesSerial is the determinism contract of the
 // concurrent planner: on fixed-seed scenarios the parallel search returns
 // the byte-identical plan, node count, and RL sample stream of the serial
 // path, at every parallelism level and under every planner mode.
 func TestParallelPlanMatchesSerial(t *testing.T) {
-	for _, seed := range []int64{5, 23, 87} {
-		ws, ts := randomScenario(seed, 40, 120, 8)
+	ws, ts := crowdScenario(5)
 
-		serialOpts := opts()
-		serialOpts.Parallelism = 1
-		serial := &Search{Opts: serialOpts, Collect: true}
-		want := serial.Plan(ws, ts, 0)
-		planIsValid(t, want, 0)
+	// A tenth of the default node budget keeps the instance's 20-worker trees
+	// inside a race-detector run; TestSearchMatchesReference has the budgets.
+	serialOpts := opts()
+	serialOpts.Parallelism = 1
+	serialOpts.MaxNodes = 2000
+	serial := &Search{Opts: serialOpts, Collect: true}
+	want := serial.Plan(ws, ts, 0)
+	planIsValid(t, want, 0)
 
-		for _, p := range []int{2, 4, 8, 0} {
-			o := opts()
-			o.Parallelism = p
-			s := &Search{Opts: o, Collect: true}
-			got := s.Plan(ws, ts, 0)
-			planIsValid(t, got, 0)
-			samePlans(t, want, got)
-			if s.NodesLastPlan != serial.NodesLastPlan {
-				t.Fatalf("seed %d parallelism %d: nodes %d vs serial %d",
-					seed, p, s.NodesLastPlan, serial.NodesLastPlan)
-			}
-			if len(s.Samples) != len(serial.Samples) {
-				t.Fatalf("seed %d parallelism %d: %d samples vs serial %d",
-					seed, p, len(s.Samples), len(serial.Samples))
-			}
-			for i := range s.Samples {
-				if s.Samples[i] != serial.Samples[i] {
-					t.Fatalf("seed %d parallelism %d: sample %d differs", seed, p, i)
-				}
+	for _, p := range []int{2, 4, 8, 0} {
+		o := serialOpts
+		o.Parallelism = p
+		s := &Search{Opts: o, Collect: true}
+		got := s.Plan(ws, ts, 0)
+		fannedOut(t, s, ws, ts, 0, p)
+		planIsValid(t, got, 0)
+		samePlans(t, want, got)
+		if s.NodesLastPlan != serial.NodesLastPlan {
+			t.Fatalf("parallelism %d: nodes %d vs serial %d", p, s.NodesLastPlan, serial.NodesLastPlan)
+		}
+		if len(s.Samples) != len(serial.Samples) {
+			t.Fatalf("parallelism %d: %d samples vs serial %d", p, len(s.Samples), len(serial.Samples))
+		}
+		for i := range s.Samples {
+			if s.Samples[i] != serial.Samples[i] {
+				t.Fatalf("parallelism %d: sample %d differs", p, i)
 			}
 		}
 	}
 }
 
 func TestParallelPlanMatchesSerialTVF(t *testing.T) {
-	ws, ts := randomScenario(29, 30, 90, 7)
-	samples := CollectSamples(ws, ts, 0, opts())
+	small, smallTasks := randomScenario(29, 30, 90, 7)
+	samples := CollectSamples(small, smallTasks, 0, opts())
 	model := tvf.NewModel(16, 44)
 	model.Train(samples, tvf.TrainConfig{Epochs: 10, Seed: 44})
 
+	ws, ts := crowdScenario(29)
 	serialOpts := opts()
 	serialOpts.Parallelism = 1
 	want := (&Search{Opts: serialOpts, Model: model}).Plan(ws, ts, 0)
-	for _, p := range []int{4, 0} {
+	for _, p := range []int{2, 4, 0} {
 		o := opts()
 		o.Parallelism = p
-		got := (&Search{Opts: o, Model: model}).Plan(ws, ts, 0)
+		s := &Search{Opts: o, Model: model}
+		got := s.Plan(ws, ts, 0)
+		fannedOut(t, s, ws, ts, 0, p)
 		samePlans(t, want, got)
 	}
 }
@@ -424,28 +451,63 @@ func TestParallelPlanMatchesSerialTVF(t *testing.T) {
 func TestParallelPlanMatchesSerialUnderBudget(t *testing.T) {
 	// The node budget is per tree, so greedy completion kicks in at the
 	// same search positions regardless of scheduling.
-	ws, ts := randomScenario(61, 50, 150, 6)
+	ws, ts := crowdScenario(61)
 	serialOpts := opts()
 	serialOpts.Parallelism = 1
 	serialOpts.MaxNodes = 40
-	want := (&Search{Opts: serialOpts}).Plan(ws, ts, 0)
+	serial := &Search{Opts: serialOpts}
+	want := serial.Plan(ws, ts, 0)
 	planIsValid(t, want, 0)
-	o := opts()
-	o.Parallelism = 4
-	o.MaxNodes = 40
-	got := (&Search{Opts: o}).Plan(ws, ts, 0)
-	samePlans(t, want, got)
+	if serial.BudgetBoundTreesLastPlan == 0 {
+		t.Fatal("the budget binds on no tree")
+	}
+	for _, p := range []int{2, 4, 0} {
+		o := opts()
+		o.Parallelism = p
+		o.MaxNodes = 40
+		s := &Search{Opts: o}
+		got := s.Plan(ws, ts, 0)
+		fannedOut(t, s, ws, ts, 0, p)
+		samePlans(t, want, got)
+		if s.GreedyCompletionsLastPlan != serial.GreedyCompletionsLastPlan {
+			t.Fatalf("parallelism %d: %d greedy completions vs serial %d", p, s.GreedyCompletionsLastPlan, serial.GreedyCompletionsLastPlan)
+		}
+	}
 }
 
 // TestParallelPlanRace exercises the concurrent planner with maximum
 // fan-out so `go test -race` patrols the tree isolation invariant.
 func TestParallelPlanRace(t *testing.T) {
-	ws, ts := randomScenario(97, 60, 200, 10)
+	ws, ts := crowdScenario(97)
 	o := opts()
 	o.Parallelism = 8
+	o.MaxNodes = 400
 	s := &Search{Opts: o, Collect: true}
 	for call := 0; call < 3; call++ {
 		plan := s.Plan(ws, ts, float64(call))
+		fannedOut(t, s, ws, ts, float64(call), 8)
 		planIsValid(t, plan, float64(call))
+	}
+}
+
+// TestPlanWithoutSequences covers the forest with no work in it — no tasks,
+// nobody on shift, nobody at all — at a fan-out setting: the goroutine count
+// resolves to one, never zero, and the plan is empty.
+func TestPlanWithoutSequences(t *testing.T) {
+	ws, ts := randomScenario(3, 20, 40, 6)
+	o := opts()
+	o.Parallelism = 4
+	s := &Search{Opts: o}
+	if plan := s.Plan(ws, nil, 0); len(plan) != 0 {
+		t.Fatalf("no tasks: %d assignments", len(plan))
+	}
+	if plan := s.Plan(nil, ts, 0); len(plan) != 0 {
+		t.Fatalf("no workers: %d assignments", len(plan))
+	}
+	if plan := s.Plan(ws, ts, 2e5); len(plan) != 0 { // past every worker's Off
+		t.Fatalf("nobody on shift: %d assignments", len(plan))
+	}
+	if len(s.runs) != 1 {
+		t.Fatalf("%d search runs for forests with no sequences", len(s.runs))
 	}
 }

@@ -129,16 +129,19 @@ func BenchmarkPlanScale(b *testing.B) {
 // where every tree's budget binds and the per-node candidate filter and greedy
 // completions set the epoch tail. At 1.5x every tree's universe fits one word
 // (the word path, transposition.go); at 5x the instant is one 113-task tree,
-// which takes the plain walk.
+// which takes the plain walk. The -par rows plan the same instants at
+// Parallelism 0 — whatever the grains of wds.Separate and Search.Plan make of
+// the CPUs given by -cpu — and must be no slower than their serial twins.
 func BenchmarkCrowdPlan(b *testing.B) {
 	a, _ := scenario.Get("event-spike")
 	for _, c := range []struct {
-		name  string
-		scale float64
-	}{{"1.5x", 1.5}, {"5x", 5}} {
+		name        string
+		scale       float64
+		parallelism int
+	}{{"1.5x", 1.5, 1}, {"5x", 5, 1}, {"1.5x-par", 1.5, 0}, {"5x-par", 5, 0}} {
 		b.Run(c.name, func(b *testing.B) {
 			crowd := atlasInstantsOf(a, c.scale)[0]
-			o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: 1}
+			o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: c.parallelism}
 			s := &Search{Opts: o}
 			s.Plan(crowd.workers, crowd.tasks, crowd.now)
 			b.ReportAllocs()

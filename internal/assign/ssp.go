@@ -112,7 +112,7 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 	// the remainder, so SSP never oversubscribes beyond what one DTA plan
 	// could use. Results land in per-index slots; everything after the
 	// barrier is serial, so the commit is byte-identical at every setting.
-	outer := par.Workers(o.Parallelism, k)
+	outer := par.Workers(o.Parallelism, k, 1)
 	innerPar := o.Parallelism
 	if outer > 1 {
 		total := o.Parallelism
@@ -130,7 +130,7 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 	for len(p.inner) < outer {
 		p.inner = append(p.inner, &Search{})
 	}
-	par.DoWorker(k, o.Parallelism, func(g, s int) {
+	par.DoWorker(k, outer, func(g, s int) {
 		in := p.innerAt(g, o, innerPar)
 		plans[s] = in.Plan(workers, pools[s], now)
 		counts[s] = [4]int{in.NodesLastPlan, in.GreedyCompletionsLastPlan, in.BudgetBoundTreesLastPlan, in.ExpandedLastPlan}

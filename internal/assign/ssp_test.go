@@ -74,6 +74,11 @@ func TestSSPParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("seed %d parallelism %d: nodes %d vs serial %d",
 					seed, par, p.NodesLastPlan, serial.NodesLastPlan)
 			}
+			// A scenario is a whole plan, so the four of them fan out
+			// whatever the pool's size: one inner search a goroutine.
+			if fan := min(par, 4); par > 0 && len(p.inner) != fan {
+				t.Fatalf("seed %d parallelism %d: %d inner searches for %d goroutines", seed, par, len(p.inner), fan)
+			}
 		}
 	}
 }

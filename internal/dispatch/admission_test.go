@@ -245,7 +245,7 @@ func TestAdmissionDeterministicAcrossParallelism(t *testing.T) {
 		return digest(m)
 	}
 	ref := run(1)
-	for _, parallelism := range []int{1, 4, 0} {
+	for _, parallelism := range []int{1, 2, 4, 0} {
 		if got := run(parallelism); got != ref {
 			t.Fatalf("parallelism %d diverged:\n got %s\nwant %s", parallelism, got, ref)
 		}

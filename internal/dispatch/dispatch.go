@@ -374,7 +374,7 @@ func New(cfg Config) *Dispatcher {
 		if total == 0 {
 			total = runtime.GOMAXPROCS(0)
 		}
-		perPlanner = total / par.Workers(cfg.Parallelism, cfg.Shards)
+		perPlanner = total / par.Workers(cfg.Parallelism, cfg.Shards, 1)
 		if perPlanner < 1 {
 			perPlanner = 1
 		}

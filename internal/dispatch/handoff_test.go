@@ -270,7 +270,7 @@ func TestHandoffDeterministicAcrossParallelism(t *testing.T) {
 	}
 	ref := run(1)
 	for run2 := 0; run2 < 2; run2++ {
-		for _, parallelism := range []int{1, 4, 0} {
+		for _, parallelism := range []int{1, 2, 4, 0} {
 			if got := run(parallelism); got != ref {
 				t.Fatalf("parallelism %d diverged:\n got %s\nwant %s", parallelism, got, ref)
 			}

@@ -1,24 +1,31 @@
 // Package par provides the small bounded-parallelism primitive shared by the
 // planning pipeline: run n independent index-addressed jobs on a fixed pool
 // of goroutines. Callers write results into per-index slots, so output order
-// never depends on scheduling and a serial run (workers ≤ 1) is the exact
+// never depends on scheduling and a serial run (one worker) is the exact
 // reference semantics of every parallel run.
 //
 // Two layers of the pipeline fan out through it, and both advertise the same
 // contract — results byte-identical at every parallelism level, only CPU
 // time changes:
 //
-//   - assign.Search fans one planning instant across RTC components
-//     (per-tree search with order-independent merging);
-//   - dispatch fans one epoch across region shards, splitting the caller's
-//     parallelism budget between the shard fan-out and each shard planner's
-//     internal fan-out so the cores are not oversubscribed Shards-fold.
+//   - the planners fan one instant's inner loops out with DoWorker: the
+//     per-worker reachable-set and sequence loop of wds.Separate, the
+//     per-tree searches of assign.Search and the per-scenario plans of
+//     assign.SSP;
+//   - dispatch fans one epoch across region shards with Do, splitting the
+//     caller's parallelism budget between the shard fan-out and each shard
+//     planner's internal fan-out so the cores are not oversubscribed
+//     Shards-fold.
 //
 // That contract is what lets the benchmark suite (internal/benchsuite)
 // compare assignment rates across machines with different core counts: the
-// knob moves wall-clock and the CPU-per-instant metric, never the plan. Every
-// caller resolves its setting through Workers — 0 means one goroutine per
-// CPU, values below 1 mean serial, and the job count caps the answer.
+// knob moves wall-clock and the CPU-per-instant metric, never the plan.
+//
+// A fan-out is not free: handing a loop to a second goroutine costs a spawn,
+// a wake-up of an idle CPU (≈ 30–40 µs on the benchmark host before it runs
+// its first job) and an atomic per hand-out. Every caller therefore resolves
+// its setting through Workers, which takes the work the loop has and the
+// least work worth a goroutine, and a loop below that grain stays inline.
 package par
 
 import (
@@ -27,49 +34,49 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a parallelism setting: 0 means one worker per available
-// CPU (runtime.GOMAXPROCS), anything below 1 means serial, and positive
-// values are taken as-is. n caps the answer — there is never a reason to
-// start more goroutines than jobs.
-func Workers(parallelism, n int) int {
+// Workers resolves a parallelism setting into a goroutine count for a loop
+// holding the given amount of work: 0 means up to one per available CPU
+// (runtime.GOMAXPROCS), anything below 1 means serial, and positive values
+// are an upper bound. grain is the least work worth waking a goroutine for,
+// in the caller's unit of work (jobs, or something the jobs' cost follows
+// better — the sequences in a forest); the answer never exceeds work/grain,
+// and is never below one, so a loop with no work at all still resolves to
+// the caller's own goroutine.
+//
+// The count returned is the count DoWorker must be given, and the length a
+// caller's per-goroutine scratch must have: g stays below it.
+func Workers(parallelism, work, grain int) int {
 	p := parallelism
 	if p == 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
+	if grain < 1 {
+		grain = 1
+	}
+	if most := work / grain; p > most {
+		p = most
+	}
 	if p < 1 {
 		p = 1
-	}
-	if p > n {
-		p = n
 	}
 	return p
 }
 
-// Do runs fn(0) … fn(n-1), fanning out across Workers(parallelism, n)
-// goroutines, and returns when all calls have finished. Jobs are handed out
-// by an atomic counter, so long jobs do not serialize behind a static
-// partition. With an effective worker count of 1 the calls happen inline on
-// the caller's goroutine in index order — the deterministic reference path.
+// Do runs fn(0) … fn(n-1), each job on a goroutine of its own up to the
+// parallelism setting (0: one per CPU, below 1: serial), and returns when
+// all calls have finished. It is the fan-out for a handful of heavy jobs —
+// the shards of an epoch: every goroutine is spawned and the caller parks,
+// so the scheduler runs the jobs in the order the CPUs come free (see
+// docs/ARCHITECTURE.md, "Where the worker pool sits", for why the caller does
+// not take a shard itself). With one worker the calls happen inline on the
+// caller's goroutine in index order — the deterministic reference path.
 //
 // fn must confine its writes to state owned by index i; Do adds no locking.
 func Do(n, parallelism int, fn func(i int)) {
-	DoWorker(n, parallelism, func(_, i int) { fn(i) })
-}
-
-// DoWorker is Do with the executing goroutine's index threaded through: fn
-// receives (g, i) where g identifies the worker goroutine running job i, in
-// [0, Workers(parallelism, n)). Callers use g to give each goroutine private
-// scratch buffers without locking — job results must still land in state
-// owned by index i, so outputs stay order-independent; only reusable scratch
-// may be keyed by g. The serial path always passes g = 0.
-func DoWorker(n, parallelism int, fn func(g, i int)) {
-	if n <= 0 {
-		return
-	}
-	workers := Workers(parallelism, n)
+	workers := Workers(parallelism, n, 1)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -77,16 +84,73 @@ func DoWorker(n, parallelism int, fn func(g, i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for g := 0; g < workers; g++ {
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// runsPerWorker is how many runs of indices DoWorker cuts per goroutine: few
+// enough that a loop of tiny jobs pays one atomic per many jobs, enough that
+// a long job delays its goroutine by a sixteenth of the loop at two workers,
+// not by half as a static partition would.
+const runsPerWorker = 8
+
+// DoWorker runs fn(g, 0) … fn(g, n-1) on workers goroutines — a count
+// resolved by Workers — and returns when all calls have finished. g
+// identifies the goroutine running job i, in [0, workers): callers use it to
+// give each goroutine private scratch without locking. Job results must
+// still land in state owned by index i, so outputs stay order-independent;
+// only reusable scratch may be keyed by g.
+//
+// Indices are handed out in runs, one atomic add per run and at least
+// runsPerWorker runs a goroutine, and the caller is worker 0: workers-1
+// goroutines are spawned, and the goroutine that already holds a CPU works
+// instead of parking. With one worker — or one job — the calls happen inline
+// in index order with g = 0: the deterministic reference path.
+//
+// fn must confine its writes to state owned by index i and scratch owned by
+// g; DoWorker adds no locking.
+func DoWorker(n, workers int, fn func(g, i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	run := max(1, n/(workers*runsPerWorker))
+	var next atomic.Int64
+	work := func(g int) {
+		for {
+			hi := int(next.Add(int64(run)))
+			lo := hi - run
+			if lo >= n {
+				return
+			}
+			for i := lo; i < min(hi, n); i++ {
 				fn(g, i)
 			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for g := 1; g < workers; g++ {
+		go func(g int) {
+			defer wg.Done()
+			work(g)
 		}(g)
 	}
+	work(0)
 	wg.Wait()
 }

@@ -118,6 +118,17 @@ func BenchmarkSeparateScale(b *testing.B) {
 				Separate(ws, ts, 0, bo)
 			}
 		})
+		// The indexed row again at Parallelism 0: the per-worker loop fans out
+		// where the pool is past separateGrain a goroutine, and must be no
+		// slower than the serial row where it is not.
+		b.Run(sc.name+"/indexed-par", func(b *testing.B) {
+			po := o
+			po.Parallelism = 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Separate(ws, ts, 0, po)
+			}
+		})
 	}
 }
 

@@ -429,6 +429,9 @@ type Separation struct {
 	Sets    []WorkerSets     // Sets[i] belongs to Workers[i]
 	Graph   *graphutil.Graph // vertices index Workers
 	Forest  []*TreeNode
+	// Sequences is Σ|Q_w| over Sets: the candidate sequences a search of the
+	// forest has to consider, and so the measure of its work.
+	Sequences int
 }
 
 // WorkerSets is one worker's reachable set RS_w and candidate sequences Q_w.
@@ -543,11 +546,28 @@ type Separator struct {
 	g   graphutil.Graph
 	b   treeBuilder
 	sep Separation
+	on  []int32 // the available workers, as positions in the pool
 	// The reachable relation inverted by counting sort: the workers reaching
 	// pool task t are byTask[taskOff[t]:taskOff[t+1]], ascending.
 	taskOff []int32
 	byTask  []int32
 }
+
+// The least work worth a goroutine of its own in Separate's two per-worker
+// loops, against a goroutine's wake-up of ≈ 30–40 µs on the benchmark host
+// (docs/BENCHMARKS.md, "PR 19 measured").
+const (
+	// reachGrain counts workers on shift. RS_w of a worker with nothing in
+	// reach — most of paper-yueche's pool at most instants — costs 60–150 ns,
+	// and ≈ 1.3 µs on a flash crowd: a pool of 512–623 on shift took 45 µs
+	// split in two against 33 µs inline.
+	reachGrain = 512
+	// sequenceGrain counts Σ|RS_w|², known exactly once the first loop is
+	// done. Q_w and its masks cost 100–220 ns a unit on paper-yueche and on
+	// the event-spike crowd alike (0.65 ms for its 3,020), so a grain is
+	// 0.1–0.2 ms; paper-yueche's 99th-percentile instant holds 215.
+	sequenceGrain = 1024
+)
 
 // Separate is the scratch-reusing form of the package function; see the
 // Separator doc for the ownership contract of the result.
@@ -563,23 +583,7 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 		cell = 0 // no grid: every query scans the pool
 	}
 	sp.ix.Reset(tasks, cell)
-	// Each worker's RS_w and Q_w depend only on that worker and the shared
-	// read-only pool, so the loop is embarrassingly parallel; results land
-	// in per-index slots, backed by the arenas of whichever goroutine's
-	// scratch computed them.
-	clear(sep.Sets)
-	sep.Sets = slices.Grow(sep.Sets[:0], len(workers))[:len(workers)]
-	for len(sp.scr) < par.Workers(o.Parallelism, len(workers)) {
-		sp.scr = append(sp.scr, Scratch{})
-	}
-	for i := range sp.scr {
-		sp.scr[i].resetArenas()
-	}
-	par.DoWorker(len(workers), o.Parallelism, func(g, i int) {
-		if w := workers[i]; w.Available(now) {
-			sep.Sets[i] = sp.scr[g].workerSets(w, &sp.ix, now, o)
-		}
-	})
+	sp.workerSets(workers, now, o)
 
 	// Dependency graph: invert the reachable relation task → workers by a
 	// counting sort over pool positions, then connect the workers sharing
@@ -587,7 +591,9 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 	// O(|W|²·|RS|) pairwise scan.
 	off := slices.Grow(sp.taskOff[:0], len(tasks)+1)[:len(tasks)+1]
 	clear(off)
+	sep.Sequences = 0
 	for i := range sep.Sets {
+		sep.Sequences += len(sep.Sets[i].Seqs)
 		for _, t := range sep.Sets[i].Index {
 			off[t+1]++
 		}
@@ -627,6 +633,58 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 	return sep
 }
 
+// workerSets fills sep.Sets. Each worker's RS_w and Q_w depend only on that
+// worker and the shared read-only pool, so both loops are embarrassingly
+// parallel; results land in per-index slots, backed by the arenas of whichever
+// goroutine's scratch computed them. Both run over a compacted index list, so
+// what they fan out by counts work, not pool slots: the reachable sets over
+// the workers on shift, the sequences over the workers that reach anything,
+// weighed by how much they reach.
+func (sp *Separator) workerSets(workers []*core.Worker, now float64, o Options) {
+	clear(sp.sep.Sets)
+	sp.sep.Sets = slices.Grow(sp.sep.Sets[:0], len(workers))[:len(workers)]
+	sets := sp.sep.Sets
+	for i := range sp.scr {
+		sp.scr[i].resetArenas()
+	}
+	sp.on = sp.on[:0]
+	for i, w := range workers {
+		if w.Available(now) {
+			sp.on = append(sp.on, int32(i))
+		}
+	}
+	on := sp.on
+	par.DoWorker(len(on), sp.scratchFor(o.Parallelism, len(on), reachGrain), func(g, k int) {
+		i := on[k]
+		sets[i] = sp.scr[g].reachSets(workers[i], &sp.ix, now, o)
+	})
+	// A worker's generation tries every ordered pair of its reachable tasks
+	// (and, where deadlines allow, every triple): |RS_w|² is what its cost
+	// grows with, and 43 workers reaching one task are not 43 reaching eight.
+	reaching, work := 0, 0
+	for _, i := range on {
+		if r := len(sets[i].Reach); r > 0 {
+			on[reaching] = i
+			reaching++
+			work += r * r
+		}
+	}
+	par.DoWorker(reaching, sp.scratchFor(o.Parallelism, work, sequenceGrain), func(g, k int) {
+		i := on[k]
+		sp.scr[g].sequenceSets(workers[i], &sets[i], now, o)
+	})
+}
+
+// scratchFor resolves how many goroutines a loop holding the given work is
+// worth and makes sure each of them has a Scratch.
+func (sp *Separator) scratchFor(parallelism, work, grain int) int {
+	fan := par.Workers(parallelism, work, grain)
+	for len(sp.scr) < fan {
+		sp.scr = append(sp.scr, Scratch{})
+	}
+	return fan
+}
+
 // resetArenas empties the result arenas for a new Separate call, dropping
 // the task pointers of the previous one.
 func (sc *Scratch) resetArenas() {
@@ -635,19 +693,24 @@ func (sc *Scratch) resetArenas() {
 	sc.reach, sc.index, sc.seqs, sc.masks = sc.reach[:0], sc.index[:0], sc.seqs[:0], sc.masks[:0]
 }
 
-// workerSets computes one available worker's RS_w and Q_w into the arenas.
-// Every returned slice is capacity-capped: nothing can append through it into
-// a neighbour's span.
-func (sc *Scratch) workerSets(w *core.Worker, ix *spatial.Index, now float64, o Options) WorkerSets {
+// reachSets computes one available worker's RS_w into the arenas. Every
+// returned slice is capacity-capped: nothing can append through it into a
+// neighbour's span.
+func (sc *Scratch) reachSets(w *core.Worker, ix *spatial.Index, now float64, o Options) WorkerSets {
 	r0 := len(sc.reach)
 	for _, c := range sc.Reachable(w, ix, nil, now, o) {
 		sc.reach = append(sc.reach, ix.Tasks()[c.Pos])
 		sc.index = append(sc.index, c.Pos)
 	}
-	ws := WorkerSets{
+	return WorkerSets{
 		Reach: sc.reach[r0:len(sc.reach):len(sc.reach)],
 		Index: sc.index[r0:len(sc.index):len(sc.index)],
 	}
+}
+
+// sequenceSets computes Q_w over the reachable set ws already holds, into the
+// arenas, capacity-capped as reachSets' are.
+func (sc *Scratch) sequenceSets(w *core.Worker, ws *WorkerSets, now float64, o Options) {
 	entries := sc.sequences(w, ws.Reach, now, o)
 	q0, m0, words := len(sc.seqs), len(sc.masks), ws.Words()
 	for _, e := range entries {
@@ -665,7 +728,6 @@ func (sc *Scratch) workerSets(w *core.Worker, ix *spatial.Index, now float64, o 
 	clear(entries)
 	ws.Seqs = sc.seqs[q0:len(sc.seqs):len(sc.seqs)]
 	ws.Masks = sc.masks[m0:len(sc.masks):len(sc.masks)]
-	return ws
 }
 
 // treeBuilder carries the RTC construction state for one dependency graph:

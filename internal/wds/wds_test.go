@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/par"
 	"repro/internal/spatial"
 )
 
@@ -448,12 +449,74 @@ func TestSeparateIndexedMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestSeparateParallelMatchesSerial holds the fanned-out loops to the serial
+// ones on a pool past both grains at every setting tried — 4·reachGrain
+// workers on shift, Σ|RS_w|² past 4·sequenceGrain — and checks that Separate
+// did fan out: an instance below the grains runs inline and proves nothing.
 func TestSeparateParallelMatchesSerial(t *testing.T) {
-	ws, ts := randomInstance(77, 80, 400, 6)
+	// Most of the pool reaches nothing, as on the paper's workloads: the
+	// tasks sit in one corner of the workers' region.
+	ws, _ := randomInstance(77, 4*reachGrain+300, 0, 30)
+	_, ts := randomInstance(78, 0, 1200, 10)
+	for i := 0; i < 250; i++ {
+		ws[i*7].Off = -1 // off shift: pool slots that are not work
+	}
 	serial := func() Options { o := opts; o.Parallelism = 1; return o }()
+	want := Separate(ws, ts, 0, serial)
+	on, pairs := 0, 0
+	for i, w := range ws {
+		if w.Available(0) {
+			on++
+		}
+		pairs += len(want.Sets[i].Reach) * len(want.Sets[i].Reach)
+	}
+	if want.Sequences == 0 {
+		t.Fatal("a pool with no sequences")
+	}
 	for _, p := range []int{2, 4, 0} {
-		par := func() Options { o := opts; o.Parallelism = p; return o }()
-		sameSeparation(t, Separate(ws, ts, 0, serial), Separate(ws, ts, 0, par))
+		fanReach, fanSeqs := par.Workers(p, on, reachGrain), par.Workers(p, pairs, sequenceGrain)
+		if p > 0 && (fanReach != p || fanSeqs != p) {
+			t.Fatalf("parallelism %d: the instance resolves to %d and %d goroutines (%d on shift, Σ|RS|² %d)", p, fanReach, fanSeqs, on, pairs)
+		}
+		o := opts
+		o.Parallelism = p
+		var sp Separator
+		sameSeparation(t, want, sp.Separate(ws, ts, 0, o))
+		if sp.sep.Sequences != want.Sequences {
+			t.Fatalf("parallelism %d: %d sequences, serial %d", p, sp.sep.Sequences, want.Sequences)
+		}
+		if len(sp.scr) != max(fanReach, fanSeqs) {
+			t.Fatalf("parallelism %d: %d scratches for %d and %d goroutines", p, len(sp.scr), fanReach, fanSeqs)
+		}
+		if p == 4 {
+			// A second call reuses every scratch and arena.
+			sameSeparation(t, want, sp.Separate(ws, ts, 0, o))
+		}
+	}
+}
+
+// TestSeparateEmptyWork covers the loops with nothing to do — nobody on
+// shift, nobody reaching anything — at a fan-out setting: the count resolves
+// to one goroutine, never zero, and no scratch is indexed past it.
+func TestSeparateEmptyWork(t *testing.T) {
+	ws, ts := randomInstance(5, 20, 40, 4)
+	o := opts
+	o.Parallelism = 4
+	var sp Separator
+	if sep := sp.Separate(ws, nil, 0, o); sep.Sequences != 0 || len(sep.Forest) != len(ws) {
+		t.Fatalf("no tasks: %d sequences, %d trees", sep.Sequences, len(sep.Forest))
+	}
+	for _, w := range ws {
+		w.Off = -1
+	}
+	if sep := sp.Separate(ws, ts, 0, o); sep.Sequences != 0 {
+		t.Fatalf("nobody on shift: %d sequences", sep.Sequences)
+	}
+	if sep := sp.Separate(nil, ts, 0, o); sep.Sequences != 0 || len(sep.Forest) != 0 {
+		t.Fatalf("no workers: %d sequences, %d trees", sep.Sequences, len(sep.Forest))
+	}
+	if len(sp.scr) != 1 {
+		t.Fatalf("%d scratches for loops with no work", len(sp.scr))
 	}
 }
 
