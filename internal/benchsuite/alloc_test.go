@@ -52,19 +52,23 @@ func BenchmarkLiveReplay(b *testing.B) {
 // headroom over what the indexed worker scan with the best-sequence pick
 // measures (7,808 / 13,461; generating, cloning and sorting every Q_w to read
 // its head measured 8,354 / 16,303 — what is left is the dispatcher's and the
-// plans' own). The DTA bounds hold ~1.5x headroom over what the map-free
-// planning core measures (11,729 / 18,005 / 46,283; the map-and-scan core
-// before it measured 19,326 / 36,900 / 445,663) — event-spike is the crowd
-// regime, where a per-node or per-worker allocation in the search shows as a
-// multiple, not a percentage. The DTA+TP row is the forecast-fed one — DDGNN
-// training and a forecast every 15 s included — at ~1.5x the 316,754 that the
-// receptive-field forward with recycled value storage measures (946,348 with
-// the full-sequence forward and a Series since T0 per forecast). The SSP row
-// adds the scenario sampler and five searches per instant, at ~1.4x the
-// 384,117 measured with the candidate plans, counters and CVaR sort buffer
-// kept as planner scratch (386,254 allocating them per call); the
-// transposition table's slots and plan arena are reused across trees and
-// instants and do not show.
+// plans' own). The DTA bounds hold ~1.5x headroom over what Q_w generated as
+// position tuples, with one backing array per worker for the survivors,
+// measures (12,276 / 16,284 / 16,697; a heap object per deduped sequence
+// measured 11,657 / 17,933 / 46,326, and the map-and-scan core before that
+// 19,326 / 36,900 / 445,663) — event-spike is the crowd regime, where a
+// per-node, per-worker or per-sequence allocation shows as a multiple, not a
+// percentage, and its bound came down from 70,000 with the reading;
+// sparse-suburb, where a worker's Q_w is a sequence or two, pays one closure
+// more per instant for wds.Separate's second loop and keeps its bound. The
+// DTA+TP row is the forecast-fed one — DDGNN training and a forecast every 15 s
+// included — at ~1.5x the 316,108 that the receptive-field forward with
+// recycled value storage measures (946,348 with the full-sequence forward and
+// a Series since T0 per forecast). The SSP row adds the scenario sampler and
+// five searches per instant, at ~1.5x the 363,513 measured with the tuples
+// (384,195 before them; 386,254 allocating the candidate plans, counters and
+// CVaR sort buffer per call); the transposition table's slots and plan arena
+// are reused across trees and instants and do not show.
 func TestSteadyStateAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -80,8 +84,8 @@ func TestSteadyStateAllocGate(t *testing.T) {
 		{"sparse-suburb", datawa.MethodGreedy, 11700},
 		{"sparse-suburb", datawa.MethodDTA, 17600},
 		{"courier-grid", datawa.MethodGreedy, 20200},
-		{"courier-grid", datawa.MethodDTA, 27000},
-		{"event-spike", datawa.MethodDTA, 70000},
+		{"courier-grid", datawa.MethodDTA, 24400},
+		{"event-spike", datawa.MethodDTA, 25000},
 		{"rush-hour", datawa.MethodDTATP, 475000},
 		{"rush-hour", datawa.MethodSSP, 540000},
 	} {

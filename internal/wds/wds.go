@@ -95,11 +95,8 @@ func ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Opt
 type Scratch struct {
 	near    []spatial.Candidate // spatial-index query results
 	keep    []spatial.Candidate // Reachable's nearest survivors
-	used    []bool              // sequence-extension membership flags
-	cur     core.Sequence
-	entries []seqEntry       // per task-set best orderings
-	bests   map[uint64]int32 // task-set bitmask → index into entries
-	wide    map[string]int32 // SetKey → index into entries, past 64 reachable tasks
+	gen     seqGen              // Q_w generation
+	entries []seqEntry          // Q_w as generated: sorted, capped, materialised
 	best    bestPick
 
 	// Arenas behind the WorkerSets this goroutine produced in the current
@@ -112,10 +109,11 @@ type Scratch struct {
 }
 
 // seqEntry is one deduped task set with its best (minimal-completion)
-// ordering.
+// ordering; mask is the set over rs positions, while those fit one word.
 type seqEntry struct {
 	seq        core.Sequence
 	completion float64
+	mask       uint64
 }
 
 // Reachable returns RS_w over the indexed pool as (pool position, distance)
@@ -204,100 +202,181 @@ func MaximalValidSequences(w *core.Worker, rs []*core.Task, now float64, o Optio
 
 // sequences generates Q_w as sorted, capped entries in scratch storage valid
 // until the next call (the caller clears them when done); nil for an empty rs.
-//
-// Task sets over at most 64 reachable tasks dedup by bitmask over rs
-// positions — rs holds distinct tasks, so equal masks ⟺ equal id sets,
-// exactly the SetKey equivalence without the string allocations. Larger sets
-// (only possible with MaxReachable raised past 64) dedup by SetKey.
+// The sequences themselves are slices of one array allocated by this call and
+// owned by the caller: committed plans keep them long after the scratch has
+// moved on. Everything the cap or a better ordering discards lived in scratch
+// only, as positions in rs.
 func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Options) []seqEntry {
 	if len(rs) == 0 {
 		return nil
 	}
-	wide := len(rs) > 64
-	switch {
-	case wide:
-		sc.wide = make(map[string]int32)
-	case sc.bests == nil:
-		sc.bests = make(map[uint64]int32, 64)
-	default:
-		clear(sc.bests)
+	g := &sc.gen
+	g.generate(w, rs, now, o)
+	tuples := g.tuples
+	if len(tuples) > o.MaxSequences {
+		tuples = tuples[:o.MaxSequences]
 	}
+	total := 0
+	for _, t := range tuples {
+		total += int(t.n)
+	}
+	backing := make([]*core.Task, 0, total)
 	entries := sc.entries[:0]
+	for _, t := range tuples {
+		from := len(backing)
+		for _, k := range g.pos[t.off : t.off+t.n] {
+			backing = append(backing, rs[k])
+		}
+		entries = append(entries, seqEntry{seq: backing[from:len(backing):len(backing)], completion: t.completion, mask: t.mask})
+	}
+	sc.entries = entries[:0]
+	g.w, g.rs = nil, nil
+	return entries
+}
+
+// seqGen is the state of one Q_w generation. Orderings are tuples of
+// positions in rs, back to back in pos: a task set is entered once, a better
+// ordering of it overwrites the tuple in place (same set, same length), and
+// nothing is a heap object until the survivors are known.
+type seqGen struct {
+	w      *core.Worker
+	rs     []*core.Task
+	travel geo.TravelModel
+	maxLen int
+	used   []bool  // membership in cur, or out of the worker's reach
+	cur    []int32 // the ordering being extended
+	tuples []seqTuple
+	pos    []int32
+	// Task sets over at most 64 reachable tasks dedup by bitmask over rs
+	// positions — rs holds distinct tasks, so equal masks ⟺ equal id sets,
+	// exactly the SetKey equivalence without the string allocations. Larger
+	// sets (only possible with MaxReachable raised past 64) dedup by the
+	// sorted positions as a string; wide is nil otherwise.
+	bests  map[uint64]int32
+	wide   map[string]int32
+	sorted []int32
+	key    []byte
+}
+
+// seqTuple is one deduped task set: pos[off:off+n] is its best ordering so
+// far, completing at completion; mask is the set while rs fits one word.
+type seqTuple struct {
+	completion float64
+	mask       uint64
+	off, n     int32
+}
+
+// generate leaves Q_w in g.tuples, sorted longest first, then by completion
+// time, then lexicographically by ids, uncapped.
+func (g *seqGen) generate(w *core.Worker, rs []*core.Task, now float64, o Options) {
+	g.w, g.rs, g.travel, g.maxLen = w, rs, o.Travel, o.MaxSeqLen
+	switch {
+	case len(rs) > 64:
+		g.wide = make(map[string]int32)
+	case g.bests == nil:
+		g.bests = make(map[uint64]int32, 64)
+	default:
+		clear(g.bests)
+	}
 	// A task beyond the worker's reach can extend nothing: it starts out used
 	// and stays so.
-	used := slices.Grow(sc.used[:0], len(rs))[:len(rs)]
+	g.used = slices.Grow(g.used[:0], len(rs))[:len(rs)]
 	for i, s := range rs {
-		used[i] = geo.Dist(w.Loc, s.Loc) > w.Reach
+		g.used[i] = geo.Dist(w.Loc, s.Loc) > w.Reach
 	}
-	sc.used = used
-	cur := sc.cur[:0]
+	g.cur, g.tuples, g.pos = g.cur[:0], g.tuples[:0], g.pos[:0]
+	g.extend(w.Loc, now, 0)
+	g.wide = nil
+	slices.SortFunc(g.tuples, g.compare)
+}
 
-	var extend func(loc geo.Point, t float64, mask uint64)
-	extend = func(loc geo.Point, t float64, mask uint64) {
-		if len(cur) > 0 {
-			var i int32
-			var ok bool
-			if wide {
-				key := cur.SetKey()
-				if i, ok = sc.wide[key]; !ok {
-					sc.wide[key] = int32(len(entries))
-				}
-			} else if i, ok = sc.bests[mask]; !ok {
-				sc.bests[mask] = int32(len(entries))
-			}
-			if !ok {
-				entries = append(entries, seqEntry{seq: cur.Clone(), completion: t})
-			} else if t < entries[i].completion {
-				entries[i] = seqEntry{seq: cur.Clone(), completion: t}
-			}
-		}
-		if len(cur) >= o.MaxSeqLen {
-			return
-		}
-		for i, s := range rs {
-			if used[i] {
-				continue
-			}
-			arrive := t + o.Travel.Time(loc, s.Loc)
-			if arrive < s.Pub {
-				arrive = s.Pub
-			}
-			if arrive >= s.Exp || arrive >= w.Off {
-				continue
-			}
-			used[i] = true
-			cur = append(cur, s)
-			extend(s.Loc, arrive, mask|1<<uint(i))
-			cur = cur[:len(cur)-1]
-			used[i] = false
-		}
+// extend enters the current ordering, ending at loc at time t over the task
+// set mask, and tries every unused reachable task after it. Validity is
+// prefix-closed (Definition 4), so an extension that violates it is cut with
+// everything below.
+func (g *seqGen) extend(loc geo.Point, t float64, mask uint64) {
+	n := len(g.cur)
+	if n > 0 {
+		g.enter(t, mask)
 	}
-	extend(w.Loc, now, 0)
-	sc.cur = cur[:0]
-	sc.wide = nil
+	if n >= g.maxLen {
+		return
+	}
+	for i, s := range g.rs {
+		if g.used[i] {
+			continue
+		}
+		arrive := t + g.travel.Time(loc, s.Loc)
+		if arrive < s.Pub {
+			arrive = s.Pub
+		}
+		if arrive >= s.Exp || arrive >= g.w.Off {
+			continue
+		}
+		g.used[i] = true
+		g.cur = append(g.cur, int32(i))
+		g.extend(s.Loc, arrive, mask|1<<uint(i))
+		g.cur = g.cur[:n]
+		g.used[i] = false
+	}
+}
 
-	slices.SortFunc(entries, func(a, b seqEntry) int {
-		if len(a.seq) != len(b.seq) {
-			return len(b.seq) - len(a.seq)
+// enter records the current ordering, completing at t, unless its task set
+// already has one completing no later.
+func (g *seqGen) enter(t float64, mask uint64) {
+	var i int32
+	var ok bool
+	if g.wide != nil {
+		key := g.setKey()
+		if i, ok = g.wide[key]; !ok {
+			g.wide[key] = int32(len(g.tuples))
 		}
-		switch {
-		case a.completion < b.completion:
-			return -1
-		case a.completion > b.completion:
-			return 1
-		case lessIDs(a.seq, b.seq):
-			return -1
-		case lessIDs(b.seq, a.seq):
-			return 1
-		}
-		return 0
-	})
-	sc.entries = entries[:0]
-	if len(entries) > o.MaxSequences {
-		clear(entries[o.MaxSequences:]) // release the sequences past the cap
-		entries = entries[:o.MaxSequences]
+	} else if i, ok = g.bests[mask]; !ok {
+		g.bests[mask] = int32(len(g.tuples))
 	}
-	return entries
+	switch {
+	case !ok:
+		g.tuples = append(g.tuples, seqTuple{completion: t, mask: mask, off: int32(len(g.pos)), n: int32(len(g.cur))})
+		g.pos = append(g.pos, g.cur...)
+	case t < g.tuples[i].completion:
+		g.tuples[i].completion = t
+		copy(g.pos[g.tuples[i].off:], g.cur)
+	}
+}
+
+// setKey identifies the current ordering's task set past one mask word.
+func (g *seqGen) setKey() string {
+	g.sorted = append(g.sorted[:0], g.cur...)
+	slices.Sort(g.sorted)
+	g.key = g.key[:0]
+	for _, k := range g.sorted {
+		g.key = append(g.key, byte(k), byte(k>>8), byte(k>>16), byte(k>>24))
+	}
+	return string(g.key)
+}
+
+// compare is Q_w's order: longest first, then earliest completion, then least
+// by ids.
+func (g *seqGen) compare(a, b seqTuple) int {
+	if a.n != b.n {
+		return int(b.n - a.n)
+	}
+	switch {
+	case a.completion < b.completion:
+		return -1
+	case a.completion > b.completion:
+		return 1
+	}
+	pa, pb := g.pos[a.off:a.off+a.n], g.pos[b.off:b.off+b.n]
+	for k := range pa {
+		if x, y := g.rs[pa[k]].ID, g.rs[pb[k]].ID; x != y {
+			if x < y {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // bestPick is the state of one BestSequence search.
@@ -404,15 +483,6 @@ func (b *bestPick) offer(t float64) {
 		}
 		b.reps = append(b.reps, b.path...)
 	}
-}
-
-func lessIDs(a, b core.Sequence) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i].ID != b[i].ID {
-			return a[i].ID < b[i].ID
-		}
-	}
-	return len(a) < len(b)
 }
 
 // Separation is the full Worker Dependency Separation state for one
@@ -715,9 +785,13 @@ func (sc *Scratch) sequenceSets(w *core.Worker, ws *WorkerSets, now float64, o O
 	q0, m0, words := len(sc.seqs), len(sc.masks), ws.Words()
 	for _, e := range entries {
 		sc.seqs = append(sc.seqs, e.seq)
-		// The sequence's task set as bits over its positions in Reach: a
-		// handful of pointer compares per task, next to the travel-time
-		// arithmetic that generated it.
+		// The sequence's task set as bits over its positions in Reach: the
+		// generator's dedup key while a row is one word, a handful of pointer
+		// compares per task past that.
+		if words == 1 {
+			sc.masks = append(sc.masks, e.mask)
+			continue
+		}
 		row := len(sc.masks)
 		sc.masks = append(sc.masks, make([]uint64, words)...)
 		for _, s := range e.seq {

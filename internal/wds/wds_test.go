@@ -638,3 +638,47 @@ func TestWideSequencesMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// lessIDs orders sequences lexicographically by task ids, for the reference
+// generator's sort (reference_test.go).
+func lessIDs(a, b core.Sequence) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i].ID != b[i].ID {
+			return a[i].ID < b[i].ID
+		}
+	}
+	return len(a) < len(b)
+}
+
+// TestSequencesOutliveTheSeparator pins the ownership of Q_w: committed plans
+// keep a Separation's sequences long after the Separator has planned other
+// instants, so they are slices of an array allocated for them — never of
+// scratch the next call rewrites — and capacity-capped against appends.
+func TestSequencesOutliveTheSeparator(t *testing.T) {
+	ws, ts := randomInstance(21, 60, 300, 5)
+	var sp Separator
+	first := sp.Separate(ws, ts, 0, opts)
+	var kept []core.Sequence
+	var ids [][]int
+	for i := range first.Sets {
+		for _, q := range first.Sets[i].Seqs {
+			if cap(q) != len(q) {
+				t.Fatalf("worker %d: a sequence of %d tasks has capacity %d", ws[i].ID, len(q), cap(q))
+			}
+			kept = append(kept, q)
+			ids = append(ids, q.IDs())
+		}
+	}
+	if len(kept) == 0 {
+		t.Fatal("no sequences")
+	}
+	ws2, ts2 := randomInstance(22, 60, 300, 5)
+	for call := 0; call < 3; call++ {
+		sp.Separate(ws2, ts2, float64(call), opts)
+	}
+	for j, q := range kept {
+		if !slices.Equal(q.IDs(), ids[j]) {
+			t.Fatalf("sequence %d read %v before the Separator planned other instants, %v after", j, ids[j], q.IDs())
+		}
+	}
+}
