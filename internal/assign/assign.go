@@ -223,13 +223,14 @@ type Search struct {
 }
 
 // searchGrain is the least number of candidate sequences in a forest worth a
-// goroutine of its own. Laying a tree out and searching it costs ≈ 10–20 ns a
-// sequence while every tree is small (paper-yueche: a median instant's forest
-// holds a few dozen sequences), so a goroutine's ≈ 30–40 µs wake-up is repaid
-// from a few thousand sequences on; a forest that large and still one giant
-// tree gains nothing either way (BenchmarkCrowdPlan 5x against 5x-par,
-// docs/BENCHMARKS.md "PR 19 measured").
-const searchGrain = 4096
+// goroutine of its own. Searching small trees costs 0.1–0.3 µs a sequence with
+// the transposition table (294 trees holding 8,340: 0.95 ms, 0.61 ms split in
+// two) and more without, so a grain is upwards of 0.1 ms, a few of a
+// goroutine's ≈ 30–40 µs wake-ups. paper-yueche's median instant — 192
+// one-worker trees holding 6 sequences, 13 µs — is two orders of magnitude
+// below it, and its largest holds 1,509 (docs/BENCHMARKS.md, "PR 19
+// measured").
+const searchGrain = 1024
 
 // treeResult locates one tree's outcome: its plan is run g's out[from:to].
 type treeResult struct {
