@@ -248,9 +248,11 @@ type Config struct {
 	Step float64
 
 	// Parallelism bounds the goroutines a planning instant may fan out
-	// across (per-worker reachability and per-RTC-tree search): 0 uses one
-	// goroutine per CPU, 1 runs serially. Plans are byte-identical at
-	// every setting; only planning CPU time changes.
+	// across (per-worker reachability and sequences, per-RTC-tree search):
+	// 0 uses up to one goroutine per CPU, 1 runs serially. It is an upper
+	// bound — a planner takes goroutines when the instant is large enough
+	// to pay for them and plans on the caller's otherwise. Plans are
+	// byte-identical at every setting; only planning CPU time changes.
 	Parallelism int
 
 	// Seed makes training and planning deterministic (default 1).

@@ -47,11 +47,12 @@ type Options struct {
 	Flat bool
 	// Parallelism bounds the goroutines used to search the trees of the
 	// RTC forest concurrently (and, unless WDS.Parallelism is set
-	// separately, the per-worker loop inside wds.Separate): 0 uses one
-	// goroutine per CPU, 1 (or any negative value) runs serially. Trees
-	// are independent by construction — workers in different trees share
-	// no reachable task — so every setting produces the identical plan,
-	// node count, and sample stream.
+	// separately, the per-worker loops inside wds.Separate): 0 uses up to
+	// one goroutine per CPU when the instant is large enough to pay for
+	// them (searchGrain sequences a goroutine), 1 (or any negative value)
+	// runs serially. Trees are independent by construction — workers in
+	// different trees share no reachable task — so every setting produces
+	// the identical plan, node count, and sample stream.
 	Parallelism int
 }
 
@@ -261,7 +262,8 @@ func (s *Search) SetParallelism(p int) { s.Opts.Parallelism = p }
 // wds.Separate), then one search per tree of the forest.
 //
 // The trees are searched concurrently on a bounded pool (Options.
-// Parallelism). Each tree owns a disjoint slice of the task pool — two
+// Parallelism) when the forest holds enough sequences to pay for one
+// (searchGrain). Each tree owns a disjoint slice of the task pool — two
 // workers sharing a reachable task are by definition in the same dependency
 // component — so per-tree searches never contend, and the merge in forest
 // order (components sorted by their smallest worker index) makes the plan,

@@ -32,9 +32,10 @@ type Options struct {
 	// MaxSequences caps |Q_w| per worker after dedup (default 128).
 	MaxSequences int
 	// Parallelism bounds the goroutines used for the per-worker
-	// reachable-set and sequence-generation loop inside Separate: 0 uses
-	// one goroutine per CPU, 1 (or any negative value) runs serially.
-	// Results are identical at every setting.
+	// reachable-set and sequence-generation loops inside Separate: 0 uses
+	// up to one goroutine per CPU when the instant is large enough to pay
+	// for them (reachGrain, sequenceGrain), 1 (or any negative value) runs
+	// serially. Results are identical at every setting.
 	Parallelism int
 	// BruteForce disables the spatial grid index inside Separate, scanning
 	// the full task pool per worker instead. Kept for ablation and for the
@@ -596,8 +597,9 @@ func (n *TreeNode) Depth() int {
 // Reachability is answered through a spatial grid index over the task pool
 // (cell size derived from the largest worker reach; see internal/spatial)
 // unless o.BruteForce is set, and the per-worker reachable-set and sequence
-// loop fans out across o.Parallelism goroutines. Both switches change only
-// the cost of the call — the Separation is identical at every setting.
+// loops fan out across up to o.Parallelism goroutines where they hold enough
+// work. Both switches change only the cost of the call — the Separation is
+// identical at every setting.
 func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options) *Separation {
 	var sp Separator
 	return sp.Separate(workers, tasks, now, o)
@@ -616,7 +618,12 @@ type Separator struct {
 	g   graphutil.Graph
 	b   treeBuilder
 	sep Separation
-	on  []int32 // the available workers, as positions in the pool
+	// The instant being separated, for the fanned-out loops: time, options
+	// with defaults applied, and the workers the loop at hand runs over — on
+	// shift, then reaching anything — as positions in the pool.
+	now float64
+	o   Options
+	on  []int32
 	// The reachable relation inverted by counting sort: the workers reaching
 	// pool task t are byTask[taskOff[t]:taskOff[t+1]], ascending.
 	taskOff []int32
@@ -653,7 +660,10 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 		cell = 0 // no grid: every query scans the pool
 	}
 	sp.ix.Reset(tasks, cell)
-	sp.workerSets(workers, now, o)
+	clear(sep.Sets)
+	sep.Sets = slices.Grow(sep.Sets[:0], len(workers))[:len(workers)]
+	sp.now, sp.o = now, o
+	sp.workerSets()
 
 	// Dependency graph: invert the reachable relation task → workers by a
 	// counting sort over pool positions, then connect the workers sharing
@@ -710,45 +720,50 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 // what they fan out by counts work, not pool slots: the reachable sets over
 // the workers on shift, the sequences over the workers that reach anything,
 // weighed by how much they reach.
-func (sp *Separator) workerSets(workers []*core.Worker, now float64, o Options) {
-	clear(sp.sep.Sets)
-	sp.sep.Sets = slices.Grow(sp.sep.Sets[:0], len(workers))[:len(workers)]
-	sets := sp.sep.Sets
+func (sp *Separator) workerSets() {
+	workers, sets := sp.sep.Workers, sp.sep.Sets
 	for i := range sp.scr {
 		sp.scr[i].resetArenas()
 	}
 	sp.on = sp.on[:0]
 	for i, w := range workers {
-		if w.Available(now) {
+		if w.Available(sp.now) {
 			sp.on = append(sp.on, int32(i))
 		}
 	}
-	on := sp.on
-	par.DoWorker(len(on), sp.scratchFor(o.Parallelism, len(on), reachGrain), func(g, k int) {
-		i := on[k]
-		sets[i] = sp.scr[g].reachSets(workers[i], &sp.ix, now, o)
-	})
+	par.DoWorker(len(sp.on), sp.scratchFor(len(sp.on), reachGrain), sp.reachJob)
 	// A worker's generation tries every ordered pair of its reachable tasks
 	// (and, where deadlines allow, every triple): |RS_w|² is what its cost
 	// grows with, and 43 workers reaching one task are not 43 reaching eight.
 	reaching, work := 0, 0
-	for _, i := range on {
+	for _, i := range sp.on {
 		if r := len(sets[i].Reach); r > 0 {
-			on[reaching] = i
+			sp.on[reaching] = i
 			reaching++
 			work += r * r
 		}
 	}
-	par.DoWorker(reaching, sp.scratchFor(o.Parallelism, work, sequenceGrain), func(g, k int) {
-		i := on[k]
-		sp.scr[g].sequenceSets(workers[i], &sets[i], now, o)
-	})
+	par.DoWorker(reaching, sp.scratchFor(work, sequenceGrain), sp.sequenceJob)
+}
+
+// reachJob and sequenceJob are the two loops' bodies for the k-th listed
+// worker on goroutine g. They are methods, and the instant's inputs fields,
+// so that handing a loop to par costs a two-word method value, not a closure
+// over the options.
+func (sp *Separator) reachJob(g, k int) {
+	i := sp.on[k]
+	sp.sep.Sets[i] = sp.scr[g].reachSets(sp.sep.Workers[i], &sp.ix, sp.now, sp.o)
+}
+
+func (sp *Separator) sequenceJob(g, k int) {
+	i := sp.on[k]
+	sp.scr[g].sequenceSets(sp.sep.Workers[i], &sp.sep.Sets[i], sp.now, sp.o)
 }
 
 // scratchFor resolves how many goroutines a loop holding the given work is
 // worth and makes sure each of them has a Scratch.
-func (sp *Separator) scratchFor(parallelism, work, grain int) int {
-	fan := par.Workers(parallelism, work, grain)
+func (sp *Separator) scratchFor(work, grain int) int {
+	fan := par.Workers(sp.o.Parallelism, work, grain)
 	for len(sp.scr) < fan {
 		sp.scr = append(sp.scr, Scratch{})
 	}
