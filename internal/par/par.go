@@ -9,7 +9,7 @@
 // time changes:
 //
 //   - the planners fan one instant's inner loops out with DoWorker: the
-//     per-worker reachable-set and sequence loop of wds.Separate, the
+//     per-worker reachable-set and sequence loops of wds.Separate, the
 //     per-tree searches of assign.Search and the per-scenario plans of
 //     assign.SSP;
 //   - dispatch fans one epoch across region shards with Do, splitting the
@@ -37,8 +37,8 @@ import (
 // Workers resolves a parallelism setting into a goroutine count for a loop
 // holding the given amount of work: 0 means up to one per available CPU
 // (runtime.GOMAXPROCS), anything below 1 means serial, and positive values
-// are an upper bound. grain is the least work worth waking a goroutine for,
-// in the caller's unit of work (jobs, or something the jobs' cost follows
+// are an upper bound. grain, a positive constant at the call site, is the
+// least work worth waking a goroutine for, in the caller's unit of work (jobs, or something the jobs' cost follows
 // better — the sequences in a forest); the answer never exceeds work/grain,
 // and is never below one, so a loop with no work at all still resolves to
 // the caller's own goroutine.
@@ -49,9 +49,6 @@ func Workers(parallelism, work, grain int) int {
 	p := parallelism
 	if p == 0 {
 		p = runtime.GOMAXPROCS(0)
-	}
-	if grain < 1 {
-		grain = 1
 	}
 	if most := work / grain; p > most {
 		p = most
@@ -133,13 +130,12 @@ func DoWorker(n, workers int, fn func(g, i int)) {
 	var next atomic.Int64
 	work := func(g int) {
 		for {
-			hi := int(next.Add(int64(run)))
-			lo := hi - run
-			if lo >= n {
-				return
-			}
-			for i := lo; i < min(hi, n); i++ {
+			end := int(next.Add(int64(run)))
+			for i := end - run; i < min(end, n); i++ {
 				fn(g, i)
+			}
+			if end >= n {
+				return
 			}
 		}
 	}
