@@ -95,11 +95,14 @@ func Do(n, parallelism int, fn func(i int)) {
 	wg.Wait()
 }
 
-// runsPerWorker is how many runs of indices DoWorker cuts per goroutine: few
-// enough that a loop of tiny jobs pays one atomic per many jobs, enough that
-// a long job delays its goroutine by a sixteenth of the loop at two workers,
-// not by half as a static partition would.
-const runsPerWorker = 8
+// runsPerWorker is how many runs of indices DoWorker cuts per goroutine. The
+// jobs of a loop worth sharing out are not alike — one tree of a forest can
+// hold half its search — so runs are short: up to 64 jobs at two workers go
+// out one by one, and a long job delays its goroutine by its own length and
+// little else. They are runs at all for the loops of thousands of tiny jobs
+// (a pool of workers with nothing in reach, 60 ns each), which then pay one
+// contended atomic per run of sixteen or more instead of one per job.
+const runsPerWorker = 32
 
 // DoWorker runs fn(g, 0) … fn(g, n-1) on workers goroutines — a count
 // resolved by Workers — and returns when all calls have finished. g

@@ -89,9 +89,9 @@ func TestDoWorkerHandsOutEveryIndexOnce(t *testing.T) {
 			}
 		}
 	}
-	// More goroutines than jobs, and a run length (1000/(3·8) = 41) that
-	// leaves a short last run.
-	for _, c := range []struct{ n, workers int }{{3, 8}, {1000, 3}, {17, 2}, {1, 4}} {
+	// More goroutines than jobs, and a run length (1000/(3·32) = 10) that
+	// does not divide n.
+	for _, c := range []struct{ n, workers int }{{3, 8}, {1000, 3}, {1000, 7}, {17, 2}, {1, 4}} {
 		counts := make([]int32, c.n)
 		perG := make([]int32, min(c.workers, c.n)) // no more goroutines than jobs
 		DoWorker(c.n, c.workers, func(g, i int) {
