@@ -72,7 +72,7 @@ func main() {
 		scale    = flag.String("scale", "standard", "experiment mode: quick | standard | full")
 		csvDir   = flag.String("csv", "", "experiment mode: also write <id>.csv files into this directory")
 		points   = flag.Int("points", 0, "experiment mode: override sweep points per parameter (0 = all)")
-		parallel = flag.Int("parallelism", 0, "planner fan-out per instant (0 = one goroutine per CPU, 1 = serial)")
+		parallel = flag.Int("parallelism", 0, "planner fan-out per instant (0 = up to one goroutine per CPU, 1 = serial)")
 
 		suite      = flag.Bool("suite", false, "run the scenario-atlas benchmark suite")
 		scenarios  = flag.String("scenarios", "", "suite mode: comma-separated archetype names (default: all registered)")

@@ -34,7 +34,7 @@ func main() {
 		scale    = flag.Float64("scale", 0.15, "dataset shrink factor in (0,1], or atlas density multiplier with -scenario")
 		step     = flag.Float64("step", 2, "replan interval in seconds")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
-		parallel = flag.Int("parallelism", 0, "planner fan-out per instant (0 = one goroutine per CPU, 1 = serial)")
+		parallel = flag.Int("parallelism", 0, "planner fan-out per instant (0 = up to one goroutine per CPU, 1 = serial)")
 	)
 	flag.Parse()
 

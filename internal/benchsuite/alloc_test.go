@@ -59,8 +59,8 @@ func BenchmarkLiveReplay(b *testing.B) {
 // 19,326 / 36,900 / 445,663) — event-spike is the crowd regime, where a
 // per-node, per-worker or per-sequence allocation shows as a multiple, not a
 // percentage, and its bound came down from 70,000 with the reading;
-// sparse-suburb, where a worker's Q_w is a sequence or two, pays one closure
-// more per instant for wds.Separate's second loop and keeps its bound. The
+// sparse-suburb, where a worker's Q_w is a sequence or two, pays one method
+// value more per instant for wds.Separate's second loop and keeps its bound. The
 // DTA+TP row is the forecast-fed one — DDGNN training and a forecast every 15 s
 // included — at ~1.5x the 316,108 that the receptive-field forward with
 // recycled value storage measures (946,348 with the full-sequence forward and

@@ -41,7 +41,7 @@ type Scale struct {
 	// (0 = all five, matching the paper).
 	SweepPoints int
 	// Parallelism bounds the planner's per-instant fan-out across RTC
-	// components (0 = one goroutine per CPU, 1 = serial). Assignment
+	// components (0 = up to one goroutine per CPU, 1 = serial). Assignment
 	// results are identical at every setting; only CPU time moves.
 	Parallelism int
 }
