@@ -28,7 +28,7 @@ func liveReplay(tb testing.TB, arch string, m datawa.Method, scale float64) disp
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return dispatch.LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)
+	return dispatch.LoadGen{Events: sc.Events(), T1: sc.T1, Stream: true}.Run(d)
 }
 
 // BenchmarkLiveReplay replays a quiet archetype through the live dispatch
@@ -68,7 +68,11 @@ func BenchmarkLiveReplay(b *testing.B) {
 // five searches per instant, at ~1.5x the 363,513 measured with the tuples
 // (384,195 before them; 386,254 allocating the candidate plans, counters and
 // CVaR sort buffer per call); the transposition table's slots and plan arena
-// are reused across trees and instants and do not show.
+// are reused across trees and instants and do not show. Those readings were
+// taken replaying per event; through the wire path the suite now uses the
+// seven rows read 7,325 / 12,549 / 13,552 / 16,826 / 16,964 / 316,742 /
+// 364,038 — the frame and decode buffers, 270 to 550 a replay — and the
+// bounds are unchanged.
 func TestSteadyStateAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")

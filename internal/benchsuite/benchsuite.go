@@ -2,10 +2,10 @@
 // registered archetype (internal/scenario) × assignment method × density
 // scale, each replayed through both the offline stream engine
 // (datawa.Framework.Run) and the live dispatch path (dispatch.LoadGen over a
-// sharded Dispatcher). The result is a schema-versioned Report — the
-// BENCH_*.json files at the repo root — recording throughput, epoch latency
-// percentiles, assignment rate, and allocations, so successive PRs can
-// compare performance against the committed snapshot.
+// sharded Dispatcher, through the batched wire path a /v1/stream client
+// uses). The result is a Report — the one BENCH_<pr>.json snapshot at the
+// repo root — recording assignment outcomes beside throughput, epoch latency
+// percentiles and allocations.
 //
 // Chaos archetypes (scenario.Archetype.Overload != nil) run their live path
 // under the archetype's admission-control and governor profile with the
@@ -15,13 +15,14 @@
 // on every load and Run enforces at generation time. The offline/live
 // fidelity gate skips them — shedding makes the two paths diverge by design.
 //
-// Assignment outcomes (assigned/expired counts, and therefore
-// assignment_rate) are deterministic given the archetype seed, at every
-// parallelism level and on every machine; wall-clock and allocation figures
-// are informational and host-dependent. Compare gates on assignment rate
-// (hard, deterministic) and — with a separate, looser threshold — on the
-// live path's epoch p95 latency, so a perf PR cannot silently trade epoch
-// latency for throughput. docs/BENCHMARKS.md documents the schema and the
+// Outcomes (assigned/expired counts, plan calls, epochs, the reuse,
+// admission and governor counters) are deterministic given the archetype
+// seed, at every parallelism level and on every machine; wall-clock and
+// allocation figures are informational and host-dependent. Compare therefore
+// gates the outcomes on exact equality and — with a tolerance — the live
+// path's epoch p95 latency, so a perf PR cannot silently trade epoch latency
+// for throughput. Timing claims are made on the repository benchmark
+// (benchmark/), not here. docs/BENCHMARKS.md documents the schema and the
 // regeneration policy.
 package benchsuite
 
@@ -29,7 +30,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro"
@@ -37,31 +39,11 @@ import (
 	"repro/internal/scenario"
 )
 
-// Schema identifies the Report wire format. Bump the suffix on any
-// incompatible change and teach Validate the older versions so committed
-// snapshots keep working as -compare baselines. Version 2 added the per-cell
-// fidelity_gap field and the top-level halo_radius_km echo; version 3 added
-// the live path's incremental-replanning reuse counters (incremental_hits,
-// components_replanned) and the top-level incremental echo; version 4 added
-// the chaos archetypes (cells marked overload, run under admission control
-// and the SLA governor) and their live-path shed/deferred/cancelled and
-// planner-tier counters, plus the exact task-conservation check Validate
-// applies to overload cells; version 5 added the ingest transport axis —
-// cells carry a transport tag ("json" per-event, "stream" batched binary
-// wire frames) and reports echo the Transports option. A missing or empty
-// transport means "json": pre-v5 snapshots predate the stream transport, so
-// Compare matches their cells against v5 json cells. Version 6 added the
-// scenario-sampling method (SSP): its cells echo the sampling configuration
-// (samples, cvar_alpha) alongside the method tag, and reports echo the
-// Samples and CVaRAlpha options; cells of the other methods are unchanged,
-// so pre-v6 baselines keep gating them.
-const Schema = "datawa-bench-suite/6"
-
-// legacySchemas are older wire formats Validate still accepts.
-var legacySchemas = []string{"datawa-bench-suite/5", "datawa-bench-suite/4", "datawa-bench-suite/3", "datawa-bench-suite/2", "datawa-bench-suite/1"}
-
-// schemaV1 is the oldest format, which predates the fidelity_gap field.
-const schemaV1 = "datawa-bench-suite/1"
+// Schema identifies the Report wire format, and Validate accepts no other:
+// the repo carries one snapshot, regenerated whenever the format or an
+// outcome changes, so there is no older file to keep loadable. Bump the
+// suffix on any incompatible change and regenerate the snapshot with it.
+const Schema = "datawa-bench-suite/7"
 
 // p95GateFloorNS clamps the baseline of Compare's latency gate from below:
 // growth is measured relative to max(baseline, 10 ms). Epoch latencies are
@@ -70,8 +52,8 @@ const schemaV1 = "datawa-bench-suite/1"
 // purely relative threshold on small baselines would gate on scheduler and
 // hardware noise. The floor widens the allowance instead of exempting the
 // cell: a lightweight cell blowing up past ~15 ms still fails, while the
-// gate's real target — order-of-magnitude regressions on the heavyweight
-// cells (hundreds of ms to seconds) — is gated at the full 50% tolerance.
+// cells above the floor — the 5x flash crowds, tens of ms — are gated at the
+// tolerance itself.
 const p95GateFloorNS = int64(10 * time.Millisecond)
 
 // Options parameterizes one suite run. The zero value runs every registered
@@ -85,27 +67,10 @@ type Options struct {
 	// training-free pair; DTA+TP and DATA-WA train their models per cell
 	// and cost accordingly).
 	Methods []string
-	// Transports lists the live-path ingest transports to measure: "json"
-	// replays per event (the pre-v5 behavior and the only valid entry for
-	// older baselines), "stream" replays through the batched binary wire
-	// path (encode → frame → decode → IngestBatch). Empty = json only.
-	// Assignment outcomes are transport-independent — the dispatch property
-	// tests pin byte-identical snapshots — so extra transports add
-	// throughput cells, never new behavior.
-	Transports []string
 	// Step is the planning epoch length in seconds (default 2).
 	Step float64
 	// Shards is the live path's dispatcher shard count (default 2).
 	Shards int
-	// HaloRadius is the live path's cross-shard handoff radius in km
-	// (0 = auto from worker reach, negative = disable ghost replication);
-	// see dispatch.Config.HaloRadius.
-	HaloRadius float64
-	// DisableIncremental turns off the live path's incremental epoch
-	// replanning (dispatch.Config.DisableIncremental). Assignment outcomes
-	// are identical either way; only epoch cost and the reuse counters
-	// change.
-	DisableIncremental bool
 	// Parallelism bounds planner fan-out (0 = one goroutine per CPU).
 	Parallelism int
 	// MaxNodes caps exact-search effort per RTC tree (default 4000); a
@@ -129,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Methods) == 0 {
 		o.Methods = []string{string(datawa.MethodGreedy), string(datawa.MethodDTA)}
-	}
-	if len(o.Transports) == 0 {
-		o.Transports = []string{TransportJSON}
 	}
 	if o.Step <= 0 {
 		o.Step = 2
@@ -160,21 +122,17 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	OS        string `json:"os"`
 	Arch      string `json:"arch"`
-	// Scenarios, Scales, Methods, Step, Shards, HaloRadius, Incremental and
-	// Parallelism echo the options that produced the report. Scenarios
-	// arrived with schema v3; Compare falls back to the result set's
-	// scenario names for older reports.
-	Scenarios   []string  `json:"scenarios,omitempty"`
+	// Scenarios, Scales, Methods, Step, Shards and Parallelism echo the
+	// options that produced the report. The first three are the axes Compare
+	// holds a narrowed rerun to; Step and Shards must match the baseline's.
+	Scenarios   []string  `json:"scenarios"`
 	Scales      []float64 `json:"scales"`
 	Methods     []string  `json:"methods"`
-	Transports  []string  `json:"transports,omitempty"`
 	Step        float64   `json:"step_seconds"`
 	Shards      int       `json:"shards"`
-	HaloRadius  float64   `json:"halo_radius_km"`
-	Incremental bool      `json:"incremental"`
 	Parallelism int       `json:"parallelism"`
-	// Samples and CVaRAlpha echo the SSP sampling options (schema v6);
-	// absent when no SSP cells were requested.
+	// Samples and CVaRAlpha echo the SSP sampling options; absent when no
+	// SSP cells were requested.
 	Samples   int     `json:"samples,omitempty"`
 	CVaRAlpha float64 `json:"cvar_alpha,omitempty"`
 	// Results holds one cell per scenario × scale × method, in scenario
@@ -212,32 +170,16 @@ type Cell struct {
 	// the deterministic work-unit cost function, then quiesced to a full
 	// drain. Validate asserts exact task conservation on these cells.
 	Overload bool `json:"overload,omitempty"`
-	// Transport is the live path's ingest transport: TransportJSON
-	// (per-event, the pre-v5 default — empty means the same) or
-	// TransportStream (batched binary wire frames). The offline path never
-	// involves a transport, so stream cells reuse the json cell's offline
-	// figures verbatim.
+	// Transport is never written: reports up to schema 6 measured every cell
+	// over two ingest transports and tagged each with one. The field stays so
+	// that Validate can refuse such a cell — two cells under one scenario ×
+	// scale × method key — instead of decoding it as if the tag were absent.
 	Transport string `json:"transport,omitempty"`
-	// Samples and CVaRAlpha echo the sampling configuration of an SSP cell
-	// (schema v6): the demand futures drawn per forecast instant and the
-	// CVaR risk knob (0 = expected value). Zero on non-SSP cells.
+	// Samples and CVaRAlpha echo the sampling configuration of an SSP cell:
+	// the demand futures drawn per forecast instant and the CVaR risk knob
+	// (0 = expected value). Zero on non-SSP cells.
 	Samples   int     `json:"samples,omitempty"`
 	CVaRAlpha float64 `json:"cvar_alpha,omitempty"`
-}
-
-// Live-path ingest transports a Cell can be measured over.
-const (
-	TransportJSON   = "json"
-	TransportStream = "stream"
-)
-
-// normTransport maps the empty (pre-v5) transport tag to TransportJSON so
-// old and new snapshots compare like for like.
-func normTransport(t string) string {
-	if t == "" {
-		return TransportJSON
-	}
-	return t
 }
 
 // Path is one execution path's measurement.
@@ -299,11 +241,8 @@ func Run(opts Options) (*Report, error) {
 		Scenarios:   opts.Scenarios,
 		Scales:      opts.Scales,
 		Methods:     opts.Methods,
-		Transports:  opts.Transports,
 		Step:        opts.Step,
 		Shards:      opts.Shards,
-		HaloRadius:  opts.HaloRadius,
-		Incremental: !opts.DisableIncremental,
 		Parallelism: opts.Parallelism,
 	}
 	for _, m := range opts.Methods {
@@ -321,33 +260,23 @@ func Run(opts Options) (*Report, error) {
 		for _, f := range opts.Scales {
 			sc := arch.Generate(f)
 			for _, method := range opts.Methods {
-				// The offline engine has no ingest transport, so its
-				// measurement from the first transport's cell is reused
-				// verbatim by the rest.
-				var offline *Path
-				for _, transport := range opts.Transports {
-					cell, err := runCell(arch, sc, f, datawa.Method(method), transport, offline, opts)
-					if err != nil {
-						return nil, fmt.Errorf("benchsuite: %s %gx %s (%s): %w", name, f, method, transport, err)
-					}
-					if offline == nil {
-						off := cell.Offline
-						offline = &off
-					}
-					r.Results = append(r.Results, cell)
-					chaos := ""
-					if cell.Overload {
-						chaos = fmt.Sprintf(" | shed %d deferred %d tier↓%d↑%d worst %d",
-							cell.Live.Shed, cell.Live.Deferred,
-							cell.Live.TierDemotions, cell.Live.TierPromotions, cell.Live.WorstTier)
-					}
-					opts.Log("%-13s %4gx %-8s %-6s offline %5.1f%% %8.0f ev/s | live %5.1f%% %8.0f ev/s gap %+5.1fpp p95 %s%s",
-						name, f, method, transport,
-						100*cell.Offline.AssignmentRate, cell.Offline.EventsPerSec,
-						100*cell.Live.AssignmentRate, cell.Live.EventsPerSec,
-						100*cell.FidelityGap,
-						time.Duration(cell.Live.EpochP95NS).Round(time.Microsecond), chaos)
+				cell, err := runCell(arch, sc, f, datawa.Method(method), opts)
+				if err != nil {
+					return nil, fmt.Errorf("benchsuite: %s %gx %s: %w", name, f, method, err)
 				}
+				r.Results = append(r.Results, cell)
+				chaos := ""
+				if cell.Overload {
+					chaos = fmt.Sprintf(" | shed %d deferred %d tier↓%d↑%d worst %d",
+						cell.Live.Shed, cell.Live.Deferred,
+						cell.Live.TierDemotions, cell.Live.TierPromotions, cell.Live.WorstTier)
+				}
+				opts.Log("%-13s %4gx %-8s offline %5.1f%% %8.0f ev/s | live %5.1f%% %8.0f ev/s gap %+5.1fpp p95 %s%s",
+					name, f, method,
+					100*cell.Offline.AssignmentRate, cell.Offline.EventsPerSec,
+					100*cell.Live.AssignmentRate, cell.Live.EventsPerSec,
+					100*cell.FidelityGap,
+					time.Duration(cell.Live.EpochP95NS).Round(time.Microsecond), chaos)
 			}
 		}
 	}
@@ -383,15 +312,11 @@ func framework(sc *datawa.Scenario, m datawa.Method, opts Options) (*datawa.Fram
 	return fw, nil
 }
 
-// runCell measures one scenario × scale × method × transport through both
-// paths. A non-nil offline is reused instead of re-running the offline
-// engine — stream cells differ from their json siblings only on the live
-// path's ingest transport.
-func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.Method, transport string, offline *Path, opts Options) (Cell, error) {
+// runCell measures one scenario × scale × method through both paths.
+func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.Method, opts Options) (Cell, error) {
 	cell := Cell{
 		Scenario: arch.Name, Scale: f, Method: string(m),
 		Workers: len(sc.Workers), Tasks: len(sc.Tasks),
-		Transport: transport,
 	}
 	if m == datawa.MethodSSP {
 		cell.Samples = opts.Samples
@@ -400,46 +325,39 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 	events := len(sc.Workers) + len(sc.Tasks)
 	var m0, m1 runtime.MemStats
 
-	if offline != nil {
-		cell.Offline = *offline
-	} else {
-		// Offline: the closed-trace stream engine.
-		fw, err := framework(sc, m, opts)
-		if err != nil {
-			return Cell{}, err
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		res, err := fw.Run(m, sc.Workers, sc.Tasks, sc.T0, sc.T1)
-		wall := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		if err != nil {
-			return Cell{}, err
-		}
-		cell.Offline = Path{
-			Assigned: res.Assigned, Expired: res.Expired,
-			AssignmentRate: rate(res.Assigned, len(sc.Tasks)),
-			PlanCalls:      res.PlanCalls,
-			AvgPlanNS:      res.AvgPlanTime.Nanoseconds(),
-			WallMS:         float64(wall.Microseconds()) / 1000,
-			EventsPerSec:   perSec(events, wall),
-			AllocBytes:     m1.TotalAlloc - m0.TotalAlloc,
-			Allocs:         m1.Mallocs - m0.Mallocs,
-		}
+	// Offline: the closed-trace stream engine.
+	fw, err := framework(sc, m, opts)
+	if err != nil {
+		return Cell{}, err
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	res, err := fw.Run(m, sc.Workers, sc.Tasks, sc.T0, sc.T1)
+	wall := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		return Cell{}, err
+	}
+	cell.Offline = Path{
+		Assigned: res.Assigned, Expired: res.Expired,
+		AssignmentRate: rate(res.Assigned, len(sc.Tasks)),
+		PlanCalls:      res.PlanCalls,
+		AvgPlanNS:      res.AvgPlanTime.Nanoseconds(),
+		WallMS:         float64(wall.Microseconds()) / 1000,
+		EventsPerSec:   perSec(events, wall),
+		AllocBytes:     m1.TotalAlloc - m0.TotalAlloc,
+		Allocs:         m1.Mallocs - m0.Mallocs,
 	}
 
 	// Live: the same trace through the sharded dispatch service. A fresh
 	// framework keeps any forecaster state of the offline run out of the
 	// measurement.
-	fw, err := framework(sc, m, opts)
+	fw, err = framework(sc, m, opts)
 	if err != nil {
 		return Cell{}, err
 	}
-	dc := datawa.DispatchConfig{
-		Shards: opts.Shards, HaloRadius: opts.HaloRadius, Step: opts.Step, Now: sc.T0,
-		DisableIncremental: opts.DisableIncremental,
-	}
+	dc := datawa.DispatchConfig{Shards: opts.Shards, Step: opts.Step, Now: sc.T0}
 	if arch.Overload != nil {
 		cell.Overload = true
 		applyOverload(&dc, arch.Overload)
@@ -452,10 +370,17 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 	if err != nil {
 		return Cell{}, err
 	}
-	g := dispatch.LoadGen{Events: sc.Events(), T1: sc.T1, Stream: normTransport(transport) == TransportStream}
+	// Stream: the batched wire path (encode → frame → decode → IngestBatch),
+	// what benchmark/ and a /v1/stream client drive. Outcomes do not depend on
+	// the transport (dispatch.TestTransportEquivalence).
+	g := dispatch.LoadGen{Events: sc.Events(), T1: sc.T1, Stream: true}
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	lr := g.Run(d)
+	// Read before the overload drain and audit below: wall_ms and
+	// events_per_sec come from lr and cover the replay alone, and the
+	// allocation figures must cover the same interval.
+	runtime.ReadMemStats(&m1)
 	met := lr.Metrics
 	if cell.Overload {
 		// Chaos gate: the dispatcher must reach a fully drained state with
@@ -479,7 +404,6 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 			return Cell{}, fmt.Errorf("lifecycle ledger audit failed on overload cell (evictions %d): %v", evictions, issues)
 		}
 	}
-	runtime.ReadMemStats(&m1)
 	avgPlan := int64(0)
 	if met.PlanCalls > 0 {
 		avgPlan = met.PlanTime.Nanoseconds() / int64(met.PlanCalls)
@@ -558,15 +482,8 @@ func (r *Report) Validate() error {
 	if r == nil {
 		return fmt.Errorf("nil report")
 	}
-	legacy := false
-	for _, s := range legacySchemas {
-		if r.Schema == s {
-			legacy = true
-			break
-		}
-	}
-	if r.Schema != Schema && !legacy {
-		return fmt.Errorf("schema %q, want %q (or legacy %v)", r.Schema, Schema, legacySchemas)
+	if r.Schema != Schema {
+		return fmt.Errorf("schema %q, want %q", r.Schema, Schema)
 	}
 	if len(r.Results) == 0 {
 		return fmt.Errorf("report has no results")
@@ -579,26 +496,24 @@ func (r *Report) Validate() error {
 		if c.Scale <= 0 || math.IsNaN(c.Scale) {
 			return fmt.Errorf("%s: bad scale", where)
 		}
-		if tp := c.Transport; tp != "" && tp != TransportJSON && tp != TransportStream {
-			return fmt.Errorf("%s: unknown transport %q", where, tp)
+		if c.Transport != "" {
+			return fmt.Errorf("%s: carries transport %q, which no %s cell has", where, c.Transport, Schema)
 		}
 		if c.Workers <= 0 || c.Tasks <= 0 {
 			return fmt.Errorf("%s: empty population", where)
 		}
-		// fidelity_gap arrived with schema version 2; v1 reports carry the
-		// zero value, which would fail the consistency check.
-		if r.Schema != schemaV1 {
-			if gap := c.Offline.AssignmentRate - c.Live.AssignmentRate; math.Abs(gap-c.FidelityGap) > 1e-9 {
-				return fmt.Errorf("%s: fidelity_gap %v inconsistent with offline−live rates (%v)", where, c.FidelityGap, gap)
-			}
+		if gap := c.Offline.AssignmentRate - c.Live.AssignmentRate; !(math.Abs(gap-c.FidelityGap) <= 1e-9) {
+			return fmt.Errorf("%s: fidelity_gap %v inconsistent with offline−live rates (%v)", where, c.FidelityGap, gap)
 		}
 		for _, p := range []struct {
 			name string
 			p    Path
 			live bool
 		}{{"offline", c.Offline, false}, {"live", c.Live, true}} {
-			if p.p.AssignmentRate < 0 || p.p.AssignmentRate > 1 || math.IsNaN(p.p.AssignmentRate) {
-				return fmt.Errorf("%s: %s assignment_rate %v out of [0,1]", where, p.name, p.p.AssignmentRate)
+			// The rates and the gap are functions of the counts; holding them
+			// to the counts here is what lets Compare gate the counts alone.
+			if want := rate(p.p.Assigned, c.Tasks); !(math.Abs(p.p.AssignmentRate-want) <= 1e-9) {
+				return fmt.Errorf("%s: %s assignment_rate %v is not assigned/tasks (%v)", where, p.name, p.p.AssignmentRate, want)
 			}
 			if p.p.Assigned+p.p.Expired > c.Tasks {
 				return fmt.Errorf("%s: %s assigned+expired %d exceeds %d tasks", where, p.name, p.p.Assigned+p.p.Expired, c.Tasks)
@@ -628,117 +543,115 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// Compare gates a new report against a baseline snapshot: for every cell
-// present in both (matched by scenario, scale, method), the offline and live
-// assignment rates may not drop by more than maxRelDrop (e.g. 0.10 = 10%)
-// relative to the baseline, and the live path's epoch p95 latency may not
-// grow by more than maxRelP95 (e.g. 0.50 = 50%; ≤ 0 disables the latency
-// gate). Two silent-degradation gates ride along: a cell whose baseline
-// never shed a task (Shed == 0) or never demoted its planner
-// (TierDemotions == 0) fails if the candidate starts doing either — shedding
-// and tier demotion buy rate and latency by giving up completeness or plan
-// quality, exactly what the rate and latency gates cannot see. Chaos cells
-// carry non-zero baseline counters, so they pass by construction.
-// The latency threshold is deliberately separate and looser than the
-// rate threshold: assignment rates are deterministic, so any drop is a real
-// behavior change, while p95 carries host jitter — the gate exists to catch
-// order-of-magnitude epoch blowups that a rate-only gate would wave
-// through, not single-digit noise. For cells whose baseline p95 is under
-// ten milliseconds, growth is measured against a 10 ms floor instead of the
-// raw baseline: run-to-run variance reaches 2x there and the baseline
-// snapshot may come from a faster host, so a purely relative bound would
-// gate on noise — but a lightweight cell regressing to hundreds of
-// milliseconds still fails. Wall-clock throughput and allocation figures
-// never gate. It returns the number of cells compared.
+// outcomeFields are the cell fields Compare holds to exact equality: every
+// one is a function of the archetype seed and the echoed configuration alone,
+// identical at every parallelism and on every host. assignment_rate and
+// fidelity_gap are left out because Validate derives them from these.
+var outcomeFields = []struct {
+	name string
+	get  func(*Cell) int64
+}{
+	{"workers", func(c *Cell) int64 { return int64(c.Workers) }},
+	{"tasks", func(c *Cell) int64 { return int64(c.Tasks) }},
+	{"overload", func(c *Cell) int64 {
+		if c.Overload {
+			return 1
+		}
+		return 0
+	}},
+	{"offline.assigned", func(c *Cell) int64 { return int64(c.Offline.Assigned) }},
+	{"offline.expired", func(c *Cell) int64 { return int64(c.Offline.Expired) }},
+	{"offline.plan_calls", func(c *Cell) int64 { return int64(c.Offline.PlanCalls) }},
+	{"live.assigned", func(c *Cell) int64 { return int64(c.Live.Assigned) }},
+	{"live.expired", func(c *Cell) int64 { return int64(c.Live.Expired) }},
+	{"live.plan_calls", func(c *Cell) int64 { return int64(c.Live.PlanCalls) }},
+	{"live.epochs", func(c *Cell) int64 { return int64(c.Live.Epochs) }},
+	{"live.incremental_hits", func(c *Cell) int64 { return c.Live.IncrementalHits }},
+	{"live.components_replanned", func(c *Cell) int64 { return c.Live.ComponentsReplanned }},
+	{"live.cancelled", func(c *Cell) int64 { return int64(c.Live.Cancelled) }},
+	{"live.shed", func(c *Cell) int64 { return c.Live.Shed }},
+	{"live.deferred", func(c *Cell) int64 { return c.Live.Deferred }},
+	{"live.tier_demotions", func(c *Cell) int64 { return c.Live.TierDemotions }},
+	{"live.tier_promotions", func(c *Cell) int64 { return c.Live.TierPromotions }},
+	{"live.worst_tier", func(c *Cell) int64 { return int64(c.Live.WorstTier) }},
+}
+
+// Compare gates a new report against a baseline snapshot. Cells are matched
+// by scenario, scale and method, and for every matched cell each of
+// outcomeFields must be equal: outcomes are deterministic, so any difference
+// is a behavior change, and the PR that intends one regenerates the snapshot.
+// The live path's epoch p95 may not grow by more than maxRelP95 (e.g. 0.50 =
+// 50%; ≤ 0 disables the latency gate) over max(baseline, 10 ms) — see
+// p95GateFloorNS; the gate exists to catch epoch blowups, not host jitter.
+// Every other wall-clock and allocation figure is ungated. It returns the
+// number of cells compared.
+//
+// The two reports must have run the same configuration — shards, epoch
+// length and, on SSP cells, the sampling pair — or their outcomes are not
+// comparable at all, and that is an error rather than a list of differences.
 //
 // Coverage is also gated: a baseline cell whose scenario, scale, and method
-// all lie inside the candidate's axes (the scenario set present in its
-// results, its echoed Scales and Methods) must appear in the candidate — a
+// all lie inside the candidate's echoed axes must appear in the candidate — a
 // cell silently vanishing from a rerun of the same configuration is a
 // regression, not a skip. Baseline cells outside the candidate's axes (a CI
-// run at 1x compared against a 1x+5x snapshot, a methods subset) are
+// run at 1x compared against the 1x+5x snapshot, a methods subset) are
 // legitimately absent and don't count.
-func Compare(base, cur *Report, maxRelDrop, maxRelP95 float64) (int, error) {
+func Compare(base, cur *Report, maxRelP95 float64) (int, error) {
 	if err := base.Validate(); err != nil {
 		return 0, fmt.Errorf("baseline: %w", err)
 	}
 	if err := cur.Validate(); err != nil {
 		return 0, fmt.Errorf("new report: %w", err)
 	}
-	// Cells match on scenario, scale, method, and transport — with the empty
-	// (pre-v5) transport normalized to "json", so a pre-stream baseline's
-	// cells gate the candidate's per-event cells and its stream cells ride
-	// along ungated until a stream-bearing snapshot becomes the baseline.
-	key := func(c Cell) string {
-		return fmt.Sprintf("%s|%g|%s|%s", c.Scenario, c.Scale, c.Method, normTransport(c.Transport))
+	if base.Shards != cur.Shards || base.Step != cur.Step {
+		return 0, fmt.Errorf("configurations differ: baseline ran %d shards at %gs epochs, new report %d at %gs",
+			base.Shards, base.Step, cur.Shards, cur.Step)
 	}
-	baseBy := make(map[string]Cell, len(base.Results))
-	for _, c := range base.Results {
-		baseBy[key(c)] = c
+	key := func(c Cell) string {
+		return fmt.Sprintf("%s|%g|%s", c.Scenario, c.Scale, c.Method)
+	}
+	baseBy := make(map[string]*Cell, len(base.Results))
+	for i := range base.Results {
+		baseBy[key(base.Results[i])] = &base.Results[i]
 	}
 	curBy := make(map[string]bool, len(cur.Results))
-	curScenarios := make(map[string]bool)
-	curTransports := make(map[string]bool)
 	for _, c := range cur.Results {
 		curBy[key(c)] = true
-		if len(cur.Scenarios) == 0 {
-			// Pre-v3 candidate without the scenario echo: infer the axis.
-			curScenarios[c.Scenario] = true
-		}
-		if len(cur.Transports) == 0 {
-			// Pre-v5 candidate without the transport echo: infer the axis.
-			curTransports[normTransport(c.Transport)] = true
-		}
-	}
-	for _, name := range cur.Scenarios {
-		curScenarios[name] = true
-	}
-	for _, tp := range cur.Transports {
-		curTransports[normTransport(tp)] = true
-	}
-	curScales := make(map[float64]bool, len(cur.Scales))
-	for _, f := range cur.Scales {
-		curScales[f] = true
-	}
-	curMethods := make(map[string]bool, len(cur.Methods))
-	for _, m := range cur.Methods {
-		curMethods[m] = true
 	}
 	var missing []string
 	for _, b := range base.Results {
-		if curScenarios[b.Scenario] && curScales[b.Scale] && curMethods[b.Method] &&
-			curTransports[normTransport(b.Transport)] && !curBy[key(b)] {
+		if slices.Contains(cur.Scenarios, b.Scenario) && slices.Contains(cur.Scales, b.Scale) &&
+			slices.Contains(cur.Methods, b.Method) && !curBy[key(b)] {
 			missing = append(missing, key(b))
 		}
 	}
 	if len(missing) > 0 {
-		sort.Strings(missing)
+		slices.Sort(missing)
 		return 0, fmt.Errorf("%d baseline cell(s) inside the new report's scenario/scale/method axes are missing from it: %v",
 			len(missing), missing)
 	}
 	compared := 0
 	var regressions []string
-	for _, c := range cur.Results {
-		b, ok := baseBy[key(c)]
+	for i := range cur.Results {
+		c := &cur.Results[i]
+		b, ok := baseBy[key(*c)]
 		if !ok {
 			continue
 		}
+		if b.Samples != c.Samples || b.CVaRAlpha != c.CVaRAlpha {
+			return 0, fmt.Errorf("configurations differ: %s %gx %s sampled %d futures at cvar_alpha %g in the baseline, %d at %g in the new report",
+				c.Scenario, c.Scale, c.Method, b.Samples, b.CVaRAlpha, c.Samples, c.CVaRAlpha)
+		}
 		compared++
-		check := func(path string, baseRate, curRate float64) {
-			if baseRate > 0 && curRate < baseRate*(1-maxRelDrop) {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s %gx %s %s: assignment rate %.3f → %.3f (>%.0f%% drop)",
-					c.Scenario, c.Scale, c.Method, path, baseRate, curRate, 100*maxRelDrop))
+		for _, f := range outcomeFields {
+			if was, is := f.get(b), f.get(c); was != is {
+				regressions = append(regressions, fmt.Sprintf("%s %gx %s: %s %d → %d",
+					c.Scenario, c.Scale, c.Method, f.name, was, is))
 			}
 		}
-		check("offline", b.Offline.AssignmentRate, c.Offline.AssignmentRate)
-		check("live", b.Live.AssignmentRate, c.Live.AssignmentRate)
-		baseP95 := b.Live.EpochP95NS
-		if baseP95 < p95GateFloorNS {
-			baseP95 = p95GateFloorNS
-		}
 		// No b.EpochP95NS > 0 guard: the floor already turns a degenerate
-		// zero baseline into a 1 ms allowance instead of disabling the gate.
+		// zero baseline into a 10 ms one instead of disabling the gate.
+		baseP95 := max(b.Live.EpochP95NS, p95GateFloorNS)
 		if maxRelP95 > 0 &&
 			float64(c.Live.EpochP95NS) > float64(baseP95)*(1+maxRelP95) {
 			regressions = append(regressions, fmt.Sprintf(
@@ -747,31 +660,12 @@ func Compare(base, cur *Report, maxRelDrop, maxRelP95 float64) (int, error) {
 				time.Duration(b.Live.EpochP95NS), time.Duration(c.Live.EpochP95NS),
 				100*maxRelP95, time.Duration(p95GateFloorNS)))
 		}
-		// Silent-degradation gates: a cell that never shed tasks or demoted
-		// its planner in the baseline must not start doing so — either would
-		// quietly trade completeness or plan quality for the rate and latency
-		// numbers the gates above watch. Chaos cells shed and demote by
-		// design, so their baselines carry non-zero counters and pass.
-		if b.Live.Shed == 0 && c.Live.Shed > 0 {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s %gx %s live: began shedding tasks (0 → %d)",
-				c.Scenario, c.Scale, c.Method, c.Live.Shed))
-		}
-		if b.Live.TierDemotions == 0 && c.Live.TierDemotions > 0 {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s %gx %s live: governor began demoting the planner (0 → %d demotions)",
-				c.Scenario, c.Scale, c.Method, c.Live.TierDemotions))
-		}
 	}
 	if compared == 0 {
 		return 0, fmt.Errorf("no overlapping cells between the reports — scenario or method sets diverged")
 	}
 	if len(regressions) > 0 {
-		msg := ""
-		for _, line := range regressions {
-			msg += "\n  " + line
-		}
-		return compared, fmt.Errorf("%d regression(s):%s", len(regressions), msg)
+		return compared, fmt.Errorf("%d difference(s):\n  %s", len(regressions), strings.Join(regressions, "\n  "))
 	}
 	return compared, nil
 }
