@@ -206,13 +206,23 @@ type Search struct {
 	// Per-instant scratch (a Search serves one shard from one goroutine, but
 	// fans tree searches out internally — runs is indexed by the worker
 	// goroutine, everything else stays on the driving goroutine).
-	sep     wds.Separator
-	runs    []searchRun
+	sep  wds.Separator
+	runs []searchRun
+	// One entry per distinct dependency component of the call, in the order
+	// they were met: every tree of a one-scenario call, and of a call planning
+	// several scenarios (plan) each tree once, however many of them hold it.
+	// head chains the entries by smallest member, trees counts the trees of
+	// all scenarios' forests, forest names the current scenario's by entry, and
+	// plans holds the scenarios' plans until the caller takes them.
 	results []treeResult
-	// The pool partitioned into per-tree task universes, by pool position:
-	// tree i owns taskFlat[taskOff[i]:taskOff[i+1]], in pool order; treeOf
-	// and local map a pool position to its tree (-1: reachable by nobody) and
-	// to its place in that tree's universe.
+	head    []int32
+	trees   int
+	forest  []int32
+	plans   []core.Plan
+	// The tasks of the current scenario's new trees as per-tree universes, by
+	// pool position: tree i of them owns taskFlat[taskOff[i]:taskOff[i+1]], in
+	// pool order; treeOf and local map a pool position to its tree (-1: none
+	// of them reaches it) and to its place in that tree's universe.
 	treeOf   []int32
 	local    []int32
 	taskOff  []int32
@@ -233,13 +243,18 @@ type Search struct {
 // measured").
 const searchGrain = 1024
 
-// treeResult locates one tree's outcome: its plan is run g's out[from:to].
+// treeResult is one distinct dependency component of a call and the outcome of
+// its search: the plan is run g's out[from:to]. The scenario it was first met
+// in, its size and the next entry with the same smallest member are what a
+// later scenario recognises it by (Search.find).
 type treeResult struct {
-	g, from, to int
-	nodes       int
-	expanded    int
-	greedy      int
-	samples     []tvf.Sample
+	root                 *wds.TreeNode
+	scenario, size, next int32
+	g, from, to          int
+	nodes                int
+	expanded             int
+	greedy               int
+	samples              []tvf.Sample
 }
 
 // Name implements Planner.
@@ -258,8 +273,8 @@ func (s *Search) SetParallelism(p int) { s.Opts.Parallelism = p }
 
 // Plan implements Planner. It is the Task Planning Assignment driver of
 // Algorithm 4: per-worker reachable sets and maximal valid sequences, the
-// worker dependency graph, clique partition and RTC tree (all via
-// wds.Separate), then one search per tree of the forest.
+// worker dependency graph, clique partition and RTC tree (the stages of
+// wds.Separator), then one search per tree of the forest.
 //
 // The trees are searched concurrently on a bounded pool (Options.
 // Parallelism) when the forest holds enough sequences to pay for one
@@ -269,68 +284,114 @@ func (s *Search) SetParallelism(p int) { s.Opts.Parallelism = p }
 // order (components sorted by their smallest worker index) makes the plan,
 // NodesLastPlan, and collected samples byte-identical to a serial run.
 func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
+	s.plan(workers, tasks, now, 1)
+	plan := s.plans[0]
+	s.plans[0] = nil
+	return plan
+}
+
+// plan plans the k sampled scenarios of one pool (wds.Separator.Scenarios: one
+// scenario, the whole pool, for k ≤ 1) and leaves their plans in s.plans and
+// the counters summed over them — each scenario's plan, and its share of every
+// counter but ExpandedLastPlan, being what Plan returns and counts on a copy of
+// the pool holding that scenario's tasks only.
+//
+// What a component's search returns depends on its members' reachable sets and
+// nothing else, so a component met again in a later scenario with the same
+// members holding the same sets (find) is the same tree over the same universe:
+// it is not built or searched again, and its choices and counts go into that
+// scenario's plan and sums as a transposition hit's go into its parent's.
+func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k int) {
 	o := s.Opts.WithDefaults()
 	wdsOpts := o.WDS
 	if wdsOpts.Parallelism == 0 {
 		wdsOpts.Parallelism = o.Parallelism
 	}
-	sep := s.sep.Separate(workers, tasks, now, wdsOpts)
-	forest := sep.Forest
-	if o.Flat {
-		// Ablation: collapse each tree into a single node holding every
-		// worker of the component.
-		flat := make([]*wds.TreeNode, len(forest))
-		for i, root := range forest {
-			index := root.AppendIndex(nil)
-			slices.SortFunc(index, func(a, b int32) int { return workers[a].ID - workers[b].ID })
-			node := &wds.TreeNode{Index: index}
-			for _, wi := range index {
-				node.Workers = append(node.Workers, workers[wi])
-			}
-			flat[i] = node
+	seps := s.sep.Scenarios(workers, tasks, now, wdsOpts, k)
+	s.plans = slices.Grow(s.plans[:0], len(seps))[:len(seps)]
+	s.results = s.results[:0]
+	if len(seps) > 1 {
+		s.head = slices.Grow(s.head[:0], len(workers))[:len(workers)]
+		for i := range s.head {
+			s.head[i] = -1
 		}
-		forest = flat
-	}
-	s.partition(sep, forest)
-
-	s.results = slices.Grow(s.results[:0], len(forest))[:len(forest)]
-	// The forest fans out by the sequences in it, not by its trees: a hundred
-	// one-worker trees are ten microseconds of search.
-	fan := par.Workers(o.Parallelism, sep.Sequences, searchGrain)
-	for len(s.runs) < fan {
-		s.runs = append(s.runs, searchRun{})
 	}
 	for g := range s.runs {
 		s.runs[g].out = s.runs[g].out[:0]
 	}
-	par.DoWorker(len(forest), fan, func(g, i int) {
-		run := &s.runs[g]
-		run.opts, run.sep, run.now = o, sep, now
-		run.model, run.collect = s.Model, s.Collect
-		run.reachOff, run.reachLocal = s.reachOff, s.reachLocal
-		s.results[i] = run.searchTree(forest[i], s.taskFlat[s.taskOff[i]:s.taskOff[i+1]])
-		s.results[i].g = g
-	})
-
-	total := 0
+	s.trees = 0
 	s.NodesLastPlan, s.GreedyCompletionsLastPlan, s.BudgetBoundTreesLastPlan, s.ExpandedLastPlan = 0, 0, 0, 0
-	for _, r := range s.results {
-		total += r.to - r.from
-		s.NodesLastPlan += r.nodes
-		s.ExpandedLastPlan += r.expanded
-		s.GreedyCompletionsLastPlan += r.greedy
-		if r.greedy > 0 {
-			s.BudgetBoundTreesLastPlan++
+	for si := range seps {
+		sep := &seps[si]
+		flat, offs := s.sep.Components(sep)
+		from, sequences := len(s.results), 0
+		s.forest = s.forest[:0]
+		for i := 0; i+1 < len(offs); i++ {
+			comp := flat[offs[i]:offs[i+1]]
+			id := -1
+			if si > 0 {
+				id = s.find(seps, sep, comp)
+			}
+			if id < 0 {
+				id = len(s.results)
+				r := treeResult{root: s.sep.Tree(comp), scenario: int32(si), size: int32(len(comp))}
+				if o.Flat {
+					r.root = flatten(r.root, workers)
+				}
+				if len(seps) > 1 {
+					r.next, s.head[comp[0]] = s.head[comp[0]], int32(id)
+				}
+				s.results = append(s.results, r)
+				for _, wi := range comp {
+					sequences += len(sep.Sets[wi].Seqs)
+				}
+			}
+			sep.Forest = append(sep.Forest, s.results[id].root)
+			s.forest = append(s.forest, int32(id))
 		}
-	}
-	var plan core.Plan
-	if total > 0 {
-		plan = make(core.Plan, 0, total)
-	}
-	for _, r := range s.results {
-		for _, c := range s.runs[r.g].out[r.from:r.to] {
-			plan = append(plan, core.Assignment{Worker: workers[c.w], Seq: sep.Sets[c.w].Seqs[c.k]})
+		fresh := s.results[from:]
+		s.partition(sep, fresh)
+
+		// The trees fan out by the sequences in them, not by their number: a
+		// hundred one-worker trees are ten microseconds of search.
+		fan := par.Workers(o.Parallelism, sequences, searchGrain)
+		for len(s.runs) < fan {
+			s.runs = append(s.runs, searchRun{})
 		}
+		par.DoWorker(len(fresh), fan, func(g, i int) {
+			run := &s.runs[g]
+			run.opts, run.sep, run.now = o, sep, now
+			run.model, run.collect = s.Model, s.Collect
+			run.reachOff, run.reachLocal = s.reachOff, s.reachLocal
+			run.searchTree(&fresh[i], s.taskFlat[s.taskOff[i]:s.taskOff[i+1]])
+			fresh[i].g = g
+		})
+		for i := range fresh {
+			s.ExpandedLastPlan += fresh[i].expanded
+		}
+
+		total := 0
+		for _, id := range s.forest {
+			r := &s.results[id]
+			total += r.to - r.from
+			s.NodesLastPlan += r.nodes
+			s.GreedyCompletionsLastPlan += r.greedy
+			if r.greedy > 0 {
+				s.BudgetBoundTreesLastPlan++
+			}
+		}
+		s.trees += len(s.forest)
+		var plan core.Plan
+		if total > 0 {
+			plan = make(core.Plan, 0, total)
+		}
+		for _, id := range s.forest {
+			r := &s.results[id]
+			for _, c := range s.runs[r.g].out[r.from:r.to] {
+				plan = append(plan, core.Assignment{Worker: workers[c.w], Seq: sep.Sets[c.w].Seqs[c.k]})
+			}
+		}
+		s.plans[si] = plan
 	}
 	if s.Collect {
 		// Each tree collects under its own MaxSamples cap; the merged
@@ -351,7 +412,40 @@ func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) c
 			s.Samples = append(s.Samples, samples...)
 		}
 	}
-	return plan
+}
+
+// find returns the entry of the component that comp, a component of sep, is
+// again, or -1 when no earlier scenario of the call held it. Candidates share
+// its smallest member. One of comp's size whose scenario gave every member of
+// comp the reachable set sep gives it is comp: those members are connected
+// through those sets there as they are here, so they lie inside it, and fill it.
+func (s *Search) find(seps []wds.Separation, sep *wds.Separation, comp []int) int {
+candidates:
+	for id := s.head[comp[0]]; id >= 0; id = s.results[id].next {
+		r := &s.results[id]
+		if int(r.size) != len(comp) {
+			continue
+		}
+		for _, wi := range comp {
+			if !sep.SharesSets(&seps[r.scenario], wi) {
+				continue candidates
+			}
+		}
+		return int(id)
+	}
+	return -1
+}
+
+// flatten is the Flat ablation: the tree collapsed into a single node holding
+// every worker of the component.
+func flatten(root *wds.TreeNode, workers []*core.Worker) *wds.TreeNode {
+	index := root.AppendIndex(nil)
+	slices.SortFunc(index, func(a, b int32) int { return workers[a].ID - workers[b].ID })
+	node := &wds.TreeNode{Index: index}
+	for _, wi := range index {
+		node.Workers = append(node.Workers, workers[wi])
+	}
+	return node
 }
 
 // partition splits the pool into per-tree task universes in one pass: every
@@ -362,7 +456,7 @@ func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) c
 // tree's availability this way also scopes the RL state to the tree's own
 // tasks, so TVF features and samples cannot depend on sibling completion
 // order.
-func (s *Search) partition(sep *wds.Separation, forest []*wds.TreeNode) {
+func (s *Search) partition(sep *wds.Separation, forest []treeResult) {
 	nt := len(sep.Tasks)
 	treeOf := slices.Grow(s.treeOf[:0], nt)[:nt]
 	for t := range treeOf {
@@ -371,8 +465,8 @@ func (s *Search) partition(sep *wds.Separation, forest []*wds.TreeNode) {
 	// Bucket the pool per tree into one flat buffer: count, prefix-sum, fill.
 	off := slices.Grow(s.taskOff[:0], len(forest)+1)[:len(forest)+1]
 	off[0] = 0
-	for i, root := range forest {
-		off[i+1] = off[i] + claim(root, int32(i), sep.Sets, treeOf)
+	for i := range forest {
+		off[i+1] = off[i] + claim(forest[i].root, int32(i), sep.Sets, treeOf)
 	}
 	flat := slices.Grow(s.taskFlat[:0], int(off[len(forest)]))[:off[len(forest)]]
 	local := slices.Grow(s.local[:0], nt)[:nt]
@@ -495,9 +589,10 @@ type level struct {
 	tasks   int // the state's task list is open[:tasks]
 }
 
-// searchTree searches one tree over its task universe and appends the plan
-// to r.out.
-func (r *searchRun) searchTree(root *wds.TreeNode, universe []int32) treeResult {
+// searchTree searches res's tree over its task universe, appends the plan to
+// r.out and records where, and what it cost, in res.
+func (r *searchRun) searchTree(res *treeResult, universe []int32) {
+	root := res.root
 	r.tasks = universe
 	r.nodes, r.greedy, r.reused = 0, 0, 0
 	r.samples = nil // escapes into the result; never reuse the backing
@@ -518,10 +613,9 @@ func (r *searchRun) searchTree(root *wds.TreeNode, universe []int32) treeResult 
 	} else {
 		r.search(root, 0, 0)
 	}
-	res := treeResult{from: len(r.out), nodes: r.nodes, expanded: r.nodes - r.reused, greedy: r.greedy, samples: r.samples}
+	res.from, res.nodes, res.expanded, res.greedy, res.samples = len(r.out), r.nodes, r.nodes-r.reused, r.greedy, r.samples
 	r.out = append(r.out, r.stack...)
 	res.to = len(r.out)
-	return res
 }
 
 // reach returns worker wi's sets and its reachable tasks as universe

@@ -3,7 +3,6 @@ package assign
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -157,32 +156,26 @@ func BenchmarkCrowdPlan(b *testing.B) {
 }
 
 // BenchmarkSSPPlan measures one warm scenario-sampling call (K=5) on the crowd
-// instant of the rush-hour archetype at 2.5x, the pool robust-ssp plans at its
-// busiest: five searches from scratch over pools that share every real task.
-// Beside every third real task stands a virtual one, present in a fixed random
-// subset of the five futures.
+// instant of the rush-hour archetype at 2.5x (sspRushHourPool): five scenarios
+// over one pool that share every real task, planned in one staged pass.
+// distinct-trees of the trees the five forests hold between them are built and
+// searched.
 func BenchmarkSSPPlan(b *testing.B) {
 	const k = 5
-	a, _ := scenario.Get("rush-hour")
-	crowd := atlasInstantsOf(a, 2.5)[0]
-	r := rand.New(rand.NewSource(5))
-	tasks := slices.Clone(crowd.tasks)
-	for i := 0; i < len(crowd.tasks); i += 3 {
-		s := crowd.tasks[i]
-		tasks = append(tasks, &core.Task{ID: -1 - i, Loc: geo.Point{X: s.Loc.X + 0.05, Y: s.Loc.Y},
-			Pub: crowd.now + 30, Exp: crowd.now + 150, Cell: -1, Virtual: true, SampleBits: 1 + uint64(r.Intn(1<<k-2))})
-	}
+	crowd := sspRushHourPool(k)
 	o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: 1}
 	p := &SSP{Opts: o, Samples: k}
-	p.Plan(crowd.workers, tasks, crowd.now)
+	p.Plan(crowd.workers, crowd.tasks, crowd.now)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Plan(crowd.workers, tasks, crowd.now)
+		p.Plan(crowd.workers, crowd.tasks, crowd.now)
 	}
 	b.ReportMetric(float64(p.NodesLastPlan), "nodes")
 	b.ReportMetric(float64(p.ExpandedLastPlan), "expanded")
 	b.ReportMetric(float64(p.GreedyCompletionsLastPlan), "greedy")
+	b.ReportMetric(float64(p.TreesLastPlan), "trees")
+	b.ReportMetric(float64(p.DistinctTreesLastPlan), "distinct-trees")
 }
 
 // benchScan measures one warm Plan call of a sequential planner on the crowd

@@ -3,11 +3,9 @@ package assign
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/tvf"
 )
 
@@ -18,9 +16,14 @@ import (
 // best across the whole sample set.
 //
 // Scenario k's planning pool is the real tasks plus the virtual tasks whose
-// SampleBits contain bit k (bits == 0 means every scenario). Each pool is
-// planned with the same dense-array search core DTA uses, fanned out over
-// internal/par within the planner's parallelism budget; candidate j is then
+// SampleBits contain bit k (bits == 0 means every scenario). The K pools are
+// never copied out and never planned one by one: they go through the search
+// planner's stages together (Search.plan), as K views of the one pool handed
+// in, and everything two scenarios have in common is done once — the spatial
+// index and each worker's candidate gather, Q_w for a worker whose reachable
+// set is the same in both, the RTC tree and its search for a dependency
+// component whose members' sets all are. Each candidate is nonetheless exactly
+// the plan a Search returns on that scenario's pool alone. Candidate j is then
 // scored under every scenario k — real tasks at full value, virtual tasks at
 // VirtualWeight when scenario k contains them and zero otherwise — and the
 // per-scenario values are folded through CVaR_α. α = 1 averages all
@@ -29,8 +32,13 @@ import (
 // misleads. Ties commit the lowest-indexed candidate.
 //
 // When the pool carries no scenario-tagged virtuals (K = 1, or a sampler-free
-// forecast) every scenario is identical, so SSP runs exactly one inner search
-// and is byte-identical to point-forecast planning.
+// forecast) there is one scenario, the pool itself, and SSP is byte-identical
+// to point-forecast planning.
+//
+// Between calls an SSP holds on to the last instant's pool through its
+// planner's scratch — the Separations, the sets and the trees they share — and
+// to nothing older: a call overwrites or clears all of it, the candidates it
+// did not commit included.
 //
 // An SSP must not be wrapped by Incremental: the empty-component cache
 // assumes a component's plan emptiness is planner-state-independent, but an
@@ -46,23 +54,26 @@ type SSP struct {
 	// scenarios the committed value is averaged over. 0 or unset means 1
 	// (plain expected value).
 	CVaRAlpha float64
-	// Model, when trained, guides the inner searches (DFSearch_TVF).
+	// Model, when trained, guides the searches (DFSearch_TVF).
 	Model *tvf.Model
-	// NodesLastPlan, GreedyCompletionsLastPlan, BudgetBoundTreesLastPlan and
-	// ExpandedLastPlan are Search's counters of the same names for the most
-	// recent Plan call, summed across scenarios.
+	// NodesLastPlan, GreedyCompletionsLastPlan and BudgetBoundTreesLastPlan are
+	// Search's counters of the same names for the most recent Plan call, summed
+	// across scenarios: a component several scenarios hold counts in each, as
+	// it would had each been searched alone. ExpandedLastPlan is the calls the
+	// planner really made, so it counts such a component once.
 	NodesLastPlan             int
 	GreedyCompletionsLastPlan int
 	BudgetBoundTreesLastPlan  int
 	ExpandedLastPlan          int
+	// TreesLastPlan is the trees of the scenarios' forests, summed, and
+	// DistinctTreesLastPlan how many of them were different trees: the ones
+	// built and searched.
+	TreesLastPlan         int
+	DistinctTreesLastPlan int
 
-	// Per-instant scratch: one inner Search per fan-out goroutine, the
-	// per-scenario pools, candidate plans and counters, the per-candidate
-	// value matrix and the CVaR fold's sort buffer.
-	inner  []*Search
-	pools  [][]*core.Task
-	plans  []core.Plan
-	counts [][4]int // nodes, greedy completions, budget-bound trees, expanded
+	// Per-instant scratch: the planner the scenarios go through, the
+	// per-candidate value matrix and the CVaR fold's sort buffer.
+	search Search
 	vals   []float64
 	sorted []float64
 }
@@ -77,71 +88,15 @@ func (p *SSP) SetParallelism(n int) { p.Opts.Parallelism = n }
 func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
 	o := p.Opts.WithDefaults()
 	k := p.scenarios(tasks)
-	if k <= 1 {
-		// Point-forecast fast path: one scenario, one search, byte-identical
-		// to the DTA/DTA+TP planner on the same pool.
-		s := p.innerAt(0, o, o.Parallelism)
-		plan := s.Plan(workers, tasks, now)
-		p.NodesLastPlan = s.NodesLastPlan
-		p.GreedyCompletionsLastPlan = s.GreedyCompletionsLastPlan
-		p.BudgetBoundTreesLastPlan = s.BudgetBoundTreesLastPlan
-		p.ExpandedLastPlan = s.ExpandedLastPlan
-		return plan
-	}
-
-	// Per-scenario pools, in pool order. Real tasks and all-scenario
-	// virtuals (bits == 0) appear in every pool.
-	pools := p.pools
-	if cap(pools) < k {
-		pools = make([][]*core.Task, k)
-	}
-	pools = pools[:k]
-	for s := 0; s < k; s++ {
-		pool := pools[s][:0]
-		for _, t := range tasks {
-			if t.SampleBits == 0 || t.SampleBits&(1<<s) != 0 {
-				pool = append(pool, t)
-			}
-		}
-		pools[s] = pool
-	}
-	p.pools = pools
-
-	// Fan the K scenario searches out within the existing budget: the
-	// scenario loop takes its share of goroutines and each inner search gets
-	// the remainder, so SSP never oversubscribes beyond what one DTA plan
-	// could use. Results land in per-index slots; everything after the
-	// barrier is serial, so the commit is byte-identical at every setting.
-	outer := par.Workers(o.Parallelism, k, 1)
-	innerPar := o.Parallelism
-	if outer > 1 {
-		total := o.Parallelism
-		if total == 0 {
-			total = runtime.GOMAXPROCS(0)
-		}
-		innerPar = total / outer
-		if innerPar < 1 {
-			innerPar = 1
-		}
-	}
-	p.plans = slices.Grow(p.plans[:0], k)[:k]
-	p.counts = slices.Grow(p.counts[:0], k)[:k]
-	plans, counts := p.plans, p.counts
-	for len(p.inner) < outer {
-		p.inner = append(p.inner, &Search{})
-	}
-	par.DoWorker(k, outer, func(g, s int) {
-		in := p.innerAt(g, o, innerPar)
-		plans[s] = in.Plan(workers, pools[s], now)
-		counts[s] = [4]int{in.NodesLastPlan, in.GreedyCompletionsLastPlan, in.BudgetBoundTreesLastPlan, in.ExpandedLastPlan}
-	})
-	p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan, p.ExpandedLastPlan = 0, 0, 0, 0
-	for _, c := range counts {
-		p.NodesLastPlan += c[0]
-		p.GreedyCompletionsLastPlan += c[1]
-		p.BudgetBoundTreesLastPlan += c[2]
-		p.ExpandedLastPlan += c[3]
-	}
+	s := &p.search
+	s.Opts, s.Model = o, p.Model
+	s.plan(workers, tasks, now, k)
+	p.NodesLastPlan = s.NodesLastPlan
+	p.GreedyCompletionsLastPlan = s.GreedyCompletionsLastPlan
+	p.BudgetBoundTreesLastPlan = s.BudgetBoundTreesLastPlan
+	p.ExpandedLastPlan = s.ExpandedLastPlan
+	p.TreesLastPlan, p.DistinctTreesLastPlan = s.trees, len(s.results)
+	plans := s.plans
 
 	// Score candidate j under scenario s and fold through CVaR_α. The value
 	// matrix is tiny (K²) next to the searches above; clarity wins.
@@ -162,18 +117,6 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 	plan := plans[best]
 	clear(plans) // the scratch must not keep the losing candidates alive
 	return plan
-}
-
-// innerAt returns the g-th inner search configured for this instant.
-func (p *SSP) innerAt(g int, o Options, parallelism int) *Search {
-	for len(p.inner) <= g {
-		p.inner = append(p.inner, &Search{})
-	}
-	s := p.inner[g]
-	s.Opts = o
-	s.Opts.Parallelism = parallelism
-	s.Model = p.Model
-	return s
 }
 
 // scenarios returns the scenario count implied by the pool: the configured

@@ -1,11 +1,21 @@
 package assign
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/par"
+	"repro/internal/scenario"
+	"repro/internal/tvf"
+	"repro/internal/wds"
 )
 
 // sspScenario tags a fraction of a random scenario's tasks as scenario-split
@@ -50,42 +60,87 @@ func TestSSPFastPathMatchesSearch(t *testing.T) {
 	}
 }
 
+// scenarioPool is scenario s of a tagged pool as a pool of its own: what SSP
+// plans without ever building it.
+func scenarioPool(tasks []*core.Task, s int) []*core.Task {
+	var pool []*core.Task
+	for _, task := range tasks {
+		if task.SampleBits == 0 || task.SampleBits>>uint(s)&1 != 0 {
+			pool = append(pool, task)
+		}
+	}
+	return pool
+}
+
 // TestSSPParallelMatchesSerial is SSP's determinism contract: on a
-// scenario-tagged pool the committed plan is byte-identical at every
-// parallelism level.
+// scenario-tagged pool the committed plan and every counter are byte-identical
+// at every parallelism level — on small pools, which plan inline whatever the
+// setting, and on a crowd past the fan-out grain, where the scenarios' trees
+// must really have been searched on more than one goroutine when the CPUs
+// allow it.
 func TestSSPParallelMatchesSerial(t *testing.T) {
+	type pool struct {
+		name string
+		ws   []*core.Worker
+		ts   []*core.Task
+	}
+	var pools []pool
 	for _, seed := range []int64{5, 23, 87} {
 		ws, ts := sspScenario(seed, 4)
+		pools = append(pools, pool{fmt.Sprintf("seed %d", seed), ws, ts})
+	}
+	ws, ts := crowdScenario(5)
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < len(ts); i += 3 {
+		ts[i].Virtual, ts[i].SampleBits = true, 1+uint64(r.Intn(1<<4-2))
+	}
+	pools = append(pools, pool{"crowd", ws, ts})
 
+	for _, c := range pools {
 		serialOpts := opts()
-		serialOpts.Parallelism = 1
+		serialOpts.Parallelism, serialOpts.MaxNodes = 1, 400
 		serial := &SSP{Opts: serialOpts, Samples: 4}
-		want := serial.Plan(ws, ts, 0)
+		want := serial.Plan(c.ws, c.ts, 0)
 		planIsValid(t, want, 0)
+		if serial.DistinctTreesLastPlan >= serial.TreesLastPlan {
+			t.Fatalf("%s: %d distinct trees of %d: the scenarios share nothing", c.name, serial.DistinctTreesLastPlan, serial.TreesLastPlan)
+		}
+		sequences := wds.Separate(c.ws, scenarioPool(c.ts, 0), 0, serialOpts.WDS).Sequences
 
-		for _, par := range []int{2, 4, 8, 0} {
-			o := opts()
-			o.Parallelism = par
-			p := &SSP{Opts: o, Samples: 4}
-			got := p.Plan(ws, ts, 0)
-			planIsValid(t, got, 0)
-			samePlans(t, want, got)
-			if p.NodesLastPlan != serial.NodesLastPlan {
-				t.Fatalf("seed %d parallelism %d: nodes %d vs serial %d",
-					seed, par, p.NodesLastPlan, serial.NodesLastPlan)
+		for _, p := range []int{2, 4, 8, 0} {
+			o := serialOpts
+			o.Parallelism = p
+			got := &SSP{Opts: o, Samples: 4}
+			plan := got.Plan(c.ws, c.ts, 0)
+			planIsValid(t, plan, 0)
+			samePlans(t, want, plan)
+			for _, n := range [][2]int{
+				{got.NodesLastPlan, serial.NodesLastPlan}, {got.ExpandedLastPlan, serial.ExpandedLastPlan},
+				{got.GreedyCompletionsLastPlan, serial.GreedyCompletionsLastPlan},
+				{got.TreesLastPlan, serial.TreesLastPlan}, {got.DistinctTreesLastPlan, serial.DistinctTreesLastPlan},
+			} {
+				if n[0] != n[1] {
+					t.Fatalf("%s parallelism %d: counters %+v, serial %+v", c.name, p, got, serial)
+				}
 			}
-			// A scenario is a whole plan, so the four of them fan out
-			// whatever the pool's size: one inner search a goroutine.
-			if fan := min(par, 4); par > 0 && len(p.inner) != fan {
-				t.Fatalf("seed %d parallelism %d: %d inner searches for %d goroutines", seed, par, len(p.inner), fan)
+			// Scenario 0's trees are all new to the call: they fan out as a
+			// Search's would.
+			fan := par.Workers(p, sequences, searchGrain)
+			if c.name == "crowd" && p >= 2 && fan < 2 && runtime.GOMAXPROCS(0) >= 2 {
+				t.Fatalf("parallelism %d: %d sequences resolve to %d goroutines — the crowd is below the grain", p, sequences, fan)
+			}
+			if len(got.search.runs) < fan {
+				t.Fatalf("%s parallelism %d: %d search runs for %d goroutines", c.name, p, len(got.search.runs), fan)
 			}
 		}
 	}
 }
 
-// TestSSPBudgetCountersSumScenarios pins SSP's node, greedy-completion,
-// budget-bound-tree and expanded-node counters as the sums of the per-scenario
-// searches', under a budget small enough to bind.
+// TestSSPBudgetCountersSumScenarios pins SSP's node, greedy-completion and
+// budget-bound-tree counters as the sums of the per-scenario searches', under a
+// budget small enough to bind — a tree several scenarios hold counts once in
+// each — and its expanded-node counter as the calls the planner really made:
+// the sum over the distinct trees, below the per-scenario searches' sum.
 func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 	const k = 4
 	ws, ts := sspScenario(23, k)
@@ -94,24 +149,32 @@ func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 	p := &SSP{Opts: o, Samples: k}
 	p.Plan(ws, ts, 0)
 
-	var want [4]int
+	var want [3]int
+	expanded, trees := 0, 0
 	for s := 0; s < k; s++ {
-		var pool []*core.Task
-		for _, task := range ts {
-			if task.SampleBits == 0 || task.SampleBits&(1<<s) != 0 {
-				pool = append(pool, task)
-			}
-		}
 		one := &Search{Opts: o}
-		one.Plan(ws, pool, 0)
+		one.Plan(ws, scenarioPool(ts, s), 0)
 		want[0] += one.NodesLastPlan
 		want[1] += one.GreedyCompletionsLastPlan
 		want[2] += one.BudgetBoundTreesLastPlan
-		want[3] += one.ExpandedLastPlan
+		expanded += one.ExpandedLastPlan
+		trees += one.trees
 	}
-	got := [4]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan, p.ExpandedLastPlan}
-	if got != want || want[1] == 0 || want[2] == 0 || want[3] >= want[0] {
-		t.Fatalf("nodes/greedy/bound-trees/expanded = %v, per-scenario sum %v (the budget must bind and the table answer some nodes)", got, want)
+	got := [3]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan}
+	if got != want || want[1] == 0 || want[2] == 0 || expanded >= want[0] {
+		t.Fatalf("nodes/greedy/bound-trees = %v, per-scenario sum %v, expanded %d (the budget must bind and the table answer some nodes)", got, want, expanded)
+	}
+	if p.TreesLastPlan != trees || p.DistinctTreesLastPlan >= trees {
+		t.Fatalf("%d trees, %d distinct; the per-scenario searches built %d", p.TreesLastPlan, p.DistinctTreesLastPlan, trees)
+	}
+	// The calls really made are those of the distinct trees: each scenario's
+	// search alone expands its own copy of a shared tree again.
+	distinct := 0
+	for i := range p.search.results {
+		distinct += p.search.results[i].expanded
+	}
+	if p.ExpandedLastPlan != distinct || p.ExpandedLastPlan >= expanded {
+		t.Fatalf("expanded %d, distinct trees' sum %d, per-scenario sum %d", p.ExpandedLastPlan, distinct, expanded)
 	}
 }
 
@@ -214,5 +277,264 @@ func TestSSPPrefersRobustPlan(t *testing.T) {
 	}
 	if !ids[-2] || ids[-1] {
 		t.Fatalf("SSP committed %v, want the three-future virtual only", ids)
+	}
+}
+
+// sspRushHourPool is the pool BenchmarkSSPPlan plans: the crowd instant of the
+// rush-hour archetype at 2.5x, the pool robust-ssp plans at its busiest, with a
+// virtual task beside every third real one, present in a fixed random subset
+// of the k futures.
+func sspRushHourPool(k int) instant {
+	a, _ := scenario.Get("rush-hour")
+	return tagEveryThird(atlasInstantsOf(a, 2.5)[0], k, 5)
+}
+
+// tagEveryThird returns the instant with a scenario-tagged virtual task beside
+// every third task of its pool.
+func tagEveryThird(in instant, k int, seed int64) instant {
+	r := rand.New(rand.NewSource(seed))
+	n := len(in.tasks)
+	in.tasks = slices.Clone(in.tasks)
+	for i := 0; i < n; i += 3 {
+		s := in.tasks[i]
+		in.tasks = append(in.tasks, &core.Task{ID: -1 - i, Loc: geo.Point{X: s.Loc.X + 0.05, Y: s.Loc.Y},
+			Pub: in.now + 30, Exp: in.now + 150, Cell: -1, Virtual: true, SampleBits: 1 + uint64(r.Intn(1<<k-2))})
+	}
+	return in
+}
+
+// perScenarioSearch is the planner SSP replaced, kept here as its oracle: every
+// scenario's pool copied out and planned from scratch by a fresh Search. It
+// returns the K plans and the node, greedy-completion and budget-bound-tree
+// counts summed over them.
+func perScenarioSearch(p *SSP, ws []*core.Worker, ts []*core.Task, now float64) ([]core.Plan, [3]int) {
+	k := p.scenarios(ts)
+	plans := make([]core.Plan, k)
+	var counts [3]int
+	for s := range plans {
+		pool := ts
+		if k > 1 {
+			pool = scenarioPool(ts, s)
+		}
+		one := &Search{Opts: p.Opts, Model: p.Model}
+		plans[s] = one.Plan(ws, pool, now)
+		counts[0] += one.NodesLastPlan
+		counts[1] += one.GreedyCompletionsLastPlan
+		counts[2] += one.BudgetBoundTreesLastPlan
+	}
+	return plans, counts
+}
+
+// commit is SSP's fold over the K candidates: each scored under every
+// scenario, the scores folded through CVaR_α, the lowest-indexed best taken.
+func commit(plans []core.Plan, alpha, virtualWeight float64) int {
+	best, bestScore := 0, math.Inf(-1)
+	for j := range plans {
+		vals := make([]float64, len(plans))
+		for s := range vals {
+			vals[s] = planValue(plans[j], s, virtualWeight)
+		}
+		if score := cvar(vals, alpha, nil); score > bestScore {
+			best, bestScore = j, score
+		}
+	}
+	return best
+}
+
+// sameAsPerScenario holds p's next Plan of the pool to the oracle's.
+func sameAsPerScenario(t *testing.T, p *SSP, ws []*core.Worker, ts []*core.Task, now float64) {
+	t.Helper()
+	plans, counts := perScenarioSearch(p, ws, ts, now)
+	want := plans[commit(plans, p.CVaRAlpha, p.Opts.WithDefaults().VirtualWeight)]
+	samePlans(t, want, p.Plan(ws, ts, now))
+	if c := [3]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan}; c != counts {
+		t.Fatalf("nodes/greedy/bound-trees %v, per-scenario searches %v", c, counts)
+	}
+}
+
+// TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism is the staged
+// pass's differential oracle: whatever the scenarios share — gathers, sequence
+// sets, trees, searches — the committed plan and the summed counters are those
+// of K searches from scratch on K copied pools, at every parallelism, under a
+// binding and a loose budget, exact and model-guided, at both ends of the risk
+// knob. The pools: random ones at three scenario counts, the rush-hour crowd
+// robust-ssp plans, and two whose trees run past 64 tasks and take the plain
+// walk — a chain of 80 tasks, one tree a scenario and no two alike, and the
+// event-spike flash crowd at 5x. The last
+// costs seconds a plan under the race detector, which CI runs this test with
+// three times over, so it is planned at the two ends of the matrix only: the
+// exact search under the binding budget and the guided one under the loose,
+// serial and at whatever the CPUs give.
+func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
+	type pool struct {
+		instant
+		k     int
+		heavy bool
+	}
+	var pools []pool
+	for _, seed := range []int64{5, 23, 42, 87} {
+		for _, k := range []int{2, 4, 6} {
+			ws, ts := sspScenario(seed, k)
+			pools = append(pools, pool{instant{name: fmt.Sprintf("random-%d/k=%d", seed, k), workers: ws, tasks: ts}, k, false})
+		}
+	}
+	pools = append(pools, pool{sspRushHourPool(5), 5, false})
+	chain := tagEveryThird(chainInstant(80, 8, 4, 2), 4, 3)
+	for _, task := range chain.tasks {
+		task.Pub, task.Exp = 0, 1e5
+	}
+	pools = append(pools, pool{chain, 4, false})
+	spike, _ := scenario.Get("event-spike")
+	pools = append(pools, pool{tagEveryThird(atlasInstantsOf(spike, 5)[0], 2, 11), 2, true})
+
+	model := tvf.NewModel(16, 17)
+	for _, c := range pools {
+		for _, maxNodes := range []int{30, 4000} {
+			for _, m := range []*tvf.Model{nil, model} {
+				if c.heavy && (maxNodes == 4000) == (m == nil) {
+					continue
+				}
+				o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: maxNodes}
+				if c.now == 0 {
+					o = opts() // laid out for the tests' travel model
+					o.MaxNodes = maxNodes
+				}
+				// The fold picks among the same K plans at either α: the oracle
+				// plans them once, and each planner plans the second α on the
+				// scratch the first left warm.
+				oracle := &SSP{Opts: o, Samples: c.k, Model: m}
+				plans, counts := perScenarioSearch(oracle, c.workers, c.tasks, c.now)
+				for _, p := range []int{1, 2, 4, 0} {
+					if c.heavy && p > 1 {
+						continue
+					}
+					o.Parallelism = p
+					got := &SSP{Opts: o, Samples: c.k, Model: m}
+					for _, alpha := range []float64{1, 0.4} {
+						name := fmt.Sprintf("%s budget %d model %v α %v parallelism %d", c.name, maxNodes, m != nil, alpha, p)
+						got.CVaRAlpha = alpha
+						plan, want := got.Plan(c.workers, c.tasks, c.now), plans[commit(plans, alpha, o.WithDefaults().VirtualWeight)]
+						if len(want) != len(plan) {
+							t.Fatalf("%s: %d assignments, per-scenario searches %d", name, len(plan), len(want))
+						}
+						samePlans(t, want, plan)
+						if n := [3]int{got.NodesLastPlan, got.GreedyCompletionsLastPlan, got.BudgetBoundTreesLastPlan}; n != counts {
+							t.Fatalf("%s: nodes/greedy/bound-trees %v, per-scenario searches %v", name, n, counts)
+						}
+						if c.heavy {
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSSPEdgeScenarios covers the scenario shapes the shared pass could get
+// wrong at its edges, each against the per-scenario oracle.
+func TestSSPEdgeScenarios(t *testing.T) {
+	// The cap-after-filter trap: nine tasks in reach of worker 1, the nearest in
+	// scenario 0 only. Its eight nearest of the whole pool leave out the ninth,
+	// which scenario 1 — without the first — must be offered.
+	t.Run("cap-after-filter", func(t *testing.T) {
+		ws := []*core.Worker{worker(1, 0, 0, 2, 0, 1e5), worker(2, 1.2, 0, 0.35, 0, 1e5)}
+		var ts []*core.Task
+		for i := 1; i <= 9; i++ {
+			ts = append(ts, task(i, 0.1*float64(i), 0, 0, 1e5))
+		}
+		ts[0].Virtual, ts[0].SampleBits = true, 1<<0
+		p := &SSP{Opts: opts(), Samples: 2}
+		sameAsPerScenario(t, p, ws, ts, 0)
+		seps := p.search.sep.Scenarios(ws, ts, 0, opts().WDS, 2)
+		if got := seps[1].Sets[0].Reach; len(got) != 8 || got[0].ID != 2 || got[7].ID != 9 {
+			t.Fatalf("scenario 1 reaches %v, want tasks 2–9", core.Sequence(got).IDs())
+		}
+		if got := seps[0].Sets[0].Reach; len(got) != 8 || got[0].ID != 1 || got[7].ID != 8 {
+			t.Fatalf("scenario 0 reaches %v, want tasks 1–8", core.Sequence(got).IDs())
+		}
+	})
+
+	// All 64 scenarios, the last one's bit in use.
+	t.Run("k=64", func(t *testing.T) {
+		ws, ts := sspScenario(42, 6)
+		for i, task := range ts {
+			if task.SampleBits != 0 && i%2 == 0 {
+				task.SampleBits = task.SampleBits<<58 | 1<<63
+			}
+		}
+		p := &SSP{Opts: opts(), Samples: 64}
+		if k := p.scenarios(ts); k != 64 {
+			t.Fatalf("k = %d", k)
+		}
+		sameAsPerScenario(t, p, ws, ts, 0)
+	})
+
+	// Every scenario the same pool: each virtual carries all K bits, which is
+	// not the untagged 0. One set of trees, and candidate 0 — the plan of the
+	// pool as it is.
+	t.Run("identical-scenarios", func(t *testing.T) {
+		const k = 5
+		ws, ts := sspScenario(87, k)
+		for _, task := range ts {
+			if task.Virtual {
+				task.SampleBits = 1<<k - 1
+			}
+		}
+		p := &SSP{Opts: opts(), Samples: k}
+		sameAsPerScenario(t, p, ws, ts, 0)
+		one := &Search{Opts: opts()}
+		samePlans(t, one.Plan(ws, ts, 0), p.Plan(ws, ts, 0))
+		if p.DistinctTreesLastPlan != one.trees || p.TreesLastPlan != k*one.trees || p.ExpandedLastPlan != one.ExpandedLastPlan {
+			t.Fatalf("%d distinct of %d trees, %d nodes expanded; one search builds %d and expands %d",
+				p.DistinctTreesLastPlan, p.TreesLastPlan, p.ExpandedLastPlan, one.trees, one.ExpandedLastPlan)
+		}
+	})
+
+	// More scenarios configured than the pool's bits name: the trailing ones
+	// hold the untagged tasks only.
+	t.Run("samples-past-highest-bit", func(t *testing.T) {
+		ws, ts := sspScenario(23, 3)
+		p := &SSP{Opts: opts(), Samples: 6, CVaRAlpha: 0.5}
+		if k := p.scenarios(ts); k != 6 {
+			t.Fatalf("k = %d", k)
+		}
+		sameAsPerScenario(t, p, ws, ts, 0)
+	})
+}
+
+// TestSSPDropsPreviousPool plans two different pools back to back and checks
+// that the planner's scratch then holds no task of the first: every one of
+// them is collected. The second pool has fewer scenarios than the first, and in
+// the second case a single one, so the Separations it leaves unused must let go
+// too.
+func TestSSPDropsPreviousPool(t *testing.T) {
+	for _, k2 := range []int{2, 1} {
+		p := &SSP{Opts: opts(), Samples: 4}
+		var freed atomic.Int32
+		n := func() int {
+			ws, ts := sspScenario(5, 4)
+			for _, task := range ts {
+				runtime.SetFinalizer(task, func(*core.Task) { freed.Add(1) })
+			}
+			if plan := p.Plan(ws, ts, 0); len(plan) == 0 {
+				t.Fatal("an empty plan")
+			}
+			return len(ts)
+		}()
+		ws, ts := sspScenario(23, k2)
+		if k2 == 1 {
+			ws, ts = randomScenario(23, 30, 90, 7)
+		}
+		p.Samples = k2
+		p.Plan(ws, ts, 0)
+		for wait := 0; wait < 100 && int(freed.Load()) < n; wait++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if got := int(freed.Load()); got != n {
+			t.Fatalf("second pool of %d scenario(s): %d of the first pool's %d tasks collected", k2, got, n)
+		}
+		runtime.KeepAlive(p)
 	}
 }

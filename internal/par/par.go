@@ -9,9 +9,9 @@
 // time changes:
 //
 //   - the planners fan one instant's inner loops out with DoWorker: the
-//     per-worker reachable-set and sequence loops of wds.Separate, the
-//     per-tree searches of assign.Search and the per-scenario plans of
-//     assign.SSP;
+//     per-worker reachable-set and sequence loops of wds.Separator and the
+//     per-tree searches of assign.Search, which assign.SSP's scenarios go
+//     through together;
 //   - dispatch fans one epoch across region shards with Do, splitting the
 //     caller's parallelism budget between the shard fan-out and each shard
 //     planner's internal fan-out so the cores are not oversubscribed

@@ -107,6 +107,7 @@ type Scratch struct {
 	index []int32
 	seqs  []core.Sequence
 	masks []uint64
+	pick  []int32 // one scenario's RS_w as pool positions, before it is known to be new
 }
 
 // seqEntry is one deduped task set with its best (minimal-completion)
@@ -160,6 +161,64 @@ func (sc *Scratch) Reachable(w *core.Worker, ix *spatial.Index, avail []bool, no
 	}
 	sc.keep = keep[:0]
 	return keep
+}
+
+// reachableAcross is Reachable for every sampled scenario of the pool at once.
+// A scenario-tagged task (SampleBits != 0) is in some scenarios only, so it is
+// kept without counting towards the cap, and the list ends at the
+// MaxReachable-th untagged task: nothing past that one can be among the
+// MaxReachable nearest of any scenario, which all hold the untagged tasks
+// before it. Scenario s's RS_w is then the list's first MaxReachable entries
+// that scenario s contains. untagged is how many of the list count towards the
+// cap; the rest are tagged.
+//
+//datawa:hotpath
+func (sc *Scratch) reachableAcross(w *core.Worker, ix *spatial.Index, now float64, o Options) (keep []spatial.Candidate, untagged int) {
+	if !w.Available(now) {
+		return nil, 0
+	}
+	pool, window := ix.Tasks(), w.Off-now
+	sc.near = ix.AppendCandidates(sc.near[:0], w.Loc, w.Reach)
+	keep = sc.keep[:0]
+	for _, c := range sc.near {
+		s := pool[c.Pos]
+		if s.Exp <= now {
+			continue
+		}
+		if travel := o.Travel.TimeForDist(c.Dist); travel > s.Exp-now || travel > window {
+			continue // (i), (ii)
+		}
+		tagged := s.SampleBits != 0
+		k := len(keep)
+		switch {
+		case untagged < o.MaxReachable:
+			keep = append(keep, c)
+			if !tagged {
+				untagged++
+			}
+		case !nearer(pool, c, keep[k-1]): // at the cap the list ends with the last task that counts
+			continue
+		case tagged:
+			keep = append(keep, c)
+		default:
+			k-- // c takes that task's place
+		}
+		for ; k > 0 && nearer(pool, c, keep[k-1]); k-- {
+			keep[k] = keep[k-1]
+		}
+		keep[k] = c
+		if !tagged && untagged == o.MaxReachable {
+			// The tagged tasks now behind the last one that counts are out of
+			// every scenario's reach.
+			n := len(keep)
+			for pool[keep[n-1].Pos].SampleBits != 0 {
+				n--
+			}
+			keep = keep[:n]
+		}
+	}
+	sc.keep = keep[:0]
+	return keep, untagged
 }
 
 // tasksOf resolves Reachable's result into a caller-owned task slice.
@@ -494,16 +553,34 @@ func (b *bestPick) offer(t float64) {
 // position in Workers, reachable tasks by position in Tasks, a sequence's
 // tasks by bit position in its worker's reachable set. Consumers translate
 // ids to small ints nowhere — the indices are handed out here, once.
+//
+// The Separations of one Separator.Scenarios call are siblings, one per
+// sampled scenario over one pool: Tasks is that pool in all of them, whatever
+// a scenario contains of it, and where a worker's reachable set is the same
+// in two scenarios their Sets entries are one WorkerSets value — one Reach,
+// one Q_w, one set of masks (SharesSets).
 type Separation struct {
 	Workers []*core.Worker
-	Tasks   []*core.Task     // the planning pool
-	Sets    []WorkerSets     // Sets[i] belongs to Workers[i]
-	Graph   *graphutil.Graph // vertices index Workers
-	Forest  []*TreeNode
+	Tasks   []*core.Task // the planning pool
+	Sets    []WorkerSets // Sets[i] belongs to Workers[i]
+	// Graph has Workers' positions for vertices. A Separator has one graph:
+	// among siblings it belongs to the one Components ran on last, and is nil
+	// in the others.
+	Graph  *graphutil.Graph
+	Forest []*TreeNode
 	// Sequences is Σ|Q_w| over Sets: the candidate sequences a search of the
 	// forest has to consider, and so the measure of its work.
 	Sequences int
+
+	// first[i] is the lowest-numbered sibling whose Sets[i] is this one's.
+	first []uint8
 }
+
+// SharesSets reports whether sep and its sibling o hold one value for worker
+// i: the same reachable set, so the same Q_w. A dependency component whose
+// members all do is the same component in both — same graph, same RTC tree,
+// same task universe in the same order.
+func (sep *Separation) SharesSets(o *Separation, i int) bool { return sep.first[i] == o.first[i] }
 
 // WorkerSets is one worker's reachable set RS_w and candidate sequences Q_w.
 type WorkerSets struct {
@@ -609,15 +686,28 @@ func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options
 // per-goroutine scratch and result arenas, the spatial index, the dependency
 // graph, the chordal workspace and the RTC builder — reused across calls, so
 // a planner invoking it once per instant allocates only the sequences
-// themselves. The returned Separation is owned by the Separator and valid
-// until the next Separate call; callers that retain it across instants must
-// use the package function instead. The zero value is ready to use.
+// themselves. The zero value is ready to use.
+//
+// The pipeline is three stages, and Separate their composition for one
+// scenario: Scenarios (reachable sets and sequences, for every sampled
+// scenario of the pool at once), Components (one scenario's dependency graph
+// and its connected components) and Tree (one component's RTC tree). A caller
+// planning several scenarios runs the second and third per scenario and
+// builds a tree only for a component it has not met in an earlier one.
+//
+// Everything returned is owned by the Separator and valid until its next
+// Scenarios or Separate call — the Separations, the WorkerSets the siblings
+// share and every tree — except the graph and the component lists, which the
+// next Components call overwrites. Callers that retain a Separation across
+// instants must use the package function instead.
 type Separator struct {
-	scr []Scratch
-	ix  spatial.Index
-	g   graphutil.Graph
-	b   treeBuilder
-	sep Separation
+	scr  []Scratch
+	ix   spatial.Index
+	g    graphutil.Graph
+	b    treeBuilder
+	seps []Separation
+	// bound is the Separation the graph and the tree builder describe.
+	bound *Separation
 	// The instant being separated, for the fanned-out loops: time, options
 	// with defaults applied, and the workers the loop at hand runs over — on
 	// shift, then reaching anything — as positions in the pool.
@@ -630,7 +720,7 @@ type Separator struct {
 	byTask  []int32
 }
 
-// The least work worth a goroutine of its own in Separate's two per-worker
+// The least work worth a goroutine of its own in Scenarios' two per-worker
 // loops, against a goroutine's wake-up of ≈ 30–40 µs on the benchmark host
 // (docs/BENCHMARKS.md, "PR 19 measured").
 const (
@@ -639,37 +729,81 @@ const (
 	// and ≈ 1.3 µs on a flash crowd: a pool of 512–623 on shift took 45 µs
 	// split in two against 33 µs inline.
 	reachGrain = 512
-	// sequenceGrain counts Σ|RS_w|², known exactly once the first loop is
-	// done. Q_w and its masks cost 100–220 ns a unit on paper-yueche and on
-	// the event-spike crowd alike (0.65 ms for its 3,020), so a grain is
-	// 0.1–0.2 ms; paper-yueche's 99th-percentile instant holds 215.
+	// sequenceGrain counts Σ|RS_w|² over the distinct reachable sets, known
+	// exactly once the first loop is done. Q_w and its masks cost 100–220 ns a
+	// unit on paper-yueche and on the event-spike crowd alike (0.65 ms for its
+	// 3,020), so a grain is 0.1–0.2 ms; paper-yueche's 99th-percentile instant
+	// holds 215.
 	sequenceGrain = 1024
 )
 
 // Separate is the scratch-reusing form of the package function; see the
 // Separator doc for the ownership contract of the result.
 func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options) *Separation {
+	sep := &sp.Scenarios(workers, tasks, now, o, 1)[0]
+	flat, offs := sp.Components(sep)
+	for i := 0; i+1 < len(offs); i++ {
+		sep.Forest = append(sep.Forest, sp.Tree(flat[offs[i]:offs[i+1]]))
+	}
+	return sep
+}
+
+// Scenarios is the pipeline's first stage for the k sampled scenarios of one
+// pool: scenario s of k > 1 contains the tasks that carry no SampleBits or
+// carry bit s, and k ≤ 1 is the one scenario that contains the whole pool. It
+// returns one Separation a scenario with Workers, Tasks and Sets filled, Graph
+// and Forest empty.
+//
+// The pool is indexed once and each worker on shift queries it once; scenario
+// s's RS_w is the MaxReachable nearest of the candidates that scenario s
+// contains — the filter applies before the cap — and Q_w and its masks are
+// generated once per distinct reachable set, which the scenarios holding it
+// share (Separation.SharesSets). Positions index the whole pool in every
+// scenario, so tasks keep the relative order a filtered copy would give them.
+func (sp *Separator) Scenarios(workers []*core.Worker, tasks []*core.Task, now float64, o Options, k int) []Separation {
 	o = o.WithDefaults()
-	sep := &sp.sep
-	sep.Workers, sep.Tasks = workers, tasks
-	clear(sep.Forest)
-	sep.Forest = sep.Forest[:0]
+	k = max(k, 1)
+	// The last call's siblings let go of what they described, including the
+	// ones a smaller k leaves unused; whatever lies past a slice's length was
+	// let go of the same way when it last fell out of use.
+	for s := range sp.seps {
+		sep := &sp.seps[s]
+		clear(sep.Sets)
+		clear(sep.Forest)
+		*sep = Separation{Sets: sep.Sets[:0], Forest: sep.Forest[:0], first: sep.first[:0]}
+	}
+	sp.seps = slices.Grow(sp.seps[:0], k)[:k]
+	for s := range sp.seps {
+		sep := &sp.seps[s]
+		sep.Workers, sep.Tasks = workers, tasks
+		sep.Sets = slices.Grow(sep.Sets, len(workers))[:len(workers)]
+		sep.first = slices.Grow(sep.first, len(workers))[:len(workers)]
+		clear(sep.first)
+	}
+	sp.bound = nil
+	sp.b.reset()
 
 	cell := spatial.CellSizeForReach(workers)
 	if o.BruteForce {
 		cell = 0 // no grid: every query scans the pool
 	}
 	sp.ix.Reset(tasks, cell)
-	clear(sep.Sets)
-	sep.Sets = slices.Grow(sep.Sets[:0], len(workers))[:len(workers)]
 	sp.now, sp.o = now, o
 	sp.workerSets()
+	return sp.seps
+}
 
-	// Dependency graph: invert the reachable relation task → workers by a
-	// counting sort over pool positions, then connect the workers sharing
-	// each task. This is O(|T| + Σ|RS| + edges) instead of the paper's
-	// O(|W|²·|RS|) pairwise scan.
-	off := slices.Grow(sp.taskOff[:0], len(tasks)+1)[:len(tasks)+1]
+// Components is the second stage: it builds sep's dependency graph from its
+// Sets and returns the graph's connected components in graphutil.Components'
+// format — each ascending, ordered by smallest vertex — as flat storage:
+// component i is flat[offs[i]:offs[i+1]]. The graph, the lists and the binding
+// Tree builds from last until the next Components call.
+func (sp *Separator) Components(sep *Separation) (flat []int, offs []int32) {
+	// Invert the reachable relation task → workers by a counting sort over
+	// pool positions, then connect the workers sharing each task. This is
+	// O(|T| + Σ|RS| + edges) instead of the paper's O(|W|²·|RS|) pairwise scan.
+	tasks := len(sep.Tasks)
+	off := slices.Grow(sp.taskOff[:0], tasks+1)[:tasks+1]
 	clear(off)
 	sep.Sequences = 0
 	for i := range sep.Sets {
@@ -678,10 +812,10 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 			off[t+1]++
 		}
 	}
-	for t := range tasks {
+	for t := 0; t < tasks; t++ {
 		off[t+1] += off[t]
 	}
-	byTask := slices.Grow(sp.byTask[:0], int(off[len(tasks)]))[:off[len(tasks)]]
+	byTask := slices.Grow(sp.byTask[:0], int(off[tasks]))[:off[tasks]]
 	for i := range sep.Sets {
 		for _, t := range sep.Sets[i].Index {
 			byTask[off[t]] = int32(i)
@@ -689,12 +823,16 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 		}
 	}
 	sp.taskOff, sp.byTask = off, byTask
-	sp.g.Reset(len(workers))
+	if sp.bound != nil {
+		sp.bound.Graph = nil
+	}
+	sp.bound = sep
+	sp.g.Reset(len(sep.Workers))
 	sep.Graph = &sp.g
 	// The fill pass advanced every offset to its group's end, so group t
 	// starts where group t-1 ends.
 	start := int32(0)
-	for t := range tasks {
+	for t := 0; t < tasks; t++ {
 		group := byTask[start:off[t]]
 		for a, u := range group {
 			for _, v := range group[a+1:] {
@@ -703,25 +841,26 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 		}
 		start = off[t]
 	}
-
-	sp.b.init(sep.Graph)
-	flat, offs := sp.b.components()
-	for i := 0; i+1 < len(offs); i++ {
-		sp.b.treeStart = len(sp.b.nodes)
-		sep.Forest = append(sep.Forest, sp.b.build(flat[offs[i]:offs[i+1]], workers))
-	}
-	return sep
+	sp.b.bind(sep.Graph)
+	return sp.b.components()
 }
 
-// workerSets fills sep.Sets. Each worker's RS_w and Q_w depend only on that
-// worker and the shared read-only pool, so both loops are embarrassingly
-// parallel; results land in per-index slots, backed by the arenas of whichever
-// goroutine's scratch computed them. Both run over a compacted index list, so
-// what they fan out by counts work, not pool slots: the reachable sets over
-// the workers on shift, the sequences over the workers that reach anything,
-// weighed by how much they reach.
+// Tree is the third stage: the RTC tree of one connected component of the
+// graph Components built last.
+func (sp *Separator) Tree(comp []int) *TreeNode {
+	sp.b.treeStart = len(sp.b.nodes)
+	return sp.b.build(comp, sp.bound.Workers)
+}
+
+// workerSets fills every sibling's Sets. Each worker's RS_w and Q_w depend only
+// on that worker and the shared read-only pool, so both loops are
+// embarrassingly parallel; results land in per-index slots, backed by the
+// arenas of whichever goroutine's scratch computed them. Both run over a
+// compacted index list, so what they fan out by counts work, not pool slots:
+// the reachable sets over the workers on shift, the sequences over the workers
+// that reach anything, weighed by how much they reach.
 func (sp *Separator) workerSets() {
-	workers, sets := sp.sep.Workers, sp.sep.Sets
+	workers := sp.seps[0].Workers
 	for i := range sp.scr {
 		sp.scr[i].resetArenas()
 	}
@@ -737,10 +876,16 @@ func (sp *Separator) workerSets() {
 	// grows with, and 43 workers reaching one task are not 43 reaching eight.
 	reaching, work := 0, 0
 	for _, i := range sp.on {
-		if r := len(sets[i].Reach); r > 0 {
+		mine := 0
+		for s := range sp.seps {
+			if r := len(sp.seps[s].Sets[i].Reach); int(sp.seps[s].first[i]) == s {
+				mine += r * r
+			}
+		}
+		if mine > 0 {
 			sp.on[reaching] = i
 			reaching++
-			work += r * r
+			work += mine
 		}
 	}
 	par.DoWorker(reaching, sp.scratchFor(work, sequenceGrain), sp.sequenceJob)
@@ -751,13 +896,19 @@ func (sp *Separator) workerSets() {
 // so that handing a loop to par costs a two-word method value, not a closure
 // over the options.
 func (sp *Separator) reachJob(g, k int) {
-	i := sp.on[k]
-	sp.sep.Sets[i] = sp.scr[g].reachSets(sp.sep.Workers[i], &sp.ix, sp.now, sp.o)
+	sp.scr[g].reachSets(sp.seps, int(sp.on[k]), &sp.ix, sp.now, sp.o)
 }
 
 func (sp *Separator) sequenceJob(g, k int) {
 	i := sp.on[k]
-	sp.scr[g].sequenceSets(sp.sep.Workers[i], &sp.sep.Sets[i], sp.now, sp.o)
+	for s := range sp.seps {
+		ws := &sp.seps[s].Sets[i]
+		if first := int(sp.seps[s].first[i]); first != s {
+			*ws = sp.seps[first].Sets[i]
+		} else if len(ws.Reach) > 0 {
+			sp.scr[g].sequenceSets(sp.seps[s].Workers[i], ws, sp.now, sp.o)
+		}
+	}
 }
 
 // scratchFor resolves how many goroutines a loop holding the given work is
@@ -778,18 +929,58 @@ func (sc *Scratch) resetArenas() {
 	sc.reach, sc.index, sc.seqs, sc.masks = sc.reach[:0], sc.index[:0], sc.seqs[:0], sc.masks[:0]
 }
 
-// reachSets computes one available worker's RS_w into the arenas. Every
-// returned slice is capacity-capped: nothing can append through it into a
+// reachSets computes RS_w of the available worker at position i in each of the
+// sibling scenarios, into the arenas: one gather (reachableAcross), then per
+// scenario the MaxReachable nearest of the list that the scenario contains. A scenario whose
+// set an earlier one already holds takes that one's value and names it in
+// first; with no tagged task in the list that is all of them. Every slice
+// handed out is capacity-capped: nothing can append through it into a
 // neighbour's span.
-func (sc *Scratch) reachSets(w *core.Worker, ix *spatial.Index, now float64, o Options) WorkerSets {
-	r0 := len(sc.reach)
-	for _, c := range sc.Reachable(w, ix, nil, now, o) {
-		sc.reach = append(sc.reach, ix.Tasks()[c.Pos])
-		sc.index = append(sc.index, c.Pos)
+func (sc *Scratch) reachSets(seps []Separation, i int, ix *spatial.Index, now float64, o Options) {
+	var keep []spatial.Candidate
+	var untagged int
+	if len(seps) > 1 {
+		keep, untagged = sc.reachableAcross(seps[0].Workers[i], ix, now, o)
+	} else { // one scenario, the pool as it is: tags mean nothing
+		keep = sc.Reachable(seps[0].Workers[i], ix, nil, now, o)
+		untagged = len(keep)
 	}
-	return WorkerSets{
-		Reach: sc.reach[r0:len(sc.reach):len(sc.reach)],
-		Index: sc.index[r0:len(sc.index):len(sc.index)],
+	if len(keep) == 0 {
+		return // nothing in reach, in any scenario: the cleared Sets[i] and first[i] say so
+	}
+	pool, tagged := ix.Tasks(), untagged < len(keep)
+scenarios:
+	for s := range seps {
+		if s > 0 && !tagged {
+			seps[s].Sets[i] = seps[0].Sets[i]
+			continue
+		}
+		pick := sc.pick[:0]
+		for _, c := range keep {
+			if bits := pool[c.Pos].SampleBits; tagged && bits != 0 && bits>>uint(s)&1 == 0 {
+				continue
+			}
+			if pick = append(pick, c.Pos); len(pick) == o.MaxReachable {
+				break
+			}
+		}
+		sc.pick = pick
+		for e := 0; e < s; e++ {
+			if int(seps[e].first[i]) == e && slices.Equal(seps[e].Sets[i].Index, pick) {
+				seps[s].Sets[i], seps[s].first[i] = seps[e].Sets[i], uint8(e)
+				continue scenarios
+			}
+		}
+		r0 := len(sc.reach)
+		for _, t := range pick {
+			sc.reach = append(sc.reach, pool[t])
+		}
+		sc.index = append(sc.index, pick...)
+		seps[s].Sets[i] = WorkerSets{
+			Reach: sc.reach[r0:len(sc.reach):len(sc.reach)],
+			Index: sc.index[r0:len(sc.index):len(sc.index)],
+		}
+		seps[s].first[i] = uint8(s)
 	}
 }
 
@@ -832,8 +1023,8 @@ type treeBuilder struct {
 	queue   []int32
 	touched []int32
 	// Arenas for the construction's results: tree nodes and the backing of
-	// node.Workers / node.Index. All live until the next init call (the
-	// Separation's lifetime), so steady-state tree building allocates only on
+	// node.Workers / node.Index. All live until the next reset call (the
+	// Separations' lifetime), so steady-state tree building allocates only on
 	// growth. Each node's span is completed before any other node starts
 	// (cliques are installed before recursing), which keeps the spans
 	// contiguous; grown-over backings stay alive through the tree's own
@@ -846,9 +1037,19 @@ type treeBuilder struct {
 	compOffs  []int32
 }
 
-// init (re)binds the builder to a graph and resets the arenas; dense scratch
-// is reused across generations (the traversal invariants leave it all-false).
-func (b *treeBuilder) init(g *graphutil.Graph) {
+// reset empties the arenas, ending the life of every tree built from them.
+func (b *treeBuilder) reset() {
+	clear(b.nodes)
+	b.nodes = b.nodes[:0]
+	clear(b.warena)
+	b.warena = b.warena[:0]
+	b.iarena = b.iarena[:0]
+}
+
+// bind points the builder at a graph; the trees built so far stay. Dense
+// scratch is reused across graphs (the traversal invariants leave it
+// all-false).
+func (b *treeBuilder) bind(g *graphutil.Graph) {
 	n := g.N()
 	b.g = g
 	if cap(b.inComp) < n {
@@ -860,11 +1061,6 @@ func (b *treeBuilder) init(g *graphutil.Graph) {
 		b.removed = b.removed[:n]
 		b.seen = b.seen[:n]
 	}
-	clear(b.nodes)
-	b.nodes = b.nodes[:0]
-	clear(b.warena)
-	b.warena = b.warena[:0]
-	b.iarena = b.iarena[:0]
 }
 
 // newNode allocates a tree node from the arena and installs the workers at
@@ -896,7 +1092,7 @@ func (b *treeBuilder) newNode(workers []*core.Worker, clique ...int) *TreeNode {
 // components returns the connected components of the bound graph in
 // graphutil.Components' format — each ascending, ordered by smallest vertex —
 // materialized into builder-owned flat storage: component i is
-// flat[offs[i]:offs[i+1]]. The storage is valid until the next init call and
+// flat[offs[i]:offs[i+1]]. The storage is valid until the next call and
 // is not touched by build (nested residual components allocate their own).
 func (b *treeBuilder) components() (flat []int, offs []int32) {
 	b.compFlat = b.compFlat[:0]

@@ -1,6 +1,7 @@
 package wds
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -449,6 +450,80 @@ func TestSeparateIndexedMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestScenariosMatchSeparateOnFilteredPools holds the staged entry points to
+// the pipeline they were cut from: scenario s of a tagged pool, separated as a
+// view of the one pool beside its siblings — trees taken over from the sibling
+// that built them, as a planner would — is the Separation of a copy of the pool
+// holding scenario s's tasks only: same reachable sets, sequences and forest,
+// the pool positions mapping onto the copy's in order. Serial and fanned out.
+func TestScenariosMatchSeparateOnFilteredPools(t *testing.T) {
+	const k = 5
+	for _, seed := range []int64{7, 19, 51} {
+		ws, ts := randomInstance(seed, 60, 300, 5)
+		r := rand.New(rand.NewSource(seed))
+		for i, s := range ts {
+			if i%3 == 0 {
+				s.Virtual, s.SampleBits = true, uint64(r.Intn(1<<k)) // 0 among them: untagged
+			}
+		}
+		for _, p := range []int{1, 4} {
+			o := opts
+			o.Parallelism = p
+			var sp Separator
+			seps := sp.Scenarios(ws, ts, 0, o, k)
+			shared, trees := 0, map[string]*TreeNode{}
+			for s := range seps {
+				var pool []*core.Task
+				var at []int32 // pool position → position in the copy
+				for _, task := range ts {
+					at = append(at, int32(len(pool)))
+					if task.SampleBits == 0 || task.SampleBits>>uint(s)&1 != 0 {
+						pool = append(pool, task)
+					}
+				}
+				want := Separate(ws, pool, 0, o)
+
+				sep := &seps[s]
+				flat, offs := sp.Components(sep)
+				for i := 0; i+1 < len(offs); i++ {
+					comp := flat[offs[i]:offs[i+1]]
+					key := fmt.Sprint(comp)
+					for _, wi := range comp {
+						key += fmt.Sprint(" ", sep.first[wi])
+					}
+					if trees[key] == nil {
+						trees[key] = sp.Tree(comp)
+					} else {
+						shared++
+					}
+					sep.Forest = append(sep.Forest, trees[key])
+				}
+				sameSeparation(t, want, sep)
+				if sep.Sequences != want.Sequences || sep.Graph.Edges() != want.Graph.Edges() {
+					t.Fatalf("scenario %d: %d sequences and %d edges, the copy has %d and %d",
+						s, sep.Sequences, sep.Graph.Edges(), want.Sequences, want.Graph.Edges())
+				}
+				for i := range sep.Sets {
+					for j, pos := range sep.Sets[i].Index {
+						if at[pos] != want.Sets[i].Index[j] || !slices.Equal(sep.Sets[i].Masks, want.Sets[i].Masks) {
+							t.Fatalf("scenario %d worker %d: positions %v, the copy's %v", s, i, sep.Sets[i].Index, want.Sets[i].Index)
+						}
+					}
+					if s > 0 && sep.SharesSets(&seps[0], i) != slices.Equal(sep.Sets[i].Index, seps[0].Sets[i].Index) {
+						t.Fatalf("scenario %d worker %d: SharesSets disagrees with the sets", s, i)
+					}
+				}
+				if s > 0 && seps[s-1].Graph != nil {
+					t.Fatalf("scenario %d still claims the graph", s-1)
+				}
+			}
+			if shared == 0 {
+				t.Fatal("no component recurred: the pool exercises no sharing")
+			}
+		}
+	}
+}
+
 // TestSeparateParallelMatchesSerial holds the fanned-out loops to the serial
 // ones on a pool past both grains at every setting tried — 4·reachGrain
 // workers on shift, Σ|RS_w|² past 4·sequenceGrain — and checks that Separate
@@ -481,9 +556,10 @@ func TestSeparateParallelMatchesSerial(t *testing.T) {
 		o := opts
 		o.Parallelism = p
 		var sp Separator
-		sameSeparation(t, want, sp.Separate(ws, ts, 0, o))
-		if sp.sep.Sequences != want.Sequences {
-			t.Fatalf("parallelism %d: %d sequences, serial %d", p, sp.sep.Sequences, want.Sequences)
+		got := sp.Separate(ws, ts, 0, o)
+		sameSeparation(t, want, got)
+		if got.Sequences != want.Sequences {
+			t.Fatalf("parallelism %d: %d sequences, serial %d", p, got.Sequences, want.Sequences)
 		}
 		if len(sp.scr) != max(fanReach, fanSeqs) {
 			t.Fatalf("parallelism %d: %d scratches for %d and %d goroutines", p, len(sp.scr), fanReach, fanSeqs)
