@@ -7,11 +7,11 @@
 // repo root is a copy of; CI reruns the suite and holds every deterministic
 // outcome to that snapshot exactly (see docs/BENCHMARKS.md):
 //
-//	datawa-bench -suite -methods Greedy,DTA,SSP -json=BENCH_20.json
-//	datawa-bench -suite -scales 1 -methods Greedy,DTA,SSP -compare BENCH_20.json
+//	datawa-bench -suite -methods Greedy,DTA,SSP -json=BENCH_22.json
+//	datawa-bench -suite -scales 1 -methods Greedy,DTA,SSP -compare BENCH_22.json
 //	datawa-bench -suite -scales 1 -methods SSP -samples 8 -cvar-alpha 0.5 -json=-
 //	datawa-bench -suite -scales 1 -shards 4 -max-gap 0.01 -json=BENCH_fidelity.json
-//	datawa-bench -validate BENCH_20.json
+//	datawa-bench -validate BENCH_22.json
 //
 // Experiment mode (-run) regenerates the tables and figures of the paper's
 // evaluation (Section V) on the synthetic Yueche/DiDi workloads and prints
@@ -30,6 +30,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -293,7 +294,9 @@ func loadReport(path string) (*benchsuite.Report, error) {
 		return nil, err
 	}
 	var r benchsuite.Report
-	if err := json.Unmarshal(b, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields() // a key of an older schema is not in this one
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if err := r.Validate(); err != nil {

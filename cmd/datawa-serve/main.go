@@ -61,7 +61,6 @@ func main() {
 		method     = flag.String("method", "DTA", "one of "+datawa.MethodList())
 		shards     = flag.Int("shards", 4, "region shards planned in parallel")
 		halo       = flag.Float64("halo", 0, "cross-shard handoff radius in km (0 = auto from worker reach, negative = disable ghost replication)")
-		increment  = flag.Bool("incremental", true, "incremental epoch replanning (dirty-region invalidation; plans are identical either way)")
 		step       = flag.Float64("step", 1, "epoch length in logical seconds")
 		timescale  = flag.Float64("timescale", 1, "logical seconds per wall second")
 		speed      = flag.Float64("speed", 0.01, "worker travel speed in km/s")
@@ -144,7 +143,6 @@ func main() {
 
 	d, err := fw.NewDispatcher(m, datawa.DispatchConfig{
 		Shards: *shards, HaloRadius: *halo, Step: *step, QueueSize: *queue,
-		DisableIncremental: !*increment,
 		Admission: datawa.AdmissionConfig{
 			MaxOpenTasks: *maxOpen, MaxSubmitsPerEpoch: *maxSubmits, DeferSlack: *deferSlack,
 		},

@@ -124,7 +124,6 @@ type methodRow struct {
 	ladder     []plannerFunc
 	fixed      bool // FTA semantics: a worker's plan is locked once made
 	needsValue bool // the planner reads the value model: TrainValue first
-	fullReplan bool // the dispatcher must replan every component every epoch
 	// forecast builds the demand source over the trained demand model
 	// (TrainDemand first); nil for a method that streams no virtual tasks.
 	forecast func(f *Framework) historyBoundedForecaster
@@ -136,15 +135,10 @@ var methodTable = []methodRow{
 	{method: MethodDTA, ladder: []plannerFunc{newSearch, newGreedy, newMatch}},
 	{method: MethodDTATP, ladder: []plannerFunc{newSearch, newGreedy, newMatch}, forecast: pointForecast},
 	{method: MethodDATAWA, ladder: []plannerFunc{newTVFSearch, newGreedy, newMatch}, forecast: pointForecast, needsValue: true},
-	// SSP replans in full: incremental replanning caches the plans of quiet
-	// empty components, which is sound only when a component's plan
-	// emptiness depends on the pool alone, and SSP's CVaR fold can flip a
-	// component between empty and non-empty across instants with an unchanged
-	// pool (a worst-case scenario tie breaking the other way), so the cache
-	// could splice a stale empty plan. Its ladder degrades through the
-	// point-forecast search first, so the first step under pressure sheds the
-	// K-fold sampling cost, not the look-ahead itself.
-	{method: MethodSSP, ladder: []plannerFunc{newSSP, newSearch, newGreedy, newMatch}, forecast: sampledForecast, fullReplan: true},
+	// SSP's ladder degrades through the point-forecast search first, so the
+	// first step under pressure sheds the K-fold sampling cost, not the
+	// look-ahead itself.
+	{method: MethodSSP, ladder: []plannerFunc{newSSP, newSearch, newGreedy, newMatch}, forecast: sampledForecast},
 }
 
 // row returns m's registry row; the zero row (no ladder) when unregistered.
@@ -542,12 +536,6 @@ type DispatchConfig struct {
 	HaloRadius float64
 	// QueueSize bounds the ingest queue (default 4096).
 	QueueSize int
-	// DisableIncremental turns off incremental epoch replanning. By default
-	// each shard's planner reuses the plans of quiet pool regions across
-	// epochs (byte-identical to full replanning; see
-	// dispatch.Config.DisableIncremental); incremental requires a non-empty
-	// Config.Region and is unavailable under MethodFTA either way.
-	DisableIncremental bool
 	// Admission bounds the ingest path (shed/defer by deadline when
 	// saturated); the zero value admits everything. See
 	// dispatch.AdmissionConfig.
@@ -588,20 +576,19 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 		return nil, err
 	}
 	cfg := dispatch.Config{
-		Shards:             dc.Shards,
-		HaloRadius:         dc.HaloRadius,
-		Step:               dc.Step,
-		Now:                dc.Now,
-		QueueSize:          dc.QueueSize,
-		DisableIncremental: dc.DisableIncremental || r.fullReplan,
-		Admission:          dc.Admission,
-		Governor:           dc.Governor,
-		Obs:                dc.Obs,
-		Travel:             f.travel,
-		Parallelism:        f.cfg.Parallelism,
-		Fixed:              r.fixed,
-		Forecast:           f.forecaster(r),
-		NewPlanner:         func(int) assign.Planner { return r.ladder[0](f) },
+		Shards:      dc.Shards,
+		HaloRadius:  dc.HaloRadius,
+		Step:        dc.Step,
+		Now:         dc.Now,
+		QueueSize:   dc.QueueSize,
+		Admission:   dc.Admission,
+		Governor:    dc.Governor,
+		Obs:         dc.Obs,
+		Travel:      f.travel,
+		Parallelism: f.cfg.Parallelism,
+		Fixed:       r.fixed,
+		Forecast:    f.forecaster(r),
+		NewPlanner:  func(int) assign.Planner { return r.ladder[0](f) },
 		NewLadder: func(int) []assign.Planner {
 			ladder := make([]assign.Planner, len(r.ladder))
 			for i, tier := range r.ladder {
@@ -613,9 +600,8 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 	if cfg.Step <= 0 {
 		cfg.Step = f.cfg.Step
 	}
-	// The grid feeds shard ownership (Shards > 1) and the incremental
-	// replanner's dirty-cell partition (any shard count); a framework without
-	// a region can only run single-shard, full-replan dispatch.
+	// The grid feeds shard ownership; a framework without a region can only
+	// run single-shard dispatch.
 	if f.cfg.Region.Width() > 0 && f.cfg.Region.Height() > 0 {
 		cfg.Grid = f.grid()
 	}

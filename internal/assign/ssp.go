@@ -39,12 +39,6 @@ import (
 // planner's scratch — the Separations, the sets and the trees they share — and
 // to nothing older: a call overwrites or clears all of it, the candidates it
 // did not commit included.
-//
-// An SSP must not be wrapped by Incremental: the empty-component cache
-// assumes a component's plan emptiness is planner-state-independent, but an
-// SSP plan for a component can flip between empty and non-empty as the
-// CVaR fold breaks ties differently across instants. The datawa façade
-// forces full replanning for the SSP method.
 type SSP struct {
 	Opts Options
 	// Samples is the scenario count K the sampler was configured with

@@ -15,15 +15,14 @@
 // on every load and Run enforces at generation time. The offline/live
 // fidelity gate skips them — shedding makes the two paths diverge by design.
 //
-// Outcomes (assigned/expired counts, plan calls, epochs, the reuse,
-// admission and governor counters) are deterministic given the archetype
-// seed, at every parallelism level and on every machine; wall-clock and
-// allocation figures are informational and host-dependent. Compare therefore
-// gates the outcomes on exact equality and — with a tolerance — the live
-// path's epoch p95 latency, so a perf PR cannot silently trade epoch latency
-// for throughput. Timing claims are made on the repository benchmark
-// (benchmark/), not here. docs/BENCHMARKS.md documents the schema and the
-// regeneration policy.
+// Outcomes (assigned/expired counts, plan calls, epochs, the admission and
+// governor counters) are deterministic given the archetype seed, at every
+// parallelism level and on every machine; wall-clock and allocation figures
+// are informational and host-dependent. Compare therefore gates the outcomes
+// on exact equality and — with a tolerance — the live path's epoch p95
+// latency, so a perf PR cannot silently trade epoch latency for throughput.
+// Timing claims are made on the repository benchmark (benchmark/), not here.
+// docs/BENCHMARKS.md documents the schema and the regeneration policy.
 package benchsuite
 
 import (
@@ -43,7 +42,7 @@ import (
 // the repo carries one snapshot, regenerated whenever the format or an
 // outcome changes, so there is no older file to keep loadable. Bump the
 // suffix on any incompatible change and regenerate the snapshot with it.
-const Schema = "datawa-bench-suite/7"
+const Schema = "datawa-bench-suite/8"
 
 // p95GateFloorNS clamps the baseline of Compare's latency gate from below:
 // growth is measured relative to max(baseline, 10 ms). Epoch latencies are
@@ -207,11 +206,6 @@ type Path struct {
 	EpochP50NS int64 `json:"epoch_p50_ns,omitempty"`
 	EpochP95NS int64 `json:"epoch_p95_ns,omitempty"`
 	EpochP99NS int64 `json:"epoch_p99_ns,omitempty"`
-	// IncrementalHits and ComponentsReplanned are the live path's
-	// incremental-replanning reuse counters (dispatch.Metrics); live-path
-	// only, zero when incremental replanning is disabled.
-	IncrementalHits     int64 `json:"incremental_hits,omitempty"`
-	ComponentsReplanned int64 `json:"components_replanned,omitempty"`
 	// Cancelled, Shed and Deferred are the live path's remaining terminal
 	// and backpressure outcomes (dispatch.Metrics): on an overload cell
 	// assigned + expired + cancelled + shed == tasks exactly after the
@@ -422,10 +416,6 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 		EpochP50NS:     met.EpochP50.Nanoseconds(),
 		EpochP95NS:     met.EpochP95.Nanoseconds(),
 		EpochP99NS:     met.EpochP99.Nanoseconds(),
-
-		IncrementalHits:     met.IncrementalHits,
-		ComponentsReplanned: met.ComponentsReplanned,
-
 		Cancelled:      met.Cancelled,
 		Shed:           met.Shed,
 		Deferred:       met.Deferred,
@@ -566,8 +556,6 @@ var outcomeFields = []struct {
 	{"live.expired", func(c *Cell) int64 { return int64(c.Live.Expired) }},
 	{"live.plan_calls", func(c *Cell) int64 { return int64(c.Live.PlanCalls) }},
 	{"live.epochs", func(c *Cell) int64 { return int64(c.Live.Epochs) }},
-	{"live.incremental_hits", func(c *Cell) int64 { return c.Live.IncrementalHits }},
-	{"live.components_replanned", func(c *Cell) int64 { return c.Live.ComponentsReplanned }},
 	{"live.cancelled", func(c *Cell) int64 { return int64(c.Live.Cancelled) }},
 	{"live.shed", func(c *Cell) int64 { return c.Live.Shed }},
 	{"live.deferred", func(c *Cell) int64 { return c.Live.Deferred }},

@@ -74,7 +74,6 @@ func syntheticReport() *Report {
 			Assigned: 18, Expired: 12, PlanCalls: 60, AvgPlanNS: 2000,
 			WallMS: 8, EventsPerSec: 6e3, AllocBytes: 2 << 20, Allocs: 3000,
 			Epochs: 30, Shards: 2, EpochP50NS: 10_000, EpochP95NS: 200_000, EpochP99NS: 300_000,
-			IncrementalHits: 7, ComponentsReplanned: 9,
 			Cancelled: 4, Shed: 6, Deferred: 11,
 			TierDemotions: 2, TierPromotions: 2, WorstTier: 1,
 		},
@@ -128,8 +127,6 @@ func TestCompareDetectsRegression(t *testing.T) {
 		{"live.expired", func(c *Cell) { c.Live.Expired++ }},
 		{"live.plan_calls", func(c *Cell) { c.Live.PlanCalls++ }},
 		{"live.epochs", func(c *Cell) { c.Live.Epochs++ }},
-		{"live.incremental_hits", func(c *Cell) { c.Live.IncrementalHits++ }},
-		{"live.components_replanned", func(c *Cell) { c.Live.ComponentsReplanned++ }},
 		{"live.cancelled", func(c *Cell) { c.Live.Cancelled++ }},
 		{"live.shed", func(c *Cell) { c.Live.Shed++ }},
 		{"live.deferred", func(c *Cell) { c.Live.Deferred++ }},

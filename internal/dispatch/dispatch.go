@@ -100,18 +100,8 @@ type Config struct {
 	Shards int
 	// Grid partitions the region into cells; an explicit ownership map
 	// assigns each shard one contiguous row-major band of cells. Required
-	// when Shards > 1; with one shard it is optional but enables incremental
-	// replanning (see DisableIncremental).
+	// when Shards > 1; one shard does not read it.
 	Grid geo.Grid
-	// DisableIncremental turns off incremental epoch replanning. By default
-	// (false), when Grid is set and the method is adaptive (not Fixed), each
-	// shard's planner is wrapped in assign.Incremental and its machine tracks
-	// the per-epoch dirty cell set: quiet regions of the pool — connected
-	// components of the reachability graph untouched since their last (empty)
-	// plan — are spliced from cache instead of replanned. Plans are
-	// byte-identical either way; only epoch cost changes. Snapshot reports
-	// reuse through IncrementalHits and ComponentsReplanned.
-	DisableIncremental bool
 	// HaloRadius configures cross-shard task handoff, in kilometers: a task
 	// whose disk of this radius overlaps grid cells owned by other shards is
 	// replicated into those shards as a read-only ghost candidate, and
@@ -231,12 +221,11 @@ type Metrics struct {
 	// same epoch; Retractions counts the losing commits arbitration undid.
 	CommitConflicts int64 `json:"commit_conflicts"`
 	Retractions     int64 `json:"retractions"`
-	// IncrementalHits counts cached quiet components spliced instead of
-	// replanned across all shards and epochs; ComponentsReplanned counts the
-	// components that did go through a planner. Both zero when incremental
-	// replanning is disabled (Config.DisableIncremental, no Grid, or FTA).
-	IncrementalHits     int64 `json:"incremental_hits"`
-	ComponentsReplanned int64 `json:"components_replanned"`
+	// IncrementalHits and ComponentsReplanned are always zero: nothing sets
+	// them. They are kept only because benchmark/, which this repository's
+	// benchmark contract freezes, still reads them; they go when it may.
+	IncrementalHits     int64 `json:"-"`
+	ComponentsReplanned int64 `json:"-"`
 	// Assigned/Expired/Cancelled/Repositions aggregate all shards.
 	Assigned    int `json:"assigned"`
 	Expired     int `json:"expired"`
@@ -292,13 +281,10 @@ type Dispatcher struct {
 	mu      sync.Mutex
 	pending eventHeap         // drained from the queue, not yet due; guarded by mu
 	shards  []*stream.Machine // slice and elements set in New, immutable after
-	// inc holds each shard's incremental-planner wrapper for reuse metrics;
-	// nil when incremental replanning is off.
-	inc    []*assign.Incremental // guarded by mu
-	smap   *shardMap             // cell ownership; nil with one shard; immutable after New
-	owner  map[int]int           // worker id → shard; guarded by mu
-	taskOf map[int]int           // task id → owning shard; guarded by mu
-	ghosts map[int][]int         // task id → shards holding a live replica; guarded by mu
+	smap    *shardMap         // cell ownership; nil with one shard; immutable after New
+	owner   map[int]int       // worker id → shard; guarded by mu
+	taskOf  map[int]int       // task id → owning shard; guarded by mu
+	ghosts  map[int][]int     // task id → shards holding a live replica; guarded by mu
 	// maxReach is the largest Reach among admitted workers — the automatic
 	// halo radius when Config.HaloRadius is 0. reGhost marks a pending
 	// re-replication pass after maxReach grew; it runs once per tick, since
@@ -379,13 +365,6 @@ func New(cfg Config) *Dispatcher {
 			perPlanner = 1
 		}
 	}
-	// Incremental replanning needs a grid for the dirty-cell partition and
-	// adaptive semantics (FTA's locked plans change the planner pool without
-	// pool events, so reuse would be unsound there).
-	incremental := !cfg.DisableIncremental && !cfg.Fixed && cfg.Grid.Cells() > 0
-	if incremental {
-		d.inc = make([]*assign.Incremental, cfg.Shards)
-	}
 	if govOn {
 		d.tiered = make([]*tieredPlanner, cfg.Shards)
 	}
@@ -409,7 +388,9 @@ func New(cfg Config) *Dispatcher {
 		if p, ok := planner.(interface{ SetParallelism(int) }); ok && perPlanner > 0 {
 			p.SetParallelism(perPlanner)
 		}
-		mc := stream.MachineConfig{
+		// Machines get no forecaster of their own: virtuals come from the
+		// dispatcher-level forecast, routed by cell ownership.
+		d.shards[i] = stream.NewMachine(stream.MachineConfig{
 			Planner:       planner,
 			Fixed:         cfg.Fixed,
 			Travel:        cfg.Travel,
@@ -419,15 +400,7 @@ func New(cfg Config) *Dispatcher {
 			TrackCommits: cfg.Shards > 1 && cfg.HaloRadius >= 0,
 			// Disposal logs feed the lifecycle ledger; off with it.
 			TrackDisposals: d.ob.ledger != nil,
-		}
-		if incremental {
-			d.inc[i] = assign.NewIncremental(planner, cfg.Grid)
-			mc.Planner = d.inc[i]
-			mc.DirtyGrid = cfg.Grid
-		}
-		// Machines get no forecaster of their own: virtuals come from the
-		// dispatcher-level forecast, routed by cell ownership.
-		d.shards[i] = stream.NewMachine(mc)
+		})
 	}
 	if govOn {
 		d.gov = NewGovernor(cfg.Governor, cfg.Shards, len(d.tiered[0].ladder))
@@ -533,11 +506,6 @@ func (d *Dispatcher) Snapshot() Metrics {
 	}
 	h := d.ob.epochHist
 	m.EpochP50, m.EpochP95, m.EpochP99 = seconds(h.Quantile(0.50)), seconds(h.Quantile(0.95)), seconds(h.Quantile(0.99))
-	for _, inc := range d.inc {
-		st := inc.Stats()
-		m.IncrementalHits += st.ComponentsReused
-		m.ComponentsReplanned += st.ComponentsReplanned
-	}
 	m.Shed = d.shedIngest
 	m.Deferred = d.deferred
 	if d.gov != nil {

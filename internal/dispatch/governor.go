@@ -167,12 +167,6 @@ func p95of(ring []float64, n int) float64 {
 // dispatches to the ladder entry the governor selected. Tier changes happen
 // under the dispatcher's epoch lock between Steps, so the planner the shards
 // see within one epoch is fixed.
-//
-// The ladder composes with incremental replanning: assign.Incremental caches
-// only components whose last plan was empty, and emptiness is planner-
-// independent — a component with no valid worker→task move is empty under
-// DTA, Greedy, and Match alike — so splicing a cached empty component remains
-// sound across tier switches.
 type tieredPlanner struct {
 	ladder []assign.Planner
 	tier   int

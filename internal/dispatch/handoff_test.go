@@ -22,6 +22,15 @@ func handoffConfig(shards int, halo float64) Config {
 	}
 }
 
+// handoffConfig8x8 is the two-shard handoff geometry on a finer 8×8 grid
+// (0.5 km cells over [0,4)²): the boundary is still y = 2, and a halo disk
+// covers a handful of cells instead of all four.
+func handoffConfig8x8() Config {
+	cfg := handoffConfig(2, 0)
+	cfg.Grid = geo.NewGrid(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 8, 8)
+	return cfg
+}
+
 // TestGhostMakesBoundaryTaskVisible is the tentpole's core scenario: a task
 // owned by one shard, reachable only by a worker pinned to the neighboring
 // shard. With halo replication the worker sees and serves it; with
@@ -246,6 +255,65 @@ func TestCancelDropsGhostCopies(t *testing.T) {
 	}
 	if m.RoutedGhosts != 0 {
 		t.Fatalf("routed ghosts = %d after cancel, want 0", m.RoutedGhosts)
+	}
+}
+
+// TestRetractionScriptOutcome drives one scripted run through every way the
+// pool changes under the handoff protocol: a boundary conflict retracts a
+// loser mid-epoch (the resumed plan falls through to another task and the
+// snapped-back worker re-enters the pool), a task nobody can reach waits
+// until a late worker onlines next to it, a heartbeat moves a worker across
+// the map, and an open task is cancelled. Every task must end where the
+// script says, and a rerun must match on every per-epoch snapshot.
+func TestRetractionScriptOutcome(t *testing.T) {
+	script := func() ([]string, Metrics) {
+		d := New(handoffConfig8x8())
+		var snaps []string
+		step := func(n int) {
+			for i := 0; i < n; i++ {
+				d.Tick()
+				snaps = append(snaps, digest(d.Snapshot()))
+			}
+		}
+		// A task no worker can reach yet.
+		d.SubmitTask(&core.Task{ID: 20, Loc: geo.Point{X: 3.5, Y: 0.5}, Pub: 0, Exp: 3000, Cell: -1})
+		// The boundary conflict: both workers commit task 10 through the halo,
+		// arbitration retracts the farther one (worker 1), whose resumed plan
+		// falls through to the fallback task 11 deep in its own shard.
+		d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 0.8, On: 0, Off: 4000})
+		d.WorkerOnline(&core.Worker{ID: 2, Loc: geo.Point{X: 1, Y: 2.2}, Reach: 0.8, On: 0, Off: 4000})
+		d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
+		d.SubmitTask(&core.Task{ID: 11, Loc: geo.Point{X: 1, Y: 1.3}, Pub: 0, Exp: 600, Cell: -1})
+		step(4)
+		// A worker onlines within reach of task 20 and must take it.
+		d.WorkerOnline(&core.Worker{ID: 3, Loc: geo.Point{X: 3.4, Y: 0.6}, Reach: 0.5, On: d.Now(), Off: 4000})
+		step(4)
+		// Heartbeat-move a worker across the map, then cancel an open task.
+		d.Heartbeat(2, geo.Point{X: 2.0, Y: 3.5})
+		d.SubmitTask(&core.Task{ID: 30, Loc: geo.Point{X: 0.5, Y: 3.5}, Pub: d.Now(), Exp: d.Now() + 400, Cell: -1})
+		step(2)
+		d.CancelTask(30)
+		// Long enough for motions to complete and idle workers to keep planning.
+		step(30)
+		return snaps, d.Snapshot()
+	}
+
+	first, final := script()
+	again, _ := script()
+	if len(first) != len(again) {
+		t.Fatalf("snapshot counts differ: %d vs %d", len(first), len(again))
+	}
+	for i := range first {
+		if first[i] != again[i] {
+			t.Fatalf("epoch %d diverged on a rerun\nfirst: %s\nagain: %s", i, first[i], again[i])
+		}
+	}
+	if final.Retractions == 0 {
+		t.Fatal("scenario produced no retraction; the arbitration case is not exercised")
+	}
+	if final.Assigned != 3 || final.Expired != 0 || final.Cancelled != 1 {
+		t.Fatalf("assigned/expired/cancelled = %d/%d/%d, want 3/0/1 (tasks 10, 11, 20 served; 30 cancelled)",
+			final.Assigned, final.Expired, final.Cancelled)
 	}
 }
 

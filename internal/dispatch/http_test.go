@@ -186,16 +186,16 @@ func ExampleNewHandler() {
 }
 
 // TestHTTPMetricsCounterRoundTrip pins the metrics endpoint's wire names for
-// the handoff and incremental-replanning counters: a run that exercises
-// ghost replication, commit arbitration, and cache reuse must surface every
-// counter under its documented JSON key with the snapshot's exact value.
+// the handoff counters: a run that exercises ghost replication and commit
+// arbitration must surface every counter under its documented JSON key with
+// the snapshot's exact value.
 func TestHTTPMetricsCounterRoundTrip(t *testing.T) {
-	d := New(incrementalConfig(false))
+	d := New(handoffConfig8x8())
 	srv := httptest.NewServer(NewHandler(d))
 	defer srv.Close()
 
-	// The arbitration geometry of TestIncrementalSurvivesArbitrationRetraction:
-	// a contended boundary task plus a quiet region that caches.
+	// The arbitration geometry of TestRetractionScriptOutcome: a contended
+	// boundary task plus one nobody can reach.
 	d.SubmitTask(&core.Task{ID: 20, Loc: geo.Point{X: 3.5, Y: 0.5}, Pub: 0, Exp: 3000, Cell: -1})
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 0.8, On: 0, Off: 4000})
 	d.WorkerOnline(&core.Worker{ID: 2, Loc: geo.Point{X: 1, Y: 2.2}, Reach: 0.8, On: 0, Off: 4000})
@@ -203,20 +203,18 @@ func TestHTTPMetricsCounterRoundTrip(t *testing.T) {
 	d.Advance(30)
 
 	snap := d.Snapshot()
-	if snap.GhostCopies == 0 || snap.CommitConflicts == 0 || snap.Retractions == 0 || snap.IncrementalHits == 0 {
+	if snap.GhostCopies == 0 || snap.CommitConflicts == 0 || snap.Retractions == 0 {
 		t.Fatalf("scenario under-exercises the counters: %+v", snap)
 	}
 
 	var wire map[string]any
 	getJSON(t, srv, "/v1/metrics", &wire)
 	for key, want := range map[string]int64{
-		"ghost_copies":         snap.GhostCopies,
-		"ghost_hits":           snap.GhostHits,
-		"routed_ghosts":        int64(snap.RoutedGhosts),
-		"commit_conflicts":     snap.CommitConflicts,
-		"retractions":          snap.Retractions,
-		"incremental_hits":     snap.IncrementalHits,
-		"components_replanned": snap.ComponentsReplanned,
+		"ghost_copies":     snap.GhostCopies,
+		"ghost_hits":       snap.GhostHits,
+		"routed_ghosts":    int64(snap.RoutedGhosts),
+		"commit_conflicts": snap.CommitConflicts,
+		"retractions":      snap.Retractions,
 	} {
 		raw, ok := wire[key]
 		if !ok {
@@ -225,6 +223,12 @@ func TestHTTPMetricsCounterRoundTrip(t *testing.T) {
 		}
 		if got := int64(raw.(float64)); got != want {
 			t.Errorf("metrics %q = %d, want %d", key, got, want)
+		}
+	}
+	// The two fields Metrics keeps for benchmark/ alone stay off the wire.
+	for _, key := range []string{"incremental_hits", "components_replanned"} {
+		if _, ok := wire[key]; ok {
+			t.Errorf("metrics JSON still carries %q", key)
 		}
 	}
 }

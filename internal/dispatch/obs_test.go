@@ -379,7 +379,7 @@ func obsFingerprint(t *testing.T, d *Dispatcher) string {
 // the only sanctioned divergence.
 func TestObsLogicalDeterminism(t *testing.T) {
 	run := func(parallelism int) string {
-		cfg := incrementalConfig(false)
+		cfg := handoffConfig8x8()
 		cfg.Parallelism = parallelism
 		cfg.Obs = ObsConfig{Spans: 1024, LedgerTasks: 1024}
 		d := New(cfg)
@@ -402,7 +402,7 @@ func TestObsLogicalDeterminism(t *testing.T) {
 		}
 	}
 	// The retracted loser's chain must show the arbitration round.
-	cfg := incrementalConfig(false)
+	cfg := handoffConfig8x8()
 	cfg.Obs = ObsConfig{LedgerTasks: 64}
 	d := New(cfg)
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 0.8, On: 0, Off: 4000})

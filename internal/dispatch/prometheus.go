@@ -42,8 +42,6 @@ func (h *Handler) prometheus(w http.ResponseWriter, _ *http.Request) {
 	counter("datawa_ghost_hits_total", "Tasks won by a non-owner shard.", float64(m.GhostHits))
 	counter("datawa_commit_conflicts_total", "Tasks committed by more than one shard in an epoch.", float64(m.CommitConflicts))
 	counter("datawa_retractions_total", "Losing commits undone by arbitration.", float64(m.Retractions))
-	counter("datawa_incremental_hits_total", "Cached quiet components spliced instead of replanned.", float64(m.IncrementalHits))
-	counter("datawa_components_replanned_total", "Components replanned by a planner.", float64(m.ComponentsReplanned))
 	counter("datawa_assigned_total", "Tasks assigned.", float64(m.Assigned))
 	counter("datawa_expired_total", "Tasks expired unserved.", float64(m.Expired))
 	counter("datawa_cancelled_total", "Tasks withdrawn by their requester.", float64(m.Cancelled))

@@ -7,23 +7,14 @@ import (
 	"repro/internal/geo"
 )
 
-// CellSet is a set of grid cells as a bitset, one bit per cell index: the
-// form dirty-cell tracking (stream.Machine) and component cell sets
-// (assign.Incremental) keep, where a set is written many times per planning
-// instant and read by word-wise AND/OR. All sets of one grid have the same
-// length, fixed by NewCellSet.
+// CellSet is a set of grid cells as a bitset, one bit per cell index, a word
+// per 64 cells: what CellsInDisk rasterises a disk into before listing it.
 type CellSet []uint64
-
-// NewCellSet returns an empty set over a grid of the given number of cells.
-func NewCellSet(cells int) CellSet { return make(CellSet, (cells+63)/64) }
 
 // Add inserts cell c.
 //
 //datawa:hotpath
 func (s CellSet) Add(c int) { s[c>>6] |= 1 << (c & 63) }
-
-// Has reports whether cell c is in the set.
-func (s CellSet) Has(c int) bool { return s[c>>6]&(1<<(c&63)) != 0 }
 
 // AddDisk inserts every cell of g whose rectangle intersects the closed disk
 // of radius r around p: a negative or NaN r none, +Inf every cell wherever p
@@ -32,7 +23,7 @@ func (s CellSet) Has(c int) bool { return s[c>>6]&(1<<(c&63)) != 0 }
 // point of its rectangle (geo.Grid.CellRect's edges) is at most r. The cells'
 // upper edges are exclusive (they tile disjointly), but the closed-rectangle
 // distance is what makes a disk tangent to a boundary see both sides —
-// exactly the conservative behavior replication and invalidation want.
+// exactly the conservative behavior replication wants.
 //
 //datawa:hotpath
 func (s CellSet) AddDisk(g geo.Grid, p geo.Point, r float64) {
@@ -63,30 +54,6 @@ func (s CellSet) AddDisk(g geo.Grid, p geo.Point, r float64) {
 func axisGap(lo, step float64, i int, v float64) float64 {
 	return max(0, lo+float64(i)*step-v, v-(lo+float64(i+1)*step))
 }
-
-// Union inserts every cell of o.
-//
-//datawa:hotpath
-func (s CellSet) Union(o CellSet) {
-	for i, w := range o {
-		s[i] |= w
-	}
-}
-
-// Intersects reports whether s and o share a cell.
-//
-//datawa:hotpath
-func (s CellSet) Intersects(o CellSet) bool {
-	for i, w := range o {
-		if s[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Reset empties the set.
-func (s CellSet) Reset() { clear(s) }
 
 // AppendCells appends the set's cells to dst in ascending order.
 func (s CellSet) AppendCells(dst []int) []int {

@@ -49,16 +49,11 @@ import (
 // rectangle–disk intersection, so a point outside the region reaches only the
 // cells its disk truly overlaps (unlike Grid.CellOf, which clamps).
 func CellsInDisk(g geo.Grid, p geo.Point, r float64) []int {
-	return AppendCellsInDisk(nil, g, p, r)
-}
-
-// AppendCellsInDisk is CellsInDisk appending into dst.
-func AppendCellsInDisk(dst []int, g geo.Grid, p geo.Point, r float64) []int {
 	var stack [4]uint64 // grids of up to 256 cells rasterise without allocating
 	words := (g.Cells() + 63) / 64
 	s := slices.Grow(CellSet(stack[:0]), words)[:words]
 	s.AddDisk(g, p, r)
-	return s.AppendCells(dst)
+	return s.AppendCells(nil)
 }
 
 // Index is a uniform grid over a fixed set of tasks. Between Reset calls it

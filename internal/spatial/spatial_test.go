@@ -237,9 +237,9 @@ func TestCellsInDiskEdgeCases(t *testing.T) {
 	}
 }
 
-// refCellsInDisk is AppendCellsInDisk as it was before CellSet.AddDisk took
-// over the rasterisation — a geo.CellRect and four math.Max per candidate
-// cell — kept as the oracle AddDisk is compared against.
+// refCellsInDisk is CellsInDisk, appending into dst, as it was before
+// CellSet.AddDisk took over the rasterisation — a geo.CellRect and four
+// math.Max per candidate cell — kept as the oracle AddDisk is compared against.
 func refCellsInDisk(dst []int, g geo.Grid, p geo.Point, r float64) []int {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 1) {
 		if math.IsInf(r, 1) {
@@ -276,18 +276,13 @@ func TestCellSetDiskMatchesReference(t *testing.T) {
 	check := func(g geo.Grid, p geo.Point, r float64) {
 		t.Helper()
 		want := refCellsInDisk(nil, g, p, r)
-		set := NewCellSet(g.Cells())
+		set := make(CellSet, (g.Cells()+63)/64)
 		set.AddDisk(g, p, r)
 		if got := set.AppendCells(nil); !slices.Equal(got, want) {
 			t.Fatalf("grid %+v p=%+v r=%v: AddDisk %v, reference %v", g, p, r, got, want)
 		}
 		if got := CellsInDisk(g, p, r); !slices.Equal(got, want) {
 			t.Fatalf("grid %+v p=%+v r=%v: CellsInDisk %v, reference %v", g, p, r, got, want)
-		}
-		for _, c := range want {
-			if !set.Has(c) {
-				t.Fatalf("Has(%d) false for a marked cell", c)
-			}
 		}
 	}
 	rng := rand.New(rand.NewSource(83))
@@ -310,32 +305,18 @@ func TestCellSetDiskMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCellSetOps pins the set algebra partition and dirty tracking run on.
+// TestCellSetOps pins the bit layout AddDisk writes and AppendCells reads:
+// cell c is bit c&63 of word c>>6, listed ascending across words.
 func TestCellSetOps(t *testing.T) {
-	a, b := NewCellSet(130), NewCellSet(130)
-	if len(a) != 3 {
-		t.Fatalf("130 cells take %d words, want 3", len(a))
+	a := make(CellSet, 3)
+	for _, c := range []int{129, 0, 64, 63} {
+		a.Add(c)
 	}
-	a.Add(0)
-	a.Add(64)
-	b.Add(129)
-	if a.Intersects(b) || b.Intersects(a) {
-		t.Fatal("disjoint sets intersect")
+	if a[0] != 1|1<<63 || a[1] != 1 || a[2] != 2 {
+		t.Fatalf("words %x, want cells 0, 63, 64 and 129 set", []uint64(a))
 	}
-	b.Add(64)
-	if !a.Intersects(b) {
-		t.Fatal("sets sharing cell 64 do not intersect")
-	}
-	a.Union(b)
-	if got := a.AppendCells([]int{-1}); !slices.Equal(got, []int{-1, 0, 64, 129}) {
-		t.Fatalf("union lists %v, want [-1 0 64 129]", got)
-	}
-	a.Reset()
-	if a.Has(0) || a.Intersects(b) || len(a.AppendCells(nil)) != 0 {
-		t.Fatal("reset left cells behind")
-	}
-	if len(NewCellSet(0)) != 0 || len(NewCellSet(64)) != 1 || len(NewCellSet(65)) != 2 {
-		t.Fatal("word count is not ceil(cells/64)")
+	if got := a.AppendCells([]int{-1}); !slices.Equal(got, []int{-1, 0, 63, 64, 129}) {
+		t.Fatalf("lists %v, want [-1 0 63 64 129]", got)
 	}
 }
 

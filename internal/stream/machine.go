@@ -10,7 +10,6 @@ import (
 	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/spatial"
 )
 
 // MachineConfig configures one assignment state machine. It is the part of
@@ -45,18 +44,6 @@ type MachineConfig struct {
 	// lifecycle ledger; ghost replicas are never logged (their lifecycle is
 	// accounted by the owning shard). Off by default.
 	TrackDisposals bool
-	// DirtyGrid, when non-degenerate, makes the machine track the set of
-	// grid cells touched by pool changes between planning instants — task
-	// arrivals, expiries, cancels, ghost routing and drops, commits, worker
-	// admissions/departures/heartbeat moves, completed motions, commit
-	// retractions, and virtual-task refreshes. Worker-side changes mark the
-	// worker's whole reachability disk (the cells its position change can
-	// affect); task-side changes mark the task's cell. The dirty set is
-	// handed to a planner implementing assign.DirtyPlanner
-	// (assign.Incremental) at each planning instant and cleared afterwards,
-	// enabling incremental replanning; with a plain Planner, or under FTA
-	// semantics (Fixed), the field is ignored and no tracking cost is paid.
-	DirtyGrid geo.Grid
 }
 
 func (c MachineConfig) withDefaults() MachineConfig {
@@ -105,12 +92,6 @@ type workerState struct {
 	plan core.Sequence
 	// fixed marks an FTA worker that has received its one plan.
 	fixed bool
-	// entered marks that the worker has reached a planning instant while
-	// available. A worker admitted with a future On is dirty-marked at
-	// admission, but that mark is consumed by intervening instants; the
-	// first available instant must re-mark its disk or a cached quiet
-	// component could shadow the tasks it just became able to take.
-	entered bool
 }
 
 // pos returns the worker's position at time t.
@@ -156,12 +137,6 @@ type Machine struct {
 	commits []Commit
 	// Disposal log, populated only when cfg.TrackDisposals is set.
 	disposals []Disposal
-	// Dirty-cell tracking (MachineConfig.DirtyGrid): dp is the planner's
-	// incremental interface when active, dirty the cells touched since the
-	// last planner invocation. The set is cleared only after a planner call —
-	// planning instants with no plannable worker leave it accumulating.
-	dp    assign.DirtyPlanner
-	dirty spatial.CellSet
 
 	// Per-Step scratch, reused so a steady-state Step allocates only what it
 	// publishes (plans, commit logs). The machine is single-goroutine, so one
@@ -207,43 +182,13 @@ func (m *Machine) TakeDisposals() []Disposal {
 //
 //datawa:locked(Machine) the constructor owns the fresh value
 func NewMachine(cfg MachineConfig) *Machine {
-	m := &Machine{
+	return &Machine{
 		cfg:          cfg.withDefaults(),
 		byWorker:     make(map[int]*workerState),
 		open:         make(map[int]*core.Task),
 		reserved:     make(map[int]bool),
 		ghost:        make(map[int]bool),
 		lastForecast: math.Inf(-1),
-	}
-	// Dirty tracking requires a grid, an incremental-capable planner, and
-	// adaptive semantics: FTA's locked plans and reserved-task pool filtering
-	// change membership without pool events, so incremental reuse would be
-	// unsound there — the wrapper is simply bypassed.
-	if m.cfg.DirtyGrid.Cells() > 0 && !m.cfg.Fixed {
-		if dp, ok := m.cfg.Planner.(assign.DirtyPlanner); ok {
-			m.dp = dp
-			m.dirty = spatial.NewCellSet(m.cfg.DirtyGrid.Cells())
-		}
-	}
-	return m
-}
-
-// markCell records a task-side pool change: the cell of the task's (clamped)
-// location joins the dirty set.
-func (m *Machine) markCell(p geo.Point) {
-	if m.dp != nil {
-		m.dirty.Add(m.cfg.DirtyGrid.CellOf(p))
-	}
-}
-
-// markDisk records a worker-side change: every cell the worker's
-// reachability disk can influence joins the dirty set, so any cached
-// component whose tasks the worker could newly reach (or stop shadowing) is
-// invalidated. The geometry is assign.AddWorkerCells' — the partition and the
-// invalidation must see identical cell sets.
-func (m *Machine) markDisk(p geo.Point, reach float64) {
-	if m.dp != nil {
-		assign.AddWorkerCells(m.dirty, m.cfg.DirtyGrid, p, reach)
 	}
 }
 
@@ -267,7 +212,6 @@ func (m *Machine) AddWorker(w *core.Worker, now float64) bool {
 	at, _ := slices.BinarySearchFunc(m.active, cp.ID, func(ws *workerState, id int) int { return cmp.Compare(ws.w.ID, id) })
 	m.active = slices.Insert(m.active, at, ws)
 	m.byWorker[cp.ID] = ws
-	m.markDisk(cp.Loc, cp.Reach)
 	return true
 }
 
@@ -295,7 +239,6 @@ func (m *Machine) AddTask(s *core.Task, now float64) bool {
 	}
 	m.open[s.ID] = s
 	m.openOrder = append(m.openOrder, s)
-	m.markCell(s.Loc)
 	return true
 }
 
@@ -316,7 +259,6 @@ func (m *Machine) AddGhost(s *core.Task, now float64) bool {
 	m.open[s.ID] = s
 	m.openOrder = append(m.openOrder, s)
 	m.ghost[s.ID] = true
-	m.markCell(s.Loc)
 	return true
 }
 
@@ -333,7 +275,6 @@ func (m *Machine) DropTask(id int) bool {
 	delete(m.open, s.ID)
 	delete(m.reserved, s.ID)
 	delete(m.ghost, s.ID)
-	m.markCell(s.Loc)
 	return true
 }
 
@@ -361,11 +302,6 @@ func (m *Machine) RetractCommit(workerID, taskID int, now float64) bool {
 	ws.w.Loc = ws.origin
 	ws.committed = nil
 	m.stats.Assigned--
-	// The restored worker re-enters the planning pool at its pre-commit
-	// position: its whole reachability disk must be invalidated, or a cached
-	// quiet component it can now reach into would be spliced stale. Any
-	// commits the resumed plan produces mark their own cells below.
-	m.markDisk(ws.w.Loc, ws.w.Reach)
 	m.executeWorker(ws, now)
 	return true
 }
@@ -394,7 +330,6 @@ func (m *Machine) RemoveWorker(id int, now float64) bool {
 			}
 		}
 		m.noteDeparture(id)
-		m.markDisk(ws.w.Loc, ws.w.Reach)
 	}
 	return true
 }
@@ -409,7 +344,6 @@ func (m *Machine) CancelTask(id int) bool {
 	}
 	delete(m.open, s.ID)
 	delete(m.reserved, s.ID)
-	m.markCell(s.Loc)
 	if m.ghost[s.ID] {
 		// Replica of another shard's task: the owner accounts the cancel.
 		delete(m.ghost, s.ID)
@@ -421,8 +355,8 @@ func (m *Machine) CancelTask(id int) bool {
 }
 
 // ShedTask evicts an open task under admission control — the dispatcher's
-// overload path. It mirrors CancelTask (reserved FTA pins release, dirty
-// cell marked, ghost replicas uncounted) but accounts the closure as Shed:
+// overload path. It mirrors CancelTask (reserved FTA pins release, ghost
+// replicas uncounted) but accounts the closure as Shed:
 // the system, not the requester, withdrew the task. Shedding a task a worker
 // has already committed to is a no-op — the commitment already counted as
 // assigned. It reports whether a task left the open pool.
@@ -433,7 +367,6 @@ func (m *Machine) ShedTask(id int) bool {
 	}
 	delete(m.open, s.ID)
 	delete(m.reserved, s.ID)
-	m.markCell(s.Loc)
 	if m.ghost[s.ID] {
 		// Replica of another shard's task: the owner accounts the shed.
 		delete(m.ghost, s.ID)
@@ -453,10 +386,8 @@ func (m *Machine) UpdateWorkerPos(id int, loc geo.Point) bool {
 	if !ok {
 		return false
 	}
-	if !ws.moving && (ws.w.Loc != loc) {
-		m.markDisk(ws.w.Loc, ws.w.Reach)
+	if !ws.moving {
 		ws.w.Loc = loc
-		m.markDisk(loc, ws.w.Reach)
 	}
 	return true
 }
@@ -572,8 +503,6 @@ func (m *Machine) completeMotions(t float64) {
 				// counted as assigned at commitment.
 				ws.committed = nil
 			}
-			// The worker re-enters the planning pool here.
-			m.markDisk(ws.w.Loc, ws.w.Reach)
 		}
 	}
 }
@@ -593,7 +522,6 @@ func (m *Machine) evict(t float64) {
 		if s.Exp <= t {
 			delete(m.open, s.ID)
 			delete(m.reserved, s.ID)
-			m.markCell(s.Loc)
 			// A ghost's lifecycle is accounted by its owning shard.
 			if m.ghost[s.ID] {
 				delete(m.ghost, s.ID)
@@ -619,7 +547,6 @@ func (m *Machine) evict(t float64) {
 			m.releasePlan(ws)
 			delete(m.byWorker, ws.w.ID)
 			m.noteDeparture(ws.w.ID)
-			m.markDisk(ws.w.Loc, ws.w.Reach)
 			continue
 		}
 		kept = append(kept, ws)
@@ -627,14 +554,12 @@ func (m *Machine) evict(t float64) {
 	clear(m.active[len(kept):])
 	m.active = kept
 
-	// The machine owns m.virtuals (replaceVirtuals documents the handoff),
+	// The machine owns m.virtuals (SetVirtuals documents the handoff),
 	// so expiring entries compact in place too.
 	keptVirtual := m.virtuals[:0]
 	for _, v := range m.virtuals {
 		if v.Exp > t {
 			keptVirtual = append(keptVirtual, v)
-		} else {
-			m.markCell(v.Loc)
 		}
 	}
 	clear(m.virtuals[len(keptVirtual):])
@@ -685,28 +610,16 @@ func (m *Machine) forecast(t float64) {
 	if hb, ok := m.cfg.Forecast.(HistoryBounded); ok {
 		m.published = PruneHistory(m.published, t-hb.HistorySpan())
 	}
-	m.replaceVirtuals(m.cfg.Forecast.Virtuals(m.published, t))
+	m.virtuals = m.cfg.Forecast.Virtuals(m.published, t)
 }
 
 // SetVirtuals replaces the machine's virtual-task set — used by drivers that
 // forecast globally (the sharded dispatcher) instead of per machine. Expired
 // entries are evicted on the next Step, exactly like machine-local virtuals.
+// The machine takes ownership of v — expiry eviction compacts it in place —
+// so callers must hand over a slice they will not read again (every
+// Forecaster builds a fresh one per call, and forecast relies on that too).
 func (m *Machine) SetVirtuals(v []*core.Task) {
-	m.replaceVirtuals(v)
-}
-
-// replaceVirtuals swaps the virtual-task set, dirtying the cells of both the
-// outgoing and incoming virtuals: either side can change a cached
-// component's planning pool. The machine takes ownership of v — expiry
-// eviction compacts it in place — so callers must hand over a slice they will
-// not read again (every Forecaster builds a fresh one per call).
-func (m *Machine) replaceVirtuals(v []*core.Task) {
-	for _, old := range m.virtuals {
-		m.markCell(old.Loc)
-	}
-	for _, nv := range v {
-		m.markCell(nv.Loc)
-	}
 	m.virtuals = v
 }
 
@@ -724,18 +637,10 @@ func (m *Machine) plan(t float64) {
 		if !ws.w.Available(t) {
 			continue
 		}
-		if !ws.entered {
-			ws.entered = true
-			m.markDisk(ws.w.Loc, ws.w.Reach)
-		}
 		// Refresh the worker's location to its position now; a repositioning
-		// worker is interrupted at its current point — a position change the
-		// dirty set must see before the planner runs.
+		// worker is interrupted at its current point.
 		ws.w.Loc = ws.pos(t)
-		if ws.moving {
-			ws.moving = false
-			m.markDisk(ws.w.Loc, ws.w.Reach)
-		}
+		ws.moving = false
 		planners = append(planners, ws)
 		workers = append(workers, ws.w)
 	}
@@ -757,13 +662,7 @@ func (m *Machine) plan(t float64) {
 	m.poolScratch = pool
 
 	start := time.Now() //datawa:wallclock planner wall-time stats, observability only
-	var plan core.Plan
-	if m.dp != nil {
-		plan = m.dp.PlanDirty(workers, pool, t, m.dirty)
-		m.dirty.Reset()
-	} else {
-		plan = m.cfg.Planner.Plan(workers, pool, t)
-	}
+	plan := m.cfg.Planner.Plan(workers, pool, t)
 	m.stats.PlanTime += time.Since(start) //datawa:wallclock planner wall-time stats, observability only
 	m.stats.PlanCalls++
 
@@ -843,7 +742,6 @@ func (m *Machine) executeWorker(ws *workerState, t float64) {
 		}
 		delete(m.open, head.ID)
 		delete(m.reserved, head.ID)
-		m.markCell(head.Loc)
 		m.stats.Assigned++
 		if m.ghost[head.ID] {
 			delete(m.ghost, head.ID)

@@ -119,6 +119,27 @@ func TestMachineZeroDurationAvailabilityWindow(t *testing.T) {
 	}
 }
 
+// TestMachineFutureOnWorkerPlansWhenAvailable: a worker admitted ahead of its
+// window (On in the future) sits out every instant before On and is planned
+// at the first one inside it.
+func TestMachineFutureOnWorkerPlansWhenAvailable(t *testing.T) {
+	m := machineWith(false)
+	if !m.AddWorker(worker(1, 0, 0, 1, 5, 1000), 0) {
+		t.Fatal("worker with a future On not admitted")
+	}
+	m.AddTask(task(1, 0.1, 0, 0, 400), 0)
+	for now := 0.0; now < 5; now++ {
+		m.Step(now)
+	}
+	if st := m.Stats(); st.Assigned != 0 || st.PlanCalls != 0 {
+		t.Fatalf("before On: assigned/plan calls = %d/%d, want 0/0", st.Assigned, st.PlanCalls)
+	}
+	m.Step(5)
+	if st := m.Stats(); st.Assigned != 1 || st.PlanCalls != 1 {
+		t.Fatalf("at On: assigned/plan calls = %d/%d, want 1/1", st.Assigned, st.PlanCalls)
+	}
+}
+
 func TestMachineExpiredOnArrivalCounts(t *testing.T) {
 	// A task published already past its expiration (late delivery of a
 	// stale event) counts as expired exactly once.
@@ -165,9 +186,17 @@ func TestMachineUpdatePosIgnoredWhileMoving(t *testing.T) {
 	if !m.UpdateWorkerPos(1, geo.Point{X: 3, Y: 3}) {
 		t.Fatal("known moving worker reported as unknown")
 	}
+	// A worker executing a committed task is not replanned until it arrives.
+	m.Step(25)
+	if st := m.Stats(); st.PlanCalls != 1 {
+		t.Fatalf("plan calls = %d mid-motion, want 1 (the commit instant's)", st.PlanCalls)
+	}
 	m.Step(50) // arrival on the original schedule
 	if wp, _ := m.PlanOf(1); wp.Moving {
 		t.Fatal("motion should have completed at the original arrival time")
+	}
+	if st := m.Stats(); st.PlanCalls != 2 {
+		t.Fatalf("plan calls = %d on arrival, want 2 (the worker re-enters the pool)", st.PlanCalls)
 	}
 	if !m.UpdateWorkerPos(1, geo.Point{X: 0.2, Y: 0}) {
 		t.Fatal("position update refused for an idle worker")
