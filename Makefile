@@ -16,7 +16,8 @@ race:
 lint:
 	./scripts/lint.sh
 
-# Just the repo's own analyzers, for a fast determinism/locking/hot-path check.
+# Just the repo's own three analyzers (determinism, guarded, hotpath), for a
+# fast determinism/locking/hot-path check.
 vet:
 	go build -o bin/datawa-lint ./cmd/datawa-lint
 	go vet -vettool=$(CURDIR)/bin/datawa-lint ./...

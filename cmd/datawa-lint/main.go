@@ -4,13 +4,12 @@
 //	go build -o bin/datawa-lint ./cmd/datawa-lint
 //	go vet -vettool=bin/datawa-lint ./...
 //
-// It bundles four analyzers (see docs/LINTING.md for the catalog and the
+// It bundles three analyzers (see docs/LINTING.md for the catalog and the
 // //datawa: annotation vocabulary):
 //
 //	determinism  map-order, ambient clock/rand/env, bare goroutines
 //	guarded      `guarded by mu` fields and //datawa:serialized types
 //	hotpath      allocation discipline in //datawa:hotpath functions
-//	expofmt      Prometheus exposition format of metric registrations
 //
 // Individual analyzers can be selected the usual vet way:
 // go vet -vettool=bin/datawa-lint -determinism ./...
@@ -18,7 +17,6 @@ package main
 
 import (
 	"repro/internal/analysis/determinism"
-	"repro/internal/analysis/expofmt"
 	"repro/internal/analysis/guarded"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/unit"
@@ -29,6 +27,5 @@ func main() {
 		determinism.Analyzer,
 		guarded.Analyzer,
 		hotpath.Analyzer,
-		expofmt.Analyzer,
 	)
 }

@@ -229,6 +229,7 @@ type Config struct {
 	CVaRAlpha float64
 
 	// MaxSeqLen and MaxReachable bound sequence generation (defaults 3, 8).
+	// MaxReachable above 64 is clamped to 64.
 	MaxSeqLen, MaxReachable int
 	// MaxSearchNodes bounds the exact DFSearch per RTC tree (not per planning
 	// call: every tree of an instant's forest gets the full budget, then

@@ -12,8 +12,8 @@
 //     first-class vet tool with the build cache doing incremental work;
 //   - an analysistest-style fixture harness (analysistest/).
 //
-// The four analyzers live in subpackages: determinism, guarded, hotpath and
-// expofmt. docs/LINTING.md is the user-facing catalog.
+// The three analyzers live in subpackages: determinism, guarded and hotpath.
+// docs/LINTING.md is the user-facing catalog.
 package analysis
 
 import (

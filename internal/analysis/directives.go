@@ -15,13 +15,12 @@ import (
 //	//datawa:serialized                    type is single-owner: fields touched only by its methods (guarded)
 //	//datawa:hotpath                       function must not allocate on its hot statements (hotpath)
 //	//datawa:alloc <justification>         statement in a hotpath allocates deliberately (hotpath)
-//	//datawa:metric-exempt <justification> metric registration exempt from exposition rules (expofmt)
 //
 // plus the field annotation the guarded analyzer reads from ordinary prose
 // comments: `// guarded by mu`.
 //
-// Statement-level directives (unordered, wallclock, alloc, metric-exempt,
-// and locked on closures) attach by position: trailing on the same line as
+// Statement-level directives (unordered, wallclock, alloc, and locked on
+// closures) attach by position: trailing on the same line as
 // the construct, or alone on the line directly above. Declaration-level
 // directives (hotpath, locked, serialized) live anywhere in the decl's doc
 // comment. Directives that carry a justification require one — a bare escape
@@ -33,7 +32,7 @@ type Directive struct {
 	Name string // e.g. "unordered", "locked"
 	Args string // text inside parens, e.g. "mu" for locked(mu); "" if none
 	// Justification is the free text after the directive, the human-readable
-	// why. Required for unordered/wallclock/alloc/metric-exempt.
+	// why. Required for unordered/wallclock/alloc.
 	Justification string
 	Pos           token.Pos
 }

@@ -239,8 +239,8 @@ type Search struct {
 // two) and more without, so a grain is upwards of 0.1 ms, a few of a
 // goroutine's ≈ 30–40 µs wake-ups. paper-yueche's median instant — 192
 // one-worker trees holding 6 sequences, 13 µs — is two orders of magnitude
-// below it, and its largest holds 1,509 (docs/BENCHMARKS.md, "PR 19
-// measured").
+// below it, and its largest holds 1,509 (docs/BENCHMARKS.md, "Fan-out
+// grains").
 const searchGrain = 1024
 
 // treeResult is one distinct dependency component of a call and the outcome of
@@ -625,8 +625,7 @@ func (r *searchRun) reach(wi int32) (*wds.WorkerSets, []int32) {
 }
 
 // availMask gathers the availability of a worker's reachable tasks into one
-// word, bit k for Reach[k]. Past 64 reachable tasks the word is incomplete
-// and nextUsable does not read it.
+// word, bit k for Reach[k].
 //
 //datawa:hotpath
 func (r *searchRun) availMask(local []int32) uint64 {
@@ -641,33 +640,18 @@ func (r *searchRun) availMask(local []int32) uint64 {
 
 // nextUsable returns the first k ≥ from such that every task of Seqs[k] is
 // available, or -1: the candidate filter of every search node and the
-// first-fit of greedy completion. avail must be availMask(local) for the
-// current availability.
+// first-fit of greedy completion. avail must be the worker's availMask for
+// the current availability.
 //
 //datawa:hotpath
-func (r *searchRun) nextUsable(set *wds.WorkerSets, local []int32, avail uint64, from int) int {
-	if len(local) <= 64 {
-		if avail == 0 {
-			return -1
-		}
-		for k := from; k < len(set.Masks); k++ {
-			if set.Masks[k]&^avail == 0 {
-				return k
-			}
-		}
+func nextUsable(set *wds.WorkerSets, avail uint64, from int) int {
+	if avail == 0 {
 		return -1
 	}
-	words := set.Words()
-scan:
-	for k := from; k < len(set.Seqs); k++ {
-		for j, m := range set.Masks[k*words : (k+1)*words] {
-			for ; m != 0; m &= m - 1 {
-				if !r.avail[local[j<<6+bits.TrailingZeros64(m)]] {
-					continue scan
-				}
-			}
+	for k := from; k < len(set.Masks); k++ {
+		if set.Masks[k]&^avail == 0 {
+			return k
 		}
-		return k
 	}
 	return -1
 }
@@ -676,11 +660,8 @@ scan:
 //
 //datawa:hotpath
 func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) {
-	words := set.Words()
-	for j, m := range set.Masks[k*words : (k+1)*words] {
-		for ; m != 0; m &= m - 1 {
-			r.avail[local[j<<6+bits.TrailingZeros64(m)]] = free
-		}
+	for m := set.Masks[k]; m != 0; m &= m - 1 {
+		r.avail[local[bits.TrailingZeros64(m)]] = free
 	}
 	r.stale = true
 }
@@ -772,7 +753,7 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 	wi := n.Index[j]
 	set, local := r.reach(wi)
 	avail := r.availMask(local)
-	for k := r.nextUsable(set, local, avail, 0); k >= 0; k = r.nextUsable(set, local, avail, k+1) {
+	for k := nextUsable(set, avail, 0); k >= 0; k = nextUsable(set, avail, k+1) {
 		top := len(r.stack)
 		r.stack = append(r.stack, choice{wi, int32(k)})
 		var v float64
@@ -894,7 +875,7 @@ func (r *searchRun) greedyFill(n *wds.TreeNode, j int) float64 {
 	total := 0.0
 	for _, wi := range n.Index[j:] {
 		set, local := r.reach(wi)
-		if k := r.nextUsable(set, local, r.availMask(local), 0); k >= 0 {
+		if k := nextUsable(set, r.availMask(local), 0); k >= 0 {
 			r.mark(set, local, k, false)
 			r.stack = append(r.stack, choice{wi, int32(k)})
 			total += seqValue(set.Seqs[k], r.opts.VirtualWeight)
@@ -949,7 +930,7 @@ func (r *searchRun) searchTVF(n *wds.TreeNode, j int) {
 	set, local := r.reach(wi)
 	avail := r.availMask(local)
 	r.usable = r.usable[:0]
-	for k := r.nextUsable(set, local, avail, 0); k >= 0; k = r.nextUsable(set, local, avail, k+1) {
+	for k := nextUsable(set, avail, 0); k >= 0; k = nextUsable(set, avail, k+1) {
 		r.usable = append(r.usable, int32(k))
 	}
 	if len(r.usable) > 0 {

@@ -203,9 +203,10 @@ func wordPath(t *testing.T, s *Search, universe int) {
 // returns what the map-and-scan reference returns — with the budget binding
 // and not, the RTC tree on and flattened, serial and parallel, collecting
 // samples and not (the run the transposition table serves), guided by a value
-// model, and past 64 reachable tasks per worker. The table is then held to
+// model, and with the reachable sets uncapped. The table is then held to
 // the reference where it is most exposed: at every budget a small tree can
-// run out on, and on either side of the universe width it is switched on by.
+// run out on, and on either side of the universe width it is switched on by;
+// the plain walk on workers whose mask rows are full, bit 63 included.
 func TestSearchMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 20 planning instants through the reference search")
@@ -235,10 +236,12 @@ func TestSearchMatchesReference(t *testing.T) {
 			}
 		}
 		configs = append(configs, config{"tvf", opts(), true})
-		wide := opts()
-		wide.MaxNodes = 4000
-		wide.WDS.MaxReachable, wide.WDS.MaxSeqLen = 70, 2
-		configs = append(configs, config{"reach=70", wide, false})
+		// Asking for 70 reachable tasks is asking for 64 (wds.Options), which
+		// at atlas densities — at most 46 in reach — is every one of them.
+		uncapped := opts()
+		uncapped.MaxNodes = 4000
+		uncapped.WDS.MaxReachable, uncapped.WDS.MaxSeqLen = 70, 2
+		configs = append(configs, config{"reach=70", uncapped, false})
 
 		plain, answered := 0, false // table-served runs of this instant, and whether the table took nodes off one
 		for _, c := range configs {
@@ -340,6 +343,32 @@ func TestSearchMatchesReference(t *testing.T) {
 				})
 			}
 		}
+	}
+
+	// Full mask rows on the plain walk: two workers 30 tasks apart on a row of
+	// 100, each with 70 in reach and so holding the 64 nearest — 28 of them
+	// shared — under a budget that runs out: candidate tests, marks and
+	// greedy completions all read bit 63.
+	for _, p := range []int{1, 0} {
+		t.Run(fmt.Sprintf("chain-100/reach=64/par=%d", p), func(t *testing.T) {
+			in := chainInstant(100, 70, 30, 1)
+			o := opts()
+			o.WDS.MaxReachable, o.WDS.MaxSeqLen, o.MaxNodes, o.Parallelism = 70, 1, 4000, p
+			ref := &refSearch{Opts: o, Collect: true}
+			want := ref.Plan(in.workers, in.tasks, in.now)
+			s := &Search{Opts: o, Collect: true}
+			sameOutcome(t, ref, want, s, s.Plan(in.workers, in.tasks, in.now))
+			live := &Search{Opts: o}
+			sameSearch(t, ref, want, live, live.Plan(in.workers, in.tasks, in.now))
+			for i := range in.workers {
+				if set := &live.runs[0].sep.Sets[i]; len(set.Reach) != 64 || !slices.ContainsFunc(set.Masks, func(m uint64) bool { return m>>63 != 0 }) {
+					t.Fatalf("worker %d: %d tasks in reach, or no sequence on the 64th", i, len(set.Reach))
+				}
+			}
+			if ref.greedyCalls == 0 || len(want) != 2 {
+				t.Fatalf("%d greedy completions, %d workers assigned", ref.greedyCalls, len(want))
+			}
+		})
 	}
 
 	// The word path where it is most exposed. A starved crowd: 44 workers in
@@ -520,7 +549,7 @@ func sameScan(t *testing.T, plan, ref func(in instant) core.Plan) {
 // TestGreedyMatchesReference: the indexed worker scan with the
 // branch-and-bound pick returns what the generate-everything Greedy returned.
 func TestGreedyMatchesReference(t *testing.T) {
-	for _, c := range []struct{ seqLen, reach int }{{0, 0}, {1, 3}, {2, 70}} {
+	for _, c := range []struct{ seqLen, reach int }{{0, 0}, {1, 3}, {2, 64}} {
 		o := opts()
 		o.WDS.MaxSeqLen, o.WDS.MaxReachable = c.seqLen, c.reach
 		g := &Greedy{Opts: o}

@@ -81,7 +81,7 @@ func (r *searchRun) layoutRows(n *wds.TreeNode) uint64 {
 		q := r.arena.take(len(set.Seqs))
 		for k, seq := range set.Seqs {
 			var word uint64
-			for m := set.Masks[k]; m != 0; m &= m - 1 { // one word a row: Reach lies inside the universe
+			for m := set.Masks[k]; m != 0; m &= m - 1 {
 				word |= 1 << uint(local[bits.TrailingZeros64(m)])
 			}
 			q.words[k], q.vals[k] = word, seqValue(seq, r.opts.VirtualWeight)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,9 +97,10 @@ func parseExposition(t *testing.T, text string) (map[string]*promFamily, []strin
 }
 
 // TestPrometheusExpositionLint is the satellite lint gate over the full
-// /metrics scrape: every counter family ends in _total, every family carries
-// exactly one HELP and one TYPE, every sample has a family, and histogram
-// children agree with each other and with the epoch counter.
+// /metrics scrape: every counter family ends in _total and no gauge or
+// histogram does, every family name is lowercase snake_case, every family
+// carries exactly one HELP and one TYPE, every sample has a family, and
+// histogram children agree with each other and with the epoch counter.
 func TestPrometheusExpositionLint(t *testing.T) {
 	d := New(Config{
 		Step: 1, Travel: travel, NewPlanner: searchFactory(),
@@ -124,8 +126,12 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	text := string(body)
 	fams, _ := parseExposition(t, text)
 
+	validName := regexp.MustCompile(`^[a-z_][a-z0-9_]*$`)
 	var epochsTotal float64
 	for name, f := range fams {
+		if !validName.MatchString(name) {
+			t.Errorf("family %s is not a lowercase [a-z_][a-z0-9_]* name", name)
+		}
 		if f.helps != 1 || f.types != 1 {
 			t.Errorf("family %s: %d HELP / %d TYPE lines, want exactly 1 of each", name, f.helps, f.types)
 		}
@@ -135,6 +141,9 @@ func TestPrometheusExpositionLint(t *testing.T) {
 				t.Errorf("counter %s does not end in _total", name)
 			}
 		case "gauge", "histogram":
+			if strings.HasSuffix(name, "_total") {
+				t.Errorf("%s %s ends in _total", f.typ, name)
+			}
 		default:
 			t.Errorf("family %s has unexpected type %q", name, f.typ)
 		}

@@ -92,7 +92,7 @@ func TestBestSequenceMatchesReference(t *testing.T) {
 	for _, in := range atlasInstants() {
 		ix := spatial.NewIndex(in.tasks, spatial.CellSizeForReach(in.workers))
 		for maxLen := 1; maxLen <= 3; maxLen++ {
-			for _, maxReach := range []int{1, 2, 3, 4, 5, 6, 7, 8, 70} {
+			for _, maxReach := range []int{1, 2, 3, 4, 5, 6, 7, 8, 64} {
 				o := opts.WithDefaults()
 				o.MaxSeqLen, o.MaxReachable, o.MaxSequences = maxLen, maxReach, 1<<30
 				for _, w := range in.workers {
@@ -105,8 +105,8 @@ func TestBestSequenceMatchesReference(t *testing.T) {
 	}
 	t.Logf("atlas: %d non-empty picks", picked)
 
-	// Past 64 reachable tasks, where the generator dedups by SetKey (no atlas
-	// worker at this density reaches that many).
+	// A full reachable set of 64 (no atlas worker at this density reaches that
+	// many).
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 5; trial++ {
 		w := worker(1, 0, 0, 2, 0, 300+r.Float64()*600)
@@ -115,10 +115,10 @@ func TestBestSequenceMatchesReference(t *testing.T) {
 			tasks = append(tasks, task(i+1, r.Float64()*1.4, r.Float64()*1.4, 0, 200+r.Float64()*400))
 		}
 		o := opts.WithDefaults()
-		o.MaxSeqLen, o.MaxReachable = 2+trial%2, 200
+		o.MaxSeqLen, o.MaxReachable = 2+trial%2, 64
 		ix := spatial.NewIndex(tasks, w.Reach)
-		if n := len(sc.Reachable(w, ix, nil, 0, o)); n <= 64 {
-			t.Fatalf("wide trial %d: only %d reachable tasks", trial, n)
+		if n := len(sc.Reachable(w, ix, nil, 0, o)); n != 64 {
+			t.Fatalf("full trial %d: %d reachable tasks", trial, n)
 		}
 		sameHead(t, &sc, w, ix, 0, o)
 	}
@@ -228,7 +228,7 @@ func TestReachableTopKMatchesSort(t *testing.T) {
 			}
 		}
 		o := opts.WithDefaults()
-		o.MaxReachable = []int{1, 2, 8, 8, 70}[trial%5]
+		o.MaxReachable = []int{1, 2, 8, 8, 64}[trial%5]
 		ix := spatial.NewIndex(ts, spatial.CellSizeForReach(ws))
 		for _, w := range ws {
 			want := refReachable(w, ts, avail, 0, o)

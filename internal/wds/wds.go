@@ -27,7 +27,9 @@ type Options struct {
 	MaxSeqLen int
 	// MaxReachable caps the reachable set per worker to the nearest tasks
 	// (default 8); the dependency graph and the sequence generator both
-	// operate on the capped sets.
+	// operate on the capped sets. Values above 64 are clamped to 64: a
+	// sequence's task set is one word over its worker's reachable set
+	// (WorkerSets.Masks).
 	MaxReachable int
 	// MaxSequences caps |Q_w| per worker after dedup (default 128).
 	MaxSequences int
@@ -44,7 +46,11 @@ type Options struct {
 	BruteForce bool
 }
 
-// WithDefaults returns o with zero fields replaced by defaults.
+// maxReach is the widest reachable set: one bit of a mask word per task.
+const maxReach = 64
+
+// WithDefaults returns o with zero fields replaced by defaults and
+// MaxReachable clamped to 64.
 func (o Options) WithDefaults() Options {
 	if o.Travel.Speed <= 0 {
 		o.Travel = geo.NewTravelModel(0)
@@ -55,6 +61,7 @@ func (o Options) WithDefaults() Options {
 	if o.MaxReachable <= 0 {
 		o.MaxReachable = 8
 	}
+	o.MaxReachable = min(o.MaxReachable, maxReach)
 	if o.MaxSequences <= 0 {
 		o.MaxSequences = 128
 	}
@@ -111,7 +118,7 @@ type Scratch struct {
 }
 
 // seqEntry is one deduped task set with its best (minimal-completion)
-// ordering; mask is the set over rs positions, while those fit one word.
+// ordering; mask is the set over rs positions.
 type seqEntry struct {
 	seq        core.Sequence
 	completion float64
@@ -242,7 +249,8 @@ func nearer(pool []*core.Task, a, b spatial.Candidate) bool {
 // RS_w (up to o.MaxSeqLen tasks) that admits a valid ordering, the ordering
 // with minimal completion time (Eq. 10). Sequences are returned longest
 // first, then by completion time, then lexicographically by ids, and the
-// list is capped at o.MaxSequences.
+// list is capped at o.MaxSequences. Only the first 64 tasks of rs are
+// considered, as under Options.MaxReachable.
 //
 // The search extends sequences task by task and prunes as soon as an
 // extension violates Definition 4, which is sound because validity is
@@ -270,6 +278,7 @@ func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Opt
 	if len(rs) == 0 {
 		return nil
 	}
+	rs = rs[:min(len(rs), maxReach)]
 	g := &sc.gen
 	g.generate(w, rs, now, o)
 	tuples := g.tuples
@@ -307,19 +316,14 @@ type seqGen struct {
 	cur    []int32 // the ordering being extended
 	tuples []seqTuple
 	pos    []int32
-	// Task sets over at most 64 reachable tasks dedup by bitmask over rs
-	// positions — rs holds distinct tasks, so equal masks ⟺ equal id sets,
-	// exactly the SetKey equivalence without the string allocations. Larger
-	// sets (only possible with MaxReachable raised past 64) dedup by the
-	// sorted positions as a string; wide is nil otherwise.
-	bests  map[uint64]int32
-	wide   map[string]int32
-	sorted []int32
-	key    []byte
+	// Task sets dedup by bitmask over rs positions — rs holds at most 64
+	// distinct tasks, so equal masks ⟺ equal id sets, exactly the SetKey
+	// equivalence without the string allocations.
+	bests map[uint64]int32
 }
 
 // seqTuple is one deduped task set: pos[off:off+n] is its best ordering so
-// far, completing at completion; mask is the set while rs fits one word.
+// far, completing at completion; mask is the set.
 type seqTuple struct {
 	completion float64
 	mask       uint64
@@ -330,12 +334,9 @@ type seqTuple struct {
 // time, then lexicographically by ids, uncapped.
 func (g *seqGen) generate(w *core.Worker, rs []*core.Task, now float64, o Options) {
 	g.w, g.rs, g.travel, g.maxLen = w, rs, o.Travel, o.MaxSeqLen
-	switch {
-	case len(rs) > 64:
-		g.wide = make(map[string]int32)
-	case g.bests == nil:
+	if g.bests == nil {
 		g.bests = make(map[uint64]int32, 64)
-	default:
+	} else {
 		clear(g.bests)
 	}
 	// A task beyond the worker's reach can extend nothing: it starts out used
@@ -346,7 +347,6 @@ func (g *seqGen) generate(w *core.Worker, rs []*core.Task, now float64, o Option
 	}
 	g.cur, g.tuples, g.pos = g.cur[:0], g.tuples[:0], g.pos[:0]
 	g.extend(w.Loc, now, 0)
-	g.wide = nil
 	slices.SortFunc(g.tuples, g.compare)
 }
 
@@ -384,35 +384,16 @@ func (g *seqGen) extend(loc geo.Point, t float64, mask uint64) {
 // enter records the current ordering, completing at t, unless its task set
 // already has one completing no later.
 func (g *seqGen) enter(t float64, mask uint64) {
-	var i int32
-	var ok bool
-	if g.wide != nil {
-		key := g.setKey()
-		if i, ok = g.wide[key]; !ok {
-			g.wide[key] = int32(len(g.tuples))
-		}
-	} else if i, ok = g.bests[mask]; !ok {
-		g.bests[mask] = int32(len(g.tuples))
-	}
+	i, ok := g.bests[mask]
 	switch {
 	case !ok:
+		g.bests[mask] = int32(len(g.tuples))
 		g.tuples = append(g.tuples, seqTuple{completion: t, mask: mask, off: int32(len(g.pos)), n: int32(len(g.cur))})
 		g.pos = append(g.pos, g.cur...)
 	case t < g.tuples[i].completion:
 		g.tuples[i].completion = t
 		copy(g.pos[g.tuples[i].off:], g.cur)
 	}
-}
-
-// setKey identifies the current ordering's task set past one mask word.
-func (g *seqGen) setKey() string {
-	g.sorted = append(g.sorted[:0], g.cur...)
-	slices.Sort(g.sorted)
-	g.key = g.key[:0]
-	for _, k := range g.sorted {
-		g.key = append(g.key, byte(k), byte(k>>8), byte(k>>16), byte(k>>24))
-	}
-	return string(g.key)
 }
 
 // compare is Q_w's order: longest first, then earliest completion, then least
@@ -588,15 +569,12 @@ type WorkerSets struct {
 	Index []int32      // Reach[k] is Separation.Tasks[Index[k]]
 	Seqs  []core.Sequence
 	// Masks holds each sequence's task set as a bitmask over Reach
-	// positions, Words() words per sequence: Seqs[j] uses Reach[k] iff bit k
-	// of row j is set. With the default MaxReachable a row is one word, and
-	// "are all of Seqs[j]'s tasks still free" is one AND-NOT against the
-	// worker's availability word.
+	// positions: Seqs[j] uses Reach[k] iff bit k of Masks[j] is set. Reach
+	// holds at most 64 tasks (Options.MaxReachable), so "are all of Seqs[j]'s
+	// tasks still free" is one AND-NOT against the worker's availability
+	// word.
 	Masks []uint64
 }
-
-// Words returns the number of words per row of Masks.
-func (s *WorkerSets) Words() int { return (len(s.Reach) + 63) / 64 }
 
 // TreeNode is one node of the RTC tree. Workers holds the clique X′
 // installed at this node; Children are the trees of the components obtained
@@ -722,7 +700,7 @@ type Separator struct {
 
 // The least work worth a goroutine of its own in Scenarios' two per-worker
 // loops, against a goroutine's wake-up of ≈ 30–40 µs on the benchmark host
-// (docs/BENCHMARKS.md, "PR 19 measured").
+// (docs/BENCHMARKS.md, "Fan-out grains").
 const (
 	// reachGrain counts workers on shift. RS_w of a worker with nothing in
 	// reach — most of paper-yueche's pool at most instants — costs 60–150 ns,
@@ -988,22 +966,12 @@ scenarios:
 // arenas, capacity-capped as reachSets' are.
 func (sc *Scratch) sequenceSets(w *core.Worker, ws *WorkerSets, now float64, o Options) {
 	entries := sc.sequences(w, ws.Reach, now, o)
-	q0, m0, words := len(sc.seqs), len(sc.masks), ws.Words()
+	q0, m0 := len(sc.seqs), len(sc.masks)
 	for _, e := range entries {
 		sc.seqs = append(sc.seqs, e.seq)
-		// The sequence's task set as bits over its positions in Reach: the
-		// generator's dedup key while a row is one word, a handful of pointer
-		// compares per task past that.
-		if words == 1 {
-			sc.masks = append(sc.masks, e.mask)
-			continue
-		}
-		row := len(sc.masks)
-		sc.masks = append(sc.masks, make([]uint64, words)...)
-		for _, s := range e.seq {
-			k := slices.Index(ws.Reach, s)
-			sc.masks[row+k>>6] |= 1 << uint(k&63)
-		}
+		// The sequence's task set as bits over its positions in Reach is the
+		// generator's dedup key.
+		sc.masks = append(sc.masks, e.mask)
 	}
 	clear(entries)
 	ws.Seqs = sc.seqs[q0:len(sc.seqs):len(sc.seqs)]

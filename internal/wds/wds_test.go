@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -621,17 +622,17 @@ func TestReachableTasksIndexedMatches(t *testing.T) {
 }
 
 // TestSeparationDenseIndices pins the hand-off contract the search relies
-// on: Index addresses Reach in the pool, Masks rows are exactly the sequences'
-// task sets over Reach positions, tree nodes address Workers — at the default
-// one-word width and past 64 reachable tasks.
+// on: Index addresses Reach in the pool, Masks[j] is exactly Seqs[j]'s task
+// set over Reach positions, tree nodes address Workers — at the default
+// MaxReachable and at the widest, 64.
 func TestSeparationDenseIndices(t *testing.T) {
-	for _, maxReach := range []int{0, 70} {
+	for _, maxReach := range []int{0, 64} {
 		ws, ts := randomInstance(33, 40, 600, 3)
 		o := opts
 		o.MaxReachable = maxReach
 		o.MaxSeqLen = 2
 		sep := Separate(ws, ts, 0, o)
-		wide := false
+		full := false
 		for i := range sep.Workers {
 			set := &sep.Sets[i]
 			if len(set.Index) != len(set.Reach) {
@@ -642,24 +643,22 @@ func TestSeparationDenseIndices(t *testing.T) {
 					t.Fatalf("worker %d: Index[%d] does not address Reach[%d]", i, k, k)
 				}
 			}
-			words := set.Words()
-			wide = wide || words > 1
-			if len(set.Masks) != words*len(set.Seqs) {
-				t.Fatalf("worker %d: %d mask words for %d sequences of %d words", i, len(set.Masks), len(set.Seqs), words)
+			full = full || len(set.Reach) == 64
+			if len(set.Masks) != len(set.Seqs) {
+				t.Fatalf("worker %d: %d masks for %d sequences", i, len(set.Masks), len(set.Seqs))
 			}
 			for j, q := range set.Seqs {
-				want := make([]uint64, words)
+				var want uint64
 				for _, s := range q {
-					k := slices.Index(set.Reach, s)
-					want[k>>6] |= 1 << uint(k&63)
+					want |= 1 << uint(slices.Index(set.Reach, s))
 				}
-				if !slices.Equal(set.Masks[j*words:(j+1)*words], want) {
-					t.Fatalf("worker %d sequence %d: mask %x, want %x", i, j, set.Masks[j*words:(j+1)*words], want)
+				if set.Masks[j] != want {
+					t.Fatalf("worker %d sequence %d: mask %x, want %x", i, j, set.Masks[j], want)
 				}
 			}
 		}
-		if wide != (maxReach > 64) {
-			t.Fatalf("MaxReachable %d: wide masks = %v", maxReach, wide)
+		if full != (maxReach == 64) {
+			t.Fatalf("MaxReachable %d: a worker with 64 tasks in reach = %v", maxReach, full)
 		}
 		next := int32(0)
 		var check func(n *TreeNode)
@@ -690,40 +689,40 @@ func TestSeparationDenseIndices(t *testing.T) {
 	}
 }
 
-// TestWideSequencesMatchReference compares the unified generator past 64
-// reachable tasks with the SetKey-deduped generator it replaced.
-func TestWideSequencesMatchReference(t *testing.T) {
-	r := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 5; trial++ {
-		w := worker(1, 0, 0, 2, 0, 300+r.Float64()*600)
-		var rs []*core.Task
-		for i := 0; i < 65+r.Intn(40); i++ {
-			rs = append(rs, task(i+1, r.Float64()*1.4, r.Float64()*1.4, 0, 100+r.Float64()*500))
-		}
-		o := opts.WithDefaults()
-		o.MaxSeqLen = 2 + trial%2
-		o.MaxSequences = 500
-		got, want := MaximalValidSequences(w, rs, 0, o), refSequencesByKey(w, rs, 0, o)
-		if len(got) != len(want) || len(got) == 0 {
-			t.Fatalf("trial %d: %d sequences, reference %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if !slices.Equal(got[i].IDs(), want[i].IDs()) {
-				t.Fatalf("trial %d: sequence %d = %v, reference %v", trial, i, got[i].IDs(), want[i].IDs())
-			}
-		}
+// TestReachableSetIsOneWord pins the boundary every mask row relies on: asking
+// for more than 64 reachable tasks is asking for 64, through the options and
+// through the exported generator alike.
+func TestReachableSetIsOneWord(t *testing.T) {
+	if got := (Options{MaxReachable: 70}).WithDefaults().MaxReachable; got != 64 {
+		t.Fatalf("MaxReachable 70 defaults to %d, want 64", got)
 	}
-}
 
-// lessIDs orders sequences lexicographically by task ids, for the reference
-// generator's sort (reference_test.go).
-func lessIDs(a, b core.Sequence) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i].ID != b[i].ID {
-			return a[i].ID < b[i].ID
-		}
+	ws, ts := randomInstance(33, 40, 600, 3)
+	o := opts
+	o.MaxSeqLen = 2
+	o.MaxReachable = 70
+	at70 := Separate(ws, ts, 0, o)
+	o.MaxReachable = 64
+	at64 := Separate(ws, ts, 0, o)
+	if !reflect.DeepEqual(at70, at64) {
+		t.Fatal("Separate at MaxReachable 70 differs from Separate at 64")
 	}
-	return len(a) < len(b)
+	if !slices.ContainsFunc(at64.Sets, func(set WorkerSets) bool { return len(set.Reach) == 64 }) {
+		t.Fatal("no worker reaches 64 tasks")
+	}
+
+	r := rand.New(rand.NewSource(71))
+	w := worker(1, 0, 0, 2, 0, 600)
+	var rs []*core.Task
+	for i := 0; i < 100; i++ {
+		rs = append(rs, task(i+1, r.Float64()*1.4, r.Float64()*1.4, 0, 100+r.Float64()*500))
+	}
+	o = opts.WithDefaults()
+	o.MaxSequences = 1 << 30
+	all, first := MaximalValidSequences(w, rs, 0, o), MaximalValidSequences(w, rs[:64], 0, o)
+	if len(all) < 64 || !reflect.DeepEqual(all, first) {
+		t.Fatalf("%d sequences over 100 tasks, %d over the first 64 of them", len(all), len(first))
+	}
 }
 
 // TestSequencesOutliveTheSeparator pins the ownership of Q_w: committed plans

@@ -11,8 +11,8 @@
 #                      with a warning when the module cache is cold and the
 #                      network is unreachable, so offline dev containers
 #                      still get the rest of the suite
-#   4. datawa-lint   — the repo's own go/analysis suite (determinism, lock
-#                      discipline, hot-path allocations, exposition format),
+#   4. datawa-lint   — the repo's own go/analysis suite, three analyzers
+#                      (determinism, lock discipline, hot-path allocations),
 #                      built from source and run through go vet -vettool so
 #                      package loading matches the build exactly
 set -u
