@@ -20,7 +20,6 @@ package datawa
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/assign"
@@ -120,13 +119,13 @@ func newSSP(f *Framework) assign.Planner {
 type methodRow struct {
 	method Method
 	// ladder is the governor's degradation ladder, cheapest last. Its head is
-	// the method's own planner — all that runs without a governor.
+	// the method's own planner — all that plans without a governor.
 	ladder     []plannerFunc
 	fixed      bool // FTA semantics: a worker's plan is locked once made
 	needsValue bool // the planner reads the value model: TrainValue first
 	// forecast builds the demand source over the trained demand model
 	// (TrainDemand first); nil for a method that streams no virtual tasks.
-	forecast func(f *Framework) historyBoundedForecaster
+	forecast func(f *Framework) stream.Forecaster
 }
 
 var methodTable = []methodRow{
@@ -207,7 +206,9 @@ type Config struct {
 
 	// DeltaT is the elementary prediction interval ΔT in seconds
 	// (default 5); K the intervals per series vector (default 3); Window
-	// the history vectors fed to the model (default 8).
+	// the history vectors fed to the model (default 8). A run forecasts
+	// every K·ΔT seconds from a demand feed that starts as TrainDemand's
+	// history and keeps the last (Window+1)·K·ΔT seconds published.
 	DeltaT float64
 	K      int
 	Window int
@@ -445,57 +446,20 @@ func (f *Framework) Assign(workers []*Worker, tasks []*Task, now float64) Plan {
 func (f *Framework) pointForecaster() *predict.Forecaster {
 	return predict.NewForecaster(f.demand, f.seriesConfig(), f.cfg.Window, f.cfg.Threshold, f.cfg.VirtualValidTime)
 }
-func pointForecast(f *Framework) historyBoundedForecaster { return f.pointForecaster() }
-func sampledForecast(f *Framework) historyBoundedForecaster {
+func pointForecast(f *Framework) stream.Forecaster { return f.pointForecaster() }
+func sampledForecast(f *Framework) stream.Forecaster {
 	return predict.NewScenarioSampler(f.pointForecaster(), f.cfg.Samples, f.cfg.Seed)
 }
 
-// forecaster builds the row's stream-time demand source, or nil without one.
-func (f *Framework) forecaster(r methodRow) stream.Forecaster {
+// demandFeed builds the row's stream-time demand source — its forecaster over
+// a feed seeded with the training history, so early stream windows are
+// complete — or nil without one. A feed is one run's state: one per call.
+func (f *Framework) demandFeed(r methodRow) *stream.DemandFeed {
 	if r.forecast == nil {
 		return nil
 	}
-	return newPrefixedForecaster(r.forecast(f), f.history)
+	return stream.NewDemandFeed(r.forecast(f), f.history)
 }
-
-// historyBoundedForecaster is the contract both predict.Forecaster and
-// predict.ScenarioSampler satisfy: a stream forecaster with a bounded
-// history horizon.
-type historyBoundedForecaster interface {
-	stream.Forecaster
-	stream.HistoryBounded
-}
-
-// prefixedForecaster prepends training history so early stream windows are
-// complete. The clock it is called with never goes back (stream.Machine and
-// the dispatcher both forecast at cadence), so training tasks older than the
-// inner forecaster's window are dropped for good, and once none is left the
-// published feed goes to the inner forecaster as it is.
-type prefixedForecaster struct {
-	inner  historyBoundedForecaster
-	prefix []*Task // training tasks still inside the window; owned
-	joined []*Task // prefix+published scratch, reused
-}
-
-func newPrefixedForecaster(inner historyBoundedForecaster, history []*Task) *prefixedForecaster {
-	return &prefixedForecaster{inner: inner, prefix: slices.Clone(history)}
-}
-
-func (p *prefixedForecaster) Virtuals(published []*Task, now float64) []*Task {
-	p.prefix = stream.PruneHistory(p.prefix, now-p.inner.HistorySpan())
-	if len(p.prefix) == 0 {
-		return p.inner.Virtuals(published, now)
-	}
-	p.joined = append(append(p.joined[:0], p.prefix...), published...)
-	return p.inner.Virtuals(p.joined, now)
-}
-
-func (p *prefixedForecaster) Span() float64 { return p.inner.Span() }
-
-// HistorySpan implements stream.HistoryBounded: long-running drivers may
-// prune their published feed to the inner forecaster's window; the training
-// prefix is pruned to the same window here.
-func (p *prefixedForecaster) HistorySpan() float64 { return p.inner.HistorySpan() }
 
 // Run drives the adaptive streaming algorithm (Algorithm 3) over the full
 // worker/task streams on the clock range [t0, t1) using the chosen method. It
@@ -509,7 +473,7 @@ func (f *Framework) Run(m Method, workers []*Worker, tasks []*Task, t0, t1 float
 	in := stream.Input{Workers: workers, Tasks: tasks, T0: t0, T1: t1}
 	return stream.Run(in, stream.Config{
 		Step: f.cfg.Step, Travel: f.travel,
-		Planner: r.ladder[0](f), Fixed: r.fixed, Forecast: f.forecaster(r),
+		Planner: r.ladder[0](f), Fixed: r.fixed, Demand: f.demandFeed(r),
 	}), nil
 }
 
@@ -544,7 +508,9 @@ type DispatchConfig struct {
 	// Governor enables SLA-aware planner degradation when Budget > 0: each
 	// shard steps down a method-specific ladder (full planner → Greedy →
 	// reachability-only Match) when its windowed p95 epoch cost exceeds
-	// the budget, recovering hysteretically. See dispatch.GovernorConfig.
+	// the budget, recovering hysteretically. Every shard holds its ladder
+	// either way; without a governor it plans at the head for life. See
+	// dispatch.GovernorConfig.
 	Governor GovernorConfig
 	// Obs enables the observability core: stage spans (GET /v1/trace.json),
 	// the per-task lifecycle ledger (GET /v1/tasks/{id}/history), and the
@@ -588,8 +554,7 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 		Travel:      f.travel,
 		Parallelism: f.cfg.Parallelism,
 		Fixed:       r.fixed,
-		Forecast:    f.forecaster(r),
-		NewPlanner:  func(int) assign.Planner { return r.ladder[0](f) },
+		Demand:      f.demandFeed(r),
 		NewLadder: func(int) []assign.Planner {
 			ladder := make([]assign.Planner, len(r.ladder))
 			for i, tier := range r.ladder {

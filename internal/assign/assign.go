@@ -38,9 +38,6 @@ type Options struct {
 	// planner is paid for positioning workers at future demand, but never
 	// at the price of a real task.
 	VirtualWeight float64
-	// MaxSamples caps RL sample collection per planning call (default
-	// 20000).
-	MaxSamples int
 	// Flat disables the RTC tree (ablation): each connected component is
 	// searched as one flat worker list, losing the sibling-independence
 	// pruning of Section IV-A.4.
@@ -65,11 +62,11 @@ func (o Options) WithDefaults() Options {
 	if o.VirtualWeight <= 0 {
 		o.VirtualWeight = 0.35
 	}
-	if o.MaxSamples <= 0 {
-		o.MaxSamples = 20000
-	}
 	return o
 }
+
+// maxSamples caps RL sample collection per planning call.
+const maxSamples = 20000
 
 // seqValue is the search objective contribution of a sequence: 1 per real
 // task, VirtualWeight per virtual task.
@@ -265,10 +262,8 @@ func (s *Search) Name() string {
 	return "DFSearch"
 }
 
-// SetParallelism overrides Opts.Parallelism; see that field for semantics.
-// It exists so layers that receive a Planner interface (the stream engine,
-// the experiment harness) can thread one parallelism knob through without
-// knowing the concrete options type.
+// SetParallelism overrides Opts.Parallelism: how dispatch.New hands each
+// shard's planners their share of the goroutine budget.
 func (s *Search) SetParallelism(p int) { s.Opts.Parallelism = p }
 
 // Plan implements Planner. It is the Task Planning Assignment driver of
@@ -394,14 +389,14 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 		s.plans[si] = plan
 	}
 	if s.Collect {
-		// Each tree collects under its own MaxSamples cap; the merged
+		// Each tree collects under its own maxSamples cap; the merged
 		// stream is re-capped so one Plan call still emits at most
-		// MaxSamples, exactly as a serial traversal of the forest would.
+		// maxSamples, exactly as a serial traversal of the forest would.
 		added := 0
 		for i := range s.results {
 			samples := s.results[i].samples
 			s.results[i].samples = nil
-			room := o.MaxSamples - added
+			room := maxSamples - added
 			if room <= 0 {
 				continue
 			}
@@ -771,7 +766,7 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 		} else {
 			r.stack = r.stack[:top]
 		}
-		if r.collect && len(r.samples) < r.opts.MaxSamples {
+		if r.collect && len(r.samples) < maxSamples {
 			// Lines 9–11: record (s_t, a_t, opt).
 			act := tvf.Action{Worker: r.sep.Workers[wi], Seq: set.Seqs[k]}
 			feat := tvf.Featurize(r.state(r.levelAt(d)), act, r.opts.WDS.Travel)

@@ -325,7 +325,7 @@ func TestSeqValue(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
-	if o.MaxNodes <= 0 || o.VirtualWeight <= 0 || o.MaxSamples <= 0 {
+	if o.MaxNodes <= 0 || o.VirtualWeight <= 0 {
 		t.Errorf("defaults missing: %+v", o)
 	}
 }

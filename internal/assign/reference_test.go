@@ -86,9 +86,9 @@ func (s *refSearch) Plan(workers []*core.Worker, tasks []*core.Task, now float64
 		if run.greedy > 0 {
 			s.boundTrees++
 		}
-		// Each tree collects under its own MaxSamples cap; the merged stream
-		// is re-capped so one Plan call emits at most MaxSamples.
-		if room := o.MaxSamples - added; s.Collect && room > 0 {
+		// Each tree collects under its own maxSamples cap; the merged stream
+		// is re-capped so one Plan call emits at most maxSamples.
+		if room := maxSamples - added; s.Collect && room > 0 {
 			if len(run.samples) > room {
 				run.samples = run.samples[:room]
 			}
@@ -227,7 +227,7 @@ func (r *refRun) search(n *wds.TreeNode, workers []*core.Worker) (float64, core.
 			bestVal = total
 			bestPlan = append(core.Plan{{Worker: w, Seq: q}}, sub...)
 		}
-		if r.collect && len(r.samples) < r.opts.MaxSamples {
+		if r.collect && len(r.samples) < maxSamples {
 			// Lines 9–11: record (s_t, a_t, opt).
 			feat := tvf.Featurize(st, tvf.Action{Worker: w, Seq: q}, r.opts.WDS.Travel)
 			r.samples = append(r.samples, tvf.Sample{Features: feat, Opt: total})

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/tvf"
 )
 
 // SSP is the scenario-sampling robust planner: instead of planning against
@@ -48,8 +47,6 @@ type SSP struct {
 	// scenarios the committed value is averaged over. 0 or unset means 1
 	// (plain expected value).
 	CVaRAlpha float64
-	// Model, when trained, guides the searches (DFSearch_TVF).
-	Model *tvf.Model
 	// NodesLastPlan, GreedyCompletionsLastPlan and BudgetBoundTreesLastPlan are
 	// Search's counters of the same names for the most recent Plan call, summed
 	// across scenarios: a component several scenarios hold counts in each, as
@@ -83,7 +80,7 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 	o := p.Opts.WithDefaults()
 	k := p.scenarios(tasks)
 	s := &p.search
-	s.Opts, s.Model = o, p.Model
+	s.Opts = o
 	s.plan(workers, tasks, now, k)
 	p.NodesLastPlan = s.NodesLastPlan
 	p.GreedyCompletionsLastPlan = s.GreedyCompletionsLastPlan

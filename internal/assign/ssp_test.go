@@ -14,7 +14,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/par"
 	"repro/internal/scenario"
-	"repro/internal/tvf"
 	"repro/internal/wds"
 )
 
@@ -316,7 +315,7 @@ func perScenarioSearch(p *SSP, ws []*core.Worker, ts []*core.Task, now float64) 
 		if k > 1 {
 			pool = scenarioPool(ts, s)
 		}
-		one := &Search{Opts: p.Opts, Model: p.Model}
+		one := &Search{Opts: p.Opts}
 		plans[s] = one.Plan(ws, pool, now)
 		counts[0] += one.NodesLastPlan
 		counts[1] += one.GreedyCompletionsLastPlan
@@ -356,14 +355,12 @@ func sameAsPerScenario(t *testing.T, p *SSP, ws []*core.Worker, ts []*core.Task,
 // pass's differential oracle: whatever the scenarios share — gathers, sequence
 // sets, trees, searches — the committed plan and the summed counters are those
 // of K searches from scratch on K copied pools, at every parallelism, under a
-// binding and a loose budget, exact and model-guided, at both ends of the risk
-// knob. The pools: random ones at three scenario counts, the rush-hour crowd
-// robust-ssp plans, and two whose trees run past 64 tasks and take the plain
-// walk — a chain of 80 tasks, one tree a scenario and no two alike, and the
-// event-spike flash crowd at 5x. The last
-// costs seconds a plan under the race detector, which CI runs this test with
-// three times over, so it is planned at the two ends of the matrix only: the
-// exact search under the binding budget and the guided one under the loose,
+// binding and a loose budget, at both ends of the risk knob. The pools: random
+// ones at three scenario counts, the rush-hour crowd robust-ssp plans, and two
+// whose trees run past 64 tasks and take the plain walk — a chain of 80 tasks,
+// one tree a scenario and no two alike, and the event-spike flash crowd at 5x.
+// The last costs seconds a plan under the race detector, which CI runs this
+// test with three times over, so it is planned under the binding budget only,
 // serial and at whatever the CPUs give.
 func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
 	type pool struct {
@@ -387,43 +384,40 @@ func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
 	spike, _ := scenario.Get("event-spike")
 	pools = append(pools, pool{tagEveryThird(atlasInstantsOf(spike, 5)[0], 2, 11), 2, true})
 
-	model := tvf.NewModel(16, 17)
 	for _, c := range pools {
 		for _, maxNodes := range []int{30, 4000} {
-			for _, m := range []*tvf.Model{nil, model} {
-				if c.heavy && (maxNodes == 4000) == (m == nil) {
+			if c.heavy && maxNodes == 4000 {
+				continue
+			}
+			o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: maxNodes}
+			if c.now == 0 {
+				o = opts() // laid out for the tests' travel model
+				o.MaxNodes = maxNodes
+			}
+			// The fold picks among the same K plans at either α: the oracle
+			// plans them once, and each planner plans the second α on the
+			// scratch the first left warm.
+			oracle := &SSP{Opts: o, Samples: c.k}
+			plans, counts := perScenarioSearch(oracle, c.workers, c.tasks, c.now)
+			for _, p := range []int{1, 2, 4, 0} {
+				if c.heavy && p > 1 {
 					continue
 				}
-				o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: maxNodes}
-				if c.now == 0 {
-					o = opts() // laid out for the tests' travel model
-					o.MaxNodes = maxNodes
-				}
-				// The fold picks among the same K plans at either α: the oracle
-				// plans them once, and each planner plans the second α on the
-				// scratch the first left warm.
-				oracle := &SSP{Opts: o, Samples: c.k, Model: m}
-				plans, counts := perScenarioSearch(oracle, c.workers, c.tasks, c.now)
-				for _, p := range []int{1, 2, 4, 0} {
-					if c.heavy && p > 1 {
-						continue
+				o.Parallelism = p
+				got := &SSP{Opts: o, Samples: c.k}
+				for _, alpha := range []float64{1, 0.4} {
+					name := fmt.Sprintf("%s budget %d α %v parallelism %d", c.name, maxNodes, alpha, p)
+					got.CVaRAlpha = alpha
+					plan, want := got.Plan(c.workers, c.tasks, c.now), plans[commit(plans, alpha, o.WithDefaults().VirtualWeight)]
+					if len(want) != len(plan) {
+						t.Fatalf("%s: %d assignments, per-scenario searches %d", name, len(plan), len(want))
 					}
-					o.Parallelism = p
-					got := &SSP{Opts: o, Samples: c.k, Model: m}
-					for _, alpha := range []float64{1, 0.4} {
-						name := fmt.Sprintf("%s budget %d model %v α %v parallelism %d", c.name, maxNodes, m != nil, alpha, p)
-						got.CVaRAlpha = alpha
-						plan, want := got.Plan(c.workers, c.tasks, c.now), plans[commit(plans, alpha, o.WithDefaults().VirtualWeight)]
-						if len(want) != len(plan) {
-							t.Fatalf("%s: %d assignments, per-scenario searches %d", name, len(plan), len(want))
-						}
-						samePlans(t, want, plan)
-						if n := [3]int{got.NodesLastPlan, got.GreedyCompletionsLastPlan, got.BudgetBoundTreesLastPlan}; n != counts {
-							t.Fatalf("%s: nodes/greedy/bound-trees %v, per-scenario searches %v", name, n, counts)
-						}
-						if c.heavy {
-							break
-						}
+					samePlans(t, want, plan)
+					if n := [3]int{got.NodesLastPlan, got.GreedyCompletionsLastPlan, got.BudgetBoundTreesLastPlan}; n != counts {
+						t.Fatalf("%s: nodes/greedy/bound-trees %v, per-scenario searches %v", name, n, counts)
+					}
+					if c.heavy {
+						break
 					}
 				}
 			}

@@ -24,7 +24,7 @@ func conserve(t *testing.T, m Metrics, submitted int) {
 // DeferSlack of validity is shed, not admitted and not deferred.
 func TestAdmissionShedAtExactCapacity(t *testing.T) {
 	d := New(Config{
-		Shards: 1, Step: 1, Travel: travel, NewPlanner: greedyFactory(),
+		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()),
 		// DeferSlack beyond every deadline in the test forces the shed branch,
 		// so each decision is terminal and directly observable.
 		Admission: AdmissionConfig{MaxOpenTasks: 2, DeferSlack: 10000},
@@ -65,7 +65,7 @@ func TestAdmissionShedAtExactCapacity(t *testing.T) {
 // admitted and served — backpressure reorders work, it does not lose it.
 func TestAdmissionDeferredTaskIsRecoverable(t *testing.T) {
 	d := New(Config{
-		Shards: 1, Step: 1, Travel: travel, NewPlanner: greedyFactory(),
+		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1},
 	})
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 0}, Reach: 2, On: 0, Off: 4000})
@@ -134,7 +134,7 @@ func TestAdmissionDisplacedGhostTaskDropsReplicas(t *testing.T) {
 // assigned nor expired.
 func TestAdmissionShedsFTAReservedTask(t *testing.T) {
 	d := New(Config{
-		Shards: 1, Step: 1, Travel: travel, NewPlanner: searchFactory(), Fixed: true,
+		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()), Fixed: true,
 		Admission: AdmissionConfig{MaxOpenTasks: 2, DeferSlack: 10000},
 	})
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 0}, Reach: 2, On: 0, Off: 4000})
@@ -175,7 +175,7 @@ func TestAdmissionShedsFTAReservedTask(t *testing.T) {
 // — everything is eventually admitted without a single shed.
 func TestAdmissionSubmitCapDefersOverflow(t *testing.T) {
 	d := New(Config{
-		Shards: 1, Step: 1, Travel: travel, NewPlanner: greedyFactory(),
+		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()),
 		Admission: AdmissionConfig{MaxSubmitsPerEpoch: 2},
 	})
 	for i := 0; i < 6; i++ {
@@ -206,8 +206,8 @@ func TestLoadGenCountsShedInsteadOfBlocking(t *testing.T) {
 	sc := testScenario(t)
 	d := New(Config{
 		Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0, Travel: travel,
-		NewPlanner: greedyFactory(),
-		Admission:  AdmissionConfig{MaxOpenTasks: 5, DeferSlack: 10000},
+		NewLadder: oneTier(greedyFactory()),
+		Admission: AdmissionConfig{MaxOpenTasks: 5, DeferSlack: 10000},
 	})
 	lr := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)
 	if lr.Shed == 0 {
@@ -234,7 +234,7 @@ func TestAdmissionDeterministicAcrossParallelism(t *testing.T) {
 	run := func(parallelism int) string {
 		d := New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0, Travel: travel,
-			NewPlanner:  searchFactory(),
+			NewLadder:   oneTier(searchFactory()),
 			Parallelism: parallelism,
 			Admission:   AdmissionConfig{MaxOpenTasks: 12},
 		})

@@ -22,12 +22,12 @@ func BenchmarkReplayShards(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := New(Config{
-					Shards:     shards,
-					Grid:       sc.Grid,
-					Step:       2,
-					Now:        sc.T0,
-					Travel:     travel,
-					NewPlanner: searchFactory(),
+					Shards:    shards,
+					Grid:      sc.Grid,
+					Step:      2,
+					Now:       sc.T0,
+					Travel:    travel,
+					NewLadder: oneTier(searchFactory()),
 				})
 				LoadGen{Events: events, T1: sc.T1}.Run(d)
 			}
@@ -52,7 +52,7 @@ func BenchmarkIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	newDispatcher := func() *Dispatcher {
-		return New(Config{Step: 1, NewPlanner: greedyFactory(), QueueSize: 1 << 20})
+		return New(Config{Step: 1, NewLadder: oneTier(greedyFactory()), QueueSize: 1 << 20})
 	}
 	b.Run("direct", func(b *testing.B) {
 		d := newDispatcher()

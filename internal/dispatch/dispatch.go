@@ -4,7 +4,10 @@
 // rings, batches them into planning epochs at a fixed cadence, and runs each
 // epoch through the existing planner stack. The region is sharded over the demand
 // grid, one stream.Machine per shard, and independent shards plan in parallel
-// via internal/par.
+// via internal/par. Each shard plans through a ladder of planners
+// (Config.NewLadder) the governor may step it down, and predicted tasks come
+// from one global stream.DemandFeed (Config.Demand) the dispatcher publishes
+// every submit to and refreshes in the epoch's forecast stage.
 //
 // Determinism contract: event routing is a pure function of the event (the
 // shard owning the grid cell of the worker's online location or the task's
@@ -120,14 +123,11 @@ type Config struct {
 	Travel geo.TravelModel
 	// Fixed selects FTA semantics (see stream.Config.Fixed).
 	Fixed bool
-	// NewPlanner builds the planner for one shard. Required unless NewLadder
-	// is set. Planners are stateful, so each shard must get its own instance.
-	NewPlanner func(shard int) assign.Planner
-	// NewLadder builds one shard's degradation ladder: index 0 is the full
+	// NewLadder builds one shard's planners: index 0 is the method's own
 	// planner, later entries progressively cheaper fallbacks (e.g. DTA →
-	// Greedy → Match). Consulted only when the governor is enabled
-	// (Governor.Budget > 0); without it the ladder is the single planner
-	// from NewPlanner and the governor has nowhere to step down to.
+	// Greedy → Match) the governor steps down to; without a governor the
+	// shard plans at index 0 for life. Required and non-empty. Planners are
+	// stateful, so each shard must get its own instances.
 	NewLadder func(shard int) []assign.Planner
 	// Admission bounds the ingest path; the zero value admits everything.
 	Admission AdmissionConfig
@@ -139,14 +139,13 @@ type Config struct {
 	// lifecycle ledger, and the flight recorder (see ObsConfig). The epoch
 	// and stage wall-time histograms are always on.
 	Obs ObsConfig
-	// Forecast, when non-nil, injects virtual (predicted) tasks. Forecasting
-	// is global, not per shard: the model sees the full published stream —
+	// Demand, when non-nil, injects virtual (predicted) tasks. Forecasting
+	// is global, not per shard: the one feed sees the full published stream —
 	// per-shard series would dilute demand counts below the materialization
 	// threshold — and each materialized virtual task is routed to the shard
-	// owning its cell. When the forecaster implements stream.HistoryBounded,
-	// older published tasks are pruned so the history feed stays bounded
-	// over the service's lifetime.
-	Forecast stream.Forecaster
+	// owning its cell. The feed prunes itself to the forecaster's horizon, so
+	// it stays bounded over the service's lifetime.
+	Demand *stream.DemandFeed
 	// Parallelism bounds the goroutines planning one epoch's shards
 	// concurrently (0 = one per CPU, 1 = serial). Results are identical at
 	// every setting.
@@ -307,29 +306,26 @@ type Dispatcher struct {
 	deferred   int64      // guarded by mu
 	victims    victimHeap // guarded by mu
 	// Governor state: gov is nil when disabled; tiered holds each shard's
-	// ladder dispatcher. probe is what each epoch measures per shard for the
-	// governor and the shard spans — nil when neither is on.
+	// ladder, at tier 0 for life without one. probe is what each epoch
+	// measures per shard for the governor and the shard spans — nil when
+	// neither is on.
 	gov    *Governor        // guarded by mu
 	tiered []*tieredPlanner // guarded by mu
 	probe  []shardProbe     // guarded by mu
 	// ob is the observability core: always non-nil — histograms are always
 	// on; spans/ledger/flight inside it are gated by Config.Obs.
 	ob *obsState // guarded by mu
-	// Global forecast state (Config.Forecast only).
-	published    []*core.Task // guarded by mu
-	lastForecast float64      // guarded by mu
 }
 
 // New builds a dispatcher. It panics on an unusable configuration (missing
-// planner factory, or multiple shards without a grid) — both are programming
+// or empty planner ladder, or multiple shards without a grid) — programming
 // errors, not runtime conditions.
 //
 //datawa:locked(mu) the constructor owns the fresh value; no other goroutine can hold a reference yet
 func New(cfg Config) *Dispatcher {
 	cfg = cfg.withDefaults()
-	govOn := cfg.Governor.Budget > 0
-	if cfg.NewPlanner == nil && !(govOn && cfg.NewLadder != nil) {
-		panic("dispatch: Config.NewPlanner is required")
+	if cfg.NewLadder == nil {
+		panic("dispatch: Config.NewLadder is required")
 	}
 	if cfg.Shards > 1 && cfg.Grid.Cells() <= 0 {
 		panic("dispatch: Config.Grid is required when Shards > 1")
@@ -337,6 +333,7 @@ func New(cfg Config) *Dispatcher {
 	d := &Dispatcher{
 		cfg:    cfg,
 		shards: make([]*stream.Machine, cfg.Shards),
+		tiered: make([]*tieredPlanner, cfg.Shards),
 		owner:  make(map[int]int),
 		taskOf: make(map[int]int),
 		ghosts: make(map[int][]int),
@@ -365,33 +362,17 @@ func New(cfg Config) *Dispatcher {
 			perPlanner = 1
 		}
 	}
-	if govOn {
-		d.tiered = make([]*tieredPlanner, cfg.Shards)
-	}
 	for i := range d.shards {
-		var planner assign.Planner
-		if govOn {
-			var ladder []assign.Planner
-			if cfg.NewLadder != nil {
-				ladder = cfg.NewLadder(i)
-			} else {
-				ladder = []assign.Planner{cfg.NewPlanner(i)}
-			}
-			if len(ladder) == 0 {
-				panic("dispatch: Config.NewLadder returned an empty ladder")
-			}
-			d.tiered[i] = &tieredPlanner{ladder: ladder}
-			planner = d.tiered[i]
-		} else {
-			planner = cfg.NewPlanner(i)
+		ladder := cfg.NewLadder(i)
+		if len(ladder) == 0 {
+			panic("dispatch: Config.NewLadder returned an empty ladder")
 		}
-		if p, ok := planner.(interface{ SetParallelism(int) }); ok && perPlanner > 0 {
-			p.SetParallelism(perPlanner)
+		d.tiered[i] = &tieredPlanner{ladder: ladder}
+		if perPlanner > 0 {
+			d.tiered[i].SetParallelism(perPlanner)
 		}
-		// Machines get no forecaster of their own: virtuals come from the
-		// dispatcher-level forecast, routed by cell ownership.
 		d.shards[i] = stream.NewMachine(stream.MachineConfig{
-			Planner:       planner,
+			Planner:       d.tiered[i],
 			Fixed:         cfg.Fixed,
 			Travel:        cfg.Travel,
 			TrackRemovals: true,
@@ -402,13 +383,12 @@ func New(cfg Config) *Dispatcher {
 			TrackDisposals: d.ob.ledger != nil,
 		})
 	}
-	if govOn {
+	if cfg.Governor.Budget > 0 {
 		d.gov = NewGovernor(cfg.Governor, cfg.Shards, len(d.tiered[0].ladder))
 	}
 	if d.gov != nil || d.ob.spans != nil {
 		d.probe = make([]shardProbe, cfg.Shards)
 	}
-	d.lastForecast = math.Inf(-1)
 	d.nowBits.Store(math.Float64bits(cfg.Now))
 	return d
 }
@@ -517,7 +497,7 @@ func (d *Dispatcher) Snapshot() Metrics {
 		sm := ShardMetrics{
 			Shard: i, Workers: sh.Workers(), Open: sh.OpenTasks(), Stats: st,
 		}
-		if d.tiered != nil {
+		if d.gov != nil {
 			sm.Tier = d.tiered[i].tier
 			sm.TierName = d.tiered[i].Name()
 		}

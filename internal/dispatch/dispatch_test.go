@@ -2,6 +2,8 @@ package dispatch
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +29,12 @@ func greedyFactory() func(int) assign.Planner {
 	}
 }
 
+// oneTier turns a planner factory into the one-rung ladder Config.NewLadder
+// takes: what every test without a governor plans with.
+func oneTier(f func(int) assign.Planner) func(int) []assign.Planner {
+	return func(shard int) []assign.Planner { return []assign.Planner{f(shard)} }
+}
+
 func testScenario(t *testing.T) *workload.Scenario {
 	t.Helper()
 	cfg := workload.Yueche().Scaled(0.03)
@@ -44,7 +52,7 @@ func replay(sc *workload.Scenario, shards int, factory func(int) assign.Planner,
 		Now:         sc.T0,
 		Travel:      travel,
 		Fixed:       fixed,
-		NewPlanner:  factory,
+		NewLadder:   oneTier(factory),
 		Parallelism: parallelism,
 	})
 	g := LoadGen{Events: sc.Events(), T1: sc.T1}
@@ -86,15 +94,21 @@ func TestSingleShardMatchesStreamEngine(t *testing.T) {
 	}
 }
 
-// stubForecaster announces a fixed set of virtual tasks, like the stream
-// package's test stub; it is stateless, so engine and dispatcher instances
-// are interchangeable.
+// stubForecaster announces a fixed set of virtual tasks and logs what it was
+// handed — the instant and the published ids — so two drivers can be held to
+// one published sequence.
 type stubForecaster struct {
 	tasks []*core.Task
 	span  float64
+	log   []string
 }
 
-func (s *stubForecaster) Virtuals(_ []*core.Task, now float64) []*core.Task {
+func (s *stubForecaster) Virtuals(published []*core.Task, now float64) []*core.Task {
+	ids := make([]int, len(published))
+	for i, p := range published {
+		ids[i] = p.ID
+	}
+	s.log = append(s.log, fmt.Sprint(now, ids))
 	var out []*core.Task
 	for _, v := range s.tasks {
 		if v.Exp > now {
@@ -104,41 +118,75 @@ func (s *stubForecaster) Virtuals(_ []*core.Task, now float64) []*core.Task {
 	return out
 }
 
-func (s *stubForecaster) Span() float64 { return s.span }
+func (s *stubForecaster) Span() float64        { return s.span }
+func (s *stubForecaster) HistorySpan() float64 { return 2 * s.span }
 
 // TestSingleShardForecastMatchesStreamEngine extends the equivalence
-// contract to the prediction path: the dispatcher's global forecast must
-// reproduce the engine's per-machine forecast exactly at one shard.
+// contract to the prediction path: at one shard the dispatcher's demand feed
+// must be handed, forecast for forecast, the very tasks the engine's is —
+// training history first, every submit including the expired-on-arrival, a
+// second submit of a still-open id left out, the aged-out pruned — and the
+// outcomes must agree.
 func TestSingleShardForecastMatchesStreamEngine(t *testing.T) {
 	sc := testScenario(t)
+	const (
+		step               = 2
+		live, dead, before = 900001, 900002, 800001
+	)
+	nowhere := geo.Point{X: -50, Y: -50} // out of every worker's reach: stays open
+	tasks := append(slices.Clone(sc.Tasks),
+		&core.Task{ID: live, Loc: nowhere, Pub: sc.T0 + 10, Exp: sc.T0 + 100},
+		&core.Task{ID: live, Loc: nowhere, Pub: sc.T0 + 20, Exp: sc.T0 + 100},
+		&core.Task{ID: dead, Loc: nowhere, Pub: sc.T0 + 11, Exp: sc.T0 + 11.5},
+	)
+	history := []*core.Task{
+		{ID: before, Loc: nowhere, Pub: sc.T0 - 30, Exp: sc.T0},
+		{ID: before + 1, Loc: nowhere, Pub: sc.T0 - 200, Exp: sc.T0 - 100}, // past the horizon at T0
+	}
 	// Predict demand at a fixed point mid-region for the whole run — enough
 	// to trigger repositioning in both drivers.
 	v := &core.Task{ID: -1, Loc: geo.Point{X: 2, Y: 2}, Pub: 0, Exp: sc.T1, Virtual: true, Cell: -1}
-	const step = 2
+	fromEngine := &stubForecaster{tasks: []*core.Task{v}, span: 60}
 	ref := stream.Run(
-		stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1},
+		stream.Input{Workers: sc.Workers, Tasks: tasks, T0: sc.T0, T1: sc.T1},
 		stream.Config{
-			Planner:  searchFactory()(0),
-			Step:     step,
-			Travel:   travel,
-			Forecast: &stubForecaster{tasks: []*core.Task{v}, span: 60},
+			Planner: searchFactory()(0),
+			Step:    step,
+			Travel:  travel,
+			Demand:  stream.NewDemandFeed(fromEngine, history),
 		},
 	)
+	fromDispatcher := &stubForecaster{tasks: []*core.Task{v}, span: 60}
 	d := New(Config{
-		Shards:     1,
-		Step:       step,
-		Now:        sc.T0,
-		Travel:     travel,
-		NewPlanner: searchFactory(),
-		Forecast:   &stubForecaster{tasks: []*core.Task{v}, span: 60},
+		Shards:    1,
+		Step:      step,
+		Now:       sc.T0,
+		Travel:    travel,
+		NewLadder: oneTier(searchFactory()),
+		Demand:    stream.NewDemandFeed(fromDispatcher, history),
 	})
-	got := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
+	replayed := *sc
+	replayed.Tasks = tasks
+	got := LoadGen{Events: replayed.Events(), T1: sc.T1}.Run(d).Metrics
 	if got.Assigned != ref.Assigned || got.Expired != ref.Expired || got.Repositions != ref.Repositions {
 		t.Fatalf("dispatch assigned/expired/repositions = %d/%d/%d, engine = %d/%d/%d",
 			got.Assigned, got.Expired, got.Repositions, ref.Assigned, ref.Expired, ref.Repositions)
 	}
 	if got.Repositions == 0 {
 		t.Fatal("stub forecast produced no repositions; the prediction path was not exercised")
+	}
+	if !slices.Equal(fromDispatcher.log, fromEngine.log) {
+		t.Fatalf("dispatcher's forecaster was handed\n%s\nengine's\n%s", strings.Join(fromDispatcher.log, "\n"), strings.Join(fromEngine.log, "\n"))
+	}
+	if len(fromEngine.log) < 2 {
+		t.Fatalf("%d forecasts; want the cadence to come round", len(fromEngine.log))
+	}
+	if want := fmt.Sprint(sc.T0, []int{before}); fromEngine.log[0] != want {
+		t.Fatalf("first forecast was handed %s, want the training history inside the horizon, %s", fromEngine.log[0], want)
+	}
+	second := " " + strings.Trim(strings.SplitN(fromEngine.log[1], " ", 2)[1], "[]") + " "
+	if strings.Count(second, fmt.Sprint(" ", live, " ")) != 1 || strings.Count(second, fmt.Sprint(" ", dead, " ")) != 1 {
+		t.Fatalf("second forecast was handed %s: want the still-open id %d once and the expired-on-arrival %d", fromEngine.log[1], live, dead)
 	}
 }
 
@@ -181,7 +229,7 @@ func TestMultiShardDeterministic(t *testing.T) {
 // stays on its caller's goroutine.)
 func TestPlannerFanOutAcrossParallelism(t *testing.T) {
 	run := func(parallelism int) string {
-		d := New(Config{Step: 1, Travel: travel, NewPlanner: searchFactory(), Parallelism: parallelism})
+		d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()), Parallelism: parallelism})
 		for c := 0; c < 900; c++ {
 			x, y := float64(c%30), float64(c/30)
 			for k := 0; k < 2; k++ {
@@ -215,7 +263,7 @@ func TestMultiShardConservation(t *testing.T) {
 	for _, shards := range []int{2, 4, 9} {
 		d := New(Config{
 			Shards: shards, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			Travel: travel, NewPlanner: searchFactory(),
+			Travel: travel, NewLadder: oneTier(searchFactory()),
 		})
 		horizon := sc.T1 + sc.Config.TaskValid + 2
 		m := LoadGen{Events: sc.Events(), T1: horizon}.Run(d).Metrics
@@ -233,7 +281,7 @@ func TestMultiShardConservation(t *testing.T) {
 }
 
 func singleShard(planner func(int) assign.Planner) *Dispatcher {
-	return New(Config{Step: 1, Travel: travel, NewPlanner: planner})
+	return New(Config{Step: 1, Travel: travel, NewLadder: oneTier(planner)})
 }
 
 func TestWorkerOfflineReleasesWorker(t *testing.T) {
@@ -438,7 +486,7 @@ func TestRoutingStateRetired(t *testing.T) {
 // far more events than the queue holds without an epoch running in between —
 // the overflow spills into the pending buffer instead of deadlocking.
 func TestIngestBeyondQueueCapacity(t *testing.T) {
-	d := New(Config{Step: 1, Travel: travel, NewPlanner: greedyFactory(), QueueSize: 8})
+	d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()), QueueSize: 8})
 	const n = 1000
 	for i := 0; i < n; i++ {
 		d.Ingest(Event{Time: 0, Kind: KindTaskSubmit,
@@ -508,12 +556,12 @@ func TestLoadGenSustainsDiDiRate(t *testing.T) {
 	cfg.HistoryDuration = 0
 	sc := workload.Generate(cfg)
 	d := New(Config{
-		Shards:     4,
-		Grid:       sc.Grid,
-		Step:       2,
-		Now:        sc.T0,
-		Travel:     travel,
-		NewPlanner: greedyFactory(),
+		Shards:    4,
+		Grid:      sc.Grid,
+		Step:      2,
+		Now:       sc.T0,
+		Travel:    travel,
+		NewLadder: oneTier(greedyFactory()),
 	})
 	res := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)
 	if res.Events < 500 {
@@ -533,7 +581,7 @@ func TestLoadGenPacing(t *testing.T) {
 	cfg := workload.Yueche().Scaled(0.01)
 	cfg.HistoryDuration = 0
 	sc := workload.Generate(cfg)
-	d := New(Config{Step: 10, Now: sc.T0, Travel: travel, NewPlanner: greedyFactory()})
+	d := New(Config{Step: 10, Now: sc.T0, Travel: travel, NewLadder: oneTier(greedyFactory())})
 	events := sc.Events()
 	if len(events) > 60 {
 		events = events[:60]

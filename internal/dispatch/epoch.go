@@ -227,7 +227,7 @@ func (d *Dispatcher) stepLocked(t float64) (int, bool) {
 	if o := d.ob; o.spans != nil {
 		for i, p := range d.probe {
 			detail := fmt.Sprintf("workers=%d open=%d", p.workers, p.open)
-			if d.tiered != nil {
+			if d.gov != nil {
 				detail += fmt.Sprintf(" tier=%d", d.tiered[i].tier)
 			}
 			o.cur = append(o.cur, obs.Span{
@@ -294,9 +294,7 @@ func (d *Dispatcher) noteSubmitLocked(s *core.Task, requeued bool) {
 	if s == nil || requeued {
 		return
 	}
-	if d.cfg.Forecast != nil {
-		d.published = append(d.published, s)
-	}
+	d.cfg.Demand.Publish(s)
 	d.recordTask(s.ID, obs.Submitted, -1, 0, "")
 }
 
@@ -334,9 +332,8 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 		if prev, dup := d.taskOf[ev.Task.ID]; dup && d.shards[prev].HasOpenTask(ev.Task.ID) {
 			break
 		}
-		// First-application side effects: the global forecast feed mirrors
-		// the machine's own — every submit, including expired-on-arrival, is
-		// demand the model should see — and the ledger chain opens.
+		// First-application side effects: the demand feed takes every
+		// submit, expired-on-arrival included, and the ledger chain opens.
 		d.noteSubmitLocked(ev.Task, requeued)
 		// Admission control: a submit hitting a full open pool displaces
 		// the most deferrable open task, or itself defers or sheds — see
@@ -599,23 +596,18 @@ func (d *Dispatcher) arbitrateLocked(t float64) int {
 	}
 }
 
-// forecastLocked refreshes the global virtual-task sets at the forecaster's
-// cadence and hands each shard the virtuals for the cells it owns. The
-// forecaster sees the complete published stream — mirroring the engine's
-// forecast step — so sharding does not dilute the demand counts the model
-// was trained on. It reports how many virtual tasks it materialized and
-// whether a refresh ran.
+// forecastLocked asks the demand feed for a refresh and hands each shard the
+// virtuals for the cells it owns. The feed holds the complete published
+// stream — as the engine's does — so sharding does not dilute the demand
+// counts the model was trained on. It reports how many virtual tasks were
+// materialized and whether a refresh ran.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) forecastLocked(t float64) (int, bool) {
-	if d.cfg.Forecast == nil || t-d.lastForecast < d.cfg.Forecast.Span() {
+	virtuals, ok := d.cfg.Demand.Refresh(t)
+	if !ok {
 		return 0, false
 	}
-	d.lastForecast = t
-	if hb, ok := d.cfg.Forecast.(stream.HistoryBounded); ok {
-		d.published = stream.PruneHistory(d.published, t-hb.HistorySpan())
-	}
-	virtuals := d.cfg.Forecast.Virtuals(d.published, t)
 	byShard := make([][]*core.Task, len(d.shards))
 	for _, v := range virtuals {
 		shard := d.shardOf(v.Loc)

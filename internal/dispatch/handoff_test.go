@@ -18,7 +18,7 @@ func handoffConfig(shards int, halo float64) Config {
 		HaloRadius: halo,
 		Step:       1,
 		Travel:     travel,
-		NewPlanner: greedyFactory(),
+		NewLadder:  oneTier(greedyFactory()),
 	}
 }
 
@@ -328,7 +328,7 @@ func TestHandoffDeterministicAcrossParallelism(t *testing.T) {
 	run := func(parallelism int) string {
 		d := New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			Travel: travel, NewPlanner: searchFactory(), Parallelism: parallelism,
+			Travel: travel, NewLadder: oneTier(searchFactory()), Parallelism: parallelism,
 		})
 		m := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
 		if m.GhostCopies == 0 {

@@ -176,7 +176,7 @@ func contains(xs []int, x int) bool {
 
 // ExampleNewHandler demonstrates the wire format of the metrics endpoint.
 func ExampleNewHandler() {
-	d := New(Config{Step: 1, NewPlanner: greedyFactory()})
+	d := New(Config{Step: 1, NewLadder: oneTier(greedyFactory())})
 	srv := httptest.NewServer(NewHandler(d))
 	defer srv.Close()
 	resp, _ := http.Get(srv.URL + "/healthz")
@@ -238,7 +238,7 @@ func TestHTTPMetricsCounterRoundTrip(t *testing.T) {
 // shed totals and per-shard tiers — an operator watches during a chaos drill.
 func TestHTTPPrometheusExposition(t *testing.T) {
 	d := New(Config{
-		Step: 1, Travel: travel, NewPlanner: searchFactory(),
+		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1, DeferSlack: 10000},
 	})
 	srv := httptest.NewServer(NewHandler(d))

@@ -30,7 +30,7 @@ func replayShape(sc *workload.Scenario, parallelism, queueSize int, stream bool,
 		Step:        2,
 		Now:         sc.T0,
 		Travel:      travel,
-		NewPlanner:  searchFactory(),
+		NewLadder:   oneTier(searchFactory()),
 		Parallelism: parallelism,
 		QueueSize:   queueSize,
 	})
@@ -46,7 +46,7 @@ func TestQueueShapeEquivalence(t *testing.T) {
 	sc := testScenario(t)
 	oracle := New(Config{
 		Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-		Travel: travel, NewPlanner: searchFactory(), Parallelism: 1,
+		Travel: travel, NewLadder: oneTier(searchFactory()), Parallelism: 1,
 	})
 	for _, ev := range sc.Events() {
 		for oracle.Now() < ev.Time {
@@ -75,7 +75,7 @@ func TestQueueSpillEquivalence(t *testing.T) {
 	run := func(ingest func(*Dispatcher, Event), queueSize int) Metrics {
 		d := New(Config{
 			Shards: 2, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: 1,
-			Travel: travel, NewPlanner: greedyFactory(), QueueSize: queueSize,
+			Travel: travel, NewLadder: oneTier(greedyFactory()), QueueSize: queueSize,
 		})
 		ingest(d, Event{Time: 0, Kind: KindWorkerOnline,
 			Worker: &core.Worker{ID: 1, Loc: geo.Point{X: 3}, Reach: 1, On: 0, Off: 1000}})
@@ -124,7 +124,7 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 	run := func(producers int) Metrics {
 		d := New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			Travel: travel, NewPlanner: searchFactory(), QueueSize: 64,
+			Travel: travel, NewLadder: oneTier(searchFactory()), QueueSize: 64,
 		})
 		if producers == 0 {
 			for _, ev := range events {
@@ -194,12 +194,12 @@ func TestLoadGenStreamSustains25k(t *testing.T) {
 	cfg.HistoryDuration = 0
 	sc := workload.Generate(cfg)
 	d := New(Config{
-		Shards:     4,
-		Grid:       sc.Grid,
-		Step:       2,
-		Now:        sc.T0,
-		Travel:     travel,
-		NewPlanner: greedyFactory(),
+		Shards:    4,
+		Grid:      sc.Grid,
+		Step:      2,
+		Now:       sc.T0,
+		Travel:    travel,
+		NewLadder: oneTier(greedyFactory()),
 	})
 	res := LoadGen{Events: sc.Events(), T1: sc.T1, Stream: true}.Run(d)
 	if res.Events < 500 {

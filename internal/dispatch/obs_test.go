@@ -103,7 +103,7 @@ func parseExposition(t *testing.T, text string) (map[string]*promFamily, []strin
 // histogram children agree with each other and with the epoch counter.
 func TestPrometheusExpositionLint(t *testing.T) {
 	d := New(Config{
-		Step: 1, Travel: travel, NewPlanner: searchFactory(),
+		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1, DeferSlack: 10000},
 		Obs:       ObsConfig{Spans: 8, LedgerTasks: 64},
 	})
@@ -263,7 +263,7 @@ func wantChain(t *testing.T, d *Dispatcher, id int, want ...obs.State) obs.TaskH
 // history endpoint serves both, with 404/400 on unknown/garbage ids.
 func TestObsLedgerAdmissionChains(t *testing.T) {
 	d := New(Config{
-		Step: 1, Travel: travel, NewPlanner: searchFactory(),
+		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1, DeferSlack: 10000},
 		Obs:       ObsConfig{LedgerTasks: 64},
 	})
@@ -316,7 +316,7 @@ func TestObsLedgerAdmissionChains(t *testing.T) {
 // submit — plus the conservation cross-check against the snapshot counters.
 func TestObsLedgerExpireCancelChains(t *testing.T) {
 	d := New(Config{
-		Step: 1, Travel: travel, NewPlanner: searchFactory(),
+		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
 		Obs: ObsConfig{LedgerTasks: 64},
 	})
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 0}, Reach: 0.5, On: 0, Off: 1000})
@@ -517,7 +517,7 @@ func TestChromeTraceEndpoint(t *testing.T) {
 func TestFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
 	d := New(Config{
-		Step: 1, Travel: travel, NewPlanner: searchFactory(),
+		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1, DeferSlack: 10000},
 		Obs:       ObsConfig{FlightDepth: 4, FlightDir: dir},
 	})

@@ -33,9 +33,10 @@ type ObsConfig struct {
 	// FlightDir, when non-empty, writes each dump to
 	// <FlightDir>/flight-<epoch>-<reason>.json as it is captured.
 	FlightDir string
-	// FlightMax bounds the retained dump ring (default 8).
-	FlightMax int
 }
+
+// flightMax bounds the retained dump ring.
+const flightMax = 8
 
 func (c ObsConfig) withDefaults() ObsConfig {
 	if c.FlightDepth > 0 {
@@ -45,9 +46,6 @@ func (c ObsConfig) withDefaults() ObsConfig {
 		if c.LedgerTasks <= 0 {
 			c.LedgerTasks = 8192
 		}
-	}
-	if c.FlightMax <= 0 {
-		c.FlightMax = 8
 	}
 	return c
 }
@@ -97,7 +95,7 @@ func newObsState(cfg ObsConfig) *obsState {
 		o.arbitrated = make(map[int]bool)
 	}
 	if o.cfg.FlightDepth > 0 {
-		o.flight = obs.NewFlightRing(o.cfg.FlightMax)
+		o.flight = obs.NewFlightRing(flightMax)
 	}
 	return o
 }

@@ -110,7 +110,7 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			d := New(Config{
 				Shards: cfg.shards, Grid: sc.Grid, Step: step, Now: sc.T0,
-				Travel: travel, NewPlanner: searchFactory(),
+				Travel: travel, NewLadder: oneTier(searchFactory()),
 				Parallelism: cfg.parallel, QueueSize: cfg.queueSize,
 			})
 			m := (LoadGen{Events: sc.Events(), T1: sc.T1}).Run(d).Metrics
@@ -123,7 +123,7 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 			// At any shard count, replaying twice must agree exactly.
 			d2 := New(Config{
 				Shards: cfg.shards, Grid: sc.Grid, Step: step, Now: sc.T0,
-				Travel: travel, NewPlanner: searchFactory(),
+				Travel: travel, NewLadder: oneTier(searchFactory()),
 				Parallelism: 1, QueueSize: 0,
 			})
 			m2 := (LoadGen{Events: sc.Events(), T1: sc.T1}).Run(d2).Metrics

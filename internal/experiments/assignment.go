@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/assign"
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/predict"
 	"repro/internal/stream"
@@ -82,43 +81,27 @@ func trainDemandModel(sc *workload.Scenario, deltaT float64, s Scale) predict.Pr
 // predict.DefaultThreshold remains the paper's 0.85.
 const materializeThreshold = 0.5
 
-// forecasterFor wraps a trained model for stream use. History tasks are
-// prepended so the series window is complete from t=0.
-func forecasterFor(sc *workload.Scenario, model predict.Predictor, deltaT float64, s Scale) stream.Forecaster {
+// demandFor wraps a trained model for one stream run: a feed seeded with the
+// history hour, so the series window is complete from t=0.
+func demandFor(sc *workload.Scenario, model predict.Predictor, deltaT float64, s Scale) *stream.DemandFeed {
 	cfg := sc.SeriesConfig(SeriesK, deltaT)
 	f := predict.NewForecaster(model, cfg, s.Window, materializeThreshold, sc.Config.TaskValid)
 	f.Horizon = 2
-	return &historyForecaster{inner: f, history: sc.History}
+	return stream.NewDemandFeed(f, sc.History)
 }
-
-// historyForecaster prepends the training-history tasks to the published
-// stream so early-run windows are complete.
-type historyForecaster struct {
-	inner   *predict.Forecaster
-	history []*core.Task
-}
-
-func (h *historyForecaster) Virtuals(published []*core.Task, now float64) []*core.Task {
-	all := make([]*core.Task, 0, len(h.history)+len(published))
-	all = append(all, h.history...)
-	all = append(all, published...)
-	return h.inner.Virtuals(all, now)
-}
-
-func (h *historyForecaster) Span() float64 { return h.inner.Span() }
 
 // trainTVF gathers DFSearch training data (Algorithm 1) by streaming a
 // prefix of the scenario with the exact search in collection mode, so the
 // recorded (state, action, opt) triples come from the same distribution of
 // planning states DFSearch_TVF will face — including virtual (predicted)
-// tasks when a forecaster is supplied — then fits the task value function
+// tasks when a demand feed is supplied — then fits the task value function
 // by the Q-learning regression of Eq. 12.
-func trainTVF(sc *workload.Scenario, forecast stream.Forecaster, s Scale) *tvf.Model {
+func trainTVF(sc *workload.Scenario, demand *stream.DemandFeed, s Scale) *tvf.Model {
 	collector := &assign.Search{Opts: assignOptions(s), Collect: true}
 	prefix := sc.T0 + (sc.T1-sc.T0)*0.5
 	stream.Run(
 		stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: prefix},
-		stream.Config{Planner: collector, Step: s.Step, Travel: travelModel, Forecast: forecast},
+		stream.Config{Planner: collector, Step: s.Step, Travel: travelModel, Demand: demand},
 	)
 	model := tvf.NewModel(24, sc.Config.Seed)
 	model.Train(collector.Samples, tvf.TrainConfig{Epochs: s.TVFEpochs * 2, Seed: sc.Config.Seed})
@@ -130,10 +113,10 @@ func trainTVF(sc *workload.Scenario, forecast stream.Forecaster, s Scale) *tvf.M
 func runWithForecaster(sc *workload.Scenario, model predict.Predictor, deltaT float64, s Scale) int {
 	in := stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1}
 	cfg := stream.Config{
-		Planner:  &assign.Search{Opts: assignOptions(s)},
-		Forecast: forecasterFor(sc, model, deltaT, s),
-		Step:     s.Step,
-		Travel:   travelModel,
+		Planner: &assign.Search{Opts: assignOptions(s)},
+		Demand:  demandFor(sc, model, deltaT, s),
+		Step:    s.Step,
+		Travel:  travelModel,
 	}
 	return stream.Run(in, cfg).Assigned
 }
@@ -147,7 +130,7 @@ func RunMethods(sc *workload.Scenario, s Scale) []MethodResult {
 	opts := assignOptions(s)
 
 	demand := trainDemandModel(sc, DeltaTValues[0], s)
-	valueFn := trainTVF(sc, forecasterFor(sc, demand, DeltaTValues[0], s), s)
+	valueFn := trainTVF(sc, demandFor(sc, demand, DeltaTValues[0], s), s)
 
 	configs := []struct {
 		name string
@@ -157,12 +140,12 @@ func RunMethods(sc *workload.Scenario, s Scale) []MethodResult {
 		{"FTA", stream.Config{Planner: &assign.Search{Opts: opts}, Fixed: true}},
 		{"DTA", stream.Config{Planner: &assign.Search{Opts: opts}}},
 		{"DTA+TP", stream.Config{
-			Planner:  &assign.Search{Opts: opts},
-			Forecast: forecasterFor(sc, demand, DeltaTValues[0], s),
+			Planner: &assign.Search{Opts: opts},
+			Demand:  demandFor(sc, demand, DeltaTValues[0], s),
 		}},
 		{"DATA-WA", stream.Config{
-			Planner:  &assign.Search{Opts: opts, Model: valueFn},
-			Forecast: forecasterFor(sc, demand, DeltaTValues[0], s),
+			Planner: &assign.Search{Opts: opts, Model: valueFn},
+			Demand:  demandFor(sc, demand, DeltaTValues[0], s),
 		}},
 	}
 	out := make([]MethodResult, 0, len(configs))

@@ -169,6 +169,6 @@ func sampleSeed(seed int64, scenario int, intervalStart float64) int64 {
 // Span implements stream.Forecaster.
 func (sc *ScenarioSampler) Span() float64 { return sc.F.Span() }
 
-// HistorySpan implements stream.HistoryBounded: sampling reads the same
+// HistorySpan implements stream.Forecaster: sampling reads the same
 // model window the point forecast does.
 func (sc *ScenarioSampler) HistorySpan() float64 { return sc.F.HistorySpan() }

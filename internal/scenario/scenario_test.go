@@ -74,8 +74,8 @@ func TestArchetypeTracesByteDeterministic(t *testing.T) {
 // across machines with different core counts.
 func TestArchetypeReplayParallelismInvariant(t *testing.T) {
 	travel := geo.NewTravelModel(0.005)
-	factory := func(int) assign.Planner {
-		return &assign.Greedy{Opts: assign.Options{WDS: wds.Options{Travel: travel}}}
+	ladder := func(int) []assign.Planner {
+		return []assign.Planner{&assign.Greedy{Opts: assign.Options{WDS: wds.Options{Travel: travel}}}}
 	}
 	for _, a := range Registry() {
 		t.Run(a.Name, func(t *testing.T) {
@@ -84,7 +84,7 @@ func TestArchetypeReplayParallelismInvariant(t *testing.T) {
 			for i, parallelism := range []int{1, 4} {
 				d := dispatch.New(dispatch.Config{
 					Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0,
-					Travel: travel, NewPlanner: factory, Parallelism: parallelism,
+					Travel: travel, NewLadder: ladder, Parallelism: parallelism,
 				})
 				g := dispatch.LoadGen{Events: sc.Events(), T1: sc.T1}
 				m := g.Run(d).Metrics

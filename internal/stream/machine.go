@@ -3,7 +3,6 @@ package stream
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -22,8 +21,6 @@ type MachineConfig struct {
 	Planner assign.Planner
 	// Fixed selects FTA semantics (see Config.Fixed).
 	Fixed bool
-	// Forecast, when non-nil, injects virtual tasks at its own cadence.
-	Forecast Forecaster
 	// Travel must match the planner's travel model.
 	Travel geo.TravelModel
 	// TrackRemovals makes the machine record the ids of departing workers
@@ -107,9 +104,10 @@ func (ws *workerState) pos(t float64) geo.Point {
 
 // Machine is the commit/expiry state machine of the Adaptive Algorithm
 // (Section IV-C): active workers with motion segments and plans, the open
-// task pool, FTA reservations, and the forecast cadence. Callers feed it
-// arrival/departure events (AddWorker, AddTask, RemoveWorker, CancelTask,
-// UpdateWorkerPos) and advance it with Step, which runs one planning instant.
+// task pool, FTA reservations, and the virtual tasks it was last handed.
+// Callers feed it arrival/departure events (AddWorker, AddTask, RemoveWorker,
+// CancelTask, UpdateWorkerPos) and advance it with Step, which runs one
+// planning instant.
 //
 // A Machine is single-goroutine, like the Engine built on it; concurrent
 // drivers must serialize access themselves. The datawa-lint guarded analyzer
@@ -125,11 +123,9 @@ type Machine struct {
 	openOrder []*core.Task
 	reserved  map[int]bool // task ids locked into fixed (FTA) plans
 	ghost     map[int]bool // open tasks owned by another shard (read-only replicas)
-	published []*core.Task // all real tasks published so far (history feed)
 	virtuals  []*core.Task
 
-	lastForecast float64
-	stats        Stats
+	stats Stats
 	// Removal logs, populated only when cfg.TrackRemovals is set.
 	departed []int
 	closed   []int
@@ -183,12 +179,11 @@ func (m *Machine) TakeDisposals() []Disposal {
 //datawa:locked(Machine) the constructor owns the fresh value
 func NewMachine(cfg MachineConfig) *Machine {
 	return &Machine{
-		cfg:          cfg.withDefaults(),
-		byWorker:     make(map[int]*workerState),
-		open:         make(map[int]*core.Task),
-		reserved:     make(map[int]bool),
-		ghost:        make(map[int]bool),
-		lastForecast: math.Inf(-1),
+		cfg:      cfg.withDefaults(),
+		byWorker: make(map[int]*workerState),
+		open:     make(map[int]*core.Task),
+		reserved: make(map[int]bool),
+		ghost:    make(map[int]bool),
 	}
 }
 
@@ -227,11 +222,6 @@ func (m *Machine) AddTask(s *core.Task, now float64) bool {
 	}
 	if _, dup := m.open[s.ID]; dup {
 		return false
-	}
-	// The published history only feeds the forecaster; without one,
-	// retaining it would grow a long-running machine without bound.
-	if m.cfg.Forecast != nil {
-		m.published = append(m.published, s)
 	}
 	if s.Exp <= now {
 		m.stats.Expired++
@@ -422,13 +412,12 @@ func (m *Machine) noteClosure(id int) {
 }
 
 // Step advances the machine to time now: it completes due motion segments,
-// evicts expired tasks and departed workers, refreshes the forecast, runs
-// one planning instant, and commits the head of each idle worker's plan.
-// Arrival events for this instant must be applied before the call.
+// evicts expired tasks and departed workers, runs one planning instant, and
+// commits the head of each idle worker's plan. Arrival events and virtual
+// tasks (SetVirtuals) for this instant must be applied before the call.
 func (m *Machine) Step(now float64) {
 	m.completeMotions(now)
 	m.evict(now)
-	m.forecast(now)
 	m.plan(now)
 	m.execute(now)
 }
@@ -577,48 +566,11 @@ func (m *Machine) releasePlan(ws *workerState) {
 	ws.plan = nil
 }
 
-// HistoryBounded is optionally implemented by forecasters that read only a
-// bounded span of published history. Long-running drivers (the Machine
-// itself, the dispatcher) prune older tasks before each forecast so the
-// history feed does not grow with uptime.
-type HistoryBounded interface {
-	// HistorySpan returns the history horizon in seconds: tasks published
-	// before now − HistorySpan() no longer influence predictions.
-	HistorySpan() float64
-}
-
-// PruneHistory discards tasks published before cutoff, preserving order.
-func PruneHistory(tasks []*core.Task, cutoff float64) []*core.Task {
-	kept := tasks[:0]
-	for _, s := range tasks {
-		if s.Pub >= cutoff {
-			kept = append(kept, s)
-		}
-	}
-	return kept
-}
-
-// forecast refreshes virtual tasks at the predictor's cadence.
-func (m *Machine) forecast(t float64) {
-	if m.cfg.Forecast == nil {
-		return
-	}
-	if t-m.lastForecast < m.cfg.Forecast.Span() {
-		return
-	}
-	m.lastForecast = t
-	if hb, ok := m.cfg.Forecast.(HistoryBounded); ok {
-		m.published = PruneHistory(m.published, t-hb.HistorySpan())
-	}
-	m.virtuals = m.cfg.Forecast.Virtuals(m.published, t)
-}
-
-// SetVirtuals replaces the machine's virtual-task set — used by drivers that
-// forecast globally (the sharded dispatcher) instead of per machine. Expired
-// entries are evicted on the next Step, exactly like machine-local virtuals.
-// The machine takes ownership of v — expiry eviction compacts it in place —
-// so callers must hand over a slice they will not read again (every
-// Forecaster builds a fresh one per call, and forecast relies on that too).
+// SetVirtuals replaces the machine's virtual-task set with what the driver's
+// DemandFeed returned. Expired entries are evicted on the next Step. The
+// machine takes ownership of v — expiry eviction compacts it in place — so
+// callers must hand over a slice they will not read again (every Forecaster
+// builds a fresh one per call).
 func (m *Machine) SetVirtuals(v []*core.Task) {
 	m.virtuals = v
 }

@@ -46,11 +46,8 @@ func TestMachineWorkerDepartsMidReposition(t *testing.T) {
 	// target is never counted.
 	v := task(-1, 0.8, 0, 0, 500)
 	v.Virtual = true
-	m := NewMachine(MachineConfig{
-		Planner:  searchPlanner(),
-		Travel:   travel,
-		Forecast: &stubForecaster{tasks: []*core.Task{v}, span: 1000},
-	})
+	m := machineWith(false)
+	m.SetVirtuals([]*core.Task{v})
 	m.AddWorker(worker(1, 0, 0, 1, 0, 100), 0)
 	m.Step(0)
 	if st := m.Stats(); st.Repositions != 1 {

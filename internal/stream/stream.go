@@ -19,8 +19,11 @@
 // goroutines. Planners may fan their planning instant out across an internal
 // worker pool (see assign.Options.Parallelism) — that concurrency is
 // confined to the Plan call and deterministic, so the engine's semantics are
-// unchanged; Config.Parallelism threads the knob through to planners that
-// support it.
+// unchanged.
+//
+// Predicted tasks reach a Machine one way: from its driver's DemandFeed,
+// through SetVirtuals, before Step — the Engine's feed for its one machine,
+// the dispatcher's for all its shards.
 package stream
 
 import (
@@ -31,16 +34,6 @@ import (
 	"repro/internal/geo"
 )
 
-// Forecaster supplies virtual (predicted) tasks at planning instants.
-// predict.Forecaster satisfies this interface.
-type Forecaster interface {
-	// Virtuals returns predicted tasks given every real task published
-	// before now.
-	Virtuals(published []*core.Task, now float64) []*core.Task
-	// Span returns the prediction cadence in seconds.
-	Span() float64
-}
-
 // Config selects the assignment policy for a run.
 type Config struct {
 	// Planner computes assignments at each planning instant.
@@ -49,25 +42,14 @@ type Config struct {
 	// adjusted, and its tasks are reserved. When false the plan of every
 	// uncommitted worker is recomputed each step (DTA semantics).
 	Fixed bool
-	// Forecast, when non-nil, injects virtual tasks (DTA+TP / DATA-WA).
-	Forecast Forecaster
+	// Demand, when non-nil, injects virtual tasks (DTA+TP / DATA-WA / SSP).
+	// A feed carries one run's history: give each run its own.
+	Demand *DemandFeed
 	// Step is the simulation step in seconds (default 1).
 	Step float64
 	// Travel must match the planner's travel model.
 	Travel geo.TravelModel
-	// Parallelism, when non-zero, is forwarded to planners implementing
-	// SetParallelism (assign.Search): the number of goroutines a planning
-	// instant may fan out across. Plans are identical at every setting;
-	// only the paper's CPU-time metric changes. NewEngine writes the value
-	// into the (caller-owned) planner, so a planner shared between engines
-	// with different settings keeps the last one applied — give each
-	// engine its own planner when that matters.
-	Parallelism int
 }
-
-// parallelConfigurable is satisfied by planners whose planning instant can
-// fan out across RTC components (assign.Search).
-type parallelConfigurable interface{ SetParallelism(int) }
 
 func (c Config) withDefaults() Config {
 	if c.Step <= 0 {
@@ -119,11 +101,6 @@ type Engine struct {
 // copied so position updates stay internal).
 func NewEngine(in Input, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	if cfg.Parallelism != 0 {
-		if p, ok := cfg.Planner.(parallelConfigurable); ok {
-			p.SetParallelism(cfg.Parallelism)
-		}
-	}
 	workers := append([]*core.Worker(nil), in.Workers...)
 	core.SortWorkersByOn(workers)
 	tasks := append([]*core.Task(nil), in.Tasks...)
@@ -131,12 +108,7 @@ func NewEngine(in Input, cfg Config) *Engine {
 	return &Engine{
 		cfg: cfg,
 		in:  Input{Workers: workers, Tasks: tasks, T0: in.T0, T1: in.T1},
-		m: NewMachine(MachineConfig{
-			Planner:  cfg.Planner,
-			Fixed:    cfg.Fixed,
-			Forecast: cfg.Forecast,
-			Travel:   cfg.Travel,
-		}),
+		m:   NewMachine(MachineConfig{Planner: cfg.Planner, Fixed: cfg.Fixed, Travel: cfg.Travel}),
 	}
 }
 
@@ -161,15 +133,24 @@ func (e *Engine) Run() Result {
 }
 
 // stepOnce batches the arrivals due at t into the machine (Algorithm 3
-// lines 3–9) and advances it one planning instant.
+// lines 3–9), refreshes the forecast and advances one planning instant. The
+// feed sees every task the machine does not already hold open — expired on
+// arrival or not — which is what the dispatcher publishes too.
 func (e *Engine) stepOnce(t float64) {
 	for e.nextWorker < len(e.in.Workers) && e.in.Workers[e.nextWorker].On <= t {
 		e.m.AddWorker(e.in.Workers[e.nextWorker], t)
 		e.nextWorker++
 	}
 	for e.nextTask < len(e.in.Tasks) && e.in.Tasks[e.nextTask].Pub <= t {
-		e.m.AddTask(e.in.Tasks[e.nextTask], t)
+		s := e.in.Tasks[e.nextTask]
+		if !e.m.HasOpenTask(s.ID) {
+			e.cfg.Demand.Publish(s)
+		}
+		e.m.AddTask(s, t)
 		e.nextTask++
+	}
+	if v, ok := e.cfg.Demand.Refresh(t); ok {
+		e.m.SetVirtuals(v)
 	}
 	e.m.Step(t)
 }

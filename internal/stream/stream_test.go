@@ -152,7 +152,8 @@ func (s *stubForecaster) Virtuals(_ []*core.Task, now float64) []*core.Task {
 	return out
 }
 
-func (s *stubForecaster) Span() float64 { return s.span }
+func (s *stubForecaster) Span() float64        { return s.span }
+func (s *stubForecaster) HistorySpan() float64 { return s.span }
 
 func TestPredictionEnablesRepositioning(t *testing.T) {
 	// A short-lived task appears at t=100 at (0.9, 0). From the origin the
@@ -175,7 +176,7 @@ func TestPredictionEnablesRepositioning(t *testing.T) {
 	v := task(-1, 0.9, 0, 100, 130)
 	v.Virtual = true
 	cfg := cfgWith(searchPlanner())
-	cfg.Forecast = &stubForecaster{tasks: []*core.Task{v}, span: 30}
+	cfg.Demand = NewDemandFeed(&stubForecaster{tasks: []*core.Task{v}, span: 30}, nil)
 	predicted := Run(mk(), cfg)
 	if predicted.Assigned != 1 {
 		t.Errorf("with prediction assigned = %d, want 1", predicted.Assigned)
@@ -190,7 +191,7 @@ func TestVirtualTasksNeverCounted(t *testing.T) {
 	v := task(-1, 0.5, 0, 0, 500)
 	v.Virtual = true
 	cfg := cfgWith(searchPlanner())
-	cfg.Forecast = &stubForecaster{tasks: []*core.Task{v}, span: 50}
+	cfg.Demand = NewDemandFeed(&stubForecaster{tasks: []*core.Task{v}, span: 50}, nil)
 	in := Input{
 		Workers: []*core.Worker{worker(1, 0, 0, 1, 0, 1000)},
 		T0:      0, T1: 300,
@@ -281,21 +282,5 @@ func TestLateArrivingWorkerServes(t *testing.T) {
 	res := Run(in, cfgWith(searchPlanner()))
 	if res.Assigned != 1 {
 		t.Errorf("assigned = %d, want 1 (worker arrives at 100)", res.Assigned)
-	}
-}
-
-func TestConfigParallelismReachesPlanner(t *testing.T) {
-	s := &assign.Search{}
-	in := Input{T0: 0, T1: 1}
-	NewEngine(in, Config{Planner: s, Parallelism: 3})
-	if s.Opts.Parallelism != 3 {
-		t.Fatalf("Parallelism = %d, want 3 (threaded through SetParallelism)", s.Opts.Parallelism)
-	}
-	// Zero leaves the planner's own setting alone.
-	s2 := &assign.Search{}
-	s2.Opts.Parallelism = 1
-	NewEngine(in, Config{Planner: s2})
-	if s2.Opts.Parallelism != 1 {
-		t.Fatalf("Parallelism = %d, want untouched 1", s2.Opts.Parallelism)
 	}
 }
