@@ -11,16 +11,17 @@ test:
 race:
 	go test -race ./...
 
-# The pre-push gate: gofmt, go vet, staticcheck (when cached), datawa-lint.
+# The pre-push gate: gofmt, go vet, staticcheck (when cached), the analyzer
+# suite.
 # Identical to CI's lint-build job — see docs/LINTING.md.
 lint:
 	./scripts/lint.sh
 
 # Just the repo's own three analyzers (determinism, guarded, hotpath), for a
-# fast determinism/locking/hot-path check.
+# fast determinism/locking/hot-path check: their fixture tests and
+# TestModuleIsClean, which runs them over every package of the module.
 vet:
-	go build -o bin/datawa-lint ./cmd/datawa-lint
-	go vet -vettool=$(CURDIR)/bin/datawa-lint ./...
+	go test -count=1 ./internal/analysis/...
 
 bench:
 	go test -run=NONE -bench=. -benchtime=1x ./...

@@ -2,18 +2,18 @@
 // dependency-free core compatible in shape with golang.org/x/tools/go/analysis.
 // The real x/tools module is deliberately not vendored — the repo has no
 // module dependencies (go.mod is bare), so the framework reimplements the
-// small slice the datawa-lint suite needs on top of go/ast and go/types:
+// small slice the analyzer suite needs on top of go/ast and go/types:
 //
 //   - Analyzer / Pass / Diagnostic, the unit every checker is written against
 //     (analysis.go, this file);
 //   - the //datawa: annotation vocabulary shared by the analyzers
 //     (directives.go);
-//   - the `go vet -vettool=` driver protocol (unit/), so the suite runs as a
-//     first-class vet tool with the build cache doing incremental work;
 //   - an analysistest-style fixture harness (analysistest/).
 //
 // The three analyzers live in subpackages: determinism, guarded and hotpath.
-// docs/LINTING.md is the user-facing catalog.
+// TestModuleIsClean (module_test.go) runs them over every package of the
+// module as part of `go test ./...`. docs/LINTING.md is the user-facing
+// catalog.
 package analysis
 
 import (
@@ -29,18 +29,15 @@ import (
 // analyzers in this suite are all package-local (no cross-package facts), so
 // Run is the whole contract.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, enable/disable flags
-	// (-determinism=false) and documentation. It must be a valid Go
-	// identifier.
+	// Name identifies the analyzer in diagnostics and documentation. It
+	// must be a valid Go identifier.
 	Name string
-	// Doc is the help text: first sentence is the summary line.
+	// Doc describes the check: first sentence is the summary line.
 	Doc string
 	// Run performs the check. The returned value is unused (kept for shape
-	// compatibility with x/tools); errors abort the whole vet run.
+	// compatibility with x/tools); errors abort the whole run.
 	Run func(*Pass) (any, error)
 }
-
-func (a *Analyzer) String() string { return a.Name }
 
 // A Pass presents one package to an Analyzer.
 type Pass struct {
@@ -63,9 +60,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // A Diagnostic is one finding, positioned in the analyzed package.
 type Diagnostic struct {
-	Pos      token.Pos
-	Category string
-	Message  string
+	Pos     token.Pos
+	Message string
 }
 
 // InTestFile reports whether pos falls in a _test.go file. The suite's
@@ -84,7 +80,8 @@ type Result struct {
 
 // RunAnalyzers runs each analyzer over one type-checked package and returns
 // the per-analyzer diagnostics in input order. It is the shared execution
-// core of the vet driver (unit) and the fixture harness (analysistest).
+// core of the module check (TestModuleIsClean) and the fixture harness
+// (analysistest).
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Result, error) {
 	dirIndex := make(map[*ast.File]*Directives)
 	results := make([]Result, 0, len(analyzers))
@@ -105,4 +102,19 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		results = append(results, Result{Analyzer: a, Diagnostics: diags})
 	}
 	return results, nil
+}
+
+// Check type-checks one package's files under conf, recording every fact
+// the analyzers read.
+func Check(conf *types.Config, path string, fset *token.FileSet, files []*ast.File) (*types.Package, *types.Info, error) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	pkg, err := conf.Check(path, fset, files, info)
+	return pkg, info, err
 }

@@ -22,64 +22,42 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 )
 
-// Run analyzes each named fixture package under dir/src and reports
-// mismatches between findings and // want expectations via t.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
+// Run analyzes each named fixture package under the calling package's
+// testdata/src and reports mismatches between findings and // want
+// expectations via t.
+func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {
-		runPackage(t, filepath.Join(dir, "src", pkg), pkg, a)
+		runPackage(t, filepath.Join("testdata", "src", pkg), pkg, a)
 	}
-}
-
-// TestData returns the canonical testdata directory of the caller's package.
-func TestData() string {
-	dir, err := filepath.Abs("testdata")
-	if err != nil {
-		panic(err)
-	}
-	return dir
 }
 
 type expectation struct {
 	file    string
 	line    int
 	re      *regexp.Regexp
-	raw     string
 	matched bool
 }
 
 func runPackage(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("fixture package %s: %v", pkgPath, err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(paths) == 0 {
 		t.Fatalf("fixture package %s: no .go files in %s", pkgPath, dir)
 	}
 
 	fset := token.NewFileSet()
 	var files []*ast.File
 	var wants []*expectation
-	for _, name := range names {
-		path := filepath.Join(dir, name)
+	for _, path := range paths {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			t.Fatalf("parse %s: %v", path, err)
@@ -93,15 +71,7 @@ func runPackage(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	}
 
 	tc := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	pkg, err := tc.Check(pkgPath, fset, files, info)
+	pkg, info, err := analysis.Check(tc, pkgPath, fset, files)
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", pkgPath, err)
 	}
@@ -121,7 +91,7 @@ func runPackage(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	}
 	for _, w := range wants {
 		if !w.matched {
-			t.Errorf("%s:%d: expected finding matching %s, got none", w.file, w.line, w.raw)
+			t.Errorf("%s:%d: expected finding matching `%s`, got none", w.file, w.line, w.re)
 		}
 	}
 }
@@ -163,7 +133,7 @@ func parseWants(fset *token.FileSet, f *ast.File) ([]*expectation, error) {
 				if err != nil {
 					return nil, fmt.Errorf("line %d: bad want pattern %q: %v", posn.Line, pat, err)
 				}
-				out = append(out, &expectation{file: posn.Filename, line: posn.Line, re: re, raw: "`" + pat + "`"})
+				out = append(out, &expectation{file: posn.Filename, line: posn.Line, re: re})
 				rest = strings.TrimSpace(rest[2+end:])
 			}
 		}

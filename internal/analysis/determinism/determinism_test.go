@@ -8,7 +8,7 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), determinism.Analyzer, "stream", "freepkg")
+	analysistest.Run(t, determinism.Analyzer, "stream", "freepkg")
 }
 
 func TestCritical(t *testing.T) {

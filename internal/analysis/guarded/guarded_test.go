@@ -8,5 +8,5 @@ import (
 )
 
 func TestGuarded(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), guarded.Analyzer, "guardfix")
+	analysistest.Run(t, guarded.Analyzer, "guardfix")
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestHotpath(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), hotpath.Analyzer, "hotfix")
+	analysistest.Run(t, hotpath.Analyzer, "hotfix")
 }

@@ -141,8 +141,8 @@ type victim struct {
 //
 //datawa:locked(mu)
 func (d *Dispatcher) peekVictimLocked() (victim, bool) {
-	for len(d.victims) > 0 {
-		v := d.victims[0]
+	for len(d.victims.items) > 0 {
+		v := d.victims.items[0]
 		if shard, ok := d.taskOf[v.id]; ok && shard == v.shard {
 			if cur, open := d.shards[v.shard].OpenTask(v.id); open && cur == v.task {
 				return v, true
@@ -153,53 +153,11 @@ func (d *Dispatcher) peekVictimLocked() (victim, bool) {
 	return victim{}, false
 }
 
-// victimHeap is a max-heap by (deadline, id): the root is the most
-// deferrable open task. Concrete-typed for the same reason as eventHeap —
-// container/heap boxes every Push on a path admission control hits per
-// admitted task.
-type victimHeap []victim
-
-func (h victimHeap) less(i, j int) bool {
-	if h[i].exp != h[j].exp {
-		return h[i].exp > h[j].exp
+// moreDeferrable orders the victim heap by (deadline, id), latest first:
+// the root is the most deferrable open task.
+func moreDeferrable(a, b *victim) bool {
+	if a.exp != b.exp {
+		return a.exp > b.exp
 	}
-	return h[i].id > h[j].id
-}
-
-func (h *victimHeap) push(v victim) {
-	*h = append(*h, v)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *victimHeap) pop() victim {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s[n] = victim{} // release the *core.Task
-	*h = s[:n]
-	s = s[:n]
-	for i := 0; ; {
-		kid := 2*i + 1
-		if kid >= n {
-			break
-		}
-		if r := kid + 1; r < n && s.less(r, kid) {
-			kid = r
-		}
-		if !s.less(kid, i) {
-			break
-		}
-		s[i], s[kid] = s[kid], s[i]
-		i = kid
-	}
-	return top
+	return a.id > b.id
 }

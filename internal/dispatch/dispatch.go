@@ -278,12 +278,12 @@ type Dispatcher struct {
 	synthID atomic.Int64
 
 	mu      sync.Mutex
-	pending eventHeap         // drained from the queue, not yet due; guarded by mu
-	shards  []*stream.Machine // slice and elements set in New, immutable after
-	smap    *shardMap         // cell ownership; nil with one shard; immutable after New
-	owner   map[int]int       // worker id → shard; guarded by mu
-	taskOf  map[int]int       // task id → owning shard; guarded by mu
-	ghosts  map[int][]int     // task id → shards holding a live replica; guarded by mu
+	pending heap[pendingEvent] // drained from the queue, not yet due; guarded by mu
+	shards  []*stream.Machine  // slice and elements set in New, immutable after
+	smap    *shardMap          // cell ownership; nil with one shard; immutable after New
+	owner   map[int]int        // worker id → shard; guarded by mu
+	taskOf  map[int]int        // task id → owning shard; guarded by mu
+	ghosts  map[int][]int      // task id → shards holding a live replica; guarded by mu
 	// maxReach is the largest Reach among admitted workers — the automatic
 	// halo radius when Config.HaloRadius is 0. reGhost marks a pending
 	// re-replication pass after maxReach grew; it runs once per tick, since
@@ -302,9 +302,9 @@ type Dispatcher struct {
 	// ingest path (never admitted to a shard); deferred counts deferral
 	// events (non-terminal requeues); victims orders the open pool by
 	// deadline for displacement.
-	shedIngest int64      // guarded by mu
-	deferred   int64      // guarded by mu
-	victims    victimHeap // guarded by mu
+	shedIngest int64        // guarded by mu
+	deferred   int64        // guarded by mu
+	victims    heap[victim] // guarded by mu
 	// Governor state: gov is nil when disabled; tiered holds each shard's
 	// ladder, at tier 0 for life without one. probe is what each epoch
 	// measures per shard for the governor and the shard spans — nil when
@@ -339,6 +339,9 @@ func New(cfg Config) *Dispatcher {
 		ghosts: make(map[int][]int),
 		clock:  cfg.Now,
 		rings:  newShardedQueue(cfg.Shards, cfg.QueueSize),
+
+		pending: heap[pendingEvent]{less: pendingBefore},
+		victims: heap[victim]{less: moreDeferrable},
 	}
 	d.synthID.Store(syntheticIDBase)
 	d.ob = newObsState(cfg.Obs)
@@ -475,7 +478,7 @@ func (d *Dispatcher) Snapshot() Metrics {
 		Ingested:        d.ingested.Load(),
 		Applied:         d.applied.Load(),
 		Unroutable:      d.unroutable.Load(),
-		QueueDepth:      d.rings.depth() + len(d.pending),
+		QueueDepth:      d.rings.depth() + len(d.pending.items),
 		RoutedWorkers:   len(d.owner),
 		RoutedTasks:     len(d.taskOf),
 		RoutedGhosts:    len(d.ghosts),

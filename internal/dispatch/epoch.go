@@ -67,7 +67,7 @@ func (d *Dispatcher) Quiesce(maxEpochs int) bool {
 	for i := 0; i <= maxEpochs; i++ {
 		d.mu.Lock()
 		d.drainLocked()
-		done := d.rings.depth() == 0 && len(d.pending) == 0 && len(d.taskOf) == 0
+		done := d.rings.depth() == 0 && len(d.pending.items) == 0 && len(d.taskOf) == 0
 		if done && d.gov != nil {
 			for s := range d.shards {
 				if d.gov.TierOf(s) != 0 {
@@ -261,7 +261,7 @@ func (d *Dispatcher) settleLocked(t float64) (int, bool) {
 //datawa:locked(mu)
 func (d *Dispatcher) applyDueLocked(t float64) (int, bool) {
 	submits, due := 0, 0
-	for len(d.pending) > 0 && d.pending[0].ev.Time <= t {
+	for len(d.pending.items) > 0 && d.pending.items[0].ev.Time <= t {
 		pe := d.pending.pop()
 		due++
 		if c := d.cfg.Admission.MaxSubmitsPerEpoch; c > 0 && pe.ev.Kind == KindTaskSubmit {

@@ -193,55 +193,11 @@ type pendingEvent struct {
 	requeued bool
 }
 
-// eventHeap is a concrete min-heap by (Time, seq). Hand-rolled rather than
-// container/heap: the interface's Push(any)/Pop() box every element, which
-// was one heap allocation per ingested event on the steady-state path the
-// alloc gates pin at zero.
-type eventHeap []pendingEvent
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].ev.Time != h[j].ev.Time {
-		return h[i].ev.Time < h[j].ev.Time
+// pendingBefore orders the pending heap by effect time, ingest order
+// breaking ties.
+func pendingBefore(a, b *pendingEvent) bool {
+	if a.ev.Time != b.ev.Time {
+		return a.ev.Time < b.ev.Time
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(pe pendingEvent) {
-	*h = append(*h, pe)
-	s := *h
-	// Sift up.
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() pendingEvent {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s[n] = pendingEvent{} // release the Task/Worker pointers
-	*h = s[:n]
-	// Sift down.
-	s = s[:n]
-	for i := 0; ; {
-		kid := 2*i + 1
-		if kid >= n {
-			break
-		}
-		if r := kid + 1; r < n && s.less(r, kid) {
-			kid = r
-		}
-		if !s.less(kid, i) {
-			break
-		}
-		s[i], s[kid] = s[kid], s[i]
-		i = kid
-	}
-	return top
+	return a.seq < b.seq
 }

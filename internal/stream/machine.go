@@ -110,8 +110,9 @@ func (ws *workerState) pos(t float64) geo.Point {
 // planning instant.
 //
 // A Machine is single-goroutine, like the Engine built on it; concurrent
-// drivers must serialize access themselves. The datawa-lint guarded analyzer
-// enforces the consequence: fields move only through methods.
+// drivers must serialize access themselves. The guarded analyzer, run over
+// the module by `go test ./internal/analysis`, enforces the consequence:
+// fields move only through methods.
 //
 //datawa:serialized
 type Machine struct {
@@ -258,14 +259,7 @@ func (m *Machine) AddGhost(s *core.Task, now float64) bool {
 // leave its pool before the next planning instant, or two shards could
 // assign the same task. It reports whether a task left the open pool.
 func (m *Machine) DropTask(id int) bool {
-	s, ok := m.open[id]
-	if !ok {
-		return false
-	}
-	delete(m.open, s.ID)
-	delete(m.reserved, s.ID)
-	delete(m.ghost, s.ID)
-	return true
+	return m.removeOpen(id, nil)
 }
 
 // TakeCommits returns and clears the commitments made since the last call.
@@ -328,20 +322,7 @@ func (m *Machine) RemoveWorker(id int, now float64) bool {
 // worker has already committed to is a no-op (the commitment already counted
 // as assigned). It reports whether a task left the open pool.
 func (m *Machine) CancelTask(id int) bool {
-	s, ok := m.open[id]
-	if !ok {
-		return false
-	}
-	delete(m.open, s.ID)
-	delete(m.reserved, s.ID)
-	if m.ghost[s.ID] {
-		// Replica of another shard's task: the owner accounts the cancel.
-		delete(m.ghost, s.ID)
-		return true
-	}
-	m.stats.Cancelled++
-	m.noteClosure(s.ID)
-	return true
+	return m.removeOpen(id, &m.stats.Cancelled)
 }
 
 // ShedTask evicts an open task under admission control — the dispatcher's
@@ -351,19 +332,26 @@ func (m *Machine) CancelTask(id int) bool {
 // has already committed to is a no-op — the commitment already counted as
 // assigned. It reports whether a task left the open pool.
 func (m *Machine) ShedTask(id int) bool {
-	s, ok := m.open[id]
-	if !ok {
+	return m.removeOpen(id, &m.stats.Shed)
+}
+
+// removeOpen takes a task out of the open pool, releasing any FTA
+// reservation, and reports whether it was open. An owned task bumps the
+// closed counter and enters the closed-task log; a ghost replica's closure
+// is accounted by its owning shard, and a nil counter (DropTask) accounts
+// nothing.
+func (m *Machine) removeOpen(id int, closed *int) bool {
+	if _, ok := m.open[id]; !ok {
 		return false
 	}
-	delete(m.open, s.ID)
-	delete(m.reserved, s.ID)
-	if m.ghost[s.ID] {
-		// Replica of another shard's task: the owner accounts the shed.
-		delete(m.ghost, s.ID)
-		return true
+	owned := !m.ghost[id]
+	delete(m.open, id)
+	delete(m.reserved, id)
+	delete(m.ghost, id)
+	if owned && closed != nil {
+		*closed++
+		m.noteClosure(id)
 	}
-	m.stats.Shed++
-	m.noteClosure(s.ID)
 	return true
 }
 
@@ -391,7 +379,7 @@ func (m *Machine) TakeDepartedWorkers() []int {
 }
 
 // TakeClosedTasks returns and clears the ids of tasks that left the open
-// pool (assigned, expired, or cancelled) since the last call. Empty unless
+// pool (assigned, expired, cancelled, or shed) since the last call. Empty unless
 // MachineConfig.TrackRemovals is set.
 func (m *Machine) TakeClosedTasks() []int {
 	out := m.closed

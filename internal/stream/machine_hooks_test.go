@@ -86,22 +86,74 @@ func TestMachineRetractCommit(t *testing.T) {
 	}
 }
 
-// TestMachineDropTask: a dropped task leaves the pool silently and a plan
-// entry referencing it is skipped at execution.
-func TestMachineDropTask(t *testing.T) {
-	m := trackedMachine()
-	m.AddTask(task(1, 0.1, 0, 0, 500), 0)
-	if !m.DropTask(1) || m.DropTask(1) {
-		t.Fatal("DropTask must succeed once and only once")
+// TestMachineRemoveOpenTask: CancelTask, ShedTask and DropTask take any open
+// task out of the pool, releasing an FTA reservation, and differ only in what
+// they account — an owned cancel or shed counts and logs the closure, a ghost
+// replica or a drop accounts nothing. A removed task is never assigned, even
+// when a fixed plan had reserved it, and its id is free to reuse.
+func TestMachineRemoveOpenTask(t *testing.T) {
+	removals := []struct {
+		name   string
+		remove func(*Machine, int) bool
+		count  func(Stats) int // nil: the removal accounts nothing
+	}{
+		{"cancel", (*Machine).CancelTask, func(st Stats) int { return st.Cancelled }},
+		{"shed", (*Machine).ShedTask, func(st Stats) int { return st.Shed }},
+		{"drop", (*Machine).DropTask, nil},
 	}
-	if st := m.Stats(); st.Expired != 0 || st.Cancelled != 0 || st.Assigned != 0 {
-		t.Fatalf("drop mutated stats: %+v", st)
+	pools := []struct {
+		name        string
+		id          int
+		setup       func(*Machine)
+		owned, open bool
+	}{
+		{"owned", 1, func(m *Machine) { m.AddTask(task(1, 0.1, 0, 0, 500), 0) }, true, true},
+		{"ghost", 1, func(m *Machine) { m.AddGhost(task(1, 0.1, 0, 0, 500), 0) }, false, true},
+		{"fta-reserved", 2, func(m *Machine) {
+			m.AddWorker(worker(1, 0, 0, 2, 0, 10000), 0)
+			m.AddTask(task(1, 0.5, 0, 0, 9000), 0)
+			m.AddTask(task(2, 0.9, 0, 0, 9000), 0)
+			m.Step(0) // fixed plan (1, 2): task 1 committed, task 2 reserved
+			m.TakeClosedTasks()
+		}, true, true},
+		{"unknown", 99, func(*Machine) {}, false, false},
 	}
-	if closed := m.TakeClosedTasks(); len(closed) != 0 {
-		t.Fatalf("drop logged closures %v", closed)
-	}
-	if m.OpenTasks() != 0 {
-		t.Fatalf("open tasks = %d after drop", m.OpenTasks())
+	for _, r := range removals {
+		for _, p := range pools {
+			t.Run(r.name+"/"+p.name, func(t *testing.T) {
+				m := NewMachine(MachineConfig{Planner: searchPlanner(), Fixed: true, Travel: travel, TrackRemovals: true})
+				p.setup(m)
+				id := p.id
+				if m.reserved[id] != (p.name == "fta-reserved") {
+					t.Fatalf("setup: task %d reserved = %v", id, m.reserved[id])
+				}
+				assigned := m.Stats().Assigned
+				if got := r.remove(m, id); got != p.open {
+					t.Fatalf("removal returned %v, want %v", got, p.open)
+				}
+				want := 0
+				if r.count != nil && p.owned {
+					want = 1
+				}
+				if st := m.Stats(); st.Cancelled+st.Shed != want || (r.count != nil && r.count(st) != want) {
+					t.Errorf("cancelled/shed = %d/%d, want %d in the %s counter", st.Cancelled, st.Shed, want, r.name)
+				}
+				if closed := m.TakeClosedTasks(); len(closed) != want || want == 1 && closed[0] != id {
+					t.Errorf("closed tasks = %v, want %d entries of id %d", closed, want, id)
+				}
+				if m.HasOpenTask(id) || m.reserved[id] || m.ghost[id] {
+					t.Errorf("id %d still open, reserved or ghost after removal", id)
+				}
+				m.Step(50) // the fixed plan's worker reaches task 1; its next head is gone
+				m.Step(90)
+				if got := m.Stats().Assigned; got != assigned {
+					t.Errorf("assigned = %d after removal, want %d", got, assigned)
+				}
+				if !m.AddTask(task(id, 0.3, 0, 0, 9000), 90) {
+					t.Errorf("id %d cannot be added again", id)
+				}
+			})
+		}
 	}
 }
 

@@ -151,28 +151,6 @@ func TestMachineExpiredOnArrivalCounts(t *testing.T) {
 	}
 }
 
-func TestMachineCancelReservedFixedTask(t *testing.T) {
-	// FTA locks plans and reserves their tasks; cancelling a reserved task
-	// must release the reservation and suppress the assignment.
-	m := machineWith(true)
-	m.AddWorker(worker(1, 0, 0, 2, 0, 10000), 0)
-	m.AddTask(task(1, 0.5, 0, 0, 9000), 0)
-	m.AddTask(task(2, 0.9, 0, 0, 9000), 0)
-	m.Step(0) // fixed plan (1, 2); task 1 committed, task 2 reserved
-	if st := m.Stats(); st.Assigned != 1 {
-		t.Fatalf("assigned = %d, want 1", st.Assigned)
-	}
-	if !m.CancelTask(2) {
-		t.Fatal("reserved task should be cancellable")
-	}
-	m.Step(50) // arrival at task 1; next head (task 2) is gone
-	m.Step(90)
-	st := m.Stats()
-	if st.Assigned != 1 || st.Cancelled != 1 {
-		t.Fatalf("assigned/cancelled = %d/%d, want 1/1", st.Assigned, st.Cancelled)
-	}
-}
-
 func TestMachineUpdatePosIgnoredWhileMoving(t *testing.T) {
 	m := machineWith(false)
 	m.AddWorker(worker(1, 0, 0, 1, 0, 1000), 0)

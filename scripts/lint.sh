@@ -11,10 +11,11 @@
 #                      with a warning when the module cache is cold and the
 #                      network is unreachable, so offline dev containers
 #                      still get the rest of the suite
-#   4. datawa-lint   — the repo's own go/analysis suite, three analyzers
-#                      (determinism, lock discipline, hot-path allocations),
-#                      built from source and run through go vet -vettool so
-#                      package loading matches the build exactly
+#   4. analyzers     — go test -count=1 ./internal/analysis/...: the repo's
+#                      own three analyzers (determinism, lock discipline,
+#                      hot-path allocations), their fixture tests, and
+#                      TestModuleIsClean, which runs them over every package
+#                      of the module type-checked from the build's export data
 set -u
 cd "$(dirname "$0")/.."
 
@@ -44,13 +45,8 @@ else
     echo "staticcheck unavailable (cold module cache, no network); skipping — CI still runs it"
 fi
 
-echo "== datawa-lint =="
-mkdir -p bin
-if go build -o bin/datawa-lint ./cmd/datawa-lint; then
-    go vet -vettool="$PWD/bin/datawa-lint" ./... || fail=1
-else
-    fail=1
-fi
+echo "== analyzers =="
+go test -count=1 ./internal/analysis/... || fail=1
 
 if [ "$fail" -ne 0 ]; then
     echo "LINT FAILED"
