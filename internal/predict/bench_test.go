@@ -4,35 +4,47 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/tensor"
 )
 
 // BenchmarkDDGNNTrainEpoch measures one epoch of DDGNN training on a
 // realistic window count (the dominant cost of the prediction component).
 func BenchmarkDDGNNTrainEpoch(b *testing.B) {
-	vectors := syntheticSeries(36, 3, 40, 21)
-	ws := windowsFrom(vectors, 8)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewDDGNN(DDGNNConfig{K: 3, Hidden: 16, Embed: 8, Train: TrainConfig{Epochs: 1, Seed: 21}})
-		if err := m.Fit(ws); err != nil {
-			b.Fatal(err)
-		}
+		trainEpochFixture(b)
 	}
 }
 
 // BenchmarkDDGNNPredict measures one inference pass — the paper's testing
 // time metric (Figs. 5d/6d).
 func BenchmarkDDGNNPredict(b *testing.B) {
-	vectors := syntheticSeries(36, 3, 12, 22)
-	ws := windowsFrom(vectors, 8)
-	m := NewDDGNN(DDGNNConfig{K: 3, Hidden: 16, Embed: 8, Train: TrainConfig{Epochs: 1, Seed: 22}})
-	if err := m.Fit(ws[:2]); err != nil {
-		b.Fatal(err)
-	}
+	m, inputs := predictFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Predict(ws[len(ws)-1].Inputs)
+		m.Predict(inputs)
 	}
+}
+
+// trainEpochFixture trains a DDGNN for one epoch over 32 windows of a
+// 36-cell series: BenchmarkDDGNNTrainEpoch's unit of work.
+func trainEpochFixture(tb testing.TB) *DDGNN {
+	ws := windowsFrom(syntheticSeries(36, 3, 40, 21), 8)
+	m := NewDDGNN(DDGNNConfig{K: 3, Hidden: 16, Embed: 8, Train: TrainConfig{Epochs: 1, Seed: 21}})
+	if err := m.Fit(ws); err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// predictFixture returns a briefly trained DDGNN and the window
+// BenchmarkDDGNNPredict forecasts from.
+func predictFixture(tb testing.TB) (*DDGNN, []*tensor.Matrix) {
+	ws := windowsFrom(syntheticSeries(36, 3, 12, 22), 8)
+	m := NewDDGNN(DDGNNConfig{K: 3, Hidden: 16, Embed: 8, Train: TrainConfig{Epochs: 1, Seed: 22}})
+	if err := m.Fit(ws[:2]); err != nil {
+		tb.Fatal(err)
+	}
+	return m, ws[len(ws)-1].Inputs
 }
 
 // BenchmarkBuildSeries measures series discretization over a city-hour of

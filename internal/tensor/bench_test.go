@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -13,6 +14,24 @@ func BenchmarkMatMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(x, y)
+	}
+}
+
+// BenchmarkMatMulShapes times MatMul at the DDGNN's own shapes over 36
+// cells: the input lift (K = 3 to F = 16), an F×F layer, APPNP's adjacency
+// product and the output head.
+func BenchmarkMatMulShapes(b *testing.B) {
+	for _, s := range []struct{ m, k, n int }{{36, 3, 16}, {36, 16, 16}, {36, 36, 16}, {36, 16, 3}} {
+		b.Run(fmt.Sprintf("%dx%d_%dx%d", s.m, s.k, s.k, s.n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			x := Randn(s.m, s.k, 1, r)
+			y := Randn(s.k, s.n, 1, r)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Recycle(MatMul(x, y))
+			}
+		})
 	}
 }
 

@@ -103,19 +103,7 @@ func MatMul(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
+	mulAdd(out, a, b)
 	return out
 }
 
@@ -124,17 +112,65 @@ func MatMulAccum(out, a, b *Matrix) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic("tensor: MatMulAccum shape mismatch")
 	}
+	mulAdd(out, a, b)
+}
+
+// mulAdd computes out += a·b. It walks each output row in blocks of 8
+// columns, then 4, then one, holding a block's sums in registers across the
+// whole k loop instead of loading and storing out once per k. Every element
+// still adds its products to its starting value one at a time in ascending
+// k, skipping a[i][k] == 0, so the result is bit-for-bit the plain triple
+// loop's. Each product is written float64(av * bv): the Go spec forbids
+// fusing an explicitly converted product into a multiply-add, so the bits are
+// the same on targets whose compiler would emit FMA (arm64).
+func mulAdd(out, a, b *Matrix) {
+	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
+		orow := out.Data[i*n : (i+1)*n]
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			o := orow[j : j+8 : j+8]
+			s0, s1, s2, s3, s4, s5, s6, s7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
+			for k, av := range arow {
+				if av == 0 {
+					continue
+				}
+				bv := b.Data[k*n+j : k*n+j+8 : k*n+j+8]
+				s0 += float64(av * bv[0])
+				s1 += float64(av * bv[1])
+				s2 += float64(av * bv[2])
+				s3 += float64(av * bv[3])
+				s4 += float64(av * bv[4])
+				s5 += float64(av * bv[5])
+				s6 += float64(av * bv[6])
+				s7 += float64(av * bv[7])
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		}
+		for ; j+4 <= n; j += 4 {
+			o := orow[j : j+4 : j+4]
+			s0, s1, s2, s3 := o[0], o[1], o[2], o[3]
+			for k, av := range arow {
+				if av == 0 {
+					continue
+				}
+				bv := b.Data[k*n+j : k*n+j+4 : k*n+j+4]
+				s0 += float64(av * bv[0])
+				s1 += float64(av * bv[1])
+				s2 += float64(av * bv[2])
+				s3 += float64(av * bv[3])
 			}
+			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			s := orow[j]
+			for k, av := range arow {
+				if av != 0 {
+					s += float64(av * b.Data[k*n+j])
+				}
+			}
+			orow[j] = s
 		}
 	}
 }

@@ -98,6 +98,75 @@ func TestMatMulAccum(t *testing.T) {
 	}
 }
 
+// naiveMulAdd is the plain triple loop: out += a·b, row by row, k outer,
+// skipping zero entries of a. The product is rounded before the add, as in
+// mulAdd, so no target fuses it.
+func naiveMulAdd(out, a, b *Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			av := a.At(i, k)
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Data[i*out.Cols+j] += float64(av * b.At(k, j))
+			}
+		}
+	}
+}
+
+// TestMulAddMatchesNaive holds MatMul and MatMulAccum to naiveMulAdd bit for
+// bit, over every output width from 1 to 40 (each 8/4/1 remainder of the
+// blocked loop) with zeros and negative zeros in a and a non-zero out.
+func TestMulAddMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	entry := func() float64 {
+		switch p := r.Float64(); {
+		case p < 0.2:
+			return 0
+		case p < 0.3:
+			return math.Copysign(0, -1)
+		default:
+			return r.NormFloat64() * math.Exp2(float64(r.Intn(21)-10))
+		}
+	}
+	fill := func(rows, cols int) *Matrix {
+		m := New(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = entry()
+		}
+		return m
+	}
+	same := func(got, want *Matrix) bool {
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for cols := 1; cols <= 40; cols++ {
+		for trial := 0; trial < 25; trial++ {
+			rows, inner := 1+r.Intn(6), 1+r.Intn(40)
+			a, b := fill(rows, inner), fill(inner, cols)
+
+			want := New(rows, cols)
+			naiveMulAdd(want, a, b)
+			if got := MatMul(a, b); !same(got, want) {
+				t.Fatalf("MatMul %dx%d·%dx%d differs from the naive loop", rows, inner, inner, cols)
+			}
+
+			out := fill(rows, cols)
+			want = out.Clone()
+			naiveMulAdd(want, a, b)
+			MatMulAccum(out, a, b)
+			if !same(out, want) {
+				t.Fatalf("MatMulAccum %dx%d·%dx%d differs from the naive loop", rows, inner, inner, cols)
+			}
+		}
+	}
+}
+
 func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
