@@ -217,6 +217,9 @@ func (c *CausalConv) at(xs []*Node, t int) *Node {
 	return AddBias(acc, c.B)
 }
 
+// reach is how many steps before its own an output reads: (K−1)·dilation.
+func (c *CausalConv) reach() int { return (len(c.Taps) - 1) * c.Dilation }
+
 // markSources sets need[src] for every input step the output at step t reads.
 func (c *CausalConv) markSources(need []bool, t int) {
 	for i := range c.Taps {
@@ -263,38 +266,58 @@ func (g *GatedCausalConv) at(xs []*Node, t int) *Node {
 // same operands, so values — and, since Backward only visits nodes reachable
 // from the loss, gradients — are bit-identical to slicing the full sequence.
 // lifted is the lift of the final input (DDGNN's residual skip).
-func LastStep(lift *Linear, inputs []*tensor.Matrix, layers ...*GatedCausalConv) (top, lifted *Node) {
+//
+// With a nil memo LastStep builds that whole tape, for training. With a memo
+// it also skips every value the memo carries from its previous call (see
+// StepMemo): on a window slid by one that is all but one lift and one step per
+// layer. Each value it does compute is released into the memo as soon as it
+// is built, and top and lifted are leaves over the memo's matrices, valid
+// until the memo's next call.
+func LastStep(lift *Linear, inputs []*tensor.Matrix, memo *StepMemo, layers ...*GatedCausalConv) (top, lifted *Node) {
 	n := len(inputs)
+	var vals []*tensor.Matrix // the memo's table: vals[l*n+t], nil unless carried
+	if memo != nil {
+		vals = memo.align(inputs, layers)
+	}
 	// need[l*n+t]: level l (0 = the lift, l = layers[l-1]'s output) is read
 	// at step t.
 	need := make([]bool, (len(layers)+1)*n)
-	need[len(need)-1] = true
+	need[n-1], need[len(need)-1] = true, true // lifted, top
 	for l := len(layers); l > 0; l-- {
 		below := need[(l-1)*n : l*n]
 		for t, wanted := range need[l*n : (l+1)*n] {
-			if wanted {
+			if wanted && (vals == nil || vals[l*n+t] == nil) {
 				layers[l-1].Filter.markSources(below, t)
 				layers[l-1].Gate.markSources(below, t)
 			}
 		}
 	}
-	cur := make([]*Node, n)
-	for t, x := range inputs {
-		if need[t] {
-			cur[t] = lift.Forward(Leaf(x))
-		}
-	}
-	lifted = cur[n-1]
-	for l, g := range layers {
-		next := make([]*Node, n)
-		for t := range next {
-			if need[(l+1)*n+t] {
-				next[t] = g.at(cur, t)
+	var below []*Node
+	for l := 0; l <= len(layers); l++ {
+		cur := make([]*Node, n)
+		for t := range cur {
+			i := l*n + t
+			switch {
+			case !need[i]:
+			case vals != nil && vals[i] != nil:
+				cur[t] = Leaf(vals[i])
+			default:
+				if l == 0 {
+					cur[t] = lift.Forward(Leaf(inputs[t]))
+				} else {
+					cur[t] = layers[l-1].at(below, t)
+				}
+				if memo != nil {
+					cur[t] = memo.keep(i, cur[t])
+				}
 			}
 		}
-		cur = next
+		if l == 0 {
+			lifted = cur[n-1]
+		}
+		below = cur
 	}
-	return cur[n-1], lifted
+	return below[n-1], lifted
 }
 
 // NormalizeAdjacency builds Â = D^{-1/2}(A+I)D^{-1/2} differentiably, where

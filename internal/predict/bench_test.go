@@ -16,13 +16,30 @@ func BenchmarkDDGNNTrainEpoch(b *testing.B) {
 }
 
 // BenchmarkDDGNNPredict measures one inference pass — the paper's testing
-// time metric (Figs. 5d/6d).
+// time metric (Figs. 5d/6d) — both ways the trunk's memo can meet a window.
+// cold alternates two windows with no vector in common, so the memo carries
+// nothing; sliding walks consecutive windows of a long series, as a
+// forecaster's refreshes do, so all but one step per layer is carried (the
+// walk restarts, cold, once every 192 windows).
 func BenchmarkDDGNNPredict(b *testing.B) {
-	m, inputs := predictFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(inputs)
-	}
+	m, _ := predictFixture(b)
+	series := syntheticSeries(36, 3, 200, 23)
+	b.Run("cold", func(b *testing.B) {
+		windows := [2][]*tensor.Matrix{series[0:8], series[8:16]}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Predict(windows[i%2])
+		}
+	})
+	b.Run("sliding", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % (len(series) - 8)
+			m.Predict(series[j : j+8])
+		}
+	})
 }
 
 // trainEpochFixture trains a DDGNN for one epoch over 32 windows of a
@@ -36,8 +53,9 @@ func trainEpochFixture(tb testing.TB) *DDGNN {
 	return m
 }
 
-// predictFixture returns a briefly trained DDGNN and the window
-// BenchmarkDDGNNPredict forecasts from.
+// predictFixture returns a briefly trained DDGNN, the model
+// BenchmarkDDGNNPredict times, and the window TestDDGNNForecastPinned
+// forecasts from.
 func predictFixture(tb testing.TB) (*DDGNN, []*tensor.Matrix) {
 	ws := windowsFrom(syntheticSeries(36, 3, 12, 22), 8)
 	m := NewDDGNN(DDGNNConfig{K: 3, Hidden: 16, Embed: 8, Train: TrainConfig{Epochs: 1, Seed: 22}})

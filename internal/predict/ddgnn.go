@@ -1,6 +1,8 @@
 package predict
 
 import (
+	"sync"
+
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -34,6 +36,9 @@ type DDGNN struct {
 	alpha  float64
 	hops   int
 	cfg    TrainConfig
+
+	mu   sync.Mutex
+	memo nn.StepMemo // guarded by mu
 }
 
 // DDGNNConfig collects the model hyperparameters. Zero values take
@@ -101,14 +106,15 @@ func (m *DDGNN) dependencyMatrix(inputs []*tensor.Matrix) *nn.Node {
 	return nn.SoftmaxRows(nn.Tanh(sym)) // Eq. 6
 }
 
-func (m *DDGNN) forward(inputs []*tensor.Matrix) *nn.Node {
-	return m.propagate(inputs, nn.NormalizeAdjacency(m.dependencyMatrix(inputs)))
+func (m *DDGNN) forward(inputs []*tensor.Matrix, memo *nn.StepMemo) *nn.Node {
+	return m.propagate(inputs, memo, nn.NormalizeAdjacency(m.dependencyMatrix(inputs)))
 }
 
 // propagate is the model downstream of the adjacency choice: the temporal
-// trunk at its last step, the residual, APPNP over normAdj and the head.
-func (m *DDGNN) propagate(inputs []*tensor.Matrix, normAdj *nn.Node) *nn.Node {
-	last, skip := nn.LastStep(m.lift, inputs, m.temp1, m.temp2)
+// trunk at its last step (through memo when not nil), the residual, APPNP
+// over normAdj and the head.
+func (m *DDGNN) propagate(inputs []*tensor.Matrix, memo *nn.StepMemo, normAdj *nn.Node) *nn.Node {
+	last, skip := nn.LastStep(m.lift, inputs, memo, m.temp1, m.temp2)
 	// Residual connection (Fig. 4's "+" merging conv output with input).
 	z := nn.Add(last, nn.MatMul(skip, m.resid))
 	z = nn.APPNP(z, normAdj, m.alpha, m.hops) // Eqs. 8–9, ends in ReLU
@@ -116,14 +122,20 @@ func (m *DDGNN) propagate(inputs []*tensor.Matrix, normAdj *nn.Node) *nn.Node {
 	return nn.Sigmoid(m.out.Forward(h))
 }
 
-// Fit implements Predictor.
+// Fit implements Predictor. It empties the trunk's memo: the parameters move.
 func (m *DDGNN) Fit(train []Window) error {
-	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs) }, train)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.memo.Reset()
+	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs, nil) }, train)
 }
 
-// Predict implements Predictor.
+// Predict implements Predictor. Consecutive calls share the trunk's memo, so
+// a window slid by one since the last call costs one new step per layer.
 func (m *DDGNN) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	return nn.Release(m.forward(inputs))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return nn.Release(m.forward(inputs, &m.memo))
 }
 
 // Adjacency exposes the current dynamic dependency matrix 𝒜_t for a window,
@@ -151,16 +163,27 @@ func NewStaticAdjacencyDDGNN(c DDGNNConfig) *StaticAdjacencyDDGNN {
 // Name implements Predictor.
 func (m *StaticAdjacencyDDGNN) Name() string { return "DDGNN-static" }
 
-func (m *StaticAdjacencyDDGNN) forward(inputs []*tensor.Matrix) *nn.Node {
-	return m.propagate(inputs, nn.Leaf(tensor.Eye(inputs[0].Rows)))
+func (m *StaticAdjacencyDDGNN) forward(inputs []*tensor.Matrix, memo *nn.StepMemo) *nn.Node {
+	return m.propagate(inputs, memo, nn.Leaf(m.Adjacency(inputs)))
 }
 
-// Fit implements Predictor.
+// Adjacency returns what the ablation propagates over: the identity, whatever
+// the window.
+func (m *StaticAdjacencyDDGNN) Adjacency(inputs []*tensor.Matrix) *tensor.Matrix {
+	return tensor.Eye(inputs[0].Rows)
+}
+
+// Fit implements Predictor. It empties the trunk's memo: the parameters move.
 func (m *StaticAdjacencyDDGNN) Fit(train []Window) error {
-	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs) }, train)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.memo.Reset()
+	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs, nil) }, train)
 }
 
-// Predict implements Predictor.
+// Predict implements Predictor, through the trunk's memo as DDGNN's does.
 func (m *StaticAdjacencyDDGNN) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	return nn.Release(m.forward(inputs))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return nn.Release(m.forward(inputs, &m.memo))
 }

@@ -1,6 +1,8 @@
 package predict
 
 import (
+	"sync"
+
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -28,6 +30,9 @@ type GraphWaveNet struct {
 	hidden *nn.Linear
 	out    *nn.Linear
 	cfg    TrainConfig
+
+	mu   sync.Mutex
+	memo nn.StepMemo // guarded by mu
 }
 
 // NewGraphWaveNet allocates the baseline for m grid cells with feature
@@ -62,8 +67,8 @@ func (m *GraphWaveNet) adaptiveAdjacency() *nn.Node {
 	return nn.SoftmaxRows(nn.ReLU(nn.MatMul(m.e1, nn.Transpose(m.e2))))
 }
 
-func (m *GraphWaveNet) forward(inputs []*tensor.Matrix) *nn.Node {
-	z, _ := nn.LastStep(m.lift, inputs, m.temp1, m.temp2) // last-step features, M×F
+func (m *GraphWaveNet) forward(inputs []*tensor.Matrix, memo *nn.StepMemo) *nn.Node {
+	z, _ := nn.LastStep(m.lift, inputs, memo, m.temp1, m.temp2) // last-step features, M×F
 
 	adj := m.adaptiveAdjacency()
 	diffused := nn.Add(
@@ -74,14 +79,19 @@ func (m *GraphWaveNet) forward(inputs []*tensor.Matrix) *nn.Node {
 	return nn.Sigmoid(m.out.Forward(h))
 }
 
-// Fit implements Predictor.
+// Fit implements Predictor. It empties the trunk's memo: the parameters move.
 func (m *GraphWaveNet) Fit(train []Window) error {
-	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs) }, train)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.memo.Reset()
+	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs, nil) }, train)
 }
 
-// Predict implements Predictor.
+// Predict implements Predictor, through the trunk's memo as DDGNN's does.
 func (m *GraphWaveNet) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	return nn.Release(m.forward(inputs))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return nn.Release(m.forward(inputs, &m.memo))
 }
 
 // ParamCount returns the number of trainable scalars, for diagnostics.

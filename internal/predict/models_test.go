@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -146,6 +147,25 @@ func TestDDGNNAdjacencyIsDynamic(t *testing.T) {
 	}
 	if diff < 1e-9 {
 		t.Error("adjacency did not change across windows; dependency module is static")
+	}
+}
+
+// TestStaticAdjacencyIsWhatItPropagatesOver: the ablation's Adjacency is the
+// identity its forward propagates over, not the learned 𝒜_t of the DDGNN it
+// wraps.
+func TestStaticAdjacencyIsWhatItPropagatesOver(t *testing.T) {
+	m := NewStaticAdjacencyDDGNN(DDGNNConfig{K: 2, Train: TrainConfig{Seed: 4}})
+	inputs := syntheticSeries(5, 2, 6, 4)
+	adj := m.Adjacency(inputs)
+	if firstDiff(adj, tensor.Eye(5)) >= 0 {
+		t.Fatalf("ablation adjacency %v, want the identity", adj.Data)
+	}
+	if firstDiff(m.DDGNN.Adjacency(inputs), adj) < 0 {
+		t.Fatal("the wrapped DDGNN's learned adjacency is the identity: the test cannot tell them apart")
+	}
+	got, want := m.Predict(inputs), m.propagate(inputs, nil, nn.Leaf(adj)).Val
+	if i := firstDiff(got, want); i >= 0 {
+		t.Fatalf("probability %d is %v, propagated over Adjacency %v", i, got.Data[i], want.Data[i])
 	}
 }
 

@@ -2,23 +2,32 @@ package predict
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/tensor"
 )
 
 // hashBits is FNV-1a over the bit patterns of every value of ms, in order.
 func hashBits(ms ...*tensor.Matrix) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
 	for _, m := range ms {
-		for _, v := range m.Data {
-			h.Write(binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(v)))
-		}
+		writeBits(h, m.Data...)
 	}
 	return h.Sum64()
+}
+
+// writeBits feeds h the bit pattern of every value, in order.
+func writeBits(h hash.Hash, vs ...float64) {
+	var buf [8]byte
+	for _, v := range vs {
+		h.Write(binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(v)))
+	}
 }
 
 // TestDDGNNForecastPinned holds the DDGNN to the exact bits it produced
@@ -39,5 +48,68 @@ func TestDDGNNForecastPinned(t *testing.T) {
 	}
 	if got := hashBits(params...); got != wantParams {
 		t.Errorf("parameter hash after one epoch %#x, want %#x", got, wantParams)
+	}
+}
+
+// hashingModel feeds every forecast it returns to h.
+type hashingModel struct {
+	Predictor
+	h hash.Hash
+}
+
+func (m *hashingModel) Predict(in []*tensor.Matrix) *tensor.Matrix {
+	out := m.Predictor.Predict(in)
+	writeBits(m.h, out.Data...)
+	return out
+}
+
+// TestForecastStreamPinned holds the forecast path to the exact bits it
+// produced before the DDGNN trunk carried values from one forecast to the
+// next: thirty consecutive Forecaster.Virtuals refreshes over one published
+// stream, every probability of every forecast and every virtual task, in one
+// FNV hash. About one task in fifty reaches the forecaster two vectors after
+// its publication, rewriting a vector earlier refreshes already read.
+func TestForecastStreamPinned(t *testing.T) {
+	const want uint64 = 0xe17625f40e9f8557
+
+	m, _ := predictFixture(t)
+	cfg := SeriesConfig{Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 6, 6), K: 3, DeltaT: 5}
+	const history, refreshes = 8, 30
+	span := cfg.VectorSpan()
+	r := rand.New(rand.NewSource(29))
+	type arrival struct {
+		task *core.Task
+		at   float64
+	}
+	var stream []arrival
+	for i := 0; i < 1500; i++ {
+		pub := float64(history+refreshes) * span * r.Float64()
+		at := pub
+		if r.Float64() < 0.02 {
+			at += 2 * span
+		}
+		stream = append(stream, arrival{taskAt(i, 6*r.Float64(), 6*r.Float64(), pub), at})
+	}
+	h := fnv.New64a()
+	f := NewForecaster(&hashingModel{m, h}, cfg, history, 0.5, 40)
+	virtuals := 0
+	for i := 0; i < refreshes; i++ {
+		now := float64(history+i) * span
+		var published []*core.Task
+		for _, a := range stream {
+			if a.at < now {
+				published = append(published, a.task)
+			}
+		}
+		for _, v := range f.Virtuals(published, now) {
+			writeBits(h, float64(v.ID), float64(v.Cell), v.Pub, v.Exp)
+			virtuals++
+		}
+	}
+	if virtuals == 0 {
+		t.Fatal("no virtual task in thirty refreshes: the pin covers no materialization")
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("stream hash %#x over %d virtual tasks, want %#x", got, virtuals, want)
 	}
 }

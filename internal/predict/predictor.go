@@ -73,7 +73,11 @@ func fitModel(params *nn.Params, cfg TrainConfig, forward func(Window) *nn.Node,
 
 // Evaluate trains p on the train windows and scores it on the test windows,
 // measuring wall-clock training and inference (testing) time, and computing
-// Average Precision per the paper's protocol.
+// Average Precision per the paper's protocol. The test windows are predicted
+// in order, so the testing time of a model whose trunk carries values from
+// one window to the next (DDGNN and Graph-WaveNet, through nn.StepMemo) is
+// that of streaming inference: consecutive windows slid by the stride. The
+// LSTM recomputes every window.
 func Evaluate(p Predictor, train, test []Window) (EvalResult, error) {
 	res := EvalResult{Model: p.Name()}
 	start := time.Now()

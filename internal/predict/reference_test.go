@@ -46,12 +46,14 @@ func (m *GraphWaveNet) fullForward(inputs []*tensor.Matrix) *nn.Node {
 }
 
 // graphModel is one of the three predictors with a causal trunk, the forward
-// it runs now and the full-sequence one it ran before.
+// it runs now, the full-sequence one it ran before and the memo its Predict
+// goes through.
 type graphModel struct {
 	Predictor
 	params *nn.Params
 	cfg    TrainConfig
 	full   func([]*tensor.Matrix) *nn.Node
+	memo   *nn.StepMemo
 }
 
 func graphModels(cells, k int, cfg TrainConfig) []graphModel {
@@ -61,11 +63,11 @@ func graphModels(cells, k int, cfg TrainConfig) []graphModel {
 	return []graphModel{
 		{d, d.params, cfg, func(in []*tensor.Matrix) *nn.Node {
 			return d.fullForward(in, nn.NormalizeAdjacency(d.dependencyMatrix(in)))
-		}},
+		}, &d.memo},
 		{s, s.params, cfg, func(in []*tensor.Matrix) *nn.Node {
 			return s.fullForward(in, nn.Leaf(tensor.Eye(in[0].Rows)))
-		}},
-		{g, g.params, cfg, g.fullForward},
+		}, &s.memo},
+		{g, g.params, cfg, g.fullForward, &g.memo},
 	}
 }
 
