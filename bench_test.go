@@ -1,6 +1,7 @@
 // Package datawa benchmarks: one benchmark per table and figure of the
-// paper's evaluation (Section V) plus the design-decision ablations from
-// DESIGN.md. Each benchmark executes the corresponding experiment end to end
+// paper's evaluation (Section V) plus the design-decision ablations
+// (internal/experiments; the harness's settings are in docs/PLANNERS.md).
+// Each benchmark executes the corresponding experiment end to end
 // at the Quick scale, so `go test -bench=. -benchmem` regenerates every
 // reported artifact; run `cmd/datawa-bench -scale standard|full` for
 // higher-fidelity sweeps.
@@ -49,7 +50,8 @@ func BenchmarkFig5Prediction(b *testing.B) { runExperiment(b, "fig5") }
 func BenchmarkFig6Prediction(b *testing.B) { runExperiment(b, "fig6") }
 
 // BenchmarkFig7TaskCount regenerates Fig. 7: assigned tasks and CPU time for
-// the five assignment methods as |S| grows.
+// every registered assignment method (the paper's five plus SSP) as |S|
+// grows.
 func BenchmarkFig7TaskCount(b *testing.B) { runExperiment(b, "fig7") }
 
 // BenchmarkFig8WorkerCount regenerates Fig. 8: effect of |W|.
@@ -67,21 +69,21 @@ func BenchmarkFig10AvailableTime(b *testing.B) { runExperiment(b, "fig10") }
 // e − p.
 func BenchmarkFig11ValidTime(b *testing.B) { runExperiment(b, "fig11") }
 
-// BenchmarkAblationStaticAdjacency quantifies DESIGN.md decision 4: the
-// learned dynamic dependency matrix versus identity propagation in DDGNN.
+// BenchmarkAblationStaticAdjacency compares DDGNN's learned dynamic
+// dependency matrix with identity propagation.
 func BenchmarkAblationStaticAdjacency(b *testing.B) { runExperiment(b, "ablation-adjacency") }
 
-// BenchmarkAblationTVFOff quantifies DESIGN.md decision 3: exact DFSearch
-// versus the TVF-guided search (quality, CPU, expanded nodes).
+// BenchmarkAblationTVFOff compares exact DFSearch with the TVF-guided search
+// (quality, CPU, expanded nodes).
 func BenchmarkAblationTVFOff(b *testing.B) { runExperiment(b, "ablation-tvf") }
 
-// BenchmarkAblationFlatSearch quantifies DESIGN.md decision 2: the RTC tree
-// versus a flat per-component search.
+// BenchmarkAblationFlatSearch compares the RTC tree search with a flat
+// per-component search.
 func BenchmarkAblationFlatSearch(b *testing.B) { runExperiment(b, "ablation-flat") }
 
-// BenchmarkAblationNoDedup quantifies DESIGN.md decision 1 via the sequence
-// length cap sweep (|Q_w| growth is the cost being bounded).
-func BenchmarkAblationNoDedup(b *testing.B) { runExperiment(b, "ablation-seqlen") }
+// BenchmarkAblationSeqLen sweeps the maximal sequence length cap (|Q_w|
+// growth is the cost being bounded).
+func BenchmarkAblationSeqLen(b *testing.B) { runExperiment(b, "ablation-seqlen") }
 
 // BenchmarkAblationDynamicWindows exercises the title feature: availability
 // windows fragmented by unplanned breaks versus contiguous windows.

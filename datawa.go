@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/geo"
+	"repro/internal/method"
 	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/stream"
@@ -82,112 +83,62 @@ type Method string
 
 // The five methods evaluated in the paper, plus SSP.
 const (
-	MethodGreedy Method = "Greedy"
-	MethodFTA    Method = "FTA"
-	MethodDTA    Method = "DTA"
-	MethodDTATP  Method = "DTA+TP"
-	MethodDATAWA Method = "DATA-WA"
+	MethodGreedy Method = method.Greedy
+	MethodFTA    Method = method.FTA
+	MethodDTA    Method = method.DTA
+	MethodDTATP  Method = method.DTATP
+	MethodDATAWA Method = method.DATAWA
 	// MethodSSP is the scenario-sampling robust planner: DTA's adaptive
 	// replanning against K demand futures sampled from the forecaster's
 	// predictive distribution, committing the assignment with the best
 	// CVaR-α value across the sample set (see docs/PLANNERS.md). Requires a
 	// trained demand model, like MethodDTATP.
-	MethodSSP Method = "SSP"
+	MethodSSP Method = method.SSP
 )
 
 // DefaultSamples is the demand-future sample count MethodSSP uses when
 // Config.Samples is unset.
 const DefaultSamples = predict.DefaultSamples
 
-// plannerFunc builds one planner instance from the framework's options and
-// models. Planners are stateful: every run, shard and ladder tier gets its own.
-type plannerFunc func(f *Framework) assign.Planner
-
-func newGreedy(f *Framework) assign.Planner { return &assign.Greedy{Opts: f.assignOptions()} }
-func newMatch(f *Framework) assign.Planner  { return &assign.Match{Opts: f.assignOptions()} }
-func newSearch(f *Framework) assign.Planner { return &assign.Search{Opts: f.assignOptions()} }
-func newTVFSearch(f *Framework) assign.Planner {
-	return &assign.Search{Opts: f.assignOptions(), Model: f.value}
-}
-func newSSP(f *Framework) assign.Planner {
-	return &assign.SSP{Opts: f.assignOptions(), Samples: f.cfg.Samples, CVaRAlpha: f.cfg.CVaRAlpha}
-}
-
-// methodRow is one method of the registry: the adaptive loop of Algorithm 3
-// with its switches set. Run, NewDispatcher, Methods and the training
-// predicates all read methodTable and nothing else.
-type methodRow struct {
-	method Method
-	// ladder is the governor's degradation ladder, cheapest last. Its head is
-	// the method's own planner — all that plans without a governor.
-	ladder     []plannerFunc
-	fixed      bool // FTA semantics: a worker's plan is locked once made
-	needsValue bool // the planner reads the value model: TrainValue first
-	// forecast builds the demand source over the trained demand model
-	// (TrainDemand first); nil for a method that streams no virtual tasks.
-	forecast func(f *Framework) stream.Forecaster
-}
-
-var methodTable = []methodRow{
-	{method: MethodGreedy, ladder: []plannerFunc{newGreedy, newMatch}},
-	{method: MethodFTA, ladder: []plannerFunc{newSearch, newGreedy, newMatch}, fixed: true},
-	{method: MethodDTA, ladder: []plannerFunc{newSearch, newGreedy, newMatch}},
-	{method: MethodDTATP, ladder: []plannerFunc{newSearch, newGreedy, newMatch}, forecast: pointForecast},
-	{method: MethodDATAWA, ladder: []plannerFunc{newTVFSearch, newGreedy, newMatch}, forecast: pointForecast, needsValue: true},
-	// SSP's ladder degrades through the point-forecast search first, so the
-	// first step under pressure sheds the K-fold sampling cost, not the
-	// look-ahead itself.
-	{method: MethodSSP, ladder: []plannerFunc{newSSP, newSearch, newGreedy, newMatch}, forecast: sampledForecast},
-}
-
-// row returns m's registry row; the zero row (no ladder) when unregistered.
-func (m Method) row() methodRow {
-	for _, r := range methodTable {
-		if r.method == m {
-			return r
-		}
-	}
-	return methodRow{}
-}
-
 // NeedsDemand reports whether the method forecasts demand, so Run and
 // NewDispatcher require TrainDemand first. False for an unregistered method.
-func (m Method) NeedsDemand() bool { return m.row().forecast != nil }
+func (m Method) NeedsDemand() bool { return method.Lookup(string(m)).NeedsDemand() }
 
 // NeedsValue reports whether the method's planner reads the task value
 // function, so Run and NewDispatcher require TrainValue first. False for an
 // unregistered method.
-func (m Method) NeedsValue() bool { return m.row().needsValue }
+func (m Method) NeedsValue() bool { return method.Lookup(string(m)).NeedsValue }
 
 // Methods lists all supported methods: the paper's five in its order, then
 // SSP.
 func Methods() []Method {
-	out := make([]Method, len(methodTable))
-	for i, r := range methodTable {
-		out[i] = r.method
+	out := make([]Method, len(method.Rows))
+	for i, r := range method.Rows {
+		out[i] = Method(r.Name)
 	}
 	return out
 }
 
 // MethodList renders the registered method names for help and error texts.
 func MethodList() string {
-	names := make([]string, len(methodTable))
-	for i, r := range methodTable {
-		names[i] = string(r.method)
+	names := make([]string, len(method.Rows))
+	for i, r := range method.Rows {
+		names[i] = r.Name
 	}
 	return strings.Join(names, ", ")
 }
 
-// resolve looks m up in the registry and checks that the models its row
-// declares are trained. An unknown-method error enumerates the registry.
-func (f *Framework) resolve(m Method) (methodRow, error) {
-	r := m.row()
+// resolve looks m up in the registry (internal/method) and checks that the
+// models its row declares are trained. An unknown-method error enumerates the
+// registry.
+func (f *Framework) resolve(m Method) (method.Row, error) {
+	r := method.Lookup(string(m))
 	switch {
-	case r.ladder == nil:
+	case r.Name == "":
 		return r, fmt.Errorf("datawa: unknown method %q (methods: %s)", m, MethodList())
-	case r.forecast != nil && f.demand == nil:
+	case r.NeedsDemand() && f.demand == nil:
 		return r, fmt.Errorf("datawa: %s requires TrainDemand first", m)
-	case r.needsValue && f.value == nil:
+	case r.NeedsValue && f.value == nil:
 		return r, fmt.Errorf("datawa: %s requires TrainValue first", m)
 	}
 	return r, nil
@@ -437,28 +388,21 @@ func (f *Framework) HasValueModel() bool { return f.value != nil }
 // uses the TVF-guided search when a value model is trained and the exact
 // DFSearch otherwise.
 func (f *Framework) Assign(workers []*Worker, tasks []*Task, now float64) Plan {
-	return newTVFSearch(f).Plan(workers, tasks, now)
+	return method.Lookup(method.DATAWA).Ladder(f.env())[0].Plan(workers, tasks, now)
 }
 
-// pointForecaster is the DDGNN's thresholded prediction over the trained
-// model; sampledForecast draws K futures from its predictive distribution on
-// top (MethodSSP).
-func (f *Framework) pointForecaster() *predict.Forecaster {
-	return predict.NewForecaster(f.demand, f.seriesConfig(), f.cfg.Window, f.cfg.Threshold, f.cfg.VirtualValidTime)
-}
-func pointForecast(f *Framework) stream.Forecaster { return f.pointForecaster() }
-func sampledForecast(f *Framework) stream.Forecaster {
-	return predict.NewScenarioSampler(f.pointForecaster(), f.cfg.Samples, f.cfg.Seed)
-}
-
-// demandFeed builds the row's stream-time demand source — its forecaster over
-// a feed seeded with the training history, so early stream windows are
-// complete — or nil without one. A feed is one run's state: one per call.
-func (f *Framework) demandFeed(r methodRow) *stream.DemandFeed {
-	if r.forecast == nil {
-		return nil
+// env is what the method registry builds planners and demand feeds from. The
+// forecast series exists once TrainDemand has run: it needs the region.
+func (f *Framework) env() method.Env {
+	e := method.Env{
+		Opts: f.assignOptions(), Value: f.value, Demand: f.demand,
+		Window: f.cfg.Window, Threshold: f.cfg.Threshold, Validity: f.cfg.VirtualValidTime,
+		History: f.history, Samples: f.cfg.Samples, CVaRAlpha: f.cfg.CVaRAlpha, Seed: f.cfg.Seed,
 	}
-	return stream.NewDemandFeed(r.forecast(f), f.history)
+	if f.demand != nil {
+		e.Series = f.seriesConfig()
+	}
+	return e
 }
 
 // Run drives the adaptive streaming algorithm (Algorithm 3) over the full
@@ -470,10 +414,11 @@ func (f *Framework) Run(m Method, workers []*Worker, tasks []*Task, t0, t1 float
 	if err != nil {
 		return Result{}, err
 	}
+	env := f.env()
 	in := stream.Input{Workers: workers, Tasks: tasks, T0: t0, T1: t1}
 	return stream.Run(in, stream.Config{
 		Step: f.cfg.Step, Travel: f.travel,
-		Planner: r.ladder[0](f), Fixed: r.fixed, Demand: f.demandFeed(r),
+		Planner: r.Ladder(env)[0], Fixed: r.Fixed, Demand: r.Demand(env),
 	}), nil
 }
 
@@ -542,6 +487,7 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 	if err != nil {
 		return nil, err
 	}
+	env := f.env()
 	cfg := dispatch.Config{
 		Shards:      dc.Shards,
 		HaloRadius:  dc.HaloRadius,
@@ -553,15 +499,9 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 		Obs:         dc.Obs,
 		Travel:      f.travel,
 		Parallelism: f.cfg.Parallelism,
-		Fixed:       r.fixed,
-		Demand:      f.demandFeed(r),
-		NewLadder: func(int) []assign.Planner {
-			ladder := make([]assign.Planner, len(r.ladder))
-			for i, tier := range r.ladder {
-				ladder[i] = tier(f)
-			}
-			return ladder
-		},
+		Fixed:       r.Fixed,
+		Demand:      r.Demand(env),
+		NewLadder:   func(int) []assign.Planner { return r.Ladder(env) },
 	}
 	if cfg.Step <= 0 {
 		cfg.Step = f.cfg.Step

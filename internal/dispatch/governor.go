@@ -17,6 +17,12 @@ import (
 // epoch's Step ran.
 type CostFunc func(shard int, wall time.Duration, workers, openTasks int) float64
 
+// recoverFraction is the promotion threshold as a fraction of Budget: a
+// demoted shard steps back up only after a full window of epochs with p95
+// cost at or below recoverFraction·Budget. The gap between the demotion
+// threshold (Budget) and the promotion threshold is the hysteresis band.
+const recoverFraction = 0.5
+
 // GovernorConfig parameterizes the SLA epoch governor. The zero value
 // disables it (Budget 0).
 type GovernorConfig struct {
@@ -32,12 +38,6 @@ type GovernorConfig struct {
 	// one shard (default 8) — the hysteresis floor that keeps the ladder
 	// from oscillating on a noisy boundary load.
 	Dwell int
-	// Recover is the promotion threshold as a fraction of Budget (default
-	// 0.5): a demoted shard steps back up only after a full window of
-	// epochs with p95 cost at or below Recover·Budget. The gap between the
-	// demotion threshold (Budget) and the promotion threshold is the
-	// hysteresis band.
-	Recover float64
 	// Cost scores an epoch (default: wall-clock seconds).
 	Cost CostFunc
 }
@@ -48,9 +48,6 @@ func (c GovernorConfig) withDefaults() GovernorConfig {
 	}
 	if c.Dwell <= 0 {
 		c.Dwell = 8
-	}
-	if c.Recover <= 0 || c.Recover >= 1 {
-		c.Recover = 0.5
 	}
 	if c.Cost == nil {
 		c.Cost = func(_ int, wall time.Duration, _, _ int) float64 { return wall.Seconds() }
@@ -69,7 +66,7 @@ func (c GovernorConfig) withDefaults() GovernorConfig {
 // epoch) and never closer than Dwell observations apart. Demotion triggers on
 // any over-budget p95, even of a partial window, so a flash crowd demotes on
 // its first hot epoch; promotion requires a full post-transition window at or
-// below Recover·Budget, so recovery waits out the burst's tail.
+// below recoverFraction·Budget, so recovery waits out the burst's tail.
 type Governor struct {
 	cfg    GovernorConfig
 	tiers  int
@@ -123,7 +120,7 @@ func (g *Governor) Observe(shard int, cost float64) int {
 		if s.tier > g.worst {
 			g.worst = s.tier
 		}
-	case s.tier > 0 && s.n == len(s.ring) && p95 <= g.cfg.Budget*g.cfg.Recover && s.since >= g.cfg.Dwell:
+	case s.tier > 0 && s.n == len(s.ring) && p95 <= g.cfg.Budget*recoverFraction && s.since >= g.cfg.Dwell:
 		s.tier--
 		s.resetWindow()
 		g.promotions++

@@ -26,10 +26,9 @@ func TestGovernorPropertyFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
 		cfg := GovernorConfig{
-			Budget:  1 + 9*rng.Float64(),
-			Window:  1 + rng.Intn(12),
-			Dwell:   1 + rng.Intn(10),
-			Recover: 0.2 + 0.6*rng.Float64(),
+			Budget: 1 + 9*rng.Float64(),
+			Window: 1 + rng.Intn(12),
+			Dwell:  1 + rng.Intn(10),
 		}
 		tiers := 2 + rng.Intn(3)
 		costs := make([]float64, 40+rng.Intn(160))
@@ -37,7 +36,7 @@ func TestGovernorPropertyFuzz(t *testing.T) {
 			// Alternate lulls under the recovery threshold with bursts over
 			// budget so both transition directions are exercised.
 			if rng.Float64() < 0.5 {
-				costs[i] = rng.Float64() * cfg.Budget * cfg.Recover
+				costs[i] = rng.Float64() * cfg.Budget * recoverFraction
 			} else {
 				costs[i] = cfg.Budget * (1 + 3*rng.Float64())
 			}
@@ -114,9 +113,10 @@ func TestGovernorDemotesOnFirstHotEpoch(t *testing.T) {
 
 // TestGovernorPromotionWaitsFullWindow pins the recovery hysteresis: after a
 // demotion, a shard steps back up only once a full window of post-transition
-// epochs sits at or below Recover·Budget — never sooner, however quiet.
+// epochs sits at or below recoverFraction·Budget — never sooner, however
+// quiet.
 func TestGovernorPromotionWaitsFullWindow(t *testing.T) {
-	cfg := GovernorConfig{Budget: 10, Window: 4, Dwell: 2, Recover: 0.5}
+	cfg := GovernorConfig{Budget: 10, Window: 4, Dwell: 2}
 	g := NewGovernor(cfg, 1, 2)
 	if tier := g.Observe(0, 100); tier != 1 {
 		t.Fatalf("tier after burst = %d, want 1", tier)

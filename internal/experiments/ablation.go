@@ -8,9 +8,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The ablation experiments quantify the design decisions called out in
-// DESIGN.md §4: the learned dynamic adjacency, the TVF versus exact search,
-// the RTC tree versus flat component search, and the sequence-length cap.
+// The ablation experiments quantify four design decisions: the learned
+// dynamic adjacency, the TVF versus exact search, the RTC tree versus flat
+// component search, and the sequence-length cap.
 
 func init() {
 	register(Experiment{
@@ -33,10 +33,14 @@ func init() {
 		Title: "Effect of the maximal sequence length cap",
 		Run:   runSeqLenAblation,
 	})
+	register(Experiment{
+		ID:    "ablation-breaks",
+		Title: "Dynamic worker availability windows (unplanned breaks)",
+		Run:   runBreaksAblation,
+	})
 }
 
 func runAdjacencyAblation(s Scale) []*Table {
-	s = s.withDefaults()
 	t := &Table{
 		ID:     "ablation-adjacency",
 		Title:  "Average precision with and without the Demand Dependency Learning module",
@@ -53,76 +57,57 @@ func runAdjacencyAblation(s Scale) []*Table {
 }
 
 func runTVFAblation(s Scale) []*Table {
-	s = s.withDefaults()
 	t := &Table{
 		ID:     "ablation-tvf",
 		Title:  "Backtracking exact search vs value-function search",
 		Header: []string{"dataset", "solver", "assigned", "cpu_per_instant", "nodes_last_plan"},
 	}
-	for _, base := range []workload.Config{workload.Yueche()} {
-		sc := workload.Generate(scaledConfig(base, s))
-		in := stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1}
-		valueFn := trainTVF(sc, nil, s)
+	sc := workload.Generate(scaledConfig(workload.Yueche(), s))
+	valueFn := trainTVF(sc, nil, s)
 
-		exact := &assign.Search{Opts: assignOptions(s)}
-		resExact := stream.Run(in, stream.Config{Planner: exact, Step: s.Step, Travel: travelModel})
-		t.Add(base.Name, "DFSearch", fmt.Sprintf("%d", resExact.Assigned),
-			fmtDuration(resExact.AvgPlanTime), fmt.Sprintf("%d", exact.NodesLastPlan))
+	exact := &assign.Search{Opts: assignOptions(s)}
+	resExact := run(sc, stream.Config{Planner: exact}, s)
+	t.Add("Yueche", "DFSearch", fmt.Sprintf("%d", resExact.Assigned),
+		fmtDuration(resExact.AvgPlanTime), fmt.Sprintf("%d", exact.NodesLastPlan))
 
-		fast := &assign.Search{Opts: assignOptions(s), Model: valueFn}
-		resFast := stream.Run(in, stream.Config{Planner: fast, Step: s.Step, Travel: travelModel})
-		t.Add(base.Name, "DFSearch_TVF", fmt.Sprintf("%d", resFast.Assigned),
-			fmtDuration(resFast.AvgPlanTime), fmt.Sprintf("%d", fast.NodesLastPlan))
-	}
+	fast := &assign.Search{Opts: assignOptions(s), Model: valueFn}
+	resFast := run(sc, stream.Config{Planner: fast}, s)
+	t.Add("Yueche", "DFSearch_TVF", fmt.Sprintf("%d", resFast.Assigned),
+		fmtDuration(resFast.AvgPlanTime), fmt.Sprintf("%d", fast.NodesLastPlan))
 	return []*Table{t}
 }
 
 func runFlatAblation(s Scale) []*Table {
-	s = s.withDefaults()
 	t := &Table{
 		ID:     "ablation-flat",
 		Title:  "Worker dependency separation: tree vs flat",
 		Header: []string{"dataset", "mode", "assigned", "cpu_per_instant"},
 	}
 	sc := workload.Generate(scaledConfig(workload.Yueche(), s))
-	in := stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1}
-
-	tree := &assign.Search{Opts: assignOptions(s)}
-	resTree := stream.Run(in, stream.Config{Planner: tree, Step: s.Step, Travel: travelModel})
+	resTree := run(sc, stream.Config{Planner: &assign.Search{Opts: assignOptions(s)}}, s)
 	t.Add("Yueche", "rtc-tree", fmt.Sprintf("%d", resTree.Assigned), fmtDuration(resTree.AvgPlanTime))
 
 	flatOpts := assignOptions(s)
 	flatOpts.Flat = true
-	flat := &assign.Search{Opts: flatOpts}
-	resFlat := stream.Run(in, stream.Config{Planner: flat, Step: s.Step, Travel: travelModel})
+	resFlat := run(sc, stream.Config{Planner: &assign.Search{Opts: flatOpts}}, s)
 	t.Add("Yueche", "flat", fmt.Sprintf("%d", resFlat.Assigned), fmtDuration(resFlat.AvgPlanTime))
 	return []*Table{t}
 }
 
 func runSeqLenAblation(s Scale) []*Table {
-	s = s.withDefaults()
 	t := &Table{
 		ID:     "ablation-seqlen",
 		Title:  "Maximal valid sequence length cap",
 		Header: []string{"dataset", "max_seq_len", "assigned", "cpu_per_instant"},
 	}
 	sc := workload.Generate(scaledConfig(workload.Yueche(), s))
-	in := stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1}
 	for _, l := range []int{1, 2, 3} {
 		opts := assignOptions(s)
 		opts.WDS.MaxSeqLen = l
-		res := stream.Run(in, stream.Config{Planner: &assign.Search{Opts: opts}, Step: s.Step, Travel: travelModel})
+		res := run(sc, stream.Config{Planner: &assign.Search{Opts: opts}}, s)
 		t.Add("Yueche", fmt.Sprintf("%d", l), fmt.Sprintf("%d", res.Assigned), fmtDuration(res.AvgPlanTime))
 	}
 	return []*Table{t}
-}
-
-func init() {
-	register(Experiment{
-		ID:    "ablation-breaks",
-		Title: "Dynamic worker availability windows (unplanned breaks)",
-		Run:   runBreaksAblation,
-	})
 }
 
 // runBreaksAblation exercises the paper's title feature: worker availability
@@ -130,7 +115,6 @@ func init() {
 // most when windows fragment, since a departing worker strands its locked
 // sequence; adaptive methods re-plan around the gap.
 func runBreaksAblation(s Scale) []*Table {
-	s = s.withDefaults()
 	t := &Table{
 		ID:     "ablation-breaks",
 		Title:  "Effect of availability-window fragmentation",

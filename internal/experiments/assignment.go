@@ -7,16 +7,13 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/geo"
+	"repro/internal/method"
 	"repro/internal/predict"
 	"repro/internal/stream"
 	"repro/internal/tvf"
 	"repro/internal/wds"
 	"repro/internal/workload"
 )
-
-// MethodNames are the five task assignment methods of Section V-B.2, in the
-// paper's plot order.
-var MethodNames = []string{"Greedy", "FTA", "DTA", "DTA+TP", "DATA-WA"}
 
 // scaledConfig scales the workload for the chosen fidelity but lets demand
 // history shrink at most 8× slower than the run window (capped at the full
@@ -56,14 +53,17 @@ type MethodResult struct {
 	Repositions int
 }
 
+// forecastHorizon is the harness's forecasting distance in vectors: the
+// stream needs demand one full interval ahead so workers can travel there
+// before it materializes. The library forecasts the next vector.
+const forecastHorizon = 2
+
 // trainDemandModel fits a DDGNN on the scenario's history hour, the demand
-// model shared by DTA+TP and DATA-WA.
+// model every forecasting method shares.
 func trainDemandModel(sc *workload.Scenario, deltaT float64, s Scale) predict.Predictor {
 	cfg := sc.SeriesConfig(SeriesK, deltaT)
 	series := predict.BuildSeries(cfg, sc.History, 0)
-	// Horizon 2: the stream needs demand one full interval ahead so
-	// workers can travel there before it materializes.
-	windows := series.WindowsAhead(s.Window, s.Stride, 2)
+	windows := series.WindowsAhead(s.Window, 1, forecastHorizon)
 	train, _ := predict.SplitWindows(windows, 1.0) // all history trains
 	model := newPredictor("DDGNN", sc.Grid.Cells(), s, sc.Config.Seed)
 	if err := model.Fit(train); err != nil {
@@ -77,17 +77,20 @@ func trainDemandModel(sc *workload.Scenario, deltaT float64, s Scale) predict.Pr
 // models trained on real Chengdu traces; on the noisier synthetic series
 // our models are under-confident (maximum predicted probability ≈ 0.77), so
 // the harness materializes at 0.5, where empirical precision is ≈ 0.4.
-// EXPERIMENTS.md records this substitution; the library default exported as
-// predict.DefaultThreshold remains the paper's 0.85.
+// docs/PLANNERS.md records this substitution; the library default exported
+// as predict.DefaultThreshold remains the paper's 0.85.
 const materializeThreshold = 0.5
 
-// demandFor wraps a trained model for one stream run: a feed seeded with the
-// history hour, so the series window is complete from t=0.
-func demandFor(sc *workload.Scenario, model predict.Predictor, deltaT float64, s Scale) *stream.DemandFeed {
-	cfg := sc.SeriesConfig(SeriesK, deltaT)
-	f := predict.NewForecaster(model, cfg, s.Window, materializeThreshold, sc.Config.TaskValid)
-	f.Horizon = 2
-	return stream.NewDemandFeed(f, sc.History)
+// methodEnv is the harness's method environment over a trained demand model
+// at series interval deltaT: the demand feed starts from the history hour, so
+// the series window is complete from t=0.
+func methodEnv(sc *workload.Scenario, demand predict.Predictor, deltaT float64, s Scale) method.Env {
+	return method.Env{
+		Opts: assignOptions(s), Demand: demand,
+		Series: sc.SeriesConfig(SeriesK, deltaT), Window: s.Window, Threshold: materializeThreshold,
+		Validity: sc.Config.TaskValid, Horizon: forecastHorizon, History: sc.History,
+		Samples: predict.DefaultSamples, Seed: sc.Config.Seed,
+	}
 }
 
 // trainTVF gathers DFSearch training data (Algorithm 1) by streaming a
@@ -108,53 +111,35 @@ func trainTVF(sc *workload.Scenario, demand *stream.DemandFeed, s Scale) *tvf.Mo
 	return model
 }
 
-// runWithForecaster runs DTA+TP with an arbitrary trained demand model;
-// used by the prediction figures to report panel (b).
-func runWithForecaster(sc *workload.Scenario, model predict.Predictor, deltaT float64, s Scale) int {
-	in := stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1}
-	cfg := stream.Config{
-		Planner: &assign.Search{Opts: assignOptions(s)},
-		Demand:  demandFor(sc, model, deltaT, s),
-		Step:    s.Step,
-		Travel:  travelModel,
-	}
-	return stream.Run(in, cfg).Assigned
+// run streams the whole scenario under cfg at the harness's step and speed.
+func run(sc *workload.Scenario, cfg stream.Config, s Scale) stream.Result {
+	cfg.Step, cfg.Travel = s.Step, travelModel
+	return stream.Run(stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1}, cfg)
 }
 
-// RunMethods executes all five assignment methods on one scenario and
-// returns their results in MethodNames order. The DDGNN demand model and
-// the TVF are trained once and shared where applicable.
+// runRow streams the whole scenario through one registry row's planner.
+func runRow(sc *workload.Scenario, r method.Row, env method.Env, s Scale) stream.Result {
+	return run(sc, stream.Config{Planner: r.Ladder(env)[0], Fixed: r.Fixed, Demand: r.Demand(env)}, s)
+}
+
+// runWithForecaster runs the DTA+TP row on an arbitrary trained demand model;
+// used by the prediction figures to report panel (b).
+func runWithForecaster(sc *workload.Scenario, model predict.Predictor, deltaT float64, s Scale) int {
+	return runRow(sc, method.Lookup(method.DTATP), methodEnv(sc, model, deltaT, s), s).Assigned
+}
+
+// RunMethods executes every registered method on one scenario and returns
+// their results in registry order (method.Rows: the paper's five, then SSP).
+// The DDGNN demand model and the TVF are trained once and shared where
+// applicable; the TVF learns from a DTA+TP-fed stream prefix.
 func RunMethods(sc *workload.Scenario, s Scale) []MethodResult {
-	s = s.withDefaults()
-	in := stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1}
-	opts := assignOptions(s)
-
-	demand := trainDemandModel(sc, DeltaTValues[0], s)
-	valueFn := trainTVF(sc, demandFor(sc, demand, DeltaTValues[0], s), s)
-
-	configs := []struct {
-		name string
-		cfg  stream.Config
-	}{
-		{"Greedy", stream.Config{Planner: &assign.Greedy{Opts: opts}}},
-		{"FTA", stream.Config{Planner: &assign.Search{Opts: opts}, Fixed: true}},
-		{"DTA", stream.Config{Planner: &assign.Search{Opts: opts}}},
-		{"DTA+TP", stream.Config{
-			Planner: &assign.Search{Opts: opts},
-			Demand:  demandFor(sc, demand, DeltaTValues[0], s),
-		}},
-		{"DATA-WA", stream.Config{
-			Planner: &assign.Search{Opts: opts, Model: valueFn},
-			Demand:  demandFor(sc, demand, DeltaTValues[0], s),
-		}},
-	}
-	out := make([]MethodResult, 0, len(configs))
-	for _, c := range configs {
-		c.cfg.Step = s.Step
-		c.cfg.Travel = travelModel
-		res := stream.Run(in, c.cfg)
+	env := methodEnv(sc, trainDemandModel(sc, DeltaTValues[0], s), DeltaTValues[0], s)
+	env.Value = trainTVF(sc, method.Lookup(method.DTATP).Demand(env), s)
+	out := make([]MethodResult, 0, len(method.Rows))
+	for _, r := range method.Rows {
+		res := runRow(sc, r, env, s)
 		out = append(out, MethodResult{
-			Method: c.name, Assigned: res.Assigned,
+			Method: r.Name, Assigned: res.Assigned,
 			AvgCPU: res.AvgPlanTime, Repositions: res.Repositions,
 		})
 	}
@@ -164,23 +149,22 @@ func RunMethods(sc *workload.Scenario, s Scale) []MethodResult {
 // sweepSpec describes one of the Fig. 7–11 parameter sweeps.
 type sweepSpec struct {
 	id, title, param string
-	// values per dataset name; Table III values.
-	values map[string][]float64
+	// values are Table III's, for Yueche then DiDi.
+	values [2][]float64
 	apply  func(workload.Config, float64, Scale) workload.Config
 	// format renders the swept value for the table.
 	format func(float64) string
 }
 
 func runSweep(spec sweepSpec, s Scale) []*Table {
-	s = s.withDefaults()
 	var tables []*Table
-	for _, base := range []workload.Config{workload.Yueche(), workload.DiDi()} {
+	for i, base := range []workload.Config{workload.Yueche(), workload.DiDi()} {
 		t := &Table{
 			ID:     spec.id,
 			Title:  fmt.Sprintf("%s (%s)", spec.title, base.Name),
 			Header: []string{spec.param, "method", "assigned", "cpu_per_instant"},
 		}
-		for _, v := range s.sweep(spec.values[base.Name]) {
+		for _, v := range s.sweep(spec.values[i]) {
 			cfg := spec.apply(scaledConfig(base, s), v, s)
 			sc := workload.Generate(cfg)
 			for _, r := range RunMethods(sc, s) {
@@ -195,13 +179,10 @@ func runSweep(spec sweepSpec, s Scale) []*Table {
 func init() {
 	sweeps := []sweepSpec{
 		{
-			id:    "fig7",
-			title: "Task assignment: effect of |S|",
-			param: "tasks",
-			values: map[string][]float64{
-				"Yueche": {7000, 8000, 9000, 10000, 11000},
-				"DiDi":   {5000, 6000, 7000, 8000, 9000},
-			},
+			id:     "fig7",
+			title:  "Task assignment: effect of |S|",
+			param:  "tasks",
+			values: [2][]float64{{7000, 8000, 9000, 10000, 11000}, {5000, 6000, 7000, 8000, 9000}},
 			apply: func(c workload.Config, v float64, s Scale) workload.Config {
 				c.NumTasks = max(1, int(v*s.Factor))
 				return c
@@ -209,13 +190,10 @@ func init() {
 			format: func(v float64) string { return fmt.Sprintf("%.0f", v) },
 		},
 		{
-			id:    "fig8",
-			title: "Task assignment: effect of |W|",
-			param: "workers",
-			values: map[string][]float64{
-				"Yueche": {200, 300, 400, 500, 600},
-				"DiDi":   {300, 400, 500, 600, 700},
-			},
+			id:     "fig8",
+			title:  "Task assignment: effect of |W|",
+			param:  "workers",
+			values: [2][]float64{{200, 300, 400, 500, 600}, {300, 400, 500, 600, 700}},
 			apply: func(c workload.Config, v float64, s Scale) workload.Config {
 				c.NumWorkers = max(1, int(v*s.Factor))
 				return c
@@ -223,13 +201,10 @@ func init() {
 			format: func(v float64) string { return fmt.Sprintf("%.0f", v) },
 		},
 		{
-			id:    "fig9",
-			title: "Task assignment: effect of reachable distance d",
-			param: "reach_km",
-			values: map[string][]float64{
-				"Yueche": {0.05, 0.1, 0.5, 1.0, 5.0},
-				"DiDi":   {0.05, 0.1, 0.5, 1.0, 5.0},
-			},
+			id:     "fig9",
+			title:  "Task assignment: effect of reachable distance d",
+			param:  "reach_km",
+			values: [2][]float64{{0.05, 0.1, 0.5, 1.0, 5.0}, {0.05, 0.1, 0.5, 1.0, 5.0}},
 			apply: func(c workload.Config, v float64, s Scale) workload.Config {
 				c.WorkerReach = v
 				return c
@@ -237,13 +212,10 @@ func init() {
 			format: func(v float64) string { return fmt.Sprintf("%.2f", v) },
 		},
 		{
-			id:    "fig10",
-			title: "Task assignment: effect of available time off-on",
-			param: "avail_h",
-			values: map[string][]float64{
-				"Yueche": {0.25, 0.5, 0.75, 1.0, 1.25},
-				"DiDi":   {0.25, 0.5, 0.75, 1.0, 1.25},
-			},
+			id:     "fig10",
+			title:  "Task assignment: effect of available time off-on",
+			param:  "avail_h",
+			values: [2][]float64{{0.25, 0.5, 0.75, 1.0, 1.25}, {0.25, 0.5, 0.75, 1.0, 1.25}},
 			apply: func(c workload.Config, v float64, s Scale) workload.Config {
 				c.WorkerAvail = v * 3600 * s.Factor
 				return c
@@ -251,13 +223,10 @@ func init() {
 			format: func(v float64) string { return fmt.Sprintf("%.2f", v) },
 		},
 		{
-			id:    "fig11",
-			title: "Task assignment: effect of valid time e-p",
-			param: "valid_s",
-			values: map[string][]float64{
-				"Yueche": {10, 20, 30, 40, 50},
-				"DiDi":   {10, 20, 30, 40, 50},
-			},
+			id:     "fig11",
+			title:  "Task assignment: effect of valid time e-p",
+			param:  "valid_s",
+			values: [2][]float64{{10, 20, 30, 40, 50}, {10, 20, 30, 40, 50}},
 			apply: func(c workload.Config, v float64, s Scale) workload.Config {
 				c.TaskValid = v
 				return c
@@ -266,7 +235,6 @@ func init() {
 		},
 	}
 	for _, spec := range sweeps {
-		spec := spec
 		register(Experiment{
 			ID:    spec.id,
 			Title: spec.title,

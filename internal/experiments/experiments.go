@@ -1,13 +1,15 @@
 // Package experiments regenerates every table and figure of the DATA-WA
 // paper's evaluation (Section V) on the synthetic Yueche- and DiDi-like
-// workloads. Each experiment is registered under the id used in DESIGN.md
-// (table2, fig5 … fig11, ablation-*) and produces a Table whose rows mirror
-// the series the paper plots.
+// workloads. Each experiment is registered under an id (table2, fig5 …
+// fig11, ablation-*) and produces a Table whose rows mirror the series the
+// paper plots. Figs. 7–11 run every method of the registry in
+// internal/method; where the harness departs from the library's settings is
+// listed in docs/PLANNERS.md ("The experiment harness").
 //
-// Absolute wall-clock numbers depend on the host; the paper-versus-measured
-// comparison in EXPERIMENTS.md is about shapes: who wins, monotonicity, and
-// crossovers. The Scale parameter trades fidelity for runtime so the whole
-// suite also runs inside `go test -bench`.
+// Absolute wall-clock numbers depend on the host; the comparison with the
+// paper is about shapes: who wins, monotonicity, and crossovers. The Scale
+// parameter trades fidelity for runtime so the whole suite also runs inside
+// `go test -bench`.
 package experiments
 
 import (
@@ -17,9 +19,10 @@ import (
 	"time"
 )
 
-// Scale controls experiment fidelity. All experiments accept any Scale; the
-// three presets below are the ones used by tests (Quick), the CLI default
-// (Standard), and full paper-scale runs (Full).
+// Scale controls experiment fidelity. Start from one of the three presets
+// below — tests (Quick), the CLI default (Standard), full paper-scale runs
+// (Full) — and adjust SweepPoints or Parallelism: every other field must be
+// positive.
 type Scale struct {
 	// Factor scales workload cardinalities and durations (0 < f ≤ 1).
 	Factor float64
@@ -29,12 +32,8 @@ type Scale struct {
 	Epochs int
 	// Window is the history length (vectors) fed to predictors.
 	Window int
-	// Stride subsamples training windows.
-	Stride int
 	// TVFEpochs trains the task value function.
 	TVFEpochs int
-	// TVFInstants is the number of planning instants sampled for TVF data.
-	TVFInstants int
 	// MaxNodes caps exact search effort per planning call.
 	MaxNodes int
 	// SweepPoints limits how many values of each swept parameter run
@@ -48,48 +47,20 @@ type Scale struct {
 
 // Quick is the test/bench preset: every experiment finishes in seconds.
 var Quick = Scale{
-	Factor: 0.04, Step: 2, Epochs: 4, Window: 6, Stride: 1,
-	TVFEpochs: 10, TVFInstants: 4, MaxNodes: 3000, SweepPoints: 2,
+	Factor: 0.04, Step: 2, Epochs: 4, Window: 6,
+	TVFEpochs: 10, MaxNodes: 3000, SweepPoints: 2,
 }
 
 // Standard is the CLI default: minutes per figure, clear separation.
 var Standard = Scale{
-	Factor: 0.15, Step: 2, Epochs: 12, Window: 8, Stride: 1,
-	TVFEpochs: 25, TVFInstants: 8, MaxNodes: 8000, SweepPoints: 0,
+	Factor: 0.15, Step: 2, Epochs: 12, Window: 8,
+	TVFEpochs: 25, MaxNodes: 8000, SweepPoints: 0,
 }
 
 // Full approximates paper scale; expect hours for the full suite.
 var Full = Scale{
-	Factor: 1, Step: 1, Epochs: 25, Window: 10, Stride: 1,
-	TVFEpochs: 40, TVFInstants: 12, MaxNodes: 20000, SweepPoints: 0,
-}
-
-func (s Scale) withDefaults() Scale {
-	if s.Factor <= 0 {
-		s.Factor = Quick.Factor
-	}
-	if s.Step <= 0 {
-		s.Step = 2
-	}
-	if s.Epochs <= 0 {
-		s.Epochs = 4
-	}
-	if s.Window <= 0 {
-		s.Window = 6
-	}
-	if s.Stride <= 0 {
-		s.Stride = 1
-	}
-	if s.TVFEpochs <= 0 {
-		s.TVFEpochs = 10
-	}
-	if s.TVFInstants <= 0 {
-		s.TVFInstants = 4
-	}
-	if s.MaxNodes <= 0 {
-		s.MaxNodes = 3000
-	}
-	return s
+	Factor: 1, Step: 1, Epochs: 25, Window: 10,
+	TVFEpochs: 40, MaxNodes: 20000, SweepPoints: 0,
 }
 
 // sweep trims a parameter-value list to the configured number of points,

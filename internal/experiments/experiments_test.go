@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
+	datawa "repro"
+	"repro/internal/method"
 	"repro/internal/workload"
 )
 
@@ -71,14 +75,26 @@ func TestAssignmentSweepShapes(t *testing.T) {
 		t.Fatalf("fig9 produced %d tables, want one per dataset", len(tables))
 	}
 	for _, tab := range tables {
-		// One sweep point × five methods.
-		if len(tab.Rows) != len(MethodNames) {
-			t.Fatalf("%s: %d rows", tab.Title, len(tab.Rows))
-		}
+		// One sweep point × every registered method.
+		got := make([]string, len(tab.Rows))
 		for i, row := range tab.Rows {
-			if row[1] != MethodNames[i] {
-				t.Errorf("row %d method = %s, want %s", i, row[1], MethodNames[i])
-			}
+			got[i] = row[1]
+		}
+		checkLibraryOrder(t, tab.Title, got)
+	}
+}
+
+// checkLibraryOrder fails unless methods lists the library's methods, in
+// datawa.Methods() order: the figures and the library read one registry.
+func checkLibraryOrder(t *testing.T, what string, methods []string) {
+	t.Helper()
+	want := datawa.Methods()
+	if len(methods) != len(want) {
+		t.Fatalf("%s: %d methods %v, the library has %d %v", what, len(methods), methods, len(want), want)
+	}
+	for i, m := range methods {
+		if m != string(want[i]) {
+			t.Errorf("%s: method %d is %s, the library's is %s", what, i, m, want[i])
 		}
 	}
 }
@@ -105,13 +121,12 @@ func TestRunMethodsOrderAndSanity(t *testing.T) {
 	s := tiny()
 	sc := workload.Generate(scaledConfig(workload.Yueche(), s))
 	results := RunMethods(sc, s)
-	if len(results) != 5 {
-		t.Fatalf("RunMethods returned %d results", len(results))
-	}
+	names := make([]string, len(results))
 	for i, r := range results {
-		if r.Method != MethodNames[i] {
-			t.Errorf("result %d is %s, want %s", i, r.Method, MethodNames[i])
-		}
+		names[i] = r.Method
+	}
+	checkLibraryOrder(t, "RunMethods", names)
+	for _, r := range results {
 		if r.Assigned < 0 || r.Assigned > len(sc.Tasks) {
 			t.Errorf("%s assigned %d of %d tasks", r.Method, r.Assigned, len(sc.Tasks))
 		}
@@ -121,6 +136,33 @@ func TestRunMethodsOrderAndSanity(t *testing.T) {
 		if results[0].AvgCPU > r.AvgCPU {
 			t.Logf("note: Greedy CPU %v above %s CPU %v (tiny scale noise)", results[0].AvgCPU, r.Method, r.AvgCPU)
 		}
+	}
+}
+
+// TestRunMethodsPinned hashes (dataset, method, assigned, repositions) of
+// RunMethods on tiny Yueche and DiDi scenarios. paperFive covers the paper's
+// five methods and was recorded before they came from the method registry;
+// all covers every row, SSP included.
+func TestRunMethodsPinned(t *testing.T) {
+	const paperFive, all = 0xa376b39f9a327e99, 0x62a7b2976a20b69b
+	s := tiny()
+	paper, every := fnv.New64a(), fnv.New64a()
+	for _, base := range []workload.Config{workload.Yueche(), workload.DiDi()} {
+		sc := workload.Generate(scaledConfig(base, s))
+		for _, r := range RunMethods(sc, s) {
+			line := fmt.Sprintf("%s|%s|%d|%d\n", base.Name, r.Method, r.Assigned, r.Repositions)
+			t.Log(strings.TrimSpace(line))
+			if r.Method != method.SSP {
+				paper.Write([]byte(line))
+			}
+			every.Write([]byte(line))
+		}
+	}
+	if got := paper.Sum64(); got != paperFive {
+		t.Errorf("paper's five methods hash %#x, pinned %#x", got, uint64(paperFive))
+	}
+	if got := every.Sum64(); got != all {
+		t.Errorf("all methods hash %#x, pinned %#x", got, uint64(all))
 	}
 }
 

@@ -40,7 +40,7 @@ var PredictorNames = []string{"LSTM", "Graph-WaveNet", "DDGNN"}
 func trainEval(name string, sc *workload.Scenario, deltaT float64, s Scale, seed int64) (predict.EvalResult, predict.Predictor) {
 	cfg := sc.SeriesConfig(SeriesK, deltaT)
 	series := predict.BuildSeries(cfg, sc.History, 0)
-	windows := series.Windows(s.Window, s.Stride)
+	windows := series.Windows(s.Window, 1)
 	train, test := predict.SplitWindows(windows, 0.8)
 	model := newPredictor(name, sc.Grid.Cells(), s, seed)
 	res, err := predict.Evaluate(model, train, test)
@@ -54,7 +54,6 @@ func trainEval(name string, sc *workload.Scenario, deltaT float64, s Scale, seed
 // Fig. 6 (DiDi): AP, #assigned with each predictor feeding DTA+TP, training
 // time, and testing time, for every ΔT.
 func runPredictionFigure(id string, base workload.Config, s Scale) []*Table {
-	s = s.withDefaults()
 	sc := workload.Generate(scaledConfig(base, s))
 
 	quality := &Table{
@@ -101,7 +100,7 @@ func init() {
 				Header: []string{"dataset", "workers", "tasks", "history_tasks", "window_s", "region_km"},
 			}
 			for _, cfg := range []workload.Config{workload.Yueche(), workload.DiDi()} {
-				scn := workload.Generate(cfg.Scaled(s.withDefaults().Factor))
+				scn := workload.Generate(cfg.Scaled(s.Factor))
 				t.Add(cfg.Name,
 					fmt.Sprintf("%d", len(scn.Workers)),
 					fmt.Sprintf("%d", len(scn.Tasks)),
