@@ -205,13 +205,20 @@ type Search struct {
 	// goroutine, everything else stays on the driving goroutine).
 	sep  wds.Separator
 	runs []searchRun
+	// job is searchJob bound to jobOf, made once: a method value handed to par
+	// escapes, so each one made is an allocation. A copied Search, whose jobOf
+	// is not itself, binds its own.
+	job   func(g, i int)
+	jobOf *Search
 	// One entry per distinct dependency component of the call, in the order
 	// they were met: every tree of a one-scenario call, and of a call planning
 	// several scenarios (plan) each tree once, however many of them hold it.
-	// head chains the entries by smallest member, trees counts the trees of
-	// all scenarios' forests, forest names the current scenario's by entry, and
-	// plans holds the scenarios' plans until the caller takes them.
+	// results[fresh:] are the current scenario's new trees, head chains the
+	// entries by smallest member, trees counts the trees of all scenarios'
+	// forests, forest names the current scenario's by entry, and plans holds
+	// the scenarios' plans until the caller takes them.
 	results []treeResult
+	fresh   int
 	head    []int32
 	trees   int
 	forest  []int32
@@ -234,10 +241,10 @@ type Search struct {
 // goroutine of its own. Searching small trees costs 0.1–0.3 µs a sequence with
 // the transposition table (294 trees holding 8,340: 0.95 ms, 0.61 ms split in
 // two) and more without, so a grain is upwards of 0.1 ms, a few of a
-// goroutine's ≈ 30–40 µs wake-ups. paper-yueche's median instant — 192
-// one-worker trees holding 6 sequences, 13 µs — is two orders of magnitude
-// below it, and its largest holds 1,509 (docs/BENCHMARKS.md, "Fan-out
-// grains").
+// goroutine's ≈ 30–40 µs wake-ups. paper-yueche's median instant — 6
+// sequences, in the trees of the 3 of its 211 workers on shift that reach a
+// task — is two orders of magnitude below it, and its largest holds 1,509
+// (docs/BENCHMARKS.md, "Fan-out grains").
 const searchGrain = 1024
 
 // treeResult is one distinct dependency component of a call and the outcome of
@@ -353,14 +360,17 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 		for len(s.runs) < fan {
 			s.runs = append(s.runs, searchRun{})
 		}
-		par.DoWorker(len(fresh), fan, func(g, i int) {
+		for g := range s.runs[:fan] {
 			run := &s.runs[g]
 			run.opts, run.sep, run.now = o, sep, now
 			run.model, run.collect = s.Model, s.Collect
 			run.reachOff, run.reachLocal = s.reachOff, s.reachLocal
-			run.searchTree(&fresh[i], s.taskFlat[s.taskOff[i]:s.taskOff[i+1]])
-			fresh[i].g = g
-		})
+		}
+		if s.jobOf != s {
+			s.job, s.jobOf = s.searchJob, s
+		}
+		s.fresh = from
+		par.DoWorker(len(fresh), fan, s.job)
 		for i := range fresh {
 			s.ExpandedLastPlan += fresh[i].expanded
 		}
@@ -407,6 +417,16 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			s.Samples = append(s.Samples, samples...)
 		}
 	}
+}
+
+// searchJob is the forest fan-out's body: the i-th new tree of the current
+// scenario, searched by goroutine g's run, which plan has pointed at the
+// scenario. It is a method, and the scenario's first new tree a field, so that
+// handing the loop to par costs no closure over the instant.
+func (s *Search) searchJob(g, i int) {
+	res := &s.results[s.fresh+i]
+	s.runs[g].searchTree(res, s.taskFlat[s.taskOff[i]:s.taskOff[i+1]])
+	res.g = g
 }
 
 // find returns the entry of the component that comp, a component of sep, is

@@ -1,12 +1,16 @@
 package assign
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/par"
+	"repro/internal/scenario"
 	"repro/internal/tvf"
 	"repro/internal/wds"
 )
@@ -487,6 +491,115 @@ func TestParallelPlanRace(t *testing.T) {
 		plan := s.Plan(ws, ts, float64(call))
 		fannedOut(t, s, ws, ts, float64(call), 8)
 		planIsValid(t, plan, float64(call))
+	}
+}
+
+// withIdle returns the instant's workers with an idle worker — one that reaches
+// no task — before every third of them, and how many it added: a copy of that
+// worker under a new id, either off shift or on shift and moved out of reach of
+// every task, alternately.
+func withIdle(in instant) ([]*core.Worker, int) {
+	id := 0
+	for _, w := range in.workers {
+		id = max(id, w.ID)
+	}
+	var workers []*core.Worker
+	idle := 0
+	for i, w := range in.workers {
+		if i%3 == 0 {
+			c := *w
+			id++
+			c.ID = id
+			if idle%2 == 0 {
+				c.On = in.now + 1
+			} else {
+				c.Loc.X += 1e4
+			}
+			workers = append(workers, &c)
+			idle++
+		}
+		workers = append(workers, w)
+	}
+	return workers, idle
+}
+
+// TestIdleWorkersInvisibleAcrossParallelism: a worker that reaches no task has
+// nothing to plan and shares nothing, so it costs nothing either. Planning an
+// instant with idle workers among its own returns the plan, the RL samples and
+// every counter of planning it without them — the exact search on memo trees
+// and on the plain walk, the flat ablation, the value-guided search, sample
+// collection and SSP's shared scenario pass — serial and at whatever the CPUs
+// give.
+func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
+	a, _ := scenario.Get("rush-hour")
+	model := tvf.NewModel(16, 7)
+	for _, in := range atlasInstantsOf(a, 1) {
+		crowd := strings.HasSuffix(in.name, "/crowd")
+		padded, idle := withIdle(in)
+		sspIn := tagEveryThird(in, 5, 3)
+		for _, p := range []int{1, 0} {
+			o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: p}
+			flat := o
+			flat.Flat = true
+			for _, c := range []struct {
+				name string
+				s    func() *Search
+			}{
+				{"exact", func() *Search { return &Search{Opts: o} }},
+				{"flat", func() *Search { return &Search{Opts: flat} }},
+				{"tvf", func() *Search { return &Search{Opts: o, Model: model} }},
+				{"collect", func() *Search { return &Search{Opts: o, Collect: true} }},
+			} {
+				t.Run(fmt.Sprintf("%s/%s/par=%d", in.name, c.name, p), func(t *testing.T) {
+					want, got := c.s(), c.s()
+					wantPlan := want.Plan(in.workers, in.tasks, in.now)
+					samePlans(t, wantPlan, got.Plan(padded, in.tasks, in.now))
+					counts := func(s *Search) [6]int {
+						return [6]int{s.NodesLastPlan, s.ExpandedLastPlan, s.GreedyCompletionsLastPlan,
+							s.BudgetBoundTreesLastPlan, s.trees, len(s.results)}
+					}
+					if counts(got) != counts(want) {
+						t.Fatalf("%d idle workers: nodes/expanded/greedy/bound/trees/distinct %v, without them %v", idle, counts(got), counts(want))
+					}
+					if !slices.Equal(got.Samples, want.Samples) || want.Collect && len(want.Samples) == 0 {
+						t.Fatalf("%d samples, without the idle workers %d", len(got.Samples), len(want.Samples))
+					}
+					if len(wantPlan) == 0 {
+						t.Fatal("nothing was assigned")
+					}
+					if c.name != "exact" || !crowd {
+						return
+					}
+					// The crowd's exact search runs both bodies: the word path on
+					// the trees the table takes, the plain walk on the others.
+					memo, plain := 0, 0
+					for i := range got.results {
+						if got.results[i].root.Size() >= memoMinWorkers && got.taskOff[i+1]-got.taskOff[i] <= 64 {
+							memo++
+						} else {
+							plain++
+						}
+					}
+					if memo == 0 || plain == 0 {
+						t.Fatalf("%d memo trees, %d on the plain walk", memo, plain)
+					}
+				})
+			}
+			t.Run(fmt.Sprintf("%s/ssp/par=%d", in.name, p), func(t *testing.T) {
+				want, got := &SSP{Opts: o, Samples: 5}, &SSP{Opts: o, Samples: 5}
+				samePlans(t, want.Plan(sspIn.workers, sspIn.tasks, in.now), got.Plan(padded, sspIn.tasks, in.now))
+				counts := func(p *SSP) [6]int {
+					return [6]int{p.NodesLastPlan, p.ExpandedLastPlan, p.GreedyCompletionsLastPlan,
+						p.BudgetBoundTreesLastPlan, p.TreesLastPlan, p.DistinctTreesLastPlan}
+				}
+				if counts(got) != counts(want) {
+					t.Fatalf("%d idle workers: nodes/expanded/greedy/bound/trees/distinct %v, without them %v", idle, counts(got), counts(want))
+				}
+				if want.DistinctTreesLastPlan >= want.TreesLastPlan {
+					t.Fatalf("%d distinct trees of %d: the scenarios share nothing", want.DistinctTreesLastPlan, want.TreesLastPlan)
+				}
+			})
+		}
 	}
 }
 

@@ -178,6 +178,48 @@ func BenchmarkSSPPlan(b *testing.B) {
 	b.ReportMetric(float64(p.DistinctTreesLastPlan), "distinct-trees")
 }
 
+// idleInstant has the shape of paper-yueche's median instant (docs/BENCHMARKS.md,
+// "Fan-out grains"): 200 workers on shift, of which 3 reach a task and hold a
+// handful of sequences between them. The 60 tasks are scattered over one
+// corner of the region, a reaching worker stands beside one of them, and the
+// other 197 workers are elsewhere.
+func idleInstant() ([]*core.Worker, []*core.Task) {
+	r := rand.New(rand.NewSource(31))
+	var ts []*core.Task
+	for i := 0; i < 60; i++ {
+		ts = append(ts, &core.Task{
+			ID: i + 1, Loc: geo.Point{X: r.Float64() * 6, Y: r.Float64() * 6},
+			Pub: 0, Exp: 600, Cell: -1,
+		})
+	}
+	var ws []*core.Worker
+	for i := 0; i < 200; i++ {
+		loc := geo.Point{X: 8 + r.Float64()*22, Y: r.Float64() * 30}
+		if i%67 == 0 {
+			loc = ts[i/67*20].Loc
+			loc.X += 0.05
+		}
+		ws = append(ws, &core.Worker{ID: i + 1, Loc: loc, Reach: 0.3, On: 0, Off: 1e5})
+	}
+	return ws, ts
+}
+
+// BenchmarkPlanIdle measures one warm DFSearch_TVF call, the planner of
+// paper-yueche, on idleInstant: a plan whose cost is the reachable-set query
+// of every worker on shift and the trees of the three that reach a task.
+func BenchmarkPlanIdle(b *testing.B) {
+	ws, ts := idleInstant()
+	s := &Search{Opts: benchOpts(), Model: tvf.NewModel(16, 17)}
+	s.Plan(ws, ts, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Plan(ws, ts, 0)
+	}
+	b.ReportMetric(float64(s.trees), "trees")
+	b.ReportMetric(float64(s.NodesLastPlan), "nodes")
+}
+
 // benchScan measures one warm Plan call of a sequential planner on the crowd
 // instant of the courier-grid archetype at 20x, the density churn-greedy
 // replays: one index build, then per worker a disc query, the nearest

@@ -528,7 +528,9 @@ func (b *bestPick) offer(t float64) {
 
 // Separation is the full Worker Dependency Separation state for one
 // planning instant: per-worker reachable sets and candidate sequences, the
-// dependency graph, and the RTC forest (one tree per connected component).
+// dependency graph, and the RTC forest — one tree per connected component of
+// the workers that reach a task. A worker whose RS_w is empty (off shift, or
+// with every task out of reach) has nothing to plan and is in no tree.
 //
 // Everything is addressed by dense index: Sets and the graph's vertices by
 // position in Workers, reachable tasks by position in Tasks, a sequence's
@@ -547,7 +549,9 @@ type Separation struct {
 	// Graph has Workers' positions for vertices. A Separator has one graph:
 	// among siblings it belongs to the one Components ran on last, and is nil
 	// in the others.
-	Graph  *graphutil.Graph
+	Graph *graphutil.Graph
+	// Forest holds one RTC tree per connected component of the workers that
+	// reach a task, ordered by smallest member.
 	Forest []*TreeNode
 	// Sequences is Σ|Q_w| over Sets: the candidate sequences a search of the
 	// forest has to consider, and so the measure of its work.
@@ -647,7 +651,8 @@ func (n *TreeNode) Depth() int {
 // Separate runs the complete WDS pipeline for the given workers and tasks
 // at time now: reachable sets, maximal valid sequences, worker dependency
 // graph (workers are dependent iff they share a reachable task, Section
-// IV-A.2), MCS clique partition and RTC tree construction (IV-A.3/IV-A.4).
+// IV-A.2), MCS clique partition and RTC tree construction (IV-A.3/IV-A.4),
+// one tree per connected component of the workers that reach a task.
 //
 // Reachability is answered through a spatial grid index over the task pool
 // (cell size derived from the largest worker reach; see internal/spatial)
@@ -669,9 +674,11 @@ func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options
 // The pipeline is three stages, and Separate their composition for one
 // scenario: Scenarios (reachable sets and sequences, for every sampled
 // scenario of the pool at once), Components (one scenario's dependency graph
-// and its connected components) and Tree (one component's RTC tree). A caller
-// planning several scenarios runs the second and third per scenario and
-// builds a tree only for a component it has not met in an earlier one.
+// and the connected components of the workers that reach a task in it) and
+// Tree (one component's RTC tree). A caller planning several scenarios runs
+// the second and third per scenario and builds a tree only for a component it
+// has not met in an earlier one. A worker reaching no task costs its reach
+// query and nothing more: no component, no tree.
 //
 // Everything returned is owned by the Separator and valid until its next
 // Scenarios or Separate call — the Separations, the WorkerSets the siblings
@@ -688,10 +695,13 @@ type Separator struct {
 	bound *Separation
 	// The instant being separated, for the fanned-out loops: time, options
 	// with defaults applied, and the workers the loop at hand runs over — on
-	// shift, then reaching anything — as positions in the pool.
+	// shift, then reaching a task in some scenario — as positions in the pool.
 	now float64
 	o   Options
 	on  []int32
+	// The workers reaching a task in the scenario Components ran on last,
+	// ascending: the graph's vertices that are in a component.
+	reaching []int32
 	// The reachable relation inverted by counting sort: the workers reaching
 	// pool task t are byTask[taskOff[t]:taskOff[t+1]], ascending.
 	taskOff []int32
@@ -772,31 +782,43 @@ func (sp *Separator) Scenarios(workers []*core.Worker, tasks []*core.Task, now f
 }
 
 // Components is the second stage: it builds sep's dependency graph from its
-// Sets and returns the graph's connected components in graphutil.Components'
-// format — each ascending, ordered by smallest vertex — as flat storage:
-// component i is flat[offs[i]:offs[i+1]]. The graph, the lists and the binding
-// Tree builds from last until the next Components call.
+// Sets and returns the connected components of the workers that reach a task
+// in sep, in graphutil.Components' format — each ascending, ordered by
+// smallest vertex — as flat storage: component i is flat[offs[i]:offs[i+1]].
+// A worker whose RS_w is empty shares no task, has no sequence and so nothing
+// to plan: it is a vertex of the graph, without edges, and in no component.
+// The graph, the lists and the binding Tree builds from last until the next
+// Components call. sep must be one of the last Scenarios call's Separations.
 func (sp *Separator) Components(sep *Separation) (flat []int, offs []int32) {
 	// Invert the reachable relation task → workers by a counting sort over
 	// pool positions, then connect the workers sharing each task. This is
 	// O(|T| + Σ|RS| + edges) instead of the paper's O(|W|²·|RS|) pairwise scan.
+	// Only the workers reaching a task in some scenario (workerSets' list) can
+	// reach one in sep.
 	tasks := len(sep.Tasks)
 	off := slices.Grow(sp.taskOff[:0], tasks+1)[:tasks+1]
 	clear(off)
 	sep.Sequences = 0
-	for i := range sep.Sets {
-		sep.Sequences += len(sep.Sets[i].Seqs)
-		for _, t := range sep.Sets[i].Index {
+	reaching := sp.reaching[:0]
+	for _, i := range sp.on {
+		ws := &sep.Sets[i]
+		if len(ws.Index) == 0 {
+			continue
+		}
+		reaching = append(reaching, i)
+		sep.Sequences += len(ws.Seqs)
+		for _, t := range ws.Index {
 			off[t+1]++
 		}
 	}
+	sp.reaching = reaching
 	for t := 0; t < tasks; t++ {
 		off[t+1] += off[t]
 	}
 	byTask := slices.Grow(sp.byTask[:0], int(off[tasks]))[:off[tasks]]
-	for i := range sep.Sets {
+	for _, i := range reaching {
 		for _, t := range sep.Sets[i].Index {
-			byTask[off[t]] = int32(i)
+			byTask[off[t]] = i
 			off[t]++
 		}
 	}
@@ -820,7 +842,7 @@ func (sp *Separator) Components(sep *Separation) (flat []int, offs []int32) {
 		start = off[t]
 	}
 	sp.b.bind(sep.Graph)
-	return sp.b.components()
+	return sp.b.components(reaching)
 }
 
 // Tree is the third stage: the RTC tree of one connected component of the
@@ -866,6 +888,7 @@ func (sp *Separator) workerSets() {
 			work += mine
 		}
 	}
+	sp.on = sp.on[:reaching]
 	par.DoWorker(reaching, sp.scratchFor(work, sequenceGrain), sp.sequenceJob)
 }
 
@@ -1057,21 +1080,21 @@ func (b *treeBuilder) newNode(workers []*core.Worker, clique ...int) *TreeNode {
 	return &b.nodes[len(b.nodes)-1]
 }
 
-// components returns the connected components of the bound graph in
+// components returns the connected components of the bound graph that hold
+// the given ascending vertices — a set no edge leaves — in
 // graphutil.Components' format — each ascending, ordered by smallest vertex —
 // materialized into builder-owned flat storage: component i is
 // flat[offs[i]:offs[i+1]]. The storage is valid until the next call and
 // is not touched by build (nested residual components allocate their own).
-func (b *treeBuilder) components() (flat []int, offs []int32) {
+func (b *treeBuilder) components(seeds []int32) (flat []int, offs []int32) {
 	b.compFlat = b.compFlat[:0]
 	b.compOffs = append(b.compOffs[:0], 0)
-	n := b.g.N()
-	for s := 0; s < n; s++ {
+	for _, s := range seeds {
 		if b.seen[s] {
 			continue
 		}
 		start := len(b.compFlat)
-		b.queue = append(b.queue[:0], int32(s))
+		b.queue = append(b.queue[:0], s)
 		b.seen[s] = true
 		for head := 0; head < len(b.queue); head++ {
 			v := b.queue[head]
@@ -1086,7 +1109,8 @@ func (b *treeBuilder) components() (flat []int, offs []int32) {
 		slices.Sort(b.compFlat[start:])
 		b.compOffs = append(b.compOffs, int32(len(b.compFlat)))
 	}
-	// Every vertex was visited; release the seen flags for build's probes.
+	// Every vertex visited is in a component; release the seen flags for
+	// build's probes.
 	for _, v := range b.compFlat {
 		b.seen[v] = false
 	}

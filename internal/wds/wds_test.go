@@ -231,6 +231,9 @@ func TestSeparateIndependentClusters(t *testing.T) {
 	}
 }
 
+// TestSeparateTreeCoversAllWorkersOnce: every worker that reaches a task is in
+// exactly one tree of the forest, and no other worker is in any — neither one
+// off shift nor one on shift with every task out of its reach.
 func TestSeparateTreeCoversAllWorkersOnce(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
@@ -238,6 +241,7 @@ func TestSeparateTreeCoversAllWorkersOnce(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			workers = append(workers, worker(i, r.Float64()*3, r.Float64()*3, 0.8, 0, 1e5))
 		}
+		workers = append(workers, worker(12, 1.5, 1.5, 0.8, 0, -1), worker(13, 40, 40, 0.8, 0, 1e5))
 		var tasks []*core.Task
 		for i := 0; i < 25; i++ {
 			tasks = append(tasks, task(i, r.Float64()*3, r.Float64()*3, 0, 1e5))
@@ -249,13 +253,19 @@ func TestSeparateTreeCoversAllWorkersOnce(t *testing.T) {
 				seen[w.ID]++
 			}
 		}
-		if len(seen) != len(workers) {
-			t.Fatalf("tree covers %d of %d workers", len(seen), len(workers))
-		}
-		for id, n := range seen {
-			if n != 1 {
-				t.Fatalf("worker %d appears %d times", id, n)
+		reaching := 0
+		for i, w := range workers {
+			want := 0
+			if len(sep.Sets[i].Reach) > 0 {
+				want = 1
+				reaching++
 			}
+			if seen[w.ID] != want {
+				t.Fatalf("worker %d reaches %d tasks and appears %d times", w.ID, len(sep.Sets[i].Reach), seen[w.ID])
+			}
+		}
+		if reaching < 2 || reaching > len(workers)-2 {
+			t.Fatalf("%d of %d workers reach a task", reaching, len(workers))
 		}
 	}
 }
@@ -574,20 +584,21 @@ func TestSeparateParallelMatchesSerial(t *testing.T) {
 
 // TestSeparateEmptyWork covers the loops with nothing to do — nobody on
 // shift, nobody reaching anything — at a fan-out setting: the count resolves
-// to one goroutine, never zero, and no scratch is indexed past it.
+// to one goroutine, never zero, and no scratch is indexed past it. With
+// nothing to reach, nobody is in a tree: the forest is empty.
 func TestSeparateEmptyWork(t *testing.T) {
 	ws, ts := randomInstance(5, 20, 40, 4)
 	o := opts
 	o.Parallelism = 4
 	var sp Separator
-	if sep := sp.Separate(ws, nil, 0, o); sep.Sequences != 0 || len(sep.Forest) != len(ws) {
-		t.Fatalf("no tasks: %d sequences, %d trees", sep.Sequences, len(sep.Forest))
+	if sep := sp.Separate(ws, nil, 0, o); sep.Sequences != 0 || len(sep.Forest) != 0 || sep.Graph.N() != len(ws) {
+		t.Fatalf("no tasks: %d sequences, %d trees, %d vertices", sep.Sequences, len(sep.Forest), sep.Graph.N())
 	}
 	for _, w := range ws {
 		w.Off = -1
 	}
-	if sep := sp.Separate(ws, ts, 0, o); sep.Sequences != 0 {
-		t.Fatalf("nobody on shift: %d sequences", sep.Sequences)
+	if sep := sp.Separate(ws, ts, 0, o); sep.Sequences != 0 || len(sep.Forest) != 0 {
+		t.Fatalf("nobody on shift: %d sequences, %d trees", sep.Sequences, len(sep.Forest))
 	}
 	if sep := sp.Separate(nil, ts, 0, o); sep.Sequences != 0 || len(sep.Forest) != 0 {
 		t.Fatalf("no workers: %d sequences, %d trees", sep.Sequences, len(sep.Forest))
