@@ -9,8 +9,9 @@
 // The package is a façade over the building blocks in internal/: callers
 // construct a Framework, optionally train its demand and value models, and
 // then either plan a single assignment instant (Plan) or drive a full
-// worker/task stream (Run) with any of the five methods evaluated in the
-// paper: Greedy, FTA, DTA, DTA+TP and DATA-WA.
+// worker/task stream (Run) with any registered method: the five evaluated in
+// the paper — Greedy, FTA, DTA, DTA+TP and DATA-WA — or the scenario-sampling
+// SSP. NewDispatcher serves the same six live.
 //
 //	fw := datawa.New(datawa.Config{Region: region, GridRows: 6, GridCols: 6})
 //	fw.TrainDemand(history)
@@ -406,8 +407,8 @@ func (f *Framework) env() method.Env {
 }
 
 // Run drives the adaptive streaming algorithm (Algorithm 3) over the full
-// worker/task streams on the clock range [t0, t1) using the chosen method. It
-// fails until the models the method declares (Method.NeedsDemand,
+// worker/task streams on the clock range [t0, t1) using the chosen method —
+// any of the six Methods lists, SSP included. It fails until the models the method declares (Method.NeedsDemand,
 // Method.NeedsValue) are trained.
 func (f *Framework) Run(m Method, workers []*Worker, tasks []*Task, t0, t1 float64) (Result, error) {
 	r, err := f.resolve(m)
@@ -475,7 +476,8 @@ type ObsConfig = dispatch.ObsConfig
 
 // NewDispatcher builds a live dispatch service running the chosen method:
 // the online counterpart of Run, fed by concurrent events instead of a
-// closed trace. Each shard receives its own planner, and the method requires
+// closed trace, for any of the six Methods. Each shard receives its own
+// planner, and the method requires
 // the same trained models Run does. Drive the returned dispatcher with its
 // Serve loop for wall-clock operation, or Advance/Tick for deterministic
 // replay.

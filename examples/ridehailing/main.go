@@ -1,5 +1,5 @@
-// Ridehailing compares all five assignment methods of the paper (Greedy,
-// FTA, DTA, DTA+TP, DATA-WA) on a Yueche-like evening-peak scenario — the
+// Ridehailing compares every registered assignment method — the paper's five
+// (Greedy, FTA, DTA, DTA+TP, DATA-WA) and SSP — on a Yueche-like evening-peak scenario — the
 // motivating workload of the paper's introduction: passenger requests are
 // tasks, drivers are workers, and demand surges move across the city.
 //

@@ -46,6 +46,12 @@
 // (CommitConflicts, Retractions); docs/BENCHMARKS.md records the residual
 // fidelity gap per workload in the BENCH_*.json trajectory.
 //
+// The dispatcher hears from a shard's machine through one change log
+// (stream.Machine.TakeChanges: a worker left; a task was assigned, expired or
+// withdrawn), read in one place, the epoch's settle stage: each arbitration
+// round drains every shard, and the entries arbitration leaves feed the
+// lifecycle ledger and retire routing state.
+//
 // Measurement: Snapshot exposes counters and epoch-latency percentiles read
 // off the always-on epoch histogram (docs/OBSERVABILITY.md says which recorder
 // answers which question);
@@ -284,6 +290,9 @@ type Dispatcher struct {
 	owner   map[int]int        // worker id → shard; guarded by mu
 	taskOf  map[int]int        // task id → owning shard; guarded by mu
 	ghosts  map[int][]int      // task id → shards holding a live replica; guarded by mu
+	// changes holds each shard's change-log entries while the epoch settles
+	// (see settleLocked); empty between epochs, storage reused.
+	changes [][]stream.Change // guarded by mu
 	// maxReach is the largest Reach among admitted workers — the automatic
 	// halo radius when Config.HaloRadius is 0. reGhost marks a pending
 	// re-replication pass after maxReach grew; it runs once per tick, since
@@ -342,6 +351,7 @@ func New(cfg Config) *Dispatcher {
 
 		pending: heap[pendingEvent]{less: pendingBefore},
 		victims: heap[victim]{less: moreDeferrable},
+		changes: make([][]stream.Change, cfg.Shards),
 	}
 	d.synthID.Store(syntheticIDBase)
 	d.ob = newObsState(cfg.Obs)
@@ -374,17 +384,7 @@ func New(cfg Config) *Dispatcher {
 		if perPlanner > 0 {
 			d.tiered[i].SetParallelism(perPlanner)
 		}
-		d.shards[i] = stream.NewMachine(stream.MachineConfig{
-			Planner:       d.tiered[i],
-			Fixed:         cfg.Fixed,
-			Travel:        cfg.Travel,
-			TrackRemovals: true,
-			// Commit logs feed cross-shard arbitration; with one shard or
-			// replication disabled nothing drains them, so leave them off.
-			TrackCommits: cfg.Shards > 1 && cfg.HaloRadius >= 0,
-			// Disposal logs feed the lifecycle ledger; off with it.
-			TrackDisposals: d.ob.ledger != nil,
-		})
+		d.shards[i] = stream.NewMachine(stream.MachineConfig{Planner: d.tiered[i], Fixed: cfg.Fixed, Travel: cfg.Travel})
 	}
 	if cfg.Governor.Budget > 0 {
 		d.gov = NewGovernor(cfg.Governor, cfg.Shards, len(d.tiered[0].ladder))

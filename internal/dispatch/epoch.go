@@ -108,11 +108,11 @@ var epochStages = [numStages]stage{
 	{"arbitration", (*Dispatcher).settleLocked},
 }
 
-// tickLocked is one epoch: run the stage table, retire routing state, let the
-// governor re-tier, advance the clock. Caller holds d.mu. Stage boundaries
-// are the epoch's only clock reads outside the parallel Steps: each stage
-// runs from the previous boundary to its own, so the six stage times sum to
-// the epoch histogram's sample exactly.
+// tickLocked is one epoch: run the stage table, let the governor re-tier,
+// advance the clock. Caller holds d.mu. Stage boundaries are the epoch's only
+// clock reads outside the parallel Steps: each stage runs from the previous
+// boundary to its own, so the six stage times sum to the epoch histogram's
+// sample exactly.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) tickLocked() {
@@ -120,35 +120,12 @@ func (d *Dispatcher) tickLocked() {
 	o := d.ob
 	o.epoch, o.now = d.epochs, t
 	o.cur = o.cur[:0]
-	if o.arbitrated != nil {
-		clear(o.arbitrated)
-	}
 	o.mark = time.Now() //datawa:wallclock epoch start, observability only
 	tick0 := o.mark
 	for i := range epochStages {
 		d.runStage(i, t)
 	}
 	o.epochHist.Observe(o.mark.Sub(tick0).Seconds())
-
-	// Retire routing entries for departed workers and closed tasks so the
-	// maps track the live population, not the service's lifetime history.
-	// The HasWorker/HasOpenTask guards keep an id that was re-admitted in
-	// this same epoch routable.
-	for shard, m := range d.shards {
-		for _, id := range m.TakeDepartedWorkers() {
-			if d.owner[id] == shard && !m.HasWorker(id) {
-				delete(d.owner, id)
-			}
-		}
-		for _, id := range m.TakeClosedTasks() {
-			if d.taskOf[id] == shard && !m.HasOpenTask(id) {
-				delete(d.taskOf, id)
-				// An owner-side expiry closes the replicas too (same Exp,
-				// same eviction instant); only the routing entry remains.
-				delete(d.ghosts, id)
-			}
-		}
-	}
 
 	if d.gov != nil {
 		// Governor decisions apply from the next epoch: the tier is set
@@ -239,14 +216,53 @@ func (d *Dispatcher) stepLocked(t float64) (int, bool) {
 	return len(d.shards), true
 }
 
-// settleLocked closes the epoch's commits: cross-shard arbitration, then the
-// machines' Step-internal disposals folded into the ledger.
+// settleLocked closes the epoch against the machines' change logs — the one
+// place the dispatcher reads them: cross-shard arbitration, whose rounds
+// drain every shard, then the ledger and routing retirement over the entries
+// arbitration left.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) settleLocked(t float64) (int, bool) {
 	rounds := d.arbitrateLocked(t)
-	d.drainDisposalsLocked()
+	d.retireLocked()
 	return rounds, true
+}
+
+// retireLocked reads the change-log entries arbitration left, shard by shard
+// in log order. It ledgers the Step-internal dispositions — assignments and
+// expiries; cancels and sheds were ledgered where they were applied — and
+// retires the routing entries of departed workers and closed tasks, so the
+// maps track the live population, not the service's lifetime history. The
+// HasWorker/HasOpenTask guards keep an id that was re-admitted in this same
+// epoch routable. A ghost's assignment touches neither: the owning shard
+// accounts the task.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) retireLocked() {
+	for shard, m := range d.shards {
+		for _, c := range d.changes[shard] {
+			switch {
+			case c.Kind == stream.WorkerLeft:
+				if d.owner[c.Worker] == shard && !m.HasWorker(c.Worker) {
+					delete(d.owner, c.Worker)
+				}
+				continue
+			case c.Ghost:
+				continue
+			case c.Kind == stream.TaskAssigned:
+				d.recordTask(c.Task, obs.Assigned, shard, c.Worker, "")
+			case c.Kind == stream.TaskExpired:
+				d.recordTask(c.Task, obs.Expired, shard, 0, "")
+			}
+			if d.taskOf[c.Task] == shard && !m.HasOpenTask(c.Task) {
+				delete(d.taskOf, c.Task)
+				// An owner-side expiry closes the replicas too (same Exp,
+				// same eviction instant); only the routing entry remains.
+				delete(d.ghosts, c.Task)
+			}
+		}
+		d.changes[shard] = d.changes[shard][:0]
+	}
 }
 
 // applyDueLocked folds every pending event with Time ≤ t into shard state,
@@ -470,31 +486,34 @@ func (d *Dispatcher) reGhostLocked(t float64) (int, bool) {
 // the other shards so no one can commit it in a later epoch. A retracted
 // worker immediately resumes the remainder of its plan, which can produce
 // fresh commits — hence the rounds; each round consumes plan entries, so the
-// loop terminates.
-// It returns the number of arbitration rounds that resolved at least one
-// task.
+// loop terminates. Each round drains every shard's change log onto its list
+// in d.changes and moves out the assignments of replicated tasks — the only
+// ones that can conflict or leave stale copies, a loser's retracted entry
+// included. It returns the number of arbitration rounds that resolved at
+// least one task.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) arbitrateLocked(t float64) int {
-	if !d.haloEnabled() {
-		return 0
-	}
 	type commit struct {
 		shard int
-		c     stream.Commit
+		c     stream.Change
 	}
 	rounds := 0
 	for {
 		round0 := time.Now() //datawa:wallclock arbitration-round span timing, observability only
 		byTask := make(map[int][]commit)
 		for i, m := range d.shards {
-			for _, c := range m.TakeCommits() {
-				// Only replicated tasks can conflict or leave stale copies;
-				// a single-copy commit needs no arbitration.
-				if len(d.ghosts[c.Task]) > 0 {
+			n := len(d.changes[i])
+			d.changes[i] = m.TakeChanges(d.changes[i])
+			kept := d.changes[i][:n]
+			for _, c := range d.changes[i][n:] {
+				if c.Kind == stream.TaskAssigned && len(d.ghosts[c.Task]) > 0 {
 					byTask[c.Task] = append(byTask[c.Task], commit{shard: i, c: c})
+					continue
 				}
+				kept = append(kept, c)
 			}
+			d.changes[i] = kept
 		}
 		if len(byTask) == 0 {
 			return rounds
@@ -563,9 +582,6 @@ func (d *Dispatcher) arbitrateLocked(t float64) int {
 				cause = "ghost hit"
 			}
 			d.recordTask(id, obs.Assigned, winner, cms[best].c.Worker, cause)
-			if d.ob.arbitrated != nil {
-				d.ob.arbitrated[id] = true
-			}
 			// Drop the copies that did not commit: the owner's (when a ghost
 			// won) and every other shard's replica.
 			if owned && winner != owner {
@@ -580,7 +596,7 @@ func (d *Dispatcher) arbitrateLocked(t float64) int {
 			delete(d.taskOf, id)
 		}
 		// Phase 2: retract the losers. Resumed workers can only commit tasks
-		// not arbitrated yet — fresh replicated commits land in the machines'
+		// not arbitrated yet — fresh commits land in the machines' change
 		// logs and the next round collects them.
 		retract0 := time.Now() //datawa:wallclock retraction span timing, observability only
 		for _, cm := range losers {

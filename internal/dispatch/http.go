@@ -269,9 +269,11 @@ func (h *Handler) flight(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, dumps)
 }
 
-// finite rejects NaN and ±Inf inputs before they reach shard routing: a
-// non-finite coordinate would poison the grid-cell arithmetic every ownership
-// and replication decision is built on.
+// finite rejects NaN and ±Inf inputs — for the HTTP handlers and
+// IngestBatch alike — before they reach shard routing: a non-finite
+// coordinate would poison the grid-cell arithmetic every ownership and
+// replication decision is built on, and a non-finite time or deadline would
+// never come due or never expire.
 func finite(vals ...float64) bool {
 	for _, v := range vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

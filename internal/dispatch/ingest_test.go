@@ -1,11 +1,13 @@
 package dispatch
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -211,5 +213,55 @@ func TestLoadGenStreamSustains25k(t *testing.T) {
 	}
 	if res.Metrics.Assigned == 0 {
 		t.Fatal("load run assigned nothing; harness is not exercising planning")
+	}
+}
+
+// TestIngestBatchRejectsNonFinite: IngestBatch is exported and validates like
+// the HTTP endpoints, so a NaN or infinite time, location, reach or window
+// never reaches the queue. A task with a NaN deadline would otherwise be
+// admitted and never expire, and Quiesce could not drain the dispatcher.
+func TestIngestBatchRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	valid := []wire.Event{
+		{Kind: wire.WorkerOnline, ID: 1, X: 1, Y: 1, Reach: 1, On: 0, Off: 100},
+		{Kind: wire.TaskSubmit, ID: 1, X: 1, Y: 1, Pub: 0, Exp: 100},
+		{Kind: wire.Position, ID: 1, X: 1, Y: 1},
+		{Kind: wire.WorkerOffline, ID: 1},
+		{Kind: wire.TaskCancel, ID: 1},
+	}
+	var bad []wire.Event
+	poison := func(i int, set func(*wire.Event)) {
+		ev := valid[i]
+		set(&ev)
+		bad = append(bad, ev)
+	}
+	for _, v := range []float64{nan, inf, -inf} {
+		for i := range valid {
+			poison(i, func(ev *wire.Event) { ev.Time = v })
+		}
+		for _, i := range []int{0, 1, 2} {
+			poison(i, func(ev *wire.Event) { ev.X = v })
+			poison(i, func(ev *wire.Event) { ev.Y = v })
+		}
+		poison(0, func(ev *wire.Event) { ev.Reach = v })
+		poison(0, func(ev *wire.Event) { ev.On = v })
+		poison(0, func(ev *wire.Event) { ev.Off = v })
+		poison(1, func(ev *wire.Event) { ev.Pub = v })
+		poison(1, func(ev *wire.Event) { ev.Exp = v })
+	}
+	d := New(Config{Travel: travel, NewLadder: oneTier(greedyFactory())})
+	for _, ev := range bad {
+		if acc, rej := d.IngestBatch([]wire.Event{ev}); acc != 0 || rej != 1 {
+			t.Errorf("%s event %+v: accepted %d, rejected %d", ev.Kind, ev, acc, rej)
+		}
+	}
+	if acc, rej := d.IngestBatch(valid[:2]); acc != 2 || rej != 0 {
+		t.Fatalf("valid events: accepted %d, rejected %d", acc, rej)
+	}
+	if !d.Quiesce(200) {
+		t.Fatalf("dispatcher did not drain: %+v", d.Snapshot())
+	}
+	if m := d.Snapshot(); m.Assigned != 1 || m.RoutedTasks != 0 || m.Ingested != 2 {
+		t.Fatalf("assigned/routed/ingested = %d/%d/%d, want 1/0/2", m.Assigned, m.RoutedTasks, m.Ingested)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // promFamily is one metric family seen in a /metrics scrape.
@@ -380,6 +381,19 @@ func obsFingerprint(t *testing.T, d *Dispatcher) string {
 	return string(raw)
 }
 
+// conflictScript drives a handoffConfig8x8 dispatcher through a boundary
+// conflict — both workers commit task 10 through the halo and arbitration
+// retracts the farther one, whose resumed plan takes task 11 — plus a task
+// nobody reaches before it expires.
+func conflictScript(d *Dispatcher) {
+	d.SubmitTask(&core.Task{ID: 20, Loc: geo.Point{X: 3.5, Y: 0.5}, Pub: 0, Exp: 300, Cell: -1})
+	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 0.8, On: 0, Off: 4000})
+	d.WorkerOnline(&core.Worker{ID: 2, Loc: geo.Point{X: 1, Y: 2.2}, Reach: 0.8, On: 0, Off: 4000})
+	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
+	d.SubmitTask(&core.Task{ID: 11, Loc: geo.Point{X: 1, Y: 1.3}, Pub: 0, Exp: 600, Cell: -1})
+	d.Advance(700)
+}
+
 // TestObsLogicalDeterminism is the determinism contract extended to the
 // observability plane: over a geometry that exercises ghost replication,
 // commit conflicts, arbitration retraction, and expiry, the logical span
@@ -392,12 +406,7 @@ func TestObsLogicalDeterminism(t *testing.T) {
 		cfg.Parallelism = parallelism
 		cfg.Obs = ObsConfig{Spans: 1024, LedgerTasks: 1024}
 		d := New(cfg)
-		d.SubmitTask(&core.Task{ID: 20, Loc: geo.Point{X: 3.5, Y: 0.5}, Pub: 0, Exp: 300, Cell: -1})
-		d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 0.8, On: 0, Off: 4000})
-		d.WorkerOnline(&core.Worker{ID: 2, Loc: geo.Point{X: 1, Y: 2.2}, Reach: 0.8, On: 0, Off: 4000})
-		d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
-		d.SubmitTask(&core.Task{ID: 11, Loc: geo.Point{X: 1, Y: 1.3}, Pub: 0, Exp: 600, Cell: -1})
-		d.Advance(700)
+		conflictScript(d)
 		m := d.Snapshot()
 		if m.GhostCopies == 0 || m.Retractions == 0 {
 			t.Fatalf("parallelism %d: scenario lost its conflict (ghosts=%d retractions=%d)", parallelism, m.GhostCopies, m.Retractions)
@@ -431,6 +440,85 @@ func TestObsLogicalDeterminism(t *testing.T) {
 	}
 	if term, _ := h.Terminal(); !strings.Contains(term.Cause, "won arbitration") {
 		t.Fatalf("conflicted assignment cause %q does not mention arbitration", term.Cause)
+	}
+}
+
+// outcomeOf is a snapshot with its wall-clock fields zeroed: every outcome,
+// routing and arbitration counter, per shard too.
+func outcomeOf(m Metrics) string {
+	m.PlanTime, m.EpochP50, m.EpochP95, m.EpochP99 = 0, 0, 0, 0
+	m.Shards = append([]ShardMetrics(nil), m.Shards...)
+	for i := range m.Shards {
+		m.Shards[i].Stats.PlanTime = 0
+	}
+	return fmt.Sprintf("%+v", m)
+}
+
+// TestObsSettingsChangeNoOutcomeAcrossParallelism: observability only
+// watches. With spans, ledger and flight recorder on, a dispatcher decides
+// exactly what it decides with ObsConfig{} — every outcome and routing field
+// of the snapshot equal, at parallelism 1 and 0 — on the boundary conflict
+// script (commits, a retraction, an expiry) and on a two-shard trace with
+// cancels and offlines. The ledger the "on" runs keep must audit clean.
+func TestObsSettingsChangeNoOutcomeAcrossParallelism(t *testing.T) {
+	sc := testScenario(t)
+	cases := []struct {
+		name string
+		cfg  func() Config
+		run  func(*Dispatcher)
+		// exercised reports what the case must have produced to be a test.
+		exercised func(Metrics) bool
+	}{
+		{"conflict-script", handoffConfig8x8, conflictScript,
+			func(m Metrics) bool { return m.Retractions > 0 && m.Expired > 0 }},
+		{"trace-cancels-offlines", func() Config {
+			return Config{Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0, Travel: travel, NewLadder: oneTier(searchFactory())}
+		}, func(d *Dispatcher) {
+			for _, ev := range sc.Events() {
+				for d.Now() < ev.Time {
+					d.Tick()
+				}
+				d.Ingest(traceEvent(ev))
+				switch {
+				case ev.Kind == workload.TaskSubmit && ev.Task.ID%5 == 0:
+					d.Ingest(Event{Time: ev.Time + 30, Kind: KindTaskCancel, ID: ev.Task.ID})
+				case ev.Kind == workload.WorkerOnline && ev.Worker.ID%4 == 0:
+					d.Ingest(Event{Time: ev.Time + 300, Kind: KindWorkerOffline, ID: ev.Worker.ID})
+				}
+			}
+			d.Advance(sc.T1)
+			d.Quiesce(10000) // every chain terminal, so the audit covers them all
+		}, func(m Metrics) bool {
+			return m.Cancelled > 0 && m.GhostCopies > 0 && m.Assigned > 0 && m.Expired > 0 && m.RoutedTasks == 0
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want string
+			for _, parallelism := range []int{1, 0} {
+				for _, oc := range []ObsConfig{{}, {Spans: 64, LedgerTasks: 1 << 14, FlightDepth: 8}} {
+					cfg := tc.cfg()
+					cfg.Parallelism, cfg.Obs = parallelism, oc
+					d := New(cfg)
+					tc.run(d)
+					m := d.Snapshot()
+					if !tc.exercised(m) {
+						t.Fatalf("parallelism %d obs %+v: the case does not exercise its path: %s", parallelism, oc, digest(m))
+					}
+					if oc.LedgerTasks > 0 {
+						if issues, evicted := d.LedgerAudit(); len(issues) > 0 || evicted > 0 {
+							t.Fatalf("parallelism %d: ledger audit %v, %d evictions", parallelism, issues, evicted)
+						}
+					}
+					got := outcomeOf(m)
+					if want == "" {
+						want = got
+					} else if got != want {
+						t.Fatalf("parallelism %d obs %+v changed the outcome:\n got %s\nwant %s", parallelism, oc, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -66,13 +66,11 @@ type obsState struct {
 
 	// Per-tick scratch: the logical position stamps ledger records, mark is
 	// the last stage boundary (see runStage), cur accumulates the epoch's
-	// spans, arbitrated collects task ids resolved by this tick's arbitration
-	// so their stale machine disposals are skipped.
-	epoch      int
-	now        float64
-	mark       time.Time
-	cur        []obs.Span
-	arbitrated map[int]bool
+	// spans.
+	epoch int
+	now   float64
+	mark  time.Time
+	cur   []obs.Span
 
 	// Flight trigger baselines and cooldown.
 	flightAfter    int
@@ -92,7 +90,6 @@ func newObsState(cfg ObsConfig) *obsState {
 	}
 	if o.cfg.LedgerTasks > 0 {
 		o.ledger = obs.NewLedger(o.cfg.LedgerTasks)
-		o.arbitrated = make(map[int]bool)
 	}
 	if o.cfg.FlightDepth > 0 {
 		o.flight = obs.NewFlightRing(flightMax)
@@ -123,32 +120,6 @@ func (d *Dispatcher) recordTask(id int, st obs.State, shard, worker int, cause s
 	o.ledger.Record(id, obs.Transition{
 		State: st, Epoch: o.epoch, Now: o.now, Shard: shard, Worker: worker, Cause: cause,
 	})
-}
-
-// drainDisposalsLocked folds each machine's Step-internal closures
-// (assignments, expiries) into the ledger, in shard order. Tasks resolved by
-// this tick's arbitration are skipped: arbitration already ledgered the
-// winner and the retracted losers, and a loser's machine still carries the
-// stale pre-retraction disposal entry.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) drainDisposalsLocked() {
-	o := d.ob
-	if o.ledger == nil {
-		return
-	}
-	for i, m := range d.shards {
-		for _, dp := range m.TakeDisposals() {
-			if o.arbitrated[dp.Task] {
-				continue
-			}
-			if dp.Assigned {
-				d.recordTask(dp.Task, obs.Assigned, i, dp.Worker, "")
-			} else {
-				d.recordTask(dp.Task, obs.Expired, i, 0, "")
-			}
-		}
-	}
 }
 
 // maybeFlightLocked checks the anomaly triggers after an epoch and captures

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"io"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -29,12 +28,13 @@ type StreamSummary struct {
 // it would retain individually-boxed entities. Safe for concurrent use, like
 // Ingest.
 //
-// Validation mirrors the HTTP endpoints: worker events need a positive id,
-// positive reach, and a non-empty availability window; task submits need an
-// id in [0, 2^30) — 0 draws a server-assigned id — and a non-empty validity
-// window. An event with time 0 is stamped with the next epoch instant, so
-// clients that only relay "now" events never have to track the logical
-// clock. Rejected events are counted, never partially applied.
+// Validation mirrors the HTTP endpoints: every float an event carries — its
+// time, location, reach and window — must be finite; worker events need a
+// positive id, positive reach, and a non-empty availability window; task
+// submits need an id in [0, 2^30) — 0 draws a server-assigned id — and a
+// non-empty validity window. An event with time 0 is stamped with the next
+// epoch instant, so clients that only relay "now" events never have to track
+// the logical clock. Rejected events are counted, never partially applied.
 //
 //datawa:hotpath
 func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
@@ -60,13 +60,18 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 	now := d.Now()
 	for i := range events {
 		ev := &events[i]
+		if !finite(ev.Time) {
+			rejected++
+			continue
+		}
 		t := ev.Time
 		if t == 0 {
 			t = now
 		}
 		switch ev.Kind {
 		case wire.WorkerOnline:
-			if ev.ID <= 0 || int64(int(ev.ID)) != ev.ID || ev.Reach <= 0 || ev.Off <= ev.On {
+			if ev.ID <= 0 || int64(int(ev.ID)) != ev.ID || ev.Reach <= 0 || ev.Off <= ev.On ||
+				!finite(ev.X, ev.Y, ev.Reach, ev.On, ev.Off) {
 				rejected++
 				continue
 			}
@@ -76,7 +81,7 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 			})
 			d.Ingest(Event{Time: t, Kind: KindWorkerOnline, Worker: &workers[len(workers)-1]})
 		case wire.TaskSubmit:
-			if ev.ID < 0 || ev.ID >= syntheticIDBase || ev.Exp <= ev.Pub {
+			if ev.ID < 0 || ev.ID >= syntheticIDBase || ev.Exp <= ev.Pub || !finite(ev.X, ev.Y, ev.Pub, ev.Exp) {
 				rejected++
 				continue
 			}
@@ -102,7 +107,7 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 			}
 			d.Ingest(Event{Time: t, Kind: KindTaskCancel, ID: int(ev.ID)})
 		case wire.Position:
-			if int64(int(ev.ID)) != ev.ID || math.IsNaN(ev.X) || math.IsNaN(ev.Y) {
+			if int64(int(ev.ID)) != ev.ID || !finite(ev.X, ev.Y) {
 				rejected++
 				continue
 			}

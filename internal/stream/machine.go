@@ -23,24 +23,6 @@ type MachineConfig struct {
 	Fixed bool
 	// Travel must match the planner's travel model.
 	Travel geo.TravelModel
-	// TrackRemovals makes the machine record the ids of departing workers
-	// and closing tasks (assigned, expired, or cancelled) for collection via
-	// TakeDepartedWorkers/TakeClosedTasks — how the dispatcher keeps its
-	// routing maps from growing forever. Off for replay engines, which never
-	// drain the lists.
-	TrackRemovals bool
-	// TrackCommits makes the machine log every real-task commitment for
-	// collection via TakeCommits — the raw material of the sharded
-	// dispatcher's cross-shard commit arbitration. Off for replay engines,
-	// which have no competing machines.
-	TrackCommits bool
-	// TrackDisposals makes the machine log every Step-internal closure of an
-	// owned task — assignments and expiries, the two dispositions that happen
-	// inside Step rather than through a dispatcher-called method — for
-	// collection via TakeDisposals. This feeds the dispatcher's per-task
-	// lifecycle ledger; ghost replicas are never logged (their lifecycle is
-	// accounted by the owning shard). Off by default.
-	TrackDisposals bool
 }
 
 func (c MachineConfig) withDefaults() MachineConfig {
@@ -106,8 +88,8 @@ func (ws *workerState) pos(t float64) geo.Point {
 // (Section IV-C): active workers with motion segments and plans, the open
 // task pool, FTA reservations, and the virtual tasks it was last handed.
 // Callers feed it arrival/departure events (AddWorker, AddTask, RemoveWorker,
-// CancelTask, UpdateWorkerPos) and advance it with Step, which runs one
-// planning instant.
+// CancelTask, UpdateWorkerPos), advance it with Step, which runs one
+// planning instant, and hear what left it through TakeChanges.
 //
 // A Machine is single-goroutine, like the Engine built on it; concurrent
 // drivers must serialize access themselves. The guarded analyzer, run over
@@ -127,26 +109,43 @@ type Machine struct {
 	virtuals  []*core.Task
 
 	stats Stats
-	// Removal logs, populated only when cfg.TrackRemovals is set.
-	departed []int
-	closed   []int
-	// Commit log, populated only when cfg.TrackCommits is set.
-	commits []Commit
-	// Disposal log, populated only when cfg.TrackDisposals is set.
-	disposals []Disposal
+	// changes is the change log TakeChanges drains; its storage is reused.
+	changes []Change
 
 	// Per-Step scratch, reused so a steady-state Step allocates only what it
-	// publishes (plans, commit logs). The machine is single-goroutine, so one
-	// set of buffers suffices.
+	// publishes (plans). The machine is single-goroutine, so one set of
+	// buffers suffices.
 	planScratch []*workerState
 	wsScratch   []*core.Worker
 	poolScratch []*core.Task
 	assignedMap map[int]core.Sequence
 }
 
-// Commit records one real-task commitment made during a Step, for cross-
-// shard arbitration: which worker took which task, and when it will arrive.
-type Commit struct {
+// ChangeKind names the event a Change records.
+type ChangeKind uint8
+
+const (
+	// WorkerLeft: worker Worker left the machine — offline, or its window
+	// ended with no task in hand.
+	WorkerLeft ChangeKind = iota
+	// TaskAssigned: task Task committed to worker Worker, who arrives at
+	// Arrive. Ghost marks a replica owned by another shard.
+	TaskAssigned
+	// TaskExpired: owned task Task left the open pool unserved.
+	TaskExpired
+	// TaskClosed: owned task Task was withdrawn by CancelTask or ShedTask.
+	TaskClosed
+)
+
+// Change is one entry of a machine's change log: an event its driver must
+// hear about to retire routing state, ledger a task's lifecycle or arbitrate
+// a cross-shard commit. A ghost replica is logged only when it is assigned —
+// its expiry and withdrawal belong to the owning shard — and DropTask logs
+// nothing. A commitment later undone by RetractCommit keeps its entry; the
+// driver that retracts knows the loser.
+type Change struct {
+	Kind   ChangeKind
+	Ghost  bool
 	Task   int
 	Worker int
 	// Arrive is the worker's arrival instant at the task — the deterministic
@@ -154,25 +153,14 @@ type Commit struct {
 	Arrive float64
 }
 
-// Disposal records one Step-internal closure of an owned task: an assignment
-// (Assigned true, Worker the committing worker) or an expiry (Assigned false,
-// Worker −1). Cancels and sheds are not disposals — they arrive through
-// dispatcher-called methods, which the dispatcher ledgers directly.
-type Disposal struct {
-	Task     int
-	Worker   int
-	Assigned bool
-}
-
-// TakeDisposals returns and clears the owned-task closures logged since the
-// last call. Empty unless MachineConfig.TrackDisposals is set. A disposal
-// for a commitment later undone by RetractCommit stays in the log; drivers
-// that retract (the sharded dispatcher's arbitration) know the losers and
-// skip their stale entries.
-func (m *Machine) TakeDisposals() []Disposal {
-	out := m.disposals
-	m.disposals = nil
-	return out
+// TakeChanges appends the changes logged since the last call to buf, in the
+// order they happened, clears the log and returns the extended buffer. The
+// entries are copied out, so nothing the caller holds aliases the log a later
+// RetractCommit appends to.
+func (m *Machine) TakeChanges(buf []Change) []Change {
+	buf = append(buf, m.changes...)
+	m.changes = m.changes[:0]
+	return buf
 }
 
 // NewMachine returns an empty machine.
@@ -238,7 +226,7 @@ func (m *Machine) AddTask(s *core.Task, now float64) bool {
 // plan and commit exactly like owned tasks (a won commit is a real
 // assignment, counted here), but their lifecycle is accounted elsewhere: an
 // expired-on-arrival or later-expiring ghost never increments Stats.Expired
-// and never enters the closed-task log, so aggregating shard stats counts
+// and never enters the change log, so aggregating shard stats counts
 // each task once. The return value reports admission to the open pool.
 func (m *Machine) AddGhost(s *core.Task, now float64) bool {
 	if s == nil || s.Exp <= now {
@@ -254,20 +242,12 @@ func (m *Machine) AddGhost(s *core.Task, now float64) bool {
 }
 
 // DropTask silently removes an open task (owned or ghost): no stats, no
-// closed-task log entry. It is the arbitration/cancel cleanup hook — once a
+// change-log entry. It is the arbitration/cancel cleanup hook — once a
 // replicated task is committed or withdrawn anywhere, every other copy must
 // leave its pool before the next planning instant, or two shards could
 // assign the same task. It reports whether a task left the open pool.
 func (m *Machine) DropTask(id int) bool {
 	return m.removeOpen(id, nil)
-}
-
-// TakeCommits returns and clears the commitments made since the last call.
-// Empty unless MachineConfig.TrackCommits is set.
-func (m *Machine) TakeCommits() []Commit {
-	out := m.commits
-	m.commits = nil
-	return out
 }
 
 // RetractCommit undoes a commitment the worker made this Step — the losing
@@ -313,7 +293,7 @@ func (m *Machine) RemoveWorker(id int, now float64) bool {
 				break
 			}
 		}
-		m.noteDeparture(id)
+		m.changes = append(m.changes, Change{Kind: WorkerLeft, Task: -1, Worker: id})
 	}
 	return true
 }
@@ -337,9 +317,9 @@ func (m *Machine) ShedTask(id int) bool {
 
 // removeOpen takes a task out of the open pool, releasing any FTA
 // reservation, and reports whether it was open. An owned task bumps the
-// closed counter and enters the closed-task log; a ghost replica's closure
-// is accounted by its owning shard, and a nil counter (DropTask) accounts
-// nothing.
+// closed counter and enters the change log as TaskClosed; a ghost replica's
+// closure is accounted by its owning shard, and a nil counter (DropTask)
+// accounts nothing.
 func (m *Machine) removeOpen(id int, closed *int) bool {
 	if _, ok := m.open[id]; !ok {
 		return false
@@ -350,7 +330,7 @@ func (m *Machine) removeOpen(id int, closed *int) bool {
 	delete(m.ghost, id)
 	if owned && closed != nil {
 		*closed++
-		m.noteClosure(id)
+		m.changes = append(m.changes, Change{Kind: TaskClosed, Task: id, Worker: -1})
 	}
 	return true
 }
@@ -368,35 +348,6 @@ func (m *Machine) UpdateWorkerPos(id int, loc geo.Point) bool {
 		ws.w.Loc = loc
 	}
 	return true
-}
-
-// TakeDepartedWorkers returns and clears the ids of workers that left since
-// the last call. Empty unless MachineConfig.TrackRemovals is set.
-func (m *Machine) TakeDepartedWorkers() []int {
-	out := m.departed
-	m.departed = nil
-	return out
-}
-
-// TakeClosedTasks returns and clears the ids of tasks that left the open
-// pool (assigned, expired, cancelled, or shed) since the last call. Empty unless
-// MachineConfig.TrackRemovals is set.
-func (m *Machine) TakeClosedTasks() []int {
-	out := m.closed
-	m.closed = nil
-	return out
-}
-
-func (m *Machine) noteDeparture(id int) {
-	if m.cfg.TrackRemovals {
-		m.departed = append(m.departed, id)
-	}
-}
-
-func (m *Machine) noteClosure(id int) {
-	if m.cfg.TrackRemovals {
-		m.closed = append(m.closed, id)
-	}
 }
 
 // Step advances the machine to time now: it completes due motion segments,
@@ -505,10 +456,7 @@ func (m *Machine) evict(t float64) {
 				continue
 			}
 			m.stats.Expired++
-			m.noteClosure(s.ID)
-			if m.cfg.TrackDisposals {
-				m.disposals = append(m.disposals, Disposal{Task: s.ID, Worker: -1})
-			}
+			m.changes = append(m.changes, Change{Kind: TaskExpired, Task: s.ID, Worker: -1})
 			continue
 		}
 		keptTasks = append(keptTasks, s)
@@ -523,7 +471,7 @@ func (m *Machine) evict(t float64) {
 		if ws.w.Off <= t && ws.committed == nil {
 			m.releasePlan(ws)
 			delete(m.byWorker, ws.w.ID)
-			m.noteDeparture(ws.w.ID)
+			m.changes = append(m.changes, Change{Kind: WorkerLeft, Task: -1, Worker: ws.w.ID})
 			continue
 		}
 		kept = append(kept, ws)
@@ -683,17 +631,9 @@ func (m *Machine) executeWorker(ws *workerState, t float64) {
 		delete(m.open, head.ID)
 		delete(m.reserved, head.ID)
 		m.stats.Assigned++
-		if m.ghost[head.ID] {
-			delete(m.ghost, head.ID)
-		} else {
-			m.noteClosure(head.ID)
-			if m.cfg.TrackDisposals {
-				m.disposals = append(m.disposals, Disposal{Task: head.ID, Worker: ws.w.ID, Assigned: true})
-			}
-		}
-		if m.cfg.TrackCommits {
-			m.commits = append(m.commits, Commit{Task: head.ID, Worker: ws.w.ID, Arrive: arrive})
-		}
+		ghost := m.ghost[head.ID]
+		delete(m.ghost, head.ID)
+		m.changes = append(m.changes, Change{Kind: TaskAssigned, Ghost: ghost, Task: head.ID, Worker: ws.w.ID, Arrive: arrive})
 		m.startMotion(ws, t, head.Loc, head)
 	}
 }

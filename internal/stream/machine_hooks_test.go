@@ -1,23 +1,15 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 )
 
-// trackedMachine returns a machine with the dispatcher-facing hooks on:
-// removal, commit, and ghost tracking.
-func trackedMachine() *Machine {
-	return NewMachine(MachineConfig{
-		Planner: searchPlanner(), Travel: travel,
-		TrackRemovals: true, TrackCommits: true,
-	})
-}
-
 // TestMachineGhostLifecycle: a ghost plans and commits like an owned task,
-// but its expiry is silent — no Expired count, no closed-task log entry.
+// but its expiry is silent — no Expired count, no change-log entry.
 func TestMachineGhostLifecycle(t *testing.T) {
 	// Expiring ghost: silent.
-	m := trackedMachine()
+	m := machineWith(false)
 	if !m.AddGhost(task(1, 0.1, 0, 0, 10), 0) {
 		t.Fatal("fresh ghost rejected")
 	}
@@ -31,25 +23,23 @@ func TestMachineGhostLifecycle(t *testing.T) {
 	if st := m.Stats(); st.Expired != 0 {
 		t.Fatalf("ghost expiry counted: %+v", st)
 	}
-	if closed := m.TakeClosedTasks(); len(closed) != 0 {
-		t.Fatalf("ghost expiry logged closures %v", closed)
+	if log := m.TakeChanges(nil); len(log) != 0 {
+		t.Fatalf("ghost expiry logged %+v", log)
 	}
 
-	// Committed ghost: a real assignment, counted here, logged as a commit
-	// but not as a closure (the owner shard accounts the task's lifecycle).
-	m = trackedMachine()
+	// Committed ghost: a real assignment, counted here, logged as an
+	// assignment flagged as a ghost (the owner shard accounts the task's
+	// lifecycle).
+	m = machineWith(false)
 	m.AddWorker(worker(1, 0, 0, 1, 0, 1000), 0)
 	m.AddGhost(task(1, 0.1, 0, 0, 500), 0)
 	m.Step(0)
 	if st := m.Stats(); st.Assigned != 1 {
 		t.Fatalf("ghost commit not counted: %+v", st)
 	}
-	commits := m.TakeCommits()
-	if len(commits) != 1 || commits[0].Task != 1 || commits[0].Worker != 1 || commits[0].Arrive != 10 {
-		t.Fatalf("commit log = %+v, want task 1 by worker 1 arriving at 10", commits)
-	}
-	if closed := m.TakeClosedTasks(); len(closed) != 0 {
-		t.Fatalf("ghost commit logged closures %v", closed)
+	want := []Change{{Kind: TaskAssigned, Ghost: true, Task: 1, Worker: 1, Arrive: 10}}
+	if log := m.TakeChanges(nil); !slices.Equal(log, want) {
+		t.Fatalf("change log = %+v, want only ghost task 1 assigned to worker 1 arriving at 10", log)
 	}
 }
 
@@ -57,14 +47,13 @@ func TestMachineGhostLifecycle(t *testing.T) {
 // motion, and stats — and the worker resumes the remainder of its plan in
 // the same instant.
 func TestMachineRetractCommit(t *testing.T) {
-	m := trackedMachine()
+	m := machineWith(false)
 	m.AddWorker(worker(1, 0, 0, 1, 0, 1000), 0)
 	m.AddTask(task(1, 0.1, 0, 0, 500), 0)
 	m.AddTask(task(2, 0.3, 0, 0, 500), 0)
 	m.Step(0)
-	commits := m.TakeCommits()
-	if len(commits) != 1 || commits[0].Task != 1 {
-		t.Fatalf("commit log = %+v, want the near task 1", commits)
+	if log := m.TakeChanges(nil); len(log) != 1 || log[0].Kind != TaskAssigned || log[0].Task != 1 {
+		t.Fatalf("change log = %+v, want the near task 1 assigned", log)
 	}
 	if !m.RetractCommit(1, 1, 0) {
 		t.Fatal("retraction of a live commit failed")
@@ -73,10 +62,11 @@ func TestMachineRetractCommit(t *testing.T) {
 		t.Fatal("double retraction succeeded")
 	}
 	// The retracted worker must have resumed its plan and taken task 2 from
-	// its original position (arrival 30 = 0.3 km at 10 m/s).
-	commits = m.TakeCommits()
-	if len(commits) != 1 || commits[0].Task != 2 || commits[0].Arrive != 30 {
-		t.Fatalf("resume commit = %+v, want task 2 arriving at 30", commits)
+	// its original position (arrival 30 = 0.3 km at 10 m/s). The retraction
+	// itself logs nothing: the driver that retracts knows the loser.
+	want := []Change{{Kind: TaskAssigned, Task: 2, Worker: 1, Arrive: 30}}
+	if log := m.TakeChanges(nil); !slices.Equal(log, want) {
+		t.Fatalf("change log after resume = %+v, want task 2 assigned arriving at 30", log)
 	}
 	if st := m.Stats(); st.Assigned != 1 {
 		t.Fatalf("assigned = %d after retract+resume, want 1", st.Assigned)
@@ -88,7 +78,7 @@ func TestMachineRetractCommit(t *testing.T) {
 
 // TestMachineRemoveOpenTask: CancelTask, ShedTask and DropTask take any open
 // task out of the pool, releasing an FTA reservation, and differ only in what
-// they account — an owned cancel or shed counts and logs the closure, a ghost
+// they account — an owned cancel or shed counts and logs a TaskClosed, a ghost
 // replica or a drop accounts nothing. A removed task is never assigned, even
 // when a fixed plan had reserved it, and its id is free to reuse.
 func TestMachineRemoveOpenTask(t *testing.T) {
@@ -114,14 +104,14 @@ func TestMachineRemoveOpenTask(t *testing.T) {
 			m.AddTask(task(1, 0.5, 0, 0, 9000), 0)
 			m.AddTask(task(2, 0.9, 0, 0, 9000), 0)
 			m.Step(0) // fixed plan (1, 2): task 1 committed, task 2 reserved
-			m.TakeClosedTasks()
+			m.TakeChanges(nil)
 		}, true, true},
 		{"unknown", 99, func(*Machine) {}, false, false},
 	}
 	for _, r := range removals {
 		for _, p := range pools {
 			t.Run(r.name+"/"+p.name, func(t *testing.T) {
-				m := NewMachine(MachineConfig{Planner: searchPlanner(), Fixed: true, Travel: travel, TrackRemovals: true})
+				m := machineWith(true)
 				p.setup(m)
 				id := p.id
 				if m.reserved[id] != (p.name == "fta-reserved") {
@@ -138,8 +128,12 @@ func TestMachineRemoveOpenTask(t *testing.T) {
 				if st := m.Stats(); st.Cancelled+st.Shed != want || (r.count != nil && r.count(st) != want) {
 					t.Errorf("cancelled/shed = %d/%d, want %d in the %s counter", st.Cancelled, st.Shed, want, r.name)
 				}
-				if closed := m.TakeClosedTasks(); len(closed) != want || want == 1 && closed[0] != id {
-					t.Errorf("closed tasks = %v, want %d entries of id %d", closed, want, id)
+				var wantLog []Change
+				if want == 1 {
+					wantLog = []Change{{Kind: TaskClosed, Task: id, Worker: -1}}
+				}
+				if log := m.TakeChanges(nil); !slices.Equal(log, wantLog) {
+					t.Errorf("change log = %+v, want %+v", log, wantLog)
 				}
 				if m.HasOpenTask(id) || m.reserved[id] || m.ghost[id] {
 					t.Errorf("id %d still open, reserved or ghost after removal", id)
@@ -163,7 +157,7 @@ func TestMachineRemoveOpenTask(t *testing.T) {
 // id could both enter the pool, and a planner assigning both would trip the
 // fatal plan-consistency panic.
 func TestMachineIDReuseWithinBatch(t *testing.T) {
-	m := trackedMachine()
+	m := machineWith(false)
 	// Two workers, each nearest to one of the two same-id task locations:
 	// with both stale and fresh pointers in the pool the planner would
 	// assign "task 1" twice and Step would panic.

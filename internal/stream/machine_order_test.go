@@ -40,7 +40,7 @@ func activeIDs(m *Machine) []int {
 // the planner is handed id-sorted workers without a sort per instant.
 func TestMachineActiveStaysIDOrdered(t *testing.T) {
 	rec := &orderRecorder{inner: searchPlanner()}
-	m := NewMachine(MachineConfig{Planner: rec, Travel: travel, TrackCommits: true})
+	m := NewMachine(MachineConfig{Planner: rec, Travel: travel})
 	check := func(when string, want ...int) {
 		t.Helper()
 		if got := activeIDs(m); !slices.Equal(got, want) {
@@ -82,9 +82,14 @@ func TestMachineActiveStaysIDOrdered(t *testing.T) {
 	// worker is planned again, in its place.
 	m.AddTask(task(1, 2.1, 0, 12, 500), 12)
 	m.Step(14)
-	commits := m.TakeCommits()
-	if len(commits) != 1 || commits[0].Worker != 3 {
-		t.Fatalf("commits = %+v, want worker 3 taking task 1", commits)
+	var commits []Change
+	for _, c := range m.TakeChanges(nil) {
+		if c.Kind == TaskAssigned {
+			commits = append(commits, c)
+		}
+	}
+	if len(commits) != 1 || commits[0].Worker != 3 || commits[0].Task != 1 {
+		t.Fatalf("assignments = %+v, want worker 3 taking task 1", commits)
 	}
 	if !m.RetractCommit(3, 1, 14) {
 		t.Fatal("retraction refused")

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -198,20 +199,21 @@ func TestMachineDuplicateAdmissionsRejected(t *testing.T) {
 }
 
 func TestMachineRemovalTracking(t *testing.T) {
-	m := NewMachine(MachineConfig{
-		Planner: searchPlanner(), Travel: travel, TrackRemovals: true,
-	})
+	m := machineWith(false)
 	m.AddWorker(worker(1, 0, 0, 1, 0, 100), 0)
 	m.AddTask(task(1, 0.5, 0, 0, 400), 0)
-	m.Step(0) // commits task 1
-	if got := m.TakeClosedTasks(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("closed tasks = %v, want [1]", got)
+	m.AddTask(task(2, 5, 5, 0, 30), 0) // out of reach: expires at 30
+	m.Step(0)                          // commits task 1
+	want := []Change{{Kind: TaskAssigned, Task: 1, Worker: 1, Arrive: 50}}
+	if log := m.TakeChanges(nil); !slices.Equal(log, want) {
+		t.Fatalf("change log = %+v, want %+v", log, want)
 	}
 	// An offline for the idle-again worker departs immediately.
 	m.Step(50)
 	m.RemoveWorker(1, 60)
-	if got := m.TakeDepartedWorkers(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("departed workers = %v, want [1]", got)
+	want = []Change{{Kind: TaskExpired, Task: 2, Worker: -1}, {Kind: WorkerLeft, Task: -1, Worker: 1}}
+	if log := m.TakeChanges(nil); !slices.Equal(log, want) {
+		t.Fatalf("change log = %+v, want %+v", log, want)
 	}
 	if m.HasWorker(1) {
 		t.Fatal("removed idle worker still active")
@@ -219,5 +221,24 @@ func TestMachineRemovalTracking(t *testing.T) {
 	// The same id can come back before the next Step.
 	if !m.AddWorker(worker(1, 0, 0, 1, 60, 500), 60) {
 		t.Fatal("re-admission after immediate removal refused")
+	}
+}
+
+// TestRunLeavesChangeLogEmpty: the replay engine has nothing to feed from
+// the change log and drains it after every Step, so a run leaves no entry
+// behind however many tasks it assigned and expired.
+func TestRunLeavesChangeLogEmpty(t *testing.T) {
+	in := Input{
+		Workers: []*core.Worker{worker(1, 0, 0, 1, 0, 500), worker(2, 3, 3, 1, 20, 40)},
+		Tasks:   []*core.Task{task(1, 0.5, 0, 0, 400), task(2, 9, 9, 0, 30), task(3, 0.2, 0, 100, 400)},
+		T0:      0, T1: 600,
+	}
+	e := NewEngine(in, Config{Planner: searchPlanner(), Travel: travel, Step: 10})
+	res := e.Run()
+	if res.Assigned != 2 || res.Expired != 1 {
+		t.Fatalf("assigned/expired = %d/%d, want 2/1", res.Assigned, res.Expired)
+	}
+	if len(e.m.changes) != 0 {
+		t.Fatalf("machine log holds %+v after the run", e.m.changes)
 	}
 }

@@ -2,8 +2,9 @@
 // (Algorithm 3): an event-driven spatial-crowdsourcing simulator that feeds
 // the continuous stream of arriving workers and tasks to a Planner, executes
 // the head of each idle worker's planned sequence, and evicts expired tasks
-// and departed workers. It is the test bed on which all five assignment
-// methods of Section V-B.2 (Greedy, FTA, DTA, DTA+TP, DATA-WA) are compared.
+// and departed workers. It is the test bed on which the six assignment
+// methods of internal/method — the five of Section V-B.2 (Greedy, FTA, DTA,
+// DTA+TP, DATA-WA) and the scenario-sampling SSP — are compared.
 //
 // The package has two layers. Machine is the commit/expiry state machine
 // itself — active workers, motion segments, the open pool, FTA reservations —
@@ -95,6 +96,9 @@ type Engine struct {
 	m   *Machine
 
 	nextWorker, nextTask int
+	// changes receives the machine's change log after each Step; a replay
+	// has no routing state or ledger to feed, so it is discarded.
+	changes []Change
 }
 
 // NewEngine prepares a run; the input slices are not mutated (workers are
@@ -153,6 +157,7 @@ func (e *Engine) stepOnce(t float64) {
 		e.m.SetVirtuals(v)
 	}
 	e.m.Step(t)
+	e.changes = e.m.TakeChanges(e.changes[:0])
 }
 
 // Run is a convenience wrapper: build an engine and run it.
