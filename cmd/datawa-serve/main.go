@@ -71,7 +71,6 @@ func main() {
 		rows       = flag.Int("rows", 6, "demand grid rows")
 		cols       = flag.Int("cols", 6, "demand grid cols")
 		parallel   = flag.Int("parallelism", 0, "planner fan-out (0 = up to one goroutine per CPU)")
-		queue      = flag.Int("queue", 4096, "ingest queue capacity")
 		pretrain   = flag.String("pretrain", "", "train demand/value models on a synthetic scenario first: yueche | didi")
 		preScale   = flag.Float64("pretrain-scale", 0.1, "pretraining workload scale factor in (0,1]")
 		seed       = flag.Int64("seed", 1, "deterministic seed")
@@ -142,7 +141,7 @@ func main() {
 	}
 
 	d, err := fw.NewDispatcher(m, datawa.DispatchConfig{
-		Shards: *shards, HaloRadius: *halo, Step: *step, QueueSize: *queue,
+		Shards: *shards, HaloRadius: *halo, Step: *step,
 		Admission: datawa.AdmissionConfig{
 			MaxOpenTasks: *maxOpen, MaxSubmitsPerEpoch: *maxSubmits, DeferSlack: *deferSlack,
 		},

@@ -445,8 +445,6 @@ type DispatchConfig struct {
 	// admitted worker reach; negative disables replication. See
 	// dispatch.Config.HaloRadius.
 	HaloRadius float64
-	// QueueSize bounds the ingest queue (default 4096).
-	QueueSize int
 	// Admission bounds the ingest path (shed/defer by deadline when
 	// saturated); the zero value admits everything. See
 	// dispatch.AdmissionConfig.
@@ -495,7 +493,6 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 		HaloRadius:  dc.HaloRadius,
 		Step:        dc.Step,
 		Now:         dc.Now,
-		QueueSize:   dc.QueueSize,
 		Admission:   dc.Admission,
 		Governor:    dc.Governor,
 		Obs:         dc.Obs,

@@ -1,7 +1,7 @@
 // Package hotpath makes the zero-alloc steady state a compile-time
 // contract. A function annotated //datawa:hotpath in its doc comment (wire
-// frame decode, the MPMC ring ops, the searchRun availability filter, slab
-// ingest) must not introduce allocations on its hot statements:
+// frame decode, the dispatcher's inbox append and drain, the searchRun
+// availability filter, slab ingest) must not introduce allocations on its hot statements:
 //
 //   - calls into fmt, errors or log (string building, argument boxing);
 //   - make, new;
@@ -24,7 +24,7 @@
 //
 // The check is an approximation of escape analysis, tuned so the real hot
 // paths pass clean and a regression (a stray fmt.Errorf in the decode loop,
-// a closure in the ring op) fails the build. Test files are exempt.
+// a closure in Ingest) fails the build. Test files are exempt.
 package hotpath
 
 import (

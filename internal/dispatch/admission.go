@@ -60,11 +60,7 @@ func (d *Dispatcher) deferSlackLocked() float64 {
 //datawa:locked(mu)
 func (d *Dispatcher) deferOrShedLocked(s *core.Task, t float64, cause string) {
 	if s.Exp-t >= d.deferSlackLocked() {
-		d.pending.push(pendingEvent{
-			ev:       Event{Time: t + d.cfg.Step, Kind: KindTaskSubmit, Task: s},
-			seq:      d.seqCtr.Add(1),
-			requeued: true,
-		})
+		d.pendLocked(Event{Time: t + d.cfg.Step, Kind: KindTaskSubmit, Task: s}, true)
 		d.deferred++
 		d.recordTask(s.ID, obs.Deferred, -1, 0, cause)
 		return
@@ -98,11 +94,7 @@ func (d *Dispatcher) displaceLocked(v victim, t float64, cause string) {
 		d.shards[v.shard].DropTask(v.id)
 		d.dropGhostsLocked(v.id)
 		delete(d.taskOf, v.id)
-		d.pending.push(pendingEvent{
-			ev:       Event{Time: t + d.cfg.Step, Kind: KindTaskSubmit, Task: v.task},
-			seq:      d.seqCtr.Add(1),
-			requeued: true,
-		})
+		d.pendLocked(Event{Time: t + d.cfg.Step, Kind: KindTaskSubmit, Task: v.task}, true)
 		d.deferred++
 		d.recordTask(v.id, obs.Deferred, -1, 0, "requeued after displacement")
 		return

@@ -1,10 +1,10 @@
 // Package dispatch is the live counterpart of internal/stream: a long-running
 // assignment service that accepts concurrent events — worker online/offline,
-// task submit/cancel, position updates — through sharded lock-free ingest
-// rings, batches them into planning epochs at a fixed cadence, and runs each
-// epoch through the existing planner stack. The region is sharded over the demand
-// grid, one stream.Machine per shard, and independent shards plan in parallel
-// via internal/par. Each shard plans through a ladder of planners
+// task submit/cancel, position updates — into one locked inbox, batches them
+// into planning epochs at a fixed cadence, and runs each epoch through the
+// existing planner stack. The region is sharded over the demand grid, one
+// stream.Machine per shard, and independent shards plan in parallel via
+// internal/par. Each shard plans through a ladder of planners
 // (Config.NewLadder) the governor may step it down, and predicted tasks come
 // from one global stream.DemandFeed (Config.Demand) the dispatcher publishes
 // every submit to and refreshes in the epoch's forecast stage.
@@ -22,8 +22,8 @@
 //
 // Ingestion (WorkerOnline, SubmitTask, …) is safe from any number of
 // goroutines and never touches planner state: producers only append to the
-// rings. All planning happens inside Advance/Tick under the dispatcher's
-// epoch lock, which Snapshot and PlanOf also take.
+// inbox, under its own lock. All planning happens inside Advance/Tick under
+// the dispatcher's epoch lock, which Snapshot and PlanOf also take.
 //
 // Cross-shard handoff (multi-shard): shard ownership is an explicit
 // cell→shard map over the demand grid — contiguous row-major bands, so each
@@ -156,14 +156,6 @@ type Config struct {
 	// concurrently (0 = one per CPU, 1 = serial). Results are identical at
 	// every setting.
 	Parallelism int
-	// QueueSize is the ingest buffer capacity (default 4096). A producer
-	// hitting a full queue spills the backlog into the (unbounded) pending
-	// buffer under the epoch lock, so ingestion never drops events and
-	// never deadlocks — even for a single goroutine enqueuing a whole trace
-	// before the first epoch runs. Sustained overload therefore shows up as
-	// pending-buffer growth (Metrics.QueueDepth) and epoch latency, not as
-	// lost events.
-	QueueSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -175,9 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Travel.Speed <= 0 {
 		c.Travel = geo.NewTravelModel(0)
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 4096
 	}
 	return c
 }
@@ -203,12 +192,12 @@ type Metrics struct {
 	Epochs int `json:"epochs"`
 	// Ingested counts events accepted onto the queue; Applied counts events
 	// that changed shard state; Unroutable counts events that had no effect
-	// — unknown or already-departed ids, and online/submit events
-	// duplicating a still-live id.
+	// — unknown or already-departed ids, online/submit events duplicating a
+	// still-live id, and events Ingest dropped for a non-finite time.
 	Ingested   int64 `json:"ingested"`
 	Applied    int64 `json:"applied"`
 	Unroutable int64 `json:"unroutable"`
-	// QueueDepth is the current ingest backlog (queued + drained-but-undue).
+	// QueueDepth is the current ingest backlog (inbox + drained-but-undue).
 	QueueDepth int `json:"queue_depth"`
 	// RoutedWorkers and RoutedTasks are the live routing-map sizes: workers
 	// currently active and tasks currently open, as the router sees them.
@@ -268,23 +257,23 @@ type Metrics struct {
 // (from any goroutine), and advance its epoch clock either manually (Advance,
 // Tick — deterministic, used by tests and LoadGen) or on wall time (Serve).
 type Dispatcher struct {
-	cfg   Config
-	rings shardedQueue // the ingest buffer; set in New, immutable after
+	cfg Config
+
+	inMu  sync.Mutex
+	inbox []Event // ingested, not yet drained; guarded by inMu
 
 	ingested   atomic.Int64
 	applied    atomic.Int64
 	unroutable atomic.Int64
 	nowBits    atomic.Uint64 // next epoch instant, for lock-free stamping
-	// seqCtr stamps every event with its global ingest order at enqueue
-	// time (see stampedEvent); requeues (admission deferrals) draw from the
-	// same counter under the epoch lock.
-	seqCtr atomic.Int64
 	// synthID assigns server-side task ids for streamed submits with id 0,
 	// starting above any client-chosen range (see syntheticIDBase).
 	synthID atomic.Int64
 
 	mu      sync.Mutex
-	pending heap[pendingEvent] // drained from the queue, not yet due; guarded by mu
+	pending heap[pendingEvent] // drained from the inbox, not yet due; guarded by mu
+	spare   []Event            // the empty buffer drainLocked swaps in; guarded by mu
+	seq     int64              // last ingest order stamped, at drain or requeue; guarded by mu
 	shards  []*stream.Machine  // slice and elements set in New, immutable after
 	smap    *shardMap          // cell ownership; nil with one shard; immutable after New
 	owner   map[int]int        // worker id → shard; guarded by mu
@@ -347,7 +336,6 @@ func New(cfg Config) *Dispatcher {
 		taskOf: make(map[int]int),
 		ghosts: make(map[int][]int),
 		clock:  cfg.Now,
-		rings:  newShardedQueue(cfg.Shards, cfg.QueueSize),
 
 		pending: heap[pendingEvent]{less: pendingBefore},
 		victims: heap[victim]{less: moreDeferrable},
@@ -404,21 +392,24 @@ func (d *Dispatcher) Now() float64 {
 }
 
 // Ingest enqueues one event with an explicit effect time. Safe for
-// concurrent use. When the queue is full the caller spills the backlog into
-// the pending buffer itself (taking the epoch lock), so a single goroutine
-// can enqueue arbitrarily many events without an intervening epoch. The fast
-// path is one atomic counter increment plus one ring CAS — no lock, and no
-// contention between producers in different regions.
+// concurrent use: it appends to the inbox under the inbox lock, never the
+// epoch lock, so producers wait on each other only for one append and never
+// on a planning epoch. The inbox is unbounded, so a single goroutine can
+// enqueue a whole trace before the first epoch runs; sustained overload
+// shows up as backlog (Metrics.QueueDepth) and epoch latency, not as lost
+// events. An event with a non-finite Time could never come due, and a NaN
+// would wedge the pending heap's order, so it is dropped and counted in
+// Unroutable.
+//
+//datawa:hotpath
 func (d *Dispatcher) Ingest(ev Event) {
-	se := stampedEvent{ev: ev, seq: d.seqCtr.Add(1)}
-	if !d.laneOf(ev).tryPush(se) {
-		// Full lane: spill everything queued into the pending heap and
-		// place this event there directly — never dropped, never blocked.
-		d.mu.Lock()
-		d.drainLocked()
-		d.pending.push(pendingEvent{ev: se.ev, seq: se.seq})
-		d.mu.Unlock()
+	if !finite(ev.Time) {
+		d.unroutable.Add(1)
+		return
 	}
+	d.inMu.Lock()
+	d.inbox = append(d.inbox, ev)
+	d.inMu.Unlock()
 	d.ingested.Add(1)
 }
 
@@ -478,7 +469,7 @@ func (d *Dispatcher) Snapshot() Metrics {
 		Ingested:        d.ingested.Load(),
 		Applied:         d.applied.Load(),
 		Unroutable:      d.unroutable.Load(),
-		QueueDepth:      d.rings.depth() + len(d.pending.items),
+		QueueDepth:      d.backlogLocked(),
 		RoutedWorkers:   len(d.owner),
 		RoutedTasks:     len(d.taskOf),
 		RoutedGhosts:    len(d.ghosts),

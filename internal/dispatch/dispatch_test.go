@@ -483,10 +483,10 @@ func TestRoutingStateRetired(t *testing.T) {
 }
 
 // TestIngestBeyondQueueCapacity: a single goroutine must be able to enqueue
-// far more events than the queue holds without an epoch running in between —
-// the overflow spills into the pending buffer instead of deadlocking.
+// a long run of events without an epoch running in between — the inbox
+// grows instead of dropping or blocking.
 func TestIngestBeyondQueueCapacity(t *testing.T) {
-	d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()), QueueSize: 8})
+	d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
 	const n = 1000
 	for i := 0; i < n; i++ {
 		d.Ingest(Event{Time: 0, Kind: KindTaskSubmit,

@@ -67,7 +67,7 @@ func (d *Dispatcher) Quiesce(maxEpochs int) bool {
 	for i := 0; i <= maxEpochs; i++ {
 		d.mu.Lock()
 		d.drainLocked()
-		done := d.rings.depth() == 0 && len(d.pending.items) == 0 && len(d.taskOf) == 0
+		done := d.backlogLocked() == 0 && len(d.taskOf) == 0
 		if done && d.gov != nil {
 			for s := range d.shards {
 				if d.gov.TierOf(s) != 0 {

@@ -12,20 +12,18 @@ import (
 )
 
 // serialIngest is the queue-shape oracle: it takes the epoch lock and pushes
-// the event straight onto the pending heap under the next sequence number —
-// the order a single producer's enqueue-time stamps give, with no ring in
-// between (Ingest's full-lane spill branch does the same for one event).
+// the event straight onto the pending heap under the next ingest order — the
+// order a single producer's events get at drain, with no inbox in between.
 func serialIngest(d *Dispatcher, ev Event) {
 	d.mu.Lock()
-	d.pending.push(pendingEvent{ev: ev, seq: d.seqCtr.Add(1)})
+	d.pendLocked(ev, false)
 	d.mu.Unlock()
 	d.ingested.Add(1)
 }
 
-// replayShape replays the scenario trace through the ingest rings with
-// explicit control over their size and the transport, returning the final
-// snapshot.
-func replayShape(sc *workload.Scenario, parallelism, queueSize int, stream bool, batch int) Metrics {
+// replayShape replays the scenario trace through the inbox on the chosen
+// transport, returning the final snapshot.
+func replayShape(sc *workload.Scenario, parallelism int, stream bool, batch int) Metrics {
 	d := New(Config{
 		Shards:      4,
 		Grid:        sc.Grid,
@@ -34,16 +32,14 @@ func replayShape(sc *workload.Scenario, parallelism, queueSize int, stream bool,
 		Travel:      travel,
 		NewLadder:   oneTier(searchFactory()),
 		Parallelism: parallelism,
-		QueueSize:   queueSize,
 	})
 	return LoadGen{Events: sc.Events(), T1: sc.T1, Stream: stream, Batch: batch}.Run(d).Metrics
 }
 
-// TestQueueShapeEquivalence is the sharded-queue property test's sequential
-// half: for one event stream, the sharded lock-free rings must produce
-// snapshots byte-identical to the serial oracle's at every parallelism level.
-// Lane routing spreads contention; the (Time, seq) pending order — not lane
-// interleaving — decides what the epochs see.
+// TestQueueShapeEquivalence is the queue property test's sequential half: for
+// one event stream, ingest through the inbox must produce snapshots
+// byte-identical to the serial oracle's at every parallelism level on four
+// shards. The (Time, ingest order) pending order decides what the epochs see.
 func TestQueueShapeEquivalence(t *testing.T) {
 	sc := testScenario(t)
 	oracle := New(Config{
@@ -59,25 +55,23 @@ func TestQueueShapeEquivalence(t *testing.T) {
 	oracle.Advance(sc.T1)
 	ref := digest(oracle.Snapshot())
 	for _, parallelism := range []int{1, 4, 0} {
-		sharded := digest(replayShape(sc, parallelism, 0, false, 0))
-		if sharded != ref {
-			t.Fatalf("parallelism %d: sharded queue diverged from serial ingest:\n got %s\nwant %s",
-				parallelism, sharded, ref)
+		got := digest(replayShape(sc, parallelism, false, 0))
+		if got != ref {
+			t.Fatalf("parallelism %d: inbox diverged from serial ingest:\n got %s\nwant %s",
+				parallelism, got, ref)
 		}
 	}
 }
 
-// TestQueueSpillEquivalence drives the rings through the full-queue
-// spill-to-pending branch: a queue sized far below the burst forces the
-// producer past the ring into the pending heap, and the outcome must still
-// match both an amply-sized queue and the serial oracle exactly. QueueSize 8
-// clamps the sharded queue to its 64-slot lane minimum, so the 500-event
-// single-cell burst overflows the one lane it routes to by ~8x.
+// TestQueueSpillEquivalence holds a burst to the serial oracle: one worker
+// and a 500-event single-cell burst, all ingested before the first epoch,
+// must reach the same outcome through the inbox as pushed straight onto the
+// pending heap.
 func TestQueueSpillEquivalence(t *testing.T) {
-	run := func(ingest func(*Dispatcher, Event), queueSize int) Metrics {
+	run := func(ingest func(*Dispatcher, Event)) Metrics {
 		d := New(Config{
 			Shards: 2, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: 1,
-			Travel: travel, NewLadder: oneTier(greedyFactory()), QueueSize: queueSize,
+			Travel: travel, NewLadder: oneTier(greedyFactory()),
 		})
 		ingest(d, Event{Time: 0, Kind: KindWorkerOnline,
 			Worker: &core.Worker{ID: 1, Loc: geo.Point{X: 3}, Reach: 1, On: 0, Off: 1000}})
@@ -91,17 +85,9 @@ func TestQueueSpillEquivalence(t *testing.T) {
 		}
 		return d.Snapshot()
 	}
-	ref := digest(run(serialIngest, 4096))
-	for _, tc := range []struct {
-		name      string
-		queueSize int
-	}{
-		{"spill", 8},
-		{"ample", 4096},
-	} {
-		if got := digest(run((*Dispatcher).Ingest, tc.queueSize)); got != ref {
-			t.Fatalf("%s diverged:\n got %s\nwant %s", tc.name, got, ref)
-		}
+	ref := digest(run(serialIngest))
+	if got := digest(run((*Dispatcher).Ingest)); got != ref {
+		t.Fatalf("burst diverged:\n got %s\nwant %s", got, ref)
 	}
 }
 
@@ -110,8 +96,7 @@ func TestQueueSpillEquivalence(t *testing.T) {
 // outcome. Each event carries a globally unique time, so the pending heap's
 // (Time, seq) order is a pure function of the trace regardless of which
 // producer's push lands first — and the post-Quiesce snapshot must equal the
-// serial oracle's ingest of the same stream, run after run. The queue is
-// sized to force concurrent spill-to-pending on top of ring pushes.
+// serial oracle's ingest of the same stream, run after run.
 func TestConcurrentProducersDeterministic(t *testing.T) {
 	sc := testScenario(t)
 	base := sc.Events()
@@ -126,7 +111,7 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 	run := func(producers int) Metrics {
 		d := New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			Travel: travel, NewLadder: oneTier(searchFactory()), QueueSize: 64,
+			Travel: travel, NewLadder: oneTier(searchFactory()),
 		})
 		if producers == 0 {
 			for _, ev := range events {
@@ -155,7 +140,7 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 		for _, producers := range []int{2, 4, 8} {
 			got := digest(run(producers))
 			if got != ref {
-				t.Fatalf("run %d, %d producers: sharded queue diverged from serial ingest:\n got %s\nwant %s",
+				t.Fatalf("run %d, %d producers: inbox diverged from serial ingest:\n got %s\nwant %s",
 					run2, producers, got, ref)
 			}
 		}
@@ -168,10 +153,10 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 // and batch size, including single-event frames.
 func TestTransportEquivalence(t *testing.T) {
 	sc := testScenario(t)
-	ref := digest(replayShape(sc, 1, 0, false, 0))
+	ref := digest(replayShape(sc, 1, false, 0))
 	for _, parallelism := range []int{1, 4, 0} {
 		for _, batch := range []int{1, 256} {
-			got := digest(replayShape(sc, parallelism, 0, true, batch))
+			got := digest(replayShape(sc, parallelism, true, batch))
 			if got != ref {
 				t.Fatalf("parallelism %d batch %d: stream transport diverged:\n got %s\nwant %s",
 					parallelism, batch, got, ref)
@@ -263,5 +248,53 @@ func TestIngestBatchRejectsNonFinite(t *testing.T) {
 	}
 	if m := d.Snapshot(); m.Assigned != 1 || m.RoutedTasks != 0 || m.Ingested != 2 {
 		t.Fatalf("assigned/routed/ingested = %d/%d/%d, want 1/0/2", m.Assigned, m.RoutedTasks, m.Ingested)
+	}
+}
+
+// TestIngestDropsNonFiniteTime: Ingest is exported and accepts any Time. An
+// event whose Time is NaN orders neither before nor after anything, so on the
+// pending heap it would settle at the root and block every event behind it;
+// ±Inf could never come due, or would keep Quiesce from ever draining. Ingest
+// drops all three and counts them Unroutable, and the valid events after
+// them plan as if they had never been sent.
+func TestIngestDropsNonFiniteTime(t *testing.T) {
+	d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d.Ingest(Event{Time: bad, Kind: KindTaskCancel, ID: 1})
+	}
+	d.Ingest(Event{Time: 0, Kind: KindWorkerOnline,
+		Worker: &core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1}, Reach: 1, On: 0, Off: 100}})
+	d.Ingest(Event{Time: 0, Kind: KindTaskSubmit,
+		Task: &core.Task{ID: 1, Loc: geo.Point{X: 1, Y: 1}, Pub: 0, Exp: 50, Cell: -1}})
+	d.Advance(60)
+	m := d.Snapshot()
+	if m.Assigned != 1 || m.Applied != 2 || m.Ingested != 2 || m.Unroutable != 3 || m.QueueDepth != 0 {
+		t.Fatalf("assigned/applied/ingested/unroutable/queue = %d/%d/%d/%d/%d, want 1/2/2/3/0",
+			m.Assigned, m.Applied, m.Ingested, m.Unroutable, m.QueueDepth)
+	}
+	if !d.Quiesce(50) {
+		t.Fatalf("dispatcher did not drain: %+v", d.Snapshot())
+	}
+}
+
+// TestIngestBatchExtremeIDs: an id-only wire event may carry any int64 id,
+// and IngestBatch accepts it. With three shards, math.MinInt64 is an id
+// whose absolute value overflows and whose remainder is negative; both
+// events must reach the epoch and be counted Unroutable, not crash ingest.
+func TestIngestBatchExtremeIDs(t *testing.T) {
+	d := New(Config{
+		Shards: 3, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: 1,
+		Travel: travel, NewLadder: oneTier(greedyFactory()),
+	})
+	acc, rej := d.IngestBatch([]wire.Event{
+		{Kind: wire.WorkerOffline, ID: math.MinInt64},
+		{Kind: wire.TaskCancel, ID: math.MinInt64},
+	})
+	if acc != 2 || rej != 0 {
+		t.Fatalf("accepted %d, rejected %d, want 2/0", acc, rej)
+	}
+	d.Tick()
+	if m := d.Snapshot(); m.Unroutable != 2 || m.Applied != 0 || m.QueueDepth != 0 {
+		t.Fatalf("unroutable/applied/queue = %d/%d/%d, want 2/0/0", m.Unroutable, m.Applied, m.QueueDepth)
 	}
 }

@@ -26,7 +26,8 @@ type StreamSummary struct {
 // into two batch-sized slabs, so admitting N entities costs two allocations
 // instead of N — the dispatcher retains pointers into the slabs exactly as
 // it would retain individually-boxed entities. Safe for concurrent use, like
-// Ingest.
+// Ingest; the accepted events enter the inbox under one lock per batch, in
+// batch order.
 //
 // Validation mirrors the HTTP endpoints: every float an event carries — its
 // time, location, reach and window — must be finite; worker events need a
@@ -58,15 +59,16 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 		tasks = make([]core.Task, 0, nt)
 	}
 	now := d.Now()
+	d.inMu.Lock()
 	for i := range events {
 		ev := &events[i]
 		if !finite(ev.Time) {
 			rejected++
 			continue
 		}
-		t := ev.Time
-		if t == 0 {
-			t = now
+		in := Event{Time: ev.Time}
+		if in.Time == 0 {
+			in.Time = now
 		}
 		switch ev.Kind {
 		case wire.WorkerOnline:
@@ -79,7 +81,7 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 				ID: int(ev.ID), Loc: geo.Point{X: ev.X, Y: ev.Y},
 				Reach: ev.Reach, On: ev.On, Off: ev.Off,
 			})
-			d.Ingest(Event{Time: t, Kind: KindWorkerOnline, Worker: &workers[len(workers)-1]})
+			in.Kind, in.Worker = KindWorkerOnline, &workers[len(workers)-1]
 		case wire.TaskSubmit:
 			if ev.ID < 0 || ev.ID >= syntheticIDBase || ev.Exp <= ev.Pub || !finite(ev.X, ev.Y, ev.Pub, ev.Exp) {
 				rejected++
@@ -93,31 +95,34 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 				ID: id, Loc: geo.Point{X: ev.X, Y: ev.Y},
 				Pub: ev.Pub, Exp: ev.Exp, Cell: -1,
 			})
-			d.Ingest(Event{Time: t, Kind: KindTaskSubmit, Task: &tasks[len(tasks)-1]})
+			in.Kind, in.Task = KindTaskSubmit, &tasks[len(tasks)-1]
 		case wire.WorkerOffline:
 			if int64(int(ev.ID)) != ev.ID {
 				rejected++
 				continue
 			}
-			d.Ingest(Event{Time: t, Kind: KindWorkerOffline, ID: int(ev.ID)})
+			in.Kind, in.ID = KindWorkerOffline, int(ev.ID)
 		case wire.TaskCancel:
 			if int64(int(ev.ID)) != ev.ID {
 				rejected++
 				continue
 			}
-			d.Ingest(Event{Time: t, Kind: KindTaskCancel, ID: int(ev.ID)})
+			in.Kind, in.ID = KindTaskCancel, int(ev.ID)
 		case wire.Position:
 			if int64(int(ev.ID)) != ev.ID || !finite(ev.X, ev.Y) {
 				rejected++
 				continue
 			}
-			d.Ingest(Event{Time: t, Kind: KindPosition, ID: int(ev.ID), Loc: geo.Point{X: ev.X, Y: ev.Y}})
+			in.Kind, in.ID, in.Loc = KindPosition, int(ev.ID), geo.Point{X: ev.X, Y: ev.Y}
 		default:
 			rejected++
 			continue
 		}
+		d.inbox = append(d.inbox, in)
 		accepted++
 	}
+	d.inMu.Unlock()
+	d.ingested.Add(int64(accepted))
 	return accepted, rejected
 }
 

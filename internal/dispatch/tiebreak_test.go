@@ -86,9 +86,8 @@ func TestEventsTieBreakWorkersBeforeTasks(t *testing.T) {
 }
 
 // TestTiedTimestampReplayMatchesEngine replays the collision trace through
-// the dispatcher — including a one-slot ingest queue that forces the
-// spill-to-pending path — and requires the engine's exact outcome at every
-// configuration. This is what keeps suite runs byte-deterministic when
+// the dispatcher — per event and over the binary-stream transport — and
+// requires the engine's exact outcome at every configuration. This is what keeps suite runs byte-deterministic when
 // coarse scales collide worker-on and task-submit instants.
 func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 	sc := tieScenario()
@@ -98,22 +97,22 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 		stream.Config{Planner: searchFactory()(0), Step: step, Travel: travel},
 	)
 	for _, cfg := range []struct {
-		name      string
-		queueSize int
-		shards    int
-		parallel  int
+		name     string
+		streamed bool
+		shards   int
+		parallel int
 	}{
-		{"ample queue", 0, 1, 1},
-		{"one-slot queue spills", 1, 1, 1},
-		{"sharded parallel", 1, 2, 4},
+		{"direct", false, 1, 1},
+		{"streamed", true, 1, 1},
+		{"sharded parallel", false, 2, 4},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			d := New(Config{
 				Shards: cfg.shards, Grid: sc.Grid, Step: step, Now: sc.T0,
 				Travel: travel, NewLadder: oneTier(searchFactory()),
-				Parallelism: cfg.parallel, QueueSize: cfg.queueSize,
+				Parallelism: cfg.parallel,
 			})
-			m := (LoadGen{Events: sc.Events(), T1: sc.T1}).Run(d).Metrics
+			m := (LoadGen{Events: sc.Events(), T1: sc.T1, Stream: cfg.streamed}).Run(d).Metrics
 			if cfg.shards == 1 {
 				if m.Assigned != ref.Assigned || m.Expired != ref.Expired {
 					t.Fatalf("assigned/expired = %d/%d, engine = %d/%d",
@@ -124,11 +123,11 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 			d2 := New(Config{
 				Shards: cfg.shards, Grid: sc.Grid, Step: step, Now: sc.T0,
 				Travel: travel, NewLadder: oneTier(searchFactory()),
-				Parallelism: 1, QueueSize: 0,
+				Parallelism: 1,
 			})
 			m2 := (LoadGen{Events: sc.Events(), T1: sc.T1}).Run(d2).Metrics
 			if m.Assigned != m2.Assigned || m.Expired != m2.Expired || m.Applied != m2.Applied {
-				t.Fatalf("replay diverges across queue/parallelism settings: %d/%d/%d vs %d/%d/%d",
+				t.Fatalf("replay diverges across transport/parallelism settings: %d/%d/%d vs %d/%d/%d",
 					m.Assigned, m.Expired, m.Applied, m2.Assigned, m2.Expired, m2.Applied)
 			}
 		})
