@@ -62,18 +62,25 @@ type (
 	Dispatcher = dispatch.Dispatcher
 	// DispatchMetrics is a dispatcher metrics snapshot.
 	DispatchMetrics = dispatch.Metrics
-	// DispatchEvent is one dispatcher ingest-queue entry.
+	// DispatchEvent is one dispatcher ingest-queue entry. Dispatcher.Ingest
+	// drops one that is not well formed (a non-finite number, a worker id or
+	// reach ≤ 0, an empty window, a negative task id) and counts it in
+	// DispatchMetrics.Unroutable.
 	DispatchEvent = dispatch.Event
 )
 
 // WorkerOnlineEvent builds the ingest event admitting w at its On instant,
 // for deterministic trace replay through Dispatcher.Ingest. For live
 // operation use Dispatcher.WorkerOnline, which stamps the current clock.
+// Both hold w to the same rule: a positive id and reach, a non-empty
+// availability window, every number finite.
 func WorkerOnlineEvent(w *Worker) DispatchEvent {
 	return DispatchEvent{Time: w.On, Kind: dispatch.KindWorkerOnline, Worker: w}
 }
 
 // TaskSubmitEvent builds the ingest event publishing s at its Pub instant.
+// Ingest holds s to a non-negative id, a non-empty validity window and
+// finite numbers, as Dispatcher.SubmitTask does.
 func TaskSubmitEvent(s *Task) DispatchEvent {
 	return DispatchEvent{Time: s.Pub, Kind: dispatch.KindTaskSubmit, Task: s}
 }

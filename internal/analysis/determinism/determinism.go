@@ -10,8 +10,8 @@
 //     order-exposed needs `//datawa:unordered <why>`.
 //  2. No ambient-environment reads: time.Now/Since/Until, the global
 //     math/rand functions, and os.Getenv/LookupEnv/Environ are banned.
-//     Wall-clock belongs to datawa-serve, obs, and LoadGen pacing; a
-//     deliberate site carries `//datawa:wallclock <why>`. Seeded
+//     Wall-clock belongs to datawa-serve, obs, and LoadGen's wall-time
+//     report; a deliberate site carries `//datawa:wallclock <why>`. Seeded
 //     rand.New(rand.NewSource(…)) is fine — that is how workloads are meant
 //     to generate randomness.
 //  3. No bare `go` statements: all fan-out goes through internal/par, whose

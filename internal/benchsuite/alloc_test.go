@@ -39,7 +39,7 @@ func replayLive(tb testing.TB, sc *datawa.Scenario, fw *datawa.Framework, m data
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return dispatch.LoadGen{Events: sc.Events(), T1: sc.T1, Stream: true}.Run(d)
+	return dispatch.LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)
 }
 
 // BenchmarkLiveReplay replays an archetype through the live dispatch path with

@@ -364,10 +364,10 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 	if err != nil {
 		return Cell{}, err
 	}
-	// Stream: the batched wire path (encode → frame → decode → IngestBatch),
-	// what benchmark/ and a /v1/stream client drive. Outcomes do not depend on
-	// the transport (dispatch.TestTransportEquivalence).
-	g := dispatch.LoadGen{Events: sc.Events(), T1: sc.T1, Stream: true}
+	// LoadGen drives the batched wire path (encode → frame → decode →
+	// IngestBatch), what benchmark/ and a /v1/stream client drive. Outcomes
+	// do not depend on the transport (dispatch.TestTransportEquivalence).
+	g := dispatch.LoadGen{Events: sc.Events(), T1: sc.T1}
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	lr := g.Run(d)

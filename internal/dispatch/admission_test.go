@@ -200,8 +200,8 @@ func TestAdmissionSubmitCapDefersOverflow(t *testing.T) {
 // TestLoadGenCountsShedInsteadOfBlocking pins the load generator's overload
 // contract: replaying a trace against a dispatcher that sheds under a tiny
 // pool cap terminates at the logical horizon and surfaces the shed and defer
-// counters in its result instead of waiting for assignments that can never
-// arrive.
+// counters in its result's Metrics instead of waiting for assignments that
+// can never arrive.
 func TestLoadGenCountsShedInsteadOfBlocking(t *testing.T) {
 	sc := testScenario(t)
 	d := New(Config{
@@ -209,13 +209,13 @@ func TestLoadGenCountsShedInsteadOfBlocking(t *testing.T) {
 		NewLadder: oneTier(greedyFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 5, DeferSlack: 10000},
 	})
-	lr := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)
-	if lr.Shed == 0 {
+	m := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
+	if m.Shed == 0 {
 		t.Fatal("a 5-task pool cap over a full trace must shed")
 	}
-	if lr.Shed != lr.Metrics.Shed || lr.Deferred != lr.Metrics.Deferred {
+	if now := d.Snapshot(); m.Shed != now.Shed || m.Deferred != now.Deferred {
 		t.Fatalf("result counters %d/%d diverge from snapshot %d/%d",
-			lr.Shed, lr.Deferred, lr.Metrics.Shed, lr.Metrics.Deferred)
+			m.Shed, m.Deferred, now.Shed, now.Deferred)
 	}
 	if !d.Quiesce(256) {
 		t.Fatal("dispatcher failed to drain after the replay")

@@ -22,8 +22,10 @@
 //
 // Ingestion (WorkerOnline, SubmitTask, …) is safe from any number of
 // goroutines and never touches planner state: producers only append to the
-// inbox, under its own lock. All planning happens inside Advance/Tick under
-// the dispatcher's epoch lock, which Snapshot and PlanOf also take.
+// inbox, under its own lock, and only events that pass the one event rule
+// every ingest face applies (wellFormed). All planning happens inside
+// Advance/Tick under the dispatcher's epoch lock, which Snapshot and PlanOf
+// also take.
 //
 // Cross-shard handoff (multi-shard): shard ownership is an explicit
 // cell→shard map over the demand grid — contiguous row-major bands, so each
@@ -193,7 +195,9 @@ type Metrics struct {
 	// Ingested counts events accepted onto the queue; Applied counts events
 	// that changed shard state; Unroutable counts events that had no effect
 	// — unknown or already-departed ids, online/submit events duplicating a
-	// still-live id, and events Ingest dropped for a non-finite time.
+	// still-live id, and events Ingest dropped as not well formed. Events
+	// IngestBatch rejects are reported to its caller instead, and a request
+	// the HTTP API refuses with 400 moves no counter.
 	Ingested   int64 `json:"ingested"`
 	Applied    int64 `json:"applied"`
 	Unroutable int64 `json:"unroutable"`
@@ -397,13 +401,12 @@ func (d *Dispatcher) Now() float64 {
 // on a planning epoch. The inbox is unbounded, so a single goroutine can
 // enqueue a whole trace before the first epoch runs; sustained overload
 // shows up as backlog (Metrics.QueueDepth) and epoch latency, not as lost
-// events. An event with a non-finite Time could never come due, and a NaN
-// would wedge the pending heap's order, so it is dropped and counted in
-// Unroutable.
+// events. An event that is not well formed (wellFormed) is dropped and
+// counted in Unroutable: it never reaches the inbox or a shard.
 //
 //datawa:hotpath
 func (d *Dispatcher) Ingest(ev Event) {
-	if !finite(ev.Time) {
+	if !wellFormed(&ev) {
 		d.unroutable.Add(1)
 		return
 	}
@@ -411,6 +414,48 @@ func (d *Dispatcher) Ingest(ev Event) {
 	d.inbox = append(d.inbox, ev)
 	d.inMu.Unlock()
 	d.ingested.Add(1)
+}
+
+// wellFormed is the one rule for an ingest event, which Ingest, IngestBatch
+// and the HTTP handlers all apply. Every float the event carries (time,
+// location, reach, window) is finite: a NaN time would wedge the pending
+// heap, an infinite one never comes due, an infinite deadline never expires,
+// and an infinite reach or coordinate poisons the halo radius and the
+// grid-cell arithmetic every ownership decision is built on. A worker has a
+// positive id and reach and a non-empty availability window; a task has a
+// non-negative id, since negative ids are the forecaster's virtual tasks,
+// and a non-empty validity window. An id-only event needs nothing more: an
+// unknown id is counted Unroutable by the epoch that applies it.
+//
+//datawa:hotpath
+func wellFormed(ev *Event) bool {
+	if !finite(ev.Time) {
+		return false
+	}
+	switch ev.Kind {
+	case KindWorkerOnline:
+		w := ev.Worker
+		return w != nil && w.ID > 0 && w.Reach > 0 && w.Off > w.On &&
+			finite(w.Loc.X, w.Loc.Y, w.Reach, w.On, w.Off)
+	case KindTaskSubmit:
+		s := ev.Task
+		return s != nil && s.ID >= 0 && s.Exp > s.Pub && finite(s.Loc.X, s.Loc.Y, s.Pub, s.Exp)
+	case KindPosition:
+		return finite(ev.Loc.X, ev.Loc.Y)
+	}
+	return ev.Kind == KindWorkerOffline || ev.Kind == KindTaskCancel
+}
+
+// finite reports whether no value is NaN or ±Inf.
+//
+//datawa:hotpath
+func finite(vals ...float64) bool {
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // WorkerOnline admits a worker at the next epoch.

@@ -542,9 +542,10 @@ func TestSnapshotPercentilesReadEpochHistogram(t *testing.T) {
 	}
 }
 
-// TestLoadGenSustainsDiDiRate is the throughput acceptance bar: replaying a
-// DiDi-scaled trace unpaced must sustain at least 1000 events per second,
-// planning included.
+// TestLoadGenSustainsDiDiRate is the first throughput acceptance bar, set
+// when the ingest path was one HTTP/JSON request per event: replaying a
+// DiDi-scaled trace must sustain at least 1000 events per second, planning
+// included. TestLoadGenStreamSustains25k holds the same replay to 25k.
 func TestLoadGenSustainsDiDiRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement")
@@ -573,22 +574,5 @@ func TestLoadGenSustainsDiDiRate(t *testing.T) {
 	}
 	if res.Metrics.Assigned == 0 {
 		t.Fatal("load run assigned nothing; harness is not exercising planning")
-	}
-}
-
-// TestLoadGenPacing verifies the rate limiter actually paces wall time.
-func TestLoadGenPacing(t *testing.T) {
-	cfg := workload.Yueche().Scaled(0.01)
-	cfg.HistoryDuration = 0
-	sc := workload.Generate(cfg)
-	d := New(Config{Step: 10, Now: sc.T0, Travel: travel, NewLadder: oneTier(greedyFactory())})
-	events := sc.Events()
-	if len(events) > 60 {
-		events = events[:60]
-	}
-	rate := 2000.0
-	res := LoadGen{Events: events, Rate: rate, T1: sc.T1}.Run(d)
-	if res.AchievedRate > rate*1.25 {
-		t.Fatalf("achieved %.0f events/sec, pacing at %.0f had no effect", res.AchievedRate, rate)
 	}
 }

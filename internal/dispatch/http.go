@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -14,6 +13,12 @@ import (
 // syntheticIDBase starts server-assigned task ids well above any client-
 // chosen range so the two never collide.
 const syntheticIDBase = 1 << 30
+
+// clientTaskID reports whether a client, over HTTP or the wire, may submit a
+// task under id: negative ids are the forecaster's virtual tasks and ids from
+// syntheticIDBase up are server-assigned, so a client id colliding with
+// either could double-assign one. 0 asks the server to draw an id.
+func clientTaskID(id int64) bool { return id >= 0 && id < syntheticIDBase }
 
 // Handler is the HTTP/JSON ingestion and query API over a Dispatcher:
 //
@@ -31,8 +36,11 @@ const syntheticIDBase = 1 << 30
 //	GET  /metrics                                          Prometheus text format
 //	GET  /healthz                                          liveness
 //
-// Ingestion endpoints respond 202 Accepted with the logical effect time:
-// events take effect at the next planning epoch, not synchronously.
+// Each per-event ingestion endpoint builds one Event and holds it to the
+// dispatcher's one event rule (wellFormed): a request that fails it gets 400
+// Bad Request and moves no counter, and any other gets 202 Accepted with the
+// logical effect time. Events take effect at the next planning epoch, not
+// synchronously.
 type Handler struct {
 	d   *Dispatcher
 	mux *http.ServeMux
@@ -96,42 +104,26 @@ func (h *Handler) workerOnline(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if req.ID <= 0 || req.Reach <= 0 || req.Avail <= 0 {
-		httpError(w, http.StatusBadRequest, "id, reach and avail must be positive")
-		return
-	}
-	if !finite(req.X, req.Y, req.Reach, req.Avail) {
-		httpError(w, http.StatusBadRequest, "x, y, reach and avail must be finite")
-		return
-	}
 	now := h.d.Now()
-	h.d.WorkerOnline(&core.Worker{
+	h.admit(w, req.ID, Event{Time: now, Kind: KindWorkerOnline, Worker: &core.Worker{
 		ID: req.ID, Loc: geo.Point{X: req.X, Y: req.Y},
 		Reach: req.Reach, On: now, Off: now + req.Avail,
-	})
-	writeJSON(w, http.StatusAccepted, acceptedResp{ID: req.ID, Time: now})
+	}})
 }
 
 func (h *Handler) workerOffline(w http.ResponseWriter, r *http.Request) {
 	var req idReq
-	if !decode(w, r, &req) {
-		return
+	if decode(w, r, &req) {
+		h.admit(w, req.ID, Event{Time: h.d.Now(), Kind: KindWorkerOffline, ID: req.ID})
 	}
-	h.d.WorkerOffline(req.ID)
-	writeJSON(w, http.StatusAccepted, acceptedResp{ID: req.ID, Time: h.d.Now()})
 }
 
 func (h *Handler) heartbeat(w http.ResponseWriter, r *http.Request) {
 	var req idReq
-	if !decode(w, r, &req) {
-		return
+	if decode(w, r, &req) {
+		h.admit(w, req.ID, Event{Time: h.d.Now(), Kind: KindPosition, ID: req.ID,
+			Loc: geo.Point{X: req.X, Y: req.Y}})
 	}
-	if !finite(req.X, req.Y) {
-		httpError(w, http.StatusBadRequest, "x and y must be finite")
-		return
-	}
-	h.d.Heartbeat(req.ID, geo.Point{X: req.X, Y: req.Y})
-	writeJSON(w, http.StatusAccepted, acceptedResp{ID: req.ID, Time: h.d.Now()})
 }
 
 func (h *Handler) submitTask(w http.ResponseWriter, r *http.Request) {
@@ -139,49 +131,50 @@ func (h *Handler) submitTask(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if req.Valid <= 0 {
-		httpError(w, http.StatusBadRequest, "valid must be positive")
+	if !clientTaskID(int64(req.ID)) {
+		httpError(w, http.StatusBadRequest, "id must be in [0, 2^30) (0 = server-assigned)")
 		return
-	}
-	if !finite(req.X, req.Y, req.Valid) {
-		httpError(w, http.StatusBadRequest, "x, y and valid must be finite")
-		return
-	}
-	// Negative ids are reserved for forecaster-generated virtual tasks and
-	// ids at or above the synthetic base for server-assigned ones; a
-	// client-chosen collision with either could double-assign an id.
-	if req.ID < 0 || req.ID >= syntheticIDBase {
-		httpError(w, http.StatusBadRequest,
-			"id must be in [0, 2^30) (0 = server-assigned)")
-		return
-	}
-	id := req.ID
-	if id == 0 {
-		id = h.d.nextSyntheticID()
 	}
 	now := h.d.Now()
-	h.d.SubmitTask(&core.Task{
-		ID: id, Loc: geo.Point{X: req.X, Y: req.Y},
+	h.admit(w, req.ID, Event{Time: now, Kind: KindTaskSubmit, Task: &core.Task{
+		ID: req.ID, Loc: geo.Point{X: req.X, Y: req.Y},
 		Pub: now, Exp: now + req.Valid, Cell: -1,
-	})
-	writeJSON(w, http.StatusAccepted, acceptedResp{ID: id, Time: now})
+	}})
 }
 
 func (h *Handler) cancelTask(w http.ResponseWriter, r *http.Request) {
 	var req idReq
-	if !decode(w, r, &req) {
+	if decode(w, r, &req) {
+		h.admit(w, req.ID, Event{Time: h.d.Now(), Kind: KindTaskCancel, ID: req.ID})
+	}
+}
+
+// admit answers one per-event request. An event that is not well formed
+// (wellFormed) gets 400 and moves no counter; any other is ingested and gets
+// 202 with its id and effect time. A task submitted with id 0 draws its
+// server-assigned id only once it has passed, so a refused submit draws none.
+func (h *Handler) admit(w http.ResponseWriter, id int, ev Event) {
+	if !wellFormed(&ev) {
+		httpError(w, http.StatusBadRequest,
+			"malformed event: worker id, reach and avail and task valid must be positive, every number finite")
 		return
 	}
-	h.d.CancelTask(req.ID)
-	writeJSON(w, http.StatusAccepted, acceptedResp{ID: req.ID, Time: h.d.Now()})
+	if ev.Kind == KindTaskSubmit && id == 0 {
+		id = h.d.nextSyntheticID()
+		ev.Task.ID = id
+	}
+	h.d.Ingest(ev)
+	writeJSON(w, http.StatusAccepted, acceptedResp{ID: id, Time: ev.Time})
 }
 
 // stream is the batched ingest endpoint: the request body is a persistent
 // event stream — length-prefixed binary frames (internal/wire) or NDJSON
 // lines, sniffed from the first byte — consumed until EOF. The response
 // summarizes the session: accepted/rejected event counts and the frame
-// count. This is the high-throughput face of the ingest API; the per-event
-// JSON endpoints above are its degenerate single-event case.
+// count. Its events are checked by IngestBatch against the same rule as the
+// per-event JSON endpoints above (wellFormed), but a session reports the
+// events it rejects in its summary and carries on, where a per-event request
+// is refused with 400.
 //
 //	# binary (a client encodes frames with internal/wire)
 //	curl -s --data-binary @events.wire localhost:8080/v1/stream
@@ -267,20 +260,6 @@ func (h *Handler) flight(w http.ResponseWriter, _ *http.Request) {
 		dumps = []obs.FlightDump{}
 	}
 	writeJSON(w, http.StatusOK, dumps)
-}
-
-// finite rejects NaN and ±Inf inputs — for the HTTP handlers and
-// IngestBatch alike — before they reach shard routing: a non-finite
-// coordinate would poison the grid-cell arithmetic every ownership and
-// replication decision is built on, and a non-finite time or deadline would
-// never come due or never expire.
-func finite(vals ...float64) bool {
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 func decode(w http.ResponseWriter, r *http.Request, into any) bool {

@@ -111,6 +111,9 @@ func TestHTTPValidation(t *testing.T) {
 		{"/v1/tasks", `{"id":1,"x":0,"y":Infinity,"valid":10}`},
 		{"/v1/workers/heartbeat", `{"id":1,"x":1e999,"y":0}`},
 		{"/v1/workers/heartbeat", `{"id":1,"x":0,"y":-Infinity}`},
+		// Task ids outside the client range [0, 2^30).
+		{"/v1/tasks", `{"id":-5,"x":1,"valid":10}`},
+		{"/v1/tasks", `{"id":1073741824,"x":1,"valid":10}`},
 	}
 	for _, tc := range bad {
 		resp, err := http.Post(srv.URL+tc.path, "application/json", bytes.NewBufferString(tc.body))
@@ -121,6 +124,14 @@ func TestHTTPValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("POST %s %q: status %d, want 400", tc.path, tc.body, resp.StatusCode)
 		}
+	}
+	// A refused request moves no counter, and the refused id-0 submit drew
+	// no server id: the first accepted one gets the first.
+	if m := d.Snapshot(); m.Ingested != 0 || m.Unroutable != 0 {
+		t.Fatalf("after 400s: ingested/unroutable = %d/%d, want 0/0", m.Ingested, m.Unroutable)
+	}
+	if id := int(postJSON(t, srv, "/v1/tasks", `{"x":1,"valid":10}`)["id"].(float64)); id != syntheticIDBase+1 {
+		t.Fatalf("first server-assigned id %d, want %d", id, syntheticIDBase+1)
 	}
 }
 

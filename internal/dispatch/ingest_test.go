@@ -21,10 +21,46 @@ func serialIngest(d *Dispatcher, ev Event) {
 	d.ingested.Add(1)
 }
 
-// replayShape replays the scenario trace through the inbox on the chosen
-// transport, returning the final snapshot.
-func replayShape(sc *workload.Scenario, parallelism int, stream bool, batch int) Metrics {
-	d := New(Config{
+// traceEvent converts one trace event to a dispatcher ingest event.
+func traceEvent(ev workload.Event) Event {
+	if ev.Kind == workload.WorkerOnline {
+		return Event{Time: ev.Time, Kind: KindWorkerOnline, Worker: ev.Worker}
+	}
+	return Event{Time: ev.Time, Kind: KindTaskSubmit, Task: ev.Task}
+}
+
+// ingestEach is the per-event oracle's transport: one Ingest call per trace
+// event.
+func ingestEach(d *Dispatcher, ev workload.Event) { d.Ingest(traceEvent(ev)) }
+
+// batchEach hands IngestBatch a one-event batch, as ConsumeStream does for
+// each NDJSON line.
+func batchEach(t *testing.T) func(*Dispatcher, workload.Event) {
+	return func(d *Dispatcher, ev workload.Event) {
+		if _, rej := d.IngestBatch([]wire.Event{wireEvent(ev)}); rej != 0 {
+			t.Fatalf("trace event %+v rejected", ev)
+		}
+	}
+}
+
+// replayEach replays a trace on LoadGen's schedule, one event at a time:
+// every epoch strictly before an event's instant runs first, then ingest
+// hands the event over; after the last event the clock advances to t1.
+func replayEach(d *Dispatcher, events []workload.Event, t1 float64, ingest func(*Dispatcher, workload.Event)) Metrics {
+	for _, ev := range events {
+		for d.Now() < ev.Time {
+			d.Tick()
+		}
+		ingest(d, ev)
+	}
+	d.Advance(t1)
+	return d.Snapshot()
+}
+
+// shapeDispatcher is the four-shard dispatcher the queue-shape tests replay
+// the scenario trace into.
+func shapeDispatcher(sc *workload.Scenario, parallelism int) *Dispatcher {
+	return New(Config{
 		Shards:      4,
 		Grid:        sc.Grid,
 		Step:        2,
@@ -33,7 +69,6 @@ func replayShape(sc *workload.Scenario, parallelism int, stream bool, batch int)
 		NewLadder:   oneTier(searchFactory()),
 		Parallelism: parallelism,
 	})
-	return LoadGen{Events: sc.Events(), T1: sc.T1, Stream: stream, Batch: batch}.Run(d).Metrics
 }
 
 // TestQueueShapeEquivalence is the queue property test's sequential half: for
@@ -55,7 +90,7 @@ func TestQueueShapeEquivalence(t *testing.T) {
 	oracle.Advance(sc.T1)
 	ref := digest(oracle.Snapshot())
 	for _, parallelism := range []int{1, 4, 0} {
-		got := digest(replayShape(sc, parallelism, false, 0))
+		got := digest(replayEach(shapeDispatcher(sc, parallelism), sc.Events(), sc.T1, ingestEach))
 		if got != ref {
 			t.Fatalf("parallelism %d: inbox diverged from serial ingest:\n got %s\nwant %s",
 				parallelism, got, ref)
@@ -147,29 +182,41 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 	}
 }
 
-// TestTransportEquivalence pins determinism across transports: the batched
-// binary-stream replay (encode → frame → decode → IngestBatch) must produce
-// snapshots byte-identical to the per-event path at every parallelism level
-// and batch size, including single-event frames.
+// TestTransportEquivalence pins determinism across transports: LoadGen's
+// batched binary-stream replay (encode → frame → decode → IngestBatch) and a
+// replay handing IngestBatch one event at a time must produce snapshots
+// byte-identical to the per-event Ingest oracle at every parallelism level.
 func TestTransportEquivalence(t *testing.T) {
 	sc := testScenario(t)
-	ref := digest(replayShape(sc, 1, false, 0))
+	ref := digest(replayEach(shapeDispatcher(sc, 1), sc.Events(), sc.T1, ingestEach))
 	for _, parallelism := range []int{1, 4, 0} {
-		for _, batch := range []int{1, 256} {
-			got := digest(replayShape(sc, parallelism, true, batch))
-			if got != ref {
-				t.Fatalf("parallelism %d batch %d: stream transport diverged:\n got %s\nwant %s",
-					parallelism, batch, got, ref)
+		for _, tr := range []struct {
+			name string
+			run  func(*Dispatcher) Metrics
+		}{
+			{"per-event Ingest", func(d *Dispatcher) Metrics {
+				return replayEach(d, sc.Events(), sc.T1, ingestEach)
+			}},
+			{"one-event batches", func(d *Dispatcher) Metrics {
+				return replayEach(d, sc.Events(), sc.T1, batchEach(t))
+			}},
+			{"LoadGen", func(d *Dispatcher) Metrics {
+				return LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
+			}},
+		} {
+			if got := digest(tr.run(shapeDispatcher(sc, parallelism))); got != ref {
+				t.Fatalf("parallelism %d, %s: diverged from per-event Ingest:\n got %s\nwant %s",
+					parallelism, tr.name, got, ref)
 			}
 		}
 	}
 }
 
-// TestLoadGenStreamSustains25k is the raised throughput acceptance bar: the
-// binary-stream transport must sustain at least 25k events per second on the
-// DiDi-scaled trace, planning included — 25x the per-event floor pinned by
-// TestLoadGenSustainsDiDiRate when the ingest path was one HTTP/JSON request
-// per event.
+// TestLoadGenStreamSustains25k is the raised throughput acceptance bar:
+// LoadGen's binary-stream replay must sustain at least 25k events per second
+// on the DiDi-scaled trace, planning included — 25x the floor
+// TestLoadGenSustainsDiDiRate pinned when the ingest path was one HTTP/JSON
+// request per event.
 func TestLoadGenStreamSustains25k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement")
@@ -188,7 +235,7 @@ func TestLoadGenStreamSustains25k(t *testing.T) {
 		Travel:    travel,
 		NewLadder: oneTier(greedyFactory()),
 	})
-	res := LoadGen{Events: sc.Events(), T1: sc.T1, Stream: true}.Run(d)
+	res := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)
 	if res.Events < 500 {
 		t.Fatalf("trace too small to be meaningful: %d events", res.Events)
 	}
@@ -201,46 +248,94 @@ func TestLoadGenStreamSustains25k(t *testing.T) {
 	}
 }
 
+// validWire is one well-formed wire event of each kind.
+var validWire = []wire.Event{
+	{Kind: wire.WorkerOnline, ID: 1, X: 1, Y: 1, Reach: 1, On: 0, Off: 100},
+	{Kind: wire.TaskSubmit, ID: 1, X: 1, Y: 1, Pub: 0, Exp: 100},
+	{Kind: wire.Position, ID: 1, X: 1, Y: 1},
+	{Kind: wire.WorkerOffline, ID: 1},
+	{Kind: wire.TaskCancel, ID: 1},
+}
+
+// poison copies validWire[i] and breaks it with set.
+func poison(i int, set func(*wire.Event)) wire.Event {
+	ev := validWire[i]
+	set(&ev)
+	return ev
+}
+
+// poisonNonFinite puts NaN, +Inf and −Inf into every float of validWire's
+// events in turn.
+func poisonNonFinite() []wire.Event {
+	var bad []wire.Event
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i := range validWire {
+			bad = append(bad, poison(i, func(ev *wire.Event) { ev.Time = v }))
+		}
+		for _, i := range []int{0, 1, 2} {
+			bad = append(bad,
+				poison(i, func(ev *wire.Event) { ev.X = v }),
+				poison(i, func(ev *wire.Event) { ev.Y = v }))
+		}
+		bad = append(bad,
+			poison(0, func(ev *wire.Event) { ev.Reach = v }),
+			poison(0, func(ev *wire.Event) { ev.On = v }),
+			poison(0, func(ev *wire.Event) { ev.Off = v }),
+			poison(1, func(ev *wire.Event) { ev.Pub = v }),
+			poison(1, func(ev *wire.Event) { ev.Exp = v }))
+	}
+	return bad
+}
+
+// poisonStructural breaks the event rule's other clauses with finite values:
+// worker id ≤ 0, reach ≤ 0, Off ≤ On, task id < 0 and Exp ≤ Pub.
+func poisonStructural() []wire.Event {
+	return []wire.Event{
+		poison(0, func(ev *wire.Event) { ev.ID = 0 }),
+		poison(0, func(ev *wire.Event) { ev.ID = -3 }),
+		poison(0, func(ev *wire.Event) { ev.Reach = 0 }),
+		poison(0, func(ev *wire.Event) { ev.Reach = -1 }),
+		poison(0, func(ev *wire.Event) { ev.Off = ev.On }),
+		poison(0, func(ev *wire.Event) { ev.On, ev.Off = 50, 10 }),
+		poison(1, func(ev *wire.Event) { ev.ID = -5 }),
+		poison(1, func(ev *wire.Event) { ev.Exp = ev.Pub }),
+		poison(1, func(ev *wire.Event) { ev.Pub, ev.Exp = 50, 10 }),
+	}
+}
+
+// materialize builds the dispatcher event a wire event describes, as
+// IngestBatch does, with nothing checked.
+func materialize(ev wire.Event) Event {
+	in := Event{Time: ev.Time, ID: int(ev.ID), Loc: geo.Point{X: ev.X, Y: ev.Y}}
+	switch ev.Kind {
+	case wire.WorkerOnline:
+		in.Kind, in.Worker = KindWorkerOnline, &core.Worker{
+			ID: int(ev.ID), Loc: in.Loc, Reach: ev.Reach, On: ev.On, Off: ev.Off}
+	case wire.TaskSubmit:
+		in.Kind, in.Task = KindTaskSubmit, &core.Task{
+			ID: int(ev.ID), Loc: in.Loc, Pub: ev.Pub, Exp: ev.Exp, Cell: -1}
+	case wire.WorkerOffline:
+		in.Kind = KindWorkerOffline
+	case wire.TaskCancel:
+		in.Kind = KindTaskCancel
+	case wire.Position:
+		in.Kind = KindPosition
+	}
+	return in
+}
+
 // TestIngestBatchRejectsNonFinite: IngestBatch is exported and validates like
 // the HTTP endpoints, so a NaN or infinite time, location, reach or window
 // never reaches the queue. A task with a NaN deadline would otherwise be
 // admitted and never expire, and Quiesce could not drain the dispatcher.
 func TestIngestBatchRejectsNonFinite(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	valid := []wire.Event{
-		{Kind: wire.WorkerOnline, ID: 1, X: 1, Y: 1, Reach: 1, On: 0, Off: 100},
-		{Kind: wire.TaskSubmit, ID: 1, X: 1, Y: 1, Pub: 0, Exp: 100},
-		{Kind: wire.Position, ID: 1, X: 1, Y: 1},
-		{Kind: wire.WorkerOffline, ID: 1},
-		{Kind: wire.TaskCancel, ID: 1},
-	}
-	var bad []wire.Event
-	poison := func(i int, set func(*wire.Event)) {
-		ev := valid[i]
-		set(&ev)
-		bad = append(bad, ev)
-	}
-	for _, v := range []float64{nan, inf, -inf} {
-		for i := range valid {
-			poison(i, func(ev *wire.Event) { ev.Time = v })
-		}
-		for _, i := range []int{0, 1, 2} {
-			poison(i, func(ev *wire.Event) { ev.X = v })
-			poison(i, func(ev *wire.Event) { ev.Y = v })
-		}
-		poison(0, func(ev *wire.Event) { ev.Reach = v })
-		poison(0, func(ev *wire.Event) { ev.On = v })
-		poison(0, func(ev *wire.Event) { ev.Off = v })
-		poison(1, func(ev *wire.Event) { ev.Pub = v })
-		poison(1, func(ev *wire.Event) { ev.Exp = v })
-	}
 	d := New(Config{Travel: travel, NewLadder: oneTier(greedyFactory())})
-	for _, ev := range bad {
+	for _, ev := range poisonNonFinite() {
 		if acc, rej := d.IngestBatch([]wire.Event{ev}); acc != 0 || rej != 1 {
 			t.Errorf("%s event %+v: accepted %d, rejected %d", ev.Kind, ev, acc, rej)
 		}
 	}
-	if acc, rej := d.IngestBatch(valid[:2]); acc != 2 || rej != 0 {
+	if acc, rej := d.IngestBatch(validWire[:2]); acc != 2 || rej != 0 {
 		t.Fatalf("valid events: accepted %d, rejected %d", acc, rej)
 	}
 	if !d.Quiesce(200) {
@@ -249,6 +344,133 @@ func TestIngestBatchRejectsNonFinite(t *testing.T) {
 	if m := d.Snapshot(); m.Assigned != 1 || m.RoutedTasks != 0 || m.Ingested != 2 {
 		t.Fatalf("assigned/routed/ingested = %d/%d/%d, want 1/0/2", m.Assigned, m.RoutedTasks, m.Ingested)
 	}
+}
+
+// TestEveryIngestFaceDropsMalformed holds Ingest and the convenience methods
+// built on it to the rule IngestBatch applies: every non-finite and
+// structural poison event a face can carry is dropped and counted
+// Unroutable, never queued or applied, and valid events after them plan as
+// if they had never been sent. WorkerOnline, SubmitTask and Heartbeat stamp
+// the clock's time themselves, so they carry the poisons with a finite time
+// of their kind. IngestBatch rejects every structural poison too.
+func TestEveryIngestFaceDropsMalformed(t *testing.T) {
+	bad := append(poisonNonFinite(), poisonStructural()...)
+	// Each face reports whether it could carry the event.
+	faces := []struct {
+		name string
+		send func(*Dispatcher, Event) bool
+	}{
+		{"Ingest", func(d *Dispatcher, ev Event) bool { d.Ingest(ev); return true }},
+		{"WorkerOnline", func(d *Dispatcher, ev Event) bool {
+			if ev.Kind != KindWorkerOnline || !finite(ev.Time) {
+				return false
+			}
+			d.WorkerOnline(ev.Worker)
+			return true
+		}},
+		{"SubmitTask", func(d *Dispatcher, ev Event) bool {
+			if ev.Kind != KindTaskSubmit || !finite(ev.Time) {
+				return false
+			}
+			d.SubmitTask(ev.Task)
+			return true
+		}},
+		{"Heartbeat", func(d *Dispatcher, ev Event) bool {
+			if ev.Kind != KindPosition || !finite(ev.Time) {
+				return false
+			}
+			d.Heartbeat(ev.ID, ev.Loc)
+			return true
+		}},
+	}
+	for _, face := range faces {
+		t.Run(face.name, func(t *testing.T) {
+			d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
+			var sent int64
+			for _, ev := range bad {
+				if face.send(d, materialize(ev)) {
+					sent++
+				}
+			}
+			if sent == 0 {
+				t.Fatal("the face carried no poison event")
+			}
+			d.Tick()
+			m := d.Snapshot()
+			if m.Unroutable != sent || m.Ingested != 0 || m.Applied != 0 || m.QueueDepth != 0 ||
+				m.RoutedWorkers != 0 || m.RoutedTasks != 0 {
+				t.Fatalf("%d poison events: unroutable/ingested/applied/queue/workers/tasks = %d/%d/%d/%d/%d/%d, want %d/0/0/0/0/0",
+					sent, m.Unroutable, m.Ingested, m.Applied, m.QueueDepth, m.RoutedWorkers, m.RoutedTasks, sent)
+			}
+			d.Ingest(materialize(validWire[0]))
+			d.Ingest(materialize(validWire[1]))
+			if !d.Quiesce(200) {
+				t.Fatalf("dispatcher did not drain: %+v", d.Snapshot())
+			}
+			if m := d.Snapshot(); m.Assigned != 1 || m.Ingested != 2 || m.Unroutable != sent {
+				t.Fatalf("assigned/ingested/unroutable = %d/%d/%d, want 1/2/%d",
+					m.Assigned, m.Ingested, m.Unroutable, sent)
+			}
+		})
+	}
+	d := New(Config{Travel: travel, NewLadder: oneTier(greedyFactory())})
+	for _, ev := range poisonStructural() {
+		if acc, rej := d.IngestBatch([]wire.Event{ev}); acc != 0 || rej != 1 {
+			t.Errorf("IngestBatch: %s event %+v: accepted %d, rejected %d", ev.Kind, ev, acc, rej)
+		}
+	}
+}
+
+// TestMalformedEventsHarmNothing pins what three events only an unchecked
+// Ingest would admit used to do: a task that never expires kept Quiesce from
+// draining, one infinite-reach worker widened the auto halo radius to
+// infinity for good, and a negative task id, reserved for the forecaster's
+// virtual tasks, was admitted and assigned.
+func TestMalformedEventsHarmNothing(t *testing.T) {
+	worker := func(id int, x, y, reach float64) Event {
+		return Event{Kind: KindWorkerOnline,
+			Worker: &core.Worker{ID: id, Loc: geo.Point{X: x, Y: y}, Reach: reach, On: 0, Off: 1000}}
+	}
+	task := func(id int, x, y, exp float64) Event {
+		return Event{Kind: KindTaskSubmit,
+			Task: &core.Task{ID: id, Loc: geo.Point{X: x, Y: y}, Pub: 0, Exp: exp, Cell: -1}}
+	}
+	t.Run("task that never expires", func(t *testing.T) {
+		d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
+		d.Ingest(task(1, 1, 1, math.Inf(1)))
+		if !d.Quiesce(50) {
+			t.Fatalf("dispatcher did not drain: %+v", d.Snapshot())
+		}
+	})
+	t.Run("infinite reach", func(t *testing.T) {
+		ghosts := func(bad bool) int64 {
+			d := New(Config{
+				Shards: 4, Grid: geo.NewGrid(geo.Rect{MaxX: 4, MaxY: 4}, 8, 8), Step: 1,
+				Travel: travel, NewLadder: oneTier(greedyFactory()),
+			})
+			d.Ingest(worker(1, 2, 2, 0.3))
+			if bad {
+				d.Ingest(worker(2, 2, 2, math.Inf(1)))
+			}
+			for i := 0; i < 40; i++ {
+				d.Ingest(task(i+1, 0.05+float64(i%8)*0.5, 0.05+float64(i/8)*0.8, 20))
+			}
+			d.Advance(30)
+			return d.Snapshot().GhostCopies
+		}
+		if with, without := ghosts(true), ghosts(false); with != without {
+			t.Fatalf("ghost copies %d with the infinite-reach worker, %d without", with, without)
+		}
+	})
+	t.Run("negative task id", func(t *testing.T) {
+		d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
+		d.Ingest(worker(1, 1, 1, 1))
+		d.Ingest(task(-5, 1, 1, 50))
+		d.Advance(60)
+		if m := d.Snapshot(); m.Assigned != 0 || m.Unroutable != 1 {
+			t.Fatalf("assigned/unroutable = %d/%d, want 0/1", m.Assigned, m.Unroutable)
+		}
+	})
 }
 
 // TestIngestDropsNonFiniteTime: Ingest is exported and accepts any Time. An

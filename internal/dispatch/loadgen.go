@@ -9,32 +9,24 @@ import (
 )
 
 // LoadGen replays a scenario event trace (workload.Scenario.Events) against
-// a dispatcher for closed-loop load testing: events are ingested in trace
-// order, epochs run exactly when the logical clock reaches them, and an
-// optional rate limit paces ingestion against wall time. With Rate ≤ 0 the
-// replay runs as fast as the dispatcher plans — the achieved events/sec then
-// measures dispatcher throughput, planning included.
+// a dispatcher for closed-loop load testing, over the transport every
+// /v1/stream client uses: due events are encoded into wire frames
+// (internal/wire) and decoded back through Dispatcher.IngestBatch, without
+// socket noise. Events are ingested in trace order, epochs run exactly when
+// the logical clock reaches them, and the replay is unpaced: it runs as fast
+// as the dispatcher plans, so the achieved events/sec measures dispatcher
+// throughput, planning included.
 type LoadGen struct {
 	// Events is the time-ordered trace to replay.
 	Events []workload.Event
-	// Rate is the target ingest rate in events per wall second (≤ 0 =
-	// unpaced).
-	Rate float64
 	// T1 is the logical horizon: after the last event the dispatcher is
 	// advanced to T1 so in-flight work drains, mirroring the engine's
 	// [T0, T1) clock range.
 	T1 float64
-	// Stream selects the binary-stream transport: due events are encoded
-	// into wire frames (internal/wire) and decoded back through
-	// Dispatcher.IngestBatch — the full batched codec path a /v1/stream
-	// client exercises, without socket noise. Events reach the dispatcher
-	// in identical order at identical planning instants, so assignment
-	// state is byte-identical to the per-event transport; only the cost
-	// per event changes.
-	Stream bool
-	// Batch caps events per frame in Stream mode (default 256).
-	Batch int
 }
+
+// frameEvents is the most due events one replay frame carries.
+const frameEvents = 256
 
 // LoadResult summarizes one replay.
 type LoadResult struct {
@@ -44,80 +36,47 @@ type LoadResult struct {
 	Wall time.Duration
 	// AchievedRate is Events / Wall in events per second.
 	AchievedRate float64
-	// Shed and Deferred surface the dispatcher's admission-control
-	// counters at the end of the replay. A dispatcher under admission
-	// control may shed trace events instead of assigning them; LoadGen
-	// counts those outcomes rather than waiting on assignments that can
-	// never arrive, so a replay always terminates at the logical horizon.
-	Shed     int64
-	Deferred int64
-	// Metrics is the dispatcher snapshot after the final epoch.
+	// Metrics is the dispatcher snapshot after the final epoch. Under
+	// admission control its Shed and Deferred count the trace events the
+	// dispatcher shed or deferred instead of assigning.
 	Metrics Metrics
 }
 
 // Run replays the trace. The caller must not Advance or Serve the dispatcher
 // concurrently: LoadGen owns the epoch clock for the duration of the replay.
 //
-// The replay walks the trace in due-batches — maximal runs of events already
-// ingestible at the current clock, capped per transport — and runs every
-// epoch strictly before a batch's first instant, so each event is in the
-// queue when the epoch covering its Time executes. Only delivery differs by
-// transport: the per-event transport caps a batch at one event and hands it
-// to Ingest; the stream transport encodes the batch as one wire frame,
-// decodes it into a reused buffer and batch-ingests it. Both therefore admit
-// every event at the same planning instant.
+// The replay walks the trace in due-batches — maximal runs of at most
+// frameEvents events already ingestible at the current clock — and runs
+// every epoch strictly before a batch's first instant, so each event is in
+// the queue when the epoch covering its Time executes. Each batch is encoded
+// as one wire frame, decoded into a reused buffer and batch-ingested; a trace
+// event that does not encode, or that IngestBatch rejects, panics.
 func (g LoadGen) Run(d *Dispatcher) LoadResult {
-	batchCap := 1
-	deliver := func(due []workload.Event) { d.Ingest(traceEvent(due[0])) }
-	if g.Stream {
-		if batchCap = g.Batch; batchCap <= 0 {
-			batchCap = 256
-		}
-		var (
-			batch   = make([]wire.Event, 0, batchCap)
-			decoded = make([]wire.Event, 0, batchCap)
-			frame   []byte
-		)
-		deliver = func(due []workload.Event) {
-			batch = batch[:0]
-			for _, ev := range due {
-				batch = append(batch, wireEvent(ev))
-			}
-			var err error
-			if frame, err = wire.AppendFrame(frame[:0], batch); err != nil {
-				panic(fmt.Sprintf("loadgen: trace event does not encode: %v", err))
-			}
-			if decoded, _, err = wire.DecodeFrame(frame, decoded[:0]); err != nil {
-				panic(fmt.Sprintf("loadgen: frame does not decode: %v", err))
-			}
-			if _, rej := d.IngestBatch(decoded); rej > 0 {
-				panic(fmt.Sprintf("loadgen: %d trace events rejected by IngestBatch", rej))
-			}
-		}
-	}
-	var interval time.Duration
-	if g.Rate > 0 {
-		interval = time.Duration(float64(time.Second) / g.Rate)
-	}
-	start := time.Now() //datawa:wallclock replay pacing and wall-time report, sanctioned LoadGen use
-	next := start
-	for i := 0; i < len(g.Events); {
+	var (
+		batch   = make([]wire.Event, 0, frameEvents)
+		decoded = make([]wire.Event, 0, frameEvents)
+		frame   []byte
+		err     error
+	)
+	start := time.Now() //datawa:wallclock wall-time report, sanctioned LoadGen use
+	for i := 0; i < len(g.Events); i += len(batch) {
 		for d.Now() < g.Events[i].Time {
 			d.Tick()
 		}
 		now := d.Now()
-		j := i + 1
-		for j < len(g.Events) && j-i < batchCap && g.Events[j].Time <= now {
-			j++
+		batch = append(batch[:0], wireEvent(g.Events[i]))
+		for j := i + 1; j < len(g.Events) && len(batch) < frameEvents && g.Events[j].Time <= now; j++ {
+			batch = append(batch, wireEvent(g.Events[j]))
 		}
-		deliver(g.Events[i:j])
-		if interval > 0 {
-			next = next.Add(time.Duration(j-i) * interval)
-			if wait := time.Until(next); wait > 0 { //datawa:wallclock replay pacing, sanctioned LoadGen use
-				time.Sleep(wait)
-			}
+		if frame, err = wire.AppendFrame(frame[:0], batch); err != nil {
+			panic(fmt.Sprintf("loadgen: trace event does not encode: %v", err))
 		}
-		i = j
+		if decoded, _, err = wire.DecodeFrame(frame, decoded[:0]); err != nil {
+			panic(fmt.Sprintf("loadgen: frame does not decode: %v", err))
+		}
+		if _, rej := d.IngestBatch(decoded); rej > 0 {
+			panic(fmt.Sprintf("loadgen: %d trace events rejected by IngestBatch", rej))
+		}
 	}
 	// The replay ends at the logical horizon unconditionally: progress is
 	// driven by the epoch clock, never by awaiting per-event outcomes, so
@@ -125,26 +84,11 @@ func (g LoadGen) Run(d *Dispatcher) LoadResult {
 	// counters, not as a hang.
 	d.Advance(g.T1)
 	wall := time.Since(start) //datawa:wallclock achieved-rate report, sanctioned LoadGen use
-	m := d.Snapshot()
-	res := LoadResult{
-		Events: len(g.Events), Wall: wall,
-		Shed: m.Shed, Deferred: m.Deferred, Metrics: m,
-	}
+	res := LoadResult{Events: len(g.Events), Wall: wall, Metrics: d.Snapshot()}
 	if wall > 0 {
 		res.AchievedRate = float64(res.Events) / wall.Seconds()
 	}
 	return res
-}
-
-// traceEvent converts one trace event to a dispatcher ingest event.
-func traceEvent(ev workload.Event) Event {
-	switch ev.Kind {
-	case workload.WorkerOnline:
-		return Event{Time: ev.Time, Kind: KindWorkerOnline, Worker: ev.Worker}
-	case workload.TaskSubmit:
-		return Event{Time: ev.Time, Kind: KindTaskSubmit, Task: ev.Task}
-	}
-	panic(fmt.Sprintf("loadgen: unknown trace event kind %v", ev.Kind))
 }
 
 // wireEvent converts one trace event to its wire form.

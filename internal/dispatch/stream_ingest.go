@@ -29,13 +29,14 @@ type StreamSummary struct {
 // Ingest; the accepted events enter the inbox under one lock per batch, in
 // batch order.
 //
-// Validation mirrors the HTTP endpoints: every float an event carries — its
-// time, location, reach and window — must be finite; worker events need a
-// positive id, positive reach, and a non-empty availability window; task
-// submits need an id in [0, 2^30) — 0 draws a server-assigned id — and a
-// non-empty validity window. An event with time 0 is stamped with the next
+// A wire event is rejected when its id does not fit an int, its kind is
+// unknown, a task submit's id is outside the client range (clientTaskID), or
+// the event it materializes is not well formed (wellFormed, the rule Ingest
+// and the HTTP endpoints apply). An accepted task submit with id 0 draws a
+// server-assigned id, and an event with time 0 is stamped with the next
 // epoch instant, so clients that only relay "now" events never have to track
-// the logical clock. Rejected events are counted, never partially applied.
+// the logical clock. Rejected events are counted, never partially applied:
+// one leaves at most an unused slab slot behind.
 //
 //datawa:hotpath
 func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
@@ -62,7 +63,8 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 	d.inMu.Lock()
 	for i := range events {
 		ev := &events[i]
-		if !finite(ev.Time) {
+		id := int(ev.ID)
+		if int64(id) != ev.ID {
 			rejected++
 			continue
 		}
@@ -72,24 +74,15 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 		}
 		switch ev.Kind {
 		case wire.WorkerOnline:
-			if ev.ID <= 0 || int64(int(ev.ID)) != ev.ID || ev.Reach <= 0 || ev.Off <= ev.On ||
-				!finite(ev.X, ev.Y, ev.Reach, ev.On, ev.Off) {
-				rejected++
-				continue
-			}
 			workers = append(workers, core.Worker{
-				ID: int(ev.ID), Loc: geo.Point{X: ev.X, Y: ev.Y},
+				ID: id, Loc: geo.Point{X: ev.X, Y: ev.Y},
 				Reach: ev.Reach, On: ev.On, Off: ev.Off,
 			})
 			in.Kind, in.Worker = KindWorkerOnline, &workers[len(workers)-1]
 		case wire.TaskSubmit:
-			if ev.ID < 0 || ev.ID >= syntheticIDBase || ev.Exp <= ev.Pub || !finite(ev.X, ev.Y, ev.Pub, ev.Exp) {
+			if !clientTaskID(ev.ID) {
 				rejected++
 				continue
-			}
-			id := int(ev.ID)
-			if id == 0 {
-				id = d.nextSyntheticID()
 			}
 			tasks = append(tasks, core.Task{
 				ID: id, Loc: geo.Point{X: ev.X, Y: ev.Y},
@@ -97,26 +90,21 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 			})
 			in.Kind, in.Task = KindTaskSubmit, &tasks[len(tasks)-1]
 		case wire.WorkerOffline:
-			if int64(int(ev.ID)) != ev.ID {
-				rejected++
-				continue
-			}
-			in.Kind, in.ID = KindWorkerOffline, int(ev.ID)
+			in.Kind, in.ID = KindWorkerOffline, id
 		case wire.TaskCancel:
-			if int64(int(ev.ID)) != ev.ID {
-				rejected++
-				continue
-			}
-			in.Kind, in.ID = KindTaskCancel, int(ev.ID)
+			in.Kind, in.ID = KindTaskCancel, id
 		case wire.Position:
-			if int64(int(ev.ID)) != ev.ID || !finite(ev.X, ev.Y) {
-				rejected++
-				continue
-			}
-			in.Kind, in.ID, in.Loc = KindPosition, int(ev.ID), geo.Point{X: ev.X, Y: ev.Y}
+			in.Kind, in.ID, in.Loc = KindPosition, id, geo.Point{X: ev.X, Y: ev.Y}
 		default:
 			rejected++
 			continue
+		}
+		if !wellFormed(&in) {
+			rejected++
+			continue
+		}
+		if in.Task != nil && id == 0 {
+			in.Task.ID = d.nextSyntheticID()
 		}
 		d.inbox = append(d.inbox, in)
 		accepted++
@@ -160,7 +148,7 @@ func (d *Dispatcher) ConsumeStream(r io.Reader) (StreamSummary, error) {
 			sum.Rejected += int64(rej)
 		}
 	}
-	// NDJSON fallback: one event per line, batched per line.
+	// NDJSON fallback: each line is a one-event batch.
 	dec := wire.NewNDJSONDecoder(br)
 	var one [1]wire.Event
 	for {

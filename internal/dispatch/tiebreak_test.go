@@ -86,9 +86,10 @@ func TestEventsTieBreakWorkersBeforeTasks(t *testing.T) {
 }
 
 // TestTiedTimestampReplayMatchesEngine replays the collision trace through
-// the dispatcher — per event and over the binary-stream transport — and
-// requires the engine's exact outcome at every configuration. This is what keeps suite runs byte-deterministic when
-// coarse scales collide worker-on and task-submit instants.
+// the dispatcher — per event (the test-local Ingest replay) and through
+// LoadGen's binary-stream transport — and requires the engine's exact outcome
+// at every configuration. This is what keeps suite runs byte-deterministic
+// when coarse scales collide worker-on and task-submit instants.
 func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 	sc := tieScenario()
 	const step = 4 // coarse epochs: every collision shares a planning instant
@@ -112,20 +113,25 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 				Travel: travel, NewLadder: oneTier(searchFactory()),
 				Parallelism: cfg.parallel,
 			})
-			m := (LoadGen{Events: sc.Events(), T1: sc.T1, Stream: cfg.streamed}).Run(d).Metrics
+			var m Metrics
+			if cfg.streamed {
+				m = LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
+			} else {
+				m = replayEach(d, sc.Events(), sc.T1, ingestEach)
+			}
 			if cfg.shards == 1 {
 				if m.Assigned != ref.Assigned || m.Expired != ref.Expired {
 					t.Fatalf("assigned/expired = %d/%d, engine = %d/%d",
 						m.Assigned, m.Expired, ref.Assigned, ref.Expired)
 				}
 			}
-			// At any shard count, replaying twice must agree exactly.
+			// At any shard count, LoadGen at parallelism 1 must agree exactly.
 			d2 := New(Config{
 				Shards: cfg.shards, Grid: sc.Grid, Step: step, Now: sc.T0,
 				Travel: travel, NewLadder: oneTier(searchFactory()),
 				Parallelism: 1,
 			})
-			m2 := (LoadGen{Events: sc.Events(), T1: sc.T1}).Run(d2).Metrics
+			m2 := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d2).Metrics
 			if m.Assigned != m2.Assigned || m.Expired != m2.Expired || m.Applied != m2.Applied {
 				t.Fatalf("replay diverges across transport/parallelism settings: %d/%d/%d vs %d/%d/%d",
 					m.Assigned, m.Expired, m.Applied, m2.Assigned, m2.Expired, m2.Applied)
