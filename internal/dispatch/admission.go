@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -118,8 +119,9 @@ func (d *Dispatcher) dropGhostsLocked(id int) {
 }
 
 // victim is one displacement candidate: an owned open task, keyed by
-// deadline. Entries are pushed at admission and validated lazily at pop —
-// a task that has since closed, deferred, or changed hands is discarded.
+// deadline. Entries are pushed at admission and validated lazily at peek — a
+// task that has since closed, deferred, or changed hands is discarded — and
+// compacted away in bulk once they could outnumber the live ones.
 type victim struct {
 	exp   float64
 	id    int
@@ -127,18 +129,73 @@ type victim struct {
 	shard int
 }
 
+// victimSlack is how far the victim heap may grow past twice the open pool
+// before pushVictimLocked compacts it.
+const victimSlack = 64
+
+// pushVictimLocked adds an admitted task to the victim heap. Stale entries
+// leave only when they reach the root, so a pool that rarely fills would
+// otherwise keep every task ever admitted alive. Once the heap holds more
+// than twice the open pool (plus victimSlack), stale and duplicate entries
+// outnumber the distinct live ones, and the heap is compacted to those.
+// Amortized over the pushes that grew it, a compaction costs O(log n) a push.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) pushVictimLocked(v victim) {
+	d.victims.push(v)
+	if len(d.victims.items) > 2*len(d.taskOf)+victimSlack {
+		d.compactVictimsLocked()
+	}
+}
+
+// compactVictimsLocked keeps one entry per live open task. A task deferred
+// and readmitted to the same shard has an entry per admission, all live and
+// identical, so duplicates go too and the heap ends no larger than the open
+// pool. The live entries are sorted most deferrable first, which is a valid
+// heap, so peekVictimLocked returns the same live maximum as before.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) compactVictimsLocked() {
+	live := d.victims.items[:0]
+	for _, v := range d.victims.items {
+		if d.liveVictimLocked(v) {
+			live = append(live, v)
+		}
+	}
+	clear(d.victims.items[len(live):]) // drop the stale Task pointers for GC
+	slices.SortFunc(live, func(a, b victim) int {
+		switch {
+		case moreDeferrable(&a, &b):
+			return -1
+		case moreDeferrable(&b, &a):
+			return 1
+		}
+		return 0
+	})
+	d.victims.items = slices.CompactFunc(live, func(a, b victim) bool { return a.id == b.id })
+}
+
+// liveVictimLocked reports whether v is still an open task of its shard.
+// Validation is by pointer identity against the owning shard's open pool, so
+// a closed-and-resubmitted id cannot alias.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) liveVictimLocked(v victim) bool {
+	if shard, ok := d.taskOf[v.id]; ok && shard == v.shard {
+		cur, open := d.shards[v.shard].OpenTask(v.id)
+		return open && cur == v.task
+	}
+	return false
+}
+
 // peekVictimLocked returns the latest-deadline live open task, discarding
-// stale heap entries. Validation is by pointer identity against the owning
-// shard's open pool, so a closed-and-resubmitted id cannot alias.
+// stale heap entries.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) peekVictimLocked() (victim, bool) {
 	for len(d.victims.items) > 0 {
-		v := d.victims.items[0]
-		if shard, ok := d.taskOf[v.id]; ok && shard == v.shard {
-			if cur, open := d.shards[v.shard].OpenTask(v.id); open && cur == v.task {
-				return v, true
-			}
+		if v := d.victims.items[0]; d.liveVictimLocked(v) {
+			return v, true
 		}
 		d.victims.pop()
 	}

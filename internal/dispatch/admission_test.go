@@ -251,3 +251,38 @@ func TestAdmissionDeterministicAcrossParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmissionVictimHeapStaysBounded pins the victim heap to the open pool.
+// Under a pool cap that never fills (1,000 against about 100 open tasks),
+// every admitted submit pushes a victim entry and the task then expires, so
+// without compaction the heap would hold one entry per submit — 40,000 here,
+// each keeping its task alive. Compaction at push keeps it within twice the
+// open pool plus victimSlack; the epoch's Step may close up to one epoch of
+// submits after the last push, hence the 2·perEpoch.
+func TestAdmissionVictimHeapStaysBounded(t *testing.T) {
+	const epochs, perEpoch = 2000, 20
+	d := New(Config{
+		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()),
+		Admission: AdmissionConfig{MaxOpenTasks: 1000},
+	})
+	id := 0
+	for e := 0; e < epochs; e++ {
+		now := d.Now()
+		for i := 0; i < perEpoch; i++ {
+			id++
+			d.SubmitTask(&core.Task{ID: id, Loc: geo.Point{X: float64(i) / perEpoch}, Pub: now, Exp: now + 5, Cell: -1})
+		}
+		d.Tick()
+		d.mu.Lock()
+		entries, open := len(d.victims.items), len(d.taskOf)
+		d.mu.Unlock()
+		if bound := 2*open + victimSlack + 2*perEpoch; entries > bound {
+			t.Fatalf("epoch %d: victim heap holds %d entries for %d open tasks, bound %d", e, entries, open, bound)
+		}
+	}
+	if m := d.Snapshot(); m.Shed != 0 || m.Deferred != 0 {
+		t.Fatalf("the pool never fills, yet shed %d deferred %d", m.Shed, m.Deferred)
+	}
+	d.Advance(d.Now() + 10)
+	conserve(t, d.Snapshot(), id)
+}

@@ -86,3 +86,40 @@ func BenchmarkIngest(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkAdmission times one epoch of the ingest queue: a frame of events
+// ingested, then one Tick that drains and admits them. The events are cancels
+// of unknown ids, so applying one is a map miss and the epoch's cost is the
+// queue's own. in-order is the live path's shape, every event due when it
+// arrives (600 an epoch, the churn-greedy workload's typical tick);
+// behind-backlog sends 256 due events an epoch behind 100,000 events
+// future-dated beyond the run; future-dated sends 600 events an epoch one
+// step ahead, so each comes due through the pending heap.
+func BenchmarkAdmission(b *testing.B) {
+	cancels := func(d *Dispatcher, n int, at float64) {
+		for i := 0; i < n; i++ {
+			d.Ingest(Event{Time: at, Kind: KindTaskCancel, ID: i + 1})
+		}
+	}
+	for _, bc := range []struct {
+		name              string
+		backlog, perEpoch int
+		ahead             float64
+	}{
+		{"in-order", 0, 600, 0},
+		{"behind-backlog", 100000, 256, 0},
+		{"future-dated", 0, 600, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := New(Config{Step: 1, NewLadder: oneTier(greedyFactory())})
+			cancels(d, bc.backlog, 1e12)
+			d.Tick()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cancels(d, bc.perEpoch, d.Now()+bc.ahead)
+				d.Tick()
+			}
+		})
+	}
+}

@@ -201,7 +201,7 @@ type Metrics struct {
 	Ingested   int64 `json:"ingested"`
 	Applied    int64 `json:"applied"`
 	Unroutable int64 `json:"unroutable"`
-	// QueueDepth is the current ingest backlog (inbox + drained-but-undue).
+	// QueueDepth is the current ingest backlog (inbox + drained-but-unapplied).
 	QueueDepth int `json:"queue_depth"`
 	// RoutedWorkers and RoutedTasks are the live routing-map sizes: workers
 	// currently active and tasks currently open, as the router sees them.
@@ -274,8 +274,13 @@ type Dispatcher struct {
 	// starting above any client-chosen range (see syntheticIDBase).
 	synthID atomic.Int64
 
-	mu      sync.Mutex
-	pending heap[pendingEvent] // drained from the inbox, not yet due; guarded by mu
+	mu sync.Mutex
+	// due is the epoch's drained events with Time ≤ its instant, in (Time,
+	// ingest order), and pending holds the drained events not yet due and
+	// the admission requeues; admission merges the two and leaves due empty,
+	// its storage reused (see queue.go).
+	due     []pendingEvent     // guarded by mu
+	pending heap[pendingEvent] // guarded by mu
 	spare   []Event            // the empty buffer drainLocked swaps in; guarded by mu
 	seq     int64              // last ingest order stamped, at drain or requeue; guarded by mu
 	shards  []*stream.Machine  // slice and elements set in New, immutable after
@@ -418,10 +423,11 @@ func (d *Dispatcher) Ingest(ev Event) {
 
 // wellFormed is the one rule for an ingest event, which Ingest, IngestBatch
 // and the HTTP handlers all apply. Every float the event carries (time,
-// location, reach, window) is finite: a NaN time would wedge the pending
-// heap, an infinite one never comes due, an infinite deadline never expires,
-// and an infinite reach or coordinate poisons the halo radius and the
-// grid-cell arithmetic every ownership decision is built on. A worker has a
+// location, reach, window) is finite: a NaN time compares false against
+// every instant and has no place in the (Time, ingest order) order admission
+// applies events in, an infinite one never comes due, an infinite deadline
+// never expires, and an infinite reach or coordinate poisons the halo radius
+// and the grid-cell arithmetic every ownership decision is built on. A worker has a
 // positive id and reach and a non-empty availability window; a task has a
 // non-negative id, since negative ids are the forecaster's virtual tasks,
 // and a non-empty validity window. An id-only event needs nothing more: an

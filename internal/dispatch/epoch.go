@@ -66,7 +66,8 @@ func (d *Dispatcher) Serve(ctx context.Context, timeScale float64) error {
 func (d *Dispatcher) Quiesce(maxEpochs int) bool {
 	for i := 0; i <= maxEpochs; i++ {
 		d.mu.Lock()
-		d.drainLocked()
+		// Drain as of the epoch that follows; its own drain appends after.
+		d.drainLocked(d.clock)
 		done := d.backlogLocked() == 0 && len(d.taskOf) == 0
 		if done && d.gov != nil {
 			for s := range d.shards {
@@ -170,7 +171,7 @@ func (d *Dispatcher) runStage(i int, t float64) {
 }
 
 //datawa:locked(mu)
-func (d *Dispatcher) drainStage(float64) (int, bool) { return d.drainLocked(), true }
+func (d *Dispatcher) drainStage(t float64) (int, bool) { return d.drainLocked(t), true }
 
 // shardProbe is one shard's measurement of one epoch: pool sizes at the
 // planning instant (before the Step mutates them), the Step's wall time, and
@@ -265,21 +266,35 @@ func (d *Dispatcher) retireLocked() {
 	}
 }
 
-// applyDueLocked folds every pending event with Time ≤ t into shard state,
-// in (Time, ingest order) — extraction is O(due·log pending), never a scan
-// of the whole backlog. Cross-kind order within a batch is immaterial
-// (admissions touch disjoint state until the Step that follows, which is why
-// a trace replay matches the engine's workers-then-tasks batching); what
-// matters is that events about the *same* entity — an offline followed by a
-// re-online, a submit followed by a cancel — apply in the order produced.
-// It is the admission stage; its count is the events that came due.
+// applyDueLocked folds every drained event with Time ≤ t into shard state,
+// in (Time, ingest order): it merges the epoch's due batch with the pending
+// heap's entries that have come due, so an event drained due costs a read and
+// only the future-dated ones pay a heap pop. On equal Time the heap entry
+// goes first, as its ingest order is the lower. Cross-kind order within a
+// batch is immaterial (admissions touch disjoint state until the Step that
+// follows, which is why a trace replay matches the engine's
+// workers-then-tasks batching); what matters is that events about the *same*
+// entity — an offline followed by a re-online, a submit followed by a
+// cancel — apply in the order produced. It is the admission stage; its count
+// is the events that came due. It leaves the due batch empty.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) applyDueLocked(t float64) (int, bool) {
 	submits, due := 0, 0
-	for len(d.pending.items) > 0 && d.pending.items[0].ev.Time <= t {
-		pe := d.pending.pop()
-		due++
+	for next := 0; ; due++ {
+		var pe pendingEvent
+		heapDue := len(d.pending.items) > 0 && d.pending.items[0].ev.Time <= t
+		switch {
+		case next < len(d.due) && (!heapDue || pendingBefore(&d.due[next], &d.pending.items[0])):
+			pe = d.due[next]
+			next++
+		case heapDue:
+			pe = d.pending.pop()
+		default:
+			clear(d.due) // drop the Task/Worker pointers for GC
+			d.due = d.due[:0]
+			return due, true
+		}
 		if c := d.cfg.Admission.MaxSubmitsPerEpoch; c > 0 && pe.ev.Kind == KindTaskSubmit {
 			// Backpressure on the ingest path: past the per-epoch budget,
 			// due submits defer one epoch (requeued at t+Step, so the loop
@@ -298,7 +313,6 @@ func (d *Dispatcher) applyDueLocked(t float64) (int, bool) {
 		}
 		d.applyLocked(pe.ev, t, pe.requeued)
 	}
-	return due, true
 }
 
 // noteSubmitLocked runs a task submit's first-application side effects: the
@@ -367,7 +381,7 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 			d.taskOf[ev.Task.ID] = shard
 			d.recordTask(ev.Task.ID, obs.Admitted, shard, 0, "")
 			if d.cfg.Admission.MaxOpenTasks > 0 {
-				d.victims.push(victim{exp: ev.Task.Exp, id: ev.Task.ID, task: ev.Task, shard: shard})
+				d.pushVictimLocked(victim{exp: ev.Task.Exp, id: ev.Task.ID, task: ev.Task, shard: shard})
 			}
 			if d.haloEnabled() {
 				d.replicateLocked(ev.Task, shard, t)

@@ -16,7 +16,8 @@ import (
 // invariants: nothing panics, every decoded event is either accepted or
 // rejected, and the ledger audits clean but for the one issue a live task
 // has, no terminal state yet, on a task still open. The seeds are
-// FuzzWireDecode's plus one frame per poison event of the ingest tests.
+// FuzzWireDecode's, one frame of due, past-dated, tied and future-dated
+// events, and one frame per poison event of the ingest tests.
 func FuzzIngestBatch(f *testing.F) {
 	valid, err := wire.AppendFrame(nil, []wire.Event{
 		{Time: 1, Kind: wire.WorkerOnline, ID: 4, X: 1, Y: 2, Reach: 2, On: 1, Off: 500},
@@ -34,6 +35,21 @@ func FuzzIngestBatch(f *testing.F) {
 	empty, _ := wire.AppendFrame(nil, nil)
 	f.Add(empty)
 	f.Add(append(append([]byte{}, valid...), valid...)) // back-to-back frames
+	// Due, past-dated, tied and future-dated times in one frame.
+	mixed, err := wire.AppendFrame(nil, []wire.Event{
+		{Time: 2, Kind: wire.WorkerOnline, ID: 4, X: 1, Y: 2, Reach: 2, On: 2, Off: 500},
+		{Time: -1, Kind: wire.TaskSubmit, ID: 9, X: 3, Y: 1, Pub: -1, Exp: 90},
+		{Time: 0, Kind: wire.WorkerOnline, ID: 5, X: 2, Y: 2, Reach: 2, On: 0, Off: 500},
+		{Time: 0, Kind: wire.TaskSubmit, ID: 10, X: 2, Y: 1, Pub: 0, Exp: 90},
+		{Time: 0, Kind: wire.TaskCancel, ID: 10},
+		{Time: 2, Kind: wire.Position, ID: 4, X: 3, Y: 1},
+		{Time: 1.5, Kind: wire.TaskSubmit, ID: 11, X: 1, Y: 1, Pub: 1.5, Exp: 90},
+		{Time: -0.5, Kind: wire.WorkerOffline, ID: 5},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mixed)
 	for _, ev := range append(poisonNonFinite(), poisonStructural()...) {
 		f.Add(poisonFrame(f, ev))
 	}

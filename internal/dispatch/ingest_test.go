@@ -1,19 +1,25 @@
 package dispatch
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
 // serialIngest is the queue-shape oracle: it takes the epoch lock and pushes
 // the event straight onto the pending heap under the next ingest order — the
-// order a single producer's events get at drain, with no inbox in between.
+// order a single producer's events get at drain, with no inbox in between and
+// no due batch: every event, due or not, takes the heap path.
 func serialIngest(d *Dispatcher, ev Event) {
 	d.mu.Lock()
 	d.pendLocked(ev, false)
@@ -74,7 +80,8 @@ func shapeDispatcher(sc *workload.Scenario, parallelism int) *Dispatcher {
 // TestQueueShapeEquivalence is the queue property test's sequential half: for
 // one event stream, ingest through the inbox must produce snapshots
 // byte-identical to the serial oracle's at every parallelism level on four
-// shards. The (Time, ingest order) pending order decides what the epochs see.
+// shards. The (Time, ingest order) order admission applies events in decides
+// what the epochs see.
 func TestQueueShapeEquivalence(t *testing.T) {
 	sc := testScenario(t)
 	oracle := New(Config{
@@ -128,10 +135,11 @@ func TestQueueSpillEquivalence(t *testing.T) {
 
 // TestConcurrentProducersDeterministic is the concurrent half of the queue
 // property test: randomized producer interleavings must not leak into the
-// outcome. Each event carries a globally unique time, so the pending heap's
-// (Time, seq) order is a pure function of the trace regardless of which
-// producer's push lands first — and the post-Quiesce snapshot must equal the
-// serial oracle's ingest of the same stream, run after run.
+// outcome. Each event carries a globally unique time, so the (Time, seq)
+// order admission applies events in is a pure function of the trace
+// regardless of which producer's push lands first — and the post-Quiesce
+// snapshot must equal the serial oracle's ingest of the same stream, run
+// after run.
 func TestConcurrentProducersDeterministic(t *testing.T) {
 	sc := testScenario(t)
 	base := sc.Events()
@@ -210,6 +218,137 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAdmissionOrderMatchesHeap is the differential test of the split queue:
+// the drain stage hands due events to admission as a batch and only
+// future-dated ones onto the pending heap, and admission must apply them in
+// exactly the order the heap alone gives. The oracle is serialIngest, which
+// pushes every event onto the heap. Randomized streams mix due, past-dated,
+// future-dated and tied-Time events in each frame, with cancels, offlines and
+// heartbeats aimed at earlier ids; a per-epoch submit cap defers, a small pool
+// cap displaces, and a Quiesce between ticks drains outside an epoch. The
+// snapshot, every ledger chain and the admission span's count in every epoch
+// must be equal, on one shard and on three.
+func TestAdmissionOrderMatchesHeap(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+				want := orderRun(t, shards, seed, serialIngest)
+				got := orderRun(t, shards, seed, (*Dispatcher).Ingest)
+				if got.outcome != want.outcome {
+					t.Fatalf("snapshot diverged from heap-only ingest:\n got %s\nwant %s", got.outcome, want.outcome)
+				}
+				if got.ledger != want.ledger {
+					t.Fatalf("ledger diverged from heap-only ingest:\n got %s\nwant %s", got.ledger, want.ledger)
+				}
+				if !slices.Equal(got.admitted, want.admitted) {
+					t.Fatalf("admission span counts diverged from heap-only ingest:\n got %v\nwant %v", got.admitted, want.admitted)
+				}
+			})
+		}
+	}
+}
+
+// orderResult is what TestAdmissionOrderMatchesHeap compares: the snapshot
+// with wall-clock fields zeroed, the ledger chains, and the admission span's
+// count per epoch.
+type orderResult struct {
+	outcome, ledger string
+	admitted        []int
+}
+
+// orderRun drives one dispatcher through the seed's randomized stream, each
+// event handed over by ingest. The stream depends only on the seed and the
+// dispatcher's clock, so the oracle and the inbox see the same events.
+func orderRun(t *testing.T, shards int, seed int64, ingest func(*Dispatcher, Event)) orderResult {
+	t.Helper()
+	const step = 10
+	d := New(Config{
+		Shards: shards, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: step,
+		Travel: travel, NewLadder: oneTier(greedyFactory()),
+		Admission: AdmissionConfig{MaxOpenTasks: 8, MaxSubmitsPerEpoch: 3},
+		Obs:       ObsConfig{Spans: 1 << 10, LedgerTasks: 1 << 12},
+	})
+	rng := rand.New(rand.NewSource(seed))
+	loc := func() geo.Point { return geo.Point{X: 6 * rng.Float64(), Y: 6 * rng.Float64()} }
+	workers, tasks, last := 0, 0, 0.0
+	for epoch := 0; epoch < 80; epoch++ {
+		now := d.Now()
+		for n := rng.Intn(14); n > 0; n-- {
+			at := now
+			switch r := rng.Intn(10); {
+			case r < 2: // past-dated, within the last few epochs
+				at = now - step*(float64(rng.Intn(3))+rng.Float64())
+			case r < 4: // future-dated, on an epoch instant or between two
+				at = now + step*float64(1+rng.Intn(3))
+				if rng.Intn(2) == 0 {
+					at -= step / 2
+				}
+			case r < 6: // tied with the previous event
+				at = last
+			}
+			last = at
+			ev := Event{Time: at}
+			switch k := rng.Intn(10); {
+			case k < 2 || workers == 0:
+				workers++
+				ev.Kind, ev.Worker = KindWorkerOnline,
+					&core.Worker{ID: workers, Loc: loc(), Reach: 0.5 + rng.Float64(), On: at, Off: at + step*(20+20*rng.Float64())}
+			case k < 6 || tasks == 0:
+				tasks++
+				ev.Kind, ev.Task = KindTaskSubmit,
+					&core.Task{ID: tasks, Loc: loc(), Pub: at, Exp: at + step*(1+30*rng.Float64()), Cell: -1}
+			case k < 8: // often the task just submitted, tied or not
+				ev.Kind, ev.ID = KindTaskCancel, tasks-rng.Intn(min(tasks, 3))
+			case k < 9:
+				ev.Kind, ev.ID = KindWorkerOffline, 1+rng.Intn(workers)
+			default:
+				ev.Kind, ev.ID, ev.Loc = KindPosition, 1+rng.Intn(workers), loc()
+			}
+			ingest(d, ev)
+		}
+		switch rng.Intn(8) {
+		case 0:
+			d.Quiesce(0) // drains outside an epoch; the tick appends after
+			d.Tick()
+		case 1:
+			d.Quiesce(1)
+		default:
+			d.Tick()
+		}
+	}
+	if !d.Quiesce(200) {
+		t.Fatal("dispatcher failed to quiesce")
+	}
+	m := d.Snapshot()
+	if m.Deferred == 0 || m.Shed == 0 || m.Cancelled == 0 || m.Assigned == 0 {
+		t.Fatalf("stream lost its coverage: deferred %d shed %d cancelled %d assigned %d",
+			m.Deferred, m.Shed, m.Cancelled, m.Assigned)
+	}
+	d.mu.Lock()
+	chains := d.ob.ledger.Recent(0)
+	d.mu.Unlock()
+	displaced := false
+	for _, h := range chains {
+		displaced = displaced || slices.Contains(chainStates(h), obs.Displaced)
+	}
+	if !displaced {
+		t.Fatal("stream lost its coverage: no task was displaced")
+	}
+	raw, err := json.Marshal(chains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var admitted []int
+	for _, es := range d.SpanTrace(0) {
+		for _, sp := range es.Spans {
+			if sp.Name == "admission" {
+				admitted = append(admitted, sp.N)
+			}
+		}
+	}
+	return orderResult{outcome: outcomeOf(m), ledger: string(raw), admitted: admitted}
 }
 
 // TestLoadGenStreamSustains25k is the raised throughput acceptance bar:
@@ -474,9 +613,10 @@ func TestMalformedEventsHarmNothing(t *testing.T) {
 }
 
 // TestIngestDropsNonFiniteTime: Ingest is exported and accepts any Time. An
-// event whose Time is NaN orders neither before nor after anything, so on the
-// pending heap it would settle at the root and block every event behind it;
-// ±Inf could never come due, or would keep Quiesce from ever draining. Ingest
+// event whose Time is NaN orders neither before nor after anything, so it has
+// no place in the (Time, ingest order) order admission applies events in (on
+// the pending heap it would settle at the root and block every event behind
+// it); ±Inf could never come due, or would keep Quiesce from ever draining. Ingest
 // drops all three and counts them Unroutable, and the valid events after
 // them plan as if they had never been sent.
 func TestIngestDropsNonFiniteTime(t *testing.T) {
