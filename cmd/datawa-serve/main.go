@@ -60,7 +60,6 @@ func main() {
 		streamAddr = flag.String("stream-addr", "", "raw-TCP streaming ingest listen address (e.g. :9090); each connection carries binary wire frames or NDJSON until close (empty = off)")
 		method     = flag.String("method", "DTA", "one of "+datawa.MethodList())
 		shards     = flag.Int("shards", 4, "region shards planned in parallel")
-		halo       = flag.Float64("halo", 0, "cross-shard handoff radius in km (0 = auto from worker reach, negative = disable ghost replication)")
 		step       = flag.Float64("step", 1, "epoch length in logical seconds")
 		timescale  = flag.Float64("timescale", 1, "logical seconds per wall second")
 		speed      = flag.Float64("speed", 0.01, "worker travel speed in km/s")
@@ -141,7 +140,7 @@ func main() {
 	}
 
 	d, err := fw.NewDispatcher(m, datawa.DispatchConfig{
-		Shards: *shards, HaloRadius: *halo, Step: *step,
+		Shards: *shards, Step: *step,
 		Admission: datawa.AdmissionConfig{
 			MaxOpenTasks: *maxOpen, MaxSubmitsPerEpoch: *maxSubmits, DeferSlack: *deferSlack,
 		},

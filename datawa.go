@@ -425,8 +425,7 @@ func (f *Framework) Run(m Method, workers []*Worker, tasks []*Task, t0, t1 float
 	env := f.env()
 	in := stream.Input{Workers: workers, Tasks: tasks, T0: t0, T1: t1}
 	return stream.Run(in, stream.Config{
-		Step: f.cfg.Step, Travel: f.travel,
-		Planner: r.Ladder(env)[0], Fixed: r.Fixed, Demand: r.Demand(env),
+		Step: f.cfg.Step, Planner: r.Ladder(env)[0], Fixed: r.Fixed, Demand: r.Demand(env),
 	}), nil
 }
 
@@ -436,7 +435,9 @@ func (f *Framework) Run(m Method, workers []*Worker, tasks []*Task, t0, t1 float
 type DispatchConfig struct {
 	// Shards is the number of region shards planned in parallel (default 1).
 	// Multiple shards require Config.Region to be set, since shard routing
-	// partitions the demand grid.
+	// partitions the demand grid. A task near a shard boundary is replicated
+	// into every shard within the largest admitted worker reach of it, with
+	// deterministic commit arbitration.
 	Shards int
 	// Step is the epoch length in logical seconds (default Config.Step).
 	Step float64
@@ -445,13 +446,6 @@ type DispatchConfig struct {
 	// dispatcher plans at Now, Now+Step, …, so a T0 offset from Now shifts
 	// every planning instant and the outcomes diverge.
 	Now float64
-	// HaloRadius configures cross-shard task handoff in kilometers: tasks
-	// whose disk of this radius crosses a shard boundary are replicated into
-	// the neighboring shards as ghost candidates, with deterministic commit
-	// arbitration. 0 (default) auto-derives the radius from the largest
-	// admitted worker reach; negative disables replication. See
-	// dispatch.Config.HaloRadius.
-	HaloRadius float64
 	// Admission bounds the ingest path (shed/defer by deadline when
 	// saturated); the zero value admits everything. See
 	// dispatch.AdmissionConfig.
@@ -497,13 +491,11 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 	env := f.env()
 	cfg := dispatch.Config{
 		Shards:      dc.Shards,
-		HaloRadius:  dc.HaloRadius,
 		Step:        dc.Step,
 		Now:         dc.Now,
 		Admission:   dc.Admission,
 		Governor:    dc.Governor,
 		Obs:         dc.Obs,
-		Travel:      f.travel,
 		Parallelism: f.cfg.Parallelism,
 		Fixed:       r.Fixed,
 		Demand:      r.Demand(env),

@@ -11,6 +11,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/par"
 	"repro/internal/spatial"
 	"repro/internal/tvf"
@@ -84,9 +85,13 @@ func seqValue(q core.Sequence, virtualWeight float64) float64 {
 
 // Planner computes a spatial task assignment for the current workers and
 // unassigned tasks at time now. Implementations must be deterministic.
+// Travel is the travel model the plans are built on, c(w.l, s.l) of the
+// reachable set (Section IV-A.1): a machine executing the plans moves its
+// workers by it, so the two never disagree.
 type Planner interface {
 	Name() string
 	Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan
+	Travel() geo.TravelModel
 }
 
 // ---------------------------------------------------------------------------
@@ -108,6 +113,9 @@ type Greedy struct {
 
 // Name implements Planner.
 func (g *Greedy) Name() string { return "Greedy" }
+
+// Travel implements Planner.
+func (g *Greedy) Travel() geo.TravelModel { return g.Opts.WithDefaults().WDS.Travel }
 
 // Plan implements Planner.
 func (g *Greedy) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
@@ -268,6 +276,9 @@ func (s *Search) Name() string {
 	}
 	return "DFSearch"
 }
+
+// Travel implements Planner.
+func (s *Search) Travel() geo.TravelModel { return s.Opts.WithDefaults().WDS.Travel }
 
 // SetParallelism overrides Opts.Parallelism: how dispatch.New hands each
 // shard's planners their share of the goroutine budget.

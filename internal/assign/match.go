@@ -1,6 +1,9 @@
 package assign
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/geo"
+)
 
 // Match is the reachability-only matcher: the cheapest planner on the
 // overload degradation ladder (dispatch.Governor). It scans workers in id
@@ -21,6 +24,9 @@ type Match struct {
 
 // Name implements Planner.
 func (m *Match) Name() string { return "Match" }
+
+// Travel implements Planner.
+func (m *Match) Travel() geo.TravelModel { return m.Opts.WithDefaults().WDS.Travel }
 
 // Plan implements Planner.
 func (m *Match) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {

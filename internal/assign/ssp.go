@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/geo"
 )
 
 // SSP is the scenario-sampling robust planner: instead of planning against
@@ -71,6 +72,9 @@ type SSP struct {
 
 // Name implements Planner.
 func (p *SSP) Name() string { return "SSP" }
+
+// Travel implements Planner.
+func (p *SSP) Travel() geo.TravelModel { return p.Opts.WithDefaults().WDS.Travel }
 
 // SetParallelism overrides Opts.Parallelism; see Options.Parallelism.
 func (p *SSP) SetParallelism(n int) { p.Opts.Parallelism = n }

@@ -24,7 +24,7 @@ func conserve(t *testing.T, m Metrics, submitted int) {
 // DeferSlack of validity is shed, not admitted and not deferred.
 func TestAdmissionShedAtExactCapacity(t *testing.T) {
 	d := New(Config{
-		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()),
+		Shards: 1, Step: 1, NewLadder: oneTier(greedyFactory()),
 		// DeferSlack beyond every deadline in the test forces the shed branch,
 		// so each decision is terminal and directly observable.
 		Admission: AdmissionConfig{MaxOpenTasks: 2, DeferSlack: 10000},
@@ -65,7 +65,7 @@ func TestAdmissionShedAtExactCapacity(t *testing.T) {
 // admitted and served — backpressure reorders work, it does not lose it.
 func TestAdmissionDeferredTaskIsRecoverable(t *testing.T) {
 	d := New(Config{
-		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()),
+		Shards: 1, Step: 1, NewLadder: oneTier(greedyFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1},
 	})
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 0}, Reach: 2, On: 0, Off: 4000})
@@ -90,9 +90,10 @@ func TestAdmissionDeferredTaskIsRecoverable(t *testing.T) {
 // neighboring planning pools with it — and when the deferral is later
 // readmitted, the task is re-replicated and stays fully servable.
 func TestAdmissionDisplacedGhostTaskDropsReplicas(t *testing.T) {
-	cfg := handoffConfig(2, 1.5)
+	cfg := handoffConfig()
 	cfg.Admission = AdmissionConfig{MaxOpenTasks: 1}
 	d := New(cfg)
+	d.WorkerOnline(farWorker())
 	// Boundary task: owned by shard 1, replicated into shard 0.
 	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 900, Cell: -1})
 	d.Advance(1)
@@ -134,7 +135,7 @@ func TestAdmissionDisplacedGhostTaskDropsReplicas(t *testing.T) {
 // assigned nor expired.
 func TestAdmissionShedsFTAReservedTask(t *testing.T) {
 	d := New(Config{
-		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()), Fixed: true,
+		Shards: 1, Step: 1, NewLadder: oneTier(searchFactory()), Fixed: true,
 		Admission: AdmissionConfig{MaxOpenTasks: 2, DeferSlack: 10000},
 	})
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 0}, Reach: 2, On: 0, Off: 4000})
@@ -175,7 +176,7 @@ func TestAdmissionShedsFTAReservedTask(t *testing.T) {
 // — everything is eventually admitted without a single shed.
 func TestAdmissionSubmitCapDefersOverflow(t *testing.T) {
 	d := New(Config{
-		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()),
+		Shards: 1, Step: 1, NewLadder: oneTier(greedyFactory()),
 		Admission: AdmissionConfig{MaxSubmitsPerEpoch: 2},
 	})
 	for i := 0; i < 6; i++ {
@@ -205,7 +206,7 @@ func TestAdmissionSubmitCapDefersOverflow(t *testing.T) {
 func TestLoadGenCountsShedInsteadOfBlocking(t *testing.T) {
 	sc := testScenario(t)
 	d := New(Config{
-		Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0, Travel: travel,
+		Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0,
 		NewLadder: oneTier(greedyFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 5, DeferSlack: 10000},
 	})
@@ -233,7 +234,7 @@ func TestAdmissionDeterministicAcrossParallelism(t *testing.T) {
 	sc := workload.Generate(cfg)
 	run := func(parallelism int) string {
 		d := New(Config{
-			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0, Travel: travel,
+			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
 			NewLadder:   oneTier(searchFactory()),
 			Parallelism: parallelism,
 			Admission:   AdmissionConfig{MaxOpenTasks: 12},
@@ -262,7 +263,7 @@ func TestAdmissionDeterministicAcrossParallelism(t *testing.T) {
 func TestAdmissionVictimHeapStaysBounded(t *testing.T) {
 	const epochs, perEpoch = 2000, 20
 	d := New(Config{
-		Shards: 1, Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory()),
+		Shards: 1, Step: 1, NewLadder: oneTier(greedyFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1000},
 	})
 	id := 0

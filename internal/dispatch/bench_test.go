@@ -26,7 +26,6 @@ func BenchmarkReplayShards(b *testing.B) {
 					Grid:      sc.Grid,
 					Step:      2,
 					Now:       sc.T0,
-					Travel:    travel,
 					NewLadder: oneTier(searchFactory()),
 				})
 				LoadGen{Events: events, T1: sc.T1}.Run(d)

@@ -29,10 +29,10 @@
 //
 // Cross-shard handoff (multi-shard): shard ownership is an explicit
 // cell→shard map over the demand grid — contiguous row-major bands, so each
-// shard's territory has a small boundary surface. A task whose halo disk
-// (Config.HaloRadius; by default the largest admitted worker reach) overlaps
-// cells owned by other shards is replicated into those shards as a read-only
-// ghost candidate, so a worker positioned in or near its own shard's band —
+// shard's territory has a small boundary surface. A task whose halo disk —
+// its radius always the largest admitted worker reach — overlaps cells owned
+// by other shards is replicated into those shards as a read-only ghost
+// candidate, so a worker positioned in or near its own shard's band —
 // the steady state, since workers online there and serve nearby tasks — sees
 // every task inside its reachability disk regardless of which shard owns it.
 // (A worker that task-chains far beyond its band plus the halo radius can
@@ -49,10 +49,12 @@
 // fidelity gap per workload in the BENCH_*.json trajectory.
 //
 // The dispatcher hears from a shard's machine through one change log
-// (stream.Machine.TakeChanges: a worker left; a task was assigned, expired or
-// withdrawn), read in one place, the epoch's settle stage: each arbitration
-// round drains every shard, and the entries arbitration leaves feed the
-// lifecycle ledger and retire routing state.
+// (stream.Machine.TakeChanges: a task was assigned, expired or withdrawn),
+// read in one place, the epoch's settle stage: each arbitration round drains
+// every shard, and the entries arbitration leaves feed the lifecycle ledger
+// and retire task routing state. Where a worker is, the dispatcher asks the
+// machines (HasWorker) rather than keeping a copy; a machine moves its
+// workers by its planner's travel model, so no config carries one.
 //
 // Measurement: Snapshot exposes counters and epoch-latency percentiles read
 // off the always-on epoch histogram (docs/OBSERVABILITY.md says which recorder
@@ -113,22 +115,10 @@ type Config struct {
 	// assigns each shard one contiguous row-major band of cells. Required
 	// when Shards > 1; one shard does not read it.
 	Grid geo.Grid
-	// HaloRadius configures cross-shard task handoff, in kilometers: a task
-	// whose disk of this radius overlaps grid cells owned by other shards is
-	// replicated into those shards as a read-only ghost candidate, and
-	// duplicate commits are arbitrated deterministically each epoch. 0 (the
-	// default) derives the radius automatically from the largest Reach of
-	// any admitted worker, which makes every task visible to every worker
-	// whose reachability disk could cover it; a negative value disables
-	// replication entirely (boundary workers stay blind to neighbor-shard
-	// tasks, the pre-halo behavior). Ignored with one shard.
-	HaloRadius float64
 	// Step is the epoch length in logical seconds (default 1).
 	Step float64
 	// Now is the initial logical clock (the first epoch instant).
 	Now float64
-	// Travel must match the planners' travel model.
-	Travel geo.TravelModel
 	// Fixed selects FTA semantics (see stream.Config.Fixed).
 	Fixed bool
 	// NewLadder builds one shard's planners: index 0 is the method's own
@@ -167,9 +157,6 @@ func (c Config) withDefaults() Config {
 	if c.Step <= 0 {
 		c.Step = 1
 	}
-	if c.Travel.Speed <= 0 {
-		c.Travel = geo.NewTravelModel(0)
-	}
 	return c
 }
 
@@ -203,8 +190,8 @@ type Metrics struct {
 	Unroutable int64 `json:"unroutable"`
 	// QueueDepth is the current ingest backlog (inbox + drained-but-unapplied).
 	QueueDepth int `json:"queue_depth"`
-	// RoutedWorkers and RoutedTasks are the live routing-map sizes: workers
-	// currently active and tasks currently open, as the router sees them.
+	// RoutedWorkers is the workers currently active, summed over the shards;
+	// RoutedTasks is the routing map's size, the tasks currently open.
 	RoutedWorkers int `json:"routed_workers"`
 	RoutedTasks   int `json:"routed_tasks"`
 	// RoutedGhosts is the number of live tasks currently replicated into at
@@ -285,17 +272,16 @@ type Dispatcher struct {
 	seq     int64              // last ingest order stamped, at drain or requeue; guarded by mu
 	shards  []*stream.Machine  // slice and elements set in New, immutable after
 	smap    *shardMap          // cell ownership; nil with one shard; immutable after New
-	owner   map[int]int        // worker id → shard; guarded by mu
 	taskOf  map[int]int        // task id → owning shard; guarded by mu
 	ghosts  map[int][]int      // task id → shards holding a live replica; guarded by mu
 	// changes holds each shard's change-log entries while the epoch settles
 	// (see settleLocked); empty between epochs, storage reused.
 	changes [][]stream.Change // guarded by mu
-	// maxReach is the largest Reach among admitted workers — the automatic
-	// halo radius when Config.HaloRadius is 0. reGhost marks a pending
-	// re-replication pass after maxReach grew; it runs once per tick, since
-	// visibility only matters at planning instants and a burst of admissions
-	// would otherwise rescan the open pool once per worker.
+	// maxReach is the largest Reach among admitted workers — the halo
+	// radius. reGhost marks a pending re-replication pass after maxReach
+	// grew; it runs once per tick, since visibility only matters at planning
+	// instants and a burst of admissions would otherwise rescan the open
+	// pool once per worker.
 	maxReach float64 // guarded by mu
 	reGhost  bool    // guarded by mu
 	// Halo/arbitration counters (see Metrics).
@@ -341,7 +327,6 @@ func New(cfg Config) *Dispatcher {
 		cfg:    cfg,
 		shards: make([]*stream.Machine, cfg.Shards),
 		tiered: make([]*tieredPlanner, cfg.Shards),
-		owner:  make(map[int]int),
 		taskOf: make(map[int]int),
 		ghosts: make(map[int][]int),
 		clock:  cfg.Now,
@@ -381,7 +366,7 @@ func New(cfg Config) *Dispatcher {
 		if perPlanner > 0 {
 			d.tiered[i].SetParallelism(perPlanner)
 		}
-		d.shards[i] = stream.NewMachine(stream.MachineConfig{Planner: d.tiered[i], Fixed: cfg.Fixed, Travel: cfg.Travel})
+		d.shards[i] = stream.NewMachine(stream.MachineConfig{Planner: d.tiered[i], Fixed: cfg.Fixed})
 	}
 	if cfg.Governor.Budget > 0 {
 		d.gov = NewGovernor(cfg.Governor, cfg.Shards, len(d.tiered[0].ladder))
@@ -498,12 +483,26 @@ func (d *Dispatcher) shardOf(p geo.Point) int {
 	return d.smap.ownerOf(p)
 }
 
+// workerShardLocked finds the shard whose machine holds an active worker.
+// The machines are the one record of where a worker is: admission refuses an
+// id some shard still holds, so at most one does.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) workerShardLocked(id int) (int, bool) {
+	for i, m := range d.shards {
+		if m.HasWorker(id) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // PlanOf returns the current schedule of a worker, or false when the worker
 // is unknown or already departed.
 func (d *Dispatcher) PlanOf(workerID int) (stream.WorkerPlan, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	shard, ok := d.owner[workerID]
+	shard, ok := d.workerShardLocked(workerID)
 	if !ok {
 		return stream.WorkerPlan{}, false
 	}
@@ -521,7 +520,6 @@ func (d *Dispatcher) Snapshot() Metrics {
 		Applied:         d.applied.Load(),
 		Unroutable:      d.unroutable.Load(),
 		QueueDepth:      d.backlogLocked(),
-		RoutedWorkers:   len(d.owner),
 		RoutedTasks:     len(d.taskOf),
 		RoutedGhosts:    len(d.ghosts),
 		GhostCopies:     d.ghostCopies,
@@ -547,6 +545,7 @@ func (d *Dispatcher) Snapshot() Metrics {
 			sm.TierName = d.tiered[i].Name()
 		}
 		m.Shards = append(m.Shards, sm)
+		m.RoutedWorkers += sm.Workers
 		m.Assigned += st.Assigned
 		m.Expired += st.Expired
 		m.Cancelled += st.Cancelled

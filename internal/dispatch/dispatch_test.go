@@ -50,7 +50,6 @@ func replay(sc *workload.Scenario, shards int, factory func(int) assign.Planner,
 		Grid:        sc.Grid,
 		Step:        step,
 		Now:         sc.T0,
-		Travel:      travel,
 		Fixed:       fixed,
 		NewLadder:   oneTier(factory),
 		Parallelism: parallelism,
@@ -79,7 +78,7 @@ func TestSingleShardMatchesStreamEngine(t *testing.T) {
 			const step = 2
 			ref := stream.Run(
 				stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1},
-				stream.Config{Planner: tc.factory(0), Fixed: tc.fixed, Step: step, Travel: travel},
+				stream.Config{Planner: tc.factory(0), Fixed: tc.fixed, Step: step},
 			)
 			got := replay(sc, 1, tc.factory, tc.fixed, step, 1)
 			if got.Assigned != ref.Assigned || got.Expired != ref.Expired {
@@ -152,7 +151,6 @@ func TestSingleShardForecastMatchesStreamEngine(t *testing.T) {
 		stream.Config{
 			Planner: searchFactory()(0),
 			Step:    step,
-			Travel:  travel,
 			Demand:  stream.NewDemandFeed(fromEngine, history),
 		},
 	)
@@ -161,7 +159,6 @@ func TestSingleShardForecastMatchesStreamEngine(t *testing.T) {
 		Shards:    1,
 		Step:      step,
 		Now:       sc.T0,
-		Travel:    travel,
 		NewLadder: oneTier(searchFactory()),
 		Demand:    stream.NewDemandFeed(fromDispatcher, history),
 	})
@@ -229,7 +226,7 @@ func TestMultiShardDeterministic(t *testing.T) {
 // stays on its caller's goroutine.)
 func TestPlannerFanOutAcrossParallelism(t *testing.T) {
 	run := func(parallelism int) string {
-		d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()), Parallelism: parallelism})
+		d := New(Config{Step: 1, NewLadder: oneTier(searchFactory()), Parallelism: parallelism})
 		for c := 0; c < 900; c++ {
 			x, y := float64(c%30), float64(c/30)
 			for k := 0; k < 2; k++ {
@@ -263,7 +260,7 @@ func TestMultiShardConservation(t *testing.T) {
 	for _, shards := range []int{2, 4, 9} {
 		d := New(Config{
 			Shards: shards, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			Travel: travel, NewLadder: oneTier(searchFactory()),
+			NewLadder: oneTier(searchFactory()),
 		})
 		horizon := sc.T1 + sc.Config.TaskValid + 2
 		m := LoadGen{Events: sc.Events(), T1: horizon}.Run(d).Metrics
@@ -281,7 +278,7 @@ func TestMultiShardConservation(t *testing.T) {
 }
 
 func singleShard(planner func(int) assign.Planner) *Dispatcher {
-	return New(Config{Step: 1, Travel: travel, NewLadder: oneTier(planner)})
+	return New(Config{Step: 1, NewLadder: oneTier(planner)})
 }
 
 func TestWorkerOfflineReleasesWorker(t *testing.T) {
@@ -433,25 +430,61 @@ func TestDuplicateWorkerOnlineRejected(t *testing.T) {
 // TestOfflineThenOnlineSameEpoch: a worker that goes offline and comes back
 // online within one epoch batch must end up online — the offline releases
 // the id immediately, so the later online is not mistaken for a duplicate.
+// On two shards the new session comes online across the y = 2 band
+// boundary: everything about the worker afterwards — a heartbeat, a plan
+// query, the next offline — must find it in its new shard.
 func TestOfflineThenOnlineSameEpoch(t *testing.T) {
-	d := singleShard(searchFactory())
-	d.WorkerOnline(&core.Worker{ID: 1, Reach: 1, On: 0, Off: 100})
-	d.Advance(1)
-	// Both land in the epoch at t=1, offline first in ingest order.
-	d.WorkerOffline(1)
-	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 0.3}, Reach: 1, On: 1, Off: 500})
-	d.Advance(2)
-	m := d.Snapshot()
-	if m.Unroutable != 0 {
-		t.Fatalf("unroutable = %d, want 0 (re-online must be accepted)", m.Unroutable)
-	}
-	if _, ok := d.PlanOf(1); !ok {
-		t.Fatal("worker must be online after the offline/online pair")
-	}
-	// The new session's window applies: still online after the old off.
-	d.Advance(200)
-	if _, ok := d.PlanOf(1); !ok {
-		t.Fatal("replacement session ended at the old window's off time")
+	for _, tc := range []struct {
+		name     string
+		d        *Dispatcher
+		from, to geo.Point
+	}{
+		{"one shard", singleShard(searchFactory()), geo.Point{}, geo.Point{X: 0.3}},
+		{"two shards", New(handoffConfig()), geo.Point{X: 1, Y: 1}, geo.Point{X: 1, Y: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.d
+			last := len(d.shards) - 1
+			d.WorkerOnline(&core.Worker{ID: 1, Loc: tc.from, Reach: 1, On: 0, Off: 100})
+			d.Advance(1)
+			// Both land in the epoch at t=1, offline first in ingest order.
+			d.WorkerOffline(1)
+			d.WorkerOnline(&core.Worker{ID: 1, Loc: tc.to, Reach: 1, On: 1, Off: 500})
+			d.Advance(2)
+			m := d.Snapshot()
+			if m.Unroutable != 0 {
+				t.Fatalf("unroutable = %d, want 0 (re-online must be accepted)", m.Unroutable)
+			}
+			if m.RoutedWorkers != 1 || m.Shards[last].Workers != 1 {
+				t.Fatalf("routed workers = %d, shard %d holds %d; want the one worker there",
+					m.RoutedWorkers, last, m.Shards[last].Workers)
+			}
+			if _, ok := d.PlanOf(1); !ok {
+				t.Fatal("worker must be online after the offline/online pair")
+			}
+			// A heartbeat reaches the new session's shard.
+			applied := m.Applied
+			d.Heartbeat(1, tc.to)
+			d.Advance(3)
+			if m = d.Snapshot(); m.Unroutable != 0 || m.Applied != applied+1 {
+				t.Fatalf("heartbeat: unroutable/applied = %d/%d, want 0/%d", m.Unroutable, m.Applied, applied+1)
+			}
+			// The new session's window applies: still online after the old off.
+			d.Advance(200)
+			if _, ok := d.PlanOf(1); !ok {
+				t.Fatal("replacement session ended at the old window's off time")
+			}
+			// And so does a later offline.
+			d.WorkerOffline(1)
+			d.Advance(202)
+			m = d.Snapshot()
+			if m.Unroutable != 0 || m.RoutedWorkers != 0 {
+				t.Fatalf("after the offline: unroutable/routed workers = %d/%d, want 0/0", m.Unroutable, m.RoutedWorkers)
+			}
+			if _, ok := d.PlanOf(1); ok {
+				t.Fatal("worker still has a plan after its offline")
+			}
+		})
 	}
 }
 
@@ -486,7 +519,7 @@ func TestRoutingStateRetired(t *testing.T) {
 // a long run of events without an epoch running in between — the inbox
 // grows instead of dropping or blocking.
 func TestIngestBeyondQueueCapacity(t *testing.T) {
-	d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
+	d := New(Config{Step: 1, NewLadder: oneTier(greedyFactory())})
 	const n = 1000
 	for i := 0; i < n; i++ {
 		d.Ingest(Event{Time: 0, Kind: KindTaskSubmit,
@@ -561,7 +594,6 @@ func TestLoadGenSustainsDiDiRate(t *testing.T) {
 		Grid:      sc.Grid,
 		Step:      2,
 		Now:       sc.T0,
-		Travel:    travel,
 		NewLadder: oneTier(greedyFactory()),
 	})
 	res := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)

@@ -61,8 +61,8 @@ func FuzzIngestBatch(f *testing.F) {
 		}
 		d := New(Config{
 			Shards: 3, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: 1,
-			Travel: travel, NewLadder: oneTier(greedyFactory()),
-			Obs: ObsConfig{LedgerTasks: 1 << 10},
+			NewLadder: oneTier(greedyFactory()),
+			Obs:       ObsConfig{LedgerTasks: 1 << 10},
 		})
 		acc, rej := d.IngestBatch(batch)
 		if acc+rej != len(batch) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/core"
+	"repro/internal/geo"
 )
 
 // CostFunc scores one shard's epoch for the governor. The default scores by
@@ -171,6 +172,10 @@ type tieredPlanner struct {
 
 // Name implements assign.Planner: the active tier's name.
 func (p *tieredPlanner) Name() string { return p.ladder[p.tier].Name() }
+
+// Travel implements assign.Planner: the head rung's model. Every rung plans
+// for the one machine, so a ladder's rungs share it.
+func (p *tieredPlanner) Travel() geo.TravelModel { return p.ladder[0].Travel() }
 
 // Plan implements assign.Planner.
 func (p *tieredPlanner) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {

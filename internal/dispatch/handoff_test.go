@@ -11,57 +11,51 @@ import (
 // The handoff tests run on a 2×2 grid over [0,4)² with two shards: the
 // banded ownership map gives row 0 (y < 2) to shard 0 and row 1 (y ≥ 2) to
 // shard 1, so y = 2 is the boundary the halo protocol must bridge.
-func handoffConfig(shards int, halo float64) Config {
+func handoffConfig() Config {
 	return Config{
-		Shards:     shards,
-		Grid:       geo.NewGrid(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 2, 2),
-		HaloRadius: halo,
-		Step:       1,
-		Travel:     travel,
-		NewLadder:  oneTier(greedyFactory()),
+		Shards:    2,
+		Grid:      geo.NewGrid(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 2, 2),
+		Step:      1,
+		NewLadder: oneTier(greedyFactory()),
 	}
+}
+
+// farWorker widens the halo radius to 1.5 km from the far corner of shard 0,
+// out of reach of every task the handoff tests place near x = 1: the tests
+// that need a replica no worker serves bring it online.
+func farWorker() *core.Worker {
+	return &core.Worker{ID: 99, Loc: geo.Point{X: 3.5, Y: 0.2}, Reach: 1.5, On: 0, Off: 4000}
 }
 
 // handoffConfig8x8 is the two-shard handoff geometry on a finer 8×8 grid
 // (0.5 km cells over [0,4)²): the boundary is still y = 2, and a halo disk
 // covers a handful of cells instead of all four.
 func handoffConfig8x8() Config {
-	cfg := handoffConfig(2, 0)
+	cfg := handoffConfig()
 	cfg.Grid = geo.NewGrid(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 8, 8)
 	return cfg
 }
 
-// TestGhostMakesBoundaryTaskVisible is the tentpole's core scenario: a task
-// owned by one shard, reachable only by a worker pinned to the neighboring
-// shard. With halo replication the worker sees and serves it; with
-// replication disabled it expires unseen — the documented pre-halo bug.
+// TestGhostMakesBoundaryTaskVisible is the halo protocol's core scenario: a
+// task owned by one shard, reachable only by a worker pinned to the
+// neighboring shard. The halo radius — the worker's 1 km reach — puts a
+// replica in the worker's shard, and the worker sees and serves it; without
+// the replica it would expire unseen.
 func TestGhostMakesBoundaryTaskVisible(t *testing.T) {
-	run := func(halo float64) Metrics {
-		d := New(handoffConfig(2, halo))
-		// Worker in shard 0, 0.2 km south of the task across the boundary.
-		d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 1, On: 0, Off: 4000})
-		d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
-		d.Advance(700)
-		return d.Snapshot()
-	}
-
-	m := run(0) // auto halo = the worker's 1 km reach
+	d := New(handoffConfig())
+	// Worker in shard 0, 0.2 km south of the task across the boundary.
+	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 1, On: 0, Off: 4000})
+	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
+	d.Advance(700)
+	m := d.Snapshot()
 	if m.Assigned != 1 || m.Expired != 0 {
-		t.Fatalf("halo on: assigned/expired = %d/%d, want 1/0", m.Assigned, m.Expired)
+		t.Fatalf("assigned/expired = %d/%d, want 1/0", m.Assigned, m.Expired)
 	}
 	if m.GhostCopies != 1 || m.GhostHits != 1 {
-		t.Fatalf("halo on: ghost copies/hits = %d/%d, want 1/1", m.GhostCopies, m.GhostHits)
+		t.Fatalf("ghost copies/hits = %d/%d, want 1/1", m.GhostCopies, m.GhostHits)
 	}
 	if m.RoutedGhosts != 0 || m.RoutedTasks != 0 {
-		t.Fatalf("halo on: routing not drained: ghosts=%d tasks=%d", m.RoutedGhosts, m.RoutedTasks)
-	}
-
-	m = run(-1) // replication disabled: boundary-blind
-	if m.Assigned != 0 || m.Expired != 1 {
-		t.Fatalf("halo off: assigned/expired = %d/%d, want 0/1", m.Assigned, m.Expired)
-	}
-	if m.GhostCopies != 0 {
-		t.Fatalf("halo off: %d ghost copies created", m.GhostCopies)
+		t.Fatalf("routing not drained: ghosts=%d tasks=%d", m.RoutedGhosts, m.RoutedTasks)
 	}
 }
 
@@ -70,7 +64,7 @@ func TestGhostMakesBoundaryTaskVisible(t *testing.T) {
 // arrival) wins regardless of which shard owns the task, the loser is
 // retracted, and the task is assigned exactly once.
 func TestArbitrationPicksEarliestArrival(t *testing.T) {
-	d := New(handoffConfig(2, 0))
+	d := New(handoffConfig())
 	// Task owned by shard 1; the shard-0 worker competes through a ghost.
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.4}, Reach: 1, On: 0, Off: 4000})
 	d.WorkerOnline(&core.Worker{ID: 2, Loc: geo.Point{X: 1, Y: 2.5}, Reach: 1, On: 0, Off: 4000})
@@ -100,7 +94,7 @@ func TestArbitrationPicksEarliestArrival(t *testing.T) {
 // the non-owner shard's worker is closer, so the ghost commit must win and
 // the owner's copy must be dropped.
 func TestArbitrationGhostWin(t *testing.T) {
-	d := New(handoffConfig(2, 0))
+	d := New(handoffConfig())
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.8}, Reach: 1, On: 0, Off: 4000})
 	d.WorkerOnline(&core.Worker{ID: 2, Loc: geo.Point{X: 1, Y: 2.9}, Reach: 1, On: 0, Off: 4000})
 	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
@@ -121,7 +115,7 @@ func TestArbitrationGhostWin(t *testing.T) {
 // TestRetractedWorkerResumesPlan: a loser whose plan held a second task must
 // take it in the same epoch rather than idling until the next replan.
 func TestRetractedWorkerResumesPlan(t *testing.T) {
-	d := New(handoffConfig(2, 0))
+	d := New(handoffConfig())
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 2, On: 0, Off: 9000})
 	d.WorkerOnline(&core.Worker{ID: 2, Loc: geo.Point{X: 1, Y: 2.2}, Reach: 2, On: 0, Off: 9000})
 	// The contended boundary task, plus a fallback deep in shard 0 that only
@@ -144,7 +138,7 @@ func TestRetractedWorkerResumesPlan(t *testing.T) {
 // round must not commit it — its committed owner copy is in that task's
 // group, so a resume-commit would assign the task twice.
 func TestArbitrationDropsBeforeRetracting(t *testing.T) {
-	d := New(handoffConfig(2, 0))
+	d := New(handoffConfig())
 	// Shard 0: worker 1 mid-way between the boundary tasks, planning both
 	// via ghosts. Shard 1: workers 2 and 3, each on top of one task.
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1.8, Y: 1.95}, Reach: 1.5, On: 0, Off: 9000})
@@ -174,11 +168,11 @@ func TestArbitrationDropsBeforeRetracting(t *testing.T) {
 }
 
 // TestAutoHaloWidensForLateLongReachWorker pins reGhost: a task submitted
-// while no worker is online is not replicated (auto halo radius 0), but a
+// while no worker is online is not replicated (halo radius 0), but a
 // long-reach worker coming online later widens the halo and the already-open
 // boundary task must become visible to its shard retroactively.
 func TestAutoHaloWidensForLateLongReachWorker(t *testing.T) {
-	d := New(handoffConfig(2, 0))
+	d := New(handoffConfig())
 	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 900, Cell: -1})
 	d.Advance(2)
 	if m := d.Snapshot(); m.GhostCopies != 0 {
@@ -200,7 +194,7 @@ func TestAutoHaloWidensForLateLongReachWorker(t *testing.T) {
 // row boundary's extension, lands in different shards — the ghost must still
 // bridge them even though the task's exact disk overlaps no grid cell.
 func TestOffMapTaskStillReplicated(t *testing.T) {
-	d := New(handoffConfig(2, 0))
+	d := New(handoffConfig())
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 6, Y: 1.9}, Reach: 1, On: 0, Off: 4000})
 	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 6, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
 	d.Advance(700)
@@ -216,12 +210,13 @@ func TestOffMapTaskStillReplicated(t *testing.T) {
 // TestGhostExpiryCountedOnce: a replicated task that nobody serves expires
 // in every shard holding a copy but must count exactly once.
 func TestGhostExpiryCountedOnce(t *testing.T) {
-	d := New(handoffConfig(2, 1.5))
+	d := New(handoffConfig())
+	d.WorkerOnline(farWorker())
 	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 10, Cell: -1})
 	d.Advance(20)
 	m := d.Snapshot()
 	if m.GhostCopies != 1 {
-		t.Fatalf("ghost copies = %d, want 1 (fixed 1.5 km halo spans the boundary)", m.GhostCopies)
+		t.Fatalf("ghost copies = %d, want 1 (the 1.5 km halo spans the boundary)", m.GhostCopies)
 	}
 	if m.Assigned != 0 || m.Expired != 1 {
 		t.Fatalf("assigned/expired = %d/%d, want 0/1 (replica expiry must not double count)",
@@ -236,7 +231,8 @@ func TestGhostExpiryCountedOnce(t *testing.T) {
 // replica before the next planning instant, or a ghost shard could assign a
 // cancelled task.
 func TestCancelDropsGhostCopies(t *testing.T) {
-	d := New(handoffConfig(2, 1.5))
+	d := New(handoffConfig())
+	d.WorkerOnline(farWorker())
 	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 900, Cell: -1})
 	d.Advance(1)
 	if m := d.Snapshot(); m.RoutedGhosts != 1 {
@@ -328,7 +324,7 @@ func TestHandoffDeterministicAcrossParallelism(t *testing.T) {
 	run := func(parallelism int) string {
 		d := New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			Travel: travel, NewLadder: oneTier(searchFactory()), Parallelism: parallelism,
+			NewLadder: oneTier(searchFactory()), Parallelism: parallelism,
 		})
 		m := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
 		if m.GhostCopies == 0 {

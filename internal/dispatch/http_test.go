@@ -249,7 +249,7 @@ func TestHTTPMetricsCounterRoundTrip(t *testing.T) {
 // shed totals and per-shard tiers — an operator watches during a chaos drill.
 func TestHTTPPrometheusExposition(t *testing.T) {
 	d := New(Config{
-		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
+		Step: 1, NewLadder: oneTier(searchFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1, DeferSlack: 10000},
 	})
 	srv := httptest.NewServer(NewHandler(d))

@@ -71,7 +71,6 @@ func shapeDispatcher(sc *workload.Scenario, parallelism int) *Dispatcher {
 		Grid:        sc.Grid,
 		Step:        2,
 		Now:         sc.T0,
-		Travel:      travel,
 		NewLadder:   oneTier(searchFactory()),
 		Parallelism: parallelism,
 	})
@@ -86,7 +85,7 @@ func TestQueueShapeEquivalence(t *testing.T) {
 	sc := testScenario(t)
 	oracle := New(Config{
 		Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-		Travel: travel, NewLadder: oneTier(searchFactory()), Parallelism: 1,
+		NewLadder: oneTier(searchFactory()), Parallelism: 1,
 	})
 	for _, ev := range sc.Events() {
 		for oracle.Now() < ev.Time {
@@ -113,7 +112,7 @@ func TestQueueSpillEquivalence(t *testing.T) {
 	run := func(ingest func(*Dispatcher, Event)) Metrics {
 		d := New(Config{
 			Shards: 2, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: 1,
-			Travel: travel, NewLadder: oneTier(greedyFactory()),
+			NewLadder: oneTier(greedyFactory()),
 		})
 		ingest(d, Event{Time: 0, Kind: KindWorkerOnline,
 			Worker: &core.Worker{ID: 1, Loc: geo.Point{X: 3}, Reach: 1, On: 0, Off: 1000}})
@@ -154,7 +153,7 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 	run := func(producers int) Metrics {
 		d := New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			Travel: travel, NewLadder: oneTier(searchFactory()),
+			NewLadder: oneTier(searchFactory()),
 		})
 		if producers == 0 {
 			for _, ev := range events {
@@ -266,7 +265,7 @@ func orderRun(t *testing.T, shards int, seed int64, ingest func(*Dispatcher, Eve
 	const step = 10
 	d := New(Config{
 		Shards: shards, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: step,
-		Travel: travel, NewLadder: oneTier(greedyFactory()),
+		NewLadder: oneTier(greedyFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 8, MaxSubmitsPerEpoch: 3},
 		Obs:       ObsConfig{Spans: 1 << 10, LedgerTasks: 1 << 12},
 	})
@@ -371,7 +370,6 @@ func TestLoadGenStreamSustains25k(t *testing.T) {
 		Grid:      sc.Grid,
 		Step:      2,
 		Now:       sc.T0,
-		Travel:    travel,
 		NewLadder: oneTier(greedyFactory()),
 	})
 	res := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)
@@ -468,7 +466,7 @@ func materialize(ev wire.Event) Event {
 // never reaches the queue. A task with a NaN deadline would otherwise be
 // admitted and never expire, and Quiesce could not drain the dispatcher.
 func TestIngestBatchRejectsNonFinite(t *testing.T) {
-	d := New(Config{Travel: travel, NewLadder: oneTier(greedyFactory())})
+	d := New(Config{NewLadder: oneTier(greedyFactory())})
 	for _, ev := range poisonNonFinite() {
 		if acc, rej := d.IngestBatch([]wire.Event{ev}); acc != 0 || rej != 1 {
 			t.Errorf("%s event %+v: accepted %d, rejected %d", ev.Kind, ev, acc, rej)
@@ -524,7 +522,7 @@ func TestEveryIngestFaceDropsMalformed(t *testing.T) {
 	}
 	for _, face := range faces {
 		t.Run(face.name, func(t *testing.T) {
-			d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
+			d := New(Config{Step: 1, NewLadder: oneTier(greedyFactory())})
 			var sent int64
 			for _, ev := range bad {
 				if face.send(d, materialize(ev)) {
@@ -552,7 +550,7 @@ func TestEveryIngestFaceDropsMalformed(t *testing.T) {
 			}
 		})
 	}
-	d := New(Config{Travel: travel, NewLadder: oneTier(greedyFactory())})
+	d := New(Config{NewLadder: oneTier(greedyFactory())})
 	for _, ev := range poisonStructural() {
 		if acc, rej := d.IngestBatch([]wire.Event{ev}); acc != 0 || rej != 1 {
 			t.Errorf("IngestBatch: %s event %+v: accepted %d, rejected %d", ev.Kind, ev, acc, rej)
@@ -575,7 +573,7 @@ func TestMalformedEventsHarmNothing(t *testing.T) {
 			Task: &core.Task{ID: id, Loc: geo.Point{X: x, Y: y}, Pub: 0, Exp: exp, Cell: -1}}
 	}
 	t.Run("task that never expires", func(t *testing.T) {
-		d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
+		d := New(Config{Step: 1, NewLadder: oneTier(greedyFactory())})
 		d.Ingest(task(1, 1, 1, math.Inf(1)))
 		if !d.Quiesce(50) {
 			t.Fatalf("dispatcher did not drain: %+v", d.Snapshot())
@@ -585,7 +583,7 @@ func TestMalformedEventsHarmNothing(t *testing.T) {
 		ghosts := func(bad bool) int64 {
 			d := New(Config{
 				Shards: 4, Grid: geo.NewGrid(geo.Rect{MaxX: 4, MaxY: 4}, 8, 8), Step: 1,
-				Travel: travel, NewLadder: oneTier(greedyFactory()),
+				NewLadder: oneTier(greedyFactory()),
 			})
 			d.Ingest(worker(1, 2, 2, 0.3))
 			if bad {
@@ -602,7 +600,7 @@ func TestMalformedEventsHarmNothing(t *testing.T) {
 		}
 	})
 	t.Run("negative task id", func(t *testing.T) {
-		d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
+		d := New(Config{Step: 1, NewLadder: oneTier(greedyFactory())})
 		d.Ingest(worker(1, 1, 1, 1))
 		d.Ingest(task(-5, 1, 1, 50))
 		d.Advance(60)
@@ -620,7 +618,7 @@ func TestMalformedEventsHarmNothing(t *testing.T) {
 // drops all three and counts them Unroutable, and the valid events after
 // them plan as if they had never been sent.
 func TestIngestDropsNonFiniteTime(t *testing.T) {
-	d := New(Config{Step: 1, Travel: travel, NewLadder: oneTier(greedyFactory())})
+	d := New(Config{Step: 1, NewLadder: oneTier(greedyFactory())})
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		d.Ingest(Event{Time: bad, Kind: KindTaskCancel, ID: 1})
 	}
@@ -646,7 +644,7 @@ func TestIngestDropsNonFiniteTime(t *testing.T) {
 func TestIngestBatchExtremeIDs(t *testing.T) {
 	d := New(Config{
 		Shards: 3, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: 1,
-		Travel: travel, NewLadder: oneTier(greedyFactory()),
+		NewLadder: oneTier(greedyFactory()),
 	})
 	acc, rej := d.IngestBatch([]wire.Event{
 		{Kind: wire.WorkerOffline, ID: math.MinInt64},

@@ -104,7 +104,7 @@ func parseExposition(t *testing.T, text string) (map[string]*promFamily, []strin
 // histogram children agree with each other and with the epoch counter.
 func TestPrometheusExpositionLint(t *testing.T) {
 	d := New(Config{
-		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
+		Step: 1, NewLadder: oneTier(searchFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1, DeferSlack: 10000},
 		Obs:       ObsConfig{Spans: 8, LedgerTasks: 64},
 	})
@@ -264,7 +264,7 @@ func wantChain(t *testing.T, d *Dispatcher, id int, want ...obs.State) obs.TaskH
 // history endpoint serves both, with 404/400 on unknown/garbage ids.
 func TestObsLedgerAdmissionChains(t *testing.T) {
 	d := New(Config{
-		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
+		Step: 1, NewLadder: oneTier(searchFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1, DeferSlack: 10000},
 		Obs:       ObsConfig{LedgerTasks: 64},
 	})
@@ -317,7 +317,7 @@ func TestObsLedgerAdmissionChains(t *testing.T) {
 // submit — plus the conservation cross-check against the snapshot counters.
 func TestObsLedgerExpireCancelChains(t *testing.T) {
 	d := New(Config{
-		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
+		Step: 1, NewLadder: oneTier(searchFactory()),
 		Obs: ObsConfig{LedgerTasks: 64},
 	})
 	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 0}, Reach: 0.5, On: 0, Off: 1000})
@@ -472,7 +472,7 @@ func TestObsSettingsChangeNoOutcomeAcrossParallelism(t *testing.T) {
 		{"conflict-script", handoffConfig8x8, conflictScript,
 			func(m Metrics) bool { return m.Retractions > 0 && m.Expired > 0 }},
 		{"trace-cancels-offlines", func() Config {
-			return Config{Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0, Travel: travel, NewLadder: oneTier(searchFactory())}
+			return Config{Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0, NewLadder: oneTier(searchFactory())}
 		}, func(d *Dispatcher) {
 			for _, ev := range sc.Events() {
 				for d.Now() < ev.Time {
@@ -527,7 +527,7 @@ func TestObsSettingsChangeNoOutcomeAcrossParallelism(t *testing.T) {
 // track, and complete ("X") events carrying ts/dur/pid/tid plus the logical
 // epoch in args.
 func TestChromeTraceEndpoint(t *testing.T) {
-	cfg := handoffConfig(2, 0)
+	cfg := handoffConfig()
 	cfg.Obs = ObsConfig{Spans: 16}
 	d := New(cfg)
 	srv := httptest.NewServer(NewHandler(d))
@@ -605,7 +605,7 @@ func TestChromeTraceEndpoint(t *testing.T) {
 func TestFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
 	d := New(Config{
-		Step: 1, Travel: travel, NewLadder: oneTier(searchFactory()),
+		Step: 1, NewLadder: oneTier(searchFactory()),
 		Admission: AdmissionConfig{MaxOpenTasks: 1, DeferSlack: 10000},
 		Obs:       ObsConfig{FlightDepth: 4, FlightDir: dir},
 	})

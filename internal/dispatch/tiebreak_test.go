@@ -95,7 +95,7 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 	const step = 4 // coarse epochs: every collision shares a planning instant
 	ref := stream.Run(
 		stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1},
-		stream.Config{Planner: searchFactory()(0), Step: step, Travel: travel},
+		stream.Config{Planner: searchFactory()(0), Step: step},
 	)
 	for _, cfg := range []struct {
 		name     string
@@ -110,7 +110,7 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			d := New(Config{
 				Shards: cfg.shards, Grid: sc.Grid, Step: step, Now: sc.T0,
-				Travel: travel, NewLadder: oneTier(searchFactory()),
+				NewLadder:   oneTier(searchFactory()),
 				Parallelism: cfg.parallel,
 			})
 			var m Metrics
@@ -128,7 +128,7 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 			// At any shard count, LoadGen at parallelism 1 must agree exactly.
 			d2 := New(Config{
 				Shards: cfg.shards, Grid: sc.Grid, Step: step, Now: sc.T0,
-				Travel: travel, NewLadder: oneTier(searchFactory()),
+				NewLadder:   oneTier(searchFactory()),
 				Parallelism: 1,
 			})
 			m2 := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d2).Metrics

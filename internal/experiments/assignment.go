@@ -104,16 +104,17 @@ func trainTVF(sc *workload.Scenario, demand *stream.DemandFeed, s Scale) *tvf.Mo
 	prefix := sc.T0 + (sc.T1-sc.T0)*0.5
 	stream.Run(
 		stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: prefix},
-		stream.Config{Planner: collector, Step: s.Step, Travel: travelModel, Demand: demand},
+		stream.Config{Planner: collector, Step: s.Step, Demand: demand},
 	)
 	model := tvf.NewModel(24, sc.Config.Seed)
 	model.Train(collector.Samples, tvf.TrainConfig{Epochs: s.TVFEpochs * 2, Seed: sc.Config.Seed})
 	return model
 }
 
-// run streams the whole scenario under cfg at the harness's step and speed.
+// run streams the whole scenario under cfg at the harness's step; workers
+// move at the speed of cfg's planner (travelModel, through assignOptions).
 func run(sc *workload.Scenario, cfg stream.Config, s Scale) stream.Result {
-	cfg.Step, cfg.Travel = s.Step, travelModel
+	cfg.Step = s.Step
 	return stream.Run(stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1}, cfg)
 }
 

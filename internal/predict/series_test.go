@@ -197,32 +197,3 @@ func TestVirtualTasks(t *testing.T) {
 		t.Errorf("default threshold: got %d", len(got))
 	}
 }
-
-func TestOraclePredictor(t *testing.T) {
-	mk := func(bits ...int) *tensor.Matrix {
-		m := tensor.New(2, 2)
-		for _, b := range bits {
-			m.Data[b] = 1
-		}
-		return m
-	}
-	w1 := Window{Inputs: []*tensor.Matrix{mk(0), mk(1)}, Target: mk(2)}
-	w2 := Window{Inputs: []*tensor.Matrix{mk(3), mk(0, 1)}, Target: mk(0, 3)}
-	o := NewOraclePredictor()
-	if err := o.Fit([]Window{w1, w2}); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []Window{w1, w2} {
-		got := o.Predict(w.Inputs)
-		for i := range got.Data {
-			if got.Data[i] != w.Target.Data[i] {
-				t.Fatal("oracle must replay truth")
-			}
-		}
-	}
-	// Unknown window → zeros.
-	unknown := []*tensor.Matrix{mk(2), mk(2)}
-	if tensor.Sum(o.Predict(unknown)) != 0 {
-		t.Error("oracle on unknown window should be silent")
-	}
-}

@@ -43,51 +43,3 @@ func VirtualTasks(probs *tensor.Matrix, cfg SeriesConfig, intervalStart, thresho
 	}
 	return out
 }
-
-// OraclePredictor is a testing/ablation predictor that replays the true next
-// vector (probability 1 where a task occurs). It upper-bounds what any
-// learned model can contribute to assignment quality.
-type OraclePredictor struct {
-	// lookup maps a window's target index to the true next vector; filled
-	// by Fit from the training series and extended on Predict misses.
-	truth map[string]*tensor.Matrix
-}
-
-// NewOraclePredictor returns an empty oracle.
-func NewOraclePredictor() *OraclePredictor {
-	return &OraclePredictor{truth: make(map[string]*tensor.Matrix)}
-}
-
-// Name implements Predictor.
-func (o *OraclePredictor) Name() string { return "Oracle" }
-
-// Fit memorizes window→target pairs keyed by the window contents.
-func (o *OraclePredictor) Fit(train []Window) error {
-	for _, w := range train {
-		o.truth[windowKey(w.Inputs)] = w.Target
-	}
-	return nil
-}
-
-// Predict returns the memorized target for a known window and an all-zero
-// matrix otherwise.
-func (o *OraclePredictor) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	if m, ok := o.truth[windowKey(inputs)]; ok {
-		return m.Clone()
-	}
-	return tensor.New(inputs[0].Rows, inputs[0].Cols)
-}
-
-func windowKey(inputs []*tensor.Matrix) string {
-	b := make([]byte, 0, 64)
-	for _, m := range inputs {
-		for _, v := range m.Data {
-			if v > 0.5 {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-		}
-	}
-	return string(b)
-}

@@ -84,7 +84,7 @@ func TestArchetypeReplayParallelismInvariant(t *testing.T) {
 			for i, parallelism := range []int{1, 4} {
 				d := dispatch.New(dispatch.Config{
 					Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0,
-					Travel: travel, NewLadder: ladder, Parallelism: parallelism,
+					NewLadder: ladder, Parallelism: parallelism,
 				})
 				g := dispatch.LoadGen{Events: sc.Events(), T1: sc.T1}
 				m := g.Run(d).Metrics

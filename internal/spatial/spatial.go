@@ -44,16 +44,49 @@ import (
 // cell order. It is the boundary-disk query behind cross-shard task handoff
 // (internal/dispatch): the cells a reachability disk overlaps determine
 // which shards must see a replica of the task at its center. A negative or
-// NaN r returns nil; +Inf returns every cell; r == 0 returns the cell
-// containing an in-region p. The test (CellSet.AddDisk) is exact
-// rectangle–disk intersection, so a point outside the region reaches only the
-// cells its disk truly overlaps (unlike Grid.CellOf, which clamps).
+// NaN r returns nil; +Inf returns every cell wherever p is; r == 0 returns
+// the cell containing an in-region p.
+//
+// The candidates are the cells between those holding the corners of the
+// disk's bounding square; one passes when the distance from p to the nearest
+// point of its rectangle (geo.Grid.CellRect's edges) is at most r. That is
+// exact rectangle–disk intersection, so a point outside the region reaches
+// only the cells its disk truly overlaps (unlike Grid.CellOf, which clamps).
+// The cells' upper edges are exclusive (they tile disjointly), but the
+// closed-rectangle distance is what makes a disk tangent to a boundary see
+// both sides — exactly the conservative behavior replication wants.
 func CellsInDisk(g geo.Grid, p geo.Point, r float64) []int {
-	var stack [4]uint64 // grids of up to 256 cells rasterise without allocating
-	words := (g.Cells() + 63) / 64
-	s := slices.Grow(CellSet(stack[:0]), words)[:words]
-	s.AddDisk(g, p, r)
-	return s.AppendCells(nil)
+	if r < 0 || math.IsNaN(r) {
+		return nil
+	}
+	row0, row1, col0, col1 := 0, g.Rows-1, 0, g.Cols-1
+	all := math.IsInf(r, 1)
+	if !all {
+		row0, col0 = g.RowOf(p.Y-r), g.ColOf(p.X-r)
+		row1, col1 = g.RowOf(p.Y+r), g.ColOf(p.X+r)
+	}
+	cw := g.Region.Width() / float64(g.Cols)
+	ch := g.Region.Height() / float64(g.Rows)
+	rr := r * r
+	var out []int
+	for row := row0; row <= row1; row++ {
+		dy := axisGap(g.Region.MinY, ch, row, p.Y)
+		for col := col0; col <= col1; col++ {
+			if dx := axisGap(g.Region.MinX, cw, col, p.X); all || dx*dx+dy*dy <= rr {
+				if out == nil {
+					out = make([]int, 0, (row1-row0+1)*(col1-col0+1))
+				}
+				out = append(out, row*g.Cols+col)
+			}
+		}
+	}
+	return out
+}
+
+// axisGap is the distance along one axis from coordinate v to the closed
+// extent [lo+i·step, lo+(i+1)·step] of cell row or column i.
+func axisGap(lo, step float64, i int, v float64) float64 {
+	return max(0, lo+float64(i)*step-v, v-(lo+float64(i+1)*step))
 }
 
 // Index is a uniform grid over a fixed set of tasks. Between Reset calls it

@@ -16,7 +16,6 @@ func BenchmarkStreamRun(b *testing.B) {
 	cfg := Config{
 		Planner: &assign.Search{Opts: assign.Options{WDS: wds.Options{Travel: travel}}},
 		Step:    2,
-		Travel:  travel,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -17,19 +17,11 @@ import (
 // the engine from presorted worker/task streams, the dispatcher from a
 // concurrent event queue.
 type MachineConfig struct {
-	// Planner computes assignments at each planning instant.
+	// Planner computes assignments at each planning instant; the machine
+	// moves its workers by the planner's travel model (Planner.Travel).
 	Planner assign.Planner
 	// Fixed selects FTA semantics (see Config.Fixed).
 	Fixed bool
-	// Travel must match the planner's travel model.
-	Travel geo.TravelModel
-}
-
-func (c MachineConfig) withDefaults() MachineConfig {
-	if c.Travel.Speed <= 0 {
-		c.Travel = geo.NewTravelModel(0)
-	}
-	return c
 }
 
 // Stats aggregates a machine's lifetime counters. The JSON tags are the wire
@@ -99,6 +91,9 @@ func (ws *workerState) pos(t float64) geo.Point {
 //datawa:serialized
 type Machine struct {
 	cfg MachineConfig
+	// travel is the planner's travel model, read once: workers move by the
+	// cost the plans were built on.
+	travel geo.TravelModel
 
 	active    []*workerState // ascending worker id
 	byWorker  map[int]*workerState
@@ -125,12 +120,9 @@ type Machine struct {
 type ChangeKind uint8
 
 const (
-	// WorkerLeft: worker Worker left the machine — offline, or its window
-	// ended with no task in hand.
-	WorkerLeft ChangeKind = iota
 	// TaskAssigned: task Task committed to worker Worker, who arrives at
 	// Arrive. Ghost marks a replica owned by another shard.
-	TaskAssigned
+	TaskAssigned ChangeKind = iota
 	// TaskExpired: owned task Task left the open pool unserved.
 	TaskExpired
 	// TaskClosed: owned task Task was withdrawn by CancelTask or ShedTask.
@@ -168,7 +160,8 @@ func (m *Machine) TakeChanges(buf []Change) []Change {
 //datawa:locked(Machine) the constructor owns the fresh value
 func NewMachine(cfg MachineConfig) *Machine {
 	return &Machine{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
+		travel:   cfg.Planner.Travel(),
 		byWorker: make(map[int]*workerState),
 		open:     make(map[int]*core.Task),
 		reserved: make(map[int]bool),
@@ -293,7 +286,6 @@ func (m *Machine) RemoveWorker(id int, now float64) bool {
 				break
 			}
 		}
-		m.changes = append(m.changes, Change{Kind: WorkerLeft, Task: -1, Worker: id})
 	}
 	return true
 }
@@ -471,7 +463,6 @@ func (m *Machine) evict(t float64) {
 		if ws.w.Off <= t && ws.committed == nil {
 			m.releasePlan(ws)
 			delete(m.byWorker, ws.w.ID)
-			m.changes = append(m.changes, Change{Kind: WorkerLeft, Task: -1, Worker: ws.w.ID})
 			continue
 		}
 		kept = append(kept, ws)
@@ -624,7 +615,7 @@ func (m *Machine) executeWorker(ws *workerState, t float64) {
 		if m.open[head.ID] != head {
 			continue
 		}
-		arrive := t + m.cfg.Travel.Time(ws.w.Loc, head.Loc)
+		arrive := t + m.travel.Time(ws.w.Loc, head.Loc)
 		if arrive >= head.Exp || arrive >= ws.w.Off {
 			continue // no longer satisfiable; try the next planned task
 		}
@@ -642,7 +633,7 @@ func (m *Machine) startMotion(ws *workerState, t float64, dest geo.Point, commit
 	ws.origin = ws.w.Loc
 	ws.dest = dest
 	ws.departT = t
-	ws.arriveT = t + m.cfg.Travel.Time(ws.origin, dest)
+	ws.arriveT = t + m.travel.Time(ws.origin, dest)
 	ws.moving = true
 	ws.committed = committed
 }

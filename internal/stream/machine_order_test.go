@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/core"
+	"repro/internal/geo"
 )
 
 // orderRecorder records the worker ids of every planning instant, in the
@@ -16,6 +17,8 @@ type orderRecorder struct {
 }
 
 func (r *orderRecorder) Name() string { return "orderRecorder" }
+
+func (r *orderRecorder) Travel() geo.TravelModel { return r.inner.Travel() }
 
 func (r *orderRecorder) Plan(w []*core.Worker, s []*core.Task, now float64) core.Plan {
 	ids := make([]int, len(w))
@@ -40,7 +43,7 @@ func activeIDs(m *Machine) []int {
 // the planner is handed id-sorted workers without a sort per instant.
 func TestMachineActiveStaysIDOrdered(t *testing.T) {
 	rec := &orderRecorder{inner: searchPlanner()}
-	m := NewMachine(MachineConfig{Planner: rec, Travel: travel})
+	m := NewMachine(MachineConfig{Planner: rec})
 	check := func(when string, want ...int) {
 		t.Helper()
 		if got := activeIDs(m); !slices.Equal(got, want) {

@@ -4,13 +4,15 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/wds"
 )
 
 // machineWith returns an empty machine running the exact search planner.
 func machineWith(fixed bool) *Machine {
-	return NewMachine(MachineConfig{Planner: searchPlanner(), Fixed: fixed, Travel: travel})
+	return NewMachine(MachineConfig{Planner: searchPlanner(), Fixed: fixed})
 }
 
 func TestMachineWorkerDepartsMidMotionCommitted(t *testing.T) {
@@ -211,7 +213,7 @@ func TestMachineRemovalTracking(t *testing.T) {
 	// An offline for the idle-again worker departs immediately.
 	m.Step(50)
 	m.RemoveWorker(1, 60)
-	want = []Change{{Kind: TaskExpired, Task: 2, Worker: -1}, {Kind: WorkerLeft, Task: -1, Worker: 1}}
+	want = []Change{{Kind: TaskExpired, Task: 2, Worker: -1}}
 	if log := m.TakeChanges(nil); !slices.Equal(log, want) {
 		t.Fatalf("change log = %+v, want %+v", log, want)
 	}
@@ -224,6 +226,24 @@ func TestMachineRemovalTracking(t *testing.T) {
 	}
 }
 
+// TestMachineMovesAtPlannerSpeed: the machine moves its workers by the
+// travel model of the planner it runs, so a commitment's arrival is the
+// planner's travel time — not the default speed's — at two speeds.
+func TestMachineMovesAtPlannerSpeed(t *testing.T) {
+	const now = 10
+	for _, tc := range []struct{ speed, arrive float64 }{{0.005, now + 100}, {0.01, now + 50}} {
+		g := &assign.Greedy{Opts: assign.Options{WDS: wds.Options{Travel: geo.NewTravelModel(tc.speed)}}}
+		m := NewMachine(MachineConfig{Planner: g})
+		m.AddWorker(worker(1, 0, 0, 1, 0, 1000), now)
+		m.AddTask(task(1, 0.5, 0, 0, 1000), now)
+		m.Step(now)
+		want := []Change{{Kind: TaskAssigned, Task: 1, Worker: 1, Arrive: tc.arrive}}
+		if log := m.TakeChanges(nil); !slices.Equal(log, want) {
+			t.Fatalf("speed %v km/s: change log = %+v, want %+v", tc.speed, log, want)
+		}
+	}
+}
+
 // TestRunLeavesChangeLogEmpty: the replay engine has nothing to feed from
 // the change log and drains it after every Step, so a run leaves no entry
 // behind however many tasks it assigned and expired.
@@ -233,7 +253,7 @@ func TestRunLeavesChangeLogEmpty(t *testing.T) {
 		Tasks:   []*core.Task{task(1, 0.5, 0, 0, 400), task(2, 9, 9, 0, 30), task(3, 0.2, 0, 100, 400)},
 		T0:      0, T1: 600,
 	}
-	e := NewEngine(in, Config{Planner: searchPlanner(), Travel: travel, Step: 10})
+	e := NewEngine(in, Config{Planner: searchPlanner(), Step: 10})
 	res := e.Run()
 	if res.Assigned != 2 || res.Expired != 1 {
 		t.Fatalf("assigned/expired = %d/%d, want 2/1", res.Assigned, res.Expired)

@@ -8,8 +8,10 @@
 //
 // The package has two layers. Machine is the commit/expiry state machine
 // itself — active workers, motion segments, the open pool, FTA reservations —
-// driven by explicit arrival/departure events plus Step calls; the live
-// dispatcher (internal/dispatch) runs one Machine per shard. Engine is the
+// driven by explicit arrival/departure events plus Step calls, and moving
+// its workers by its planner's travel model (assign.Planner.Travel), so plans
+// and their execution share one cost; the live dispatcher (internal/dispatch)
+// runs one Machine per shard. Engine is the
 // closed-trace replay driver built on Machine: it advances a scenario clock
 // in fixed steps, batching the arrival events inside each step into one
 // planning instant; the paper's "CPU time" metric (average cost of
@@ -32,7 +34,6 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/core"
-	"repro/internal/geo"
 )
 
 // Config selects the assignment policy for a run.
@@ -48,16 +49,11 @@ type Config struct {
 	Demand *DemandFeed
 	// Step is the simulation step in seconds (default 1).
 	Step float64
-	// Travel must match the planner's travel model.
-	Travel geo.TravelModel
 }
 
 func (c Config) withDefaults() Config {
 	if c.Step <= 0 {
 		c.Step = 1
-	}
-	if c.Travel.Speed <= 0 {
-		c.Travel = geo.NewTravelModel(0)
 	}
 	return c
 }
@@ -112,7 +108,7 @@ func NewEngine(in Input, cfg Config) *Engine {
 	return &Engine{
 		cfg: cfg,
 		in:  Input{Workers: workers, Tasks: tasks, T0: in.T0, T1: in.T1},
-		m:   NewMachine(MachineConfig{Planner: cfg.Planner, Fixed: cfg.Fixed, Travel: cfg.Travel}),
+		m:   NewMachine(MachineConfig{Planner: cfg.Planner, Fixed: cfg.Fixed}),
 	}
 }
 

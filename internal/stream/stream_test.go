@@ -12,7 +12,7 @@ import (
 var travel = geo.NewTravelModel(0.01) // 10 m/s
 
 func cfgWith(p assign.Planner) Config {
-	return Config{Planner: p, Travel: travel}
+	return Config{Planner: p}
 }
 
 func searchPlanner() *assign.Search {

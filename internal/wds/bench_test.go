@@ -88,10 +88,9 @@ func scaledInstance(nWorkers, nTasks int) ([]*core.Worker, []*core.Task) {
 	return ws, ts
 }
 
-// BenchmarkSeparateScale compares the spatial-grid reachability path against
-// the brute-force scan across planning-instant sizes (total entities =
-// workers + tasks at a 1:4 ratio). The indexed and brute paths produce
-// identical Separations; only cost differs.
+// BenchmarkSeparateScale times the pipeline across planning-instant sizes
+// (total entities = workers + tasks at a 1:4 ratio), serial and fanned out.
+// BenchmarkReachableScale below holds the grid index against the scan.
 func BenchmarkSeparateScale(b *testing.B) {
 	scales := []struct {
 		name             string
@@ -108,14 +107,6 @@ func BenchmarkSeparateScale(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Separate(ws, ts, 0, o)
-			}
-		})
-		b.Run(sc.name+"/brute", func(b *testing.B) {
-			bo := o
-			bo.BruteForce = true
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Separate(ws, ts, 0, bo)
 			}
 		})
 		// The indexed row again at Parallelism 0: the per-worker loop fans out

@@ -39,11 +39,6 @@ type Options struct {
 	// for them (reachGrain, sequenceGrain), 1 (or any negative value) runs
 	// serially. Results are identical at every setting.
 	Parallelism int
-	// BruteForce disables the spatial grid index inside Separate, scanning
-	// the full task pool per worker instead. Kept for ablation and for the
-	// indexed-versus-brute-force benchmarks; answers are identical either
-	// way.
-	BruteForce bool
 }
 
 // maxReach is the widest reachable set: one bit of a mask word per task.
@@ -655,11 +650,11 @@ func (n *TreeNode) Depth() int {
 // one tree per connected component of the workers that reach a task.
 //
 // Reachability is answered through a spatial grid index over the task pool
-// (cell size derived from the largest worker reach; see internal/spatial)
-// unless o.BruteForce is set, and the per-worker reachable-set and sequence
-// loops fan out across up to o.Parallelism goroutines where they hold enough
-// work. Both switches change only the cost of the call — the Separation is
-// identical at every setting.
+// (cell size derived from the largest worker reach; see internal/spatial),
+// and the per-worker reachable-set and sequence loops fan out across up to
+// o.Parallelism goroutines where they hold enough work. Neither changes more
+// than the cost of the call: the Separation is the one a scan of the pool
+// gives, at every setting.
 func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options) *Separation {
 	var sp Separator
 	return sp.Separate(workers, tasks, now, o)
@@ -771,11 +766,7 @@ func (sp *Separator) Scenarios(workers []*core.Worker, tasks []*core.Task, now f
 	sp.bound = nil
 	sp.b.reset()
 
-	cell := spatial.CellSizeForReach(workers)
-	if o.BruteForce {
-		cell = 0 // no grid: every query scans the pool
-	}
-	sp.ix.Reset(tasks, cell)
+	sp.ix.Reset(tasks, spatial.CellSizeForReach(workers))
 	sp.now, sp.o = now, o
 	sp.workerSets()
 	return sp.seps

@@ -452,12 +452,23 @@ func sameSeparation(t *testing.T, a, b *Separation) {
 	}
 }
 
+// TestSeparateIndexedMatchesBruteForce: the grid index Separate builds
+// changes only what a reachable set costs. Every worker's RS_w is the one a
+// scan of the whole pool answers (ReachableTasks), in the same order, and Q_w
+// the sequences generated from it.
 func TestSeparateIndexedMatchesBruteForce(t *testing.T) {
 	for _, seed := range []int64{7, 19, 51} {
 		ws, ts := randomInstance(seed, 60, 300, 5)
-		indexed := Separate(ws, ts, 0, opts)
-		brute := func() Options { o := opts; o.BruteForce = true; return o }()
-		sameSeparation(t, indexed, Separate(ws, ts, 0, brute))
+		sep := Separate(ws, ts, 0, opts)
+		for i, w := range ws {
+			rs := ReachableTasks(w, ts, 0, opts)
+			if !slices.Equal(sep.Sets[i].Reach, rs) {
+				t.Fatalf("seed %d worker %d: RS_w of %d tasks differs from the scan's %d", seed, w.ID, len(sep.Sets[i].Reach), len(rs))
+			}
+			if !slices.EqualFunc(sep.Sets[i].Seqs, MaximalValidSequences(w, rs, 0, opts), slices.Equal) {
+				t.Fatalf("seed %d worker %d: Q_w differs from the scan's", seed, w.ID)
+			}
+		}
 	}
 }
 
