@@ -12,8 +12,8 @@ race:
 	go test -race ./...
 
 # The pre-push gate: gofmt, go vet, staticcheck (when cached), the analyzer
-# suite.
-# Identical to CI's lint-build job — see docs/LINTING.md.
+# suite — the lint steps of CI's lint-build job, not its builds, smokes or
+# fuzzing; see docs/LINTING.md.
 lint:
 	./scripts/lint.sh
 

@@ -44,13 +44,13 @@ type Options struct {
 	// pruning of Section IV-A.4.
 	Flat bool
 	// Parallelism bounds the goroutines used to search the trees of the
-	// RTC forest concurrently (and, unless WDS.Parallelism is set
-	// separately, the per-worker loops inside wds.Separate): 0 uses up to
-	// one goroutine per CPU when the instant is large enough to pay for
-	// them (searchGrain sequences a goroutine), 1 (or any negative value)
-	// runs serially. Trees are independent by construction — workers in
-	// different trees share no reachable task — so every setting produces
-	// the identical plan, node count, and sample stream.
+	// RTC forest concurrently and, in place of WDS.Parallelism, the
+	// per-worker loops of wds.Separator: 0 uses up to one goroutine per CPU
+	// when the instant is large enough to pay for them (searchGrain
+	// sequences a goroutine), 1 (or any negative value) runs serially.
+	// Trees are independent by construction — workers in different trees
+	// share no reachable task — so every setting produces the identical
+	// plan, node count, and sample stream.
 	Parallelism int
 }
 
@@ -240,7 +240,7 @@ type Search struct {
 	taskOff  []int32
 	taskFlat []int32
 	// Worker i's reachable set as tree-local positions:
-	// reachLocal[reachOff[i]:reachOff[i+1]], parallel to Sets[i].Reach.
+	// reachLocal[reachOff[i]:reachOff[i+1]], parallel to Sets[i].Index.
 	reachOff   []int32
 	reachLocal []int32
 }
@@ -317,9 +317,7 @@ func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) c
 func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k int) {
 	o := s.Opts.WithDefaults()
 	wdsOpts := o.WDS
-	if wdsOpts.Parallelism == 0 {
-		wdsOpts.Parallelism = o.Parallelism
-	}
+	wdsOpts.Parallelism = o.Parallelism
 	seps := s.sep.Scenarios(workers, tasks, now, wdsOpts, k)
 	s.plans = slices.Grow(s.plans[:0], len(seps))[:len(seps)]
 	s.results = s.results[:0]
@@ -359,7 +357,6 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 					sequences += len(sep.Sets[wi].Seqs)
 				}
 			}
-			sep.Forest = append(sep.Forest, s.results[id].root)
 			s.forest = append(s.forest, int32(id))
 		}
 		fresh := s.results[from:]
@@ -467,11 +464,7 @@ candidates:
 func flatten(root *wds.TreeNode, workers []*core.Worker) *wds.TreeNode {
 	index := root.AppendIndex(nil)
 	slices.SortFunc(index, func(a, b int32) int { return workers[a].ID - workers[b].ID })
-	node := &wds.TreeNode{Index: index}
-	for _, wi := range index {
-		node.Workers = append(node.Workers, workers[wi])
-	}
-	return node
+	return &wds.TreeNode{Index: index}
 }
 
 // partition splits the pool into per-tree task universes in one pass: every
@@ -651,7 +644,7 @@ func (r *searchRun) reach(wi int32) (*wds.WorkerSets, []int32) {
 }
 
 // availMask gathers the availability of a worker's reachable tasks into one
-// word, bit k for Reach[k].
+// word, bit k for its k-th reachable task.
 //
 //datawa:hotpath
 func (r *searchRun) availMask(local []int32) uint64 {
@@ -1005,10 +998,7 @@ func (r *searchRun) levelAt(d int) *level {
 // stateFor materializes the RL state (W_N + W_C, S) at a search position
 // into lv.
 func (r *searchRun) stateFor(lv *level, n *wds.TreeNode, j int) {
-	lv.workers = append(lv.workers[:0], n.Workers[j:]...)
-	for _, child := range n.Children {
-		lv.workers = child.AppendWorkers(lv.workers)
-	}
+	lv.workers = r.appendWorkers(lv.workers[:0], n, j)
 	if r.stale {
 		r.open = r.open[:0]
 		for p, t := range r.tasks {
@@ -1019,6 +1009,18 @@ func (r *searchRun) stateFor(lv *level, n *wds.TreeNode, j int) {
 		r.stale = false
 	}
 	lv.tasks = len(r.open)
+}
+
+// appendWorkers appends the workers n.Index[j:], then those of the subtrees
+// below n in pre-order, to dst.
+func (r *searchRun) appendWorkers(dst []*core.Worker, n *wds.TreeNode, j int) []*core.Worker {
+	for _, wi := range n.Index[j:] {
+		dst = append(dst, r.sep.Workers[wi])
+	}
+	for _, child := range n.Children {
+		dst = r.appendWorkers(dst, child, 0)
+	}
+	return dst
 }
 
 func (r *searchRun) state(lv *level) tvf.State {

@@ -195,7 +195,7 @@ func wordPath(t *testing.T, s *Search, universe int) {
 			check(child)
 		}
 	}
-	check(run.sep.Forest[0])
+	check(s.results[0].root)
 }
 
 // TestSearchMatchesReference is the differential contract of the dense
@@ -361,8 +361,8 @@ func TestSearchMatchesReference(t *testing.T) {
 			live := &Search{Opts: o}
 			sameSearch(t, ref, want, live, live.Plan(in.workers, in.tasks, in.now))
 			for i := range in.workers {
-				if set := &live.runs[0].sep.Sets[i]; len(set.Reach) != 64 || !slices.ContainsFunc(set.Masks, func(m uint64) bool { return m>>63 != 0 }) {
-					t.Fatalf("worker %d: %d tasks in reach, or no sequence on the 64th", i, len(set.Reach))
+				if set := &live.runs[0].sep.Sets[i]; len(set.Index) != 64 || !slices.ContainsFunc(set.Masks, func(m uint64) bool { return m>>63 != 0 }) {
+					t.Fatalf("worker %d: %d tasks in reach, or no sequence on the 64th", i, len(set.Index))
 				}
 			}
 			if ref.greedyCalls == 0 || len(want) != 2 {

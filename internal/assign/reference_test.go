@@ -39,22 +39,22 @@ func (s *refSearch) Plan(workers []*core.Worker, tasks []*core.Task, now float64
 	reachable := make(map[int][]*core.Task, len(workers))
 	sequences := make(map[int][]core.Sequence, len(workers))
 	for i, w := range workers {
-		reachable[w.ID] = sep.Sets[i].Reach
+		reachable[w.ID] = at(sep.Tasks, sep.Sets[i].Index)
 		sequences[w.ID] = sep.Sets[i].Seqs
 	}
 	forest := sep.Forest
 	if o.Flat {
 		flat := make([]*wds.TreeNode, len(forest))
 		for i, root := range forest {
-			ws := root.AllWorkers()
-			sort.Slice(ws, func(a, b int) bool { return ws[a].ID < ws[b].ID })
-			flat[i] = &wds.TreeNode{Workers: ws}
+			index := root.AppendIndex(nil)
+			sort.Slice(index, func(a, b int) bool { return workers[index[a]].ID < workers[index[b]].ID })
+			flat[i] = &wds.TreeNode{Index: index}
 		}
 		forest = flat
 	}
 	treeOf := make(map[int]int)
 	for i, root := range forest {
-		for _, w := range root.AllWorkers() {
+		for _, w := range at(workers, root.AppendIndex(nil)) {
 			for _, t := range reachable[w.ID] {
 				treeOf[t.ID] = i
 			}
@@ -71,13 +71,13 @@ func (s *refSearch) Plan(workers []*core.Worker, tasks []*core.Task, now float64
 	s.NodesLastPlan, s.exactNodes, s.greedyCalls, s.boundTrees = 0, 0, 0, 0
 	added := 0
 	for i, root := range forest {
-		run := &refRun{opts: o, sequences: sequences, now: now, model: s.Model, collect: s.Collect,
+		run := &refRun{opts: o, workers: workers, sequences: sequences, now: now, model: s.Model, collect: s.Collect,
 			clone: s.cloneState, seqIdx: make(map[int][][]int32)}
 		run.ts.reset(treeTasks[i])
 		if s.Model != nil {
-			plan = append(plan, run.searchTVF(root, root.Workers)...)
+			plan = append(plan, run.searchTVF(root, at(workers, root.Index))...)
 		} else {
-			_, sub := run.search(root, root.Workers)
+			_, sub := run.search(root, at(workers, root.Index))
 			plan = append(plan, sub...)
 		}
 		s.NodesLastPlan += run.nodes
@@ -99,6 +99,16 @@ func (s *refSearch) Plan(workers []*core.Worker, tasks []*core.Task, now float64
 	return plan
 }
 
+// at resolves positions into pool, as a tree node's Index addresses
+// Separation.Workers and a reachable set's Separation.Tasks.
+func at[T any](pool []T, index []int32) []T {
+	out := make([]T, len(index))
+	for k, i := range index {
+		out[k] = pool[i]
+	}
+	return out
+}
+
 // refRun carries the state of one tree's search within one Plan
 // invocation: the tree-local task availability set and, per worker, the
 // candidate sequences translated to task-index lists so the per-node
@@ -107,6 +117,7 @@ func (s *refSearch) Plan(workers []*core.Worker, tasks []*core.Task, now float64
 // hotspot regimes before the translation.
 type refRun struct {
 	opts      Options
+	workers   []*core.Worker          // Separation.Workers, which tree nodes address
 	sequences map[int][]core.Sequence // worker id → Q_w
 	now       float64
 	model     *tvf.Model
@@ -192,7 +203,7 @@ func (r *refRun) search(n *wds.TreeNode, workers []*core.Worker) (float64, core.
 		total := 0.0
 		var plan core.Plan
 		for _, child := range n.Children {
-			v, sub := r.search(child, child.Workers)
+			v, sub := r.search(child, at(r.workers, child.Index))
 			for _, a := range sub {
 				r.ts.removeSeq(a.Seq)
 			}
@@ -254,7 +265,7 @@ func (r *refRun) greedyComplete(n *wds.TreeNode, workers []*core.Worker) (float6
 		plan = append(plan, core.Assignment{Worker: w, Seq: q})
 	}
 	for _, child := range n.Children {
-		v, sub := r.greedyComplete(child, child.Workers)
+		v, sub := r.greedyComplete(child, at(r.workers, child.Index))
 		total += v
 		plan = append(plan, sub...)
 		for _, a := range sub {
@@ -317,7 +328,7 @@ func (r *refRun) searchTVF(n *wds.TreeNode, workers []*core.Worker) core.Plan {
 		return plan
 	}
 	for _, child := range n.Children {
-		plan = append(plan, r.searchTVF(child, child.Workers)...)
+		plan = append(plan, r.searchTVF(child, at(r.workers, child.Index))...)
 	}
 	return plan
 }
@@ -326,7 +337,7 @@ func (r *refRun) searchTVF(n *wds.TreeNode, workers []*core.Worker) core.Plan {
 func (r *refRun) stateFor(n *wds.TreeNode, workers []*core.Worker) tvf.State {
 	all := append([]*core.Worker(nil), workers...)
 	for _, child := range n.Children {
-		all = append(all, child.AllWorkers()...)
+		all = append(all, at(r.workers, child.AppendIndex(nil))...)
 	}
 	// The slice view is the set's shared cache: deeper stateFor calls rewrite
 	// it in place before this state is featurized.

@@ -441,10 +441,10 @@ func TestSSPEdgeScenarios(t *testing.T) {
 		p := &SSP{Opts: opts(), Samples: 2}
 		sameAsPerScenario(t, p, ws, ts, 0)
 		seps := p.search.sep.Scenarios(ws, ts, 0, opts().WDS, 2)
-		if got := seps[1].Sets[0].Reach; len(got) != 8 || got[0].ID != 2 || got[7].ID != 9 {
+		if got := at(ts, seps[1].Sets[0].Index); len(got) != 8 || got[0].ID != 2 || got[7].ID != 9 {
 			t.Fatalf("scenario 1 reaches %v, want tasks 2–9", core.Sequence(got).IDs())
 		}
-		if got := seps[0].Sets[0].Reach; len(got) != 8 || got[0].ID != 1 || got[7].ID != 8 {
+		if got := at(ts, seps[0].Sets[0].Index); len(got) != 8 || got[0].ID != 1 || got[7].ID != 8 {
 			t.Fatalf("scenario 0 reaches %v, want tasks 1–8", core.Sequence(got).IDs())
 		}
 	})

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/geo"
@@ -255,15 +254,4 @@ func SortWorkersByOn(ws []*Worker) {
 		}
 		return ws[i].ID < ws[j].ID
 	})
-}
-
-// MinExp returns the smallest expiration among tasks, or +Inf when empty.
-func MinExp(tasks []*Task) float64 {
-	m := math.Inf(1)
-	for _, s := range tasks {
-		if s.Exp < m {
-			m = s.Exp
-		}
-	}
-	return m
 }

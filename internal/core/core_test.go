@@ -208,16 +208,6 @@ func TestSorters(t *testing.T) {
 	}
 }
 
-func TestMinExp(t *testing.T) {
-	if !math.IsInf(MinExp(nil), 1) {
-		t.Error("MinExp(nil) should be +Inf")
-	}
-	tasks := []*Task{task(1, 0, 0, 0, 30), task(2, 0, 0, 0, 20)}
-	if MinExp(tasks) != 20 {
-		t.Errorf("MinExp = %v", MinExp(tasks))
-	}
-}
-
 func TestValidSequencePrefixProperty(t *testing.T) {
 	// Invariant: every prefix of a valid sequence is valid.
 	r := rand.New(rand.NewSource(7))

@@ -256,7 +256,9 @@ type Dispatcher struct {
 	ingested   atomic.Int64
 	applied    atomic.Int64
 	unroutable atomic.Int64
-	nowBits    atomic.Uint64 // next epoch instant, for lock-free stamping
+	// nowBits is the logical clock, the next epoch instant (Now): set in New,
+	// advanced only by tickLocked under mu, read without a lock for stamping.
+	nowBits atomic.Uint64
 	// synthID assigns server-side task ids for streamed submits with id 0,
 	// starting above any client-chosen range (see syntheticIDBase).
 	synthID atomic.Int64
@@ -285,12 +287,11 @@ type Dispatcher struct {
 	maxReach float64 // guarded by mu
 	reGhost  bool    // guarded by mu
 	// Halo/arbitration counters (see Metrics).
-	ghostCopies int64   // guarded by mu
-	ghostHits   int64   // guarded by mu
-	conflicts   int64   // guarded by mu
-	retractions int64   // guarded by mu
-	clock       float64 // next epoch instant; guarded by mu
-	epochs      int     // guarded by mu
+	ghostCopies int64 // guarded by mu
+	ghostHits   int64 // guarded by mu
+	conflicts   int64 // guarded by mu
+	retractions int64 // guarded by mu
+	epochs      int   // guarded by mu
 	// Admission state: shedIngest counts tasks terminally dropped on the
 	// ingest path (never admitted to a shard); deferred counts deferral
 	// events (non-terminal requeues); victims orders the open pool by
@@ -329,7 +330,6 @@ func New(cfg Config) *Dispatcher {
 		tiered: make([]*tieredPlanner, cfg.Shards),
 		taskOf: make(map[int]int),
 		ghosts: make(map[int][]int),
-		clock:  cfg.Now,
 
 		pending: heap[pendingEvent]{less: pendingBefore},
 		victims: heap[victim]{less: moreDeferrable},
@@ -514,7 +514,7 @@ func (d *Dispatcher) Snapshot() Metrics {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	m := Metrics{
-		Now:             d.clock,
+		Now:             d.Now(),
 		Epochs:          d.epochs,
 		Ingested:        d.ingested.Load(),
 		Applied:         d.applied.Load(),

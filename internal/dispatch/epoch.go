@@ -28,7 +28,7 @@ func (d *Dispatcher) Tick() {
 func (d *Dispatcher) Advance(to float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for d.clock < to {
+	for d.Now() < to {
 		d.tickLocked()
 	}
 }
@@ -67,7 +67,7 @@ func (d *Dispatcher) Quiesce(maxEpochs int) bool {
 	for i := 0; i <= maxEpochs; i++ {
 		d.mu.Lock()
 		// Drain as of the epoch that follows; its own drain appends after.
-		d.drainLocked(d.clock)
+		d.drainLocked(d.Now())
 		done := d.backlogLocked() == 0 && len(d.taskOf) == 0
 		if done && d.gov != nil {
 			for s := range d.shards {
@@ -117,7 +117,7 @@ var epochStages = [numStages]stage{
 //
 //datawa:locked(mu)
 func (d *Dispatcher) tickLocked() {
-	t := d.clock
+	t := d.Now()
 	o := d.ob
 	o.epoch, o.now = d.epochs, t
 	o.cur = o.cur[:0]
@@ -143,8 +143,7 @@ func (d *Dispatcher) tickLocked() {
 	}
 	d.maybeFlightLocked(t)
 	d.epochs++
-	d.clock = t + d.cfg.Step
-	d.nowBits.Store(math.Float64bits(d.clock))
+	d.nowBits.Store(math.Float64bits(t + d.cfg.Step))
 }
 
 // runStage runs stage i and records it. The one clock read closes the stage

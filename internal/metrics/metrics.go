@@ -85,25 +85,3 @@ func AveragePrecision(scores []float64, labels []bool) float64 {
 	}
 	return ap
 }
-
-// F1 returns the harmonic mean of precision and recall, 0 when both are 0.
-func F1(p, r float64) float64 {
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// Accuracy returns the fraction of thresholded predictions matching labels.
-func Accuracy(scores []float64, labels []bool, threshold float64) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, s := range scores {
-		if (s >= threshold) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(scores))
-}

@@ -153,26 +153,3 @@ func TestAveragePrecisionMonotoneInQuality(t *testing.T) {
 		t.Errorf("clean AP %v should beat noisy AP %v", clean, noisy)
 	}
 }
-
-func TestF1(t *testing.T) {
-	if F1(0, 0) != 0 {
-		t.Error("F1(0,0) should be 0")
-	}
-	if got := F1(1, 1); got != 1 {
-		t.Errorf("F1(1,1) = %v", got)
-	}
-	if got := F1(0.5, 1); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("F1(0.5,1) = %v", got)
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	scores := []float64{0.9, 0.2, 0.7, 0.1}
-	labels := []bool{true, false, false, true}
-	if got := Accuracy(scores, labels, 0.5); got != 0.5 {
-		t.Errorf("accuracy = %v", got)
-	}
-	if Accuracy(nil, nil, 0.5) != 0 {
-		t.Error("accuracy of empty should be 0")
-	}
-}

@@ -35,9 +35,6 @@ func Leaf(m *tensor.Matrix) *Node { return &Node{Val: m} }
 // Variable wraps a matrix that accumulates gradients (a trainable parameter).
 func Variable(m *tensor.Matrix) *Node { return &Node{Val: m, requiresGrad: true} }
 
-// RequiresGrad reports whether this node is a trainable leaf.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // grad returns the gradient buffer, allocating it on first use.
 func (n *Node) grad() *tensor.Matrix {
 	if n.Grad == nil {

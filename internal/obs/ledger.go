@@ -239,7 +239,7 @@ func auditChain(id int, chain []Transition) []AuditIssue {
 		out = append(out, AuditIssue{Task: id, Problem: fmt.Sprintf("chain starts at %q", chain[0].State)})
 	}
 	terminals := 0
-	for i, tr := range chain {
+	for _, tr := range chain {
 		if terminals > 0 {
 			out = append(out, AuditIssue{Task: id, Problem: fmt.Sprintf("%q after terminal state", tr.State)})
 			break
@@ -247,7 +247,6 @@ func auditChain(id int, chain []Transition) []AuditIssue {
 		if tr.State.Terminal() {
 			terminals++
 		}
-		_ = i
 	}
 	if terminals == 0 {
 		out = append(out, AuditIssue{Task: id, Problem: "no terminal state"})

@@ -59,10 +59,11 @@ type workerState struct {
 	// committed is the real task being executed (motion not interruptible);
 	// nil while idle or repositioning toward predicted demand.
 	committed *core.Task
-	// plan is the remaining planned sequence beyond the committed task.
+	// plan is the remaining planned sequence beyond the committed task. Under
+	// FTA (MachineConfig.Fixed) it is the worker's one plan: while it is
+	// non-empty the worker is not replanned and its tasks are held out of
+	// every other worker's planning pool.
 	plan core.Sequence
-	// fixed marks an FTA worker that has received its one plan.
-	fixed bool
 }
 
 // pos returns the worker's position at time t.
@@ -78,7 +79,8 @@ func (ws *workerState) pos(t float64) geo.Point {
 
 // Machine is the commit/expiry state machine of the Adaptive Algorithm
 // (Section IV-C): active workers with motion segments and plans, the open
-// task pool, FTA reservations, and the virtual tasks it was last handed.
+// task pool, and the virtual tasks it was last handed. Under FTA an open task
+// is out of the planning pool exactly while an active worker's plan holds it.
 // Callers feed it arrival/departure events (AddWorker, AddTask, RemoveWorker,
 // CancelTask, UpdateWorkerPos), advance it with Step, which runs one
 // planning instant, and hear what left it through TakeChanges.
@@ -99,7 +101,6 @@ type Machine struct {
 	byWorker  map[int]*workerState
 	open      map[int]*core.Task // published, unexpired, unassigned real tasks
 	openOrder []*core.Task
-	reserved  map[int]bool // task ids locked into fixed (FTA) plans
 	ghost     map[int]bool // open tasks owned by another shard (read-only replicas)
 	virtuals  []*core.Task
 
@@ -113,7 +114,7 @@ type Machine struct {
 	planScratch []*workerState
 	wsScratch   []*core.Worker
 	poolScratch []*core.Task
-	assignedMap map[int]core.Sequence
+	held        map[*core.Task]bool // FTA: the tasks in active workers' plans
 }
 
 // ChangeKind names the event a Change records.
@@ -164,8 +165,8 @@ func NewMachine(cfg MachineConfig) *Machine {
 		travel:   cfg.Planner.Travel(),
 		byWorker: make(map[int]*workerState),
 		open:     make(map[int]*core.Task),
-		reserved: make(map[int]bool),
 		ghost:    make(map[int]bool),
+		held:     make(map[*core.Task]bool),
 	}
 }
 
@@ -268,7 +269,8 @@ func (m *Machine) RetractCommit(workerID, taskID int, now float64) bool {
 // immediately (exactly what the next Step's eviction would do, so the same
 // id can come back online within the same planning epoch); a worker
 // executing a committed task finishes it first, with the engine's departure
-// semantics. Any reserved (FTA) tasks return to the pool.
+// semantics. The plan leaves with the worker: under FTA, the tasks it held
+// return to the pool.
 func (m *Machine) RemoveWorker(id int, now float64) bool {
 	ws, ok := m.byWorker[id]
 	if !ok {
@@ -278,7 +280,6 @@ func (m *Machine) RemoveWorker(id int, now float64) bool {
 		ws.w.Off = now
 	}
 	if ws.committed == nil {
-		m.releasePlan(ws)
 		delete(m.byWorker, id)
 		for i, cur := range m.active {
 			if cur == ws {
@@ -298,8 +299,8 @@ func (m *Machine) CancelTask(id int) bool {
 }
 
 // ShedTask evicts an open task under admission control — the dispatcher's
-// overload path. It mirrors CancelTask (reserved FTA pins release, ghost
-// replicas uncounted) but accounts the closure as Shed:
+// overload path. It mirrors CancelTask (a task in a fixed plan leaves too,
+// ghost replicas go uncounted) but accounts the closure as Shed:
 // the system, not the requester, withdrew the task. Shedding a task a worker
 // has already committed to is a no-op — the commitment already counted as
 // assigned. It reports whether a task left the open pool.
@@ -307,18 +308,16 @@ func (m *Machine) ShedTask(id int) bool {
 	return m.removeOpen(id, &m.stats.Shed)
 }
 
-// removeOpen takes a task out of the open pool, releasing any FTA
-// reservation, and reports whether it was open. An owned task bumps the
-// closed counter and enters the change log as TaskClosed; a ghost replica's
-// closure is accounted by its owning shard, and a nil counter (DropTask)
-// accounts nothing.
+// removeOpen takes a task out of the open pool and reports whether it was
+// open. An owned task bumps the closed counter and enters the change log as
+// TaskClosed; a ghost replica's closure is accounted by its owning shard, and
+// a nil counter (DropTask) accounts nothing.
 func (m *Machine) removeOpen(id int, closed *int) bool {
 	if _, ok := m.open[id]; !ok {
 		return false
 	}
 	owned := !m.ghost[id]
 	delete(m.open, id)
-	delete(m.reserved, id)
 	delete(m.ghost, id)
 	if owned && closed != nil {
 		*closed++
@@ -441,7 +440,6 @@ func (m *Machine) evict(t float64) {
 		}
 		if s.Exp <= t {
 			delete(m.open, s.ID)
-			delete(m.reserved, s.ID)
 			// A ghost's lifecycle is accounted by its owning shard.
 			if m.ghost[s.ID] {
 				delete(m.ghost, s.ID)
@@ -461,7 +459,6 @@ func (m *Machine) evict(t float64) {
 		// Workers finishing a committed task stay until arrival (validity
 		// guaranteed completion before off); all others leave at off.
 		if ws.w.Off <= t && ws.committed == nil {
-			m.releasePlan(ws)
 			delete(m.byWorker, ws.w.ID)
 			continue
 		}
@@ -482,17 +479,6 @@ func (m *Machine) evict(t float64) {
 	m.virtuals = keptVirtual
 }
 
-// releasePlan returns a departing fixed worker's unexecuted reserved tasks
-// to the pool.
-func (m *Machine) releasePlan(ws *workerState) {
-	for _, s := range ws.plan {
-		if !s.Virtual {
-			delete(m.reserved, s.ID)
-		}
-	}
-	ws.plan = nil
-}
-
 // SetVirtuals replaces the machine's virtual-task set with what the driver's
 // DemandFeed returned. Expired entries are evicted on the next Step. The
 // machine takes ownership of v — expiry eviction compacts it in place — so
@@ -506,11 +492,17 @@ func (m *Machine) SetVirtuals(v []*core.Task) {
 func (m *Machine) plan(t float64) {
 	// m.active is in id order, so planners and workers are too.
 	planners, workers := m.planScratch[:0], m.wsScratch[:0]
+	clear(m.held)
 	for _, ws := range m.active {
+		if m.cfg.Fixed {
+			for _, s := range ws.plan {
+				m.held[s] = true
+			}
+		}
 		if ws.committed != nil {
 			continue // executing a real task: not interruptible
 		}
-		if m.cfg.Fixed && ws.fixed && len(ws.plan) > 0 {
+		if m.cfg.Fixed && len(ws.plan) > 0 {
 			continue // FTA: plan locked
 		}
 		if !ws.w.Available(t) {
@@ -528,12 +520,13 @@ func (m *Machine) plan(t float64) {
 		return
 	}
 
-	// Planning pool: open unreserved real tasks plus current virtuals. The
-	// identity check (not just id membership) keeps a stale openOrder entry
-	// for a closed-and-reused id out of the pool.
+	// Planning pool: open real tasks no fixed plan holds, plus current
+	// virtuals. The identity checks (not just id membership) keep a stale
+	// openOrder entry, or a stale plan entry, for a closed-and-reused id from
+	// deciding what the pool holds.
 	pool := m.poolScratch[:0]
 	for _, s := range m.openOrder {
-		if m.open[s.ID] == s && !m.reserved[s.ID] {
+		if m.open[s.ID] == s && !m.held[s] {
 			pool = append(pool, s)
 		}
 	}
@@ -549,32 +542,13 @@ func (m *Machine) plan(t float64) {
 		panic(fmt.Sprintf("stream: planner %s assigned task %d twice", m.cfg.Planner.Name(), dup))
 	}
 
-	// Adaptive semantics: every replannable worker's sequence is replaced
-	// by the new plan (or cleared). Fixed semantics: assigned workers lock.
-	if m.assignedMap == nil {
-		m.assignedMap = make(map[int]core.Sequence, len(plan))
-	} else {
-		clear(m.assignedMap)
-	}
-	assigned := m.assignedMap
-	for _, a := range plan {
-		assigned[a.Worker.ID] = a.Seq
-	}
+	// Every planned worker's sequence is replaced by the new plan (or
+	// cleared); under Fixed semantics an assigned worker is now locked.
 	for _, ws := range planners {
-		seq, ok := assigned[ws.w.ID]
-		if !ok {
-			ws.plan = nil
-			continue
-		}
-		ws.plan = seq
-		if m.cfg.Fixed {
-			ws.fixed = true
-			for _, s := range seq {
-				if !s.Virtual {
-					m.reserved[s.ID] = true
-				}
-			}
-		}
+		ws.plan = nil
+	}
+	for _, a := range plan {
+		m.byWorker[a.Worker.ID].plan = a.Seq
 	}
 }
 
@@ -620,7 +594,6 @@ func (m *Machine) executeWorker(ws *workerState, t float64) {
 			continue // no longer satisfiable; try the next planned task
 		}
 		delete(m.open, head.ID)
-		delete(m.reserved, head.ID)
 		m.stats.Assigned++
 		ghost := m.ghost[head.ID]
 		delete(m.ghost, head.ID)

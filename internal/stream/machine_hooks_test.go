@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -77,10 +78,12 @@ func TestMachineRetractCommit(t *testing.T) {
 }
 
 // TestMachineRemoveOpenTask: CancelTask, ShedTask and DropTask take any open
-// task out of the pool, releasing an FTA reservation, and differ only in what
-// they account — an owned cancel or shed counts and logs a TaskClosed, a ghost
-// replica or a drop accounts nothing. A removed task is never assigned, even
-// when a fixed plan had reserved it, and its id is free to reuse.
+// task out of the pool, one a fixed plan reserves included, and differ only
+// in what they account — an owned cancel or shed counts and logs a
+// TaskClosed, a ghost replica or a drop accounts nothing. A removed task is
+// never assigned, even when a fixed plan had reserved it, and its id is free
+// to reuse. A task is reserved while it is open and in a worker's fixed plan
+// (PlanOf's Next), so a removed one is reserved by no plan.
 func TestMachineRemoveOpenTask(t *testing.T) {
 	removals := []struct {
 		name   string
@@ -114,8 +117,9 @@ func TestMachineRemoveOpenTask(t *testing.T) {
 				m := machineWith(true)
 				p.setup(m)
 				id := p.id
-				if m.reserved[id] != (p.name == "fta-reserved") {
-					t.Fatalf("setup: task %d reserved = %v", id, m.reserved[id])
+				wp, _ := m.PlanOf(1)
+				if reserved := slices.Contains(wp.Next, id); reserved != (p.name == "fta-reserved") {
+					t.Fatalf("setup: task %d reserved = %v", id, reserved)
 				}
 				assigned := m.Stats().Assigned
 				if got := r.remove(m, id); got != p.open {
@@ -135,8 +139,8 @@ func TestMachineRemoveOpenTask(t *testing.T) {
 				if log := m.TakeChanges(nil); !slices.Equal(log, wantLog) {
 					t.Errorf("change log = %+v, want %+v", log, wantLog)
 				}
-				if m.HasOpenTask(id) || m.reserved[id] || m.ghost[id] {
-					t.Errorf("id %d still open, reserved or ghost after removal", id)
+				if m.HasOpenTask(id) || m.ghost[id] {
+					t.Errorf("id %d still open or ghost after removal", id)
 				}
 				m.Step(50) // the fixed plan's worker reaches task 1; its next head is gone
 				m.Step(90)
@@ -146,8 +150,80 @@ func TestMachineRemoveOpenTask(t *testing.T) {
 				if !m.AddTask(task(id, 0.3, 0, 0, 9000), 90) {
 					t.Errorf("id %d cannot be added again", id)
 				}
+				// No plan holds the new task: the fixed plan's worker, idle
+				// since its plan ran dry, takes it.
+				m.Step(91)
+				if p.name == "fta-reserved" {
+					assigned++
+				}
+				if got := m.Stats().Assigned; got != assigned {
+					t.Errorf("assigned = %d after the id's reuse, want %d", got, assigned)
+				}
 			})
 		}
+	}
+}
+
+// TestMachineFixedPlanKeepsReservationAcrossIDReuse: a fixed plan reserves
+// the task it names, not the id. Worker 1's plan still names a cancelled task
+// 5 when worker 2's plan takes the new task 5; worker 1 leaving must not hand
+// worker 2's task to worker 3, who stands nearer to it.
+func TestMachineFixedPlanKeepsReservationAcrossIDReuse(t *testing.T) {
+	m := machineWith(true)
+	m.AddWorker(worker(1, 0, 0, 2, 0, 10000), 0)
+	m.AddTask(task(6, 0.5, 0, 0, 9000), 0)
+	m.AddTask(task(5, 0.9, 0, 0, 9000), 0)
+	m.Step(0) // fixed plan (6, 5): task 6 committed, task 5 held
+	if wp, _ := m.PlanOf(1); wp.Committed != 6 || !slices.Equal(wp.Next, []int{5}) {
+		t.Fatalf("setup: worker 1 plan %+v, want 6 committed and 5 next", wp)
+	}
+
+	m.CancelTask(5)
+	m.AddWorker(worker(2, 10, 0, 2, 1, 10000), 1)
+	m.AddTask(task(7, 10.5, 0, 1, 9000), 1)
+	m.AddTask(task(5, 10.9, 0, 1, 9000), 1)
+	m.Step(1) // fixed plan (7, 5): task 7 committed, the new task 5 held
+
+	m.RemoveWorker(1, 2) // leaves on reaching task 6, its stale entry for 5 with it
+	m.AddWorker(worker(3, 11.3, 0, 2, 2, 10000), 2)
+	for _, now := range []float64{2, 50, 52} {
+		m.Step(now)
+	}
+	want := []Change{
+		{Kind: TaskAssigned, Task: 6, Worker: 1, Arrive: 50},
+		{Kind: TaskClosed, Task: 5, Worker: -1},
+		{Kind: TaskAssigned, Task: 7, Worker: 2, Arrive: 51},
+		{Kind: TaskAssigned, Task: 5, Worker: 2, Arrive: 92},
+	}
+	same := func(a, b Change) bool {
+		return a.Kind == b.Kind && a.Task == b.Task && a.Worker == b.Worker && math.Abs(a.Arrive-b.Arrive) < 1e-9
+	}
+	if got := m.TakeChanges(nil); !slices.EqualFunc(got, want, same) {
+		t.Fatalf("changes %+v, want %+v", got, want)
+	}
+}
+
+// TestMachineFixedPlanReleasesTaskItCannotReach: a fixed plan holds a task
+// only while the task is in it. Planned from t=0, worker 1 would reach task 2
+// at 90, before it expires at 95; stepped at 60, it would arrive at 100, so it
+// drops the task from its plan, and the task is back in the pool for worker 2.
+func TestMachineFixedPlanReleasesTaskItCannotReach(t *testing.T) {
+	m := machineWith(true)
+	m.AddWorker(worker(1, 0, 0, 2, 0, 10000), 0)
+	m.AddTask(task(1, 0.5, 0, 0, 9000), 0)
+	m.AddTask(task(2, 0.9, 0, 0, 95), 0)
+	m.Step(0) // fixed plan (1, 2): task 1 committed, task 2 held
+	m.AddWorker(worker(2, 0.95, 0, 2, 60, 10000), 60)
+	m.Step(60) // worker 1 arrives at task 1 and drops task 2; worker 2 planned without it
+	if wp, _ := m.PlanOf(1); len(wp.Next) != 0 || wp.Moving {
+		t.Fatalf("worker 1 plan %+v, want idle with task 2 dropped", wp)
+	}
+	m.Step(61)
+	if wp, _ := m.PlanOf(2); wp.Committed != 2 {
+		t.Fatalf("worker 2 plan %+v, want task 2 committed", wp)
+	}
+	if st := m.Stats(); st.Assigned != 2 || st.Expired != 0 {
+		t.Fatalf("assigned/expired = %d/%d, want 2/0", st.Assigned, st.Expired)
 	}
 }
 

@@ -40,9 +40,9 @@ import (
 type Config struct {
 	// Planner computes assignments at each planning instant.
 	Planner assign.Planner
-	// Fixed selects FTA semantics: once a worker holds a plan it is never
-	// adjusted, and its tasks are reserved. When false the plan of every
-	// uncommitted worker is recomputed each step (DTA semantics).
+	// Fixed selects FTA semantics: while a worker holds a plan it is never
+	// adjusted, and no other worker plans its tasks. When false the plan of
+	// every uncommitted worker is recomputed each step (DTA semantics).
 	Fixed bool
 	// Demand, when non-nil, injects virtual tasks (DTA+TP / DATA-WA / SSP).
 	// A feed carries one run's history: give each run its own.

@@ -294,17 +294,6 @@ func Sum(a *Matrix) float64 {
 // Mean returns the mean of all elements of a.
 func Mean(a *Matrix) float64 { return Sum(a) / float64(len(a.Data)) }
 
-// MaxAbs returns the largest absolute element of a.
-func MaxAbs(a *Matrix) float64 {
-	m := 0.0
-	for _, v := range a.Data {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
 // Row returns a view-free copy of row i as a 1×Cols matrix.
 func (m *Matrix) Row(i int) *Matrix {
 	out := New(1, m.Cols)

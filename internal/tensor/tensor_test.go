@@ -290,9 +290,6 @@ func TestSumMeanMaxAbs(t *testing.T) {
 	if Mean(a) != 0 {
 		t.Errorf("Mean = %v", Mean(a))
 	}
-	if MaxAbs(a) != 5 {
-		t.Errorf("MaxAbs = %v", MaxAbs(a))
-	}
 }
 
 func TestRowSetRow(t *testing.T) {

@@ -74,7 +74,8 @@ func sameHead(t *testing.T, sc *Scratch, w *core.Worker, ix *spatial.Index, now 
 	if want := entries[0].seq.IDs(); !slices.Equal(got, want) {
 		t.Fatalf("worker %d (reach %d, len %d): picked %v, head of Q_w is %v", w.ID, o.MaxReachable, o.MaxSeqLen, got, want)
 	}
-	tied = len(entries) > 1 && len(entries[1].seq) == len(entries[0].seq) && entries[1].completion == entries[0].completion
+	completion := func(q core.Sequence) float64 { return core.CompletionTime(w.Loc, now, q, o.Travel) }
+	tied = len(entries) > 1 && len(entries[1].seq) == len(entries[0].seq) && completion(entries[1].seq) == completion(entries[0].seq)
 	return true, tied
 }
 

@@ -37,7 +37,8 @@ type Options struct {
 	// reachable-set and sequence-generation loops inside Separate: 0 uses
 	// up to one goroutine per CPU when the instant is large enough to pay
 	// for them (reachGrain, sequenceGrain), 1 (or any negative value) runs
-	// serially. Results are identical at every setting.
+	// serially. Results are identical at every setting. The planners of
+	// internal/assign set it from their own Options.Parallelism.
 	Parallelism int
 }
 
@@ -105,19 +106,18 @@ type Scratch struct {
 	// Arenas behind the WorkerSets this goroutine produced in the current
 	// Separate call. Growth may move an arena; slices handed out earlier keep
 	// the old backing alive and stay valid.
-	reach []*core.Task
 	index []int32
 	seqs  []core.Sequence
 	masks []uint64
-	pick  []int32 // one scenario's RS_w as pool positions, before it is known to be new
+	pick  []int32      // one scenario's RS_w as pool positions, before it is known to be new
+	rs    []*core.Task // one RS_w resolved to tasks, while its Q_w is generated
 }
 
 // seqEntry is one deduped task set with its best (minimal-completion)
 // ordering; mask is the set over rs positions.
 type seqEntry struct {
-	seq        core.Sequence
-	completion float64
-	mask       uint64
+	seq  core.Sequence
+	mask uint64
 }
 
 // Reachable returns RS_w over the indexed pool as (pool position, distance)
@@ -291,7 +291,7 @@ func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Opt
 		for _, k := range g.pos[t.off : t.off+t.n] {
 			backing = append(backing, rs[k])
 		}
-		entries = append(entries, seqEntry{seq: backing[from:len(backing):len(backing)], completion: t.completion, mask: t.mask})
+		entries = append(entries, seqEntry{seq: backing[from:len(backing):len(backing)], mask: t.mask})
 	}
 	sc.entries = entries[:0]
 	g.w, g.rs = nil, nil
@@ -527,15 +527,16 @@ func (b *bestPick) offer(t float64) {
 // the workers that reach a task. A worker whose RS_w is empty (off shift, or
 // with every task out of reach) has nothing to plan and is in no tree.
 //
-// Everything is addressed by dense index: Sets and the graph's vertices by
-// position in Workers, reachable tasks by position in Tasks, a sequence's
-// tasks by bit position in its worker's reachable set. Consumers translate
-// ids to small ints nowhere — the indices are handed out here, once.
+// Everything is addressed by dense index, and only by it: Sets, the graph's
+// vertices and a tree node's workers by position in Workers, reachable tasks
+// by position in Tasks, a sequence's tasks by bit position in its worker's
+// reachable set. Consumers translate ids to small ints nowhere — the indices
+// are handed out here, once.
 //
 // The Separations of one Separator.Scenarios call are siblings, one per
 // sampled scenario over one pool: Tasks is that pool in all of them, whatever
 // a scenario contains of it, and where a worker's reachable set is the same
-// in two scenarios their Sets entries are one WorkerSets value — one Reach,
+// in two scenarios their Sets entries are one WorkerSets value — one Index,
 // one Q_w, one set of masks (SharesSets).
 type Separation struct {
 	Workers []*core.Worker
@@ -564,24 +565,22 @@ func (sep *Separation) SharesSets(o *Separation, i int) bool { return sep.first[
 
 // WorkerSets is one worker's reachable set RS_w and candidate sequences Q_w.
 type WorkerSets struct {
-	Reach []*core.Task // RS_w, nearest first
-	Index []int32      // Reach[k] is Separation.Tasks[Index[k]]
+	// Index is RS_w, nearest first, as positions in Separation.Tasks.
+	Index []int32
 	Seqs  []core.Sequence
-	// Masks holds each sequence's task set as a bitmask over Reach
-	// positions: Seqs[j] uses Reach[k] iff bit k of Masks[j] is set. Reach
-	// holds at most 64 tasks (Options.MaxReachable), so "are all of Seqs[j]'s
-	// tasks still free" is one AND-NOT against the worker's availability
-	// word.
+	// Masks holds each sequence's task set as a bitmask over Index
+	// positions: Seqs[j] uses Separation.Tasks[Index[k]] iff bit k of
+	// Masks[j] is set. Index holds at most 64 tasks (Options.MaxReachable), so
+	// "are all of Seqs[j]'s tasks still free" is one AND-NOT against the
+	// worker's availability word.
 	Masks []uint64
 }
 
-// TreeNode is one node of the RTC tree. Workers holds the clique X′
-// installed at this node; Children are the trees of the components obtained
-// by removing X′. Workers in sibling subtrees are independent.
+// TreeNode is one node of the RTC tree. Index holds the clique X′ installed
+// at this node, as positions in Separation.Workers sorted by worker id;
+// Children are the trees of the components obtained by removing X′. Workers
+// in sibling subtrees are independent.
 type TreeNode struct {
-	Workers []*core.Worker
-	// Index gives the node's workers as positions in Separation.Workers:
-	// Workers[k] is Separation.Workers[Index[k]].
 	Index    []int32
 	Children []*TreeNode
 	// ID numbers the nodes of one tree 0, 1, … in pre-order (the root is 0),
@@ -589,26 +588,8 @@ type TreeNode struct {
 	ID int32
 }
 
-// AllWorkers returns every worker in the subtree rooted at n, in
-// deterministic (pre-order, id-sorted within nodes) order.
-func (n *TreeNode) AllWorkers() []*core.Worker {
-	if n == nil {
-		return nil
-	}
-	return n.AppendWorkers(make([]*core.Worker, 0, n.Size()))
-}
-
-// AppendWorkers appends the subtree's workers to dst in AllWorkers order.
-func (n *TreeNode) AppendWorkers(dst []*core.Worker) []*core.Worker {
-	dst = append(dst, n.Workers...)
-	for _, c := range n.Children {
-		dst = c.AppendWorkers(dst)
-	}
-	return dst
-}
-
 // AppendIndex appends the subtree's worker positions (see Index) to dst in
-// AllWorkers order.
+// pre-order, id-sorted within nodes.
 func (n *TreeNode) AppendIndex(dst []int32) []int32 {
 	dst = append(dst, n.Index...)
 	for _, c := range n.Children {
@@ -622,7 +603,7 @@ func (n *TreeNode) Size() int {
 	if n == nil {
 		return 0
 	}
-	size := len(n.Workers)
+	size := len(n.Index)
 	for _, c := range n.Children {
 		size += c.Size()
 	}
@@ -869,7 +850,7 @@ func (sp *Separator) workerSets() {
 	for _, i := range sp.on {
 		mine := 0
 		for s := range sp.seps {
-			if r := len(sp.seps[s].Sets[i].Reach); int(sp.seps[s].first[i]) == s {
+			if r := len(sp.seps[s].Sets[i].Index); int(sp.seps[s].first[i]) == s {
 				mine += r * r
 			}
 		}
@@ -894,11 +875,12 @@ func (sp *Separator) reachJob(g, k int) {
 func (sp *Separator) sequenceJob(g, k int) {
 	i := sp.on[k]
 	for s := range sp.seps {
-		ws := &sp.seps[s].Sets[i]
-		if first := int(sp.seps[s].first[i]); first != s {
+		sep := &sp.seps[s]
+		ws := &sep.Sets[i]
+		if first := int(sep.first[i]); first != s {
 			*ws = sp.seps[first].Sets[i]
-		} else if len(ws.Reach) > 0 {
-			sp.scr[g].sequenceSets(sp.seps[s].Workers[i], ws, sp.now, sp.o)
+		} else if len(ws.Index) > 0 {
+			sp.scr[g].sequenceSets(sep.Workers[i], sep.Tasks, ws, sp.now, sp.o)
 		}
 	}
 }
@@ -914,11 +896,10 @@ func (sp *Separator) scratchFor(work, grain int) int {
 }
 
 // resetArenas empties the result arenas for a new Separate call, dropping
-// the task pointers of the previous one.
+// the sequences of the previous one.
 func (sc *Scratch) resetArenas() {
-	clear(sc.reach)
 	clear(sc.seqs)
-	sc.reach, sc.index, sc.seqs, sc.masks = sc.reach[:0], sc.index[:0], sc.seqs[:0], sc.masks[:0]
+	sc.index, sc.seqs, sc.masks = sc.index[:0], sc.seqs[:0], sc.masks[:0]
 }
 
 // reachSets computes RS_w of the available worker at position i in each of the
@@ -963,27 +944,28 @@ scenarios:
 				continue scenarios
 			}
 		}
-		r0 := len(sc.reach)
-		for _, t := range pick {
-			sc.reach = append(sc.reach, pool[t])
-		}
+		i0 := len(sc.index)
 		sc.index = append(sc.index, pick...)
-		seps[s].Sets[i] = WorkerSets{
-			Reach: sc.reach[r0:len(sc.reach):len(sc.reach)],
-			Index: sc.index[r0:len(sc.index):len(sc.index)],
-		}
+		seps[s].Sets[i] = WorkerSets{Index: sc.index[i0:len(sc.index):len(sc.index)]}
 		seps[s].first[i] = uint8(s)
 	}
 }
 
-// sequenceSets computes Q_w over the reachable set ws already holds, into the
-// arenas, capacity-capped as reachSets' are.
-func (sc *Scratch) sequenceSets(w *core.Worker, ws *WorkerSets, now float64, o Options) {
-	entries := sc.sequences(w, ws.Reach, now, o)
+// sequenceSets computes Q_w over the reachable set ws already holds — pool
+// positions, resolved into scratch for the generator — into the arenas,
+// capacity-capped as reachSets' are.
+func (sc *Scratch) sequenceSets(w *core.Worker, pool []*core.Task, ws *WorkerSets, now float64, o Options) {
+	rs := sc.rs[:0]
+	for _, t := range ws.Index {
+		rs = append(rs, pool[t])
+	}
+	entries := sc.sequences(w, rs, now, o)
+	clear(rs)
+	sc.rs = rs[:0]
 	q0, m0 := len(sc.seqs), len(sc.masks)
 	for _, e := range entries {
 		sc.seqs = append(sc.seqs, e.seq)
-		// The sequence's task set as bits over its positions in Reach is the
+		// The sequence's task set as bits over its positions in Index is the
 		// generator's dedup key.
 		sc.masks = append(sc.masks, e.mask)
 	}
@@ -1005,15 +987,13 @@ type treeBuilder struct {
 	queue   []int32
 	touched []int32
 	// Arenas for the construction's results: tree nodes and the backing of
-	// node.Workers / node.Index. All live until the next reset call (the
-	// Separations' lifetime), so steady-state tree building allocates only on
-	// growth. Each node's span is completed before any other node starts
+	// node.Index. All live until the next reset call (the Separations'
+	// lifetime), so steady-state tree building allocates only on growth. Each node's span is completed before any other node starts
 	// (cliques are installed before recursing), which keeps the spans
 	// contiguous; grown-over backings stay alive through the tree's own
 	// pointers.
 	nodes     []TreeNode
 	treeStart int // len(nodes) when the tree under construction began
-	warena    []*core.Worker
 	iarena    []int32
 	compFlat  []int
 	compOffs  []int32
@@ -1023,8 +1003,6 @@ type treeBuilder struct {
 func (b *treeBuilder) reset() {
 	clear(b.nodes)
 	b.nodes = b.nodes[:0]
-	clear(b.warena)
-	b.warena = b.warena[:0]
 	b.iarena = b.iarena[:0]
 }
 
@@ -1058,12 +1036,8 @@ func (b *treeBuilder) newNode(workers []*core.Worker, clique ...int) *TreeNode {
 	}
 	index := b.iarena[start:len(b.iarena):len(b.iarena)]
 	slices.SortFunc(index, func(x, y int32) int { return workers[x].ID - workers[y].ID })
-	for _, v := range index {
-		b.warena = append(b.warena, workers[v])
-	}
 	b.nodes = append(b.nodes, TreeNode{
-		Workers: b.warena[start:len(b.warena):len(b.warena)],
-		Index:   index,
+		Index: index,
 		// A node is created before any of its descendants and after the whole
 		// of every earlier sibling's subtree: creation order is pre-order.
 		ID: int32(len(b.nodes) - b.treeStart),

@@ -249,19 +249,19 @@ func TestSeparateTreeCoversAllWorkersOnce(t *testing.T) {
 		sep := Separate(workers, tasks, 0, opts)
 		seen := make(map[int]int)
 		for _, root := range sep.Forest {
-			for _, w := range root.AllWorkers() {
+			for _, w := range workersOf(sep, root) {
 				seen[w.ID]++
 			}
 		}
 		reaching := 0
 		for i, w := range workers {
 			want := 0
-			if len(sep.Sets[i].Reach) > 0 {
+			if len(sep.Sets[i].Index) > 0 {
 				want = 1
 				reaching++
 			}
 			if seen[w.ID] != want {
-				t.Fatalf("worker %d reaches %d tasks and appears %d times", w.ID, len(sep.Sets[i].Reach), seen[w.ID])
+				t.Fatalf("worker %d reaches %d tasks and appears %d times", w.ID, len(sep.Sets[i].Index), seen[w.ID])
 			}
 		}
 		if reaching < 2 || reaching > len(workers)-2 {
@@ -292,8 +292,8 @@ func TestSeparateSiblingIndependence(t *testing.T) {
 		check = func(n *TreeNode) {
 			for i := 0; i < len(n.Children); i++ {
 				for j := i + 1; j < len(n.Children); j++ {
-					for _, a := range n.Children[i].AllWorkers() {
-						for _, b := range n.Children[j].AllWorkers() {
+					for _, a := range workersOf(sep, n.Children[i]) {
+						for _, b := range workersOf(sep, n.Children[j]) {
 							if sep.Graph.HasEdge(idx[a.ID], idx[b.ID]) {
 								t.Fatalf("edge between sibling subtrees: %d-%d", a.ID, b.ID)
 							}
@@ -325,8 +325,8 @@ func TestSeparateDeterministic(t *testing.T) {
 		var out []int
 		var rec func(n *TreeNode)
 		rec = func(n *TreeNode) {
-			for _, w := range n.Workers {
-				out = append(out, w.ID)
+			for _, wi := range n.Index {
+				out = append(out, sep.Workers[wi].ID)
 			}
 			out = append(out, -1)
 			for _, c := range n.Children {
@@ -351,11 +351,8 @@ func TestSeparateDeterministic(t *testing.T) {
 }
 
 func TestTreeNodeHelpers(t *testing.T) {
-	leaf := &TreeNode{Workers: []*core.Worker{worker(3, 0, 0, 1, 0, 1)}}
-	root := &TreeNode{
-		Workers:  []*core.Worker{worker(1, 0, 0, 1, 0, 1), worker(2, 0, 0, 1, 0, 1)},
-		Children: []*TreeNode{leaf},
-	}
+	leaf := &TreeNode{Index: []int32{2}}
+	root := &TreeNode{Index: []int32{0, 1}, Children: []*TreeNode{leaf}}
 	if root.Size() != 3 {
 		t.Errorf("Size = %d", root.Size())
 	}
@@ -363,9 +360,28 @@ func TestTreeNodeHelpers(t *testing.T) {
 		t.Errorf("Depth = %d", root.Depth())
 	}
 	var nilNode *TreeNode
-	if nilNode.Depth() != 0 || nilNode.AllWorkers() != nil {
+	if nilNode.Depth() != 0 || nilNode.Size() != 0 {
 		t.Error("nil node helpers")
 	}
+}
+
+// reachOf resolves worker i's reachable set to its tasks, nearest first.
+func reachOf(sep *Separation, i int) []*core.Task {
+	var rs []*core.Task
+	for _, t := range sep.Sets[i].Index {
+		rs = append(rs, sep.Tasks[t])
+	}
+	return rs
+}
+
+// workersOf resolves the workers of the subtree under n, in pre-order and by
+// id within a node.
+func workersOf(sep *Separation, n *TreeNode) []*core.Worker {
+	var ws []*core.Worker
+	for _, wi := range n.AppendIndex(nil) {
+		ws = append(ws, sep.Workers[wi])
+	}
+	return ws
 }
 
 func TestOptionsDefaults(t *testing.T) {
@@ -399,7 +415,7 @@ func randomInstance(seed int64, nWorkers, nTasks int, span float64) ([]*core.Wor
 func sameSeparation(t *testing.T, a, b *Separation) {
 	t.Helper()
 	for i, w := range a.Workers {
-		ra, rb := a.Sets[i].Reach, b.Sets[i].Reach
+		ra, rb := reachOf(a, i), reachOf(b, i)
 		if len(ra) != len(rb) {
 			t.Fatalf("worker %d: reachable %d vs %d", w.ID, len(ra), len(rb))
 		}
@@ -427,20 +443,20 @@ func sameSeparation(t *testing.T, a, b *Separation) {
 	if len(a.Forest) != len(b.Forest) {
 		t.Fatalf("forest size %d vs %d", len(a.Forest), len(b.Forest))
 	}
-	var flatten func(n *TreeNode) []int
-	flatten = func(n *TreeNode) []int {
+	var flatten func(sep *Separation, n *TreeNode) []int
+	flatten = func(sep *Separation, n *TreeNode) []int {
 		var ids []int
-		for _, w := range n.Workers {
-			ids = append(ids, w.ID)
+		for _, wi := range n.Index {
+			ids = append(ids, sep.Workers[wi].ID)
 		}
 		ids = append(ids, -1) // structure marker
 		for _, c := range n.Children {
-			ids = append(ids, flatten(c)...)
+			ids = append(ids, flatten(sep, c)...)
 		}
 		return ids
 	}
 	for i := range a.Forest {
-		fa, fb := flatten(a.Forest[i]), flatten(b.Forest[i])
+		fa, fb := flatten(a, a.Forest[i]), flatten(b, b.Forest[i])
 		if len(fa) != len(fb) {
 			t.Fatalf("tree %d shape differs", i)
 		}
@@ -462,8 +478,8 @@ func TestSeparateIndexedMatchesBruteForce(t *testing.T) {
 		sep := Separate(ws, ts, 0, opts)
 		for i, w := range ws {
 			rs := ReachableTasks(w, ts, 0, opts)
-			if !slices.Equal(sep.Sets[i].Reach, rs) {
-				t.Fatalf("seed %d worker %d: RS_w of %d tasks differs from the scan's %d", seed, w.ID, len(sep.Sets[i].Reach), len(rs))
+			if !slices.Equal(reachOf(sep, i), rs) {
+				t.Fatalf("seed %d worker %d: RS_w of %d tasks differs from the scan's %d", seed, w.ID, len(sep.Sets[i].Index), len(rs))
 			}
 			if !slices.EqualFunc(sep.Sets[i].Seqs, MaximalValidSequences(w, rs, 0, opts), slices.Equal) {
 				t.Fatalf("seed %d worker %d: Q_w differs from the scan's", seed, w.ID)
@@ -565,7 +581,7 @@ func TestSeparateParallelMatchesSerial(t *testing.T) {
 		if w.Available(0) {
 			on++
 		}
-		pairs += len(want.Sets[i].Reach) * len(want.Sets[i].Reach)
+		pairs += len(want.Sets[i].Index) * len(want.Sets[i].Index)
 	}
 	if want.Sequences == 0 {
 		t.Fatal("a pool with no sequences")
@@ -644,8 +660,8 @@ func TestReachableTasksIndexedMatches(t *testing.T) {
 }
 
 // TestSeparationDenseIndices pins the hand-off contract the search relies
-// on: Index addresses Reach in the pool, Masks[j] is exactly Seqs[j]'s task
-// set over Reach positions, tree nodes address Workers — at the default
+// on: Masks[j] is exactly Seqs[j]'s task set over the positions of Index, and
+// a tree node lists its workers by id, numbered in pre-order — at the default
 // MaxReachable and at the widest, 64.
 func TestSeparationDenseIndices(t *testing.T) {
 	for _, maxReach := range []int{0, 64} {
@@ -656,23 +672,15 @@ func TestSeparationDenseIndices(t *testing.T) {
 		sep := Separate(ws, ts, 0, o)
 		full := false
 		for i := range sep.Workers {
-			set := &sep.Sets[i]
-			if len(set.Index) != len(set.Reach) {
-				t.Fatalf("worker %d: %d indices for %d reachable tasks", i, len(set.Index), len(set.Reach))
-			}
-			for k, s := range set.Reach {
-				if sep.Tasks[set.Index[k]] != s {
-					t.Fatalf("worker %d: Index[%d] does not address Reach[%d]", i, k, k)
-				}
-			}
-			full = full || len(set.Reach) == 64
+			set, rs := &sep.Sets[i], reachOf(sep, i)
+			full = full || len(set.Index) == 64
 			if len(set.Masks) != len(set.Seqs) {
 				t.Fatalf("worker %d: %d masks for %d sequences", i, len(set.Masks), len(set.Seqs))
 			}
 			for j, q := range set.Seqs {
 				var want uint64
 				for _, s := range q {
-					want |= 1 << uint(slices.Index(set.Reach, s))
+					want |= 1 << uint(slices.Index(rs, s))
 				}
 				if set.Masks[j] != want {
 					t.Fatalf("worker %d sequence %d: mask %x, want %x", i, j, set.Masks[j], want)
@@ -689,13 +697,8 @@ func TestSeparationDenseIndices(t *testing.T) {
 				t.Fatalf("node ID %d, want pre-order position %d", n.ID, next)
 			}
 			next++
-			if len(n.Index) != len(n.Workers) {
-				t.Fatalf("node has %d indices for %d workers", len(n.Index), len(n.Workers))
-			}
-			for k, w := range n.Workers {
-				if sep.Workers[n.Index[k]] != w {
-					t.Fatal("node Index does not address its Workers")
-				}
+			if !slices.IsSortedFunc(n.Index, func(a, b int32) int { return sep.Workers[a].ID - sep.Workers[b].ID }) {
+				t.Fatalf("node %d lists its workers out of id order", n.ID)
 			}
 			for _, c := range n.Children {
 				check(c)
@@ -729,7 +732,7 @@ func TestReachableSetIsOneWord(t *testing.T) {
 	if !reflect.DeepEqual(at70, at64) {
 		t.Fatal("Separate at MaxReachable 70 differs from Separate at 64")
 	}
-	if !slices.ContainsFunc(at64.Sets, func(set WorkerSets) bool { return len(set.Reach) == 64 }) {
+	if !slices.ContainsFunc(at64.Sets, func(set WorkerSets) bool { return len(set.Index) == 64 }) {
 		t.Fatal("no worker reaches 64 tasks")
 	}
 

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# lint.sh — the full lint suite, identical to CI's lint-build job.
+# lint.sh — the lint steps of CI's lint-build job: gofmt, go vet,
+# staticcheck and the repo's analyzers.
 #
-# Run it (or `make lint`) before pushing: every check here gates merges, so a
-# clean local run means the lint job cannot be the reason CI goes red.
+# Run it (or `make lint`) before pushing: every check here gates merges. It
+# is not the whole job: the Prometheus exposition lint, the builds, the
+# GOAMD64=v3 identity tests, the CLI and datawa-serve smokes and the fuzz
+# smokes of lint-build run only in CI.
 #
 #   1. gofmt         — formatting, including analyzer testdata fixtures
 #   2. go vet        — the stock analyzers
