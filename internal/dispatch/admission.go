@@ -40,11 +40,6 @@ type AdmissionConfig struct {
 	DeferSlack float64
 }
 
-// enabled reports whether any admission bound is active.
-func (a AdmissionConfig) enabled() bool {
-	return a.MaxOpenTasks > 0 || a.MaxSubmitsPerEpoch > 0
-}
-
 // deferSlackLocked resolves the configured defer slack.
 func (d *Dispatcher) deferSlackLocked() float64 {
 	if s := d.cfg.Admission.DeferSlack; s > 0 {
@@ -83,39 +78,24 @@ func (d *Dispatcher) admitOverCapLocked(s *core.Task, t float64) bool {
 	return false
 }
 
-// displaceLocked removes an open task from its shard (and every ghost
-// replica, and any FTA reservation — ShedTask/DropTask release the pin) and
-// either requeues it one epoch ahead or sheds it, by the DeferSlack rule.
-// cause names the newcomer that pushed the victim out, for the ledger.
+// displaceLocked removes an open task from its shard and every replica
+// (a task in an FTA plan leaves it too) and either requeues it one epoch
+// ahead or sheds it, by the DeferSlack rule. cause names the newcomer that
+// pushed the victim out, for the ledger.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) displaceLocked(v victim, t float64, cause string) {
 	d.recordTask(v.id, obs.Displaced, v.shard, 0, cause)
+	d.dropCopiesLocked(v.id, v.shard)
 	if v.task.Exp-t >= d.deferSlackLocked() {
 		d.shards[v.shard].DropTask(v.id)
-		d.dropGhostsLocked(v.id)
-		delete(d.taskOf, v.id)
 		d.pendLocked(Event{Time: t + d.cfg.Step, Kind: KindTaskSubmit, Task: v.task}, true)
 		d.deferred++
 		d.recordTask(v.id, obs.Deferred, -1, 0, "requeued after displacement")
 		return
 	}
 	d.shards[v.shard].ShedTask(v.id)
-	d.dropGhostsLocked(v.id)
-	delete(d.taskOf, v.id)
 	d.recordTask(v.id, obs.Shed, v.shard, 0, cause+"; not enough validity to defer")
-}
-
-// dropGhostsLocked removes every ghost replica of a task — replicas must
-// leave the planning pools with their owner, or a ghost shard could assign a
-// task the admission path already dropped.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) dropGhostsLocked(id int) {
-	for _, g := range d.ghosts[id] {
-		d.shards[g].DropTask(id)
-	}
-	delete(d.ghosts, id)
 }
 
 // victim is one displacement candidate: an owned open task, keyed by
@@ -143,7 +123,7 @@ const victimSlack = 64
 //datawa:locked(mu)
 func (d *Dispatcher) pushVictimLocked(v victim) {
 	d.victims.push(v)
-	if len(d.victims.items) > 2*len(d.taskOf)+victimSlack {
+	if len(d.victims.items) > 2*d.openLocked()+victimSlack {
 		d.compactVictimsLocked()
 	}
 }
@@ -175,17 +155,14 @@ func (d *Dispatcher) compactVictimsLocked() {
 	d.victims.items = slices.CompactFunc(live, func(a, b victim) bool { return a.id == b.id })
 }
 
-// liveVictimLocked reports whether v is still an open task of its shard.
-// Validation is by pointer identity against the owning shard's open pool, so
-// a closed-and-resubmitted id cannot alias.
+// liveVictimLocked reports whether v is still an open task its shard owns.
+// Validation is by pointer identity against the shard's owned task, so a
+// closed-and-resubmitted id cannot alias.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) liveVictimLocked(v victim) bool {
-	if shard, ok := d.taskOf[v.id]; ok && shard == v.shard {
-		cur, open := d.shards[v.shard].OpenTask(v.id)
-		return open && cur == v.task
-	}
-	return false
+	cur, owned := d.shards[v.shard].OwnedTask(v.id)
+	return owned && cur == v.task
 }
 
 // peekVictimLocked returns the latest-deadline live open task, discarding

@@ -60,6 +60,27 @@ func TestAdmissionShedAtExactCapacity(t *testing.T) {
 	conserve(t, m, 4)
 }
 
+// TestAdmissionCancelFreesSlot pins that a cancel frees its pool slot at
+// once: a task cancelled earlier in an epoch no longer counts against
+// MaxOpenTasks when a later submit of the same epoch is admitted. With a
+// pool of one, the submit that follows the cancel finds the pool empty and
+// is admitted rather than shed.
+func TestAdmissionCancelFreesSlot(t *testing.T) {
+	d := New(Config{
+		Shards: 1, Step: 1, NewLadder: oneTier(greedyFactory()),
+		// DeferSlack beyond every deadline makes a refused submit a shed.
+		Admission: AdmissionConfig{MaxOpenTasks: 1, DeferSlack: 10000},
+	})
+	d.SubmitTask(&core.Task{ID: 1, Loc: geo.Point{X: 0.1}, Pub: 0, Exp: 500, Cell: -1})
+	d.Advance(1)
+	d.CancelTask(1)
+	d.SubmitTask(&core.Task{ID: 2, Loc: geo.Point{X: 0.2}, Pub: 1, Exp: 500, Cell: -1})
+	d.Advance(2)
+	if m := d.Snapshot(); m.Shed != 0 || m.RoutedTasks != 1 || m.Cancelled != 1 {
+		t.Fatalf("submit after cancel: shed %d open %d cancelled %d, want 0/1/1", m.Shed, m.RoutedTasks, m.Cancelled)
+	}
+}
+
 // TestAdmissionDeferredTaskIsRecoverable pins that deferral is non-terminal:
 // a displaced task requeues, waits out the backlog, and is eventually
 // admitted and served — backpressure reorders work, it does not lose it.
@@ -275,7 +296,7 @@ func TestAdmissionVictimHeapStaysBounded(t *testing.T) {
 		}
 		d.Tick()
 		d.mu.Lock()
-		entries, open := len(d.victims.items), len(d.taskOf)
+		entries, open := len(d.victims.items), d.openLocked()
 		d.mu.Unlock()
 		if bound := 2*open + victimSlack + 2*perEpoch; entries > bound {
 			t.Fatalf("epoch %d: victim heap holds %d entries for %d open tasks, bound %d", e, entries, open, bound)

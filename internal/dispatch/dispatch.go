@@ -50,11 +50,11 @@
 //
 // The dispatcher hears from a shard's machine through one change log
 // (stream.Machine.TakeChanges: a task was assigned, expired or withdrawn),
-// read in one place, the epoch's settle stage: each arbitration round drains
-// every shard, and the entries arbitration leaves feed the lifecycle ledger
-// and retire task routing state. Where a worker is, the dispatcher asks the
-// machines (HasWorker) rather than keeping a copy; a machine moves its
-// workers by its planner's travel model, so no config carries one.
+// read in one place, the arbitration stage, whose rounds drain every shard
+// and ledger the entries they settle. Where a worker or a task is, the
+// dispatcher asks the machines (HasWorker, OwnedTask) rather than keeping a
+// copy; a machine moves its workers by its planner's travel model, so no
+// config carries one.
 //
 // Measurement: Snapshot exposes counters and epoch-latency percentiles read
 // off the always-on epoch histogram (docs/OBSERVABILITY.md says which recorder
@@ -190,13 +190,13 @@ type Metrics struct {
 	Unroutable int64 `json:"unroutable"`
 	// QueueDepth is the current ingest backlog (inbox + drained-but-unapplied).
 	QueueDepth int `json:"queue_depth"`
-	// RoutedWorkers is the workers currently active, summed over the shards;
-	// RoutedTasks is the routing map's size, the tasks currently open.
+	// RoutedWorkers and RoutedTasks are the workers active and the tasks
+	// open now, each counted once, in its owning shard.
 	RoutedWorkers int `json:"routed_workers"`
 	RoutedTasks   int `json:"routed_tasks"`
-	// RoutedGhosts is the number of live tasks currently replicated into at
-	// least one non-owner shard; GhostCopies counts every replica created
-	// over the service's lifetime.
+	// RoutedGhosts is the live ghost replicas summed over the shards: the
+	// replicated tasks with two shards, copies rather than tasks with more.
+	// GhostCopies counts every replica created over the service's lifetime.
 	RoutedGhosts int   `json:"routed_ghosts"`
 	GhostCopies  int64 `json:"ghost_copies"`
 	// GhostHits counts tasks won by a non-owner shard through a replica —
@@ -274,10 +274,8 @@ type Dispatcher struct {
 	seq     int64              // last ingest order stamped, at drain or requeue; guarded by mu
 	shards  []*stream.Machine  // slice and elements set in New, immutable after
 	smap    *shardMap          // cell ownership; nil with one shard; immutable after New
-	taskOf  map[int]int        // task id → owning shard; guarded by mu
-	ghosts  map[int][]int      // task id → shards holding a live replica; guarded by mu
-	// changes holds each shard's change-log entries while the epoch settles
-	// (see settleLocked); empty between epochs, storage reused.
+	// changes holds each shard's change-log entries for one arbitration
+	// round (see arbitrateLocked); scratch, its storage reused.
 	changes [][]stream.Change // guarded by mu
 	// maxReach is the largest Reach among admitted workers — the halo
 	// radius. reGhost marks a pending re-replication pass after maxReach
@@ -328,8 +326,6 @@ func New(cfg Config) *Dispatcher {
 		cfg:    cfg,
 		shards: make([]*stream.Machine, cfg.Shards),
 		tiered: make([]*tieredPlanner, cfg.Shards),
-		taskOf: make(map[int]int),
-		ghosts: make(map[int][]int),
 
 		pending: heap[pendingEvent]{less: pendingBefore},
 		victims: heap[victim]{less: moreDeferrable},
@@ -362,14 +358,14 @@ func New(cfg Config) *Dispatcher {
 		if len(ladder) == 0 {
 			panic("dispatch: Config.NewLadder returned an empty ladder")
 		}
-		d.tiered[i] = &tieredPlanner{ladder: ladder}
+		if i == 0 && cfg.Governor.Budget > 0 {
+			d.gov = NewGovernor(cfg.Governor, cfg.Shards, len(ladder))
+		}
+		d.tiered[i] = &tieredPlanner{ladder: ladder, gov: d.gov, shard: i}
 		if perPlanner > 0 {
 			d.tiered[i].SetParallelism(perPlanner)
 		}
 		d.shards[i] = stream.NewMachine(stream.MachineConfig{Planner: d.tiered[i], Fixed: cfg.Fixed})
-	}
-	if cfg.Governor.Budget > 0 {
-		d.gov = NewGovernor(cfg.Governor, cfg.Shards, len(d.tiered[0].ladder))
 	}
 	if d.gov != nil || d.ob.spans != nil {
 		d.probe = make([]shardProbe, cfg.Shards)
@@ -497,6 +493,33 @@ func (d *Dispatcher) workerShardLocked(id int) (int, bool) {
 	return 0, false
 }
 
+// ownerLocked finds the shard that owns an open task: the one whose machine
+// holds it open and not as a ghost replica. The machines are the one record
+// of where a task is: admission refuses an id some shard still owns, so at
+// most one does, and a task's replicas are the other shards holding it open.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) ownerLocked(id int) (int, bool) {
+	for i, m := range d.shards {
+		if _, ok := m.OwnedTask(id); ok {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// openLocked counts the open tasks, each once: every shard's open pool less
+// its ghost replicas.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) openLocked() int {
+	n := 0
+	for _, m := range d.shards {
+		n += m.OpenTasks() - m.Ghosts()
+	}
+	return n
+}
+
 // PlanOf returns the current schedule of a worker, or false when the worker
 // is unknown or already departed.
 func (d *Dispatcher) PlanOf(workerID int) (stream.WorkerPlan, bool) {
@@ -520,8 +543,6 @@ func (d *Dispatcher) Snapshot() Metrics {
 		Applied:         d.applied.Load(),
 		Unroutable:      d.unroutable.Load(),
 		QueueDepth:      d.backlogLocked(),
-		RoutedTasks:     len(d.taskOf),
-		RoutedGhosts:    len(d.ghosts),
 		GhostCopies:     d.ghostCopies,
 		GhostHits:       d.ghostHits,
 		CommitConflicts: d.conflicts,
@@ -541,11 +562,13 @@ func (d *Dispatcher) Snapshot() Metrics {
 			Shard: i, Workers: sh.Workers(), Open: sh.OpenTasks(), Stats: st,
 		}
 		if d.gov != nil {
-			sm.Tier = d.tiered[i].tier
+			sm.Tier = d.tiered[i].tier()
 			sm.TierName = d.tiered[i].Name()
 		}
 		m.Shards = append(m.Shards, sm)
 		m.RoutedWorkers += sm.Workers
+		m.RoutedTasks += sm.Open - sh.Ghosts()
+		m.RoutedGhosts += sh.Ghosts()
 		m.Assigned += st.Assigned
 		m.Expired += st.Expired
 		m.Cancelled += st.Cancelled

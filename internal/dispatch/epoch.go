@@ -1,9 +1,11 @@
 package dispatch
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -68,7 +70,7 @@ func (d *Dispatcher) Quiesce(maxEpochs int) bool {
 		d.mu.Lock()
 		// Drain as of the epoch that follows; its own drain appends after.
 		d.drainLocked(d.Now())
-		done := d.backlogLocked() == 0 && len(d.taskOf) == 0
+		done := d.backlogLocked() == 0 && d.openLocked() == 0
 		if done && d.gov != nil {
 			for s := range d.shards {
 				if d.gov.TierOf(s) != 0 {
@@ -106,7 +108,7 @@ var epochStages = [numStages]stage{
 	{"reghost", (*Dispatcher).reGhostLocked},
 	{"forecast", (*Dispatcher).forecastLocked},
 	{"step", (*Dispatcher).stepLocked},
-	{"arbitration", (*Dispatcher).settleLocked},
+	{"arbitration", (*Dispatcher).arbitrateLocked},
 }
 
 // tickLocked is one epoch: run the stage table, let the governor re-tier,
@@ -129,13 +131,13 @@ func (d *Dispatcher) tickLocked() {
 	o.epochHist.Observe(o.mark.Sub(tick0).Seconds())
 
 	if d.gov != nil {
-		// Governor decisions apply from the next epoch: the tier is set
+		// Governor decisions apply from the next epoch: the tier moves
 		// after this epoch's Step, under the same lock the next Step plans
 		// under, so every shard's planner is fixed for a whole epoch.
 		for i := range d.probe {
 			p := &d.probe[i]
 			p.cost = d.gov.cfg.Cost(i, p.wall, p.workers, p.open)
-			d.tiered[i].setTier(d.gov.Observe(i, p.cost))
+			d.gov.Observe(i, p.cost)
 		}
 	}
 	if o.spans != nil {
@@ -205,7 +207,7 @@ func (d *Dispatcher) stepLocked(t float64) (int, bool) {
 		for i, p := range d.probe {
 			detail := fmt.Sprintf("workers=%d open=%d", p.workers, p.open)
 			if d.gov != nil {
-				detail += fmt.Sprintf(" tier=%d", d.tiered[i].tier)
+				detail += fmt.Sprintf(" tier=%d", d.tiered[i].tier())
 			}
 			o.cur = append(o.cur, obs.Span{
 				Name: "step", Track: 1 + i, N: p.open, Detail: detail,
@@ -214,49 +216,6 @@ func (d *Dispatcher) stepLocked(t float64) (int, bool) {
 		}
 	}
 	return len(d.shards), true
-}
-
-// settleLocked closes the epoch against the machines' change logs — the one
-// place the dispatcher reads them: cross-shard arbitration, whose rounds
-// drain every shard, then the ledger and routing retirement over the entries
-// arbitration left.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) settleLocked(t float64) (int, bool) {
-	rounds := d.arbitrateLocked(t)
-	d.retireLocked()
-	return rounds, true
-}
-
-// retireLocked reads the change-log entries arbitration left, shard by shard
-// in log order. It ledgers the Step-internal dispositions — assignments and
-// expiries; cancels and sheds were ledgered where they were applied — and
-// retires the routing entries of closed tasks, so the maps track the live
-// population, not the service's lifetime history. The HasOpenTask guard
-// keeps an id that was re-admitted in this same epoch routable. A ghost's
-// assignment touches neither: the owning shard accounts the task.
-//
-//datawa:locked(mu)
-func (d *Dispatcher) retireLocked() {
-	for shard, m := range d.shards {
-		for _, c := range d.changes[shard] {
-			switch {
-			case c.Ghost:
-				continue
-			case c.Kind == stream.TaskAssigned:
-				d.recordTask(c.Task, obs.Assigned, shard, c.Worker, "")
-			case c.Kind == stream.TaskExpired:
-				d.recordTask(c.Task, obs.Expired, shard, 0, "")
-			}
-			if d.taskOf[c.Task] == shard && !m.HasOpenTask(c.Task) {
-				delete(d.taskOf, c.Task)
-				// An owner-side expiry closes the replicas too (same Exp,
-				// same eviction instant); only the routing entry remains.
-				delete(d.ghosts, c.Task)
-			}
-		}
-		d.changes[shard] = d.changes[shard][:0]
-	}
 }
 
 // applyDueLocked folds every drained event with Time ≤ t into shard state,
@@ -349,7 +308,7 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 		}
 		// Two live tasks with one id would let a shard's plan assign the id
 		// twice (fatal) or make cancel/ownership ambiguous across shards.
-		if prev, dup := d.taskOf[ev.Task.ID]; dup && d.shards[prev].HasOpenTask(ev.Task.ID) {
+		if _, dup := d.ownerLocked(ev.Task.ID); dup {
 			break
 		}
 		// First-application side effects: the demand feed takes every
@@ -360,7 +319,7 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 		// AdmissionConfig. The ≥ comparison is deliberate: at exactly
 		// MaxOpenTasks the pool is full and the newcomer must displace or
 		// yield.
-		if c := d.cfg.Admission.MaxOpenTasks; c > 0 && len(d.taskOf) >= c {
+		if c := d.cfg.Admission.MaxOpenTasks; c > 0 && d.openLocked() >= c {
 			if !d.admitOverCapLocked(ev.Task, t) {
 				ok = true // consumed: deferred or shed, both accounted
 				break
@@ -368,7 +327,6 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 		}
 		shard := d.shardOf(ev.Task.Loc)
 		if d.shards[shard].AddTask(ev.Task, t) {
-			d.taskOf[ev.Task.ID] = shard
 			d.recordTask(ev.Task.ID, obs.Admitted, shard, 0, "")
 			if d.cfg.Admission.MaxOpenTasks > 0 {
 				d.pushVictimLocked(victim{exp: ev.Task.Exp, id: ev.Task.ID, task: ev.Task, shard: shard})
@@ -385,16 +343,10 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 			ok = d.shards[shard].RemoveWorker(ev.ID, t)
 		}
 	case KindTaskCancel:
-		if shard, known := d.taskOf[ev.ID]; known {
-			if ok = d.shards[shard].CancelTask(ev.ID); ok {
-				d.recordTask(ev.ID, obs.Cancelled, shard, 0, "withdrawn by requester")
-				// A withdrawn task must leave every replica pool before the
-				// next planning instant, or a ghost shard could assign it.
-				for _, g := range d.ghosts[ev.ID] {
-					d.shards[g].DropTask(ev.ID)
-				}
-				delete(d.ghosts, ev.ID)
-			}
+		if shard, known := d.ownerLocked(ev.ID); known {
+			ok = d.shards[shard].CancelTask(ev.ID)
+			d.recordTask(ev.ID, obs.Cancelled, shard, 0, "withdrawn by requester")
+			d.dropCopiesLocked(ev.ID, shard)
 		}
 	case KindPosition:
 		if shard, known := d.workerShardLocked(ev.ID); known {
@@ -429,20 +381,39 @@ func (d *Dispatcher) replicateLocked(s *core.Task, owner int, t float64) {
 	p := d.cfg.Grid.Region.Clamp(s.Loc)
 	for _, g := range d.smap.shardsInDisk(p, d.maxReach, owner) {
 		if d.shards[g].AddGhost(s, t) {
-			d.ghosts[s.ID] = append(d.ghosts[s.ID], g)
 			d.ghostCopies++
 			d.recordTask(s.ID, obs.GhostReplicated, g, 0, "")
 		}
 	}
 }
 
+// dropCopiesLocked removes a task from every shard's open pool but keep's
+// and reports how many copies left. Once a task is committed, withdrawn or
+// displaced anywhere, its other copies must leave their pools before the
+// next planning instant, or a second shard could assign it. With one shard
+// there is no other copy.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) dropCopiesLocked(id, keep int) int {
+	if len(d.shards) == 1 {
+		return 0
+	}
+	n := 0
+	for i, m := range d.shards {
+		if i != keep && m.DropTask(id) {
+			n++
+		}
+	}
+	return n
+}
+
 // reGhostLocked re-evaluates replication for every open owned task — the
 // reghost stage, after the epoch's events applied, running only when the
 // halo radius grew (d.reGhost): tasks submitted before a long-reach
 // worker came online become visible to its shard at the same planning instant
-// that admits the worker. Task ids are walked in sorted order: replication
+// that admits the worker. Tasks are walked in ascending id order: replication
 // appends to each shard's planning pool, so the order must be a pure function
-// of the event stream.
+// of the event stream. A task's owner is the shard its location routes to.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) reGhostLocked(t float64) (int, bool) {
@@ -450,38 +421,33 @@ func (d *Dispatcher) reGhostLocked(t float64) (int, bool) {
 		return 0, false
 	}
 	d.reGhost = false
-	ids := make([]int, 0, len(d.taskOf))
-	//datawa:unordered ids are sorted before any shard is touched
-	for id := range d.taskOf {
-		ids = append(ids, id)
+	var owned []*core.Task
+	for _, m := range d.shards {
+		owned = m.AppendOwned(owned)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		owner := d.taskOf[id]
-		if s, ok := d.shards[owner].OpenTask(id); ok {
-			d.replicateLocked(s, owner, t)
-		}
+	slices.SortFunc(owned, func(a, b *core.Task) int { return cmp.Compare(a.ID, b.ID) })
+	for _, s := range owned {
+		d.replicateLocked(s, d.shardOf(s.Loc), t)
 	}
 	return 0, true
 }
 
-// arbitrateLocked resolves cross-shard commits after the parallel Step.
-// Replicated tasks can be committed by several shards in one epoch; exactly
-// one commit may stand. The winner is chosen by earliest arrival (worker id,
-// then shard id break ties — a pure function of the merged commit set, so
-// the outcome is identical at every parallelism level), losers are
-// retracted, and every surviving copy of a committed task is dropped from
-// the other shards so no one can commit it in a later epoch. A retracted
-// worker immediately resumes the remainder of its plan, which can produce
-// fresh commits — hence the rounds; each round consumes plan entries, so the
-// loop terminates. Each round drains every shard's change log onto its list
-// in d.changes and moves out the assignments of replicated tasks — the only
-// ones that can conflict or leave stale copies, a loser's retracted entry
-// included. It returns the number of arbitration rounds that resolved at
-// least one task.
+// arbitrateLocked is the arbitration stage, the one place the dispatcher
+// reads the machines' change logs. A replicated task can be committed by
+// several shards in one epoch; one commit may stand. A commit is contested
+// when it is a ghost's, or the owner's of a task a ghost also committed in
+// the same round. A contested task's winner is the earliest arrival (worker
+// id, then shard id break ties — a pure function of the merged commit set,
+// so the outcome is identical at every parallelism level) and its losers
+// are retracted. Every committed task's other copies leave their shards
+// before any retraction. A retracted worker resumes the rest of its plan at
+// once, which can commit afresh — hence the rounds; each consumes plan
+// entries, so the loop terminates. Each round ledgers the entries it leaves:
+// assignments and expiries (cancels and sheds were ledgered where applied).
+// It returns the number of rounds that settled a replicated task.
 //
 //datawa:locked(mu)
-func (d *Dispatcher) arbitrateLocked(t float64) int {
+func (d *Dispatcher) arbitrateLocked(t float64) (int, bool) {
 	type commit struct {
 		shard int
 		c     stream.Change
@@ -489,22 +455,42 @@ func (d *Dispatcher) arbitrateLocked(t float64) int {
 	rounds := 0
 	for {
 		round0 := time.Now() //datawa:wallclock arbitration-round span timing, observability only
-		byTask := make(map[int][]commit)
+		// byTask holds the contested tasks' commits, in shard and then log
+		// order; a ghost commit marks its task contested before the owner's
+		// commit, which may sit in an earlier shard, is read.
+		var byTask map[int][]commit
 		for i, m := range d.shards {
-			n := len(d.changes[i])
-			d.changes[i] = m.TakeChanges(d.changes[i])
-			kept := d.changes[i][:n]
-			for _, c := range d.changes[i][n:] {
-				if c.Kind == stream.TaskAssigned && len(d.ghosts[c.Task]) > 0 {
+			d.changes[i] = m.TakeChanges(d.changes[i][:0])
+			for _, c := range d.changes[i] {
+				if c.Ghost {
+					if byTask == nil {
+						byTask = make(map[int][]commit)
+					}
+					byTask[c.Task] = nil
+				}
+			}
+		}
+		// settled counts the uncontested commits of replicated tasks.
+		settled := 0
+		for i, cs := range d.changes {
+			for _, c := range cs {
+				if _, contested := byTask[c.Task]; contested && c.Kind == stream.TaskAssigned {
 					byTask[c.Task] = append(byTask[c.Task], commit{shard: i, c: c})
 					continue
 				}
-				kept = append(kept, c)
+				switch c.Kind {
+				case stream.TaskAssigned:
+					if d.dropCopiesLocked(c.Task, i) > 0 {
+						settled++
+					}
+					d.recordTask(c.Task, obs.Assigned, i, c.Worker, "")
+				case stream.TaskExpired:
+					d.recordTask(c.Task, obs.Expired, i, 0, "")
+				}
 			}
-			d.changes[i] = kept
 		}
-		if len(byTask) == 0 {
-			return rounds
+		if len(byTask) == 0 && settled == 0 {
+			return rounds, true
 		}
 		rounds++
 		ids := make([]int, 0, len(byTask))
@@ -513,12 +499,11 @@ func (d *Dispatcher) arbitrateLocked(t float64) int {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
-		// Phase 1: pick each task's winner and purge every surviving copy of
-		// every arbitrated task. All drops happen before any retraction: a
-		// retracted worker resumes its plan immediately, and if a task later
-		// in this round still had an open replica the resume could commit it
-		// — a commit outside its own arbitration group, i.e. a double
-		// assignment.
+		// Pick each contested task's winner and drop every other copy. All
+		// drops happen before any retraction: a retracted worker resumes its
+		// plan immediately, and if a task later in this round still had an
+		// open copy the resume could commit it — a commit outside its own
+		// arbitration group, i.e. a double assignment.
 		var losers []commit
 		for _, id := range ids {
 			cms := byTask[id]
@@ -541,12 +526,11 @@ func (d *Dispatcher) arbitrateLocked(t float64) int {
 					best = j
 				}
 			}
+			win := cms[best]
 			if len(cms) > 1 {
 				d.conflicts++
 			}
-			winner := cms[best].shard
-			owner, owned := d.taskOf[id]
-			if owned && winner != owner {
+			if win.c.Ghost {
 				d.ghostHits++
 			}
 			for j, cm := range cms {
@@ -555,37 +539,26 @@ func (d *Dispatcher) arbitrateLocked(t float64) int {
 					// Ledger the losing commits before the terminal
 					// assignment so the chain stays well-formed (nothing
 					// after a terminal state). The retraction itself runs
-					// in phase 2 below.
+					// below.
 					d.recordTask(id, obs.Retracted, cm.shard, cm.c.Worker,
-						fmt.Sprintf("lost arbitration to worker %d", cms[best].c.Worker))
+						fmt.Sprintf("lost arbitration to worker %d", win.c.Worker))
 				}
 			}
 			cause := ""
 			switch {
-			case len(cms) > 1 && owned && winner != owner:
+			case len(cms) > 1 && win.c.Ghost:
 				cause = fmt.Sprintf("ghost hit; won arbitration (%d commits)", len(cms))
 			case len(cms) > 1:
 				cause = fmt.Sprintf("won arbitration (%d commits)", len(cms))
-			case owned && winner != owner:
+			case win.c.Ghost:
 				cause = "ghost hit"
 			}
-			d.recordTask(id, obs.Assigned, winner, cms[best].c.Worker, cause)
-			// Drop the copies that did not commit: the owner's (when a ghost
-			// won) and every other shard's replica.
-			if owned && winner != owner {
-				d.shards[owner].DropTask(id)
-			}
-			for _, g := range d.ghosts[id] {
-				if g != winner {
-					d.shards[g].DropTask(id)
-				}
-			}
-			delete(d.ghosts, id)
-			delete(d.taskOf, id)
+			d.recordTask(id, obs.Assigned, win.shard, win.c.Worker, cause)
+			d.dropCopiesLocked(id, win.shard)
 		}
-		// Phase 2: retract the losers. Resumed workers can only commit tasks
-		// not arbitrated yet — fresh commits land in the machines' change
-		// logs and the next round collects them.
+		// Retract the losers. Resumed workers can only commit tasks not
+		// arbitrated yet — fresh commits land in the machines' change logs
+		// and the next round collects them.
 		retract0 := time.Now() //datawa:wallclock retraction span timing, observability only
 		for _, cm := range losers {
 			if d.shards[cm.shard].RetractCommit(cm.c.Worker, cm.c.Task, t) {
@@ -595,8 +568,9 @@ func (d *Dispatcher) arbitrateLocked(t float64) int {
 		if len(losers) > 0 {
 			d.ob.span("retract", 0, retract0, len(losers), fmt.Sprintf("round=%d", rounds))
 		}
-		d.ob.span("arbitration-round", 0, round0, len(ids),
-			fmt.Sprintf("round=%d tasks=%d losers=%d", rounds, len(ids), len(losers)))
+		tasks := len(ids) + settled
+		d.ob.span("arbitration-round", 0, round0, tasks,
+			fmt.Sprintf("round=%d tasks=%d losers=%d", rounds, tasks, len(losers)))
 	}
 }
 

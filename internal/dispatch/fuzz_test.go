@@ -73,7 +73,7 @@ func FuzzIngestBatch(f *testing.F) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		for _, is := range issues {
-			if _, open := d.taskOf[is.Task]; !open || is.Problem != "no terminal state" {
+			if _, open := d.ownerLocked(is.Task); !open || is.Problem != "no terminal state" {
 				t.Fatalf("ledger audit: task %d: %s", is.Task, is.Problem)
 			}
 		}

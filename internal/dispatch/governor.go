@@ -162,16 +162,26 @@ func p95of(ring []float64, n int) float64 {
 }
 
 // tieredPlanner exposes a degradation ladder as one assign.Planner: Plan
-// dispatches to the ladder entry the governor selected. Tier changes happen
-// under the dispatcher's epoch lock between Steps, so the planner the shards
-// see within one epoch is fixed.
+// dispatches to the ladder entry the governor selected for the shard. Tier
+// changes happen under the dispatcher's epoch lock between Steps, so the
+// planner the shards see within one epoch is fixed.
 type tieredPlanner struct {
 	ladder []assign.Planner
-	tier   int
+	gov    *Governor // nil without a governor: the ladder's head for life
+	shard  int
+}
+
+// tier is the shard's ladder position: the governor's tier, held at the
+// ladder's last entry, and 0 without a governor.
+func (p *tieredPlanner) tier() int {
+	if p.gov == nil {
+		return 0
+	}
+	return min(p.gov.TierOf(p.shard), len(p.ladder)-1)
 }
 
 // Name implements assign.Planner: the active tier's name.
-func (p *tieredPlanner) Name() string { return p.ladder[p.tier].Name() }
+func (p *tieredPlanner) Name() string { return p.ladder[p.tier()].Name() }
 
 // Travel implements assign.Planner: the head rung's model. Every rung plans
 // for the one machine, so a ladder's rungs share it.
@@ -179,7 +189,7 @@ func (p *tieredPlanner) Travel() geo.TravelModel { return p.ladder[0].Travel() }
 
 // Plan implements assign.Planner.
 func (p *tieredPlanner) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
-	return p.ladder[p.tier].Plan(workers, tasks, now)
+	return p.ladder[p.tier()].Plan(workers, tasks, now)
 }
 
 // SetParallelism forwards the per-planner budget to every ladder entry that
@@ -189,11 +199,5 @@ func (p *tieredPlanner) SetParallelism(n int) {
 		if sp, ok := pl.(interface{ SetParallelism(int) }); ok {
 			sp.SetParallelism(n)
 		}
-	}
-}
-
-func (p *tieredPlanner) setTier(t int) {
-	if t >= 0 && t < len(p.ladder) {
-		p.tier = t
 	}
 }

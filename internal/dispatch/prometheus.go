@@ -37,7 +37,7 @@ func (h *Handler) prometheus(w http.ResponseWriter, _ *http.Request) {
 	gauge("datawa_queue_depth", "Current ingest backlog (queued + undue).", float64(m.QueueDepth))
 	gauge("datawa_routed_workers", "Workers currently active.", float64(m.RoutedWorkers))
 	gauge("datawa_routed_tasks", "Tasks currently open.", float64(m.RoutedTasks))
-	gauge("datawa_routed_ghosts", "Tasks with at least one live ghost replica.", float64(m.RoutedGhosts))
+	gauge("datawa_routed_ghosts", "Live ghost replicas, summed over the shards.", float64(m.RoutedGhosts))
 	counter("datawa_ghost_copies_total", "Ghost replicas created.", float64(m.GhostCopies))
 	counter("datawa_ghost_hits_total", "Tasks won by a non-owner shard.", float64(m.GhostHits))
 	counter("datawa_commit_conflicts_total", "Tasks committed by more than one shard in an epoch.", float64(m.CommitConflicts))

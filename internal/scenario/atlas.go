@@ -89,7 +89,7 @@ func init() {
 	Register(Archetype{
 		Name:    "courier-grid",
 		Summary: "food-delivery grid: many short tasks, short windows, worker churn",
-		Stress:  "per-epoch admission/expiry turnover and routing-map retirement",
+		Stress:  "per-epoch admission/expiry turnover and open-pool bookkeeping",
 		Base: workload.Config{
 			Name: "courier-grid", Seed: 14,
 			Region:   geo.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3},

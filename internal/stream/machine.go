@@ -131,11 +131,11 @@ const (
 )
 
 // Change is one entry of a machine's change log: an event its driver must
-// hear about to retire routing state, ledger a task's lifecycle or arbitrate
-// a cross-shard commit. A ghost replica is logged only when it is assigned —
-// its expiry and withdrawal belong to the owning shard — and DropTask logs
-// nothing. A commitment later undone by RetractCommit keeps its entry; the
-// driver that retracts knows the loser.
+// hear about to ledger a task's lifecycle or arbitrate a cross-shard commit.
+// A ghost replica is logged only when it is assigned — its expiry and
+// withdrawal belong to the owning shard — and DropTask logs nothing. A
+// commitment later undone by RetractCommit keeps its entry; the driver that
+// retracts knows the loser.
 type Change struct {
 	Kind   ChangeKind
 	Ghost  bool
@@ -364,23 +364,34 @@ func (m *Machine) HasWorker(id int) bool {
 	return ok
 }
 
-// HasOpenTask reports whether a task with this id is currently open.
-func (m *Machine) HasOpenTask(id int) bool {
-	_, ok := m.open[id]
-	return ok
+// OwnedTask returns the open task with this id when the machine owns it —
+// holds it open and not as a ghost replica. The caller must treat the task
+// as read-only: owned copies may be shared with other shards as ghosts.
+func (m *Machine) OwnedTask(id int) (*core.Task, bool) {
+	s, ok := m.open[id]
+	if !ok || m.ghost[id] {
+		return nil, false
+	}
+	return s, true
 }
 
-// OpenTask returns the open task with this id, if any. The caller must
-// treat the task as read-only: owned copies may be shared with other shards
-// as ghosts.
-func (m *Machine) OpenTask(id int) (*core.Task, bool) {
-	s, ok := m.open[id]
-	return s, ok
+// AppendOwned appends the owned open tasks to buf, in publication order, and
+// returns the extended buffer.
+func (m *Machine) AppendOwned(buf []*core.Task) []*core.Task {
+	for _, s := range m.openOrder {
+		if m.open[s.ID] == s && !m.ghost[s.ID] {
+			buf = append(buf, s)
+		}
+	}
+	return buf
 }
 
 // OpenTasks returns the number of open (published, unexpired, unassigned)
-// real tasks.
+// real tasks, ghost replicas included.
 func (m *Machine) OpenTasks() int { return len(m.open) }
+
+// Ghosts returns the number of open ghost replicas.
+func (m *Machine) Ghosts() int { return len(m.ghost) }
 
 // WorkerPlan describes one worker's current schedule for plan queries.
 type WorkerPlan struct {

@@ -139,7 +139,7 @@ func TestMachineRemoveOpenTask(t *testing.T) {
 				if log := m.TakeChanges(nil); !slices.Equal(log, wantLog) {
 					t.Errorf("change log = %+v, want %+v", log, wantLog)
 				}
-				if m.HasOpenTask(id) || m.ghost[id] {
+				if _, open := m.open[id]; open || m.ghost[id] {
 					t.Errorf("id %d still open or ghost after removal", id)
 				}
 				m.Step(50) // the fixed plan's worker reaches task 1; its next head is gone

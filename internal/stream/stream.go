@@ -7,14 +7,15 @@
 // DTA+TP, DATA-WA) and the scenario-sampling SSP — are compared.
 //
 // The package has two layers. Machine is the commit/expiry state machine
-// itself — active workers, motion segments, the open pool, FTA reservations —
-// driven by explicit arrival/departure events plus Step calls, and moving
-// its workers by its planner's travel model (assign.Planner.Travel), so plans
-// and their execution share one cost; the live dispatcher (internal/dispatch)
-// runs one Machine per shard. Engine is the
-// closed-trace replay driver built on Machine: it advances a scenario clock
-// in fixed steps, batching the arrival events inside each step into one
-// planning instant; the paper's "CPU time" metric (average cost of
+// itself — active workers with their motion segments and plans (under FTA a
+// task's place in a plan is its reservation), the open pool and its ghost
+// replicas — driven by explicit arrival/departure events plus Step calls,
+// and moving its workers by its planner's travel model
+// (assign.Planner.Travel), so plans and their execution share one cost; the
+// live dispatcher (internal/dispatch) runs one Machine per shard. Engine is
+// the closed-trace replay driver built on Machine: it advances a scenario
+// clock in fixed steps, batching the arrival events inside each step into
+// one planning instant; the paper's "CPU time" metric (average cost of
 // performing task assignment at each time instance) is reported as
 // Result.AvgPlanTime.
 //
@@ -143,7 +144,7 @@ func (e *Engine) stepOnce(t float64) {
 	}
 	for e.nextTask < len(e.in.Tasks) && e.in.Tasks[e.nextTask].Pub <= t {
 		s := e.in.Tasks[e.nextTask]
-		if !e.m.HasOpenTask(s.ID) {
+		if _, open := e.m.OwnedTask(s.ID); !open {
 			e.cfg.Demand.Publish(s)
 		}
 		e.m.AddTask(s, t)
