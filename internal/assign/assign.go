@@ -197,10 +197,14 @@ type Search struct {
 	// tree's MaxNodes is spent, one per pending branch handed straight to
 	// greedy completion. GreedyCompletionsLastPlan is that second term and
 	// BudgetBoundTreesLastPlan the number of trees it was non-zero for —
-	// "how often does the search budget bind".
-	NodesLastPlan             int
-	GreedyCompletionsLastPlan int
-	BudgetBoundTreesLastPlan  int
+	// "how often does the search budget bind". SkippedCompletionsLastPlan is
+	// how many of those completions were counted but not run: a bound on what
+	// the completion could add proved it could not lift its branch past the
+	// best one of the same call (completionBound).
+	NodesLastPlan              int
+	GreedyCompletionsLastPlan  int
+	BudgetBoundTreesLastPlan   int
+	SkippedCompletionsLastPlan int
 	// ExpandedLastPlan is how many of NodesLastPlan's calls the planner really
 	// made; the rest were counted off the transposition table (see
 	// transposition.go), which answers a subproblem the same tree search has
@@ -266,6 +270,7 @@ type treeResult struct {
 	nodes                int
 	expanded             int
 	greedy               int
+	skipped              int
 	samples              []tvf.Sample
 }
 
@@ -332,6 +337,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 	}
 	s.trees = 0
 	s.NodesLastPlan, s.GreedyCompletionsLastPlan, s.BudgetBoundTreesLastPlan, s.ExpandedLastPlan = 0, 0, 0, 0
+	s.SkippedCompletionsLastPlan = 0
 	for si := range seps {
 		sep := &seps[si]
 		flat, offs := s.sep.Components(sep)
@@ -389,6 +395,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			total += r.to - r.from
 			s.NodesLastPlan += r.nodes
 			s.GreedyCompletionsLastPlan += r.greedy
+			s.SkippedCompletionsLastPlan += r.skipped
 			if r.greedy > 0 {
 				s.BudgetBoundTreesLastPlan++
 			}
@@ -549,23 +556,33 @@ type searchRun struct {
 	reachOff, reachLocal []int32
 
 	// Per tree.
-	tasks   []int32 // the tree's universe as pool positions, pool order
-	avail   []bool  // availability by universe position, on the plain walk
+	root    *wds.TreeNode
+	tasks   []int32  // the tree's universe as pool positions, pool order
+	avail   []uint64 // availability on the plain walk: bit p&63 of word p>>6 for universe position p
 	nodes   int
 	greedy  int
+	skipped int
 	samples []tvf.Sample
+	// The relevance rows, one per (node, j) in pre-order — row relOff[n.ID]+j,
+	// rel[row*relWords:][:relWords] — hold, as universe bits, the tasks
+	// reachable from n.Index[j:] and every subtree below n: what a search call
+	// there can take (layoutRel). relMost[row] is the most it can take, the
+	// lengths of those workers' longest sequences summed. The word path lays
+	// the rows out with the tree, one word a row, the plain walk the first
+	// time its budget runs out (mostTaken); until then relOff is empty.
+	relOff   []int32
+	rel      []uint64
+	relMost  []int32
+	relWords int
 	// The word path (transposition.go), for the trees memo is set on: the
 	// universe fits one word, and availWord — bit p for universe position p —
-	// is the tree's availability, avail staying unused. Everything else is
-	// laid out once per tree by row, one row per (node, j): relOff and rel are
-	// the relevance masks the transposition table keys on, reachWord the
-	// tasks the row's worker n.Index[j] reaches and seqs its Q_w as universe
-	// words, out of arena. reused counts the nodes taken from table entries
-	// instead of expanded.
+	// is the tree's availability, avail staying unused. The relevance rows are
+	// what the transposition table keys on; also laid out once per tree by row
+	// are reachWord, the tasks the row's worker n.Index[j] reaches, and seqs,
+	// its Q_w as universe words, out of arena. reused counts the nodes taken
+	// from table entries instead of expanded.
 	memo      bool
 	availWord uint64
-	relOff    []int32
-	rel       []uint64
 	reachWord []uint64
 	seqs      []seqRow
 	arena     seqArena
@@ -612,8 +629,8 @@ type level struct {
 // r.out and records where, and what it cost, in res.
 func (r *searchRun) searchTree(res *treeResult, universe []int32) {
 	root := res.root
-	r.tasks = universe
-	r.nodes, r.greedy, r.reused = 0, 0, 0
+	r.root, r.tasks = root, universe
+	r.nodes, r.greedy, r.skipped, r.reused = 0, 0, 0, 0
 	r.samples = nil // escapes into the result; never reuse the backing
 	r.stack = r.stack[:0]
 	r.open, r.stale = slices.Grow(r.open[:0], len(universe)), true
@@ -622,17 +639,21 @@ func (r *searchRun) searchTree(res *treeResult, universe []int32) {
 		r.layout(root)
 		r.table.reset()
 	} else {
-		r.avail = slices.Grow(r.avail[:0], len(universe))[:len(universe)]
-		for p := range r.avail {
-			r.avail[p] = true
+		// Every task free; the bits past the universe are never read.
+		words := (len(universe) + 63) / 64
+		r.avail = slices.Grow(r.avail[:0], words)[:words]
+		for i := range r.avail {
+			r.avail[i] = ^uint64(0)
 		}
+		r.relOff = r.relOff[:0]
 	}
 	if r.model != nil {
 		r.searchTVF(root, 0)
 	} else {
 		r.search(root, 0, 0)
 	}
-	res.from, res.nodes, res.expanded, res.greedy, res.samples = len(r.out), r.nodes, r.nodes-r.reused, r.greedy, r.samples
+	res.from, res.nodes, res.expanded, res.greedy, res.skipped = len(r.out), r.nodes, r.nodes-r.reused, r.greedy, r.skipped
+	res.samples = r.samples
 	r.out = append(r.out, r.stack...)
 	res.to = len(r.out)
 }
@@ -650,9 +671,7 @@ func (r *searchRun) reach(wi int32) (*wds.WorkerSets, []int32) {
 func (r *searchRun) availMask(local []int32) uint64 {
 	var m uint64
 	for k, p := range local {
-		if r.avail[p] {
-			m |= 1 << uint(k)
-		}
+		m |= (r.avail[p>>6] >> uint(p&63) & 1) << uint(k)
 	}
 	return m
 }
@@ -680,7 +699,12 @@ func nextUsable(set *wds.WorkerSets, avail uint64, from int) int {
 //datawa:hotpath
 func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) {
 	for m := set.Masks[k]; m != 0; m &= m - 1 {
-		r.avail[local[bits.TrailingZeros64(m)]] = free
+		p := local[bits.TrailingZeros64(m)]
+		if free {
+			r.avail[p>>6] |= 1 << uint(p&63)
+		} else {
+			r.avail[p>>6] &^= 1 << uint(p&63)
+		}
 	}
 	r.stale = true
 }
@@ -698,7 +722,9 @@ func (r *searchRun) markAll(plan []choice, free bool) {
 // search is Algorithm 1 on the workers n.Index[j:] and the subtrees below n.
 // It returns the best achievable objective value and leaves the plan
 // realizing it on top of r.stack. When the node budget is exhausted the
-// subtree completes greedily. d is the call's depth, for the RL state scratch.
+// subtree completes greedily — unless completionBound shows the caller the
+// completion cannot win, and the caller counts the call without making it.
+// d is the call's depth, for the RL state scratch.
 //
 // On a memo tree a subproblem — (n, j) and the availability of the tasks it
 // can reach — is expanded once. A call that returned inside the budget stores
@@ -775,15 +801,22 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 	for k := nextUsable(set, avail, 0); k >= 0; k = nextUsable(set, avail, k+1) {
 		top := len(r.stack)
 		r.stack = append(r.stack, choice{wi, int32(k)})
+		value := seqValue(set.Seqs[k], r.opts.VirtualWeight)
 		var v float64
 		if last {
 			v = r.emptyCall()
 		} else {
 			r.mark(set, local, k, false)
-			v = r.search(n, j+1, d+1)
+			// Every branch of a Collect run emits a sample of its own value, so
+			// there each completion is run.
+			if !r.collect && r.nodes >= r.opts.MaxNodes && value+r.completionBound(r.mostTaken(n, j+1)) <= best {
+				v = r.skipCompletion()
+			} else {
+				v = r.search(n, j+1, d+1)
+			}
 			r.mark(set, local, k, true)
 		}
-		total := v + seqValue(set.Seqs[k], r.opts.VirtualWeight)
+		total := v + value
 		if total > best {
 			best = total
 			r.stack = r.stack[:base+copy(r.stack[base:], r.stack[top:])]
@@ -842,9 +875,12 @@ func (r *searchRun) expandWords(n *wds.TreeNode, j int, row int32) float64 {
 		top := len(r.stack)
 		r.stack = append(r.stack, choice{wi, int32(k)})
 		var v float64
-		if last {
+		switch {
+		case last:
 			v = r.emptyCall()
-		} else {
+		case r.nodes >= r.opts.MaxNodes && q.vals[k]+r.completionBound(r.mostTakenWord(row+1, avail&^word)) <= best:
+			v = r.skipCompletion()
+		default:
 			r.availWord = avail &^ word
 			v = r.search(n, j+1, 0)
 		}
@@ -868,6 +904,56 @@ func (r *searchRun) emptyCall() float64 {
 		r.greedy++
 	}
 	return 0
+}
+
+// completionBound is the most a greedy completion that takes at most n tasks
+// can add: n tasks at the most one task is worth. A branch whose own sequence
+// plus that is not above the best branch so far cannot replace it (expand's
+// and expandWords' strict >), so its completion need not run. The bound holds
+// in floating point too: at a VirtualWeight of at most 1 every partial sum of
+// a completion's values is at most its term count — an integer, held exactly —
+// and rounding is monotone, so the completion's sum plus the branch's value
+// never rounds above the bound plus it; above 1 the bound is padded by a
+// relative 1e-12, more than the rounding error of a sum of thousands of terms.
+func (r *searchRun) completionBound(n int) float64 {
+	if w := r.opts.VirtualWeight; w > 1 {
+		return float64(n) * w * (1 + 1e-12)
+	}
+	return float64(n)
+}
+
+// skipCompletion stands in for a greedy completion completionBound has ruled
+// out: it is counted as one, where it would have been made — past the budget
+// nothing reads the counts but their totals — and worth nothing, which leaves
+// its branch below the best, as running it would have.
+func (r *searchRun) skipCompletion() float64 {
+	r.skipped++
+	return r.emptyCall()
+}
+
+// mostTakenWord is the most tasks a call at the given row of a memo tree can
+// take under availability avail: every one it takes is free and relevant to
+// the row, and each of the row's workers takes at most its longest sequence.
+//
+//datawa:hotpath
+func (r *searchRun) mostTakenWord(row int32, avail uint64) int {
+	return min(bits.OnesCount64(avail&r.rel[row]), int(r.relMost[row]))
+}
+
+// mostTaken is mostTakenWord for the call at (n, j) on the plain walk. It lays
+// the relevance rows out the first time a tree asks.
+//
+//datawa:hotpath
+func (r *searchRun) mostTaken(n *wds.TreeNode, j int) int {
+	if len(r.relOff) == 0 {
+		r.layoutRel(r.root, len(r.avail))
+	}
+	row := int(r.relOff[n.ID]) + j
+	free := 0
+	for i, m := range r.rel[row*r.relWords : (row+1)*r.relWords] {
+		free += bits.OnesCount64(m & r.avail[i])
+	}
+	return min(free, int(r.relMost[row]))
 }
 
 // greedyComplete finishes a subtree without branching once the exact budget
@@ -1002,7 +1088,7 @@ func (r *searchRun) stateFor(lv *level, n *wds.TreeNode, j int) {
 	if r.stale {
 		r.open = r.open[:0]
 		for p, t := range r.tasks {
-			if r.avail[p] {
+			if r.avail[p>>6]>>uint(p&63)&1 != 0 {
 				r.open = append(r.open, r.sep.Tasks[t])
 			}
 		}

@@ -603,6 +603,49 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestBoundedCompletionsAcrossParallelism pins the work the completion bound
+// saves (completionBound) on the event-spike flash crowd with the benchmark's
+// 4000-node budget (BenchmarkCrowdPlan): at 1.5x, where every tree takes the
+// word path, and at 5x, one tree of more than 64 tasks on the plain walk.
+// Serial and at whatever the CPUs give, the plan and all five counters are the
+// same, and most of the greedy completions past the budget are counted without
+// being run.
+func TestBoundedCompletionsAcrossParallelism(t *testing.T) {
+	a, _ := scenario.Get("event-spike")
+	for _, c := range []struct {
+		scale   float64
+		minSkip float64 // the least share of the greedy completions skipped
+	}{{1.5, 0.75}, {5, 0.6}} {
+		crowd := atlasInstantsOf(a, c.scale)[0]
+		var want core.Plan
+		var wantCounts [5]int
+		for _, p := range []int{1, 0} {
+			s := &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: p}}
+			plan := s.Plan(crowd.workers, crowd.tasks, crowd.now)
+			counts := [5]int{s.NodesLastPlan, s.ExpandedLastPlan, s.GreedyCompletionsLastPlan,
+				s.BudgetBoundTreesLastPlan, s.SkippedCompletionsLastPlan}
+			if p == 1 {
+				want, wantCounts = plan, counts
+				widest := 0
+				for i := range s.results {
+					widest = max(widest, int(s.taskOff[i+1]-s.taskOff[i]))
+				}
+				if wide := widest > 64; wide != (c.scale == 5) {
+					t.Fatalf("%vx: widest universe %d tasks", c.scale, widest)
+				}
+				if skipped, greedy := s.SkippedCompletionsLastPlan, s.GreedyCompletionsLastPlan; float64(skipped) < c.minSkip*float64(greedy) {
+					t.Fatalf("%vx: %d of %d greedy completions skipped, want at least %.0f%%", c.scale, skipped, greedy, 100*c.minSkip)
+				}
+				continue
+			}
+			samePlans(t, want, plan)
+			if counts != wantCounts {
+				t.Fatalf("%vx parallelism %d: nodes/expanded/greedy/bound/skipped %v, serial %v", c.scale, p, counts, wantCounts)
+			}
+		}
+	}
+}
+
 // TestPlanWithoutSequences covers the forest with no work in it — no tasks,
 // nobody on shift, nobody at all — at a fan-out setting: the goroutine count
 // resolves to one, never zero, and the plan is empty.

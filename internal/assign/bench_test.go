@@ -151,6 +151,7 @@ func BenchmarkCrowdPlan(b *testing.B) {
 			b.ReportMetric(float64(s.NodesLastPlan), "nodes")
 			b.ReportMetric(float64(s.ExpandedLastPlan), "expanded")
 			b.ReportMetric(float64(s.GreedyCompletionsLastPlan), "greedy")
+			b.ReportMetric(float64(s.SkippedCompletionsLastPlan), "skipped")
 		})
 	}
 }
@@ -174,6 +175,7 @@ func BenchmarkSSPPlan(b *testing.B) {
 	b.ReportMetric(float64(p.NodesLastPlan), "nodes")
 	b.ReportMetric(float64(p.ExpandedLastPlan), "expanded")
 	b.ReportMetric(float64(p.GreedyCompletionsLastPlan), "greedy")
+	b.ReportMetric(float64(p.SkippedCompletionsLastPlan), "skipped")
 	b.ReportMetric(float64(p.TreesLastPlan), "trees")
 	b.ReportMetric(float64(p.DistinctTreesLastPlan), "distinct-trees")
 }

@@ -77,7 +77,7 @@ func atlasInstantsOf(a scenario.Archetype, scale float64) []instant {
 
 // sameSearch asserts the dense core reproduced the reference run's plan
 // (worker ids, task ids in order), node count and its exact/greedy split, and
-// budget-bound trees.
+// budget-bound trees, skipping no more greedy completions than it counted.
 func sameSearch(t *testing.T, ref *refSearch, want core.Plan, s *Search, got core.Plan) {
 	t.Helper()
 	samePlans(t, want, got)
@@ -94,16 +94,22 @@ func sameSearch(t *testing.T, ref *refSearch, want core.Plan, s *Search, got cor
 	if s.ExpandedLastPlan > s.NodesLastPlan || s.ExpandedLastPlan <= 0 && s.NodesLastPlan > 0 {
 		t.Fatalf("expanded %d of %d nodes", s.ExpandedLastPlan, s.NodesLastPlan)
 	}
+	if s.SkippedCompletionsLastPlan < 0 || s.SkippedCompletionsLastPlan > s.GreedyCompletionsLastPlan {
+		t.Fatalf("skipped %d of %d greedy completions", s.SkippedCompletionsLastPlan, s.GreedyCompletionsLastPlan)
+	}
 }
 
 // sameOutcome is sameSearch plus the RL sample stream, for the runs that
 // produce one or are guided by a model: those never consult the transposition
-// table, so every node they report they expanded.
+// table, so every node they report they expanded, nor skip a completion.
 func sameOutcome(t *testing.T, ref *refSearch, want core.Plan, s *Search, got core.Plan) {
 	t.Helper()
 	sameSearch(t, ref, want, s, got)
 	if s.ExpandedLastPlan != s.NodesLastPlan {
 		t.Fatalf("expanded %d of %d nodes with the table out of use", s.ExpandedLastPlan, s.NodesLastPlan)
+	}
+	if s.SkippedCompletionsLastPlan != 0 {
+		t.Fatalf("skipped %d greedy completions emitting samples or guided by a model", s.SkippedCompletionsLastPlan)
 	}
 	if len(s.Samples) != len(ref.Samples) {
 		t.Fatalf("%d samples, reference %d", len(s.Samples), len(ref.Samples))
@@ -206,7 +212,10 @@ func wordPath(t *testing.T, s *Search, universe int) {
 // model, and with the reachable sets uncapped. The table is then held to
 // the reference where it is most exposed: at every budget a small tree can
 // run out on, and on either side of the universe width it is switched on by;
-// the plain walk on workers whose mask rows are full, bit 63 included.
+// the plain walk on workers whose mask rows are full, bit 63 included. So is
+// the bound that skips greedy completions past the budget (completionBound):
+// every crowd instant must have run it, and the fixtures include a virtual
+// weight above 1, where it is padded.
 func TestSearchMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 20 planning instants through the reference search")
@@ -243,7 +252,7 @@ func TestSearchMatchesReference(t *testing.T) {
 		uncapped.WDS.MaxReachable, uncapped.WDS.MaxSeqLen = 70, 2
 		configs = append(configs, config{"reach=70", uncapped, false})
 
-		plain, answered := 0, false // table-served runs of this instant, and whether the table took nodes off one
+		plain, answered, skipped := 0, false, false // table-served runs of this instant, whether the table took nodes off one, and whether one skipped a completion
 		for _, c := range configs {
 			ref := &refSearch{Opts: c.o, Collect: !c.tvf}
 			if c.tvf {
@@ -272,12 +281,16 @@ func TestSearchMatchesReference(t *testing.T) {
 						sameSearch(t, ref, want, live, live.Plan(in.workers, in.tasks, in.now))
 						plain++
 						answered = answered || live.ExpandedLastPlan < live.NodesLastPlan
+						skipped = skipped || live.SkippedCompletionsLastPlan > 0
 					}
 				})
 			}
 		}
 		if strings.HasSuffix(in.name, "/crowd") && plain > 0 && !answered { // plain == 0: -run filtered the runs out
 			t.Fatalf("%s: no run expanded fewer nodes than it reports: the transposition table was bypassed", in.name)
+		}
+		if strings.HasSuffix(in.name, "/crowd") && plain > 0 && !skipped {
+			t.Fatalf("%s: no run skipped a greedy completion: the completion bound went untested", in.name)
 		}
 	}
 	if bound == 0 {
@@ -376,15 +389,23 @@ func TestSearchMatchesReference(t *testing.T) {
 	// under budgets small enough that most calls are greedy completions — each
 	// a walk over dozens of workers with nothing in reach left, answered by the
 	// reach word alone. A pool of real and virtual tasks at a virtual weight of
-	// 0.6. And, at 0.1, a tie only seqValue's own arithmetic breaks
+	// 0.6, and at 1.5, where a task can be worth more than 1 and the bound that
+	// skips completions is padded — on the word path and, over 80 tasks, on the
+	// plain walk. And, at 0.1, a tie only seqValue's own arithmetic breaks
 	// (valueTieInstant).
 	starved := chainInstant(10, 4, 2, 11)
 	starved.name = "starved-crowd"
 	mixed := chainInstant(12, 6, 3, 3)
 	mixed.name = "mixed-virtual"
-	for i, task := range mixed.tasks {
-		task.Virtual = i%3 != 0
+	wide := chainInstant(80, 6, 3, 3)
+	wide.name = "mixed-virtual-wide/vw=1.5"
+	for _, in := range []instant{mixed, wide} {
+		for i, task := range in.tasks {
+			task.Virtual = i%3 != 0
+		}
 	}
+	heavy := mixed
+	heavy.name = "mixed-virtual/vw=1.5"
 	tie := valueTieInstant()
 	for _, c := range []struct {
 		in            instant
@@ -399,12 +420,15 @@ func TestSearchMatchesReference(t *testing.T) {
 			}
 		}},
 		{mixed, 3, 0.6, []int{300, 4000, 20000}, nil},
+		{heavy, 3, 1.5, []int{300, 4000}, nil},
+		{wide, 3, 1.5, []int{50, 300}, nil},
 		{tie, 3, 0.1, []int{4000}, func(t *testing.T, _ *refSearch, want core.Plan) {
 			if ids := want[0].Seq.IDs(); !slices.Equal(ids, []int{4, 5, 6}) {
 				t.Fatalf("worker 1 holds %v: the sweep worth the last bit more lost", ids)
 			}
 		}},
 	} {
+		ran, skipped := 0, false
 		for _, maxNodes := range c.budgets {
 			for _, p := range []int{1, 0} {
 				t.Run(fmt.Sprintf("%s/nodes=%d/par=%d", c.in.name, maxNodes, p), func(t *testing.T) {
@@ -415,7 +439,13 @@ func TestSearchMatchesReference(t *testing.T) {
 					s := &Search{Opts: o}
 					for pass := 0; pass < 2; pass++ {
 						sameSearch(t, ref, want, s, s.Plan(c.in.workers, c.in.tasks, c.in.now))
-						wordPath(t, s, len(c.in.tasks))
+						if len(c.in.tasks) <= 64 {
+							wordPath(t, s, len(c.in.tasks))
+						} else if s.runs[0].memo {
+							t.Fatal("a tree of more than 64 tasks took the word path")
+						}
+						ran++
+						skipped = skipped || s.SkippedCompletionsLastPlan > 0
 					}
 					if len(want) == 0 {
 						t.Fatal("nothing was assigned")
@@ -425,6 +455,9 @@ func TestSearchMatchesReference(t *testing.T) {
 					}
 				})
 			}
+		}
+		if c.virtualWeight > 1 && ran > 0 && !skipped {
+			t.Fatalf("%s at virtual weight %v: no run skipped a greedy completion: the padded bound went untested", c.in.name, c.virtualWeight)
 		}
 	}
 }

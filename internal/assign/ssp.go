@@ -48,15 +48,17 @@ type SSP struct {
 	// scenarios the committed value is averaged over. 0 or unset means 1
 	// (plain expected value).
 	CVaRAlpha float64
-	// NodesLastPlan, GreedyCompletionsLastPlan and BudgetBoundTreesLastPlan are
-	// Search's counters of the same names for the most recent Plan call, summed
-	// across scenarios: a component several scenarios hold counts in each, as
-	// it would had each been searched alone. ExpandedLastPlan is the calls the
-	// planner really made, so it counts such a component once.
-	NodesLastPlan             int
-	GreedyCompletionsLastPlan int
-	BudgetBoundTreesLastPlan  int
-	ExpandedLastPlan          int
+	// NodesLastPlan, GreedyCompletionsLastPlan, BudgetBoundTreesLastPlan and
+	// SkippedCompletionsLastPlan are Search's counters of the same names for
+	// the most recent Plan call, summed across scenarios: a component several
+	// scenarios hold counts in each, as it would had each been searched alone.
+	// ExpandedLastPlan is the calls the planner really made, so it counts such
+	// a component once.
+	NodesLastPlan              int
+	GreedyCompletionsLastPlan  int
+	BudgetBoundTreesLastPlan   int
+	SkippedCompletionsLastPlan int
+	ExpandedLastPlan           int
 	// TreesLastPlan is the trees of the scenarios' forests, summed, and
 	// DistinctTreesLastPlan how many of them were different trees: the ones
 	// built and searched.
@@ -89,6 +91,7 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 	p.NodesLastPlan = s.NodesLastPlan
 	p.GreedyCompletionsLastPlan = s.GreedyCompletionsLastPlan
 	p.BudgetBoundTreesLastPlan = s.BudgetBoundTreesLastPlan
+	p.SkippedCompletionsLastPlan = s.SkippedCompletionsLastPlan
 	p.ExpandedLastPlan = s.ExpandedLastPlan
 	p.TreesLastPlan, p.DistinctTreesLastPlan = s.trees, len(s.results)
 	plans := s.plans

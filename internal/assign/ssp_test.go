@@ -135,11 +135,12 @@ func TestSSPParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSSPBudgetCountersSumScenarios pins SSP's node, greedy-completion and
-// budget-bound-tree counters as the sums of the per-scenario searches', under a
-// budget small enough to bind — a tree several scenarios hold counts once in
-// each — and its expanded-node counter as the calls the planner really made:
-// the sum over the distinct trees, below the per-scenario searches' sum.
+// TestSSPBudgetCountersSumScenarios pins SSP's node, greedy-completion,
+// budget-bound-tree and skipped-completion counters as the sums of the
+// per-scenario searches', under a budget small enough to bind — a tree several
+// scenarios hold counts once in each — and its expanded-node counter as the
+// calls the planner really made: the sum over the distinct trees, below the
+// per-scenario searches' sum.
 func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 	const k = 4
 	ws, ts := sspScenario(23, k)
@@ -148,7 +149,7 @@ func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 	p := &SSP{Opts: o, Samples: k}
 	p.Plan(ws, ts, 0)
 
-	var want [3]int
+	var want [4]int
 	expanded, trees := 0, 0
 	for s := 0; s < k; s++ {
 		one := &Search{Opts: o}
@@ -156,12 +157,12 @@ func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 		want[0] += one.NodesLastPlan
 		want[1] += one.GreedyCompletionsLastPlan
 		want[2] += one.BudgetBoundTreesLastPlan
+		want[3] += one.SkippedCompletionsLastPlan
 		expanded += one.ExpandedLastPlan
 		trees += one.trees
 	}
-	got := [3]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan}
-	if got != want || want[1] == 0 || want[2] == 0 || expanded >= want[0] {
-		t.Fatalf("nodes/greedy/bound-trees = %v, per-scenario sum %v, expanded %d (the budget must bind and the table answer some nodes)", got, want, expanded)
+	if got := sspCounts(p); got != want || want[1] == 0 || want[2] == 0 || expanded >= want[0] {
+		t.Fatalf("nodes/greedy/bound-trees/skipped = %v, per-scenario sum %v, expanded %d (the budget must bind and the table answer some nodes)", got, want, expanded)
 	}
 	if p.TreesLastPlan != trees || p.DistinctTreesLastPlan >= trees {
 		t.Fatalf("%d trees, %d distinct; the per-scenario searches built %d", p.TreesLastPlan, p.DistinctTreesLastPlan, trees)
@@ -304,12 +305,12 @@ func tagEveryThird(in instant, k int, seed int64) instant {
 
 // perScenarioSearch is the planner SSP replaced, kept here as its oracle: every
 // scenario's pool copied out and planned from scratch by a fresh Search. It
-// returns the K plans and the node, greedy-completion and budget-bound-tree
-// counts summed over them.
-func perScenarioSearch(p *SSP, ws []*core.Worker, ts []*core.Task, now float64) ([]core.Plan, [3]int) {
+// returns the K plans and the node, greedy-completion, budget-bound-tree and
+// skipped-completion counts summed over them.
+func perScenarioSearch(p *SSP, ws []*core.Worker, ts []*core.Task, now float64) ([]core.Plan, [4]int) {
 	k := p.scenarios(ts)
 	plans := make([]core.Plan, k)
-	var counts [3]int
+	var counts [4]int
 	for s := range plans {
 		pool := ts
 		if k > 1 {
@@ -320,8 +321,14 @@ func perScenarioSearch(p *SSP, ws []*core.Worker, ts []*core.Task, now float64) 
 		counts[0] += one.NodesLastPlan
 		counts[1] += one.GreedyCompletionsLastPlan
 		counts[2] += one.BudgetBoundTreesLastPlan
+		counts[3] += one.SkippedCompletionsLastPlan
 	}
 	return plans, counts
+}
+
+// sspCounts is p's share of what perScenarioSearch sums.
+func sspCounts(p *SSP) [4]int {
+	return [4]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan, p.SkippedCompletionsLastPlan}
 }
 
 // commit is SSP's fold over the K candidates: each scored under every
@@ -346,8 +353,8 @@ func sameAsPerScenario(t *testing.T, p *SSP, ws []*core.Worker, ts []*core.Task,
 	plans, counts := perScenarioSearch(p, ws, ts, now)
 	want := plans[commit(plans, p.CVaRAlpha, p.Opts.WithDefaults().VirtualWeight)]
 	samePlans(t, want, p.Plan(ws, ts, now))
-	if c := [3]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan}; c != counts {
-		t.Fatalf("nodes/greedy/bound-trees %v, per-scenario searches %v", c, counts)
+	if c := sspCounts(p); c != counts {
+		t.Fatalf("nodes/greedy/bound-trees/skipped %v, per-scenario searches %v", c, counts)
 	}
 }
 
@@ -413,8 +420,8 @@ func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
 						t.Fatalf("%s: %d assignments, per-scenario searches %d", name, len(plan), len(want))
 					}
 					samePlans(t, want, plan)
-					if n := [3]int{got.NodesLastPlan, got.GreedyCompletionsLastPlan, got.BudgetBoundTreesLastPlan}; n != counts {
-						t.Fatalf("%s: nodes/greedy/bound-trees %v, per-scenario searches %v", name, n, counts)
+					if n := sspCounts(got); n != counts {
+						t.Fatalf("%s: nodes/greedy/bound-trees/skipped %v, per-scenario searches %v", name, n, counts)
 					}
 					if c.heavy {
 						break

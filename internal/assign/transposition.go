@@ -26,7 +26,8 @@ import (
 // kept for the key: each sequence is laid out once per tree as the universe
 // word of its tasks, so the search and its greedy completion (expandWords,
 // greedyFillWords) test, take and give back tasks a word at a time and never
-// touch the plain walk's per-task flags.
+// touch the plain walk's availability bitset, which a sequence's tasks are
+// scattered over.
 
 // memoMinWorkers is the smallest tree the table is switched on for.
 const memoMinWorkers = 3
@@ -37,16 +38,15 @@ func (r *searchRun) useMemo(root *wds.TreeNode, universe int) bool {
 	return r.model == nil && !r.collect && universe <= 64 && root.Size() >= memoMinWorkers
 }
 
-// layout lays out the per-row scratch of a memo tree, sized to the tree: one
-// row per worker and one more per node, one word and one value per sequence.
+// layout lays out the per-row scratch of a memo tree, sized to the tree: the
+// relevance rows, one word each, and one more row per node than it has
+// workers; one word and one value per sequence.
 func (r *searchRun) layout(root *wds.TreeNode) {
-	nodes, rows, seqs := r.measure(root)
-	r.relOff = slices.Grow(r.relOff[:0], nodes)
-	r.rel = slices.Grow(r.rel[:0], rows)
-	r.reachWord = slices.Grow(r.reachWord[:0], rows)
-	r.seqs = slices.Grow(r.seqs[:0], rows)
+	rows, seqs := r.layoutRel(root, 1)
+	r.reachWord = slices.Grow(r.reachWord[:0], rows)[:rows]
+	r.seqs = slices.Grow(r.seqs[:0], rows)[:rows]
 	r.arena.reset(seqs)
-	r.layoutRows(root)
+	r.layoutSeqs(root)
 }
 
 // measure counts the nodes, rows and sequences of the subtree under n.
@@ -62,22 +62,65 @@ func (r *searchRun) measure(n *wds.TreeNode) (nodes, rows, seqs int) {
 	return nodes, rows, seqs
 }
 
-// layoutRows lays out the rows of the subtree under n, one per (node, j), in
-// pre-order — row r.relOff[n.ID]+j — and returns the relevance of its row 0. A
-// row's relevance is the set of tasks, as universe bits, reachable from
-// n.Index[j:] and every subtree below n: what a table key masks availability
-// with, the row's position doubling as the key's (node, j). For j < len(n.Index)
-// the row also carries worker n.Index[j]: its reach word, and its sequences in
-// Q_w order as universe words (the bits of Masks[k] sent through the worker's
-// tree-local reach positions) beside their seqValue. The node's last row,
-// j = len(n.Index), holds no worker and nothing reads those two of it.
-func (r *searchRun) layoutRows(n *wds.TreeNode) uint64 {
-	off, end := len(r.rel), len(r.rel)+len(n.Index)
+// layoutRel lays out the relevance rows of the tree under root, words wide,
+// and returns its row and sequence counts.
+func (r *searchRun) layoutRel(root *wds.TreeNode, words int) (rows, seqs int) {
+	nodes, rows, seqs := r.measure(root)
+	r.relWords = words
+	r.relOff = slices.Grow(r.relOff[:0], nodes)
+	r.rel = slices.Grow(r.rel[:0], rows*words)
+	r.relMost = slices.Grow(r.relMost[:0], rows)
+	r.relRows(root)
+	return rows, seqs
+}
+
+// relRows lays out the relevance rows of the subtree under n in pre-order and
+// returns the position of its row 0. The node's last row, j = len(n.Index),
+// holds what its subtrees reach and take; each row before adds its worker's
+// reachable set, as universe bits, to the row after it, and its longest
+// sequence (Q_w's first: wds sorts it longest first) to what that can take. On
+// the word path a row's bits are what a table key masks availability with, the
+// row's position doubling as the key's (node, j).
+func (r *searchRun) relRows(n *wds.TreeNode) int {
+	w, off := r.relWords, len(r.rel)/r.relWords
+	end := off + len(n.Index)
 	r.relOff = append(r.relOff, int32(off)) // lands at n.ID: ids are pre-order, as is this walk
-	r.rel, r.reachWord, r.seqs = r.rel[:end+1], r.reachWord[:end+1], r.seqs[:end+1]
+	r.rel = slices.Grow(r.rel, (end+1)*w-len(r.rel))[:(end+1)*w]
+	r.relMost = slices.Grow(r.relMost, end+1-len(r.relMost))[:end+1]
+	clear(r.rel[off*w:])
+	clear(r.relMost[off:])
+	for _, child := range n.Children {
+		c := r.relRows(child)
+		for i := range w {
+			r.rel[end*w+i] |= r.rel[c*w+i]
+		}
+		r.relMost[end] += r.relMost[c]
+	}
+	for j := len(n.Index) - 1; j >= 0; j-- {
+		row := r.rel[(off+j)*w : (off+j+1)*w]
+		copy(row, r.rel[(off+j+1)*w:])
+		set, local := r.reach(n.Index[j])
+		r.relMost[off+j] = r.relMost[off+j+1]
+		if len(set.Seqs) > 0 {
+			r.relMost[off+j] += int32(len(set.Seqs[0]))
+		}
+		for _, p := range local {
+			row[p>>6] |= 1 << uint(p&63)
+		}
+	}
+	return off
+}
+
+// layoutSeqs lays out the worker rows of the subtree under n, j < len(n.Index):
+// the reach word of worker n.Index[j], and its sequences in Q_w order as
+// universe words (the bits of Masks[k] sent through the worker's tree-local
+// reach positions) beside their seqValue. A node's last row holds no worker
+// and nothing reads those two of it.
+func (r *searchRun) layoutSeqs(n *wds.TreeNode) {
+	off := r.relOff[n.ID]
 	for j, wi := range n.Index {
 		set, local := r.reach(wi)
-		r.reachWord[off+j] = universeMask(local)
+		r.reachWord[off+int32(j)] = universeMask(local)
 		q := r.arena.take(len(set.Seqs))
 		for k, seq := range set.Seqs {
 			var word uint64
@@ -86,18 +129,11 @@ func (r *searchRun) layoutRows(n *wds.TreeNode) uint64 {
 			}
 			q.words[k], q.vals[k] = word, seqValue(seq, r.opts.VirtualWeight)
 		}
-		r.seqs[off+j] = q
+		r.seqs[off+int32(j)] = q
 	}
-	var m uint64
 	for _, child := range n.Children {
-		m |= r.layoutRows(child)
+		r.layoutSeqs(child)
 	}
-	r.rel[end] = m
-	for j := len(n.Index) - 1; j >= 0; j-- {
-		m |= r.reachWord[off+j]
-		r.rel[off+j] = m
-	}
-	return m
 }
 
 // seqRow is one worker's Q_w on a memo tree: the tasks of Seqs[k] as the

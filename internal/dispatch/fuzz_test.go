@@ -17,7 +17,8 @@ import (
 // rejected, and the ledger audits clean but for the one issue a live task
 // has, no terminal state yet, on a task still open. The seeds are
 // FuzzWireDecode's, one frame of due, past-dated, tied and future-dated
-// events, and one frame per poison event of the ingest tests.
+// events, one that submits a task id again after it was assigned, and one
+// frame per poison event of the ingest tests.
 func FuzzIngestBatch(f *testing.F) {
 	valid, err := wire.AppendFrame(nil, []wire.Event{
 		{Time: 1, Kind: wire.WorkerOnline, ID: 4, X: 1, Y: 2, Reach: 2, On: 1, Off: 500},
@@ -50,6 +51,17 @@ func FuzzIngestBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mixed)
+	// Task 24 is assigned in epoch 0 and submitted again, already expired, in
+	// epoch 1: the ledger holds a chain per incarnation of the id.
+	reused, err := wire.AppendFrame(nil, []wire.Event{
+		{Time: 0, Kind: wire.WorkerOnline, ID: 4, X: 1, Y: 1, Reach: 2, On: 0, Off: 500},
+		{Time: 0, Kind: wire.TaskSubmit, ID: 24, X: 1.2, Y: 1, Pub: 0, Exp: 90},
+		{Time: 1, Kind: wire.TaskSubmit, ID: 24, X: 1.2, Y: 1, Pub: 0, Exp: 0.5},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(reused)
 	for _, ev := range append(poisonNonFinite(), poisonStructural()...) {
 		f.Add(poisonFrame(f, ev))
 	}

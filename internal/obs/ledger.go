@@ -83,12 +83,16 @@ type AuditIssue struct {
 // any transition after a terminal one) are counted as they are recorded, so
 // a conservation-gate failure can point at the exact task even after the
 // offending chain is evicted.
+//
+// A chain is one incarnation of a task id: an id submitted again after its
+// chain reached a terminal state starts a new chain, and the finished one is
+// retired as an eviction retires it.
 type Ledger struct {
 	cap        int
 	recs       map[int]*TaskHistory
 	term       map[int]State
-	order      []int // insertion order; may hold already-evicted ids, skipped lazily
-	termQ      []int // terminal order; same laziness
+	order      []*TaskHistory // insertion order; may hold retired chains, skipped lazily
+	termQ      []*TaskHistory // terminal order; same laziness
 	evictions  int64
 	violations int64
 	samples    []string // first few violation descriptions
@@ -107,9 +111,15 @@ func NewLedger(cap int) *Ledger {
 }
 
 // Record appends one transition to the task's chain, opening the chain when
-// the task is new and evicting an old chain if the ledger is at capacity.
+// the task is new and evicting an old chain if the ledger is at capacity. A
+// Submitted after the chain's terminal state opens the id's next chain and
+// retires the finished one.
 func (l *Ledger) Record(task int, tr Transition) {
 	h, ok := l.recs[task]
+	if _, done := l.term[task]; done && tr.State == Submitted {
+		l.retire(h)
+		ok = false
+	}
 	if !ok {
 		if tr.State != Submitted {
 			l.violate("task %d: chain starts at %q, not %q", task, tr.State, Submitted)
@@ -119,7 +129,7 @@ func (l *Ledger) Record(task int, tr Transition) {
 		}
 		h = &TaskHistory{Task: task}
 		l.recs[task] = h
-		l.order = append(l.order, task)
+		l.order = append(l.order, h)
 		l.compact()
 	} else if prev, done := l.term[task]; done {
 		l.violate("task %d: %q recorded after terminal %q", task, tr.State, prev)
@@ -128,7 +138,7 @@ func (l *Ledger) Record(task int, tr Transition) {
 	if tr.State.Terminal() {
 		if _, done := l.term[task]; !done {
 			l.term[task] = tr.State
-			l.termQ = append(l.termQ, task)
+			l.termQ = append(l.termQ, h)
 		}
 	}
 }
@@ -137,46 +147,55 @@ func (l *Ledger) Record(task int, tr Transition) {
 // oldest chain otherwise.
 func (l *Ledger) evict() {
 	for len(l.termQ) > 0 {
-		id := l.termQ[0]
+		h := l.termQ[0]
 		l.termQ = l.termQ[1:]
-		if _, ok := l.recs[id]; ok {
-			delete(l.recs, id)
-			delete(l.term, id)
-			l.evictions++
+		if l.retained(h) {
+			l.retire(h)
 			return
 		}
 	}
 	for len(l.order) > 0 {
-		id := l.order[0]
+		h := l.order[0]
 		l.order = l.order[1:]
-		if _, ok := l.recs[id]; ok {
-			delete(l.recs, id)
-			delete(l.term, id)
-			l.evictions++
+		if l.retained(h) {
+			l.retire(h)
 			return
 		}
 	}
 }
 
-// compact drops already-evicted ids from the order queues once they dominate,
-// so the queues stay O(cap) even though eviction skips entries lazily.
+// retained reports whether h is still its task's chain: not evicted, and not
+// followed by a later incarnation of the id.
+func (l *Ledger) retained(h *TaskHistory) bool { return l.recs[h.Task] == h }
+
+// retire drops h, its task's current chain, and counts an eviction.
+func (l *Ledger) retire(h *TaskHistory) {
+	delete(l.recs, h.Task)
+	delete(l.term, h.Task)
+	l.evictions++
+}
+
+// compact drops retired chains from the order queues once they dominate, so
+// the queues stay O(cap) even though eviction skips entries lazily.
 func (l *Ledger) compact() {
 	if len(l.order) > 2*l.cap {
 		kept := l.order[:0]
-		for _, id := range l.order {
-			if _, ok := l.recs[id]; ok {
-				kept = append(kept, id)
+		for _, h := range l.order {
+			if l.retained(h) {
+				kept = append(kept, h)
 			}
 		}
+		clear(l.order[len(kept):]) // the retired chains' storage goes with them
 		l.order = kept
 	}
 	if len(l.termQ) > 2*l.cap {
 		kept := l.termQ[:0]
-		for _, id := range l.termQ {
-			if _, ok := l.recs[id]; ok {
-				kept = append(kept, id)
+		for _, h := range l.termQ {
+			if l.retained(h) {
+				kept = append(kept, h)
 			}
 		}
+		clear(l.termQ[len(kept):])
 		l.termQ = kept
 	}
 }

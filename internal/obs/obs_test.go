@@ -138,6 +138,40 @@ func TestLedgerEvictionPrefersTerminal(t *testing.T) {
 	}
 }
 
+// TestLedgerChainPerIncarnation: an id submitted again after its chain ended
+// starts a new chain, and the finished one is retired as an eviction — which
+// must not take the id's new, live chain for the old terminal one.
+func TestLedgerChainPerIncarnation(t *testing.T) {
+	l := NewLedger(2)
+	l.Record(24, Transition{State: Submitted, Epoch: 0})
+	l.Record(24, Transition{State: Assigned, Epoch: 0, Worker: 4})
+	l.Record(24, Transition{State: Submitted, Epoch: 1})
+	if l.Violations() != 0 || len(l.Audit()) != 1 || l.Evictions() != 1 || l.Len() != 1 {
+		t.Fatalf("violations %d, audit %v, evictions %d, %d chains after a resubmit", l.Violations(), l.Audit(), l.Evictions(), l.Len())
+	}
+	if h, _ := l.History(24); len(h.Transitions) != 1 || h.Transitions[0].Epoch != 1 {
+		t.Fatalf("History(24) = %+v, want the second incarnation's chain alone", h)
+	}
+	// Task 7 ends, task 9 fills the ledger: the oldest terminal chain is 7's,
+	// not the retired first chain of 24, whose id is live again.
+	l.Record(7, Transition{State: Submitted, Epoch: 1})
+	l.Record(7, Transition{State: Expired, Epoch: 1})
+	l.Record(9, Transition{State: Submitted, Epoch: 2})
+	if _, ok := l.History(24); !ok {
+		t.Fatal("the live chain of task 24 was evicted in place of a terminal one")
+	}
+	if _, ok := l.History(7); ok {
+		t.Fatal("task 7, the oldest terminal chain, should have been evicted")
+	}
+	l.Record(24, Transition{State: Expired, Epoch: 2})
+	if issues := l.Audit(); len(issues) != 1 || issues[0].Task != 9 || l.Violations() != 0 {
+		t.Fatalf("Audit() = %v with %d violations, want only task 9 open", issues, l.Violations())
+	}
+	if got := l.TerminalCounts(); got[Expired] != 1 || got[Assigned] != 0 || l.Evictions() != 2 {
+		t.Fatalf("TerminalCounts() = %v, evictions %d", got, l.Evictions())
+	}
+}
+
 func TestLedgerRecent(t *testing.T) {
 	l := NewLedger(16)
 	l.Record(1, Transition{State: Submitted, Epoch: 0})
