@@ -73,35 +73,11 @@ func TestForecastStreamPinned(t *testing.T) {
 	const want uint64 = 0xe17625f40e9f8557
 
 	m, _ := predictFixture(t)
-	cfg := SeriesConfig{Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 6, 6), K: 3, DeltaT: 5}
-	const history, refreshes = 8, 30
-	span := cfg.VectorSpan()
-	r := rand.New(rand.NewSource(29))
-	type arrival struct {
-		task *core.Task
-		at   float64
-	}
-	var stream []arrival
-	for i := 0; i < 1500; i++ {
-		pub := float64(history+refreshes) * span * r.Float64()
-		at := pub
-		if r.Float64() < 0.02 {
-			at += 2 * span
-		}
-		stream = append(stream, arrival{taskAt(i, 6*r.Float64(), 6*r.Float64(), pub), at})
-	}
 	h := fnv.New64a()
-	f := NewForecaster(&hashingModel{m, h}, cfg, history, 0.5, 40)
+	f := NewForecaster(&hashingModel{m, h}, pinnedCfg, pinnedHistory, 0.5, 40)
 	virtuals := 0
-	for i := 0; i < refreshes; i++ {
-		now := float64(history+i) * span
-		var published []*core.Task
-		for _, a := range stream {
-			if a.at < now {
-				published = append(published, a.task)
-			}
-		}
-		for _, v := range f.Virtuals(published, now) {
+	for _, published := range pinnedStream() {
+		for _, v := range f.Virtuals(published.tasks, published.now) {
 			writeBits(h, float64(v.ID), float64(v.Cell), v.Pub, v.Exp)
 			virtuals++
 		}
@@ -112,4 +88,75 @@ func TestForecastStreamPinned(t *testing.T) {
 	if got := h.Sum64(); got != want {
 		t.Errorf("stream hash %#x over %d virtual tasks, want %#x", got, virtuals, want)
 	}
+}
+
+// TestSampledStreamPinned holds the scenario sampler to the exact draws it
+// made when every draw had a generator of its own: TestForecastStreamPinned's
+// thirty refreshes through a ScenarioSampler at K=5, every task's id, cell,
+// times and scenario mask in one FNV hash. Two samplers compared with each
+// other would change alike; this hash does not.
+func TestSampledStreamPinned(t *testing.T) {
+	const want uint64 = 0xde3be5df876b8179
+
+	m, _ := predictFixture(t)
+	h := fnv.New64a()
+	s := NewScenarioSampler(NewForecaster(m, pinnedCfg, pinnedHistory, 0.5, 40), 5, 3)
+	tagged := 0
+	for _, published := range pinnedStream() {
+		for _, v := range s.Virtuals(published.tasks, published.now) {
+			writeBits(h, float64(v.ID), float64(v.Cell), v.Pub, v.Exp, math.Float64frombits(v.SampleBits))
+			if v.SampleBits != 0 {
+				tagged++
+			}
+		}
+	}
+	if tagged == 0 {
+		t.Fatal("no scenario-tagged task in thirty refreshes: the pin covers no draw")
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("sampled stream hash %#x over %d tagged tasks, want %#x", got, tagged, want)
+	}
+}
+
+// The pinned streams' grid, history and length.
+var pinnedCfg = SeriesConfig{Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 6, 6), K: 3, DeltaT: 5}
+
+const pinnedHistory, pinnedRefreshes = 8, 30
+
+// refresh is one forecast instant of a pinned stream and what was published
+// by then.
+type refresh struct {
+	now   float64
+	tasks []*core.Task
+}
+
+// pinnedStream returns thirty consecutive refreshes over one published
+// stream of 1,500 tasks on the 6×6 grid.
+func pinnedStream() []refresh {
+	span := pinnedCfg.VectorSpan()
+	r := rand.New(rand.NewSource(29))
+	type arrival struct {
+		task *core.Task
+		at   float64
+	}
+	var stream []arrival
+	for i := 0; i < 1500; i++ {
+		pub := float64(pinnedHistory+pinnedRefreshes) * span * r.Float64()
+		at := pub
+		if r.Float64() < 0.02 {
+			at += 2 * span
+		}
+		stream = append(stream, arrival{taskAt(i, 6*r.Float64(), 6*r.Float64(), pub), at})
+	}
+	var out []refresh
+	for i := 0; i < pinnedRefreshes; i++ {
+		rf := refresh{now: float64(pinnedHistory+i) * span}
+		for _, a := range stream {
+			if a.at < rf.now {
+				rf.tasks = append(rf.tasks, a.task)
+			}
+		}
+		out = append(out, rf)
+	}
+	return out
 }

@@ -41,8 +41,9 @@ const DefaultSamples = 5
 // the SSP planner's fast path — see a plain point forecast. Sampled-only
 // tasks carry the scenario bitmask and ids descending from sampledIDBase.
 //
-// Each draw uses rand.New(rand.NewSource(seed)) with a seed derived from
-// (Seed, scenario index, forecast instant), so the sample set is a pure
+// Each draw reseeds one generator with a seed derived from (Seed, scenario
+// index, forecast instant) — the stream rand.New(rand.NewSource(seed)) would
+// give, without a fresh source per draw — so the sample set is a pure
 // function of configuration and history: byte-identical across runs,
 // machines, and every parallelism level. Virtuals must be called with a
 // non-decreasing clock (it is: both the stream machine and the dispatcher
@@ -56,6 +57,7 @@ type ScenarioSampler struct {
 	Seed int64
 
 	nextSampledID int
+	rng           *rand.Rand // reseeded for every draw
 }
 
 // NewScenarioSampler wraps a point forecaster. samples ≤ 0 selects
@@ -94,8 +96,12 @@ func (sc *ScenarioSampler) Virtuals(published []*core.Task, now float64) []*core
 	// is decided by the threshold, exactly as above.
 	cols := probs.Cols
 	drawn := make(map[int]uint64)
+	if sc.rng == nil {
+		sc.rng = rand.New(rand.NewSource(0))
+	}
+	rng := sc.rng
 	for s := 1; s < k; s++ {
-		rng := rand.New(rand.NewSource(sampleSeed(sc.Seed, s, intervalStart)))
+		rng.Seed(sampleSeed(sc.Seed, s, intervalStart))
 		// Cell-major over the dense matrix: one Float64 per (cell, interval)
 		// in a fixed order, so the stream consumed is independent of which
 		// pairs fire.

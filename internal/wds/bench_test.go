@@ -54,6 +54,40 @@ func BenchmarkMaximalValidSequences(b *testing.B) {
 	}
 }
 
+// BenchmarkSequences measures Q_w generation as Separate runs it: one
+// Scratch reused across calls, so the generator's tables are warm. single and
+// three are the reachable sets most workers have; crowd8 is a full default
+// reachable set of mutually reachable tasks, where every set of up to three
+// is valid (8 + 28 + 56 = 92). It reports the sets generated per call.
+func BenchmarkSequences(b *testing.B) {
+	r := rand.New(rand.NewSource(40))
+	w := worker(1, 0.5, 0.5, 2, 0, 1e9)
+	var crowd []*core.Task
+	for i := 0; i < 8; i++ {
+		crowd = append(crowd, task(i+1, r.Float64(), r.Float64(), 0, 1e9))
+	}
+	o := Options{Travel: geo.NewTravelModel(0.005)}.WithDefaults()
+	for _, shape := range []struct {
+		name string
+		rs   []*core.Task
+	}{
+		{"single", crowd[:1]},
+		{"three", crowd[:3]},
+		{"crowd8", crowd},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			var sc Scratch
+			sets := len(sc.sequences(w, shape.rs, 0, o))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(sc.sequences(w, shape.rs, 0, o))
+			}
+			b.ReportMetric(float64(sets), "sets")
+		})
+	}
+}
+
 // BenchmarkReachableTasks measures constraint filtering over a task pool.
 func BenchmarkReachableTasks(b *testing.B) {
 	ws, ts := benchInstance(1, 200)

@@ -8,6 +8,7 @@
 package wds
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -275,11 +276,7 @@ func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Opt
 	}
 	rs = rs[:min(len(rs), maxReach)]
 	g := &sc.gen
-	g.generate(w, rs, now, o)
-	tuples := g.tuples
-	if len(tuples) > o.MaxSequences {
-		tuples = tuples[:o.MaxSequences]
-	}
+	tuples := g.generate(w, rs, now, o)
 	total := 0
 	for _, t := range tuples {
 		total += int(t.n)
@@ -294,27 +291,39 @@ func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Opt
 		entries = append(entries, seqEntry{seq: backing[from:len(backing):len(backing)], mask: t.mask})
 	}
 	sc.entries = entries[:0]
-	g.w, g.rs = nil, nil
+	g.rs = nil
 	return entries
 }
 
 // seqGen is the state of one Q_w generation. Orderings are tuples of
 // positions in rs, back to back in pos: a task set is entered once, a better
 // ordering of it overwrites the tuple in place (same set, same length), and
-// nothing is a heap object until the survivors are known.
+// nothing is a heap object until the survivors are known. Every table keeps
+// the size of the widest call so far, and a call resets only what it uses, so
+// a one-task call after a 64-task one costs what a one-task call costs.
 type seqGen struct {
-	w      *core.Worker
 	rs     []*core.Task
-	travel geo.TravelModel
+	off    float64 // the worker's off time
 	maxLen int
-	used   []bool  // membership in cur, or out of the worker's reach
-	cur    []int32 // the ordering being extended
+	far    uint64 // the positions no ordering takes: out of the worker's reach, or past rs
+	// legs[r*len(rs)+j] is the travel time to rs[j] from row r: row 0 the
+	// worker, row i+1 rs[i] — filled once a call, each entry by the
+	// TravelModel.Time call it stands in for.
+	legs   []float64
+	window []window // rs[j]'s publication and expiry, side by side
+	cur    []int32  // the ordering being extended
 	tuples []seqTuple
 	pos    []int32
-	// Task sets dedup by bitmask over rs positions — rs holds at most 64
-	// distinct tasks, so equal masks ⟺ equal id sets, exactly the SetKey
-	// equivalence without the string allocations.
-	bests map[uint64]int32
+	// sets finds a task set's tuple by its bitmask over rs positions — rs
+	// holds at most 64 distinct tasks, so equal masks ⟺ equal id sets,
+	// exactly the SetKey equivalence without the string allocations. It is
+	// open-addressed (a slot with mask 0 is empty: no set is), grows at half
+	// load, and slots[k] is where tuple k sits, so the next call's reset
+	// clears exactly the slots this one filled.
+	sets  []setSlot
+	slots []int32
+	byLen []seqTuple // the tuples split by length, longest first
+	runs  []int32    // per length, where its run starts in byLen
 }
 
 // seqTuple is one deduped task set: pos[off:off+n] is its best ordering so
@@ -325,31 +334,90 @@ type seqTuple struct {
 	off, n     int32
 }
 
-// generate leaves Q_w in g.tuples, sorted longest first, then by completion
-// time, then lexicographically by ids, uncapped.
-func (g *seqGen) generate(w *core.Worker, rs []*core.Task, now float64, o Options) {
-	g.w, g.rs, g.travel, g.maxLen = w, rs, o.Travel, o.MaxSeqLen
-	if g.bests == nil {
-		g.bests = make(map[uint64]int32, 64)
-	} else {
-		clear(g.bests)
-	}
-	// A task beyond the worker's reach can extend nothing: it starts out used
-	// and stays so.
-	g.used = slices.Grow(g.used[:0], len(rs))[:len(rs)]
-	for i, s := range rs {
-		g.used[i] = geo.Dist(w.Loc, s.Loc) > w.Reach
-	}
-	g.cur, g.tuples, g.pos = g.cur[:0], g.tuples[:0], g.pos[:0]
-	g.extend(w.Loc, now, 0)
-	slices.SortFunc(g.tuples, g.compare)
+// window is a task's [Pub, Exp).
+type window struct{ pub, exp float64 }
+
+// setSlot is one entry of seqGen.sets: a task set and its tuple.
+type setSlot struct {
+	mask  uint64
+	tuple int32
 }
 
-// extend enters the current ordering, ending at loc at time t over the task
-// set mask, and tries every unused reachable task after it. Validity is
-// prefix-closed (Definition 4), so an extension that violates it is cut with
-// everything below.
-func (g *seqGen) extend(loc geo.Point, t float64, mask uint64) {
+// generate returns Q_w as tuples in scratch storage, sorted longest first,
+// then by completion time, then lexicographically by ids, and capped at
+// o.MaxSequences.
+func (g *seqGen) generate(w *core.Worker, rs []*core.Task, now float64, o Options) []seqTuple {
+	g.rs, g.off, g.maxLen = rs, w.Off, o.MaxSeqLen
+	n := len(rs)
+	rows := 1 // at MaxSeqLen 1 no ordering is extended past its first task: only the worker's row is read
+	if g.maxLen > 1 {
+		rows += n
+	}
+	g.legs = slices.Grow(g.legs[:0], rows*n)[:rows*n]
+	g.window = slices.Grow(g.window[:0], n)[:n]
+	// A task beyond the worker's reach can extend nothing: it is far from the
+	// start, as is every bit past rs.
+	g.far = ^uint64(0) << uint(n)
+	for j, s := range rs {
+		g.window[j] = window{s.Pub, s.Exp}
+		d := geo.Dist(w.Loc, s.Loc)
+		g.legs[j] = o.Travel.TimeForDist(d) // = Time(w.Loc, s.Loc), bit for bit
+		if d > w.Reach {
+			g.far |= 1 << uint(j)
+		}
+	}
+	for r := 1; r < rows; r++ {
+		for j, s := range rs {
+			g.legs[r*n+j] = o.Travel.Time(rs[r-1].Loc, s.Loc)
+		}
+	}
+	// The sets of the last call leave the table; nothing else was in it.
+	for _, k := range g.slots {
+		g.sets[k] = setSlot{}
+	}
+	g.cur, g.tuples, g.pos, g.slots = g.cur[:0], g.tuples[:0], g.pos[:0], g.slots[:0]
+	g.extend(0, now, 0)
+	return g.sort(o.MaxSequences)
+}
+
+// sort orders the tuples as Q_w and cuts them at limit. A stable counting
+// split by length lays the runs out longest first; each run within the cap is
+// then sorted by (completion, ids), a total order over distinct sets, so the
+// result is what a sort of the whole list would give. A run wholly past the
+// cap is not sorted at all.
+func (g *seqGen) sort(limit int) []seqTuple {
+	top := min(g.maxLen, len(g.rs)) // the longest a tuple can be; its run comes first
+	g.runs = slices.Grow(g.runs[:0], top+1)[:top+1]
+	clear(g.runs)
+	for _, t := range g.tuples {
+		g.runs[top-int(t.n)+1]++
+	}
+	for l := 1; l <= top; l++ {
+		g.runs[l] += g.runs[l-1]
+	}
+	// runs[l] now starts the run of length top-l; scattering in entry order
+	// advances it to the run's end.
+	g.byLen = slices.Grow(g.byLen[:0], len(g.tuples))[:len(g.tuples)]
+	for _, t := range g.tuples {
+		l := top - int(t.n)
+		g.byLen[g.runs[l]] = t
+		g.runs[l]++
+	}
+	for l, from := 0, int32(0); l < top && int(from) < limit; l++ {
+		slices.SortFunc(g.byLen[from:g.runs[l]], g.compare)
+		from = g.runs[l]
+	}
+	g.tuples, g.byLen = g.byLen, g.tuples
+	return g.tuples[:min(len(g.tuples), limit)]
+}
+
+// extend enters the current ordering, ending at time t at row's location
+// over the task set mask, and tries every unused reachable task after it, in
+// position order. Validity is prefix-closed (Definition 4), so an extension
+// that violates it is cut with everything below.
+//
+//datawa:hotpath
+func (g *seqGen) extend(row int, t float64, mask uint64) {
 	n := len(g.cur)
 	if n > 0 {
 		g.enter(t, mask)
@@ -357,46 +425,76 @@ func (g *seqGen) extend(loc geo.Point, t float64, mask uint64) {
 	if n >= g.maxLen {
 		return
 	}
-	for i, s := range g.rs {
-		if g.used[i] {
+	k := len(g.rs)
+	legs, wins, off := g.legs[row*k:row*k+k], g.window, g.off
+	for free := ^(mask | g.far); free != 0; free &= free - 1 {
+		i := bits.TrailingZeros64(free)
+		arrive, win := t+legs[i], wins[i]
+		if arrive < win.pub {
+			arrive = win.pub
+		}
+		if arrive >= win.exp || arrive >= off {
 			continue
 		}
-		arrive := t + g.travel.Time(loc, s.Loc)
-		if arrive < s.Pub {
-			arrive = s.Pub
-		}
-		if arrive >= s.Exp || arrive >= g.w.Off {
-			continue
-		}
-		g.used[i] = true
 		g.cur = append(g.cur, int32(i))
-		g.extend(s.Loc, arrive, mask|1<<uint(i))
+		g.extend(i+1, arrive, mask|1<<uint(i))
 		g.cur = g.cur[:n]
-		g.used[i] = false
 	}
 }
 
 // enter records the current ordering, completing at t, unless its task set
 // already has one completing no later.
+//
+//datawa:hotpath
 func (g *seqGen) enter(t float64, mask uint64) {
-	i, ok := g.bests[mask]
-	switch {
-	case !ok:
-		g.bests[mask] = int32(len(g.tuples))
+	if 2*(len(g.tuples)+1) > len(g.sets) {
+		g.grow()
+	}
+	k := g.find(mask)
+	if g.sets[k].mask == 0 {
+		g.sets[k] = setSlot{mask: mask, tuple: int32(len(g.tuples))}
+		g.slots = append(g.slots, int32(k))
 		g.tuples = append(g.tuples, seqTuple{completion: t, mask: mask, off: int32(len(g.pos)), n: int32(len(g.cur))})
 		g.pos = append(g.pos, g.cur...)
-	case t < g.tuples[i].completion:
-		g.tuples[i].completion = t
-		copy(g.pos[g.tuples[i].off:], g.cur)
+		return
+	}
+	if tp := &g.tuples[g.sets[k].tuple]; t < tp.completion {
+		tp.completion = t
+		copy(g.pos[tp.off:], g.cur)
 	}
 }
 
-// compare is Q_w's order: longest first, then earliest completion, then least
+// find returns the slot of mask in sets: where it is, or the empty slot where
+// it would go. A set's home slot is the top bits of a Fibonacci hash of its
+// mask, which every bit of the mask reaches.
+//
+//datawa:hotpath
+func (g *seqGen) find(mask uint64) int {
+	last := len(g.sets) - 1
+	k := int(mask * 0x9e3779b97f4a7c15 >> (bits.LeadingZeros64(uint64(len(g.sets))) + 1))
+	for g.sets[k].mask != mask && g.sets[k].mask != 0 {
+		k = (k + 1) & last
+	}
+	return k
+}
+
+// grow doubles the set table (256 slots the first time) and re-enters this
+// call's sets in entry order.
+//
+//datawa:hotpath
+func (g *seqGen) grow() {
+	//datawa:alloc amortized: the table doubles at half load and serves every later call of this Scratch
+	g.sets = make([]setSlot, max(256, 2*len(g.sets)))
+	for i, t := range g.tuples {
+		k := g.find(t.mask)
+		g.sets[k] = setSlot{mask: t.mask, tuple: int32(i)}
+		g.slots[i] = int32(k)
+	}
+}
+
+// compare is Q_w's order within one length: earliest completion, then least
 // by ids.
 func (g *seqGen) compare(a, b seqTuple) int {
-	if a.n != b.n {
-		return int(b.n - a.n)
-	}
 	switch {
 	case a.completion < b.completion:
 		return -1
