@@ -1,6 +1,7 @@
 package wds
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,6 +190,62 @@ func BenchmarkReachableScale(b *testing.B) {
 					ReachableTasks(w, ts, 0, o)
 				}
 			}
+		})
+	}
+}
+
+// componentsTreeCase is one instant of BenchmarkComponentsTree, separated
+// once outside the timer.
+func componentsTreeCase(workers []*core.Worker, tasks []*core.Task, now float64, o Options) (*Separator, *Separation) {
+	sp := new(Separator)
+	return sp, &sp.Scenarios(workers, tasks, now, o, 1)[0]
+}
+
+// BenchmarkComponentsTree times the second and third Separator stages —
+// dependency components and one RTC tree per component — on a warm
+// Separator: the event-spike crowds at 1.5x and 5x (dense: a handful of
+// components, workers sharing many tasks) and the 20k scaledInstance pool
+// (scattered: one giant component of low degree, bit rows of many words). It
+// reports the dependency graph's edges, the component count and the largest
+// component.
+func BenchmarkComponentsTree(b *testing.B) {
+	type shape struct {
+		name string
+		sep  func() (*Separator, *Separation)
+	}
+	var shapes []shape
+	for _, scale := range []float64{1.5, 5} {
+		shapes = append(shapes, shape{fmt.Sprintf("crowd/%gx", scale), func() (*Separator, *Separation) {
+			c := crowdOf("event-spike", scale)
+			return componentsTreeCase(c.workers, c.tasks, c.now, crowdOpts)
+		}})
+	}
+	shapes = append(shapes, shape{"scattered20k", func() (*Separator, *Separation) {
+		ws, ts := scaledInstance(4000, 16000)
+		return componentsTreeCase(ws, ts, 0, Options{Travel: geo.NewTravelModel(0.005), Parallelism: 1, MaxSeqLen: 2})
+	}})
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			sp, sep := s.sep()
+			var flat []int
+			var offs []int32
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp.b.reset()
+				flat, offs = sp.Components(sep)
+				for c := 0; c+1 < len(offs); c++ {
+					sp.Tree(flat[offs[c]:offs[c+1]])
+				}
+			}
+			b.StopTimer()
+			largest := 0
+			for c := 0; c+1 < len(offs); c++ {
+				largest = max(largest, int(offs[c+1]-offs[c]))
+			}
+			b.ReportMetric(float64(sep.Graph.Edges()), "edges")
+			b.ReportMetric(float64(len(offs)-1), "components")
+			b.ReportMetric(float64(largest), "largest")
 		})
 	}
 }
