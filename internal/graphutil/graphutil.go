@@ -4,10 +4,14 @@
 // elimination game, maximal cliques of chordal graphs, and a chordality
 // test. Vertices are dense ints in [0, N).
 //
-// Two representations, no hash maps: a Graph is sorted adjacency in CSR form,
-// and the chordal pipeline runs on a Chordal workspace — the vertex subset at
-// hand renumbered 0..m-1 with its induced subgraph as an m×m bit matrix, so
-// "make the later neighbours a clique" is a few word-wide ORs per neighbour.
+// No hash maps. A Graph answers queries from sorted adjacency in CSR form; it
+// can be given its edges one pair at a time (AddEdge) or as groups of
+// vertices that are each a clique (ResetGroups), which it expands into CSR
+// only when first queried. Rows is a graph held as sparse bit rows, built by
+// the caller without edge pairs. The chordal pipeline runs on a Chordal
+// workspace — the vertex subset at hand renumbered 0..m-1 with its induced
+// subgraph as an m×m bit matrix, loaded from a Graph or from Rows — so "make
+// the later neighbours a clique" is a few word-wide ORs per neighbour.
 package graphutil
 
 import (
@@ -18,17 +22,22 @@ import (
 )
 
 // Graph is a simple undirected graph with a fixed vertex count: sorted,
-// deduplicated adjacency in CSR form. AddEdge only buffers; the first query
-// after an insertion sorts the buffer into the CSR arrays, so building a
-// graph costs one sort however many duplicate edges the caller reports. A
-// Graph is safe for concurrent queries once a query has run after the last
-// AddEdge.
+// deduplicated adjacency in CSR form. Nothing is sorted until it is asked
+// for. AddEdge buffers a pair, and ResetGroups keeps a reference to its
+// groups; the first query after either expands the groups into pairs and
+// sorts every buffered pair into the CSR arrays, so building a graph costs one
+// sort however many duplicate edges the caller reports, and a graph that is
+// never queried costs nothing past its Reset. A Graph is safe for concurrent
+// queries once a query has run after the last AddEdge or ResetGroups.
 type Graph struct {
 	n    int
 	offs []int32  // vertex v's neighbours are nbrs[offs[v]:offs[v+1]]; len n+1 once sealed
 	nbrs []int32  // ascending within each vertex
 	pend []uint64 // directed pairs u<<32|v added since the last seal, both directions
 	tmp  []uint64 // rebuild's second sort buffer
+	// The groups of the last ResetGroups, not yet expanded: group t is
+	// members[groupOffs[t]:groupOffs[t+1]]. Both are the caller's slices.
+	groupOffs, members []int32
 }
 
 // New returns an empty graph on n vertices.
@@ -53,6 +62,17 @@ func (g *Graph) Reset(n int) {
 	g.offs = g.offs[:0]
 	g.nbrs = g.nbrs[:0]
 	g.pend = g.pend[:0]
+	g.groupOffs, g.members = nil, nil
+}
+
+// ResetGroups reinitializes g, as Reset does, to the graph on n vertices in
+// which the vertices of each group are pairwise adjacent: group t is
+// members[offs[t]:offs[t+1]]. g keeps the two slices and reads them on its
+// first query, so the caller must leave them unchanged until then, or until
+// the next Reset or ResetGroups.
+func (g *Graph) ResetGroups(n int, offs, members []int32) {
+	g.Reset(n)
+	g.groupOffs, g.members = offs, members
 }
 
 // AddEdge inserts the undirected edge {u, v}; self-loops are ignored and
@@ -66,11 +86,28 @@ func (g *Graph) AddEdge(u, v int) {
 	g.pend = append(g.pend, uint64(u)<<32|uint64(v), uint64(v)<<32|uint64(u))
 }
 
-// seal makes the CSR arrays current; a no-op unless edges are buffered or the
-// graph was just Reset.
+// seal makes the CSR arrays current; a no-op unless groups or edges are
+// buffered or the graph was just Reset.
 func (g *Graph) seal() {
+	if g.groupOffs != nil {
+		g.expand()
+	}
 	if len(g.pend) != 0 || len(g.offs) != g.n+1 {
 		g.rebuild()
+	}
+}
+
+// expand buffers every pair of every group as an edge.
+func (g *Graph) expand() {
+	offs, members := g.groupOffs, g.members
+	g.groupOffs, g.members = nil, nil
+	for t := 0; t+1 < len(offs); t++ {
+		group := members[offs[t]:offs[t+1]]
+		for a, u := range group {
+			for _, v := range group[a+1:] {
+				g.AddEdge(int(u), int(v))
+			}
+		}
 	}
 }
 
@@ -298,9 +335,13 @@ type Chordal struct {
 	elim    []uint64 // the eliminated set, one bit row
 	pos     []int32  // local index → position in peo
 	weight  []int32
-	visited []bool
-	order   []int32 // MCS visit order, local indices
-	peo     []int32 // elimination order, local indices
+	// MCS keeps its unvisited vertices in one bit row per weight (bucket),
+	// with count[w] the vertices in row w, and all of them in left.
+	bucket []uint64
+	count  []int32
+	left   []uint64
+	order  []int32 // MCS visit order, local indices
+	peo    []int32 // elimination order, local indices
 
 	flat    []int // clique storage handed out by maximalCliques
 	cliques [][]int
@@ -315,6 +356,48 @@ func (c *Chordal) Cliques(g *Graph, vertices []int) [][]int {
 	c.mcs()
 	c.eliminateAlong()
 	return c.maximalCliques()
+}
+
+// Rows is a graph on the vertices 0..m-1, m = len(Offs)-1, held as sparse
+// bit rows: row v keeps only its nonzero words, Words[k] for k in
+// Offs[v]:Offs[v+1], with At[k] the word's index within the row, ascending. A
+// vertex costs min(degree, ⌈m/64⌉) words. The rows must be symmetric and
+// hold no self-loop.
+type Rows struct {
+	Offs  []int32
+	At    []int32
+	Words []uint64
+}
+
+// CliquesOfRows returns the maximal cliques of the chordal completion of r,
+// as Cliques does for a Graph and an ascending vertex list numbered as r's
+// rows are: the same cliques in the same order. The result is owned by the
+// workspace and valid until its next call.
+func (c *Chordal) CliquesOfRows(r *Rows) [][]int {
+	c.loadRows(r)
+	c.mcs()
+	c.eliminateAlong()
+	return c.maximalCliques()
+}
+
+// loadRows fills the bit matrix from sparse rows, each vertex its own local
+// index.
+//
+//datawa:hotpath
+func (c *Chordal) loadRows(r *Rows) {
+	m := len(r.Offs) - 1
+	c.verts = c.verts[:0]
+	for v := 0; v < m; v++ {
+		c.verts = append(c.verts, v)
+	}
+	c.words = (m + 63) / 64
+	c.rows = zeroed(c.rows, m*c.words)
+	for v := 0; v < m; v++ {
+		row := c.row(c.rows, v)
+		for k := r.Offs[v]; k < r.Offs[v+1]; k++ {
+			row[r.At[k]] = r.Words[k]
+		}
+	}
 }
 
 // load renumbers the subset and fills the bit matrix with its induced
@@ -369,26 +452,57 @@ func (c *Chordal) appendBits(dst []int32, row []uint64) []int32 {
 }
 
 // mcs fills order with the Maximum Cardinality Search visit order of the
-// loaded subgraph and peo with its reverse.
+// loaded subgraph and peo with its reverse. The next vertex visited is the
+// unvisited one with the most visited neighbours, ties to the smallest index:
+// the lowest bit of the heaviest nonempty bucket. A bucket is zeroed when a
+// weight first reaches it, so a call costs its graph's largest degree in
+// rows, not m.
 //
 //datawa:hotpath
 func (c *Chordal) mcs() {
-	m := len(c.verts)
+	m, words := len(c.verts), c.words
 	c.weight = zeroed(c.weight, m)
-	c.visited = zeroed(c.visited, m)
+	c.count = zeroed(c.count, m+1)
+	c.bucket = slices.Grow(c.bucket[:0], m*words)[:m*words]
+	c.left = slices.Grow(c.left[:0], words)[:words]
+	for j := range c.left {
+		c.left[j] = ^uint64(0)
+	}
+	if r := m & 63; r != 0 {
+		c.left[words-1] = 1<<uint(r) - 1
+	}
+	copy(c.row(c.bucket, 0), c.left)
+	c.count[0] = int32(m)
+	top, heavy := 0, 0 // the heaviest bucket zeroed, the heaviest nonempty
 	c.order = c.order[:0]
 	for len(c.order) < m {
-		best, bestW := -1, int32(-1)
-		for v, w := range c.weight {
-			if w > bestW && !c.visited[v] {
-				best, bestW = v, w
-			}
+		for c.count[heavy] == 0 {
+			heavy--
 		}
-		c.visited[best] = true
-		c.order = append(c.order, int32(best))
-		for j, x := range c.row(c.rows, best) {
-			for ; x != 0; x &= x - 1 {
-				c.weight[j<<6+bits.TrailingZeros64(x)]++
+		b := c.row(c.bucket, heavy)
+		j := 0
+		for b[j] == 0 {
+			j++
+		}
+		v := j<<6 + bits.TrailingZeros64(b[j])
+		b[j] &= b[j] - 1
+		c.count[heavy]--
+		c.left[j] &^= 1 << uint(v&63)
+		c.order = append(c.order, int32(v))
+		for k, x := range c.row(c.rows, v) {
+			for x &= c.left[k]; x != 0; x &= x - 1 {
+				u := k<<6 + bits.TrailingZeros64(x)
+				w, bit := int(c.weight[u]), x&-x
+				c.bucket[w*words+k] &^= bit
+				c.count[w]--
+				if w++; w > top {
+					top = w
+					clear(c.row(c.bucket, w))
+				}
+				c.bucket[w*words+k] |= bit
+				c.count[w]++
+				c.weight[u] = int32(w)
+				heavy = max(heavy, w)
 			}
 		}
 	}

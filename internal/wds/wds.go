@@ -10,7 +10,6 @@ package wds
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -640,9 +639,10 @@ type Separation struct {
 	Workers []*core.Worker
 	Tasks   []*core.Task // the planning pool
 	Sets    []WorkerSets // Sets[i] belongs to Workers[i]
-	// Graph has Workers' positions for vertices. A Separator has one graph:
-	// among siblings it belongs to the one Components ran on last, and is nil
-	// in the others.
+	// Graph is the dependency graph, with Workers' positions for vertices. It
+	// is built from the task groups on its first query, which planning never
+	// makes. A Separator has one graph: among siblings it belongs to the one
+	// Components ran on last, and is nil in the others.
 	Graph *graphutil.Graph
 	// Forest holds one RTC tree per connected component of the workers that
 	// reach a task, ordered by smallest member.
@@ -851,20 +851,24 @@ func (sp *Separator) Scenarios(workers []*core.Worker, tasks []*core.Task, now f
 	return sp.seps
 }
 
-// Components is the second stage: it builds sep's dependency graph from its
-// Sets and returns the connected components of the workers that reach a task
-// in sep, in graphutil.Components' format — each ascending, ordered by
-// smallest vertex — as flat storage: component i is flat[offs[i]:offs[i+1]].
-// A worker whose RS_w is empty shares no task, has no sequence and so nothing
-// to plan: it is a vertex of the graph, without edges, and in no component.
-// The graph, the lists and the binding Tree builds from last until the next
-// Components call. sep must be one of the last Scenarios call's Separations.
+// Components is the second stage: it returns the connected components of the
+// workers that reach a task in sep, in graphutil.Components' format — each
+// ascending, ordered by smallest vertex — as flat storage: component i is
+// flat[offs[i]:offs[i+1]]. Workers are dependent iff they share a reachable
+// task (Section IV-A.2), so a component is a union of task groups — the
+// workers reaching one task — and is found by a union over the groups, with no
+// worker pair ever listed. A worker whose RS_w is empty shares no task, has no
+// sequence and so nothing to plan: it is in no component.
+//
+// sep.Graph is the dependency graph on Workers' positions, handed the groups
+// and expanded into edges only if it is queried; the planner never queries
+// it. The graph, the lists and the binding Tree builds from last until the
+// next Components call. sep must be one of the last Scenarios call's
+// Separations.
 func (sp *Separator) Components(sep *Separation) (flat []int, offs []int32) {
 	// Invert the reachable relation task → workers by a counting sort over
-	// pool positions, then connect the workers sharing each task. This is
-	// O(|T| + Σ|RS| + edges) instead of the paper's O(|W|²·|RS|) pairwise scan.
-	// Only the workers reaching a task in some scenario (workerSets' list) can
-	// reach one in sep.
+	// pool positions. Only the workers reaching a task in some scenario
+	// (workerSets' list) can reach one in sep.
 	tasks := len(sep.Tasks)
 	off := slices.Grow(sp.taskOff[:0], tasks+1)[:tasks+1]
 	clear(off)
@@ -892,34 +896,42 @@ func (sp *Separator) Components(sep *Separation) (flat []int, offs []int32) {
 			off[t]++
 		}
 	}
+	// The fill pass advanced every offset to its group's end, which is where
+	// the next group starts.
+	copy(off[1:], off[:tasks])
+	off[0] = 0
 	sp.taskOff, sp.byTask = off, byTask
 	if sp.bound != nil {
 		sp.bound.Graph = nil
 	}
 	sp.bound = sep
-	sp.g.Reset(len(sep.Workers))
+	sp.g.ResetGroups(len(sep.Workers), off, byTask)
 	sep.Graph = &sp.g
-	// The fill pass advanced every offset to its group's end, so group t
-	// starts where group t-1 ends.
-	start := int32(0)
-	for t := 0; t < tasks; t++ {
-		group := byTask[start:off[t]]
-		for a, u := range group {
-			for _, v := range group[a+1:] {
-				sep.Graph.AddEdge(int(u), int(v))
-			}
-		}
-		start = off[t]
-	}
-	sp.b.bind(sep.Graph)
-	return sp.b.components(reaching)
+	return sp.b.components(len(sep.Workers), reaching, off, byTask)
 }
 
-// Tree is the third stage: the RTC tree of one connected component of the
-// graph Components built last.
+// Tree is the third stage: the RTC tree of one of the components the last
+// Components call returned.
 func (sp *Separator) Tree(comp []int) *TreeNode {
-	sp.b.treeStart = len(sp.b.nodes)
-	return sp.b.build(comp, sp.bound.Workers)
+	b := &sp.b
+	b.treeStart = len(b.nodes)
+	switch {
+	case len(comp) == 0:
+		return nil
+	case len(comp) <= 2:
+		// A 1- or 2-worker component has exactly one maximal clique — the
+		// component itself — whose removal leaves nothing, so the tree is a
+		// single node. These dominate sparse instants; building them directly
+		// skips the rows, the chordal fill-in and the clique machinery.
+		from := len(b.iarena)
+		for _, v := range comp {
+			b.iarena = append(b.iarena, int32(v))
+		}
+		return b.newNode(sp.bound.Workers, from)
+	}
+	root := b.build(sp.bound.Workers, b.rootLevel(comp, sp.bound.Sets, sp.taskOff, sp.byTask))
+	b.pos, b.offs, b.at, b.words = b.pos[:0], b.offs[:0], b.at[:0], b.words[:0]
+	return root
 }
 
 // workerSets fills every sibling's Sets. Each worker's RS_w and Q_w depend only
@@ -1072,29 +1084,75 @@ func (sc *Scratch) sequenceSets(w *core.Worker, pool []*core.Task, ws *WorkerSet
 	ws.Masks = sc.masks[m0:len(sc.masks):len(sc.masks)]
 }
 
-// treeBuilder carries the RTC construction state for one dependency graph:
-// the chordal workspace and dense scratch reused across every node of every
-// tree, so probing a clique costs O(component + edges) with no allocations
-// beyond the result.
+// treeBuilder carries the component and RTC construction state: the union
+// over task groups, the chordal workspace, and arenas reused across every
+// node of every tree, so a tree costs no allocation beyond its nodes' Children
+// slices once the arenas have grown.
+//
+// Each subproblem of the recursion is a level: a connected set of m workers
+// numbered 0..m-1 in position order, with its dependency graph as sparse bit
+// rows (graphutil.Rows), so a worker costs min(degree, ⌈m/64⌉) words. A
+// candidate clique is probed, and the winner's residual components are found,
+// by a walk over word masks; a child level is its parent's rows restricted to
+// one residual component and renumbered, and the chordal workspace loads a
+// level's rows as they are.
 type treeBuilder struct {
-	g       *graphutil.Graph
-	ch      graphutil.Chordal
-	inComp  []bool
-	removed []bool
-	seen    []bool
+	ch graphutil.Chordal
+	// up is the union's parent links over worker positions, each set's root
+	// its smallest member. local maps a worker position to its component's
+	// number while components lays them out, and then to its index in the
+	// component Tree is building.
+	up    []int32
+	local []int32
+	// group[t] is the span of gAt/gWords holding pool task t's group as a bit
+	// mask over the component being built: (word index, word) pairs,
+	// ascending. Valid for that component's tasks only.
+	group  [][2]int32
+	gAt    []int32
+	gWords []uint64
+	// A row being accumulated from group masks, dense, and which of its words
+	// are touched, one bit a word; both all zero between rows.
+	acc  []uint64
+	used []uint64
+	// The levels of the recursion, stacked: every level's worker positions
+	// and rows, and the children of the levels being built. A level's data is
+	// not written after it is laid out, so a view of it stays valid however
+	// the arenas above it grow.
+	pos    []int32
+	offs   []int32
+	at     []int32
+	words  []uint64
+	levels []level
+	// One level's walk, used before it recurses: the vertices not yet walked,
+	// the winning clique, the queue, each residual vertex's component (−1 for
+	// the clique's) and index in it, and the components laid out ascending —
+	// component c is members[start[c]:start[c+1]].
+	open    []uint64
+	clique  []uint64
 	queue   []int32
-	touched []int32
+	label   []int32
+	rank    []int32
+	start   []int32
+	cursor  []int32
+	members []int32
 	// Arenas for the construction's results: tree nodes and the backing of
 	// node.Index. All live until the next reset call (the Separations'
-	// lifetime), so steady-state tree building allocates only on growth. Each node's span is completed before any other node starts
-	// (cliques are installed before recursing), which keeps the spans
-	// contiguous; grown-over backings stay alive through the tree's own
-	// pointers.
+	// lifetime), so steady-state tree building allocates only on growth. Each
+	// node's span is completed before any other node starts (cliques are
+	// installed before recursing), which keeps the spans contiguous;
+	// grown-over backings stay alive through the tree's own pointers.
 	nodes     []TreeNode
 	treeStart int // len(nodes) when the tree under construction began
 	iarena    []int32
 	compFlat  []int
 	compOffs  []int32
+}
+
+// level is one subproblem of the RTC recursion: pos[i] is the worker at local
+// index i, ascending, and rows the dependency graph among them.
+type level struct {
+	pos  []int32
+	rows graphutil.Rows
 }
 
 // reset empties the arenas, ending the life of every tree built from them.
@@ -1104,35 +1162,14 @@ func (b *treeBuilder) reset() {
 	b.iarena = b.iarena[:0]
 }
 
-// bind points the builder at a graph; the trees built so far stay. Dense
-// scratch is reused across graphs (the traversal invariants leave it
-// all-false).
-func (b *treeBuilder) bind(g *graphutil.Graph) {
-	n := g.N()
-	b.g = g
-	if cap(b.inComp) < n {
-		b.inComp = make([]bool, n)
-		b.removed = make([]bool, n)
-		b.seen = make([]bool, n)
-	} else {
-		b.inComp = b.inComp[:n]
-		b.removed = b.removed[:n]
-		b.seen = b.seen[:n]
-	}
-}
-
-// newNode allocates a tree node from the arena and installs the workers at
-// the given positions, sorted by worker id, as its clique. Arena growth may
-// move a backing array; nodes and spans handed out earlier remain valid (kept
-// alive by the tree's pointers), they just no longer share storage with
-// newer ones. The spans are capacity-capped: nothing can append through them
-// into the arena.
-func (b *treeBuilder) newNode(workers []*core.Worker, clique ...int) *TreeNode {
-	start := len(b.iarena)
-	for _, v := range clique {
-		b.iarena = append(b.iarena, int32(v))
-	}
-	index := b.iarena[start:len(b.iarena):len(b.iarena)]
+// newNode allocates a tree node from the arena whose clique X′ is the worker
+// positions appended to iarena since from, sorted here by worker id. Arena
+// growth may move a backing array; nodes and spans handed out earlier remain
+// valid (kept alive by the tree's pointers), they just no longer share
+// storage with newer ones. The spans are capacity-capped: nothing can append
+// through them into the arena.
+func (b *treeBuilder) newNode(workers []*core.Worker, from int) *TreeNode {
+	index := b.iarena[from:len(b.iarena):len(b.iarena)]
 	slices.SortFunc(index, func(x, y int32) int { return workers[x].ID - workers[y].ID })
 	b.nodes = append(b.nodes, TreeNode{
 		Index: index,
@@ -1143,156 +1180,318 @@ func (b *treeBuilder) newNode(workers []*core.Worker, clique ...int) *TreeNode {
 	return &b.nodes[len(b.nodes)-1]
 }
 
-// components returns the connected components of the bound graph that hold
-// the given ascending vertices — a set no edge leaves — in
-// graphutil.Components' format — each ascending, ordered by smallest vertex —
-// materialized into builder-owned flat storage: component i is
-// flat[offs[i]:offs[i+1]]. The storage is valid until the next call and
-// is not touched by build (nested residual components allocate their own).
-func (b *treeBuilder) components(seeds []int32) (flat []int, offs []int32) {
-	b.compFlat = b.compFlat[:0]
-	b.compOffs = append(b.compOffs[:0], 0)
-	for _, s := range seeds {
-		if b.seen[s] {
+// components unions the workers of every group of n workers (group t is
+// byTask[off[t]:off[t+1]]) and returns the sets that hold the given ascending
+// seeds — every member of every group is one — each ascending, ordered by
+// smallest member, in builder-owned flat storage: component i is
+// flat[offs[i]:offs[i+1]], valid until the next call.
+//
+//datawa:hotpath
+func (b *treeBuilder) components(n int, seeds, off, byTask []int32) (flat []int, offs []int32) {
+	up := slices.Grow(b.up[:0], n)[:n]
+	for _, v := range seeds {
+		up[v] = v
+	}
+	for t := 0; t+1 < len(off); t++ {
+		group := byTask[off[t]:off[t+1]]
+		if len(group) < 2 {
 			continue
 		}
-		start := len(b.compFlat)
-		b.queue = append(b.queue[:0], s)
-		b.seen[s] = true
-		for head := 0; head < len(b.queue); head++ {
-			v := b.queue[head]
-			b.compFlat = append(b.compFlat, int(v))
-			for _, u := range b.g.Neighbors(int(v)) {
-				if !b.seen[u] {
-					b.seen[u] = true
-					b.queue = append(b.queue, u)
-				}
+		r := root(up, group[0])
+		for _, u := range group[1:] {
+			switch ru := root(up, u); {
+			case ru < r:
+				up[r], r = ru, ru
+			case ru > r:
+				up[ru] = r
 			}
 		}
-		slices.Sort(b.compFlat[start:])
-		b.compOffs = append(b.compOffs, int32(len(b.compFlat)))
 	}
-	// Every vertex visited is in a component; release the seen flags for
-	// build's probes.
-	for _, v := range b.compFlat {
-		b.seen[v] = false
+	// A root is its set's smallest member, so numbering the roots in seed
+	// order numbers the components by smallest member; a counting sort then
+	// lays each out ascending.
+	b.up, b.local = up, slices.Grow(b.local[:0], n)[:n]
+	b.group = slices.Grow(b.group[:0], len(off)-1)[:len(off)-1]
+	offs = append(b.compOffs[:0], 0)
+	for _, v := range seeds {
+		c := int32(len(offs) - 1)
+		if r := root(up, v); r != v {
+			c = b.local[r]
+		} else {
+			offs = append(offs, 0)
+		}
+		b.local[v] = c
+		offs[c+1]++
 	}
-	return b.compFlat, b.compOffs
+	for c := 1; c < len(offs); c++ {
+		offs[c] += offs[c-1]
+	}
+	flat = slices.Grow(b.compFlat[:0], len(seeds))[:len(seeds)]
+	for _, v := range seeds {
+		c := b.local[v]
+		flat[offs[c]] = int(v)
+		offs[c]++
+	}
+	copy(offs[1:], offs)
+	offs[0] = 0
+	b.compFlat, b.compOffs = flat, offs
+	return flat, offs
 }
 
-// build applies the RTC algorithm (Section IV-A.4) to one connected
-// component: partition into maximal cliques via MCS on the chordal
-// completion, install the clique whose removal yields the most components
-// as the root, and recurse on each remaining component.
-func (b *treeBuilder) build(comp []int, workers []*core.Worker) *TreeNode {
-	if len(comp) == 0 {
-		return nil
+// root returns the root of v's set, halving the path to it.
+func root(up []int32, v int32) int32 {
+	for up[v] != v {
+		up[v] = up[up[v]]
+		v = up[v]
 	}
-	// A 1- or 2-vertex connected component has exactly one maximal clique —
-	// the component itself — whose removal leaves nothing, so the tree is a
-	// single node. These dominate sparse instants; building them directly
-	// skips the chordal fill-in and clique machinery entirely.
-	if len(comp) <= 2 {
-		return b.newNode(workers, comp...)
-	}
-	cliques := b.ch.Cliques(b.g, comp)
+	return v
+}
 
+// rootLevel numbers the workers of a component and builds its rows: each
+// task's group becomes one mask over the numbering, OR-ed into its members'
+// rows. The groups and each worker's tasks are the last Components call's.
+//
+//datawa:hotpath
+func (b *treeBuilder) rootLevel(comp []int, sets []WorkerSets, taskOff, byTask []int32) level {
+	p0 := len(b.pos)
+	for i, v := range comp {
+		b.local[v] = int32(i)
+		b.pos = append(b.pos, int32(v))
+	}
+	// A group of two or more is built by its first member, which is in comp
+	// with all the others.
+	b.gAt, b.gWords = b.gAt[:0], b.gWords[:0]
 	for _, v := range comp {
-		b.inComp[v] = true
+		for _, t := range sets[v].Index {
+			group := byTask[taskOff[t]:taskOff[t+1]]
+			if len(group) < 2 || int(group[0]) != v {
+				continue
+			}
+			from := len(b.gAt)
+			for _, u := range group {
+				b.gAt, b.gWords = appendBit(b.gAt, b.gWords, from, b.local[u])
+			}
+			b.group[t] = [2]int32{int32(from), int32(len(b.gAt))}
+		}
 	}
+	words := (len(comp) + 63) >> 6
+	b.acc = slices.Grow(b.acc[:0], words)[:words]
+	clear(b.acc)
+	b.used = slices.Grow(b.used[:0], (words+63)>>6)[:(words+63)>>6]
+	clear(b.used)
+	o0, a0 := len(b.offs), len(b.at)
+	b.offs = append(b.offs, 0)
+	for i, v := range comp {
+		for _, t := range sets[v].Index {
+			if taskOff[t+1]-taskOff[t] < 2 {
+				continue
+			}
+			span := b.group[t]
+			for k := span[0]; k < span[1]; k++ {
+				w := b.gAt[k]
+				b.used[w>>6] |= 1 << uint(w&63)
+				b.acc[w] |= b.gWords[k]
+			}
+		}
+		b.acc[i>>6] &^= 1 << uint(i&63) // no self-loop
+		for j, x := range b.used {
+			for ; x != 0; x &= x - 1 {
+				w := j<<6 + bits.TrailingZeros64(x)
+				if y := b.acc[w]; y != 0 {
+					b.at, b.words = append(b.at, int32(w)), append(b.words, y)
+				}
+				b.acc[w] = 0
+			}
+			b.used[j] = 0
+		}
+		b.offs = append(b.offs, int32(len(b.at)-a0))
+	}
+	return b.level(p0, o0, a0)
+}
 
-	// Choose X′ maximizing the number of remaining components; ties prefer
-	// the larger clique (smaller residual work), then lexicographic order.
-	// Probing a clique only needs the residual component COUNT; the full
-	// component lists are materialized once, for the winner.
-	bestIdx, bestComps := -1, -1
-	for ci, clique := range cliques {
-		for _, v := range clique {
-			b.removed[v] = true
-		}
-		count, _ := b.residual(comp, false)
-		for _, v := range clique {
-			b.removed[v] = false
-		}
-		better := false
-		switch {
-		case count > bestComps:
-			better = true
-		case count == bestComps && bestIdx >= 0 && len(clique) > len(cliques[bestIdx]):
-			better = true
-		}
-		if bestIdx < 0 || better {
-			bestIdx, bestComps = ci, count
-		}
+// appendBit sets bit i of a sparse row being appended to at/words from
+// position from on, i no lower than any bit already set.
+func appendBit(at []int32, words []uint64, from int, i int32) ([]int32, []uint64) {
+	if n := len(at); n > from && at[n-1] == i>>6 {
+		words[n-1] |= 1 << uint(i&63)
+		return at, words
 	}
-	for _, v := range cliques[bestIdx] {
-		b.removed[v] = true
-	}
-	_, bestResidual := b.residual(comp, true)
-	for _, v := range cliques[bestIdx] {
-		b.removed[v] = false
-	}
+	return append(at, i>>6), append(words, 1<<uint(i&63))
+}
 
-	// Release the component flags before recursing: children mark their own
-	// (smaller) membership sets in the same scratch.
-	for _, v := range comp {
-		b.inComp[v] = false
+// level returns the level laid out in the stacks from the given marks on.
+func (b *treeBuilder) level(p0, o0, a0 int) level {
+	return level{
+		pos: b.pos[p0:len(b.pos):len(b.pos)],
+		rows: graphutil.Rows{
+			Offs:  b.offs[o0:len(b.offs):len(b.offs)],
+			At:    b.at[a0:len(b.at):len(b.at)],
+			Words: b.words[a0:len(b.words):len(b.words)],
+		},
 	}
+}
 
-	// The clique list lives in the chordal workspace, which the children's
+// build applies the RTC algorithm (Section IV-A.4) to one connected level of
+// three or more workers: partition into maximal cliques via MCS on the
+// chordal completion, install the clique whose removal yields the most
+// components as the root, and recurse on each remaining component.
+func (b *treeBuilder) build(workers []*core.Worker, lv level) *TreeNode {
+	m := len(lv.pos)
+	cliques := b.ch.CliquesOfRows(&lv.rows)
+	best := b.choose(&lv, cliques)
+	// The clique lists live in the chordal workspace, which the children's
 	// builds reuse: install the winner before recursing.
-	node := b.newNode(workers, cliques[bestIdx]...)
-	for _, sub := range bestResidual {
-		if child := b.build(sub, workers); child != nil {
-			node.Children = append(node.Children, child)
-		}
+	from := len(b.iarena)
+	for _, v := range cliques[best] {
+		b.iarena = append(b.iarena, lv.pos[v])
 	}
+	node := b.newNode(workers, from)
+
+	b.cut(m, cliques[best])
+	b.clique = slices.Grow(b.clique[:0], len(b.open))[:len(b.open)]
+	for j, x := range b.open {
+		b.clique[j] = ^x
+	}
+	b.label = slices.Grow(b.label[:0], m)[:m]
+	for v := range b.label {
+		b.label[v] = -1
+	}
+	count := b.walk(&lv.rows, true)
+	p0, o0, a0, l0 := len(b.pos), len(b.offs), len(b.at), len(b.levels)
+	b.children(&lv, count)
+	for c := l0; c < l0+count; c++ {
+		child := b.levels[c]
+		if len(child.pos) > 2 {
+			node.Children = append(node.Children, b.build(workers, child))
+			continue
+		}
+		from := len(b.iarena)
+		b.iarena = append(b.iarena, child.pos...)
+		node.Children = append(node.Children, b.newNode(workers, from))
+	}
+	b.pos, b.offs, b.at, b.words, b.levels = b.pos[:p0], b.offs[:o0], b.at[:a0], b.words[:a0], b.levels[:l0]
 	return node
 }
 
-// residual runs the BFS over comp minus the currently removed vertices and
-// returns the component count; with collect set it also materializes the
-// components — each ascending, ordered by smallest vertex, the format
-// graphutil.Components produces (comp is sorted, so seeding the BFS in comp
-// order yields that ordering directly). The clique-selection loop probes
-// with collect=false and materializes only the winner, so both uses share
-// one traversal body and cannot drift apart.
-func (b *treeBuilder) residual(comp []int, collect bool) (int, [][]int) {
-	count := 0
-	var comps [][]int
-	touched := b.touched[:0]
-	for _, s := range comp {
-		if b.seen[s] || b.removed[s] {
-			continue
+// choose returns the index of the clique X′ whose removal leaves the most
+// components; ties prefer the larger clique (smaller residual work), then the
+// earlier one. A probe only counts the components; they are laid out for the
+// winner alone.
+//
+//datawa:hotpath
+func (b *treeBuilder) choose(lv *level, cliques [][]int) int {
+	best, most := -1, -1
+	for ci, clique := range cliques {
+		b.cut(len(lv.pos), clique)
+		if count := b.walk(&lv.rows, false); count > most || count == most && len(clique) > len(cliques[best]) {
+			best, most = ci, count
 		}
-		count++
-		var cc []int
-		// Pop via a head index: reslicing the front away would permanently
-		// erode the scratch buffer's capacity and defeat its reuse.
-		b.queue = append(b.queue[:0], int32(s))
-		b.seen[s] = true
-		touched = append(touched, int32(s))
-		for head := 0; head < len(b.queue); head++ {
-			v := b.queue[head]
-			if collect {
-				cc = append(cc, int(v))
-			}
-			for _, u := range b.g.Neighbors(int(v)) {
-				if b.inComp[u] && !b.removed[u] && !b.seen[u] {
-					b.seen[u] = true
-					touched = append(touched, u)
-					b.queue = append(b.queue, u)
+	}
+	return best
+}
+
+// cut sets open to the m vertices of a level without the clique's.
+//
+//datawa:hotpath
+func (b *treeBuilder) cut(m int, clique []int) {
+	words := (m + 63) >> 6
+	b.open = slices.Grow(b.open[:0], words)[:words]
+	for j := range b.open {
+		b.open[j] = ^uint64(0)
+	}
+	if r := m & 63; r != 0 {
+		b.open[words-1] = 1<<uint(r) - 1
+	}
+	for _, v := range clique {
+		b.open[v>>6] &^= 1 << uint(v&63)
+	}
+}
+
+// walk counts the components of rows' graph among the vertices in open,
+// emptying it: each component is seeded from the lowest bit left and grown by
+// word masks, a row's word at a time. With collect set it also labels every
+// vertex it walks with its component, numbered from 0 in seed order — so by
+// smallest vertex.
+//
+//datawa:hotpath
+func (b *treeBuilder) walk(rows *graphutil.Rows, collect bool) int {
+	count := 0
+	open := b.open
+	for j := range open {
+		for open[j] != 0 {
+			s := int32(j<<6 + bits.TrailingZeros64(open[j]))
+			open[j] &= open[j] - 1
+			b.queue = append(b.queue[:0], s)
+			for head := 0; head < len(b.queue); head++ {
+				v := b.queue[head]
+				if collect {
+					b.label[v] = int32(count)
+				}
+				for k := rows.Offs[v]; k < rows.Offs[v+1]; k++ {
+					w := rows.At[k]
+					nb := rows.Words[k] & open[w]
+					open[w] &^= nb
+					for ; nb != 0; nb &= nb - 1 {
+						b.queue = append(b.queue, w<<6+int32(bits.TrailingZeros64(nb)))
+					}
 				}
 			}
-		}
-		if collect {
-			sort.Ints(cc)
-			comps = append(comps, cc)
+			count++
 		}
 	}
-	for _, v := range touched {
-		b.seen[v] = false
+	return count
+}
+
+// children lays out the count components walk labelled as child levels on
+// the stacks, in component order: each component ascending, renumbered
+// 0..k-1 in that order, with its rows — the parent's rows of its members
+// without the clique, which leaves exactly the component — when it has more
+// than two members.
+//
+//datawa:hotpath
+func (b *treeBuilder) children(lv *level, count int) {
+	m := len(lv.pos)
+	b.start = slices.Grow(b.start[:0], count+1)[:count+1]
+	clear(b.start)
+	for _, c := range b.label {
+		if c >= 0 {
+			b.start[c+1]++
+		}
 	}
-	b.touched = touched[:0]
-	return count, comps
+	for c := 1; c <= count; c++ {
+		b.start[c] += b.start[c-1]
+	}
+	b.cursor = append(b.cursor[:0], b.start[:count]...)
+	b.members = slices.Grow(b.members[:0], int(b.start[count]))[:b.start[count]]
+	b.rank = slices.Grow(b.rank[:0], m)[:m]
+	for v, c := range b.label {
+		if c >= 0 {
+			b.members[b.cursor[c]] = int32(v)
+			b.rank[v] = b.cursor[c] - b.start[c]
+			b.cursor[c]++
+		}
+	}
+	r := &lv.rows
+	for c := 0; c < count; c++ {
+		members := b.members[b.start[c]:b.start[c+1]]
+		p0, o0, a0 := len(b.pos), len(b.offs), len(b.at)
+		for _, v := range members {
+			b.pos = append(b.pos, lv.pos[v])
+		}
+		if len(members) > 2 {
+			b.offs = append(b.offs, 0)
+			for _, v := range members {
+				from := len(b.at)
+				for k := r.Offs[v]; k < r.Offs[v+1]; k++ {
+					for x := r.Words[k] &^ b.clique[r.At[k]]; x != 0; x &= x - 1 {
+						// Ranks ascend with the vertices of one component:
+						// the row comes out ascending.
+						b.at, b.words = appendBit(b.at, b.words, from, b.rank[r.At[k]<<6+int32(bits.TrailingZeros64(x))])
+					}
+				}
+				b.offs = append(b.offs, int32(len(b.at)-a0))
+			}
+		}
+		b.levels = append(b.levels, b.level(p0, o0, a0))
+	}
 }
