@@ -1133,7 +1133,6 @@ type treeBuilder struct {
 	label   []int32
 	rank    []int32
 	start   []int32
-	cursor  []int32
 	members []int32
 	// Arenas for the construction's results: tree nodes and the backing of
 	// node.Index. All live until the next reset call (the Separations'
@@ -1461,21 +1460,24 @@ func (b *treeBuilder) children(lv *level, count int) {
 	for c := 1; c <= count; c++ {
 		b.start[c] += b.start[c-1]
 	}
-	b.cursor = append(b.cursor[:0], b.start[:count]...)
 	b.members = slices.Grow(b.members[:0], int(b.start[count]))[:b.start[count]]
-	b.rank = slices.Grow(b.rank[:0], m)[:m]
 	for v, c := range b.label {
 		if c >= 0 {
-			b.members[b.cursor[c]] = int32(v)
-			b.rank[v] = b.cursor[c] - b.start[c]
-			b.cursor[c]++
+			b.members[b.start[c]] = int32(v)
+			b.start[c]++
 		}
 	}
+	// The scatter advanced every start to its component's end, which is where
+	// the next component starts.
+	copy(b.start[1:], b.start)
+	b.start[0] = 0
+	b.rank = slices.Grow(b.rank[:0], m)[:m]
 	r := &lv.rows
 	for c := 0; c < count; c++ {
 		members := b.members[b.start[c]:b.start[c+1]]
 		p0, o0, a0 := len(b.pos), len(b.offs), len(b.at)
-		for _, v := range members {
+		for j, v := range members {
+			b.rank[v] = int32(j)
 			b.pos = append(b.pos, lv.pos[v])
 		}
 		if len(members) > 2 {
