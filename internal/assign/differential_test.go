@@ -182,11 +182,11 @@ func wordPath(t *testing.T, s *Search, universe int) {
 	var check func(n *wds.TreeNode)
 	check = func(n *wds.TreeNode) {
 		for j, wi := range n.Index {
-			set, q := &run.sep.Sets[wi], run.seqs[run.relOff[n.ID]+int32(j)]
-			if len(q.words) != len(set.Seqs) || len(q.vals) != len(set.Seqs) {
-				t.Fatalf("worker %d: %d words, %d values for %d sequences", wi, len(q.words), len(q.vals), len(set.Seqs))
+			seqs, q := seqsOf(run.sep, int(wi)), run.seqs[run.relOff[n.ID]+int32(j)]
+			if len(q.words) != len(seqs) || len(q.vals) != len(seqs) {
+				t.Fatalf("worker %d: %d words, %d values for %d sequences", wi, len(q.words), len(q.vals), len(seqs))
 			}
-			for k, seq := range set.Seqs {
+			for k, seq := range seqs {
 				var word uint64
 				for _, task := range seq {
 					word |= 1 << uint(pos[task])

@@ -40,7 +40,7 @@ func (s *refSearch) Plan(workers []*core.Worker, tasks []*core.Task, now float64
 	sequences := make(map[int][]core.Sequence, len(workers))
 	for i, w := range workers {
 		reachable[w.ID] = at(sep.Tasks, sep.Sets[i].Index)
-		sequences[w.ID] = sep.Sets[i].Seqs
+		sequences[w.ID] = seqsOf(sep, i)
 	}
 	forest := sep.Forest
 	if o.Flat {
@@ -483,4 +483,13 @@ func (ts *taskSet) restoreIdx(idxs []int32) {
 		ts.avail[i] = true
 	}
 	ts.dirty = true
+}
+
+// seqsOf resolves worker i's Q_w to task sequences, in Q_w order.
+func seqsOf(sep *wds.Separation, i int) []core.Sequence {
+	q := make([]core.Sequence, len(sep.Sets[i].Masks))
+	for k := range q {
+		q[k] = sep.Sets[i].Seqs[k]
+	}
+	return q
 }

@@ -46,7 +46,7 @@ func refSeparate(sep *Separation) (comps [][]int, forest []*TreeNode, sequences,
 			continue
 		}
 		reaching = append(reaching, int32(i))
-		sequences += len(ws.Seqs)
+		sequences += len(ws.Masks)
 		for _, t := range ws.Index {
 			byTask[t] = append(byTask[t], int32(i))
 		}

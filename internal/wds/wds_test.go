@@ -374,6 +374,15 @@ func reachOf(sep *Separation, i int) []*core.Task {
 	return rs
 }
 
+// seqsOf resolves worker i's Q_w to task sequences, in Q_w order.
+func seqsOf(sep *Separation, i int) []core.Sequence {
+	q := make([]core.Sequence, len(sep.Sets[i].Masks))
+	for k := range q {
+		q[k] = sep.Sets[i].Seqs[k]
+	}
+	return q
+}
+
 // workersOf resolves the workers of the subtree under n, in pre-order and by
 // id within a node.
 func workersOf(sep *Separation, n *TreeNode) []*core.Worker {
@@ -424,7 +433,7 @@ func sameSeparation(t *testing.T, a, b *Separation) {
 				t.Fatalf("worker %d: reachable[%d] = %d vs %d", w.ID, i, ra[i].ID, rb[i].ID)
 			}
 		}
-		qa, qb := a.Sets[i].Seqs, b.Sets[i].Seqs
+		qa, qb := seqsOf(a, i), seqsOf(b, i)
 		if len(qa) != len(qb) {
 			t.Fatalf("worker %d: |Q| %d vs %d", w.ID, len(qa), len(qb))
 		}
@@ -481,7 +490,7 @@ func TestSeparateIndexedMatchesBruteForce(t *testing.T) {
 			if !slices.Equal(reachOf(sep, i), rs) {
 				t.Fatalf("seed %d worker %d: RS_w of %d tasks differs from the scan's %d", seed, w.ID, len(sep.Sets[i].Index), len(rs))
 			}
-			if !slices.EqualFunc(sep.Sets[i].Seqs, MaximalValidSequences(w, rs, 0, opts), slices.Equal) {
+			if !slices.EqualFunc(seqsOf(sep, i), MaximalValidSequences(w, rs, 0, opts), slices.Equal) {
 				t.Fatalf("seed %d worker %d: Q_w differs from the scan's", seed, w.ID)
 			}
 		}
@@ -672,12 +681,12 @@ func TestSeparationDenseIndices(t *testing.T) {
 		sep := Separate(ws, ts, 0, o)
 		full := false
 		for i := range sep.Workers {
-			set, rs := &sep.Sets[i], reachOf(sep, i)
+			set, rs, seqs := &sep.Sets[i], reachOf(sep, i), seqsOf(sep, i)
 			full = full || len(set.Index) == 64
-			if len(set.Masks) != len(set.Seqs) {
-				t.Fatalf("worker %d: %d masks for %d sequences", i, len(set.Masks), len(set.Seqs))
+			if len(set.Masks) != len(seqs) {
+				t.Fatalf("worker %d: %d masks for %d sequences", i, len(set.Masks), len(seqs))
 			}
-			for j, q := range set.Seqs {
+			for j, q := range seqs {
 				var want uint64
 				for _, s := range q {
 					want |= 1 << uint(slices.Index(rs, s))
@@ -761,7 +770,7 @@ func TestSequencesOutliveTheSeparator(t *testing.T) {
 	var kept []core.Sequence
 	var ids [][]int
 	for i := range first.Sets {
-		for _, q := range first.Sets[i].Seqs {
+		for _, q := range seqsOf(first, i) {
 			if cap(q) != len(q) {
 				t.Fatalf("worker %d: a sequence of %d tasks has capacity %d", ws[i].ID, len(q), cap(q))
 			}
