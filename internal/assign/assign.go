@@ -69,20 +69,6 @@ func (o Options) WithDefaults() Options {
 // maxSamples caps RL sample collection per planning call.
 const maxSamples = 20000
 
-// seqValue is the search objective contribution of a sequence: 1 per real
-// task, VirtualWeight per virtual task.
-func seqValue(q core.Sequence, virtualWeight float64) float64 {
-	v := 0.0
-	for _, s := range q {
-		if s.Virtual {
-			v += virtualWeight
-		} else {
-			v++
-		}
-	}
-	return v
-}
-
 // Planner computes a spatial task assignment for the current workers and
 // unassigned tasks at time now. Implementations must be deterministic.
 // Travel is the travel model the plans are built on, c(w.l, s.l) of the
@@ -244,9 +230,11 @@ type Search struct {
 	taskOff  []int32
 	taskFlat []int32
 	// Worker i's reachable set as tree-local positions:
-	// reachLocal[reachOff[i]:reachOff[i+1]], parallel to Sets[i].Index.
+	// reachLocal[reachOff[i]:reachOff[i+1]], parallel to Sets[i].Index; and
+	// which of them are virtual tasks, as bits over Index positions.
 	reachOff   []int32
 	reachLocal []int32
+	virtual    []uint64
 }
 
 // searchGrain is the least number of candidate sequences in a forest worth a
@@ -360,7 +348,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 				}
 				s.results = append(s.results, r)
 				for _, wi := range comp {
-					sequences += len(sep.Sets[wi].Seqs)
+					sequences += len(sep.Sets[wi].Masks)
 				}
 			}
 			s.forest = append(s.forest, int32(id))
@@ -378,7 +366,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			run := &s.runs[g]
 			run.opts, run.sep, run.now = o, sep, now
 			run.model, run.collect = s.Model, s.Collect
-			run.reachOff, run.reachLocal = s.reachOff, s.reachLocal
+			run.reachOff, run.reachLocal, run.virtual = s.reachOff, s.reachLocal, s.virtual
 		}
 		if s.jobOf != s {
 			s.job, s.jobOf = s.searchJob, s
@@ -389,10 +377,8 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			s.ExpandedLastPlan += fresh[i].expanded
 		}
 
-		total := 0
 		for _, id := range s.forest {
 			r := &s.results[id]
-			total += r.to - r.from
 			s.NodesLastPlan += r.nodes
 			s.GreedyCompletionsLastPlan += r.greedy
 			s.SkippedCompletionsLastPlan += r.skipped
@@ -401,17 +387,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			}
 		}
 		s.trees += len(s.forest)
-		var plan core.Plan
-		if total > 0 {
-			plan = make(core.Plan, 0, total)
-		}
-		for _, id := range s.forest {
-			r := &s.results[id]
-			for _, c := range s.runs[r.g].out[r.from:r.to] {
-				plan = append(plan, core.Assignment{Worker: workers[c.w], Seq: sep.Sets[c.w].Seqs[c.k]})
-			}
-		}
-		s.plans[si] = plan
+		s.plans[si] = s.commit(sep)
 	}
 	if s.Collect {
 		// Each tree collects under its own maxSamples cap; the merged
@@ -432,6 +408,40 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			s.Samples = append(s.Samples, samples...)
 		}
 	}
+}
+
+// commit returns the current scenario's plan: the choices of its forest's
+// searches, in forest order, each committed sequence resolved to its tasks.
+// Only here does a sequence of Q_w become a task slice; the plan's are cut
+// from one array, sized by them, and capacity-capped, so nothing appended to
+// one reaches the next.
+//
+//datawa:hotpath
+func (s *Search) commit(sep *wds.Separation) core.Plan {
+	assignments, tasks := 0, 0
+	for _, id := range s.forest {
+		r := &s.results[id]
+		assignments += r.to - r.from
+		for _, c := range s.runs[r.g].out[r.from:r.to] {
+			tasks += bits.OnesCount64(sep.Sets[c.w].Masks[c.k])
+		}
+	}
+	if assignments == 0 {
+		return nil
+	}
+	//datawa:alloc the plan, which the caller owns
+	plan := make(core.Plan, 0, assignments)
+	//datawa:alloc the committed sequences' tasks, which the plan owns: one array a plan
+	backing := make(core.Sequence, 0, tasks)
+	for _, id := range s.forest {
+		r := &s.results[id]
+		for _, c := range s.runs[r.g].out[r.from:r.to] {
+			from := len(backing)
+			backing = sep.Sets[c.w].AppendSeq(backing, sep.Tasks, int(c.k))
+			plan = append(plan, core.Assignment{Worker: sep.Workers[c.w], Seq: backing[from:len(backing):len(backing)]})
+		}
+	}
+	return plan
 }
 
 // searchJob is the forest fan-out's body: the i-th new tree of the current
@@ -512,14 +522,19 @@ func (s *Search) partition(sep *wds.Separation, forest []treeResult) {
 	}
 	s.treeOf, s.local, s.taskOff, s.taskFlat = treeOf, local, off, flat
 
-	reachOff, reachLocal := s.reachOff[:0], s.reachLocal[:0]
+	reachOff, reachLocal, virtual := s.reachOff[:0], s.reachLocal[:0], s.virtual[:0]
 	for i := range sep.Sets {
 		reachOff = append(reachOff, int32(len(reachLocal)))
-		for _, t := range sep.Sets[i].Index {
+		var v uint64
+		for k, t := range sep.Sets[i].Index {
 			reachLocal = append(reachLocal, local[t])
+			if sep.Tasks[t].Virtual {
+				v |= 1 << uint(k)
+			}
 		}
+		virtual = append(virtual, v)
 	}
-	s.reachOff, s.reachLocal = append(reachOff, int32(len(reachLocal))), reachLocal
+	s.reachOff, s.reachLocal, s.virtual = append(reachOff, int32(len(reachLocal))), reachLocal, virtual
 }
 
 // claim marks every task reachable from the subtree under n as belonging to
@@ -552,8 +567,10 @@ type searchRun struct {
 	now     float64
 	model   *tvf.Model
 	collect bool
-	// reachOff/reachLocal are Search's per-worker tree-local reachable sets.
+	// reachOff/reachLocal are Search's per-worker tree-local reachable sets,
+	// virtual its per-worker virtual-task words.
 	reachOff, reachLocal []int32
+	virtual              []uint64
 
 	// Per tree.
 	root    *wds.TreeNode
@@ -611,9 +628,11 @@ type searchRun struct {
 	open   []*core.Task
 	stale  bool
 	// DFSearch_TVF scratch: the usable sequences of the current worker and
-	// their features.
+	// their features; and, for either featurizing search, the sequence being
+	// featurized, as tasks.
 	usable []int32
 	feats  [][tvf.FeatureDim]float64
+	seq    core.Sequence
 }
 
 // choice assigns sequence k of Q_w to the worker at position w.
@@ -664,6 +683,35 @@ func (r *searchRun) reach(wi int32) (*wds.WorkerSets, []int32) {
 	return &r.sep.Sets[wi], r.reachLocal[r.reachOff[wi]:r.reachOff[wi+1]]
 }
 
+// value is the search objective contribution of sequence k of worker wi's
+// Q_w: 1 per real task, VirtualWeight per virtual task. A sequence of real
+// tasks only is worth its length, exactly; one with a virtual task is summed
+// left to right in its order, the float sum a walk over its tasks makes.
+//
+//datawa:hotpath
+func (r *searchRun) value(wi int32, set *wds.WorkerSets, k int) float64 {
+	mask, virtual := set.Masks[k], r.virtual[wi]
+	if mask&virtual == 0 {
+		return float64(bits.OnesCount64(mask))
+	}
+	v := 0.0
+	for _, p := range set.Order(k) {
+		if virtual>>p&1 != 0 {
+			v += r.opts.VirtualWeight
+		} else {
+			v++
+		}
+	}
+	return v
+}
+
+// action returns worker wi taking sequence k of its Q_w, the sequence resolved
+// into the run's one buffer: good until the next call.
+func (r *searchRun) action(wi int32, set *wds.WorkerSets, k int) tvf.Action {
+	r.seq = set.AppendSeq(r.seq[:0], r.sep.Tasks, k)
+	return tvf.Action{Worker: r.sep.Workers[wi], Seq: r.seq}
+}
+
 // availMask gathers the availability of a worker's reachable tasks into one
 // word, bit k for its k-th reachable task.
 //
@@ -676,7 +724,7 @@ func (r *searchRun) availMask(local []int32) uint64 {
 	return m
 }
 
-// nextUsable returns the first k ≥ from such that every task of Seqs[k] is
+// nextUsable returns the first k ≥ from such that every task of sequence k is
 // available, or -1: the candidate filter of every search node and the
 // first-fit of greedy completion. avail must be the worker's availMask for
 // the current availability.
@@ -694,7 +742,7 @@ func nextUsable(set *wds.WorkerSets, avail uint64, from int) int {
 	return -1
 }
 
-// mark sets the availability of every task of Seqs[k].
+// mark sets the availability of every task of sequence k.
 //
 //datawa:hotpath
 func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) {
@@ -801,7 +849,7 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 	for k := nextUsable(set, avail, 0); k >= 0; k = nextUsable(set, avail, k+1) {
 		top := len(r.stack)
 		r.stack = append(r.stack, choice{wi, int32(k)})
-		value := seqValue(set.Seqs[k], r.opts.VirtualWeight)
+		value := r.value(wi, set, k)
 		var v float64
 		if last {
 			v = r.emptyCall()
@@ -825,8 +873,7 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 		}
 		if r.collect && len(r.samples) < maxSamples {
 			// Lines 9–11: record (s_t, a_t, opt).
-			act := tvf.Action{Worker: r.sep.Workers[wi], Seq: set.Seqs[k]}
-			feat := tvf.Featurize(r.state(r.levelAt(d)), act, r.opts.WDS.Travel)
+			feat := tvf.Featurize(r.state(r.levelAt(d)), r.action(wi, set, k), r.opts.WDS.Travel)
 			r.samples = append(r.samples, tvf.Sample{Features: feat, Opt: total})
 		}
 	}
@@ -983,7 +1030,7 @@ func (r *searchRun) greedyFill(n *wds.TreeNode, j int) float64 {
 		if k := nextUsable(set, r.availMask(local), 0); k >= 0 {
 			r.mark(set, local, k, false)
 			r.stack = append(r.stack, choice{wi, int32(k)})
-			total += seqValue(set.Seqs[k], r.opts.VirtualWeight)
+			total += r.value(wi, set, k)
 		}
 	}
 	for _, child := range n.Children {
@@ -1041,10 +1088,10 @@ func (r *searchRun) searchTVF(n *wds.TreeNode, j int) {
 	if len(r.usable) > 0 {
 		lv := r.levelAt(0)
 		r.stateFor(lv, n, j)
-		st, w := r.state(lv), r.sep.Workers[wi]
+		st := r.state(lv)
 		r.feats = r.feats[:0]
 		for _, k := range r.usable {
-			r.feats = append(r.feats, tvf.Featurize(st, tvf.Action{Worker: w, Seq: set.Seqs[k]}, r.opts.WDS.Travel))
+			r.feats = append(r.feats, tvf.Featurize(st, r.action(wi, set, int(k)), r.opts.WDS.Travel))
 		}
 		values := r.model.PredictBatch(r.feats)
 		best := 0
@@ -1059,7 +1106,7 @@ func (r *searchRun) searchTVF(n *wds.TreeNode, j int) {
 		// approximation noise cannot discard an obviously longer
 		// sequence.
 		const nearTie = 0.25
-		value := func(i int) float64 { return seqValue(set.Seqs[r.usable[i]], r.opts.VirtualWeight) }
+		value := func(i int) float64 { return r.value(wi, set, int(r.usable[i])) }
 		for i, v := range values {
 			if v >= values[best]-nearTie && value(i) > value(best) {
 				best = i

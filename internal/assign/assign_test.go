@@ -350,6 +350,37 @@ func randomScenario(seed int64, nWorkers, nTasks int, span float64) ([]*core.Wor
 	return ws, ts
 }
 
+// TestPlanSequencesOutliveTheSearch pins who owns a plan's sequences: a
+// Separation holds Q_w as positions only, so the task slices a plan hands out
+// are made when it is committed — capacity-capped, so an append to one cannot
+// run into the next, and owned by the plan, so the same Search planning other
+// instants leaves them as they were.
+func TestPlanSequencesOutliveTheSearch(t *testing.T) {
+	ws, ts := randomScenario(21, 60, 300, 5)
+	s := &Search{Opts: opts()}
+	plan := s.Plan(ws, ts, 0)
+	if len(plan) == 0 {
+		t.Fatal("empty plan")
+	}
+	planIsValid(t, plan, 0)
+	var ids [][]int
+	for _, a := range plan {
+		if cap(a.Seq) != len(a.Seq) {
+			t.Fatalf("worker %d: a sequence of %d tasks has capacity %d", a.Worker.ID, len(a.Seq), cap(a.Seq))
+		}
+		ids = append(ids, a.Seq.IDs())
+	}
+	for call := 0; call < 3; call++ {
+		ws2, ts2 := randomScenario(22+int64(call), 60, 300, 5)
+		s.Plan(ws2, ts2, float64(call))
+	}
+	for i, a := range plan {
+		if got := a.Seq.IDs(); !slices.Equal(got, ids[i]) {
+			t.Fatalf("assignment %d read %v when planned, %v after the Search planned other instants", i, ids[i], got)
+		}
+	}
+}
+
 func samePlans(t *testing.T, a, b core.Plan) {
 	t.Helper()
 	if len(a) != len(b) {

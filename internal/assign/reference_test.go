@@ -489,7 +489,21 @@ func (ts *taskSet) restoreIdx(idxs []int32) {
 func seqsOf(sep *wds.Separation, i int) []core.Sequence {
 	q := make([]core.Sequence, len(sep.Sets[i].Masks))
 	for k := range q {
-		q[k] = sep.Sets[i].Seqs[k]
+		q[k] = slices.Clip(sep.Sets[i].AppendSeq(nil, sep.Tasks, k))
 	}
 	return q
+}
+
+// seqValue is the search objective contribution of a sequence: 1 per real
+// task, VirtualWeight per virtual task.
+func seqValue(q core.Sequence, virtualWeight float64) float64 {
+	v := 0.0
+	for _, s := range q {
+		if s.Virtual {
+			v += virtualWeight
+		} else {
+			v++
+		}
+	}
+	return v
 }

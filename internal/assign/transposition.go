@@ -53,7 +53,7 @@ func (r *searchRun) layout(root *wds.TreeNode) {
 func (r *searchRun) measure(n *wds.TreeNode) (nodes, rows, seqs int) {
 	nodes, rows = 1, len(n.Index)+1
 	for _, wi := range n.Index {
-		seqs += len(r.sep.Sets[wi].Seqs)
+		seqs += len(r.sep.Sets[wi].Masks)
 	}
 	for _, child := range n.Children {
 		cn, cr, cs := r.measure(child)
@@ -101,8 +101,8 @@ func (r *searchRun) relRows(n *wds.TreeNode) int {
 		copy(row, r.rel[(off+j+1)*w:])
 		set, local := r.reach(n.Index[j])
 		r.relMost[off+j] = r.relMost[off+j+1]
-		if len(set.Seqs) > 0 {
-			r.relMost[off+j] += int32(len(set.Seqs[0]))
+		if len(set.Masks) > 0 {
+			r.relMost[off+j] += int32(bits.OnesCount64(set.Masks[0]))
 		}
 		for _, p := range local {
 			row[p>>6] |= 1 << uint(p&63)
@@ -114,20 +114,20 @@ func (r *searchRun) relRows(n *wds.TreeNode) int {
 // layoutSeqs lays out the worker rows of the subtree under n, j < len(n.Index):
 // the reach word of worker n.Index[j], and its sequences in Q_w order as
 // universe words (the bits of Masks[k] sent through the worker's tree-local
-// reach positions) beside their seqValue. A node's last row holds no worker
+// reach positions) beside their value. A node's last row holds no worker
 // and nothing reads those two of it.
 func (r *searchRun) layoutSeqs(n *wds.TreeNode) {
 	off := r.relOff[n.ID]
 	for j, wi := range n.Index {
 		set, local := r.reach(wi)
 		r.reachWord[off+int32(j)] = universeMask(local)
-		q := r.arena.take(len(set.Seqs))
-		for k, seq := range set.Seqs {
+		q := r.arena.take(len(set.Masks))
+		for k, mask := range set.Masks {
 			var word uint64
-			for m := set.Masks[k]; m != 0; m &= m - 1 {
+			for m := mask; m != 0; m &= m - 1 {
 				word |= 1 << uint(local[bits.TrailingZeros64(m)])
 			}
-			q.words[k], q.vals[k] = word, seqValue(seq, r.opts.VirtualWeight)
+			q.words[k], q.vals[k] = word, r.value(wi, set, k)
 		}
 		r.seqs[off+int32(j)] = q
 	}
@@ -136,7 +136,7 @@ func (r *searchRun) layoutSeqs(n *wds.TreeNode) {
 	}
 }
 
-// seqRow is one worker's Q_w on a memo tree: the tasks of Seqs[k] as the
+// seqRow is one worker's Q_w on a memo tree: the tasks of sequence k as the
 // universe word words[k], worth vals[k].
 type seqRow struct {
 	words []uint64

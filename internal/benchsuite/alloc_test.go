@@ -92,7 +92,9 @@ func BenchmarkLiveReplay(b *testing.B) {
 // / 17,933 / 46,326, and the map-and-scan core before that 19,326 / 36,900 /
 // 445,663) — event-spike is the crowd regime, where a per-node, per-worker or
 // per-sequence allocation shows as a multiple, not a percentage, and its bound
-// came down from 70,000 with the reading. DTA+TP is the forecast-fed row —
+// came down from 70,000 with the reading, then from 23,000 to 16,000 when Q_w
+// became positions in RS_w and only committed sequences task slices (11,296 →
+// 7,973 a replay). DTA+TP is the forecast-fed row —
 // DDGNN training and a forecast every 15 s included: the receptive-field
 // forward with recycled value storage measured 316,108 (946,348 with the
 // full-sequence forward and a Series since T0 per forecast). SSP adds the
@@ -122,7 +124,7 @@ func TestSteadyStateAllocGate(t *testing.T) {
 		{"sparse-suburb", datawa.MethodDTA, 14800},
 		{"courier-grid", datawa.MethodGreedy, 17200},
 		{"courier-grid", datawa.MethodDTA, 22100},
-		{"event-spike", datawa.MethodDTA, 23000},
+		{"event-spike", datawa.MethodDTA, 16000},
 		{"rush-hour", datawa.MethodDTATP, 472000},
 		{"rush-hour", datawa.MethodSSP, 517000},
 	} {

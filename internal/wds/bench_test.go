@@ -56,10 +56,12 @@ func BenchmarkMaximalValidSequences(b *testing.B) {
 }
 
 // BenchmarkSequences measures Q_w generation as Separate runs it: one
-// Scratch reused across calls, so the generator's tables are warm. single and
-// three are the reachable sets most workers have; crowd8 is a full default
-// reachable set of mutually reachable tasks, where every set of up to three
-// is valid (8 + 28 + 56 = 92). It reports the sets generated per call.
+// Scratch reused across calls, so the generator's tables are warm, and Q_w
+// laid out in its arenas as positions, which a warm Scratch does without
+// allocating. single and three are the reachable sets most workers have;
+// crowd8 is a full default reachable set of mutually reachable tasks, where
+// every set of up to three is valid (8 + 28 + 56 = 92). It reports the sets
+// generated per call.
 func BenchmarkSequences(b *testing.B) {
 	r := rand.New(rand.NewSource(40))
 	w := worker(1, 0.5, 0.5, 2, 0, 1e9)
@@ -78,11 +80,14 @@ func BenchmarkSequences(b *testing.B) {
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			var sc Scratch
-			sets := len(sc.sequences(w, shape.rs, 0, o))
+			ws := WorkerSets{Index: wholePool(len(shape.rs))}
+			sc.sequenceSets(w, shape.rs, &ws, 0, o)
+			sets := len(ws.Masks)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				clear(sc.sequences(w, shape.rs, 0, o))
+				sc.resetArenas()
+				sc.sequenceSets(w, shape.rs, &ws, 0, o)
 			}
 			b.ReportMetric(float64(sets), "sets")
 		})

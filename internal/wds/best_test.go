@@ -60,7 +60,7 @@ func sameHead(t *testing.T, sc *Scratch, w *core.Worker, ix *spatial.Index, now 
 	t.Helper()
 	keep := slices.Clone(sc.Reachable(w, ix, nil, now, o))
 	rs := tasksOf(ix.Tasks(), keep)
-	entries := slices.Clone((&Scratch{}).sequences(w, rs, now, o))
+	entries := scratchSequences(&Scratch{}, w, rs, now, o)
 	var got []int
 	for _, c := range sc.BestSequence(w, ix.Tasks(), keep, now, o) {
 		got = append(got, ix.Tasks()[c.Pos].ID)

@@ -104,3 +104,24 @@ func TestQwMatchesGenerator(t *testing.T) {
 		}
 	}
 }
+
+// TestScenariosAllocs holds the first Separator stage — every worker's
+// reachable set and Q_w — on a warm Separator on the event-spike 1.5x and 5x
+// crowds to at most 2 allocations a call, however many workers reach a task.
+// Q_w lies in the goroutine's arenas as positions in RS_w; stored as task
+// slices it cost one allocation per worker reaching a task: 113 a call on the
+// 1.5x crowd (111 such workers) and 380 on the 5x (378).
+func TestScenariosAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, scale := range []float64{1.5, 5} {
+		crowd := crowdOf("event-spike", scale)
+		var sp Separator
+		run := func() { sp.Scenarios(crowd.workers, crowd.tasks, crowd.now, crowdOpts, 1) }
+		run()
+		if got := testing.AllocsPerRun(20, run); got > 2 {
+			t.Errorf("%s: %v allocations a call, want at most 2", crowd.name, got)
+		}
+	}
+}

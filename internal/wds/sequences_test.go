@@ -9,6 +9,38 @@ import (
 	"repro/internal/geo"
 )
 
+// seqEntry is one sequence of Q_w with its task set as a mask over rs
+// positions.
+type seqEntry struct {
+	seq  core.Sequence
+	mask uint64
+}
+
+// scratchSequences is Q_w as a Separator generates it on sc — into the
+// arenas, through sequenceSets — for a worker whose reachable set is rs, read
+// back through AppendSeq. Only the first 64 tasks of rs count, as under
+// Options.MaxReachable.
+func scratchSequences(sc *Scratch, w *core.Worker, rs []*core.Task, now float64, o Options) []seqEntry {
+	ws := WorkerSets{Index: wholePool(min(len(rs), maxReach))}
+	sc.resetArenas()
+	sc.sequenceSets(w, rs, &ws, now, o)
+	var out []seqEntry
+	for k, mask := range ws.Masks {
+		out = append(out, seqEntry{ws.AppendSeq(nil, rs, k), mask})
+	}
+	return out
+}
+
+// wholePool returns 0, 1, …, n−1: the Index of a reachable set that is a
+// whole pool, in pool order.
+func wholePool(n int) []int32 {
+	index := make([]int32, n)
+	for k := range index {
+		index[k] = int32(k)
+	}
+	return index
+}
+
 // refSequences is Q_w by its definition (Eq. 10), generated the slow way:
 // every subset of at most o.MaxSeqLen of the first 64 tasks of rs, each
 // subset's orderings in lexicographic position order, the first ordering of
@@ -130,8 +162,8 @@ func sameEntries(t *testing.T, label string, got, want []seqEntry, masks bool) {
 	}
 }
 
-// checkSequences holds both faces of the generator — the package function on
-// a fresh Scratch and sc.sequences on a reused one — to the definition.
+// checkSequences holds both faces of the generator — the package function and
+// sequenceSets on a reused Scratch — to the definition.
 func checkSequences(t *testing.T, label string, sc *Scratch, w *core.Worker, rs []*core.Task, now float64, o Options) int {
 	t.Helper()
 	want := refSequences(w, rs, now, o)
@@ -140,10 +172,7 @@ func checkSequences(t *testing.T, label string, sc *Scratch, w *core.Worker, rs 
 		fresh = append(fresh, seqEntry{seq: q})
 	}
 	sameEntries(t, label+"/MaximalValidSequences", fresh, want, false)
-	got := sc.sequences(w, rs, now, o)
-	entries := slices.Clone(got)
-	clear(got)
-	sameEntries(t, label+"/Scratch.sequences", entries, want, true)
+	sameEntries(t, label+"/sequenceSets", scratchSequences(sc, w, rs, now, o), want, true)
 	return len(want)
 }
 

@@ -151,6 +151,9 @@ func TestTreeMatchesReference(t *testing.T) {
 // made when trees were built over CSR edge lists; what is left is the
 // Children slices of the trees themselves.
 func TestComponentsTreeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
 	for _, c := range []struct {
 		scale  float64
 		parent float64 // allocations per call at the CSR construction

@@ -92,32 +92,24 @@ func ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Opt
 
 // Scratch holds the reusable intermediate buffers of the per-worker
 // reachable-set and sequence computations, so steady-state planning loops
-// (a planner calling these once per worker per instant) allocate only their
-// results, never their scratch. A Scratch serves one goroutine at a time;
-// Separate keeps one per worker goroutine, planners one per instance. The
-// zero value is ready to use.
+// (a planner calling these once per worker per instant) allocate nothing once
+// the buffers have grown. A Scratch serves one goroutine at a time; Separate
+// keeps one per worker goroutine, planners one per instance. The zero value is
+// ready to use.
 type Scratch struct {
-	near    []spatial.Candidate // spatial-index query results
-	keep    []spatial.Candidate // Reachable's nearest survivors
-	gen     seqGen              // Q_w generation
-	entries []seqEntry          // Q_w as generated: sorted, capped, materialised
-	best    bestPick
+	near []spatial.Candidate // spatial-index query results
+	keep []spatial.Candidate // Reachable's nearest survivors
+	gen  seqGen              // Q_w generation
+	best bestPick
 
 	// Arenas behind the WorkerSets this goroutine produced in the current
 	// Separate call. Growth may move an arena; slices handed out earlier keep
 	// the old backing alive and stay valid.
-	index []int32
-	seqs  []core.Sequence
-	masks []uint64
-	pick  []int32      // one scenario's RS_w as pool positions, before it is known to be new
-	rs    []*core.Task // one RS_w resolved to tasks, while its Q_w is generated
-}
-
-// seqEntry is one deduped task set with its best (minimal-completion)
-// ordering; mask is the set over rs positions.
-type seqEntry struct {
-	seq  core.Sequence
-	mask uint64
+	index  []int32
+	masks  []uint64
+	orders []uint8
+	pick   []int32      // one scenario's RS_w as pool positions, before it is known to be new
+	rs     []*core.Task // one RS_w resolved to tasks, while its Q_w is generated
 }
 
 // Reachable returns RS_w over the indexed pool as (pool position, distance)
@@ -250,48 +242,32 @@ func nearer(pool []*core.Task, a, b spatial.Candidate) bool {
 // The search extends sequences task by task and prunes as soon as an
 // extension violates Definition 4, which is sound because validity is
 // prefix-closed.
+//
+// The sequences are capacity-capped slices of one array, owned by the caller.
 func MaximalValidSequences(w *core.Worker, rs []*core.Task, now float64, o Options) []core.Sequence {
-	var sc Scratch
-	entries := sc.sequences(w, rs, now, o.WithDefaults())
-	if entries == nil {
-		return nil
-	}
-	out := make([]core.Sequence, len(entries))
-	for i := range out {
-		out[i] = entries[i].seq
-	}
-	return out
-}
-
-// sequences generates Q_w as sorted, capped entries in scratch storage valid
-// until the next call (the caller clears them when done); nil for an empty rs.
-// The sequences themselves are slices of one array allocated by this call and
-// owned by the caller: committed plans keep them long after the scratch has
-// moved on. Everything the cap or a better ordering discards lived in scratch
-// only, as positions in rs.
-func (sc *Scratch) sequences(w *core.Worker, rs []*core.Task, now float64, o Options) []seqEntry {
 	if len(rs) == 0 {
 		return nil
 	}
 	rs = rs[:min(len(rs), maxReach)]
-	g := &sc.gen
-	tuples := g.generate(w, rs, now, o)
+	var g seqGen
+	tuples := g.generate(w, rs, now, o.WithDefaults())
+	if len(tuples) == 0 {
+		return nil
+	}
 	total := 0
 	for _, t := range tuples {
 		total += int(t.n)
 	}
 	backing := make([]*core.Task, 0, total)
-	entries := sc.entries[:0]
-	for _, t := range tuples {
+	out := make([]core.Sequence, len(tuples))
+	for i, t := range tuples {
 		from := len(backing)
 		for _, k := range g.pos[t.off : t.off+t.n] {
 			backing = append(backing, rs[k])
 		}
-		entries = append(entries, seqEntry{seq: backing[from:len(backing):len(backing)], mask: t.mask})
+		out[i] = backing[from:len(backing):len(backing)]
 	}
-	sc.entries = entries[:0]
-	g.rs = nil
-	return entries
+	return out
 }
 
 // seqGen is the state of one Q_w generation. Orderings are tuples of
@@ -535,7 +511,7 @@ type bestPick struct {
 // call; empty when Q_w is. keep must be Reachable's result for the same
 // worker, pool, instant and options.
 //
-// It is the generator's depth-first extension (see sequences), in the
+// It is the generator's depth-first extension (see seqGen), in the
 // generator's order, with nothing kept but the current best: no per-set table,
 // no clones, no sort. Once a MaxSeqLen-long sequence is known, an extension
 // arriving strictly after its completion is cut — arrival times only grow
@@ -626,7 +602,7 @@ func (b *bestPick) offer(t float64) {
 //
 // Everything is addressed by dense index, and only by it: Sets, the graph's
 // vertices and a tree node's workers by position in Workers, reachable tasks
-// by position in Tasks, a sequence's tasks by bit position in its worker's
+// by position in Tasks, a sequence's tasks by position in its worker's
 // reachable set. Consumers translate ids to small ints nowhere — the indices
 // are handed out here, once.
 //
@@ -661,17 +637,39 @@ type Separation struct {
 // same task universe in the same order.
 func (sep *Separation) SharesSets(o *Separation, i int) bool { return sep.first[i] == o.first[i] }
 
-// WorkerSets is one worker's reachable set RS_w and candidate sequences Q_w.
+// WorkerSets is one worker's reachable set RS_w and candidate sequences Q_w,
+// the sequences as positions in RS_w: it holds no task pointer, and a
+// sequence becomes a core.Sequence only where a caller asks for one
+// (AppendSeq) — a planner, for the ones its plan commits.
 type WorkerSets struct {
 	// Index is RS_w, nearest first, as positions in Separation.Tasks.
 	Index []int32
-	Seqs  []core.Sequence
-	// Masks holds each sequence's task set as a bitmask over Index
-	// positions: Seqs[j] uses Separation.Tasks[Index[k]] iff bit k of
-	// Masks[j] is set. Index holds at most 64 tasks (Options.MaxReachable), so
-	// "are all of Seqs[j]'s tasks still free" is one AND-NOT against the
+	// Masks holds Q_w in order, one task set a sequence as a bitmask over
+	// Index positions: sequence j uses Separation.Tasks[Index[k]] iff bit k of
+	// Masks[j] is set. len(Masks) is |Q_w| and a mask's popcount its
+	// sequence's length. Index holds at most 64 tasks (Options.MaxReachable),
+	// so "are all of sequence j's tasks still free" is one AND-NOT against the
 	// worker's availability word.
 	Masks []uint64
+	// Orders holds each sequence's ordering, the order the worker serves its
+	// tasks in, as Index positions at a stride of min(MaxSeqLen, len(Index)):
+	// see Order.
+	Orders []uint8
+}
+
+// Order returns sequence k's ordering as positions in Index.
+func (ws *WorkerSets) Order(k int) []uint8 {
+	at := k * (len(ws.Orders) / len(ws.Masks))
+	return ws.Orders[at : at+bits.OnesCount64(ws.Masks[k])]
+}
+
+// AppendSeq appends sequence k's tasks, in order, to dst and returns the
+// extended slice; tasks is the pool Index addresses (Separation.Tasks).
+func (ws *WorkerSets) AppendSeq(dst core.Sequence, tasks []*core.Task, k int) core.Sequence {
+	for _, p := range ws.Order(k) {
+		dst = append(dst, tasks[ws.Index[p]])
+	}
+	return dst
 }
 
 // TreeNode is one node of the RTC tree. Index holds the clique X′ installed
@@ -742,8 +740,8 @@ func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options
 // Separator runs the WDS pipeline with every intermediate structure — the
 // per-goroutine scratch and result arenas, the spatial index, the dependency
 // graph, the chordal workspace and the RTC builder — reused across calls, so
-// a planner invoking it once per instant allocates only the sequences
-// themselves. The zero value is ready to use.
+// a planner invoking it once per instant allocates, once they have grown,
+// only the Children slices of its trees. The zero value is ready to use.
 //
 // The pipeline is three stages, and Separate their composition for one
 // scenario: Scenarios (reachable sets and sequences, for every sampled
@@ -880,7 +878,7 @@ func (sp *Separator) Components(sep *Separation) (flat []int, offs []int32) {
 			continue
 		}
 		reaching = append(reaching, i)
-		sep.Sequences += len(ws.Seqs)
+		sep.Sequences += len(ws.Masks)
 		for _, t := range ws.Index {
 			off[t+1]++
 		}
@@ -1005,11 +1003,9 @@ func (sp *Separator) scratchFor(work, grain int) int {
 	return fan
 }
 
-// resetArenas empties the result arenas for a new Separate call, dropping
-// the sequences of the previous one.
+// resetArenas empties the result arenas for a new Separate call.
 func (sc *Scratch) resetArenas() {
-	clear(sc.seqs)
-	sc.index, sc.seqs, sc.masks = sc.index[:0], sc.seqs[:0], sc.masks[:0]
+	sc.index, sc.masks, sc.orders = sc.index[:0], sc.masks[:0], sc.orders[:0]
 }
 
 // reachSets computes RS_w of the available worker at position i in each of the
@@ -1063,25 +1059,33 @@ scenarios:
 
 // sequenceSets computes Q_w over the reachable set ws already holds — pool
 // positions, resolved into scratch for the generator — into the arenas,
-// capacity-capped as reachSets' are.
+// capacity-capped as reachSets' are. The generator's tuples are already
+// positions in Index, and its dedup key is the mask: both are copied as they
+// are, and nothing is a task slice.
+//
+//datawa:hotpath
 func (sc *Scratch) sequenceSets(w *core.Worker, pool []*core.Task, ws *WorkerSets, now float64, o Options) {
 	rs := sc.rs[:0]
 	for _, t := range ws.Index {
 		rs = append(rs, pool[t])
 	}
-	entries := sc.sequences(w, rs, now, o)
+	g := &sc.gen
+	tuples := g.generate(w, rs, now, o)
 	clear(rs)
-	sc.rs = rs[:0]
-	q0, m0 := len(sc.seqs), len(sc.masks)
-	for _, e := range entries {
-		sc.seqs = append(sc.seqs, e.seq)
-		// The sequence's task set as bits over its positions in Index is the
-		// generator's dedup key.
-		sc.masks = append(sc.masks, e.mask)
+	sc.rs, g.rs = rs[:0], nil
+	stride := min(o.MaxSeqLen, len(ws.Index))
+	m0, o0 := len(sc.masks), len(sc.orders)
+	sc.orders = slices.Grow(sc.orders, len(tuples)*stride)[:o0+len(tuples)*stride]
+	for k, t := range tuples {
+		sc.masks = append(sc.masks, t.mask)
+		order := sc.orders[o0+k*stride : o0+(k+1)*stride]
+		for j, p := range g.pos[t.off : t.off+t.n] {
+			order[j] = uint8(p)
+		}
+		clear(order[t.n:])
 	}
-	clear(entries)
-	ws.Seqs = sc.seqs[q0:len(sc.seqs):len(sc.seqs)]
 	ws.Masks = sc.masks[m0:len(sc.masks):len(sc.masks)]
+	ws.Orders = sc.orders[o0:len(sc.orders):len(sc.orders)]
 }
 
 // treeBuilder carries the component and RTC construction state: the union

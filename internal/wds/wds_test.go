@@ -378,7 +378,7 @@ func reachOf(sep *Separation, i int) []*core.Task {
 func seqsOf(sep *Separation, i int) []core.Sequence {
 	q := make([]core.Sequence, len(sep.Sets[i].Masks))
 	for k := range q {
-		q[k] = sep.Sets[i].Seqs[k]
+		q[k] = slices.Clip(sep.Sets[i].AppendSeq(nil, sep.Tasks, k))
 	}
 	return q
 }
@@ -759,10 +759,11 @@ func TestReachableSetIsOneWord(t *testing.T) {
 	}
 }
 
-// TestSequencesOutliveTheSeparator pins the ownership of Q_w: committed plans
-// keep a Separation's sequences long after the Separator has planned other
-// instants, so they are slices of an array allocated for them — never of
-// scratch the next call rewrites — and capacity-capped against appends.
+// TestSequencesOutliveTheSeparator pins the ownership of Q_w's tasks: a
+// Separation holds Q_w as positions in the Separator's arenas, and a sequence
+// resolved off it (AppendSeq) is the caller's, capacity-capped and unchanged
+// however many instants the Separator plans next. The plans built that way are
+// held to the same in internal/assign (TestPlanSequencesOutliveTheSearch).
 func TestSequencesOutliveTheSeparator(t *testing.T) {
 	ws, ts := randomInstance(21, 60, 300, 5)
 	var sp Separator
