@@ -741,7 +741,8 @@ func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options
 // per-goroutine scratch and result arenas, the spatial index, the dependency
 // graph, the chordal workspace and the RTC builder — reused across calls, so
 // a planner invoking it once per instant allocates, once they have grown,
-// only the Children slices of its trees. The zero value is ready to use.
+// only the Children slices of its trees and the two loop bodies it hands
+// par.DoWorker. The zero value is ready to use.
 //
 // The pipeline is three stages, and Separate their composition for one
 // scenario: Scenarios (reachable sets and sequences, for every sampled
