@@ -365,7 +365,8 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 		for g := range s.runs[:fan] {
 			run := &s.runs[g]
 			run.opts, run.sep, run.now = o, sep, now
-			run.model, run.collect = s.Model, s.Collect
+			// A value-guided search collects nothing.
+			run.model, run.collect = s.Model, s.Collect && s.Model == nil
 			run.reachOff, run.reachLocal, run.virtual = s.reachOff, s.reachLocal, s.virtual
 		}
 		if s.jobOf != s {
@@ -559,8 +560,8 @@ func claim(n *wds.TreeNode, tree int32, sets []wds.WorkerSets, treeOf []int32) i
 // serves within one Plan call. Nothing in it is keyed by id: tasks are
 // positions in the current tree's universe, workers positions in
 // Separation.Workers, sequences positions in their worker's Q_w, and "is
-// every task of q still free" is a bitmask test against the worker's
-// availability word (see wds.WorkerSets.Masks).
+// every task of q still free" is a test of q's universe bits against the
+// tree's availability (layout, transposition.go).
 type searchRun struct {
 	opts    Options
 	sep     *wds.Separation
@@ -573,36 +574,33 @@ type searchRun struct {
 	virtual              []uint64
 
 	// Per tree.
-	root    *wds.TreeNode
-	tasks   []int32  // the tree's universe as pool positions, pool order
-	avail   []uint64 // availability on the plain walk: bit p&63 of word p>>6 for universe position p
+	tasks   []int32 // the tree's universe as pool positions, pool order
 	nodes   int
 	greedy  int
 	skipped int
 	samples []tvf.Sample
-	// The relevance rows, one per (node, j) in pre-order — row relOff[n.ID]+j,
-	// rel[row*relWords:][:relWords] — hold, as universe bits, the tasks
-	// reachable from n.Index[j:] and every subtree below n: what a search call
-	// there can take (layoutRel). relMost[row] is the most it can take, the
-	// lengths of those workers' longest sequences summed. The word path lays
-	// the rows out with the tree, one word a row, the plain walk the first
-	// time its budget runs out (mostTaken); until then relOff is empty.
-	relOff   []int32
-	rel      []uint64
-	relMost  []int32
-	relWords int
-	// The word path (transposition.go), for the trees memo is set on: the
-	// universe fits one word, and availWord — bit p for universe position p —
-	// is the tree's availability, avail staying unused. The relevance rows are
-	// what the transposition table keys on; also laid out once per tree by row
-	// are reachWord, the tasks the row's worker n.Index[j] reaches, and seqs,
-	// its Q_w as universe words, out of arena. reused counts the nodes taken
-	// from table entries instead of expanded.
-	memo      bool
-	availWord uint64
-	reachWord []uint64
+	// The tree's layout (transposition.go), relWords words a row — one per 64
+	// universe positions, bit p&63 of word p>>6 standing for position p. avail
+	// is the availability, saved a copy a greedy completion restores. The rows,
+	// one per (node, j) in pre-order — row relOff[n.ID]+j — hold what a search
+	// call there can take: rel[row*relWords:][:relWords] the tasks reachable
+	// from n.Index[j:] and every subtree below n, relMost[row] the most it can
+	// take, the lengths of those workers' longest sequences summed. A row
+	// before a node's last carries worker n.Index[j]: reachBits, the tasks it
+	// reaches, and seqs, its Q_w as universe words beside their values; rowOf
+	// names that row by the worker's position. reused counts the nodes taken
+	// from transposition table entries instead of expanded.
+	relWords  int
+	avail     []uint64
+	saved     []uint64
+	relOff    []int32
+	rel       []uint64
+	relMost   []int32
+	reachBits []uint64
 	seqs      []seqRow
-	arena     seqArena
+	rowOf     []int32
+	words     arena[uint64]
+	vals      arena[float64]
 	reused    int
 	table     transTable
 	// stack holds the plans under construction as (worker, sequence)
@@ -614,8 +612,8 @@ type searchRun struct {
 
 	// RL state scratch: levels[d] is the state of the search call at depth d
 	// (a call's state must outlive the deeper calls made between building it
-	// and featurizing with it); open is the shared list of available tasks
-	// and stale whether an availability change has outdated it.
+	// and featurizing with it); open is the shared list of available tasks,
+	// rebuilt by every state built.
 	//
 	// KNOWN BUG, kept on purpose: the task list is shared, not per depth, so a
 	// Collect-mode sample is featurized from a list deeper calls have since
@@ -626,7 +624,6 @@ type searchRun struct {
 	// TestCollectSamplesKnownAliasing).
 	levels []level
 	open   []*core.Task
-	stale  bool
 	// DFSearch_TVF scratch: the usable sequences of the current worker and
 	// their features; and, for either featurizing search, the sequence being
 	// featurized, as tasks.
@@ -648,39 +645,20 @@ type level struct {
 // r.out and records where, and what it cost, in res.
 func (r *searchRun) searchTree(res *treeResult, universe []int32) {
 	root := res.root
-	r.root, r.tasks = root, universe
+	r.tasks = universe
 	r.nodes, r.greedy, r.skipped, r.reused = 0, 0, 0, 0
 	r.samples = nil // escapes into the result; never reuse the backing
 	r.stack = r.stack[:0]
-	r.open, r.stale = slices.Grow(r.open[:0], len(universe)), true
-	if r.memo = r.useMemo(root, len(universe)); r.memo {
-		r.availWord = ^uint64(0)
-		r.layout(root)
+	r.open = slices.Grow(r.open[:0], len(universe))
+	r.layout(root, len(universe))
+	if r.table.on = r.useTable(root); r.table.on {
 		r.table.reset()
-	} else {
-		// Every task free; the bits past the universe are never read.
-		words := (len(universe) + 63) / 64
-		r.avail = slices.Grow(r.avail[:0], words)[:words]
-		for i := range r.avail {
-			r.avail[i] = ^uint64(0)
-		}
-		r.relOff = r.relOff[:0]
 	}
-	if r.model != nil {
-		r.searchTVF(root, 0)
-	} else {
-		r.search(root, 0, 0)
-	}
+	r.search(root, 0, 0)
 	res.from, res.nodes, res.expanded, res.greedy, res.skipped = len(r.out), r.nodes, r.nodes-r.reused, r.greedy, r.skipped
 	res.samples = r.samples
 	r.out = append(r.out, r.stack...)
 	res.to = len(r.out)
-}
-
-// reach returns worker wi's sets and its reachable tasks as universe
-// positions.
-func (r *searchRun) reach(wi int32) (*wds.WorkerSets, []int32) {
-	return &r.sep.Sets[wi], r.reachLocal[r.reachOff[wi]:r.reachOff[wi+1]]
 }
 
 // value is the search objective contribution of sequence k of worker wi's
@@ -712,58 +690,73 @@ func (r *searchRun) action(wi int32, set *wds.WorkerSets, k int) tvf.Action {
 	return tvf.Action{Worker: r.sep.Workers[wi], Seq: r.seq}
 }
 
-// availMask gathers the availability of a worker's reachable tasks into one
-// word, bit k for its k-th reachable task.
+// nextFit returns the first k ≥ from such that every task of sequence k of
+// the row q is free, or -1: the first-fit of greedy completion and
+// DFSearch_TVF's candidate list; expand scans its candidates the same way in
+// line. Word 0 decides most sequences, and on a tree of one word all. Inlined
+// into greedyFill's loop it spills that loop's state, which measured slower
+// than the call.
 //
+//go:noinline
 //datawa:hotpath
-func (r *searchRun) availMask(local []int32) uint64 {
-	var m uint64
-	for k, p := range local {
-		m |= (r.avail[p>>6] >> uint(p&63) & 1) << uint(k)
-	}
-	return m
-}
-
-// nextUsable returns the first k ≥ from such that every task of sequence k is
-// available, or -1: the candidate filter of every search node and the
-// first-fit of greedy completion. avail must be the worker's availMask for
-// the current availability.
-//
-//datawa:hotpath
-func nextUsable(set *wds.WorkerSets, avail uint64, from int) int {
-	if avail == 0 {
-		return -1
-	}
-	for k := from; k < len(set.Masks); k++ {
-		if set.Masks[k]&^avail == 0 {
-			return k
+func (r *searchRun) nextFit(q *seqRow, from int) int {
+	taken := ^r.avail[0]
+	for k, m := range q.words[from:len(q.vals)] {
+		if m&taken == 0 && r.fitsPast(q, from+k) {
+			return from + k
 		}
 	}
 	return -1
 }
 
-// mark sets the availability of every task of sequence k.
+// fitsPast is the usable test of sequence k of the row q past word 0.
 //
 //datawa:hotpath
-func (r *searchRun) mark(set *wds.WorkerSets, local []int32, k int, free bool) {
-	for m := set.Masks[k]; m != 0; m &= m - 1 {
-		p := local[bits.TrailingZeros64(m)]
-		if free {
-			r.avail[p>>6] |= 1 << uint(p&63)
-		} else {
-			r.avail[p>>6] &^= 1 << uint(p&63)
+func (r *searchRun) fitsPast(q *seqRow, k int) bool {
+	for i := 1; i < len(r.avail); i++ {
+		if q.words[i*len(q.vals)+k]&^r.avail[i] != 0 {
+			return false
 		}
 	}
-	r.stale = true
+	return true
 }
 
-// markAll sets the availability of every task of a plan.
+// free reports whether any task of the given row of rows — rel or reachBits,
+// relWords words a row — is free: on a tree of one word, one AND. A worker
+// none of whose reachable tasks is free — most of a crowd instant's workers,
+// most of the time — costs that and not a scan of its Q_w, and a greedy
+// completion of a subtree with nothing relevant free costs it once.
 //
 //datawa:hotpath
-func (r *searchRun) markAll(plan []choice, free bool) {
+func (r *searchRun) free(rows []uint64, row int32) bool {
+	if len(r.avail) == 1 {
+		return rows[row]&r.avail[0] != 0
+	}
+	at := int(row) * len(r.avail)
+	for i, a := range r.avail {
+		if rows[at+i]&a != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// flip takes the tasks of sequence k of the row q when they are all free, or
+// gives them back when they are all taken.
+//
+//datawa:hotpath
+func (r *searchRun) flip(q *seqRow, k int) {
+	avail, n := r.avail, len(q.vals)
+	avail[0] ^= q.words[k]
+	for i := 1; i < len(avail); i++ {
+		avail[i] ^= q.words[i*n+k]
+	}
+}
+
+// flipPlan flips every sequence of a plan.
+func (r *searchRun) flipPlan(plan []choice) {
 	for _, c := range plan {
-		set, local := r.reach(c.w)
-		r.mark(set, local, int(c.k), free)
+		r.flip(&r.seqs[r.rowOf[c.w]], int(c.k))
 	}
 }
 
@@ -774,26 +767,25 @@ func (r *searchRun) markAll(plan []choice, free bool) {
 // completion cannot win, and the caller counts the call without making it.
 // d is the call's depth, for the RL state scratch.
 //
-// On a memo tree a subproblem — (n, j) and the availability of the tasks it
-// can reach — is expanded once. A call that returned inside the budget stores
-// what it returned, left on the stack and counted; a repeat counts as many
-// nodes, pushes that plan and returns that value, which is what expanding it
-// again would do. A repeat whose count would cross the budget is expanded
-// again instead, so the budget falls on the same call, and splits exact from
-// greedy the same way, as in the plain walk.
+// With the transposition table on a subproblem — (n, j) and the availability
+// of the tasks it can reach — is expanded once. A call that returned inside
+// the budget stores what it returned, left on the stack and counted; a repeat
+// counts as many nodes, pushes that plan and returns that value, which is what
+// expanding it again would do. A repeat whose count would cross the budget is
+// expanded again instead, so the budget falls on the same call, and splits
+// exact from greedy the same way, as without the table.
 func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 	before := r.nodes
 	r.nodes++
-	if r.nodes > r.opts.MaxNodes {
-		r.greedy++
-		return r.greedyComplete(n, j)
-	}
-	if !r.memo {
-		return r.expand(n, j, d)
-	}
-	// No RL state on a memo tree: from here down d goes unread.
 	row := r.relOff[n.ID] + int32(j)
-	word := r.availWord & r.rel[row]
+	if r.nodes > r.opts.MaxNodes && r.model == nil { // DFSearch_TVF never backtracks: it has no budget
+		r.greedy++
+		return r.greedyComplete(n, j, row)
+	}
+	if !r.table.on {
+		return r.expand(n, j, d, row)
+	}
+	word := r.avail[0] & r.rel[row]
 	if e := r.table.lookup(row, word); e != nil && before+int(e.nodes) <= r.opts.MaxNodes {
 		r.nodes = before + int(e.nodes)
 		r.reused += int(e.nodes)
@@ -801,35 +793,53 @@ func (r *searchRun) search(n *wds.TreeNode, j, d int) float64 {
 		return e.value
 	}
 	base := len(r.stack)
-	value := r.expandWords(n, j, row)
+	value := r.expand(n, j, d, row)
 	if r.nodes <= r.opts.MaxNodes { // past the budget no call of this tree looks anything up again
 		r.table.insert(row, word, value, r.nodes-before, r.stack[base:])
 	}
 	return value
 }
 
-// expand is the body of search on the plain walk. Workers of the node are
-// considered in id order; each worker branches over every usable q ∈ Q_w plus
-// the skip option, which preserves the optimum the paper's worker loop explores
-// while avoiding redundant permutations.
-func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
+// expand is the body of search at the given row, the one walk of every tree
+// and every mode. Workers of the node are considered in id order; each worker
+// branches over every usable q ∈ Q_w plus the skip option, which preserves the
+// optimum the paper's worker loop explores while avoiding redundant
+// permutations. A sequence is usable when its words lie inside availability,
+// taking it flips them out, and the branch is undone by flipping them back.
+// With a value model the worker instead commits to one sequence and the walk
+// never backtracks (commitTVF).
+//
+//datawa:hotpath
+func (r *searchRun) expand(n *wds.TreeNode, j, d int, row int32) float64 {
 	base := len(r.stack)
 	if j == len(n.Index) {
 		// Line 15–16: recurse into each child; sibling subtrees are
-		// independent, so their optima add.
+		// independent, so their optima add. They share no task (workers that
+		// share one are in the same dependency component), so only the RL
+		// state, which lists the whole universe's open tasks, can tell whether
+		// a child's plan is taken out of availability for the next child:
+		// under Collect it is, as the reference search does.
 		total := 0.0
 		for _, child := range n.Children {
 			from := len(r.stack)
 			total += r.search(child, 0, d+1)
-			r.markAll(r.stack[from:], false)
+			if r.collect {
+				r.flipPlan(r.stack[from:])
+			}
 		}
-		r.markAll(r.stack[base:], true)
+		if r.collect {
+			r.flipPlan(r.stack[base:])
+		}
 		return total
 	}
+	if r.model != nil {
+		r.commitTVF(n, j, row)
+		return r.search(n, j+1, d+1)
+	}
 	// Below the last worker of a leaf node a call finds nothing to decide: it
-	// is counted where it would have been made, and the marks around it left
-	// out — nothing reads availability in between, and a task list rebuilt
-	// after the pair holds what it held before it.
+	// is counted where it would have been made, and the take and give back
+	// around it left out — nothing reads availability in between, and a task
+	// list rebuilt after the pair holds what it held before it.
 	last := j+1 == len(n.Index) && len(n.Children) == 0
 
 	// Skip branch: the worker gets nothing.
@@ -843,26 +853,32 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 	if r.collect {
 		r.stateFor(r.levelAt(d), n, j)
 	}
-	wi := n.Index[j]
-	set, local := r.reach(wi)
-	avail := r.availMask(local)
-	for k := nextUsable(set, avail, 0); k >= 0; k = nextUsable(set, avail, k+1) {
+	if !r.free(r.reachBits, row) {
+		return best
+	}
+	// Each branch gives back what it took, so availability is the same for
+	// every k: word 0 of the scan is read once.
+	wi, q := n.Index[j], &r.seqs[row]
+	taken := ^r.avail[0]
+	for k, m := range q.words[:len(q.vals)] {
+		if m&taken != 0 || !r.fitsPast(q, k) {
+			continue
+		}
+		value := q.vals[k]
 		top := len(r.stack)
 		r.stack = append(r.stack, choice{wi, int32(k)})
-		value := r.value(wi, set, k)
 		var v float64
-		if last {
+		switch {
+		case last:
 			v = r.emptyCall()
-		} else {
-			r.mark(set, local, k, false)
-			// Every branch of a Collect run emits a sample of its own value, so
-			// there each completion is run.
-			if !r.collect && r.nodes >= r.opts.MaxNodes && value+r.completionBound(r.mostTaken(n, j+1)) <= best {
-				v = r.skipCompletion()
-			} else {
-				v = r.search(n, j+1, d+1)
-			}
-			r.mark(set, local, k, true)
+		// Every branch of a Collect run emits a sample of its own value, so
+		// there each completion is run.
+		case !r.collect && r.nodes >= r.opts.MaxNodes && value+r.completionBound(r.mostTaken(row+1, q, k)) <= best:
+			v = r.skipCompletion()
+		default:
+			r.flip(q, k)
+			v = r.search(n, j+1, d+1)
+			r.flip(q, k)
 		}
 		total := v + value
 		if total > best {
@@ -873,72 +889,10 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int) float64 {
 		}
 		if r.collect && len(r.samples) < maxSamples {
 			// Lines 9–11: record (s_t, a_t, opt).
-			feat := tvf.Featurize(r.state(r.levelAt(d)), r.action(wi, set, k), r.opts.WDS.Travel)
+			feat := tvf.Featurize(r.state(r.levelAt(d)), r.action(wi, &r.sep.Sets[wi], k), r.opts.WDS.Travel)
 			r.samples = append(r.samples, tvf.Sample{Features: feat, Opt: total})
 		}
 	}
-	return best
-}
-
-// expandWords is expand on a memo tree, at the given row: a sequence is usable
-// when its word lies inside the availability word, taking it clears the word,
-// and the branch is undone by putting the saved word back. A worker with no
-// reachable task free — most of a crowd instant's workers, most of the time —
-// is one AND against its reach word, not a scan of its Q_w.
-//
-// Sibling subtrees share no task (workers that share one are in the same
-// dependency component), so a child's plan is not taken out of availability
-// for the next child as the plain walk does: there only the RL state, which
-// lists the whole universe's open tasks, can tell.
-//
-//datawa:hotpath
-func (r *searchRun) expandWords(n *wds.TreeNode, j int, row int32) float64 {
-	if j == len(n.Index) {
-		total := 0.0
-		for _, child := range n.Children {
-			total += r.search(child, 0, 0)
-		}
-		return total
-	}
-	base := len(r.stack)
-	last := j+1 == len(n.Index) && len(n.Children) == 0 // see expand
-
-	var best float64
-	if last {
-		best = r.emptyCall()
-	} else {
-		best = r.search(n, j+1, 0)
-	}
-
-	avail := r.availWord
-	if avail&r.reachWord[row] == 0 {
-		return best
-	}
-	wi, q := n.Index[j], &r.seqs[row]
-	for k, word := range q.words {
-		if word&^avail != 0 {
-			continue
-		}
-		top := len(r.stack)
-		r.stack = append(r.stack, choice{wi, int32(k)})
-		var v float64
-		switch {
-		case last:
-			v = r.emptyCall()
-		case r.nodes >= r.opts.MaxNodes && q.vals[k]+r.completionBound(r.mostTakenWord(row+1, avail&^word)) <= best:
-			v = r.skipCompletion()
-		default:
-			r.availWord = avail &^ word
-			v = r.search(n, j+1, 0)
-		}
-		if total := v + q.vals[k]; total > best {
-			best = total
-			r.stack = r.stack[:base+copy(r.stack[base:], r.stack[top:])]
-		} else {
-			r.stack = r.stack[:top]
-		}
-	}
-	r.availWord = avail
 	return best
 }
 
@@ -956,12 +910,12 @@ func (r *searchRun) emptyCall() float64 {
 // completionBound is the most a greedy completion that takes at most n tasks
 // can add: n tasks at the most one task is worth. A branch whose own sequence
 // plus that is not above the best branch so far cannot replace it (expand's
-// and expandWords' strict >), so its completion need not run. The bound holds
-// in floating point too: at a VirtualWeight of at most 1 every partial sum of
-// a completion's values is at most its term count — an integer, held exactly —
-// and rounding is monotone, so the completion's sum plus the branch's value
-// never rounds above the bound plus it; above 1 the bound is padded by a
-// relative 1e-12, more than the rounding error of a sum of thousands of terms.
+// strict >), so its completion need not run. The bound holds in floating point
+// too: at a VirtualWeight of at most 1 every partial sum of a completion's
+// values is at most its term count — an integer, held exactly — and rounding
+// is monotone, so the completion's sum plus the branch's value never rounds
+// above the bound plus it; above 1 the bound is padded by a relative 1e-12,
+// more than the rounding error of a sum of thousands of terms.
 func (r *searchRun) completionBound(n int) float64 {
 	if w := r.opts.VirtualWeight; w > 1 {
 		return float64(n) * w * (1 + 1e-12)
@@ -978,27 +932,16 @@ func (r *searchRun) skipCompletion() float64 {
 	return r.emptyCall()
 }
 
-// mostTakenWord is the most tasks a call at the given row of a memo tree can
-// take under availability avail: every one it takes is free and relevant to
-// the row, and each of the row's workers takes at most its longest sequence.
+// mostTaken is the most tasks a call at the given row can take once sequence
+// k of the row q is taken: every one it takes is free and relevant to the row,
+// and each of the row's workers takes at most its longest sequence.
 //
 //datawa:hotpath
-func (r *searchRun) mostTakenWord(row int32, avail uint64) int {
-	return min(bits.OnesCount64(avail&r.rel[row]), int(r.relMost[row]))
-}
-
-// mostTaken is mostTakenWord for the call at (n, j) on the plain walk. It lays
-// the relevance rows out the first time a tree asks.
-//
-//datawa:hotpath
-func (r *searchRun) mostTaken(n *wds.TreeNode, j int) int {
-	if len(r.relOff) == 0 {
-		r.layoutRel(r.root, len(r.avail))
-	}
-	row := int(r.relOff[n.ID]) + j
-	free := 0
-	for i, m := range r.rel[row*r.relWords : (row+1)*r.relWords] {
-		free += bits.OnesCount64(m & r.avail[i])
+func (r *searchRun) mostTaken(row int32, q *seqRow, k int) int {
+	at := int(row) * len(r.avail)
+	free := bits.OnesCount64(r.rel[at] & r.avail[0] &^ q.words[k])
+	for i := 1; i < len(r.avail); i++ {
+		free += bits.OnesCount64(r.rel[at+i] & r.avail[i] &^ q.words[i*len(q.vals)+k])
 	}
 	return min(free, int(r.relMost[row]))
 }
@@ -1006,117 +949,81 @@ func (r *searchRun) mostTaken(n *wds.TreeNode, j int) int {
 // greedyComplete finishes a subtree without branching once the exact budget
 // is spent: each worker takes its best immediate sequence — the first usable
 // one, Q_w being sorted best first. The plan is left on top of r.stack and
-// availability restored.
-func (r *searchRun) greedyComplete(n *wds.TreeNode, j int) float64 {
-	if r.memo {
-		avail := r.availWord
-		total := r.greedyFillWords(n, j)
-		r.availWord = avail
-		return total
-	}
-	base := len(r.stack)
-	total := r.greedyFill(n, j)
-	r.markAll(r.stack[base:], true)
+// availability restored from a copy.
+func (r *searchRun) greedyComplete(n *wds.TreeNode, j int, row int32) float64 {
+	r.saved = append(r.saved[:0], r.avail...)
+	total := r.greedyFill(n, j, row)
+	copy(r.avail, r.saved)
 	return total
 }
 
-// greedyFill is greedyComplete's recursion: it leaves its picks marked.
+// greedyFill is greedyComplete's recursion from the given row: it leaves its
+// picks taken. A subtree with nothing relevant to the row free takes nothing,
+// and is left unwalked.
 //
 //datawa:hotpath
-func (r *searchRun) greedyFill(n *wds.TreeNode, j int) float64 {
+func (r *searchRun) greedyFill(n *wds.TreeNode, j int, row int32) float64 {
+	if !r.free(r.rel, row) {
+		return 0
+	}
 	total := 0.0
 	for _, wi := range n.Index[j:] {
-		set, local := r.reach(wi)
-		if k := nextUsable(set, r.availMask(local), 0); k >= 0 {
-			r.mark(set, local, k, false)
-			r.stack = append(r.stack, choice{wi, int32(k)})
-			total += r.value(wi, set, k)
-		}
-	}
-	for _, child := range n.Children {
-		total += r.greedyFill(child, 0)
-	}
-	return total
-}
-
-// greedyFillWords is greedyFill on a memo tree: it leaves its picks cleared
-// from availWord.
-//
-//datawa:hotpath
-func (r *searchRun) greedyFillWords(n *wds.TreeNode, j int) float64 {
-	row := r.relOff[n.ID] + int32(j)
-	total := 0.0
-	for _, wi := range n.Index[j:] {
-		if avail := r.availWord; avail&r.reachWord[row] != 0 {
+		if r.free(r.reachBits, row) {
 			q := &r.seqs[row]
-			for k, word := range q.words {
-				if word&^avail == 0 {
-					r.availWord = avail &^ word
-					r.stack = append(r.stack, choice{wi, int32(k)})
-					total += q.vals[k]
-					break
-				}
+			if k := r.nextFit(q, 0); k >= 0 {
+				r.flip(q, k)
+				r.stack = append(r.stack, choice{wi, int32(k)})
+				total += q.vals[k]
 			}
 		}
 		row++
 	}
 	for _, child := range n.Children {
-		total += r.greedyFillWords(child, 0)
+		total += r.greedyFill(child, 0, r.relOff[child.ID])
 	}
 	return total
 }
 
-// searchTVF is Algorithm 2: at each worker it commits to the sequence in
-// Q_w whose predicted long-term value is highest (line 8:
-// q_best ← argmax_{q∈Q_W} TVF(s_t, (w,q))) and never backtracks. A worker
-// with no usable sequence is skipped.
-func (r *searchRun) searchTVF(n *wds.TreeNode, j int) {
-	r.nodes++
-	if j == len(n.Index) {
-		for _, child := range n.Children {
-			r.searchTVF(child, 0)
-		}
-		return
-	}
-	wi := n.Index[j]
-	set, local := r.reach(wi)
-	avail := r.availMask(local)
+// commitTVF is Algorithm 2 at worker n.Index[j], of the given row: it commits
+// to the sequence in Q_w whose predicted long-term value is highest (line 8:
+// q_best ← argmax_{q∈Q_W} TVF(s_t, (w,q))). A worker with no usable sequence
+// is skipped.
+func (r *searchRun) commitTVF(n *wds.TreeNode, j int, row int32) {
+	wi, q := n.Index[j], &r.seqs[row]
 	r.usable = r.usable[:0]
-	for k := nextUsable(set, avail, 0); k >= 0; k = nextUsable(set, avail, k+1) {
+	for k := r.nextFit(q, 0); k >= 0; k = r.nextFit(q, k+1) {
 		r.usable = append(r.usable, int32(k))
 	}
-	if len(r.usable) > 0 {
-		lv := r.levelAt(0)
-		r.stateFor(lv, n, j)
-		st := r.state(lv)
-		r.feats = r.feats[:0]
-		for _, k := range r.usable {
-			r.feats = append(r.feats, tvf.Featurize(st, r.action(wi, set, int(k)), r.opts.WDS.Travel))
-		}
-		values := r.model.PredictBatch(r.feats)
-		best := 0
-		for i, v := range values {
-			if v > values[best] {
-				best = i
-			}
-		}
-		// The learned value is an approximation; among candidates the
-		// model considers near-equal (within a quarter task of the
-		// best), take the one with the higher immediate value so
-		// approximation noise cannot discard an obviously longer
-		// sequence.
-		const nearTie = 0.25
-		value := func(i int) float64 { return r.value(wi, set, int(r.usable[i])) }
-		for i, v := range values {
-			if v >= values[best]-nearTie && value(i) > value(best) {
-				best = i
-			}
-		}
-		k := r.usable[best]
-		r.mark(set, local, int(k), false)
-		r.stack = append(r.stack, choice{wi, k})
+	if len(r.usable) == 0 {
+		return
 	}
-	r.searchTVF(n, j+1)
+	lv := r.levelAt(0)
+	r.stateFor(lv, n, j)
+	st := r.state(lv)
+	r.feats = r.feats[:0]
+	for _, k := range r.usable {
+		r.feats = append(r.feats, tvf.Featurize(st, r.action(wi, &r.sep.Sets[wi], int(k)), r.opts.WDS.Travel))
+	}
+	values := r.model.PredictBatch(r.feats)
+	best := 0
+	for i, v := range values {
+		if v > values[best] {
+			best = i
+		}
+	}
+	// The learned value is an approximation; among candidates the model
+	// considers near-equal (within a quarter task of the best), take the one
+	// with the higher immediate value so approximation noise cannot discard an
+	// obviously longer sequence.
+	const nearTie = 0.25
+	for i, v := range values {
+		if v >= values[best]-nearTie && q.vals[r.usable[i]] > q.vals[r.usable[best]] {
+			best = i
+		}
+	}
+	k := r.usable[best]
+	r.flip(q, int(k))
+	r.stack = append(r.stack, choice{wi, k})
 }
 
 // levelAt returns the RL state scratch of depth d. The pointer is only good
@@ -1132,14 +1039,11 @@ func (r *searchRun) levelAt(d int) *level {
 // into lv.
 func (r *searchRun) stateFor(lv *level, n *wds.TreeNode, j int) {
 	lv.workers = r.appendWorkers(lv.workers[:0], n, j)
-	if r.stale {
-		r.open = r.open[:0]
-		for p, t := range r.tasks {
-			if r.avail[p>>6]>>uint(p&63)&1 != 0 {
-				r.open = append(r.open, r.sep.Tasks[t])
-			}
+	r.open = r.open[:0]
+	for p, t := range r.tasks {
+		if r.avail[p>>6]>>uint(p&63)&1 != 0 {
+			r.open = append(r.open, r.sep.Tasks[t])
 		}
-		r.stale = false
 	}
 	lv.tasks = len(r.open)
 }

@@ -381,6 +381,31 @@ func TestPlanSequencesOutliveTheSearch(t *testing.T) {
 	}
 }
 
+// TestCrowdPlanAllocs holds a warm serial Search.Plan on the event-spike
+// crowds (BenchmarkCrowdPlan's instants and budget) to at most 10 allocations
+// a call at 1.5x and 38 at 5x: the plan and its task array (Search.commit) and
+// what building the RTC trees still allocates (wds.Separator.Tree), nothing
+// for the search. The 5x crowd is one tree of 113 tasks laid out on two words,
+// so the layout's arenas are held to no steady-state allocation at any width.
+func TestCrowdPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	a, _ := scenario.Get("event-spike")
+	for _, c := range []struct {
+		scale float64
+		most  float64
+	}{{1.5, 10}, {5, 38}} {
+		crowd := atlasInstantsOf(a, c.scale)[0]
+		s := &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: 1}}
+		run := func() { s.Plan(crowd.workers, crowd.tasks, crowd.now) }
+		run()
+		if got := testing.AllocsPerRun(10, run); got > c.most {
+			t.Errorf("%vx: %v allocations a call, want at most %v", c.scale, got, c.most)
+		}
+	}
+}
+
 func samePlans(t *testing.T, a, b core.Plan) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -557,8 +582,8 @@ func withIdle(in instant) ([]*core.Worker, int) {
 // TestIdleWorkersInvisibleAcrossParallelism: a worker that reaches no task has
 // nothing to plan and shares nothing, so it costs nothing either. Planning an
 // instant with idle workers among its own returns the plan, the RL samples and
-// every counter of planning it without them — the exact search on memo trees
-// and on the plain walk, the flat ablation, the value-guided search, sample
+// every counter of planning it without them — the exact search with the
+// transposition table on and off, the flat ablation, the value-guided search, sample
 // collection and SSP's shared scenario pass — serial and at whatever the CPUs
 // give.
 func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
@@ -598,21 +623,29 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 					if len(wantPlan) == 0 {
 						t.Fatal("nothing was assigned")
 					}
-					if c.name != "exact" || !crowd {
-						return
-					}
-					// The crowd's exact search runs both bodies: the word path on
-					// the trees the table takes, the plain walk on the others.
-					memo, plain := 0, 0
+					// The transposition table is on for exactly the trees useTable
+					// names — one word, three workers or more, exact search without
+					// Collect — each switching it on once (transTable.gen), and a
+					// tree it is off for expands every node it counts. The crowd's
+					// exact search holds trees of both kinds.
+					on, off := 0, 0
 					for i := range got.results {
-						if got.results[i].root.Size() >= memoMinWorkers && got.taskOff[i+1]-got.taskOff[i] <= 64 {
-							memo++
-						} else {
-							plain++
+						r := &got.results[i]
+						if c.name != "tvf" && c.name != "collect" && r.root.Size() >= tableMinWorkers && got.taskOff[i+1]-got.taskOff[i] <= 64 {
+							on++
+						} else if off++; r.expanded != r.nodes {
+							t.Fatalf("tree %d: %d of %d nodes expanded with the table off", i, r.expanded, r.nodes)
 						}
 					}
-					if memo == 0 || plain == 0 {
-						t.Fatalf("%d memo trees, %d on the plain walk", memo, plain)
+					switched := 0
+					for g := range got.runs {
+						switched += int(got.runs[g].table.gen)
+					}
+					if switched != on {
+						t.Fatalf("the table was on for %d trees, useTable names %d", switched, on)
+					}
+					if c.name == "exact" && crowd && (on == 0 || off == 0) {
+						t.Fatalf("%d trees with the table on, %d with it off", on, off)
 					}
 				})
 			}
@@ -636,8 +669,8 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 
 // TestBoundedCompletionsAcrossParallelism pins the work the completion bound
 // saves (completionBound) on the event-spike flash crowd with the benchmark's
-// 4000-node budget (BenchmarkCrowdPlan): at 1.5x, where every tree takes the
-// word path, and at 5x, one tree of more than 64 tasks on the plain walk.
+// 4000-node budget (BenchmarkCrowdPlan): at 1.5x, where every tree's universe
+// fits one word, and at 5x, one tree of more than 64 tasks.
 // Serial and at whatever the CPUs give, the plan and all five counters are the
 // same, and most of the greedy completions past the budget are counted without
 // being run.

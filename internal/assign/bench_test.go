@@ -127,8 +127,8 @@ func BenchmarkPlanScale(b *testing.B) {
 // the event-spike archetype with the benchmark's 4000-node budget: the regime
 // where every tree's budget binds and the per-node candidate filter and greedy
 // completions set the epoch tail. At 1.5x every tree's universe fits one word
-// (the word path, transposition.go); at 5x the instant is one 113-task tree,
-// which takes the plain walk. The -par rows plan the same instants at
+// and the transposition table is on (transposition.go); at 5x the instant is
+// one 113-task tree, laid out on two words. The -par rows plan the same instants at
 // Parallelism 0 — whatever the grains of wds.Separate and Search.Plan make of
 // the CPUs given by -cpu — and must be no slower than their serial twins.
 func BenchmarkCrowdPlan(b *testing.B) {

@@ -149,7 +149,7 @@ func chainInstant(n, span, stride, stack int) instant {
 // and at a virtual weight of 0.1 seqValue sums the first to 1.2 and the second,
 // met second, to the double above it: east wins, but only if the values
 // compared are seqValue's running sums and not, say, 1 + 2·0.1. Workers 2 and 3
-// contend for task 7, virtual too, and make it a tree the word path takes.
+// contend for task 7, virtual too, and make it a tree the table is on for.
 func valueTieInstant() instant {
 	in := instant{name: "value-tie"}
 	for i, x := range []float64{-0.1, -0.2, -0.3, 0.1, 0.2, 0.3} {
@@ -162,18 +162,19 @@ func valueTieInstant() instant {
 	return in
 }
 
-// wordPath asserts the planner searched its one tree (not flattened) — of the
-// given universe — on the availability word, and that the tree's layout is the
-// Separation's: every sequence's word is its tasks' universe positions and its
-// stored value is seqValue's, to the bit.
+// wordPath asserts the planner searched one tree of the given universe, and
+// that the tree's layout is the Separation's at whatever width the universe
+// takes: every sequence's words are its tasks' universe bits, nothing past
+// them, and its stored value is seqValue's, to the bit.
 func wordPath(t *testing.T, s *Search, universe int) {
 	t.Helper()
 	if len(s.taskOff) != 2 || int(s.taskOff[1]) != universe {
 		t.Fatalf("universes %v, want one of %d tasks", s.taskOff, universe)
 	}
 	run := &s.runs[0]
-	if !run.memo {
-		t.Fatal("the tree took the plain walk")
+	w := run.relWords
+	if w != (universe+63)/64 {
+		t.Fatalf("%d words a row for a universe of %d tasks", w, universe)
 	}
 	pos := make(map[*core.Task]int32)
 	for p, task := range run.sep.Tasks {
@@ -183,17 +184,20 @@ func wordPath(t *testing.T, s *Search, universe int) {
 	check = func(n *wds.TreeNode) {
 		for j, wi := range n.Index {
 			seqs, q := seqsOf(run.sep, int(wi)), run.seqs[run.relOff[n.ID]+int32(j)]
-			if len(q.words) != len(seqs) || len(q.vals) != len(seqs) {
+			if len(q.words) != w*len(seqs) || len(q.vals) != len(seqs) {
 				t.Fatalf("worker %d: %d words, %d values for %d sequences", wi, len(q.words), len(q.vals), len(seqs))
 			}
 			for k, seq := range seqs {
-				var word uint64
-				for _, task := range seq {
-					word |= 1 << uint(pos[task])
+				got, want := make([]uint64, w), make([]uint64, w)
+				for i := range got {
+					got[i] = q.words[i*len(seqs)+k]
 				}
-				if q.words[k] != word || q.vals[k] != seqValue(seq, run.opts.VirtualWeight) {
-					t.Fatalf("worker %d sequence %d: word %b worth %v, want %b worth %v",
-						wi, k, q.words[k], q.vals[k], word, seqValue(seq, run.opts.VirtualWeight))
+				for _, task := range seq {
+					want[pos[task]>>6] |= 1 << uint(pos[task]&63)
+				}
+				if !slices.Equal(got, want) || q.vals[k] != seqValue(seq, run.opts.VirtualWeight) {
+					t.Fatalf("worker %d sequence %d: words %x worth %v, want %x worth %v",
+						wi, k, got, q.vals[k], want, seqValue(seq, run.opts.VirtualWeight))
 				}
 			}
 		}
@@ -211,11 +215,12 @@ func wordPath(t *testing.T, s *Search, universe int) {
 // samples and not (the run the transposition table serves), guided by a value
 // model, and with the reachable sets uncapped. The table is then held to
 // the reference where it is most exposed: at every budget a small tree can
-// run out on, and on either side of the universe width it is switched on by;
-// the plain walk on workers whose mask rows are full, bit 63 included. So is
-// the bound that skips greedy completions past the budget (completionBound):
-// every crowd instant must have run it, and the fixtures include a virtual
-// weight above 1, where it is padded.
+// run out on, and on either side of the universe width it is switched on by.
+// The layout is held to it on workers whose mask rows are full, bit 63
+// included, and on a universe of three words whose workers reach across bits
+// 63/64 and 127/128. So is the bound that skips greedy completions past the
+// budget (completionBound): every crowd instant must have run it, and the
+// fixtures include a virtual weight above 1, where it is padded.
 func TestSearchMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 20 planning instants through the reference search")
@@ -327,7 +332,7 @@ func TestSearchMatchesReference(t *testing.T) {
 	})
 
 	// Universes of exactly 64 and 65 tasks: the widest tree the table takes
-	// and the narrowest it leaves to the plain walk.
+	// and the narrowest it leaves off, laid out on two words.
 	for _, n := range []int{64, 65} {
 		in := chainInstant(n, 8, 4, 1)
 		for _, flat := range []bool{false, true} {
@@ -346,8 +351,8 @@ func TestSearchMatchesReference(t *testing.T) {
 						if answered := s.ExpandedLastPlan < s.NodesLastPlan; answered != (n <= 64) {
 							t.Fatalf("%d tasks: %d of %d nodes expanded", n, s.ExpandedLastPlan, s.NodesLastPlan)
 						}
-						if n <= 64 && !flat {
-							wordPath(t, s, n) // bit 63 included
+						if !flat {
+							wordPath(t, s, n) // bit 63 included, and 64
 						}
 					}
 					if ref.boundTrees != 1 {
@@ -358,10 +363,10 @@ func TestSearchMatchesReference(t *testing.T) {
 		}
 	}
 
-	// Full mask rows on the plain walk: two workers 30 tasks apart on a row of
-	// 100, each with 70 in reach and so holding the 64 nearest — 28 of them
-	// shared — under a budget that runs out: candidate tests, marks and
-	// greedy completions all read bit 63.
+	// Full mask rows on a universe of two words: two workers 30 tasks apart on
+	// a row of 100, each with 70 in reach and so holding the 64 nearest — 28
+	// of them shared — under a budget that runs out: the layout, candidate
+	// tests and greedy completions all read bit 63 of a mask row.
 	for _, p := range []int{1, 0} {
 		t.Run(fmt.Sprintf("chain-100/reach=64/par=%d", p), func(t *testing.T) {
 			in := chainInstant(100, 70, 30, 1)
@@ -384,14 +389,75 @@ func TestSearchMatchesReference(t *testing.T) {
 		})
 	}
 
-	// The word path where it is most exposed. A starved crowd: 44 workers in
+	// A universe of three words: four workers with 70 in reach, on a row of
+	// 176, each holding its 64 nearest — positions 0–63, 40–103 (bits 63 and
+	// 64), 80–143 (127 and 128) and 112–175, the last two contending for word
+	// 2 — searched with the budget binding (4000) and not (556,199 nodes),
+	// collecting samples, and guided by a value model. No oracle sees the
+	// width: refSearch works on tasks.
+	wide3 := chainInstant(176, 64, 40, 1)
+	for _, c := range []struct {
+		name     string
+		maxNodes int
+		collect  bool
+		model    *tvf.Model
+	}{
+		{"nodes=4000", 4000, false, nil},
+		{"nodes=1M", 1 << 20, false, nil},
+		{"nodes=4000/collect", 4000, true, nil},
+		{"nodes=1M/collect", 1 << 20, true, nil},
+		{"tvf", 4000, false, model},
+	} {
+		for _, p := range []int{1, 0} {
+			t.Run(fmt.Sprintf("%s/%s/par=%d", wide3.name, c.name, p), func(t *testing.T) {
+				o := opts()
+				o.WDS.MaxReachable, o.WDS.MaxSeqLen, o.MaxNodes, o.Parallelism = 70, 1, c.maxNodes, p
+				ref := &refSearch{Opts: o, Collect: c.collect, Model: c.model}
+				want := ref.Plan(wide3.workers, wide3.tasks, wide3.now)
+				s := &Search{Opts: o, Collect: c.collect, Model: c.model}
+				for pass := 0; pass < 2; pass++ {
+					s.Samples = nil
+					got := s.Plan(wide3.workers, wide3.tasks, wide3.now)
+					if c.collect || c.model != nil {
+						sameOutcome(t, ref, want, s, got)
+					} else {
+						sameSearch(t, ref, want, s, got)
+					}
+					wordPath(t, s, len(wide3.tasks))
+				}
+				straddles := func(a, b int32) bool {
+					for i := range wide3.workers {
+						var at []int32
+						for _, task := range s.runs[0].sep.Sets[i].Index {
+							at = append(at, s.local[task])
+						}
+						if slices.Contains(at, a) && slices.Contains(at, b) {
+							return true
+						}
+					}
+					return false
+				}
+				if !straddles(63, 64) || !straddles(127, 128) {
+					t.Fatal("no worker reaches across a word boundary")
+				}
+				if bound := ref.boundTrees == 1; c.model == nil && bound != (c.maxNodes == 4000) {
+					t.Fatalf("budget %d bound %d trees", c.maxNodes, ref.boundTrees)
+				}
+				if len(want) != 4 || c.collect && len(ref.Samples) == 0 {
+					t.Fatalf("%d workers assigned, %d samples", len(want), len(ref.Samples))
+				}
+			})
+		}
+	}
+
+	// The search where it is most exposed. A starved crowd: 44 workers in
 	// four stacks over 10 tasks, which the first five to pick take between them,
 	// under budgets small enough that most calls are greedy completions — each
 	// a walk over dozens of workers with nothing in reach left, answered by the
 	// reach word alone. A pool of real and virtual tasks at a virtual weight of
 	// 0.6, and at 1.5, where a task can be worth more than 1 and the bound that
-	// skips completions is padded — on the word path and, over 80 tasks, on the
-	// plain walk. And, at 0.1, a tie only seqValue's own arithmetic breaks
+	// skips completions is padded — on one word and, over 80 tasks, on two.
+	// And, at 0.1, a tie only seqValue's own arithmetic breaks
 	// (valueTieInstant).
 	starved := chainInstant(10, 4, 2, 11)
 	starved.name = "starved-crowd"
@@ -439,11 +505,7 @@ func TestSearchMatchesReference(t *testing.T) {
 					s := &Search{Opts: o}
 					for pass := 0; pass < 2; pass++ {
 						sameSearch(t, ref, want, s, s.Plan(c.in.workers, c.in.tasks, c.in.now))
-						if len(c.in.tasks) <= 64 {
-							wordPath(t, s, len(c.in.tasks))
-						} else if s.runs[0].memo {
-							t.Fatal("a tree of more than 64 tasks took the word path")
-						}
+						wordPath(t, s, len(c.in.tasks))
 						ran++
 						skipped = skipped || s.SkippedCompletionsLastPlan > 0
 					}

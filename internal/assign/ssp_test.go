@@ -364,7 +364,7 @@ func sameAsPerScenario(t *testing.T, p *SSP, ws []*core.Worker, ts []*core.Task,
 // of K searches from scratch on K copied pools, at every parallelism, under a
 // binding and a loose budget, at both ends of the risk knob. The pools: random
 // ones at three scenario counts, the rush-hour crowd robust-ssp plans, and two
-// whose trees run past 64 tasks and take the plain walk — a chain of 80 tasks,
+// whose trees run past 64 tasks, laid out on two words — a chain of 80 tasks,
 // one tree a scenario and no two alike, and the event-spike flash crowd at 5x.
 // The last costs seconds a plan under the race detector, which CI runs this
 // test with three times over, so it is planned under the binding budget only,

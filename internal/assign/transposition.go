@@ -7,6 +7,13 @@ import (
 	"repro/internal/wds"
 )
 
+// Every tree is searched over one layout. Its universe — the tasks its workers
+// reach, in pool order — is numbered from 0, and position p is bit p&63 of
+// word p>>6 of a row relWords words wide. Availability is one such row, and
+// each sequence of Q_w is laid out once per tree as the row of its tasks,
+// beside its value, so the search, its greedy completion and DFSearch_TVF test,
+// take and give back tasks a word at a time and never walk a sequence's tasks.
+//
 // The exact search re-solves subproblems: search(n, j) reads availability only
 // through the tasks the workers n.Index[j:] and the subtrees below n can
 // reach, and a tree search arrives at the same (n, j) with the same
@@ -18,38 +25,45 @@ import (
 // availability answers the repeats.
 //
 // The table serves one tree at a time and only trees whose universe fits one
-// availability word; wider trees, trees of one or two workers (nothing to
-// share), Collect mode (every call emits samples) and DFSearch_TVF (no
-// backtracking, no repeats) take the plain walk.
-//
-// On the trees it serves that word is the search's availability, not a copy
-// kept for the key: each sequence is laid out once per tree as the universe
-// word of its tasks, so the search and its greedy completion (expandWords,
-// greedyFillWords) test, take and give back tasks a word at a time and never
-// touch the plain walk's availability bitset, which a sequence's tasks are
-// scattered over.
+// word, so that a key is that word masked by the row's relevance bits; not
+// trees of one or two workers (nothing to share), Collect mode (every call
+// emits samples) or DFSearch_TVF (no backtracking, no repeats). Fixed keys of
+// four words for wider trees slowed the workloads with none (docs/BENCHMARKS.md,
+// "Dead ends"), and on the crowds that have them the node budget is gone
+// before repeats matter.
 
-// memoMinWorkers is the smallest tree the table is switched on for.
-const memoMinWorkers = 3
+// tableMinWorkers is the smallest tree the table is switched on for.
+const tableMinWorkers = 3
 
-// useMemo reports whether the tree under root, over a universe of the given
-// size, is searched on one availability word with the transposition table.
-func (r *searchRun) useMemo(root *wds.TreeNode, universe int) bool {
-	return r.model == nil && !r.collect && universe <= 64 && root.Size() >= memoMinWorkers
+// useTable reports whether the tree under root, laid out, is searched with the
+// transposition table.
+func (r *searchRun) useTable(root *wds.TreeNode) bool {
+	return r.model == nil && !r.collect && r.relWords == 1 && root.Size() >= tableMinWorkers
 }
 
-// layout lays out the per-row scratch of a memo tree, sized to the tree: the
-// relevance rows, one word each, and one more row per node than it has
-// workers; one word and one value per sequence.
-func (r *searchRun) layout(root *wds.TreeNode) {
-	rows, seqs := r.layoutRel(root, 1)
-	r.reachWord = slices.Grow(r.reachWord[:0], rows)[:rows]
+// layout lays out the tree under root over a universe of the given size, every
+// task free: relWords, the rows and the sequences, sized to the tree.
+func (r *searchRun) layout(root *wds.TreeNode, universe int) {
+	nodes, rows, seqs := r.measure(root)
+	w := (universe + 63) / 64
+	r.relWords = w
+	r.avail = slices.Grow(r.avail[:0], w)[:w]
+	for i := range r.avail {
+		r.avail[i] = ^uint64(0) // the bits past the universe are never read
+	}
+	r.relOff = slices.Grow(r.relOff[:0], nodes)
+	r.relMost = slices.Grow(r.relMost[:0], rows)
+	r.rel = slices.Grow(r.rel[:0], rows*w)[:rows*w]
+	r.reachBits = slices.Grow(r.reachBits[:0], rows*w)[:rows*w]
 	r.seqs = slices.Grow(r.seqs[:0], rows)[:rows]
-	r.arena.reset(seqs)
-	r.layoutSeqs(root)
+	r.rowOf = slices.Grow(r.rowOf[:0], len(r.sep.Workers))[:len(r.sep.Workers)]
+	r.words.reset(seqs * w)
+	r.vals.reset(seqs)
+	r.layoutRows(root)
 }
 
-// measure counts the nodes, rows and sequences of the subtree under n.
+// measure counts the nodes, rows and sequences of the subtree under n: one
+// more row per node than it has workers.
 func (r *searchRun) measure(n *wds.TreeNode) (nodes, rows, seqs int) {
 	nodes, rows = 1, len(n.Index)+1
 	for _, wi := range n.Index {
@@ -62,125 +76,91 @@ func (r *searchRun) measure(n *wds.TreeNode) (nodes, rows, seqs int) {
 	return nodes, rows, seqs
 }
 
-// layoutRel lays out the relevance rows of the tree under root, words wide,
-// and returns its row and sequence counts.
-func (r *searchRun) layoutRel(root *wds.TreeNode, words int) (rows, seqs int) {
-	nodes, rows, seqs := r.measure(root)
-	r.relWords = words
-	r.relOff = slices.Grow(r.relOff[:0], nodes)
-	r.rel = slices.Grow(r.rel[:0], rows*words)
-	r.relMost = slices.Grow(r.relMost[:0], rows)
-	r.relRows(root)
-	return rows, seqs
-}
-
-// relRows lays out the relevance rows of the subtree under n in pre-order and
-// returns the position of its row 0. The node's last row, j = len(n.Index),
-// holds what its subtrees reach and take; each row before adds its worker's
-// reachable set, as universe bits, to the row after it, and its longest
-// sequence (Q_w's first: wds sorts it longest first) to what that can take. On
-// the word path a row's bits are what a table key masks availability with, the
-// row's position doubling as the key's (node, j).
-func (r *searchRun) relRows(n *wds.TreeNode) int {
-	w, off := r.relWords, len(r.rel)/r.relWords
+// layoutRows lays out the rows of the subtree under n in pre-order and returns
+// the position of its row 0. The node's last row, j = len(n.Index), holds what
+// its subtrees reach and take, and no worker; each row before adds its
+// worker's reachable set to the row after it, and its longest sequence (Q_w's
+// first: wds sorts it longest first) to what that can take. With the table on
+// a row's bits are what a key masks availability with, the row's position
+// doubling as the key's (node, j). A worker's sequences are the bits of
+// Masks[k] sent through its tree-local reach positions.
+func (r *searchRun) layoutRows(n *wds.TreeNode) int {
+	w, off := r.relWords, len(r.relMost)
 	end := off + len(n.Index)
 	r.relOff = append(r.relOff, int32(off)) // lands at n.ID: ids are pre-order, as is this walk
-	r.rel = slices.Grow(r.rel, (end+1)*w-len(r.rel))[:(end+1)*w]
-	r.relMost = slices.Grow(r.relMost, end+1-len(r.relMost))[:end+1]
-	clear(r.rel[off*w:])
-	clear(r.relMost[off:])
+	r.relMost = r.relMost[:end+1]
+	r.relMost[end] = 0
+	clear(r.rel[end*w : (end+1)*w])
 	for _, child := range n.Children {
-		c := r.relRows(child)
+		c := r.layoutRows(child)
 		for i := range w {
 			r.rel[end*w+i] |= r.rel[c*w+i]
 		}
 		r.relMost[end] += r.relMost[c]
 	}
 	for j := len(n.Index) - 1; j >= 0; j-- {
-		row := r.rel[(off+j)*w : (off+j+1)*w]
-		copy(row, r.rel[(off+j+1)*w:])
-		set, local := r.reach(n.Index[j])
-		r.relMost[off+j] = r.relMost[off+j+1]
-		if len(set.Masks) > 0 {
-			r.relMost[off+j] += int32(bits.OnesCount64(set.Masks[0]))
-		}
+		wi, row := n.Index[j], off+j
+		set, local := &r.sep.Sets[wi], r.reachLocal[r.reachOff[wi]:r.reachOff[wi+1]]
+		reach := r.reachBits[row*w : (row+1)*w]
+		clear(reach)
 		for _, p := range local {
-			row[p>>6] |= 1 << uint(p&63)
+			reach[p>>6] |= 1 << uint(p&63)
 		}
+		for i := range w {
+			r.rel[row*w+i] = r.rel[(row+1)*w+i] | reach[i]
+		}
+		r.relMost[row] = r.relMost[row+1]
+		if len(set.Masks) > 0 {
+			r.relMost[row] += int32(bits.OnesCount64(set.Masks[0]))
+		}
+		q := seqRow{r.words.take(len(set.Masks) * w), r.vals.take(len(set.Masks))}
+		clear(q.words)
+		for k, mask := range set.Masks {
+			for m := mask; m != 0; m &= m - 1 {
+				p := local[bits.TrailingZeros64(m)]
+				q.words[int(p>>6)*len(q.vals)+k] |= 1 << uint(p&63)
+			}
+			q.vals[k] = r.value(wi, set, k)
+		}
+		r.seqs[row], r.rowOf[wi] = q, int32(row)
 	}
 	return off
 }
 
-// layoutSeqs lays out the worker rows of the subtree under n, j < len(n.Index):
-// the reach word of worker n.Index[j], and its sequences in Q_w order as
-// universe words (the bits of Masks[k] sent through the worker's tree-local
-// reach positions) beside their value. A node's last row holds no worker
-// and nothing reads those two of it.
-func (r *searchRun) layoutSeqs(n *wds.TreeNode) {
-	off := r.relOff[n.ID]
-	for j, wi := range n.Index {
-		set, local := r.reach(wi)
-		r.reachWord[off+int32(j)] = universeMask(local)
-		q := r.arena.take(len(set.Masks))
-		for k, mask := range set.Masks {
-			var word uint64
-			for m := mask; m != 0; m &= m - 1 {
-				word |= 1 << uint(local[bits.TrailingZeros64(m)])
-			}
-			q.words[k], q.vals[k] = word, r.value(wi, set, k)
-		}
-		r.seqs[off+int32(j)] = q
-	}
-	for _, child := range n.Children {
-		r.layoutSeqs(child)
-	}
-}
-
-// seqRow is one worker's Q_w on a memo tree: the tasks of sequence k as the
-// universe word words[k], worth vals[k].
+// seqRow is one worker's Q_w as laid out, word by word: word i of the tasks of
+// sequence k is words[i*len(vals)+k], and the sequence is worth vals[k]. Word
+// 0 of every sequence comes first, so that the usable test of a tree of one
+// word is a walk over consecutive words.
 type seqRow struct {
 	words []uint64
 	vals  []float64
 }
 
-// seqArena is the storage behind a tree's seqRows. A planner meets a flash
-// crowd as a run of trees each larger than the last, and one array regrown to
-// fit each would allocate their sum; the arena keeps the chunks it has and adds
-// one for the shortfall only, so over its life it allocates the largest tree
-// once, and in steady state nothing.
-type seqArena struct {
-	words       [][]uint64
-	vals        [][]float64
+// arena is the storage behind a tree's seqRows. A planner meets a flash crowd
+// as a run of trees each larger than the last, and one array regrown to fit
+// each would allocate their sum; the arena keeps the chunks it has and adds one
+// for the shortfall only, so over its life it allocates the largest tree once,
+// and in steady state nothing.
+type arena[T any] struct {
+	chunks      [][]T
 	chunk, used int // the next row starts at used in chunk chunk
-	rest        int // sequences the tree has still to place: what a new chunk has to hold
+	rest        int // what the tree has still to place: what a new chunk has to hold
 }
 
-// reset frees every row handed out, for a tree of the given sequence count.
-func (a *seqArena) reset(seqs int) { a.chunk, a.used, a.rest = 0, 0, seqs }
+// reset frees every row handed out, for a tree of the given size.
+func (a *arena[T]) reset(size int) { a.chunk, a.used, a.rest = 0, 0, size }
 
-// take returns a row of n sequences.
-func (a *seqArena) take(n int) seqRow {
-	for a.chunk < len(a.words) && len(a.words[a.chunk])-a.used < n {
+// take returns a row of n elements.
+func (a *arena[T]) take(n int) []T {
+	for a.chunk < len(a.chunks) && len(a.chunks[a.chunk])-a.used < n {
 		a.chunk, a.used = a.chunk+1, 0
 	}
-	if a.chunk == len(a.words) {
-		a.words = append(a.words, make([]uint64, a.rest))
-		a.vals = append(a.vals, make([]float64, a.rest))
+	if a.chunk == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]T, a.rest))
 	}
 	from := a.used
 	a.used, a.rest = a.used+n, a.rest-n
-	return seqRow{a.words[a.chunk][from:a.used], a.vals[a.chunk][from:a.used]}
-}
-
-// universeMask gathers tree-local task positions into one universe word.
-//
-//datawa:hotpath
-func universeMask(local []int32) uint64 {
-	var m uint64
-	for _, p := range local {
-		m |= 1 << uint(p)
-	}
-	return m
+	return a.chunks[a.chunk][from:a.used]
 }
 
 // transEntry is one solved subproblem: the value search returned, the plan it
@@ -202,6 +182,7 @@ type transEntry struct {
 // expanded, which bounds the table by MaxNodes entries however many trees the
 // run serves.
 type transTable struct {
+	on    bool         // whether the current tree is searched with the table (useTable)
 	slots []transEntry // power-of-two length, at most half full
 	shift uint         // 64 − log2(len(slots))
 	gen   uint32

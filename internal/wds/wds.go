@@ -741,8 +741,7 @@ func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options
 // per-goroutine scratch and result arenas, the spatial index, the dependency
 // graph, the chordal workspace and the RTC builder — reused across calls, so
 // a planner invoking it once per instant allocates, once they have grown,
-// only the Children slices of its trees and the two loop bodies it hands
-// par.DoWorker. The zero value is ready to use.
+// only the Children slices of its trees. The zero value is ready to use.
 //
 // The pipeline is three stages, and Separate their composition for one
 // scenario: Scenarios (reachable sets and sequences, for every sampled
@@ -772,6 +771,11 @@ type Separator struct {
 	now float64
 	o   Options
 	on  []int32
+	// reach and sequences are reachJob and sequenceJob bound to jobsOf, made
+	// once: a method value handed to par escapes, so each one made is an
+	// allocation. A copied Separator, whose jobsOf is not itself, binds its own.
+	reach, sequences func(g, k int)
+	jobsOf           *Separator
 	// The workers reaching a task in the scenario Components ran on last,
 	// ascending: the graph's vertices that are in a component.
 	reaching []int32
@@ -951,7 +955,10 @@ func (sp *Separator) workerSets() {
 			sp.on = append(sp.on, int32(i))
 		}
 	}
-	par.DoWorker(len(sp.on), sp.scratchFor(len(sp.on), reachGrain), sp.reachJob)
+	if sp.jobsOf != sp {
+		sp.reach, sp.sequences, sp.jobsOf = sp.reachJob, sp.sequenceJob, sp
+	}
+	par.DoWorker(len(sp.on), sp.scratchFor(len(sp.on), reachGrain), sp.reach)
 	// A worker's generation tries every ordered pair of its reachable tasks
 	// (and, where deadlines allow, every triple): |RS_w|² is what its cost
 	// grows with, and 43 workers reaching one task are not 43 reaching eight.
@@ -970,13 +977,12 @@ func (sp *Separator) workerSets() {
 		}
 	}
 	sp.on = sp.on[:reaching]
-	par.DoWorker(reaching, sp.scratchFor(work, sequenceGrain), sp.sequenceJob)
+	par.DoWorker(reaching, sp.scratchFor(work, sequenceGrain), sp.sequences)
 }
 
 // reachJob and sequenceJob are the two loops' bodies for the k-th listed
 // worker on goroutine g. They are methods, and the instant's inputs fields,
-// so that handing a loop to par costs a two-word method value, not a closure
-// over the options.
+// so that handing a loop to par costs no closure over the options.
 func (sp *Separator) reachJob(g, k int) {
 	sp.scr[g].reachSets(sp.seps, int(sp.on[k]), &sp.ix, sp.now, sp.o)
 }
