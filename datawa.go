@@ -433,7 +433,8 @@ func (f *Framework) Run(m Method, workers []*Worker, tasks []*Task, t0, t1 float
 // NewDispatcher. The zero value is usable: one shard, the framework's step
 // as the epoch length.
 type DispatchConfig struct {
-	// Shards is the number of region shards planned in parallel (default 1).
+	// Shards is the number of region shards (default 1), planned in parallel
+	// in the epochs heavy enough to pay for it.
 	// Multiple shards require Config.Region to be set, since shard routing
 	// partitions the demand grid. A task near a shard boundary is replicated
 	// into every shard within the largest admitted worker reach of it, with

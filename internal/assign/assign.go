@@ -273,8 +273,9 @@ func (s *Search) Name() string {
 // Travel implements Planner.
 func (s *Search) Travel() geo.TravelModel { return s.Opts.WithDefaults().WDS.Travel }
 
-// SetParallelism overrides Opts.Parallelism: how dispatch.New hands each
-// shard's planners their share of the goroutine budget.
+// SetParallelism overrides Opts.Parallelism: how the dispatcher hands each
+// shard's planners their share of the goroutine budget for the epoch's shard
+// fan-out.
 func (s *Search) SetParallelism(p int) { s.Opts.Parallelism = p }
 
 // Plan implements Planner. It is the Task Planning Assignment driver of

@@ -76,9 +76,13 @@ func BenchmarkLiveReplay(b *testing.B) {
 // replay of each gated archetype — dispatcher construction included — must
 // stay under a fixed allocation budget, failing CI on regression instead of
 // merely recording a delta in the BENCH report. Every bound is ~1.5x the row's
-// reading; in table order the rows read 4,665 / 9,877 / 11,434 / 14,735 /
-// 15,351 / 314,355 / 344,599, with every epoch planning the whole pool and
-// nothing kept between epochs but the planners' scratch.
+// reading; in table order the rows read 2,301 / 2,653 / 6,276 / 6,550 / 4,994
+// / 296,831–297,124 / 309,393–309,573 (the same at -cpu 1, 2 and 4), with
+// every epoch planning the whole pool and nothing kept between epochs but the
+// planners' scratch. They read 3,050 / 3,402 / 6,724 / 6,998 / 5,593 /
+// 297,452–297,704 / 310,028–310,165 while every epoch handed its shards to
+// par.Do: an epoch that steps its shards inline makes no closure and no
+// goroutines, and every row's bound came down to 1.5x its new reading.
 //
 // How each row got there, in the readings of its day. Those were taken under a
 // cross-epoch plan cache that built a component list per epoch (7,324 / 12,574
@@ -120,13 +124,13 @@ func TestSteadyStateAllocGate(t *testing.T) {
 		method datawa.Method
 		limit  float64
 	}{
-		{"sparse-suburb", datawa.MethodGreedy, 7000},
-		{"sparse-suburb", datawa.MethodDTA, 14800},
-		{"courier-grid", datawa.MethodGreedy, 17200},
-		{"courier-grid", datawa.MethodDTA, 22100},
-		{"event-spike", datawa.MethodDTA, 16000},
-		{"rush-hour", datawa.MethodDTATP, 472000},
-		{"rush-hour", datawa.MethodSSP, 517000},
+		{"sparse-suburb", datawa.MethodGreedy, 3500},
+		{"sparse-suburb", datawa.MethodDTA, 4000},
+		{"courier-grid", datawa.MethodGreedy, 9500},
+		{"courier-grid", datawa.MethodDTA, 9900},
+		{"event-spike", datawa.MethodDTA, 7500},
+		{"rush-hour", datawa.MethodDTATP, 446000},
+		{"rush-hour", datawa.MethodSSP, 465000},
 	} {
 		t.Run(tc.arch+"/"+string(tc.method), func(t *testing.T) {
 			allocs := testing.AllocsPerRun(2, func() { liveReplay(t, tc.arch, tc.method, 1) })

@@ -4,10 +4,11 @@
 // into planning epochs at a fixed cadence, and runs each epoch through the
 // existing planner stack. The region is sharded over the demand grid, one
 // stream.Machine per shard, and independent shards plan in parallel via
-// internal/par. Each shard plans through a ladder of planners
-// (Config.NewLadder) the governor may step it down, and predicted tasks come
-// from one global stream.DemandFeed (Config.Demand) the dispatcher publishes
-// every submit to and refreshes in the epoch's forecast stage.
+// internal/par when their last Steps were long enough to pay for it. Each
+// shard plans through a ladder of planners (Config.NewLadder) the governor
+// may step it down, and predicted tasks come from one global
+// stream.DemandFeed (Config.Demand) the dispatcher publishes every submit to
+// and refreshes in the epoch's forecast stage.
 //
 // Determinism contract: event routing is a pure function of the event (the
 // shard owning the grid cell of the worker's online location or the task's
@@ -67,7 +68,6 @@ package dispatch
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,7 +75,6 @@ import (
 	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/par"
 	"repro/internal/stream"
 )
 
@@ -144,8 +143,12 @@ type Config struct {
 	// owning its cell. The feed prunes itself to the forecaster's horizon, so
 	// it stays bounded over the service's lifetime.
 	Demand *stream.DemandFeed
-	// Parallelism bounds the goroutines planning one epoch's shards
-	// concurrently (0 = one per CPU, 1 = serial). Results are identical at
+	// Parallelism is the goroutine budget of one epoch's Step stage (0 = one
+	// per CPU, 1 = serial). The shards step concurrently, up to this many at
+	// a time, only when their previous Steps overlap by enough to pay for a
+	// goroutine (shardGrain); otherwise they step inline in shard order. Each
+	// shard planner is handed the budget divided by the epoch's fan-out, so
+	// an inline epoch gives every planner all of it. Results are identical at
 	// every setting.
 	Parallelism int
 }
@@ -299,11 +302,18 @@ type Dispatcher struct {
 	victims    heap[victim] // guarded by mu
 	// Governor state: gov is nil when disabled; tiered holds each shard's
 	// ladder, at tier 0 for life without one. probe is what each epoch
-	// measures per shard for the governor and the shard spans — nil when
-	// neither is on.
+	// measures per shard: the Step walls the next epoch's fan-out weighs,
+	// and what the governor and the shard spans read.
 	gov    *Governor        // guarded by mu
 	tiered []*tieredPlanner // guarded by mu
 	probe  []shardProbe     // guarded by mu
+	// Shard fan-out (stepLocked): grain is shardGrain, 0 only under the
+	// tests' hook; fan is the goroutine count the planners' budgets were last
+	// set for, 0 before the first epoch; fanned counts the epochs whose
+	// shards stepped on more than one goroutine.
+	grain  int // guarded by mu
+	fan    int // guarded by mu
+	fanned atomic.Int64
 	// ob is the observability core: always non-nil — histograms are always
 	// on; spans/ledger/flight inside it are gated by Config.Obs.
 	ob *obsState // guarded by mu
@@ -330,28 +340,13 @@ func New(cfg Config) *Dispatcher {
 		pending: heap[pendingEvent]{less: pendingBefore},
 		victims: heap[victim]{less: moreDeferrable},
 		changes: make([][]stream.Change, cfg.Shards),
+		probe:   make([]shardProbe, cfg.Shards),
+		grain:   shardGrain,
 	}
 	d.synthID.Store(syntheticIDBase)
 	d.ob = newObsState(cfg.Obs)
 	if cfg.Shards > 1 {
 		d.smap = newShardMap(cfg.Grid, cfg.Shards)
-	}
-	// Split the parallelism budget between the shard fan-out and each
-	// planner's internal fan-out: with multiple shards planning
-	// concurrently, a planner that also resolved the knob to one goroutine
-	// per CPU would oversubscribe the cores Shards-fold and inflate the very
-	// epoch latencies the service reports. Plans are parallelism-invariant
-	// by the planner contract, so only CPU time is affected.
-	perPlanner := 0
-	if cfg.Shards > 1 {
-		total := cfg.Parallelism
-		if total == 0 {
-			total = runtime.GOMAXPROCS(0)
-		}
-		perPlanner = total / par.Workers(cfg.Parallelism, cfg.Shards, 1)
-		if perPlanner < 1 {
-			perPlanner = 1
-		}
 	}
 	for i := range d.shards {
 		ladder := cfg.NewLadder(i)
@@ -362,13 +357,7 @@ func New(cfg Config) *Dispatcher {
 			d.gov = NewGovernor(cfg.Governor, cfg.Shards, len(ladder))
 		}
 		d.tiered[i] = &tieredPlanner{ladder: ladder, gov: d.gov, shard: i}
-		if perPlanner > 0 {
-			d.tiered[i].SetParallelism(perPlanner)
-		}
 		d.shards[i] = stream.NewMachine(stream.MachineConfig{Planner: d.tiered[i], Fixed: cfg.Fixed})
-	}
-	if d.gov != nil || d.ob.spans != nil {
-		d.probe = make([]shardProbe, cfg.Shards)
 	}
 	d.nowBits.Store(math.Float64bits(cfg.Now))
 	return d

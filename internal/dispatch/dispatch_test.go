@@ -221,9 +221,9 @@ func TestMultiShardDeterministic(t *testing.T) {
 // a single shard hands its planner the whole parallelism budget, and on a pool
 // this size — 1,800 workers on shift, 45,000 candidate sequences, past the
 // grains of wds.Separate and Search.Plan at every setting tried — the
-// planner's own loops do fan out. (The multi-shard tests around this one fan
-// out over shards; their per-shard pools are small enough that every planner
-// stays on its caller's goroutine.)
+// planner's own loops do fan out. (The multi-shard tests around this one
+// step their small shards inline, and their planners stay on the caller's
+// goroutine; TestShardFanOutMatchesInline hooks the shards onto par.Do.)
 func TestPlannerFanOutAcrossParallelism(t *testing.T) {
 	run := func(parallelism int) string {
 		d := New(Config{Step: 1, NewLadder: oneTier(searchFactory()), Parallelism: parallelism})

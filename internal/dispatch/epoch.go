@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -95,20 +96,22 @@ const numStages = 6
 // stage is one named step of the epoch loop. run reports the stage's work
 // count — events drained or applied, virtual tasks materialized, shards
 // stepped, arbitration rounds — and whether it did anything this epoch.
+// detail, when set, is the stage span's detail.
 type stage struct {
-	name string
-	run  func(d *Dispatcher, t float64) (n int, ran bool)
+	name   string
+	run    func(d *Dispatcher, t float64) (n int, ran bool)
+	detail func(d *Dispatcher) string
 }
 
 // epochStages is the epoch, in execution order. The entries are method
 // expressions, not closures, so running the table allocates nothing.
 var epochStages = [numStages]stage{
-	{"drain", (*Dispatcher).drainStage},
-	{"admission", (*Dispatcher).applyDueLocked},
-	{"reghost", (*Dispatcher).reGhostLocked},
-	{"forecast", (*Dispatcher).forecastLocked},
-	{"step", (*Dispatcher).stepLocked},
-	{"arbitration", (*Dispatcher).arbitrateLocked},
+	{"drain", (*Dispatcher).drainStage, nil},
+	{"admission", (*Dispatcher).applyDueLocked, nil},
+	{"reghost", (*Dispatcher).reGhostLocked, nil},
+	{"forecast", (*Dispatcher).forecastLocked, nil},
+	{"step", (*Dispatcher).stepLocked, (*Dispatcher).fanDetail},
+	{"arbitration", (*Dispatcher).arbitrateLocked, nil},
 }
 
 // tickLocked is one epoch: run the stage table, let the governor re-tier,
@@ -163,10 +166,14 @@ func (d *Dispatcher) runStage(i int, t float64) {
 	dur := end.Sub(o.mark)
 	o.stageHist[i].Observe(dur.Seconds())
 	if ran && o.spans != nil {
-		o.cur = append(o.cur, obs.Span{
+		sp := obs.Span{
 			Name: epochStages[i].name, Track: 0, N: n,
 			StartNS: o.mark.Sub(o.base).Nanoseconds(), DurNS: dur.Nanoseconds(),
-		})
+		}
+		if detail := epochStages[i].detail; detail != nil {
+			sp.Detail = detail(d)
+		}
+		o.cur = append(o.cur, sp)
 	}
 	o.mark = end
 }
@@ -174,9 +181,17 @@ func (d *Dispatcher) runStage(i int, t float64) {
 //datawa:locked(mu)
 func (d *Dispatcher) drainStage(t float64) (int, bool) { return d.drainLocked(t), true }
 
+// fanDetail is the step stage span's detail: the goroutines the epoch's
+// shards stepped on. It follows the walls, so it is wall-clock detail, not
+// logical.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) fanDetail() string { return fmt.Sprintf("fan=%d", d.fan) }
+
 // shardProbe is one shard's measurement of one epoch: pool sizes at the
 // planning instant (before the Step mutates them), the Step's wall time, and
-// the cost the governor scored from them.
+// the cost the governor scored from them. The wall is taken every epoch: the
+// next epoch's fan-out decision weighs it.
 type shardProbe struct {
 	workers, open int
 	start         time.Time
@@ -184,25 +199,74 @@ type shardProbe struct {
 	cost          float64
 }
 
-// stepLocked plans every shard concurrently. With a governor or span
-// recording on it also fills each shard's probe, and leaves one span per
-// shard — its own track, the tier the epoch planned at and the pool sizes as
-// deterministic detail — ahead of the stage span that closes over them.
+// shardGrain is the least overlap worth stepping an epoch's shards on more
+// than one goroutine, in µs of Step wall a second goroutine could take (what
+// fanOut weighs). Fanning out costs a spawn and a wake-up of an idle CPU per
+// shard (≈ 30–40 µs, docs/BENCHMARKS.md, "Fan-out grains") and a stack the
+// search recursion grows afresh on every new goroutine, while most
+// spike-search shard Steps hold fewer than 25 open tasks and take ≈ 4 µs.
+// Against fanning every epoch out, on a two-CPU host over 18 seeds,
+// spike-search's events_per_s read +18.8% at 200 µs, +16.6% at 50 µs and
+// +22.1% with every epoch inline; but every epoch inline cost the 5x
+// rush-hour SSP crowd on four shards 14% of its live rate, which 200 µs
+// keeps (7,766 against 7,730 events/s, medians of four runs).
+const shardGrain = 200
+
+// fanOut decides an epoch's shard fan-out from each shard's previous Step
+// wall (probe), the parallelism setting, and procs, what the setting 0
+// resolves to (runtime.GOMAXPROCS). The work a second goroutine could take is
+// the walls' sum less the longest, since the epoch cannot end before its
+// longest shard; par.Workers weighs it against grain µs, and the count never
+// exceeds the shards. budget is each shard planner's share of the setting:
+// all of it when the shards step inline, so one busy shard fans out its own
+// loops, and total/fan when they share the CPUs. The first epoch has no walls
+// and steps inline. grain 0 fans every multi-shard epoch out (the tests'
+// hook onto the par.Do branch).
+func fanOut(probe []shardProbe, parallelism, procs, grain int) (fan, budget int) {
+	total := parallelism
+	if total == 0 {
+		total = procs
+	}
+	var sum, longest time.Duration
+	for _, p := range probe {
+		sum += p.wall
+		longest = max(longest, p.wall)
+	}
+	overlap := int((sum - longest) / time.Microsecond)
+	if grain == 0 {
+		overlap, grain = len(probe), 1
+	}
+	fan = min(par.Workers(total, overlap, grain), len(probe))
+	return fan, max(1, total/fan)
+}
+
+// stepLocked plans every shard: inline in index order when the shards' last
+// walls leave too little overlap to pay for a goroutine (fanOut), otherwise
+// each on a goroutine of its own through par.Do. Every shard planner gets
+// its share of the parallelism budget for the fan-out decided, reset only
+// when the fan-out changes. It fills each shard's probe and, with span
+// recording on, leaves one span per shard — its own track, the tier the
+// epoch planned at and the pool sizes as deterministic detail — ahead of the
+// stage span that closes over them.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) stepLocked(t float64) (int, bool) {
-	//datawa:locked(mu) the epoch lock is held across the whole parallel region; each worker touches only its own shard slot
-	par.Do(len(d.shards), d.cfg.Parallelism, func(i int) {
-		if d.probe == nil {
-			d.shards[i].Step(t)
-			return
+	fan, budget := fanOut(d.probe, d.cfg.Parallelism, runtime.GOMAXPROCS(0), d.grain)
+	if fan != d.fan {
+		for _, p := range d.tiered {
+			p.SetParallelism(budget)
 		}
-		p := &d.probe[i]
-		p.workers, p.open = d.shards[i].Workers(), d.shards[i].OpenTasks()
-		p.start = time.Now() //datawa:wallclock per-shard span timing, observability only
-		d.shards[i].Step(t)
-		p.wall = time.Since(p.start) //datawa:wallclock per-shard wall stats, observability only
-	})
+		d.fan = fan
+	}
+	if fan == 1 {
+		for i := range d.shards {
+			d.stepShard(i, t)
+		}
+	} else {
+		//datawa:locked(mu) the epoch lock is held across the whole parallel region; each worker touches only its own shard slot
+		par.Do(len(d.shards), fan, func(i int) { d.stepShard(i, t) })
+		d.fanned.Add(1)
+	}
 	if o := d.ob; o.spans != nil {
 		for i, p := range d.probe {
 			detail := fmt.Sprintf("workers=%d open=%d", p.workers, p.open)
@@ -216,6 +280,17 @@ func (d *Dispatcher) stepLocked(t float64) (int, bool) {
 		}
 	}
 	return len(d.shards), true
+}
+
+// stepShard steps shard i and fills its probe: two clock reads a shard.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) stepShard(i int, t float64) {
+	p := &d.probe[i]
+	p.workers, p.open = d.shards[i].Workers(), d.shards[i].OpenTasks()
+	p.start = time.Now() //datawa:wallclock per-shard Step wall: the next epoch's fan-out decision, span timing and governor cost
+	d.shards[i].Step(t)
+	p.wall = time.Since(p.start) //datawa:wallclock per-shard Step wall: the next epoch's fan-out decision, span timing and governor cost
 }
 
 // applyDueLocked folds every drained event with Time ≤ t into shard state,

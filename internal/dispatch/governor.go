@@ -192,8 +192,8 @@ func (p *tieredPlanner) Plan(workers []*core.Worker, tasks []*core.Task, now flo
 	return p.ladder[p.tier()].Plan(workers, tasks, now)
 }
 
-// SetParallelism forwards the per-planner budget to every ladder entry that
-// takes one.
+// SetParallelism forwards the per-planner budget — the setting divided by
+// the epoch's shard fan-out (fanOut) — to every ladder entry that takes one.
 func (p *tieredPlanner) SetParallelism(n int) {
 	for _, pl := range p.ladder {
 		if sp, ok := pl.(interface{ SetParallelism(int) }); ok {

@@ -282,3 +282,8 @@ func (d *Dispatcher) Histograms() (epoch obs.HistogramSnapshot, stages []StageHi
 	}
 	return epoch, stages
 }
+
+// FannedEpochs counts the epochs whose shards stepped on more than one
+// goroutine (stepLocked). The fan-out follows the shards' Step walls, so the
+// count is wall-clock observability, outside Snapshot's logical counters.
+func (d *Dispatcher) FannedEpochs() int64 { return d.fanned.Load() }

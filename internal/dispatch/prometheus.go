@@ -31,6 +31,7 @@ func (h *Handler) prometheus(w http.ResponseWriter, _ *http.Request) {
 	}
 	gauge("datawa_now_seconds", "Next epoch instant on the logical clock.", m.Now)
 	counter("datawa_epochs_total", "Planning epochs executed.", float64(m.Epochs))
+	counter("datawa_fanned_epochs_total", "Epochs whose shards stepped on more than one goroutine.", float64(h.d.FannedEpochs()))
 	counter("datawa_ingested_total", "Events accepted onto the ingest queue.", float64(m.Ingested))
 	counter("datawa_applied_total", "Events that changed shard state.", float64(m.Applied))
 	counter("datawa_unroutable_total", "Events that had no effect.", float64(m.Unroutable))

@@ -12,10 +12,11 @@
 //     per-worker reachable-set and sequence loops of wds.Separator and the
 //     per-tree searches of assign.Search, which assign.SSP's scenarios go
 //     through together;
-//   - dispatch fans one epoch across region shards with Do, splitting the
-//     caller's parallelism budget between the shard fan-out and each shard
-//     planner's internal fan-out so the cores are not oversubscribed
-//     Shards-fold.
+//   - dispatch fans one epoch across region shards with Do when the shards'
+//     last Steps overlap by enough to pay for it, and gives each shard
+//     planner the budget divided by that fan-out: all of it when the shards
+//     step inline, so the cores are neither oversubscribed Shards-fold nor
+//     left idle under a crowd in one shard.
 //
 // That contract is what lets the benchmark suite (internal/benchsuite)
 // compare assignment rates across machines with different core counts: the
