@@ -16,6 +16,7 @@
 //	POST /v1/workers/heartbeat  position update   {id, x, y}
 //	POST /v1/tasks              submit task       {id?, x, y, valid}
 //	POST /v1/tasks/cancel       cancel task       {id}
+//	POST /v1/stream             batched events    binary wire frames (internal/wire)
 //	GET  /v1/plan?worker=ID     current schedule
 //	GET  /v1/metrics            snapshot (JSON)
 //	GET  /v1/trace.json?n=K     Chrome trace-event JSON of stage spans (needs -span-depth)
@@ -38,10 +39,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -56,25 +55,24 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		streamAddr = flag.String("stream-addr", "", "raw-TCP streaming ingest listen address (e.g. :9090); each connection carries binary wire frames or NDJSON until close (empty = off)")
-		method     = flag.String("method", "DTA", "one of "+datawa.MethodList())
-		shards     = flag.Int("shards", 4, "region shards planned in parallel")
-		step       = flag.Float64("step", 1, "epoch length in logical seconds")
-		timescale  = flag.Float64("timescale", 1, "logical seconds per wall second")
-		speed      = flag.Float64("speed", 0.01, "worker travel speed in km/s")
-		minX       = flag.Float64("minx", 0, "region min x (km)")
-		minY       = flag.Float64("miny", 0, "region min y (km)")
-		maxX       = flag.Float64("maxx", 4, "region max x (km)")
-		maxY       = flag.Float64("maxy", 4, "region max y (km)")
-		rows       = flag.Int("rows", 6, "demand grid rows")
-		cols       = flag.Int("cols", 6, "demand grid cols")
-		parallel   = flag.Int("parallelism", 0, "planner fan-out (0 = up to one goroutine per CPU)")
-		pretrain   = flag.String("pretrain", "", "train demand/value models on a synthetic scenario first: yueche | didi")
-		preScale   = flag.Float64("pretrain-scale", 0.1, "pretraining workload scale factor in (0,1]")
-		seed       = flag.Int64("seed", 1, "deterministic seed")
-		samples    = flag.Int("samples", 0, "SSP: demand futures sampled per forecast instant (0 = default 5; 1 = point forecast)")
-		cvarAlpha  = flag.Float64("cvar-alpha", 0, "SSP: CVaR risk knob in (0,1] — commit the plan maximizing the mean value over the worst ceil(alpha*K) futures (0 or 1 = expected value)")
+		addr      = flag.String("addr", ":8080", "HTTP listen address")
+		method    = flag.String("method", "DTA", "one of "+datawa.MethodList())
+		shards    = flag.Int("shards", 4, "region shards planned in parallel")
+		step      = flag.Float64("step", 1, "epoch length in logical seconds")
+		timescale = flag.Float64("timescale", 1, "logical seconds per wall second")
+		speed     = flag.Float64("speed", 0.01, "worker travel speed in km/s")
+		minX      = flag.Float64("minx", 0, "region min x (km)")
+		minY      = flag.Float64("miny", 0, "region min y (km)")
+		maxX      = flag.Float64("maxx", 4, "region max x (km)")
+		maxY      = flag.Float64("maxy", 4, "region max y (km)")
+		rows      = flag.Int("rows", 6, "demand grid rows")
+		cols      = flag.Int("cols", 6, "demand grid cols")
+		parallel  = flag.Int("parallelism", 0, "planner fan-out (0 = up to one goroutine per CPU)")
+		pretrain  = flag.String("pretrain", "", "train demand/value models on a synthetic scenario first: yueche | didi")
+		preScale  = flag.Float64("pretrain-scale", 0.1, "pretraining workload scale factor in (0,1]")
+		seed      = flag.Int64("seed", 1, "deterministic seed")
+		samples   = flag.Int("samples", 0, "SSP: demand futures sampled per forecast instant (0 = default 5; 1 = point forecast)")
+		cvarAlpha = flag.Float64("cvar-alpha", 0, "SSP: CVaR risk knob in (0,1] — commit the plan maximizing the mean value over the worst ceil(alpha*K) futures (0 or 1 = expected value)")
 
 		maxOpen    = flag.Int("max-open-tasks", 0, "admission control: open-task pool cap; newcomers displace later-deadline tasks or are shed/deferred (0 = unbounded)")
 		maxSubmits = flag.Int("max-submits", 0, "admission control: task submits admitted per epoch; overflow is deferred one epoch (0 = unbounded)")
@@ -166,20 +164,6 @@ func main() {
 		}
 	}()
 
-	if *streamAddr != "" {
-		ln, err := net.Listen("tcp", *streamAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		go func() {
-			<-ctx.Done()
-			_ = ln.Close()
-		}()
-		go serveStreamTCP(ctx, ln, d)
-		fmt.Printf("datawa-serve: streaming ingest (binary wire frames / NDJSON) on %s\n", *streamAddr)
-	}
-
 	var handler http.Handler = dispatch.NewHandler(d)
 	if *pprofOn {
 		mux := http.NewServeMux()
@@ -210,31 +194,4 @@ func main() {
 	fmt.Printf("final: epochs=%d assigned=%d expired=%d cancelled=%d shed=%d deferred=%d tiers=%d/%d p50=%v p99=%v\n",
 		final.Epochs, final.Assigned, final.Expired, final.Cancelled, final.Shed, final.Deferred,
 		final.TierDemotions, final.TierPromotions, final.EpochP50, final.EpochP99)
-}
-
-// serveStreamTCP accepts persistent streaming-ingest connections: each one
-// carries binary wire frames or NDJSON lines (sniffed per connection) until
-// the peer closes its write side, then receives a one-line JSON session
-// summary. Decoding happens on the connection's goroutine, so slow peers
-// never stall the epoch loop or each other.
-func serveStreamTCP(ctx context.Context, ln net.Listener, d *dispatch.Dispatcher) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			fmt.Fprintln(os.Stderr, "stream accept:", err)
-			continue
-		}
-		go func() {
-			defer conn.Close()
-			sum, err := d.ConsumeStream(conn)
-			resp := map[string]any{"summary": sum}
-			if err != nil {
-				resp["error"] = err.Error()
-			}
-			_ = json.NewEncoder(conn).Encode(resp)
-		}()
-	}
 }

@@ -27,7 +27,7 @@ func clientTaskID(id int64) bool { return id >= 0 && id < syntheticIDBase }
 //	POST /v1/workers/heartbeat  {id, x, y}                 position update
 //	POST /v1/tasks              {id?, x, y, valid}         submit task
 //	POST /v1/tasks/cancel       {id}                       cancel task
-//	POST /v1/stream             batched event stream       binary frames or NDJSON (internal/wire)
+//	POST /v1/stream             batched event stream       binary wire frames (internal/wire)
 //	GET  /v1/plan?worker=ID                                current schedule
 //	GET  /v1/metrics                                       snapshot (JSON)
 //	GET  /v1/trace.json?n=K                                Chrome trace-event JSON (spans)
@@ -167,25 +167,23 @@ func (h *Handler) admit(w http.ResponseWriter, id int, ev Event) {
 	writeJSON(w, http.StatusAccepted, acceptedResp{ID: id, Time: ev.Time})
 }
 
-// stream is the batched ingest endpoint: the request body is a persistent
-// event stream — length-prefixed binary frames (internal/wire) or NDJSON
-// lines, sniffed from the first byte — consumed until EOF. The response
-// summarizes the session: accepted/rejected event counts and the frame
-// count. Its events are checked by IngestBatch against the same rule as the
-// per-event JSON endpoints above (wellFormed), but a session reports the
-// events it rejects in its summary and carries on, where a per-event request
-// is refused with 400.
+// stream is the batched ingest endpoint: the request body is a sequence of
+// length-prefixed binary frames (internal/wire), consumed until EOF. The
+// response summarizes the session: accepted/rejected event counts, the frame
+// count and the next epoch's instant. Its events are checked by IngestBatch
+// against the same rule as the per-event JSON endpoints above (wellFormed),
+// but a session reports the events it rejects in its summary and carries on,
+// where a per-event request is refused with 400. A body that breaks the
+// framing (a JSON body fails the magic check) gets 400 with the counts of the
+// frames before the break; a failure reading the body gets 500.
 //
-//	# binary (a client encodes frames with internal/wire)
+//	# a client encodes frames with wire.Encoder
 //	curl -s --data-binary @events.wire localhost:8080/v1/stream
-//	# NDJSON (curl-able by hand)
-//	printf '%s\n' '{"kind":"task_submit","id":12,"x":1,"y":2,"pub":0,"exp":60}' |
-//	  curl -s --data-binary @- localhost:8080/v1/stream
 func (h *Handler) stream(w http.ResponseWriter, r *http.Request) {
 	sum, err := h.d.ConsumeStream(r.Body)
 	if err != nil {
 		status := http.StatusInternalServerError
-		if IsProtocolError(err) {
+		if protocolError(err) {
 			status = http.StatusBadRequest
 		}
 		writeJSON(w, status, map[string]any{"error": err.Error(), "summary": sum})

@@ -3,16 +3,20 @@ package dispatch
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/stream"
+	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path string, body string) map[string]any {
@@ -298,4 +302,237 @@ func TestHTTPPrometheusExposition(t *testing.T) {
 			t.Errorf("exposition lacks %q", want)
 		}
 	}
+}
+
+// streamBatches is the scenario trace as POST /v1/stream carries it: the
+// churnScript stream (every fifth task cancelled 30 s after its submit, every
+// fourth worker offline after 300 s) plus one task submit under a
+// server-assigned id, which IngestBatch rejects, cut into 64-event batches.
+func streamBatches(sc *workload.Scenario) [][]wire.Event {
+	var events []wire.Event
+	for _, ev := range sc.Events() {
+		events = append(events, wireEvent(ev))
+		switch {
+		case ev.Kind == workload.TaskSubmit && ev.Task.ID%5 == 0:
+			events = append(events, wire.Event{Time: ev.Time + 30, Kind: wire.TaskCancel, ID: int64(ev.Task.ID)})
+		case ev.Kind == workload.WorkerOnline && ev.Worker.ID%4 == 0:
+			events = append(events, wire.Event{Time: ev.Time + 300, Kind: wire.WorkerOffline, ID: int64(ev.Worker.ID)})
+		}
+	}
+	events = append(events, wire.Event{Time: sc.T0, Kind: wire.TaskSubmit, ID: syntheticIDBase, X: 1, Y: 1, Pub: sc.T0, Exp: sc.T0 + 60})
+	var batches [][]wire.Event
+	for len(events) > 0 {
+		n := min(64, len(events))
+		batches = append(batches, events[:n])
+		events = events[n:]
+	}
+	return batches
+}
+
+// encodeFrames writes each batch as one wire frame.
+func encodeFrames(t *testing.T, batches [][]wire.Event) [][]byte {
+	t.Helper()
+	frames := make([][]byte, len(batches))
+	for i, b := range batches {
+		var buf bytes.Buffer
+		if err := wire.NewEncoder(&buf).Encode(b); err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = buf.Bytes()
+	}
+	return frames
+}
+
+// postStream POSTs body to /v1/stream through the handler and returns the
+// status with the session summary, which an error response nests under
+// "summary".
+func postStream(t *testing.T, h http.Handler, body io.Reader) (int, StreamSummary) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/stream", body))
+	var out struct {
+		StreamSummary
+		Error   string         `json:"error"`
+		Summary *StreamSummary `json:"summary"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
+		t.Fatalf("POST /v1/stream: decode: %v", err)
+	}
+	refused := rec.Code != http.StatusAccepted
+	if refused != (out.Error != "") || refused != (out.Summary != nil) {
+		t.Fatalf("POST /v1/stream: status %d with error %q", rec.Code, out.Error)
+	}
+	if refused {
+		return rec.Code, *out.Summary
+	}
+	return rec.Code, out.StreamSummary
+}
+
+// failingReader hands over its bytes, then fails with a transport error.
+type failingReader struct{ r io.Reader }
+
+func (f failingReader) Read(p []byte) (int, error) {
+	if n, _ := f.r.Read(p); n > 0 {
+		return n, nil
+	}
+	return 0, errors.New("connection reset")
+}
+
+// TestHTTPStream holds POST /v1/stream, the one batched way in, to the frames
+// it carries. A body of several wire frames is summarized with 202 and leaves
+// the snapshot and every ledger chain equal to the same batches handed to
+// IngestBatch in process. A body cut mid-frame gets 400 and the counts of the
+// frames before the cut; a JSON body gets 400 and moves no counter; an empty
+// body gets 202 with zero counts; a body that fails to read gets 500. The
+// last case streams a session while another goroutine runs epochs: sessions
+// decode on HTTP goroutines while the epoch loop runs, so CI runs this test
+// under the race detector, and every task must still be accounted for once
+// the dispatcher quiesces.
+func TestHTTPStream(t *testing.T) {
+	sc := testScenario(t)
+	batches := streamBatches(sc)
+	frames := encodeFrames(t, batches)
+	// The clock starts past the trace's first instant, so that a summary's
+	// time is not the zero value; the events before it apply at once.
+	start := sc.T0 + 10
+	newDispatcher := func() *Dispatcher {
+		return New(Config{
+			Shards: 2, Grid: sc.Grid, Step: 2, Now: start,
+			NewLadder: oneTier(searchFactory()), Obs: ObsConfig{LedgerTasks: 1 << 14},
+		})
+	}
+	settle := func(d *Dispatcher) (outcome, ledger string) {
+		d.Advance(sc.T1)
+		if !d.Quiesce(10000) {
+			t.Fatal("dispatcher failed to quiesce")
+		}
+		d.mu.Lock()
+		chains := d.ob.ledger.Recent(0)
+		d.mu.Unlock()
+		raw, err := json.Marshal(chains)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcomeOf(d.Snapshot()), string(raw)
+	}
+	// sum is what a session carrying the first n frames reports.
+	sum := func(n int) StreamSummary {
+		s := StreamSummary{Frames: int64(n), Time: start}
+		for _, b := range batches[:n] {
+			s.Accepted += int64(len(b))
+		}
+		if n == len(batches) {
+			s.Accepted, s.Rejected = s.Accepted-1, 1
+		}
+		return s
+	}
+
+	t.Run("frames", func(t *testing.T) {
+		d := newDispatcher()
+		code, got := postStream(t, NewHandler(d), bytes.NewReader(bytes.Join(frames, nil)))
+		if code != http.StatusAccepted || got != sum(len(frames)) {
+			t.Fatalf("status %d, summary %+v; want 202, %+v", code, got, sum(len(frames)))
+		}
+		outcome, ledger := settle(d)
+
+		ref := newDispatcher()
+		for _, b := range batches {
+			ref.IngestBatch(b)
+		}
+		wantOutcome, wantLedger := settle(ref)
+		if m := ref.Snapshot(); m.Assigned == 0 || m.Cancelled == 0 || m.Expired == 0 || m.GhostCopies == 0 {
+			t.Fatalf("the stream does not exercise its path: %s", digest(m))
+		}
+		if outcome != wantOutcome {
+			t.Fatalf("streamed snapshot diverged from IngestBatch:\n got %s\nwant %s", outcome, wantOutcome)
+		}
+		if ledger != wantLedger {
+			t.Fatal("streamed ledger diverged from IngestBatch")
+		}
+	})
+
+	t.Run("cut mid-frame", func(t *testing.T) {
+		d := newDispatcher()
+		body := append(bytes.Join(frames[:2], nil), frames[2][:len(frames[2])-3]...)
+		code, got := postStream(t, NewHandler(d), bytes.NewReader(body))
+		if code != http.StatusBadRequest || got != sum(2) {
+			t.Fatalf("status %d, summary %+v; want 400, %+v", code, got, sum(2))
+		}
+		if m := d.Snapshot(); m.Ingested != sum(2).Accepted {
+			t.Fatalf("ingested %d, want the %d events of the frames before the cut", m.Ingested, sum(2).Accepted)
+		}
+	})
+
+	t.Run("JSON body", func(t *testing.T) {
+		d := newDispatcher()
+		before := outcomeOf(d.Snapshot())
+		body := `{"kind":"task_submit","time":0,"id":12,"x":1,"y":2,"pub":0,"exp":60}` + "\n"
+		code, got := postStream(t, NewHandler(d), strings.NewReader(body))
+		if code != http.StatusBadRequest || got != sum(0) {
+			t.Fatalf("status %d, summary %+v; want 400, %+v", code, got, sum(0))
+		}
+		if after := outcomeOf(d.Snapshot()); after != before {
+			t.Fatalf("a refused body moved the snapshot:\n got %s\nwant %s", after, before)
+		}
+	})
+
+	t.Run("empty body", func(t *testing.T) {
+		code, got := postStream(t, NewHandler(newDispatcher()), http.NoBody)
+		if code != http.StatusAccepted || got != sum(0) {
+			t.Fatalf("status %d, summary %+v; want 202, %+v", code, got, sum(0))
+		}
+	})
+
+	t.Run("read failure", func(t *testing.T) {
+		code, got := postStream(t, NewHandler(newDispatcher()), failingReader{bytes.NewReader(frames[0])})
+		if code != http.StatusInternalServerError || got != sum(1) {
+			t.Fatalf("status %d, summary %+v; want 500, %+v", code, got, sum(1))
+		}
+	})
+
+	t.Run("session during ticks", func(t *testing.T) {
+		d := newDispatcher()
+		srv := httptest.NewServer(NewHandler(d))
+		defer srv.Close()
+		pr, pw := io.Pipe()
+		var wg sync.WaitGroup
+		var resp *http.Response
+		var postErr error
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, postErr = http.Post(srv.URL+"/v1/stream", "application/octet-stream", pr)
+		}()
+		// Each write returns once the session has taken the frame, and the
+		// session stays open until the pipe closes, so every Tick below runs
+		// while it is in flight.
+		for _, f := range frames {
+			if _, err := pw.Write(f); err != nil {
+				t.Fatal(err)
+			}
+			d.Tick()
+		}
+		pw.Close()
+		wg.Wait()
+		if postErr != nil {
+			t.Fatal(postErr)
+		}
+		var got StreamSummary
+		err := json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("status %d, decode %v", resp.StatusCode, err)
+		}
+		if want := sum(len(frames)); got.Accepted != want.Accepted || got.Rejected != want.Rejected || got.Frames != want.Frames {
+			t.Fatalf("summary %+v, want %+v", got, want)
+		}
+		if !d.Quiesce(10000) {
+			t.Fatal("dispatcher failed to quiesce")
+		}
+		m := d.Snapshot()
+		if m.Assigned == 0 || m.Assigned+m.Expired+m.Cancelled+int(m.Shed) != len(sc.Tasks) {
+			t.Fatalf("%d assigned + %d expired + %d cancelled + %d shed != %d tasks",
+				m.Assigned, m.Expired, m.Cancelled, m.Shed, len(sc.Tasks))
+		}
+	})
 }

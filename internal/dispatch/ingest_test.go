@@ -39,8 +39,8 @@ func traceEvent(ev workload.Event) Event {
 // event.
 func ingestEach(d *Dispatcher, ev workload.Event) { d.Ingest(traceEvent(ev)) }
 
-// batchEach hands IngestBatch a one-event batch, as ConsumeStream does for
-// each NDJSON line.
+// batchEach hands IngestBatch a one-event batch: the smallest frame a
+// POST /v1/stream session or LoadGen can carry.
 func batchEach(t *testing.T) func(*Dispatcher, workload.Event) {
 	return func(d *Dispatcher, ev workload.Event) {
 		if _, rej := d.IngestBatch([]wire.Event{wireEvent(ev)}); rej != 0 {

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bufio"
 	"errors"
 	"io"
 
@@ -12,7 +11,7 @@ import (
 
 // StreamSummary accounts one streamed ingest session: how many events were
 // accepted onto the queue, how many were rejected by validation, and how
-// many frames (binary) or lines (NDJSON) the session carried.
+// many wire frames the session carried.
 type StreamSummary struct {
 	Accepted int64 `json:"accepted"`
 	Rejected int64 `json:"rejected"`
@@ -114,45 +113,17 @@ func (d *Dispatcher) IngestBatch(events []wire.Event) (accepted, rejected int) {
 	return accepted, rejected
 }
 
-// ConsumeStream ingests a batched event stream from r until EOF: binary wire
-// frames or NDJSON lines, sniffed from the first byte. This is the shared
-// engine behind POST /v1/stream and the raw-TCP listener — one persistent
-// connection carries any number of frames, each decoded into a reused buffer
-// and batch-ingested. A protocol violation stops the session and returns the
-// error alongside the counts accumulated so far; a clean EOF returns nil.
+// ConsumeStream ingests a stream of binary wire frames from r until EOF. It
+// is the engine behind POST /v1/stream: one request body carries any number
+// of frames, each decoded into a reused buffer and handed to IngestBatch. An
+// empty stream and a clean EOF on a frame boundary return nil. A protocol
+// violation (protocolError) or a read failure stops the session and returns
+// the error alongside the counts of the frames before it.
 func (d *Dispatcher) ConsumeStream(r io.Reader) (StreamSummary, error) {
 	var sum StreamSummary
-	br := bufio.NewReaderSize(r, 32<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		sum.Time = d.Now()
-		if err == io.EOF {
-			return sum, nil // empty stream: zero events, no protocol to violate
-		}
-		return sum, err
-	}
-	if wire.IsBinary(first[0]) {
-		dec := wire.NewDecoder(br)
-		for {
-			batch, err := dec.Next()
-			if err != nil {
-				sum.Time = d.Now()
-				if err == io.EOF {
-					return sum, nil
-				}
-				return sum, err
-			}
-			sum.Frames++
-			a, rej := d.IngestBatch(batch)
-			sum.Accepted += int64(a)
-			sum.Rejected += int64(rej)
-		}
-	}
-	// NDJSON fallback: each line is a one-event batch.
-	dec := wire.NewNDJSONDecoder(br)
-	var one [1]wire.Event
+	dec := wire.NewDecoder(r)
 	for {
-		ev, err := dec.Next()
+		batch, err := dec.Next()
 		if err != nil {
 			sum.Time = d.Now()
 			if err == io.EOF {
@@ -161,17 +132,16 @@ func (d *Dispatcher) ConsumeStream(r io.Reader) (StreamSummary, error) {
 			return sum, err
 		}
 		sum.Frames++
-		one[0] = ev
-		a, rej := d.IngestBatch(one[:])
+		a, rej := d.IngestBatch(batch)
 		sum.Accepted += int64(a)
 		sum.Rejected += int64(rej)
 	}
 }
 
-// IsProtocolError reports whether a ConsumeStream error is a wire-protocol
-// violation (as opposed to a transport failure): the caller should answer
-// 400, not 500, and drop the connection.
-func IsProtocolError(err error) bool {
+// protocolError reports whether a ConsumeStream error is a wire-protocol
+// violation, which the client caused and gets 400 for, as opposed to a
+// failure reading the body, which gets 500.
+func protocolError(err error) bool {
 	return errors.Is(err, wire.ErrMagic) || errors.Is(err, wire.ErrVersion) ||
 		errors.Is(err, wire.ErrMalformed) || errors.Is(err, wire.ErrTooLarge) ||
 		errors.Is(err, io.ErrUnexpectedEOF)

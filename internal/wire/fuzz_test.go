@@ -129,36 +129,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzNDJSON parses arbitrary single lines: never panic, and anything
-// accepted must re-marshal and re-parse to the same event.
-func FuzzNDJSON(f *testing.F) {
-	for _, ev := range []Event{
-		{Time: 1, Kind: WorkerOnline, ID: 4, X: 1, Y: 2, Reach: 2, On: 1, Off: 500},
-		{Time: 1, Kind: TaskSubmit, ID: 9, X: 3, Y: 1, Pub: 1, Exp: 90},
-		{Time: 2, Kind: TaskCancel, ID: 9},
-	} {
-		line, _ := MarshalNDJSON(ev)
-		f.Add(line)
-	}
-	f.Add([]byte(`{"kind":"position","id":1,"x":1e308,"y":-1e308}`))
-	f.Add([]byte(`{"kind":"worker_online","reach":"Infinity"}`))
-
-	f.Fuzz(func(t *testing.T, line []byte) {
-		ev, err := UnmarshalNDJSON(line)
-		if err != nil {
-			return
-		}
-		out, err := MarshalNDJSON(ev)
-		if err != nil {
-			t.Fatalf("re-marshal of accepted event %+v: %v", ev, err)
-		}
-		again, err := UnmarshalNDJSON(out)
-		if err != nil || again != ev {
-			t.Fatalf("NDJSON round trip: %+v -> %+v (err %v)", ev, again, err)
-		}
-	})
-}
-
 // uvarint3 sanity: the fixed-width length prefix must decode as a standard
 // uvarint for every representable payload size.
 func TestPutUvarint3(t *testing.T) {

@@ -1,12 +1,6 @@
 package wire
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "io"
 
 // Encoder writes frames to an underlying stream, reusing one scratch buffer
 // so steady-state encoding allocates nothing per batch.
@@ -98,112 +92,3 @@ func (d *Decoder) fillMore() error {
 	}
 	return err
 }
-
-// jsonEvent is the NDJSON shape: one object per line, kind-tagged with the
-// Kind.String names. Every field is emitted (no omitempty) so a line is
-// self-describing and round-trips exactly.
-type jsonEvent struct {
-	Kind  string  `json:"kind"`
-	Time  float64 `json:"time"`
-	ID    int64   `json:"id"`
-	X     float64 `json:"x"`
-	Y     float64 `json:"y"`
-	Reach float64 `json:"reach"`
-	On    float64 `json:"on"`
-	Off   float64 `json:"off"`
-	Pub   float64 `json:"pub"`
-	Exp   float64 `json:"exp"`
-}
-
-// kindFromString is String's inverse for NDJSON parsing.
-func kindFromString(s string) (Kind, bool) {
-	switch s {
-	case "worker_online":
-		return WorkerOnline, true
-	case "worker_offline":
-		return WorkerOffline, true
-	case "task_submit":
-		return TaskSubmit, true
-	case "task_cancel":
-		return TaskCancel, true
-	case "position":
-		return Position, true
-	}
-	return 0, false
-}
-
-// MarshalNDJSON renders one event as a JSON line (newline included).
-func MarshalNDJSON(ev Event) ([]byte, error) {
-	if ev.Kind >= numKinds {
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrMalformed, ev.Kind)
-	}
-	if !eventFinite(&ev) {
-		return nil, fmt.Errorf("%w: non-finite float in %s event", ErrMalformed, ev.Kind)
-	}
-	raw, err := json.Marshal(jsonEvent{
-		Kind: ev.Kind.String(), Time: ev.Time, ID: ev.ID,
-		X: ev.X, Y: ev.Y, Reach: ev.Reach, On: ev.On, Off: ev.Off,
-		Pub: ev.Pub, Exp: ev.Exp,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(raw, '\n'), nil
-}
-
-// UnmarshalNDJSON parses one JSON line into an event, applying the same
-// validity rules as the binary decoder.
-func UnmarshalNDJSON(line []byte) (Event, error) {
-	var je jsonEvent
-	if err := json.Unmarshal(line, &je); err != nil {
-		return Event{}, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	kind, ok := kindFromString(je.Kind)
-	if !ok {
-		return Event{}, fmt.Errorf("%w: unknown kind %q", ErrMalformed, je.Kind)
-	}
-	ev := Event{
-		Time: je.Time, Kind: kind, ID: je.ID,
-		X: je.X, Y: je.Y, Reach: je.Reach, On: je.On, Off: je.Off,
-		Pub: je.Pub, Exp: je.Exp,
-	}
-	if !eventFinite(&ev) {
-		return Event{}, fmt.Errorf("%w: non-finite float in %s event", ErrMalformed, kind)
-	}
-	return ev, nil
-}
-
-// NDJSONDecoder reads newline-delimited JSON events — the curl-able fallback
-// transport. Blank lines are skipped so `curl --data-binary @file` traces
-// with trailing newlines just work.
-type NDJSONDecoder struct {
-	sc *bufio.Scanner
-}
-
-// NewNDJSONDecoder returns a decoder over r. Lines are bounded by
-// MaxFrameBytes, matching the binary transport's frame bound.
-func NewNDJSONDecoder(r io.Reader) *NDJSONDecoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), MaxFrameBytes)
-	return &NDJSONDecoder{sc: sc}
-}
-
-// Next returns the next event, or io.EOF at end of stream.
-func (d *NDJSONDecoder) Next() (Event, error) {
-	for d.sc.Scan() {
-		line := bytes.TrimSpace(d.sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		return UnmarshalNDJSON(line)
-	}
-	if err := d.sc.Err(); err != nil {
-		return Event{}, err
-	}
-	return Event{}, io.EOF
-}
-
-// IsBinary sniffs whether a stream opening with b speaks the binary framing
-// (as opposed to NDJSON, which must start with '{' or whitespace). One magic
-// byte is enough: no JSON document starts with 0xDA.
-func IsBinary(b byte) bool { return b == magic0 }

@@ -1,5 +1,7 @@
 // Package wire is the batched ingest wire protocol: length-prefixed binary
-// frames carrying event batches, plus an NDJSON fallback for curl-ability.
+// frames carrying event batches. It is the one batched format: POST
+// /v1/stream reads it, and LoadGen and the repository benchmark replay it.
+// People and curl use the per-event JSON endpoints instead.
 //
 // A frame is
 //
@@ -79,7 +81,7 @@ const (
 	numKinds
 )
 
-// String returns the kind's NDJSON name.
+// String returns the kind's name, as error messages print it.
 func (k Kind) String() string {
 	switch k {
 	case WorkerOnline:

@@ -194,55 +194,6 @@ func (ir iotaReader) Read(p []byte) (int, error) {
 	return ir.r.Read(p)
 }
 
-func TestNDJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	for _, ev := range sampleBatch() {
-		line, err := MarshalNDJSON(ev)
-		if err != nil {
-			t.Fatalf("MarshalNDJSON: %v", err)
-		}
-		buf.Write(line)
-		buf.WriteString("\n") // blank line between records must be tolerated
-	}
-	dec := NewNDJSONDecoder(&buf)
-	for i, want := range sampleBatch() {
-		got, err := dec.Next()
-		if err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("event %d: got %+v want %+v", i, got, want)
-		}
-	}
-	if _, err := dec.Next(); err != io.EOF {
-		t.Fatalf("after last line: got %v, want io.EOF", err)
-	}
-}
-
-func TestNDJSONRejects(t *testing.T) {
-	for _, line := range []string{
-		`{"kind":"warp","id":1}`,
-		`{"kind":"task_submit","x":"NaN"}`,
-		`not json`,
-	} {
-		if _, err := UnmarshalNDJSON([]byte(line)); err == nil {
-			t.Errorf("%s: accepted, want error", line)
-		}
-	}
-}
-
-func TestIsBinary(t *testing.T) {
-	frame, _ := AppendFrame(nil, nil)
-	if !IsBinary(frame[0]) {
-		t.Fatal("binary frame not sniffed as binary")
-	}
-	for _, b := range []byte{'{', ' ', '\n', '['} {
-		if IsBinary(b) {
-			t.Fatalf("%q sniffed as binary", b)
-		}
-	}
-}
-
 func TestDecodeZeroAllocsPerEvent(t *testing.T) {
 	batch := make([]Event, 512)
 	for i := range batch {
