@@ -621,8 +621,9 @@ type searchRun struct {
 	// rewritten (feature 6 is off on ~4% of samples). Every TVF model trained
 	// so far saw such samples; giving each level its own list is a three-line
 	// change that moves paper-yueche's assigned_pct by up to 0.74 pp on single
-	// seeds, so it waits for its own PR (CHANGES.md, PR 12;
-	// TestCollectSamplesKnownAliasing).
+	// seeds, so it waits for a change of its own (CHANGES.md). The sample
+	// streams it moves are pinned: the fix shows as a diff of the samples= field
+	// of the Collect rows in testdata/search.pins (TestSearchMatchesReference).
 	levels []level
 	open   []*core.Task
 	// DFSearch_TVF scratch: the usable sequences of the current worker and
@@ -819,7 +820,7 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int, row int32) float64 {
 		// share one are in the same dependency component), so only the RL
 		// state, which lists the whole universe's open tasks, can tell whether
 		// a child's plan is taken out of availability for the next child:
-		// under Collect it is, as the reference search does.
+		// under Collect it is, and the sample pins hold it.
 		total := 0.0
 		for _, child := range n.Children {
 			from := len(r.stack)

@@ -35,20 +35,6 @@ func worker(id int, x, y, reach, on, off float64) *core.Worker {
 	return &core.Worker{ID: id, Loc: geo.Point{X: x, Y: y}, Reach: reach, On: on, Off: off}
 }
 
-// planIsValid checks the single-assignment invariant and per-worker
-// sequence validity.
-func planIsValid(t *testing.T, plan core.Plan, now float64) {
-	t.Helper()
-	if id, ok := plan.Consistent(); !ok {
-		t.Fatalf("task %d assigned twice", id)
-	}
-	for _, a := range plan {
-		if !core.ValidSequence(a.Worker, now, a.Seq, travel) {
-			t.Fatalf("invalid sequence %v for worker %d", a.Seq.IDs(), a.Worker.ID)
-		}
-	}
-}
-
 func TestGreedyAssignsMaximalSet(t *testing.T) {
 	w := worker(1, 0, 0, 2, 0, 1e5)
 	tasks := []*core.Task{
@@ -57,8 +43,7 @@ func TestGreedyAssignsMaximalSet(t *testing.T) {
 		task(3, 0.6, 0, 0, 1e5),
 	}
 	g := &Greedy{Opts: opts()}
-	plan := g.Plan([]*core.Worker{w}, tasks, 0)
-	planIsValid(t, plan, 0)
+	plan := checked{g}.Plan([]*core.Worker{w}, tasks, 0)
 	if plan.Size() != 3 {
 		t.Errorf("greedy assigned %d tasks, want all 3 (MaxSeqLen default)", plan.Size())
 	}
@@ -69,8 +54,7 @@ func TestGreedyNoDoubleAssignment(t *testing.T) {
 	w1 := worker(1, 0, 0, 1, 0, 1e5)
 	w2 := worker(2, 0.1, 0, 1, 0, 1e5)
 	tasks := []*core.Task{task(1, 0.05, 0, 0, 1e5)}
-	plan := (&Greedy{Opts: opts()}).Plan([]*core.Worker{w1, w2}, tasks, 0)
-	planIsValid(t, plan, 0)
+	plan := checked{&Greedy{Opts: opts()}}.Plan([]*core.Worker{w1, w2}, tasks, 0)
 	if plan.Size() != 1 {
 		t.Errorf("assigned %d, want 1", plan.Size())
 	}
@@ -82,7 +66,7 @@ func TestGreedyNoDoubleAssignment(t *testing.T) {
 
 func TestGreedyEmptyInputs(t *testing.T) {
 	g := &Greedy{Opts: opts()}
-	if plan := g.Plan(nil, nil, 0); len(plan) != 0 {
+	if plan := (checked{g}).Plan(nil, nil, 0); len(plan) != 0 {
 		t.Error("empty inputs should give an empty plan")
 	}
 	if g.Name() != "Greedy" {
@@ -101,10 +85,8 @@ func TestExactSearchBeatsGreedyOnConflict(t *testing.T) {
 	o := opts()
 	o.WDS.MaxSeqLen = 1 // force the conflict (one task per worker)
 
-	greedy := (&Greedy{Opts: o}).Plan([]*core.Worker{w1, w2}, []*core.Task{t1, t2}, 0)
-	planIsValid(t, greedy, 0)
-	exact := (&Search{Opts: o}).Plan([]*core.Worker{w1, w2}, []*core.Task{t1, t2}, 0)
-	planIsValid(t, exact, 0)
+	greedy := checked{&Greedy{Opts: o}}.Plan([]*core.Worker{w1, w2}, []*core.Task{t1, t2}, 0)
+	exact := checked{&Search{Opts: o}}.Plan([]*core.Worker{w1, w2}, []*core.Task{t1, t2}, 0)
 
 	if greedy.Size() != 1 {
 		t.Errorf("greedy assigned %d, expected the myopic 1", greedy.Size())
@@ -115,7 +97,7 @@ func TestExactSearchBeatsGreedyOnConflict(t *testing.T) {
 }
 
 func TestExactSearchMatchesBruteForceSmall(t *testing.T) {
-	// Cross-check the tree search against brute force on random small
+	// Cross-check the tree search against the optimum oracle on random small
 	// instances with MaxSeqLen 1 (assignment-problem flavor).
 	r := rand.New(rand.NewSource(33))
 	o := opts()
@@ -129,44 +111,11 @@ func TestExactSearchMatchesBruteForceSmall(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			tasks = append(tasks, task(i+1, r.Float64(), r.Float64(), 0, 1e5))
 		}
-		plan := (&Search{Opts: o}).Plan(workers, tasks, 0)
-		planIsValid(t, plan, 0)
-		want := bruteForceMax(workers, tasks, o)
-		if plan.Size() != want {
-			t.Fatalf("trial %d: DFSearch=%d brute=%d", trial, plan.Size(), want)
+		plan := checked{&Search{Opts: o}}.Plan(workers, tasks, 0)
+		if want := optimum(workers, tasks, 0, o, false); float64(plan.Size()) != want {
+			t.Fatalf("trial %d: DFSearch=%d optimum=%v", trial, plan.Size(), want)
 		}
 	}
-}
-
-// bruteForceMax enumerates every worker→(≤1 task) matching.
-func bruteForceMax(workers []*core.Worker, tasks []*core.Task, o Options) int {
-	o = o.WithDefaults()
-	best := 0
-	var rec func(wi int, used map[int]bool, count int)
-	rec = func(wi int, used map[int]bool, count int) {
-		if count > best {
-			best = count
-		}
-		if wi == len(workers) {
-			return
-		}
-		rec(wi+1, used, count) // skip
-		w := workers[wi]
-		for _, s := range tasks {
-			if used[s.ID] {
-				continue
-			}
-			if core.ValidSequence(w, 0, core.Sequence{s}, o.WDS.Travel) &&
-				o.WDS.Travel.Time(w.Loc, s.Loc) <= s.Exp &&
-				geo.Dist(w.Loc, s.Loc) <= w.Reach {
-				used[s.ID] = true
-				rec(wi+1, used, count+1)
-				used[s.ID] = false
-			}
-		}
-	}
-	rec(0, make(map[int]bool), 0)
-	return best
 }
 
 func TestSearchVirtualWeightPrefersReal(t *testing.T) {
@@ -177,7 +126,7 @@ func TestSearchVirtualWeightPrefersReal(t *testing.T) {
 	virt := vtask(-1, 0, 0.5, 0, 1e5)
 	o := opts()
 	o.WDS.MaxSeqLen = 1
-	plan := (&Search{Opts: o}).Plan([]*core.Worker{w}, []*core.Task{real, virt}, 0)
+	plan := checked{&Search{Opts: o}}.Plan([]*core.Worker{w}, []*core.Task{real, virt}, 0)
 	if plan.Size() != 1 || plan[0].Seq[0].ID != 1 {
 		t.Fatalf("plan = %v, want the real task", plan)
 	}
@@ -188,7 +137,7 @@ func TestSearchCollectsSamples(t *testing.T) {
 	w2 := worker(2, 0.1, 0, 1, 0, 1e5)
 	tasks := []*core.Task{task(1, 0.05, 0, 0, 1e5), task(2, 0.2, 0, 0, 1e5)}
 	s := &Search{Opts: opts(), Collect: true}
-	s.Plan([]*core.Worker{w1, w2}, tasks, 0)
+	checked{s}.Plan([]*core.Worker{w1, w2}, tasks, 0)
 	if len(s.Samples) == 0 {
 		t.Fatal("exact search with Collect must emit samples")
 	}
@@ -227,8 +176,7 @@ func TestSearchTVFProducesValidPlans(t *testing.T) {
 	if s.Name() != "DFSearch_TVF" {
 		t.Errorf("name = %q", s.Name())
 	}
-	plan := s.Plan(workers, tasks, 0)
-	planIsValid(t, plan, 0)
+	checked{s}.Plan(workers, tasks, 0) // panics on an infeasible plan
 }
 
 func TestSearchTVFNeverBacktracks(t *testing.T) {
@@ -244,10 +192,10 @@ func TestSearchTVFNeverBacktracks(t *testing.T) {
 		tasks = append(tasks, task(i+1, r.Float64(), r.Float64(), 0, 1e5))
 	}
 	exact := &Search{Opts: opts()}
-	exact.Plan(workers, tasks, 0)
+	checked{exact}.Plan(workers, tasks, 0)
 	model := tvf.NewModel(8, 38)
 	fast := &Search{Opts: opts(), Model: model}
-	fast.Plan(workers, tasks, 0)
+	checked{fast}.Plan(workers, tasks, 0)
 	if fast.NodesLastPlan >= exact.NodesLastPlan {
 		t.Errorf("TVF nodes %d should be below exact nodes %d", fast.NodesLastPlan, exact.NodesLastPlan)
 	}
@@ -267,8 +215,7 @@ func TestSearchNodeBudgetFallback(t *testing.T) {
 	}
 	o := opts()
 	o.MaxNodes = 5
-	plan := (&Search{Opts: o}).Plan(workers, tasks, 0)
-	planIsValid(t, plan, 0)
+	plan := checked{&Search{Opts: o}}.Plan(workers, tasks, 0)
 	if plan.Size() == 0 {
 		t.Error("budgeted search should still assign tasks")
 	}
@@ -284,8 +231,8 @@ func TestSearchDeterministic(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		tasks = append(tasks, task(i+1, r.Float64()*2, r.Float64()*2, 0, 1e5))
 	}
-	a := (&Search{Opts: opts()}).Plan(workers, tasks, 0)
-	b := (&Search{Opts: opts()}).Plan(workers, tasks, 0)
+	a := checked{&Search{Opts: opts()}}.Plan(workers, tasks, 0)
+	b := checked{&Search{Opts: opts()}}.Plan(workers, tasks, 0)
 	if a.Size() != b.Size() || len(a) != len(b) {
 		t.Fatal("nondeterministic plan")
 	}
@@ -293,27 +240,6 @@ func TestSearchDeterministic(t *testing.T) {
 		if a[i].Worker.ID != b[i].Worker.ID || a[i].Seq.SetKey() != b[i].Seq.SetKey() {
 			t.Fatal("nondeterministic plan contents")
 		}
-	}
-}
-
-func TestTaskSet(t *testing.T) {
-	t1, t2 := task(1, 0, 0, 0, 1), task(2, 0, 0, 0, 1)
-	ts := newTaskSet([]*core.Task{t1, t2, t1}) // duplicate ignored
-	if !ts.has(1) || !ts.has(2) || len(ts.slice()) != 2 {
-		t.Fatal("init wrong")
-	}
-	ts.removeSeq(core.Sequence{t1})
-	if ts.has(1) || len(ts.slice()) != 1 {
-		t.Fatal("remove wrong")
-	}
-	ts.restoreSeq(core.Sequence{t1})
-	if !ts.has(1) || len(ts.slice()) != 2 {
-		t.Fatal("restore wrong")
-	}
-	// Slice order is stable insertion order.
-	s := ts.slice()
-	if s[0].ID != 1 || s[1].ID != 2 {
-		t.Fatalf("order = %d,%d", s[0].ID, s[1].ID)
 	}
 }
 
@@ -358,11 +284,10 @@ func randomScenario(seed int64, nWorkers, nTasks int, span float64) ([]*core.Wor
 func TestPlanSequencesOutliveTheSearch(t *testing.T) {
 	ws, ts := randomScenario(21, 60, 300, 5)
 	s := &Search{Opts: opts()}
-	plan := s.Plan(ws, ts, 0)
+	plan := checked{s}.Plan(ws, ts, 0)
 	if len(plan) == 0 {
 		t.Fatal("empty plan")
 	}
-	planIsValid(t, plan, 0)
 	var ids [][]int
 	for _, a := range plan {
 		if cap(a.Seq) != len(a.Seq) {
@@ -372,7 +297,7 @@ func TestPlanSequencesOutliveTheSearch(t *testing.T) {
 	}
 	for call := 0; call < 3; call++ {
 		ws2, ts2 := randomScenario(22+int64(call), 60, 300, 5)
-		s.Plan(ws2, ts2, float64(call))
+		checked{s}.Plan(ws2, ts2, float64(call))
 	}
 	for i, a := range plan {
 		if got := a.Seq.IDs(); !slices.Equal(got, ids[i]) {
@@ -463,16 +388,14 @@ func TestParallelPlanMatchesSerial(t *testing.T) {
 	serialOpts.Parallelism = 1
 	serialOpts.MaxNodes = 2000
 	serial := &Search{Opts: serialOpts, Collect: true}
-	want := serial.Plan(ws, ts, 0)
-	planIsValid(t, want, 0)
+	want := checked{serial}.Plan(ws, ts, 0)
 
 	for _, p := range []int{2, 4, 8, 0} {
 		o := serialOpts
 		o.Parallelism = p
 		s := &Search{Opts: o, Collect: true}
-		got := s.Plan(ws, ts, 0)
+		got := checked{s}.Plan(ws, ts, 0)
 		fannedOut(t, s, ws, ts, 0, p)
-		planIsValid(t, got, 0)
 		samePlans(t, want, got)
 		if s.NodesLastPlan != serial.NodesLastPlan {
 			t.Fatalf("parallelism %d: nodes %d vs serial %d", p, s.NodesLastPlan, serial.NodesLastPlan)
@@ -497,12 +420,12 @@ func TestParallelPlanMatchesSerialTVF(t *testing.T) {
 	ws, ts := crowdScenario(29)
 	serialOpts := opts()
 	serialOpts.Parallelism = 1
-	want := (&Search{Opts: serialOpts, Model: model}).Plan(ws, ts, 0)
+	want := checked{&Search{Opts: serialOpts, Model: model}}.Plan(ws, ts, 0)
 	for _, p := range []int{2, 4, 0} {
 		o := opts()
 		o.Parallelism = p
 		s := &Search{Opts: o, Model: model}
-		got := s.Plan(ws, ts, 0)
+		got := checked{s}.Plan(ws, ts, 0)
 		fannedOut(t, s, ws, ts, 0, p)
 		samePlans(t, want, got)
 	}
@@ -516,8 +439,7 @@ func TestParallelPlanMatchesSerialUnderBudget(t *testing.T) {
 	serialOpts.Parallelism = 1
 	serialOpts.MaxNodes = 40
 	serial := &Search{Opts: serialOpts}
-	want := serial.Plan(ws, ts, 0)
-	planIsValid(t, want, 0)
+	want := checked{serial}.Plan(ws, ts, 0)
 	if serial.BudgetBoundTreesLastPlan == 0 {
 		t.Fatal("the budget binds on no tree")
 	}
@@ -526,7 +448,7 @@ func TestParallelPlanMatchesSerialUnderBudget(t *testing.T) {
 		o.Parallelism = p
 		o.MaxNodes = 40
 		s := &Search{Opts: o}
-		got := s.Plan(ws, ts, 0)
+		got := checked{s}.Plan(ws, ts, 0)
 		fannedOut(t, s, ws, ts, 0, p)
 		samePlans(t, want, got)
 		if s.GreedyCompletionsLastPlan != serial.GreedyCompletionsLastPlan {
@@ -544,9 +466,8 @@ func TestParallelPlanRace(t *testing.T) {
 	o.MaxNodes = 400
 	s := &Search{Opts: o, Collect: true}
 	for call := 0; call < 3; call++ {
-		plan := s.Plan(ws, ts, float64(call))
+		checked{s}.Plan(ws, ts, float64(call))
 		fannedOut(t, s, ws, ts, float64(call), 8)
-		planIsValid(t, plan, float64(call))
 	}
 }
 
@@ -608,8 +529,8 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 			} {
 				t.Run(fmt.Sprintf("%s/%s/par=%d", in.name, c.name, p), func(t *testing.T) {
 					want, got := c.s(), c.s()
-					wantPlan := want.Plan(in.workers, in.tasks, in.now)
-					samePlans(t, wantPlan, got.Plan(padded, in.tasks, in.now))
+					wantPlan := checked{want}.Plan(in.workers, in.tasks, in.now)
+					samePlans(t, wantPlan, checked{got}.Plan(padded, in.tasks, in.now))
 					counts := func(s *Search) [6]int {
 						return [6]int{s.NodesLastPlan, s.ExpandedLastPlan, s.GreedyCompletionsLastPlan,
 							s.BudgetBoundTreesLastPlan, s.trees, len(s.results)}
@@ -651,7 +572,7 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/ssp/par=%d", in.name, p), func(t *testing.T) {
 				want, got := &SSP{Opts: o, Samples: 5}, &SSP{Opts: o, Samples: 5}
-				samePlans(t, want.Plan(sspIn.workers, sspIn.tasks, in.now), got.Plan(padded, sspIn.tasks, in.now))
+				samePlans(t, checked{want}.Plan(sspIn.workers, sspIn.tasks, in.now), checked{got}.Plan(padded, sspIn.tasks, in.now))
 				counts := func(p *SSP) [6]int {
 					return [6]int{p.NodesLastPlan, p.ExpandedLastPlan, p.GreedyCompletionsLastPlan,
 						p.BudgetBoundTreesLastPlan, p.TreesLastPlan, p.DistinctTreesLastPlan}
@@ -685,7 +606,7 @@ func TestBoundedCompletionsAcrossParallelism(t *testing.T) {
 		var wantCounts [5]int
 		for _, p := range []int{1, 0} {
 			s := &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: p}}
-			plan := s.Plan(crowd.workers, crowd.tasks, crowd.now)
+			plan := checked{s}.Plan(crowd.workers, crowd.tasks, crowd.now)
 			counts := [5]int{s.NodesLastPlan, s.ExpandedLastPlan, s.GreedyCompletionsLastPlan,
 				s.BudgetBoundTreesLastPlan, s.SkippedCompletionsLastPlan}
 			if p == 1 {
@@ -718,13 +639,13 @@ func TestPlanWithoutSequences(t *testing.T) {
 	o := opts()
 	o.Parallelism = 4
 	s := &Search{Opts: o}
-	if plan := s.Plan(ws, nil, 0); len(plan) != 0 {
+	if plan := (checked{s}).Plan(ws, nil, 0); len(plan) != 0 {
 		t.Fatalf("no tasks: %d assignments", len(plan))
 	}
-	if plan := s.Plan(nil, ts, 0); len(plan) != 0 {
+	if plan := (checked{s}).Plan(nil, ts, 0); len(plan) != 0 {
 		t.Fatalf("no workers: %d assignments", len(plan))
 	}
-	if plan := s.Plan(ws, ts, 2e5); len(plan) != 0 { // past every worker's Off
+	if plan := (checked{s}).Plan(ws, ts, 2e5); len(plan) != 0 { // past every worker's Off
 		t.Fatalf("nobody on shift: %d assignments", len(plan))
 	}
 	if len(s.runs) != 1 {

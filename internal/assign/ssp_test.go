@@ -48,11 +48,10 @@ func sspScenario(seed int64, k int) ([]*core.Worker, []*core.Task) {
 func TestSSPFastPathMatchesSearch(t *testing.T) {
 	ws, ts := randomScenario(11, 40, 120, 8)
 	ref := &Search{Opts: opts()}
-	want := ref.Plan(ws, ts, 0)
+	want := checked{ref}.Plan(ws, ts, 0)
 
 	p := &SSP{Opts: opts(), Samples: 8, CVaRAlpha: 0.5}
-	got := p.Plan(ws, ts, 0)
-	planIsValid(t, got, 0)
+	got := checked{p}.Plan(ws, ts, 0)
 	samePlans(t, want, got)
 	if p.NodesLastPlan != ref.NodesLastPlan {
 		t.Fatalf("fast-path nodes %d, search %d", p.NodesLastPlan, ref.NodesLastPlan)
@@ -99,8 +98,7 @@ func TestSSPParallelMatchesSerial(t *testing.T) {
 		serialOpts := opts()
 		serialOpts.Parallelism, serialOpts.MaxNodes = 1, 400
 		serial := &SSP{Opts: serialOpts, Samples: 4}
-		want := serial.Plan(c.ws, c.ts, 0)
-		planIsValid(t, want, 0)
+		want := checked{serial}.Plan(c.ws, c.ts, 0)
 		if serial.DistinctTreesLastPlan >= serial.TreesLastPlan {
 			t.Fatalf("%s: %d distinct trees of %d: the scenarios share nothing", c.name, serial.DistinctTreesLastPlan, serial.TreesLastPlan)
 		}
@@ -110,8 +108,7 @@ func TestSSPParallelMatchesSerial(t *testing.T) {
 			o := serialOpts
 			o.Parallelism = p
 			got := &SSP{Opts: o, Samples: 4}
-			plan := got.Plan(c.ws, c.ts, 0)
-			planIsValid(t, plan, 0)
+			plan := checked{got}.Plan(c.ws, c.ts, 0)
 			samePlans(t, want, plan)
 			for _, n := range [][2]int{
 				{got.NodesLastPlan, serial.NodesLastPlan}, {got.ExpandedLastPlan, serial.ExpandedLastPlan},
@@ -147,13 +144,13 @@ func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 	o := opts()
 	o.MaxNodes = 30
 	p := &SSP{Opts: o, Samples: k}
-	p.Plan(ws, ts, 0)
+	checked{p}.Plan(ws, ts, 0)
 
 	var want [4]int
 	expanded, trees := 0, 0
 	for s := 0; s < k; s++ {
 		one := &Search{Opts: o}
-		one.Plan(ws, scenarioPool(ts, s), 0)
+		checked{one}.Plan(ws, scenarioPool(ts, s), 0)
 		want[0] += one.NodesLastPlan
 		want[1] += one.GreedyCompletionsLastPlan
 		want[2] += one.BudgetBoundTreesLastPlan
@@ -184,9 +181,9 @@ func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 func TestSSPRepeatedPlansIdentical(t *testing.T) {
 	ws, ts := sspScenario(42, 6)
 	p := &SSP{Opts: opts(), Samples: 6}
-	want := p.Plan(ws, ts, 0)
+	want := checked{p}.Plan(ws, ts, 0)
 	for i := 0; i < 3; i++ {
-		samePlans(t, want, p.Plan(ws, ts, 0))
+		samePlans(t, want, checked{p}.Plan(ws, ts, 0))
 	}
 }
 
@@ -268,7 +265,7 @@ func TestSSPPrefersRobustPlan(t *testing.T) {
 	tasks := []*core.Task{rare, common}
 
 	p := &SSP{Opts: opts(), Samples: 4}
-	plan := p.Plan([]*core.Worker{w}, tasks, 0)
+	plan := checked{p}.Plan([]*core.Worker{w}, tasks, 0)
 	ids := map[int]bool{}
 	for _, a := range plan {
 		for _, task := range a.Seq {
@@ -317,7 +314,7 @@ func perScenarioSearch(p *SSP, ws []*core.Worker, ts []*core.Task, now float64) 
 			pool = scenarioPool(ts, s)
 		}
 		one := &Search{Opts: p.Opts}
-		plans[s] = one.Plan(ws, pool, now)
+		plans[s] = checked{one}.Plan(ws, pool, now)
 		counts[0] += one.NodesLastPlan
 		counts[1] += one.GreedyCompletionsLastPlan
 		counts[2] += one.BudgetBoundTreesLastPlan
@@ -352,7 +349,7 @@ func sameAsPerScenario(t *testing.T, p *SSP, ws []*core.Worker, ts []*core.Task,
 	t.Helper()
 	plans, counts := perScenarioSearch(p, ws, ts, now)
 	want := plans[commit(plans, p.CVaRAlpha, p.Opts.WithDefaults().VirtualWeight)]
-	samePlans(t, want, p.Plan(ws, ts, now))
+	samePlans(t, want, checked{p}.Plan(ws, ts, now))
 	if c := sspCounts(p); c != counts {
 		t.Fatalf("nodes/greedy/bound-trees/skipped %v, per-scenario searches %v", c, counts)
 	}
@@ -415,7 +412,7 @@ func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
 				for _, alpha := range []float64{1, 0.4} {
 					name := fmt.Sprintf("%s budget %d α %v parallelism %d", c.name, maxNodes, alpha, p)
 					got.CVaRAlpha = alpha
-					plan, want := got.Plan(c.workers, c.tasks, c.now), plans[commit(plans, alpha, o.WithDefaults().VirtualWeight)]
+					plan, want := checked{got}.Plan(c.workers, c.tasks, c.now), plans[commit(plans, alpha, o.WithDefaults().VirtualWeight)]
 					if len(want) != len(plan) {
 						t.Fatalf("%s: %d assignments, per-scenario searches %d", name, len(plan), len(want))
 					}
@@ -485,7 +482,7 @@ func TestSSPEdgeScenarios(t *testing.T) {
 		p := &SSP{Opts: opts(), Samples: k}
 		sameAsPerScenario(t, p, ws, ts, 0)
 		one := &Search{Opts: opts()}
-		samePlans(t, one.Plan(ws, ts, 0), p.Plan(ws, ts, 0))
+		samePlans(t, checked{one}.Plan(ws, ts, 0), checked{p}.Plan(ws, ts, 0))
 		if p.DistinctTreesLastPlan != one.trees || p.TreesLastPlan != k*one.trees || p.ExpandedLastPlan != one.ExpandedLastPlan {
 			t.Fatalf("%d distinct of %d trees, %d nodes expanded; one search builds %d and expands %d",
 				p.DistinctTreesLastPlan, p.TreesLastPlan, p.ExpandedLastPlan, one.trees, one.ExpandedLastPlan)
@@ -518,7 +515,7 @@ func TestSSPDropsPreviousPool(t *testing.T) {
 			for _, task := range ts {
 				runtime.SetFinalizer(task, func(*core.Task) { freed.Add(1) })
 			}
-			if plan := p.Plan(ws, ts, 0); len(plan) == 0 {
+			if plan := (checked{p}).Plan(ws, ts, 0); len(plan) == 0 {
 				t.Fatal("an empty plan")
 			}
 			return len(ts)
@@ -528,7 +525,7 @@ func TestSSPDropsPreviousPool(t *testing.T) {
 			ws, ts = randomScenario(23, 30, 90, 7)
 		}
 		p.Samples = k2
-		p.Plan(ws, ts, 0)
+		checked{p}.Plan(ws, ts, 0)
 		for wait := 0; wait < 100 && int(freed.Load()) < n; wait++ {
 			runtime.GC()
 			time.Sleep(time.Millisecond)
@@ -538,4 +535,14 @@ func TestSSPDropsPreviousPool(t *testing.T) {
 		}
 		runtime.KeepAlive(p)
 	}
+}
+
+// at resolves positions into pool, as a reachable set's Index addresses
+// Separation.Tasks.
+func at[T any](pool []T, index []int32) []T {
+	out := make([]T, len(index))
+	for k, i := range index {
+		out[k] = pool[i]
+	}
+	return out
 }

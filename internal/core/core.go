@@ -160,7 +160,8 @@ func CompletionTime(from geo.Point, now float64, q Sequence, tm geo.TravelModel)
 //	(i)   every task is reached strictly before its expiration time,
 //	(ii)  every task is reached strictly before the worker's off time,
 //	(iii) every task lies within the worker's reachable distance of the
-//	      worker's current location.
+//	      worker's current location, the distance itself included, as the
+//	      reachable set RS_w and the spatial index admit it.
 func ValidSequence(w *Worker, now float64, q Sequence, tm geo.TravelModel) bool {
 	if w == nil {
 		return false
@@ -173,7 +174,7 @@ func ValidSequence(w *Worker, now float64, q Sequence, tm geo.TravelModel) bool 
 		if at[i] >= w.Off {
 			return false
 		}
-		if geo.Dist(w.Loc, s.Loc) >= w.Reach {
+		if geo.Dist(w.Loc, s.Loc) > w.Reach {
 			return false
 		}
 	}
@@ -233,6 +234,39 @@ func (p Plan) Consistent() (int, bool) {
 		}
 	}
 	return 0, true
+}
+
+// Check reports the first way p is not a feasible assignment of the pool
+// (workers, tasks) at now under tm, by Definitions 4 and 5 alone, or nil: a
+// task assigned twice or not in tasks, a worker assigned twice, not in workers
+// or off shift, or a sequence that is not valid (ValidSequence).
+func (p Plan) Check(workers []*Worker, tasks []*Task, now float64, tm geo.TravelModel) error {
+	if id, ok := p.Consistent(); !ok {
+		return fmt.Errorf("task %d assigned twice", id)
+	}
+	pool := make(map[*Task]bool, len(tasks))
+	for _, s := range tasks {
+		pool[s] = true
+	}
+	free := make(map[*Worker]bool, len(workers))
+	for _, w := range workers {
+		free[w] = w.Available(now)
+	}
+	for _, a := range p {
+		if !free[a.Worker] {
+			return fmt.Errorf("worker %v is assigned twice, not in the pool or off shift at %v", a.Worker, now)
+		}
+		free[a.Worker] = false
+		for _, s := range a.Seq {
+			if !pool[s] {
+				return fmt.Errorf("worker %d holds task %v, not in the pool", a.Worker.ID, s)
+			}
+		}
+		if !ValidSequence(a.Worker, now, a.Seq, tm) {
+			return fmt.Errorf("worker %v cannot serve %v at %v", a.Worker, a.Seq.IDs(), now)
+		}
+	}
+	return nil
 }
 
 // SortTasksByPub sorts tasks by publication time, breaking ties by id,

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +109,48 @@ func TestValidSequenceConstraints(t *testing.T) {
 	}
 	if !ValidSequence(w, 0, nil, tm) {
 		t.Error("empty sequence is trivially valid")
+	}
+}
+
+// TestValidSequenceReachBoundary: a task at exactly the reach is within it,
+// as ReachableTasks and the spatial index have it (distance ≤ reach).
+func TestValidSequenceReachBoundary(t *testing.T) {
+	w := worker(1, 0, 0, 1, 0, 1e9)
+	if !ValidSequence(w, 0, Sequence{task(1, 1, 0, 0, 1e9)}, tm) {
+		t.Error("a task at exactly the reach must be valid")
+	}
+	if ValidSequence(w, 0, Sequence{task(2, math.Nextafter(1, 2), 0, 0, 1e9)}, tm) {
+		t.Error("a task past the reach must be invalid")
+	}
+}
+
+// TestPlanCheck: Check accepts a feasible plan and names each way one can
+// fail.
+func TestPlanCheck(t *testing.T) {
+	w1, w2, off := worker(1, 0, 0, 2, 0, 1e9), worker(2, 1, 0, 2, 0, 1e9), worker(3, 0, 0, 2, 50, 1e9)
+	s1, s2, gone := task(1, 1, 0, 0, 1e9), task(2, 0, 1, 0, 1e9), task(3, 0, 1, 0, 1e9)
+	workers, tasks := []*Worker{w1, w2, off}, []*Task{s1, s2}
+	if err := (Plan{{w1, Sequence{s1, s2}}}).Check(workers, tasks, 0, tm); err != nil {
+		t.Fatalf("feasible plan: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		p    Plan
+		want string
+	}{
+		{"task twice", Plan{{w1, Sequence{s1}}, {w2, Sequence{s1}}}, "task 1 assigned twice"},
+		{"worker twice", Plan{{w1, Sequence{s1}}, {w1, Sequence{s2}}}, "worker#1@(0.00,0.00)d=2.00[0,1000000000) is assigned twice"},
+		{"foreign worker", Plan{{worker(1, 0, 0, 2, 0, 1e9), Sequence{s1}}}, "not in the pool or off shift"},
+		{"off shift", Plan{{off, Sequence{s1}}}, "not in the pool or off shift"},
+		{"foreign task", Plan{{w1, Sequence{gone}}}, "holds task task#3"},
+	} {
+		if err := c.p.Check(workers, tasks, 0, tm); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error saying %q", c.name, err, c.want)
+		}
+	}
+	short := worker(4, 0, 0, 0.5, 0, 1e9)
+	if err := (Plan{{short, Sequence{s1}}}).Check([]*Worker{short}, tasks, 0, tm); err == nil || !strings.Contains(err.Error(), "cannot serve") {
+		t.Errorf("task out of reach: %v, want an error saying %q", err, "cannot serve")
 	}
 }
 

@@ -56,13 +56,22 @@ func (d *Dispatcher) deferSlackLocked() float64 {
 //datawa:locked(mu)
 func (d *Dispatcher) deferOrShedLocked(s *core.Task, t float64, cause string) {
 	if s.Exp-t >= d.deferSlackLocked() {
-		d.pendLocked(Event{Time: t + d.cfg.Step, Kind: KindTaskSubmit, Task: s}, true)
-		d.deferred++
+		d.requeueLocked(s, t)
 		d.recordTask(s.ID, obs.Deferred, -1, 0, cause)
 		return
 	}
 	d.shedIngest++
 	d.recordTask(s.ID, obs.Shed, -1, 0, cause+"; not enough validity to defer")
+}
+
+// requeueLocked defers s one epoch: its submit goes back on the pending heap,
+// and s waits in d.waiting, where a cancel withdraws it, until that comes due.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) requeueLocked(s *core.Task, t float64) {
+	d.pendLocked(Event{Time: t + d.cfg.Step, Kind: KindTaskSubmit, Task: s}, true)
+	d.deferred++
+	d.waiting[s.ID] = s
 }
 
 // admitOverCapLocked decides what gives way when a submit hits a full open
@@ -89,8 +98,7 @@ func (d *Dispatcher) displaceLocked(v victim, t float64, cause string) {
 	d.dropCopiesLocked(v.id, v.shard)
 	if v.task.Exp-t >= d.deferSlackLocked() {
 		d.shards[v.shard].DropTask(v.id)
-		d.pendLocked(Event{Time: t + d.cfg.Step, Kind: KindTaskSubmit, Task: v.task}, true)
-		d.deferred++
+		d.requeueLocked(v.task, t)
 		d.recordTask(v.id, obs.Deferred, -1, 0, "requeued after displacement")
 		return
 	}

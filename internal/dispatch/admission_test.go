@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -78,6 +79,51 @@ func TestAdmissionCancelFreesSlot(t *testing.T) {
 	d.Advance(2)
 	if m := d.Snapshot(); m.Shed != 0 || m.RoutedTasks != 1 || m.Cancelled != 1 {
 		t.Fatalf("submit after cancel: shed %d open %d cancelled %d, want 0/1/1", m.Shed, m.RoutedTasks, m.Cancelled)
+	}
+}
+
+// TestAdmissionCancelWithdrawsDeferredTask: a cancel of a task that waits
+// deferred — past the submit cap, or displaced from a full pool — withdraws
+// it. The task counts as cancelled, its chain ends Cancelled, and the
+// requeued submit is never admitted.
+func TestAdmissionCancelWithdrawsDeferredTask(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		admission AdmissionConfig
+	}{
+		{"submit-cap", AdmissionConfig{MaxSubmitsPerEpoch: 1}},
+		{"displaced", AdmissionConfig{MaxOpenTasks: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := New(Config{Shards: 1, Step: 1, NewLadder: oneTier(greedyFactory()), Admission: c.admission,
+				Obs: ObsConfig{LedgerTasks: 64}})
+			// Later ids carry earlier deadlines, so each displaces the last.
+			for i, id := range []int{10, 11, 12} {
+				d.SubmitTask(&core.Task{ID: id, Loc: geo.Point{X: 0.1 * float64(i+1)}, Pub: 0, Exp: float64(500 - 100*i), Cell: -1})
+			}
+			d.Advance(1)
+			if m := d.Snapshot(); m.Deferred == 0 {
+				t.Fatal("nothing was deferred")
+			}
+			waiting := 12
+			if c.name == "displaced" {
+				waiting = 11 // 12 holds the pool, 10 and 11 wait
+			}
+			d.CancelTask(waiting)
+			d.Advance(1000)
+			m := d.Snapshot()
+			if m.Cancelled != 1 || m.Unroutable != 0 || m.RoutedTasks != 0 {
+				t.Fatalf("cancelled %d, unroutable %d, open %d: want 1/0/0", m.Cancelled, m.Unroutable, m.RoutedTasks)
+			}
+			conserve(t, m, 3)
+			if issues, _ := d.LedgerAudit(); len(issues) != 0 {
+				t.Fatalf("ledger: %v", issues)
+			}
+			h, _ := d.TaskHistory(waiting)
+			if end, ok := h.Terminal(); !ok || end.State != obs.Cancelled {
+				t.Fatalf("task %d: chain %+v, want it to end cancelled", waiting, h.Transitions)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/assign"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -26,7 +27,7 @@ func BenchmarkReplayShards(b *testing.B) {
 					Grid:      sc.Grid,
 					Step:      2,
 					Now:       sc.T0,
-					NewLadder: oneTier(searchFactory()),
+					NewLadder: benchTier(searchFactory()),
 				})
 				LoadGen{Events: events, T1: sc.T1}.Run(d)
 			}
@@ -51,7 +52,7 @@ func BenchmarkIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	newDispatcher := func() *Dispatcher {
-		return New(Config{Step: 1, NewLadder: oneTier(greedyFactory())})
+		return New(Config{Step: 1, NewLadder: benchTier(greedyFactory())})
 	}
 	b.Run("direct", func(b *testing.B) {
 		d := newDispatcher()
@@ -110,7 +111,7 @@ func BenchmarkAdmission(b *testing.B) {
 		{"future-dated", 0, 600, 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			d := New(Config{Step: 1, NewLadder: oneTier(greedyFactory())})
+			d := New(Config{Step: 1, NewLadder: benchTier(greedyFactory())})
 			cancels(d, bc.backlog, 1e12)
 			d.Tick()
 			b.ReportAllocs()
@@ -121,4 +122,10 @@ func BenchmarkAdmission(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchTier is oneTier without the plan check: a benchmark times the planner,
+// not core.Plan.Check.
+func benchTier(f func(int) assign.Planner) func(int) []assign.Planner {
+	return func(shard int) []assign.Planner { return []assign.Planner{f(shard)} }
 }

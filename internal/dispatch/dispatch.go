@@ -214,7 +214,8 @@ type Metrics struct {
 	// benchmark contract freezes, still reads them; they go when it may.
 	IncrementalHits     int64 `json:"-"`
 	ComponentsReplanned int64 `json:"-"`
-	// Assigned/Expired/Cancelled/Repositions aggregate all shards.
+	// Assigned/Expired/Cancelled/Repositions aggregate all shards; Cancelled
+	// also counts the tasks a cancel withdrew while they waited deferred.
 	Assigned    int `json:"assigned"`
 	Expired     int `json:"expired"`
 	Cancelled   int `json:"cancelled"`
@@ -295,11 +296,15 @@ type Dispatcher struct {
 	epochs      int   // guarded by mu
 	// Admission state: shedIngest counts tasks terminally dropped on the
 	// ingest path (never admitted to a shard); deferred counts deferral
-	// events (non-terminal requeues); victims orders the open pool by
-	// deadline for displacement.
-	shedIngest int64        // guarded by mu
-	deferred   int64        // guarded by mu
-	victims    heap[victim] // guarded by mu
+	// events (non-terminal requeues); waiting holds the deferred tasks by id
+	// until their requeued submit comes due, and withdrawn counts those a
+	// cancel took out of it; victims orders the open pool by deadline for
+	// displacement.
+	shedIngest int64              // guarded by mu
+	deferred   int64              // guarded by mu
+	waiting    map[int]*core.Task // guarded by mu
+	withdrawn  int64              // guarded by mu
+	victims    heap[victim]       // guarded by mu
 	// Governor state: gov is nil when disabled; tiered holds each shard's
 	// ladder, at tier 0 for life without one. probe is what each epoch
 	// measures per shard: the Step walls the next epoch's fan-out weighs,
@@ -339,6 +344,7 @@ func New(cfg Config) *Dispatcher {
 
 		pending: heap[pendingEvent]{less: pendingBefore},
 		victims: heap[victim]{less: moreDeferrable},
+		waiting: make(map[int]*core.Task),
 		changes: make([][]stream.Change, cfg.Shards),
 		probe:   make([]shardProbe, cfg.Shards),
 		grain:   shardGrain,
@@ -541,6 +547,7 @@ func (d *Dispatcher) Snapshot() Metrics {
 	m.EpochP50, m.EpochP95, m.EpochP99 = seconds(h.Quantile(0.50)), seconds(h.Quantile(0.95)), seconds(h.Quantile(0.99))
 	m.Shed = d.shedIngest
 	m.Deferred = d.deferred
+	m.Cancelled = int(d.withdrawn)
 	if d.gov != nil {
 		m.TierDemotions, m.TierPromotions = d.gov.Counters()
 		m.WorstTier = d.gov.Worst()

@@ -30,9 +30,29 @@ func greedyFactory() func(int) assign.Planner {
 }
 
 // oneTier turns a planner factory into the one-rung ladder Config.NewLadder
-// takes: what every test without a governor plans with.
+// takes: what every test without a governor plans with. Every plan of the
+// rung is held to core.Plan.Check.
 func oneTier(f func(int) assign.Planner) func(int) []assign.Planner {
-	return func(shard int) []assign.Planner { return []assign.Planner{f(shard)} }
+	return func(shard int) []assign.Planner { return []assign.Planner{checked{f(shard)}} }
+}
+
+// checked is a Planner whose every plan is held to core.Plan.Check: a replay
+// through it panics on the first infeasible plan.
+type checked struct{ assign.Planner }
+
+func (c checked) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
+	p := c.Planner.Plan(workers, tasks, now)
+	if err := p.Check(workers, tasks, now, c.Travel()); err != nil {
+		panic(fmt.Sprintf("%s planned an infeasible plan at %v: %v", c.Name(), now, err))
+	}
+	return p
+}
+
+// SetParallelism forwards the dispatcher's per-planner goroutine budget.
+func (c checked) SetParallelism(n int) {
+	if sp, ok := c.Planner.(interface{ SetParallelism(int) }); ok {
+		sp.SetParallelism(n)
+	}
 }
 
 func testScenario(t *testing.T) *workload.Scenario {
@@ -78,7 +98,7 @@ func TestSingleShardMatchesStreamEngine(t *testing.T) {
 			const step = 2
 			ref := stream.Run(
 				stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1},
-				stream.Config{Planner: tc.factory(0), Fixed: tc.fixed, Step: step},
+				stream.Config{Planner: checked{tc.factory(0)}, Fixed: tc.fixed, Step: step},
 			)
 			got := replay(sc, 1, tc.factory, tc.fixed, step, 1)
 			if got.Assigned != ref.Assigned || got.Expired != ref.Expired {
@@ -149,7 +169,7 @@ func TestSingleShardForecastMatchesStreamEngine(t *testing.T) {
 	ref := stream.Run(
 		stream.Input{Workers: sc.Workers, Tasks: tasks, T0: sc.T0, T1: sc.T1},
 		stream.Config{
-			Planner: searchFactory()(0),
+			Planner: checked{searchFactory()(0)},
 			Step:    step,
 			Demand:  stream.NewDemandFeed(fromEngine, history),
 		},

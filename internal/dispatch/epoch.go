@@ -322,6 +322,12 @@ func (d *Dispatcher) applyDueLocked(t float64) (int, bool) {
 			d.due = d.due[:0]
 			return due, true
 		}
+		if pe.requeued { // a deferred submit comes due, unless a cancel withdrew it
+			if d.waiting[pe.ev.Task.ID] != pe.ev.Task {
+				continue
+			}
+			delete(d.waiting, pe.ev.Task.ID)
+		}
 		if c := d.cfg.Admission.MaxSubmitsPerEpoch; c > 0 && pe.ev.Kind == KindTaskSubmit {
 			// Backpressure on the ingest path: past the per-epoch budget,
 			// due submits defer one epoch (requeued at t+Step, so the loop
@@ -422,6 +428,10 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 			ok = d.shards[shard].CancelTask(ev.ID)
 			d.recordTask(ev.ID, obs.Cancelled, shard, 0, "withdrawn by requester")
 			d.dropCopiesLocked(ev.ID, shard)
+		} else if _, ok = d.waiting[ev.ID]; ok { // withdrawn while it waited deferred
+			delete(d.waiting, ev.ID)
+			d.withdrawn++
+			d.recordTask(ev.ID, obs.Cancelled, -1, 0, "withdrawn by requester while deferred")
 		}
 	case KindPosition:
 		if shard, known := d.workerShardLocked(ev.ID); known {

@@ -125,7 +125,7 @@ func TestShardFanOutMatchesInline(t *testing.T) {
 				t.Fatalf("%d shards, parallelism %d: %d epochs fanned out, want %d", shards, parallelism, got, wantFanned)
 			}
 			for i, p := range d.tiered {
-				if got := p.ladder[0].(*assign.Search).Opts.Parallelism; got != parallelism/fan {
+				if got := p.ladder[0].(checked).Planner.(*assign.Search).Opts.Parallelism; got != parallelism/fan {
 					t.Fatalf("%d shards, parallelism %d: shard %d planner budget %d, want %d", shards, parallelism, i, got, parallelism/fan)
 				}
 			}
@@ -160,7 +160,7 @@ func TestShardFanOutBudgetFollows(t *testing.T) {
 			t.Fatalf("epoch %d: fan-out %d, want %d", i, d.fan, tc.fan)
 		}
 		for s, p := range d.tiered {
-			if got := p.ladder[0].(*assign.Search).Opts.Parallelism; got != tc.budget {
+			if got := p.ladder[0].(checked).Planner.(*assign.Search).Opts.Parallelism; got != tc.budget {
 				t.Fatalf("epoch %d: shard %d planner budget %d, want %d", i, s, got, tc.budget)
 			}
 		}

@@ -95,7 +95,7 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 	const step = 4 // coarse epochs: every collision shares a planning instant
 	ref := stream.Run(
 		stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1},
-		stream.Config{Planner: searchFactory()(0), Step: step},
+		stream.Config{Planner: checked{searchFactory()(0)}, Step: step},
 	)
 	for _, cfg := range []struct {
 		name     string

@@ -10,8 +10,9 @@
 // only when first queried. Rows is a graph held as sparse bit rows, built by
 // the caller without edge pairs. The chordal pipeline runs on a Chordal
 // workspace — the vertex subset at hand renumbered 0..m-1 with its induced
-// subgraph as an m×m bit matrix, loaded from a Graph or from Rows — so "make
-// the later neighbours a clique" is a few word-wide ORs per neighbour.
+// subgraph as an m×m bit matrix, loaded from Rows on the planner's path
+// (CliquesOfRows) and from a Graph by the Graph helpers — so "make the later
+// neighbours a clique" is a few word-wide ORs per neighbour.
 package graphutil
 
 import (
@@ -324,9 +325,8 @@ func (g *Graph) IsChordal(vertices []int) bool {
 // subset, never the graph it was cut from. The zero value is ready to use; a
 // Chordal serves one goroutine at a time.
 type Chordal struct {
-	verts []int   // local index → vertex, ascending
-	local []int32 // vertex → local index + 1; all zero between calls
-	words int     // words per bit row
+	verts []int // local index → vertex, ascending
+	words int   // words per bit row
 	rows  []uint64
 	// cand row i is {v} ∪ {later neighbours of v} for the i-th eliminated v;
 	// maximal[i] tells whether no other candidate contains it.
@@ -347,17 +347,6 @@ type Chordal struct {
 	cliques [][]int
 }
 
-// Cliques returns the maximal cliques of the chordal completion of g's
-// subgraph induced by vertices — FillIn followed by MaximalCliquesChordal,
-// without materializing the completion as a Graph. The result is owned by the
-// workspace and valid until its next call.
-func (c *Chordal) Cliques(g *Graph, vertices []int) [][]int {
-	c.load(g, vertices)
-	c.mcs()
-	c.eliminateAlong()
-	return c.maximalCliques()
-}
-
 // Rows is a graph on the vertices 0..m-1, m = len(Offs)-1, held as sparse
 // bit rows: row v keeps only its nonzero words, Words[k] for k in
 // Offs[v]:Offs[v+1], with At[k] the word's index within the row, ascending. A
@@ -369,9 +358,9 @@ type Rows struct {
 	Words []uint64
 }
 
-// CliquesOfRows returns the maximal cliques of the chordal completion of r,
-// as Cliques does for a Graph and an ascending vertex list numbered as r's
-// rows are: the same cliques in the same order. The result is owned by the
+// CliquesOfRows returns the maximal cliques of the chordal completion of r —
+// FillIn followed by MaximalCliquesChordal on the graph r holds, without
+// materializing the completion as a Graph. The result is owned by the
 // workspace and valid until its next call.
 func (c *Chordal) CliquesOfRows(r *Rows) [][]int {
 	c.loadRows(r)
@@ -401,34 +390,23 @@ func (c *Chordal) loadRows(r *Rows) {
 }
 
 // load renumbers the subset and fills the bit matrix with its induced
-// subgraph.
+// subgraph: the Graph path of MCS, FillIn, MaximalCliquesChordal and
+// IsChordal, which the planner does not take.
 func (c *Chordal) load(g *Graph, vertices []int) {
 	g.seal()
 	c.verts = append(c.verts[:0], vertices...)
 	slices.Sort(c.verts)
 	c.verts = slices.Compact(c.verts)
-	for _, v := range c.verts {
+	c.words = (len(c.verts) + 63) / 64
+	c.rows = zeroed(c.rows, len(c.verts)*c.words)
+	for i, v := range c.verts {
 		g.check(v)
-	}
-	if len(c.local) < g.n {
-		c.local = make([]int32, g.n)
-	}
-	for i, v := range c.verts {
-		c.local[v] = int32(i + 1)
-	}
-	m := len(c.verts)
-	c.words = (m + 63) / 64
-	c.rows = zeroed(c.rows, m*c.words)
-	for i, v := range c.verts {
 		row := c.row(c.rows, i)
 		for _, u := range g.nbrs[g.offs[v]:g.offs[v+1]] {
-			if j := c.local[u]; j != 0 {
-				row[(j-1)>>6] |= 1 << uint((j-1)&63)
+			if j, in := slices.BinarySearch(c.verts, int(u)); in {
+				row[j>>6] |= 1 << uint(j&63)
 			}
 		}
-	}
-	for _, v := range c.verts {
-		c.local[v] = 0
 	}
 }
 

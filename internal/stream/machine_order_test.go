@@ -42,7 +42,7 @@ func activeIDs(m *Machine) []int {
 // and a re-online of the same id within one epoch, a retracted commit — so
 // the planner is handed id-sorted workers without a sort per instant.
 func TestMachineActiveStaysIDOrdered(t *testing.T) {
-	rec := &orderRecorder{inner: searchPlanner()}
+	rec := &orderRecorder{inner: checked{searchPlanner()}}
 	m := NewMachine(MachineConfig{Planner: rec})
 	check := func(when string, want ...int) {
 		t.Helper()

@@ -12,7 +12,7 @@ import (
 
 // machineWith returns an empty machine running the exact search planner.
 func machineWith(fixed bool) *Machine {
-	return NewMachine(MachineConfig{Planner: searchPlanner(), Fixed: fixed})
+	return NewMachine(MachineConfig{Planner: checked{searchPlanner()}, Fixed: fixed})
 }
 
 func TestMachineWorkerDepartsMidMotionCommitted(t *testing.T) {
@@ -233,7 +233,7 @@ func TestMachineMovesAtPlannerSpeed(t *testing.T) {
 	const now = 10
 	for _, tc := range []struct{ speed, arrive float64 }{{0.005, now + 100}, {0.01, now + 50}} {
 		g := &assign.Greedy{Opts: assign.Options{WDS: wds.Options{Travel: geo.NewTravelModel(tc.speed)}}}
-		m := NewMachine(MachineConfig{Planner: g})
+		m := NewMachine(MachineConfig{Planner: checked{g}})
 		m.AddWorker(worker(1, 0, 0, 1, 0, 1000), now)
 		m.AddTask(task(1, 0.5, 0, 0, 1000), now)
 		m.Step(now)
@@ -253,7 +253,7 @@ func TestRunLeavesChangeLogEmpty(t *testing.T) {
 		Tasks:   []*core.Task{task(1, 0.5, 0, 0, 400), task(2, 9, 9, 0, 30), task(3, 0.2, 0, 100, 400)},
 		T0:      0, T1: 600,
 	}
-	e := NewEngine(in, Config{Planner: searchPlanner(), Step: 10})
+	e := NewEngine(in, Config{Planner: checked{searchPlanner()}, Step: 10})
 	res := e.Run()
 	if res.Assigned != 2 || res.Expired != 1 {
 		t.Fatalf("assigned/expired = %d/%d, want 2/1", res.Assigned, res.Expired)

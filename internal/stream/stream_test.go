@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/assign"
@@ -12,7 +13,19 @@ import (
 var travel = geo.NewTravelModel(0.01) // 10 m/s
 
 func cfgWith(p assign.Planner) Config {
-	return Config{Planner: p}
+	return Config{Planner: checked{p}}
+}
+
+// checked is a Planner whose every plan is held to core.Plan.Check: a replay
+// through it panics on the first infeasible plan.
+type checked struct{ assign.Planner }
+
+func (c checked) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
+	p := c.Planner.Plan(workers, tasks, now)
+	if err := p.Check(workers, tasks, now, c.Travel()); err != nil {
+		panic(fmt.Sprintf("%s planned an infeasible plan at %v: %v", c.Name(), now, err))
+	}
+	return p
 }
 
 func searchPlanner() *assign.Search {

@@ -3,7 +3,6 @@ package wds
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -21,34 +20,12 @@ type instant struct {
 	tasks   []*core.Task
 }
 
-// atlasInstants returns the crowd (most open tasks on a 2 s grid) and median
-// instants of every atlas archetype.
+// atlasInstants returns the crowd and median instants of every atlas
+// archetype.
 func atlasInstants() []instant {
 	var out []instant
 	for _, a := range scenario.Registry() {
-		sc := a.Generate(1)
-		open := func(t float64) (tasks []*core.Task) {
-			for _, s := range sc.Tasks {
-				if s.Pub <= t && s.Exp > t {
-					tasks = append(tasks, s)
-				}
-			}
-			return tasks
-		}
-		var grid []float64
-		for t := sc.T0; t < sc.T1; t += 2 {
-			grid = append(grid, t)
-		}
-		sort.SliceStable(grid, func(i, j int) bool { return len(open(grid[i])) > len(open(grid[j])) })
-		for k, t := range []float64{grid[0], grid[len(grid)/2]} {
-			in := instant{name: a.Name + []string{"/crowd", "/median"}[k], now: t, tasks: open(t)}
-			for _, w := range sc.Workers {
-				if w.Available(t) {
-					in.workers = append(in.workers, w)
-				}
-			}
-			out = append(out, in)
-		}
+		out = append(out, instantsOf(a, 1)...)
 	}
 	return out
 }
