@@ -231,6 +231,86 @@ func TestSeparateIndependentClusters(t *testing.T) {
 	}
 }
 
+// TestSeparateTreeCoversAllWorkersOnce: every worker that reaches a task is in
+// exactly one tree of the forest, and no other worker is in any — neither one
+// off shift nor one on shift with every task out of its reach.
+func TestSeparateTreeCoversAllWorkersOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		var workers []*core.Worker
+		for i := 0; i < 12; i++ {
+			workers = append(workers, worker(i, r.Float64()*3, r.Float64()*3, 0.8, 0, 1e5))
+		}
+		workers = append(workers, worker(12, 1.5, 1.5, 0.8, 0, -1), worker(13, 40, 40, 0.8, 0, 1e5))
+		var tasks []*core.Task
+		for i := 0; i < 25; i++ {
+			tasks = append(tasks, task(i, r.Float64()*3, r.Float64()*3, 0, 1e5))
+		}
+		sep := Separate(workers, tasks, 0, opts)
+		seen := make(map[int]int)
+		for _, root := range sep.Forest {
+			for _, w := range workersOf(sep, root) {
+				seen[w.ID]++
+			}
+		}
+		reaching := 0
+		for i, w := range workers {
+			want := 0
+			if len(sep.Sets[i].Index) > 0 {
+				want = 1
+				reaching++
+			}
+			if seen[w.ID] != want {
+				t.Fatalf("worker %d reaches %d tasks and appears %d times", w.ID, len(sep.Sets[i].Index), seen[w.ID])
+			}
+		}
+		if reaching < 2 || reaching > len(workers)-2 {
+			t.Fatalf("%d of %d workers reach a task", reaching, len(workers))
+		}
+	}
+}
+
+func TestSeparateSiblingIndependence(t *testing.T) {
+	// Property ii of the RTC tree: no dependency edge crosses sibling
+	// subtrees.
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 30; trial++ {
+		var workers []*core.Worker
+		for i := 0; i < 14; i++ {
+			workers = append(workers, worker(i, r.Float64()*4, r.Float64()*4, 0.7, 0, 1e5))
+		}
+		var tasks []*core.Task
+		for i := 0; i < 30; i++ {
+			tasks = append(tasks, task(i, r.Float64()*4, r.Float64()*4, 0, 1e5))
+		}
+		sep := Separate(workers, tasks, 0, opts)
+		idx := make(map[int]int) // worker id → graph vertex
+		for i, w := range workers {
+			idx[w.ID] = i
+		}
+		var check func(n *TreeNode)
+		check = func(n *TreeNode) {
+			for i := 0; i < len(n.Children); i++ {
+				for j := i + 1; j < len(n.Children); j++ {
+					for _, a := range workersOf(sep, n.Children[i]) {
+						for _, b := range workersOf(sep, n.Children[j]) {
+							if sep.Graph.HasEdge(idx[a.ID], idx[b.ID]) {
+								t.Fatalf("edge between sibling subtrees: %d-%d", a.ID, b.ID)
+							}
+						}
+					}
+				}
+			}
+			for _, c := range n.Children {
+				check(c)
+			}
+		}
+		for _, root := range sep.Forest {
+			check(root)
+		}
+	}
+}
+
 func TestSeparateDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	var workers []*core.Worker
@@ -301,6 +381,16 @@ func seqsOf(sep *Separation, i int) []core.Sequence {
 		q[k] = slices.Clip(sep.Sets[i].AppendSeq(nil, sep.Tasks, k))
 	}
 	return q
+}
+
+// workersOf resolves the workers of the subtree under n, in pre-order and by
+// id within a node.
+func workersOf(sep *Separation, n *TreeNode) []*core.Worker {
+	var ws []*core.Worker
+	for _, wi := range n.AppendIndex(nil) {
+		ws = append(ws, sep.Workers[wi])
+	}
+	return ws
 }
 
 func TestOptionsDefaults(t *testing.T) {
