@@ -197,6 +197,10 @@ type Search struct {
 	// already solved with the stored value, plan and node count. The two are
 	// equal whenever the table is not in use.
 	ExpandedLastPlan int
+	// ReachChecksLastPlan is the distances the most recent Plan computed
+	// while gathering the workers' reachable sets (wds.Separator.ReachChecks):
+	// the reach stage's work, the same at every Parallelism.
+	ReachChecksLastPlan int
 
 	// Per-instant scratch (a Search serves one shard from one goroutine, but
 	// fans tree searches out internally — runs is indexed by the worker
@@ -229,9 +233,10 @@ type Search struct {
 	local    []int32
 	taskOff  []int32
 	taskFlat []int32
-	// Worker i's reachable set as tree-local positions:
-	// reachLocal[reachOff[i]:reachOff[i+1]], parallel to Sets[i].Index; and
-	// which of them are virtual tasks, as bits over Index positions.
+	// Worker i's reachable set as tree-local positions, parallel to
+	// Sets[i].Index from reachLocal[reachOff[i]] on; and which of them are
+	// virtual tasks, as bits over Index positions. Written for the workers of
+	// the current scenario's new trees only, the ones their searches read.
 	reachOff   []int32
 	reachLocal []int32
 	virtual    []uint64
@@ -313,6 +318,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 	wdsOpts := o.WDS
 	wdsOpts.Parallelism = o.Parallelism
 	seps := s.sep.Scenarios(workers, tasks, now, wdsOpts, k)
+	s.ReachChecksLastPlan = s.sep.ReachChecks()
 	s.plans = slices.Grow(s.plans[:0], len(seps))[:len(seps)]
 	s.results = s.results[:0]
 	if len(seps) > 1 {
@@ -524,19 +530,32 @@ func (s *Search) partition(sep *wds.Separation, forest []treeResult) {
 	}
 	s.treeOf, s.local, s.taskOff, s.taskFlat = treeOf, local, off, flat
 
-	reachOff, reachLocal, virtual := s.reachOff[:0], s.reachLocal[:0], s.virtual[:0]
-	for i := range sep.Sets {
-		reachOff = append(reachOff, int32(len(reachLocal)))
+	n := len(sep.Sets)
+	s.reachOff = slices.Grow(s.reachOff[:0], n)[:n]
+	s.virtual = slices.Grow(s.virtual[:0], n)[:n]
+	s.reachLocal = s.reachLocal[:0]
+	for i := range forest {
+		s.localSets(forest[i].root, sep)
+	}
+}
+
+// localSets writes reachOff, reachLocal and virtual for the workers of the
+// subtree under n.
+func (s *Search) localSets(n *wds.TreeNode, sep *wds.Separation) {
+	for _, wi := range n.Index {
+		s.reachOff[wi] = int32(len(s.reachLocal))
 		var v uint64
-		for k, t := range sep.Sets[i].Index {
-			reachLocal = append(reachLocal, local[t])
+		for k, t := range sep.Sets[wi].Index {
+			s.reachLocal = append(s.reachLocal, s.local[t])
 			if sep.Tasks[t].Virtual {
 				v |= 1 << uint(k)
 			}
 		}
-		virtual = append(virtual, v)
+		s.virtual[wi] = v
 	}
-	s.reachOff, s.reachLocal, s.virtual = append(reachOff, int32(len(reachLocal))), reachLocal, virtual
+	for _, child := range n.Children {
+		s.localSets(child, sep)
+	}
 }
 
 // claim marks every task reachable from the subtree under n as belonging to
@@ -626,11 +645,12 @@ type searchRun struct {
 	// of the Collect rows in testdata/search.pins (TestSearchMatchesReference).
 	levels []level
 	open   []*core.Task
-	// DFSearch_TVF scratch: the usable sequences of the current worker and
-	// their features; and, for either featurizing search, the sequence being
-	// featurized, as tasks.
+	// DFSearch_TVF scratch: the usable sequences of the current worker, their
+	// features and the model's workspace for scoring them; and, for either
+	// featurizing search, the sequence being featurized, as tasks.
 	usable []int32
 	feats  [][tvf.FeatureDim]float64
+	batch  tvf.Batch
 	seq    core.Sequence
 }
 
@@ -1006,7 +1026,7 @@ func (r *searchRun) commitTVF(n *wds.TreeNode, j int, row int32) {
 	for _, k := range r.usable {
 		r.feats = append(r.feats, tvf.Featurize(st, r.action(wi, &r.sep.Sets[wi], int(k)), r.opts.WDS.Travel))
 	}
-	values := r.model.PredictBatch(r.feats)
+	values := r.model.PredictBatch(&r.batch, r.feats)
 	best := 0
 	for i, v := range values {
 		if v > values[best] {

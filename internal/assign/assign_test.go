@@ -397,8 +397,8 @@ func TestParallelPlanMatchesSerial(t *testing.T) {
 		got := checked{s}.Plan(ws, ts, 0)
 		fannedOut(t, s, ws, ts, 0, p)
 		samePlans(t, want, got)
-		if s.NodesLastPlan != serial.NodesLastPlan {
-			t.Fatalf("parallelism %d: nodes %d vs serial %d", p, s.NodesLastPlan, serial.NodesLastPlan)
+		if s.NodesLastPlan != serial.NodesLastPlan || s.ReachChecksLastPlan != serial.ReachChecksLastPlan {
+			t.Fatalf("parallelism %d: nodes %d and reach checks %d vs serial %d and %d", p, s.NodesLastPlan, s.ReachChecksLastPlan, serial.NodesLastPlan, serial.ReachChecksLastPlan)
 		}
 		if len(s.Samples) != len(serial.Samples) {
 			t.Fatalf("parallelism %d: %d samples vs serial %d", p, len(s.Samples), len(serial.Samples))

@@ -3,6 +3,7 @@ package assign
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -152,6 +153,7 @@ func BenchmarkCrowdPlan(b *testing.B) {
 			b.ReportMetric(float64(s.ExpandedLastPlan), "expanded")
 			b.ReportMetric(float64(s.GreedyCompletionsLastPlan), "greedy")
 			b.ReportMetric(float64(s.SkippedCompletionsLastPlan), "skipped")
+			b.ReportMetric(float64(s.ReachChecksLastPlan), "reach-checks")
 		})
 	}
 }
@@ -180,38 +182,40 @@ func BenchmarkSSPPlan(b *testing.B) {
 	b.ReportMetric(float64(p.DistinctTreesLastPlan), "distinct-trees")
 }
 
-// idleInstant has the shape of paper-yueche's median instant (docs/BENCHMARKS.md,
-// "Fan-out grains"): 200 workers on shift, of which 3 reach a task and hold a
-// handful of sequences between them. The 60 tasks are scattered over one
-// corner of the region, a reaching worker stands beside one of them, and the
-// other 197 workers are elsewhere.
+// idleInstant has the shape of paper-yueche's median instant (ROADMAP item
+// 5's table; internal/wds's idleOf draws the same): 276 workers on shift over
+// the Yueche trace's 4 km square with its 1 km reach, and 3 open tasks with
+// its 40 s of validity. At the default 10 m/s a worker must stand within
+// 0.4 km of a task to reach it before it expires, condition (i): one worker
+// stands 0.2 km from each task, and the other 273 — about 50 of them within
+// 1 km of a task — stand farther than 0.4 km from all three.
 func idleInstant() ([]*core.Worker, []*core.Task) {
 	r := rand.New(rand.NewSource(31))
 	var ts []*core.Task
-	for i := 0; i < 60; i++ {
-		ts = append(ts, &core.Task{
-			ID: i + 1, Loc: geo.Point{X: r.Float64() * 6, Y: r.Float64() * 6},
-			Pub: 0, Exp: 600, Cell: -1,
-		})
+	for i := 0; i < 3; i++ {
+		loc := geo.Point{X: 0.5 + 3*r.Float64(), Y: 0.5 + 3*r.Float64()}
+		ts = append(ts, &core.Task{ID: i + 1, Loc: loc, Exp: 40, Cell: -1})
 	}
 	var ws []*core.Worker
-	for i := 0; i < 200; i++ {
-		loc := geo.Point{X: 8 + r.Float64()*22, Y: r.Float64() * 30}
-		if i%67 == 0 {
-			loc = ts[i/67*20].Loc
-			loc.X += 0.05
+	for i := 0; i < 276; i++ {
+		loc := ts[i/92].Loc
+		loc.X += 0.2
+		for i%92 != 0 && slices.ContainsFunc(ts, func(s *core.Task) bool { return geo.Dist(loc, s.Loc) <= 0.4 }) {
+			loc = geo.Point{X: 4 * r.Float64(), Y: 4 * r.Float64()}
 		}
-		ws = append(ws, &core.Worker{ID: i + 1, Loc: loc, Reach: 0.3, On: 0, Off: 1e5})
+		ws = append(ws, &core.Worker{ID: i + 1, Loc: loc, Reach: 1, Off: 3600})
 	}
 	return ws, ts
 }
 
 // BenchmarkPlanIdle measures one warm DFSearch_TVF call, the planner of
-// paper-yueche, on idleInstant: a plan whose cost is the reachable-set query
-// of every worker on shift and the trees of the three that reach a task.
+// paper-yueche, on idleInstant at the default speed: a plan whose cost is the
+// reach stage over 276 workers on shift — gathered from the task side, three
+// disc queries on a grid of the workers — and the trees of the three that
+// reach a task. reach-checks is the distances the reach stage computed.
 func BenchmarkPlanIdle(b *testing.B) {
 	ws, ts := idleInstant()
-	s := &Search{Opts: benchOpts(), Model: tvf.NewModel(16, 17)}
+	s := &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 5000}, Model: tvf.NewModel(16, 17)}
 	s.Plan(ws, ts, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -220,6 +224,7 @@ func BenchmarkPlanIdle(b *testing.B) {
 	}
 	b.ReportMetric(float64(s.trees), "trees")
 	b.ReportMetric(float64(s.NodesLastPlan), "nodes")
+	b.ReportMetric(float64(s.ReachChecksLastPlan), "reach-checks")
 }
 
 // benchScan measures one warm Plan call of a sequential planner on the crowd

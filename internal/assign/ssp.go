@@ -53,12 +53,14 @@ type SSP struct {
 	// the most recent Plan call, summed across scenarios: a component several
 	// scenarios hold counts in each, as it would had each been searched alone.
 	// ExpandedLastPlan is the calls the planner really made, so it counts such
-	// a component once.
+	// a component once. ReachChecksLastPlan is Search's, for the one reach
+	// stage the scenarios share.
 	NodesLastPlan              int
 	GreedyCompletionsLastPlan  int
 	BudgetBoundTreesLastPlan   int
 	SkippedCompletionsLastPlan int
 	ExpandedLastPlan           int
+	ReachChecksLastPlan        int
 	// TreesLastPlan is the trees of the scenarios' forests, summed, and
 	// DistinctTreesLastPlan how many of them were different trees: the ones
 	// built and searched.
@@ -93,6 +95,7 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 	p.BudgetBoundTreesLastPlan = s.BudgetBoundTreesLastPlan
 	p.SkippedCompletionsLastPlan = s.SkippedCompletionsLastPlan
 	p.ExpandedLastPlan = s.ExpandedLastPlan
+	p.ReachChecksLastPlan = s.ReachChecksLastPlan
 	p.TreesLastPlan, p.DistinctTreesLastPlan = s.trees, len(s.results)
 	plans := s.plans
 

@@ -100,7 +100,8 @@ func (r *searchRun) layoutRows(n *wds.TreeNode) int {
 	}
 	for j := len(n.Index) - 1; j >= 0; j-- {
 		wi, row := n.Index[j], off+j
-		set, local := &r.sep.Sets[wi], r.reachLocal[r.reachOff[wi]:r.reachOff[wi+1]]
+		set := &r.sep.Sets[wi]
+		local := r.reachLocal[r.reachOff[wi]:][:len(set.Index)]
 		reach := r.reachBits[row*w : (row+1)*w]
 		clear(reach)
 		for _, p := range local {

@@ -64,6 +64,14 @@ func (m TravelModel) TimeForDist(d float64) float64 {
 	return d / m.Speed
 }
 
+// DistWithin bounds from above the distance coverable in time t: every d with
+// TimeForDist(d) ≤ t is at most it, the rounding of both included. It is NaN
+// where t or the speed is.
+func (m TravelModel) DistWithin(t float64) float64 {
+	d := t * m.Speed
+	return d + d*0x1p-30 + 0x1p-1000
+}
+
 // Rect is an axis-aligned rectangle with Min ≤ Max on both axes.
 type Rect struct {
 	MinX, MinY, MaxX, MaxY float64

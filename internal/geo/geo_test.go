@@ -82,6 +82,30 @@ func TestTravelModel(t *testing.T) {
 	}
 }
 
+// TestDistWithinBoundsTimeForDist: no distance whose travel time fits in t
+// lies past DistWithin(t) — at the largest such distance too, the next float
+// up from which no longer fits — over speeds and times from tiny to huge.
+func TestDistWithinBoundsTimeForDist(t *testing.T) {
+	f := func(speedExp, tExp int8, frac uint32) bool {
+		m := TravelModel{Speed: math.Ldexp(1+float64(frac)/(1<<32), int(speedExp)/4)}
+		limit := math.Ldexp(1+float64(frac>>7)/(1<<25), int(tExp)*4)
+		d := limit * m.Speed
+		for m.TimeForDist(d) > limit {
+			d = math.Nextafter(d, 0)
+		}
+		for next := math.Nextafter(d, math.Inf(1)); m.TimeForDist(next) <= limit; next = math.Nextafter(d, math.Inf(1)) {
+			d = next
+		}
+		return d <= m.DistWithin(limit)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	if d := NewTravelModel(0.01).DistWithin(math.NaN()); !math.IsNaN(d) {
+		t.Errorf("DistWithin(NaN) = %v", d)
+	}
+}
+
 func TestNewTravelModelDefaults(t *testing.T) {
 	for _, s := range []float64{0, -1} {
 		m := NewTravelModel(s)

@@ -1,10 +1,12 @@
-// Package spatial provides a uniform grid index over task locations, the
-// data structure behind the O(|W|·k) reachability queries of the planning
-// pipeline. A planning instant builds one Index over the open task pool and
-// answers every worker's "which tasks lie within my reachable distance d?"
-// by scanning only the grid cells the query disc overlaps, instead of the
-// whole pool (Section IV-A.1 of the DATA-WA paper describes the constraint
-// being evaluated; the index changes its cost, not its answer).
+// Package spatial provides a uniform grid over point locations, the data
+// structure behind the O(|W|·k) reachability queries of the planning
+// pipeline. A planning instant builds one Index (a Grid over the open task
+// pool) and answers every worker's "which tasks lie within my reachable
+// distance d?" by scanning only the grid cells the query disc overlaps,
+// instead of the whole pool (Section IV-A.1 of the DATA-WA paper describes the
+// constraint being evaluated; the index changes its cost, not its answer).
+// When the open tasks are the fewer, a planner lays the workers out in a Grid
+// instead and asks the converse question once per task.
 //
 // The cell size is normally derived from the largest worker reach radius at
 // the instant: with cell ≥ d, a radius-d query touches at most 3×3 cells.
@@ -89,27 +91,179 @@ func axisGap(lo, step float64, i int, v float64) float64 {
 	return max(0, lo+float64(i)*step-v, v-(lo+float64(i+1)*step))
 }
 
-// Index is a uniform grid over a fixed set of tasks. Between Reset calls it
-// is immutable and safe for concurrent queries from multiple goroutines.
-type Index struct {
-	tasks []*core.Task
-	cell  float64
+// Grid is a uniform grid over a fixed set of points, the one grid
+// construction of the package: Index lays the task pool out in one, and a
+// planner that gathers reachable sets from the task side (internal/wds) lays
+// the workers on shift out in another. Between Reset calls it is immutable and
+// safe for concurrent queries from multiple goroutines.
+type Grid struct {
+	pts  []geo.Point
+	cell float64
 	// origin anchors cell (0,0); using the data's own min corner keeps cell
 	// coordinates small and well-conditioned.
 	originX, originY float64
 	// The grid is nx columns of ny cells, cell (cx, cy) numbered cx*ny+cy.
-	// order holds task indices grouped by cell in that numbering, ascending
+	// order holds point indices grouped by cell in that numbering, ascending
 	// within a cell, and cell c is order[start[c]:start[c+1]] — so the layout
-	// is a pure function of the pool, a query's cells of one column are one
+	// is a pure function of the points, a query's cells of one column are one
 	// contiguous range, and Reset rebuilds it all every planning instant
 	// without allocating or hashing.
 	nx, ny int
 	start  []int32
 	order  []int32
+	cells  []int32 // each point's cell, while Reset lays them out
 	// flat is the no-grid fallback used when the cell size is unusable
-	// (no tasks, a non-positive/non-finite cell, or a non-finite location):
-	// every query scans all tasks, preserving exactness.
+	// (no points, a non-positive/non-finite cell, or a non-finite location):
+	// every query scans all points, preserving exactness.
 	flat bool
+}
+
+// Reset rebuilds the grid in place over a new point set and cell size,
+// reusing the storage of previous generations. The points are retained, not
+// copied or mutated; queries from other goroutines must not overlap a Reset.
+// A non-positive or non-finite cell size yields a grid that answers queries
+// by scanning every point.
+func (g *Grid) Reset(pts []geo.Point, cellSize float64) {
+	var box geo.Rect
+	if len(pts) > 0 {
+		box = geo.Rect{MinX: pts[0].X, MinY: pts[0].Y, MaxX: pts[0].X, MaxY: pts[0].Y}
+	}
+	for _, p := range pts {
+		box.MinX, box.MaxX = math.Min(box.MinX, p.X), math.Max(box.MaxX, p.X)
+		box.MinY, box.MaxY = math.Min(box.MinY, p.Y), math.Max(box.MaxY, p.Y)
+	}
+	g.layout(pts, box, cellSize, true)
+}
+
+// ResetWithin is Reset for the points of pts inside box (edges included)
+// alone: the grid spans box, and the points outside it are in no cell. A
+// query about a disc inside box is answered exactly — every point it holds is
+// inside box too — and a caller must ask about no other. A box that is empty
+// or not finite yields a grid that scans every point.
+func (g *Grid) ResetWithin(pts []geo.Point, box geo.Rect, cellSize float64) {
+	g.layout(pts, box, cellSize, false)
+}
+
+// layout lays the points of pts inside box out in cells of at least cellSize
+// over it — all of them, without a look, when the box is their own.
+func (g *Grid) layout(pts []geo.Point, box geo.Rect, cellSize float64, all bool) {
+	g.pts = pts
+	g.flat = true
+	if len(pts) == 0 || !(cellSize > 0) {
+		return
+	}
+	// A cell no smaller than √(wh/n) and (w+h)/n bounds the w×h box's grid by
+	// 2n+1 cells: (w/c+1)(h/c+1) = wh/c² + (w+h)/c + 1. Queries are exact at
+	// any cell size; a larger one only scans more per cell. A NaN or inverted
+	// box makes the cell NaN.
+	n, w, h := float64(len(pts)), box.Width(), box.Height()
+	g.cell = max(cellSize, math.Sqrt(w*h/n), (w+h)/n)
+	if math.IsInf(g.cell, 1) || math.IsNaN(g.cell) {
+		return
+	}
+	g.flat = false
+	g.originX, g.originY = box.MinX, box.MinY
+	g.nx, g.ny = g.cellCoord(box.MaxX, g.originX)+1, g.cellCoord(box.MaxY, g.originY)+1
+
+	// Counting sort into the order array: per-cell counts two slots up,
+	// prefix sums — which leave start[c+1] at the beginning of cell c — then
+	// an ascending fill that advances it to the cell's end.
+	g.start = slices.Grow(g.start[:0], g.nx*g.ny+2)[:g.nx*g.ny+2]
+	clear(g.start)
+	g.cells = slices.Grow(g.cells[:0], len(pts))[:len(pts)]
+	for i, p := range pts {
+		c := -1
+		if all || p.X >= box.MinX && p.X <= box.MaxX && p.Y >= box.MinY && p.Y <= box.MaxY {
+			c = g.cellOf(p)
+			g.start[c+2]++
+		}
+		g.cells[i] = int32(c)
+	}
+	for c := 2; c < len(g.start); c++ {
+		g.start[c] += g.start[c-1]
+	}
+	g.order = slices.Grow(g.order[:0], len(pts))[:g.start[len(g.start)-1]]
+	for i, c := range g.cells {
+		if c >= 0 {
+			g.order[g.start[c+1]] = int32(i)
+			g.start[c+1]++
+		}
+	}
+}
+
+// CellSize returns the cell edge length the grid was built with (0 when the
+// grid runs in its degenerate full-scan mode).
+func (g *Grid) CellSize() float64 {
+	if g.flat {
+		return 0
+	}
+	return g.cell
+}
+
+func (g *Grid) cellCoord(v, origin float64) int {
+	return int(math.Floor((v - origin) / g.cell))
+}
+
+// cellOf returns the number of the cell holding a point of the grid.
+func (g *Grid) cellOf(p geo.Point) int {
+	return g.cellCoord(p.X, g.originX)*g.ny + g.cellCoord(p.Y, g.originY)
+}
+
+// Candidate is a point inside a query disc: its position in the grid's points
+// (for an Index, in Tasks()) and its distance from the query point.
+type Candidate struct {
+	Dist float64
+	Pos  int32
+}
+
+// AppendCandidates appends the points within distance r of p to dst with the
+// distances the query computed, in cell order — grid column by column, point
+// order inside a cell: a pure function of the points and the query, but not
+// ascending. It is the form planners use — they rank candidates by distance
+// anyway, and the position gives every point one dense index for the whole
+// planning instant. checked is how many distances the query computed: the
+// points of the cells it scanned, every point when it scans them all.
+//
+//datawa:hotpath
+func (g *Grid) AppendCandidates(dst []Candidate, p geo.Point, r float64) (_ []Candidate, checked int) {
+	if r < 0 || math.IsNaN(r) {
+		return dst, 0
+	}
+	// A query disc spanning more cells than there are points is cheaper to
+	// answer by scanning the points; this also covers r = +Inf. The span and
+	// the clamp to the grid happen in float64, before any integer conversion:
+	// a disc can lie astronomically far from the data.
+	x0, x1 := math.Floor((p.X-r-g.originX)/g.cell), math.Floor((p.X+r-g.originX)/g.cell)
+	y0, y1 := math.Floor((p.Y-r-g.originY)/g.cell), math.Floor((p.Y+r-g.originY)/g.cell)
+	if g.flat || !((x1-x0+1)*(y1-y0+1) <= float64(len(g.pts))) {
+		for i, q := range g.pts {
+			if d := geo.Dist(p, q); d <= r {
+				dst = append(dst, Candidate{d, int32(i)})
+			}
+		}
+		return dst, len(g.pts)
+	}
+	cx0, cx1 := clamp(x0, 0, g.nx), clamp(x1, -1, g.nx-1)
+	cy0, cy1 := clamp(y0, 0, g.ny), clamp(y1, -1, g.ny-1)
+	for cx := cx0; cx <= cx1 && cy0 <= cy1; cx++ {
+		cells := g.order[g.start[cx*g.ny+cy0]:g.start[cx*g.ny+cy1+1]]
+		checked += len(cells)
+		for _, i := range cells {
+			if d := geo.Dist(p, g.pts[i]); d <= r {
+				dst = append(dst, Candidate{d, i})
+			}
+		}
+	}
+	return dst, checked
+}
+
+// Index is a Grid over a fixed set of tasks, at their locations. Between Reset
+// calls it is immutable and safe for concurrent queries from multiple
+// goroutines.
+type Index struct {
+	grid  Grid
+	tasks []*core.Task
+	locs  []geo.Point // tasks[i].Loc, the points of the grid
 }
 
 // CellSizeForReach derives the index cell size from the largest worker reach
@@ -143,69 +297,30 @@ func NewIndex(tasks []*core.Task, cellSize float64) *Index {
 // goroutines must not overlap a Reset.
 func (ix *Index) Reset(tasks []*core.Task, cellSize float64) {
 	ix.tasks = tasks
-	ix.flat = true
-	if len(tasks) == 0 || !(cellSize > 0) {
-		return
-	}
-	ix.originX, ix.originY = tasks[0].Loc.X, tasks[0].Loc.Y
-	maxX, maxY := ix.originX, ix.originY
-	for _, t := range tasks {
-		ix.originX, maxX = math.Min(ix.originX, t.Loc.X), math.Max(maxX, t.Loc.X)
-		ix.originY, maxY = math.Min(ix.originY, t.Loc.Y), math.Max(maxY, t.Loc.Y)
-	}
-	// A cell no smaller than √(wh/n) and (w+h)/n bounds the w×h box's grid by
-	// 2n+1 cells: (w/c+1)(h/c+1) = wh/c² + (w+h)/c + 1. Queries are exact at
-	// any cell size; a larger one only scans more per cell.
-	n, w, h := float64(len(tasks)), maxX-ix.originX, maxY-ix.originY
-	ix.cell = max(cellSize, math.Sqrt(w*h/n), (w+h)/n)
-	if math.IsInf(ix.cell, 1) || math.IsNaN(ix.cell) {
-		return
-	}
-	ix.flat = false
-	ix.nx, ix.ny = ix.cellCoord(maxX, ix.originX)+1, ix.cellCoord(maxY, ix.originY)+1
-
-	// Counting sort into the order array: per-cell counts two slots up,
-	// prefix sums — which leave start[c+1] at the beginning of cell c — then
-	// an ascending fill that advances it to the cell's end.
-	ix.start = slices.Grow(ix.start[:0], ix.nx*ix.ny+2)[:ix.nx*ix.ny+2]
-	clear(ix.start)
-	for _, t := range tasks {
-		ix.start[ix.cellOf(t)+2]++
-	}
-	for c := 2; c < len(ix.start); c++ {
-		ix.start[c] += ix.start[c-1]
-	}
-	ix.order = slices.Grow(ix.order[:0], len(tasks))[:len(tasks)]
+	ix.locs = slices.Grow(ix.locs[:0], len(tasks))[:len(tasks)]
 	for i, t := range tasks {
-		c := ix.cellOf(t) + 1
-		ix.order[ix.start[c]] = int32(i)
-		ix.start[c]++
+		ix.locs[i] = t.Loc
 	}
+	ix.grid.Reset(ix.locs, cellSize)
+}
+
+// CellSize returns the cell edge length the index was built with (0 when the
+// index runs in its degenerate full-scan mode).
+func (ix *Index) CellSize() float64 { return ix.grid.CellSize() }
+
+// AppendCandidates is Grid.AppendCandidates over the tasks' locations: the
+// positions are positions in Tasks().
+//
+//datawa:hotpath
+func (ix *Index) AppendCandidates(dst []Candidate, p geo.Point, r float64) (_ []Candidate, checked int) {
+	return ix.grid.AppendCandidates(dst, p, r)
 }
 
 // Len returns the number of indexed tasks.
 func (ix *Index) Len() int { return len(ix.tasks) }
 
-// CellSize returns the cell edge length the index was built with (0 when the
-// index runs in its degenerate full-scan mode).
-func (ix *Index) CellSize() float64 {
-	if ix.flat {
-		return 0
-	}
-	return ix.cell
-}
-
 // Tasks returns the indexed task slice in construction order.
 func (ix *Index) Tasks() []*core.Task { return ix.tasks }
-
-func (ix *Index) cellCoord(v, origin float64) int {
-	return int(math.Floor((v - origin) / ix.cell))
-}
-
-// cellOf returns the number of the cell holding an indexed task.
-func (ix *Index) cellOf(t *core.Task) int {
-	return ix.cellCoord(t.Loc.X, ix.originX)*ix.ny + ix.cellCoord(t.Loc.Y, ix.originY)
-}
 
 // Within returns the tasks at Euclidean distance ≤ r from p, in the order
 // they were passed to NewIndex. r < 0 returns nil; r == 0 returns tasks
@@ -231,57 +346,13 @@ func (ix *Index) AppendWithin(dst []*core.Task, p geo.Point, r float64) []*core.
 func (ix *Index) AppendIndicesWithin(dst []int32, p geo.Point, r float64) []int32 {
 	var hits [64]Candidate
 	start := len(dst)
-	for _, c := range ix.AppendCandidates(hits[:0], p, r) {
+	near, _ := ix.AppendCandidates(hits[:0], p, r)
+	for _, c := range near {
 		dst = append(dst, c.Pos)
 	}
 	// Restore construction order, so the result is identical to the
 	// brute-force scan's.
 	slices.Sort(dst[start:])
-	return dst
-}
-
-// Candidate is a task inside a query disc: its position in Tasks() and its
-// distance from the query point.
-type Candidate struct {
-	Dist float64
-	Pos  int32
-}
-
-// AppendCandidates appends the tasks within distance r of p to dst with the
-// distances the query computed, in cell order — grid column by column, pool
-// order inside a cell: a pure function of the indexed tasks and the query, but
-// not ascending. It is the form planners use — they rank candidates by
-// distance anyway, and the position gives every pool task one dense index for
-// the whole planning instant.
-//
-//datawa:hotpath
-func (ix *Index) AppendCandidates(dst []Candidate, p geo.Point, r float64) []Candidate {
-	if r < 0 || math.IsNaN(r) {
-		return dst
-	}
-	// A query disc spanning more cells than there are tasks is cheaper to
-	// answer by scanning the tasks; this also covers r = +Inf. The span and
-	// the clamp to the grid happen in float64, before any integer conversion:
-	// a disc can lie astronomically far from the data.
-	x0, x1 := math.Floor((p.X-r-ix.originX)/ix.cell), math.Floor((p.X+r-ix.originX)/ix.cell)
-	y0, y1 := math.Floor((p.Y-r-ix.originY)/ix.cell), math.Floor((p.Y+r-ix.originY)/ix.cell)
-	if ix.flat || !((x1-x0+1)*(y1-y0+1) <= float64(len(ix.tasks))) {
-		for i, t := range ix.tasks {
-			if d := geo.Dist(p, t.Loc); d <= r {
-				dst = append(dst, Candidate{d, int32(i)})
-			}
-		}
-		return dst
-	}
-	cx0, cx1 := clamp(x0, 0, ix.nx), clamp(x1, -1, ix.nx-1)
-	cy0, cy1 := clamp(y0, 0, ix.ny), clamp(y1, -1, ix.ny-1)
-	for cx := cx0; cx <= cx1 && cy0 <= cy1; cx++ {
-		for _, i := range ix.order[ix.start[cx*ix.ny+cy0]:ix.start[cx*ix.ny+cy1+1]] {
-			if d := geo.Dist(p, ix.tasks[i].Loc); d <= r {
-				dst = append(dst, Candidate{d, i})
-			}
-		}
-	}
 	return dst
 }
 

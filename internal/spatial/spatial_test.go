@@ -316,15 +316,18 @@ func TestIndexCandidatesMatchWithin(t *testing.T) {
 		}
 		fresh := NewIndex(tasks, cell)
 		reused.Reset(tasks, cell)
-		if cell > 0 && !slices.Equal(fresh.order, reused.order) {
+		if cell > 0 && !slices.Equal(fresh.grid.order, reused.grid.order) {
 			t.Fatalf("trial %d: two indexes over one pool lay their cells out differently", trial)
 		}
 		for q := 0; q < 20; q++ {
 			p := geo.Point{X: r.Float64()*span*1.4 - span*0.2, Y: r.Float64()*span*1.4 - span*0.2}
 			radius := r.Float64() * span / 2
-			got := fresh.AppendCandidates(nil, p, radius)
-			if again := reused.AppendCandidates(nil, p, radius); !slices.Equal(got, again) {
+			got, checked := fresh.AppendCandidates(nil, p, radius)
+			if again, _ := reused.AppendCandidates(nil, p, radius); !slices.Equal(got, again) {
 				t.Fatalf("trial %d: two indexes over one pool answer in different orders:\n%v\n%v", trial, got, again)
+			}
+			if checked < len(got) || checked > len(tasks) || cell == 0 && checked != len(tasks) {
+				t.Fatalf("trial %d: %d distances checked for %d candidates of %d tasks", trial, checked, len(got), len(tasks))
 			}
 			var pos []int32
 			for _, c := range got {
@@ -353,8 +356,8 @@ func TestSparseExtentBoundsGrid(t *testing.T) {
 	for _, n := range []int{1, 2, 30, 500} {
 		tasks := randomTasks(r, n, 100)
 		ix := NewIndex(tasks, 0.01) // 10^8 cells of 10 m over 100 km
-		if len(ix.start) > 2*n+3 || ix.CellSize() < 0.01 {
-			t.Fatalf("%d tasks: %d cell offsets at cell size %v", n, len(ix.start), ix.CellSize())
+		if len(ix.grid.start) > 2*n+3 || ix.CellSize() < 0.01 {
+			t.Fatalf("%d tasks: %d cell offsets at cell size %v", n, len(ix.grid.start), ix.CellSize())
 		}
 		for q := 0; q < 50; q++ {
 			p := geo.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
@@ -363,6 +366,60 @@ func TestSparseExtentBoundsGrid(t *testing.T) {
 		}
 		for _, far := range []geo.Point{{X: 1e300, Y: 50}, {X: 50, Y: -1e300}, {X: -1e300, Y: 1e300}, {X: math.Inf(1), Y: 0}, {X: math.NaN(), Y: 0}} {
 			sameTasks(t, ix.Within(far, 3), bruteWithin(tasks, far, 3))
+		}
+	}
+}
+
+// TestGridWithinBoxMatchesBruteForce: a grid laid out over the points inside a
+// box alone answers every query about a disc inside the box with exactly the
+// points a scan finds — the box's edges included, points outside it never
+// needed — and a box that is empty or not finite leaves a grid that scans.
+func TestGridWithinBoxMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 60; trial++ {
+		pts := make([]geo.Point, 1+r.Intn(300))
+		for i := range pts {
+			pts[i] = geo.Point{X: float64(r.Intn(40)) / 4, Y: float64(r.Intn(40)) / 4} // ties, and points on the box's edges
+		}
+		box := geo.Rect{MinX: float64(r.Intn(20)) / 4, MinY: float64(r.Intn(20)) / 4}
+		box.MaxX, box.MaxY = box.MinX+float64(1+r.Intn(20))/4, box.MinY+float64(1+r.Intn(20))/4
+		var g Grid
+		g.ResetWithin(pts, box, 0.1+r.Float64())
+		for q := 0; q < 40; q++ {
+			radius := r.Float64() * min(box.Width(), box.Height()) / 2
+			p := geo.Point{X: box.MinX + radius + r.Float64()*(box.Width()-2*radius), Y: box.MinY + radius + r.Float64()*(box.Height()-2*radius)}
+			if q%2 == 0 { // a disc touching an edge of the box, where points lie
+				radius = float64(r.Intn(int(4*min(box.Width(), box.Height())/2)+1)) / 4
+				p = []geo.Point{{X: box.MinX + radius, Y: box.MinY + radius}, {X: box.MaxX - radius, Y: box.MaxY - radius}}[q%4/2]
+			}
+			got, _ := g.AppendCandidates(nil, p, radius)
+			var pos, want []int32
+			for _, c := range got {
+				pos = append(pos, c.Pos)
+			}
+			for i, x := range pts {
+				if geo.Dist(p, x) <= radius {
+					want = append(want, int32(i))
+				}
+			}
+			slices.Sort(pos)
+			if !slices.Equal(pos, want) {
+				t.Fatalf("trial %d: disc (%v, %v) in %v finds %v, a scan %v", trial, p, radius, box, pos, want)
+			}
+		}
+	}
+	pts := []geo.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}
+	for _, box := range []geo.Rect{
+		{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)},
+		{MinX: math.NaN(), MaxX: 3, MaxY: 3},
+		{MinX: math.Inf(-1), MaxX: 3, MaxY: 3},
+	} {
+		var g Grid
+		if g.ResetWithin(pts, box, 1); g.CellSize() != 0 {
+			t.Fatalf("box %v: cell size %v, want a grid that scans", box, g.CellSize())
+		}
+		if got, checked := g.AppendCandidates(nil, geo.Point{X: 2, Y: 2}, 0.5); len(got) != 1 || checked != len(pts) {
+			t.Fatalf("box %v: %v after %d checks", box, got, checked)
 		}
 	}
 }

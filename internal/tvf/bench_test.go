@@ -25,9 +25,10 @@ func BenchmarkPredictBatch(b *testing.B) {
 	for i := range feats {
 		feats[i] = Featurize(st, Action{Worker: st.Workers[0], Seq: st.Tasks[:1+i%2]}, tm)
 	}
+	var batch Batch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictBatch(feats)
+		m.PredictBatch(&batch, feats)
 	}
 }

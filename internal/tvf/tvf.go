@@ -12,6 +12,7 @@ package tvf
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -159,19 +160,49 @@ func (m *Model) Predict(features [FeatureDim]float64) float64 {
 	return m.forward(nn.Leaf(x)).Val.Data[0]
 }
 
-// PredictBatch scores many feature vectors in one forward pass.
-func (m *Model) PredictBatch(features [][FeatureDim]float64) []float64 {
-	if len(features) == 0 {
+// Batch is the caller-owned workspace of PredictBatch: the input rows, the
+// hidden layer and the scores, grown to the widest batch scored so far. A
+// Batch serves one goroutine at a time; the zero value is ready to use.
+type Batch struct {
+	x, h, y tensor.Matrix
+}
+
+// PredictBatch scores many feature vectors in one forward pass into b and
+// returns the scores, b's until its next use (nil for no features). It
+// computes tanh(x·W₁+b₁)·W₂+b₂ with the tensor kernels the training graph
+// runs, in the graph's order, so every score is bit-for-bit what Predict
+// gives; but it builds no graph, and once b has grown it allocates nothing.
+func (m *Model) PredictBatch(b *Batch, features [][FeatureDim]float64) []float64 {
+	n := len(features)
+	if n == 0 {
 		return nil
 	}
-	x := tensor.New(len(features), FeatureDim)
+	w1, b1, w2, b2 := m.l1.W.Val, m.l1.B.Val, m.l2.W.Val, m.l2.B.Val
+	resize(&b.x, n, FeatureDim)
 	for i, f := range features {
-		copy(x.Data[i*FeatureDim:(i+1)*FeatureDim], f[:])
+		copy(b.x.Data[i*FeatureDim:], f[:])
 	}
-	out := m.forward(nn.Leaf(x)).Val
-	res := make([]float64, len(features))
-	copy(res, out.Data)
-	return res
+	resize(&b.h, n, w1.Cols)
+	tensor.MatMulAccum(&b.h, &b.x, w1)
+	for i := 0; i < n; i++ {
+		row := b.h.Data[i*w1.Cols : (i+1)*w1.Cols]
+		for j, v := range row {
+			row[j] = math.Tanh(v + b1.Data[j])
+		}
+	}
+	resize(&b.y, n, 1)
+	tensor.MatMulAccum(&b.y, &b.h, w2)
+	for i := range b.y.Data {
+		b.y.Data[i] += b2.Data[0]
+	}
+	return b.y.Data
+}
+
+// resize makes m a zero rows×cols matrix on its own storage, grown if needed.
+func resize(m *tensor.Matrix, rows, cols int) {
+	m.Rows, m.Cols = rows, cols
+	m.Data = slices.Grow(m.Data[:0], rows*cols)[:rows*cols]
+	clear(m.Data)
 }
 
 // Value is a convenience wrapper: featurize then predict.

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 var tm = geo.NewTravelModel(0.01)
@@ -124,14 +126,80 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 		Featurize(st, Action{st.Workers[0], core.Sequence{st.Tasks[0]}}, tm),
 		Featurize(st, Action{st.Workers[1], core.Sequence{st.Tasks[1]}}, tm),
 	}
-	batch := m.PredictBatch(feats)
+	var b Batch
+	batch := m.PredictBatch(&b, feats)
 	for i, f := range feats {
 		if math.Abs(batch[i]-m.Predict(f)) > 1e-12 {
 			t.Errorf("batch[%d] = %v, single = %v", i, batch[i], m.Predict(f))
 		}
 	}
-	if m.PredictBatch(nil) != nil {
+	if m.PredictBatch(&b, nil) != nil {
 		t.Error("empty batch should return nil")
+	}
+}
+
+// TestPredictBatchMatchesForward holds the tape-free scoring to the training
+// graph's forward pass bit for bit, on random batches of every width from 1
+// to 40 scored through one Batch, narrow after wide, with trained and fresh
+// weights.
+func TestPredictBatchMatchesForward(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	fresh, trained := NewModel(16, 9), NewModel(16, 9)
+	var samples []Sample
+	for i := 0; i < 200; i++ {
+		var s Sample
+		for j := range s.Features {
+			s.Features[j] = r.NormFloat64()
+		}
+		s.Opt = r.Float64() * 3
+		samples = append(samples, s)
+	}
+	trained.Train(samples, TrainConfig{Epochs: 3, Seed: 9})
+	var b Batch
+	for _, m := range []*Model{fresh, trained} {
+		for _, n := range []int{40, 1, 7, 32, 2, 40} {
+			feats := make([][FeatureDim]float64, n)
+			for i := range feats {
+				for j := range feats[i] {
+					if r.Intn(4) > 0 { // and some zeros, which the kernel skips
+						feats[i][j] = r.NormFloat64() * 2
+					}
+				}
+			}
+			x := tensor.New(n, FeatureDim)
+			for i, f := range feats {
+				copy(x.Data[i*FeatureDim:], f[:])
+			}
+			want := m.forward(nn.Leaf(x)).Val.Data
+			got := m.PredictBatch(&b, feats)
+			if len(got) != n {
+				t.Fatalf("%d features, %d scores", n, len(got))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("width %d, row %d: %v, the graph's %v", n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPredictBatchAllocs holds a warm PredictBatch to no allocation: the
+// workspace is the caller's, and no graph is built.
+func TestPredictBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	m := NewModel(16, 1)
+	st := simpleState()
+	feats := make([][FeatureDim]float64, 32)
+	for i := range feats {
+		feats[i] = Featurize(st, Action{Worker: st.Workers[0], Seq: st.Tasks[:1+i%2]}, tm)
+	}
+	var b Batch
+	m.PredictBatch(&b, feats)
+	if got := testing.AllocsPerRun(100, func() { m.PredictBatch(&b, feats) }); got > 0 {
+		t.Errorf("%v allocations a warm call, want none", got)
 	}
 }
 

@@ -111,13 +111,14 @@ func TestQwMatchesGenerator(t *testing.T) {
 // in the goroutine's arenas as positions in RS_w; stored as task slices it cost
 // one allocation per worker reaching a task: 113 a call on the 1.5x crowd (111
 // such workers) and 380 on the 5x (378). The two loop bodies handed to
-// par.DoWorker are bound once a Separator, not once a call.
+// par.DoWorker are bound once a Separator, not once a call. The idle instant,
+// gathered from the task side, holds its worker grid and candidate lists in
+// the Separator and allocates nothing either.
 func TestScenariosAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	for _, scale := range []float64{1.5, 5} {
-		crowd := crowdOf("event-spike", scale)
+	for _, crowd := range []instant{crowdOf("event-spike", 1.5), crowdOf("event-spike", 5), idleOf()} {
 		var sp Separator
 		run := func() { sp.Scenarios(crowd.workers, crowd.tasks, crowd.now, crowdOpts, 1) }
 		run()

@@ -8,6 +8,7 @@
 package wds
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -97,10 +98,11 @@ func ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Opt
 // keeps one per worker goroutine, planners one per instance. The zero value is
 // ready to use.
 type Scratch struct {
-	near []spatial.Candidate // spatial-index query results
-	keep []spatial.Candidate // Reachable's nearest survivors
-	gen  seqGen              // Q_w generation
-	best bestPick
+	near   []spatial.Candidate // spatial-index query results
+	keep   []spatial.Candidate // Reachable's nearest survivors
+	checks int                 // distances computed by the reach stage's queries on this goroutine
+	gen    seqGen              // Q_w generation
+	best   bestPick
 
 	// Arenas behind the WorkerSets this goroutine produced in the current
 	// Separate call. Growth may move an arena; slices handed out earlier keep
@@ -119,31 +121,62 @@ type Scratch struct {
 // filter further — so a grid index and one without a cell size, which scans
 // the pool, are interchangeable. A non-nil avail holds one flag per pool
 // position; a position whose flag is clear is passed over before the cap
-// applies, as if it were not in the pool. Survivors are kept by bounded
-// insertion: a crowded disc costs a compare per candidate, not a sort of all
-// of them. o must have its defaults applied.
+// applies, as if it were not in the pool. o must have its defaults applied.
 //
 //datawa:hotpath
 func (sc *Scratch) Reachable(w *core.Worker, ix *spatial.Index, avail []bool, now float64, o Options) []spatial.Candidate {
+	near, _ := sc.gather(w, ix, avail, now, o)
+	return sc.nearest(ix.Tasks(), near, o.MaxReachable)
+}
+
+// gather returns the tasks of the indexed pool that worker w reaches at now —
+// conditions (i)–(iii), the positions whose avail flag is clear passed over —
+// as candidates in the index's order, in scratch storage valid until the next
+// call, and how many distances its query computed. It is the worker side of
+// the reach stage: one disc query on the task grid.
+//
+//datawa:hotpath
+func (sc *Scratch) gather(w *core.Worker, ix *spatial.Index, avail []bool, now float64, o Options) (_ []spatial.Candidate, checked int) {
 	if !w.Available(now) {
-		return nil
+		return nil, 0
 	}
+	near, checked := ix.AppendCandidates(sc.near[:0], w.Loc, w.Reach)
+	sc.near = near
 	pool, window := ix.Tasks(), w.Off-now
-	sc.near = ix.AppendCandidates(sc.near[:0], w.Loc, w.Reach)
+	n := 0
+	for _, c := range near {
+		if (avail == nil || avail[c.Pos]) && reaches(pool[c.Pos], c.Dist, now, window, o) {
+			near[n] = c
+			n++
+		}
+	}
+	return near[:n], checked
+}
+
+// reaches reports whether a worker on shift with window seconds of it left
+// reaches task s, d away, at now: the task has validity left and the travel
+// fits both it, (i), and the window, (ii). Condition (iii), d ≤ the worker's
+// reach, is the caller's query.
+func reaches(s *core.Task, d, now, window float64, o Options) bool {
+	if s.Exp <= now {
+		return false
+	}
+	travel := o.Travel.TimeForDist(d)
+	return !(travel > s.Exp-now || travel > window)
+}
+
+// nearest keeps the max nearest of one worker's candidates (nearer's order)
+// by bounded insertion, in scratch storage valid until the next call: a
+// crowded disc costs a compare per candidate, not a sort of all of them. The
+// order is total, so the result is a function of the candidates as a set —
+// whichever side of the reach stage gathered them, in whatever order.
+//
+//datawa:hotpath
+func (sc *Scratch) nearest(pool []*core.Task, cands []spatial.Candidate, max int) []spatial.Candidate {
 	keep := sc.keep[:0]
-	for _, c := range sc.near {
-		if avail != nil && !avail[c.Pos] {
-			continue
-		}
-		s := pool[c.Pos]
-		if s.Exp <= now {
-			continue
-		}
-		if travel := o.Travel.TimeForDist(c.Dist); travel > s.Exp-now || travel > window {
-			continue // (i), (ii)
-		}
+	for _, c := range cands {
 		k := len(keep)
-		if k < o.MaxReachable {
+		if k < max {
 			keep = append(keep, c)
 		} else if k--; !nearer(pool, c, keep[k]) {
 			continue
@@ -157,35 +190,22 @@ func (sc *Scratch) Reachable(w *core.Worker, ix *spatial.Index, avail []bool, no
 	return keep
 }
 
-// reachableAcross is Reachable for every sampled scenario of the pool at once.
-// A scenario-tagged task (SampleBits != 0) is in some scenarios only, so it is
-// kept without counting towards the cap, and the list ends at the
-// MaxReachable-th untagged task: nothing past that one can be among the
-// MaxReachable nearest of any scenario, which all hold the untagged tasks
-// before it. Scenario s's RS_w is then the list's first MaxReachable entries
-// that scenario s contains. untagged is how many of the list count towards the
-// cap; the rest are tagged.
+// nearestAcross is nearest for every sampled scenario of the pool at once. A
+// scenario-tagged task (SampleBits != 0) is in some scenarios only, so it is
+// kept without counting towards the cap, and the list ends at the max-th
+// untagged task: nothing past that one can be among the max nearest of any
+// scenario, which all hold the untagged tasks before it. Scenario s's RS_w is
+// then the list's first max entries that scenario s contains. untagged is how
+// many of the list count towards the cap; the rest are tagged.
 //
 //datawa:hotpath
-func (sc *Scratch) reachableAcross(w *core.Worker, ix *spatial.Index, now float64, o Options) (keep []spatial.Candidate, untagged int) {
-	if !w.Available(now) {
-		return nil, 0
-	}
-	pool, window := ix.Tasks(), w.Off-now
-	sc.near = ix.AppendCandidates(sc.near[:0], w.Loc, w.Reach)
+func (sc *Scratch) nearestAcross(pool []*core.Task, cands []spatial.Candidate, max int) (keep []spatial.Candidate, untagged int) {
 	keep = sc.keep[:0]
-	for _, c := range sc.near {
-		s := pool[c.Pos]
-		if s.Exp <= now {
-			continue
-		}
-		if travel := o.Travel.TimeForDist(c.Dist); travel > s.Exp-now || travel > window {
-			continue // (i), (ii)
-		}
-		tagged := s.SampleBits != 0
+	for _, c := range cands {
+		tagged := pool[c.Pos].SampleBits != 0
 		k := len(keep)
 		switch {
-		case untagged < o.MaxReachable:
+		case untagged < max:
 			keep = append(keep, c)
 			if !tagged {
 				untagged++
@@ -201,7 +221,7 @@ func (sc *Scratch) reachableAcross(w *core.Worker, ix *spatial.Index, now float6
 			keep[k] = keep[k-1]
 		}
 		keep[k] = c
-		if !tagged && untagged == o.MaxReachable {
+		if !tagged && untagged == max {
 			// The tagged tasks now behind the last one that counts are out of
 			// every scenario's reach.
 			n := len(keep)
@@ -227,9 +247,14 @@ func tasksOf(pool []*core.Task, keep []spatial.Candidate) []*core.Task {
 	return out
 }
 
-// nearer is the reachable set's order: by distance, ties by id.
+// nearer is the reachable set's order: by distance, ties by id, then — for a
+// pool repeating an id — by pool position.
 func nearer(pool []*core.Task, a, b spatial.Candidate) bool {
-	return a.Dist < b.Dist || a.Dist == b.Dist && pool[a.Pos].ID < pool[b.Pos].ID
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	ia, ib := pool[a.Pos].ID, pool[b.Pos].ID
+	return ia < ib || ia == ib && a.Pos < b.Pos
 }
 
 // MaximalValidSequences computes Q_w: for every subset of the reachable set
@@ -726,12 +751,13 @@ func (n *TreeNode) Depth() int {
 // IV-A.2), MCS clique partition and RTC tree construction (IV-A.3/IV-A.4),
 // one tree per connected component of the workers that reach a task.
 //
-// Reachability is answered through a spatial grid index over the task pool
-// (cell size derived from the largest worker reach; see internal/spatial),
-// and the per-worker reachable-set and sequence loops fan out across up to
-// o.Parallelism goroutines where they hold enough work. Neither changes more
-// than the cost of the call: the Separation is the one a scan of the pool
-// gives, at every setting.
+// Reachability is answered through a spatial grid — over the task pool,
+// queried once per worker on shift, or, when the tasks are the fewer, over the
+// workers on shift, queried once per task (see Separator.Scenarios and
+// internal/spatial) — and the per-worker reachable-set and sequence loops fan
+// out across up to o.Parallelism goroutines where they hold enough work. None
+// of it changes more than the cost of the call: the Separation is the one a
+// scan of the pool gives, at every setting.
 func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options) *Separation {
 	var sp Separator
 	return sp.Separate(workers, tasks, now, o)
@@ -749,8 +775,10 @@ func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options
 // and the connected components of the workers that reach a task in it) and
 // Tree (one component's RTC tree). A caller planning several scenarios runs
 // the second and third per scenario and builds a tree only for a component it
-// has not met in an earlier one. A worker reaching no task costs its reach
-// query and nothing more: no component, no tree.
+// has not met in an earlier one. A worker reaching no task costs its place in
+// the reach stage — a disc query on the task grid, or, when the tasks are the
+// fewer, its insertion into the worker grid — and nothing more: no component,
+// no tree.
 //
 // Everything returned is owned by the Separator and valid until its next
 // Scenarios or Separate call — the Separations, the WorkerSets the siblings
@@ -783,16 +811,43 @@ type Separator struct {
 	// pool task t are byTask[taskOff[t]:taskOff[t+1]], ascending.
 	taskOff []int32
 	byTask  []int32
+	// The reach stage's task side (gatherFromTasks): the workers on shift in
+	// a grid at their locations, one disc query's hits, and every worker's
+	// candidates as a list through cands and next, which listed[k] heads for
+	// on[k].
+	fromTasks bool
+	grid      spatial.Grid
+	locs      []geo.Point // sp.on's locations
+	widest    float64     // the largest reach on shift
+	hits      []spatial.Candidate
+	head      []int32
+	listed    []int32
+	cands     []spatial.Candidate
+	next      []int32
+	// checks counts the distances the last reach stage computed.
+	checks int
 }
+
+// side names where the reach stage gathers from. anySide takes the task side
+// when the pool holds fewer tasks than there are workers on shift.
+type side uint8
+
+const (
+	anySide side = iota
+	workerSide
+	taskSide
+)
 
 // The least work worth a goroutine of its own in Scenarios' two per-worker
 // loops, against a goroutine's wake-up of ≈ 30–40 µs on the benchmark host
 // (docs/BENCHMARKS.md, "Fan-out grains").
 const (
-	// reachGrain counts workers on shift. RS_w of a worker with nothing in
-	// reach — most of paper-yueche's pool at most instants — costs 60–150 ns,
-	// and ≈ 1.3 µs on a flash crowd: a pool of 512–623 on shift took 45 µs
-	// split in two against 33 µs inline.
+	// reachGrain counts the workers the reach loop visits: those on shift
+	// from the worker side, those some task reaches from the task side. RS_w
+	// of a worker with nothing in reach costs 60–150 ns by its own query, and
+	// ≈ 1.3 µs on a flash crowd: a pool of 512–623 on shift took 45 µs split
+	// in two against 33 µs inline. The task side leaves the workers nothing
+	// reaches out of the loop altogether.
 	reachGrain = 512
 	// sequenceGrain counts Σ|RS_w|² over the distinct reachable sets, known
 	// exactly once the first loop is done. Q_w and its masks cost 100–220 ns a
@@ -819,13 +874,31 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 // returns one Separation a scenario with Workers, Tasks and Sets filled, Graph
 // and Forest empty.
 //
-// The pool is indexed once and each worker on shift queries it once; scenario
-// s's RS_w is the MaxReachable nearest of the candidates that scenario s
-// contains — the filter applies before the cap — and Q_w and its masks are
-// generated once per distinct reachable set, which the scenarios holding it
-// share (Separation.SharesSets). Positions index the whole pool in every
-// scenario, so tasks keep the relative order a filtered copy would give them.
+// The reach stage gathers each worker's candidates — the tasks it reaches by
+// conditions (i)–(iii) — from the smaller side. With at least as many tasks as
+// workers on shift, the pool is indexed once and each worker on shift queries
+// it once. With fewer, the workers on shift are laid out in a grid and each
+// task with validity left queries it once (gatherFromTasks), so a worker that
+// no task reaches costs its insertion and no query. Either way a worker's
+// candidates go through one bounded nearest-first insertion, and the sets are
+// the same: scenario s's RS_w is the MaxReachable nearest of the candidates
+// that scenario s contains — the filter applies before the cap — and Q_w and
+// its masks are generated once per distinct reachable set, which the scenarios
+// holding it share (Separation.SharesSets). Positions index the whole pool in
+// every scenario, so tasks keep the relative order a filtered copy would give
+// them.
 func (sp *Separator) Scenarios(workers []*core.Worker, tasks []*core.Task, now float64, o Options, k int) []Separation {
+	return sp.scenarios(workers, tasks, now, o, k, anySide)
+}
+
+// ReachChecks returns the distances the last Scenarios call computed while
+// gathering reachable sets: the points of every grid cell its disc queries
+// scanned, whichever side they ran from. It depends on the call's inputs
+// alone, not on how its loops were shared out.
+func (sp *Separator) ReachChecks() int { return sp.checks }
+
+// scenarios is Scenarios with the side of the reach stage given.
+func (sp *Separator) scenarios(workers []*core.Worker, tasks []*core.Task, now float64, o Options, k int, from side) []Separation {
 	o = o.WithDefaults()
 	k = max(k, 1)
 	// The last call's siblings let go of what they described, including the
@@ -848,9 +921,8 @@ func (sp *Separator) Scenarios(workers []*core.Worker, tasks []*core.Task, now f
 	sp.bound = nil
 	sp.b.reset()
 
-	sp.ix.Reset(tasks, spatial.CellSizeForReach(workers))
 	sp.now, sp.o = now, o
-	sp.workerSets()
+	sp.workerSets(from)
 	return sp.seps
 }
 
@@ -942,23 +1014,41 @@ func (sp *Separator) Tree(comp []int) *TreeNode {
 // embarrassingly parallel; results land in per-index slots, backed by the
 // arenas of whichever goroutine's scratch computed them. Both run over a
 // compacted index list, so what they fan out by counts work, not pool slots:
-// the reachable sets over the workers on shift, the sequences over the workers
-// that reach anything, weighed by how much they reach.
-func (sp *Separator) workerSets() {
-	workers := sp.seps[0].Workers
+// the reachable sets over the workers on shift — or, gathered from the task
+// side, over the ones a task reaches — the sequences over the workers that
+// reach anything, weighed by how much they reach.
+func (sp *Separator) workerSets(from side) {
+	workers, pool := sp.seps[0].Workers, sp.seps[0].Tasks
 	for i := range sp.scr {
 		sp.scr[i].resetArenas()
 	}
-	sp.on = sp.on[:0]
+	// The workers on shift, with their locations and the largest reach among
+	// them for the task side, which would otherwise visit each worker again.
+	on, locs, widest, now := sp.on[:0], sp.locs[:0], 0.0, sp.now
 	for i, w := range workers {
-		if w.Available(sp.now) {
-			sp.on = append(sp.on, int32(i))
+		if w.Available(now) {
+			on, locs = append(on, int32(i)), append(locs, w.Loc)
+			if w.Reach > widest {
+				widest = w.Reach
+			}
 		}
+	}
+	sp.on, sp.locs, sp.widest = on, locs, widest
+	sp.checks = 0
+	sp.fromTasks = from == taskSide || from == anySide && len(pool) < len(sp.on)
+	if sp.fromTasks {
+		sp.ix.Reset(nil, 0)
+		sp.gatherFromTasks()
+	} else {
+		sp.ix.Reset(pool, spatial.CellSizeForReach(workers))
 	}
 	if sp.jobsOf != sp {
 		sp.reach, sp.sequences, sp.jobsOf = sp.reachJob, sp.sequenceJob, sp
 	}
 	par.DoWorker(len(sp.on), sp.scratchFor(len(sp.on), reachGrain), sp.reach)
+	for i := range sp.scr {
+		sp.checks += sp.scr[i].checks
+	}
 	// A worker's generation tries every ordered pair of its reachable tasks
 	// (and, where deadlines allow, every triple): |RS_w|² is what its cost
 	// grows with, and 43 workers reaching one task are not 43 reaching eight.
@@ -980,11 +1070,90 @@ func (sp *Separator) workerSets() {
 	par.DoWorker(reaching, sp.scratchFor(work, sequenceGrain), sp.sequences)
 }
 
+// gatherFromTasks is the reach stage's task side, for a pool holding fewer
+// tasks than there are workers on shift. Each task with validity left has a
+// disc: the largest reach on shift, or, if smaller, the farthest a worker can
+// be and still arrive before the task expires. The workers on shift inside
+// the discs' bounding box go into a grid at their locations (workerSets
+// gathered them), and each task visits the workers in the cells of its disc.
+// A visited worker keeps the task if the exact checks pass — d ≤ its reach,
+// and (i) and (ii) as gather applies them — so each keeps exactly the
+// candidates its own disc query would have found, on a list of its own, and
+// sp.on is narrowed to the workers some task reaches: one that none does
+// costs a look at its location and nothing more.
+func (sp *Separator) gatherFromTasks() {
+	workers, pool, now, o, reach := sp.seps[0].Workers, sp.seps[0].Tasks, sp.now, sp.o, sp.widest
+	// The grid spans the discs the tasks will query, in cells as wide as the
+	// widest: a worker outside them all is in no cell. A disc's NaN or
+	// infinite extent makes the box so, and the grid one that scans.
+	cell, box := 0.0, geo.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
+	for _, s := range pool {
+		if r := taskRadius(s, now, reach, o); r >= 0 {
+			cell = max(cell, r)
+			box.MinX, box.MaxX = min(box.MinX, s.Loc.X-r), max(box.MaxX, s.Loc.X+r)
+			box.MinY, box.MaxY = min(box.MinY, s.Loc.Y-r), max(box.MaxY, s.Loc.Y+r)
+		}
+	}
+	sp.grid.ResetWithin(sp.locs, box, cell)
+	// Each worker's candidates are a list threaded through cands: head[k] is
+	// one past the last found for on[k] (0: none yet), next one past the one
+	// found before it.
+	head := slices.Grow(sp.head[:0], len(sp.on))[:len(sp.on)]
+	clear(head)
+	cands, next, listed := sp.cands[:0], sp.next[:0], sp.listed[:0]
+	for t, s := range pool {
+		hits, checked := sp.grid.AppendCandidates(sp.hits[:0], s.Loc, taskRadius(s, now, reach, o))
+		sp.hits, sp.checks = hits, sp.checks+checked
+		for _, c := range hits {
+			if w := workers[sp.on[c.Pos]]; c.Dist <= w.Reach && reaches(s, c.Dist, now, w.Off-now, o) {
+				if head[c.Pos] == 0 {
+					listed = append(listed, c.Pos)
+				}
+				cands, next = append(cands, spatial.Candidate{Dist: c.Dist, Pos: int32(t)}), append(next, head[c.Pos])
+				head[c.Pos] = int32(len(cands))
+			}
+		}
+	}
+	// sp.on narrows to the workers some task reaches, ascending, and listed
+	// to the heads of their lists.
+	slices.Sort(listed)
+	for j, k := range listed {
+		sp.on[j], listed[j] = sp.on[k], head[k] // j ≤ k: places not read again
+	}
+	sp.on, sp.head, sp.listed, sp.cands, sp.next = sp.on[:len(listed)], head, listed, cands, next
+}
+
+// taskRadius is the disc task s queries the worker grid with: none (−1) once
+// it has expired, else the largest reach on shift, or the distance a worker
+// can cover before the task expires where that is smaller.
+func taskRadius(s *core.Task, now, reach float64, o Options) float64 {
+	if s.Exp <= now {
+		return -1
+	}
+	if d := o.Travel.DistWithin(s.Exp - now); d < reach {
+		return d
+	}
+	return reach
+}
+
 // reachJob and sequenceJob are the two loops' bodies for the k-th listed
 // worker on goroutine g. They are methods, and the instant's inputs fields,
 // so that handing a loop to par costs no closure over the options.
 func (sp *Separator) reachJob(g, k int) {
-	sp.scr[g].reachSets(sp.seps, int(sp.on[k]), &sp.ix, sp.now, sp.o)
+	sc, i := &sp.scr[g], int(sp.on[k])
+	var cands []spatial.Candidate
+	if sp.fromTasks {
+		cands = sc.near[:0]
+		for p := sp.listed[k]; p != 0; p = sp.next[p-1] {
+			cands = append(cands, sp.cands[p-1])
+		}
+		sc.near = cands
+	} else {
+		var checked int
+		cands, checked = sc.gather(sp.seps[0].Workers[i], &sp.ix, nil, sp.now, sp.o)
+		sc.checks += checked
+	}
+	sc.reachSets(sp.seps, i, cands, sp.o)
 }
 
 func (sp *Separator) sequenceJob(g, k int) {
@@ -1010,31 +1179,35 @@ func (sp *Separator) scratchFor(work, grain int) int {
 	return fan
 }
 
-// resetArenas empties the result arenas for a new Separate call.
+// resetArenas empties the result arenas and the check count for a new
+// Separate call.
 func (sc *Scratch) resetArenas() {
 	sc.index, sc.masks, sc.orders = sc.index[:0], sc.masks[:0], sc.orders[:0]
+	sc.checks = 0
 }
 
 // reachSets computes RS_w of the available worker at position i in each of the
-// sibling scenarios, into the arenas: one gather (reachableAcross), then per
-// scenario the MaxReachable nearest of the list that the scenario contains. A scenario whose
-// set an earlier one already holds takes that one's value and names it in
-// first; with no tagged task in the list that is all of them. Every slice
-// handed out is capacity-capped: nothing can append through it into a
-// neighbour's span.
-func (sc *Scratch) reachSets(seps []Separation, i int, ix *spatial.Index, now float64, o Options) {
+// sibling scenarios, into the arenas, from the tasks it reaches (cands, from
+// either side of the reach stage): the nearest of them for one scenario, or
+// one list for all (nearestAcross), then per scenario the MaxReachable nearest
+// of the list that the scenario contains. A scenario whose set an earlier one
+// already holds takes that one's value and names it in first; with no tagged
+// task in the list that is all of them. Every slice handed out is
+// capacity-capped: nothing can append through it into a neighbour's span.
+func (sc *Scratch) reachSets(seps []Separation, i int, cands []spatial.Candidate, o Options) {
+	pool := seps[0].Tasks
 	var keep []spatial.Candidate
 	var untagged int
 	if len(seps) > 1 {
-		keep, untagged = sc.reachableAcross(seps[0].Workers[i], ix, now, o)
+		keep, untagged = sc.nearestAcross(pool, cands, o.MaxReachable)
 	} else { // one scenario, the pool as it is: tags mean nothing
-		keep = sc.Reachable(seps[0].Workers[i], ix, nil, now, o)
+		keep = sc.nearest(pool, cands, o.MaxReachable)
 		untagged = len(keep)
 	}
 	if len(keep) == 0 {
 		return // nothing in reach, in any scenario: the cleared Sets[i] and first[i] say so
 	}
-	pool, tagged := ix.Tasks(), untagged < len(keep)
+	tagged := untagged < len(keep)
 scenarios:
 	for s := range seps {
 		if s > 0 && !tagged {

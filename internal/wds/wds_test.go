@@ -572,48 +572,83 @@ func TestScenariosMatchSeparateOnFilteredPools(t *testing.T) {
 }
 
 // TestSeparateParallelMatchesSerial holds the fanned-out loops to the serial
-// ones on a pool past both grains at every setting tried — 4·reachGrain
-// workers on shift, Σ|RS_w|² past 4·sequenceGrain — and checks that Separate
-// did fan out: an instance below the grains runs inline and proves nothing.
+// ones on pools past both grains at every setting tried, from either side of
+// the reach stage — 4·reachGrain workers in the reach loop, Σ|RS_w|² past
+// 4·sequenceGrain — and checks that Separate did fan out: an instance below
+// the grains runs inline and proves nothing. From the worker side the reach
+// loop runs over the workers on shift; from the task side, taken when the
+// tasks are the fewer, over the workers a task reaches.
 func TestSeparateParallelMatchesSerial(t *testing.T) {
-	// Most of the pool reaches nothing, as on the paper's workloads: the
-	// tasks sit in one corner of the workers' region.
+	// Most of the first pool reaches nothing, as on the paper's workloads:
+	// the tasks sit in one corner of the workers' region, and outnumber the
+	// workers on shift. The second pool's fewer tasks stand in pairs 3 km
+	// apart, and every worker on shift stands by a pair and reaches both.
 	ws, _ := randomInstance(77, 4*reachGrain+300, 0, 30)
-	_, ts := randomInstance(78, 0, 1200, 10)
-	for i := 0; i < 250; i++ {
-		ws[i*7].Off = -1 // off shift: pool slots that are not work
+	_, ts := randomInstance(78, 0, 2400, 10)
+	r := rand.New(rand.NewSource(79))
+	var paired []*core.Task
+	for c := 0; c < 500; c++ {
+		x, y := float64(c%23)*3, float64(c/23)*3
+		paired = append(paired, task(2*c+1, x, y, 0, 1000), task(2*c+2, x+0.1, y, 0, 1000))
 	}
-	serial := func() Options { o := opts; o.Parallelism = 1; return o }()
-	want := Separate(ws, ts, 0, serial)
-	on, pairs := 0, 0
-	for i, w := range ws {
-		if w.Available(0) {
-			on++
-		}
-		pairs += len(want.Sets[i].Index) * len(want.Sets[i].Index)
+	var byPairs []*core.Worker
+	for i := 0; i < 4*reachGrain+300; i++ {
+		at := paired[2*(i%500)].Loc
+		byPairs = append(byPairs, worker(i+1, at.X+r.Float64()*0.3, at.Y+r.Float64()*0.3, 0.5, 0, 1000))
 	}
-	if want.Sequences == 0 {
-		t.Fatal("a pool with no sequences")
-	}
-	for _, p := range []int{2, 4, 0} {
-		fanReach, fanSeqs := par.Workers(p, on, reachGrain), par.Workers(p, pairs, sequenceGrain)
-		if p > 0 && (fanReach != p || fanSeqs != p) {
-			t.Fatalf("parallelism %d: the instance resolves to %d and %d goroutines (%d on shift, Σ|RS|² %d)", p, fanReach, fanSeqs, on, pairs)
+	for _, c := range []struct {
+		name      string
+		ws        []*core.Worker
+		ts        []*core.Task
+		fromTasks bool
+	}{{"worker side", ws, ts, false}, {"task side", byPairs, paired, true}} {
+		for i := 0; i < 250; i++ {
+			c.ws[i*7].Off = -1 // off shift: pool slots that are not work
 		}
-		o := opts
-		o.Parallelism = p
-		var sp Separator
-		got := sp.Separate(ws, ts, 0, o)
-		sameSeparation(t, want, got)
-		if got.Sequences != want.Sequences {
-			t.Fatalf("parallelism %d: %d sequences, serial %d", p, got.Sequences, want.Sequences)
+		serial := opts
+		serial.Parallelism = 1
+		var ref Separator
+		want := ref.Separate(c.ws, c.ts, 0, serial)
+		on, reaching, pairs := 0, 0, 0
+		for i, w := range c.ws {
+			if w.Available(0) {
+				on++
+			}
+			if r := len(want.Sets[i].Index); r > 0 {
+				reaching++
+				pairs += r * r
+			}
 		}
-		if len(sp.scr) != max(fanReach, fanSeqs) {
-			t.Fatalf("parallelism %d: %d scratches for %d and %d goroutines", p, len(sp.scr), fanReach, fanSeqs)
+		if want.Sequences == 0 {
+			t.Fatalf("%s: a pool with no sequences", c.name)
 		}
-		if p == 4 {
-			// A second call reuses every scratch and arena.
-			sameSeparation(t, want, sp.Separate(ws, ts, 0, o))
+		if fromTasks := len(c.ts) < on; fromTasks != c.fromTasks {
+			t.Fatalf("%s: %d tasks, %d workers on shift", c.name, len(c.ts), on)
+		}
+		listed := on
+		if c.fromTasks {
+			listed = reaching
+		}
+		for _, p := range []int{2, 4, 0} {
+			fanReach, fanSeqs := par.Workers(p, listed, reachGrain), par.Workers(p, pairs, sequenceGrain)
+			if p > 0 && (fanReach != p || fanSeqs != p) {
+				t.Fatalf("%s: parallelism %d: the instance resolves to %d and %d goroutines (%d in the reach loop, Σ|RS|² %d)", c.name, p, fanReach, fanSeqs, listed, pairs)
+			}
+			o := opts
+			o.Parallelism = p
+			var sp Separator
+			got := sp.Separate(c.ws, c.ts, 0, o)
+			sameSeparation(t, want, got)
+			if got.Sequences != want.Sequences || sp.ReachChecks() != ref.ReachChecks() {
+				t.Fatalf("%s: parallelism %d: %d sequences and %d reach checks, serial %d and %d", c.name, p, got.Sequences, sp.ReachChecks(), want.Sequences, ref.ReachChecks())
+			}
+			if len(sp.scr) != max(fanReach, fanSeqs) {
+				t.Fatalf("%s: parallelism %d: %d scratches for %d and %d goroutines", c.name, p, len(sp.scr), fanReach, fanSeqs)
+			}
+			if p == 4 {
+				// A second call reuses every scratch and arena.
+				sameSeparation(t, want, sp.Separate(c.ws, c.ts, 0, o))
+			}
 		}
 	}
 }
