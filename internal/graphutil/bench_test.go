@@ -1,55 +1,35 @@
 package graphutil
 
-import (
-	"math/rand"
-	"testing"
-)
-
-func benchGraph(n int, p float64) *Graph {
-	r := rand.New(rand.NewSource(11))
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if r.Float64() < p {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
-}
+import "testing"
 
 // BenchmarkFillIn measures chordal completion via the elimination game on a
 // component-sized dependency graph.
 func BenchmarkFillIn(b *testing.B) {
-	g := benchGraph(40, 0.15)
-	vs := make([]int, 40)
-	for i := range vs {
-		vs[i] = i
-	}
+	g := randomGraph(40, 0.15, 11)
+	vs := allVertices(40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.FillIn(vs)
 	}
 }
 
-// BenchmarkMaximalCliques measures clique extraction from the chordal
-// completion.
-func BenchmarkMaximalCliques(b *testing.B) {
-	g := benchGraph(40, 0.15)
-	vs := make([]int, 40)
-	for i := range vs {
-		vs[i] = i
-	}
-	h, peo := g.FillIn(vs)
+// BenchmarkCliquesOfRows measures the planner's clique path — MCS, the
+// elimination game and clique extraction on a reused workspace — on the
+// same graph's rows.
+func BenchmarkCliquesOfRows(b *testing.B) {
+	rows := randomGraph(40, 0.15, 11).laidOut()
+	var ws Chordal
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaximalCliquesChordal(h, peo)
+		ws.CliquesOfRows(rows)
 	}
 }
 
 // BenchmarkComponents measures connected-component extraction.
 func BenchmarkComponents(b *testing.B) {
-	g := benchGraph(200, 0.01)
+	g := randomGraph(200, 0.01, 11)
+	g.Edges()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Components(nil)

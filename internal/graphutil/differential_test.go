@@ -7,12 +7,11 @@ import (
 )
 
 // edgeList returns g's edges as sorted (u<v) pairs.
-func (g *Graph) edgeList() [][2]int {
-	var out [][2]int
-	for v := 0; v < g.N(); v++ {
-		for _, u := range g.Neighbors(v) {
-			if int(u) > v {
-				out = append(out, [2]int{v, int(u)})
+func (g *Graph) edgeList() (out [][2]int) {
+	for v := range g.N() {
+		for u := v + 1; u < g.N(); u++ {
+			if g.HasEdge(v, u) {
+				out = append(out, [2]int{v, u})
 			}
 		}
 	}
@@ -23,48 +22,92 @@ func (g *Graph) edgeList() [][2]int {
 // vertices numbered in ascending order, and that numbering.
 func rowsOf(g *Graph, vs []int) (*Rows, []int) {
 	verts := slices.Compact(slices.Sorted(slices.Values(vs)))
-	r := &Rows{Offs: []int32{0}}
-	for _, v := range verts {
-		for j, u := range verts {
-			if !g.HasEdge(v, u) {
-				continue
-			}
-			if n := len(r.At); n > int(r.Offs[len(r.Offs)-1]) && r.At[n-1] == int32(j>>6) {
-				r.Words[n-1] |= 1 << uint(j&63)
-			} else {
-				r.At = append(r.At, int32(j>>6))
-				r.Words = append(r.Words, 1<<uint(j&63))
+	var ends []int
+	for j, v := range verts {
+		for i, u := range verts[:j] {
+			if g.HasEdge(u, v) {
+				ends = append(ends, i, j)
 			}
 		}
-		r.Offs = append(r.Offs, int32(len(r.At)))
 	}
-	return r, verts
+	return pairs(len(verts), ends...).laidOut(), verts
+}
+
+// refComponents returns ref's connected components in Components' format,
+// spreading the smaller label across every edge until no label changes.
+func refComponents(ref *refGraph) [][]int {
+	label, edges := allVertices(ref.n), ref.edgeList()
+	for again := true; again; {
+		again = false
+		for _, e := range edges {
+			if a, b := label[e[0]], label[e[1]]; a != b {
+				label[e[0]], label[e[1]], again = min(a, b), min(a, b), true
+			}
+		}
+	}
+	comps := make([][]int, ref.n) // by label: a component's smallest vertex
+	for v, l := range label {
+		comps[l] = append(comps[l], v)
+	}
+	return slices.DeleteFunc(comps, func(c []int) bool { return c == nil })
 }
 
 // TestChordalPipelineMatchesReference is the differential contract of the
-// CSR/bitset rewrite: on random graphs up to 200 vertices — whole vertex
-// range and random subsets, sparse to dense, edges reported more than once —
-// MCS order, perfect elimination ordering, fill-edge set and clique list
-// (order included: the RTC construction breaks ties by position) equal the
-// hash-map reference's, every completion is chordal, and a reused Chordal
-// workspace returns from sparse bit rows the same cliques as the two-step
-// public path.
+// bit-row rewrite. On random graphs up to 200 vertices, given as edges (some
+// twice) or as groups (unordered; singletons, repeated groups and members
+// included), a reused Graph has the hash-map reference's edges and
+// components. On the whole vertex range, a random subset and each component
+// of the group-built graphs, FillIn's elimination order (the reverse MCS
+// order) and fill edges are the reference's, and its completion is chordal;
+// a reused Chordal returns from sparse bit rows the reference's clique list,
+// order included (the RTC construction breaks ties by position).
 func TestChordalPipelineMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(20250930))
+	var g Graph    // reused, as a Separator reuses its graph
 	var ws Chordal // reused across every graph and subset, like treeBuilder's
-	for trial := 0; trial < 120; trial++ {
+	for trial := 0; trial < 180; trial++ {
 		n := 1 + r.Intn(200)
-		p := []float64{0.01, 0.03, 0.08, 0.2, 0.5}[r.Intn(5)]
-		g, ref := New(n), newRef(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if r.Float64() < p {
-					for k := 0; k <= r.Intn(2); k++ { // duplicates must be free
-						g.AddEdge(j, i)
-						ref.AddEdge(i, j)
+		ref := newRef(n)
+		offs, members := []int32{0}, []int32(nil)
+		group := func(vs ...int) {
+			for a, u := range vs {
+				members = append(members, int32(u))
+				for _, v := range vs[a+1:] {
+					ref.AddEdge(u, v)
+				}
+			}
+			offs = append(offs, int32(len(members)))
+		}
+		if trial%3 < 2 {
+			p := []float64{0.01, 0.03, 0.08, 0.2, 0.5}[r.Intn(5)]
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if r.Float64() < p {
+						for k := 0; k <= r.Intn(2); k++ { // duplicates must be free
+							group(j, i)
+						}
 					}
 				}
 			}
+		} else {
+			for range r.Intn(2 * n) {
+				vs := r.Perm(n)[:1+r.Intn(min(n, 1+r.Intn(12)))]
+				if r.Intn(4) == 0 {
+					vs = append(vs, vs[r.Intn(len(vs))])
+				}
+				group(vs...)
+				if r.Intn(4) == 0 {
+					group(vs...)
+				}
+			}
+		}
+		g.ResetGroups(n, offs, members)
+		if want := ref.edgeList(); g.N() != n || g.Edges() != len(want) || !slices.Equal(g.edgeList(), want) {
+			t.Fatalf("trial %d (n=%d): %d edges, reference %d", trial, n, g.Edges(), len(want))
+		}
+		comps := refComponents(ref)
+		if got := g.Components(nil); !slices.EqualFunc(got, comps, slices.Equal) {
+			t.Fatalf("trial %d: components\n got %v\nwant %v", trial, got, comps)
 		}
 		subsets := [][]int{allVertices(n)}
 		var some []int
@@ -75,130 +118,36 @@ func TestChordalPipelineMatchesReference(t *testing.T) {
 		}
 		r.Shuffle(len(some), func(i, j int) { some[i], some[j] = some[j], some[i] })
 		subsets = append(subsets, some)
-		for _, vs := range subsets {
-			if got, want := g.MCS(vs), ref.MCS(vs); !slices.Equal(got, want) {
-				t.Fatalf("trial %d (n=%d p=%v |vs|=%d): MCS order\n got %v\nwant %v", trial, n, p, len(vs), got, want)
+		for _, comp := range comps {
+			if trial%3 == 2 && len(comp) > 1 && len(comp) < n {
+				subsets = append(subsets, comp)
 			}
+		}
+		for _, vs := range subsets {
 			h, peo := g.FillIn(vs)
 			rh, rpeo := ref.FillIn(vs)
 			if !slices.Equal(peo, rpeo) {
-				t.Fatalf("trial %d: PEO\n got %v\nwant %v", trial, peo, rpeo)
+				t.Fatalf("trial %d (n=%d |vs|=%d): PEO\n got %v\nwant %v", trial, n, len(vs), peo, rpeo)
 			}
 			if got, want := h.edgeList(), rh.edgeList(); !slices.Equal(got, want) {
 				t.Fatalf("trial %d: completion has %d edges, reference %d", trial, len(got), len(want))
 			}
-			if !h.IsChordal(vs) {
+			if again, _ := h.FillIn(vs); again.Edges() != h.Edges() {
 				t.Fatalf("trial %d: FillIn result is not chordal", trial)
 			}
 			want := refMaximalCliquesChordal(rh, rpeo)
-			rows, verts := rowsOf(g, vs)
-			var fromRows [][]int
+			rows, verts := rowsOf(&g, vs)
+			var got [][]int
 			for _, clique := range ws.CliquesOfRows(rows) {
-				var ids []int
+				ids := make([]int, 0, len(clique))
 				for _, v := range clique {
 					ids = append(ids, verts[v])
 				}
-				fromRows = append(fromRows, ids)
+				got = append(got, ids)
 			}
-			for name, got := range map[string][][]int{
-				"MaximalCliquesChordal": MaximalCliquesChordal(h, peo),
-				"Chordal.CliquesOfRows": fromRows,
-			} {
-				if len(got) != len(want) {
-					t.Fatalf("trial %d: %s found %d cliques, reference %d", trial, name, len(got), len(want))
-				}
-				for i := range want {
-					if !slices.Equal(got[i], want[i]) {
-						t.Fatalf("trial %d: %s clique %d = %v, reference %v", trial, name, i, got[i], want[i])
-					}
-				}
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("trial %d: CliquesOfRows\n got %v\nwant %v", trial, got, want)
 			}
 		}
-	}
-}
-
-// TestResetReusesStorage pins the per-instant rebuild path: a Reset graph
-// forgets every edge of the larger graph it was before.
-func TestResetReusesStorage(t *testing.T) {
-	g := randomGraph(30, 0.4, 5)
-	g.Reset(4)
-	g.AddEdge(0, 3)
-	if g.N() != 4 || g.Edges() != 1 || !g.HasEdge(3, 0) || g.Degree(1) != 0 {
-		t.Fatalf("after Reset: n=%d edges=%d", g.N(), g.Edges())
-	}
-	g.AddEdge(1, 2) // an insertion after a query folds into the sealed edges
-	if g.Edges() != 2 || !g.HasEdge(0, 3) || !g.HasEdge(2, 1) {
-		t.Fatalf("after second insertion: edges=%d", g.Edges())
-	}
-}
-
-// TestGroupsMatchPairs holds the group form of a Graph to the pair form: on
-// random groups over up to 150 vertices, a graph given the groups answers
-// Edges, Neighbors, Components and FillIn exactly as one given AddEdge of
-// every pair of every group, duplicates and one-vertex groups included.
-func TestGroupsMatchPairs(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	var grouped Graph // reused, as a Separator reuses its graph
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + r.Intn(150)
-		offs, members := []int32{0}, []int32(nil)
-		pairs := New(n)
-		for range r.Intn(2 * n) {
-			size := 1 + r.Intn(min(n, 1+r.Intn(12)))
-			group := r.Perm(n)[:size]
-			slices.Sort(group)
-			for a, u := range group {
-				members = append(members, int32(u))
-				for _, v := range group[a+1:] {
-					pairs.AddEdge(u, v)
-				}
-			}
-			offs = append(offs, int32(len(members)))
-		}
-		grouped.ResetGroups(n, offs, members)
-		if grouped.N() != n || grouped.Edges() != pairs.Edges() {
-			t.Fatalf("trial %d: %d vertices and %d edges, pairs %d and %d", trial, grouped.N(), grouped.Edges(), n, pairs.Edges())
-		}
-		for v := range n {
-			if !slices.Equal(grouped.Neighbors(v), pairs.Neighbors(v)) {
-				t.Fatalf("trial %d: vertex %d neighbours %v, pairs %v", trial, v, grouped.Neighbors(v), pairs.Neighbors(v))
-			}
-		}
-		comps := pairs.Components(nil)
-		if got := grouped.Components(nil); !slices.EqualFunc(got, comps, slices.Equal) {
-			t.Fatalf("trial %d: components %v, pairs %v", trial, got, comps)
-		}
-		for _, comp := range comps {
-			h, peo := grouped.FillIn(comp)
-			wh, wpeo := pairs.FillIn(comp)
-			if !slices.Equal(peo, wpeo) || !slices.Equal(h.edgeList(), wh.edgeList()) {
-				t.Fatalf("trial %d: fill-in of %v differs from the pairs'", trial, comp)
-			}
-		}
-	}
-}
-
-// TestResetDropsGroups: a Reset or a second ResetGroups forgets the groups of
-// the last ResetGroups, whether or not they were ever expanded.
-func TestResetDropsGroups(t *testing.T) {
-	var g Graph
-	g.ResetGroups(5, []int32{0, 3}, []int32{0, 1, 2})
-	g.Reset(5)
-	g.AddEdge(3, 4)
-	if g.Edges() != 1 || g.HasEdge(0, 1) {
-		t.Fatalf("after Reset: %d edges, 0–1 %v", g.Edges(), g.HasEdge(0, 1))
-	}
-	g.ResetGroups(5, []int32{0, 3}, []int32{0, 1, 2})
-	if g.Edges() != 3 {
-		t.Fatalf("expanded groups: %d edges", g.Edges())
-	}
-	g.ResetGroups(5, []int32{0, 2}, []int32{3, 4})
-	if g.Edges() != 1 || !g.HasEdge(4, 3) || g.HasEdge(0, 1) {
-		t.Fatalf("after a second ResetGroups: %d edges", g.Edges())
-	}
-	g.ResetGroups(5, []int32{0, 2}, []int32{0, 1})
-	g.AddEdge(2, 3) // pairs added beside unexpanded groups join them
-	if g.Edges() != 2 || !g.HasEdge(0, 1) || !g.HasEdge(3, 2) {
-		t.Fatalf("groups and pairs: %d edges", g.Edges())
 	}
 }

@@ -1,18 +1,16 @@
 // Package graphutil provides the undirected-graph algorithms behind Worker
 // Dependency Separation (Section IV-A): connected components, Maximum
 // Cardinality Search (Tarjan & Yannakakis 1984), chordal completion via the
-// elimination game, maximal cliques of chordal graphs, and a chordality
-// test. Vertices are dense ints in [0, N).
+// elimination game, and the maximal cliques of the completion. Vertices are
+// dense ints in [0, N).
 //
-// No hash maps. A Graph answers queries from sorted adjacency in CSR form; it
-// can be given its edges one pair at a time (AddEdge) or as groups of
-// vertices that are each a clique (ResetGroups), which it expands into CSR
-// only when first queried. Rows is a graph held as sparse bit rows, built by
-// the caller without edge pairs. The chordal pipeline runs on a Chordal
-// workspace — the vertex subset at hand renumbered 0..m-1 with its induced
-// subgraph as an m×m bit matrix, loaded from Rows on the planner's path
-// (CliquesOfRows) and from a Graph by the Graph helpers — so "make the later
-// neighbours a clique" is a few word-wide ORs per neighbour.
+// No hash maps and no edge pairs. A graph is held as sparse bit rows (Rows):
+// a vertex keeps only the nonzero words of its adjacency row. The planner
+// builds its rows itself; a Graph builds them from groups of vertices that are
+// each a clique (ResetGroups), when first queried. The chordal pipeline runs
+// on a Chordal workspace — the vertex subset at hand renumbered 0..m-1 with
+// its induced subgraph as an m×m bit matrix, loaded from rows — so "make the
+// later neighbours a clique" is a few word-wide ORs per neighbour.
 package graphutil
 
 import (
@@ -22,138 +20,99 @@ import (
 	"sort"
 )
 
-// Graph is a simple undirected graph with a fixed vertex count: sorted,
-// deduplicated adjacency in CSR form. Nothing is sorted until it is asked
-// for. AddEdge buffers a pair, and ResetGroups keeps a reference to its
-// groups; the first query after either expands the groups into pairs and
-// sorts every buffered pair into the CSR arrays, so building a graph costs one
-// sort however many duplicate edges the caller reports, and a graph that is
-// never queried costs nothing past its Reset. A Graph is safe for concurrent
-// queries once a query has run after the last AddEdge or ResetGroups.
+// Graph is a simple undirected graph with a fixed vertex count, given as
+// groups of vertices that are each a clique and held as sparse bit rows.
+// Nothing is laid out until it is asked for: ResetGroups keeps a reference to
+// its groups, and the first query after it builds the rows, so a graph that
+// is never queried costs nothing past its ResetGroups, and an edge that
+// several groups share costs no more than one. A Graph is safe for concurrent
+// queries once a query has run after the last ResetGroups.
 type Graph struct {
-	n    int
-	offs []int32  // vertex v's neighbours are nbrs[offs[v]:offs[v+1]]; len n+1 once sealed
-	nbrs []int32  // ascending within each vertex
-	pend []uint64 // directed pairs u<<32|v added since the last seal, both directions
-	tmp  []uint64 // rebuild's second sort buffer
-	// The groups of the last ResetGroups, not yet expanded: group t is
+	n int
+	// The groups of the last ResetGroups, not yet laid out: group t is
 	// members[groupOffs[t]:groupOffs[t+1]]. Both are the caller's slices.
 	groupOffs, members []int32
-}
-
-// New returns an empty graph on n vertices.
-func New(n int) *Graph {
-	g := &Graph{}
-	g.Reset(n)
-	return g
+	rows               Rows // over 0..n-1 once laid out; len(rows.Offs) is 0 before
 }
 
 // N returns the vertex count.
 func (g *Graph) N() int { return g.n }
 
-// Reset reinitializes g to an empty graph on n vertices, reusing the storage
-// of earlier generations — the zero-steady-state-allocation path for callers
-// that rebuild a graph every planning instant. The zero Graph value is valid
-// input.
-func (g *Graph) Reset(n int) {
+// ResetGroups reinitializes g to the graph on n vertices in which the
+// vertices of each group are pairwise adjacent: group t is
+// members[offs[t]:offs[t+1]], in any order, a vertex listed twice counting
+// once. g keeps the two slices and reads them on its first query, so the
+// caller must leave them unchanged until then, or until the next ResetGroups.
+// The rows reuse the storage of earlier generations, and the zero Graph
+// value is valid input.
+func (g *Graph) ResetGroups(n int, offs, members []int32) {
 	if n < 0 {
 		panic(fmt.Sprintf("graphutil: negative vertex count %d", n))
 	}
-	g.n = n
-	g.offs = g.offs[:0]
-	g.nbrs = g.nbrs[:0]
-	g.pend = g.pend[:0]
+	g.n, g.groupOffs, g.members = n, offs, members
+	g.rows.Offs, g.rows.At, g.rows.Words = g.rows.Offs[:0], g.rows.At[:0], g.rows.Words[:0]
+}
+
+// laidOut returns g's rows, laying them out on the first query.
+func (g *Graph) laidOut() *Rows {
+	if len(g.rows.Offs) == 0 {
+		g.layout()
+	}
+	return &g.rows
+}
+
+// layout builds the rows from the groups: vertex v's row is the union of the
+// groups that hold v, less v. A counting sort lists each vertex's groups; a
+// row is accumulated dense, with one bit per touched word, and its nonzero
+// words appended ascending.
+func (g *Graph) layout() {
+	n, offs, members := g.n, g.groupOffs, g.members
 	g.groupOffs, g.members = nil, nil
-}
-
-// ResetGroups reinitializes g, as Reset does, to the graph on n vertices in
-// which the vertices of each group are pairwise adjacent: group t is
-// members[offs[t]:offs[t+1]]. g keeps the two slices and reads them on its
-// first query, so the caller must leave them unchanged until then, or until
-// the next Reset or ResetGroups.
-func (g *Graph) ResetGroups(n int, offs, members []int32) {
-	g.Reset(n)
-	g.groupOffs, g.members = offs, members
-}
-
-// AddEdge inserts the undirected edge {u, v}; self-loops are ignored and
-// duplicates are free.
-func (g *Graph) AddEdge(u, v int) {
-	if u == v {
-		return
-	}
-	g.check(u)
-	g.check(v)
-	g.pend = append(g.pend, uint64(u)<<32|uint64(v), uint64(v)<<32|uint64(u))
-}
-
-// seal makes the CSR arrays current; a no-op unless groups or edges are
-// buffered or the graph was just Reset.
-func (g *Graph) seal() {
-	if g.groupOffs != nil {
-		g.expand()
-	}
-	if len(g.pend) != 0 || len(g.offs) != g.n+1 {
-		g.rebuild()
-	}
-}
-
-// expand buffers every pair of every group as an edge.
-func (g *Graph) expand() {
-	offs, members := g.groupOffs, g.members
-	g.groupOffs, g.members = nil, nil
+	start := make([]int32, n+1) // vertex v is in the groups in[start[v]:start[v+1]]
 	for t := 0; t+1 < len(offs); t++ {
-		group := members[offs[t]:offs[t+1]]
-		for a, u := range group {
-			for _, v := range group[a+1:] {
-				g.AddEdge(int(u), int(v))
+		for _, u := range members[offs[t]:offs[t+1]] {
+			g.check(int(u))
+			start[u+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	in := make([]int32, start[n])
+	for t := 0; t+1 < len(offs); t++ {
+		for _, u := range members[offs[t]:offs[t+1]] {
+			in[start[u]] = int32(t)
+			start[u]++
+		}
+	}
+	// The fill pass advanced every offset to the next vertex's start.
+	copy(start[1:], start[:n])
+	start[0] = 0
+
+	words := (n + 63) >> 6
+	acc, used := make([]uint64, words), make([]uint64, (words+63)>>6)
+	r := &g.rows
+	r.Offs = append(r.Offs[:0], 0)
+	for v := 0; v < n; v++ {
+		for _, t := range in[start[v]:start[v+1]] {
+			for _, u := range members[offs[t]:offs[t+1]] {
+				acc[u>>6] |= 1 << uint(u&63)
+				used[u>>12] |= 1 << uint(u>>6&63)
 			}
 		}
-	}
-}
-
-// rebuild folds the buffered edges into the CSR arrays. The directed pairs
-// (the sealed ones included, when there are any) are radix-sorted with the
-// vertex id as the digit — a stable counting pass by target, then one by
-// source — which leaves them in CSR order in O(pairs + n), duplicates
-// adjacent.
-func (g *Graph) rebuild() {
-	for u := 0; u+1 < len(g.offs); u++ {
-		for _, v := range g.nbrs[g.offs[u]:g.offs[u+1]] {
-			g.pend = append(g.pend, uint64(u)<<32|uint64(v))
+		acc[v>>6] &^= 1 << uint(v&63) // no self-loop
+		for j, x := range used {
+			for ; x != 0; x &= x - 1 {
+				w := j<<6 + bits.TrailingZeros64(x)
+				if y := acc[w]; y != 0 {
+					r.At, r.Words = append(r.At, int32(w)), append(r.Words, y)
+				}
+				acc[w] = 0
+			}
+			used[j] = 0
 		}
+		r.Offs = append(r.Offs, int32(len(r.At)))
 	}
-	src, dst := g.pend, slices.Grow(g.tmp[:0], len(g.pend))[:len(g.pend)]
-	for shift := 0; shift <= 32; shift += 32 {
-		next := zeroed(g.offs, g.n+1) // next[d]: where the next pair with digit d goes
-		for _, p := range src {
-			next[uint32(p>>shift)+1]++
-		}
-		for d := 1; d < len(next); d++ {
-			next[d] += next[d-1]
-		}
-		for _, p := range src {
-			d := uint32(p >> shift)
-			dst[next[d]] = p
-			next[d]++
-		}
-		g.offs, src, dst = next, dst, src
-	}
-	g.tmp = dst
-	pairs := slices.Compact(src)
-	g.nbrs = slices.Grow(g.nbrs[:0], len(pairs))[:len(pairs)]
-	u := 0
-	g.offs[0] = 0
-	for i, p := range pairs {
-		for ; u < int(p>>32); u++ {
-			g.offs[u+1] = int32(i)
-		}
-		g.nbrs[i] = int32(uint32(p))
-	}
-	for ; u < g.n; u++ {
-		g.offs[u+1] = int32(len(pairs))
-	}
-	g.pend = src[:0]
 }
 
 func (g *Graph) check(v int) {
@@ -162,87 +121,61 @@ func (g *Graph) check(v int) {
 	}
 }
 
-// Neighbors returns the neighbors of v in ascending order. The slice is a
-// view into the graph's storage: read-only, valid until the next AddEdge or
-// Reset.
-func (g *Graph) Neighbors(v int) []int32 {
-	g.check(v)
-	g.seal()
-	return g.nbrs[g.offs[v]:g.offs[v+1]]
-}
-
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
+	g.check(u)
 	g.check(v)
-	_, ok := slices.BinarySearch(g.Neighbors(u), int32(v))
-	return ok
+	r := g.laidOut()
+	k, ok := slices.BinarySearch(r.At[r.Offs[u]:r.Offs[u+1]], int32(v>>6))
+	return ok && r.Words[int(r.Offs[u])+k]&(1<<uint(v&63)) != 0
 }
-
-// Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int) int { return len(g.Neighbors(v)) }
 
 // Edges returns the number of undirected edges.
 func (g *Graph) Edges() int {
-	g.seal()
-	return len(g.nbrs) / 2
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	g.seal()
-	return &Graph{n: g.n, offs: slices.Clone(g.offs), nbrs: slices.Clone(g.nbrs)}
+	n := 0
+	for _, x := range g.laidOut().Words {
+		n += bits.OnesCount64(x)
+	}
+	return n / 2
 }
 
 // Components returns the connected components over the vertices for which
 // include(v) is true (all vertices when include is nil). Each component is
 // sorted ascending and components are ordered by their smallest vertex.
 func (g *Graph) Components(include func(int) bool) [][]int {
-	g.seal()
-	open := make([]bool, g.n) // included and not yet visited
-	for v := range open {
-		open[v] = include == nil || include(v)
+	r := g.laidOut()
+	open := make([]uint64, (g.n+63)>>6) // included and not yet reached
+	for v := 0; v < g.n; v++ {
+		if include == nil || include(v) {
+			open[v>>6] |= 1 << uint(v&63)
+		}
 	}
 	var comps [][]int
-	var queue []int32
-	// Seeding in ascending order yields the components ordered by smallest
-	// vertex directly.
-	for s := range open {
-		if !open[s] {
-			continue
-		}
-		open[s] = false
-		queue = append(queue[:0], int32(s))
-		var comp []int
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			comp = append(comp, int(v))
-			for _, u := range g.nbrs[g.offs[v]:g.offs[v+1]] {
-				if open[u] {
-					open[u] = false
-					queue = append(queue, u)
+	var queue []int
+	// Seeding at the smallest open vertex yields the components ordered by
+	// smallest vertex directly.
+	for j := range open {
+		for open[j] != 0 {
+			s := j<<6 + bits.TrailingZeros64(open[j])
+			open[j] &= open[j] - 1
+			queue = append(queue[:0], s)
+			for head := 0; head < len(queue); head++ {
+				v := queue[head]
+				for k := r.Offs[v]; k < r.Offs[v+1]; k++ {
+					w := r.At[k]
+					x := r.Words[k] & open[w]
+					open[w] &^= x
+					for ; x != 0; x &= x - 1 {
+						queue = append(queue, int(w)<<6+bits.TrailingZeros64(x))
+					}
 				}
 			}
+			comp := slices.Clone(queue)
+			slices.Sort(comp)
+			comps = append(comps, comp)
 		}
-		slices.Sort(comp)
-		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// MCS runs Maximum Cardinality Search over the given vertex subset and
-// returns the visit order (first visited first). Ties break toward the
-// smallest vertex id, so the result is deterministic. The *reverse* of the
-// visit order is a perfect elimination ordering when the induced subgraph
-// is chordal.
-func (g *Graph) MCS(vertices []int) []int {
-	var c Chordal
-	c.load(g, vertices)
-	c.mcs()
-	order := make([]int, len(c.order))
-	for i, v := range c.order {
-		order[i] = c.verts[v]
-	}
-	return order
 }
 
 // FillIn runs the elimination game on the subgraph induced by vertices,
@@ -259,62 +192,23 @@ func (g *Graph) FillIn(vertices []int) (*Graph, []int) {
 	for i, v := range c.peo {
 		peo[i] = c.verts[v]
 	}
-	// The filled bit rows are H's adjacency, already ascending.
-	h := &Graph{n: g.n, offs: make([]int32, g.n+1)}
-	for i, v := range c.verts {
-		for _, x := range c.row(c.rows, i) {
-			h.offs[v+1] += int32(bits.OnesCount64(x))
-		}
-	}
+	// The filled bit rows are H's, renumbered back to vertex ids, which
+	// keeps them ascending.
+	offs, at, words := make([]int32, 1, g.n+1), []int32(nil), []uint64(nil)
+	i := 0
 	for v := 0; v < g.n; v++ {
-		h.offs[v+1] += h.offs[v]
-	}
-	h.nbrs = make([]int32, 0, h.offs[g.n])
-	for i := range c.verts {
-		h.nbrs = c.appendBits(h.nbrs, c.row(c.rows, i))
-	}
-	return h, peo
-}
-
-// MaximalCliquesChordal returns the maximal cliques of a chordal graph h
-// restricted to the vertices of the given perfect elimination ordering.
-// Each candidate clique is {v} ∪ {later neighbors of v}; non-maximal
-// candidates are filtered out. Cliques are sorted internally and ordered by
-// their smallest vertex for determinism.
-func MaximalCliquesChordal(h *Graph, peo []int) [][]int {
-	var c Chordal
-	c.load(h, peo)
-	c.peo = c.peo[:0]
-	for _, v := range peo {
-		i, _ := slices.BinarySearch(c.verts, v)
-		c.peo = append(c.peo, int32(i))
-	}
-	c.eliminateAlong()
-	return c.maximalCliques()
-}
-
-// IsClique reports whether the given vertices are pairwise adjacent in g.
-func (g *Graph) IsClique(vs []int) bool {
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if !g.HasEdge(vs[i], vs[j]) {
-				return false
+		if i < len(c.verts) && c.verts[i] == v {
+			from := len(at)
+			for j, x := range c.row(c.rows, i) {
+				for ; x != 0; x &= x - 1 {
+					at, words = AppendBit(at, words, from, int32(c.verts[j<<6+bits.TrailingZeros64(x)]))
+				}
 			}
+			i++
 		}
+		offs = append(offs, int32(len(at)))
 	}
-	return true
-}
-
-// IsChordal reports whether the subgraph induced by vertices is chordal: the
-// reverse MCS order is a perfect elimination ordering exactly when the
-// elimination game along it adds no edge.
-func (g *Graph) IsChordal(vertices []int) bool {
-	var c Chordal
-	c.load(g, vertices)
-	c.mcs()
-	before := c.bitCount()
-	c.eliminateAlong()
-	return c.bitCount() == before
+	return &Graph{n: g.n, rows: Rows{Offs: offs, At: at, Words: words}}, peo
 }
 
 // Chordal is the reusable workspace of the chordal pipeline — MCS, the
@@ -358,10 +252,22 @@ type Rows struct {
 	Words []uint64
 }
 
-// CliquesOfRows returns the maximal cliques of the chordal completion of r —
-// FillIn followed by MaximalCliquesChordal on the graph r holds, without
-// materializing the completion as a Graph. The result is owned by the
-// workspace and valid until its next call.
+// AppendBit sets bit i of a sparse row being appended to at/words from
+// position from on, i no lower than any bit already set: the step that lays
+// out a row of Rows one vertex at a time.
+func AppendBit(at []int32, words []uint64, from int, i int32) ([]int32, []uint64) {
+	if n := len(at); n > from && at[n-1] == i>>6 {
+		words[n-1] |= 1 << uint(i&63)
+		return at, words
+	}
+	return append(at, i>>6), append(words, 1<<uint(i&63))
+}
+
+// CliquesOfRows returns the maximal cliques of the chordal completion of r,
+// the completion FillIn returns, each ascending, ordered by smallest vertex.
+// Each candidate clique is {v} ∪ {later neighbours of v} along the
+// elimination order; the ones another candidate contains are dropped. The
+// result is owned by the workspace and valid until its next call.
 func (c *Chordal) CliquesOfRows(r *Rows) [][]int {
 	c.loadRows(r)
 	c.mcs()
@@ -389,22 +295,23 @@ func (c *Chordal) loadRows(r *Rows) {
 	}
 }
 
-// load renumbers the subset and fills the bit matrix with its induced
-// subgraph: the Graph path of MCS, FillIn, MaximalCliquesChordal and
-// IsChordal, which the planner does not take.
+// load renumbers the subset and fills the bit matrix with the subgraph of g
+// it induces: FillIn's path, which the planner does not take.
 func (c *Chordal) load(g *Graph, vertices []int) {
-	g.seal()
 	c.verts = append(c.verts[:0], vertices...)
 	slices.Sort(c.verts)
 	c.verts = slices.Compact(c.verts)
 	c.words = (len(c.verts) + 63) / 64
 	c.rows = zeroed(c.rows, len(c.verts)*c.words)
+	r := g.laidOut()
 	for i, v := range c.verts {
 		g.check(v)
 		row := c.row(c.rows, i)
-		for _, u := range g.nbrs[g.offs[v]:g.offs[v+1]] {
-			if j, in := slices.BinarySearch(c.verts, int(u)); in {
-				row[j>>6] |= 1 << uint(j&63)
+		for k := r.Offs[v]; k < r.Offs[v+1]; k++ {
+			for x := r.Words[k]; x != 0; x &= x - 1 {
+				if j, in := slices.BinarySearch(c.verts, int(r.At[k])<<6+bits.TrailingZeros64(x)); in {
+					row[j>>6] |= 1 << uint(j&63)
+				}
 			}
 		}
 	}
@@ -418,16 +325,6 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 func (c *Chordal) row(m []uint64, i int) []uint64 { return m[i*c.words : (i+1)*c.words] }
-
-// appendBits appends the vertices of a bit row to dst, ascending.
-func (c *Chordal) appendBits(dst []int32, row []uint64) []int32 {
-	for j, x := range row {
-		for ; x != 0; x &= x - 1 {
-			dst = append(dst, int32(c.verts[j<<6+bits.TrailingZeros64(x)]))
-		}
-	}
-	return dst
-}
 
 // mcs fills order with the Maximum Cardinality Search visit order of the
 // loaded subgraph and peo with its reverse. The next vertex visited is the
@@ -488,15 +385,6 @@ func (c *Chordal) mcs() {
 	for i, v := range c.order {
 		c.peo[m-1-i] = v
 	}
-}
-
-// bitCount returns twice the number of edges in the bit matrix.
-func (c *Chordal) bitCount() int {
-	n := 0
-	for _, x := range c.rows {
-		n += bits.OnesCount64(x)
-	}
-	return n
 }
 
 // eliminateAlong plays the elimination game along peo, turning each vertex's

@@ -2,7 +2,9 @@ package graphutil
 
 import (
 	"math/rand"
-	"sort"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -15,64 +17,62 @@ func allVertices(n int) []int {
 	return out
 }
 
-// randomGraph builds a deterministic Erdős–Rényi graph.
-func randomGraph(n int, p float64, seed int64) *Graph {
-	r := rand.New(rand.NewSource(seed))
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if r.Float64() < p {
-				g.AddEdge(i, j)
-			}
+// pairs returns the graph on n vertices whose edges are ends[0]–ends[1],
+// ends[2]–ends[3], …, each a two-member group.
+func pairs(n int, ends ...int) *Graph {
+	offs, members := []int32{0}, make([]int32, len(ends))
+	for i, v := range ends {
+		members[i] = int32(v)
+		if i%2 == 1 {
+			offs = append(offs, int32(i+1))
 		}
 	}
+	g := new(Graph)
+	g.ResetGroups(n, offs, members)
 	return g
 }
 
+// randomGraph builds a deterministic Erdős–Rényi graph.
+func randomGraph(n int, p float64, seed int64) *Graph {
+	r := rand.New(rand.NewSource(seed))
+	var ends []int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Float64() < p {
+				ends = append(ends, i, j)
+			}
+		}
+	}
+	return pairs(n, ends...)
+}
+
+// chordal reports whether the elimination game on all of h adds no edge.
+func chordal(h *Graph) bool {
+	filled, _ := h.FillIn(allVertices(h.N()))
+	return filled.Edges() == h.Edges()
+}
+
 func TestBasicOps(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 1) // self loop ignored
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
+	g := pairs(4, 0, 1, 1, 2, 1, 1) // the self loop is ignored
+	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) || !g.HasEdge(2, 1) {
 		t.Error("edge should be symmetric")
 	}
-	if g.HasEdge(0, 2) {
-		t.Error("absent edge reported")
-	}
-	if g.HasEdge(1, 1) {
-		t.Error("self loop should be ignored")
-	}
-	if g.Degree(1) != 2 {
-		t.Errorf("Degree(1) = %d", g.Degree(1))
+	if g.HasEdge(0, 2) || g.HasEdge(1, 3) || g.HasEdge(1, 1) {
+		t.Error("absent edge or self loop reported")
 	}
 	if g.Edges() != 2 {
 		t.Errorf("Edges = %d", g.Edges())
 	}
-	want := []int32{0, 2}
-	got := g.Neighbors(1)
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("Neighbors(1) = %v", got)
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := randomGraph(6, 0.5, 1)
-	c := g.Clone()
-	c.AddEdge(0, 5)
-	g2 := randomGraph(6, 0.5, 1)
-	if g.Edges() != g2.Edges() {
-		t.Error("Clone mutated the original")
-	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	g := New(2)
+	g := pairs(2)
 	for i, f := range []func(){
-		func() { g.AddEdge(0, 2) },
 		func() { g.HasEdge(-1, 0) },
-		func() { g.Degree(5) },
-		func() { New(-1) },
+		func() { g.HasEdge(0, 2) },
+		func() { g.FillIn([]int{0, 2}) },
+		func() { pairs(2, 0, 2).Edges() }, // a group member ≥ n
+		func() { pairs(-1) },
 	} {
 		func() {
 			defer func() {
@@ -86,21 +86,12 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := New(7)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	// 5, 6 isolated
-	comps := g.Components(nil)
-	if len(comps) != 4 {
+	g := pairs(7, 0, 1, 1, 2, 3, 4) // 5, 6 isolated
+	if comps := g.Components(nil); !reflect.DeepEqual(comps, [][]int{{0, 1, 2}, {3, 4}, {5}, {6}}) {
 		t.Fatalf("components = %v", comps)
 	}
-	if len(comps[0]) != 3 || comps[0][0] != 0 {
-		t.Errorf("first component = %v", comps[0])
-	}
 	// Excluding vertex 1 splits the first component.
-	comps = g.Components(func(v int) bool { return v != 1 })
-	if len(comps) != 5 {
+	if comps := g.Components(func(v int) bool { return v != 1 }); len(comps) != 5 {
 		t.Fatalf("components excluding 1 = %v", comps)
 	}
 }
@@ -108,118 +99,25 @@ func TestComponents(t *testing.T) {
 func TestComponentsPartitionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(12, 0.2, seed)
-		comps := g.Components(nil)
-		seen := make(map[int]int)
-		for _, c := range comps {
-			for _, v := range c {
-				seen[v]++
-			}
-		}
-		if len(seen) != 12 {
-			return false
-		}
-		for _, cnt := range seen {
-			if cnt != 1 {
-				return false
-			}
-		}
-		// No edges between different components.
-		compOf := make(map[int]int)
-		for i, c := range comps {
+		compOf := make([]int, 12)
+		var all []int
+		for i, c := range g.Components(nil) {
 			for _, v := range c {
 				compOf[v] = i
 			}
+			all = append(all, c...)
 		}
+		// Every vertex once, and no edge between components.
+		ok := slices.Equal(slices.Sorted(slices.Values(all)), allVertices(12))
 		for v := 0; v < 12; v++ {
-			for _, u := range g.Neighbors(v) {
-				if compOf[int(u)] != compOf[v] {
-					return false
-				}
+			for u := 0; u < 12; u++ {
+				ok = ok && !(g.HasEdge(v, u) && compOf[u] != compOf[v])
 			}
 		}
-		return true
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMCSVisitsAll(t *testing.T) {
-	g := randomGraph(10, 0.3, 3)
-	order := g.MCS(allVertices(10))
-	if len(order) != 10 {
-		t.Fatalf("MCS visited %d vertices", len(order))
-	}
-	seen := make(map[int]bool)
-	for _, v := range order {
-		if seen[v] {
-			t.Fatal("MCS visited a vertex twice")
-		}
-		seen[v] = true
-	}
-}
-
-func TestMCSDeterministic(t *testing.T) {
-	g := randomGraph(15, 0.3, 4)
-	a := g.MCS(allVertices(15))
-	b := g.MCS(allVertices(15))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("MCS order not deterministic")
-		}
-	}
-}
-
-func TestMCSSubset(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	order := g.MCS([]int{2, 3, 4})
-	if len(order) != 3 {
-		t.Fatalf("subset MCS = %v", order)
-	}
-	for _, v := range order {
-		if v != 2 && v != 3 && v != 4 {
-			t.Fatalf("MCS left the subset: %v", order)
-		}
-	}
-}
-
-func TestIsChordalKnownGraphs(t *testing.T) {
-	// Triangle: chordal.
-	tri := New(3)
-	tri.AddEdge(0, 1)
-	tri.AddEdge(1, 2)
-	tri.AddEdge(0, 2)
-	if !tri.IsChordal(allVertices(3)) {
-		t.Error("triangle should be chordal")
-	}
-	// C4: not chordal.
-	c4 := New(4)
-	c4.AddEdge(0, 1)
-	c4.AddEdge(1, 2)
-	c4.AddEdge(2, 3)
-	c4.AddEdge(3, 0)
-	if c4.IsChordal(allVertices(4)) {
-		t.Error("4-cycle should not be chordal")
-	}
-	// C4 plus a chord: chordal.
-	c4.AddEdge(0, 2)
-	if !c4.IsChordal(allVertices(4)) {
-		t.Error("4-cycle with chord should be chordal")
-	}
-	// Tree: chordal.
-	tree := New(5)
-	tree.AddEdge(0, 1)
-	tree.AddEdge(0, 2)
-	tree.AddEdge(2, 3)
-	tree.AddEdge(2, 4)
-	if !tree.IsChordal(allVertices(5)) {
-		t.Error("tree should be chordal")
-	}
-	// Empty graph: chordal.
-	if !New(4).IsChordal(allVertices(4)) {
-		t.Error("empty graph should be chordal")
 	}
 }
 
@@ -227,141 +125,85 @@ func TestFillInProducesChordal(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(10, 0.25, seed)
 		h, peo := g.FillIn(allVertices(10))
-		if len(peo) != 10 {
-			return false
-		}
-		// Fill-in is a supergraph of g.
+		// Fill-in is a chordal supergraph of g.
+		ok := len(peo) == 10 && chordal(h)
 		for v := 0; v < 10; v++ {
-			for _, u := range g.Neighbors(v) {
-				if !h.HasEdge(v, int(u)) {
-					return false
-				}
+			for u := 0; u < 10; u++ {
+				ok = ok && (!g.HasEdge(v, u) || h.HasEdge(v, u))
 			}
 		}
-		return h.IsChordal(allVertices(10))
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestFillInChordalInputUnchanged: a chordal input needs no fill edges.
 func TestFillInChordalInputUnchanged(t *testing.T) {
-	// A chordal input needs no fill edges.
-	tri := New(4)
-	tri.AddEdge(0, 1)
-	tri.AddEdge(1, 2)
-	tri.AddEdge(0, 2)
-	tri.AddEdge(2, 3)
-	h, _ := tri.FillIn(allVertices(4))
-	if h.Edges() != tri.Edges() {
-		t.Errorf("chordal graph gained fill edges: %d -> %d", tri.Edges(), h.Edges())
+	for name, g := range map[string]*Graph{
+		"triangle":             pairs(3, 0, 1, 1, 2, 0, 2),
+		"triangle and pendant": pairs(4, 0, 1, 1, 2, 0, 2, 2, 3),
+		"C4 and chord":         pairs(4, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2),
+		"tree":                 pairs(5, 0, 1, 0, 2, 2, 3, 2, 4),
+		"empty":                pairs(4),
+	} {
+		if !chordal(g) {
+			t.Errorf("%s gained fill edges", name)
+		}
 	}
 }
 
 func TestFillInC4AddsOneChord(t *testing.T) {
-	c4 := New(4)
-	c4.AddEdge(0, 1)
-	c4.AddEdge(1, 2)
-	c4.AddEdge(2, 3)
-	c4.AddEdge(3, 0)
+	c4 := pairs(4, 0, 1, 1, 2, 2, 3, 3, 0)
 	h, _ := c4.FillIn(allVertices(4))
-	if h.Edges() != 5 {
-		t.Errorf("C4 fill-in has %d edges, want 5", h.Edges())
-	}
-	if !h.IsChordal(allVertices(4)) {
-		t.Error("filled C4 should be chordal")
+	if h.Edges() != 5 || chordal(c4) || !chordal(h) {
+		t.Errorf("C4 fill-in has %d edges, want 5, and only it chordal", h.Edges())
 	}
 }
 
 func TestFillInSubsetOnly(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(4, 5)
+	g := pairs(6, 0, 1, 4, 5)
 	h, peo := g.FillIn([]int{0, 1, 2})
-	if len(peo) != 3 {
-		t.Fatalf("peo = %v", peo)
-	}
-	if h.HasEdge(4, 5) {
-		t.Error("fill-in must only contain subset edges")
+	if len(peo) != 3 || h.HasEdge(4, 5) || !h.HasEdge(0, 1) {
+		t.Errorf("fill-in of {0,1,2}: peo %v, edges 4–5 %v, 0–1 %v", peo, h.HasEdge(4, 5), h.HasEdge(0, 1))
 	}
 }
 
+// The clique tests run CliquesOfRows, the planner's path, on a Graph's rows.
 func TestMaximalCliquesChordalTriangle(t *testing.T) {
-	tri := New(4)
-	tri.AddEdge(0, 1)
-	tri.AddEdge(1, 2)
-	tri.AddEdge(0, 2)
-	tri.AddEdge(2, 3)
-	h, peo := tri.FillIn(allVertices(4))
-	cliques := MaximalCliquesChordal(h, peo)
-	if len(cliques) != 2 {
-		t.Fatalf("cliques = %v", cliques)
-	}
-	// Expect {0,1,2} and {2,3}.
-	found3 := false
-	found2 := false
-	for _, c := range cliques {
-		if len(c) == 3 && c[0] == 0 && c[1] == 1 && c[2] == 2 {
-			found3 = true
-		}
-		if len(c) == 2 && c[0] == 2 && c[1] == 3 {
-			found2 = true
-		}
-	}
-	if !found3 || !found2 {
-		t.Errorf("cliques = %v", cliques)
+	var ws Chordal
+	if got := ws.CliquesOfRows(pairs(4, 0, 1, 1, 2, 0, 2, 2, 3).laidOut()); !reflect.DeepEqual(got, [][]int{{0, 1, 2}, {2, 3}}) {
+		t.Errorf("cliques = %v", got)
 	}
 }
 
 func TestMaximalCliquesProperty(t *testing.T) {
+	var ws Chordal
 	f := func(seed int64) bool {
 		g := randomGraph(9, 0.3, seed)
-		h, peo := g.FillIn(allVertices(9))
-		cliques := MaximalCliquesChordal(h, peo)
-		// Every clique is a clique of h.
-		for _, c := range cliques {
-			if !h.IsClique(c) {
-				return false
-			}
-		}
-		// Cliques cover all vertices.
+		h, _ := g.FillIn(allVertices(9))
+		cliques := ws.CliquesOfRows(g.laidOut())
 		covered := make(map[int]bool)
-		for _, c := range cliques {
-			for _, v := range c {
-				covered[v] = true
+		for i, c := range cliques {
+			for a, u := range c {
+				covered[u] = true
+				for _, v := range c[a+1:] {
+					if !h.HasEdge(u, v) { // a clique of the completion
+						return false
+					}
+				}
 			}
-		}
-		if len(covered) != 9 {
-			return false
-		}
-		// No clique is a subset of another.
-		for i, a := range cliques {
-			for j, b := range cliques {
-				if i != j && subset(a, b) {
+			for j, d := range cliques {
+				if i != j && subset(c, d) { // and maximal
 					return false
 				}
 			}
 		}
-		return true
+		return len(covered) == 9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIsClique(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 2)
-	if !g.IsClique([]int{0, 1, 2}) {
-		t.Error("triangle is a clique")
-	}
-	if g.IsClique([]int{0, 1, 3}) {
-		t.Error("non-adjacent vertices are not a clique")
-	}
-	if !g.IsClique([]int{2}) || !g.IsClique(nil) {
-		t.Error("singletons and the empty set are cliques")
 	}
 }
 
@@ -385,41 +227,69 @@ func TestSubset(t *testing.T) {
 }
 
 func TestCliquesSortedDeterministic(t *testing.T) {
-	g := randomGraph(8, 0.4, 7)
-	h, peo := g.FillIn(allVertices(8))
-	a := MaximalCliquesChordal(h, peo)
-	b := MaximalCliquesChordal(h, peo)
-	if len(a) != len(b) {
-		t.Fatal("nondeterministic clique count")
+	rows := randomGraph(8, 0.4, 7).laidOut()
+	var wa, wb Chordal
+	a, b := wa.CliquesOfRows(rows), wb.CliquesOfRows(rows)
+	if !slices.EqualFunc(a, b, slices.Equal) {
+		t.Fatal("nondeterministic cliques")
 	}
-	for i := range a {
-		if !sort.IntsAreSorted(a[i]) {
+	for _, c := range a {
+		if !slices.IsSorted(c) {
 			t.Error("clique not sorted")
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatal("nondeterministic cliques")
-			}
 		}
 	}
 }
 
 func TestLazyAdjacency(t *testing.T) {
-	// A graph whose edges touch few vertices must still answer queries for
-	// the untouched ones.
-	g := New(1000)
-	g.AddEdge(2, 3)
-	if g.Degree(999) != 0 || g.HasEdge(0, 1) {
+	// Vertices no group touches are isolated.
+	g := pairs(1000, 2, 3)
+	if g.HasEdge(999, 998) || g.HasEdge(0, 1) || g.HasEdge(500, 3) || len(g.Components(nil)) != 999 {
 		t.Fatal("untouched vertices must look isolated")
-	}
-	if len(g.Neighbors(500)) != 0 {
-		t.Fatal("untouched vertex has neighbors")
 	}
 	if !g.HasEdge(2, 3) || g.Edges() != 1 {
 		t.Fatal("edge lost")
 	}
-	c := g.Clone()
-	if !c.HasEdge(2, 3) || c.Edges() != 1 {
-		t.Fatal("clone lost the edge")
+}
+
+// TestResetDropsGroups: a reused Graph answers for its last ResetGroups
+// alone, forgetting the groups and the rows of the larger graph it was
+// before, whether or not those were ever laid out.
+func TestResetDropsGroups(t *testing.T) {
+	g := randomGraph(30, 0.4, 5)
+	g.Edges()
+	g.ResetGroups(5, []int32{0, 3}, []int32{0, 1, 2})
+	g.ResetGroups(5, []int32{0, 2}, []int32{3, 4})
+	if g.N() != 5 || g.Edges() != 1 || !g.HasEdge(4, 3) || g.HasEdge(0, 1) {
+		t.Fatalf("after a second ResetGroups: n=%d, %d edges", g.N(), g.Edges())
+	}
+	g.ResetGroups(4, []int32{0, 3, 3, 5}, []int32{0, 1, 2, 2, 3}) // an empty group
+	if g.N() != 4 || g.Edges() != 4 || !g.HasEdge(3, 2) || g.HasEdge(0, 3) {
+		t.Fatalf("after a third ResetGroups: n=%d, %d edges", g.N(), g.Edges())
+	}
+}
+
+// TestParallelQueries: once a query has run after ResetGroups, goroutines
+// querying a Graph at once each get the answers of a lone caller.
+func TestParallelQueries(t *testing.T) {
+	g := randomGraph(150, 0.05, 9)
+	g.Edges()
+	query := func() []any {
+		h, peo := g.FillIn(allVertices(150))
+		return []any{g.edgeList(), g.Components(nil), h.edgeList(), peo}
+	}
+	want, got := query(), make([][]any, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = query()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("goroutine %d answered differently from a lone caller", i)
+		}
 	}
 }

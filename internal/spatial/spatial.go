@@ -15,11 +15,11 @@
 // tiny reach radius inside a huge study area costs memory proportional to the
 // number of tasks, never to the area.
 //
-// Queries are exact and deterministic: Within returns precisely the tasks
-// with Euclidean distance ≤ r from the query point, in the order the tasks
-// were given to NewIndex, regardless of cell geometry. The brute-force scan
-// and the index are therefore interchangeable everywhere — the invariant the
-// package tests pin down against a linear-scan oracle.
+// Queries are exact and deterministic: AppendWithin returns precisely the
+// tasks with Euclidean distance ≤ r from the query point, in the order the
+// tasks were given to NewIndex, regardless of cell geometry. The brute-force
+// scan and the index are therefore interchangeable everywhere — the invariant
+// the package tests pin down against a linear-scan oracle.
 //
 // Cost model: building an Index is a counting sort of |S| tasks by cell, no
 // hashing; one radius-d query scans the cells the disc overlaps — one
@@ -322,37 +322,26 @@ func (ix *Index) Len() int { return len(ix.tasks) }
 // Tasks returns the indexed task slice in construction order.
 func (ix *Index) Tasks() []*core.Task { return ix.tasks }
 
-// Within returns the tasks at Euclidean distance ≤ r from p, in the order
-// they were passed to NewIndex. r < 0 returns nil; r == 0 returns tasks
-// exactly at p.
-func (ix *Index) Within(p geo.Point, r float64) []*core.Task {
-	return ix.AppendWithin(nil, p, r)
-}
-
-// AppendWithin appends the tasks within distance r of p to dst and returns
-// the extended slice, letting per-worker query loops reuse one buffer.
+// AppendWithin appends the tasks at Euclidean distance ≤ r from p to dst, in
+// the order they were passed to NewIndex, and returns the extended slice,
+// letting per-worker query loops reuse one buffer. r < 0 appends nothing; r
+// == 0 appends the tasks exactly at p.
 func (ix *Index) AppendWithin(dst []*core.Task, p geo.Point, r float64) []*core.Task {
-	// The stack buffer covers typical per-query candidate counts, so the
-	// steady-state planning loop performs no heap allocation here.
-	var hits [64]int32
-	for _, i := range ix.AppendIndicesWithin(hits[:0], p, r) {
-		dst = append(dst, ix.tasks[i])
-	}
-	return dst
-}
-
-// AppendIndicesWithin is AppendWithin returning positions into Tasks()
-// instead of the tasks themselves, ascending.
-func (ix *Index) AppendIndicesWithin(dst []int32, p geo.Point, r float64) []int32 {
+	// The stack buffers cover typical per-query candidate counts, so a query
+	// loop performs no heap allocation here.
 	var hits [64]Candidate
-	start := len(dst)
+	var pos [64]int32
 	near, _ := ix.AppendCandidates(hits[:0], p, r)
+	order := pos[:0]
 	for _, c := range near {
-		dst = append(dst, c.Pos)
+		order = append(order, c.Pos)
 	}
 	// Restore construction order, so the result is identical to the
 	// brute-force scan's.
-	slices.Sort(dst[start:])
+	slices.Sort(order)
+	for _, i := range order {
+		dst = append(dst, ix.tasks[i])
+	}
 	return dst
 }
 

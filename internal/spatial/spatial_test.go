@@ -60,7 +60,7 @@ func TestWithinMatchesBruteForceOracle(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			p := geo.Point{X: r.Float64()*span*1.4 - span*0.2, Y: r.Float64()*span*1.4 - span*0.2}
 			radius := r.Float64() * span / 2
-			sameTasks(t, ix.Within(p, radius), bruteWithin(tasks, p, radius))
+			sameTasks(t, ix.AppendWithin(nil, p, radius), bruteWithin(tasks, p, radius))
 		}
 	}
 }
@@ -80,12 +80,12 @@ func TestWithinBoundaryCells(t *testing.T) {
 	ix := NewIndex(tasks, 1.0) // cells exactly aligned with the lattice
 	center := geo.Point{X: 2, Y: 2}
 	for _, radius := range []float64{0, 1, math.Sqrt2, 2, 2.5, 10} {
-		sameTasks(t, ix.Within(center, radius), bruteWithin(tasks, center, radius))
+		sameTasks(t, ix.AppendWithin(nil, center, radius), bruteWithin(tasks, center, radius))
 	}
 	// Query point on a cell corner.
 	corner := geo.Point{X: 1, Y: 1}
 	for _, radius := range []float64{0, 0.999999, 1, 1.000001} {
-		sameTasks(t, ix.Within(corner, radius), bruteWithin(tasks, corner, radius))
+		sameTasks(t, ix.AppendWithin(nil, corner, radius), bruteWithin(tasks, corner, radius))
 	}
 }
 
@@ -96,11 +96,11 @@ func TestWithinZeroRadius(t *testing.T) {
 		{ID: 3, Loc: geo.Point{X: 1.0000001, Y: 1}, Exp: 1e5, Cell: -1},
 	}
 	ix := NewIndex(tasks, 0.5)
-	got := ix.Within(geo.Point{X: 1, Y: 1}, 0)
+	got := ix.AppendWithin(nil, geo.Point{X: 1, Y: 1}, 0)
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
 		t.Fatalf("zero-radius query returned %d tasks, want the 2 colocated ones", len(got))
 	}
-	if got := ix.Within(geo.Point{X: 2, Y: 2}, -1); got != nil {
+	if got := ix.AppendWithin(nil, geo.Point{X: 2, Y: 2}, -1); got != nil {
 		t.Fatal("negative radius must return nil")
 	}
 }
@@ -114,11 +114,11 @@ func TestDegenerateCellSizes(t *testing.T) {
 		if ix.CellSize() != 0 {
 			t.Errorf("cell %v: CellSize = %v, want 0 (degenerate mode)", cell, ix.CellSize())
 		}
-		sameTasks(t, ix.Within(p, 1), bruteWithin(tasks, p, 1))
+		sameTasks(t, ix.AppendWithin(nil, p, 1), bruteWithin(tasks, p, 1))
 	}
 	// Empty index answers every query with nothing.
 	empty := NewIndex(nil, 1)
-	if got := empty.Within(p, 100); len(got) != 0 {
+	if got := empty.AppendWithin(nil, p, 100); len(got) != 0 {
 		t.Fatalf("empty index returned %d tasks", len(got))
 	}
 	if empty.Len() != 0 {
@@ -133,8 +133,8 @@ func TestHugeRadiusFallsBackToScan(t *testing.T) {
 	tasks := randomTasks(r, 30, 100)
 	ix := NewIndex(tasks, 0.01) // tiny cells, huge sparse extent
 	p := geo.Point{X: 50, Y: 50}
-	sameTasks(t, ix.Within(p, 500), bruteWithin(tasks, p, 500))
-	sameTasks(t, ix.Within(p, 20), bruteWithin(tasks, p, 20))
+	sameTasks(t, ix.AppendWithin(nil, p, 500), bruteWithin(tasks, p, 500))
+	sameTasks(t, ix.AppendWithin(nil, p, 20), bruteWithin(tasks, p, 20))
 }
 
 func TestCellSizeForReach(t *testing.T) {
@@ -168,14 +168,14 @@ func TestExtremeRadiiAndFarQueries(t *testing.T) {
 	// Radii that would overflow int32 cell coordinates must fall back to the
 	// scan and stay exact; +Inf returns everything.
 	for _, radius := range []float64{1e7, 1e12, math.Inf(1)} {
-		sameTasks(t, ix.Within(p, radius), bruteWithin(tasks, p, radius))
+		sameTasks(t, ix.AppendWithin(nil, p, radius), bruteWithin(tasks, p, radius))
 	}
-	if got := ix.Within(p, math.Inf(1)); len(got) != len(tasks) {
+	if got := ix.AppendWithin(nil, p, math.Inf(1)); len(got) != len(tasks) {
 		t.Fatalf("infinite radius returned %d of %d tasks", len(got), len(tasks))
 	}
 	// A query point astronomically far from the data returns nothing.
 	far := geo.Point{X: 1e12, Y: -1e12}
-	sameTasks(t, ix.Within(far, 0.5), bruteWithin(tasks, far, 0.5))
+	sameTasks(t, ix.AppendWithin(nil, far, 0.5), bruteWithin(tasks, far, 0.5))
 }
 
 // bruteCellsInDisk is the linear-scan oracle: every cell whose rectangle's
@@ -337,7 +337,11 @@ func TestIndexCandidatesMatchWithin(t *testing.T) {
 				pos = append(pos, c.Pos)
 			}
 			slices.Sort(pos)
-			if want := fresh.AppendIndicesWithin(nil, p, radius); !slices.Equal(pos, want) {
+			var byPos []*core.Task
+			for _, i := range pos {
+				byPos = append(byPos, tasks[i])
+			}
+			if want := fresh.AppendWithin(nil, p, radius); !slices.Equal(byPos, want) {
 				t.Fatalf("trial %d: candidates %v, within %v", trial, pos, want)
 			}
 			if len(pos) != len(bruteWithin(tasks, p, radius)) {
@@ -362,10 +366,10 @@ func TestSparseExtentBoundsGrid(t *testing.T) {
 		for q := 0; q < 50; q++ {
 			p := geo.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
 			radius := r.Float64() * 5
-			sameTasks(t, ix.Within(p, radius), bruteWithin(tasks, p, radius))
+			sameTasks(t, ix.AppendWithin(nil, p, radius), bruteWithin(tasks, p, radius))
 		}
 		for _, far := range []geo.Point{{X: 1e300, Y: 50}, {X: 50, Y: -1e300}, {X: -1e300, Y: 1e300}, {X: math.Inf(1), Y: 0}, {X: math.NaN(), Y: 0}} {
-			sameTasks(t, ix.Within(far, 3), bruteWithin(tasks, far, 3))
+			sameTasks(t, ix.AppendWithin(nil, far, 3), bruteWithin(tasks, far, 3))
 		}
 	}
 }

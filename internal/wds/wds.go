@@ -640,10 +640,10 @@ type Separation struct {
 	Workers []*core.Worker
 	Tasks   []*core.Task // the planning pool
 	Sets    []WorkerSets // Sets[i] belongs to Workers[i]
-	// Graph is the dependency graph, with Workers' positions for vertices. It
-	// is built from the task groups on its first query, which planning never
-	// makes. A Separator has one graph: among siblings it belongs to the one
-	// Components ran on last, and is nil in the others.
+	// Graph is the dependency graph, with Workers' positions for vertices: it
+	// holds the task groups and lays them out as sparse bit rows on its first
+	// query, which planning never makes. A Separator has one graph: among
+	// siblings it belongs to the one Components ran on last, nil in the others.
 	Graph *graphutil.Graph
 	// Forest holds one RTC tree per connected component of the workers that
 	// reach a task, ordered by smallest member.
@@ -936,7 +936,7 @@ func (sp *Separator) scenarios(workers []*core.Worker, tasks []*core.Task, now f
 // sequence and so nothing to plan: it is in no component.
 //
 // sep.Graph is the dependency graph on Workers' positions, handed the groups
-// and expanded into edges only if it is queried; the planner never queries
+// and laid out as bit rows only if it is queried; the planner never queries
 // it. The graph, the lists and the binding Tree builds from last until the
 // next Components call. sep must be one of the last Scenarios call's
 // Separations.
@@ -1452,7 +1452,7 @@ func (b *treeBuilder) rootLevel(comp []int, sets []WorkerSets, taskOff, byTask [
 			}
 			from := len(b.gAt)
 			for _, u := range group {
-				b.gAt, b.gWords = appendBit(b.gAt, b.gWords, from, b.local[u])
+				b.gAt, b.gWords = graphutil.AppendBit(b.gAt, b.gWords, from, b.local[u])
 			}
 			b.group[t] = [2]int32{int32(from), int32(len(b.gAt))}
 		}
@@ -1490,16 +1490,6 @@ func (b *treeBuilder) rootLevel(comp []int, sets []WorkerSets, taskOff, byTask [
 		b.offs = append(b.offs, int32(len(b.at)-a0))
 	}
 	return b.level(p0, o0, a0)
-}
-
-// appendBit sets bit i of a sparse row being appended to at/words from
-// position from on, i no lower than any bit already set.
-func appendBit(at []int32, words []uint64, from int, i int32) ([]int32, []uint64) {
-	if n := len(at); n > from && at[n-1] == i>>6 {
-		words[n-1] |= 1 << uint(i&63)
-		return at, words
-	}
-	return append(at, i>>6), append(words, 1<<uint(i&63))
 }
 
 // level returns the level laid out in the stacks from the given marks on.
@@ -1672,7 +1662,7 @@ func (b *treeBuilder) children(lv *level, count int) {
 					for x := r.Words[k] &^ b.clique[r.At[k]]; x != 0; x &= x - 1 {
 						// Ranks ascend with the vertices of one component:
 						// the row comes out ascending.
-						b.at, b.words = appendBit(b.at, b.words, from, b.rank[r.At[k]<<6+int32(bits.TrailingZeros64(x))])
+						b.at, b.words = graphutil.AppendBit(b.at, b.words, from, b.rank[r.At[k]<<6+int32(bits.TrailingZeros64(x))])
 					}
 				}
 				b.offs = append(b.offs, int32(len(b.at)-a0))
