@@ -151,3 +151,47 @@ func TestChordalPipelineMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupsMatchPairs holds the group form of a Graph to the pair form: on
+// random groups over up to 150 vertices, a graph given the groups answers
+// Edges, HasEdge, Components and FillIn exactly as one given every pair of
+// every group as a two-member group, duplicates and one-vertex groups
+// included.
+func TestGroupsMatchPairs(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	var grouped Graph // reused, as a Separator reuses its graph
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + r.Intn(150)
+		offs, members, ends := []int32{0}, []int32(nil), []int(nil)
+		for range r.Intn(2 * n) {
+			size := 1 + r.Intn(min(n, 1+r.Intn(12)))
+			group := r.Perm(n)[:size]
+			for a, u := range group {
+				members = append(members, int32(u))
+				for _, v := range group[a+1:] {
+					ends = append(ends, u, v)
+				}
+			}
+			offs = append(offs, int32(len(members)))
+		}
+		grouped.ResetGroups(n, offs, members)
+		paired := pairs(n, ends...)
+		if grouped.N() != n || grouped.Edges() != paired.Edges() {
+			t.Fatalf("trial %d: %d vertices and %d edges, pairs %d and %d", trial, grouped.N(), grouped.Edges(), n, paired.Edges())
+		}
+		if got, want := grouped.edgeList(), paired.edgeList(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: edges\n got %v\nwant %v", trial, got, want)
+		}
+		comps := paired.Components(nil)
+		if got := grouped.Components(nil); !slices.EqualFunc(got, comps, slices.Equal) {
+			t.Fatalf("trial %d: components %v, pairs %v", trial, got, comps)
+		}
+		for _, comp := range comps {
+			h, peo := grouped.FillIn(comp)
+			wh, wpeo := paired.FillIn(comp)
+			if !slices.Equal(peo, wpeo) || !slices.Equal(h.edgeList(), wh.edgeList()) {
+				t.Fatalf("trial %d: fill-in of %v differs from the pairs'", trial, comp)
+			}
+		}
+	}
+}

@@ -139,6 +139,25 @@ func TestFillInProducesChordal(t *testing.T) {
 	}
 }
 
+// TestIsChordalKnownGraphs: the elimination game recognises chordal graphs
+// by adding no edge, and a chordless 4-cycle by adding one.
+func TestIsChordalKnownGraphs(t *testing.T) {
+	for name, c := range map[string]struct {
+		g       *Graph
+		chordal bool
+	}{
+		"triangle":     {pairs(3, 0, 1, 1, 2, 0, 2), true},
+		"C4":           {pairs(4, 0, 1, 1, 2, 2, 3, 3, 0), false},
+		"C4 and chord": {pairs(4, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2), true},
+		"tree":         {pairs(5, 0, 1, 0, 2, 2, 3, 2, 4), true},
+		"empty":        {pairs(4), true},
+	} {
+		if chordal(c.g) != c.chordal {
+			t.Errorf("%s: chordal %v, want %v", name, !c.chordal, c.chordal)
+		}
+	}
+}
+
 // TestFillInChordalInputUnchanged: a chordal input needs no fill edges.
 func TestFillInChordalInputUnchanged(t *testing.T) {
 	for name, g := range map[string]*Graph{
@@ -251,12 +270,36 @@ func TestLazyAdjacency(t *testing.T) {
 	}
 }
 
-// TestResetDropsGroups: a reused Graph answers for its last ResetGroups
-// alone, forgetting the groups and the rows of the larger graph it was
-// before, whether or not those were ever laid out.
-func TestResetDropsGroups(t *testing.T) {
+// TestResetReusesStorage pins the per-instant rebuild path: a Graph reset
+// to fewer vertices forgets every edge and row of the laid-out larger graph
+// it was before, and growing it again answers as a fresh graph does.
+func TestResetReusesStorage(t *testing.T) {
 	g := randomGraph(30, 0.4, 5)
 	g.Edges()
+	g.ResetGroups(4, []int32{0, 2}, []int32{0, 3})
+	if g.N() != 4 || g.Edges() != 1 || !g.HasEdge(3, 0) || g.HasEdge(1, 2) || len(g.Components(nil)) != 3 {
+		t.Fatalf("after ResetGroups: n=%d edges=%d", g.N(), g.Edges())
+	}
+	fresh := randomGraph(30, 0.2, 6)
+	ends := make([]int32, 0, 2*fresh.Edges())
+	for _, e := range fresh.edgeList() {
+		ends = append(ends, int32(e[0]), int32(e[1]))
+	}
+	offs := make([]int32, 0, len(ends)/2+1)
+	for i := 0; i <= len(ends); i += 2 {
+		offs = append(offs, int32(i))
+	}
+	g.ResetGroups(30, offs, ends)
+	if !slices.Equal(g.edgeList(), fresh.edgeList()) || !slices.EqualFunc(g.Components(nil), fresh.Components(nil), slices.Equal) {
+		t.Fatalf("regrown graph has %d edges, a fresh one %d", g.Edges(), fresh.Edges())
+	}
+}
+
+// TestResetDropsGroups: a reused Graph answers for its last ResetGroups
+// alone, forgetting the groups before, whether or not those were ever laid
+// out.
+func TestResetDropsGroups(t *testing.T) {
+	var g Graph
 	g.ResetGroups(5, []int32{0, 3}, []int32{0, 1, 2})
 	g.ResetGroups(5, []int32{0, 2}, []int32{3, 4})
 	if g.N() != 5 || g.Edges() != 1 || !g.HasEdge(4, 3) || g.HasEdge(0, 1) {
