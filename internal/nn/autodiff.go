@@ -1,8 +1,9 @@
 // Package nn is a small reverse-mode automatic differentiation engine and a
 // set of neural-network building blocks (linear layers, gated dilated causal
 // convolutions, an LSTM cell, Adam) sufficient to train the three task-demand
-// predictors of the DATA-WA paper — LSTM, Graph-WaveNet and DDGNN — in pure
-// Go on a CPU.
+// predictors of the DATA-WA paper — LSTM, Graph-WaveNet and DDGNN — on a
+// CPU. The matrix products run through internal/tensor's kernel: SSE2
+// assembly on amd64, pure Go elsewhere, both with the plain loop's bits.
 //
 // Values are matrices (internal/tensor). Each operation returns a new *Node
 // recording its inputs and a backward closure; Backward(root) topologically
@@ -118,10 +119,12 @@ func MatMul(a, b *Node) *Node {
 	out := &Node{Val: tensor.MatMul(a.Val, b.Val), prev: []*Node{a, b}}
 	out.back = func() {
 		if a.needsBackward() {
-			tensor.MatMulAccum(a.grad(), out.Grad, tensor.Transpose(b.Val))
+			bt := tensor.Transpose(b.Val)
+			tensor.MatMulAccum(a.grad(), out.Grad, bt)
+			tensor.Recycle(bt)
 		}
 		if b.needsBackward() {
-			tensor.MatMulAccum(b.grad(), tensor.Transpose(a.Val), out.Grad)
+			tensor.MatMulTAccum(b.grad(), a.Val, out.Grad)
 		}
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 // BenchmarkDDGNNTrainEpoch measures one epoch of DDGNN training on a
 // realistic window count (the dominant cost of the prediction component).
 func BenchmarkDDGNNTrainEpoch(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		trainEpochFixture(b)
 	}

@@ -2,6 +2,12 @@
 // networks in this repository. It is deliberately small: row-major float64
 // matrices with the handful of operations the prediction models need.
 // Everything is deterministic given a seeded *rand.Rand.
+//
+// The matrix products (MatMul, MatMulAccum, MatMulTAccum) run on amd64
+// through SSE2 assembly row kernels, two columns to a register
+// (kernel_amd64.s), and elsewhere through a blocked pure-Go kernel
+// (mulAddGo); GOARCH picks the file set. Both give the plain triple loop's
+// result bit for bit.
 package tensor
 
 import (
@@ -115,15 +121,26 @@ func MatMulAccum(out, a, b *Matrix) {
 	mulAdd(out, a, b)
 }
 
-// mulAdd computes out += a·b. It walks each output row in blocks of 8
-// columns, then 4, then one, holding a block's sums in registers across the
-// whole k loop instead of loading and storing out once per k. Every element
-// still adds its products to its starting value one at a time in ascending
-// k, skipping a[i][k] == 0, so the result is bit-for-bit the plain triple
-// loop's. Each product is written float64(av * bv): the Go spec forbids
-// fusing an explicitly converted product into a multiply-add, so the bits are
-// the same on targets whose compiler would emit FMA (arm64).
-func mulAdd(out, a, b *Matrix) {
+// MatMulTAccum computes out += aᵀ·b in place; out must be a.Cols × b.Cols.
+// Its bits are MatMulAccum(out, Transpose(a), b)'s, and on amd64 it reads a
+// down its columns where it lies, with no transpose.
+func MatMulTAccum(out, a, b *Matrix) {
+	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
+		panic("tensor: MatMulTAccum shape mismatch")
+	}
+	mulAddT(out, a, b)
+}
+
+// mulAddGo computes out += a·b, the portable matrix kernel: the only one off
+// amd64 and the reference the amd64 kernel is tested against. It walks each
+// output row in blocks of 8 columns, then 4, then one, holding a block's sums
+// in registers across the whole k loop instead of loading and storing out
+// once per k. Every element still adds its products to its starting value one
+// at a time in ascending k, skipping a[i][k] == 0, so the result is bit for
+// bit the plain triple loop's. Each product is written float64(av * bv): the
+// Go spec forbids fusing an explicitly converted product into a multiply-add,
+// so the bits are the same on targets whose compiler would emit FMA (arm64).
+func mulAddGo(out, a, b *Matrix) {
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]

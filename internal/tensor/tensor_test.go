@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -98,70 +99,120 @@ func TestMatMulAccum(t *testing.T) {
 	}
 }
 
-// naiveMulAdd is the plain triple loop: out += a·b, row by row, k outer,
-// skipping zero entries of a. The product is rounded before the add, as in
-// mulAdd, so no target fuses it.
+// naiveMulAdd is the plain triple loop: out += a·b, one element at a time,
+// adding the products to its starting value in ascending k and skipping zero
+// entries of a. The product is rounded before the add, as in the kernels, so
+// no target fuses it. Where an operation meets two NaNs, the one kept is
+// spelled out rather than left to the compiler's choice of operands: b's in a
+// product and the accumulator's in a sum, the x86 rule (the first operand's
+// NaN) for the kernels' operand order. All the NaNs the tests make are quiet,
+// so none needs quieting.
 func naiveMulAdd(out, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {
-		for k := 0; k < a.Cols; k++ {
-			av := a.At(i, k)
-			if av == 0 {
-				continue
+		for j := 0; j < b.Cols; j++ {
+			s := out.At(i, j)
+			for k := 0; k < a.Cols; k++ {
+				av, bv := a.At(i, k), b.At(k, j)
+				if av == 0 || math.IsNaN(s) {
+					continue
+				}
+				if math.IsNaN(bv) {
+					s += bv
+				} else {
+					s += float64(av * bv)
+				}
 			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += float64(av * b.At(k, j))
-			}
+			out.Set(i, j, s)
 		}
 	}
 }
 
-// TestMulAddMatchesNaive holds MatMul and MatMulAccum to naiveMulAdd bit for
-// bit, over every output width from 1 to 40 (each 8/4/1 remainder of the
-// blocked loop) with zeros and negative zeros in a and a non-zero out.
+// TestMulAddMatchesNaive holds every path of the matrix kernel to
+// naiveMulAdd bit for bit: MatMul and MatMulAccum (on amd64 the SSE2 row
+// kernels), MatMulTAccum, which on amd64 reads a down its
+// columns, against the naive loop on an explicit transpose, and mulAddGo,
+// the portable kernel. Output widths run from 1 to 48, through every
+// edge of the 16/8/4 column blocks and the scalar tail. The entries are
+// what an assembly kernel can get wrong: zeros and negative zeros in a (the
+// skip), NaNs with distinct payloads in a, b and the starting out (the
+// product's and the sum's operand order), and ±Inf, subnormals and -0 in
+// out.
 func TestMulAddMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
-	entry := func() float64 {
+	payload := uint64(0)
+	nan := func(site uint64) float64 {
+		payload++
+		return math.Float64frombits(0x7ff8_0000_0000_0000 | site<<40 | payload)
+	}
+	entry := func(site uint64) float64 {
 		switch p := r.Float64(); {
-		case p < 0.2:
+		case p < 0.03:
+			return nan(site)
+		case p < 0.2 && site == 1:
 			return 0
-		case p < 0.3:
+		case p < 0.3 && site == 1:
+			return math.Copysign(0, -1)
+		case p < 0.06 && site == 3:
+			return math.Inf(1 - 2*r.Intn(2))
+		case p < 0.09 && site == 3:
+			return math.Float64frombits(1 + uint64(r.Int63n(1<<52-1))) // subnormal
+		case p < 0.12 && site == 3:
 			return math.Copysign(0, -1)
 		default:
 			return r.NormFloat64() * math.Exp2(float64(r.Intn(21)-10))
 		}
 	}
-	fill := func(rows, cols int) *Matrix {
+	fill := func(rows, cols int, site uint64) *Matrix {
 		m := New(rows, cols)
 		for i := range m.Data {
-			m.Data[i] = entry()
+			m.Data[i] = entry(site)
 		}
 		return m
 	}
-	same := func(got, want *Matrix) bool {
-		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+	// same compares bit for bit. Go code leaves whose NaN survives a NaN
+	// meeting a NaN to the compiler's choice of operands, so mulAddGo, and
+	// everything off amd64, need only give a NaN where naiveMulAdd does.
+	same := func(got, want *Matrix, payloads bool) bool {
+		for i, w := range want.Data {
+			g := got.Data[i]
+			if math.Float64bits(g) != math.Float64bits(w) && (payloads || !math.IsNaN(g) || !math.IsNaN(w)) {
 				return false
 			}
 		}
 		return true
 	}
-	for cols := 1; cols <= 40; cols++ {
+	asm := runtime.GOARCH == "amd64"
+	for cols := 1; cols <= 48; cols++ {
 		for trial := 0; trial < 25; trial++ {
 			rows, inner := 1+r.Intn(6), 1+r.Intn(40)
-			a, b := fill(rows, inner), fill(inner, cols)
+			a, b := fill(rows, inner, 1), fill(inner, cols, 2)
 
 			want := New(rows, cols)
 			naiveMulAdd(want, a, b)
-			if got := MatMul(a, b); !same(got, want) {
+			if got := MatMul(a, b); !same(got, want, asm) {
 				t.Fatalf("MatMul %dx%d·%dx%d differs from the naive loop", rows, inner, inner, cols)
 			}
 
-			out := fill(rows, cols)
-			want = out.Clone()
+			start := fill(rows, cols, 3)
+			want = start.Clone()
 			naiveMulAdd(want, a, b)
+			out := start.Clone()
 			MatMulAccum(out, a, b)
-			if !same(out, want) {
+			if !same(out, want, asm) {
 				t.Fatalf("MatMulAccum %dx%d·%dx%d differs from the naive loop", rows, inner, inner, cols)
+			}
+			out = start.Clone()
+			mulAddGo(out, a, b)
+			if !same(out, want, false) {
+				t.Fatalf("mulAddGo %dx%d·%dx%d differs from the naive loop", rows, inner, inner, cols)
+			}
+
+			// The strided entry point: out += atᵀ·b for at = aᵀ, read in place.
+			at := Transpose(a)
+			out = start.Clone()
+			MatMulTAccum(out, at, b)
+			if !same(out, want, asm) {
+				t.Fatalf("MatMulTAccum (%dx%d)ᵀ·%dx%d differs from the naive loop on the transpose", inner, rows, inner, cols)
 			}
 		}
 	}
@@ -339,6 +390,7 @@ func TestShapePanics(t *testing.T) {
 		func() { NormalizeAdjacency(New(2, 3)) },
 		func() { a.SetRow(0, New(1, 3)) },
 		func() { MatMulAccum(New(2, 2), a, b) },
+		func() { MatMulTAccum(New(2, 2), a, b) },
 	}
 	for i, f := range cases {
 		func() {
