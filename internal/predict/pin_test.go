@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -159,4 +160,35 @@ func pinnedStream() []refresh {
 		out = append(out, rf)
 	}
 	return out
+}
+
+// TestTrainedParamsPinned holds the other three predictors' training to the
+// exact bits it produced when each model had its own Fit: every parameter of
+// the LSTM, Graph-WaveNet and DDGNN-static after two epochs over one series,
+// with the paper runs' learning rate and weight decay. TestDDGNNForecastPinned
+// holds the DDGNN's.
+func TestTrainedParamsPinned(t *testing.T) {
+	ws := windowsFrom(syntheticSeries(36, 3, 20, 23), 8)
+	cfg := TrainConfig{Epochs: 2, LR: 0.02, WeightDecay: 1e-3, Seed: 23}
+	lstm := NewLSTMPredictor(3, 8, cfg)
+	gwn := NewGraphWaveNet(36, 3, 8, 4, cfg)
+	static := NewStaticAdjacencyDDGNN(DDGNNConfig{K: 3, Hidden: 8, Embed: 4, Train: cfg})
+	for _, c := range []struct {
+		m      Predictor
+		params *nn.Params
+		want   uint64
+	}{
+		{lstm, lstm.params, 0xf3e33a25f565609c},
+		{gwn, gwn.params, 0xc8850db8fad37228},
+		{static, static.params, 0xb7756732ca6748c6},
+	} {
+		c.m.Fit(ws)
+		var vals []*tensor.Matrix
+		for _, p := range c.params.All() {
+			vals = append(vals, p.Val)
+		}
+		if got := hashBits(vals...); got != c.want {
+			t.Errorf("%s: parameter hash after two epochs %#x, want %#x", c.m.Name(), got, c.want)
+		}
+	}
 }

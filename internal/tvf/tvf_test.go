@@ -1,6 +1,8 @@
 package tvf
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -272,5 +274,43 @@ func TestTrainConfigDefaults(t *testing.T) {
 	c := TrainConfig{}.withDefaults()
 	if c.Epochs <= 0 || c.BatchSize <= 0 || c.LR <= 0 {
 		t.Errorf("defaults missing: %+v", c)
+	}
+}
+
+// randomSamples returns n samples of normal features and targets in [0, 3).
+func randomSamples(n int, seed int64) []Sample {
+	r := rand.New(rand.NewSource(seed))
+	samples := make([]Sample, n)
+	for i := range samples {
+		for j := range samples[i].Features {
+			samples[i].Features[j] = r.NormFloat64()
+		}
+		samples[i].Opt = r.Float64() * 3
+	}
+	return samples
+}
+
+// TestTrainPinned holds training to the exact bits it produced when the TVF
+// had its own training loop: every parameter after five epochs over 300
+// samples (four full mini-batches and a short one an epoch), and the loss
+// Train returns, in one FNV hash.
+func TestTrainPinned(t *testing.T) {
+	const want uint64 = 0x396f00ac4a1f53c5
+
+	m := NewModel(16, 41)
+	loss := m.Train(randomSamples(300, 41), TrainConfig{Epochs: 5, Seed: 41})
+	h := fnv.New64a()
+	write := func(vs ...float64) {
+		var buf [8]byte
+		for _, v := range vs {
+			h.Write(binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(v)))
+		}
+	}
+	write(loss)
+	for _, p := range m.params.All() {
+		write(p.Val.Data...)
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("hash of the loss and parameters after training %#x, want %#x", got, want)
 	}
 }
