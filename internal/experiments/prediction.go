@@ -43,11 +43,7 @@ func trainEval(name string, sc *workload.Scenario, deltaT float64, s Scale, seed
 	windows := series.Windows(s.Window, 1)
 	train, test := predict.SplitWindows(windows, 0.8)
 	model := newPredictor(name, sc.Grid.Cells(), s, seed)
-	res, err := predict.Evaluate(model, train, test)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s evaluation failed: %v", name, err))
-	}
-	return res, model
+	return predict.Evaluate(model, train, test), model
 }
 
 // runPredictionFigure produces the four panels of Fig. 5 (Yueche) or

@@ -1,14 +1,17 @@
 // Package nn is a small reverse-mode automatic differentiation engine and a
 // set of neural-network building blocks (linear layers, gated dilated causal
 // convolutions, an LSTM cell, Adam) sufficient to train the three task-demand
-// predictors of the DATA-WA paper — LSTM, Graph-WaveNet and DDGNN — on a
-// CPU. The matrix products run through internal/tensor's kernel: SSE2
+// predictors of the DATA-WA paper — LSTM, Graph-WaveNet and DDGNN — and its
+// task value function on a CPU. The matrix products run through internal/tensor's kernel: SSE2
 // assembly on amd64, pure Go elsewhere, both with the plain loop's bits.
 //
 // Values are matrices (internal/tensor). Each operation returns a new *Node
 // recording its inputs and a backward closure; Backward(root) topologically
-// sorts the graph and accumulates gradients into every node that requires
-// them. All computation is deterministic given seeded parameters.
+// sorts the graph, accumulates gradients into every node that requires them
+// and hands every operation's storage back to tensor's pool. Fit is the one
+// training loop over such graphs; Release frees a graph that inference built
+// and no Backward will. All computation is deterministic given seeded
+// parameters.
 package nn
 
 import (
@@ -28,6 +31,7 @@ type Node struct {
 	prev         []*Node
 	back         func()
 	requiresGrad bool
+	seen         bool // Backward's visited mark
 }
 
 // Leaf wraps a constant matrix that does not require gradients.
@@ -48,27 +52,32 @@ func (n *Node) grad() *tensor.Matrix {
 func (n *Node) needsBackward() bool { return n.requiresGrad || n.back != nil }
 
 // Backward runs reverse-mode differentiation from root, which must be a
-// 1×1 scalar (a loss). It seeds ∂root/∂root = 1 and propagates.
-func Backward(root *Node) {
+// 1×1 scalar (a loss), and returns root's value. It seeds ∂root/∂root = 1,
+// propagates, and ends the graph: right after an operation's backward closure
+// has run, nothing reads its value or gradient again, so both go back to
+// tensor's pool for the next graph's operations (tensor.Recycle). Leaves and
+// parameters, which the caller owns, keep theirs. The graph must not be used
+// afterwards.
+func Backward(root *Node) float64 {
 	if root.Val.Rows != 1 || root.Val.Cols != 1 {
 		panic(fmt.Sprintf("nn: Backward root must be scalar, got %dx%d", root.Val.Rows, root.Val.Cols))
 	}
-	// Topological order via iterative post-order DFS.
+	loss := root.Val.Data[0]
+	// The operations in topological order, by iterative post-order DFS.
+	// Leaves and parameters have nothing to run or free.
 	var topo []*Node
-	visited := make(map[*Node]bool)
 	type frame struct {
 		n *Node
 		i int
 	}
 	stack := []frame{{root, 0}}
-	visited[root] = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.i < len(f.n.prev) {
 			child := f.n.prev[f.i]
 			f.i++
-			if !visited[child] {
-				visited[child] = true
+			if child.back != nil && !child.seen {
+				child.seen = true
 				stack = append(stack, frame{child, 0})
 			}
 			continue
@@ -78,15 +87,24 @@ func Backward(root *Node) {
 	}
 	root.grad().Data[0] = 1
 	for i := len(topo) - 1; i >= 0; i-- {
-		if topo[i].back != nil && topo[i].Grad != nil {
-			topo[i].back()
+		n := topo[i]
+		if n.back == nil {
+			continue // a leaf or parameter root
 		}
+		if n.Grad != nil {
+			n.back()
+			tensor.Recycle(n.Grad)
+			n.Grad = nil
+		}
+		tensor.Recycle(n.Val)
+		n.Val = nil
 	}
+	return loss
 }
 
-// Release returns root's value after recycling the storage of every other
-// operation result in its graph — values and, after a Backward, gradients —
-// for the next graph's operations to reuse (tensor.Recycle). Leaves and
+// Release ends a graph no Backward will, an inference forward: it returns
+// root's value after recycling the value of every other operation in the
+// graph for the next graph's operations to reuse (tensor.Recycle). Leaves and
 // parameters, which the caller owns, are untouched. The graph must not be
 // used afterwards.
 func Release(root *Node) *tensor.Matrix {
@@ -101,10 +119,6 @@ func Release(root *Node) *tensor.Matrix {
 		}
 		tensor.Recycle(n.Val)
 		n.Val = nil
-		if n.Grad != nil {
-			tensor.Recycle(n.Grad)
-			n.Grad = nil
-		}
 		stack = append(stack, n.prev...)
 	}
 	return val

@@ -138,19 +138,34 @@ func (o *Adam) Step(params []*Node) {
 	}
 }
 
-// SGD is plain stochastic gradient descent, used by the TVF trainer.
-type SGD struct{ LR float64 }
-
-// Step applies one SGD update.
-func (o SGD) Step(params []*Node) {
-	for _, n := range params {
-		if n.Grad == nil {
-			continue
-		}
-		for i, g := range n.Grad.Data {
-			n.Val.Data[i] -= o.LR * g
-		}
+// Fit is the training loop of every model here. Each of epochs passes
+// shuffles the n examples with a generator seeded by seed, then walks them in
+// runs of batch: it zeroes the gradients, builds loss over the run's example
+// indices, back-propagates, clips the gradients to global norm clip and steps
+// opt. It returns the last pass's mean loss, 0 when there are no examples.
+func Fit(params *Params, opt *Adam, clip float64, seed int64, epochs, n, batch int, loss func(run []int) *Node) float64 {
+	if n == 0 {
+		return 0
 	}
+	rng := rand.New(rand.NewSource(seed))
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	last := 0.0
+	for epoch := 0; epoch < epochs; epoch++ {
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		sum, runs := 0.0, 0
+		for start := 0; start < n; start += batch {
+			params.ZeroGrads()
+			sum += Backward(loss(order[start:min(start+batch, n)]))
+			ClipGrads(params.All(), clip)
+			opt.Step(params.All())
+			runs++
+		}
+		last = sum / float64(runs)
+	}
+	return last
 }
 
 // Linear is a fully connected layer y = xW + b.

@@ -12,7 +12,7 @@ import (
 func BenchmarkDDGNNTrainEpoch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		trainEpochFixture(b)
+		trainEpochFixture()
 	}
 }
 
@@ -23,7 +23,7 @@ func BenchmarkDDGNNTrainEpoch(b *testing.B) {
 // forecaster's refreshes do, so all but one step per layer is carried (the
 // walk restarts, cold, once every 192 windows).
 func BenchmarkDDGNNPredict(b *testing.B) {
-	m, _ := predictFixture(b)
+	m, _ := predictFixture()
 	series := syntheticSeries(36, 3, 200, 23)
 	b.Run("cold", func(b *testing.B) {
 		windows := [2][]*tensor.Matrix{series[0:8], series[8:16]}
@@ -45,24 +45,20 @@ func BenchmarkDDGNNPredict(b *testing.B) {
 
 // trainEpochFixture trains a DDGNN for one epoch over 32 windows of a
 // 36-cell series: BenchmarkDDGNNTrainEpoch's unit of work.
-func trainEpochFixture(tb testing.TB) *DDGNN {
+func trainEpochFixture() *DDGNN {
 	ws := windowsFrom(syntheticSeries(36, 3, 40, 21), 8)
 	m := NewDDGNN(DDGNNConfig{K: 3, Hidden: 16, Embed: 8, Train: TrainConfig{Epochs: 1, Seed: 21}})
-	if err := m.Fit(ws); err != nil {
-		tb.Fatal(err)
-	}
+	m.Fit(ws)
 	return m
 }
 
 // predictFixture returns a briefly trained DDGNN, the model
 // BenchmarkDDGNNPredict times, and the window TestDDGNNForecastPinned
 // forecasts from.
-func predictFixture(tb testing.TB) (*DDGNN, []*tensor.Matrix) {
+func predictFixture() (*DDGNN, []*tensor.Matrix) {
 	ws := windowsFrom(syntheticSeries(36, 3, 12, 22), 8)
 	m := NewDDGNN(DDGNNConfig{K: 3, Hidden: 16, Embed: 8, Train: TrainConfig{Epochs: 1, Seed: 22}})
-	if err := m.Fit(ws[:2]); err != nil {
-		tb.Fatal(err)
-	}
+	m.Fit(ws[:2])
 	return m, ws[len(ws)-1].Inputs
 }
 

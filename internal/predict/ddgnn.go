@@ -1,8 +1,6 @@
 package predict
 
 import (
-	"sync"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -25,7 +23,7 @@ import (
 //  4. Two 1×1 convolutions with ReLU produce the K per-interval occurrence
 //     probabilities via a final sigmoid.
 type DDGNN struct {
-	params *nn.Params
+	memoised
 	lift   *nn.Linear
 	temp1  *nn.GatedCausalConv
 	temp2  *nn.GatedCausalConv
@@ -35,10 +33,7 @@ type DDGNN struct {
 	out    *nn.Linear
 	alpha  float64
 	hops   int
-	cfg    TrainConfig
-
-	mu   sync.Mutex
-	memo nn.StepMemo // guarded by mu
+	static bool // DDGNN-static: propagate over the identity
 }
 
 // DDGNNConfig collects the model hyperparameters. Zero values take
@@ -72,24 +67,40 @@ func NewDDGNN(c DDGNNConfig) *DDGNN {
 		c.Hops = 3
 	}
 	p := nn.NewParams(c.Train.Seed + 303)
-	return &DDGNN{
-		params: p,
-		lift:   nn.NewLinear(p, c.K, c.Hidden),
-		temp1:  nn.NewGatedCausalConv(p, c.Hidden, c.Hidden, 3, 1),
-		temp2:  nn.NewGatedCausalConv(p, c.Hidden, c.Hidden, 3, 2),
-		resid:  p.Xavier(c.Hidden, c.Hidden),
-		f1:     nn.NewLinear(p, c.K, c.Embed),
-		f2:     nn.NewLinear(p, c.K, c.Embed),
-		hidden: nn.NewLinear(p, c.Hidden, c.Hidden),
-		out:    nn.NewLinear(p, c.Hidden, c.K),
-		alpha:  c.Alpha,
-		hops:   c.Hops,
-		cfg:    c.Train,
+	m := &DDGNN{
+		memoised: memoised{params: p, cfg: c.Train},
+		lift:     nn.NewLinear(p, c.K, c.Hidden),
+		temp1:    nn.NewGatedCausalConv(p, c.Hidden, c.Hidden, 3, 1),
+		temp2:    nn.NewGatedCausalConv(p, c.Hidden, c.Hidden, 3, 2),
+		resid:    p.Xavier(c.Hidden, c.Hidden),
+		f1:       nn.NewLinear(p, c.K, c.Embed),
+		f2:       nn.NewLinear(p, c.K, c.Embed),
+		hidden:   nn.NewLinear(p, c.Hidden, c.Hidden),
+		out:      nn.NewLinear(p, c.Hidden, c.K),
+		alpha:    c.Alpha,
+		hops:     c.Hops,
 	}
+	m.net = m.forward
+	return m
+}
+
+// NewStaticAdjacencyDDGNN returns the ablation DDGNN-static: a DDGNN that
+// propagates over the identity adjacency (no learned dependencies), to
+// quantify how much of DDGNN's accuracy comes from the Demand Dependency
+// Learning module.
+func NewStaticAdjacencyDDGNN(c DDGNNConfig) *DDGNN {
+	m := NewDDGNN(c)
+	m.static = true
+	return m
 }
 
 // Name implements Predictor.
-func (m *DDGNN) Name() string { return "DDGNN" }
+func (m *DDGNN) Name() string {
+	if m.static {
+		return "DDGNN-static"
+	}
+	return "DDGNN"
+}
 
 // dependencyMatrix builds the dynamic adjacency 𝒜_t from the window's task
 // data. C_t is summarized as the mean occurrence per cell over the window,
@@ -107,6 +118,9 @@ func (m *DDGNN) dependencyMatrix(inputs []*tensor.Matrix) *nn.Node {
 }
 
 func (m *DDGNN) forward(inputs []*tensor.Matrix, memo *nn.StepMemo) *nn.Node {
+	if m.static {
+		return m.propagate(inputs, memo, nn.Leaf(m.Adjacency(inputs)))
+	}
 	return m.propagate(inputs, memo, nn.NormalizeAdjacency(m.dependencyMatrix(inputs)))
 }
 
@@ -122,68 +136,12 @@ func (m *DDGNN) propagate(inputs []*tensor.Matrix, memo *nn.StepMemo, normAdj *n
 	return nn.Sigmoid(m.out.Forward(h))
 }
 
-// Fit implements Predictor. It empties the trunk's memo: the parameters move.
-func (m *DDGNN) Fit(train []Window) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.memo.Reset()
-	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs, nil) }, train)
-}
-
-// Predict implements Predictor. Consecutive calls share the trunk's memo, so
-// a window slid by one since the last call costs one new step per layer.
-func (m *DDGNN) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return nn.Release(m.forward(inputs, &m.memo))
-}
-
 // Adjacency exposes the current dynamic dependency matrix 𝒜_t for a window,
-// for inspection and the ablation study.
+// for inspection and the ablation study. DDGNN-static's is the identity it
+// propagates over, whatever the window.
 func (m *DDGNN) Adjacency(inputs []*tensor.Matrix) *tensor.Matrix {
+	if m.static {
+		return tensor.Eye(inputs[0].Rows)
+	}
 	return m.dependencyMatrix(inputs).Val
-}
-
-// ParamCount returns the number of trainable scalars, for diagnostics.
-func (m *DDGNN) ParamCount() int { return m.params.Count() }
-
-// StaticAdjacencyDDGNN is the ablation variant used by
-// BenchmarkAblationStaticAdjacency: identical to DDGNN but propagating over
-// the identity adjacency (no learned dependencies). It quantifies how much
-// of DDGNN's accuracy comes from the Demand Dependency Learning module.
-type StaticAdjacencyDDGNN struct {
-	*DDGNN
-}
-
-// NewStaticAdjacencyDDGNN wraps a DDGNN with identity propagation.
-func NewStaticAdjacencyDDGNN(c DDGNNConfig) *StaticAdjacencyDDGNN {
-	return &StaticAdjacencyDDGNN{DDGNN: NewDDGNN(c)}
-}
-
-// Name implements Predictor.
-func (m *StaticAdjacencyDDGNN) Name() string { return "DDGNN-static" }
-
-func (m *StaticAdjacencyDDGNN) forward(inputs []*tensor.Matrix, memo *nn.StepMemo) *nn.Node {
-	return m.propagate(inputs, memo, nn.Leaf(m.Adjacency(inputs)))
-}
-
-// Adjacency returns what the ablation propagates over: the identity, whatever
-// the window.
-func (m *StaticAdjacencyDDGNN) Adjacency(inputs []*tensor.Matrix) *tensor.Matrix {
-	return tensor.Eye(inputs[0].Rows)
-}
-
-// Fit implements Predictor. It empties the trunk's memo: the parameters move.
-func (m *StaticAdjacencyDDGNN) Fit(train []Window) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.memo.Reset()
-	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs, nil) }, train)
-}
-
-// Predict implements Predictor, through the trunk's memo as DDGNN's does.
-func (m *StaticAdjacencyDDGNN) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return nn.Release(m.forward(inputs, &m.memo))
 }

@@ -10,8 +10,8 @@ import (
 // constModel always predicts the same probability everywhere.
 type constModel struct{ p float64 }
 
-func (c *constModel) Name() string         { return "const" }
-func (c *constModel) Fit(_ []Window) error { return nil }
+func (c *constModel) Name() string   { return "const" }
+func (c *constModel) Fit(_ []Window) {}
 func (c *constModel) Predict(in []*tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(in[0].Rows, in[0].Cols)
 	for i := range out.Data {

@@ -1,8 +1,6 @@
 package predict
 
 import (
-	"sync"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -18,7 +16,7 @@ import (
 //   - gated 1-D dilated causal convolutions for temporal trends;
 //   - forward and backward diffusion steps ÃZW₁ + ÃᵀZW₂ + ZW₀.
 type GraphWaveNet struct {
-	params *nn.Params
+	memoised
 	cells  int
 	lift   *nn.Linear
 	temp1  *nn.GatedCausalConv
@@ -29,22 +27,18 @@ type GraphWaveNet struct {
 	wSelf  *nn.Node
 	hidden *nn.Linear
 	out    *nn.Linear
-	cfg    TrainConfig
-
-	mu   sync.Mutex
-	memo nn.StepMemo // guarded by mu
 }
 
 // NewGraphWaveNet allocates the baseline for m grid cells with feature
 // dimension k, hidden width f, and embedding size e.
 func NewGraphWaveNet(m, k, f, e int, cfg TrainConfig) *GraphWaveNet {
 	p := nn.NewParams(cfg.Seed + 202)
-	return &GraphWaveNet{
-		params: p,
-		cells:  m,
-		lift:   nn.NewLinear(p, k, f),
-		temp1:  nn.NewGatedCausalConv(p, f, f, 3, 1),
-		temp2:  nn.NewGatedCausalConv(p, f, f, 3, 2),
+	g := &GraphWaveNet{
+		memoised: memoised{params: p, cfg: cfg},
+		cells:    m,
+		lift:     nn.NewLinear(p, k, f),
+		temp1:    nn.NewGatedCausalConv(p, f, f, 3, 1),
+		temp2:    nn.NewGatedCausalConv(p, f, f, 3, 2),
 		// Embeddings start at unit scale so the initial softmax adjacency
 		// is peaky; a near-uniform adjacency over-smooths every cell's
 		// features and stalls learning.
@@ -55,8 +49,9 @@ func NewGraphWaveNet(m, k, f, e int, cfg TrainConfig) *GraphWaveNet {
 		wSelf:  p.Xavier(f, f),
 		hidden: nn.NewLinear(p, f, f),
 		out:    nn.NewLinear(p, f, k),
-		cfg:    cfg,
 	}
+	g.net = g.forward
+	return g
 }
 
 // Name implements Predictor.
@@ -78,21 +73,3 @@ func (m *GraphWaveNet) forward(inputs []*tensor.Matrix, memo *nn.StepMemo) *nn.N
 	h := nn.ReLU(m.hidden.Forward(nn.ReLU(diffused)))
 	return nn.Sigmoid(m.out.Forward(h))
 }
-
-// Fit implements Predictor. It empties the trunk's memo: the parameters move.
-func (m *GraphWaveNet) Fit(train []Window) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.memo.Reset()
-	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs, nil) }, train)
-}
-
-// Predict implements Predictor, through the trunk's memo as DDGNN's does.
-func (m *GraphWaveNet) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return nn.Release(m.forward(inputs, &m.memo))
-}
-
-// ParamCount returns the number of trainable scalars, for diagnostics.
-func (m *GraphWaveNet) ParamCount() int { return m.params.Count() }

@@ -42,8 +42,8 @@ func (m *LSTMPredictor) forward(inputs []*tensor.Matrix) *nn.Node {
 }
 
 // Fit implements Predictor.
-func (m *LSTMPredictor) Fit(train []Window) error {
-	return fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs) }, train)
+func (m *LSTMPredictor) Fit(train []Window) {
+	fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.forward(w.Inputs) }, train)
 }
 
 // Predict implements Predictor.

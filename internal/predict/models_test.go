@@ -51,10 +51,7 @@ func windowsFrom(vectors []*tensor.Matrix, history int) []Window {
 
 func trainTestAP(t *testing.T, p Predictor, train, test []Window) float64 {
 	t.Helper()
-	res, err := Evaluate(p, train, test)
-	if err != nil {
-		t.Fatalf("%s: %v", p.Name(), err)
-	}
+	res := Evaluate(p, train, test)
 	if math.IsNaN(res.AP) || res.AP < 0 || res.AP > 1 {
 		t.Fatalf("%s: AP out of range: %v", p.Name(), res.AP)
 	}
@@ -151,8 +148,8 @@ func TestDDGNNAdjacencyIsDynamic(t *testing.T) {
 }
 
 // TestStaticAdjacencyIsWhatItPropagatesOver: the ablation's Adjacency is the
-// identity its forward propagates over, not the learned 𝒜_t of the DDGNN it
-// wraps.
+// identity its forward propagates over, not the learned 𝒜_t its dependency
+// module would give.
 func TestStaticAdjacencyIsWhatItPropagatesOver(t *testing.T) {
 	m := NewStaticAdjacencyDDGNN(DDGNNConfig{K: 2, Train: TrainConfig{Seed: 4}})
 	inputs := syntheticSeries(5, 2, 6, 4)
@@ -160,8 +157,8 @@ func TestStaticAdjacencyIsWhatItPropagatesOver(t *testing.T) {
 	if firstDiff(adj, tensor.Eye(5)) >= 0 {
 		t.Fatalf("ablation adjacency %v, want the identity", adj.Data)
 	}
-	if firstDiff(m.DDGNN.Adjacency(inputs), adj) < 0 {
-		t.Fatal("the wrapped DDGNN's learned adjacency is the identity: the test cannot tell them apart")
+	if firstDiff(m.dependencyMatrix(inputs).Val, adj) < 0 {
+		t.Fatal("the learned adjacency is the identity: the test cannot tell them apart")
 	}
 	got, want := m.Predict(inputs), m.propagate(inputs, nil, nn.Leaf(adj)).Val
 	if i := firstDiff(got, want); i >= 0 {
@@ -179,9 +176,7 @@ func TestPredictionsAreProbabilities(t *testing.T) {
 		NewStaticAdjacencyDDGNN(DDGNNConfig{K: 2, Hidden: 8, Embed: 4, Train: TrainConfig{Epochs: 2, Seed: 8}}),
 	}
 	for _, m := range models {
-		if err := m.Fit(ws[:5]); err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
+		m.Fit(ws[:5])
 		out := m.Predict(ws[6].Inputs)
 		if out.Rows != 4 || out.Cols != 2 {
 			t.Fatalf("%s: output shape %dx%d", m.Name(), out.Rows, out.Cols)
@@ -200,9 +195,7 @@ func TestPredictorsDeterministic(t *testing.T) {
 	train, _ := SplitWindows(ws, 0.8)
 	run := func() *tensor.Matrix {
 		m := NewDDGNN(DDGNNConfig{K: 2, Hidden: 8, Embed: 4, Train: TrainConfig{Epochs: 3, Seed: 10}})
-		if err := m.Fit(train); err != nil {
-			t.Fatal(err)
-		}
+		m.Fit(train)
 		return m.Predict(ws[len(ws)-1].Inputs)
 	}
 	a, b := run(), run()
@@ -218,10 +211,7 @@ func TestEvaluateMeasuresPerWindowTestTime(t *testing.T) {
 	ws := windowsFrom(vectors, 5)
 	train, test := SplitWindows(ws, 0.7)
 	m := NewLSTMPredictor(2, 6, TrainConfig{Epochs: 1, Seed: 11})
-	res, err := Evaluate(m, train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Evaluate(m, train, test)
 	if len(res.Scores) != len(test)*3*2 {
 		t.Errorf("scores = %d, want %d", len(res.Scores), len(test)*3*2)
 	}

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -37,19 +38,32 @@ func writeBits(h hash.Hash, vs ...float64) {
 // change to tensor or nn that moves one bit of either fails here; if the
 // change means to, record the new constants and say why.
 func TestDDGNNForecastPinned(t *testing.T) {
-	const wantForecast, wantParams uint64 = 0xda441fffe49abe80, 0x657575c1c97d222
+	wantForecast := archPin(0xda441fffe49abe80, 0xb0f26feb7bcbab9b)
+	wantParams := archPin(0x657575c1c97d222, 0x19518fc25211ce31)
 
-	m, inputs := predictFixture(t)
+	m, inputs := predictFixture()
 	if got := hashBits(m.Predict(inputs)); got != wantForecast {
 		t.Errorf("forecast hash %#x, want %#x", got, wantForecast)
 	}
 	var params []*tensor.Matrix
-	for _, p := range trainEpochFixture(t).params.All() {
+	for _, p := range trainEpochFixture().params.All() {
 		params = append(params, p.Val)
 	}
 	if got := hashBits(params...); got != wantParams {
 		t.Errorf("parameter hash after one epoch %#x, want %#x", got, wantParams)
 	}
+}
+
+// archPin returns the constant a pin holds this build to: amd64's, or 386's.
+// The math package computes Exp in assembly on amd64 and in Go on 386, and
+// the two differ in the last bit on some inputs, so a pin over values that
+// went through a sigmoid, a tanh or a softmax has one constant per build.
+// Sampled ids also start higher on 386 (sampledIDBase).
+func archPin(amd64, i386 uint64) uint64 {
+	if runtime.GOARCH == "386" {
+		return i386
+	}
+	return amd64
 }
 
 // hashingModel feeds every forecast it returns to h.
@@ -71,9 +85,9 @@ func (m *hashingModel) Predict(in []*tensor.Matrix) *tensor.Matrix {
 // FNV hash. About one task in fifty reaches the forecaster two vectors after
 // its publication, rewriting a vector earlier refreshes already read.
 func TestForecastStreamPinned(t *testing.T) {
-	const want uint64 = 0xe17625f40e9f8557
+	want := archPin(0xe17625f40e9f8557, 0xd756f5d2f256bdcc)
 
-	m, _ := predictFixture(t)
+	m, _ := predictFixture()
 	h := fnv.New64a()
 	f := NewForecaster(&hashingModel{m, h}, pinnedCfg, pinnedHistory, 0.5, 40)
 	virtuals := 0
@@ -97,9 +111,9 @@ func TestForecastStreamPinned(t *testing.T) {
 // times and scenario mask in one FNV hash. Two samplers compared with each
 // other would change alike; this hash does not.
 func TestSampledStreamPinned(t *testing.T) {
-	const want uint64 = 0xde3be5df876b8179
+	want := archPin(0xde3be5df876b8179, 0xec28651e7860454d)
 
-	m, _ := predictFixture(t)
+	m, _ := predictFixture()
 	h := fnv.New64a()
 	s := NewScenarioSampler(NewForecaster(m, pinnedCfg, pinnedHistory, 0.5, 40), 5, 3)
 	tagged := 0
@@ -178,9 +192,9 @@ func TestTrainedParamsPinned(t *testing.T) {
 		params *nn.Params
 		want   uint64
 	}{
-		{lstm, lstm.params, 0xf3e33a25f565609c},
-		{gwn, gwn.params, 0xc8850db8fad37228},
-		{static, static.params, 0xb7756732ca6748c6},
+		{lstm, lstm.params, archPin(0xf3e33a25f565609c, 0x5e07fd09f731567b)},
+		{gwn, gwn.params, archPin(0xc8850db8fad37228, 0x87973ca67bfd3a49)},
+		{static, static.params, archPin(0xb7756732ca6748c6, 0xcd6194ea737ea2d7)},
 	} {
 		c.m.Fit(ws)
 		var vals []*tensor.Matrix

@@ -1,7 +1,7 @@
 package predict
 
 import (
-	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -15,7 +15,7 @@ import (
 // vector.
 type Predictor interface {
 	Name() string
-	Fit(train []Window) error
+	Fit(train []Window)
 	Predict(inputs []*tensor.Matrix) *tensor.Matrix
 }
 
@@ -43,33 +43,50 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	return c
 }
 
-// fitModel runs the shared training loop: one pass over the windows per
-// epoch in a deterministically shuffled order, BCE loss, gradient clipping,
-// Adam.
-func fitModel(params *nn.Params, cfg TrainConfig, forward func(Window) *nn.Node, train []Window) error {
+// fitModel trains params on the windows through nn.Fit: one window a step,
+// BCE loss, Adam with the configuration's weight decay.
+func fitModel(params *nn.Params, cfg TrainConfig, forward func(Window) *nn.Node, train []Window) {
 	cfg = cfg.withDefaults()
 	opt := nn.NewAdam(cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
-	rng := rand.New(rand.NewSource(cfg.Seed + 909))
-	order := make([]int, len(train))
-	for i := range order {
-		order[i] = i
-	}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, idx := range order {
-			w := train[idx]
-			params.ZeroGrads()
-			pred := forward(w)
-			loss := nn.BCE(pred, w.Target)
-			nn.Backward(loss)
-			nn.ClipGrads(params.All(), cfg.ClipNorm)
-			opt.Step(params.All())
-			nn.Release(loss)
-		}
-	}
-	return nil
+	nn.Fit(params, opt, cfg.ClipNorm, cfg.Seed+909, cfg.Epochs, len(train), 1, func(run []int) *nn.Node {
+		w := train[run[0]]
+		return nn.BCE(forward(w), w.Target)
+	})
 }
+
+// memoised is the shell of the graph models, DDGNN and Graph-WaveNet, whose
+// Predict carries the temporal trunk's values from one call to the next
+// (nn.StepMemo): the parameters, the training settings, the model's forward
+// and the memo, under a lock.
+type memoised struct {
+	params *nn.Params
+	cfg    TrainConfig
+	// net builds the model's graph for a window, through memo when not nil.
+	net func(inputs []*tensor.Matrix, memo *nn.StepMemo) *nn.Node
+
+	mu   sync.Mutex
+	memo nn.StepMemo // guarded by mu
+}
+
+// Fit implements Predictor. It empties the memo: the parameters move.
+func (m *memoised) Fit(train []Window) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.memo.Reset()
+	fitModel(m.params, m.cfg, func(w Window) *nn.Node { return m.net(w.Inputs, nil) }, train)
+}
+
+// Predict implements Predictor. Consecutive calls share the memo, so a window
+// slid by one since the last call costs one new step per layer.
+func (m *memoised) Predict(inputs []*tensor.Matrix) *tensor.Matrix {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return nn.Release(m.net(inputs, &m.memo))
+}
+
+// ParamCount returns the number of trainable scalars, for diagnostics.
+func (m *memoised) ParamCount() int { return m.params.Count() }
 
 // Evaluate trains p on the train windows and scores it on the test windows,
 // measuring wall-clock training and inference (testing) time, and computing
@@ -78,12 +95,10 @@ func fitModel(params *nn.Params, cfg TrainConfig, forward func(Window) *nn.Node,
 // one window to the next (DDGNN and Graph-WaveNet, through nn.StepMemo) is
 // that of streaming inference: consecutive windows slid by the stride. The
 // LSTM recomputes every window.
-func Evaluate(p Predictor, train, test []Window) (EvalResult, error) {
+func Evaluate(p Predictor, train, test []Window) EvalResult {
 	res := EvalResult{Model: p.Name()}
 	start := time.Now()
-	if err := p.Fit(train); err != nil {
-		return res, err
-	}
+	p.Fit(train)
 	res.TrainTime = time.Since(start)
 
 	start = time.Now()
@@ -99,5 +114,5 @@ func Evaluate(p Predictor, train, test []Window) (EvalResult, error) {
 		res.TestTime /= time.Duration(len(test))
 	}
 	res.AP = metrics.AveragePrecision(res.Scores, res.Labels)
-	return res, nil
+	return res
 }

@@ -117,13 +117,9 @@ func TestLastStepFitMatchesFullSequence(t *testing.T) {
 	train := windowsFrom(syntheticSeries(cells, k, 30, 9), 8)
 	got, want := graphModels(cells, k, cfg), graphModels(cells, k, cfg)
 	for i := range got {
-		if err := got[i].Fit(train); err != nil {
-			t.Fatal(err)
-		}
+		got[i].Fit(train)
 		full := want[i].full
-		if err := fitModel(want[i].params, cfg, func(w Window) *nn.Node { return full(w.Inputs) }, train); err != nil {
-			t.Fatal(err)
-		}
+		fitModel(want[i].params, cfg, func(w Window) *nn.Node { return full(w.Inputs) }, train)
 		moved := false
 		for p, node := range got[i].params.All() {
 			ref := want[i].params.All()[p]
@@ -226,8 +222,8 @@ func TestForecastCostIndependentOfUptime(t *testing.T) {
 // cellModel predicts a fixed probability per cell.
 type cellModel struct{ p []float64 }
 
-func (c *cellModel) Name() string         { return "cell" }
-func (c *cellModel) Fit(_ []Window) error { return nil }
+func (c *cellModel) Name() string   { return "cell" }
+func (c *cellModel) Fit(_ []Window) {}
 func (c *cellModel) Predict(in []*tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(in[0].Rows, in[0].Cols)
 	for i := range out.Data {

@@ -2,17 +2,19 @@ package predict
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/core"
 )
 
-// sampledIDBase is where sampled-only virtual-task ids start, counting down.
-// Point-forecast virtuals take small negative ids from the wrapped
-// forecaster's counter; starting the sampled counter this far below keeps the
-// two ranges disjoint for any realistic run length, so a task's id alone
-// still identifies which materialization path produced it.
-const sampledIDBase = -(1 << 40)
+// sampledIDBase is where sampled-only virtual-task ids start, counting down:
+// −2⁴⁰ where int has 64 bits, −2²⁴ where it has 32. Point-forecast virtuals
+// take small negative ids from the wrapped forecaster's counter; starting the
+// sampled counter this far below keeps the two ranges disjoint for any
+// realistic run length, so a task's id alone still identifies which
+// materialization path produced it.
+const sampledIDBase = -(1 << (bits.UintSize/2 + 8))
 
 // DefaultSamples is the number of demand scenarios a sampled forecast draws
 // when the caller does not choose: the point forecast plus four Bernoulli

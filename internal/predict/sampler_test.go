@@ -13,8 +13,8 @@ import (
 // cell 3 is near-impossible.
 type mixedModel struct{}
 
-func (mixedModel) Name() string         { return "mixed" }
-func (mixedModel) Fit(_ []Window) error { return nil }
+func (mixedModel) Name() string   { return "mixed" }
+func (mixedModel) Fit(_ []Window) {}
 func (mixedModel) Predict(in []*tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(in[0].Rows, in[0].Cols)
 	probs := []float64{0.99, 0.6, 0.4, 0.01}

@@ -39,14 +39,14 @@ func TestBuildSeriesFig3Example(t *testing.T) {
 	}
 	v0 := s.Vectors[0]
 	if v0.At(0, 0) != 1 || v0.At(0, 1) != 1 || v0.At(0, 2) != 0 {
-		t.Errorf("cell0 vector0 = %v, want <1,1,0>", v0.Row(0).Data)
+		t.Errorf("cell0 vector0 = %v, want <1,1,0>", v0.Data[:3])
 	}
 	v1 := s.Vectors[1]
 	if v1.At(0, 0) != 1 || v1.At(0, 1) != 0 || v1.At(0, 2) != 0 {
-		t.Errorf("cell0 vector1 = %v, want <1,0,0>", v1.Row(0).Data)
+		t.Errorf("cell0 vector1 = %v, want <1,0,0>", v1.Data[:3])
 	}
 	if v1.At(1, 2) != 1 {
-		t.Errorf("cell1 vector1 = %v, want task in interval 2", v1.Row(1).Data)
+		t.Errorf("cell1 vector1 = %v, want task in interval 2", v1.Data[3:6])
 	}
 }
 
@@ -70,7 +70,7 @@ func TestBuildSeriesBoundaryBinning(t *testing.T) {
 	// (Eq. 2 uses a half-open interval).
 	s := BuildSeries(cfg, []*core.Task{taskAt(1, 0.5, 0.5, 5)}, 15)
 	if s.Vectors[0].At(0, 0) != 0 || s.Vectors[0].At(0, 1) != 1 {
-		t.Errorf("boundary task misbinned: %v", s.Vectors[0].Row(0).Data)
+		t.Errorf("boundary task misbinned: %v", s.Vectors[0].Data[:3])
 	}
 }
 

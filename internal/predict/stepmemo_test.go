@@ -82,9 +82,7 @@ func TestStepMemoMatchesColdForward(t *testing.T) {
 	for _, m := range graphModels(cells, k, TrainConfig{Epochs: 1, Seed: 3}) {
 		for _, c := range calls {
 			if c.fit {
-				if err := m.Fit(train); err != nil {
-					t.Fatal(err)
-				}
+				m.Fit(train)
 			}
 			got, want := m.Predict(c.window), m.full(c.window).Val
 			if i := firstDiff(got, want); i >= 0 {

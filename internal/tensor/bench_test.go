@@ -85,17 +85,3 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 		SoftmaxRows(x)
 	}
 }
-
-func BenchmarkNormalizeAdjacency(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	x := Apply(Randn(36, 36, 1, r), func(v float64) float64 {
-		if v < 0 {
-			return -v
-		}
-		return v
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NormalizeAdjacency(x)
-	}
-}

@@ -310,47 +310,3 @@ func Sum(a *Matrix) float64 {
 
 // Mean returns the mean of all elements of a.
 func Mean(a *Matrix) float64 { return Sum(a) / float64(len(a.Data)) }
-
-// Row returns a view-free copy of row i as a 1×Cols matrix.
-func (m *Matrix) Row(i int) *Matrix {
-	out := New(1, m.Cols)
-	copy(out.Data, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// SetRow copies the 1×Cols matrix v into row i of m.
-func (m *Matrix) SetRow(i int, v *Matrix) {
-	if v.Rows != 1 || v.Cols != m.Cols {
-		panic("tensor: SetRow shape mismatch")
-	}
-	copy(m.Data[i*m.Cols:(i+1)*m.Cols], v.Data)
-}
-
-// NormalizeAdjacency returns D^{-1/2}(A+I)D^{-1/2}, the symmetric degree
-// normalization used by APPNP (Eqs. 8–9 of the paper), where
-// D_ii = 1 + Σ_j A_ij.
-func NormalizeAdjacency(a *Matrix) *Matrix {
-	if a.Rows != a.Cols {
-		panic("tensor: NormalizeAdjacency wants a square matrix")
-	}
-	n := a.Rows
-	deg := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 1.0 // the +I self loop
-		for j := 0; j < n; j++ {
-			s += a.At(i, j)
-		}
-		deg[i] = 1 / math.Sqrt(s)
-	}
-	out := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := a.At(i, j)
-			if i == j {
-				v++
-			}
-			out.Set(i, j, deg[i]*v*deg[j])
-		}
-	}
-	return out
-}

@@ -341,41 +341,6 @@ func TestSumMeanMaxAbs(t *testing.T) {
 	}
 }
 
-func TestRowSetRow(t *testing.T) {
-	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	r := a.Row(1)
-	if !approxEq(r, FromSlice(1, 3, []float64{4, 5, 6}), 0) {
-		t.Errorf("Row = %v", r.Data)
-	}
-	r.Set(0, 0, 99)
-	if a.At(1, 0) != 4 {
-		t.Error("Row must copy, not alias")
-	}
-	a.SetRow(0, FromSlice(1, 3, []float64{7, 8, 9}))
-	if a.At(0, 2) != 9 {
-		t.Error("SetRow failed")
-	}
-}
-
-func TestNormalizeAdjacency(t *testing.T) {
-	// Zero adjacency: Â = D^{-1/2} I D^{-1/2} = I (degrees are all 1).
-	a := New(3, 3)
-	got := NormalizeAdjacency(a)
-	if !approxEq(got, Eye(3), 1e-12) {
-		t.Errorf("normalize(0) = %v", got.Data)
-	}
-	// Symmetric input stays symmetric, and rows of a row-stochastic-ish
-	// matrix stay bounded.
-	b := FromSlice(2, 2, []float64{0, 1, 1, 0})
-	nb := NormalizeAdjacency(b)
-	if math.Abs(nb.At(0, 1)-nb.At(1, 0)) > 1e-12 {
-		t.Error("normalized symmetric matrix should be symmetric")
-	}
-	if nb.At(0, 0) <= 0 || nb.At(0, 0) > 1 {
-		t.Errorf("diagonal out of range: %v", nb.At(0, 0))
-	}
-}
-
 func TestShapePanics(t *testing.T) {
 	a, b := New(2, 2), New(3, 3)
 	cases := []func(){
@@ -385,8 +350,6 @@ func TestShapePanics(t *testing.T) {
 		func() { Sub(a, b) },
 		func() { Hadamard(a, b) },
 		func() { AddRowVector(a, New(2, 2)) },
-		func() { NormalizeAdjacency(New(2, 3)) },
-		func() { a.SetRow(0, New(1, 3)) },
 		func() { MatMulAccum(New(2, 2), a, b) },
 		func() { MatMulTAccum(New(2, 2), a, b) },
 	}

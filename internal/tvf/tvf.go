@@ -11,7 +11,6 @@ package tvf
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 
 	"repro/internal/core"
@@ -205,11 +204,6 @@ func resize(m *tensor.Matrix, rows, cols int) {
 	clear(m.Data)
 }
 
-// Value is a convenience wrapper: featurize then predict.
-func (m *Model) Value(st State, a Action, tm geo.TravelModel) float64 {
-	return m.Predict(Featurize(st, a, tm))
-}
-
 // TrainConfig controls TVF fitting.
 type TrainConfig struct {
 	Epochs    int
@@ -233,46 +227,19 @@ func (c TrainConfig) withDefaults() TrainConfig {
 
 // Train fits the model to the samples by minimizing the squared loss of
 // Eq. 12 over mini-batches drawn uniformly at random from U (the stored
-// experience), exactly the paper's update rule. It returns the final
-// epoch's mean loss.
+// experience), exactly the paper's update rule, with Adam and gradients
+// clipped to norm 5 (nn.Fit). It returns the final epoch's mean loss.
 func (m *Model) Train(samples []Sample, cfg TrainConfig) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 505))
-	opt := nn.NewAdam(cfg.LR)
-	lastLoss := 0.0
-	idx := make([]int, len(samples))
-	for i := range idx {
-		idx[i] = i
-	}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		epochLoss, batches := 0.0, 0
-		for start := 0; start < len(idx); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			batch := idx[start:end]
-			x := tensor.New(len(batch), FeatureDim)
-			y := tensor.New(len(batch), 1)
-			for bi, si := range batch {
-				copy(x.Data[bi*FeatureDim:(bi+1)*FeatureDim], samples[si].Features[:])
-				y.Data[bi] = samples[si].Opt
-			}
-			m.params.ZeroGrads()
-			loss := nn.MSE(m.forward(nn.Leaf(x)), y)
-			nn.Backward(loss)
-			nn.ClipGrads(m.params.All(), 5)
-			opt.Step(m.params.All())
-			epochLoss += loss.Val.Data[0]
-			batches++
+	return nn.Fit(m.params, nn.NewAdam(cfg.LR), 5, cfg.Seed+505, cfg.Epochs, len(samples), cfg.BatchSize, func(batch []int) *nn.Node {
+		x := tensor.New(len(batch), FeatureDim)
+		y := tensor.New(len(batch), 1)
+		for bi, si := range batch {
+			copy(x.Data[bi*FeatureDim:(bi+1)*FeatureDim], samples[si].Features[:])
+			y.Data[bi] = samples[si].Opt
 		}
-		lastLoss = epochLoss / float64(batches)
-	}
-	return lastLoss
+		return nn.MSE(m.forward(nn.Leaf(x)), y)
+	})
 }
 
 // ParamCount returns the number of trainable scalars.
