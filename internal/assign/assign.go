@@ -217,14 +217,17 @@ type Search struct {
 	// several scenarios (plan) each tree once, however many of them hold it.
 	// results[fresh:] are the current scenario's new trees, head chains the
 	// entries by smallest member, trees counts the trees of all scenarios'
-	// forests, forest names the current scenario's by entry, and plans holds
-	// the scenarios' plans until the caller takes them.
-	results []treeResult
-	fresh   int
-	head    []int32
-	trees   int
-	forest  []int32
-	plans   []core.Plan
+	// forests, and forests names every scenario's by entry: scenario si's is
+	// forests[forestOff[si]:forestOff[si+1]], its Separation seps[si] (the
+	// Separator's until its next call). A scenario's plan is those forests'
+	// choices: commit makes it on demand.
+	results   []treeResult
+	fresh     int
+	head      []int32
+	trees     int
+	forests   []int32
+	forestOff []int32
+	seps      []wds.Separation
 	// The tasks of the current scenario's new trees as per-tree universes, by
 	// pool position: tree i of them owns taskFlat[taskOff[i]:taskOff[i+1]], in
 	// pool order; treeOf and local map a pool position to its tree (-1: none
@@ -297,16 +300,14 @@ func (s *Search) SetParallelism(p int) { s.Opts.Parallelism = p }
 // NodesLastPlan, and collected samples byte-identical to a serial run.
 func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
 	s.plan(workers, tasks, now, 1)
-	plan := s.plans[0]
-	s.plans[0] = nil
-	return plan
+	return s.commit(0)
 }
 
 // plan plans the k sampled scenarios of one pool (wds.Separator.Scenarios: one
-// scenario, the whole pool, for k ≤ 1) and leaves their plans in s.plans and
-// the counters summed over them — each scenario's plan, and its share of every
-// counter but ExpandedLastPlan, being what Plan returns and counts on a copy of
-// the pool holding that scenario's tasks only.
+// scenario, the whole pool, for k ≤ 1) and leaves their forests' choices in s,
+// for commit and value, and the counters summed over them — each scenario's
+// plan, and its share of every counter but ExpandedLastPlan, being what Plan
+// returns and counts on a copy of the pool holding that scenario's tasks only.
 //
 // What a component's search returns depends on its members' reachable sets and
 // nothing else, so a component met again in a later scenario with the same
@@ -319,7 +320,8 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 	wdsOpts.Parallelism = o.Parallelism
 	seps := s.sep.Scenarios(workers, tasks, now, wdsOpts, k)
 	s.ReachChecksLastPlan = s.sep.ReachChecks()
-	s.plans = slices.Grow(s.plans[:0], len(seps))[:len(seps)]
+	s.seps = seps
+	s.forests, s.forestOff = s.forests[:0], append(s.forestOff[:0], 0)
 	s.results = s.results[:0]
 	if len(seps) > 1 {
 		s.head = slices.Grow(s.head[:0], len(workers))[:len(workers)]
@@ -337,7 +339,6 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 		sep := &seps[si]
 		flat, offs := s.sep.Components(sep)
 		from, sequences := len(s.results), 0
-		s.forest = s.forest[:0]
 		for i := 0; i+1 < len(offs); i++ {
 			comp := flat[offs[i]:offs[i+1]]
 			id := -1
@@ -358,8 +359,9 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 					sequences += len(sep.Sets[wi].Masks)
 				}
 			}
-			s.forest = append(s.forest, int32(id))
+			s.forests = append(s.forests, int32(id))
 		}
+		s.forestOff = append(s.forestOff, int32(len(s.forests)))
 		fresh := s.results[from:]
 		s.partition(sep, fresh)
 
@@ -385,7 +387,8 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			s.ExpandedLastPlan += fresh[i].expanded
 		}
 
-		for _, id := range s.forest {
+		forest := s.forest(si)
+		for _, id := range forest {
 			r := &s.results[id]
 			s.NodesLastPlan += r.nodes
 			s.GreedyCompletionsLastPlan += r.greedy
@@ -394,8 +397,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 				s.BudgetBoundTreesLastPlan++
 			}
 		}
-		s.trees += len(s.forest)
-		s.plans[si] = s.commit(sep)
+		s.trees += len(forest)
 	}
 	if s.Collect {
 		// Each tree collects under its own maxSamples cap; the merged
@@ -418,16 +420,22 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 	}
 }
 
-// commit returns the current scenario's plan: the choices of its forest's
-// searches, in forest order, each committed sequence resolved to its tasks.
-// Only here does a sequence of Q_w become a task slice; the plan's are cut
-// from one array, sized by them, and capacity-capped, so nothing appended to
-// one reaches the next.
+// forest returns scenario si's forest of the last call, as entries of results.
+func (s *Search) forest(si int) []int32 {
+	return s.forests[s.forestOff[si]:s.forestOff[si+1]]
+}
+
+// commit returns scenario si's plan of the last call: the choices of its
+// forest's searches, in forest order, each committed sequence resolved to its
+// tasks. Only here does a sequence of Q_w become a task slice; the plan's are
+// cut from one array, sized by them, and capacity-capped, so nothing appended
+// to one reaches the next.
 //
 //datawa:hotpath
-func (s *Search) commit(sep *wds.Separation) core.Plan {
+func (s *Search) commit(si int) core.Plan {
+	sep, forest := &s.seps[si], s.forest(si)
 	assignments, tasks := 0, 0
-	for _, id := range s.forest {
+	for _, id := range forest {
 		r := &s.results[id]
 		assignments += r.to - r.from
 		for _, c := range s.runs[r.g].out[r.from:r.to] {
@@ -441,7 +449,7 @@ func (s *Search) commit(sep *wds.Separation) core.Plan {
 	plan := make(core.Plan, 0, assignments)
 	//datawa:alloc the committed sequences' tasks, which the plan owns: one array a plan
 	backing := make(core.Sequence, 0, tasks)
-	for _, id := range s.forest {
+	for _, id := range forest {
 		r := &s.results[id]
 		for _, c := range s.runs[r.g].out[r.from:r.to] {
 			from := len(backing)

@@ -36,9 +36,10 @@ import (
 // to point-forecast planning.
 //
 // Between calls an SSP holds on to the last instant's pool through its
-// planner's scratch — the Separations, the sets and the trees they share — and
-// to nothing older: a call overwrites or clears all of it, the candidates it
-// did not commit included.
+// planner's scratch — the Separations, the sets and the trees they share, and
+// every candidate's choices — and to nothing older: a call overwrites or
+// clears all of it. Of the K candidates only the committed one is ever made
+// into a plan.
 type SSP struct {
 	Opts Options
 	// Samples is the scenario count K the sampler was configured with
@@ -97,14 +98,14 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 	p.ExpandedLastPlan = s.ExpandedLastPlan
 	p.ReachChecksLastPlan = s.ReachChecksLastPlan
 	p.TreesLastPlan, p.DistinctTreesLastPlan = s.trees, len(s.results)
-	plans := s.plans
 
-	// Score candidate j under scenario s and fold through CVaR_α. The value
-	// matrix is tiny (K²) next to the searches above; clarity wins.
+	// Score candidate j under scenario sc, straight from the forests' choices
+	// (Search.value), and fold through CVaR_α: only the candidate committed
+	// becomes a plan.
 	vals := p.vals[:0]
 	for j := 0; j < k; j++ {
-		for s := 0; s < k; s++ {
-			vals = append(vals, planValue(plans[j], s, o.VirtualWeight))
+		for sc := 0; sc < k; sc++ {
+			vals = append(vals, s.value(j, sc, o.VirtualWeight))
 		}
 	}
 	p.vals = vals
@@ -115,9 +116,7 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 			best, bestScore = j, score
 		}
 	}
-	plan := plans[best]
-	clear(plans) // the scratch must not keep the losing candidates alive
-	return plan
+	return s.commit(best)
 }
 
 // scenarios returns the scenario count implied by the pool: the configured
@@ -145,19 +144,29 @@ func (p *SSP) scenarios(tasks []*core.Task) int {
 	return k
 }
 
-// planValue is the realized value of a candidate plan under scenario s: one
-// per real task, VirtualWeight per virtual task the scenario contains, zero
-// for virtuals of other scenarios (the worker repositions toward demand that
-// never appears there).
-func planValue(plan core.Plan, s int, virtualWeight float64) float64 {
+// value is the realized value under scenario sc of scenario si's plan of the
+// last call (what commit(si) returns): one per real task, virtualWeight per
+// virtual task scenario sc contains, zero for virtuals of other scenarios (the
+// worker repositions toward demand that never appears there). It reads the
+// forest's choices and adds in the plan's order, assignment by assignment and
+// task by task, so it is the committed plan's value to the bit without the
+// plan being made.
+//
+//datawa:hotpath
+func (s *Search) value(si, sc int, virtualWeight float64) float64 {
+	sep := &s.seps[si]
 	v := 0.0
-	for _, a := range plan {
-		for _, t := range a.Seq {
-			switch {
-			case !t.Virtual:
-				v++
-			case t.SampleBits == 0 || t.SampleBits&(1<<s) != 0:
-				v += virtualWeight
+	for _, id := range s.forest(si) {
+		r := &s.results[id]
+		for _, c := range s.runs[r.g].out[r.from:r.to] {
+			ws := &sep.Sets[c.w]
+			for _, pos := range ws.Order(int(c.k)) {
+				switch t := sep.Tasks[ws.Index[pos]]; {
+				case !t.Virtual:
+					v++
+				case t.SampleBits == 0 || t.SampleBits&(1<<sc) != 0:
+					v += virtualWeight
+				}
 			}
 		}
 	}

@@ -203,6 +203,26 @@ func TestSSPScenarioCount(t *testing.T) {
 	}
 }
 
+// planValue is the realized value of a candidate plan under scenario s, as
+// SSP's docs define it: one per real task, VirtualWeight per virtual task the
+// scenario contains, zero for virtuals of other scenarios. The oracles score
+// materialized plans with it; SSP scores its candidates unmade
+// (Search.value).
+func planValue(plan core.Plan, s int, virtualWeight float64) float64 {
+	v := 0.0
+	for _, a := range plan {
+		for _, t := range a.Seq {
+			switch {
+			case !t.Virtual:
+				v++
+			case t.SampleBits == 0 || t.SampleBits&(1<<s) != 0:
+				v += virtualWeight
+			}
+		}
+	}
+	return v
+}
+
 func TestPlanValuePerScenario(t *testing.T) {
 	w := worker(1, 0, 0, 2, 0, 1e5)
 	real := task(1, 0.1, 0, 0, 1e5)
@@ -216,6 +236,35 @@ func TestPlanValuePerScenario(t *testing.T) {
 	}
 	if v := planValue(plan, 1, 0.5); v != 2.0 {
 		t.Errorf("scenario 1 value = %v, want 2.0 (all three)", v)
+	}
+}
+
+// TestSSPScoresAreThePlansValues: SSP scores its K candidates without making
+// them (Search.value), and every score is, to the bit, planValue of the plan
+// commit makes of that candidate, under every scenario: at the default
+// VirtualWeight, 0.35, where the order of the sum shows in its bits, and at 1.
+func TestSSPScoresAreThePlansValues(t *testing.T) {
+	for _, weight := range []float64{0, 1} {
+		for seed := int64(1); seed <= 4; seed++ {
+			o := opts()
+			o.VirtualWeight = weight
+			p := &SSP{Opts: o, Samples: 5}
+			ws, ts := sspScenario(seed, 5)
+			checked{p}.Plan(ws, ts, 0)
+			s, w := &p.search, o.WithDefaults().VirtualWeight
+			if len(s.seps) != 5 {
+				t.Fatalf("seed %d: %d scenarios planned, want 5", seed, len(s.seps))
+			}
+			for j := range s.seps {
+				plan := s.commit(j)
+				for sc := range s.seps {
+					got, want := s.value(j, sc, w), planValue(plan, sc, w)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("weight %v, seed %d: candidate %d under scenario %d scores %v, its plan is worth %v", w, seed, j, sc, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

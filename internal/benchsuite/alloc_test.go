@@ -108,7 +108,14 @@ func BenchmarkLiveReplay(b *testing.B) {
 // 364,072 (384,195 before the tuples; 386,254 allocating the candidate plans,
 // counters and CVaR sort buffer per call); the transposition table's slots and
 // plan arena are reused across trees and instants and do not show, and SSP
-// never ran under the cache, so its row alone reads what it read. The wire
+// never ran under the cache, so its row alone reads what it read. Both
+// forecast-fed rows then fell thirtyfold when the autodiff graph stopped
+// allocating — nodes from a pool, each operation's backward step chosen by
+// its kind instead of a closure, the TVF's mini-batches in one pair of
+// matrices — and SSP stopped materializing the candidates it does not commit:
+// DTA+TP 216,160 → 6,665–6,669 and SSP 228,700 → 11,130–11,133 (at -cpu 1, 2
+// and 4), and their bounds came down from 446,000 and 465,000 to 1.5x the new
+// readings. The wire
 // path the suite replays through costs the frame and decode buffers, 270 to
 // 550 a replay, and a search planner keeps two dozen one-time tables for the
 // staged pass.
@@ -129,8 +136,8 @@ func TestSteadyStateAllocGate(t *testing.T) {
 		{"courier-grid", datawa.MethodGreedy, 9500},
 		{"courier-grid", datawa.MethodDTA, 9900},
 		{"event-spike", datawa.MethodDTA, 7500},
-		{"rush-hour", datawa.MethodDTATP, 446000},
-		{"rush-hour", datawa.MethodSSP, 465000},
+		{"rush-hour", datawa.MethodDTATP, 10000},
+		{"rush-hour", datawa.MethodSSP, 16700},
 	} {
 		t.Run(tc.arch+"/"+string(tc.method), func(t *testing.T) {
 			allocs := testing.AllocsPerRun(2, func() { liveReplay(t, tc.arch, tc.method, 1) })

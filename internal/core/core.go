@@ -223,8 +223,13 @@ func (p Plan) RealSize() int {
 
 // Consistent verifies the single-task-assignment invariant: no task id
 // appears twice in the plan. It returns the first duplicated id, if any.
-func (p Plan) Consistent() (int, bool) {
-	seen := make(map[int]bool)
+func (p Plan) Consistent() (int, bool) { return p.ConsistentIn(make(map[int]bool)) }
+
+// ConsistentIn is Consistent on the caller's scratch: it clears seen, then
+// records in it the task ids it meets. A caller that checks plan after plan
+// with one map allocates nothing once the map has grown to its plans' size.
+func (p Plan) ConsistentIn(seen map[int]bool) (int, bool) {
+	clear(seen)
 	for _, a := range p {
 		for _, s := range a.Seq {
 			if seen[s.ID] {

@@ -226,6 +226,37 @@ func TestPlanSizeAndConsistency(t *testing.T) {
 	}
 }
 
+// TestConsistentInReusesScratch: one map checks plan after plan with
+// Consistent's verdicts; the ids one plan leaves in it do not count against
+// the next, and a warm check allocates nothing.
+func TestConsistentInReusesScratch(t *testing.T) {
+	w1, w2 := worker(1, 0, 0, 1, 0, 10), worker(2, 0, 0, 1, 0, 10)
+	t1, t2, t3 := task(1, 0, 0, 0, 1), task(2, 0, 0, 0, 1), task(3, 0, 0, 0, 1)
+	seen := map[int]bool{}
+	for i, c := range []struct {
+		plan Plan
+		dup  int
+		ok   bool
+	}{
+		{Plan{{w1, Sequence{t1, t2}}, {w2, Sequence{t3}}}, 0, true},
+		{Plan{{w1, Sequence{t3, t1}}}, 0, true},
+		{Plan{{w1, Sequence{t2}}, {w2, Sequence{t3, t2}}}, 2, false},
+		{Plan{{w1, Sequence{t2, t2}}}, 2, false},
+		{nil, 0, true},
+		{Plan{{w2, Sequence{t2}}}, 0, true},
+	} {
+		wantID, wantOK := c.plan.Consistent()
+		id, ok := c.plan.ConsistentIn(seen)
+		if id != c.dup || ok != c.ok || id != wantID || ok != wantOK {
+			t.Errorf("plan %d: ConsistentIn = (%d,%v), Consistent = (%d,%v), want (%d,%v)", i, id, ok, wantID, wantOK, c.dup, c.ok)
+		}
+	}
+	p := Plan{{w1, Sequence{t1, t2}}, {w2, Sequence{t3}}}
+	if n := testing.AllocsPerRun(20, func() { p.ConsistentIn(seen) }); n != 0 {
+		t.Errorf("a warm ConsistentIn allocated %.0f objects, want 0", n)
+	}
+}
+
 func TestPlanRealSize(t *testing.T) {
 	v := task(5, 0, 0, 0, 1)
 	v.Virtual = true

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Graph is a simple undirected graph with a fixed vertex count, given as
@@ -464,10 +463,13 @@ func (c *Chordal) maximalCliques() [][]int {
 		}
 		c.cliques = append(c.cliques, c.flat[start:len(c.flat):len(c.flat)])
 	}
-	// Cliques sharing their smallest vertex tie here and sort.Slice is not
-	// stable: the RTC construction's clique choice breaks its own ties by
-	// position in this list, so the sort call is part of the contract.
-	out := c.cliques
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	// Cliques sharing their smallest vertex tie here, and the sort is not
+	// stable: the order it leaves them in is pdqsort's, and the RTC
+	// construction's clique choice breaks its own ties by position in this
+	// list, so which sort runs is part of the contract (the tree pins hold
+	// it). slices.SortFunc and sort.Slice run the one pdqsort the standard
+	// library generates for both, so either leaves ties alike; this one
+	// allocates nothing.
+	slices.SortFunc(c.cliques, func(a, b []int) int { return a[0] - b[0] })
+	return c.cliques
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -44,9 +45,9 @@ func TestGradMatMulAddBias(t *testing.T) {
 	p := NewParams(1)
 	w := p.Xavier(3, 2)
 	b := p.Zeros(1, 2)
-	x := Leaf(tensor.Randn(4, 3, 1, rand.New(rand.NewSource(2))))
+	x := tensor.Randn(4, 3, 1, rand.New(rand.NewSource(2)))
 	target := tensor.Randn(4, 2, 1, rand.New(rand.NewSource(3)))
-	loss := func() *Node { return MSE(AddBias(MatMul(x, w), b), target) }
+	loss := func() *Node { return MSE(AddBias(MatMul(Leaf(x), w), b), target) }
 	checkGrads(t, p.All(), loss, 1e-6)
 }
 
@@ -58,9 +59,9 @@ func TestGradActivations(t *testing.T) {
 	} {
 		p := NewParams(7)
 		w := p.Matrix(3, 3, 0.8)
-		x := Leaf(tensor.Randn(2, 3, 1, rand.New(rand.NewSource(5))))
+		x := tensor.Randn(2, 3, 1, rand.New(rand.NewSource(5)))
 		target := tensor.Randn(2, 3, 1, rand.New(rand.NewSource(6)))
-		loss := func() *Node { return MSE(act(MatMul(x, w)), target) }
+		loss := func() *Node { return MSE(act(MatMul(Leaf(x), w)), target) }
 		t.Run(name, func(t *testing.T) { checkGrads(t, p.All(), loss, 1e-5) })
 	}
 }
@@ -128,14 +129,14 @@ func TestGradConcatCols(t *testing.T) {
 func TestGradBCE(t *testing.T) {
 	p := NewParams(31)
 	w := p.Matrix(3, 2, 0.5)
-	x := Leaf(tensor.Randn(4, 3, 1, rand.New(rand.NewSource(14))))
+	x := tensor.Randn(4, 3, 1, rand.New(rand.NewSource(14)))
 	target := tensor.New(4, 2)
 	for i := range target.Data {
 		if i%3 == 0 {
 			target.Data[i] = 1
 		}
 	}
-	loss := func() *Node { return BCE(Sigmoid(MatMul(x, w)), target) }
+	loss := func() *Node { return BCE(Sigmoid(MatMul(Leaf(x), w)), target) }
 	checkGrads(t, p.All(), loss, 1e-5)
 }
 
@@ -173,13 +174,17 @@ func TestGradLSTMCell(t *testing.T) {
 func TestGradGatedCausalConv(t *testing.T) {
 	p := NewParams(43)
 	conv := NewGatedCausalConv(p, 2, 2, 3, 2)
-	var xs []*Node
+	var xs []*tensor.Matrix
 	for i := 0; i < 6; i++ {
-		xs = append(xs, Leaf(tensor.Randn(3, 2, 1, rand.New(rand.NewSource(int64(20+i))))))
+		xs = append(xs, tensor.Randn(3, 2, 1, rand.New(rand.NewSource(int64(20+i)))))
 	}
 	target := tensor.Randn(3, 2, 1, rand.New(rand.NewSource(30)))
 	loss := func() *Node {
-		out := conv.Forward(xs)
+		leaves := make([]*Node, len(xs)) // a leaf belongs to one graph
+		for i, x := range xs {
+			leaves[i] = Leaf(x)
+		}
+		out := conv.Forward(leaves)
 		return MSE(out[len(out)-1], target)
 	}
 	checkGrads(t, p.All(), loss, 1e-5)
@@ -194,68 +199,190 @@ func TestGradReusedNode(t *testing.T) {
 	checkGrads(t, p.All(), loss, 1e-6)
 }
 
-// TestBackwardReleasesGraph: Backward returns the loss and hands every
-// operation's value and gradient back to tensor's pool, each once, while the
-// leaves and parameters keep their own, values unchanged.
-func TestBackwardReleasesGraph(t *testing.T) {
-	p := NewParams(61)
-	w, b := p.Xavier(3, 2), p.Zeros(1, 2)
-	x := Leaf(tensor.Randn(4, 3, 1, rand.New(rand.NewSource(62))))
-	target := tensor.Randn(4, 2, 1, rand.New(rand.NewSource(63)))
-	h := Tanh(AddBias(MatMul(x, w), b))
-	loss := MSE(Add(h, h), target) // h is read twice
-	want := loss.Val.Data[0]
-
-	var ops, owned []*Node
+// graphNodes lists the nodes of root's graph by kind: its operations, its
+// leaves and Temps, and the parameters it reads, each once.
+func graphNodes(root *Node) (ops, leaves, params []*Node) {
 	seen := map[*Node]bool{}
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if seen[n] {
+		if n == nil || seen[n] {
 			return
 		}
 		seen[n] = true
-		if n.back != nil {
+		switch {
+		case n.kind == kindParam:
+			params = append(params, n)
+		case n.kind == kindLeaf || n.kind == kindTemp:
+			leaves = append(leaves, n)
+		default:
 			ops = append(ops, n)
-		} else {
-			owned = append(owned, n)
 		}
-		for _, c := range n.prev {
-			walk(c)
-		}
+		walk(n.a)
+		walk(n.b)
 	}
-	walk(loss)
-	before := make([]*tensor.Matrix, len(owned))
-	for i, n := range owned {
-		before[i] = n.Val.Clone()
-	}
+	walk(root)
+	return ops, leaves, params
+}
 
-	if got := Backward(loss); got != want {
-		t.Fatalf("Backward returned %v, the loss is %v", got, want)
-	}
-	for _, n := range ops {
-		if n.Val != nil || n.Grad != nil {
-			t.Fatalf("an operation kept its value or gradient after Backward")
+// checkEnded fails unless every node of ended, the nodes of a graph just
+// ended, is back in the pool exactly once and every matrix of recycled is
+// back in tensor's pool exactly once, and unless New and the pools hand out
+// none of kept, the matrices the caller still owns. Under the race detector
+// sync.Pool drops a share of what it is given, so there only "at most once"
+// is checked.
+func checkEnded(t *testing.T, ended []*Node, recycled, kept []*tensor.Matrix) {
+	t.Helper()
+	for _, n := range ended {
+		if n.Val != nil || n.Grad != nil || n.a != nil || n.b != nil {
+			t.Fatalf("a %v node was not cleared when its graph ended", n.kind)
 		}
 	}
-	for i, n := range owned {
-		if n.Val == nil || !sameBits(n.Val, before[i]) {
-			t.Fatalf("a leaf or parameter lost or changed its value")
+	drawn := map[*Node]bool{}
+	for i := 0; i < 2*len(ended)+8; i++ {
+		n := Leaf(nil)
+		if drawn[n] {
+			t.Fatalf("the node pool returned one node twice: a graph ended it twice")
 		}
-		if n.requiresGrad && n.Grad == nil {
-			t.Fatalf("a parameter has no gradient after Backward")
+		drawn[n] = true
+	}
+	for _, n := range ended {
+		if !drawn[n] && !raceEnabled {
+			t.Fatalf("an ended node did not come back out of the pool")
 		}
 	}
-	// Storage handed back twice would come out of New twice.
+	own := map[*tensor.Matrix]bool{}
+	for _, m := range kept {
+		own[m] = true
+	}
 	got := map[*tensor.Matrix]bool{}
-	for i := 0; i < 4*len(ops); i++ {
-		for _, shape := range [][2]int{{4, 2}, {2, 3}, {1, 1}} {
-			m := tensor.New(shape[0], shape[1])
+	for i := 0; i < 4*len(recycled)+8; i++ {
+		for _, m := range recycled {
+			m := tensor.New(m.Rows, m.Cols)
 			if got[m] {
-				t.Fatalf("New returned one %dx%d matrix twice: Backward recycled it twice", shape[0], shape[1])
+				t.Fatalf("New returned one %dx%d matrix twice: a graph recycled it twice", m.Rows, m.Cols)
+			}
+			if own[m] {
+				t.Fatalf("New returned a matrix the caller owns")
 			}
 			got[m] = true
 		}
 	}
+}
+
+// TestBackwardReleasesGraph: Backward returns the loss and hands every
+// operation's value and gradient and every Temp's value back to tensor's pool
+// and every node but the parameters back to the node pool, each once; leaves'
+// values and parameters are untouched, the parameters with their gradients.
+func TestBackwardReleasesGraph(t *testing.T) {
+	p := NewParams(61)
+	w, b := p.Xavier(3, 2), p.Zeros(1, 2)
+	x := tensor.Randn(4, 3, 1, rand.New(rand.NewSource(62)))
+	target := tensor.Randn(4, 2, 1, rand.New(rand.NewSource(63)))
+	shift := tensor.Randn(4, 2, 1, rand.New(rand.NewSource(64)))
+	h := Tanh(AddBias(MatMul(Leaf(x), w), b))
+	loss := MSE(Add(Add(h, h), Temp(shift)), target) // h is read twice
+	want := loss.Val.Data[0]
+
+	ops, leaves, params := graphNodes(loss)
+	if len(params) != 2 || len(leaves) != 3 {
+		t.Fatalf("the graph has %d parameters and %d leaves, want 2 and 3", len(params), len(leaves))
+	}
+	wBefore, xBefore := w.Val.Clone(), x.Clone()
+	var recycled []*tensor.Matrix
+	for _, n := range ops {
+		recycled = append(recycled, n.Val)
+	}
+	recycled = append(recycled, shift)
+
+	if got := Backward(loss); got != want {
+		t.Fatalf("Backward returned %v, the loss is %v", got, want)
+	}
+	if !sameBits(w.Val, wBefore) || !sameBits(x, xBefore) || w.Grad == nil || b.Grad == nil {
+		t.Fatalf("a leaf's value or a parameter changed, or a parameter has no gradient")
+	}
+	if w.kind != kindParam || b.kind != kindParam {
+		t.Fatalf("Backward ended a parameter")
+	}
+	checkEnded(t, append(ops, leaves...), recycled, []*tensor.Matrix{x, target, w.Val, b.Val, w.Grad, b.Grad})
+}
+
+// TestReleaseEndsGraph: Release returns the root's value and ends the rest of
+// the graph as Backward does; a value a StepMemo keeps stays out of the pool.
+func TestReleaseEndsGraph(t *testing.T) {
+	p := NewParams(65)
+	w := p.Xavier(3, 4)
+	x := tensor.Randn(4, 3, 1, rand.New(rand.NewSource(66)))
+	var memo StepMemo
+	memo.vals, memo.eval = make([]*tensor.Matrix, 1), make([]bool, 1)
+	z := memo.keep(0, Sigmoid(MatMul(Leaf(x), w)))
+	eye := tensor.Eye(4)
+	root := Add(Mul(z, z), Temp(eye)) // z is read twice
+	want, kept := root.Val.Clone(), z.Val
+	keptBefore := kept.Clone()
+
+	ops, leaves, params := graphNodes(root)
+	if len(params) != 1 || len(leaves) != 2 {
+		t.Fatalf("the graph has %d parameters and %d leaves, want 1 and 2", len(params), len(leaves))
+	}
+	recycled := []*tensor.Matrix{eye}
+	for _, n := range ops {
+		if n != root && n != z {
+			recycled = append(recycled, n.Val)
+		}
+	}
+
+	got := Release(root)
+	if !sameBits(got, want) {
+		t.Fatalf("Release did not return the root's value")
+	}
+	if memo.vals[0] != kept || !sameBits(kept, keptBefore) {
+		t.Fatalf("Release touched a value the memo keeps")
+	}
+	checkEnded(t, append(ops, leaves...), recycled, []*tensor.Matrix{x, w.Val, got, kept})
+}
+
+// TestGraphsEndConcurrently: goroutines that build, differentiate and release
+// graphs at once share the node and tape pools, and each computes exactly what
+// it computes alone; under -race the pools' hand-offs are checked too.
+func TestGraphsEndConcurrently(t *testing.T) {
+	const workers, rounds = 4, 40
+	run := func(seed int64) []float64 {
+		p := NewParams(seed)
+		w, b := p.Xavier(3, 2), p.Zeros(1, 2)
+		x := tensor.Randn(4, 3, 1, rand.New(rand.NewSource(seed+1)))
+		target := tensor.Randn(4, 2, 1, rand.New(rand.NewSource(seed+2)))
+		var got []float64
+		for i := 0; i < rounds; i++ {
+			p.ZeroGrads()
+			got = append(got, Backward(MSE(Tanh(AddBias(MatMul(Leaf(x), w), b)), target)))
+			got = append(got, w.Grad.Data...)
+			out := Release(Sigmoid(AddBias(MatMul(Temp(x.Clone()), w), b)))
+			got = append(got, out.Data...)
+			for j := range w.Val.Data {
+				w.Val.Data[j] -= 0.1 * w.Grad.Data[j]
+			}
+		}
+		return got
+	}
+	want := make([][]float64, workers)
+	for g := range want {
+		want[g] = run(int64(70 + g))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := run(int64(70 + g))
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(want[g][i]) {
+					t.Errorf("goroutine %d: value %d is %v, alone %v", g, i, v, want[g][i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestBackwardPanicsOnNonScalar(t *testing.T) {

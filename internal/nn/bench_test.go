@@ -13,14 +13,14 @@ func BenchmarkForwardBackward(b *testing.B) {
 	p := NewParams(1)
 	l1 := NewLinear(p, 36, 16)
 	l2 := NewLinear(p, 16, 3)
-	x := Leaf(tensor.Randn(36, 36, 1, rand.New(rand.NewSource(2))))
+	x := tensor.Randn(36, 36, 1, rand.New(rand.NewSource(2)))
 	y := tensor.Randn(36, 3, 1, rand.New(rand.NewSource(3)))
 	opt := NewAdam(0.01)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.ZeroGrads()
-		loss := MSE(l2.Forward(Tanh(l1.Forward(x))), y)
+		loss := MSE(l2.Forward(Tanh(l1.Forward(Leaf(x)))), y)
 		Backward(loss)
 		opt.Step(p.All())
 	}

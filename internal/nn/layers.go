@@ -285,18 +285,25 @@ func (g *GatedCausalConv) at(xs []*Node, t int) *Node {
 // With a nil memo LastStep builds that whole tape, for training. With a memo
 // it also skips every value the memo carries from its previous call (see
 // StepMemo): on a window slid by one that is all but one lift and one step per
-// layer. Each value it does compute is released into the memo as soon as it
-// is built, and top and lifted are leaves over the memo's matrices, valid
-// until the memo's next call.
+// layer. Each value it does compute becomes the memo's as it is built, and
+// each it carries enters the graph as a leaf over the memo's matrix; top and
+// lifted are valid until the memo's next call, and the graph is for Release,
+// not Backward. The memo also lends the call its scratch, so that a warm
+// inference allocates nothing here.
 func LastStep(lift *Linear, inputs []*tensor.Matrix, memo *StepMemo, layers ...*GatedCausalConv) (top, lifted *Node) {
-	n := len(inputs)
+	n, size := len(inputs), (len(layers)+1)*len(inputs)
 	var vals []*tensor.Matrix // the memo's table: vals[l*n+t], nil unless carried
+	// need[l*n+t]: level l (0 = the lift, l = layers[l-1]'s output) is read
+	// at step t; nodes[l*n+t] is its node.
+	var need []bool
+	var nodes []*Node
 	if memo != nil {
 		vals = memo.align(inputs, layers)
+		memo.need, memo.nodes = cleared(memo.need, size), cleared(memo.nodes, size)
+		need, nodes = memo.need, memo.nodes
+	} else {
+		need, nodes = make([]bool, size), make([]*Node, size)
 	}
-	// need[l*n+t]: level l (0 = the lift, l = layers[l-1]'s output) is read
-	// at step t.
-	need := make([]bool, (len(layers)+1)*n)
 	need[n-1], need[len(need)-1] = true, true // lifted, top
 	for l := len(layers); l > 0; l-- {
 		below := need[(l-1)*n : l*n]
@@ -309,7 +316,7 @@ func LastStep(lift *Linear, inputs []*tensor.Matrix, memo *StepMemo, layers ...*
 	}
 	var below []*Node
 	for l := 0; l <= len(layers); l++ {
-		cur := make([]*Node, n)
+		cur := nodes[l*n : (l+1)*n]
 		for t := range cur {
 			i := l*n + t
 			switch {
@@ -340,7 +347,7 @@ func LastStep(lift *Linear, inputs []*tensor.Matrix, memo *StepMemo, layers ...*
 // entries (e.g. a row-softmax output).
 func NormalizeAdjacency(a *Node) *Node {
 	n := a.Val.Rows
-	withSelf := Add(a, Leaf(tensor.Eye(n)))
+	withSelf := Add(a, Temp(tensor.Eye(n)))
 	deg := AddConst(RowSum(a), 1) // n×1, D_ii = 1 + Σ_j A_ij
 	dinv := PowElem(deg, -0.5)    // n×1
 	half := ScaleRows(withSelf, dinv)
@@ -379,7 +386,7 @@ func NewLSTMCell(p *Params, in, hidden int) *LSTMCell {
 
 // InitState returns zero h and c states for a batch of the given size.
 func (l *LSTMCell) InitState(batch int) (h, c *Node) {
-	return Leaf(tensor.New(batch, l.Hidden)), Leaf(tensor.New(batch, l.Hidden))
+	return Temp(tensor.New(batch, l.Hidden)), Temp(tensor.New(batch, l.Hidden))
 }
 
 // Step consumes one time step x (batch×in) and returns the new (h, c).

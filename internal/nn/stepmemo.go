@@ -26,14 +26,22 @@ import (
 // unrelated windows only misses. A carried value equals the recomputed one
 // bit for bit: the same operations on the same bits.
 //
-// A StepMemo serves inference on one trunk: its values enter the graph as
-// leaves and carry no gradient. It is not safe for concurrent use and must be
-// Reset whenever the parameters change. The zero value is an empty memo.
+// A StepMemo serves inference on one trunk: its values are the memo's, not
+// the graph's, so a graph built through it is ended by Release, which leaves
+// them alone, and never by Backward. It is not safe for concurrent use and
+// must be Reset whenever the parameters change. The zero value is an empty
+// memo.
 type StepMemo struct {
 	inputs []*tensor.Matrix // bit copies of the last call's inputs
 	vals   []*tensor.Matrix // vals[l*len(inputs)+t]: level l at step t, nil when not kept
 	spare  []*tensor.Matrix // backing store for the next call's vals
 	eval   []bool           // eval[l*len(inputs)+t]: the last call computed level l at step t
+
+	// LastStep's scratch, lent for one call: the steps it reads and their
+	// nodes, by the vals index, and align's receptive fields.
+	need  []bool
+	nodes []*Node
+	rf    []int
 }
 
 // Reset empties the memo.
@@ -62,7 +70,8 @@ func (m *StepMemo) Evaluated() [][]int {
 // the rest, records the window and returns the table LastStep fills:
 // vals[l*len(inputs)+t] is level l at step t, nil until computed.
 func (m *StepMemo) align(inputs []*tensor.Matrix, layers []*GatedCausalConv) []*tensor.Matrix {
-	rf := make([]int, len(layers)+1)
+	m.rf = cleared(m.rf, len(layers)+1)
+	rf := m.rf
 	for l, g := range layers {
 		rf[l+1] = rf[l] + max(g.Filter.reach(), g.Gate.reach())
 	}
@@ -116,13 +125,12 @@ func (m *StepMemo) carry(inputs []*tensor.Matrix, rf []int, s int, next []*tenso
 }
 
 // keep makes the value LastStep just computed at index i of the table the
-// memo's: the step's own operations are released at once, and the value
-// enters the rest of the graph as a leaf, so the caller's Release leaves it
-// alone.
+// memo's. The node stays in the graph, marked so that the caller's Release
+// ends it without recycling the value.
 func (m *StepMemo) keep(i int, n *Node) *Node {
-	v := Release(n)
-	m.vals[i], m.eval[i] = v, true
-	return Leaf(v)
+	n.kept = true
+	m.vals[i], m.eval[i] = n.Val, true
+	return n
 }
 
 // recycle hands every matrix of vals back to tensor.New.

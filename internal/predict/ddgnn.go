@@ -110,16 +110,20 @@ func (m *DDGNN) dependencyMatrix(inputs []*tensor.Matrix) *nn.Node {
 	for _, x := range inputs {
 		tensor.AddInPlace(ct, x)
 	}
-	ct = tensor.Scale(ct, 1/float64(len(inputs)))
-	m1 := m.f1.Forward(nn.Leaf(ct)) // Eq. 4
-	m2 := m.f2.Forward(nn.Leaf(ct)) // Eq. 5
+	k := 1 / float64(len(inputs))
+	for i, v := range ct.Data {
+		ct.Data[i] = k * v // tensor.Scale's product, in place
+	}
+	c := nn.Temp(ct)
+	m1 := m.f1.Forward(c) // Eq. 4
+	m2 := m.f2.Forward(c) // Eq. 5
 	sym := nn.Add(nn.MatMul(m1, nn.Transpose(m2)), nn.MatMul(m2, nn.Transpose(m1)))
 	return nn.SoftmaxRows(nn.Tanh(sym)) // Eq. 6
 }
 
 func (m *DDGNN) forward(inputs []*tensor.Matrix, memo *nn.StepMemo) *nn.Node {
 	if m.static {
-		return m.propagate(inputs, memo, nn.Leaf(m.Adjacency(inputs)))
+		return m.propagate(inputs, memo, nn.Temp(m.Adjacency(inputs)))
 	}
 	return m.propagate(inputs, memo, nn.NormalizeAdjacency(m.dependencyMatrix(inputs)))
 }
@@ -143,5 +147,5 @@ func (m *DDGNN) Adjacency(inputs []*tensor.Matrix) *tensor.Matrix {
 	if m.static {
 		return tensor.Eye(inputs[0].Rows)
 	}
-	return m.dependencyMatrix(inputs).Val
+	return nn.Release(m.dependencyMatrix(inputs))
 }

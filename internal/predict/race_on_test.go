@@ -1,0 +1,8 @@
+//go:build race
+
+package predict
+
+// raceEnabled reports whether the race detector is active in this test
+// binary: its instrumentation allocates, so allocation budgets measured
+// without it do not hold under it.
+const raceEnabled = true

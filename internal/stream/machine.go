@@ -115,6 +115,7 @@ type Machine struct {
 	wsScratch   []*core.Worker
 	poolScratch []*core.Task
 	held        map[*core.Task]bool // FTA: the tasks in active workers' plans
+	planned     map[int]bool        // the task ids of the plan being checked (core.Plan.ConsistentIn)
 }
 
 // ChangeKind names the event a Change records.
@@ -167,6 +168,7 @@ func NewMachine(cfg MachineConfig) *Machine {
 		open:     make(map[int]*core.Task),
 		ghost:    make(map[int]bool),
 		held:     make(map[*core.Task]bool),
+		planned:  make(map[int]bool),
 	}
 }
 
@@ -549,7 +551,7 @@ func (m *Machine) plan(t float64) {
 	m.stats.PlanTime += time.Since(start) //datawa:wallclock planner wall-time stats, observability only
 	m.stats.PlanCalls++
 
-	if dup, ok := plan.Consistent(); !ok {
+	if dup, ok := plan.ConsistentIn(m.planned); !ok {
 		panic(fmt.Sprintf("stream: planner %s assigned task %d twice", m.cfg.Planner.Name(), dup))
 	}
 

@@ -155,8 +155,10 @@ func (m *Model) forward(x *nn.Node) *nn.Node {
 
 // Predict returns TVF(s_t, a_t; θ) for one featurized pair.
 func (m *Model) Predict(features [FeatureDim]float64) float64 {
-	x := tensor.FromSlice(1, FeatureDim, features[:])
-	return m.forward(nn.Leaf(x)).Val.Data[0]
+	y := nn.Release(m.forward(nn.Temp(tensor.FromSlice(1, FeatureDim, features[:]))))
+	v := y.Data[0]
+	tensor.Recycle(y)
+	return v
 }
 
 // Batch is the caller-owned workspace of PredictBatch: the input rows, the
@@ -228,17 +230,20 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // Train fits the model to the samples by minimizing the squared loss of
 // Eq. 12 over mini-batches drawn uniformly at random from U (the stored
 // experience), exactly the paper's update rule, with Adam and gradients
-// clipped to norm 5 (nn.Fit). It returns the final epoch's mean loss.
+// clipped to norm 5 (nn.Fit). It returns the final epoch's mean loss. Every
+// mini-batch is laid out in the same two matrices: Backward is done with a
+// batch before the next is built.
 func (m *Model) Train(samples []Sample, cfg TrainConfig) float64 {
 	cfg = cfg.withDefaults()
+	var x, y tensor.Matrix
 	return nn.Fit(m.params, nn.NewAdam(cfg.LR), 5, cfg.Seed+505, cfg.Epochs, len(samples), cfg.BatchSize, func(batch []int) *nn.Node {
-		x := tensor.New(len(batch), FeatureDim)
-		y := tensor.New(len(batch), 1)
+		resize(&x, len(batch), FeatureDim)
+		resize(&y, len(batch), 1)
 		for bi, si := range batch {
 			copy(x.Data[bi*FeatureDim:(bi+1)*FeatureDim], samples[si].Features[:])
 			y.Data[bi] = samples[si].Opt
 		}
-		return nn.MSE(m.forward(nn.Leaf(x)), y)
+		return nn.MSE(m.forward(nn.Leaf(&x)), &y)
 	})
 }
 
