@@ -116,8 +116,48 @@ type workerScan struct {
 	ws    []*core.Worker
 	ix    spatial.Index
 	avail []bool
-	ids   map[int]struct{}
+	ids   idSet
 	sc    wds.Scratch
+}
+
+// idSet is one plan's set of task ids: open addressing over a power-of-two
+// table at most half full, each slot stamped with the plan that filled it, so
+// a new plan empties the set by moving to the next stamp.
+type idSet struct {
+	slots []idSlot
+	stamp uint32
+}
+
+type idSlot struct {
+	id    int
+	stamp uint32
+}
+
+// reset empties the set for at most n ids.
+func (s *idSet) reset(n int) {
+	if size := 1 << bits.Len(uint(2*n)); len(s.slots) < size {
+		s.slots, s.stamp = make([]idSlot, size), 0
+	}
+	if s.stamp++; s.stamp == 0 { // the stamps wrapped: no slot may look filled
+		clear(s.slots)
+		s.stamp = 1
+	}
+}
+
+// add adds id and reports whether it was new.
+//
+//datawa:hotpath
+func (s *idSet) add(id int) bool {
+	mask := uint64(len(s.slots) - 1)
+	for h := uint64(id) * 0x9e3779b97f4a7c15 >> 32 & mask; ; h = (h + 1) & mask {
+		switch slot := &s.slots[h]; {
+		case slot.stamp != s.stamp:
+			*slot = idSlot{id, s.stamp}
+			return true
+		case slot.id == id:
+			return false
+		}
+	}
 }
 
 // plan hands each worker, in id order, the head of its Q_w over the tasks
@@ -128,20 +168,11 @@ func (s *workerScan) plan(workers []*core.Worker, tasks []*core.Task, now float6
 	}
 	s.ws = append(s.ws[:0], workers...)
 	slices.SortFunc(s.ws, func(a, b *core.Worker) int { return a.ID - b.ID })
-	s.ix.Reset(tasks, spatial.CellSizeForReach(workers))
+	s.ix.Reset(tasks, wds.IndexCell(workers, tasks, now, o))
 	s.avail = slices.Grow(s.avail[:0], len(tasks))[:len(tasks)]
-	if s.ids == nil {
-		s.ids = make(map[int]struct{}, len(tasks))
-	}
-	clear(s.ids)
+	s.ids.reset(len(tasks))
 	for i, t := range tasks {
-		if match && t.Virtual {
-			s.avail[i] = false
-			continue
-		}
-		n := len(s.ids)
-		s.ids[t.ID] = struct{}{}
-		s.avail[i] = len(s.ids) > n // a repeated id is planned once
+		s.avail[i] = !(match && t.Virtual) && s.ids.add(t.ID) // a repeated id is planned once
 	}
 	var plan core.Plan
 	for _, w := range s.ws {

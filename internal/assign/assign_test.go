@@ -64,6 +64,36 @@ func TestGreedyNoDoubleAssignment(t *testing.T) {
 	}
 }
 
+// TestIDSetMatchesMap holds the scan's id set to a map over plans of
+// random ids — negative, colliding and repeated — reusing one set, growing it,
+// and across the wrap of its stamps, right after a plan whose slots carry the
+// stamp the wrap starts again from.
+func TestIDSetMatchesMap(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var s idSet
+	for plan := 0; plan < 200; plan++ {
+		n := 1 + r.Intn(300)
+		switch plan {
+		case 0:
+			n = 200
+		case 1:
+			n, s.stamp = 200, ^uint32(0) // plan 0's stamp, 1, is next
+		}
+		s.reset(n)
+		seen := map[int]bool{}
+		for i := 0; i < n; i++ {
+			id := r.Intn(2*n+1) - n
+			if i%5 == 4 {
+				id = id << 40 // ids that share their low bits
+			}
+			if got, want := s.add(id), !seen[id]; got != want {
+				t.Fatalf("plan %d: add(%d) = %v, want %v", plan, id, got, want)
+			}
+			seen[id] = true
+		}
+	}
+}
+
 func TestGreedyEmptyInputs(t *testing.T) {
 	g := &Greedy{Opts: opts()}
 	if plan := (checked{g}).Plan(nil, nil, 0); len(plan) != 0 {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -289,21 +290,21 @@ func (g *GatedCausalConv) at(xs []*Node, t int) *Node {
 // each it carries enters the graph as a leaf over the memo's matrix; top and
 // lifted are valid until the memo's next call, and the graph is for Release,
 // not Backward. The memo also lends the call its scratch, so that a warm
-// inference allocates nothing here.
+// inference allocates nothing here. Without a memo the scratch comes from a
+// package-level pool, so a warm training step allocates nothing here either.
 func LastStep(lift *Linear, inputs []*tensor.Matrix, memo *StepMemo, layers ...*GatedCausalConv) (top, lifted *Node) {
-	n, size := len(inputs), (len(layers)+1)*len(inputs)
+	n := len(inputs)
 	var vals []*tensor.Matrix // the memo's table: vals[l*n+t], nil unless carried
-	// need[l*n+t]: level l (0 = the lift, l = layers[l-1]'s output) is read
-	// at step t; nodes[l*n+t] is its node.
-	var need []bool
-	var nodes []*Node
+	var tab *stepTables
 	if memo != nil {
 		vals = memo.align(inputs, layers)
-		memo.need, memo.nodes = cleared(memo.need, size), cleared(memo.nodes, size)
-		need, nodes = memo.need, memo.nodes
+		tab = &memo.tables
 	} else {
-		need, nodes = make([]bool, size), make([]*Node, size)
+		tab = getTables()
+		defer tab.put()
 	}
+	tab.reset((len(layers) + 1) * n)
+	need, nodes := tab.need, tab.nodes
 	need[n-1], need[len(need)-1] = true, true // lifted, top
 	for l := len(layers); l > 0; l-- {
 		below := need[(l-1)*n : l*n]
@@ -340,6 +341,37 @@ func LastStep(lift *Linear, inputs []*tensor.Matrix, memo *StepMemo, layers ...*
 		below = cur
 	}
 	return below[n-1], lifted
+}
+
+// stepTables is LastStep's scratch: need[l*n+t] says level l (0 = the lift, l
+// = layers[l-1]'s output) is read at step t, and nodes[l*n+t] is its node.
+type stepTables struct {
+	need  []bool
+	nodes []*Node
+}
+
+// reset sizes both tables for size steps, all clear.
+func (tab *stepTables) reset(size int) {
+	tab.need, tab.nodes = cleared(tab.need, size), cleared(tab.nodes, size)
+}
+
+// tablesPool lends memo-free LastStep calls — every training step — their
+// tables.
+var tablesPool sync.Pool
+
+func getTables() *stepTables {
+	tab, _ := tablesPool.Get().(*stepTables)
+	if tab == nil {
+		tab = new(stepTables)
+	}
+	return tab
+}
+
+// put hands tab back, holding no node: the graph it was built for may be
+// ended and its nodes another graph's.
+func (tab *stepTables) put() {
+	clear(tab.nodes)
+	tablesPool.Put(tab)
 }
 
 // NormalizeAdjacency builds Â = D^{-1/2}(A+I)D^{-1/2} differentiably, where

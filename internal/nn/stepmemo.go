@@ -39,9 +39,8 @@ type StepMemo struct {
 
 	// LastStep's scratch, lent for one call: the steps it reads and their
 	// nodes, by the vals index, and align's receptive fields.
-	need  []bool
-	nodes []*Node
-	rf    []int
+	tables stepTables
+	rf     []int
 }
 
 // Reset empties the memo.

@@ -3,6 +3,7 @@ package predict
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
@@ -45,10 +46,10 @@ func TestDDGNNPredictAllocs(t *testing.T) {
 	}
 }
 
-// TestDDGNNFitStepAllocs: a warm training step of the DDGNN allocates a
-// handful of objects, whatever the size of its graph (several hundred
-// operations): what a Fit over 24 windows allocates beyond a Fit over 8 is
-// under 4 objects a step.
+// TestDDGNNFitStepAllocs: a warm training step of the DDGNN allocates
+// nothing, whatever the size of its graph (several hundred operations): what
+// a Fit over 24 windows allocates beyond a Fit over 8 is under 1 object a
+// step. The trunk's tables come from a pool (LastStep without a memo).
 func TestDDGNNFitStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -60,7 +61,36 @@ func TestDDGNNFitStepAllocs(t *testing.T) {
 	long := fewestAllocs(5, func() { m.Fit(ws[:24]) })
 	perStep := (long - short) / 16
 	t.Logf("Fit over 8 windows: %.0f objects, over 24: %.0f; %.2f a step", short, long, perStep)
-	if perStep >= 4 {
-		t.Errorf("a warm training step allocated %.2f objects, want under 4", perStep)
+	if perStep >= 1 {
+		t.Errorf("a warm training step allocated %.2f objects, want under 1", perStep)
+	}
+}
+
+// TestForecastAllocs: a warm forecast allocates what it returns — the task
+// slice and one task a virtual task — and nothing else: the probability
+// matrix the model returns goes back to the tensor pool once read. Both faces
+// are held, the Forecaster and the scenario sampler at K = 1, which takes the
+// same path up to the draws; each forecast repeats one window, so the memo
+// carries every trunk value and the output is the same size every call.
+func TestForecastAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	m, _ := predictFixture()
+	last := pinnedStream()[pinnedRefreshes-1]
+	f := NewForecaster(m, pinnedCfg, pinnedHistory, 0.5, 40)
+	s := NewScenarioSampler(NewForecaster(m, pinnedCfg, pinnedHistory, 0.5, 40), 1, 3)
+	for _, c := range []struct {
+		name     string
+		virtuals func([]*core.Task, float64) []*core.Task
+	}{{"forecaster", f.Virtuals}, {"sampler/K=1", s.Virtuals}} {
+		n := len(c.virtuals(last.tasks, last.now))
+		if n == 0 {
+			t.Fatalf("%s: no virtual task: the output is not what the count is about", c.name)
+		}
+		got := fewestAllocs(20, func() { c.virtuals(last.tasks, last.now) })
+		if want := float64(1 + n); got != want {
+			t.Errorf("%s: a warm forecast allocated %.1f objects, want %.0f (a slice and %d tasks)", c.name, got, want, n)
+		}
 	}
 }

@@ -58,14 +58,16 @@ func (f *Forecaster) Virtuals(published []*core.Task, now float64) []*core.Task 
 		return nil
 	}
 	out := VirtualTasks(probs, f.Cfg, intervalStart, f.Threshold, f.ValidTime, f.nextID)
+	tensor.Recycle(probs)
 	f.nextID -= len(out)
 	return out
 }
 
-// forecast runs the model once: it returns the predicted probability matrix
-// and the wall-clock start of the interval it describes, or ok=false until
-// enough history has accumulated. Virtuals and the scenario sampler share it
-// so a sampled forecast never predicts twice.
+// forecast runs the model once: it returns the predicted probability matrix,
+// the caller's to hand to tensor.Recycle after its last read, and the
+// wall-clock start of the interval it describes, or ok=false until enough
+// history has accumulated. Virtuals and the scenario sampler share it so a
+// sampled forecast never predicts twice.
 func (f *Forecaster) forecast(published []*core.Task, now float64) (probs *tensor.Matrix, intervalStart float64, ok bool) {
 	p := f.Cfg.complete(now)
 	if p < f.History {

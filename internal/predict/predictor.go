@@ -12,7 +12,8 @@ import (
 // Predictor is a trainable one-step-ahead task demand model. Fit trains on
 // the given windows; Predict maps a history window (a slice of M×K binary
 // matrices) to an M×K matrix of occurrence probabilities for the next
-// vector.
+// vector. The matrix is the caller's: the model keeps no reference to it, so
+// the caller may hand it to tensor.Recycle once it is done reading.
 type Predictor interface {
 	Name() string
 	Fit(train []Window)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/tensor"
 )
 
 // sampledIDBase is where sampled-only virtual-task ids start, counting down:
@@ -78,6 +79,7 @@ func (sc *ScenarioSampler) Virtuals(published []*core.Task, now float64) []*core
 	if !ok {
 		return nil
 	}
+	defer tensor.Recycle(probs)
 	// Scenario 0: the point forecast, on the wrapped forecaster's id counter
 	// so the K=1 output is indistinguishable from an unsampled forecaster.
 	out := VirtualTasks(probs, sc.F.Cfg, intervalStart, sc.F.Threshold, sc.F.ValidTime, sc.F.nextID)

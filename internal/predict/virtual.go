@@ -22,7 +22,16 @@ func VirtualTasks(probs *tensor.Matrix, cfg SeriesConfig, intervalStart, thresho
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
-	var out []*core.Task
+	n := 0
+	for _, p := range probs.Data {
+		if !(p < threshold) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*core.Task, 0, n)
 	id := idStart
 	for cell := 0; cell < probs.Rows; cell++ {
 		for j := 0; j < probs.Cols; j++ {

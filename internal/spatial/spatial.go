@@ -1,18 +1,22 @@
 // Package spatial provides a uniform grid over point locations, the data
 // structure behind the O(|W|·k) reachability queries of the planning
 // pipeline. A planning instant builds one Index (a Grid over the open task
-// pool) and answers every worker's "which tasks lie within my reachable
-// distance d?" by scanning only the grid cells the query disc overlaps,
-// instead of the whole pool (Section IV-A.1 of the DATA-WA paper describes the
-// constraint being evaluated; the index changes its cost, not its answer).
-// When the open tasks are the fewer, a planner lays the workers out in a Grid
-// instead and asks the converse question once per task.
+// pool) and answers every worker's "which tasks lie within distance d of
+// me?" by scanning only the grid cells the query disc overlaps, instead of
+// the whole pool (Section IV-A.1 of the DATA-WA paper describes the
+// constraints being evaluated; the index changes their cost, not their
+// answer). A planner's d is the worker's reach, narrowed by how far it can
+// travel before its shift ends and before the pool's latest expiry
+// (Index.LatestExpiry): a task past that cannot be reached in time. When the
+// open tasks are the fewer, a planner lays the workers out in a Grid instead
+// and asks the converse question once per task.
 //
-// The cell size is normally derived from the largest worker reach radius at
-// the instant: with cell ≥ d, a radius-d query touches at most 3×3 cells.
+// The cell size is normally the widest such disc at the instant: with
+// cell ≥ d, a radius-d query touches at most 3×3 cells (CellSizeForReach is
+// the widest reach, for callers that query with the full reach).
 // Cells are a dense row-major array over the tasks' bounding box, and the
 // index enlarges the cell until there are at most two cells per task, so a
-// tiny reach radius inside a huge study area costs memory proportional to the
+// tiny disc inside a huge study area costs memory proportional to the
 // number of tasks, never to the area.
 //
 // Queries are exact and deterministic: AppendWithin returns precisely the
@@ -261,15 +265,20 @@ func (g *Grid) AppendCandidates(dst []Candidate, p geo.Point, r float64) (_ []Ca
 // calls it is immutable and safe for concurrent queries from multiple
 // goroutines.
 type Index struct {
-	grid  Grid
-	tasks []*core.Task
-	locs  []geo.Point // tasks[i].Loc, the points of the grid
+	grid   Grid
+	tasks  []*core.Task
+	locs   []geo.Point // tasks[i].Loc, the points of the grid
+	exps   []float64   // tasks[i].Exp
+	latest float64     // LatestExpiry(tasks)
 }
 
-// CellSizeForReach derives the index cell size from the largest worker reach
-// radius at a planning instant. Using the maximum keeps every worker's query
-// disc within a 3×3 cell neighborhood; smaller per-worker radii simply scan
-// fewer cells.
+// CellSizeForReach returns the largest worker reach radius at a planning
+// instant: a cell size at which every worker's query disc of at most its reach
+// lies within a 3×3 cell neighborhood. The planners of internal/wds and
+// internal/assign size their indexes by the narrower disc each worker really
+// queries with — its reach, bounded by the time its shift and the pool leave
+// it (wds.IndexCell) — so this is the cell for a caller that queries with the
+// full reach.
 func CellSizeForReach(workers []*core.Worker) float64 {
 	maxReach := 0.0
 	for _, w := range workers {
@@ -296,13 +305,35 @@ func NewIndex(tasks []*core.Task, cellSize float64) *Index {
 // for planners that index the open pool once per instant; queries from other
 // goroutines must not overlap a Reset.
 func (ix *Index) Reset(tasks []*core.Task, cellSize float64) {
-	ix.tasks = tasks
+	ix.tasks, ix.latest = tasks, math.Inf(-1)
 	ix.locs = slices.Grow(ix.locs[:0], len(tasks))[:len(tasks)]
+	ix.exps = slices.Grow(ix.exps[:0], len(tasks))[:len(tasks)]
 	for i, t := range tasks {
-		ix.locs[i] = t.Loc
+		ix.locs[i], ix.exps[i] = t.Loc, t.Exp
+		ix.latest = max(ix.latest, t.Exp) // LatestExpiry's, in the same pass
 	}
 	ix.grid.Reset(ix.locs, cellSize)
 }
+
+// LatestExpiry returns the latest expiry among tasks: −Inf for none, and NaN
+// if one of them is NaN, so that a bound drawn from it by a comparison falls
+// away wherever one task's expiry is not a number.
+func LatestExpiry(tasks []*core.Task) float64 {
+	latest := math.Inf(-1)
+	for _, t := range tasks {
+		latest = max(latest, t.Exp) // the builtin keeps a NaN
+	}
+	return latest
+}
+
+// LatestExpiry returns LatestExpiry of the indexed tasks, as of the last
+// Reset.
+func (ix *Index) LatestExpiry() float64 { return ix.latest }
+
+// Expiries returns the indexed tasks' expiries by position, Tasks()[i].Exp
+// as of the last Reset, side by side: a planner checking its candidates'
+// validity reads them without visiting the tasks.
+func (ix *Index) Expiries() []float64 { return ix.exps }
 
 // CellSize returns the cell edge length the index was built with (0 when the
 // index runs in its degenerate full-scan mode).

@@ -149,6 +149,37 @@ func TestCellSizeForReach(t *testing.T) {
 	}
 }
 
+// TestLatestExpiry: the latest expiry of a pool is its largest, −Inf for an
+// empty pool, +Inf if a task never expires and NaN if one expiry is NaN,
+// wherever in the pool it stands; Reset takes it for the index.
+func TestLatestExpiry(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		exps []float64
+		want float64
+	}{
+		{nil, math.Inf(-1)},
+		{[]float64{3, 9, 5}, 9},
+		{[]float64{math.Inf(-1), 2}, 2},
+		{[]float64{3, inf, 5}, inf},
+		{[]float64{nan, 9}, nan},
+		{[]float64{9, nan}, nan},
+		{[]float64{inf, nan}, nan},
+	} {
+		var tasks []*core.Task
+		for i, e := range c.exps {
+			tasks = append(tasks, &core.Task{ID: i + 1, Exp: e, Cell: -1})
+		}
+		same := func(got float64) bool { return got == c.want || math.IsNaN(got) && math.IsNaN(c.want) }
+		if got := LatestExpiry(tasks); !same(got) {
+			t.Errorf("LatestExpiry(%v) = %v, want %v", c.exps, got, c.want)
+		}
+		if got := NewIndex(tasks, 1).LatestExpiry(); !same(got) {
+			t.Errorf("an index over %v: LatestExpiry = %v, want %v", c.exps, got, c.want)
+		}
+	}
+}
+
 func TestAppendWithinReusesBuffer(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	tasks := randomTasks(r, 80, 2)

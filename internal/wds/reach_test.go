@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/scenario"
 )
 
 // sidesAgree gathers the k scenarios of one pool from the worker side and
@@ -204,6 +205,34 @@ func TestScenariosTakeTheSmallerSide(t *testing.T) {
 	sp.Scenarios(crowd.workers, crowd.tasks, crowd.now, crowdOpts, 1)
 	if sp.fromTasks != (len(crowd.tasks) < len(crowd.workers)) {
 		t.Fatalf("%s: %d tasks, %d workers: from the task side = %v", crowd.name, len(crowd.tasks), len(crowd.workers), sp.fromTasks)
+	}
+}
+
+// TestReachChecksPinned is the reach stage's work gate: the distances
+// Separator.ReachChecks counts on three worker-side crowds, exactly. Before a
+// worker's disc was bounded by the time its shift and the pool leave it
+// (workerRadius), the stage computed 187,397, 91,909 and 25,784 of them.
+func TestReachChecksPinned(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		scale float64
+		at    int // instantsOf's: 0 the crowd, 1 the median
+		want  int
+	}{
+		{"courier-grid", 20, 0, 68074},
+		{"courier-grid", 20, 1, 28015},
+		{"event-spike", 1.5, 0, 4608},
+	} {
+		a, _ := scenario.Get(c.name)
+		in := instantsOf(a, c.scale)[c.at]
+		var sp Separator
+		sp.Scenarios(in.workers, in.tasks, in.now, crowdOpts, 1)
+		if sp.fromTasks {
+			t.Fatalf("%s at %gx: gathered from the task side", in.name, c.scale)
+		}
+		if got := sp.ReachChecks(); got != c.want {
+			t.Errorf("%s at %gx: %d distance checks, want %d", in.name, c.scale, got, c.want)
+		}
 	}
 }
 

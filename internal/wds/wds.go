@@ -84,8 +84,8 @@ func ReachableTasks(w *core.Worker, tasks []*core.Task, now float64, o Options) 
 
 // ReachableTasksIndexed returns RS_w exactly as ReachableTasks does, but
 // gathers candidates from the grid index instead of scanning every task:
-// only tasks within w.Reach of w.Loc are examined, so the per-worker cost is
-// O(k) in the local task count rather than O(|T|).
+// only tasks within w's disc (workerRadius) of w.Loc are examined, so the
+// per-worker cost is O(k) in the local task count rather than O(|T|).
 func ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Options) []*core.Task {
 	var sc Scratch
 	return tasksOf(ix.Tasks(), sc.Reachable(w, ix, nil, now, o.WithDefaults()))
@@ -116,9 +116,9 @@ type Scratch struct {
 
 // Reachable returns RS_w over the indexed pool as (pool position, distance)
 // pairs, nearest first (ties by id), capped at o.MaxReachable, in scratch
-// storage valid until the next call. Only the tasks within w.Reach of w.Loc
-// are examined: the index query is condition (iii), exactly, and (i)/(ii) only
-// filter further — so a grid index and one without a cell size, which scans
+// storage valid until the next call. Only the tasks in w's disc are examined
+// (workerRadius): every task that passes (i)–(iii) lies in it, and the exact
+// checks decide — so a grid index and one without a cell size, which scans
 // the pool, are interchangeable. A non-nil avail holds one flag per pool
 // position; a position whose flag is clear is passed over before the cap
 // applies, as if it were not in the pool. o must have its defaults applied.
@@ -140,12 +140,12 @@ func (sc *Scratch) gather(w *core.Worker, ix *spatial.Index, avail []bool, now f
 	if !w.Available(now) {
 		return nil, 0
 	}
-	near, checked := ix.AppendCandidates(sc.near[:0], w.Loc, w.Reach)
+	near, checked := ix.AppendCandidates(sc.near[:0], w.Loc, workerRadius(w, now, ix.LatestExpiry(), o))
 	sc.near = near
-	pool, window := ix.Tasks(), w.Off-now
+	exps, window := ix.Expiries(), w.Off-now
 	n := 0
 	for _, c := range near {
-		if (avail == nil || avail[c.Pos]) && reaches(pool[c.Pos], c.Dist, now, window, o) {
+		if (avail == nil || avail[c.Pos]) && reaches(exps[c.Pos], c.Dist, now, window, o) {
 			near[n] = c
 			n++
 		}
@@ -154,15 +154,15 @@ func (sc *Scratch) gather(w *core.Worker, ix *spatial.Index, avail []bool, now f
 }
 
 // reaches reports whether a worker on shift with window seconds of it left
-// reaches task s, d away, at now: the task has validity left and the travel
-// fits both it, (i), and the window, (ii). Condition (iii), d ≤ the worker's
-// reach, is the caller's query.
-func reaches(s *core.Task, d, now, window float64, o Options) bool {
-	if s.Exp <= now {
+// reaches a task expiring at exp, d away, at now: the task has validity left
+// and the travel fits both it, (i), and the window, (ii). Condition (iii), d ≤
+// the worker's reach, is the caller's query.
+func reaches(exp, d, now, window float64, o Options) bool {
+	if exp <= now {
 		return false
 	}
 	travel := o.Travel.TimeForDist(d)
-	return !(travel > s.Exp-now || travel > window)
+	return !(travel > exp-now || travel > window)
 }
 
 // nearest keeps the max nearest of one worker's candidates (nearer's order)
@@ -561,7 +561,8 @@ func (sc *Scratch) BestSequence(w *core.Worker, pool []*core.Task, keep []spatia
 }
 
 // extend offers the current path, ending at loc at time t, and tries every
-// unused reachable task after it.
+// unused reachable task after it. The first leg is the distance Reachable
+// measured, then TravelModel.TimeForDist: Time(w.Loc, s.Loc), bit for bit.
 //
 //datawa:hotpath
 func (b *bestPick) extend(loc geo.Point, t float64) {
@@ -577,7 +578,12 @@ func (b *bestPick) extend(loc geo.Point, t float64) {
 			continue
 		}
 		s := b.pool[c.Pos]
-		arrive := t + b.travel.Time(loc, s.Loc)
+		var arrive float64
+		if n == 0 {
+			arrive = t + b.travel.TimeForDist(c.Dist)
+		} else {
+			arrive = t + b.travel.Time(loc, s.Loc)
+		}
 		if arrive < s.Pub {
 			arrive = s.Pub
 		}
@@ -1040,7 +1046,7 @@ func (sp *Separator) workerSets(from side) {
 		sp.ix.Reset(nil, 0)
 		sp.gatherFromTasks()
 	} else {
-		sp.ix.Reset(pool, spatial.CellSizeForReach(workers))
+		sp.ix.Reset(pool, IndexCell(workers, pool, now, sp.o))
 	}
 	if sp.jobsOf != sp {
 		sp.reach, sp.sequences, sp.jobsOf = sp.reachJob, sp.sequenceJob, sp
@@ -1105,7 +1111,7 @@ func (sp *Separator) gatherFromTasks() {
 		hits, checked := sp.grid.AppendCandidates(sp.hits[:0], s.Loc, taskRadius(s, now, reach, o))
 		sp.hits, sp.checks = hits, sp.checks+checked
 		for _, c := range hits {
-			if w := workers[sp.on[c.Pos]]; c.Dist <= w.Reach && reaches(s, c.Dist, now, w.Off-now, o) {
+			if w := workers[sp.on[c.Pos]]; c.Dist <= w.Reach && reaches(s.Exp, c.Dist, now, w.Off-now, o) {
 				if head[c.Pos] == 0 {
 					listed = append(listed, c.Pos)
 				}
@@ -1134,6 +1140,39 @@ func taskRadius(s *core.Task, now, reach float64, o Options) float64 {
 		return d
 	}
 	return reach
+}
+
+// workerRadius is the disc worker w, on shift at now, queries the task index
+// with: its reach, (iii), or where smaller the distance it can cover before
+// its shift ends, (ii), or before latest, the pool's latest expiry, (i). A
+// task outside it fails one of the three, so the disc loses no task that
+// reaches keeps. A NaN or infinite latest leaves the reach and the window:
+// the comparison drops the bound it would give.
+func workerRadius(w *core.Worker, now, latest float64, o Options) float64 {
+	r := w.Reach
+	if d := o.Travel.DistWithin(w.Off - now); d < r {
+		r = d
+	}
+	if d := o.Travel.DistWithin(latest - now); d < r {
+		r = d
+	}
+	return r
+}
+
+// IndexCell is the cell size of a task index over tasks for the reach queries
+// of workers at now: the widest disc (workerRadius) a worker on shift queries
+// it with, 0 when there is none. o must have its defaults applied.
+func IndexCell(workers []*core.Worker, tasks []*core.Task, now float64, o Options) float64 {
+	latest, widest := spatial.LatestExpiry(tasks), 0.0
+	for _, w := range workers {
+		if !w.Available(now) {
+			continue
+		}
+		if r := workerRadius(w, now, latest, o); r > widest {
+			widest = r
+		}
+	}
+	return widest
 }
 
 // reachJob and sequenceJob are the two loops' bodies for the k-th listed
