@@ -90,7 +90,8 @@ type Planner interface {
 // look-ahead.
 //
 // A Greedy carries reusable per-instant scratch (planners are per-shard and
-// single-goroutine), so steady-state Plan calls allocate only the plan.
+// single-goroutine), so steady-state Plan calls allocate only the plan: the
+// plan itself and one array its sequences are cut from.
 type Greedy struct {
 	Opts Options
 
@@ -111,14 +112,29 @@ func (g *Greedy) Plan(workers []*core.Worker, tasks []*core.Task, now float64) c
 // workerScan is the sequential planners' per-instant state: the workers in id
 // order, a grid index over the pool, and one availability flag per pool
 // position — cleared when a worker takes the task, and from the start for a
-// repeated id or a task the planner does not plan with.
+// repeated id or a task the planner does not plan with. picked and runs
+// gather an instant's picks before its plan is made: every pick's pool
+// position back to back, and per assignment its worker and where its picks
+// end.
 type workerScan struct {
-	ws    []*core.Worker
-	ix    spatial.Index
-	avail []bool
-	ids   idSet
-	sc    wds.Scratch
+	ws     []*core.Worker
+	ix     spatial.Index
+	avail  []bool
+	ids    idSet
+	sc     wds.Scratch
+	picked []int32
+	runs   []pickRun
 }
+
+// pickRun is one assignment of a plan being gathered: the worker and the end
+// of its picks in workerScan.picked.
+type pickRun struct {
+	w   *core.Worker
+	end int
+}
+
+// byWorkerID orders workers by id.
+func byWorkerID(a, b *core.Worker) int { return a.ID - b.ID }
 
 // idSet is one plan's set of task ids: open addressing over a power-of-two
 // table at most half full, each slot stamped with the plan that filled it, so
@@ -162,19 +178,25 @@ func (s *idSet) add(id int) bool {
 
 // plan hands each worker, in id order, the head of its Q_w over the tasks
 // still available — or, for the matcher, the nearest available real task.
+// The picks are gathered in scratch first, so the plan is made once, sized
+// exactly, its sequences cut from one array and capacity-capped, as
+// Search.commit makes a search plan: nothing appended to one reaches the
+// next.
+//
+//datawa:hotpath
 func (s *workerScan) plan(workers []*core.Worker, tasks []*core.Task, now float64, o wds.Options, match bool) core.Plan {
 	if len(tasks) == 0 {
 		return nil
 	}
 	s.ws = append(s.ws[:0], workers...)
-	slices.SortFunc(s.ws, func(a, b *core.Worker) int { return a.ID - b.ID })
+	slices.SortFunc(s.ws, byWorkerID)
 	s.ix.Reset(tasks, wds.IndexCell(workers, tasks, now, o))
 	s.avail = slices.Grow(s.avail[:0], len(tasks))[:len(tasks)]
 	s.ids.reset(len(tasks))
 	for i, t := range tasks {
 		s.avail[i] = !(match && t.Virtual) && s.ids.add(t.ID) // a repeated id is planned once
 	}
-	var plan core.Plan
+	s.picked, s.runs = s.picked[:0], s.runs[:0]
 	for _, w := range s.ws {
 		pick := s.sc.Reachable(w, &s.ix, s.avail, now, o)
 		if !match {
@@ -183,12 +205,26 @@ func (s *workerScan) plan(workers []*core.Worker, tasks []*core.Task, now float6
 		if len(pick) == 0 {
 			continue
 		}
-		q := make(core.Sequence, len(pick))
-		for j, c := range pick {
-			q[j] = tasks[c.Pos]
+		for _, c := range pick {
+			s.picked = append(s.picked, c.Pos)
 			s.avail[c.Pos] = false
 		}
-		plan = append(plan, core.Assignment{Worker: w, Seq: q})
+		s.runs = append(s.runs, pickRun{w: w, end: len(s.picked)})
+	}
+	if len(s.runs) == 0 {
+		return nil
+	}
+	//datawa:alloc the plan, which the caller owns
+	plan := make(core.Plan, len(s.runs))
+	//datawa:alloc the picked sequences' tasks, which the plan owns: one array a plan
+	backing := make(core.Sequence, len(s.picked))
+	for j, pos := range s.picked {
+		backing[j] = tasks[pos]
+	}
+	from := 0
+	for i, r := range s.runs {
+		plan[i] = core.Assignment{Worker: r.w, Seq: backing[from:r.end:r.end]}
+		from = r.end
 	}
 	return plan
 }

@@ -310,28 +310,48 @@ func randomScenario(seed int64, nWorkers, nTasks int, span float64) ([]*core.Wor
 // Separation holds Q_w as positions only, so the task slices a plan hands out
 // are made when it is committed — capacity-capped, so an append to one cannot
 // run into the next, and owned by the plan, so the same Search planning other
-// instants leaves them as they were.
+// instants leaves them as they were. Greedy and Match cut their plans'
+// sequences the same way, from picks gathered in scratch the next Plan
+// reuses.
 func TestPlanSequencesOutliveTheSearch(t *testing.T) {
-	ws, ts := randomScenario(21, 60, 300, 5)
-	s := &Search{Opts: opts()}
-	plan := checked{s}.Plan(ws, ts, 0)
-	if len(plan) == 0 {
-		t.Fatal("empty plan")
-	}
-	var ids [][]int
-	for _, a := range plan {
-		if cap(a.Seq) != len(a.Seq) {
-			t.Fatalf("worker %d: a sequence of %d tasks has capacity %d", a.Worker.ID, len(a.Seq), cap(a.Seq))
+	for _, p := range []Planner{&Search{Opts: opts()}, &Greedy{Opts: opts()}, &Match{Opts: opts()}} {
+		ws, ts := randomScenario(21, 60, 300, 5)
+		plan := checked{p}.Plan(ws, ts, 0)
+		if len(plan) == 0 {
+			t.Fatalf("%s: empty plan", p.Name())
 		}
-		ids = append(ids, a.Seq.IDs())
+		var ids [][]int
+		for _, a := range plan {
+			if cap(a.Seq) != len(a.Seq) {
+				t.Fatalf("%s: worker %d: a sequence of %d tasks has capacity %d", p.Name(), a.Worker.ID, len(a.Seq), cap(a.Seq))
+			}
+			ids = append(ids, a.Seq.IDs())
+		}
+		for call := 0; call < 3; call++ {
+			ws2, ts2 := randomScenario(22+int64(call), 60, 300, 5)
+			checked{p}.Plan(ws2, ts2, float64(call))
+		}
+		for i, a := range plan {
+			if got := a.Seq.IDs(); !slices.Equal(got, ids[i]) {
+				t.Fatalf("%s: assignment %d read %v when planned, %v after it planned other instants", p.Name(), i, ids[i], got)
+			}
+		}
 	}
-	for call := 0; call < 3; call++ {
-		ws2, ts2 := randomScenario(22+int64(call), 60, 300, 5)
-		checked{s}.Plan(ws2, ts2, float64(call))
+}
+
+// TestScanPlanAllocs holds a warm Greedy or Match Plan to two allocations:
+// the plan and the one array its sequences are cut from.
+func TestScanPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
 	}
-	for i, a := range plan {
-		if got := a.Seq.IDs(); !slices.Equal(got, ids[i]) {
-			t.Fatalf("assignment %d read %v when planned, %v after the Search planned other instants", i, ids[i], got)
+	ws, ts := randomScenario(21, 60, 300, 5)
+	for _, p := range []Planner{&Greedy{Opts: opts()}, &Match{Opts: opts()}} {
+		if len(p.Plan(ws, ts, 0)) < 2 {
+			t.Fatalf("%s: want a plan of several assignments", p.Name())
+		}
+		if got := testing.AllocsPerRun(10, func() { p.Plan(ws, ts, 0) }); got != 2 {
+			t.Errorf("%s: a warm Plan allocates %v objects, want 2", p.Name(), got)
 		}
 	}
 }

@@ -277,10 +277,17 @@ type Dispatcher struct {
 	spare   []Event            // the empty buffer drainLocked swaps in; guarded by mu
 	seq     int64              // last ingest order stamped, at drain or requeue; guarded by mu
 	shards  []*stream.Machine  // slice and elements set in New, immutable after
-	smap    *shardMap          // cell ownership; nil with one shard; immutable after New
-	// changes holds each shard's change-log entries for one arbitration
-	// round (see arbitrateLocked); scratch, its storage reused.
-	changes [][]stream.Change // guarded by mu
+	smap    *shardMap          // cell ownership; nil with one shard; the table immutable after New, shardsInDisk called under mu
+	// Epoch scratch, its storage reused from epoch to epoch. changes holds
+	// each shard's change-log entries for one arbitration round; ghosted the
+	// ids of the round's ghost commits, sorted; contested the commits of the
+	// tasks ghosted names (see arbitrateLocked). byShard holds the forecast
+	// stage's virtual tasks split by owning shard, which each machine copies
+	// (forecastLocked).
+	changes   [][]stream.Change // guarded by mu
+	ghosted   []int             // guarded by mu
+	contested []commit          // guarded by mu
+	byShard   [][]*core.Task    // guarded by mu
 	// maxReach is the largest Reach among admitted workers — the halo
 	// radius. reGhost marks a pending re-replication pass after maxReach
 	// grew; it runs once per tick, since visibility only matters at planning
@@ -346,6 +353,7 @@ func New(cfg Config) *Dispatcher {
 		victims: heap[victim]{less: moreDeferrable},
 		waiting: make(map[int]*core.Task),
 		changes: make([][]stream.Change, cfg.Shards),
+		byShard: make([][]*core.Task, cfg.Shards),
 		probe:   make([]shardProbe, cfg.Shards),
 		grain:   shardGrain,
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -434,8 +433,12 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 			d.recordTask(ev.ID, obs.Cancelled, -1, 0, "withdrawn by requester while deferred")
 		}
 	case KindPosition:
-		if shard, known := d.workerShardLocked(ev.ID); known {
-			ok = d.shards[shard].UpdateWorkerPos(ev.ID, ev.Loc)
+		// UpdateWorkerPos reports an unknown id, and at most one shard holds
+		// the worker: one lookup a shard until it is found.
+		for _, m := range d.shards {
+			if ok = m.UpdateWorkerPos(ev.ID, ev.Loc); ok {
+				break
+			}
 		}
 	}
 	if ok {
@@ -447,8 +450,14 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 
 // replicateLocked installs ghost replicas of an owned open task into every
 // other shard whose territory its halo disk overlaps. The halo radius is the
-// largest reach of any admitted worker (maxReach), which makes the task
-// visible to every worker whose reachability disk could cover it; with one
+// largest reach of any admitted worker (maxReach), and its guarantee is by
+// territory: the task is visible in every shard owning a cell within maxReach
+// of it. A worker stays in the shard it came online in, also after it travels
+// out of that shard's territory, so it sees every task its disc covers while
+// it stands in the territory, and fewer the farther it strays. The radius is
+// not bounded by the task's time left (DistWithin(Exp − t)): a travelled
+// worker can reach a task whose time-left disc misses its shard's territory
+// (TestGhostServesTravelledWorker; docs/BENCHMARKS.md, "Dead ends"). With one
 // shard, or before any worker is admitted, there is nothing to replicate.
 // Already-replicated shards are skipped (AddGhost rejects duplicates), so the
 // call is idempotent — re-running it after the radius grows adds only the
@@ -459,6 +468,7 @@ func (d *Dispatcher) applyLocked(ev Event, t float64, requeued bool) {
 // and leave a boundary worker blind to a reachable off-map task.
 //
 //datawa:locked(mu)
+//datawa:hotpath
 func (d *Dispatcher) replicateLocked(s *core.Task, owner int, t float64) {
 	if d.smap == nil || d.maxReach <= 0 {
 		return
@@ -517,6 +527,18 @@ func (d *Dispatcher) reGhostLocked(t float64) (int, bool) {
 	return 0, true
 }
 
+// commit is one contested commit of an arbitration round: the shard that made
+// it and its change-log entry. lost marks a commit arbitration retracts.
+type commit struct {
+	shard int
+	c     stream.Change
+	lost  bool
+}
+
+// byTask orders commits by task id: sorted stably, each task's commits form
+// one run and keep their shard and then log order.
+func byTask(a, b commit) int { return cmp.Compare(a.c.Task, b.c.Task) }
+
 // arbitrateLocked is the arbitration stage, the one place the dispatcher
 // reads the machines' change logs. A replicated task can be committed by
 // several shards in one epoch; one commit may stand. A commit is contested
@@ -529,39 +551,42 @@ func (d *Dispatcher) reGhostLocked(t float64) (int, bool) {
 // once, which can commit afresh — hence the rounds; each consumes plan
 // entries, so the loop terminates. Each round ledgers the entries it leaves:
 // assignments and expiries (cancels and sheds were ledgered where applied).
-// It returns the number of rounds that settled a replicated task.
+// It returns the number of rounds that settled a replicated task. A round
+// keeps its commits in dispatcher scratch (ghosted, contested), so it
+// allocates nothing; ledger causes and span details are formatted only when
+// the ledger or span recording is on.
 //
 //datawa:locked(mu)
+//datawa:hotpath
 func (d *Dispatcher) arbitrateLocked(t float64) (int, bool) {
-	type commit struct {
-		shard int
-		c     stream.Change
-	}
 	rounds := 0
 	for {
 		round0 := time.Now() //datawa:wallclock arbitration-round span timing, observability only
-		// byTask holds the contested tasks' commits, in shard and then log
-		// order; a ghost commit marks its task contested before the owner's
-		// commit, which may sit in an earlier shard, is read.
-		var byTask map[int][]commit
+		// ghosted lists the tasks of the round's ghost commits: a ghost
+		// commit marks its task contested before the owner's commit, which
+		// may sit in an earlier shard, is read.
+		ghosted := d.ghosted[:0]
 		for i, m := range d.shards {
 			d.changes[i] = m.TakeChanges(d.changes[i][:0])
 			for _, c := range d.changes[i] {
 				if c.Ghost {
-					if byTask == nil {
-						byTask = make(map[int][]commit)
-					}
-					byTask[c.Task] = nil
+					ghosted = append(ghosted, c.Task)
 				}
 			}
 		}
-		// settled counts the uncontested commits of replicated tasks.
-		settled := 0
+		slices.Sort(ghosted)
+		d.ghosted = ghosted
+		// contested gathers the contested tasks' commits, in shard and then
+		// log order; settled counts the uncontested commits of replicated
+		// tasks.
+		contested, settled := d.contested[:0], 0
 		for i, cs := range d.changes {
 			for _, c := range cs {
-				if _, contested := byTask[c.Task]; contested && c.Kind == stream.TaskAssigned {
-					byTask[c.Task] = append(byTask[c.Task], commit{shard: i, c: c})
-					continue
+				if c.Kind == stream.TaskAssigned && len(ghosted) > 0 {
+					if _, ok := slices.BinarySearch(ghosted, c.Task); ok {
+						contested = append(contested, commit{shard: i, c: c})
+						continue
+					}
 				}
 				switch c.Kind {
 				case stream.TaskAssigned:
@@ -574,96 +599,130 @@ func (d *Dispatcher) arbitrateLocked(t float64) (int, bool) {
 				}
 			}
 		}
-		if len(byTask) == 0 && settled == 0 {
+		d.contested = contested
+		if len(contested) == 0 && settled == 0 {
 			return rounds, true
 		}
 		rounds++
-		ids := make([]int, 0, len(byTask))
-		//datawa:unordered ids are sorted before arbitration begins
-		for id := range byTask {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		// Pick each contested task's winner and drop every other copy. All
-		// drops happen before any retraction: a retracted worker resumes its
-		// plan immediately, and if a task later in this round still had an
-		// open copy the resume could commit it — a commit outside its own
-		// arbitration group, i.e. a double assignment.
-		var losers []commit
-		for _, id := range ids {
-			cms := byTask[id]
-			best := 0
-			for j := 1; j < len(cms); j++ {
-				a, b := cms[j], cms[best]
-				if a.c.Arrive != b.c.Arrive {
-					if a.c.Arrive < b.c.Arrive {
-						best = j
-					}
-					continue
-				}
-				if a.c.Worker != b.c.Worker {
-					if a.c.Worker < b.c.Worker {
-						best = j
-					}
-					continue
-				}
-				if a.shard < b.shard {
-					best = j
-				}
+		// Award each contested task, in ascending id, and drop every other
+		// copy. All drops happen before any retraction: a retracted worker
+		// resumes its plan immediately, and if a task later in this round
+		// still had an open copy the resume could commit it — a commit
+		// outside its own arbitration group, i.e. a double assignment.
+		slices.SortStableFunc(contested, byTask)
+		tasks, losers := settled, 0
+		for from := 0; from < len(contested); {
+			to := from + 1
+			for to < len(contested) && contested[to].c.Task == contested[from].c.Task {
+				to++
 			}
-			win := cms[best]
-			if len(cms) > 1 {
-				d.conflicts++
-			}
-			if win.c.Ghost {
-				d.ghostHits++
-			}
-			for j, cm := range cms {
-				if j != best {
-					losers = append(losers, cm)
-					// Ledger the losing commits before the terminal
-					// assignment so the chain stays well-formed (nothing
-					// after a terminal state). The retraction itself runs
-					// below.
-					d.recordTask(id, obs.Retracted, cm.shard, cm.c.Worker,
-						fmt.Sprintf("lost arbitration to worker %d", win.c.Worker))
-				}
-			}
-			cause := ""
-			switch {
-			case len(cms) > 1 && win.c.Ghost:
-				cause = fmt.Sprintf("ghost hit; won arbitration (%d commits)", len(cms))
-			case len(cms) > 1:
-				cause = fmt.Sprintf("won arbitration (%d commits)", len(cms))
-			case win.c.Ghost:
-				cause = "ghost hit"
-			}
-			d.recordTask(id, obs.Assigned, win.shard, win.c.Worker, cause)
-			d.dropCopiesLocked(id, win.shard)
+			losers += d.awardLocked(contested[from:to])
+			tasks++
+			from = to
 		}
 		// Retract the losers. Resumed workers can only commit tasks not
 		// arbitrated yet — fresh commits land in the machines' change logs
 		// and the next round collects them.
 		retract0 := time.Now() //datawa:wallclock retraction span timing, observability only
-		for _, cm := range losers {
-			if d.shards[cm.shard].RetractCommit(cm.c.Worker, cm.c.Task, t) {
+		for i := range contested {
+			if cm := &contested[i]; cm.lost && d.shards[cm.shard].RetractCommit(cm.c.Worker, cm.c.Task, t) {
 				d.retractions++
 			}
 		}
-		if len(losers) > 0 {
-			d.ob.span("retract", 0, retract0, len(losers), fmt.Sprintf("round=%d", rounds))
+		if d.ob.spans != nil {
+			d.spanRoundLocked(rounds, round0, retract0, tasks, losers)
 		}
-		tasks := len(ids) + settled
-		d.ob.span("arbitration-round", 0, round0, tasks,
-			fmt.Sprintf("round=%d tasks=%d losers=%d", rounds, tasks, len(losers)))
 	}
+}
+
+// awardLocked settles one contested task from its commits, in shard and then
+// log order: it picks the winner, marks every other commit lost, ledgers the
+// losers' retractions before the winner's assignment (so the chain stays
+// well-formed: nothing after a terminal state) and drops the task's other
+// copies. The retractions themselves run after the whole round is awarded.
+// It returns the number of losers.
+//
+//datawa:locked(mu)
+//datawa:hotpath
+func (d *Dispatcher) awardLocked(cms []commit) int {
+	best := 0
+	for j := 1; j < len(cms); j++ {
+		a, b := &cms[j], &cms[best]
+		if a.c.Arrive != b.c.Arrive {
+			if a.c.Arrive < b.c.Arrive {
+				best = j
+			}
+			continue
+		}
+		if a.c.Worker != b.c.Worker {
+			if a.c.Worker < b.c.Worker {
+				best = j
+			}
+			continue
+		}
+		if a.shard < b.shard {
+			best = j
+		}
+	}
+	for j := range cms {
+		cms[j].lost = j != best
+	}
+	win := &cms[best]
+	if len(cms) > 1 {
+		d.conflicts++
+	}
+	if win.c.Ghost {
+		d.ghostHits++
+	}
+	if d.ob.ledger != nil {
+		d.ledgerAwardLocked(cms, best)
+	}
+	d.dropCopiesLocked(win.c.Task, win.shard)
+	return len(cms) - 1
+}
+
+// ledgerAwardLocked ledgers one contested task's award: a Retracted entry for
+// every losing commit, then the winner's Assigned with its cause.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) ledgerAwardLocked(cms []commit, best int) {
+	win := cms[best]
+	for j, cm := range cms {
+		if j != best {
+			d.recordTask(cm.c.Task, obs.Retracted, cm.shard, cm.c.Worker,
+				fmt.Sprintf("lost arbitration to worker %d", win.c.Worker))
+		}
+	}
+	cause := ""
+	switch {
+	case len(cms) > 1 && win.c.Ghost:
+		cause = fmt.Sprintf("ghost hit; won arbitration (%d commits)", len(cms))
+	case len(cms) > 1:
+		cause = fmt.Sprintf("won arbitration (%d commits)", len(cms))
+	case win.c.Ghost:
+		cause = "ghost hit"
+	}
+	d.recordTask(win.c.Task, obs.Assigned, win.shard, win.c.Worker, cause)
+}
+
+// spanRoundLocked records one arbitration round's spans: the retraction, when
+// the round had losers, and the round itself.
+//
+//datawa:locked(mu)
+func (d *Dispatcher) spanRoundLocked(round int, round0, retract0 time.Time, tasks, losers int) {
+	if losers > 0 {
+		d.ob.span("retract", 0, retract0, losers, fmt.Sprintf("round=%d", round))
+	}
+	d.ob.span("arbitration-round", 0, round0, tasks,
+		fmt.Sprintf("round=%d tasks=%d losers=%d", round, tasks, losers))
 }
 
 // forecastLocked asks the demand feed for a refresh and hands each shard the
 // virtuals for the cells it owns. The feed holds the complete published
 // stream — as the engine's does — so sharding does not dilute the demand
 // counts the model was trained on. It reports how many virtual tasks were
-// materialized and whether a refresh ran.
+// materialized and whether a refresh ran. The split by shard is dispatcher
+// scratch (byShard), which each machine copies.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) forecastLocked(t float64) (int, bool) {
@@ -671,13 +730,14 @@ func (d *Dispatcher) forecastLocked(t float64) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	byShard := make([][]*core.Task, len(d.shards))
 	for _, v := range virtuals {
 		shard := d.shardOf(v.Loc)
-		byShard[shard] = append(byShard[shard], v)
+		d.byShard[shard] = append(d.byShard[shard], v)
 	}
 	for i, m := range d.shards {
-		m.SetVirtuals(byShard[i])
+		m.SetVirtuals(d.byShard[i])
+		clear(d.byShard[i]) // the machine copied them; hold no task past the refresh
+		d.byShard[i] = d.byShard[i][:0]
 	}
 	return len(virtuals), true
 }

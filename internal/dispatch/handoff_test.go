@@ -59,6 +59,39 @@ func TestGhostMakesBoundaryTaskVisible(t *testing.T) {
 	}
 }
 
+// TestGhostServesTravelledWorker holds the halo to its territory guarantee:
+// a worker stays in the shard it came online in after it travels out of that
+// shard's territory, and still sees every task within the largest admitted
+// reach of that territory. Worker 1 comes online in shard 0, serves a ghost
+// across y = 2 and waits there; the next task, owned by shard 1, has so
+// little time left that its time-left disc stops short of shard 0's
+// territory, but the worker can reach it in time. A halo bounded by the time
+// left would replicate it nowhere, and it would expire unserved in a shard
+// with no worker.
+func TestGhostServesTravelledWorker(t *testing.T) {
+	d := New(handoffConfig())
+	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 1, On: 0, Off: 9000})
+	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
+	d.Advance(50) // 0.2 km at 5 m/s: the worker waits at the task from t = 40
+	if wp, ok := d.PlanOf(1); !ok || wp.Moving || wp.Committed != -1 {
+		t.Fatalf("worker 1 = %+v at t = 50, want it idle at task 10", wp)
+	}
+	// Task 20 is 0.8 km from the worker and 0.9 km from shard 0's territory.
+	next := &core.Task{ID: 20, Loc: geo.Point{X: 1, Y: 2.9}, Pub: 50, Exp: 220, Cell: -1}
+	if left := travel.DistWithin(next.Exp - 50); left >= 0.9 || 50+travel.Time(geo.Point{X: 1, Y: 2.1}, next.Loc) >= next.Exp {
+		t.Fatalf("geometry: time-left disc %.3f km must miss shard 0 and the worker must arrive before %v", left, next.Exp)
+	}
+	d.SubmitTask(next)
+	d.Advance(300)
+	m := d.Snapshot()
+	if m.Assigned != 2 || m.Expired != 0 {
+		t.Fatalf("assigned/expired = %d/%d, want 2/0: the travelled worker must serve task 20", m.Assigned, m.Expired)
+	}
+	if m.GhostCopies != 2 || m.GhostHits != 2 {
+		t.Fatalf("ghost copies/hits = %d/%d, want 2/2", m.GhostCopies, m.GhostHits)
+	}
+}
+
 // TestArbitrationPicksEarliestArrival pins the conflict protocol: two shards
 // commit the same boundary task in one epoch; the closer worker (earlier
 // arrival) wins regardless of which shard owns the task, the loser is

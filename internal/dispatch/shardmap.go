@@ -13,13 +13,16 @@ import (
 // cells. Contiguity minimizes the boundary surface between shards — a task's
 // reachability disk crosses into at most a few foreign bands — which keeps
 // the ghost-replication volume of the halo protocol proportional to the
-// boundary length, not to the task count. The map is immutable: routing
-// stays a pure function of the event, preserving the dispatcher's
-// determinism contract.
+// boundary length, not to the task count. The ownership table is immutable:
+// routing stays a pure function of the event, preserving the dispatcher's
+// determinism contract. The two scratch buffers belong to shardsInDisk, which
+// only the epoch path calls, under the dispatcher's lock.
 type shardMap struct {
 	grid   geo.Grid
 	shards int
 	owner  []int // cell index → owning shard
+	cells  []int // shardsInDisk's disk cells
+	out    []int // shardsInDisk's result
 }
 
 func newShardMap(g geo.Grid, shards int) *shardMap {
@@ -39,10 +42,14 @@ func (sm *shardMap) ownerOf(p geo.Point) int {
 // shardsInDisk returns the distinct shards owning at least one grid cell
 // overlapped by the closed disk of radius r around p, excluding `exclude`,
 // in ascending shard order — the replication targets for a task at p whose
-// halo disk crosses shard boundaries.
+// halo disk crosses shard boundaries. The result is the map's storage, valid
+// until the next call.
+//
+//datawa:hotpath
 func (sm *shardMap) shardsInDisk(p geo.Point, r float64, exclude int) []int {
+	sm.out = sm.out[:0]
 	if r < 0 || math.IsNaN(r) {
-		return nil
+		return sm.out
 	}
 	// Interior fast path: every cell of the disk's bounding box has an index
 	// between the box's two extreme corners, and banded ownership is
@@ -53,19 +60,19 @@ func (sm *shardMap) shardsInDisk(p geo.Point, r float64, exclude int) []int {
 	hi := sm.grid.CellOf(geo.Point{X: p.X + r, Y: p.Y + r})
 	if sm.owner[lo] == sm.owner[hi] {
 		if s := sm.owner[lo]; s != exclude {
-			return []int{s}
+			sm.out = append(sm.out, s)
 		}
-		return nil
+		return sm.out
 	}
-	var out []int
+	sm.cells = spatial.AppendCellsInDisk(sm.cells[:0], sm.grid, p, r)
 	seen := -1 // banded ownership is monotone in cell order, so dedup is a scan
-	for _, c := range spatial.CellsInDisk(sm.grid, p, r) {
+	for _, c := range sm.cells {
 		s := sm.owner[c]
 		if s == exclude || s == seen {
 			continue
 		}
 		seen = s
-		out = append(out, s)
+		sm.out = append(sm.out, s)
 	}
-	return out
+	return sm.out
 }

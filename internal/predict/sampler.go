@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/tensor"
@@ -61,6 +62,9 @@ type ScenarioSampler struct {
 
 	nextSampledID int
 	rng           *rand.Rand // reseeded for every draw
+	// drawn is Virtuals' scratch: per (cell, interval), cell-major, the mask
+	// of the sampling scenarios that drew the pair.
+	drawn []uint64
 }
 
 // NewScenarioSampler wraps a point forecaster. samples ≤ 0 selects
@@ -95,11 +99,14 @@ func (sc *ScenarioSampler) Virtuals(published []*core.Task, now float64) []*core
 		return out
 	}
 
-	// Draw scenarios 1..K-1. drawn[(cell, interval)] accumulates the mask of
-	// sampling scenarios that materialized the pair; membership of scenario 0
-	// is decided by the threshold, exactly as above.
+	// Draw scenarios 1..K-1. drawn[cell·cols + interval] accumulates the mask
+	// of sampling scenarios that materialized the pair; membership of
+	// scenario 0 is decided by the threshold, exactly as above.
 	cols := probs.Cols
-	drawn := make(map[int]uint64)
+	n := probs.Rows * cols
+	sc.drawn = slices.Grow(sc.drawn[:0], n)[:n]
+	drawn := sc.drawn
+	clear(drawn)
 	if sc.rng == nil {
 		sc.rng = rand.New(rand.NewSource(0))
 	}
@@ -128,7 +135,7 @@ func (sc *ScenarioSampler) Virtuals(published []*core.Task, now float64) []*core
 	for _, v := range out {
 		key := v.Cell*cols + vIndex(v, intervalStart, sc.F.Cfg.DeltaT)
 		mask := 1 | drawn[key]
-		delete(drawn, key)
+		drawn[key] = 0
 		if mask != all {
 			v.SampleBits = mask
 		}
@@ -137,8 +144,8 @@ func (sc *ScenarioSampler) Virtuals(published []*core.Task, now float64) []*core
 	// order on the sampled id counter.
 	for cell := 0; cell < probs.Rows; cell++ {
 		for j := 0; j < cols; j++ {
-			mask, hit := drawn[cell*cols+j]
-			if !hit {
+			mask := drawn[cell*cols+j]
+			if mask == 0 {
 				continue
 			}
 			pub := intervalStart + float64(j)*sc.F.Cfg.DeltaT

@@ -45,13 +45,14 @@ import (
 	"repro/internal/geo"
 )
 
-// CellsInDisk returns the indices of the cells of g whose rectangle
-// intersects the closed disk of radius r around p, in ascending (row-major)
-// cell order. It is the boundary-disk query behind cross-shard task handoff
-// (internal/dispatch): the cells a reachability disk overlaps determine
-// which shards must see a replica of the task at its center. A negative or
-// NaN r returns nil; +Inf returns every cell wherever p is; r == 0 returns
-// the cell containing an in-region p.
+// AppendCellsInDisk appends to dst the indices of the cells of g whose
+// rectangle intersects the closed disk of radius r around p, in ascending
+// (row-major) cell order, and returns the extended slice. It is the
+// boundary-disk query behind cross-shard task handoff (internal/dispatch):
+// the cells a reachability disk overlaps determine which shards must see a
+// replica of the task at its center, and the caller's buffer is reused
+// across tasks. A negative or NaN r appends nothing; +Inf appends every cell
+// wherever p is; r == 0 appends the cell containing an in-region p.
 //
 // The candidates are the cells between those holding the corners of the
 // disk's bounding square; one passes when the distance from p to the nearest
@@ -61,9 +62,11 @@ import (
 // The cells' upper edges are exclusive (they tile disjointly), but the
 // closed-rectangle distance is what makes a disk tangent to a boundary see
 // both sides — exactly the conservative behavior replication wants.
-func CellsInDisk(g geo.Grid, p geo.Point, r float64) []int {
+//
+//datawa:hotpath
+func AppendCellsInDisk(dst []int, g geo.Grid, p geo.Point, r float64) []int {
 	if r < 0 || math.IsNaN(r) {
-		return nil
+		return dst
 	}
 	row0, row1, col0, col1 := 0, g.Rows-1, 0, g.Cols-1
 	all := math.IsInf(r, 1)
@@ -74,19 +77,15 @@ func CellsInDisk(g geo.Grid, p geo.Point, r float64) []int {
 	cw := g.Region.Width() / float64(g.Cols)
 	ch := g.Region.Height() / float64(g.Rows)
 	rr := r * r
-	var out []int
 	for row := row0; row <= row1; row++ {
 		dy := axisGap(g.Region.MinY, ch, row, p.Y)
 		for col := col0; col <= col1; col++ {
 			if dx := axisGap(g.Region.MinX, cw, col, p.X); all || dx*dx+dy*dy <= rr {
-				if out == nil {
-					out = make([]int, 0, (row1-row0+1)*(col1-col0+1))
-				}
-				out = append(out, row*g.Cols+col)
+				dst = append(dst, row*g.Cols+col)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // axisGap is the distance along one axis from coordinate v to the closed

@@ -230,7 +230,7 @@ func TestCellsInDiskMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		p := geo.Point{X: -4 + 16*r.Float64(), Y: -1 + 10*r.Float64()}
 		radius := 3 * r.Float64()
-		got := CellsInDisk(g, p, radius)
+		got := AppendCellsInDisk(nil, g, p, radius)
 		want := bruteCellsInDisk(g, p, radius)
 		if len(got) != len(want) {
 			t.Fatalf("p=%+v r=%v: got %v want %v", p, radius, got, want)
@@ -245,32 +245,32 @@ func TestCellsInDiskMatchesOracle(t *testing.T) {
 
 func TestCellsInDiskEdgeCases(t *testing.T) {
 	g := geo.NewGrid(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 2, 2)
-	if got := CellsInDisk(g, geo.Point{X: 1, Y: 1}, -1); got != nil {
+	if got := AppendCellsInDisk(nil, g, geo.Point{X: 1, Y: 1}, -1); got != nil {
 		t.Fatalf("negative radius returned %v", got)
 	}
-	if got := CellsInDisk(g, geo.Point{X: 1, Y: 1}, math.NaN()); got != nil {
+	if got := AppendCellsInDisk(nil, g, geo.Point{X: 1, Y: 1}, math.NaN()); got != nil {
 		t.Fatalf("NaN radius returned %v", got)
 	}
-	if got := CellsInDisk(g, geo.Point{X: 1, Y: 1}, math.Inf(1)); len(got) != g.Cells() {
+	if got := AppendCellsInDisk(nil, g, geo.Point{X: 1, Y: 1}, math.Inf(1)); len(got) != g.Cells() {
 		t.Fatalf("infinite radius returned %v, want every cell", got)
 	}
 	// Zero radius: exactly the containing cell for an in-region point; a
 	// point outside the region overlaps nothing (no CellOf-style clamping).
-	if got := CellsInDisk(g, geo.Point{X: 1, Y: 1}, 0); len(got) != 1 || got[0] != 0 {
+	if got := AppendCellsInDisk(nil, g, geo.Point{X: 1, Y: 1}, 0); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("zero radius returned %v, want [0]", got)
 	}
-	if got := CellsInDisk(g, geo.Point{X: -99, Y: 99}, 0); got != nil {
+	if got := AppendCellsInDisk(nil, g, geo.Point{X: -99, Y: 99}, 0); got != nil {
 		t.Fatalf("off-map zero radius returned %v, want nothing", got)
 	}
 	// A disk tangent to the shared boundary sees both sides.
-	if got := CellsInDisk(g, geo.Point{X: 1, Y: 1.5}, 0.5); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if got := AppendCellsInDisk(nil, g, geo.Point{X: 1, Y: 1.5}, 0.5); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("tangent disk returned %v, want [0 2]", got)
 	}
 }
 
-// refCellsInDisk is CellsInDisk, appending into dst, as it was before the
+// refCellsInDisk is AppendCellsInDisk as it was before the
 // rasteriser's per-axis gaps — a geo.CellRect and four math.Max per
-// candidate cell — kept as the oracle CellsInDisk is compared against.
+// candidate cell — kept as the oracle AppendCellsInDisk is compared against.
 func refCellsInDisk(dst []int, g geo.Grid, p geo.Point, r float64) []int {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 1) {
 		if math.IsInf(r, 1) {
@@ -298,17 +298,23 @@ func refCellsInDisk(dst []int, g geo.Grid, p geo.Point, r float64) []int {
 	return dst
 }
 
-// TestCellSetDiskMatchesReference: CellsInDisk lists exactly the cells the
+// TestCellSetDiskMatchesReference: AppendCellsInDisk lists exactly the cells the
 // old rasteriser returned, in the same ascending order — on random grids of
 // up to 169 cells and random disks, and on the cases a rewrite gets wrong:
 // tangent disks, centres on cell corners and off the region, zero, negative,
-// NaN and infinite radii, non-finite centres.
+// NaN and infinite radii, non-finite centres. Appended to a reused buffer
+// that already holds an entry, the cells follow it and the entry stays.
 func TestCellSetDiskMatchesReference(t *testing.T) {
+	var buf []int
 	check := func(g geo.Grid, p geo.Point, r float64) {
 		t.Helper()
 		want := refCellsInDisk(nil, g, p, r)
-		if got := CellsInDisk(g, p, r); !slices.Equal(got, want) {
-			t.Fatalf("grid %+v p=%+v r=%v: CellsInDisk %v, reference %v", g, p, r, got, want)
+		if got := AppendCellsInDisk(nil, g, p, r); !slices.Equal(got, want) {
+			t.Fatalf("grid %+v p=%+v r=%v: AppendCellsInDisk %v, reference %v", g, p, r, got, want)
+		}
+		buf = AppendCellsInDisk(append(buf[:0], -1), g, p, r)
+		if buf[0] != -1 || !slices.Equal(buf[1:], want) {
+			t.Fatalf("grid %+v p=%+v r=%v: appended to [-1] %v, reference %v", g, p, r, buf, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(83))

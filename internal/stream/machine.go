@@ -48,9 +48,10 @@ type Stats struct {
 	PlanTime time.Duration `json:"plan_time_ns"`
 }
 
-// workerState tracks one worker's runtime.
+// workerState tracks one worker's runtime. It holds the machine's copy of the
+// worker, so admitting a worker allocates one object.
 type workerState struct {
-	w *core.Worker
+	w core.Worker
 	// Motion segment; when moving, the worker travels origin→dest during
 	// [departT, arriveT].
 	origin, dest     geo.Point
@@ -183,15 +184,14 @@ func (m *Machine) AddWorker(w *core.Worker, now float64) bool {
 	if _, dup := m.byWorker[w.ID]; dup {
 		return false
 	}
-	cp := *w
-	ws := &workerState{w: &cp}
+	ws := &workerState{w: *w}
 	// Keeping the list in id order here is what hands the planner id-sorted
 	// workers with no sort per planning instant; evict and RemoveWorker
 	// delete in place. Ids mostly arrive ascending, so the search usually
 	// ends at the tail and the insert is an append.
-	at, _ := slices.BinarySearchFunc(m.active, cp.ID, func(ws *workerState, id int) int { return cmp.Compare(ws.w.ID, id) })
+	at, _ := slices.BinarySearchFunc(m.active, w.ID, func(ws *workerState, id int) int { return cmp.Compare(ws.w.ID, id) })
 	m.active = slices.Insert(m.active, at, ws)
-	m.byWorker[cp.ID] = ws
+	m.byWorker[w.ID] = ws
 	return true
 }
 
@@ -480,8 +480,8 @@ func (m *Machine) evict(t float64) {
 	clear(m.active[len(kept):])
 	m.active = kept
 
-	// The machine owns m.virtuals (SetVirtuals documents the handoff),
-	// so expiring entries compact in place too.
+	// The machine owns m.virtuals (SetVirtuals copies into it), so
+	// expiring entries compact in place too.
 	keptVirtual := m.virtuals[:0]
 	for _, v := range m.virtuals {
 		if v.Exp > t {
@@ -494,11 +494,13 @@ func (m *Machine) evict(t float64) {
 
 // SetVirtuals replaces the machine's virtual-task set with what the driver's
 // DemandFeed returned. Expired entries are evicted on the next Step. The
-// machine takes ownership of v — expiry eviction compacts it in place — so
-// callers must hand over a slice they will not read again (every Forecaster
-// builds a fresh one per call).
+// machine copies v into storage it owns and reuses, so the caller keeps v.
 func (m *Machine) SetVirtuals(v []*core.Task) {
-	m.virtuals = v
+	old := m.virtuals
+	m.virtuals = append(old[:0], v...)
+	if len(old) > len(v) {
+		clear(old[len(v):]) // drop the pointers the shorter set no longer covers
+	}
 }
 
 // plan runs one planning instant (Algorithm 4 via the configured planner).
@@ -526,7 +528,7 @@ func (m *Machine) plan(t float64) {
 		ws.w.Loc = ws.pos(t)
 		ws.moving = false
 		planners = append(planners, ws)
-		workers = append(workers, ws.w)
+		workers = append(workers, &ws.w)
 	}
 	m.planScratch, m.wsScratch = planners, workers
 	if len(planners) == 0 {
