@@ -59,7 +59,7 @@ func main() {
 		scale    = flag.String("scale", "standard", "experiment mode: quick | standard | full")
 		csvDir   = flag.String("csv", "", "experiment mode: also write <id>.csv files into this directory")
 		points   = flag.Int("points", 0, "experiment mode: override sweep points per parameter (0 = all)")
-		parallel = flag.Int("parallelism", 0, "planner fan-out per instant (0 = up to one goroutine per CPU, 1 = serial)")
+		parallel = flag.Int("parallelism", 0, "suite mode: live-path shard fan-out per epoch (0 = up to one goroutine per CPU, 1 = serial)")
 
 		jsonPath = flag.String("json", "", "write machine-readable results to FILE (\"-\" = stdout, text output suppressed)")
 
@@ -93,7 +93,7 @@ func main() {
 			jsonPath: *jsonPath, compare: *compare, maxGap: *maxGap,
 		})
 	default:
-		runExperiments(*list, *run, *scale, *csvDir, *points, *parallel, *jsonPath)
+		runExperiments(*list, *run, *scale, *csvDir, *points, *jsonPath)
 	}
 }
 
@@ -205,7 +205,7 @@ func runSuite(so suiteOptions) {
 
 // runExperiments is the paper-reproduction mode (tables and figures of
 // Section V).
-func runExperiments(list bool, run, scale, csvDir string, points, parallel int, jsonPath string) {
+func runExperiments(list bool, run, scale, csvDir string, points int, jsonPath string) {
 	if list || run == "" {
 		fmt.Println("experiments:")
 		for _, e := range experiments.All() {
@@ -235,7 +235,6 @@ func runExperiments(list bool, run, scale, csvDir string, points, parallel int, 
 	if points > 0 {
 		s.SweepPoints = points
 	}
-	s.Parallelism = parallel
 
 	var todo []experiments.Experiment
 	if run == "all" {
@@ -249,7 +248,7 @@ func runExperiments(list bool, run, scale, csvDir string, points, parallel int, 
 	}
 
 	quiet := jsonPath == "-"
-	report := jsonReport{Scale: scale, SweepPoints: s.SweepPoints, Parallelism: s.Parallelism}
+	report := jsonReport{Scale: scale, SweepPoints: s.SweepPoints}
 	for _, e := range todo {
 		start := time.Now()
 		tables := e.Run(s)
@@ -333,7 +332,6 @@ func fatalf(format string, args ...any) {
 type jsonReport struct {
 	Scale       string           `json:"scale"`
 	SweepPoints int              `json:"sweep_points,omitempty"`
-	Parallelism int              `json:"parallelism,omitempty"`
 	Experiments []jsonExperiment `json:"experiments"`
 }
 

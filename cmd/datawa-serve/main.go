@@ -67,7 +67,7 @@ func main() {
 		maxY      = flag.Float64("maxy", 4, "region max y (km)")
 		rows      = flag.Int("rows", 6, "demand grid rows")
 		cols      = flag.Int("cols", 6, "demand grid cols")
-		parallel  = flag.Int("parallelism", 0, "planner fan-out (0 = up to one goroutine per CPU)")
+		parallel  = flag.Int("parallelism", 0, "shard fan-out per epoch (0 = up to one goroutine per CPU, 1 = serial)")
 		pretrain  = flag.String("pretrain", "", "train demand/value models on a synthetic scenario first: yueche | didi")
 		preScale  = flag.Float64("pretrain-scale", 0.1, "pretraining workload scale factor in (0,1]")
 		seed      = flag.Int64("seed", 1, "deterministic seed")

@@ -34,7 +34,6 @@ func main() {
 		scale    = flag.Float64("scale", 0.15, "dataset shrink factor in (0,1], or atlas density multiplier with -scenario")
 		step     = flag.Float64("step", 2, "replan interval in seconds")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
-		parallel = flag.Int("parallelism", 0, "planner fan-out per instant (0 = up to one goroutine per CPU, 1 = serial)")
 	)
 	flag.Parse()
 
@@ -86,7 +85,7 @@ func main() {
 	fw := datawa.New(datawa.Config{
 		Region:   cfg.Region,
 		GridRows: cfg.GridRows, GridCols: cfg.GridCols,
-		Step: *step, Seed: *seed, Parallelism: *parallel,
+		Step: *step, Seed: *seed,
 	})
 
 	m := datawa.Method(*method)

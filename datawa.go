@@ -202,12 +202,13 @@ type Config struct {
 	// Step is the streaming replan interval in seconds (default 1).
 	Step float64
 
-	// Parallelism bounds the goroutines a planning instant may fan out
-	// across (per-worker reachability and sequences, per-RTC-tree search):
-	// 0 uses up to one goroutine per CPU, 1 runs serially. It is an upper
-	// bound — a planner takes goroutines when the instant is large enough
-	// to pay for them and plans on the caller's otherwise. Plans are
-	// byte-identical at every setting; only planning CPU time changes.
+	// Parallelism bounds the shard fan-out of the live dispatcher
+	// (NewDispatcher, dispatch.Config.Parallelism): 0 steps up to one shard
+	// per CPU at once, 1 steps them serially. It is an upper bound — the
+	// shards of an epoch take goroutines when their last Steps overlap by
+	// enough to pay for them and step on the caller's otherwise. A planning
+	// instant always runs on one goroutine, so Run and Assign do not read
+	// it. Plans are byte-identical at every setting; only wall time changes.
 	Parallelism int
 
 	// Seed makes training and planning deterministic (default 1).
@@ -287,8 +288,7 @@ func (f *Framework) assignOptions() assign.Options {
 			MaxSeqLen:    f.cfg.MaxSeqLen,
 			MaxReachable: f.cfg.MaxReachable,
 		},
-		MaxNodes:    f.cfg.MaxSearchNodes,
-		Parallelism: f.cfg.Parallelism,
+		MaxNodes: f.cfg.MaxSearchNodes,
 	}
 }
 

@@ -82,8 +82,7 @@ func ExampleFramework_TrainDemand() {
 }
 
 // exampleCrowd returns one busy instant of a whole city: 900 street corners a
-// kilometre apart, two couriers and five orders at each — some 45,000
-// candidate sequences, enough work for a planner to share out.
+// kilometre apart, two couriers and five orders at each.
 func exampleCrowd() ([]*datawa.Worker, []*datawa.Task) {
 	var workers []*datawa.Worker
 	var tasks []*datawa.Task
@@ -104,27 +103,41 @@ func exampleCrowd() ([]*datawa.Worker, []*datawa.Task) {
 	return workers, tasks
 }
 
-// ExampleConfig_parallelism plans the same instant serially and with up to
-// four goroutines: plans are byte-identical at every parallelism level, only
-// planning time changes. The planner fans out when the instant is large
-// enough to pay for the goroutines — this one is; the two couriers of
-// exampleWorkers are planned on the caller's goroutine at any setting.
+// ExampleConfig_parallelism replays the same busy instant through a
+// four-shard live dispatcher twice: with its shards stepped one after the
+// other, and with up to four stepped at once. Parallelism bounds that shard
+// fan-out and nothing else — each shard's planner plans its instant on the
+// goroutine that steps the shard — and the outcome is byte-identical at every
+// setting; only wall time changes. The shards of an epoch take goroutines of
+// their own only when their previous Steps overlap by enough to pay for them.
 func ExampleConfig_parallelism() {
-	serial := datawa.New(datawa.Config{Parallelism: 1})
-	parallel := datawa.New(datawa.Config{Parallelism: 4})
-
 	workers, tasks := exampleCrowd()
-	a := serial.Assign(workers, tasks, 0)
-	b := parallel.Assign(workers, tasks, 0)
-
-	same := len(a) == len(b)
-	for i := 0; same && i < len(a); i++ {
-		same = a[i].Worker.ID == b[i].Worker.ID &&
-			fmt.Sprint(a[i].Seq.IDs()) == fmt.Sprint(b[i].Seq.IDs())
+	replay := func(parallelism int) datawa.DispatchMetrics {
+		fw := datawa.New(datawa.Config{
+			Region:   datawa.Rect{MinX: 0, MinY: 0, MaxX: 30, MaxY: 30},
+			GridRows: 6, GridCols: 6,
+			Parallelism: parallelism,
+		})
+		d, err := fw.NewDispatcher(datawa.MethodDTA, datawa.DispatchConfig{Shards: 4})
+		if err != nil {
+			panic(err)
+		}
+		for _, w := range workers {
+			d.Ingest(datawa.WorkerOnlineEvent(w))
+		}
+		for _, s := range tasks {
+			d.Ingest(datawa.TaskSubmitEvent(s))
+		}
+		d.Advance(3)
+		return d.Snapshot()
 	}
-	fmt.Println("couriers with work:", len(a))
-	fmt.Println("identical plans:", same)
+	serial, parallel := replay(1), replay(4)
+
+	fmt.Println("assigned:", serial.Assigned)
+	fmt.Println("identical outcomes:", serial.Assigned == parallel.Assigned &&
+		serial.Expired == parallel.Expired && serial.GhostCopies == parallel.GhostCopies &&
+		serial.CommitConflicts == parallel.CommitConflicts)
 	// Output:
-	// couriers with work: 1800
-	// identical plans: true
+	// assigned: 2700
+	// identical outcomes: true
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/par"
 	"repro/internal/spatial"
 	"repro/internal/tvf"
 	"repro/internal/wds"
@@ -25,8 +24,8 @@ type Options struct {
 	// MaxNodes caps the number of exact-search nodes per RTC tree; past the
 	// budget a tree's search completes greedily (default 20000). The budget
 	// is per tree (not shared across the forest) so that every tree's
-	// search is independent of its siblings — the property the parallel
-	// planner relies on for byte-identical serial/parallel results — so
+	// search is independent of its siblings — the property that lets SSP
+	// search a tree its scenarios share once — so
 	// NodesLastPlan can reach MaxNodes times the forest size, plus the
 	// greedy completions. The budget counts the nodes of the exhaustive
 	// walk, whether a call expands them or takes them off the transposition
@@ -43,15 +42,6 @@ type Options struct {
 	// searched as one flat worker list, losing the sibling-independence
 	// pruning of Section IV-A.4.
 	Flat bool
-	// Parallelism bounds the goroutines used to search the trees of the
-	// RTC forest concurrently and, in place of WDS.Parallelism, the
-	// per-worker loops of wds.Separator: 0 uses up to one goroutine per CPU
-	// when the instant is large enough to pay for them (searchGrain
-	// sequences a goroutine), 1 (or any negative value) runs serially.
-	// Trees are independent by construction — workers in different trees
-	// share no reachable task — so every setting produces the identical
-	// plan, node count, and sample stream.
-	Parallelism int
 }
 
 // WithDefaults returns o with zero fields defaulted.
@@ -266,30 +256,25 @@ type Search struct {
 	ExpandedLastPlan int
 	// ReachChecksLastPlan is the distances the most recent Plan computed
 	// while gathering the workers' reachable sets (wds.Separator.ReachChecks):
-	// the reach stage's work, the same at every Parallelism.
+	// the reach stage's work.
 	ReachChecksLastPlan int
 
-	// Per-instant scratch (a Search serves one shard from one goroutine, but
-	// fans tree searches out internally — runs is indexed by the worker
-	// goroutine, everything else stays on the driving goroutine).
-	sep  wds.Separator
-	runs []searchRun
-	// job is searchJob bound to jobOf, made once: a method value handed to par
-	// escapes, so each one made is an allocation. A copied Search, whose jobOf
-	// is not itself, binds its own.
-	job   func(g, i int)
-	jobOf *Search
+	// Per-instant scratch (a Search serves one shard from one goroutine, and
+	// searches the trees of an instant one after another on it): the
+	// pipeline, the search state and the finished plans of every tree the
+	// call searched, back to back.
+	sep wds.Separator
+	run searchRun
+	out []choice
 	// One entry per distinct dependency component of the call, in the order
 	// they were met: every tree of a one-scenario call, and of a call planning
 	// several scenarios (plan) each tree once, however many of them hold it.
-	// results[fresh:] are the current scenario's new trees, head chains the
-	// entries by smallest member, trees counts the trees of all scenarios'
-	// forests, and forests names every scenario's by entry: scenario si's is
-	// forests[forestOff[si]:forestOff[si+1]], its Separation seps[si] (the
-	// Separator's until its next call). A scenario's plan is those forests'
-	// choices: commit makes it on demand.
+	// head chains the entries by smallest member, trees counts the trees of
+	// all scenarios' forests, and forests names every scenario's by entry:
+	// scenario si's is forests[forestOff[si]:forestOff[si+1]], its Separation
+	// seps[si] (the Separator's until its next call). A scenario's plan is
+	// those forests' choices: commit makes it on demand.
 	results   []treeResult
-	fresh     int
 	head      []int32
 	trees     int
 	forests   []int32
@@ -312,24 +297,14 @@ type Search struct {
 	virtual    []uint64
 }
 
-// searchGrain is the least number of candidate sequences in a forest worth a
-// goroutine of its own. Searching small trees costs 0.1–0.3 µs a sequence with
-// the transposition table (294 trees holding 8,340: 0.95 ms, 0.61 ms split in
-// two) and more without, so a grain is upwards of 0.1 ms, a few of a
-// goroutine's ≈ 30–40 µs wake-ups. paper-yueche's median instant — 6
-// sequences, in the trees of the 3 of its 211 workers on shift that reach a
-// task — is two orders of magnitude below it, and its largest holds 1,509
-// (docs/BENCHMARKS.md, "Fan-out grains").
-const searchGrain = 1024
-
 // treeResult is one distinct dependency component of a call and the outcome of
-// its search: the plan is run g's out[from:to]. The scenario it was first met
+// its search: the plan is Search.out[from:to]. The scenario it was first met
 // in, its size and the next entry with the same smallest member are what a
 // later scenario recognises it by (Search.find).
 type treeResult struct {
 	root                 *wds.TreeNode
 	scenario, size, next int32
-	g, from, to          int
+	from, to             int
 	nodes                int
 	expanded             int
 	greedy               int
@@ -348,23 +323,15 @@ func (s *Search) Name() string {
 // Travel implements Planner.
 func (s *Search) Travel() geo.TravelModel { return s.Opts.WithDefaults().WDS.Travel }
 
-// SetParallelism overrides Opts.Parallelism: how the dispatcher hands each
-// shard's planners their share of the goroutine budget for the epoch's shard
-// fan-out.
-func (s *Search) SetParallelism(p int) { s.Opts.Parallelism = p }
-
 // Plan implements Planner. It is the Task Planning Assignment driver of
 // Algorithm 4: per-worker reachable sets and maximal valid sequences, the
 // worker dependency graph, clique partition and RTC tree (the stages of
-// wds.Separator), then one search per tree of the forest.
-//
-// The trees are searched concurrently on a bounded pool (Options.
-// Parallelism) when the forest holds enough sequences to pay for one
-// (searchGrain). Each tree owns a disjoint slice of the task pool — two
-// workers sharing a reachable task are by definition in the same dependency
-// component — so per-tree searches never contend, and the merge in forest
-// order (components sorted by their smallest worker index) makes the plan,
-// NodesLastPlan, and collected samples byte-identical to a serial run.
+// wds.Separator), then one search per tree of the forest, on the calling
+// goroutine. Each tree owns a disjoint slice of the task pool — two workers
+// sharing a reachable task are by definition in the same dependency
+// component — so a tree's search reads nothing another one writes, and the
+// plan is the trees' choices in forest order (components sorted by their
+// smallest worker index).
 func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
 	s.plan(workers, tasks, now, 1)
 	return s.commit(0)
@@ -383,9 +350,7 @@ func (s *Search) Plan(workers []*core.Worker, tasks []*core.Task, now float64) c
 // scenario's plan and sums as a transposition hit's go into its parent's.
 func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k int) {
 	o := s.Opts.WithDefaults()
-	wdsOpts := o.WDS
-	wdsOpts.Parallelism = o.Parallelism
-	seps := s.sep.Scenarios(workers, tasks, now, wdsOpts, k)
+	seps := s.sep.Scenarios(workers, tasks, now, o.WDS, k)
 	s.ReachChecksLastPlan = s.sep.ReachChecks()
 	s.seps = seps
 	s.forests, s.forestOff = s.forests[:0], append(s.forestOff[:0], 0)
@@ -396,16 +361,14 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			s.head[i] = -1
 		}
 	}
-	for g := range s.runs {
-		s.runs[g].out = s.runs[g].out[:0]
-	}
+	s.out = s.out[:0]
 	s.trees = 0
 	s.NodesLastPlan, s.GreedyCompletionsLastPlan, s.BudgetBoundTreesLastPlan, s.ExpandedLastPlan = 0, 0, 0, 0
 	s.SkippedCompletionsLastPlan = 0
 	for si := range seps {
 		sep := &seps[si]
 		flat, offs := s.sep.Components(sep)
-		from, sequences := len(s.results), 0
+		from := len(s.results)
 		for i := 0; i+1 < len(offs); i++ {
 			comp := flat[offs[i]:offs[i+1]]
 			id := -1
@@ -422,9 +385,6 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 					r.next, s.head[comp[0]] = s.head[comp[0]], int32(id)
 				}
 				s.results = append(s.results, r)
-				for _, wi := range comp {
-					sequences += len(sep.Sets[wi].Masks)
-				}
 			}
 			s.forests = append(s.forests, int32(id))
 		}
@@ -432,26 +392,18 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 		fresh := s.results[from:]
 		s.partition(sep, fresh)
 
-		// The trees fan out by the sequences in them, not by their number: a
-		// hundred one-worker trees are ten microseconds of search.
-		fan := par.Workers(o.Parallelism, sequences, searchGrain)
-		for len(s.runs) < fan {
-			s.runs = append(s.runs, searchRun{})
-		}
-		for g := range s.runs[:fan] {
-			run := &s.runs[g]
-			run.opts, run.sep, run.now = o, sep, now
-			// A value-guided search collects nothing.
-			run.model, run.collect = s.Model, s.Collect && s.Model == nil
-			run.reachOff, run.reachLocal, run.virtual = s.reachOff, s.reachLocal, s.virtual
-		}
-		if s.jobOf != s {
-			s.job, s.jobOf = s.searchJob, s
-		}
-		s.fresh = from
-		par.DoWorker(len(fresh), fan, s.job)
+		run := &s.run
+		run.opts, run.sep, run.now = o, sep, now
+		// A value-guided search collects nothing.
+		run.model, run.collect = s.Model, s.Collect && s.Model == nil
+		run.reachOff, run.reachLocal, run.virtual = s.reachOff, s.reachLocal, s.virtual
 		for i := range fresh {
-			s.ExpandedLastPlan += fresh[i].expanded
+			res := &fresh[i]
+			run.searchTree(res, s.taskFlat[s.taskOff[i]:s.taskOff[i+1]])
+			res.from = len(s.out)
+			s.out = append(s.out, run.stack...)
+			res.to = len(s.out)
+			s.ExpandedLastPlan += res.expanded
 		}
 
 		forest := s.forest(si)
@@ -505,7 +457,7 @@ func (s *Search) commit(si int) core.Plan {
 	for _, id := range forest {
 		r := &s.results[id]
 		assignments += r.to - r.from
-		for _, c := range s.runs[r.g].out[r.from:r.to] {
+		for _, c := range s.out[r.from:r.to] {
 			tasks += bits.OnesCount64(sep.Sets[c.w].Masks[c.k])
 		}
 	}
@@ -518,23 +470,13 @@ func (s *Search) commit(si int) core.Plan {
 	backing := make(core.Sequence, 0, tasks)
 	for _, id := range forest {
 		r := &s.results[id]
-		for _, c := range s.runs[r.g].out[r.from:r.to] {
+		for _, c := range s.out[r.from:r.to] {
 			from := len(backing)
 			backing = sep.Sets[c.w].AppendSeq(backing, sep.Tasks, int(c.k))
 			plan = append(plan, core.Assignment{Worker: sep.Workers[c.w], Seq: backing[from:len(backing):len(backing)]})
 		}
 	}
 	return plan
-}
-
-// searchJob is the forest fan-out's body: the i-th new tree of the current
-// scenario, searched by goroutine g's run, which plan has pointed at the
-// scenario. It is a method, and the scenario's first new tree a field, so that
-// handing the loop to par costs no closure over the instant.
-func (s *Search) searchJob(g, i int) {
-	res := &s.results[s.fresh+i]
-	s.runs[g].searchTree(res, s.taskFlat[s.taskOff[i]:s.taskOff[i+1]])
-	res.g = g
 }
 
 // find returns the entry of the component that comp, a component of sep, is
@@ -651,8 +593,8 @@ func claim(n *wds.TreeNode, tree int32, sets []wds.WorkerSets, treeOf []int32) i
 	return claimed
 }
 
-// searchRun carries one worker goroutine's search state across the trees it
-// serves within one Plan call. Nothing in it is keyed by id: tasks are
+// searchRun carries the search state across the trees of one Plan call.
+// Nothing in it is keyed by id: tasks are
 // positions in the current tree's universe, workers positions in
 // Separation.Workers, sequences positions in their worker's Q_w, and "is
 // every task of q still free" is a test of q's universe bits against the
@@ -700,10 +642,8 @@ type searchRun struct {
 	table     transTable
 	// stack holds the plans under construction as (worker, sequence)
 	// choices in DFS order: every search call leaves its best plan on top,
-	// so a parent keeps a child's result by not popping it. out collects the
-	// finished plans of the trees this goroutine served.
+	// so a parent keeps a child's result by not popping it.
 	stack []choice
-	out   []choice
 
 	// RL state scratch: levels[d] is the state of the search call at depth d
 	// (a call's state must outlive the deeper calls made between building it
@@ -738,8 +678,8 @@ type level struct {
 	tasks   int // the state's task list is open[:tasks]
 }
 
-// searchTree searches res's tree over its task universe, appends the plan to
-// r.out and records where, and what it cost, in res.
+// searchTree searches res's tree over its task universe, leaves the plan in
+// r.stack and records what it cost in res.
 func (r *searchRun) searchTree(res *treeResult, universe []int32) {
 	root := res.root
 	r.tasks = universe
@@ -752,10 +692,8 @@ func (r *searchRun) searchTree(res *treeResult, universe []int32) {
 		r.table.reset()
 	}
 	r.search(root, 0, 0)
-	res.from, res.nodes, res.expanded, res.greedy, res.skipped = len(r.out), r.nodes, r.nodes-r.reused, r.greedy, r.skipped
+	res.nodes, res.expanded, res.greedy, res.skipped = r.nodes, r.nodes-r.reused, r.greedy, r.skipped
 	res.samples = r.samples
-	r.out = append(r.out, r.stack...)
-	res.to = len(r.out)
 }
 
 // value is the search objective contribution of sequence k of worker wi's

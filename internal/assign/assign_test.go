@@ -372,7 +372,7 @@ func TestCrowdPlanAllocs(t *testing.T) {
 		most  float64
 	}{{1.5, 10}, {5, 38}} {
 		crowd := atlasInstantsOf(a, c.scale)[0]
-		s := &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: 1}}
+		s := &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000}}
 		run := func() { s.Plan(crowd.workers, crowd.tasks, crowd.now) }
 		run()
 		if got := testing.AllocsPerRun(10, run); got > c.most {
@@ -399,125 +399,6 @@ func samePlans(t *testing.T, a, b core.Plan) {
 				t.Fatalf("assignment %d task %d: %d vs %d", i, j, ia[j], ib[j])
 			}
 		}
-	}
-}
-
-// crowdScenario is a random scenario past Search.Plan's fan-out grain at
-// every setting the tests below try: some 800 trees of up to 20 workers
-// holding more than 5·searchGrain sequences. Anything much smaller plans
-// inline whatever Parallelism says, and proves nothing about the fan-out.
-func crowdScenario(seed int64) ([]*core.Worker, []*core.Task) {
-	return randomScenario(seed, 1500, 6000, 44)
-}
-
-// fannedOut fails the test unless s, having just planned (ws, ts) at time
-// now, searched the forest on min(p, Σ|Q_w|/searchGrain) goroutines — at
-// least two of them for a p that allows it.
-func fannedOut(t *testing.T, s *Search, ws []*core.Worker, ts []*core.Task, now float64, p int) {
-	t.Helper()
-	sequences := wds.Separate(ws, ts, now, s.Opts.WithDefaults().WDS).Sequences
-	fan := par.Workers(p, sequences, searchGrain)
-	if p >= 2 && fan < 2 {
-		t.Fatalf("parallelism %d: %d sequences resolve to %d goroutines — the instance is below the grain", p, sequences, fan)
-	}
-	if len(s.runs) != fan {
-		t.Fatalf("parallelism %d: %d search runs for %d goroutines", p, len(s.runs), fan)
-	}
-}
-
-// TestParallelPlanMatchesSerial is the determinism contract of the
-// concurrent planner: on fixed-seed scenarios the parallel search returns
-// the byte-identical plan, node count, and RL sample stream of the serial
-// path, at every parallelism level and under every planner mode.
-func TestParallelPlanMatchesSerial(t *testing.T) {
-	ws, ts := crowdScenario(5)
-
-	// A tenth of the default node budget keeps the instance's 20-worker trees
-	// inside a race-detector run; TestSearchMatchesReference has the budgets.
-	serialOpts := opts()
-	serialOpts.Parallelism = 1
-	serialOpts.MaxNodes = 2000
-	serial := &Search{Opts: serialOpts, Collect: true}
-	want := checked{serial}.Plan(ws, ts, 0)
-
-	for _, p := range []int{2, 4, 8, 0} {
-		o := serialOpts
-		o.Parallelism = p
-		s := &Search{Opts: o, Collect: true}
-		got := checked{s}.Plan(ws, ts, 0)
-		fannedOut(t, s, ws, ts, 0, p)
-		samePlans(t, want, got)
-		if s.NodesLastPlan != serial.NodesLastPlan || s.ReachChecksLastPlan != serial.ReachChecksLastPlan {
-			t.Fatalf("parallelism %d: nodes %d and reach checks %d vs serial %d and %d", p, s.NodesLastPlan, s.ReachChecksLastPlan, serial.NodesLastPlan, serial.ReachChecksLastPlan)
-		}
-		if len(s.Samples) != len(serial.Samples) {
-			t.Fatalf("parallelism %d: %d samples vs serial %d", p, len(s.Samples), len(serial.Samples))
-		}
-		for i := range s.Samples {
-			if s.Samples[i] != serial.Samples[i] {
-				t.Fatalf("parallelism %d: sample %d differs", p, i)
-			}
-		}
-	}
-}
-
-func TestParallelPlanMatchesSerialTVF(t *testing.T) {
-	small, smallTasks := randomScenario(29, 30, 90, 7)
-	samples := CollectSamples(small, smallTasks, 0, opts())
-	model := tvf.NewModel(16, 44)
-	model.Train(samples, tvf.TrainConfig{Epochs: 10, Seed: 44})
-
-	ws, ts := crowdScenario(29)
-	serialOpts := opts()
-	serialOpts.Parallelism = 1
-	want := checked{&Search{Opts: serialOpts, Model: model}}.Plan(ws, ts, 0)
-	for _, p := range []int{2, 4, 0} {
-		o := opts()
-		o.Parallelism = p
-		s := &Search{Opts: o, Model: model}
-		got := checked{s}.Plan(ws, ts, 0)
-		fannedOut(t, s, ws, ts, 0, p)
-		samePlans(t, want, got)
-	}
-}
-
-func TestParallelPlanMatchesSerialUnderBudget(t *testing.T) {
-	// The node budget is per tree, so greedy completion kicks in at the
-	// same search positions regardless of scheduling.
-	ws, ts := crowdScenario(61)
-	serialOpts := opts()
-	serialOpts.Parallelism = 1
-	serialOpts.MaxNodes = 40
-	serial := &Search{Opts: serialOpts}
-	want := checked{serial}.Plan(ws, ts, 0)
-	if serial.BudgetBoundTreesLastPlan == 0 {
-		t.Fatal("the budget binds on no tree")
-	}
-	for _, p := range []int{2, 4, 0} {
-		o := opts()
-		o.Parallelism = p
-		o.MaxNodes = 40
-		s := &Search{Opts: o}
-		got := checked{s}.Plan(ws, ts, 0)
-		fannedOut(t, s, ws, ts, 0, p)
-		samePlans(t, want, got)
-		if s.GreedyCompletionsLastPlan != serial.GreedyCompletionsLastPlan {
-			t.Fatalf("parallelism %d: %d greedy completions vs serial %d", p, s.GreedyCompletionsLastPlan, serial.GreedyCompletionsLastPlan)
-		}
-	}
-}
-
-// TestParallelPlanRace exercises the concurrent planner with maximum
-// fan-out so `go test -race` patrols the tree isolation invariant.
-func TestParallelPlanRace(t *testing.T) {
-	ws, ts := crowdScenario(97)
-	o := opts()
-	o.Parallelism = 8
-	o.MaxNodes = 400
-	s := &Search{Opts: o, Collect: true}
-	for call := 0; call < 3; call++ {
-		checked{s}.Plan(ws, ts, float64(call))
-		fannedOut(t, s, ws, ts, float64(call), 8)
 	}
 }
 
@@ -555,8 +436,10 @@ func withIdle(in instant) ([]*core.Worker, int) {
 // instant with idle workers among its own returns the plan, the RL samples and
 // every counter of planning it without them — the exact search with the
 // transposition table on and off, the flat ablation, the value-guided search, sample
-// collection and SSP's shared scenario pass — serial and at whatever the CPUs
-// give.
+// collection and SSP's shared scenario pass. The two planners plan side by side
+// under par.Do at the setting par names, as the dispatcher steps its shards'
+// planners: one after the other on the test's goroutine at 1, each on a
+// goroutine of its own at 0 where the CPUs allow, sharing the value model.
 func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 	a, _ := scenario.Get("rush-hour")
 	model := tvf.NewModel(16, 7)
@@ -565,7 +448,7 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 		padded, idle := withIdle(in)
 		sspIn := tagEveryThird(in, 5, 3)
 		for _, p := range []int{1, 0} {
-			o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: p}
+			o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000}
 			flat := o
 			flat.Flat = true
 			for _, c := range []struct {
@@ -579,8 +462,15 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 			} {
 				t.Run(fmt.Sprintf("%s/%s/par=%d", in.name, c.name, p), func(t *testing.T) {
 					want, got := c.s(), c.s()
-					wantPlan := checked{want}.Plan(in.workers, in.tasks, in.now)
-					samePlans(t, wantPlan, checked{got}.Plan(padded, in.tasks, in.now))
+					var wantPlan, gotPlan core.Plan
+					par.Do(2, p, func(i int) {
+						if i == 0 {
+							wantPlan = checked{want}.Plan(in.workers, in.tasks, in.now)
+						} else {
+							gotPlan = checked{got}.Plan(padded, in.tasks, in.now)
+						}
+					})
+					samePlans(t, wantPlan, gotPlan)
 					counts := func(s *Search) [6]int {
 						return [6]int{s.NodesLastPlan, s.ExpandedLastPlan, s.GreedyCompletionsLastPlan,
 							s.BudgetBoundTreesLastPlan, s.trees, len(s.results)}
@@ -608,11 +498,7 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 							t.Fatalf("tree %d: %d of %d nodes expanded with the table off", i, r.expanded, r.nodes)
 						}
 					}
-					switched := 0
-					for g := range got.runs {
-						switched += int(got.runs[g].table.gen)
-					}
-					if switched != on {
+					if switched := int(got.run.table.gen); switched != on {
 						t.Fatalf("the table was on for %d trees, useTable names %d", switched, on)
 					}
 					if c.name == "exact" && crowd && (on == 0 || off == 0) {
@@ -622,7 +508,15 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/ssp/par=%d", in.name, p), func(t *testing.T) {
 				want, got := &SSP{Opts: o, Samples: 5}, &SSP{Opts: o, Samples: 5}
-				samePlans(t, checked{want}.Plan(sspIn.workers, sspIn.tasks, in.now), checked{got}.Plan(padded, sspIn.tasks, in.now))
+				var wantPlan, gotPlan core.Plan
+				par.Do(2, p, func(i int) {
+					if i == 0 {
+						wantPlan = checked{want}.Plan(sspIn.workers, sspIn.tasks, in.now)
+					} else {
+						gotPlan = checked{got}.Plan(padded, sspIn.tasks, in.now)
+					}
+				})
+				samePlans(t, wantPlan, gotPlan)
 				counts := func(p *SSP) [6]int {
 					return [6]int{p.NodesLastPlan, p.ExpandedLastPlan, p.GreedyCompletionsLastPlan,
 						p.BudgetBoundTreesLastPlan, p.TreesLastPlan, p.DistinctTreesLastPlan}
@@ -641,29 +535,40 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 // TestBoundedCompletionsAcrossParallelism pins the work the completion bound
 // saves (completionBound) on the event-spike flash crowd with the benchmark's
 // 4000-node budget (BenchmarkCrowdPlan): at 1.5x, where every tree's universe
-// fits one word, and at 5x, one tree of more than 64 tasks.
-// Serial and at whatever the CPUs give, the plan and all five counters are the
-// same, and most of the greedy completions past the budget are counted without
-// being run.
+// fits one word, and at 5x, one tree of more than 64 tasks. The two crowds
+// are planned side by side under par.Do, as two shards' planners are: one
+// after the other on the test's goroutine at 1, each on a goroutine of its
+// own at 0 where the CPUs allow. At both the plans and all five counters are
+// the same, and most of the greedy completions past the budget are counted
+// without being run.
 func TestBoundedCompletionsAcrossParallelism(t *testing.T) {
 	a, _ := scenario.Get("event-spike")
-	for _, c := range []struct {
+	cases := []struct {
 		scale   float64
 		minSkip float64 // the least share of the greedy completions skipped
-	}{{1.5, 0.75}, {5, 0.6}} {
-		crowd := atlasInstantsOf(a, c.scale)[0]
-		var want core.Plan
-		var wantCounts [5]int
-		for _, p := range []int{1, 0} {
-			s := &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: p}}
-			plan := checked{s}.Plan(crowd.workers, crowd.tasks, crowd.now)
+	}{{1.5, 0.75}, {5, 0.6}}
+	crowds := make([]instant, len(cases))
+	for i, c := range cases {
+		crowds[i] = atlasInstantsOf(a, c.scale)[0]
+	}
+	var want [2]core.Plan
+	var wantCounts [2][5]int
+	for _, p := range []int{1, 0} {
+		var searches [2]*Search
+		var plans [2]core.Plan
+		par.Do(len(crowds), p, func(i int) {
+			searches[i] = &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000}}
+			plans[i] = checked{searches[i]}.Plan(crowds[i].workers, crowds[i].tasks, crowds[i].now)
+		})
+		for i, c := range cases {
+			s := searches[i]
 			counts := [5]int{s.NodesLastPlan, s.ExpandedLastPlan, s.GreedyCompletionsLastPlan,
 				s.BudgetBoundTreesLastPlan, s.SkippedCompletionsLastPlan}
 			if p == 1 {
-				want, wantCounts = plan, counts
+				want[i], wantCounts[i] = plans[i], counts
 				widest := 0
-				for i := range s.results {
-					widest = max(widest, int(s.taskOff[i+1]-s.taskOff[i]))
+				for j := range s.results {
+					widest = max(widest, int(s.taskOff[j+1]-s.taskOff[j]))
 				}
 				if wide := widest > 64; wide != (c.scale == 5) {
 					t.Fatalf("%vx: widest universe %d tasks", c.scale, widest)
@@ -673,22 +578,19 @@ func TestBoundedCompletionsAcrossParallelism(t *testing.T) {
 				}
 				continue
 			}
-			samePlans(t, want, plan)
-			if counts != wantCounts {
-				t.Fatalf("%vx parallelism %d: nodes/expanded/greedy/bound/skipped %v, serial %v", c.scale, p, counts, wantCounts)
+			samePlans(t, want[i], plans[i])
+			if counts != wantCounts[i] {
+				t.Fatalf("%vx side by side: nodes/expanded/greedy/bound/skipped %v, one after the other %v", c.scale, counts, wantCounts[i])
 			}
 		}
 	}
 }
 
 // TestPlanWithoutSequences covers the forest with no work in it — no tasks,
-// nobody on shift, nobody at all — at a fan-out setting: the goroutine count
-// resolves to one, never zero, and the plan is empty.
+// nobody on shift, nobody at all: the plan is empty.
 func TestPlanWithoutSequences(t *testing.T) {
 	ws, ts := randomScenario(3, 20, 40, 6)
-	o := opts()
-	o.Parallelism = 4
-	s := &Search{Opts: o}
+	s := &Search{Opts: opts()}
 	if plan := (checked{s}).Plan(ws, nil, 0); len(plan) != 0 {
 		t.Fatalf("no tasks: %d assignments", len(plan))
 	}
@@ -697,8 +599,5 @@ func TestPlanWithoutSequences(t *testing.T) {
 	}
 	if plan := (checked{s}).Plan(ws, ts, 2e5); len(plan) != 0 { // past every worker's Off
 		t.Fatalf("nobody on shift: %d assignments", len(plan))
-	}
-	if len(s.runs) != 1 {
-		t.Fatalf("%d search runs for forests with no sequences", len(s.runs))
 	}
 }

@@ -82,11 +82,8 @@ func scaledInstance(nWorkers, nTasks int) ([]*core.Worker, []*core.Task) {
 	return ws, ts
 }
 
-// BenchmarkPlanScale compares the serial planner against the concurrent one
-// across planning-instant sizes (total entities = workers + tasks at a 1:4
-// ratio). Plans are byte-identical at every parallelism level; the speedup
-// of parallel4 over serial on a multi-core host is the win being measured
-// (on a single-core host the two are expected to tie, minus pool overhead).
+// BenchmarkPlanScale times the planner across planning-instant sizes (total
+// entities = workers + tasks at a 1:4 ratio).
 func BenchmarkPlanScale(b *testing.B) {
 	scales := []struct {
 		name             string
@@ -98,29 +95,19 @@ func BenchmarkPlanScale(b *testing.B) {
 	}
 	for _, sc := range scales {
 		ws, ts := scaledInstance(sc.nWorkers, sc.nTasks)
-		for _, mode := range []struct {
-			name        string
-			parallelism int
-		}{
-			{"serial", 1},
-			{"parallel4", 4},
-		} {
-			b.Run(sc.name+"/"+mode.name, func(b *testing.B) {
-				o := benchOpts()
-				// Bounded per-tree effort keeps one plan call in benchmark
-				// range while leaving each tree enough search to parallelize.
-				o.MaxNodes = 400
-				o.WDS.MaxSeqLen = 2
-				o.WDS.MaxSequences = 16
-				o.Parallelism = mode.parallelism
-				s := &Search{Opts: o}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Plan(ws, ts, 0)
-				}
-			})
-		}
+		b.Run(sc.name, func(b *testing.B) {
+			o := benchOpts()
+			// Bounded per-tree effort keeps one plan call in benchmark range.
+			o.MaxNodes = 400
+			o.WDS.MaxSeqLen = 2
+			o.WDS.MaxSequences = 16
+			s := &Search{Opts: o}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Plan(ws, ts, 0)
+			}
+		})
 	}
 }
 
@@ -129,19 +116,16 @@ func BenchmarkPlanScale(b *testing.B) {
 // where every tree's budget binds and the per-node candidate filter and greedy
 // completions set the epoch tail. At 1.5x every tree's universe fits one word
 // and the transposition table is on (transposition.go); at 5x the instant is
-// one 113-task tree, laid out on two words. The -par rows plan the same instants at
-// Parallelism 0 — whatever the grains of wds.Separate and Search.Plan make of
-// the CPUs given by -cpu — and must be no slower than their serial twins.
+// one 113-task tree, laid out on two words.
 func BenchmarkCrowdPlan(b *testing.B) {
 	a, _ := scenario.Get("event-spike")
 	for _, c := range []struct {
-		name        string
-		scale       float64
-		parallelism int
-	}{{"1.5x", 1.5, 1}, {"5x", 5, 1}, {"1.5x-par", 1.5, 0}, {"5x-par", 5, 0}} {
+		name  string
+		scale float64
+	}{{"1.5x", 1.5}, {"5x", 5}} {
 		b.Run(c.name, func(b *testing.B) {
 			crowd := atlasInstantsOf(a, c.scale)[0]
-			o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: c.parallelism}
+			o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000}
 			s := &Search{Opts: o}
 			s.Plan(crowd.workers, crowd.tasks, crowd.now)
 			b.ReportAllocs()
@@ -166,7 +150,7 @@ func BenchmarkCrowdPlan(b *testing.B) {
 func BenchmarkSSPPlan(b *testing.B) {
 	const k = 5
 	crowd := sspRushHourPool(k)
-	o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000, Parallelism: 1}
+	o := Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000}
 	p := &SSP{Opts: o, Samples: k}
 	p.Plan(crowd.workers, crowd.tasks, crowd.now)
 	b.ReportAllocs()

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/tvf"
 	"repro/internal/wds"
 )
@@ -145,15 +146,16 @@ const searchHeader = `# Golden rows of TestSearchMatchesReference, one per (inst
 # count and hash, features rounded to float32. A /live row is the same
 # configuration planned without Collect, the run the transposition table
 # serves. The tvf rows are planned under tvf.NewModel(16, 7) untrained: weights
-# fixed by the seed, not by training arithmetic. Every row holds at
-# Parallelism 1 and 0, on a fresh Search and a warm one. Regenerate with
+# fixed by the seed, not by training arithmetic. Every row holds on a fresh
+# Search and a warm one, planning alone (par=1) and beside a second Search on
+# goroutines of their own (par=0). Regenerate with
 #   go test ./internal/assign -run '^TestSearchMatchesReference$' -update
 `
 
 // TestSearchMatchesReference holds Search to its pins (testdata/search.pins)
 // on the crowd and median instants of every atlas archetype — with the budget
-// binding and not, the RTC tree on and flattened, serial and parallel, cold
-// and warm, collecting samples and not, guided by a value model, and with the
+// binding and not, the RTC tree on and flattened, alone and beside a second
+// Search, cold and warm, collecting samples and not, guided by a value model, and with the
 // reachable sets uncapped — and on fixtures built to expose the transposition
 // table (every budget a small tree can run out on, universes either side of
 // the one word it takes), the word layout (bits 63/64 and 127/128) and the
@@ -167,17 +169,23 @@ func TestSearchMatchesReference(t *testing.T) {
 	}
 	pins := loadPins(t, "testdata/search.pins", "", searchHeader, "go test ./internal/assign -run '^TestSearchMatchesReference$' -update")
 	defer pins.save(t)
-	// plan plans in on s, checks the plan and the counters, and pins them.
-	plan := func(t *testing.T, key string, s *Search, in instant) core.Plan {
+	// pin holds got, the plan s has just made, and the counters to the pins
+	// and checks them.
+	pin := func(t *testing.T, key string, s *Search, got core.Plan) {
 		t.Helper()
-		s.Samples = nil
-		got := checked{s}.Plan(in.workers, in.tasks, in.now)
 		pins.check(t, key, searchRow(s, got))
 		// Runs that collect samples or follow a model never consult the table.
 		if (s.Collect || s.Model != nil) && (s.ExpandedLastPlan != s.NodesLastPlan || s.SkippedCompletionsLastPlan != 0) ||
 			s.ExpandedLastPlan > s.NodesLastPlan || s.SkippedCompletionsLastPlan > s.GreedyCompletionsLastPlan {
 			t.Fatalf("%s: %s", key, searchRow(s, got))
 		}
+	}
+	// plan plans in on s and pins the plan.
+	plan := func(t *testing.T, key string, s *Search, in instant) core.Plan {
+		t.Helper()
+		s.Samples = nil
+		got := checked{s}.Plan(in.workers, in.tasks, in.now)
+		pin(t, key, s, got)
 		return got
 	}
 	model := tvf.NewModel(16, 7)
@@ -212,8 +220,8 @@ func TestSearchMatchesReference(t *testing.T) {
 		pins.check(t, "chain-10/budgets", fmt.Sprintf("budgets=%d refused=%d rows=%016x", free.NodesLastPlan, refused, h.Sum64()))
 	})
 
-	// Fixtures built to expose the search, each planned twice at Parallelism
-	// 1 and 0 and pinned under its name; words marks the ones whose layout
+	// Fixtures built to expose the search, each planned twice, alone and
+	// beside a second Search, and pinned under its name; words marks the ones whose layout
 	// wordPath checks, and check is what the fixture is built to exhibit.
 	type fixture struct {
 		name    string
@@ -308,7 +316,7 @@ func TestSearchMatchesReference(t *testing.T) {
 			live := &Search{Opts: s.Opts}
 			plan(t, "chain-100/reach=64/live", live, chain100)
 			for i := range chain100.workers {
-				if set := &live.runs[0].sep.Sets[i]; len(set.Index) != 64 || !slices.ContainsFunc(set.Masks, func(m uint64) bool { return m>>63 != 0 }) {
+				if set := &live.run.sep.Sets[i]; len(set.Index) != 64 || !slices.ContainsFunc(set.Masks, func(m uint64) bool { return m>>63 != 0 }) {
 					t.Fatalf("worker %d: %d tasks in reach, or no sequence on the 64th", i, len(set.Index))
 				}
 			}
@@ -341,7 +349,7 @@ func TestSearchMatchesReference(t *testing.T) {
 				straddles := func(a, b int32) bool {
 					for i := range wide3.workers {
 						var at []int32
-						for _, task := range s.runs[0].sep.Sets[i].Index {
+						for _, task := range s.run.sep.Sets[i].Index {
 							at = append(at, s.local[task])
 						}
 						if slices.Contains(at, a) && slices.Contains(at, b) {
@@ -422,21 +430,37 @@ func TestSearchMatchesReference(t *testing.T) {
 		}
 	}
 
+	// par is the par.Do setting the fixture is planned under: at 1 one
+	// Search plans on the test's goroutine; at 0 two plan side by side, each
+	// on a goroutine of its own where the CPUs allow, sharing the instant and
+	// the value model as the planners of two shards the dispatcher steps at
+	// once do. Every plan of either, fresh and warm, is the pinned one.
 	for _, f := range fixtures {
 		for _, p := range []int{1, 0} {
 			t.Run(fmt.Sprintf("%s/par=%d", f.name, p), func(t *testing.T) {
-				o := f.o
-				o.Parallelism = p
-				s := &Search{Opts: o, Collect: f.collect, Model: f.model}
-				var got core.Plan
+				n := 1
+				if p == 0 {
+					n = 2
+				}
+				searches := make([]*Search, n)
+				for i := range searches {
+					searches[i] = &Search{Opts: f.o, Collect: f.collect, Model: f.model}
+				}
+				got := make([]core.Plan, len(searches))
 				for pass := 0; pass < 2; pass++ {
-					got = plan(t, f.name, s, f.in)
-					if f.words {
-						wordPath(t, s, len(f.in.tasks))
+					par.Do(len(searches), p, func(i int) {
+						searches[i].Samples = nil
+						got[i] = checked{searches[i]}.Plan(f.in.workers, f.in.tasks, f.in.now)
+					})
+					for i, s := range searches {
+						pin(t, f.name, s, got[i])
+						if f.words {
+							wordPath(t, s, len(f.in.tasks))
+						}
 					}
 				}
 				if f.check != nil {
-					f.check(t, s, got)
+					f.check(t, searches[0], got[0])
 				}
 			})
 		}
@@ -452,7 +476,7 @@ func wordPath(t *testing.T, s *Search, universe int) {
 	if len(s.taskOff) != 2 || int(s.taskOff[1]) != universe {
 		t.Fatalf("universes %v, want one of %d tasks", s.taskOff, universe)
 	}
-	run := &s.runs[0]
+	run := &s.run
 	w := run.relWords
 	if w != (universe+63)/64 {
 		t.Fatalf("%d words a row for a universe of %d tasks", w, universe)

@@ -81,9 +81,6 @@ func (p *SSP) Name() string { return "SSP" }
 // Travel implements Planner.
 func (p *SSP) Travel() geo.TravelModel { return p.Opts.WithDefaults().WDS.Travel }
 
-// SetParallelism overrides Opts.Parallelism; see Options.Parallelism.
-func (p *SSP) SetParallelism(n int) { p.Opts.Parallelism = n }
-
 // Plan implements Planner.
 func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
 	o := p.Opts.WithDefaults()
@@ -158,7 +155,7 @@ func (s *Search) value(si, sc int, virtualWeight float64) float64 {
 	v := 0.0
 	for _, id := range s.forest(si) {
 		r := &s.results[id]
-		for _, c := range s.runs[r.g].out[r.from:r.to] {
+		for _, c := range s.out[r.from:r.to] {
 			ws := &sep.Sets[c.w]
 			for _, pos := range ws.Order(int(c.k)) {
 				switch t := sep.Tasks[ws.Index[pos]]; {

@@ -70,68 +70,6 @@ func scenarioPool(tasks []*core.Task, s int) []*core.Task {
 	return pool
 }
 
-// TestSSPParallelMatchesSerial is SSP's determinism contract: on a
-// scenario-tagged pool the committed plan and every counter are byte-identical
-// at every parallelism level — on small pools, which plan inline whatever the
-// setting, and on a crowd past the fan-out grain, where the scenarios' trees
-// must really have been searched on more than one goroutine when the CPUs
-// allow it.
-func TestSSPParallelMatchesSerial(t *testing.T) {
-	type pool struct {
-		name string
-		ws   []*core.Worker
-		ts   []*core.Task
-	}
-	var pools []pool
-	for _, seed := range []int64{5, 23, 87} {
-		ws, ts := sspScenario(seed, 4)
-		pools = append(pools, pool{fmt.Sprintf("seed %d", seed), ws, ts})
-	}
-	ws, ts := crowdScenario(5)
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < len(ts); i += 3 {
-		ts[i].Virtual, ts[i].SampleBits = true, 1+uint64(r.Intn(1<<4-2))
-	}
-	pools = append(pools, pool{"crowd", ws, ts})
-
-	for _, c := range pools {
-		serialOpts := opts()
-		serialOpts.Parallelism, serialOpts.MaxNodes = 1, 400
-		serial := &SSP{Opts: serialOpts, Samples: 4}
-		want := checked{serial}.Plan(c.ws, c.ts, 0)
-		if serial.DistinctTreesLastPlan >= serial.TreesLastPlan {
-			t.Fatalf("%s: %d distinct trees of %d: the scenarios share nothing", c.name, serial.DistinctTreesLastPlan, serial.TreesLastPlan)
-		}
-		sequences := wds.Separate(c.ws, scenarioPool(c.ts, 0), 0, serialOpts.WDS).Sequences
-
-		for _, p := range []int{2, 4, 8, 0} {
-			o := serialOpts
-			o.Parallelism = p
-			got := &SSP{Opts: o, Samples: 4}
-			plan := checked{got}.Plan(c.ws, c.ts, 0)
-			samePlans(t, want, plan)
-			for _, n := range [][2]int{
-				{got.NodesLastPlan, serial.NodesLastPlan}, {got.ExpandedLastPlan, serial.ExpandedLastPlan},
-				{got.GreedyCompletionsLastPlan, serial.GreedyCompletionsLastPlan},
-				{got.TreesLastPlan, serial.TreesLastPlan}, {got.DistinctTreesLastPlan, serial.DistinctTreesLastPlan},
-			} {
-				if n[0] != n[1] {
-					t.Fatalf("%s parallelism %d: counters %+v, serial %+v", c.name, p, got, serial)
-				}
-			}
-			// Scenario 0's trees are all new to the call: they fan out as a
-			// Search's would.
-			fan := par.Workers(p, sequences, searchGrain)
-			if c.name == "crowd" && p >= 2 && fan < 2 && runtime.GOMAXPROCS(0) >= 2 {
-				t.Fatalf("parallelism %d: %d sequences resolve to %d goroutines — the crowd is below the grain", p, sequences, fan)
-			}
-			if len(got.search.runs) < fan {
-				t.Fatalf("%s parallelism %d: %d search runs for %d goroutines", c.name, p, len(got.search.runs), fan)
-			}
-		}
-	}
-}
-
 // TestSSPBudgetCountersSumScenarios pins SSP's node, greedy-completion,
 // budget-bound-tree and skipped-completion counters as the sums of the
 // per-scenario searches', under a budget small enough to bind — a tree several
@@ -407,14 +345,17 @@ func sameAsPerScenario(t *testing.T, p *SSP, ws []*core.Worker, ts []*core.Task,
 // TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism is the staged
 // pass's differential oracle: whatever the scenarios share — gathers, sequence
 // sets, trees, searches — the committed plan and the summed counters are those
-// of K searches from scratch on K copied pools, at every parallelism, under a
-// binding and a loose budget, at both ends of the risk knob. The pools: random
+// of K searches from scratch on K copied pools, under a binding and a loose
+// budget, at both ends of the risk knob, for two planners planning the pool
+// side by side under par.Do as two shards' planners do: one after the other
+// on the test's goroutine at 1, each on a goroutine of its own at 0 where the
+// CPUs allow. The pools: random
 // ones at three scenario counts, the rush-hour crowd robust-ssp plans, and two
 // whose trees run past 64 tasks, laid out on two words — a chain of 80 tasks,
 // one tree a scenario and no two alike, and the event-spike flash crowd at 5x.
 // The last costs seconds a plan under the race detector, which CI runs this
-// test with three times over, so it is planned under the binding budget only,
-// serial and at whatever the CPUs give.
+// test with three times over, so one planner plans it, under the binding
+// budget only, at 1.
 func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
 	type pool struct {
 		instant
@@ -452,22 +393,30 @@ func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
 			// scratch the first left warm.
 			oracle := &SSP{Opts: o, Samples: c.k}
 			plans, counts := perScenarioSearch(oracle, c.workers, c.tasks, c.now)
-			for _, p := range []int{1, 2, 4, 0} {
-				if c.heavy && p > 1 {
-					continue
-				}
-				o.Parallelism = p
-				got := &SSP{Opts: o, Samples: c.k}
-				for _, alpha := range []float64{1, 0.4} {
-					name := fmt.Sprintf("%s budget %d α %v parallelism %d", c.name, maxNodes, alpha, p)
-					got.CVaRAlpha = alpha
-					plan, want := checked{got}.Plan(c.workers, c.tasks, c.now), plans[commit(plans, alpha, o.WithDefaults().VirtualWeight)]
-					if len(want) != len(plan) {
-						t.Fatalf("%s: %d assignments, per-scenario searches %d", name, len(plan), len(want))
+			for _, p := range []int{1, 0} {
+				got := []*SSP{{Opts: o, Samples: c.k}, {Opts: o, Samples: c.k}}
+				if c.heavy {
+					if p == 0 {
+						continue
 					}
-					samePlans(t, want, plan)
-					if n := sspCounts(got); n != counts {
-						t.Fatalf("%s: nodes/greedy/bound-trees/skipped %v, per-scenario searches %v", name, n, counts)
+					got = got[:1]
+				}
+				for _, alpha := range []float64{1, 0.4} {
+					plan := make([]core.Plan, len(got))
+					par.Do(len(got), p, func(i int) {
+						got[i].CVaRAlpha = alpha
+						plan[i] = checked{got[i]}.Plan(c.workers, c.tasks, c.now)
+					})
+					want := plans[commit(plans, alpha, o.WithDefaults().VirtualWeight)]
+					for i := range got {
+						name := fmt.Sprintf("%s budget %d α %v par %d planner %d", c.name, maxNodes, alpha, p, i)
+						if len(want) != len(plan[i]) {
+							t.Fatalf("%s: %d assignments, per-scenario searches %d", name, len(plan[i]), len(want))
+						}
+						samePlans(t, want, plan[i])
+						if n := sspCounts(got[i]); n != counts {
+							t.Fatalf("%s: nodes/greedy/bound-trees/skipped %v, per-scenario searches %v", name, n, counts)
+						}
 					}
 					if c.heavy {
 						break

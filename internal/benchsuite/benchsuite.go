@@ -70,7 +70,8 @@ type Options struct {
 	Step float64
 	// Shards is the live path's dispatcher shard count (default 2).
 	Shards int
-	// Parallelism bounds planner fan-out (0 = one goroutine per CPU).
+	// Parallelism bounds the live path's shard fan-out per epoch (0 = up to
+	// one goroutine per CPU, 1 = serial); see dispatch.Config.Parallelism.
 	Parallelism int
 	// MaxNodes caps exact-search effort per RTC tree (default 4000); a
 	// planning call spends up to that on every tree of its forest.

@@ -146,3 +146,35 @@ func TestEpochAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestGovernorObserveAllocs holds a warm Governor.Observe to no allocation:
+// the windowed p95 sorts into a buffer the governor keeps, so a governed
+// dispatcher pays nothing a shard an epoch for it. The costs run hot and
+// cold in turns of 40 epochs, so the rounds demote and promote as well as
+// hold.
+func TestGovernorObserveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	g := NewGovernor(GovernorConfig{Budget: 1, Window: 16, Dwell: 2}, 3, 3)
+	i := 0
+	observe := func() {
+		for shard := range 3 {
+			cost := 0.1
+			if (i+10*shard)/40%2 == 0 {
+				cost = 2
+			}
+			g.Observe(shard, cost)
+		}
+		i++
+	}
+	for range 64 {
+		observe()
+	}
+	if got := testing.AllocsPerRun(200, observe); got != 0 {
+		t.Fatalf("a warm Observe round allocates %v objects, want none", got)
+	}
+	if d, p := g.Counters(); d == 0 || p == 0 {
+		t.Fatalf("%d demotions, %d promotions: the costs move no tier", d, p)
+	}
+}

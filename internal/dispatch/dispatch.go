@@ -143,13 +143,12 @@ type Config struct {
 	// owning its cell. The feed prunes itself to the forecaster's horizon, so
 	// it stays bounded over the service's lifetime.
 	Demand *stream.DemandFeed
-	// Parallelism is the goroutine budget of one epoch's Step stage (0 = one
-	// per CPU, 1 = serial). The shards step concurrently, up to this many at
-	// a time, only when their previous Steps overlap by enough to pay for a
-	// goroutine (shardGrain); otherwise they step inline in shard order. Each
-	// shard planner is handed the budget divided by the epoch's fan-out, so
-	// an inline epoch gives every planner all of it. Results are identical at
-	// every setting.
+	// Parallelism bounds the shard fan-out of one epoch's Step stage (0 = one
+	// goroutine per CPU, 1 = serial). The shards step concurrently, up to this
+	// many at a time, only when their previous Steps overlap by enough to pay
+	// for a goroutine (shardGrain); otherwise they step inline in shard order.
+	// A shard's planner plans on the goroutine that steps the shard and fans
+	// out no further. Results are identical at every setting.
 	Parallelism int
 }
 
@@ -320,9 +319,9 @@ type Dispatcher struct {
 	tiered []*tieredPlanner // guarded by mu
 	probe  []shardProbe     // guarded by mu
 	// Shard fan-out (stepLocked): grain is shardGrain, 0 only under the
-	// tests' hook; fan is the goroutine count the planners' budgets were last
-	// set for, 0 before the first epoch; fanned counts the epochs whose
-	// shards stepped on more than one goroutine.
+	// tests' hook; fan is the goroutine count the last epoch's shards stepped
+	// on, 0 before the first epoch; fanned counts the epochs whose shards
+	// stepped on more than one goroutine.
 	grain  int // guarded by mu
 	fan    int // guarded by mu
 	fanned atomic.Int64

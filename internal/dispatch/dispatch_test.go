@@ -48,13 +48,6 @@ func (c checked) Plan(workers []*core.Worker, tasks []*core.Task, now float64) c
 	return p
 }
 
-// SetParallelism forwards the dispatcher's per-planner goroutine budget.
-func (c checked) SetParallelism(n int) {
-	if sp, ok := c.Planner.(interface{ SetParallelism(int) }); ok {
-		sp.SetParallelism(n)
-	}
-}
-
 func testScenario(t *testing.T) *workload.Scenario {
 	t.Helper()
 	cfg := workload.Yueche().Scaled(0.03)
@@ -233,41 +226,6 @@ func TestMultiShardDeterministic(t *testing.T) {
 			if got != ref {
 				t.Fatalf("run %d parallelism %d diverged:\n got %s\nwant %s", run, parallelism, got, ref)
 			}
-		}
-	}
-}
-
-// TestPlannerFanOutAcrossParallelism is the determinism contract one level down:
-// a single shard hands its planner the whole parallelism budget, and on a pool
-// this size — 1,800 workers on shift, 45,000 candidate sequences, past the
-// grains of wds.Separate and Search.Plan at every setting tried — the
-// planner's own loops do fan out. (The multi-shard tests around this one
-// step their small shards inline, and their planners stay on the caller's
-// goroutine; TestShardFanOutMatchesInline hooks the shards onto par.Do.)
-func TestPlannerFanOutAcrossParallelism(t *testing.T) {
-	run := func(parallelism int) string {
-		d := New(Config{Step: 1, NewLadder: oneTier(searchFactory()), Parallelism: parallelism})
-		for c := 0; c < 900; c++ {
-			x, y := float64(c%30), float64(c/30)
-			for k := 0; k < 2; k++ {
-				d.WorkerOnline(&core.Worker{ID: 2*c + k + 1, Loc: geo.Point{X: x + 0.1*float64(k), Y: y}, Reach: 0.4, On: 0, Off: 1800})
-			}
-			for k := 0; k < 5; k++ {
-				d.SubmitTask(&core.Task{ID: 5*c + k + 1, Loc: geo.Point{X: x + 0.05*float64(k), Y: y + 0.03*float64(k*k%7)},
-					Pub: 0, Exp: 200 + 40*float64(k), Cell: -1})
-			}
-		}
-		d.Advance(3)
-		m := d.Snapshot()
-		if m.Assigned == 0 {
-			t.Fatal("the crowd instant committed nothing")
-		}
-		return digest(m)
-	}
-	ref := run(1)
-	for _, parallelism := range []int{2, 4, 0} {
-		if got := run(parallelism); got != ref {
-			t.Fatalf("parallelism %d diverged:\n got %s\nwant %s", parallelism, got, ref)
 		}
 	}
 }

@@ -216,12 +216,9 @@ const shardGrain = 200
 // resolves to (runtime.GOMAXPROCS). The work a second goroutine could take is
 // the walls' sum less the longest, since the epoch cannot end before its
 // longest shard; par.Workers weighs it against grain µs, and the count never
-// exceeds the shards. budget is each shard planner's share of the setting:
-// all of it when the shards step inline, so one busy shard fans out its own
-// loops, and total/fan when they share the CPUs. The first epoch has no walls
-// and steps inline. grain 0 fans every multi-shard epoch out (the tests'
-// hook onto the par.Do branch).
-func fanOut(probe []shardProbe, parallelism, procs, grain int) (fan, budget int) {
+// exceeds the shards. The first epoch has no walls and steps inline. grain 0
+// fans every multi-shard epoch out (the tests' hook onto the par.Do branch).
+func fanOut(probe []shardProbe, parallelism, procs, grain int) int {
 	total := parallelism
 	if total == 0 {
 		total = procs
@@ -235,28 +232,21 @@ func fanOut(probe []shardProbe, parallelism, procs, grain int) (fan, budget int)
 	if grain == 0 {
 		overlap, grain = len(probe), 1
 	}
-	fan = min(par.Workers(total, overlap, grain), len(probe))
-	return fan, max(1, total/fan)
+	return min(par.Workers(total, overlap, grain), len(probe))
 }
 
 // stepLocked plans every shard: inline in index order when the shards' last
 // walls leave too little overlap to pay for a goroutine (fanOut), otherwise
-// each on a goroutine of its own through par.Do. Every shard planner gets
-// its share of the parallelism budget for the fan-out decided, reset only
-// when the fan-out changes. It fills each shard's probe and, with span
-// recording on, leaves one span per shard — its own track, the tier the
-// epoch planned at and the pool sizes as deterministic detail — ahead of the
-// stage span that closes over them.
+// each on a goroutine of its own through par.Do. A shard's planner plans its
+// instant on the goroutine that steps the shard. It fills each shard's probe
+// and, with span recording on, leaves one span per shard — its own track, the
+// tier the epoch planned at and the pool sizes as deterministic detail —
+// ahead of the stage span that closes over them.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) stepLocked(t float64) (int, bool) {
-	fan, budget := fanOut(d.probe, d.cfg.Parallelism, runtime.GOMAXPROCS(0), d.grain)
-	if fan != d.fan {
-		for _, p := range d.tiered {
-			p.SetParallelism(budget)
-		}
-		d.fan = fan
-	}
+	fan := fanOut(d.probe, d.cfg.Parallelism, runtime.GOMAXPROCS(0), d.grain)
+	d.fan = fan
 	if fan == 1 {
 		for i := range d.shards {
 			d.stepShard(i, t)

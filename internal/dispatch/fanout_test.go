@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/assign"
 	"repro/internal/workload"
 )
 
@@ -26,30 +25,29 @@ func TestShardFanOutDecision(t *testing.T) {
 		probe              []shardProbe
 		parallelism, procs int
 		grain              int
-		fan, budget        int
+		fan                int
 	}{
-		{"one shard never fans out", walls(50_000), 0, 4, shardGrain, 1, 4},
-		{"one shard under the hook", walls(50_000), 4, 4, 0, 1, 4},
-		{"quiet epoch runs inline with the whole budget", walls(4, 5), 0, 2, shardGrain, 1, 2},
-		{"quiet epoch at an explicit setting", walls(4, 5, 3, 6), 4, 2, shardGrain, 1, 4},
-		{"one heavy shard beside a quiet one stays inline", walls(9_000, 30), 0, 2, shardGrain, 1, 2},
-		{"two heavy shards fan out at total/2", walls(1_000, 1_000), 0, 4, shardGrain, 2, 2},
-		{"two heavy shards at an explicit setting", walls(1_000, 1_000), 4, 2, shardGrain, 2, 2},
-		{"overlap one µs short of two grains", walls(2*shardGrain-1, 5_000), 0, 2, shardGrain, 1, 2},
-		{"overlap of two grains", walls(2*shardGrain, 5_000), 0, 2, shardGrain, 2, 1},
-		{"four heavy shards share two CPUs", walls(800, 900, 1_000, 700), 0, 2, shardGrain, 2, 1},
-		{"never more goroutines than shards", walls(5_000, 5_000), 0, 8, shardGrain, 2, 4},
-		{"Parallelism 1 never fans out", walls(1_000, 1_000), 1, 4, shardGrain, 1, 1},
-		{"Parallelism 1 under the hook", walls(0, 0, 0, 0), 1, 4, 0, 1, 1},
-		{"a negative setting is serial", walls(1_000, 1_000), -3, 4, shardGrain, 1, 1},
-		{"first epoch has no walls and runs inline", walls(0, 0, 0, 0), 4, 4, shardGrain, 1, 4},
-		{"the hook fans the first epoch out", walls(0, 0, 0, 0), 0, 4, 0, 4, 1},
-		{"the hook at two CPUs", walls(0, 0, 0, 0), 2, 4, 0, 2, 1},
+		{"one shard never fans out", walls(50_000), 0, 4, shardGrain, 1},
+		{"one shard under the hook", walls(50_000), 4, 4, 0, 1},
+		{"quiet epoch runs inline with the whole budget", walls(4, 5), 0, 2, shardGrain, 1},
+		{"quiet epoch at an explicit setting", walls(4, 5, 3, 6), 4, 2, shardGrain, 1},
+		{"one heavy shard beside a quiet one stays inline", walls(9_000, 30), 0, 2, shardGrain, 1},
+		{"two heavy shards fan out at total/2", walls(1_000, 1_000), 0, 4, shardGrain, 2},
+		{"two heavy shards at an explicit setting", walls(1_000, 1_000), 4, 2, shardGrain, 2},
+		{"overlap one µs short of two grains", walls(2*shardGrain-1, 5_000), 0, 2, shardGrain, 1},
+		{"overlap of two grains", walls(2*shardGrain, 5_000), 0, 2, shardGrain, 2},
+		{"four heavy shards share two CPUs", walls(800, 900, 1_000, 700), 0, 2, shardGrain, 2},
+		{"never more goroutines than shards", walls(5_000, 5_000), 0, 8, shardGrain, 2},
+		{"Parallelism 1 never fans out", walls(1_000, 1_000), 1, 4, shardGrain, 1},
+		{"Parallelism 1 under the hook", walls(0, 0, 0, 0), 1, 4, 0, 1},
+		{"a negative setting is serial", walls(1_000, 1_000), -3, 4, shardGrain, 1},
+		{"first epoch has no walls and runs inline", walls(0, 0, 0, 0), 4, 4, shardGrain, 1},
+		{"the hook fans the first epoch out", walls(0, 0, 0, 0), 0, 4, 0, 4},
+		{"the hook at two CPUs", walls(0, 0, 0, 0), 2, 4, 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fan, budget := fanOut(tc.probe, tc.parallelism, tc.procs, tc.grain)
-			if fan != tc.fan || budget != tc.budget {
-				t.Fatalf("fanOut = (%d, %d), want (%d, %d)", fan, budget, tc.fan, tc.budget)
+			if fan := fanOut(tc.probe, tc.parallelism, tc.procs, tc.grain); fan != tc.fan {
+				t.Fatalf("fanOut = %d, want %d", fan, tc.fan)
 			}
 		})
 	}
@@ -81,8 +79,6 @@ func churnScript(sc *workload.Scenario) func(*Dispatcher) {
 // the small instants of the other tests never reach: with the grain hooked to
 // 0 every multi-shard epoch fans out, and the snapshot and every ledger chain
 // must equal the inline run's at Parallelism 1, 2 and 4, on 1 and 4 shards.
-// Each planner must hold its share of the budget: the whole setting inline,
-// setting/fan-out when the shards share the CPUs.
 func TestShardFanOutMatchesInline(t *testing.T) {
 	sc := testScenario(t)
 	run := func(shards, parallelism int, hook bool) (outcome, ledger string, d *Dispatcher) {
@@ -124,30 +120,25 @@ func TestShardFanOutMatchesInline(t *testing.T) {
 			if got := d.FannedEpochs(); got != wantFanned {
 				t.Fatalf("%d shards, parallelism %d: %d epochs fanned out, want %d", shards, parallelism, got, wantFanned)
 			}
-			for i, p := range d.tiered {
-				if got := p.ladder[0].(checked).Planner.(*assign.Search).Opts.Parallelism; got != parallelism/fan {
-					t.Fatalf("%d shards, parallelism %d: shard %d planner budget %d, want %d", shards, parallelism, i, got, parallelism/fan)
-				}
-			}
 		}
 	}
 }
 
 // TestShardFanOutBudgetFollows steers stepLocked's decision through the
 // walls it reads — each Tick decides from the probe before its Steps
-// overwrite it — and holds every planner's budget to the fan-out as it moves
-// inline → fanned → inline.
+// overwrite it — and holds how much of the goroutine budget (Parallelism 2)
+// an epoch takes to the walls as it moves inline → fanned → inline.
 func TestShardFanOutBudgetFollows(t *testing.T) {
 	sc := testScenario(t)
 	d := New(Config{Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0, Parallelism: 2, NewLadder: oneTier(searchFactory())})
 	for i, tc := range []struct {
-		wallUS              int
-		fanned, budget, fan int
+		wallUS      int
+		fanned, fan int
 	}{
-		{0, 0, 2, 1},              // first epoch: no walls, inline, the whole budget
-		{2 * shardGrain, 1, 1, 2}, // both shards heavy: fanned, half each
-		{2 * shardGrain, 2, 1, 2}, // still fanned: the budget stays
-		{shardGrain / 4, 2, 2, 1}, // quiet again: inline, the whole budget back
+		{0, 0, 1},              // first epoch: no walls, inline
+		{2 * shardGrain, 1, 2}, // both shards heavy: fanned
+		{2 * shardGrain, 2, 2}, // still fanned
+		{shardGrain / 4, 2, 1}, // quiet again: inline
 	} {
 		for s := range d.probe {
 			d.probe[s].wall = time.Duration(tc.wallUS) * time.Microsecond
@@ -158,11 +149,6 @@ func TestShardFanOutBudgetFollows(t *testing.T) {
 		}
 		if d.fan != tc.fan {
 			t.Fatalf("epoch %d: fan-out %d, want %d", i, d.fan, tc.fan)
-		}
-		for s, p := range d.tiered {
-			if got := p.ladder[0].(checked).Planner.(*assign.Search).Opts.Parallelism; got != tc.budget {
-				t.Fatalf("epoch %d: shard %d planner budget %d, want %d", i, s, got, tc.budget)
-			}
 		}
 	}
 }

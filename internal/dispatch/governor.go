@@ -1,7 +1,7 @@
 package dispatch
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/assign"
@@ -72,6 +72,7 @@ type Governor struct {
 	cfg    GovernorConfig
 	tiers  int
 	shards []govShard
+	sorted []float64 // p95of's sort buffer, one window long
 
 	demotions  int64
 	promotions int64
@@ -95,7 +96,7 @@ func NewGovernor(cfg GovernorConfig, shards, tiers int) *Governor {
 	if tiers < 1 {
 		tiers = 1
 	}
-	g := &Governor{cfg: cfg, tiers: tiers, shards: make([]govShard, shards)}
+	g := &Governor{cfg: cfg, tiers: tiers, shards: make([]govShard, shards), sorted: make([]float64, cfg.Window)}
 	for i := range g.shards {
 		g.shards[i] = govShard{since: cfg.Dwell, ring: make([]float64, cfg.Window)}
 	}
@@ -112,7 +113,7 @@ func (g *Governor) Observe(shard int, cost float64) int {
 		s.n++
 	}
 	s.since++
-	p95 := p95of(s.ring, s.n)
+	p95 := p95of(s.ring, s.n, g.sorted)
 	switch {
 	case s.tier < g.tiers-1 && p95 > g.cfg.Budget && s.since >= g.cfg.Dwell:
 		s.tier++
@@ -151,13 +152,14 @@ func (g *Governor) Counters() (demotions, promotions int64) {
 func (g *Governor) Worst() int { return g.worst }
 
 // p95of returns the 95th percentile of the first n ring samples: index
-// ⌊0.95·(n−1)⌋ of the sorted sample.
-func p95of(ring []float64, n int) float64 {
+// ⌊0.95·(n−1)⌋ of the sorted sample, sorted in buf, which holds n.
+func p95of(ring []float64, n int, buf []float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	s := append([]float64(nil), ring[:n]...)
-	sort.Float64s(s)
+	s := buf[:n]
+	copy(s, ring[:n])
+	slices.Sort(s)
 	return s[int(0.95*float64(n-1))]
 }
 
@@ -190,14 +192,4 @@ func (p *tieredPlanner) Travel() geo.TravelModel { return p.ladder[0].Travel() }
 // Plan implements assign.Planner.
 func (p *tieredPlanner) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
 	return p.ladder[p.tier()].Plan(workers, tasks, now)
-}
-
-// SetParallelism forwards the per-planner budget — the setting divided by
-// the epoch's shard fan-out (fanOut) — to every ladder entry that takes one.
-func (p *tieredPlanner) SetParallelism(n int) {
-	for _, pl := range p.ladder {
-		if sp, ok := pl.(interface{ SetParallelism(int) }); ok {
-			sp.SetParallelism(n)
-		}
-	}
 }

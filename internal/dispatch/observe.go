@@ -60,9 +60,9 @@ type obsState struct {
 	base      time.Time
 	epochHist *obs.Histogram
 	stageHist [numStages]*obs.Histogram
-	spans     *obs.SpanRing
+	spans     *obs.Ring[obs.EpochSpans]
 	ledger    *obs.Ledger
-	flight    *obs.FlightRing
+	flight    *obs.Ring[obs.FlightDump]
 
 	// Per-tick scratch: the logical position stamps ledger records, mark is
 	// the last stage boundary (see runStage), cur accumulates the epoch's

@@ -36,9 +36,8 @@ var travelModel = geo.NewTravelModel(0.005)
 
 func assignOptions(s Scale) assign.Options {
 	return assign.Options{
-		WDS:         wds.Options{Travel: travelModel},
-		MaxNodes:    s.MaxNodes,
-		Parallelism: s.Parallelism,
+		WDS:      wds.Options{Travel: travelModel},
+		MaxNodes: s.MaxNodes,
 	}
 }
 

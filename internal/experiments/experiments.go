@@ -21,8 +21,7 @@ import (
 
 // Scale controls experiment fidelity. Start from one of the three presets
 // below — tests (Quick), the CLI default (Standard), full paper-scale runs
-// (Full) — and adjust SweepPoints or Parallelism: every other field must be
-// positive.
+// (Full) — and adjust SweepPoints: every other field must be positive.
 type Scale struct {
 	// Factor scales workload cardinalities and durations (0 < f ≤ 1).
 	Factor float64
@@ -39,10 +38,6 @@ type Scale struct {
 	// SweepPoints limits how many values of each swept parameter run
 	// (0 = all five, matching the paper).
 	SweepPoints int
-	// Parallelism bounds the planner's per-instant fan-out across RTC
-	// components (0 = up to one goroutine per CPU, 1 = serial). Assignment
-	// results are identical at every setting; only CPU time moves.
-	Parallelism int
 }
 
 // Quick is the test/bench preset: every experiment finishes in seconds.

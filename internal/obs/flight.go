@@ -17,36 +17,6 @@ type FlightDump struct {
 	Tasks []TaskHistory `json:"tasks"`
 }
 
-// FlightRing keeps the most recent flight dumps.
-type FlightRing struct {
-	buf  []FlightDump
-	next int
-	full bool
-}
-
-// NewFlightRing builds a ring retaining n dumps (n ≥ 1).
-func NewFlightRing(n int) *FlightRing {
-	if n < 1 {
-		n = 1
-	}
-	return &FlightRing{buf: make([]FlightDump, n)}
-}
-
-// Add appends a dump, evicting the oldest once full.
-func (r *FlightRing) Add(d FlightDump) {
-	r.buf[r.next] = d
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// All returns the retained dumps, oldest first.
-func (r *FlightRing) All() []FlightDump {
-	var out []FlightDump
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	return append(out, r.buf[:r.next]...)
-}
+// NewFlightRing builds a ring retaining the n most recent flight dumps
+// (n ≥ 1).
+func NewFlightRing(n int) *Ring[FlightDump] { return NewRing[FlightDump](n) }

@@ -39,24 +39,25 @@ type EpochSpans struct {
 	Spans []Span  `json:"spans"`
 }
 
-// SpanRing keeps the last N epochs' span sets.
-type SpanRing struct {
-	buf  []EpochSpans
+// Ring keeps the last values added to it, a fixed number of them: the last
+// epochs' span sets (NewSpanRing), the latest flight dumps (NewFlightRing).
+type Ring[T any] struct {
+	buf  []T
 	next int
 	full bool
 }
 
-// NewSpanRing builds a ring retaining n epochs (n ≥ 1).
-func NewSpanRing(n int) *SpanRing {
-	if n < 1 {
-		n = 1
-	}
-	return &SpanRing{buf: make([]EpochSpans, n)}
+// NewRing builds a ring retaining n values (n ≥ 1).
+func NewRing[T any](n int) *Ring[T] {
+	return &Ring[T]{buf: make([]T, max(n, 1))}
 }
 
-// Add appends one epoch's spans, evicting the oldest once full.
-func (r *SpanRing) Add(e EpochSpans) {
-	r.buf[r.next] = e
+// NewSpanRing builds a ring retaining n epochs' span sets (n ≥ 1).
+func NewSpanRing(n int) *Ring[EpochSpans] { return NewRing[EpochSpans](n) }
+
+// Add appends one value, evicting the oldest once full.
+func (r *Ring[T]) Add(v T) {
+	r.buf[r.next] = v
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -64,9 +65,10 @@ func (r *SpanRing) Add(e EpochSpans) {
 	}
 }
 
-// Last returns up to n retained epoch span sets, oldest first (n ≤ 0 = all).
-func (r *SpanRing) Last(n int) []EpochSpans {
-	var out []EpochSpans
+// Last returns up to n retained values in a new slice, oldest first (n ≤ 0 =
+// all).
+func (r *Ring[T]) Last(n int) []T {
+	var out []T
 	if r.full {
 		out = append(out, r.buf[r.next:]...)
 	}
@@ -76,3 +78,6 @@ func (r *SpanRing) Last(n int) []EpochSpans {
 	}
 	return out
 }
+
+// All returns every retained value in a new slice, oldest first.
+func (r *Ring[T]) All() []T { return r.Last(0) }

@@ -19,11 +19,11 @@
 // performing task assignment at each time instance) is reported as
 // Result.AvgPlanTime.
 //
-// Engine state is single-goroutine; an Engine must not be shared across
-// goroutines. Planners may fan their planning instant out across an internal
-// worker pool (see assign.Options.Parallelism) — that concurrency is
-// confined to the Plan call and deterministic, so the engine's semantics are
-// unchanged.
+// Engine and Machine state is single-goroutine; neither may be shared across
+// goroutines. A planner plans its instant on the goroutine that calls Plan,
+// so a Machine's Step runs on one goroutine from end to end: the dispatcher
+// steps several shards' Machines at once by giving each a goroutine of its
+// own (dispatch.Config.Parallelism), never by sharing one Machine.
 //
 // Predicted tasks reach a Machine one way: from its driver's DemandFeed,
 // through SetVirtuals, before Step — the Engine's feed for its one machine,

@@ -129,7 +129,7 @@ func scaledInstance(nWorkers, nTasks int) ([]*core.Worker, []*core.Task) {
 }
 
 // BenchmarkSeparateScale times the pipeline across planning-instant sizes
-// (total entities = workers + tasks at a 1:4 ratio), serial and fanned out.
+// (total entities = workers + tasks at a 1:4 ratio).
 // BenchmarkReachableScale below holds the grid index against the scan.
 func BenchmarkSeparateScale(b *testing.B) {
 	scales := []struct {
@@ -140,24 +140,13 @@ func BenchmarkSeparateScale(b *testing.B) {
 		{"5k", 1000, 4000},
 		{"20k", 4000, 16000},
 	}
-	o := Options{Travel: geo.NewTravelModel(0.005), Parallelism: 1, MaxSeqLen: 2}
+	o := Options{Travel: geo.NewTravelModel(0.005), MaxSeqLen: 2}
 	for _, sc := range scales {
 		ws, ts := scaledInstance(sc.nWorkers, sc.nTasks)
 		b.Run(sc.name+"/indexed", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Separate(ws, ts, 0, o)
-			}
-		})
-		// The indexed row again at Parallelism 0: the per-worker loop fans out
-		// where the pool is past separateGrain a goroutine, and must be no
-		// slower than the serial row where it is not.
-		b.Run(sc.name+"/indexed-par", func(b *testing.B) {
-			po := o
-			po.Parallelism = 0
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Separate(ws, ts, 0, po)
 			}
 		})
 	}
@@ -227,7 +216,7 @@ func BenchmarkComponentsTree(b *testing.B) {
 	}
 	shapes = append(shapes, shape{"scattered20k", func() (*Separator, *Separation) {
 		ws, ts := scaledInstance(4000, 16000)
-		return componentsTreeCase(ws, ts, 0, Options{Travel: geo.NewTravelModel(0.005), Parallelism: 1, MaxSeqLen: 2})
+		return componentsTreeCase(ws, ts, 0, Options{Travel: geo.NewTravelModel(0.005), MaxSeqLen: 2})
 	}})
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {

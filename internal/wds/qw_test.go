@@ -108,10 +108,9 @@ func TestQwMatchesGenerator(t *testing.T) {
 // TestScenariosAllocs holds the first Separator stage — every worker's
 // reachable set and Q_w — on a warm Separator on the event-spike 1.5x and 5x
 // crowds to no allocation at all, however many workers reach a task. Q_w lies
-// in the goroutine's arenas as positions in RS_w; stored as task slices it cost
+// in the Separator's arenas as positions in RS_w; stored as task slices it cost
 // one allocation per worker reaching a task: 113 a call on the 1.5x crowd (111
-// such workers) and 380 on the 5x (378). The two loop bodies handed to
-// par.DoWorker are bound once a Separator, not once a call. The idle instant,
+// such workers) and 380 on the 5x (378). The idle instant,
 // gathered from the task side, holds its worker grid and candidate lists in
 // the Separator and allocates nothing either.
 func TestScenariosAllocs(t *testing.T) {

@@ -212,8 +212,7 @@ func reachMatchesScan(t *testing.T, name string, ws []*core.Worker, ts []*core.T
 // exactly at a worker's disc radius, and lattices where distances, reaches,
 // windows and validities coincide. The options include a zero speed (given as
 // it is to Scratch.Reachable, replaced by the default elsewhere) and caps from
-// 3 to 64. One pool has workers enough on shift for the reach loop to fan out
-// (reachGrain).
+// 3 to 64. One pool holds 800 workers and 900 tasks.
 func TestReachMatchesScan(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	base := Options{Travel: geo.NewTravelModel(0)}
@@ -251,5 +250,5 @@ func TestReachMatchesScan(t *testing.T) {
 		reachMatchesScan(t, fmt.Sprintf("lattice/%d", seed), ws, ts, 0, unit, false)
 	}
 	ws, ts, now := scanPool(9, 800, 900, []float64{inf}, base.WithDefaults())
-	reachMatchesScan(t, "past the reach grain", ws, ts, now, base, false)
+	reachMatchesScan(t, "800 workers", ws, ts, now, base, false)
 }

@@ -138,16 +138,14 @@ func TestTreeMatchesReference(t *testing.T) {
 		cases = append(cases, tc{c.name, c.workers, c.tasks, c.now, crowdOpts, 1})
 	}
 
-	// Every case at Parallelism 1, then 0, through one Separator: the second
-	// pass is warm, and both must produce the same rows.
+	// Every case twice through one Separator: the second pass is warm, and
+	// both must produce the same rows.
 	var sp Separator
 	var small, wide, deep int
 	var pins [2]strings.Builder
 	for i, c := range slices.Concat(cases, cases) {
-		half := i / len(cases) // 0 at Parallelism 1, 1 at Parallelism 0
-		o := c.o
-		o.Parallelism = 1 - half
-		seps := sp.Scenarios(c.workers, c.tasks, c.now, o, c.k)
+		half := i / len(cases) // 0 fresh, 1 warm
+		seps := sp.Scenarios(c.workers, c.tasks, c.now, c.o, c.k)
 		for s := range seps {
 			sep := &seps[s]
 			label := fmt.Sprintf("%s scenario %d", c.name, s)
@@ -260,9 +258,9 @@ func TestTreeMatchesReference(t *testing.T) {
 		}
 	}
 	if pins[0].String() != pins[1].String() {
-		t.Fatalf("rows at Parallelism 1:\n%s\nat 0:\n%s", pins[0].String(), pins[1].String())
+		t.Fatalf("rows fresh:\n%s\nwarm:\n%s", pins[0].String(), pins[1].String())
 	}
-	if small < 200 || wide < 6 || deep < 20 { // each counted at both settings
+	if small < 200 || wide < 6 || deep < 20 { // each counted on both passes
 		t.Fatalf("coverage: %d components of ≤ 2 workers, %d of > 64, %d trees of depth ≥ 3", small, wide, deep)
 	}
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/graphutil"
-	"repro/internal/par"
 	"repro/internal/spatial"
 )
 
@@ -34,13 +33,6 @@ type Options struct {
 	MaxReachable int
 	// MaxSequences caps |Q_w| per worker after dedup (default 128).
 	MaxSequences int
-	// Parallelism bounds the goroutines used for the per-worker
-	// reachable-set and sequence-generation loops inside Separate: 0 uses
-	// up to one goroutine per CPU when the instant is large enough to pay
-	// for them (reachGrain, sequenceGrain), 1 (or any negative value) runs
-	// serially. Results are identical at every setting. The planners of
-	// internal/assign set it from their own Options.Parallelism.
-	Parallelism int
 }
 
 // maxReach is the widest reachable set: one bit of a mask word per task.
@@ -94,19 +86,18 @@ func ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Opt
 // Scratch holds the reusable intermediate buffers of the per-worker
 // reachable-set and sequence computations, so steady-state planning loops
 // (a planner calling these once per worker per instant) allocate nothing once
-// the buffers have grown. A Scratch serves one goroutine at a time; Separate
-// keeps one per worker goroutine, planners one per instance. The zero value is
-// ready to use.
+// the buffers have grown. A Scratch serves one goroutine at a time; a
+// Separator keeps one, as do the planners. The zero value is ready to use.
 type Scratch struct {
 	near   []spatial.Candidate // spatial-index query results
 	keep   []spatial.Candidate // Reachable's nearest survivors
-	checks int                 // distances computed by the reach stage's queries on this goroutine
+	checks int                 // distances computed by the reach stage's queries
 	gen    seqGen              // Q_w generation
 	best   bestPick
 
-	// Arenas behind the WorkerSets this goroutine produced in the current
-	// Separate call. Growth may move an arena; slices handed out earlier keep
-	// the old backing alive and stay valid.
+	// Arenas behind the WorkerSets produced in the current Separate call.
+	// Growth may move an arena; slices handed out earlier keep the old
+	// backing alive and stay valid.
 	index  []int32
 	masks  []uint64
 	orders []uint8
@@ -760,17 +751,15 @@ func (n *TreeNode) Depth() int {
 // Reachability is answered through a spatial grid — over the task pool,
 // queried once per worker on shift, or, when the tasks are the fewer, over the
 // workers on shift, queried once per task (see Separator.Scenarios and
-// internal/spatial) — and the per-worker reachable-set and sequence loops fan
-// out across up to o.Parallelism goroutines where they hold enough work. None
-// of it changes more than the cost of the call: the Separation is the one a
-// scan of the pool gives, at every setting.
+// internal/spatial). That changes nothing but the cost of the call: the
+// Separation is the one a scan of the pool gives.
 func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options) *Separation {
 	var sp Separator
 	return sp.Separate(workers, tasks, now, o)
 }
 
 // Separator runs the WDS pipeline with every intermediate structure — the
-// per-goroutine scratch and result arenas, the spatial index, the dependency
+// scratch and result arenas, the spatial index, the dependency
 // graph, the chordal workspace and the RTC builder — reused across calls, so
 // a planner invoking it once per instant allocates, once they have grown,
 // only the Children slices of its trees. The zero value is ready to use.
@@ -792,24 +781,19 @@ func Separate(workers []*core.Worker, tasks []*core.Task, now float64, o Options
 // next Components call overwrites. Callers that retain a Separation across
 // instants must use the package function instead.
 type Separator struct {
-	scr  []Scratch
+	sc   Scratch
 	ix   spatial.Index
 	g    graphutil.Graph
 	b    treeBuilder
 	seps []Separation
 	// bound is the Separation the graph and the tree builder describe.
 	bound *Separation
-	// The instant being separated, for the fanned-out loops: time, options
-	// with defaults applied, and the workers the loop at hand runs over — on
-	// shift, then reaching a task in some scenario — as positions in the pool.
+	// The instant being separated: time, options with defaults applied, and
+	// the workers the loop at hand runs over — on shift, then reaching a task
+	// in some scenario — as positions in the pool.
 	now float64
 	o   Options
 	on  []int32
-	// reach and sequences are reachJob and sequenceJob bound to jobsOf, made
-	// once: a method value handed to par escapes, so each one made is an
-	// allocation. A copied Separator, whose jobsOf is not itself, binds its own.
-	reach, sequences func(g, k int)
-	jobsOf           *Separator
 	// The workers reaching a task in the scenario Components ran on last,
 	// ascending: the graph's vertices that are in a component.
 	reaching []int32
@@ -842,25 +826,6 @@ const (
 	anySide side = iota
 	workerSide
 	taskSide
-)
-
-// The least work worth a goroutine of its own in Scenarios' two per-worker
-// loops, against a goroutine's wake-up of ≈ 30–40 µs on the benchmark host
-// (docs/BENCHMARKS.md, "Fan-out grains").
-const (
-	// reachGrain counts the workers the reach loop visits: those on shift
-	// from the worker side, those some task reaches from the task side. RS_w
-	// of a worker with nothing in reach costs 60–150 ns by its own query, and
-	// ≈ 1.3 µs on a flash crowd: a pool of 512–623 on shift took 45 µs split
-	// in two against 33 µs inline. The task side leaves the workers nothing
-	// reaches out of the loop altogether.
-	reachGrain = 512
-	// sequenceGrain counts Σ|RS_w|² over the distinct reachable sets, known
-	// exactly once the first loop is done. Q_w and its masks cost 100–220 ns a
-	// unit on paper-yueche and on the event-spike crowd alike (0.65 ms for its
-	// 3,020), so a grain is 0.1–0.2 ms; paper-yueche's 99th-percentile instant
-	// holds 215.
-	sequenceGrain = 1024
 )
 
 // Separate is the scratch-reusing form of the package function; see the
@@ -899,8 +864,7 @@ func (sp *Separator) Scenarios(workers []*core.Worker, tasks []*core.Task, now f
 
 // ReachChecks returns the distances the last Scenarios call computed while
 // gathering reachable sets: the points of every grid cell its disc queries
-// scanned, whichever side they ran from. It depends on the call's inputs
-// alone, not on how its loops were shared out.
+// scanned, whichever side they ran from.
 func (sp *Separator) ReachChecks() int { return sp.checks }
 
 // scenarios is Scenarios with the side of the reach stage given.
@@ -1016,18 +980,14 @@ func (sp *Separator) Tree(comp []int) *TreeNode {
 }
 
 // workerSets fills every sibling's Sets. Each worker's RS_w and Q_w depend only
-// on that worker and the shared read-only pool, so both loops are
-// embarrassingly parallel; results land in per-index slots, backed by the
-// arenas of whichever goroutine's scratch computed them. Both run over a
-// compacted index list, so what they fan out by counts work, not pool slots:
-// the reachable sets over the workers on shift — or, gathered from the task
-// side, over the ones a task reaches — the sequences over the workers that
-// reach anything, weighed by how much they reach.
+// on that worker and the shared read-only pool; results land in per-index
+// slots, backed by the scratch's arenas. Both loops run over a compacted index
+// list, in index order: the reachable sets over the workers on shift — or,
+// gathered from the task side, over the ones a task reaches — the sequences
+// over the workers that reach anything.
 func (sp *Separator) workerSets(from side) {
 	workers, pool := sp.seps[0].Workers, sp.seps[0].Tasks
-	for i := range sp.scr {
-		sp.scr[i].resetArenas()
-	}
+	sp.sc.resetArenas()
 	// The workers on shift, with their locations and the largest reach among
 	// them for the task side, which would otherwise visit each worker again.
 	on, locs, widest, now := sp.on[:0], sp.locs[:0], 0.0, sp.now
@@ -1048,32 +1008,25 @@ func (sp *Separator) workerSets(from side) {
 	} else {
 		sp.ix.Reset(pool, IndexCell(workers, pool, now, sp.o))
 	}
-	if sp.jobsOf != sp {
-		sp.reach, sp.sequences, sp.jobsOf = sp.reachJob, sp.sequenceJob, sp
+	for k := range sp.on {
+		sp.reachJob(k)
 	}
-	par.DoWorker(len(sp.on), sp.scratchFor(len(sp.on), reachGrain), sp.reach)
-	for i := range sp.scr {
-		sp.checks += sp.scr[i].checks
-	}
-	// A worker's generation tries every ordered pair of its reachable tasks
-	// (and, where deadlines allow, every triple): |RS_w|² is what its cost
-	// grows with, and 43 workers reaching one task are not 43 reaching eight.
-	reaching, work := 0, 0
+	sp.checks += sp.sc.checks
+	// sp.on narrows to the workers that reach a task in some scenario.
+	reaching := 0
 	for _, i := range sp.on {
-		mine := 0
 		for s := range sp.seps {
-			if r := len(sp.seps[s].Sets[i].Index); int(sp.seps[s].first[i]) == s {
-				mine += r * r
+			if len(sp.seps[s].Sets[i].Index) > 0 {
+				sp.on[reaching] = i
+				reaching++
+				break
 			}
-		}
-		if mine > 0 {
-			sp.on[reaching] = i
-			reaching++
-			work += mine
 		}
 	}
 	sp.on = sp.on[:reaching]
-	par.DoWorker(reaching, sp.scratchFor(work, sequenceGrain), sp.sequences)
+	for k := range sp.on {
+		sp.sequenceJob(k)
+	}
 }
 
 // gatherFromTasks is the reach stage's task side, for a pool holding fewer
@@ -1176,10 +1129,9 @@ func IndexCell(workers []*core.Worker, tasks []*core.Task, now float64, o Option
 }
 
 // reachJob and sequenceJob are the two loops' bodies for the k-th listed
-// worker on goroutine g. They are methods, and the instant's inputs fields,
-// so that handing a loop to par costs no closure over the options.
-func (sp *Separator) reachJob(g, k int) {
-	sc, i := &sp.scr[g], int(sp.on[k])
+// worker.
+func (sp *Separator) reachJob(k int) {
+	sc, i := &sp.sc, int(sp.on[k])
 	var cands []spatial.Candidate
 	if sp.fromTasks {
 		cands = sc.near[:0]
@@ -1195,7 +1147,7 @@ func (sp *Separator) reachJob(g, k int) {
 	sc.reachSets(sp.seps, i, cands, sp.o)
 }
 
-func (sp *Separator) sequenceJob(g, k int) {
+func (sp *Separator) sequenceJob(k int) {
 	i := sp.on[k]
 	for s := range sp.seps {
 		sep := &sp.seps[s]
@@ -1203,19 +1155,9 @@ func (sp *Separator) sequenceJob(g, k int) {
 		if first := int(sep.first[i]); first != s {
 			*ws = sp.seps[first].Sets[i]
 		} else if len(ws.Index) > 0 {
-			sp.scr[g].sequenceSets(sep.Workers[i], sep.Tasks, ws, sp.now, sp.o)
+			sp.sc.sequenceSets(sep.Workers[i], sep.Tasks, ws, sp.now, sp.o)
 		}
 	}
-}
-
-// scratchFor resolves how many goroutines a loop holding the given work is
-// worth and makes sure each of them has a Scratch.
-func (sp *Separator) scratchFor(work, grain int) int {
-	fan := par.Workers(sp.o.Parallelism, work, grain)
-	for len(sp.scr) < fan {
-		sp.scr = append(sp.scr, Scratch{})
-	}
-	return fan
 }
 
 // resetArenas empties the result arenas and the check count for a new

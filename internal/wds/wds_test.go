@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/par"
 	"repro/internal/spatial"
 )
 
@@ -502,7 +501,7 @@ func TestSeparateIndexedMatchesBruteForce(t *testing.T) {
 // view of the one pool beside its siblings — trees taken over from the sibling
 // that built them, as a planner would — is the Separation of a copy of the pool
 // holding scenario s's tasks only: same reachable sets, sequences and forest,
-// the pool positions mapping onto the copy's in order. Serial and fanned out.
+// the pool positions mapping onto the copy's in order.
 func TestScenariosMatchSeparateOnFilteredPools(t *testing.T) {
 	const k = 5
 	for _, seed := range []int64{7, 19, 51} {
@@ -513,169 +512,77 @@ func TestScenariosMatchSeparateOnFilteredPools(t *testing.T) {
 				s.Virtual, s.SampleBits = true, uint64(r.Intn(1<<k)) // 0 among them: untagged
 			}
 		}
-		for _, p := range []int{1, 4} {
-			o := opts
-			o.Parallelism = p
-			var sp Separator
-			seps := sp.Scenarios(ws, ts, 0, o, k)
-			shared, trees := 0, map[string]*TreeNode{}
-			for s := range seps {
-				var pool []*core.Task
-				var at []int32 // pool position → position in the copy
-				for _, task := range ts {
-					at = append(at, int32(len(pool)))
-					if task.SampleBits == 0 || task.SampleBits>>uint(s)&1 != 0 {
-						pool = append(pool, task)
-					}
+		var sp Separator
+		seps := sp.Scenarios(ws, ts, 0, opts, k)
+		shared, trees := 0, map[string]*TreeNode{}
+		for s := range seps {
+			var pool []*core.Task
+			var at []int32 // pool position → position in the copy
+			for _, task := range ts {
+				at = append(at, int32(len(pool)))
+				if task.SampleBits == 0 || task.SampleBits>>uint(s)&1 != 0 {
+					pool = append(pool, task)
 				}
-				want := Separate(ws, pool, 0, o)
+			}
+			want := Separate(ws, pool, 0, opts)
 
-				sep := &seps[s]
-				flat, offs := sp.Components(sep)
-				for i := 0; i+1 < len(offs); i++ {
-					comp := flat[offs[i]:offs[i+1]]
-					key := fmt.Sprint(comp)
-					for _, wi := range comp {
-						key += fmt.Sprint(" ", sep.first[wi])
-					}
-					if trees[key] == nil {
-						trees[key] = sp.Tree(comp)
-					} else {
-						shared++
-					}
-					sep.Forest = append(sep.Forest, trees[key])
+			sep := &seps[s]
+			flat, offs := sp.Components(sep)
+			for i := 0; i+1 < len(offs); i++ {
+				comp := flat[offs[i]:offs[i+1]]
+				key := fmt.Sprint(comp)
+				for _, wi := range comp {
+					key += fmt.Sprint(" ", sep.first[wi])
 				}
-				sameSeparation(t, want, sep)
-				if sep.Sequences != want.Sequences || sep.Graph.Edges() != want.Graph.Edges() {
-					t.Fatalf("scenario %d: %d sequences and %d edges, the copy has %d and %d",
-						s, sep.Sequences, sep.Graph.Edges(), want.Sequences, want.Graph.Edges())
+				if trees[key] == nil {
+					trees[key] = sp.Tree(comp)
+				} else {
+					shared++
 				}
-				for i := range sep.Sets {
-					for j, pos := range sep.Sets[i].Index {
-						if at[pos] != want.Sets[i].Index[j] || !slices.Equal(sep.Sets[i].Masks, want.Sets[i].Masks) {
-							t.Fatalf("scenario %d worker %d: positions %v, the copy's %v", s, i, sep.Sets[i].Index, want.Sets[i].Index)
-						}
-					}
-					if s > 0 && sep.SharesSets(&seps[0], i) != slices.Equal(sep.Sets[i].Index, seps[0].Sets[i].Index) {
-						t.Fatalf("scenario %d worker %d: SharesSets disagrees with the sets", s, i)
+				sep.Forest = append(sep.Forest, trees[key])
+			}
+			sameSeparation(t, want, sep)
+			if sep.Sequences != want.Sequences || sep.Graph.Edges() != want.Graph.Edges() {
+				t.Fatalf("scenario %d: %d sequences and %d edges, the copy has %d and %d",
+					s, sep.Sequences, sep.Graph.Edges(), want.Sequences, want.Graph.Edges())
+			}
+			for i := range sep.Sets {
+				for j, pos := range sep.Sets[i].Index {
+					if at[pos] != want.Sets[i].Index[j] || !slices.Equal(sep.Sets[i].Masks, want.Sets[i].Masks) {
+						t.Fatalf("scenario %d worker %d: positions %v, the copy's %v", s, i, sep.Sets[i].Index, want.Sets[i].Index)
 					}
 				}
-				if s > 0 && seps[s-1].Graph != nil {
-					t.Fatalf("scenario %d still claims the graph", s-1)
+				if s > 0 && sep.SharesSets(&seps[0], i) != slices.Equal(sep.Sets[i].Index, seps[0].Sets[i].Index) {
+					t.Fatalf("scenario %d worker %d: SharesSets disagrees with the sets", s, i)
 				}
 			}
-			if shared == 0 {
-				t.Fatal("no component recurred: the pool exercises no sharing")
+			if s > 0 && seps[s-1].Graph != nil {
+				t.Fatalf("scenario %d still claims the graph", s-1)
 			}
 		}
-	}
-}
-
-// TestSeparateParallelMatchesSerial holds the fanned-out loops to the serial
-// ones on pools past both grains at every setting tried, from either side of
-// the reach stage — 4·reachGrain workers in the reach loop, Σ|RS_w|² past
-// 4·sequenceGrain — and checks that Separate did fan out: an instance below
-// the grains runs inline and proves nothing. From the worker side the reach
-// loop runs over the workers on shift; from the task side, taken when the
-// tasks are the fewer, over the workers a task reaches.
-func TestSeparateParallelMatchesSerial(t *testing.T) {
-	// Most of the first pool reaches nothing, as on the paper's workloads:
-	// the tasks sit in one corner of the workers' region, and outnumber the
-	// workers on shift. The second pool's fewer tasks stand in pairs 3 km
-	// apart, and every worker on shift stands by a pair and reaches both.
-	ws, _ := randomInstance(77, 4*reachGrain+300, 0, 30)
-	_, ts := randomInstance(78, 0, 2400, 10)
-	r := rand.New(rand.NewSource(79))
-	var paired []*core.Task
-	for c := 0; c < 500; c++ {
-		x, y := float64(c%23)*3, float64(c/23)*3
-		paired = append(paired, task(2*c+1, x, y, 0, 1000), task(2*c+2, x+0.1, y, 0, 1000))
-	}
-	var byPairs []*core.Worker
-	for i := 0; i < 4*reachGrain+300; i++ {
-		at := paired[2*(i%500)].Loc
-		byPairs = append(byPairs, worker(i+1, at.X+r.Float64()*0.3, at.Y+r.Float64()*0.3, 0.5, 0, 1000))
-	}
-	for _, c := range []struct {
-		name      string
-		ws        []*core.Worker
-		ts        []*core.Task
-		fromTasks bool
-	}{{"worker side", ws, ts, false}, {"task side", byPairs, paired, true}} {
-		for i := 0; i < 250; i++ {
-			c.ws[i*7].Off = -1 // off shift: pool slots that are not work
-		}
-		serial := opts
-		serial.Parallelism = 1
-		var ref Separator
-		want := ref.Separate(c.ws, c.ts, 0, serial)
-		on, reaching, pairs := 0, 0, 0
-		for i, w := range c.ws {
-			if w.Available(0) {
-				on++
-			}
-			if r := len(want.Sets[i].Index); r > 0 {
-				reaching++
-				pairs += r * r
-			}
-		}
-		if want.Sequences == 0 {
-			t.Fatalf("%s: a pool with no sequences", c.name)
-		}
-		if fromTasks := len(c.ts) < on; fromTasks != c.fromTasks {
-			t.Fatalf("%s: %d tasks, %d workers on shift", c.name, len(c.ts), on)
-		}
-		listed := on
-		if c.fromTasks {
-			listed = reaching
-		}
-		for _, p := range []int{2, 4, 0} {
-			fanReach, fanSeqs := par.Workers(p, listed, reachGrain), par.Workers(p, pairs, sequenceGrain)
-			if p > 0 && (fanReach != p || fanSeqs != p) {
-				t.Fatalf("%s: parallelism %d: the instance resolves to %d and %d goroutines (%d in the reach loop, Σ|RS|² %d)", c.name, p, fanReach, fanSeqs, listed, pairs)
-			}
-			o := opts
-			o.Parallelism = p
-			var sp Separator
-			got := sp.Separate(c.ws, c.ts, 0, o)
-			sameSeparation(t, want, got)
-			if got.Sequences != want.Sequences || sp.ReachChecks() != ref.ReachChecks() {
-				t.Fatalf("%s: parallelism %d: %d sequences and %d reach checks, serial %d and %d", c.name, p, got.Sequences, sp.ReachChecks(), want.Sequences, ref.ReachChecks())
-			}
-			if len(sp.scr) != max(fanReach, fanSeqs) {
-				t.Fatalf("%s: parallelism %d: %d scratches for %d and %d goroutines", c.name, p, len(sp.scr), fanReach, fanSeqs)
-			}
-			if p == 4 {
-				// A second call reuses every scratch and arena.
-				sameSeparation(t, want, sp.Separate(c.ws, c.ts, 0, o))
-			}
+		if shared == 0 {
+			t.Fatal("no component recurred: the pool exercises no sharing")
 		}
 	}
 }
 
 // TestSeparateEmptyWork covers the loops with nothing to do — nobody on
-// shift, nobody reaching anything — at a fan-out setting: the count resolves
-// to one goroutine, never zero, and no scratch is indexed past it. With
-// nothing to reach, nobody is in a tree: the forest is empty.
+// shift, nobody reaching anything. With nothing to reach, nobody is in a
+// tree: the forest is empty.
 func TestSeparateEmptyWork(t *testing.T) {
 	ws, ts := randomInstance(5, 20, 40, 4)
-	o := opts
-	o.Parallelism = 4
 	var sp Separator
-	if sep := sp.Separate(ws, nil, 0, o); sep.Sequences != 0 || len(sep.Forest) != 0 || sep.Graph.N() != len(ws) {
+	if sep := sp.Separate(ws, nil, 0, opts); sep.Sequences != 0 || len(sep.Forest) != 0 || sep.Graph.N() != len(ws) {
 		t.Fatalf("no tasks: %d sequences, %d trees, %d vertices", sep.Sequences, len(sep.Forest), sep.Graph.N())
 	}
 	for _, w := range ws {
 		w.Off = -1
 	}
-	if sep := sp.Separate(ws, ts, 0, o); sep.Sequences != 0 || len(sep.Forest) != 0 {
+	if sep := sp.Separate(ws, ts, 0, opts); sep.Sequences != 0 || len(sep.Forest) != 0 {
 		t.Fatalf("nobody on shift: %d sequences, %d trees", sep.Sequences, len(sep.Forest))
 	}
-	if sep := sp.Separate(nil, ts, 0, o); sep.Sequences != 0 || len(sep.Forest) != 0 {
+	if sep := sp.Separate(nil, ts, 0, opts); sep.Sequences != 0 || len(sep.Forest) != 0 {
 		t.Fatalf("no workers: %d sequences, %d trees", sep.Sequences, len(sep.Forest))
-	}
-	if len(sp.scr) != 1 {
-		t.Fatalf("%d scratches for loops with no work", len(sp.scr))
 	}
 }
 
