@@ -54,12 +54,11 @@ const compareP95Tolerance = 0.50
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		run      = flag.String("run", "", "experiment id to run, or 'all'")
-		scale    = flag.String("scale", "standard", "experiment mode: quick | standard | full")
-		csvDir   = flag.String("csv", "", "experiment mode: also write <id>.csv files into this directory")
-		points   = flag.Int("points", 0, "experiment mode: override sweep points per parameter (0 = all)")
-		parallel = flag.Int("parallelism", 0, "suite mode: live-path shard fan-out per epoch (0 = up to one goroutine per CPU, 1 = serial)")
+		list   = flag.Bool("list", false, "list experiment ids and exit")
+		run    = flag.String("run", "", "experiment id to run, or 'all'")
+		scale  = flag.String("scale", "standard", "experiment mode: quick | standard | full")
+		csvDir = flag.String("csv", "", "experiment mode: also write <id>.csv files into this directory")
+		points = flag.Int("points", 0, "experiment mode: override sweep points per parameter (0 = all)")
 
 		jsonPath = flag.String("json", "", "write machine-readable results to FILE (\"-\" = stdout, text output suppressed)")
 
@@ -88,7 +87,7 @@ func main() {
 	case *suite:
 		runSuite(suiteOptions{
 			scenarios: *scenarios, scales: *scales, methods: *methods,
-			shards: *shards, step: *step, parallel: *parallel, p95Tol: *p95Tol,
+			shards: *shards, step: *step, p95Tol: *p95Tol,
 			samples: *samples, cvarAlpha: *cvarAlpha,
 			jsonPath: *jsonPath, compare: *compare, maxGap: *maxGap,
 		})
@@ -111,7 +110,6 @@ type suiteOptions struct {
 	scenarios, scales, methods string
 	shards                     int
 	step                       float64
-	parallel                   int
 	p95Tol                     float64
 	samples                    int
 	cvarAlpha                  float64
@@ -123,13 +121,12 @@ type suiteOptions struct {
 // against a baseline snapshot and against the per-cell fidelity-gap bound.
 func runSuite(so suiteOptions) {
 	opts := benchsuite.Options{
-		Scenarios:   splitList(so.scenarios),
-		Methods:     splitList(so.methods),
-		Shards:      so.shards,
-		Step:        so.step,
-		Parallelism: so.parallel,
-		Samples:     so.samples,
-		CVaRAlpha:   so.cvarAlpha,
+		Scenarios: splitList(so.scenarios),
+		Methods:   splitList(so.methods),
+		Shards:    so.shards,
+		Step:      so.step,
+		Samples:   so.samples,
+		CVaRAlpha: so.cvarAlpha,
 	}
 	// Validate -methods up front against the live registry, so a typo fails
 	// in milliseconds with the current method names instead of mid-suite.

@@ -35,6 +35,10 @@
 //
 // The logical clock advances one Step every Step/timescale wall seconds:
 // -timescale 60 replays a minute of scenario time per wall second.
+//
+// An epoch's shards step on up to GOMAXPROCS goroutines at once
+// (GOMAXPROCS=4 datawa-serve -shards 4); the plans are the same at every
+// GOMAXPROCS.
 package main
 
 import (
@@ -67,7 +71,6 @@ func main() {
 		maxY      = flag.Float64("maxy", 4, "region max y (km)")
 		rows      = flag.Int("rows", 6, "demand grid rows")
 		cols      = flag.Int("cols", 6, "demand grid cols")
-		parallel  = flag.Int("parallelism", 0, "shard fan-out per epoch (0 = up to one goroutine per CPU, 1 = serial)")
 		pretrain  = flag.String("pretrain", "", "train demand/value models on a synthetic scenario first: yueche | didi")
 		preScale  = flag.Float64("pretrain-scale", 0.1, "pretraining workload scale factor in (0,1]")
 		seed      = flag.Int64("seed", 1, "deterministic seed")
@@ -93,7 +96,7 @@ func main() {
 		SpeedKmPerSec: *speed,
 		Region:        datawa.Rect{MinX: *minX, MinY: *minY, MaxX: *maxX, MaxY: *maxY},
 		GridRows:      *rows, GridCols: *cols,
-		Step: *step, Parallelism: *parallel, Seed: *seed,
+		Step: *step, Seed: *seed,
 		Samples: *samples, CVaRAlpha: *cvarAlpha,
 	})
 

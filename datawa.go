@@ -202,15 +202,6 @@ type Config struct {
 	// Step is the streaming replan interval in seconds (default 1).
 	Step float64
 
-	// Parallelism bounds the shard fan-out of the live dispatcher
-	// (NewDispatcher, dispatch.Config.Parallelism): 0 steps up to one shard
-	// per CPU at once, 1 steps them serially. It is an upper bound — the
-	// shards of an epoch take goroutines when their last Steps overlap by
-	// enough to pay for them and step on the caller's otherwise. A planning
-	// instant always runs on one goroutine, so Run and Assign do not read
-	// it. Plans are byte-identical at every setting; only wall time changes.
-	Parallelism int
-
 	// Seed makes training and planning deterministic (default 1).
 	Seed int64
 }
@@ -489,16 +480,15 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 	}
 	env := f.env()
 	cfg := dispatch.Config{
-		Shards:      dc.Shards,
-		Step:        dc.Step,
-		Now:         dc.Now,
-		Admission:   dc.Admission,
-		Governor:    dc.Governor,
-		Obs:         dc.Obs,
-		Parallelism: f.cfg.Parallelism,
-		Fixed:       r.Fixed,
-		Demand:      r.Demand(env),
-		NewLadder:   func(int) []assign.Planner { return r.Ladder(env) },
+		Shards:    dc.Shards,
+		Step:      dc.Step,
+		Now:       dc.Now,
+		Admission: dc.Admission,
+		Governor:  dc.Governor,
+		Obs:       dc.Obs,
+		Fixed:     r.Fixed,
+		Demand:    r.Demand(env),
+		NewLadder: func(int) []assign.Planner { return r.Ladder(env) },
 	}
 	if cfg.Step <= 0 {
 		cfg.Step = f.cfg.Step

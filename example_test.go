@@ -2,6 +2,7 @@ package datawa_test
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro"
 )
@@ -104,19 +105,20 @@ func exampleCrowd() ([]*datawa.Worker, []*datawa.Task) {
 }
 
 // ExampleConfig_parallelism replays the same busy instant through a
-// four-shard live dispatcher twice: with its shards stepped one after the
-// other, and with up to four stepped at once. Parallelism bounds that shard
-// fan-out and nothing else — each shard's planner plans its instant on the
-// goroutine that steps the shard — and the outcome is byte-identical at every
-// setting; only wall time changes. The shards of an epoch take goroutines of
-// their own only when their previous Steps overlap by enough to pay for them.
+// four-shard live dispatcher twice: at GOMAXPROCS 1, with its shards stepped
+// one after the other, and at GOMAXPROCS 4, with up to four stepped at once.
+// GOMAXPROCS bounds that shard fan-out and nothing else — each shard's
+// planner plans its instant on the goroutine that steps the shard — and the
+// outcome is byte-identical at every setting; only wall time changes. The
+// shards of an epoch take goroutines of their own only when their previous
+// Steps overlap by enough to pay for them.
 func ExampleConfig_parallelism() {
 	workers, tasks := exampleCrowd()
-	replay := func(parallelism int) datawa.DispatchMetrics {
+	replay := func(procs int) datawa.DispatchMetrics {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		fw := datawa.New(datawa.Config{
 			Region:   datawa.Rect{MinX: 0, MinY: 0, MaxX: 30, MaxY: 30},
 			GridRows: 6, GridCols: 6,
-			Parallelism: parallelism,
 		})
 		d, err := fw.NewDispatcher(datawa.MethodDTA, datawa.DispatchConfig{Shards: 4})
 		if err != nil {

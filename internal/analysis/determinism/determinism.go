@@ -14,10 +14,11 @@
 //     report; a deliberate site carries `//datawa:wallclock <why>`. Seeded
 //     rand.New(rand.NewSource(…)) is fine — that is how workloads are meant
 //     to generate randomness.
-//  3. No bare `go` statements: all fan-out goes through internal/par, whose
-//     serial mode is the reference semantics of every parallel run. There is
-//     no escape hatch — code that needs a goroutine belongs outside the
-//     critical packages.
+//  3. No bare `go` statements. The one fan-out the critical packages keep —
+//     the dispatcher stepping an epoch's shards — carries
+//     `//datawa:fanout <why>`, and its inline branch is the reference
+//     semantics its tests compare every fanned-out run against. Code that
+//     needs another goroutine belongs outside the critical packages.
 //
 // Test files are exempt (they replay seeded randomness and assert over
 // maps freely).
@@ -79,9 +80,13 @@ func run(pass *analysis.Pass) (any, error) {
 			case *ast.CallExpr:
 				checkAmbientCall(pass, n)
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "bare go statement in determinism-critical package %s: "+
-					"fan out through internal/par so a serial run stays the reference semantics",
-					pass.Pkg.Path())
+				if d, ok := pass.DirectiveAt(n.Pos(), "fanout"); !ok {
+					pass.Reportf(n.Pos(), "bare go statement in determinism-critical package %s: "+
+						"step on the caller's goroutine, so a serial run stays the reference semantics",
+						pass.Pkg.Path())
+				} else if d.Justification == "" {
+					pass.Reportf(n.Pos(), "//datawa:fanout needs a justification (why does each goroutine write only its own slots?)")
+				}
 			}
 			return true
 		})

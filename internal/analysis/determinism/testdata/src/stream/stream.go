@@ -112,10 +112,26 @@ func pacing() time.Time {
 	return time.Now()
 }
 
-// Bare goroutines: findings, no escape hatch.
+// Bare goroutines: findings.
 func fanOut(jobs []func()) {
 	for _, j := range jobs {
 		go j() // want `bare go statement in determinism-critical package`
+	}
+}
+
+// The fanout escape hatch with a justification...
+func annotatedFanOut(jobs []func()) {
+	for _, j := range jobs {
+		//datawa:fanout each job writes only its own slot
+		go j()
+	}
+}
+
+// ...and without one.
+func bareFanOut(jobs []func()) {
+	for _, j := range jobs {
+		//datawa:fanout
+		go j() // want `//datawa:fanout needs a justification`
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 //
 //	//datawa:unordered <justification>     map range is deliberately order-exposed (determinism)
 //	//datawa:wallclock <justification>     ambient read (clock/rand/env) is deliberate (determinism)
+//	//datawa:fanout <justification>        go statement is the one sanctioned fan-out (determinism)
 //	//datawa:locked(mu)                    function/closure runs with mu held by its caller (guarded)
 //	//datawa:serialized                    type is single-owner: fields touched only by its methods (guarded)
 //	//datawa:hotpath                       function must not allocate on its hot statements (hotpath)
@@ -19,9 +20,9 @@ import (
 // plus the field annotation the guarded analyzer reads from ordinary prose
 // comments: `// guarded by mu`.
 //
-// Statement-level directives (unordered, wallclock, alloc, and locked on
-// closures) attach by position: trailing on the same line as
-// the construct, or alone on the line directly above. Declaration-level
+// Statement-level directives (unordered, wallclock, fanout, alloc, and locked
+// on closures) attach by position: trailing on the same line as the
+// construct, or alone on the line directly above. Declaration-level
 // directives (hotpath, locked, serialized) live anywhere in the decl's doc
 // comment. Directives that carry a justification require one — a bare escape
 // hatch is itself a diagnostic in the analyzer that consumes it.

@@ -2,14 +2,17 @@ package assign
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/par"
 	"repro/internal/scenario"
 	"repro/internal/tvf"
 	"repro/internal/wds"
@@ -84,7 +87,7 @@ func TestIDSetMatchesMap(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id := r.Intn(2*n+1) - n
 			if i%5 == 4 {
-				id = id << 40 // ids that share their low bits
+				id = id << (bits.UintSize - 24) // ids that share their low bits
 			}
 			if got, want := s.add(id), !seen[id]; got != want {
 				t.Fatalf("plan %d: add(%d) = %v, want %v", plan, id, got, want)
@@ -431,14 +434,43 @@ func withIdle(in instant) ([]*core.Worker, int) {
 	return workers, idle
 }
 
+// sideBySide runs fn(0) … fn(n-1) as the dispatcher steps its shards'
+// planners: one after the other on the caller's goroutine at setting 1; at
+// setting 0 on up to GOMAXPROCS goroutines that take the jobs in index order
+// as they come free, while the caller waits. fn must write only slot i.
+func sideBySide(n, setting int, fn func(i int)) {
+	workers := 1
+	if setting == 0 {
+		workers = min(runtime.GOMAXPROCS(0), n)
+	}
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestIdleWorkersInvisibleAcrossParallelism: a worker that reaches no task has
 // nothing to plan and shares nothing, so it costs nothing either. Planning an
 // instant with idle workers among its own returns the plan, the RL samples and
 // every counter of planning it without them — the exact search with the
 // transposition table on and off, the flat ablation, the value-guided search, sample
 // collection and SSP's shared scenario pass. The two planners plan side by side
-// under par.Do at the setting par names, as the dispatcher steps its shards'
-// planners: one after the other on the test's goroutine at 1, each on a
+// under sideBySide at the setting par names, as the dispatcher steps its
+// shards' planners: one after the other on the test's goroutine at 1, each on a
 // goroutine of its own at 0 where the CPUs allow, sharing the value model.
 func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 	a, _ := scenario.Get("rush-hour")
@@ -463,7 +495,7 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/par=%d", in.name, c.name, p), func(t *testing.T) {
 					want, got := c.s(), c.s()
 					var wantPlan, gotPlan core.Plan
-					par.Do(2, p, func(i int) {
+					sideBySide(2, p, func(i int) {
 						if i == 0 {
 							wantPlan = checked{want}.Plan(in.workers, in.tasks, in.now)
 						} else {
@@ -509,7 +541,7 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/ssp/par=%d", in.name, p), func(t *testing.T) {
 				want, got := &SSP{Opts: o, Samples: 5}, &SSP{Opts: o, Samples: 5}
 				var wantPlan, gotPlan core.Plan
-				par.Do(2, p, func(i int) {
+				sideBySide(2, p, func(i int) {
 					if i == 0 {
 						wantPlan = checked{want}.Plan(sspIn.workers, sspIn.tasks, in.now)
 					} else {
@@ -536,7 +568,7 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 // saves (completionBound) on the event-spike flash crowd with the benchmark's
 // 4000-node budget (BenchmarkCrowdPlan): at 1.5x, where every tree's universe
 // fits one word, and at 5x, one tree of more than 64 tasks. The two crowds
-// are planned side by side under par.Do, as two shards' planners are: one
+// are planned side by side under sideBySide, as two shards' planners are: one
 // after the other on the test's goroutine at 1, each on a goroutine of its
 // own at 0 where the CPUs allow. At both the plans and all five counters are
 // the same, and most of the greedy completions past the budget are counted
@@ -556,7 +588,7 @@ func TestBoundedCompletionsAcrossParallelism(t *testing.T) {
 	for _, p := range []int{1, 0} {
 		var searches [2]*Search
 		var plans [2]core.Plan
-		par.Do(len(crowds), p, func(i int) {
+		sideBySide(len(crowds), p, func(i int) {
 			searches[i] = &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}, MaxNodes: 4000}}
 			plans[i] = checked{searches[i]}.Plan(crowds[i].workers, crowds[i].tasks, crowds[i].now)
 		})

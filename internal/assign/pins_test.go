@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/tvf"
 	"repro/internal/wds"
 )
@@ -430,7 +429,7 @@ func TestSearchMatchesReference(t *testing.T) {
 		}
 	}
 
-	// par is the par.Do setting the fixture is planned under: at 1 one
+	// par is the sideBySide setting the fixture is planned under: at 1 one
 	// Search plans on the test's goroutine; at 0 two plan side by side, each
 	// on a goroutine of its own where the CPUs allow, sharing the instant and
 	// the value model as the planners of two shards the dispatcher steps at
@@ -448,7 +447,7 @@ func TestSearchMatchesReference(t *testing.T) {
 				}
 				got := make([]core.Plan, len(searches))
 				for pass := 0; pass < 2; pass++ {
-					par.Do(len(searches), p, func(i int) {
+					sideBySide(len(searches), p, func(i int) {
 						searches[i].Samples = nil
 						got[i] = checked{searches[i]}.Plan(f.in.workers, f.in.tasks, f.in.now)
 					})

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/par"
 	"repro/internal/scenario"
 	"repro/internal/wds"
 )
@@ -347,10 +346,9 @@ func sameAsPerScenario(t *testing.T, p *SSP, ws []*core.Worker, ts []*core.Task,
 // sets, trees, searches — the committed plan and the summed counters are those
 // of K searches from scratch on K copied pools, under a binding and a loose
 // budget, at both ends of the risk knob, for two planners planning the pool
-// side by side under par.Do as two shards' planners do: one after the other
-// on the test's goroutine at 1, each on a goroutine of its own at 0 where the
-// CPUs allow. The pools: random
-// ones at three scenario counts, the rush-hour crowd robust-ssp plans, and two
+// side by side under sideBySide as two shards' planners do: one after the
+// other on the test's goroutine at 1, each on a goroutine of its own at 0
+// where the CPUs allow. The pools: random ones at three scenario counts, the rush-hour crowd robust-ssp plans, and two
 // whose trees run past 64 tasks, laid out on two words — a chain of 80 tasks,
 // one tree a scenario and no two alike, and the event-spike flash crowd at 5x.
 // The last costs seconds a plan under the race detector, which CI runs this
@@ -403,7 +401,7 @@ func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
 				}
 				for _, alpha := range []float64{1, 0.4} {
 					plan := make([]core.Plan, len(got))
-					par.Do(len(got), p, func(i int) {
+					sideBySide(len(got), p, func(i int) {
 						got[i].CVaRAlpha = alpha
 						plan[i] = checked{got[i]}.Plan(c.workers, c.tasks, c.now)
 					})

@@ -87,9 +87,9 @@ func BenchmarkLiveReplay(b *testing.B) {
 // / 296,831–297,124 / 309,393–309,573 (the same at -cpu 1, 2 and 4), with
 // every epoch planning the whole pool and nothing kept between epochs but the
 // planners' scratch. They read 3,050 / 3,402 / 6,724 / 6,998 / 5,593 /
-// 297,452–297,704 / 310,028–310,165 while every epoch handed its shards to
-// par.Do: an epoch that steps its shards inline makes no closure and no
-// goroutines, and every row's bound came down to 1.5x its new reading.
+// 297,452–297,704 / 310,028–310,165 while every epoch fanned its shards out
+// on goroutines: an epoch that steps its shards inline makes no closure and
+// no goroutines, and every row's bound came down to 1.5x its new reading.
 //
 // How each row got there, in the readings of its day. Those were taken under a
 // cross-epoch plan cache that built a component list per epoch (7,324 / 12,574

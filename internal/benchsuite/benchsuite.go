@@ -17,7 +17,7 @@
 //
 // Outcomes (assigned/expired counts, plan calls, epochs, the admission and
 // governor counters) are deterministic given the archetype seed, at every
-// parallelism level and on every machine; wall-clock and allocation figures
+// GOMAXPROCS and on every machine; wall-clock and allocation figures
 // are informational and host-dependent. Compare therefore gates the outcomes
 // on exact equality and — with a tolerance — the live path's epoch p95
 // latency, so a perf PR cannot silently trade epoch latency for throughput.
@@ -70,9 +70,6 @@ type Options struct {
 	Step float64
 	// Shards is the live path's dispatcher shard count (default 2).
 	Shards int
-	// Parallelism bounds the live path's shard fan-out per epoch (0 = up to
-	// one goroutine per CPU, 1 = serial); see dispatch.Config.Parallelism.
-	Parallelism int
 	// MaxNodes caps exact-search effort per RTC tree (default 4000); a
 	// planning call spends up to that on every tree of its forest.
 	MaxNodes int
@@ -122,9 +119,10 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	OS        string `json:"os"`
 	Arch      string `json:"arch"`
-	// Scenarios, Scales, Methods, Step, Shards and Parallelism echo the
-	// options that produced the report. The first three are the axes Compare
-	// holds a narrowed rerun to; Step and Shards must match the baseline's.
+	// Scenarios, Scales, Methods, Step and Shards echo the options that
+	// produced the report, Parallelism the GOMAXPROCS that bounded the live
+	// path's shard fan-out. The first three are the axes Compare holds a
+	// narrowed rerun to; Step and Shards must match the baseline's.
 	Scenarios   []string  `json:"scenarios"`
 	Scales      []float64 `json:"scales"`
 	Methods     []string  `json:"methods"`
@@ -238,7 +236,7 @@ func Run(opts Options) (*Report, error) {
 		Methods:     opts.Methods,
 		Step:        opts.Step,
 		Shards:      opts.Shards,
-		Parallelism: opts.Parallelism,
+		Parallelism: runtime.GOMAXPROCS(0),
 	}
 	for _, m := range opts.Methods {
 		if datawa.Method(m) == datawa.MethodSSP {
@@ -289,7 +287,6 @@ func framework(sc *datawa.Scenario, m datawa.Method, opts Options) (*datawa.Fram
 		Region:   c.Region,
 		GridRows: c.GridRows, GridCols: c.GridCols,
 		Step: opts.Step, Seed: c.Seed,
-		Parallelism:    opts.Parallelism,
 		MaxSearchNodes: opts.MaxNodes,
 		Samples:        opts.Samples,
 		CVaRAlpha:      opts.CVaRAlpha,

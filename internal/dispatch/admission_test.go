@@ -293,29 +293,28 @@ func TestLoadGenCountsShedInsteadOfBlocking(t *testing.T) {
 
 // TestAdmissionDeterministicAcrossParallelism extends the determinism
 // contract to the admission path: shed/defer decisions ride the event stream,
-// not the scheduler, so a capped replay is byte-identical at every
-// parallelism level.
+// not the scheduler, so a capped replay is byte-identical inline and fanned
+// out.
 func TestAdmissionDeterministicAcrossParallelism(t *testing.T) {
 	cfg := workload.Yueche().Scaled(0.1)
 	cfg.HistoryDuration = 0
 	sc := workload.Generate(cfg)
-	run := func(parallelism int) string {
-		d := New(Config{
+	run := func(grain int) string {
+		d := withGrain(New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			NewLadder:   oneTier(searchFactory()),
-			Parallelism: parallelism,
-			Admission:   AdmissionConfig{MaxOpenTasks: 12},
-		})
+			NewLadder: oneTier(searchFactory()),
+			Admission: AdmissionConfig{MaxOpenTasks: 12},
+		}), grain)
 		m := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
 		if m.Shed == 0 && m.Deferred == 0 {
 			t.Fatal("capped replay never exercised admission control")
 		}
 		return digest(m)
 	}
-	ref := run(1)
-	for _, parallelism := range []int{1, 2, 4, 0} {
-		if got := run(parallelism); got != ref {
-			t.Fatalf("parallelism %d diverged:\n got %s\nwant %s", parallelism, got, ref)
+	ref := run(neverFan)
+	for _, grain := range grains {
+		if got := run(grain); got != ref {
+			t.Fatalf("grain %d diverged:\n got %s\nwant %s", grain, got, ref)
 		}
 	}
 }

@@ -3,10 +3,10 @@
 // task submit/cancel, position updates — into one locked inbox, batches them
 // into planning epochs at a fixed cadence, and runs each epoch through the
 // existing planner stack. The region is sharded over the demand grid, one
-// stream.Machine per shard, and independent shards plan in parallel via
-// internal/par when their last Steps were long enough to pay for it. Each
-// shard plans through a ladder of planners (Config.NewLadder) the governor
-// may step it down, and predicted tasks come from one global
+// stream.Machine per shard, and independent shards plan in parallel, on up to
+// GOMAXPROCS goroutines, when their last Steps were long enough to pay for
+// it. Each shard plans through a ladder of planners (Config.NewLadder) the
+// governor may step it down, and predicted tasks come from one global
 // stream.DemandFeed (Config.Demand) the dispatcher publishes every submit to
 // and refreshes in the epoch's forecast stage.
 //
@@ -17,7 +17,7 @@
 // shard results land in per-shard slots merged in shard order, and commit
 // arbitration works on that merged, ordered commit set. A dispatcher fed one
 // event stream from a single producer therefore produces identical
-// assignment state on every run at every parallelism level — and with one
+// assignment state on every run at every GOMAXPROCS — and with one
 // shard it reproduces stream.Engine's Assigned/Expired counts on the same
 // trace, which the package tests pin down.
 //
@@ -143,13 +143,6 @@ type Config struct {
 	// owning its cell. The feed prunes itself to the forecaster's horizon, so
 	// it stays bounded over the service's lifetime.
 	Demand *stream.DemandFeed
-	// Parallelism bounds the shard fan-out of one epoch's Step stage (0 = one
-	// goroutine per CPU, 1 = serial). The shards step concurrently, up to this
-	// many at a time, only when their previous Steps overlap by enough to pay
-	// for a goroutine (shardGrain); otherwise they step inline in shard order.
-	// A shard's planner plans on the goroutine that steps the shard and fans
-	// out no further. Results are identical at every setting.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {

@@ -56,17 +56,16 @@ func testScenario(t *testing.T) *workload.Scenario {
 }
 
 // replay drives a fresh dispatcher over the scenario trace at the given
-// shard count and returns its final snapshot.
-func replay(sc *workload.Scenario, shards int, factory func(int) assign.Planner, fixed bool, step float64, parallelism int) Metrics {
-	d := New(Config{
-		Shards:      shards,
-		Grid:        sc.Grid,
-		Step:        step,
-		Now:         sc.T0,
-		Fixed:       fixed,
-		NewLadder:   oneTier(factory),
-		Parallelism: parallelism,
-	})
+// shard count and fan-out grain and returns its final snapshot.
+func replay(sc *workload.Scenario, shards int, factory func(int) assign.Planner, fixed bool, step float64, grain int) Metrics {
+	d := withGrain(New(Config{
+		Shards:    shards,
+		Grid:      sc.Grid,
+		Step:      step,
+		Now:       sc.T0,
+		Fixed:     fixed,
+		NewLadder: oneTier(factory),
+	}), grain)
 	g := LoadGen{Events: sc.Events(), T1: sc.T1}
 	return g.Run(d).Metrics
 }
@@ -93,7 +92,7 @@ func TestSingleShardMatchesStreamEngine(t *testing.T) {
 				stream.Input{Workers: sc.Workers, Tasks: sc.Tasks, T0: sc.T0, T1: sc.T1},
 				stream.Config{Planner: checked{tc.factory(0)}, Fixed: tc.fixed, Step: step},
 			)
-			got := replay(sc, 1, tc.factory, tc.fixed, step, 1)
+			got := replay(sc, 1, tc.factory, tc.fixed, step, shardGrain)
 			if got.Assigned != ref.Assigned || got.Expired != ref.Expired {
 				t.Fatalf("dispatch assigned/expired = %d/%d, engine = %d/%d",
 					got.Assigned, got.Expired, ref.Assigned, ref.Expired)
@@ -215,16 +214,16 @@ func digest(m Metrics) string {
 }
 
 // TestMultiShardDeterministic pins the other half of the contract: a fixed
-// seed and shard count yield a byte-identical outcome on every run, at every
-// parallelism level.
+// seed and shard count yield a byte-identical outcome on every run, inline
+// or fanned out.
 func TestMultiShardDeterministic(t *testing.T) {
 	sc := testScenario(t)
-	ref := digest(replay(sc, 4, searchFactory(), false, 2, 1))
+	ref := digest(replay(sc, 4, searchFactory(), false, 2, neverFan))
 	for run := 0; run < 2; run++ {
-		for _, parallelism := range []int{1, 2, 4, 0} {
-			got := digest(replay(sc, 4, searchFactory(), false, 2, parallelism))
+		for _, grain := range grains {
+			got := digest(replay(sc, 4, searchFactory(), false, 2, grain))
 			if got != ref {
-				t.Fatalf("run %d parallelism %d diverged:\n got %s\nwant %s", run, parallelism, got, ref)
+				t.Fatalf("run %d grain %d diverged:\n got %s\nwant %s", run, grain, got, ref)
 			}
 		}
 	}
@@ -516,7 +515,7 @@ func TestIngestBeyondQueueCapacity(t *testing.T) {
 // TestSnapshotLatencies sanity-checks the percentile plumbing.
 func TestSnapshotLatencies(t *testing.T) {
 	sc := testScenario(t)
-	m := replay(sc, 2, searchFactory(), false, 2, 0)
+	m := replay(sc, 2, searchFactory(), false, 2, shardGrain)
 	if m.Epochs == 0 {
 		t.Fatal("no epochs ran")
 	}

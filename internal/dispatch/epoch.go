@@ -7,11 +7,12 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/stream"
 )
 
@@ -208,21 +209,18 @@ type shardProbe struct {
 // spike-search's events_per_s read +18.8% at 200 µs, +16.6% at 50 µs and
 // +22.1% with every epoch inline; but every epoch inline cost the 5x
 // rush-hour SSP crowd on four shards 14% of its live rate, which 200 µs
-// keeps (7,766 against 7,730 events/s, medians of four runs).
+// keeps (7,766 against 7,730 events/s, medians of four runs; 8.5–26% re-read
+// without the planners' own fan-out, docs/BENCHMARKS.md, "Fan-out grains").
 const shardGrain = 200
 
 // fanOut decides an epoch's shard fan-out from each shard's previous Step
-// wall (probe), the parallelism setting, and procs, what the setting 0
-// resolves to (runtime.GOMAXPROCS). The work a second goroutine could take is
-// the walls' sum less the longest, since the epoch cannot end before its
-// longest shard; par.Workers weighs it against grain µs, and the count never
-// exceeds the shards. The first epoch has no walls and steps inline. grain 0
-// fans every multi-shard epoch out (the tests' hook onto the par.Do branch).
-func fanOut(probe []shardProbe, parallelism, procs, grain int) int {
-	total := parallelism
-	if total == 0 {
-		total = procs
-	}
+// wall (probe) and procs, the goroutine bound (runtime.GOMAXPROCS). The work
+// a second goroutine could take is the walls' sum less the longest, since the
+// epoch cannot end before its longest shard; each goroutine past the first
+// needs grain µs of it, and the count never exceeds procs or the shards, nor
+// falls below one. The first epoch has no walls and steps inline. grain 0
+// fans every multi-shard epoch out (the tests' hook onto the fanned branch).
+func fanOut(probe []shardProbe, procs, grain int) int {
 	var sum, longest time.Duration
 	for _, p := range probe {
 		sum += p.wall
@@ -232,28 +230,40 @@ func fanOut(probe []shardProbe, parallelism, procs, grain int) int {
 	if grain == 0 {
 		overlap, grain = len(probe), 1
 	}
-	return min(par.Workers(total, overlap, grain), len(probe))
+	return max(1, min(procs, overlap/grain, len(probe)))
 }
 
 // stepLocked plans every shard: inline in index order when the shards' last
 // walls leave too little overlap to pay for a goroutine (fanOut), otherwise
-// each on a goroutine of its own through par.Do. A shard's planner plans its
-// instant on the goroutine that steps the shard. It fills each shard's probe
-// and, with span recording on, leaves one span per shard — its own track, the
-// tier the epoch planned at and the pool sizes as deterministic detail —
-// ahead of the stage span that closes over them.
+// on fan goroutines that take the shards in index order as they come free,
+// the caller parked. A shard's planner plans its instant on the goroutine
+// that steps the shard. It fills each shard's probe and, with span recording
+// on, leaves one span per shard — its own track, the tier the epoch planned
+// at and the pool sizes as deterministic detail — ahead of the stage span
+// that closes over them.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) stepLocked(t float64) (int, bool) {
-	fan := fanOut(d.probe, d.cfg.Parallelism, runtime.GOMAXPROCS(0), d.grain)
+	fan := fanOut(d.probe, runtime.GOMAXPROCS(0), d.grain)
 	d.fan = fan
 	if fan == 1 {
 		for i := range d.shards {
 			d.stepShard(i, t)
 		}
 	} else {
-		//datawa:locked(mu) the epoch lock is held across the whole parallel region; each worker touches only its own shard slot
-		par.Do(len(d.shards), fan, func(i int) { d.stepShard(i, t) })
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(fan)
+		for range fan {
+			//datawa:fanout a goroutine steps only the shards it takes from next, and a Step touches only its shard's slots
+			go func() { //datawa:locked(mu) the epoch lock is held across the whole fanned region
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(d.shards); i = int(next.Add(1)) - 1 {
+					d.stepShard(i, t)
+				}
+			}()
+		}
+		wg.Wait()
 		d.fanned.Add(1)
 	}
 	if o := d.ob; o.spans != nil {
@@ -535,7 +545,7 @@ func byTask(a, b commit) int { return cmp.Compare(a.c.Task, b.c.Task) }
 // when it is a ghost's, or the owner's of a task a ghost also committed in
 // the same round. A contested task's winner is the earliest arrival (worker
 // id, then shard id break ties — a pure function of the merged commit set,
-// so the outcome is identical at every parallelism level) and its losers
+// so the outcome is identical at every fan-out) and its losers
 // are retracted. Every committed task's other copies leave their shards
 // before any retraction. A retracted worker resumes the rest of its plan at
 // once, which can commit afresh — hence the rounds; each consumes plan

@@ -349,27 +349,27 @@ func TestRetractionScriptOutcome(t *testing.T) {
 // TestHandoffDeterministicAcrossParallelism extends the determinism contract
 // to the halo protocol: with replication and arbitration active on a real
 // trace, the outcome — ghost and conflict counters included — is
-// byte-identical across runs and parallelism levels.
+// byte-identical across runs, inline and fanned out.
 func TestHandoffDeterministicAcrossParallelism(t *testing.T) {
 	cfg := workload.Yueche().Scaled(0.1)
 	cfg.HistoryDuration = 0
 	sc := workload.Generate(cfg)
-	run := func(parallelism int) string {
-		d := New(Config{
+	run := func(grain int) string {
+		d := withGrain(New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			NewLadder: oneTier(searchFactory()), Parallelism: parallelism,
-		})
+			NewLadder: oneTier(searchFactory()),
+		}), grain)
 		m := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
 		if m.GhostCopies == 0 {
 			t.Fatal("trace produced no ghost replicas; the handoff path is not exercised")
 		}
 		return digest(m)
 	}
-	ref := run(1)
+	ref := run(neverFan)
 	for run2 := 0; run2 < 2; run2++ {
-		for _, parallelism := range []int{1, 2, 4, 0} {
-			if got := run(parallelism); got != ref {
-				t.Fatalf("parallelism %d diverged:\n got %s\nwant %s", parallelism, got, ref)
+		for _, grain := range grains {
+			if got := run(grain); got != ref {
+				t.Fatalf("grain %d diverged:\n got %s\nwant %s", grain, got, ref)
 			}
 		}
 	}

@@ -64,29 +64,25 @@ func replayEach(d *Dispatcher, events []workload.Event, t1 float64, ingest func(
 }
 
 // shapeDispatcher is the four-shard dispatcher the queue-shape tests replay
-// the scenario trace into.
-func shapeDispatcher(sc *workload.Scenario, parallelism int) *Dispatcher {
-	return New(Config{
-		Shards:      4,
-		Grid:        sc.Grid,
-		Step:        2,
-		Now:         sc.T0,
-		NewLadder:   oneTier(searchFactory()),
-		Parallelism: parallelism,
-	})
+// the scenario trace into, at the given fan-out grain.
+func shapeDispatcher(sc *workload.Scenario, grain int) *Dispatcher {
+	return withGrain(New(Config{
+		Shards:    4,
+		Grid:      sc.Grid,
+		Step:      2,
+		Now:       sc.T0,
+		NewLadder: oneTier(searchFactory()),
+	}), grain)
 }
 
 // TestQueueShapeEquivalence is the queue property test's sequential half: for
 // one event stream, ingest through the inbox must produce snapshots
-// byte-identical to the serial oracle's at every parallelism level on four
-// shards. The (Time, ingest order) order admission applies events in decides
+// byte-identical to the serial oracle's on four shards, inline and fanned
+// out. The (Time, ingest order) order admission applies events in decides
 // what the epochs see.
 func TestQueueShapeEquivalence(t *testing.T) {
 	sc := testScenario(t)
-	oracle := New(Config{
-		Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-		NewLadder: oneTier(searchFactory()), Parallelism: 1,
-	})
+	oracle := shapeDispatcher(sc, neverFan)
 	for _, ev := range sc.Events() {
 		for oracle.Now() < ev.Time {
 			oracle.Tick()
@@ -95,11 +91,11 @@ func TestQueueShapeEquivalence(t *testing.T) {
 	}
 	oracle.Advance(sc.T1)
 	ref := digest(oracle.Snapshot())
-	for _, parallelism := range []int{1, 4, 0} {
-		got := digest(replayEach(shapeDispatcher(sc, parallelism), sc.Events(), sc.T1, ingestEach))
+	for _, grain := range grains {
+		got := digest(replayEach(shapeDispatcher(sc, grain), sc.Events(), sc.T1, ingestEach))
 		if got != ref {
-			t.Fatalf("parallelism %d: inbox diverged from serial ingest:\n got %s\nwant %s",
-				parallelism, got, ref)
+			t.Fatalf("grain %d: inbox diverged from serial ingest:\n got %s\nwant %s",
+				grain, got, ref)
 		}
 	}
 }
@@ -192,11 +188,11 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 // TestTransportEquivalence pins determinism across transports: LoadGen's
 // batched binary-stream replay (encode → frame → decode → IngestBatch) and a
 // replay handing IngestBatch one event at a time must produce snapshots
-// byte-identical to the per-event Ingest oracle at every parallelism level.
+// byte-identical to the per-event Ingest oracle, inline and fanned out.
 func TestTransportEquivalence(t *testing.T) {
 	sc := testScenario(t)
-	ref := digest(replayEach(shapeDispatcher(sc, 1), sc.Events(), sc.T1, ingestEach))
-	for _, parallelism := range []int{1, 4, 0} {
+	ref := digest(replayEach(shapeDispatcher(sc, neverFan), sc.Events(), sc.T1, ingestEach))
+	for _, grain := range grains {
 		for _, tr := range []struct {
 			name string
 			run  func(*Dispatcher) Metrics
@@ -211,9 +207,9 @@ func TestTransportEquivalence(t *testing.T) {
 				return LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
 			}},
 		} {
-			if got := digest(tr.run(shapeDispatcher(sc, parallelism))); got != ref {
-				t.Fatalf("parallelism %d, %s: diverged from per-event Ingest:\n got %s\nwant %s",
-					parallelism, tr.name, got, ref)
+			if got := digest(tr.run(shapeDispatcher(sc, grain))); got != ref {
+				t.Fatalf("grain %d, %s: diverged from per-event Ingest:\n got %s\nwant %s",
+					grain, tr.name, got, ref)
 			}
 		}
 	}

@@ -399,27 +399,26 @@ func conflictScript(d *Dispatcher) {
 // TestObsLogicalDeterminism is the determinism contract extended to the
 // observability plane: over a geometry that exercises ghost replication,
 // commit conflicts, arbitration retraction, and expiry, the logical span
-// content and every ledger chain must be byte-identical at parallelism 1, 4,
-// and 0 (auto) and across reruns. Wall-clock fields are zeroed — the span
-// times and the step stage's fan-out, which follows the shards' walls — as
-// the only sanctioned divergence.
+// content and every ledger chain must be byte-identical inline, at the
+// default grain and fanned out, and across reruns. Wall-clock fields are
+// zeroed — the span times and the step stage's fan-out, which follows the
+// shards' walls — as the only sanctioned divergence.
 func TestObsLogicalDeterminism(t *testing.T) {
-	run := func(parallelism int) string {
+	run := func(grain int) string {
 		cfg := handoffConfig8x8()
-		cfg.Parallelism = parallelism
 		cfg.Obs = ObsConfig{Spans: 1024, LedgerTasks: 1024}
-		d := New(cfg)
+		d := withGrain(New(cfg), grain)
 		conflictScript(d)
 		m := d.Snapshot()
 		if m.GhostCopies == 0 || m.Retractions == 0 {
-			t.Fatalf("parallelism %d: scenario lost its conflict (ghosts=%d retractions=%d)", parallelism, m.GhostCopies, m.Retractions)
+			t.Fatalf("grain %d: scenario lost its conflict (ghosts=%d retractions=%d)", grain, m.GhostCopies, m.Retractions)
 		}
 		return obsFingerprint(t, d)
 	}
-	base := run(1)
-	for _, p := range []int{1, 4, 0} {
-		if got := run(p); got != base {
-			t.Fatalf("parallelism %d: logical observability content diverged from the parallelism-1 run:\n%s\n----\n%s", p, got, base)
+	base := run(neverFan)
+	for _, grain := range grains {
+		if got := run(grain); got != base {
+			t.Fatalf("grain %d: logical observability content diverged from the inline run:\n%s\n----\n%s", grain, got, base)
 		}
 	}
 	// The retracted loser's chain must show the arbitration round.
@@ -460,7 +459,7 @@ func outcomeOf(m Metrics) string {
 // TestObsSettingsChangeNoOutcomeAcrossParallelism: observability only
 // watches. With spans, ledger and flight recorder on, a dispatcher decides
 // exactly what it decides with ObsConfig{} — every outcome and routing field
-// of the snapshot equal, at parallelism 1 and 0 — on the boundary conflict
+// of the snapshot equal, inline and fanned out — on the boundary conflict
 // script (commits, a retraction, an expiry) and on a two-shard trace with
 // cancels and offlines. The ledger the "on" runs keep must audit clean.
 func TestObsSettingsChangeNoOutcomeAcrossParallelism(t *testing.T) {
@@ -483,26 +482,26 @@ func TestObsSettingsChangeNoOutcomeAcrossParallelism(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
-			for _, parallelism := range []int{1, 0} {
+			for _, grain := range []int{neverFan, 0} {
 				for _, oc := range []ObsConfig{{}, {Spans: 64, LedgerTasks: 1 << 14, FlightDepth: 8}} {
 					cfg := tc.cfg()
-					cfg.Parallelism, cfg.Obs = parallelism, oc
-					d := New(cfg)
+					cfg.Obs = oc
+					d := withGrain(New(cfg), grain)
 					tc.run(d)
 					m := d.Snapshot()
 					if !tc.exercised(m) {
-						t.Fatalf("parallelism %d obs %+v: the case does not exercise its path: %s", parallelism, oc, digest(m))
+						t.Fatalf("grain %d obs %+v: the case does not exercise its path: %s", grain, oc, digest(m))
 					}
 					if oc.LedgerTasks > 0 {
 						if issues, evicted := d.LedgerAudit(); len(issues) > 0 || evicted > 0 {
-							t.Fatalf("parallelism %d: ledger audit %v, %d evictions", parallelism, issues, evicted)
+							t.Fatalf("grain %d: ledger audit %v, %d evictions", grain, issues, evicted)
 						}
 					}
 					got := outcomeOf(m)
 					if want == "" {
 						want = got
 					} else if got != want {
-						t.Fatalf("parallelism %d obs %+v changed the outcome:\n got %s\nwant %s", parallelism, oc, got, want)
+						t.Fatalf("grain %d obs %+v changed the outcome:\n got %s\nwant %s", grain, oc, got, want)
 					}
 				}
 			}

@@ -101,18 +101,17 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 		name     string
 		streamed bool
 		shards   int
-		parallel int
+		grain    int
 	}{
-		{"direct", false, 1, 1},
-		{"streamed", true, 1, 1},
-		{"sharded parallel", false, 2, 4},
+		{"direct", false, 1, neverFan},
+		{"streamed", true, 1, neverFan},
+		{"sharded parallel", false, 2, 0},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			d := New(Config{
+			d := withGrain(New(Config{
 				Shards: cfg.shards, Grid: sc.Grid, Step: step, Now: sc.T0,
-				NewLadder:   oneTier(searchFactory()),
-				Parallelism: cfg.parallel,
-			})
+				NewLadder: oneTier(searchFactory()),
+			}), cfg.grain)
 			var m Metrics
 			if cfg.streamed {
 				m = LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d).Metrics
@@ -125,15 +124,14 @@ func TestTiedTimestampReplayMatchesEngine(t *testing.T) {
 						m.Assigned, m.Expired, ref.Assigned, ref.Expired)
 				}
 			}
-			// At any shard count, LoadGen at parallelism 1 must agree exactly.
-			d2 := New(Config{
+			// At any shard count, LoadGen stepping inline must agree exactly.
+			d2 := withGrain(New(Config{
 				Shards: cfg.shards, Grid: sc.Grid, Step: step, Now: sc.T0,
-				NewLadder:   oneTier(searchFactory()),
-				Parallelism: 1,
-			})
+				NewLadder: oneTier(searchFactory()),
+			}), neverFan)
 			m2 := LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d2).Metrics
 			if m.Assigned != m2.Assigned || m.Expired != m2.Expired || m.Applied != m2.Applied {
-				t.Fatalf("replay diverges across transport/parallelism settings: %d/%d/%d vs %d/%d/%d",
+				t.Fatalf("replay diverges across transport/fan-out settings: %d/%d/%d vs %d/%d/%d",
 					m.Assigned, m.Expired, m.Applied, m2.Assigned, m2.Expired, m2.Applied)
 			}
 		})

@@ -7,7 +7,7 @@
 // Every type here separates logical content (epoch numbers, logical clock
 // instants, transition causes) from wall-clock measurements (span start and
 // duration, histogram samples). Logical content is a pure function of the
-// event stream — byte-identical across reruns and parallelism levels, which
+// event stream — byte-identical across reruns and GOMAXPROCS settings, which
 // the dispatcher tests pin — while wall fields vary run to run and are
 // excluded from equality checks.
 package obs

@@ -49,7 +49,7 @@ const DefaultSamples = 5
 // index, forecast instant) — the stream rand.New(rand.NewSource(seed)) would
 // give, without a fresh source per draw — so the sample set is a pure
 // function of configuration and history: byte-identical across runs,
-// machines, and every parallelism level. Virtuals must be called with a
+// machines, and every GOMAXPROCS. Virtuals must be called with a
 // non-decreasing clock (it is: both the stream machine and the dispatcher
 // forecast at cadence under their epoch serialization).
 type ScenarioSampler struct {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -69,9 +70,9 @@ func TestArchetypeTracesByteDeterministic(t *testing.T) {
 }
 
 // TestArchetypeReplayParallelismInvariant replays each archetype's trace
-// through a sharded dispatcher at several parallelism levels and requires
-// identical assignment outcomes — the property that lets suite runs compare
-// across machines with different core counts.
+// through a sharded dispatcher at GOMAXPROCS 1 and 4 and requires identical
+// assignment outcomes — the property that lets suite runs compare across
+// machines with different core counts.
 func TestArchetypeReplayParallelismInvariant(t *testing.T) {
 	travel := geo.NewTravelModel(0.005)
 	ladder := func(int) []assign.Planner {
@@ -81,21 +82,23 @@ func TestArchetypeReplayParallelismInvariant(t *testing.T) {
 		t.Run(a.Name, func(t *testing.T) {
 			sc := a.Generate(0.25)
 			var ref dispatch.Metrics
-			for i, parallelism := range []int{1, 4} {
+			for i, procs := range []int{1, 4} {
 				d := dispatch.New(dispatch.Config{
 					Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0,
-					NewLadder: ladder, Parallelism: parallelism,
+					NewLadder: ladder,
 				})
 				g := dispatch.LoadGen{Events: sc.Events(), T1: sc.T1}
+				prev := runtime.GOMAXPROCS(procs)
 				m := g.Run(d).Metrics
+				runtime.GOMAXPROCS(prev)
 				if i == 0 {
 					ref = m
 					continue
 				}
 				if m.Assigned != ref.Assigned || m.Expired != ref.Expired ||
 					m.Applied != ref.Applied || m.PlanCalls != ref.PlanCalls {
-					t.Fatalf("parallelism %d diverges: assigned/expired/applied/plans = %d/%d/%d/%d, want %d/%d/%d/%d",
-						parallelism, m.Assigned, m.Expired, m.Applied, m.PlanCalls,
+					t.Fatalf("GOMAXPROCS %d diverges: assigned/expired/applied/plans = %d/%d/%d/%d, want %d/%d/%d/%d",
+						procs, m.Assigned, m.Expired, m.Applied, m.PlanCalls,
 						ref.Assigned, ref.Expired, ref.Applied, ref.PlanCalls)
 				}
 			}

@@ -22,8 +22,8 @@
 // Engine and Machine state is single-goroutine; neither may be shared across
 // goroutines. A planner plans its instant on the goroutine that calls Plan,
 // so a Machine's Step runs on one goroutine from end to end: the dispatcher
-// steps several shards' Machines at once by giving each a goroutine of its
-// own (dispatch.Config.Parallelism), never by sharing one Machine.
+// steps several shards' Machines at once, on up to GOMAXPROCS goroutines,
+// but never one Machine on two.
 //
 // Predicted tasks reach a Machine one way: from its driver's DemandFeed,
 // through SetVirtuals, before Step — the Engine's feed for its one machine,
