@@ -7,7 +7,7 @@
 //
 //	datawa-serve -addr :8080 -method DTA -shards 4
 //	datawa-serve -method DATA-WA -pretrain yueche -pretrain-scale 0.1
-//	datawa-serve -max-open-tasks 5000 -epoch-budget 0.05 -span-depth 256 -pprof
+//	datawa-serve -max-open-tasks 5000 -epoch-budget 2000000 -span-depth 256 -pprof
 //
 // API (see internal/dispatch.Handler for the wire formats):
 //
@@ -30,8 +30,12 @@
 // the ingest (admission control sheds or defers by task deadline when the
 // pool saturates), and -epoch-budget arms the SLA governor that steps each
 // shard's planner down the degradation ladder (full method → Greedy →
-// reachability-only Match) whenever its windowed epoch-p95 wall time exceeds
-// the budget, promoting back hysteretically once load subsides.
+// reachability-only Match) whenever its windowed epoch-p95 planner work
+// exceeds the budget, promoting back hysteretically once load subsides. Work
+// is counted, not timed (assign.Planner.Work, in distance checks), so the
+// governor decides the same on every host; a unit of it took a median 24–29 ns
+// of Search's plan time on 60 atlas instants on a 2-CPU Xeon (13–67 ns, p10 to
+// p90), so 2,000,000 is about 50–60 ms of planning a shard an epoch.
 //
 // The logical clock advances one Step every Step/timescale wall seconds:
 // -timescale 60 replays a minute of scenario time per wall second.
@@ -80,7 +84,7 @@ func main() {
 		maxOpen    = flag.Int("max-open-tasks", 0, "admission control: open-task pool cap; newcomers displace later-deadline tasks or are shed/deferred (0 = unbounded)")
 		maxSubmits = flag.Int("max-submits", 0, "admission control: task submits admitted per epoch; overflow is deferred one epoch (0 = unbounded)")
 		deferSlack = flag.Float64("defer-slack", 0, "admission control: minimum remaining validity in logical seconds for a displaced task to be requeued instead of shed (0 = 2x step)")
-		budget     = flag.Float64("epoch-budget", 0, "SLA governor: per-shard epoch wall-time budget in seconds; over-budget p95 demotes the shard's planner down the ladder (0 = governor off)")
+		budget     = flag.Float64("epoch-budget", 0, "SLA governor: per-shard epoch budget in planner work units (distance checks, ~25 ns of plan time each); over-budget p95 demotes the shard's planner down the ladder (0 = governor off)")
 		govWindow  = flag.Int("governor-window", 0, "SLA governor: epochs in the p95 cost window (0 = default 16)")
 		govDwell   = flag.Int("governor-dwell", 0, "SLA governor: minimum epochs between two tier transitions of one shard (0 = default 8)")
 		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")

@@ -442,10 +442,10 @@ type DispatchConfig struct {
 	Admission AdmissionConfig
 	// Governor enables SLA-aware planner degradation when Budget > 0: each
 	// shard steps down a method-specific ladder (full planner → Greedy →
-	// reachability-only Match) when its windowed p95 epoch cost exceeds
-	// the budget, recovering hysteretically. Every shard holds its ladder
-	// either way; without a governor it plans at the head for life. See
-	// dispatch.GovernorConfig.
+	// reachability-only Match) when its windowed p95 epoch planner work
+	// exceeds the budget, recovering hysteretically. Every shard holds its
+	// ladder either way; without a governor it plans at the head for life.
+	// See dispatch.GovernorConfig.
 	Governor GovernorConfig
 	// Obs enables the observability core: stage spans (GET /v1/trace.json),
 	// the per-task lifecycle ledger (GET /v1/tasks/{id}/history), and the

@@ -59,15 +59,33 @@ func (o Options) WithDefaults() Options {
 // maxSamples caps RL sample collection per planning call.
 const maxSamples = 20000
 
+// nodeWork is what one search call or one greedy completion run counts in
+// Work, in distance checks. It is the weighting that was measured, not tuned:
+// over 60 atlas instants (the crowd and median instants of every archetype at
+// 1x, 2.5x and 5x, Search at its default budget, median of five plans each),
+// expanded nodes plus completions run plus reach checks / 8 ranked by plan
+// wall time with Spearman ρ 0.970, against 0.933 for workers × open tasks.
+// Work, which also counts the orderings tried, reads 0.971–0.975 there
+// (BenchmarkWorkTracksPlanTime).
+const nodeWork = 8
+
 // Planner computes a spatial task assignment for the current workers and
 // unassigned tasks at time now. Implementations must be deterministic.
 // Travel is the travel model the plans are built on, c(w.l, s.l) of the
 // reachable set (Section IV-A.1): a machine executing the plans moves its
 // workers by it, so the two never disagree.
+//
+// Work is what the most recent Plan call computed, counted in distance
+// checks: the reach stage's distance checks, plus the sequence orderings
+// tried, plus nodeWork for every search node expanded and every greedy
+// completion run. Every Plan call resets it, and like the plan it is a pure
+// function of the call's inputs, so it is the same on every host and at every
+// GOMAXPROCS.
 type Planner interface {
 	Name() string
 	Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan
 	Travel() geo.TravelModel
+	Work() int
 }
 
 // ---------------------------------------------------------------------------
@@ -98,6 +116,10 @@ func (g *Greedy) Travel() geo.TravelModel { return g.Opts.WithDefaults().WDS.Tra
 func (g *Greedy) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
 	return g.scan.plan(workers, tasks, now, g.Opts.WithDefaults().WDS, false)
 }
+
+// Work implements Planner: the reach queries' distance checks and the
+// orderings BestSequence tried.
+func (g *Greedy) Work() int { return g.scan.sc.Work() }
 
 // workerScan is the sequential planners' per-instant state: the workers in id
 // order, a grid index over the pool, and one availability flag per pool
@@ -175,6 +197,7 @@ func (s *idSet) add(id int) bool {
 //
 //datawa:hotpath
 func (s *workerScan) plan(workers []*core.Worker, tasks []*core.Task, now float64, o wds.Options, match bool) core.Plan {
+	s.sc.ResetWork()
 	if len(tasks) == 0 {
 		return nil
 	}
@@ -258,6 +281,8 @@ type Search struct {
 	// while gathering the workers' reachable sets (wds.Separator.ReachChecks):
 	// the reach stage's work.
 	ReachChecksLastPlan int
+	// work is the most recent Plan's Work.
+	work int
 
 	// Per-instant scratch (a Search serves one shard from one goroutine, and
 	// searches the trees of an instant one after another on it): the
@@ -323,6 +348,12 @@ func (s *Search) Name() string {
 // Travel implements Planner.
 func (s *Search) Travel() geo.TravelModel { return s.Opts.WithDefaults().WDS.Travel }
 
+// Work implements Planner: the reach stage's distance checks, the orderings
+// Q_w's generation tried, and nodeWork for each node expanded and each greedy
+// completion run. A tree several scenarios share was searched once and counts
+// once.
+func (s *Search) Work() int { return s.work }
+
 // Plan implements Planner. It is the Task Planning Assignment driver of
 // Algorithm 4: per-worker reachable sets and maximal valid sequences, the
 // worker dependency graph, clique partition and RTC tree (the stages of
@@ -352,6 +383,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 	o := s.Opts.WithDefaults()
 	seps := s.sep.Scenarios(workers, tasks, now, o.WDS, k)
 	s.ReachChecksLastPlan = s.sep.ReachChecks()
+	s.work = s.ReachChecksLastPlan + s.sep.Orderings()
 	s.seps = seps
 	s.forests, s.forestOff = s.forests[:0], append(s.forestOff[:0], 0)
 	s.results = s.results[:0]
@@ -404,6 +436,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			s.out = append(s.out, run.stack...)
 			res.to = len(s.out)
 			s.ExpandedLastPlan += res.expanded
+			s.work += nodeWork * (res.expanded + res.greedy - res.skipped)
 		}
 
 		forest := s.forest(si)

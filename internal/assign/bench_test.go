@@ -1,10 +1,12 @@
 package assign
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -235,4 +237,84 @@ func BenchmarkGreedyPlan(b *testing.B) {
 
 func BenchmarkMatchPlan(b *testing.B) {
 	benchScan(b, &Match{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}}})
+}
+
+// BenchmarkWorkTracksPlanTime ranks Work against plan wall time: Search at its
+// default budget plans the crowd and median instants of every atlas archetype
+// at 1x, 2.5x and 5x (60 instants), five times each, and the Spearman ρ of
+// Work against the median wall is reported as rho, beside workers-x-open-rho,
+// the same for the pool size the governor used to score. ns/work is the
+// median and p10/p90 of wall per work unit, what an epoch budget in work units
+// converts at. A ρ below 0.933, the pool size's at the time Work was chosen,
+// fails. Run with -benchtime 1x: each iteration is the whole measurement.
+func BenchmarkWorkTracksPlanTime(b *testing.B) {
+	var ins []instant
+	for _, a := range scenario.Registry() {
+		for _, scale := range []float64{1, 2.5, 5} {
+			ins = append(ins, atlasInstantsOf(a, scale)...)
+		}
+	}
+	s := &Search{Opts: Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}}}
+	for range b.N {
+		work, size, wall := make([]float64, len(ins)), make([]float64, len(ins)), make([]float64, len(ins))
+		perUnit := make([]float64, len(ins))
+		for i, in := range ins {
+			var walls [5]float64
+			for r := range walls {
+				start := time.Now()
+				s.Plan(in.workers, in.tasks, in.now)
+				walls[r] = float64(time.Since(start).Nanoseconds())
+			}
+			slices.Sort(walls[:])
+			work[i], size[i], wall[i] = float64(s.Work()), float64(len(in.workers)*len(in.tasks)), walls[2]
+			perUnit[i] = wall[i] / max(work[i], 1)
+		}
+		rho := spearman(work, wall)
+		b.ReportMetric(rho, "rho")
+		b.ReportMetric(spearman(size, wall), "workers-x-open-rho")
+		slices.Sort(perUnit)
+		b.ReportMetric(perUnit[len(perUnit)/2], "ns/work")
+		b.ReportMetric(perUnit[len(perUnit)/10], "ns/work-p10")
+		b.ReportMetric(perUnit[len(perUnit)*9/10], "ns/work-p90")
+		if rho < 0.933 {
+			b.Fatalf("Spearman ρ of Work against plan wall time is %.3f, below 0.933", rho)
+		}
+	}
+}
+
+// spearman is the Spearman rank correlation of x and y: Pearson's over their
+// ranks, ties given their mean rank.
+func spearman(x, y []float64) float64 {
+	rx, ry := ranks(x), ranks(y)
+	n := float64(len(x))
+	var mx, my float64
+	for i := range rx {
+		mx, my = mx+rx[i]/n, my+ry[i]/n
+	}
+	var sxy, sxx, syy float64
+	for i := range rx {
+		dx, dy := rx[i]-mx, ry[i]-my
+		sxy, sxx, syy = sxy+dx*dy, sxx+dx*dx, syy+dy*dy
+	}
+	return sxy / math.Sqrt(sxx*syy)
+}
+
+func ranks(v []float64) []float64 {
+	order := make([]int, len(v))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(v[a], v[b]) })
+	r := make([]float64, len(v))
+	for i := 0; i < len(order); {
+		j := i
+		for j < len(order) && v[order[j]] == v[order[i]] {
+			j++
+		}
+		for k := i; k < j; k++ {
+			r[order[k]] = float64(i+j-1)/2 + 1
+		}
+		i = j
+	}
+	return r
 }

@@ -28,6 +28,9 @@ func (m *Match) Name() string { return "Match" }
 // Travel implements Planner.
 func (m *Match) Travel() geo.TravelModel { return m.Opts.WithDefaults().WDS.Travel }
 
+// Work implements Planner: the reach queries' distance checks.
+func (m *Match) Work() int { return m.scan.sc.Work() }
+
 // Plan implements Planner.
 func (m *Match) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
 	o := m.Opts.WithDefaults().WDS

@@ -81,6 +81,9 @@ func (p *SSP) Name() string { return "SSP" }
 // Travel implements Planner.
 func (p *SSP) Travel() geo.TravelModel { return p.Opts.WithDefaults().WDS.Travel }
 
+// Work implements Planner: Search's, for the one pass the scenarios share.
+func (p *SSP) Work() int { return p.search.work }
+
 // Plan implements Planner.
 func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
 	o := p.Opts.WithDefaults()

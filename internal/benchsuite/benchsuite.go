@@ -8,8 +8,8 @@
 // percentiles and allocations.
 //
 // Chaos archetypes (scenario.Archetype.Overload != nil) run their live path
-// under the archetype's admission-control and governor profile with the
-// deterministic work-unit cost function, then quiesce to a full drain; their
+// under the archetype's admission-control and governor profile, the governor
+// costing epochs in counted planner work, then quiesce to a full drain; their
 // cells are marked overload and must satisfy exact task conservation
 // (assigned + expired + cancelled + shed == tasks), which Validate enforces
 // on every load and Run enforces at generation time. The offline/live
@@ -164,8 +164,8 @@ type Cell struct {
 	// design.
 	FidelityGap float64 `json:"fidelity_gap"`
 	// Overload marks a chaos cell: the live path ran under the archetype's
-	// admission-control and governor profile (scenario.OverloadProfile) with
-	// the deterministic work-unit cost function, then quiesced to a full
+	// admission-control and governor profile (scenario.OverloadProfile), the
+	// governor costing epochs in counted planner work, then quiesced to a full
 	// drain. Validate asserts exact task conservation on these cells.
 	Overload bool `json:"overload,omitempty"`
 	// Transport is never written: reports up to schema 6 measured every cell
@@ -426,21 +426,16 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 }
 
 // applyOverload maps a chaos archetype's overload profile onto a dispatch
-// configuration. The governor costs epochs in work units (workers × open
-// tasks at the planning instant) instead of wall time, so tier transitions —
-// and therefore the whole cell — replay byte-identically on every host.
+// configuration. The governor costs epochs in counted planner work, so tier
+// transitions — and therefore the whole cell — replay byte-identically on
+// every host.
 func applyOverload(dc *datawa.DispatchConfig, p *scenario.OverloadProfile) {
 	dc.Admission = datawa.AdmissionConfig{
 		MaxOpenTasks:       p.MaxOpenTasks,
 		MaxSubmitsPerEpoch: p.MaxSubmitsPerEpoch,
 		DeferSlack:         p.DeferSlack,
 	}
-	dc.Governor = datawa.GovernorConfig{
-		Budget: p.BudgetUnits, Window: p.Window, Dwell: p.Dwell,
-		Cost: func(_ int, _ time.Duration, workers, open int) float64 {
-			return float64(workers * open)
-		},
-	}
+	dc.Governor = datawa.GovernorConfig{Budget: p.BudgetUnits, Window: p.Window, Dwell: p.Dwell}
 }
 
 // quiesceEpochs bounds the post-replay drain of an overload cell. Deferred

@@ -141,8 +141,8 @@ func TestFlashFloodDegradesAndRecovers(t *testing.T) {
 // the archetype built for it: with every task pinned to one shard band, the
 // span trace must show the hot shard over budget and demoted while at least
 // one idle sibling never leaves the full planner. Each shard's step span
-// carries the tier the epoch planned at and the pool sizes the governor
-// scored; under the chaos profile the cost is workers × open.
+// carries the tier the epoch planned at and the planner work the governor
+// scored (work=).
 func TestStalledShardDemotesInIsolation(t *testing.T) {
 	arch, ok := scenario.Get("stalled-shard")
 	if !ok {
@@ -174,14 +174,14 @@ func TestStalledShardDemotesInIsolation(t *testing.T) {
 				continue
 			}
 			shards++
-			var workers, open, tier int
-			if _, err := fmt.Sscanf(sp.Detail, "workers=%d open=%d tier=%d", &workers, &open, &tier); err != nil {
+			var workers, open, work, tier int
+			if _, err := fmt.Sscanf(sp.Detail, "workers=%d open=%d work=%d tier=%d", &workers, &open, &work, &tier); err != nil {
 				t.Fatalf("epoch %d shard span detail %q: %v", e.Epoch, sp.Detail, err)
 			}
 			if tier > 0 {
 				demoted[sp.Track-1] = true
 			}
-			if float64(workers*open) > arch.Overload.BudgetUnits {
+			if float64(work) > arch.Overload.BudgetUnits {
 				overBudget[sp.Track-1] = true
 			}
 		}
@@ -212,8 +212,8 @@ func TestStalledShardDemotesInIsolation(t *testing.T) {
 // TestChaosReplayDeterministic pins the suite's comparability contract on
 // the chaos path: two full flash-flood replays — admission decisions, tier
 // transitions, terminal counters — are byte-identical once wall-clock-only
-// fields are blanked, because the governor runs on the deterministic
-// work-unit cost function.
+// fields are blanked, because the governor costs epochs in counted planner
+// work.
 func TestChaosReplayDeterministic(t *testing.T) {
 	arch, ok := scenario.Get("flash-flood")
 	if !ok {

@@ -138,9 +138,7 @@ func (d *Dispatcher) tickLocked() {
 		// after this epoch's Step, under the same lock the next Step plans
 		// under, so every shard's planner is fixed for a whole epoch.
 		for i := range d.probe {
-			p := &d.probe[i]
-			p.cost = d.gov.cfg.Cost(i, p.wall, p.workers, p.open)
-			d.gov.Observe(i, p.cost)
+			d.gov.Observe(i, float64(d.probe[i].work))
 		}
 	}
 	if o.spans != nil {
@@ -190,13 +188,14 @@ func (d *Dispatcher) fanDetail() string { return fmt.Sprintf("fan=%d", d.fan) }
 
 // shardProbe is one shard's measurement of one epoch: pool sizes at the
 // planning instant (before the Step mutates them), the Step's wall time, and
-// the cost the governor scored from them. The wall is taken every epoch: the
-// next epoch's fan-out decision weighs it.
+// the planner work the Step added to the shard's Stats.PlanWork — the cost
+// the governor scores. The wall is taken every epoch: the next epoch's
+// fan-out decision weighs it.
 type shardProbe struct {
 	workers, open int
 	start         time.Time
 	wall          time.Duration
-	cost          float64
+	work          int64
 }
 
 // shardGrain is the least overlap worth stepping an epoch's shards on more
@@ -238,9 +237,9 @@ func fanOut(probe []shardProbe, procs, grain int) int {
 // on fan goroutines that take the shards in index order as they come free,
 // the caller parked. A shard's planner plans its instant on the goroutine
 // that steps the shard. It fills each shard's probe and, with span recording
-// on, leaves one span per shard — its own track, the tier the epoch planned
-// at and the pool sizes as deterministic detail — ahead of the stage span
-// that closes over them.
+// on, leaves one span per shard — its own track, the pool sizes, the work the
+// governor scores and the tier the epoch planned at as deterministic detail —
+// ahead of the stage span that closes over them.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) stepLocked(t float64) (int, bool) {
@@ -268,7 +267,7 @@ func (d *Dispatcher) stepLocked(t float64) (int, bool) {
 	}
 	if o := d.ob; o.spans != nil {
 		for i, p := range d.probe {
-			detail := fmt.Sprintf("workers=%d open=%d", p.workers, p.open)
+			detail := fmt.Sprintf("workers=%d open=%d work=%d", p.workers, p.open, p.work)
 			if d.gov != nil {
 				detail += fmt.Sprintf(" tier=%d", d.tiered[i].tier())
 			}
@@ -285,11 +284,13 @@ func (d *Dispatcher) stepLocked(t float64) (int, bool) {
 //
 //datawa:locked(mu)
 func (d *Dispatcher) stepShard(i int, t float64) {
-	p := &d.probe[i]
-	p.workers, p.open = d.shards[i].Workers(), d.shards[i].OpenTasks()
-	p.start = time.Now() //datawa:wallclock per-shard Step wall: the next epoch's fan-out decision, span timing and governor cost
-	d.shards[i].Step(t)
-	p.wall = time.Since(p.start) //datawa:wallclock per-shard Step wall: the next epoch's fan-out decision, span timing and governor cost
+	p, m := &d.probe[i], d.shards[i]
+	p.workers, p.open = m.Workers(), m.OpenTasks()
+	work := m.Stats().PlanWork
+	p.start = time.Now() //datawa:wallclock per-shard Step wall: the next epoch's fan-out decision and span timing
+	m.Step(t)
+	p.wall = time.Since(p.start) //datawa:wallclock per-shard Step wall: the next epoch's fan-out decision and span timing
+	p.work = m.Stats().PlanWork - work
 }
 
 // applyDueLocked folds every drained event with Time ≤ t into shard state,

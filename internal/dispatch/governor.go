@@ -2,21 +2,11 @@ package dispatch
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/geo"
 )
-
-// CostFunc scores one shard's epoch for the governor. The default scores by
-// wall time (wall.Seconds()), which is the operational SLA signal but varies
-// across hosts; deterministic harnesses (benchsuite, tests) substitute a
-// logical cost — e.g. float64(workers*openTasks), the planner's input size —
-// so tier transitions become a pure function of the event stream. workers and
-// openTasks are the shard's pool sizes at the planning instant, before the
-// epoch's Step ran.
-type CostFunc func(shard int, wall time.Duration, workers, openTasks int) float64
 
 // recoverFraction is the promotion threshold as a fraction of Budget: a
 // demoted shard steps back up only after a full window of epochs with p95
@@ -26,10 +16,17 @@ const recoverFraction = 0.5
 
 // GovernorConfig parameterizes the SLA epoch governor. The zero value
 // disables it (Budget 0).
+//
+// The governor costs a shard's epoch in counted planner work: the Work
+// (assign.Planner) of the planning calls the epoch's Step made, summed — 0 for
+// a Step that planned nothing. The count is a pure function of the event
+// stream, so tier transitions replay bit for bit on every host, and a
+// demotion lowers it: each rung of a ladder does less of it than the one
+// above.
 type GovernorConfig struct {
-	// Budget is the per-shard epoch cost the service is allowed to spend
-	// (units of Cost; seconds under the default CostFunc). A shard whose
-	// windowed p95 cost exceeds the budget is stepped down the degradation
+	// Budget is the per-shard epoch work the service is allowed to spend, in
+	// work units (distance checks; see assign.Planner). A shard whose
+	// windowed p95 work exceeds the budget is stepped down the degradation
 	// ladder. 0 disables the governor.
 	Budget float64
 	// Window is how many recent epoch costs feed the per-shard p95
@@ -39,8 +36,6 @@ type GovernorConfig struct {
 	// one shard (default 8) — the hysteresis floor that keeps the ladder
 	// from oscillating on a noisy boundary load.
 	Dwell int
-	// Cost scores an epoch (default: wall-clock seconds).
-	Cost CostFunc
 }
 
 func (c GovernorConfig) withDefaults() GovernorConfig {
@@ -49,9 +44,6 @@ func (c GovernorConfig) withDefaults() GovernorConfig {
 	}
 	if c.Dwell <= 0 {
 		c.Dwell = 8
-	}
-	if c.Cost == nil {
-		c.Cost = func(_ int, wall time.Duration, _, _ int) float64 { return wall.Seconds() }
 	}
 	return c
 }
@@ -193,3 +185,7 @@ func (p *tieredPlanner) Travel() geo.TravelModel { return p.ladder[0].Travel() }
 func (p *tieredPlanner) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core.Plan {
 	return p.ladder[p.tier()].Plan(workers, tasks, now)
 }
+
+// Work implements assign.Planner: the active rung's, which planned last, as
+// the tier moves only between epochs.
+func (p *tieredPlanner) Work() int { return p.ladder[p.tier()].Work() }

@@ -159,6 +159,17 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	if epochsTotal != 5 {
 		t.Fatalf("datawa_epochs_total = %g, want 5", epochsTotal)
 	}
+	// The governor's cost is exported per shard, and it is the shards' Stats.
+	work := fams["datawa_plan_work_total"]
+	if work == nil || work.typ != "counter" {
+		t.Fatal("datawa_plan_work_total is not exposed as a counter")
+	}
+	for _, s := range d.Snapshot().Shards {
+		v, ok := work.values[fmt.Sprintf(`{shard="%d"} `, s.Shard)]
+		if !ok || v != float64(s.Stats.PlanWork) || v <= 0 {
+			t.Errorf("datawa_plan_work_total{shard=\"%d\"} = %g (exposed %v), want the shard's plan work %d > 0", s.Shard, v, ok, s.Stats.PlanWork)
+		}
+	}
 
 	// Histogram self-consistency, re-parsed line by line so bucket order
 	// (cumulative, ending at le="+Inf") is checked as emitted.
@@ -399,8 +410,9 @@ func conflictScript(d *Dispatcher) {
 // TestObsLogicalDeterminism is the determinism contract extended to the
 // observability plane: over a geometry that exercises ghost replication,
 // commit conflicts, arbitration retraction, and expiry, the logical span
-// content and every ledger chain must be byte-identical inline, at the
-// default grain and fanned out, and across reruns. Wall-clock fields are
+// content — the shard spans' work=, the governor's cost, included — and every
+// ledger chain must be byte-identical inline, at the default grain and fanned
+// out at GOMAXPROCS 1, 2 and 4, and across reruns. Wall-clock fields are
 // zeroed — the span times and the step stage's fan-out, which follows the
 // shards' walls — as the only sanctioned divergence.
 func TestObsLogicalDeterminism(t *testing.T) {
@@ -416,9 +428,18 @@ func TestObsLogicalDeterminism(t *testing.T) {
 		return obsFingerprint(t, d)
 	}
 	base := run(neverFan)
+	if !regexp.MustCompile(`work=[1-9]`).MatchString(base) {
+		t.Fatal("no shard span carries the work its Step planned")
+	}
 	for _, grain := range grains {
 		if got := run(grain); got != base {
 			t.Fatalf("grain %d: logical observability content diverged from the inline run:\n%s\n----\n%s", grain, got, base)
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(t, procs)
+		if got := run(0); got != base {
+			t.Fatalf("GOMAXPROCS %d: logical observability content diverged from the inline run:\n%s\n----\n%s", procs, got, base)
 		}
 	}
 	// The retracted loser's chain must show the arbitration round.

@@ -148,7 +148,7 @@ func (d *Dispatcher) maybeFlightLocked(t float64) {
 	overBudget := false
 	if d.gov != nil {
 		for _, p := range d.probe {
-			if p.cost > d.cfg.Governor.Budget {
+			if float64(p.work) > d.cfg.Governor.Budget {
 				overBudget = true
 				break
 			}

@@ -81,6 +81,11 @@ func (h *Handler) prometheus(w http.ResponseWriter, _ *http.Request) {
 	for _, s := range m.Shards {
 		fmt.Fprintf(&b, "datawa_shard_shed_total{shard=\"%d\"} %d\n", s.Shard, s.Stats.Shed)
 	}
+	fmt.Fprintf(&b, "# HELP datawa_plan_work_total Planner work per shard, in distance checks: the governor's cost (assign.Planner.Work).\n")
+	fmt.Fprintf(&b, "# TYPE datawa_plan_work_total counter\n")
+	for _, s := range m.Shards {
+		fmt.Fprintf(&b, "datawa_plan_work_total{shard=\"%d\"} %d\n", s.Shard, s.Stats.PlanWork)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(b.String()))

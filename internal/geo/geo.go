@@ -171,22 +171,3 @@ func (g Grid) CellRect(i int) Rect {
 
 // Center returns the center point of cell i.
 func (g Grid) Center(i int) Point { return g.CellRect(i).Center() }
-
-// Neighbors returns the 4-connected neighbor cell indices of cell i.
-func (g Grid) Neighbors(i int) []int {
-	row, col := i/g.Cols, i%g.Cols
-	out := make([]int, 0, 4)
-	if row > 0 {
-		out = append(out, (row-1)*g.Cols+col)
-	}
-	if row < g.Rows-1 {
-		out = append(out, (row+1)*g.Cols+col)
-	}
-	if col > 0 {
-		out = append(out, row*g.Cols+col-1)
-	}
-	if col < g.Cols-1 {
-		out = append(out, row*g.Cols+col+1)
-	}
-	return out
-}

@@ -224,32 +224,6 @@ func TestGridClampsOutside(t *testing.T) {
 	}
 }
 
-func TestGridNeighbors(t *testing.T) {
-	g := NewGrid(Rect{0, 0, 3, 3}, 3, 3)
-	// Corner cell 0 has exactly 2 neighbors.
-	if n := g.Neighbors(0); len(n) != 2 {
-		t.Errorf("corner neighbors = %v", n)
-	}
-	// Center cell 4 has 4 neighbors.
-	if n := g.Neighbors(4); len(n) != 4 {
-		t.Errorf("center neighbors = %v", n)
-	}
-	// Neighborhood is symmetric.
-	for i := 0; i < g.Cells(); i++ {
-		for _, j := range g.Neighbors(i) {
-			found := false
-			for _, k := range g.Neighbors(j) {
-				if k == i {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("asymmetric neighbors: %d->%d", i, j)
-			}
-		}
-	}
-}
-
 func TestNewGridPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewGrid(Rect{0, 0, 1, 1}, 0, 3) },

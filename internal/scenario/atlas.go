@@ -134,6 +134,12 @@ func init() {
 	// and governor settings it is meant to run under. The benchmark suite
 	// maps the profile onto the live path and gates task conservation and
 	// tier recovery; the offline/live fidelity gate skips these cells.
+	//
+	// Each BudgetUnits sits above the Greedy rung's busiest epoch at 1x and
+	// below it at 5x, measured per shard on two shards without a governor:
+	// a 1x Greedy cell never demotes and a 5x one does, while Search and SSP,
+	// which do 3–42× and 9–125× Greedy's work on an atlas crowd instant,
+	// demote at both densities.
 
 	Register(Archetype{
 		Name:    "flash-flood",
@@ -163,6 +169,7 @@ func init() {
 			// the 30 s validity as the defer threshold, overflow that cannot
 			// be admitted quickly is dropped rather than churned through the
 			// requeue loop until it expires inside the pool.
+			// Greedy's busiest epoch: 391 work units at 1x, 10,646 at 5x.
 			MaxOpenTasks: 120,
 			DeferSlack:   20,
 			BudgetUnits:  2500,
@@ -198,9 +205,11 @@ func init() {
 			// The hot band's arrival rate outruns the workers reachable from
 			// it, so its open pool backs up against the cap while the idle
 			// bands never come near it: the same profile binds on one shard
-			// and is invisible on its siblings.
+			// and is invisible on its siblings. Greedy's busiest epoch: 327
+			// work units at 1x, 3,347 at 5x; the idle bands' busiest, under
+			// any method and density, 407 (SSP at 5x).
 			MaxOpenTasks: 24,
-			BudgetUnits:  400,
+			BudgetUnits:  2000,
 			Window:       8,
 			Dwell:        4,
 		},
@@ -230,7 +239,8 @@ func init() {
 			// Both ingest faces bind here: the submit cap sits under the
 			// rush's per-epoch arrival burst (deferring the overflow) and the
 			// pool cap under the rush's open peak (displacing by deadline —
-			// which skewed stamps make genuinely disordered).
+			// which skewed stamps make genuinely disordered). Greedy's
+			// busiest epoch: 273 work units at 1x, 2,302 at 5x.
 			MaxOpenTasks:       32,
 			MaxSubmitsPerEpoch: 6,
 			BudgetUnits:        800,

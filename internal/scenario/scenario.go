@@ -39,8 +39,8 @@ type Archetype struct {
 	// Overload, when non-nil, marks a chaos archetype: a workload designed
 	// to saturate the dispatcher, carrying the admission-control and
 	// governor settings it is meant to run under. The benchmark suite maps
-	// the profile onto the live dispatcher (with the deterministic
-	// work-unit cost function) and gates task conservation and tier
+	// the profile onto the live dispatcher (whose governor costs epochs in
+	// counted planner work) and gates task conservation and tier
 	// recovery on the run; the offline/live fidelity gate skips these
 	// cells, since shedding makes the two paths diverge by design.
 	Overload *OverloadProfile
@@ -60,9 +60,9 @@ type OverloadProfile struct {
 	MaxOpenTasks       int
 	MaxSubmitsPerEpoch int
 	DeferSlack         float64
-	// BudgetUnits is the governor's per-shard epoch budget in
-	// deterministic work units — workers × open tasks at the planning
-	// instant — so tier transitions replay byte-identically on every host.
+	// BudgetUnits is the governor's per-shard epoch budget in planner work
+	// units (assign.Planner.Work, counted in distance checks), so tier
+	// transitions replay byte-identically on every host.
 	BudgetUnits float64
 	// Window and Dwell override the governor's hysteresis parameters
 	// (0 = dispatcher defaults).

@@ -46,6 +46,9 @@ type Stats struct {
 	PlanCalls int `json:"plan_calls"`
 	// PlanTime is the total wall time spent inside the planner.
 	PlanTime time.Duration `json:"plan_time_ns"`
+	// PlanWork is the planner's Work summed over those calls: what the
+	// planning cost in counted units, the same on every host.
+	PlanWork int64 `json:"plan_work"`
 }
 
 // workerState tracks one worker's runtime. It holds the machine's copy of the
@@ -552,6 +555,7 @@ func (m *Machine) plan(t float64) {
 	plan := m.cfg.Planner.Plan(workers, pool, t)
 	m.stats.PlanTime += time.Since(start) //datawa:wallclock planner wall-time stats, observability only
 	m.stats.PlanCalls++
+	m.stats.PlanWork += int64(m.cfg.Planner.Work())
 
 	if dup, ok := plan.ConsistentIn(m.planned); !ok {
 		panic(fmt.Sprintf("stream: planner %s assigned task %d twice", m.cfg.Planner.Name(), dup))

@@ -20,6 +20,8 @@ func (r *orderRecorder) Name() string { return "orderRecorder" }
 
 func (r *orderRecorder) Travel() geo.TravelModel { return r.inner.Travel() }
 
+func (r *orderRecorder) Work() int { return r.inner.Work() }
+
 func (r *orderRecorder) Plan(w []*core.Worker, s []*core.Task, now float64) core.Plan {
 	ids := make([]int, len(w))
 	for i := range w {

@@ -91,7 +91,7 @@ func ReachableTasksIndexed(w *core.Worker, ix *spatial.Index, now float64, o Opt
 type Scratch struct {
 	near   []spatial.Candidate // spatial-index query results
 	keep   []spatial.Candidate // Reachable's nearest survivors
-	checks int                 // distances computed by the reach stage's queries
+	checks int                 // distances the reach queries computed since ResetWork
 	gen    seqGen              // Q_w generation
 	best   bestPick
 
@@ -116,23 +116,32 @@ type Scratch struct {
 //
 //datawa:hotpath
 func (sc *Scratch) Reachable(w *core.Worker, ix *spatial.Index, avail []bool, now float64, o Options) []spatial.Candidate {
-	near, _ := sc.gather(w, ix, avail, now, o)
-	return sc.nearest(ix.Tasks(), near, o.MaxReachable)
+	return sc.nearest(ix.Tasks(), sc.gather(w, ix, avail, now, o), o.MaxReachable)
 }
+
+// Work is what the Scratch's reach queries and sequence searches computed
+// since ResetWork, in one unit: the distances the queries checked plus the
+// sequence orderings tried (one an extension step of Q_w's generation or of
+// BestSequence). It is a count, so a plan's work is a function of the plan's
+// inputs alone.
+func (sc *Scratch) Work() int { return sc.checks + sc.gen.tried + sc.best.tried }
+
+// ResetWork starts Work's count again.
+func (sc *Scratch) ResetWork() { sc.checks, sc.gen.tried, sc.best.tried = 0, 0, 0 }
 
 // gather returns the tasks of the indexed pool that worker w reaches at now —
 // conditions (i)–(iii), the positions whose avail flag is clear passed over —
 // as candidates in the index's order, in scratch storage valid until the next
-// call, and how many distances its query computed. It is the worker side of
+// call, and counts the distances its query computed. It is the worker side of
 // the reach stage: one disc query on the task grid.
 //
 //datawa:hotpath
-func (sc *Scratch) gather(w *core.Worker, ix *spatial.Index, avail []bool, now float64, o Options) (_ []spatial.Candidate, checked int) {
+func (sc *Scratch) gather(w *core.Worker, ix *spatial.Index, avail []bool, now float64, o Options) []spatial.Candidate {
 	if !w.Available(now) {
-		return nil, 0
+		return nil
 	}
 	near, checked := ix.AppendCandidates(sc.near[:0], w.Loc, workerRadius(w, now, ix.LatestExpiry(), o))
-	sc.near = near
+	sc.near, sc.checks = near, sc.checks+checked
 	exps, window := ix.Expiries(), w.Off-now
 	n := 0
 	for _, c := range near {
@@ -141,7 +150,7 @@ func (sc *Scratch) gather(w *core.Worker, ix *spatial.Index, avail []bool, now f
 			n++
 		}
 	}
-	return near[:n], checked
+	return near[:n]
 }
 
 // reaches reports whether a worker on shift with window seconds of it left
@@ -297,6 +306,7 @@ type seqGen struct {
 	off    float64 // the worker's off time
 	maxLen int
 	far    uint64 // the positions no ordering takes: out of the worker's reach, or past rs
+	tried  int    // extend calls since Scratch.ResetWork: orderings tried
 	// legs[r*len(rs)+j] is the travel time to rs[j] from row r: row 0 the
 	// worker, row i+1 rs[i] — filled once a call, each entry by the
 	// TravelModel.Time call it stands in for.
@@ -409,6 +419,7 @@ func (g *seqGen) sort(limit int) []seqTuple {
 //
 //datawa:hotpath
 func (g *seqGen) extend(row int, t float64, mask uint64) {
+	g.tried++
 	n := len(g.cur)
 	if n > 0 {
 		g.enter(t, mask)
@@ -513,6 +524,7 @@ type bestPick struct {
 	maxLen int
 	used   []bool
 	path   []spatial.Candidate // the sequence being extended
+	tried  int                 // extend calls since Scratch.ResetWork: orderings tried
 	// The head of Q_w so far: its length and completion time, and one ordering
 	// per distinct task set that reached exactly those — the first the search
 	// came to — n entries apiece.
@@ -557,6 +569,7 @@ func (sc *Scratch) BestSequence(w *core.Worker, pool []*core.Task, keep []spatia
 //
 //datawa:hotpath
 func (b *bestPick) extend(loc geo.Point, t float64) {
+	b.tried++
 	n := len(b.path)
 	if n > 0 {
 		b.offer(t)
@@ -867,6 +880,11 @@ func (sp *Separator) Scenarios(workers []*core.Worker, tasks []*core.Task, now f
 // scanned, whichever side they ran from.
 func (sp *Separator) ReachChecks() int { return sp.checks }
 
+// Orderings returns the sequence orderings the last Scenarios call tried while
+// generating Q_w: the generator's extension steps, over each distinct
+// reachable set once.
+func (sp *Separator) Orderings() int { return sp.sc.gen.tried }
+
 // scenarios is Scenarios with the side of the reach stage given.
 func (sp *Separator) scenarios(workers []*core.Worker, tasks []*core.Task, now float64, o Options, k int, from side) []Separation {
 	o = o.WithDefaults()
@@ -1140,9 +1158,7 @@ func (sp *Separator) reachJob(k int) {
 		}
 		sc.near = cands
 	} else {
-		var checked int
-		cands, checked = sc.gather(sp.seps[0].Workers[i], &sp.ix, nil, sp.now, sp.o)
-		sc.checks += checked
+		cands = sc.gather(sp.seps[0].Workers[i], &sp.ix, nil, sp.now, sp.o)
 	}
 	sc.reachSets(sp.seps, i, cands, sp.o)
 }
@@ -1160,11 +1176,11 @@ func (sp *Separator) sequenceJob(k int) {
 	}
 }
 
-// resetArenas empties the result arenas and the check count for a new
+// resetArenas empties the result arenas and the work count for a new
 // Separate call.
 func (sc *Scratch) resetArenas() {
 	sc.index, sc.masks, sc.orders = sc.index[:0], sc.masks[:0], sc.orders[:0]
-	sc.checks = 0
+	sc.ResetWork()
 }
 
 // reachSets computes RS_w of the available worker at position i in each of the
