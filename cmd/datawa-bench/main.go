@@ -30,7 +30,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -98,7 +97,7 @@ func main() {
 
 // runValidate loads a suite report and checks it against the schema.
 func runValidate(path string) {
-	r, err := loadReport(path)
+	r, err := benchsuite.Load(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -187,7 +186,7 @@ func runSuite(so suiteOptions) {
 		fmt.Fprintf(out, "fidelity: all %d non-chaos cells within %.1fpp of the offline reference\n", checked, 100*so.maxGap)
 	}
 	if so.compare != "" {
-		base, err := loadReport(so.compare)
+		base, err := benchsuite.Load(so.compare)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -282,23 +281,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func loadReport(path string) (*benchsuite.Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r benchsuite.Report
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields() // a key of an older schema is not in this one
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
 }
 
 func writeJSON(path string, doc any) error {

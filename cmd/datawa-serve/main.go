@@ -31,7 +31,8 @@
 // pool saturates), and -epoch-budget arms the SLA governor that steps each
 // shard's planner down the degradation ladder (full method → Greedy →
 // reachability-only Match) whenever its windowed epoch-p95 planner work
-// exceeds the budget, promoting back hysteretically once load subsides. Work
+// exceeds the budget, and promotes it back once the rung above, scaled by the
+// work ratio the shard measured between the two rungs, fits the budget. Work
 // is counted, not timed (assign.Planner.Work, in distance checks), so the
 // governor decides the same on every host; a unit of it took a median 24–29 ns
 // of Search's plan time on 60 atlas instants on a 2-CPU Xeon (13–67 ns, p10 to
@@ -85,8 +86,7 @@ func main() {
 		maxSubmits = flag.Int("max-submits", 0, "admission control: task submits admitted per epoch; overflow is deferred one epoch (0 = unbounded)")
 		deferSlack = flag.Float64("defer-slack", 0, "admission control: minimum remaining validity in logical seconds for a displaced task to be requeued instead of shed (0 = 2x step)")
 		budget     = flag.Float64("epoch-budget", 0, "SLA governor: per-shard epoch budget in planner work units (distance checks, ~25 ns of plan time each); over-budget p95 demotes the shard's planner down the ladder (0 = governor off)")
-		govWindow  = flag.Int("governor-window", 0, "SLA governor: epochs in the p95 cost window (0 = default 16)")
-		govDwell   = flag.Int("governor-dwell", 0, "SLA governor: minimum epochs between two tier transitions of one shard (0 = default 8)")
+		govWindow  = flag.Int("governor-window", 0, "SLA governor: epochs in the p95 cost window, and so the fewest a shard plans on a tier before it may promote (0 = default 16)")
 		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
 
 		spanDepth   = flag.Int("span-depth", 0, "stage-span ring depth in epochs served at /v1/trace.json (0 = off)")
@@ -150,7 +150,7 @@ func main() {
 			MaxOpenTasks: *maxOpen, MaxSubmitsPerEpoch: *maxSubmits, DeferSlack: *deferSlack,
 		},
 		Governor: datawa.GovernorConfig{
-			Budget: *budget, Window: *govWindow, Dwell: *govDwell,
+			Budget: *budget, Window: *govWindow,
 		},
 		Obs: datawa.ObsConfig{
 			Spans: *spanDepth, LedgerTasks: *ledgerTasks,

@@ -443,8 +443,9 @@ type DispatchConfig struct {
 	// Governor enables SLA-aware planner degradation when Budget > 0: each
 	// shard steps down a method-specific ladder (full planner → Greedy →
 	// reachability-only Match) when its windowed p95 epoch planner work
-	// exceeds the budget, recovering hysteretically. Every shard holds its
-	// ladder either way; without a governor it plans at the head for life.
+	// exceeds the budget, stepping back up once the rung above is predicted
+	// to fit it. Every shard holds its ladder either way; without a governor
+	// it plans at the head for life.
 	// See dispatch.GovernorConfig.
 	Governor GovernorConfig
 	// Obs enables the observability core: stage spans (GET /v1/trace.json),

@@ -26,8 +26,10 @@
 package benchsuite
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -168,11 +170,6 @@ type Cell struct {
 	// governor costing epochs in counted planner work, then quiesced to a full
 	// drain. Validate asserts exact task conservation on these cells.
 	Overload bool `json:"overload,omitempty"`
-	// Transport is never written: reports up to schema 6 measured every cell
-	// over two ingest transports and tagged each with one. The field stays so
-	// that Validate can refuse such a cell — two cells under one scenario ×
-	// scale × method key — instead of decoding it as if the tag were absent.
-	Transport string `json:"transport,omitempty"`
 	// Samples and CVaRAlpha echo the sampling configuration of an SSP cell:
 	// the demand futures drawn per forecast instant and the CVaR risk knob
 	// (0 = expected value). Zero on non-SSP cells.
@@ -435,7 +432,7 @@ func applyOverload(dc *datawa.DispatchConfig, p *scenario.OverloadProfile) {
 		MaxSubmitsPerEpoch: p.MaxSubmitsPerEpoch,
 		DeferSlack:         p.DeferSlack,
 	}
-	dc.Governor = datawa.GovernorConfig{Budget: p.BudgetUnits, Window: p.Window, Dwell: p.Dwell}
+	dc.Governor = datawa.GovernorConfig{Budget: p.BudgetUnits}
 }
 
 // quiesceEpochs bounds the post-replay drain of an overload cell. Deferred
@@ -458,6 +455,28 @@ func perSec(events int, wall time.Duration) float64 {
 	return float64(events) / wall.Seconds()
 }
 
+// Load reads a report from path and validates it. The decoder refuses any key
+// this schema lacks, so a file of an earlier schema — a cell tagged with the
+// ingest transport of schema 6, a path counting incremental_hits — fails to
+// load instead of decoding as if the key were absent.
+func Load(path string) (*Report, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var r Report
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if err := r.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &r, nil
+}
+
 // Validate checks the report's structure against the schema: version tag,
 // non-empty results, and per-cell field sanity. It does not compare against
 // another snapshot — that is Compare's job.
@@ -478,9 +497,6 @@ func (r *Report) Validate() error {
 		}
 		if c.Scale <= 0 || math.IsNaN(c.Scale) {
 			return fmt.Errorf("%s: bad scale", where)
-		}
-		if c.Transport != "" {
-			return fmt.Errorf("%s: carries transport %q, which no %s cell has", where, c.Transport, Schema)
 		}
 		if c.Workers <= 0 || c.Tasks <= 0 {
 			return fmt.Errorf("%s: empty population", where)

@@ -330,24 +330,40 @@ func TestCompareFlagsMissingCells(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsTransportKey decodes a cell the way a schema-6 file
-// spelled it: the key must reach Validate and be refused, not be dropped by
-// the decoder and the cell compared as if it were one of ours.
-func TestValidateRejectsTransportKey(t *testing.T) {
+// TestLoadRefusesOldKeys holds Load to the one schema: a report this
+// package wrote loads, and the same file with a key an earlier schema had —
+// schema 6's per-cell transport tag, a live path's incremental_hits or
+// components_replanned — is refused, naming the key, not decoded as if the
+// key were absent.
+func TestLoadRefusesOldKeys(t *testing.T) {
 	doc, err := json.Marshal(syntheticReport())
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(doc, []byte(`{"scenario":"alpha",`), []byte(`{"scenario":"alpha","transport":"json",`), 1)
-	if bytes.Equal(old, doc) {
-		t.Fatal("test did not insert the key")
+	dir := t.TempDir()
+	load := func(name string, doc []byte) error {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		return err
 	}
-	var r Report
-	if err := json.Unmarshal(old, &r); err != nil {
-		t.Fatal(err)
+	if err := load("current", doc); err != nil {
+		t.Fatalf("a report of this schema: %v", err)
 	}
-	if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "transport") {
-		t.Fatalf("cell with a transport key: want a validation error naming it, got %v", err)
+	for _, tc := range []struct{ key, after, insert string }{
+		{"transport", `{"scenario":"alpha",`, `"transport":"json",`},
+		{"incremental_hits", `"live":{`, `"incremental_hits":3,`},
+		{"components_replanned", `"live":{`, `"components_replanned":5,`},
+	} {
+		old := bytes.Replace(doc, []byte(tc.after), []byte(tc.after+tc.insert), 1)
+		if bytes.Equal(old, doc) {
+			t.Fatalf("%s: test did not insert the key", tc.key)
+		}
+		if err := load(tc.key, old); err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("report with a %s key: want a load error naming it, got %v", tc.key, err)
+		}
 	}
 }
 
@@ -365,18 +381,9 @@ func TestCommittedSnapshotIsCurrent(t *testing.T) {
 	if len(paths) != 1 {
 		t.Fatalf("want exactly one BENCH_<pr>.json at the repo root, found %v", paths)
 	}
-	doc, err := os.ReadFile(paths[0])
+	snap, err := Load(paths[0])
 	if err != nil {
 		t.Fatal(err)
-	}
-	var snap Report
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.DisallowUnknownFields() // a key of an older schema is not in this one
-	if err := dec.Decode(&snap); err != nil {
-		t.Fatalf("%s: %v", paths[0], err)
-	}
-	if err := snap.Validate(); err != nil {
-		t.Fatalf("%s: %v", paths[0], err)
 	}
 	// The axes and configuration docs/BENCHMARKS.md documents for it.
 	scenarios, scales, methods := scenario.Names(), []float64{1, 5}, []string{"Greedy", "DTA", "SSP"}
@@ -395,7 +402,7 @@ func TestCommittedSnapshotIsCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := Compare(&snap, cur, 0); err != nil || n != len(cur.Results) {
+	if n, err := Compare(snap, cur, 0); err != nil || n != len(cur.Results) {
 		t.Fatalf("fresh 1x run against %s: %d of %d cells compared, %v", paths[0], n, len(cur.Results), err)
 	}
 }

@@ -137,6 +137,31 @@ func TestFlashFloodDegradesAndRecovers(t *testing.T) {
 	}
 }
 
+// TestChaosCellsDoNotCycle holds the governor's promotion rule to what it is
+// for: a shard promotes once the rung above is predicted to fit its budget,
+// so under sustained load it stays on the rung that fits instead of cycling
+// between two. Every 1x DTA and SSP chaos cell of the suite — the ladders of
+// three and four rungs — makes at most 10 round trips (promotions).
+func TestChaosCellsDoNotCycle(t *testing.T) {
+	var chaos []string
+	for _, arch := range scenario.Registry() {
+		if arch.Overload != nil {
+			chaos = append(chaos, arch.Name)
+		}
+	}
+	r, err := Run(Options{Scenarios: chaos, Scales: []float64{1}, Methods: []string{"DTA", "SSP"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxRoundTrips = 10
+	for _, c := range r.Results {
+		t.Logf("%-13s %s: tier↓%d↑%d worst %d", c.Scenario, c.Method, c.Live.TierDemotions, c.Live.TierPromotions, c.Live.WorstTier)
+		if c.Live.TierPromotions > maxRoundTrips {
+			t.Errorf("%s 1x %s: %d round trips between rungs, want at most %d", c.Scenario, c.Method, c.Live.TierPromotions, maxRoundTrips)
+		}
+	}
+}
+
 // TestStalledShardDemotesInIsolation pins the governor's per-shard scope on
 // the archetype built for it: with every task pinned to one shard band, the
 // span trace must show the hot shard over budget and demoted while at least

@@ -156,7 +156,7 @@ func TestGovernorObserveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	g := NewGovernor(GovernorConfig{Budget: 1, Window: 16, Dwell: 2}, 3, 3)
+	g := NewGovernor(GovernorConfig{Budget: 1, Window: 16}, 3, 3)
 	i := 0
 	observe := func() {
 		for shard := range 3 {

@@ -130,7 +130,8 @@ type Config struct {
 	Admission AdmissionConfig
 	// Governor enables SLA-aware planner degradation when Budget > 0: each
 	// shard's windowed p95 epoch cost is held under the budget by stepping
-	// that shard down the ladder, recovering hysteretically.
+	// that shard down the ladder, and back up once the rung above is
+	// predicted to fit it.
 	Governor GovernorConfig
 	// Obs configures the observability core — stage spans, the per-task
 	// lifecycle ledger, and the flight recorder (see ObsConfig). The epoch

@@ -8,12 +8,6 @@ import (
 	"repro/internal/geo"
 )
 
-// recoverFraction is the promotion threshold as a fraction of Budget: a
-// demoted shard steps back up only after a full window of epochs with p95
-// cost at or below recoverFraction·Budget. The gap between the demotion
-// threshold (Budget) and the promotion threshold is the hysteresis band.
-const recoverFraction = 0.5
-
 // GovernorConfig parameterizes the SLA epoch governor. The zero value
 // disables it (Budget 0).
 //
@@ -30,20 +24,14 @@ type GovernorConfig struct {
 	// ladder. 0 disables the governor.
 	Budget float64
 	// Window is how many recent epoch costs feed the per-shard p95
-	// (default 16).
+	// (default 16), and so how many epochs a shard plans on a tier before
+	// it may promote: the one hysteresis setting.
 	Window int
-	// Dwell is the minimum number of epochs between two tier transitions of
-	// one shard (default 8) — the hysteresis floor that keeps the ladder
-	// from oscillating on a noisy boundary load.
-	Dwell int
 }
 
 func (c GovernorConfig) withDefaults() GovernorConfig {
 	if c.Window <= 0 {
 		c.Window = 16
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 8
 	}
 	return c
 }
@@ -51,15 +39,20 @@ func (c GovernorConfig) withDefaults() GovernorConfig {
 // Governor is the SLA-aware epoch governor: it watches per-shard epoch cost
 // and steps each shard's planner down a degradation ladder (e.g. DTA →
 // Greedy → reachability-only Match) when the windowed p95 exceeds the budget,
-// recovering hysteretically when load subsides. It is a pure state machine
-// over the observed cost sequence — fed the same costs in the same order it
-// produces the identical tier trajectory, which the property tests pin down.
+// stepping back up once the rung above is predicted to fit it. It is a pure
+// state machine over the observed cost sequence — fed the same costs in the
+// same order it produces the identical tier trajectory, which the property
+// tests pin down.
 //
-// Transitions move one tier per observation at most (monotone within an
-// epoch) and never closer than Dwell observations apart. Demotion triggers on
+// Transitions move one tier per observation at most. Demotion triggers on
 // any over-budget p95, even of a partial window, so a flash crowd demotes on
-// its first hot epoch; promotion requires a full post-transition window at or
-// below recoverFraction·Budget, so recovery waits out the burst's tail.
+// its first hot epoch. Promotion waits for a full post-transition window and
+// predicts the rung above from two costs the shard measured itself:
+// left[t], the p95 that demoted it into tier t (what rung t−1 cost),
+// and arrived[t], the p95 of its first full window on tier t above 0 (what
+// rung t cost). A shard on tier t steps up when p95·left[t] ≤
+// Budget·arrived[t] — rung t−1, scaled by the measured ratio, fits the budget
+// — or when the window is idle (p95 0), so a drain always ends on tier 0.
 type Governor struct {
 	cfg    GovernorConfig
 	tiers  int
@@ -73,12 +66,11 @@ type Governor struct {
 
 type govShard struct {
 	tier int
-	// since counts observations since the last transition; it starts at
-	// Dwell so a fresh shard may demote on its first hot epoch.
-	since int
-	ring  []float64
-	n     int // valid samples in ring
-	next  int
+	// left and arrived are indexed by tier; arrived[t] is 0 until taken.
+	left, arrived []float64
+	ring          []float64
+	n             int // valid samples in ring
+	next          int
 }
 
 // NewGovernor builds a governor for the given shard count and ladder depth
@@ -90,7 +82,7 @@ func NewGovernor(cfg GovernorConfig, shards, tiers int) *Governor {
 	}
 	g := &Governor{cfg: cfg, tiers: tiers, shards: make([]govShard, shards), sorted: make([]float64, cfg.Window)}
 	for i := range g.shards {
-		g.shards[i] = govShard{since: cfg.Dwell, ring: make([]float64, cfg.Window)}
+		g.shards[i] = govShard{left: make([]float64, tiers), arrived: make([]float64, tiers), ring: make([]float64, cfg.Window)}
 	}
 	return g
 }
@@ -104,17 +96,21 @@ func (g *Governor) Observe(shard int, cost float64) int {
 	if s.n < len(s.ring) {
 		s.n++
 	}
-	s.since++
 	p95 := p95of(s.ring, s.n, g.sorted)
+	full := s.n == len(s.ring)
+	if full && p95 > 0 && s.arrived[s.tier] == 0 {
+		s.arrived[s.tier] = p95
+	}
 	switch {
-	case s.tier < g.tiers-1 && p95 > g.cfg.Budget && s.since >= g.cfg.Dwell:
+	case s.tier < g.tiers-1 && p95 > g.cfg.Budget:
 		s.tier++
+		s.left[s.tier], s.arrived[s.tier] = p95, 0
 		s.resetWindow()
 		g.demotions++
 		if s.tier > g.worst {
 			g.worst = s.tier
 		}
-	case s.tier > 0 && s.n == len(s.ring) && p95 <= g.cfg.Budget*recoverFraction && s.since >= g.cfg.Dwell:
+	case s.tier > 0 && full && (p95 == 0 || p95*s.left[s.tier] <= g.cfg.Budget*s.arrived[s.tier]):
 		s.tier--
 		s.resetWindow()
 		g.promotions++
@@ -126,7 +122,6 @@ func (g *Governor) Observe(shard int, cost float64) int {
 // is made from post-transition epochs only — the demoted planner's costs, not
 // the mixture that triggered the move.
 func (s *govShard) resetWindow() {
-	s.since = 0
 	s.n = 0
 	s.next = 0
 }

@@ -26,56 +26,94 @@ func trajectory(cfg GovernorConfig, tiers int, costs []float64) []int {
 	return out
 }
 
+// windowP95 is the governor's percentile, computed apart from it: index
+// ⌊0.95·(n−1)⌋ of the sorted window.
+func windowP95(window []float64) float64 {
+	if len(window) == 0 {
+		return 0
+	}
+	s := slices.Sorted(slices.Values(window))
+	return s[int(0.95*float64(len(s)-1))]
+}
+
 // TestGovernorPropertyFuzz fuzzes random cost sequences against the
-// governor's stated contract: tiers stay in range, at most one single-step
-// transition per observation, consecutive transitions never closer than
-// Dwell observations, promotions only after a full post-transition window,
-// transition counters match the trajectory, and an identical rerun produces
-// the byte-identical trajectory.
+// governor's stated contract. Beside the trajectory the test keeps its own
+// record: the costs since the last transition, and per tier the p95 that
+// demoted into it (left) and the p95 of its first full window above 0
+// (arrived). Against that record: tiers stay in range and move one step an
+// observation at most; a demotion happens exactly when the p95 is over
+// Budget and a rung is left below; a promotion only after a full
+// post-transition window and only when p95 = 0 or p95·left ≤
+// Budget·arrived; an idle full window always promotes; the counters match
+// the trajectory, and a rerun is byte-identical.
 func TestGovernorPropertyFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
 		cfg := GovernorConfig{
 			Budget: 1 + 9*rng.Float64(),
 			Window: 1 + rng.Intn(12),
-			Dwell:  1 + rng.Intn(10),
 		}
 		tiers := 2 + rng.Intn(3)
-		costs := make([]float64, 40+rng.Intn(160))
-		for i := range costs {
-			// Alternate lulls under the recovery threshold with bursts over
-			// budget so both transition directions are exercised.
-			if rng.Float64() < 0.5 {
-				costs[i] = rng.Float64() * cfg.Budget * recoverFraction
-			} else {
-				costs[i] = cfg.Budget * (1 + 3*rng.Float64())
+		// Runs of one load level, long enough to fill windows: idle, under
+		// budget at various depths, and over it, so both transition
+		// directions and both promotion clauses are exercised.
+		var costs []float64
+		for len(costs) < 200 {
+			level := rng.Intn(4)
+			for n := 1 + rng.Intn(3*cfg.Window); n > 0; n-- {
+				var c float64
+				switch level {
+				case 1:
+					c = cfg.Budget * 0.3 * rng.Float64()
+				case 2:
+					c = cfg.Budget * (0.3 + 0.7*rng.Float64())
+				case 3:
+					c = cfg.Budget * (1 + 3*rng.Float64())
+				}
+				costs = append(costs, c)
 			}
 		}
 		traj := trajectory(cfg, tiers, costs)
 
-		prev, lastTrans := 0, -1
+		prev := 0
+		var since []float64 // costs observed since the last transition
+		left, arrived := make([]float64, tiers), make([]float64, tiers)
 		demotions, promotions := 0, 0
 		for k, tier := range traj {
+			since = append(since, costs[k])
+			window := since[max(0, len(since)-cfg.Window):]
+			full := len(since) >= cfg.Window
+			p95 := windowP95(window)
+			if full && p95 > 0 && arrived[prev] == 0 {
+				arrived[prev] = p95
+			}
 			if tier < 0 || tier >= tiers {
 				t.Fatalf("trial %d obs %d: tier %d outside [0, %d)", trial, k, tier, tiers)
 			}
-			switch delta := tier - prev; {
-			case delta == 0:
-			case delta == 1, delta == -1:
-				if lastTrans >= 0 && k-lastTrans < cfg.Dwell {
-					t.Fatalf("trial %d obs %d: transition %d observations after the previous one (dwell %d)",
-						trial, k, k-lastTrans, cfg.Dwell)
+			demote := prev < tiers-1 && p95 > cfg.Budget
+			if demote != (tier == prev+1) {
+				t.Fatalf("trial %d obs %d: tier %d → %d at p95 %g (budget %g)", trial, k, prev, tier, p95, cfg.Budget)
+			}
+			switch tier - prev {
+			case 0:
+				if prev > 0 && full && p95 == 0 {
+					t.Fatalf("trial %d obs %d: an idle full window on tier %d did not promote", trial, k, prev)
 				}
-				if delta == -1 {
-					if lastTrans >= 0 && k-lastTrans < cfg.Window {
-						t.Fatalf("trial %d obs %d: promotion %d observations after a transition (window %d)",
-							trial, k, k-lastTrans, cfg.Window)
-					}
-					promotions++
-				} else {
-					demotions++
+			case 1:
+				demotions++
+				left[tier], arrived[tier] = p95, 0
+				since = since[:0]
+			case -1:
+				if !full {
+					t.Fatalf("trial %d obs %d: promoted %d observations after a transition (window %d)",
+						trial, k, len(since), cfg.Window)
 				}
-				lastTrans = k
+				if p95 != 0 && p95*left[prev] > cfg.Budget*arrived[prev] {
+					t.Fatalf("trial %d obs %d: promoted from tier %d at p95 %g, over budget %g · arrived %g / left %g",
+						trial, k, prev, p95, cfg.Budget, arrived[prev], left[prev])
+				}
+				promotions++
+				since = since[:0]
 			default:
 				t.Fatalf("trial %d obs %d: tier jumped %d → %d in one observation", trial, k, prev, tier)
 			}
@@ -89,30 +127,25 @@ func TestGovernorPropertyFuzz(t *testing.T) {
 		if d, p := g.Counters(); int(d) != demotions || int(p) != promotions {
 			t.Fatalf("trial %d: counters %d/%d, trajectory shows %d/%d", trial, d, p, demotions, promotions)
 		}
+		// A drain: Window idle epochs a tier bring any shard back to tier 0.
+		for range (tiers - 1) * cfg.Window {
+			g.Observe(0, 0)
+		}
+		if g.TierOf(0) != 0 {
+			t.Fatalf("trial %d: tier %d after %d idle epochs", trial, g.TierOf(0), (tiers-1)*cfg.Window)
+		}
 
-		if rerun := trajectory(cfg, tiers, costs); !equalInts(rerun, traj) {
+		if rerun := trajectory(cfg, tiers, costs); !slices.Equal(rerun, traj) {
 			t.Fatalf("trial %d: rerun diverged\nfirst:  %v\nsecond: %v", trial, traj, rerun)
 		}
 	}
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestGovernorDemotesOnFirstHotEpoch pins the partial-window demotion rule: a
-// fresh shard's dwell clock starts satisfied, so the very first over-budget
-// epoch demotes — a flash crowd is not granted a full window of blown SLAs.
+// TestGovernorDemotesOnFirstHotEpoch pins the partial-window demotion rule:
+// the very first over-budget epoch demotes — a flash crowd is not granted a
+// full window of blown SLAs.
 func TestGovernorDemotesOnFirstHotEpoch(t *testing.T) {
-	g := NewGovernor(GovernorConfig{Budget: 1, Window: 16, Dwell: 8}, 1, 3)
+	g := NewGovernor(GovernorConfig{Budget: 1, Window: 16}, 1, 3)
 	if tier := g.Observe(0, 5); tier != 1 {
 		t.Fatalf("tier after first hot epoch = %d, want 1", tier)
 	}
@@ -121,30 +154,58 @@ func TestGovernorDemotesOnFirstHotEpoch(t *testing.T) {
 	}
 }
 
-// TestGovernorPromotionWaitsFullWindow pins the recovery hysteresis: after a
-// demotion, a shard steps back up only once a full window of post-transition
-// epochs sits at or below recoverFraction·Budget — never sooner, however
-// quiet.
+// TestGovernorPromotionWaitsFullWindow pins the recovery rule from both
+// sides. However quiet, a shard steps back up only once a full window of
+// post-transition epochs is in. Then it steps up only when the rung above,
+// predicted as p95 · left / arrived, fits the budget: a window at the cost it
+// arrived at does not promote, one at or under Budget·arrived/left does.
 func TestGovernorPromotionWaitsFullWindow(t *testing.T) {
-	cfg := GovernorConfig{Budget: 10, Window: 4, Dwell: 2}
+	cfg := GovernorConfig{Budget: 10, Window: 4}
 	g := NewGovernor(cfg, 1, 2)
 	if tier := g.Observe(0, 100); tier != 1 {
 		t.Fatalf("tier after burst = %d, want 1", tier)
 	}
 	for k := 1; k < cfg.Window; k++ {
-		if tier := g.Observe(0, 1); tier != 1 {
-			t.Fatalf("observation %d: promoted after %d quiet epochs, want a full window of %d", k, k, cfg.Window)
+		if tier := g.Observe(0, 0); tier != 1 {
+			t.Fatalf("observation %d: promoted after %d idle epochs, want a full window of %d", k, k, cfg.Window)
 		}
 	}
-	if tier := g.Observe(0, 1); tier != 0 {
-		t.Fatalf("tier after a full quiet window = %d, want 0", tier)
+	if tier := g.Observe(0, 0); tier != 0 {
+		t.Fatalf("tier after a full idle window = %d, want 0", tier)
+	}
+
+	// Demoted at p95 40 (left), the shard plans at 8 (arrived): the rung
+	// above costs 5× this one, so it fits only once this one is at 10·8/40 = 2.
+	g = NewGovernor(cfg, 1, 3)
+	if tier := g.Observe(0, 40); tier != 1 {
+		t.Fatalf("tier after burst = %d, want 1", tier)
+	}
+	for k := 0; k < 3*cfg.Window; k++ {
+		if tier := g.Observe(0, 8); tier != 1 {
+			t.Fatalf("observation %d at the arrival cost: tier %d, want 1", k, tier)
+		}
+	}
+	for k := 0; k < 2*cfg.Window; k++ {
+		if tier := g.Observe(0, 2.5); tier != 1 {
+			t.Fatalf("observation %d at 2.5, over Budget·arrived/left: tier %d, want 1", k, tier)
+		}
+	}
+	// The window's p95 (its third-smallest of four) reaches 2 on the third
+	// such epoch.
+	for k := 1; k < 3; k++ {
+		if tier := g.Observe(0, 2); tier != 1 {
+			t.Fatalf("epoch %d at Budget·arrived/left, p95 still 2.5: tier %d, want 1", k, tier)
+		}
+	}
+	if tier := g.Observe(0, 2); tier != 0 {
+		t.Fatalf("a window at Budget·arrived/left: tier %d, want 0", tier)
 	}
 }
 
 // TestGovernorShardsAreIndependent: one shard's burst must not move its
 // siblings' tiers — the governor's state is strictly per shard.
 func TestGovernorShardsAreIndependent(t *testing.T) {
-	g := NewGovernor(GovernorConfig{Budget: 1, Window: 4, Dwell: 2}, 3, 2)
+	g := NewGovernor(GovernorConfig{Budget: 1, Window: 4}, 3, 2)
 	for i := 0; i < 10; i++ {
 		g.Observe(1, 50)
 		g.Observe(0, 0.1)
@@ -246,7 +307,7 @@ func TestGovernorCostFallsOnDemotion(t *testing.T) {
 // retrace the dispatcher's tiers — demotions included — epoch by epoch.
 func TestGovernorScoresPlanWork(t *testing.T) {
 	sc := testScenario(t)
-	gov := GovernorConfig{Budget: 40, Window: 4, Dwell: 2}
+	gov := GovernorConfig{Budget: 40, Window: 4}
 	d := New(Config{
 		Shards: 2, Grid: sc.Grid, Step: 2, Now: sc.T0,
 		NewLadder: func(shard int) []assign.Planner {

@@ -144,7 +144,7 @@ func init() {
 	Register(Archetype{
 		Name:    "flash-flood",
 		Summary: "50x flash crowd: event-spike escalated far beyond the epoch budget",
-		Stress:  "admission shedding, governor demotion under burst, hysteretic recovery",
+		Stress:  "admission shedding, governor demotion under burst, recovery after it",
 		Base: workload.Config{
 			Name: "flash-flood", Seed: 16,
 			Region:   geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4},
@@ -173,8 +173,6 @@ func init() {
 			MaxOpenTasks: 120,
 			DeferSlack:   20,
 			BudgetUnits:  2500,
-			Window:       8,
-			Dwell:        4,
 		},
 		Check: checkBurstFraction(0.55, 0.02, 0.6),
 	})
@@ -210,8 +208,6 @@ func init() {
 			// any method and density, 407 (SSP at 5x).
 			MaxOpenTasks: 24,
 			BudgetUnits:  2000,
-			Window:       8,
-			Dwell:        4,
 		},
 		Check: checkZoneFraction(zone(0, 3, 4, 4), 0.75),
 	})
@@ -244,8 +240,6 @@ func init() {
 			MaxOpenTasks:       32,
 			MaxSubmitsPerEpoch: 6,
 			BudgetUnits:        800,
-			Window:             8,
-			Dwell:              4,
 		},
 		Check: checkSkewApplied(0.2),
 	})

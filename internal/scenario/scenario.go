@@ -64,9 +64,6 @@ type OverloadProfile struct {
 	// units (assign.Planner.Work, counted in distance checks), so tier
 	// transitions replay byte-identically on every host.
 	BudgetUnits float64
-	// Window and Dwell override the governor's hysteresis parameters
-	// (0 = dispatcher defaults).
-	Window, Dwell int
 }
 
 // Scale returns the archetype's configuration at density multiplier f > 0:
