@@ -7,11 +7,14 @@
 // repo root is a copy of; CI reruns the suite and holds every deterministic
 // outcome to that snapshot exactly (see docs/BENCHMARKS.md):
 //
-//	datawa-bench -suite -methods Greedy,DTA,SSP -json=BENCH_22.json
-//	datawa-bench -suite -scales 1 -methods Greedy,DTA,SSP -compare BENCH_22.json
-//	datawa-bench -suite -scales 1 -methods SSP -samples 8 -cvar-alpha 0.5 -json=-
+//	datawa-bench -suite -methods Greedy,DTA,SSP -json=BENCH_57.json
+//	datawa-bench -suite -scales 1,5 -methods Greedy,DTA,SSP -compare BENCH_57.json
 //	datawa-bench -suite -scales 1 -shards 4 -max-gap 0.01 -json=BENCH_fidelity.json
-//	datawa-bench -validate BENCH_22.json
+//	datawa-bench -validate BENCH_57.json
+//
+// SSP cells sample predict.DefaultSamples demand futures per forecast
+// instant and commit the best expected value; the report records the count,
+// and -compare refuses a baseline sampled at another.
 //
 // Experiment mode (-run) regenerates the tables and figures of the paper's
 // evaluation (Section V) on the synthetic Yueche/DiDi workloads and prints
@@ -65,8 +68,6 @@ func main() {
 		scenarios = flag.String("scenarios", "", "suite mode: comma-separated archetype names (default: all registered)")
 		scales    = flag.String("scales", "1,5", "suite mode: comma-separated density multipliers")
 		methods   = flag.String("methods", "Greedy,DTA", "suite mode: comma-separated assignment methods")
-		samples   = flag.Int("samples", 0, "suite mode: demand futures SSP cells sample per forecast instant (0 = default 5; 1 = point forecast)")
-		cvarAlpha = flag.Float64("cvar-alpha", 0, "suite mode: SSP CVaR risk knob in (0,1] — commit the plan maximizing the mean value over the worst ceil(alpha*K) futures (0 or 1 = expected value)")
 		shards    = flag.Int("shards", 2, "suite mode: live-path dispatcher shard count")
 		step      = flag.Float64("step", 2, "suite mode: planning epoch length in seconds")
 		compare   = flag.String("compare", "", "suite mode: baseline BENCH_*.json; fail unless every deterministic outcome of every shared cell is equal and epoch p95 grew by no more than -p95-tolerance")
@@ -87,7 +88,6 @@ func main() {
 		runSuite(suiteOptions{
 			scenarios: *scenarios, scales: *scales, methods: *methods,
 			shards: *shards, step: *step, p95Tol: *p95Tol,
-			samples: *samples, cvarAlpha: *cvarAlpha,
 			jsonPath: *jsonPath, compare: *compare, maxGap: *maxGap,
 		})
 	default:
@@ -110,8 +110,6 @@ type suiteOptions struct {
 	shards                     int
 	step                       float64
 	p95Tol                     float64
-	samples                    int
-	cvarAlpha                  float64
 	jsonPath, compare          string
 	maxGap                     float64
 }
@@ -124,8 +122,6 @@ func runSuite(so suiteOptions) {
 		Methods:   splitList(so.methods),
 		Shards:    so.shards,
 		Step:      so.step,
-		Samples:   so.samples,
-		CVaRAlpha: so.cvarAlpha,
 	}
 	// Validate -methods up front against the live registry, so a typo fails
 	// in milliseconds with the current method names instead of mid-suite.

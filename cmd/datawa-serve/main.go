@@ -7,7 +7,13 @@
 //
 //	datawa-serve -addr :8080 -method DTA -shards 4
 //	datawa-serve -method DATA-WA -pretrain yueche -pretrain-scale 0.1
+//	datawa-serve -method SSP -pretrain yueche -pretrain-scale 0.05
 //	datawa-serve -max-open-tasks 5000 -epoch-budget 2000000 -span-depth 256 -pprof
+//
+// The forecast-fed methods (DTA+TP, DATA-WA, SSP) train their models on a
+// synthetic scenario first (-pretrain). SSP plans against
+// predict.DefaultSamples (5) sampled demand futures and commits the best
+// expected value; no flag changes the count.
 //
 // API (see internal/dispatch.Handler for the wire formats):
 //
@@ -79,8 +85,6 @@ func main() {
 		pretrain  = flag.String("pretrain", "", "train demand/value models on a synthetic scenario first: yueche | didi")
 		preScale  = flag.Float64("pretrain-scale", 0.1, "pretraining workload scale factor in (0,1]")
 		seed      = flag.Int64("seed", 1, "deterministic seed")
-		samples   = flag.Int("samples", 0, "SSP: demand futures sampled per forecast instant (0 = default 5; 1 = point forecast)")
-		cvarAlpha = flag.Float64("cvar-alpha", 0, "SSP: CVaR risk knob in (0,1] — commit the plan maximizing the mean value over the worst ceil(alpha*K) futures (0 or 1 = expected value)")
 
 		maxOpen    = flag.Int("max-open-tasks", 0, "admission control: open-task pool cap; newcomers displace later-deadline tasks or are shed/deferred (0 = unbounded)")
 		maxSubmits = flag.Int("max-submits", 0, "admission control: task submits admitted per epoch; overflow is deferred one epoch (0 = unbounded)")
@@ -101,7 +105,6 @@ func main() {
 		Region:        datawa.Rect{MinX: *minX, MinY: *minY, MaxX: *maxX, MaxY: *maxY},
 		GridRows:      *rows, GridCols: *cols,
 		Step: *step, Seed: *seed,
-		Samples: *samples, CVaRAlpha: *cvarAlpha,
 	})
 
 	m := datawa.Method(*method)

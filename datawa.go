@@ -97,16 +97,16 @@ const (
 	MethodDTATP  Method = method.DTATP
 	MethodDATAWA Method = method.DATAWA
 	// MethodSSP is the scenario-sampling robust planner: DTA's adaptive
-	// replanning against K demand futures sampled from the forecaster's
-	// predictive distribution, committing the assignment with the best
-	// CVaR-α value across the sample set (see docs/PLANNERS.md). Requires a
-	// trained demand model, like MethodDTATP.
+	// replanning against predict.DefaultSamples demand futures sampled from
+	// the forecaster's predictive distribution, committing the assignment
+	// with the best expected value across the sample set (see
+	// docs/PLANNERS.md). Requires a trained demand model, like MethodDTATP.
 	MethodSSP Method = method.SSP
 )
 
-// DefaultSamples is the demand-future sample count MethodSSP uses when
-// Config.Samples is unset.
-const DefaultSamples = predict.DefaultSamples
+// seriesK is the ΔT intervals per demand series vector, the paper's k = 3
+// (Fig. 3): a run forecasts every seriesK·ΔT seconds.
+const seriesK = 3
 
 // NeedsDemand reports whether the method forecasts demand, so Run and
 // NewDispatcher require TrainDemand first. False for an unregistered method.
@@ -159,38 +159,23 @@ type Config struct {
 	SpeedKmPerSec float64
 
 	// Region and GridRows/GridCols define the demand grid. Required for
-	// demand prediction (MethodDTATP, MethodDATAWA).
+	// demand prediction (MethodDTATP, MethodDATAWA, MethodSSP).
 	Region             Rect
 	GridRows, GridCols int
 
 	// DeltaT is the elementary prediction interval ΔT in seconds
-	// (default 5); K the intervals per series vector (default 3); Window
-	// the history vectors fed to the model (default 8). A run forecasts
-	// every K·ΔT seconds from a demand feed that starts as TrainDemand's
-	// history and keeps the last (Window+1)·K·ΔT seconds published.
+	// (default 5); Window the history vectors fed to the model (default 8).
+	// A series vector holds the paper's k = 3 intervals, so a run forecasts
+	// every 3·ΔT seconds from a demand feed that starts as TrainDemand's
+	// history and keeps the last (Window+1)·3·ΔT seconds published.
+	// Predicted demand materializes above the paper's probability threshold,
+	// predict.DefaultThreshold (0.85).
 	DeltaT float64
-	K      int
 	Window int
-	// Threshold materializes predicted demand above this probability
-	// (default 0.85, the paper's setting).
-	Threshold float64
 	// VirtualValidTime is the validity e−p given to predicted tasks
 	// (default 40 s, Table III's default task validity).
 	VirtualValidTime float64
 
-	// Samples is the number of demand futures MethodSSP draws per forecast
-	// instant (default DefaultSamples; 1 degenerates to point-forecast
-	// planning). Ignored by the other methods.
-	Samples int
-	// CVaRAlpha is MethodSSP's risk knob α in (0, 1]: the committed
-	// assignment maximizes the mean value over the worst ⌈α·K⌉ sampled
-	// futures. 0 or 1 maximizes plain expected value. Ignored by the other
-	// methods.
-	CVaRAlpha float64
-
-	// MaxSeqLen and MaxReachable bound sequence generation (defaults 3, 8).
-	// MaxReachable above 64 is clamped to 64.
-	MaxSeqLen, MaxReachable int
 	// MaxSearchNodes bounds the exact DFSearch per RTC tree (not per planning
 	// call: every tree of an instant's forest gets the full budget, then
 	// completes greedily); 0 takes assign.Options' default.
@@ -219,20 +204,11 @@ func (c Config) withDefaults() Config {
 	if c.DeltaT <= 0 {
 		c.DeltaT = 5
 	}
-	if c.K <= 1 {
-		c.K = 3
-	}
 	if c.Window <= 0 {
 		c.Window = 8
 	}
-	if c.Threshold <= 0 {
-		c.Threshold = predict.DefaultThreshold
-	}
 	if c.VirtualValidTime <= 0 {
 		c.VirtualValidTime = 40
-	}
-	if c.Samples <= 0 {
-		c.Samples = predict.DefaultSamples
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 15
@@ -274,17 +250,13 @@ func (f *Framework) grid() geo.Grid {
 
 func (f *Framework) assignOptions() assign.Options {
 	return assign.Options{
-		WDS: wds.Options{
-			Travel:       f.travel,
-			MaxSeqLen:    f.cfg.MaxSeqLen,
-			MaxReachable: f.cfg.MaxReachable,
-		},
+		WDS:      wds.Options{Travel: f.travel},
 		MaxNodes: f.cfg.MaxSearchNodes,
 	}
 }
 
 func (f *Framework) seriesConfig() predict.SeriesConfig {
-	return predict.SeriesConfig{Grid: f.grid(), K: f.cfg.K, DeltaT: f.cfg.DeltaT, T0: f.demandT0}
+	return predict.SeriesConfig{Grid: f.grid(), K: seriesK, DeltaT: f.cfg.DeltaT, T0: f.demandT0}
 }
 
 // TrainDemand fits the DDGNN demand model on historical tasks (Section III).
@@ -316,7 +288,7 @@ func (f *Framework) TrainDemand(history []*Task) error {
 			series.P(), f.cfg.Window)
 	}
 	model := predict.NewDDGNN(predict.DDGNNConfig{
-		K: f.cfg.K, Hidden: 16, Embed: 8,
+		K: seriesK, Hidden: 16, Embed: 8,
 		Train: predict.TrainConfig{Epochs: f.cfg.Epochs, LR: 0.02, WeightDecay: 1e-3, Seed: f.cfg.Seed},
 	})
 	model.Fit(windows)
@@ -393,8 +365,8 @@ func (f *Framework) Assign(workers []*Worker, tasks []*Task, now float64) Plan {
 func (f *Framework) env() method.Env {
 	e := method.Env{
 		Opts: f.assignOptions(), Value: f.value, Demand: f.demand,
-		Window: f.cfg.Window, Threshold: f.cfg.Threshold, Validity: f.cfg.VirtualValidTime,
-		History: f.history, Samples: f.cfg.Samples, CVaRAlpha: f.cfg.CVaRAlpha, Seed: f.cfg.Seed,
+		Window: f.cfg.Window, Threshold: predict.DefaultThreshold, Validity: f.cfg.VirtualValidTime,
+		History: f.history, Seed: f.cfg.Seed,
 	}
 	if f.demand != nil {
 		e.Series = f.seriesConfig()

@@ -3,6 +3,10 @@ package datawa
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/assign"
+	"repro/internal/predict"
+	"repro/internal/stream"
 )
 
 // smallScenario returns a fast deterministic scenario for façade tests.
@@ -100,38 +104,40 @@ func TestSSPRequiresTraining(t *testing.T) {
 	}
 }
 
-// TestSSPOneSampleMatchesPointForecast pins the K=1 contract at the façade
-// level: SSP with a single sample is the point-forecast pipeline (DTA+TP)
-// byte for byte, so every aggregate matches exactly.
+// TestSSPOneSampleMatchesPointForecast pins the K=1 contract end to end:
+// SSP planning one sampled future (the sampler and the planner both at K = 1)
+// is the point-forecast pipeline (DTA+TP) byte for byte on the same trained
+// model, so every aggregate matches exactly. The façade always samples
+// predict.DefaultSamples futures, so the K = 1 run is built below it.
 func TestSSPOneSampleMatchesPointForecast(t *testing.T) {
 	s := smallScenario()
-	run := func(m Method, samples int) Result {
-		fw := New(Config{
-			Region:   Rect{MinX: 0, MinY: 0, MaxX: 6, MaxY: 6},
-			GridRows: 6, GridCols: 6,
-			Epochs: 3, TVFEpochs: 8, Step: 2, Seed: 7,
-			Samples: samples,
-		})
-		if err := fw.TrainDemand(s.History); err != nil {
-			t.Fatalf("TrainDemand: %v", err)
-		}
-		res, err := fw.Run(m, s.Workers, s.Tasks, s.T0, s.T1)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		return res
+	fw := frameworkFor(s)
+	if err := fw.TrainDemand(s.History); err != nil {
+		t.Fatalf("TrainDemand: %v", err)
 	}
-	ref := run(MethodDTATP, 0)
-	ssp1 := run(MethodSSP, 1)
+	ref, err := fw.Run(MethodDTATP, s.Workers, s.Tasks, s.T0, s.T1)
+	if err != nil {
+		t.Fatalf("%s: %v", MethodDTATP, err)
+	}
+	env := fw.env()
+	point := predict.NewForecaster(env.Demand, env.Series, env.Window, env.Threshold, env.Validity)
+	ssp1 := stream.Run(stream.Input{Workers: s.Workers, Tasks: s.Tasks, T0: s.T0, T1: s.T1}, stream.Config{
+		Step:    fw.cfg.Step,
+		Planner: &assign.SSP{Opts: env.Opts, Samples: 1},
+		Demand:  stream.NewDemandFeed(predict.NewScenarioSampler(point, 1, env.Seed), env.History),
+	})
 	if ssp1.Assigned != ref.Assigned || ssp1.Expired != ref.Expired ||
 		ssp1.PlanCalls != ref.PlanCalls || ssp1.Repositions != ref.Repositions {
 		t.Errorf("SSP K=1 diverged from DTA+TP: assigned %d/%d expired %d/%d plans %d/%d repositions %d/%d",
 			ssp1.Assigned, ref.Assigned, ssp1.Expired, ref.Expired,
 			ssp1.PlanCalls, ref.PlanCalls, ssp1.Repositions, ref.Repositions)
 	}
-	// The default sample count must run end to end too (outcomes may differ —
-	// that is the point of sampling).
-	sspK := run(MethodSSP, 0)
+	// The façade's sample count must run end to end too (outcomes may differ
+	// — that is the point of sampling).
+	sspK, err := fw.Run(MethodSSP, s.Workers, s.Tasks, s.T0, s.T1)
+	if err != nil {
+		t.Fatalf("%s: %v", MethodSSP, err)
+	}
 	if sspK.Assigned < 0 || sspK.Assigned+sspK.Expired > len(s.Tasks) {
 		t.Errorf("SSP sampled run inconsistent: %+v", sspK)
 	}
@@ -325,12 +331,12 @@ func TestNewDispatcherSharded(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.SpeedKmPerSec <= 0 || c.DeltaT != 5 || c.K != 3 || c.Threshold != 0.85 {
+	if c.SpeedKmPerSec <= 0 || c.DeltaT != 5 || c.Window != 8 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
 	// Explicit values survive.
-	c = Config{DeltaT: 9, K: 4}.withDefaults()
-	if c.DeltaT != 9 || c.K != 4 {
+	c = Config{DeltaT: 9, Window: 4}.withDefaults()
+	if c.DeltaT != 9 || c.Window != 4 {
 		t.Errorf("explicit values clobbered: %+v", c)
 	}
 }

@@ -104,6 +104,74 @@ func planWorth(p core.Plan, virtualWeight float64) float64 {
 	return v
 }
 
+// flowBound bounds the real tasks any plan of the pool at now assigns: a
+// maximum b-matching of the real tasks to the workers, each worker taking at
+// most MaxSeqLen of them, with an edge wherever the one-task sequence is valid.
+// Every plan is such a matching: its sequences hold at most MaxSeqLen tasks,
+// and a task on a valid sequence is valid alone, reached no later (the
+// triangle inequality) from the same location and within the same reach. The
+// matching grows by one augmenting path a task, each worker entered at most
+// once a search.
+func flowBound(workers []*core.Worker, tasks []*core.Task, now float64, o Options) int {
+	o = o.WithDefaults()
+	var takers [][]int // per real task, the workers whose one-task sequence is valid
+	for _, s := range tasks {
+		if s.Virtual {
+			continue
+		}
+		var ws []int
+		for i, w := range workers {
+			if core.ValidSequence(w, now, core.Sequence{s}, o.WDS.Travel) {
+				ws = append(ws, i)
+			}
+		}
+		takers = append(takers, ws)
+	}
+	held := make([][]int, len(workers)) // the tasks matched to each worker
+	var entered []bool
+	var augment func(t int) bool
+	augment = func(t int) bool {
+		for _, i := range takers[t] {
+			if entered[i] {
+				continue
+			}
+			entered[i] = true
+			if len(held[i]) < o.WDS.MaxSeqLen {
+				held[i] = append(held[i], t)
+				return true
+			}
+			for k, u := range held[i] {
+				if augment(u) {
+					held[i][k] = t
+					return true
+				}
+			}
+		}
+		return false
+	}
+	n := 0
+	for t := range takers {
+		entered = make([]bool, len(workers))
+		if augment(t) {
+			n++
+		}
+	}
+	return n
+}
+
+// realTasks is the real tasks a plan assigns.
+func realTasks(p core.Plan) int {
+	n := 0
+	for _, a := range p {
+		for _, s := range a.Seq {
+			if !s.Virtual {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // components returns the connected components of an instant's workers under
 // the share-a-task relation, every reachable set uncapped (a worker reaches a
 // task when the one-task sequence is valid), found by union-find: each as a
@@ -225,4 +293,64 @@ func TestSearchIsOptimal(t *testing.T) {
 	if solved < 100 {
 		t.Fatalf("%d atlas components solved", solved)
 	}
+}
+
+// TestPlannersWithinFlowBound holds Greedy, Match and the budgeted Search at
+// or below flowBound, counting real tasks, on the crowd and median instants
+// of every atlas archetype at 1x and 5x and on random pools, and the bound at
+// or above the exact optimum on every small atlas component. It logs the
+// totals: how far the planners are from the bound, and how loose the bound is
+// where the optimum is known.
+func TestPlannersWithinFlowBound(t *testing.T) {
+	budgeted := opts()
+	budgeted.MaxNodes = 4000
+	names := []string{"Greedy", "Match", "Search{MaxNodes: 4000}"}
+	planners := []Planner{&Greedy{Opts: opts()}, &Match{Opts: opts()}, &Search{Opts: budgeted}}
+	var pools []instant
+	for _, a := range scenario.Registry() {
+		for _, scale := range []float64{1, 5} {
+			for _, in := range atlasInstantsOf(a, scale) {
+				in.name = fmt.Sprintf("%s/%gx", in.name, scale)
+				pools = append(pools, in)
+			}
+		}
+	}
+	atlas := len(pools)
+	r := rand.New(rand.NewSource(11))
+	for seed := int64(1); seed <= 30; seed++ {
+		ws, ts := randomScenario(seed, 2+r.Intn(40), 5+r.Intn(120), 2+6*r.Float64())
+		pools = append(pools, instant{name: fmt.Sprintf("random/%d", seed), workers: ws, tasks: ts})
+	}
+	planned, bounds := make([]int, len(planners)), 0
+	for k, in := range pools {
+		bound := flowBound(in.workers, in.tasks, in.now, opts())
+		for i, p := range planners {
+			got := realTasks(checked{p}.Plan(in.workers, in.tasks, in.now))
+			if got > bound {
+				t.Errorf("%s: %s assigns %d real tasks, the bound is %d", in.name, names[i], got, bound)
+			}
+			if k < atlas {
+				planned[i] += got
+			}
+		}
+		if k < atlas {
+			bounds += bound
+		}
+	}
+	for i, name := range names {
+		t.Logf("%d atlas instants: %s %d real tasks, bound %d (%.1f%% below)",
+			atlas, name, planned[i], bounds, 100*float64(bounds-planned[i])/float64(bounds))
+	}
+
+	comps := atlasComponents()
+	opt, bounded := 0.0, 0
+	for _, c := range comps {
+		want := optimum(c.workers, c.tasks, c.now, opts(), false)
+		bound := flowBound(c.workers, c.tasks, c.now, opts())
+		if float64(bound) < want-1e-9 {
+			t.Errorf("%s: bound %d below the optimum %v", c.name, bound, want)
+		}
+		opt, bounded = opt+want, bounded+bound
+	}
+	t.Logf("%d atlas components: optimum %v, bound %d", len(comps), opt, bounded)
 }

@@ -3,7 +3,6 @@ package assign
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -26,10 +25,8 @@ import (
 // the plan a Search returns on that scenario's pool alone. Candidate j is then
 // scored under every scenario k — real tasks at full value, virtual tasks at
 // VirtualWeight when scenario k contains them and zero otherwise — and the
-// per-scenario values are folded through CVaR_α. α = 1 averages all
-// scenarios (maximize expected value); smaller α averages only the worst
-// ⌈α·K⌉ scenarios, buying robustness against the futures where the forecast
-// misleads. Ties commit the lowest-indexed candidate.
+// candidate with the best mean over the K scenarios (its expected value)
+// is committed. Ties commit the lowest-indexed candidate.
 //
 // When the pool carries no scenario-tagged virtuals (K = 1, or a sampler-free
 // forecast) there is one scenario, the pool itself, and SSP is byte-identical
@@ -45,10 +42,6 @@ type SSP struct {
 	// Samples is the scenario count K the sampler was configured with
 	// (bounds the per-task bitmasks; default 1+the highest bit seen).
 	Samples int
-	// CVaRAlpha is the risk knob α in (0, 1]: the fraction of worst-case
-	// scenarios the committed value is averaged over. 0 or unset means 1
-	// (plain expected value).
-	CVaRAlpha float64
 	// NodesLastPlan, GreedyCompletionsLastPlan, BudgetBoundTreesLastPlan and
 	// SkippedCompletionsLastPlan are Search's counters of the same names for
 	// the most recent Plan call, summed across scenarios: a component several
@@ -68,11 +61,8 @@ type SSP struct {
 	TreesLastPlan         int
 	DistinctTreesLastPlan int
 
-	// Per-instant scratch: the planner the scenarios go through, the
-	// per-candidate value matrix and the CVaR fold's sort buffer.
+	// Per-instant scratch: the planner the scenarios go through.
 	search Search
-	vals   []float64
-	sorted []float64
 }
 
 // Name implements Planner.
@@ -99,20 +89,16 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 	p.ReachChecksLastPlan = s.ReachChecksLastPlan
 	p.TreesLastPlan, p.DistinctTreesLastPlan = s.trees, len(s.results)
 
-	// Score candidate j under scenario sc, straight from the forests' choices
-	// (Search.value), and fold through CVaR_α: only the candidate committed
-	// becomes a plan.
-	vals := p.vals[:0]
-	for j := 0; j < k; j++ {
-		for sc := 0; sc < k; sc++ {
-			vals = append(vals, s.value(j, sc, o.VirtualWeight))
-		}
-	}
-	p.vals = vals
-	p.sorted = slices.Grow(p.sorted[:0], k)
+	// Score candidate j by its mean value over the scenarios, each read
+	// straight from the forests' choices (Search.value): only the candidate
+	// committed becomes a plan.
 	best, bestScore := 0, math.Inf(-1)
 	for j := 0; j < k; j++ {
-		if score := cvar(vals[j*k:(j+1)*k], p.CVaRAlpha, p.sorted); score > bestScore {
+		sum := 0.0
+		for sc := 0; sc < k; sc++ {
+			sum += s.value(j, sc, o.VirtualWeight)
+		}
+		if score := sum / float64(k); score > bestScore {
 			best, bestScore = j, score
 		}
 	}
@@ -171,41 +157,4 @@ func (s *Search) value(si, sc int, virtualWeight float64) float64 {
 		}
 	}
 	return v
-}
-
-// cvar folds per-scenario values through the conditional value at risk: the
-// mean of the worst ⌈α·K⌉ values. α ≥ 1 (or unset ≤ 0) recovers the plain
-// expectation; α → 0 degenerates to the single worst scenario. buf is sort
-// scratch: with room for len(vals) values the fold allocates nothing.
-func cvar(vals []float64, alpha float64, buf []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	if alpha <= 0 || alpha >= 1 {
-		sum := 0.0
-		for _, v := range vals {
-			sum += v
-		}
-		return sum / float64(len(vals))
-	}
-	m := int(math.Ceil(alpha * float64(len(vals))))
-	if m < 1 {
-		m = 1
-	}
-	if m > len(vals) {
-		m = len(vals)
-	}
-	// Insertion sort into the scratch: K ≤ 64, and the planner must not
-	// disturb the input slice.
-	sorted := append(buf[:0], vals...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	sum := 0.0
-	for _, v := range sorted[:m] {
-		sum += v
-	}
-	return sum / float64(m)
 }

@@ -49,7 +49,7 @@ func TestSSPFastPathMatchesSearch(t *testing.T) {
 	ref := &Search{Opts: opts()}
 	want := checked{ref}.Plan(ws, ts, 0)
 
-	p := &SSP{Opts: opts(), Samples: 8, CVaRAlpha: 0.5}
+	p := &SSP{Opts: opts(), Samples: 8}
 	got := checked{p}.Plan(ws, ts, 0)
 	samePlans(t, want, got)
 	if p.NodesLastPlan != ref.NodesLastPlan {
@@ -205,36 +205,6 @@ func TestSSPScoresAreThePlansValues(t *testing.T) {
 	}
 }
 
-// TestCVaRMonotone checks the risk fold: α = 1 (and the unset 0) recover the
-// plain mean, and the CVaR is non-decreasing in α — averaging in better
-// scenarios can only raise the value.
-func TestCVaRMonotone(t *testing.T) {
-	vals := []float64{5, 1, 4, 2, 8, 3}
-	mean := 23.0 / 6
-	if got := cvar(vals, 1, nil); math.Abs(got-mean) > 1e-12 {
-		t.Errorf("cvar(α=1) = %v, want mean %v", got, mean)
-	}
-	if got := cvar(vals, 0, nil); math.Abs(got-mean) > 1e-12 {
-		t.Errorf("cvar(α=0, unset) = %v, want mean %v", got, mean)
-	}
-	prev := math.Inf(-1)
-	for _, alpha := range []float64{0.1, 0.2, 0.4, 0.6, 0.8, 0.99} {
-		got := cvar(vals, alpha, nil)
-		if got < prev-1e-12 {
-			t.Fatalf("cvar not monotone: α=%v gave %v after %v", alpha, got, prev)
-		}
-		prev = got
-	}
-	// α small enough for a single scenario: the worst value.
-	if got := cvar(vals, 0.01, nil); got != 1 {
-		t.Errorf("cvar(α→0) = %v, want worst value 1", got)
-	}
-	// The fold must not disturb the caller's slice.
-	if vals[0] != 5 || vals[1] != 1 {
-		t.Error("cvar sorted the input slice in place")
-	}
-}
-
 // TestSSPPrefersRobustPlan builds a pool where the point forecast's virtual
 // task appears in only one of four futures while a competing virtual appears
 // in three: with sampling on, the committed plan should chase the demand most
@@ -314,16 +284,17 @@ func sspCounts(p *SSP) [4]int {
 	return [4]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan, p.SkippedCompletionsLastPlan}
 }
 
-// commit is SSP's fold over the K candidates: each scored under every
-// scenario, the scores folded through CVaR_α, the lowest-indexed best taken.
-func commit(plans []core.Plan, alpha, virtualWeight float64) int {
+// commit is SSP's choice among the K candidates: each scored by its mean
+// value over the scenarios (summed in scenario order, divided by K), the
+// lowest-indexed best taken.
+func commit(plans []core.Plan, virtualWeight float64) int {
 	best, bestScore := 0, math.Inf(-1)
 	for j := range plans {
-		vals := make([]float64, len(plans))
-		for s := range vals {
-			vals[s] = planValue(plans[j], s, virtualWeight)
+		sum := 0.0
+		for s := range plans {
+			sum += planValue(plans[j], s, virtualWeight)
 		}
-		if score := cvar(vals, alpha, nil); score > bestScore {
+		if score := sum / float64(len(plans)); score > bestScore {
 			best, bestScore = j, score
 		}
 	}
@@ -334,7 +305,7 @@ func commit(plans []core.Plan, alpha, virtualWeight float64) int {
 func sameAsPerScenario(t *testing.T, p *SSP, ws []*core.Worker, ts []*core.Task, now float64) {
 	t.Helper()
 	plans, counts := perScenarioSearch(p, ws, ts, now)
-	want := plans[commit(plans, p.CVaRAlpha, p.Opts.WithDefaults().VirtualWeight)]
+	want := plans[commit(plans, p.Opts.WithDefaults().VirtualWeight)]
 	samePlans(t, want, checked{p}.Plan(ws, ts, now))
 	if c := sspCounts(p); c != counts {
 		t.Fatalf("nodes/greedy/bound-trees/skipped %v, per-scenario searches %v", c, counts)
@@ -345,10 +316,10 @@ func sameAsPerScenario(t *testing.T, p *SSP, ws []*core.Worker, ts []*core.Task,
 // pass's differential oracle: whatever the scenarios share — gathers, sequence
 // sets, trees, searches — the committed plan and the summed counters are those
 // of K searches from scratch on K copied pools, under a binding and a loose
-// budget, at both ends of the risk knob, for two planners planning the pool
-// side by side under sideBySide as two shards' planners do: one after the
-// other on the test's goroutine at 1, each on a goroutine of its own at 0
-// where the CPUs allow. The pools: random ones at three scenario counts, the rush-hour crowd robust-ssp plans, and two
+// budget, cold and on the scratch a plan of the same pool left warm, for two
+// planners planning the pool side by side under sideBySide as two shards'
+// planners do: one after the other on the test's goroutine at 1, each on a
+// goroutine of its own at 0 where the CPUs allow. The pools: random ones at three scenario counts, the rush-hour crowd robust-ssp plans, and two
 // whose trees run past 64 tasks, laid out on two words — a chain of 80 tasks,
 // one tree a scenario and no two alike, and the event-spike flash crowd at 5x.
 // The last costs seconds a plan under the race detector, which CI runs this
@@ -386,11 +357,12 @@ func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
 				o = opts() // laid out for the tests' travel model
 				o.MaxNodes = maxNodes
 			}
-			// The fold picks among the same K plans at either α: the oracle
-			// plans them once, and each planner plans the second α on the
-			// scratch the first left warm.
+			// The oracle plans the K candidates once, and each planner plans
+			// the pool twice, the second time on the scratch the first left
+			// warm.
 			oracle := &SSP{Opts: o, Samples: c.k}
 			plans, counts := perScenarioSearch(oracle, c.workers, c.tasks, c.now)
+			want := plans[commit(plans, o.WithDefaults().VirtualWeight)]
 			for _, p := range []int{1, 0} {
 				got := []*SSP{{Opts: o, Samples: c.k}, {Opts: o, Samples: c.k}}
 				if c.heavy {
@@ -399,15 +371,13 @@ func TestSSPSharedPassMatchesPerScenarioSearchAcrossParallelism(t *testing.T) {
 					}
 					got = got[:1]
 				}
-				for _, alpha := range []float64{1, 0.4} {
+				for _, pass := range []string{"cold", "warm"} {
 					plan := make([]core.Plan, len(got))
 					sideBySide(len(got), p, func(i int) {
-						got[i].CVaRAlpha = alpha
 						plan[i] = checked{got[i]}.Plan(c.workers, c.tasks, c.now)
 					})
-					want := plans[commit(plans, alpha, o.WithDefaults().VirtualWeight)]
 					for i := range got {
-						name := fmt.Sprintf("%s budget %d α %v par %d planner %d", c.name, maxNodes, alpha, p, i)
+						name := fmt.Sprintf("%s budget %d %s par %d planner %d", c.name, maxNodes, pass, p, i)
 						if len(want) != len(plan[i]) {
 							t.Fatalf("%s: %d assignments, per-scenario searches %d", name, len(plan[i]), len(want))
 						}
@@ -489,7 +459,7 @@ func TestSSPEdgeScenarios(t *testing.T) {
 	// hold the untagged tasks only.
 	t.Run("samples-past-highest-bit", func(t *testing.T) {
 		ws, ts := sspScenario(23, 3)
-		p := &SSP{Opts: opts(), Samples: 6, CVaRAlpha: 0.5}
+		p := &SSP{Opts: opts(), Samples: 6}
 		if k := p.scenarios(ts); k != 6 {
 			t.Fatalf("k = %d", k)
 		}

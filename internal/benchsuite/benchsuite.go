@@ -37,6 +37,7 @@ import (
 
 	"repro"
 	"repro/internal/dispatch"
+	"repro/internal/predict"
 	"repro/internal/scenario"
 )
 
@@ -75,11 +76,6 @@ type Options struct {
 	// MaxNodes caps exact-search effort per RTC tree (default 4000); a
 	// planning call spends up to that on every tree of its forest.
 	MaxNodes int
-	// Samples is the demand futures SSP cells draw per forecast instant
-	// (0 = the framework default); CVaRAlpha their risk knob (0 = expected
-	// value). Both are ignored by — and not echoed on — non-SSP cells.
-	Samples   int
-	CVaRAlpha float64
 	// Log, when non-nil, receives one progress line per cell.
 	Log func(format string, args ...any)
 }
@@ -102,9 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 4000
-	}
-	if o.Samples <= 0 {
-		o.Samples = datawa.DefaultSamples
 	}
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}
@@ -131,10 +124,9 @@ type Report struct {
 	Step        float64   `json:"step_seconds"`
 	Shards      int       `json:"shards"`
 	Parallelism int       `json:"parallelism"`
-	// Samples and CVaRAlpha echo the SSP sampling options; absent when no
-	// SSP cells were requested.
-	Samples   int     `json:"samples,omitempty"`
-	CVaRAlpha float64 `json:"cvar_alpha,omitempty"`
+	// Samples echoes the demand futures SSP draws per forecast instant
+	// (predict.DefaultSamples); absent when no SSP cells were requested.
+	Samples int `json:"samples,omitempty"`
 	// Results holds one cell per scenario × scale × method, in scenario
 	// name order.
 	Results []Cell `json:"results"`
@@ -170,11 +162,9 @@ type Cell struct {
 	// governor costing epochs in counted planner work, then quiesced to a full
 	// drain. Validate asserts exact task conservation on these cells.
 	Overload bool `json:"overload,omitempty"`
-	// Samples and CVaRAlpha echo the sampling configuration of an SSP cell:
-	// the demand futures drawn per forecast instant and the CVaR risk knob
-	// (0 = expected value). Zero on non-SSP cells.
-	Samples   int     `json:"samples,omitempty"`
-	CVaRAlpha float64 `json:"cvar_alpha,omitempty"`
+	// Samples echoes the demand futures an SSP cell drew per forecast
+	// instant. Zero on non-SSP cells.
+	Samples int `json:"samples,omitempty"`
 }
 
 // Path is one execution path's measurement.
@@ -237,8 +227,7 @@ func Run(opts Options) (*Report, error) {
 	}
 	for _, m := range opts.Methods {
 		if datawa.Method(m) == datawa.MethodSSP {
-			r.Samples = opts.Samples
-			r.CVaRAlpha = opts.CVaRAlpha
+			r.Samples = predict.DefaultSamples
 			break
 		}
 	}
@@ -285,8 +274,6 @@ func framework(sc *datawa.Scenario, m datawa.Method, opts Options) (*datawa.Fram
 		GridRows: c.GridRows, GridCols: c.GridCols,
 		Step: opts.Step, Seed: c.Seed,
 		MaxSearchNodes: opts.MaxNodes,
-		Samples:        opts.Samples,
-		CVaRAlpha:      opts.CVaRAlpha,
 	})
 	if m.NeedsDemand() {
 		if err := fw.TrainDemand(sc.History); err != nil {
@@ -308,8 +295,7 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 		Workers: len(sc.Workers), Tasks: len(sc.Tasks),
 	}
 	if m == datawa.MethodSSP {
-		cell.Samples = opts.Samples
-		cell.CVaRAlpha = opts.CVaRAlpha
+		cell.Samples = predict.DefaultSamples
 	}
 	events := len(sc.Workers) + len(sc.Tasks)
 	var m0, m1 runtime.MemStats
@@ -584,7 +570,7 @@ var outcomeFields = []struct {
 // number of cells compared.
 //
 // The two reports must have run the same configuration — shards, epoch
-// length and, on SSP cells, the sampling pair — or their outcomes are not
+// length and, on SSP cells, the sample count — or their outcomes are not
 // comparable at all, and that is an error rather than a list of differences.
 //
 // Coverage is also gated: a baseline cell whose scenario, scale, and method
@@ -635,9 +621,9 @@ func Compare(base, cur *Report, maxRelP95 float64) (int, error) {
 		if !ok {
 			continue
 		}
-		if b.Samples != c.Samples || b.CVaRAlpha != c.CVaRAlpha {
-			return 0, fmt.Errorf("configurations differ: %s %gx %s sampled %d futures at cvar_alpha %g in the baseline, %d at %g in the new report",
-				c.Scenario, c.Scale, c.Method, b.Samples, b.CVaRAlpha, c.Samples, c.CVaRAlpha)
+		if b.Samples != c.Samples {
+			return 0, fmt.Errorf("configurations differ: %s %gx %s sampled %d futures in the baseline, %d in the new report",
+				c.Scenario, c.Scale, c.Method, b.Samples, c.Samples)
 		}
 		compared++
 		for _, f := range outcomeFields {

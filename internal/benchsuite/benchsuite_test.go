@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/predict"
 	"repro/internal/scenario"
 )
 
@@ -183,7 +183,7 @@ func TestCompareDetectsRegression(t *testing.T) {
 }
 
 // TestCompareRejectsConfigMismatch: outcomes of a different shard count, epoch
-// length or SSP sampling pair are not the baseline's outcomes under test, so
+// length or SSP sample count are not the baseline's outcomes under test, so
 // comparing them is an error whatever the cells hold — here they hold the
 // baseline's own numbers, which an outcome-only compare would pass.
 func TestCompareRejectsConfigMismatch(t *testing.T) {
@@ -202,7 +202,6 @@ func TestCompareRejectsConfigMismatch(t *testing.T) {
 		{"shards", func(r *Report) { r.Shards = 4 }},
 		{"step_seconds", func(r *Report) { r.Step = 1 }},
 		{"samples", func(r *Report) { r.Results[0].Samples = 8 }},
-		{"cvar_alpha", func(r *Report) { r.Results[0].CVaRAlpha = 0.5 }},
 	} {
 		cur := mutated(base, func(*Cell) {})
 		tc.mutate(cur)
@@ -333,8 +332,8 @@ func TestCompareFlagsMissingCells(t *testing.T) {
 // TestLoadRefusesOldKeys holds Load to the one schema: a report this
 // package wrote loads, and the same file with a key an earlier schema had —
 // schema 6's per-cell transport tag, a live path's incremental_hits or
-// components_replanned — is refused, naming the key, not decoded as if the
-// key were absent.
+// components_replanned, an SSP cell's cvar_alpha — is refused, naming the
+// key, not decoded as if the key were absent.
 func TestLoadRefusesOldKeys(t *testing.T) {
 	doc, err := json.Marshal(syntheticReport())
 	if err != nil {
@@ -356,6 +355,7 @@ func TestLoadRefusesOldKeys(t *testing.T) {
 		{"transport", `{"scenario":"alpha",`, `"transport":"json",`},
 		{"incremental_hits", `"live":{`, `"incremental_hits":3,`},
 		{"components_replanned", `"live":{`, `"components_replanned":5,`},
+		{"cvar_alpha", `{"scenario":"alpha",`, `"cvar_alpha":0.5,`},
 	} {
 		old := bytes.Replace(doc, []byte(tc.after), []byte(tc.after+tc.insert), 1)
 		if bytes.Equal(old, doc) {
@@ -391,9 +391,9 @@ func TestCommittedSnapshotIsCurrent(t *testing.T) {
 		t.Fatalf("%s: axes %v × %v × %v, want %v × %v × %v",
 			paths[0], snap.Scenarios, snap.Scales, snap.Methods, scenarios, scales, methods)
 	}
-	if snap.Step != 2 || snap.Shards != 2 || snap.Samples != datawa.DefaultSamples || snap.CVaRAlpha != 0 {
-		t.Fatalf("%s: ran %gs epochs on %d shards with K=%d α=%g, want 2s on 2 with K=%d α=0",
-			paths[0], snap.Step, snap.Shards, snap.Samples, snap.CVaRAlpha, datawa.DefaultSamples)
+	if snap.Step != 2 || snap.Shards != 2 || snap.Samples != predict.DefaultSamples {
+		t.Fatalf("%s: ran %gs epochs on %d shards with K=%d, want 2s on 2 with K=%d",
+			paths[0], snap.Step, snap.Shards, snap.Samples, predict.DefaultSamples)
 	}
 	if got, want := len(snap.Results), len(scenarios)*len(scales)*len(methods); got != want {
 		t.Fatalf("%s: %d cells, want %d", paths[0], got, want)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/method"
+	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/tvf"
 	"repro/internal/wds"
@@ -269,11 +270,10 @@ func withFutures(tasks []*core.Task, now float64, k int) []*core.Task {
 // DATA-WA's value model is untrained: the walk it guides never backtracks,
 // whatever the weights pick.
 func TestGovernorCostFallsOnDemotion(t *testing.T) {
-	const k = 5
+	const k = predict.DefaultSamples
 	env := method.Env{
-		Opts:    assign.Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}},
-		Value:   tvf.NewModel(16, 1),
-		Samples: k,
+		Opts:  assign.Options{WDS: wds.Options{Travel: geo.NewTravelModel(0)}},
+		Value: tvf.NewModel(16, 1),
 	}
 	for _, a := range scenario.Registry() {
 		for _, scale := range []float64{1, 5} {

@@ -86,7 +86,7 @@ func methodEnv(sc *workload.Scenario, demand predict.Predictor, deltaT float64, 
 		Opts: assignOptions(s), Demand: demand,
 		Series: sc.SeriesConfig(SeriesK, deltaT), Window: s.Window, Threshold: materializeThreshold,
 		Validity: sc.Config.TaskValid, Horizon: forecastHorizon, History: sc.History,
-		Samples: predict.DefaultSamples, Seed: sc.Config.Seed,
+		Seed: sc.Config.Seed,
 	}
 }
 

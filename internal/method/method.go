@@ -28,7 +28,7 @@ type forecast int
 const (
 	noForecast      forecast = iota
 	pointForecast            // the demand model's thresholded prediction
-	sampledForecast          // Env.Samples futures drawn around it (SSP)
+	sampledForecast          // predict.DefaultSamples futures drawn around it (SSP)
 )
 
 // Env is what a method is built from: planner options, trained models and
@@ -45,10 +45,8 @@ type Env struct {
 	Threshold, Validity float64
 	// History seeds the demand feed: the tasks published before the stream.
 	History []*core.Task
-	// SSP's sample count, risk knob α and sampler seed.
-	Samples   int
-	CVaRAlpha float64
-	Seed      int64
+	// Seed seeds SSP's scenario sampler.
+	Seed int64
 }
 
 type planner func(Env) assign.Planner
@@ -57,8 +55,11 @@ func greedy(e Env) assign.Planner    { return &assign.Greedy{Opts: e.Opts} }
 func match(e Env) assign.Planner     { return &assign.Match{Opts: e.Opts} }
 func search(e Env) assign.Planner    { return &assign.Search{Opts: e.Opts} }
 func tvfSearch(e Env) assign.Planner { return &assign.Search{Opts: e.Opts, Model: e.Value} }
+
+// ssp plans against as many futures as the sampled forecast draws: both take
+// predict.DefaultSamples from here.
 func ssp(e Env) assign.Planner {
-	return &assign.SSP{Opts: e.Opts, Samples: e.Samples, CVaRAlpha: e.CVaRAlpha}
+	return &assign.SSP{Opts: e.Opts, Samples: predict.DefaultSamples}
 }
 
 // Row is one method: the adaptive loop of Algorithm 3 with its switches set.
@@ -118,7 +119,7 @@ func (r Row) Demand(e Env) *stream.DemandFeed {
 	point.Horizon = e.Horizon
 	var f stream.Forecaster = point
 	if r.forecast == sampledForecast {
-		f = predict.NewScenarioSampler(point, e.Samples, e.Seed)
+		f = predict.NewScenarioSampler(point, predict.DefaultSamples, e.Seed)
 	}
 	return stream.NewDemandFeed(f, e.History)
 }

@@ -19,8 +19,9 @@ import (
 const sampledIDBase = -(1 << (bits.UintSize/2 + 8))
 
 // DefaultSamples is the number of demand scenarios a sampled forecast draws
-// when the caller does not choose: the point forecast plus four Bernoulli
-// draws. Tuned on the bursty archetypes at 5x density, where K=5 is the
+// when the caller does not choose, and the one SSP runs at (internal/method
+// hands it to both the sampler and the planner): the point forecast plus four
+// Bernoulli draws. Tuned on the bursty archetypes at 5x density, where K=5 is the
 // smallest sample set whose live assignment rate beats the point-forecast
 // planner on both event-spike and rush-hour (docs/PLANNERS.md) — fewer
 // draws under-represent sub-threshold demand mass there, while larger K
