@@ -20,6 +20,12 @@
 //     semantics its tests compare every fanned-out run against. Code that
 //     needs another goroutine belongs outside the critical packages.
 //
+// A fourth rule covers the packages whose output bits are pinned — nn,
+// tensor, predict, tvf and workload: no math.Exp, Log, Tanh, Pow, Exp2,
+// Log1p or Expm1, called or taken as a value. Their bits depend on the CPU
+// (amd64 assembly, with an FMA path), so these packages take internal/fmath's,
+// which are the same everywhere.
+//
 // Test files are exempt (they replay seeded randomness and assert over
 // maps freely).
 package determinism
@@ -56,17 +62,34 @@ var criticalPkgs = map[string]bool{
 	"wire":     true,
 }
 
+// pinnedPkgs are the leaf names of the packages whose output bits are pinned
+// (model parameters, forecasts, the workload traces), matched as
+// criticalPkgs are.
+var pinnedPkgs = map[string]bool{
+	"nn":       true,
+	"tensor":   true,
+	"predict":  true,
+	"tvf":      true,
+	"workload": true,
+}
+
 // Critical reports whether a package path is under the determinism contract.
-func Critical(path string) bool {
-	leaf := path
-	if i := strings.LastIndexByte(leaf, '/'); i >= 0 {
-		leaf = leaf[i+1:]
+func Critical(path string) bool { return criticalPkgs[leaf(path)] }
+
+// Pinned reports whether a package path's output bits are pinned, so it must
+// take its transcendental functions from internal/fmath.
+func Pinned(path string) bool { return pinnedPkgs[leaf(path)] }
+
+func leaf(path string) string {
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		return path[i+1:]
 	}
-	return criticalPkgs[leaf]
+	return path
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !Critical(pass.Pkg.Path()) {
+	critical, pinned := Critical(pass.Pkg.Path()), Pinned(pass.Pkg.Path())
+	if !critical && !pinned {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
@@ -74,6 +97,12 @@ func run(pass *analysis.Pass) (any, error) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && pinned {
+				checkCPUMath(pass, sel)
+			}
+			if !critical {
+				return true
+			}
 			switch n := n.(type) {
 			case *ast.RangeStmt:
 				checkRange(pass, n)
@@ -384,4 +413,23 @@ func checkAmbientCall(pass *analysis.Pass, call *ast.CallExpr) {
 	pass.Reportf(call.Pos(), "%s.%s (%s) in determinism-critical package %s: "+
 		"inject the value from the boundary or annotate //datawa:wallclock with a justification",
 		pkgPath, name, what, pass.Pkg.Path())
+}
+
+// cpuMath are the math functions whose bits may differ between CPUs or
+// targets: assembly on some (amd64's Exp takes a fused multiply-add path on
+// CPUs with FMA), built on those, or Go that a compiler fusing multiply-adds
+// (arm64's) compiles to other bits.
+var cpuMath = map[string]bool{
+	"Exp": true, "Log": true, "Tanh": true, "Pow": true,
+	"Exp2": true, "Log1p": true, "Expm1": true,
+}
+
+// checkCPUMath flags a use of one of cpuMath in a pinned package.
+func checkCPUMath(pass *analysis.Pass, sel *ast.SelectorExpr) {
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "math" || !cpuMath[fn.Name()] {
+		return
+	}
+	pass.Reportf(sel.Pos(), "math.%s in pinned package %s: its bits depend on the CPU; "+
+		"use internal/fmath, whose bits are the same everywhere", fn.Name(), pass.Pkg.Path())
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, determinism.Analyzer, "stream", "freepkg")
+	analysistest.Run(t, determinism.Analyzer, "stream", "freepkg", "tvf")
 }
 
 func TestCritical(t *testing.T) {
@@ -22,6 +22,23 @@ func TestCritical(t *testing.T) {
 	} {
 		if got := determinism.Critical(path); got != want {
 			t.Errorf("Critical(%q) = %v, want %v", path, got, want)
+		}
+	}
+}
+
+func TestPinned(t *testing.T) {
+	for path, want := range map[string]bool{
+		"repro/internal/nn":       true,
+		"repro/internal/tensor":   true,
+		"repro/internal/predict":  true,
+		"repro/internal/tvf":      true,
+		"repro/internal/workload": true,
+		"repro/internal/fmath":    false,
+		"repro/internal/obs":      false,
+		"repro/internal/assign":   false,
+	} {
+		if got := determinism.Pinned(path); got != want {
+			t.Errorf("Pinned(%q) = %v, want %v", path, got, want)
 		}
 	}
 }

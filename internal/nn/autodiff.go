@@ -2,8 +2,14 @@
 // set of neural-network building blocks (linear layers, gated dilated causal
 // convolutions, an LSTM cell, Adam) sufficient to train the three task-demand
 // predictors of the DATA-WA paper — LSTM, Graph-WaveNet and DDGNN — and its
-// task value function on a CPU. The matrix products run through internal/tensor's kernel: SSE2
-// assembly on amd64, pure Go elsewhere, both with the plain loop's bits.
+// task value function on a CPU.
+//
+// Its bits are the same on every CPU. The matrix products run through
+// internal/tensor's kernel, AVX2 assembly where the CPU has it and pure Go
+// elsewhere, both with the plain loop's bits. Exp, Log, Tanh and Pow come
+// from internal/fmath, never from math, whose amd64 assembly differs in the
+// last bit and with FMA; Tanh and Sigmoid run through fmath's slice kernels,
+// four lanes to an AVX2 register with the scalar functions' bits.
 //
 // Values are matrices (internal/tensor). A graph is data, not code: each
 // operation returns a *Node that records its kind, its operands (at most two)
@@ -25,9 +31,9 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
+	"repro/internal/fmath"
 	"repro/internal/tensor"
 )
 
@@ -361,7 +367,7 @@ func (n *Node) backward() {
 		if a.needsBackward() {
 			g, p := a.grad(), n.k
 			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i] * p * math.Pow(a.Val.Data[i], p-1)
+				g.Data[i] += out.Grad.Data[i] * p * fmath.Pow(a.Val.Data[i], p-1)
 			}
 		}
 	case opRowSum:
@@ -536,30 +542,31 @@ func AddBias(a, bias *Node) *Node {
 //
 //datawa:hotpath
 func Tanh(a *Node) *Node {
-	return newNode(opTanh, tensor.Apply(a.Val, math.Tanh), a, nil)
+	val := tensor.New(a.Val.Rows, a.Val.Cols)
+	fmath.TanhSlice(val.Data, a.Val.Data)
+	return newNode(opTanh, val, a, nil)
 }
 
-// Sigmoid returns σ(a) element-wise.
+// Sigmoid returns σ(a) = 1/(1+e^−a) element-wise.
 //
 //datawa:hotpath
 func Sigmoid(a *Node) *Node {
-	return newNode(opSigmoid, tensor.Apply(a.Val, sigmoid), a, nil)
+	val := tensor.New(a.Val.Rows, a.Val.Cols)
+	fmath.SigmoidSlice(val.Data, a.Val.Data)
+	return newNode(opSigmoid, val, a, nil)
 }
-
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // ReLU returns max(a, 0) element-wise.
 //
 //datawa:hotpath
 func ReLU(a *Node) *Node {
-	return newNode(opReLU, tensor.Apply(a.Val, relu), a, nil)
-}
-
-func relu(v float64) float64 {
-	if v > 0 {
-		return v
+	val := tensor.New(a.Val.Rows, a.Val.Cols)
+	for i, v := range a.Val.Data {
+		if v > 0 {
+			val.Data[i] = v
+		}
 	}
-	return 0
+	return newNode(opReLU, val, a, nil)
 }
 
 // PowElem returns a^p element-wise. Inputs must be positive where p is
@@ -569,7 +576,7 @@ func relu(v float64) float64 {
 func PowElem(a *Node, p float64) *Node {
 	val := tensor.New(a.Val.Rows, a.Val.Cols)
 	for i, v := range a.Val.Data {
-		val.Data[i] = math.Pow(v, p)
+		val.Data[i] = fmath.Pow(v, p)
 	}
 	out := newNode(opPowElem, val, a, nil)
 	out.k = p
@@ -662,7 +669,7 @@ func BCE(pred *Node, target *tensor.Matrix) *Node {
 	for i, p := range pred.Val.Data {
 		p = clampProb(p)
 		y := target.Data[i]
-		loss += -(y*math.Log(p) + (1-y)*math.Log(1-p))
+		loss += -(y*fmath.Log(p) + (1-y)*fmath.Log(1-p))
 	}
 	val.Data[0] = loss / float64(len(pred.Val.Data))
 	out := newNode(opBCE, val, pred, nil)

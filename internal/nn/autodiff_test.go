@@ -534,7 +534,11 @@ func TestAPPNPRestartDominates(t *testing.T) {
 // the tensor matrix, and is the identity for a zero adjacency.
 func TestNormalizeAdjacencyMatchesTensor(t *testing.T) {
 	r := rand.New(rand.NewSource(60))
-	for _, raw := range []*tensor.Matrix{tensor.Apply(tensor.Randn(4, 4, 1, r), math.Abs), tensor.New(3, 3)} {
+	weights := tensor.Randn(4, 4, 1, r)
+	for i, v := range weights.Data {
+		weights.Data[i] = math.Abs(v)
+	}
+	for _, raw := range []*tensor.Matrix{weights, tensor.New(3, 3)} {
 		n := raw.Rows
 		dinv := make([]float64, n)
 		for i := range dinv {

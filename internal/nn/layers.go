@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"repro/internal/fmath"
 	"repro/internal/tensor"
 )
 
@@ -113,8 +114,8 @@ func NewAdam(lr float64) *Adam {
 // Step applies one Adam update to every parameter with a gradient.
 func (o *Adam) Step(params []*Node) {
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	bc1 := 1 - fmath.Pow(o.Beta1, float64(o.t))
+	bc2 := 1 - fmath.Pow(o.Beta2, float64(o.t))
 	for _, n := range params {
 		if n.Grad == nil {
 			continue

@@ -5,11 +5,12 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fmath"
 	"repro/internal/geo"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -35,11 +36,17 @@ func writeBits(h hash.Hash, vs ...float64) {
 // TestDDGNNForecastPinned holds the DDGNN to the exact bits it produced
 // before the blocked matrix kernel: the forecast of BenchmarkDDGNNPredict's
 // fixture and every parameter after BenchmarkDDGNNTrainEpoch's one epoch. A
-// change to tensor or nn that moves one bit of either fails here; if the
-// change means to, record the new constants and say why.
-func TestDDGNNForecastPinned(t *testing.T) {
-	wantForecast := archPin(0xda441fffe49abe80, 0xb0f26feb7bcbab9b)
-	wantParams := archPin(0x657575c1c97d222, 0x19518fc25211ce31)
+// change to tensor, nn or fmath that moves one bit of either fails here; if
+// the change means to, record the new constants and say why.
+//
+// Every model pin has one constant, the same on every CPU: the model stack
+// takes its transcendentals from fmath, never from math, whose amd64
+// assembly differs in the last bit and with FMA. Each runs on the kernels
+// this CPU takes and, where those are AVX2's, again on the pure-Go path.
+func TestDDGNNForecastPinned(t *testing.T) { onEveryPath(t, testDDGNNForecastPinned) }
+
+func testDDGNNForecastPinned(t *testing.T) {
+	const wantForecast, wantParams uint64 = 0xb0f26feb7bcbab9b, 0x19518fc25211ce31
 
 	m, inputs := predictFixture()
 	if got := hashBits(m.Predict(inputs)); got != wantForecast {
@@ -54,16 +61,17 @@ func TestDDGNNForecastPinned(t *testing.T) {
 	}
 }
 
-// archPin returns the constant a pin holds this build to: amd64's, or 386's.
-// The math package computes Exp in assembly on amd64 and in Go on 386, and
-// the two differ in the last bit on some inputs, so a pin over values that
-// went through a sigmoid, a tanh or a softmax has one constant per build.
-// Sampled ids also start higher on 386 (sampledIDBase).
-func archPin(amd64, i386 uint64) uint64 {
-	if runtime.GOARCH == "386" {
-		return i386
+// onEveryPath runs f as subtest "cpu", with the kernels this CPU runs, and,
+// where those are the AVX2 ones, again as "go" with fmath.AVX2 cleared, as
+// on a CPU without AVX2: fmath's scalar functions and tensor's mulAddGo.
+func onEveryPath(t *testing.T, f func(*testing.T)) {
+	t.Run("cpu", f)
+	if !fmath.AVX2 {
+		return
 	}
-	return amd64
+	fmath.AVX2 = false
+	defer func() { fmath.AVX2 = true }()
+	t.Run("go", f)
 }
 
 // hashingModel feeds every forecast it returns to h.
@@ -84,8 +92,10 @@ func (m *hashingModel) Predict(in []*tensor.Matrix) *tensor.Matrix {
 // stream, every probability of every forecast and every virtual task, in one
 // FNV hash. About one task in fifty reaches the forecaster two vectors after
 // its publication, rewriting a vector earlier refreshes already read.
-func TestForecastStreamPinned(t *testing.T) {
-	want := archPin(0xe17625f40e9f8557, 0xd756f5d2f256bdcc)
+func TestForecastStreamPinned(t *testing.T) { onEveryPath(t, testForecastStreamPinned) }
+
+func testForecastStreamPinned(t *testing.T) {
+	const want uint64 = 0xd756f5d2f256bdcc
 
 	m, _ := predictFixture()
 	h := fnv.New64a()
@@ -109,9 +119,15 @@ func TestForecastStreamPinned(t *testing.T) {
 // made when every draw had a generator of its own: TestForecastStreamPinned's
 // thirty refreshes through a ScenarioSampler at K=5, every task's id, cell,
 // times and scenario mask in one FNV hash. Two samplers compared with each
-// other would change alike; this hash does not.
-func TestSampledStreamPinned(t *testing.T) {
-	want := archPin(0xde3be5df876b8179, 0xec28651e7860454d)
+// other would change alike; this hash does not. It has two constants:
+// sampled ids start lower on 64-bit targets (sampledIDBase).
+func TestSampledStreamPinned(t *testing.T) { onEveryPath(t, testSampledStreamPinned) }
+
+func testSampledStreamPinned(t *testing.T) {
+	want := uint64(0xde3be5df876b8179)
+	if bits.UintSize == 32 {
+		want = 0xec28651e7860454d
+	}
 
 	m, _ := predictFixture()
 	h := fnv.New64a()
@@ -181,7 +197,9 @@ func pinnedStream() []refresh {
 // the LSTM, Graph-WaveNet and DDGNN-static after two epochs over one series,
 // with the paper runs' learning rate and weight decay. TestDDGNNForecastPinned
 // holds the DDGNN's.
-func TestTrainedParamsPinned(t *testing.T) {
+func TestTrainedParamsPinned(t *testing.T) { onEveryPath(t, testTrainedParamsPinned) }
+
+func testTrainedParamsPinned(t *testing.T) {
 	ws := windowsFrom(syntheticSeries(36, 3, 20, 23), 8)
 	cfg := TrainConfig{Epochs: 2, LR: 0.02, WeightDecay: 1e-3, Seed: 23}
 	lstm := NewLSTMPredictor(3, 8, cfg)
@@ -192,9 +210,9 @@ func TestTrainedParamsPinned(t *testing.T) {
 		params *nn.Params
 		want   uint64
 	}{
-		{lstm, lstm.params, archPin(0xf3e33a25f565609c, 0x5e07fd09f731567b)},
-		{gwn, gwn.params, archPin(0xc8850db8fad37228, 0x87973ca67bfd3a49)},
-		{static, static.params, archPin(0xb7756732ca6748c6, 0xcd6194ea737ea2d7)},
+		{lstm, lstm.params, 0x5e07fd09f731567b},
+		{gwn, gwn.params, 0x87973ca67bfd3a49},
+		{static, static.params, 0xcd6194ea737ea2d7},
 	} {
 		c.m.Fit(ws)
 		var vals []*tensor.Matrix

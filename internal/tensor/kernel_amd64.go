@@ -1,14 +1,15 @@
 package tensor
 
-// The row kernels of kernel_amd64.s. rowMulAddW computes
+// The AVX2 row kernels of kernel_amd64.s. rowMulAddW computes
 //
 //	o[0:W] += Σ_{k<K} a[k·as] · b[k·n : k·n+W]
 //
-// skipping every a[k·as] == 0 (a NaN is not skipped), two columns to an SSE2
-// register (an odd last one in a scalar): each product is rounded, then
-// added, with no fused multiply-add, so each lane is the plain loop's
+// skipping every a[k·as] == 0 (a NaN is not skipped), four columns to a YMM
+// register (two, then one, in the narrow kernels): each product is rounded,
+// then added, with no fused multiply-add, so each lane is the plain loop's
 // element. Where a product meets two NaNs, b's payload is kept, and where a
-// sum does, the accumulator's. K must be at least 1.
+// sum does, the accumulator's. K must be at least 1, and the CPU must have
+// AVX2 (fmath.AVX2).
 
 //go:noescape
 func rowMulAdd16(o, a, b *float64, K, as, n int)
@@ -25,14 +26,9 @@ func rowMulAdd2(o, a, b *float64, K, as, n int)
 //go:noescape
 func rowMulAdd1(o, a, b *float64, K, as, n int)
 
-func mulAdd(out, a, b *Matrix) { mulAddRows(out, a.Data, a.Cols, 1, b) }
-
-// mulAddT computes out += aᵀ·b, reading a down its columns where it lies.
-func mulAddT(out, a, b *Matrix) { mulAddRows(out, a.Data, 1, a.Cols, b) }
-
 // mulAddRows computes out += A·b for the A whose element (i, k) is
 // a[i·ai + k·as]. It runs every column through the row kernels, widest
-// first, so the NaN an amd64 product keeps is the assembly's choice, not the
+// first, so the NaN a product keeps is the assembly's choice, not the
 // compiler's.
 func mulAddRows(out *Matrix, a []float64, ai, as int, b *Matrix) {
 	n, K := b.Cols, b.Rows

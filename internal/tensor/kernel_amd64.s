@@ -1,17 +1,19 @@
 #include "textflag.h"
 
-// SSE2 row kernels for mulAdd (see kernel_amd64.go). SSE2 is baseline amd64,
-// so they need no feature check, and with no VEX encoding they carry no
-// AVX/SSE transition cost.
+// AVX2 row kernels for mulAddRows (see kernel_amd64.go), four columns to a
+// YMM register, then two to an XMM register and one scalar. Every
+// instruction is VEX-encoded and every function ends in VZEROUPPER, so no
+// legacy SSE instruction meets a dirty upper half.
 //
 // Registers: DI o, SI a, DX b, CX the k count, R8 a's stride and R9 b's row
-// stride in bytes. X0–X7 hold o's column pairs across the k loop, X8 the
-// broadcast a[k·as], X10 zero, X9 and X11 products.
+// stride in bytes. Y0–Y3 hold o's column groups across the k loop, Y8 the
+// broadcast a[k·as], X10 zero, Y9 and Y11–Y13 products.
 //
-// Per k and column pair the product is formed in the register holding b
-// (MULPD X8, X9: b·a) and added into the accumulator (ADDPD X9, acc), the
-// operand order of the scalar loop's MULSD and ADDSD, so where both operands
-// are NaN the same payload survives.
+// Per k and column group the product is formed in the register holding b
+// (VMULPD Y8, t, t: b·a) and added into the accumulator (VADDPD t, acc,
+// acc), no fused multiply-add, so where both operands are NaN the first
+// source's payload survives: b's in a product, the accumulator's in a sum,
+// as in the scalar loop.
 
 #define ARGS \
 	MOVQ o+0(FP), DI; \
@@ -22,20 +24,20 @@
 	MOVQ n+40(FP), R9; \
 	SHLQ $3, R8; \
 	SHLQ $3, R9; \
-	XORPD X10, X10
+	VXORPD X10, X10, X10
 
-// LOADA broadcasts a[k·as] into X8 and jumps to next when it compares equal
-// to zero (ZF set, PF clear: ±0); an unordered compare (NaN) falls through.
+// LOADA loads a[k·as] into X8 and jumps to next when it compares equal to
+// zero (ZF set, PF clear: ±0); an unordered compare (NaN) falls through.
 #define LOADA \
-	MOVSD (SI), X8; \
-	UCOMISD X10, X8; \
+	VMOVSD (SI), X8; \
+	VUCOMISD X10, X8; \
 	JNE mul; \
 	JPC next; \
 
 #define MADD(off, t, acc) \
-	MOVUPD off(DX), t; \
-	MULPD X8, t; \
-	ADDPD t, acc
+	VMOVUPD off(DX), t; \
+	VMULPD Y8, t, t; \
+	VADDPD t, acc, acc
 
 #define STEP \
 	ADDQ R8, SI; \
@@ -46,118 +48,104 @@
 // func rowMulAdd16(o, a, b *float64, K, as, n int)
 TEXT ·rowMulAdd16(SB), NOSPLIT, $0-48
 	ARGS
-	MOVUPD 0(DI), X0
-	MOVUPD 16(DI), X1
-	MOVUPD 32(DI), X2
-	MOVUPD 48(DI), X3
-	MOVUPD 64(DI), X4
-	MOVUPD 80(DI), X5
-	MOVUPD 96(DI), X6
-	MOVUPD 112(DI), X7
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
 
 loop:
 	LOADA
 
 mul:
-	UNPCKLPD X8, X8
-	MADD(0, X9, X0)
-	MADD(16, X11, X1)
-	MADD(32, X9, X2)
-	MADD(48, X11, X3)
-	MADD(64, X9, X4)
-	MADD(80, X11, X5)
-	MADD(96, X9, X6)
-	MADD(112, X11, X7)
+	VBROADCASTSD X8, Y8
+	MADD(0, Y9, Y0)
+	MADD(32, Y11, Y1)
+	MADD(64, Y12, Y2)
+	MADD(96, Y13, Y3)
 
 next:
 	STEP
-	MOVUPD X0, 0(DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
-	MOVUPD X4, 64(DI)
-	MOVUPD X5, 80(DI)
-	MOVUPD X6, 96(DI)
-	MOVUPD X7, 112(DI)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
 	RET
 
 // func rowMulAdd8(o, a, b *float64, K, as, n int)
 TEXT ·rowMulAdd8(SB), NOSPLIT, $0-48
 	ARGS
-	MOVUPD 0(DI), X0
-	MOVUPD 16(DI), X1
-	MOVUPD 32(DI), X2
-	MOVUPD 48(DI), X3
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
 
 loop:
 	LOADA
 
 mul:
-	UNPCKLPD X8, X8
-	MADD(0, X9, X0)
-	MADD(16, X11, X1)
-	MADD(32, X9, X2)
-	MADD(48, X11, X3)
+	VBROADCASTSD X8, Y8
+	MADD(0, Y9, Y0)
+	MADD(32, Y11, Y1)
 
 next:
 	STEP
-	MOVUPD X0, 0(DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
 	RET
 
 // func rowMulAdd4(o, a, b *float64, K, as, n int)
 TEXT ·rowMulAdd4(SB), NOSPLIT, $0-48
 	ARGS
-	MOVUPD 0(DI), X0
-	MOVUPD 16(DI), X1
+	VMOVUPD 0(DI), Y0
 
 loop:
 	LOADA
 
 mul:
-	UNPCKLPD X8, X8
-	MADD(0, X9, X0)
-	MADD(16, X11, X1)
+	VBROADCASTSD X8, Y8
+	MADD(0, Y9, Y0)
 
 next:
 	STEP
-	MOVUPD X0, 0(DI)
-	MOVUPD X1, 16(DI)
+	VMOVUPD Y0, 0(DI)
+	VZEROUPPER
 	RET
 
 // func rowMulAdd2(o, a, b *float64, K, as, n int)
 TEXT ·rowMulAdd2(SB), NOSPLIT, $0-48
 	ARGS
-	MOVUPD 0(DI), X0
+	VMOVUPD 0(DI), X0
 
 loop:
 	LOADA
 
 mul:
-	UNPCKLPD X8, X8
-	MADD(0, X9, X0)
+	VMOVDDUP X8, X8
+	VMOVUPD 0(DX), X9
+	VMULPD X8, X9, X9
+	VADDPD X9, X0, X0
 
 next:
 	STEP
-	MOVUPD X0, 0(DI)
+	VMOVUPD X0, 0(DI)
+	VZEROUPPER
 	RET
 
 // func rowMulAdd1(o, a, b *float64, K, as, n int)
 TEXT ·rowMulAdd1(SB), NOSPLIT, $0-48
 	ARGS
-	MOVSD 0(DI), X0
+	VMOVSD 0(DI), X0
 
 loop:
 	LOADA
 
 mul:
-	MOVSD 0(DX), X9
-	MULSD X8, X9
-	ADDSD X9, X0
+	VMOVSD 0(DX), X9
+	VMULSD X8, X9, X9
+	VADDSD X9, X0, X0
 
 next:
 	STEP
-	MOVSD X0, 0(DI)
+	VMOVSD X0, 0(DI)
+	VZEROUPPER
 	RET

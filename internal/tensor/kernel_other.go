@@ -2,11 +2,8 @@
 
 package tensor
 
-func mulAdd(out, a, b *Matrix) { mulAddGo(out, a, b) }
-
-// mulAddT computes out += aᵀ·b through an explicit transpose.
-func mulAddT(out, a, b *Matrix) {
-	t := Transpose(a)
-	mulAddGo(out, t, b)
-	Recycle(t)
+// mulAddRows is the row kernels' stand-in: off amd64 fmath.AVX2 is false,
+// so mulAdd and mulAddT never call it.
+func mulAddRows(out *Matrix, a []float64, ai, as int, b *Matrix) {
+	panic("tensor: no row kernels off amd64")
 }

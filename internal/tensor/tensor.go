@@ -3,19 +3,21 @@
 // matrices with the handful of operations the prediction models need.
 // Everything is deterministic given a seeded *rand.Rand.
 //
-// The matrix products (MatMul, MatMulAccum, MatMulTAccum) run on amd64
-// through SSE2 assembly row kernels, two columns to a register
-// (kernel_amd64.s), and elsewhere through a blocked pure-Go kernel
-// (mulAddGo); GOARCH picks the file set. Both give the plain triple loop's
-// result bit for bit.
+// The matrix products (MatMul, MatMulAccum, MatMulTAccum) run on amd64 CPUs
+// with AVX2 through assembly row kernels, four columns to a YMM register
+// (kernel_amd64.s), and everywhere else through a blocked pure-Go kernel
+// (mulAddGo); fmath.AVX2, one CPUID probe, picks. Both give the plain triple
+// loop's result bit for bit, so a model's bits do not depend on the CPU.
+// SoftmaxRows takes its exponentials from fmath, whose bits do not either.
 package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"sync"
+
+	"repro/internal/fmath"
 )
 
 // Matrix is a dense row-major matrix of float64.
@@ -122,8 +124,8 @@ func MatMulAccum(out, a, b *Matrix) {
 }
 
 // MatMulTAccum computes out += aᵀ·b in place; out must be a.Cols × b.Cols.
-// Its bits are MatMulAccum(out, Transpose(a), b)'s, and on amd64 it reads a
-// down its columns where it lies, with no transpose.
+// Its bits are MatMulAccum(out, Transpose(a), b)'s, and the AVX2 kernels read
+// a down its columns where it lies, with no transpose.
 func MatMulTAccum(out, a, b *Matrix) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic("tensor: MatMulTAccum shape mismatch")
@@ -131,15 +133,38 @@ func MatMulTAccum(out, a, b *Matrix) {
 	mulAddT(out, a, b)
 }
 
-// mulAddGo computes out += a·b, the portable matrix kernel: the only one off
-// amd64 and the reference the amd64 kernel is tested against. It walks each
-// output row in blocks of 8 columns, then 4, then one, holding a block's sums
-// in registers across the whole k loop instead of loading and storing out
-// once per k. Every element still adds its products to its starting value one
-// at a time in ascending k, skipping a[i][k] == 0, so the result is bit for
-// bit the plain triple loop's. Each product is written float64(av * bv): the
-// Go spec forbids fusing an explicitly converted product into a multiply-add,
-// so the bits are the same on targets whose compiler would emit FMA (arm64).
+// mulAdd computes out += a·b: through the AVX2 row kernels where fmath.AVX2
+// holds, else through mulAddGo.
+func mulAdd(out, a, b *Matrix) {
+	if fmath.AVX2 {
+		mulAddRows(out, a.Data, a.Cols, 1, b)
+		return
+	}
+	mulAddGo(out, a, b)
+}
+
+// mulAddT computes out += aᵀ·b. The row kernels read a down its columns
+// where it lies; mulAddGo gets an explicit transpose.
+func mulAddT(out, a, b *Matrix) {
+	if fmath.AVX2 {
+		mulAddRows(out, a.Data, 1, a.Cols, b)
+		return
+	}
+	t := Transpose(a)
+	mulAddGo(out, t, b)
+	Recycle(t)
+}
+
+// mulAddGo computes out += a·b, the portable matrix kernel: the only one
+// off amd64 CPUs with AVX2, and the reference the row kernels are tested
+// against. It walks each output row in blocks of 8 columns, then 4, then
+// one, holding a block's sums in registers across the whole k loop instead
+// of loading and storing out once per k. Every element still adds its
+// products to its starting value one at a time in ascending k, skipping
+// a[i][k] == 0, so the result is bit for bit the plain triple loop's. Each
+// product is written float64(av * bv): the Go spec forbids fusing an
+// explicitly converted product into a multiply-add, so the bits are the same
+// on targets whose compiler would emit FMA (arm64).
 func mulAddGo(out, a, b *Matrix) {
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -265,15 +290,6 @@ func AddRowVector(a, v *Matrix) *Matrix {
 	return out
 }
 
-// Apply returns f applied element-wise to a.
-func Apply(a *Matrix, f func(float64) float64) *Matrix {
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
 // SoftmaxRows returns the row-wise softmax of a, numerically stabilized.
 func SoftmaxRows(a *Matrix) *Matrix {
 	out := New(a.Rows, a.Cols)
@@ -286,10 +302,12 @@ func SoftmaxRows(a *Matrix) *Matrix {
 				maxv = v
 			}
 		}
-		sum := 0.0
 		for j, v := range row {
-			e := math.Exp(v - maxv)
-			orow[j] = e
+			orow[j] = v - maxv
+		}
+		fmath.ExpSlice(orow, orow)
+		sum := 0.0
+		for _, e := range orow {
 			sum += e
 		}
 		for j := range orow {

@@ -3,9 +3,10 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/fmath"
 )
 
 func approxEq(a, b *Matrix, tol float64) bool {
@@ -128,16 +129,33 @@ func naiveMulAdd(out, a, b *Matrix) {
 }
 
 // TestMulAddMatchesNaive holds every path of the matrix kernel to
-// naiveMulAdd bit for bit: MatMul and MatMulAccum (on amd64 the SSE2 row
-// kernels), MatMulTAccum, which on amd64 reads a down its
+// naiveMulAdd bit for bit: MatMul and MatMulAccum (where fmath.AVX2 holds,
+// the AVX2 row kernels), MatMulTAccum, which there reads a down its
 // columns, against the naive loop on an explicit transpose, and mulAddGo,
-// the portable kernel. Output widths run from 1 to 48, through every
-// edge of the 16/8/4 column blocks and the scalar tail. The entries are
-// what an assembly kernel can get wrong: zeros and negative zeros in a, b
-// and the starting out (the skip, which must look at a alone, and the
+// the portable kernel. It runs twice, the second time with fmath.AVX2
+// cleared, as on a CPU without AVX2. Output widths run from 1 to 48, through
+// every edge of the 16/8/4/2 column blocks and the scalar tail. The entries
+// are what an assembly kernel can get wrong: zeros and negative zeros in a,
+// b and the starting out (the skip, which must look at a alone, and the
 // signed-zero sums), NaNs with distinct payloads in all three (the
 // product's and the sum's operand order), and ±Inf and subnormals in out.
 func TestMulAddMatchesNaive(t *testing.T) {
+	onEveryPath(t, testMulAddMatchesNaive)
+}
+
+// onEveryPath runs f as subtest "cpu", with the kernels this CPU runs, and,
+// where that means the AVX2 ones, again as "go" with fmath.AVX2 cleared.
+func onEveryPath(t *testing.T, f func(*testing.T)) {
+	t.Run("cpu", f)
+	if !fmath.AVX2 {
+		return
+	}
+	fmath.AVX2 = false
+	defer func() { fmath.AVX2 = true }()
+	t.Run("go", f)
+}
+
+func testMulAddMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
 	payload := uint64(0)
 	nan := func(site uint64) float64 {
@@ -169,7 +187,8 @@ func TestMulAddMatchesNaive(t *testing.T) {
 	}
 	// same compares bit for bit. Go code leaves whose NaN survives a NaN
 	// meeting a NaN to the compiler's choice of operands, so mulAddGo, and
-	// everything off amd64, need only give a NaN where naiveMulAdd does.
+	// everything without the AVX2 kernels, need only give a NaN where
+	// naiveMulAdd does.
 	same := func(got, want *Matrix, payloads bool) bool {
 		for i, w := range want.Data {
 			g := got.Data[i]
@@ -179,7 +198,7 @@ func TestMulAddMatchesNaive(t *testing.T) {
 		}
 		return true
 	}
-	asm := runtime.GOARCH == "amd64"
+	asm := fmath.AVX2
 	for cols := 1; cols <= 48; cols++ {
 		for trial := 0; trial < 25; trial++ {
 			rows, inner := 1+r.Intn(6), 1+r.Intn(40)
@@ -265,14 +284,6 @@ func TestAddRowVector(t *testing.T) {
 	want := FromSlice(2, 3, []float64{11, 22, 33, 14, 25, 36})
 	if !approxEq(got, want, 0) {
 		t.Errorf("AddRowVector = %v", got.Data)
-	}
-}
-
-func TestApply(t *testing.T) {
-	a := FromSlice(1, 3, []float64{-1, 0, 2})
-	got := Apply(a, func(v float64) float64 { return v * v })
-	if !approxEq(got, FromSlice(1, 3, []float64{1, 0, 4}), 0) {
-		t.Errorf("Apply = %v", got.Data)
 	}
 }
 

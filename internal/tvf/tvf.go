@@ -14,6 +14,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/fmath"
 	"repro/internal/geo"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -188,9 +189,10 @@ func (m *Model) PredictBatch(b *Batch, features [][FeatureDim]float64) []float64
 	for i := 0; i < n; i++ {
 		row := b.h.Data[i*w1.Cols : (i+1)*w1.Cols]
 		for j, v := range row {
-			row[j] = math.Tanh(v + b1.Data[j])
+			row[j] = v + b1.Data[j]
 		}
 	}
+	fmath.TanhSlice(b.h.Data, b.h.Data)
 	resize(&b.y, n, 1)
 	tensor.MatMulAccum(&b.y, &b.h, w2)
 	for i := range b.y.Data {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fmath"
 	"repro/internal/geo"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -319,12 +320,20 @@ func randomSamples(n int, seed int64) []Sample {
 // TestTrainPinned holds training to the exact bits it produced when the TVF
 // had its own training loop: every parameter after five epochs over 300
 // samples (four full mini-batches and a short one an epoch), and the loss
-// Train returns, in one FNV hash.
+// Train returns, in one FNV hash. The constant is the same on every CPU, on
+// the AVX2 kernels and on the pure-Go path (fmath.AVX2 cleared).
 func TestTrainPinned(t *testing.T) {
-	want := uint64(0x396f00ac4a1f53c5)
-	if runtime.GOARCH == "386" { // math.Exp in Go, not amd64's assembly
-		want = 0x880defb066711f44
+	t.Run("cpu", testTrainPinned)
+	if !fmath.AVX2 {
+		return
 	}
+	fmath.AVX2 = false
+	defer func() { fmath.AVX2 = true }()
+	t.Run("go", testTrainPinned)
+}
+
+func testTrainPinned(t *testing.T) {
+	const want uint64 = 0x880defb066711f44
 
 	m := NewModel(16, 41)
 	loss := m.Train(randomSamples(300, 41), TrainConfig{Epochs: 5, Seed: 41})

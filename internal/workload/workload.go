@@ -27,6 +27,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/fmath"
 	"repro/internal/geo"
 	"repro/internal/predict"
 )
@@ -338,7 +339,7 @@ func Generate(c Config) *Scenario {
 					continue
 				}
 				d := (x - p.Center) / p.Width
-				v += p.Amp * math.Exp(-0.5*d*d)
+				v += float64(p.Amp * fmath.Exp(-0.5*d*d))
 			}
 			return v
 		}
