@@ -8,14 +8,14 @@
 //
 // The package is a façade over the building blocks in internal/: callers
 // construct a Framework, optionally train its demand and value models, and
-// then either plan a single assignment instant (Plan) or drive a full
+// then either plan a single assignment instant (Assign) or drive a full
 // worker/task stream (Run) with any registered method: the five evaluated in
 // the paper — Greedy, FTA, DTA, DTA+TP and DATA-WA — or the scenario-sampling
 // SSP. NewDispatcher serves the same six live.
 //
 //	fw := datawa.New(datawa.Config{Region: region, GridRows: 6, GridCols: 6})
 //	fw.TrainDemand(history)
-//	fw.TrainValue(workers, tasks)
+//	fw.TrainValue(workers, tasks, 8)
 //	result, err := fw.Run(datawa.MethodDATAWA, workers, tasks, 0, 7200)
 package datawa
 

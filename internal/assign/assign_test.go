@@ -550,14 +550,15 @@ func TestIdleWorkersInvisibleAcrossParallelism(t *testing.T) {
 				})
 				samePlans(t, wantPlan, gotPlan)
 				counts := func(p *SSP) [6]int {
-					return [6]int{p.NodesLastPlan, p.ExpandedLastPlan, p.GreedyCompletionsLastPlan,
-						p.BudgetBoundTreesLastPlan, p.TreesLastPlan, p.DistinctTreesLastPlan}
+					s := &p.search
+					return [6]int{s.NodesLastPlan, s.ExpandedLastPlan, s.GreedyCompletionsLastPlan,
+						s.BudgetBoundTreesLastPlan, s.trees, len(s.results)}
 				}
 				if counts(got) != counts(want) {
 					t.Fatalf("%d idle workers: nodes/expanded/greedy/bound/trees/distinct %v, without them %v", idle, counts(got), counts(want))
 				}
-				if want.DistinctTreesLastPlan >= want.TreesLastPlan {
-					t.Fatalf("%d distinct trees of %d: the scenarios share nothing", want.DistinctTreesLastPlan, want.TreesLastPlan)
+				if s := &want.search; len(s.results) >= s.trees {
+					t.Fatalf("%d distinct trees of %d: the scenarios share nothing", len(s.results), s.trees)
 				}
 			})
 		}

@@ -102,7 +102,6 @@ func BenchmarkPlanScale(b *testing.B) {
 			// Bounded per-tree effort keeps one plan call in benchmark range.
 			o.MaxNodes = 400
 			o.WDS.MaxSeqLen = 2
-			o.WDS.MaxSequences = 16
 			s := &Search{Opts: o}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -160,12 +159,13 @@ func BenchmarkSSPPlan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Plan(crowd.workers, crowd.tasks, crowd.now)
 	}
-	b.ReportMetric(float64(p.NodesLastPlan), "nodes")
-	b.ReportMetric(float64(p.ExpandedLastPlan), "expanded")
-	b.ReportMetric(float64(p.GreedyCompletionsLastPlan), "greedy")
-	b.ReportMetric(float64(p.SkippedCompletionsLastPlan), "skipped")
-	b.ReportMetric(float64(p.TreesLastPlan), "trees")
-	b.ReportMetric(float64(p.DistinctTreesLastPlan), "distinct-trees")
+	s := &p.search
+	b.ReportMetric(float64(s.NodesLastPlan), "nodes")
+	b.ReportMetric(float64(s.ExpandedLastPlan), "expanded")
+	b.ReportMetric(float64(s.GreedyCompletionsLastPlan), "greedy")
+	b.ReportMetric(float64(s.SkippedCompletionsLastPlan), "skipped")
+	b.ReportMetric(float64(s.trees), "trees")
+	b.ReportMetric(float64(len(s.results)), "distinct-trees")
 }
 
 // idleInstant has the shape of paper-yueche's median instant (ROADMAP item

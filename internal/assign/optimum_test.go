@@ -242,9 +242,9 @@ func atlasComponents() []instant {
 }
 
 // exact is o with every cap of the search past what a pool of 64 tasks can
-// reach: every task in reach, every sequence kept, no node budget.
+// reach: every task in reach, no node budget.
 func exact(o Options) Options {
-	o.WDS.MaxReachable, o.WDS.MaxSequences, o.MaxNodes = 64, 1<<30, math.MaxInt
+	o.WDS.MaxReachable, o.MaxNodes = 64, math.MaxInt
 	return o
 }
 

@@ -42,26 +42,14 @@ type SSP struct {
 	// Samples is the scenario count K the sampler was configured with
 	// (bounds the per-task bitmasks; default 1+the highest bit seen).
 	Samples int
-	// NodesLastPlan, GreedyCompletionsLastPlan, BudgetBoundTreesLastPlan and
-	// SkippedCompletionsLastPlan are Search's counters of the same names for
-	// the most recent Plan call, summed across scenarios: a component several
-	// scenarios hold counts in each, as it would had each been searched alone.
-	// ExpandedLastPlan is the calls the planner really made, so it counts such
-	// a component once. ReachChecksLastPlan is Search's, for the one reach
-	// stage the scenarios share.
-	NodesLastPlan              int
-	GreedyCompletionsLastPlan  int
-	BudgetBoundTreesLastPlan   int
-	SkippedCompletionsLastPlan int
-	ExpandedLastPlan           int
-	ReachChecksLastPlan        int
-	// TreesLastPlan is the trees of the scenarios' forests, summed, and
-	// DistinctTreesLastPlan how many of them were different trees: the ones
-	// built and searched.
-	TreesLastPlan         int
-	DistinctTreesLastPlan int
 
-	// Per-instant scratch: the planner the scenarios go through.
+	// Per-instant scratch: the planner the scenarios go through. Its counters
+	// are the last Plan call's (Search.plan): NodesLastPlan and the completion
+	// and budget counters summed across scenarios, a component several
+	// scenarios hold counting in each, as it would had each been searched
+	// alone; ExpandedLastPlan the calls really made, such a component once;
+	// trees the scenarios' forests' trees, summed, and len(results) the
+	// distinct ones, built and searched.
 	search Search
 }
 
@@ -81,13 +69,6 @@ func (p *SSP) Plan(workers []*core.Worker, tasks []*core.Task, now float64) core
 	s := &p.search
 	s.Opts = o
 	s.plan(workers, tasks, now, k)
-	p.NodesLastPlan = s.NodesLastPlan
-	p.GreedyCompletionsLastPlan = s.GreedyCompletionsLastPlan
-	p.BudgetBoundTreesLastPlan = s.BudgetBoundTreesLastPlan
-	p.SkippedCompletionsLastPlan = s.SkippedCompletionsLastPlan
-	p.ExpandedLastPlan = s.ExpandedLastPlan
-	p.ReachChecksLastPlan = s.ReachChecksLastPlan
-	p.TreesLastPlan, p.DistinctTreesLastPlan = s.trees, len(s.results)
 
 	// Score candidate j by its mean value over the scenarios, each read
 	// straight from the forests' choices (Search.value): only the candidate

@@ -52,8 +52,8 @@ func TestSSPFastPathMatchesSearch(t *testing.T) {
 	p := &SSP{Opts: opts(), Samples: 8}
 	got := checked{p}.Plan(ws, ts, 0)
 	samePlans(t, want, got)
-	if p.NodesLastPlan != ref.NodesLastPlan {
-		t.Fatalf("fast-path nodes %d, search %d", p.NodesLastPlan, ref.NodesLastPlan)
+	if p.search.NodesLastPlan != ref.NodesLastPlan {
+		t.Fatalf("fast-path nodes %d, search %d", p.search.NodesLastPlan, ref.NodesLastPlan)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 	if got := sspCounts(p); got != want || want[1] == 0 || want[2] == 0 || expanded >= want[0] {
 		t.Fatalf("nodes/greedy/bound-trees/skipped = %v, per-scenario sum %v, expanded %d (the budget must bind and the table answer some nodes)", got, want, expanded)
 	}
-	if p.TreesLastPlan != trees || p.DistinctTreesLastPlan >= trees {
-		t.Fatalf("%d trees, %d distinct; the per-scenario searches built %d", p.TreesLastPlan, p.DistinctTreesLastPlan, trees)
+	if p.search.trees != trees || len(p.search.results) >= trees {
+		t.Fatalf("%d trees, %d distinct; the per-scenario searches built %d", p.search.trees, len(p.search.results), trees)
 	}
 	// The calls really made are those of the distinct trees: each scenario's
 	// search alone expands its own copy of a shared tree again.
@@ -107,8 +107,8 @@ func TestSSPBudgetCountersSumScenarios(t *testing.T) {
 	for i := range p.search.results {
 		distinct += p.search.results[i].expanded
 	}
-	if p.ExpandedLastPlan != distinct || p.ExpandedLastPlan >= expanded {
-		t.Fatalf("expanded %d, distinct trees' sum %d, per-scenario sum %d", p.ExpandedLastPlan, distinct, expanded)
+	if p.search.ExpandedLastPlan != distinct || p.search.ExpandedLastPlan >= expanded {
+		t.Fatalf("expanded %d, distinct trees' sum %d, per-scenario sum %d", p.search.ExpandedLastPlan, distinct, expanded)
 	}
 }
 
@@ -281,7 +281,8 @@ func perScenarioSearch(p *SSP, ws []*core.Worker, ts []*core.Task, now float64) 
 
 // sspCounts is p's share of what perScenarioSearch sums.
 func sspCounts(p *SSP) [4]int {
-	return [4]int{p.NodesLastPlan, p.GreedyCompletionsLastPlan, p.BudgetBoundTreesLastPlan, p.SkippedCompletionsLastPlan}
+	s := &p.search
+	return [4]int{s.NodesLastPlan, s.GreedyCompletionsLastPlan, s.BudgetBoundTreesLastPlan, s.SkippedCompletionsLastPlan}
 }
 
 // commit is SSP's choice among the K candidates: each scored by its mean
@@ -449,9 +450,9 @@ func TestSSPEdgeScenarios(t *testing.T) {
 		sameAsPerScenario(t, p, ws, ts, 0)
 		one := &Search{Opts: opts()}
 		samePlans(t, checked{one}.Plan(ws, ts, 0), checked{p}.Plan(ws, ts, 0))
-		if p.DistinctTreesLastPlan != one.trees || p.TreesLastPlan != k*one.trees || p.ExpandedLastPlan != one.ExpandedLastPlan {
+		if s := &p.search; len(s.results) != one.trees || s.trees != k*one.trees || s.ExpandedLastPlan != one.ExpandedLastPlan {
 			t.Fatalf("%d distinct of %d trees, %d nodes expanded; one search builds %d and expands %d",
-				p.DistinctTreesLastPlan, p.TreesLastPlan, p.ExpandedLastPlan, one.trees, one.ExpandedLastPlan)
+				len(s.results), s.trees, s.ExpandedLastPlan, one.trees, one.ExpandedLastPlan)
 		}
 	})
 

@@ -73,9 +73,6 @@ type Options struct {
 	Step float64
 	// Shards is the live path's dispatcher shard count (default 2).
 	Shards int
-	// MaxNodes caps exact-search effort per RTC tree (default 4000); a
-	// planning call spends up to that on every tree of its forest.
-	MaxNodes int
 	// Log, when non-nil, receives one progress line per cell.
 	Log func(format string, args ...any)
 }
@@ -95,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Shards <= 0 {
 		o.Shards = 2
-	}
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 4000
 	}
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}
@@ -265,6 +259,10 @@ func Run(opts Options) (*Report, error) {
 	return r, nil
 }
 
+// maxNodes caps a cell's exact-search effort per RTC tree; a planning call
+// spends up to that on every tree of its forest.
+const maxNodes = 4000
+
 // framework builds and, for the prediction methods, trains one Framework for
 // a cell.
 func framework(sc *datawa.Scenario, m datawa.Method, opts Options) (*datawa.Framework, error) {
@@ -273,7 +271,7 @@ func framework(sc *datawa.Scenario, m datawa.Method, opts Options) (*datawa.Fram
 		Region:   c.Region,
 		GridRows: c.GridRows, GridCols: c.GridCols,
 		Step: opts.Step, Seed: c.Seed,
-		MaxSearchNodes: opts.MaxNodes,
+		MaxSearchNodes: maxNodes,
 	})
 	if m.NeedsDemand() {
 		if err := fw.TrainDemand(sc.History); err != nil {

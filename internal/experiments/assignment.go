@@ -120,10 +120,13 @@ func runRow(sc *workload.Scenario, r method.Row, env method.Env, s Scale) stream
 	return run(sc, stream.Config{Planner: r.Ladder(env)[0], Fixed: r.Fixed, Demand: r.Demand(env)}, s)
 }
 
-// runWithForecaster runs the DTA+TP row on an arbitrary trained demand model;
-// used by the prediction figures to report panel (b).
+// runWithForecaster runs the DTA+TP row on a demand model trainEval fit,
+// forecasting at the horizon it was fit at; used by the prediction figures to
+// report panel (b).
 func runWithForecaster(sc *workload.Scenario, model predict.Predictor, deltaT float64, s Scale) int {
-	return runRow(sc, method.Lookup(method.DTATP), methodEnv(sc, model, deltaT, s), s).Assigned
+	env := methodEnv(sc, model, deltaT, s)
+	env.Horizon = predictionHorizon
+	return runRow(sc, method.Lookup(method.DTATP), env, s).Assigned
 }
 
 // RunMethods executes every registered method on one scenario and returns

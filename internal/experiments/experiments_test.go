@@ -3,11 +3,14 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	datawa "repro"
 	"repro/internal/method"
+	"repro/internal/predict"
 	"repro/internal/workload"
 )
 
@@ -163,6 +166,45 @@ func TestRunMethodsPinned(t *testing.T) {
 	}
 	if got := every.Sum64(); got != all {
 		t.Errorf("all methods hash %#x, pinned %#x", got, uint64(all))
+	}
+}
+
+// TestPredictionPanelForecastsAtItsFitHorizon holds fig5/fig6 panel (b) to
+// the horizon its model was fit at, for each of the three predictors. Which
+// horizon trainEval fits at is read off the model itself: a fresh model of the
+// same kind is fit at horizons 1 and 2, and the one whose forecast equals
+// trainEval's, bit for bit, names it. Panel (b)'s count must then be the
+// DTA+TP row's forecasting at that horizon. (At this scale Graph-WaveNet's row
+// is the one that tells the horizons apart: 37 tasks at 1, 36 at 2.)
+func TestPredictionPanelForecastsAtItsFitHorizon(t *testing.T) {
+	s, base := tiny(), workload.Yueche()
+	sc := workload.Generate(scaledConfig(base, s))
+	deltaT := DeltaTValues[0]
+	series := predict.BuildSeries(sc.SeriesConfig(SeriesK, deltaT), sc.History, 0)
+	probe := series.Windows(s.Window, 1)[0].Inputs
+	for _, name := range PredictorNames {
+		_, model := trainEval(name, sc, deltaT, s, base.Seed)
+		want := model.Predict(probe)
+		fitAt := 0
+		for h := 1; h <= 2; h++ {
+			train, _ := predict.SplitWindows(series.WindowsAhead(s.Window, 1, h), 0.8)
+			twin := newPredictor(name, sc.Grid.Cells(), s, base.Seed)
+			twin.Fit(train)
+			if slices.EqualFunc(twin.Predict(probe).Data, want.Data, func(a, b float64) bool {
+				return math.Float64bits(a) == math.Float64bits(b)
+			}) {
+				fitAt = h
+			}
+		}
+		if fitAt == 0 {
+			t.Fatalf("%s: trainEval's model equals no fit at horizon 1 or 2", name)
+		}
+		env := methodEnv(sc, model, deltaT, s)
+		env.Horizon = fitAt
+		atFit := runRow(sc, method.Lookup(method.DTATP), env, s).Assigned
+		if got := runWithForecaster(sc, model, deltaT, s); got != atFit {
+			t.Errorf("%s: panel (b) assigned %d; DTA+TP forecasting at the fit horizon %d assigns %d", name, got, fitAt, atFit)
+		}
 	}
 }
 

@@ -35,12 +35,18 @@ func newPredictor(name string, cells int, s Scale, seed int64) predict.Predictor
 // PredictorNames are the three methods of Figs. 5 and 6, in plot order.
 var PredictorNames = []string{"LSTM", "Graph-WaveNet", "DDGNN"}
 
+// predictionHorizon is the distance the prediction figures fit, score and
+// forecast at: the next vector, the paper's prediction task. Panel (b) feeds
+// DTA+TP at it, so the forecast that moves its workers is the one panel (a)
+// scores; the assignment figures forecast at forecastHorizon instead.
+const predictionHorizon = 1
+
 // trainEval trains one model on the scenario's history series at the given
 // ΔT and returns its evaluation plus the trained model for stream reuse.
 func trainEval(name string, sc *workload.Scenario, deltaT float64, s Scale, seed int64) (predict.EvalResult, predict.Predictor) {
 	cfg := sc.SeriesConfig(SeriesK, deltaT)
 	series := predict.BuildSeries(cfg, sc.History, 0)
-	windows := series.Windows(s.Window, 1)
+	windows := series.WindowsAhead(s.Window, 1, predictionHorizon)
 	train, test := predict.SplitWindows(windows, 0.8)
 	model := newPredictor(name, sc.Grid.Cells(), s, seed)
 	return predict.Evaluate(model, train, test), model

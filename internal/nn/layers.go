@@ -140,12 +140,16 @@ func (o *Adam) Step(params []*Node) {
 	}
 }
 
+// clipNorm is the global gradient norm Fit clips every step to.
+const clipNorm = 5
+
 // Fit is the training loop of every model here. Each of epochs passes
 // shuffles the n examples with a generator seeded by seed, then walks them in
 // runs of batch: it zeroes the gradients, builds loss over the run's example
-// indices, back-propagates, clips the gradients to global norm clip and steps
-// opt. It returns the last pass's mean loss, 0 when there are no examples.
-func Fit(params *Params, opt *Adam, clip float64, seed int64, epochs, n, batch int, loss func(run []int) *Node) float64 {
+// indices, back-propagates, clips the gradients to global norm clipNorm and
+// steps opt. It returns the last pass's mean loss, 0 when there are no
+// examples.
+func Fit(params *Params, opt *Adam, seed int64, epochs, n, batch int, loss func(run []int) *Node) float64 {
 	if n == 0 {
 		return 0
 	}
@@ -161,7 +165,7 @@ func Fit(params *Params, opt *Adam, clip float64, seed int64, epochs, n, batch i
 		for start := 0; start < n; start += batch {
 			params.ZeroGrads()
 			sum += Backward(loss(order[start:min(start+batch, n)]))
-			ClipGrads(params.All(), clip)
+			ClipGrads(params.All(), clipNorm)
 			opt.Step(params.All())
 			runs++
 		}

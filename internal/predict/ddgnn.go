@@ -31,8 +31,6 @@ type DDGNN struct {
 	f1, f2 *nn.Linear // the two embedding networks F_θ1, F_θ2
 	hidden *nn.Linear
 	out    *nn.Linear
-	alpha  float64
-	hops   int
 	static bool // DDGNN-static: propagate over the identity
 }
 
@@ -45,12 +43,14 @@ type DDGNNConfig struct {
 	Hidden int
 	// Embed is the node embedding width of the dependency module.
 	Embed int
-	// Alpha is the APPNP restart probability (default 0.2).
-	Alpha float64
-	// Hops is the number of APPNP power-iteration steps H (default 3).
-	Hops  int
 	Train TrainConfig
 }
+
+// APPNP's restart probability α and its power-iteration steps H (Eqs. 8–9).
+const (
+	appnpAlpha = 0.2
+	appnpHops  = 3
+)
 
 // NewDDGNN allocates a DDGNN for the given configuration.
 func NewDDGNN(c DDGNNConfig) *DDGNN {
@@ -59,12 +59,6 @@ func NewDDGNN(c DDGNNConfig) *DDGNN {
 	}
 	if c.Embed <= 0 {
 		c.Embed = 8
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.2
-	}
-	if c.Hops <= 0 {
-		c.Hops = 3
 	}
 	p := nn.NewParams(c.Train.Seed + 303)
 	m := &DDGNN{
@@ -77,8 +71,6 @@ func NewDDGNN(c DDGNNConfig) *DDGNN {
 		f2:       nn.NewLinear(p, c.K, c.Embed),
 		hidden:   nn.NewLinear(p, c.Hidden, c.Hidden),
 		out:      nn.NewLinear(p, c.Hidden, c.K),
-		alpha:    c.Alpha,
-		hops:     c.Hops,
 	}
 	m.net = m.forward
 	return m
@@ -135,7 +127,7 @@ func (m *DDGNN) propagate(inputs []*tensor.Matrix, memo *nn.StepMemo, normAdj *n
 	last, skip := nn.LastStep(m.lift, inputs, memo, m.temp1, m.temp2)
 	// Residual connection (Fig. 4's "+" merging conv output with input).
 	z := nn.Add(last, nn.MatMul(skip, m.resid))
-	z = nn.APPNP(z, normAdj, m.alpha, m.hops) // Eqs. 8–9, ends in ReLU
+	z = nn.APPNP(z, normAdj, appnpAlpha, appnpHops) // Eqs. 8–9, ends in ReLU
 	h := nn.ReLU(m.hidden.Forward(z))
 	return nn.Sigmoid(m.out.Forward(h))
 }

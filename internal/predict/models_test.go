@@ -225,12 +225,12 @@ func TestEvaluateMeasuresPerWindowTestTime(t *testing.T) {
 
 func TestTrainConfigDefaults(t *testing.T) {
 	c := TrainConfig{}.withDefaults()
-	if c.Epochs <= 0 || c.LR <= 0 || c.ClipNorm <= 0 {
+	if c.Epochs <= 0 || c.LR <= 0 {
 		t.Errorf("defaults not applied: %+v", c)
 	}
 	// Explicit values survive.
-	c = TrainConfig{Epochs: 7, LR: 0.5, ClipNorm: 2}.withDefaults()
-	if c.Epochs != 7 || c.LR != 0.5 || c.ClipNorm != 2 {
+	c = TrainConfig{Epochs: 7, LR: 0.5}.withDefaults()
+	if c.Epochs != 7 || c.LR != 0.5 {
 		t.Errorf("explicit values clobbered: %+v", c)
 	}
 }

@@ -23,9 +23,8 @@ type Predictor interface {
 // TrainConfig bundles the optimization hyperparameters shared by the three
 // models. Zero values are replaced by defaults.
 type TrainConfig struct {
-	Epochs   int
-	LR       float64
-	ClipNorm float64
+	Epochs int
+	LR     float64
 	// WeightDecay is the decoupled L2 shrinkage passed to Adam.
 	WeightDecay float64
 	Seed        int64
@@ -38,9 +37,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.LR <= 0 {
 		c.LR = 0.01
 	}
-	if c.ClipNorm <= 0 {
-		c.ClipNorm = 5
-	}
 	return c
 }
 
@@ -50,7 +46,7 @@ func fitModel(params *nn.Params, cfg TrainConfig, forward func(Window) *nn.Node,
 	cfg = cfg.withDefaults()
 	opt := nn.NewAdam(cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
-	nn.Fit(params, opt, cfg.ClipNorm, cfg.Seed+909, cfg.Epochs, len(train), 1, func(run []int) *nn.Node {
+	nn.Fit(params, opt, cfg.Seed+909, cfg.Epochs, len(train), 1, func(run []int) *nn.Node {
 		w := train[run[0]]
 		return nn.BCE(forward(w), w.Target)
 	})

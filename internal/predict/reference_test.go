@@ -29,7 +29,7 @@ func fullTrunk(lift *nn.Linear, temp1, temp2 *nn.GatedCausalConv, inputs []*tens
 func (m *DDGNN) fullForward(inputs []*tensor.Matrix, adj *nn.Node) *nn.Node {
 	last, skip := fullTrunk(m.lift, m.temp1, m.temp2, inputs)
 	z := nn.Add(last, nn.MatMul(skip, m.resid))
-	z = nn.APPNP(z, adj, m.alpha, m.hops)
+	z = nn.APPNP(z, adj, appnpAlpha, appnpHops)
 	h := nn.ReLU(m.hidden.Forward(z))
 	return nn.Sigmoid(m.out.Forward(h))
 }

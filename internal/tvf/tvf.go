@@ -210,21 +210,19 @@ func resize(m *tensor.Matrix, rows, cols int) {
 
 // TrainConfig controls TVF fitting.
 type TrainConfig struct {
-	Epochs    int
-	BatchSize int
-	LR        float64
-	Seed      int64
+	Epochs int
+	Seed   int64
 }
+
+// The mini-batch size and Adam's learning rate of every TVF fit.
+const (
+	batchSize = 64
+	learnRate = 0.01
+)
 
 func (c TrainConfig) withDefaults() TrainConfig {
 	if c.Epochs <= 0 {
 		c.Epochs = 40
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
-	if c.LR <= 0 {
-		c.LR = 0.01
 	}
 	return c
 }
@@ -238,7 +236,7 @@ func (c TrainConfig) withDefaults() TrainConfig {
 func (m *Model) Train(samples []Sample, cfg TrainConfig) float64 {
 	cfg = cfg.withDefaults()
 	var x, y tensor.Matrix
-	return nn.Fit(m.params, nn.NewAdam(cfg.LR), 5, cfg.Seed+505, cfg.Epochs, len(samples), cfg.BatchSize, func(batch []int) *nn.Node {
+	return nn.Fit(m.params, nn.NewAdam(learnRate), cfg.Seed+505, cfg.Epochs, len(samples), batchSize, func(batch []int) *nn.Node {
 		resize(&x, len(batch), FeatureDim)
 		resize(&y, len(batch), 1)
 		for bi, si := range batch {

@@ -246,7 +246,7 @@ func TestTrainFitsValueFunction(t *testing.T) {
 		samples = append(samples, Sample{Features: f, Opt: 3*f[1] + 2*f[6]})
 	}
 	m := NewModel(16, 22)
-	loss := m.Train(samples, TrainConfig{Epochs: 60, LR: 0.02, Seed: 22})
+	loss := m.Train(samples, TrainConfig{Epochs: 60, Seed: 22})
 	if loss > 0.3 {
 		t.Errorf("final training loss = %v, want < 0.3", loss)
 	}
@@ -299,7 +299,7 @@ func TestModelParamCount(t *testing.T) {
 
 func TestTrainConfigDefaults(t *testing.T) {
 	c := TrainConfig{}.withDefaults()
-	if c.Epochs <= 0 || c.BatchSize <= 0 || c.LR <= 0 {
+	if c.Epochs <= 0 {
 		t.Errorf("defaults missing: %+v", c)
 	}
 }

@@ -72,7 +72,7 @@ func TestBestSequenceMatchesReference(t *testing.T) {
 		for maxLen := 1; maxLen <= 3; maxLen++ {
 			for _, maxReach := range []int{1, 2, 3, 4, 5, 6, 7, 8, 64} {
 				o := opts.WithDefaults()
-				o.MaxSeqLen, o.MaxReachable, o.MaxSequences = maxLen, maxReach, 1<<30
+				o.MaxSeqLen, o.MaxReachable = maxLen, maxReach
 				for _, w := range in.workers {
 					if ne, _ := sameHead(t, &sc, w, ix, in.now, o); ne {
 						picked++

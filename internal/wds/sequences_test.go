@@ -45,9 +45,9 @@ func wholePool(n int) []int32 {
 // every subset of at most o.MaxSeqLen of the first 64 tasks of rs, each
 // subset's orderings in lexicographic position order, the first ordering of
 // the least completion kept per set — compared exactly, no tolerance — then
-// every kept ordering sorted longest first, by completion, by ids, and cut at
-// o.MaxSequences. An ordering is valid under Definition 4 with its arrivals
-// summed left to right, as the worker would drive it.
+// every kept ordering sorted longest first, by completion, by ids. An ordering
+// is valid under Definition 4 with its arrivals summed left to right, as the
+// worker would drive it.
 func refSequences(w *core.Worker, rs []*core.Task, now float64, o Options) []seqEntry {
 	rs = rs[:min(len(rs), maxReach)]
 	type kept struct {
@@ -115,7 +115,7 @@ func refSequences(w *core.Worker, rs []*core.Task, now float64, o Options) []seq
 		return slices.CompareFunc(a.order, b.order, func(x, y int32) int { return rs[x].ID - rs[y].ID })
 	})
 	var out []seqEntry
-	for _, s := range sets[:min(len(sets), o.MaxSequences)] {
+	for _, s := range sets {
 		e := seqEntry{}
 		for _, k := range s.order {
 			e.seq = append(e.seq, rs[k])
@@ -187,7 +187,6 @@ func checkSequences(t *testing.T, label string, sc *Scratch, w *core.Worker, rs 
 func TestSequencesMatchDefinition(t *testing.T) {
 	var sc Scratch
 	r := rand.New(rand.NewSource(40))
-	caps := []int{1 << 30, 4, 16}
 	total := 0
 	for trial := 0; trial < 600; trial++ {
 		n := trial % 13
@@ -197,7 +196,7 @@ func TestSequencesMatchDefinition(t *testing.T) {
 			rs = append(rs, task(id+1, r.Float64()*1.5, r.Float64()*1.5, r.Float64()*50, 60+r.Float64()*600))
 		}
 		o := opts.WithDefaults()
-		o.MaxSeqLen, o.MaxSequences = 1+trial%4, caps[trial%3]
+		o.MaxSeqLen = 1 + trial%4
 		total += checkSequences(t, "random", &sc, w, rs, 0, o)
 	}
 
@@ -207,14 +206,12 @@ func TestSequencesMatchDefinition(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rs = append(rs, task(i+1, r.Float64()*1.4, r.Float64()*1.4, 0, 100+r.Float64()*400))
 		}
-		for _, maxSeqs := range caps {
-			o := opts.WithDefaults()
-			o.MaxSeqLen, o.MaxSequences = 2, maxSeqs
-			total += checkSequences(t, "full", &sc, w, rs, 0, o)
-			// Wide, then narrow, then wide again on the same Scratch.
-			total += checkSequences(t, "full/narrow", &sc, w, rs[:1], 0, o)
-			total += checkSequences(t, "full/again", &sc, w, rs, 0, o)
-		}
+		o := opts.WithDefaults()
+		o.MaxSeqLen = 2
+		total += checkSequences(t, "full", &sc, w, rs, 0, o)
+		// Wide, then narrow, then wide again on the same Scratch.
+		total += checkSequences(t, "full/narrow", &sc, w, rs[:1], 0, o)
+		total += checkSequences(t, "full/again", &sc, w, rs, 0, o)
 	}
 
 	ties := 0
@@ -231,7 +228,7 @@ func TestSequencesMatchDefinition(t *testing.T) {
 			rs = append(rs, s)
 		}
 		o := opts.WithDefaults()
-		o.MaxSeqLen, o.MaxSequences = 1+r.Intn(4), caps[trial%3]
+		o.MaxSeqLen = 1 + r.Intn(4)
 		total += checkSequences(t, "lattice", &sc, w, rs, now, o)
 		want := refSequences(w, rs, now, o)
 		for i := 1; i < len(want); i++ {

@@ -31,8 +31,6 @@ type Options struct {
 	// sequence's task set is one word over its worker's reachable set
 	// (WorkerSets.Masks).
 	MaxReachable int
-	// MaxSequences caps |Q_w| per worker after dedup (default 128).
-	MaxSequences int
 }
 
 // maxReach is the widest reachable set: one bit of a mask word per task.
@@ -51,9 +49,6 @@ func (o Options) WithDefaults() Options {
 		o.MaxReachable = 8
 	}
 	o.MaxReachable = min(o.MaxReachable, maxReach)
-	if o.MaxSequences <= 0 {
-		o.MaxSequences = 128
-	}
 	return o
 }
 
@@ -260,9 +255,8 @@ func nearer(pool []*core.Task, a, b spatial.Candidate) bool {
 // MaximalValidSequences computes Q_w: for every subset of the reachable set
 // RS_w (up to o.MaxSeqLen tasks) that admits a valid ordering, the ordering
 // with minimal completion time (Eq. 10). Sequences are returned longest
-// first, then by completion time, then lexicographically by ids, and the
-// list is capped at o.MaxSequences. Only the first 64 tasks of rs are
-// considered, as under Options.MaxReachable.
+// first, then by completion time, then lexicographically by ids. Only the
+// first 64 tasks of rs are considered, as under Options.MaxReachable.
 //
 // The search extends sequences task by task and prunes as soon as an
 // extension violates Definition 4, which is sound because validity is
@@ -345,8 +339,7 @@ type setSlot struct {
 }
 
 // generate returns Q_w as tuples in scratch storage, sorted longest first,
-// then by completion time, then lexicographically by ids, and capped at
-// o.MaxSequences.
+// then by completion time, then lexicographically by ids.
 func (g *seqGen) generate(w *core.Worker, rs []*core.Task, now float64, o Options) []seqTuple {
 	g.rs, g.off, g.maxLen = rs, w.Off, o.MaxSeqLen
 	n := len(rs)
@@ -378,15 +371,14 @@ func (g *seqGen) generate(w *core.Worker, rs []*core.Task, now float64, o Option
 	}
 	g.cur, g.tuples, g.pos, g.slots = g.cur[:0], g.tuples[:0], g.pos[:0], g.slots[:0]
 	g.extend(0, now, 0)
-	return g.sort(o.MaxSequences)
+	return g.sort()
 }
 
-// sort orders the tuples as Q_w and cuts them at limit. A stable counting
-// split by length lays the runs out longest first; each run within the cap is
-// then sorted by (completion, ids), a total order over distinct sets, so the
-// result is what a sort of the whole list would give. A run wholly past the
-// cap is not sorted at all.
-func (g *seqGen) sort(limit int) []seqTuple {
+// sort orders the tuples as Q_w. A stable counting split by length lays the
+// runs out longest first; each run is then sorted by (completion, ids), a
+// total order over distinct sets, so the result is what a sort of the whole
+// list would give.
+func (g *seqGen) sort() []seqTuple {
 	top := min(g.maxLen, len(g.rs)) // the longest a tuple can be; its run comes first
 	g.runs = slices.Grow(g.runs[:0], top+1)[:top+1]
 	clear(g.runs)
@@ -404,12 +396,12 @@ func (g *seqGen) sort(limit int) []seqTuple {
 		g.byLen[g.runs[l]] = t
 		g.runs[l]++
 	}
-	for l, from := 0, int32(0); l < top && int(from) < limit; l++ {
+	for l, from := 0, int32(0); l < top; l++ {
 		slices.SortFunc(g.byLen[from:g.runs[l]], g.compare)
 		from = g.runs[l]
 	}
 	g.tuples, g.byLen = g.byLen, g.tuples
-	return g.tuples[:min(len(g.tuples), limit)]
+	return g.tuples
 }
 
 // extend enters the current ordering, ending at time t at row's location

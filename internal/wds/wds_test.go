@@ -199,10 +199,6 @@ func TestMaximalValidSequencesLengthCap(t *testing.T) {
 			t.Fatalf("sequence of length %d exceeds cap", len(q))
 		}
 	}
-	o.MaxSequences = 4
-	if got := len(MaximalValidSequences(w, rs, 0, o)); got != 4 {
-		t.Errorf("MaxSequences cap: got %d", got)
-	}
 }
 
 func TestSeparateIndependentClusters(t *testing.T) {
@@ -394,7 +390,7 @@ func workersOf(sep *Separation, n *TreeNode) []*core.Worker {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
-	if o.MaxSeqLen <= 0 || o.MaxReachable <= 0 || o.MaxSequences <= 0 || o.Travel.Speed <= 0 {
+	if o.MaxSeqLen <= 0 || o.MaxReachable <= 0 || o.Travel.Speed <= 0 {
 		t.Errorf("defaults missing: %+v", o)
 	}
 	o2 := Options{MaxSeqLen: 9}.WithDefaults()
@@ -694,7 +690,6 @@ func TestReachableSetIsOneWord(t *testing.T) {
 		rs = append(rs, task(i+1, r.Float64()*1.4, r.Float64()*1.4, 0, 100+r.Float64()*500))
 	}
 	o = opts.WithDefaults()
-	o.MaxSequences = 1 << 30
 	all, first := MaximalValidSequences(w, rs, 0, o), MaximalValidSequences(w, rs[:64], 0, o)
 	if len(all) < 64 || !reflect.DeepEqual(all, first) {
 		t.Fatalf("%d sequences over 100 tasks, %d over the first 64 of them", len(all), len(first))
