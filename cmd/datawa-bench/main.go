@@ -5,16 +5,17 @@
 // both the offline stream engine and the live sharded dispatch service. It
 // writes the report that the one committed BENCH_<pr>.json snapshot at the
 // repo root is a copy of; CI reruns the suite and holds every deterministic
-// outcome to that snapshot exactly (see docs/BENCHMARKS.md):
+// outcome to that snapshot exactly, the planner work each path cost included
+// (see docs/BENCHMARKS.md). Wall time, throughput, epoch latency and
+// allocations are recorded and never gated:
 //
-//	datawa-bench -suite -methods Greedy,DTA,SSP -json=BENCH_57.json
-//	datawa-bench -suite -scales 1,5 -methods Greedy,DTA,SSP -compare BENCH_57.json
+//	datawa-bench -suite -methods Greedy,DTA,SSP -json=BENCH_61.json
+//	datawa-bench -suite -scales 1,5 -methods Greedy,DTA,SSP -compare BENCH_61.json
 //	datawa-bench -suite -scales 1 -shards 4 -max-gap 0.01 -json=BENCH_fidelity.json
-//	datawa-bench -validate BENCH_57.json
+//	datawa-bench -validate BENCH_61.json
 //
 // SSP cells sample predict.DefaultSamples demand futures per forecast
-// instant and commit the best expected value; the report records the count,
-// and -compare refuses a baseline sampled at another.
+// instant and commit the best expected value.
 //
 // Experiment mode (-run) regenerates the tables and figures of the paper's
 // evaluation (Section V) on the synthetic Yueche/DiDi workloads and prints
@@ -49,11 +50,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// compareP95Tolerance is the relative live epoch-p95 growth -compare
-// accepts before failing: p95 is the one gated field that carries host
-// jitter, and the gate exists to catch epoch-latency blowups, not noise.
-const compareP95Tolerance = 0.50
-
 func main() {
 	var (
 		list   = flag.Bool("list", false, "list experiment ids and exit")
@@ -70,8 +66,7 @@ func main() {
 		methods   = flag.String("methods", "Greedy,DTA", "suite mode: comma-separated assignment methods")
 		shards    = flag.Int("shards", 2, "suite mode: live-path dispatcher shard count")
 		step      = flag.Float64("step", 2, "suite mode: planning epoch length in seconds")
-		compare   = flag.String("compare", "", "suite mode: baseline BENCH_*.json; fail unless every deterministic outcome of every shared cell is equal and epoch p95 grew by no more than -p95-tolerance")
-		p95Tol    = flag.Float64("p95-tolerance", compareP95Tolerance, "suite mode: relative live epoch-p95 growth -compare accepts (0 disables the latency gate; cross-host nightlies run wider than the default)")
+		compare   = flag.String("compare", "", "suite mode: baseline BENCH_*.json; fail unless every deterministic outcome of every shared cell, planner work included, is equal")
 		maxGap    = flag.Float64("max-gap", -1, "suite mode: fail if any cell's fidelity gap (offline − live assignment rate) exceeds this (e.g. 0.01 = 1pp; negative = off)")
 		validate  = flag.String("validate", "", "validate a BENCH_*.json suite report against the schema and exit")
 	)
@@ -87,7 +82,7 @@ func main() {
 	case *suite:
 		runSuite(suiteOptions{
 			scenarios: *scenarios, scales: *scales, methods: *methods,
-			shards: *shards, step: *step, p95Tol: *p95Tol,
+			shards: *shards, step: *step,
 			jsonPath: *jsonPath, compare: *compare, maxGap: *maxGap,
 		})
 	default:
@@ -109,7 +104,6 @@ type suiteOptions struct {
 	scenarios, scales, methods string
 	shards                     int
 	step                       float64
-	p95Tol                     float64
 	jsonPath, compare          string
 	maxGap                     float64
 }
@@ -186,12 +180,11 @@ func runSuite(so suiteOptions) {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		n, err := benchsuite.Compare(base, report, so.p95Tol)
+		n, err := benchsuite.Compare(base, report)
 		if err != nil {
 			fatalf("compare against %s: %v", so.compare, err)
 		}
-		fmt.Fprintf(out, "compare against %s: %d cells equal in every deterministic outcome, epoch p95 within %.0f%%\n",
-			so.compare, n, 100*so.p95Tol)
+		fmt.Fprintf(out, "compare against %s: %d cells equal in every deterministic outcome and in planner work\n", so.compare, n)
 	}
 }
 

@@ -63,14 +63,15 @@ var criticalPkgs = map[string]bool{
 }
 
 // pinnedPkgs are the leaf names of the packages whose output bits are pinned
-// (model parameters, forecasts, the workload traces), matched as
-// criticalPkgs are.
+// (model parameters, forecasts, the workload traces, the latency histograms'
+// bucket bounds), matched as criticalPkgs are.
 var pinnedPkgs = map[string]bool{
 	"nn":       true,
 	"tensor":   true,
 	"predict":  true,
 	"tvf":      true,
 	"workload": true,
+	"obs":      true,
 }
 
 // Critical reports whether a package path is under the determinism contract.

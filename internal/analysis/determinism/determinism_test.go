@@ -34,7 +34,7 @@ func TestPinned(t *testing.T) {
 		"repro/internal/tvf":      true,
 		"repro/internal/workload": true,
 		"repro/internal/fmath":    false,
-		"repro/internal/obs":      false,
+		"repro/internal/obs":      true,
 		"repro/internal/assign":   false,
 	} {
 		if got := determinism.Pinned(path); got != want {

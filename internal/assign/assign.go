@@ -56,8 +56,15 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// maxSamples caps RL sample collection per planning call.
-const maxSamples = 20000
+// maxSamples caps RL sample collection per planning call, and maxRunSamples
+// a Search's whole stream: once its Samples hold maxRunSamples, Collect adds
+// nothing more. The run's cap keeps the samples that come first, needing no
+// seed and no state beside the stream; a paper-scale training prefix
+// (experiments.Full) fills it, and no quick or standard run comes near it.
+const (
+	maxSamples    = 20000
+	maxRunSamples = 500000
+)
 
 // nodeWork is what one search call or one greedy completion run counts in
 // Work, in distance checks. It is the weighting that was measured, not tuned:
@@ -250,13 +257,13 @@ func (s *workerScan) plan(workers []*core.Worker, tasks []*core.Task, now float6
 // Model it runs the exact DFSearch (Algorithm 1); with a trained TVF model
 // it runs DFSearch_TVF (Algorithm 2), which never backtracks. When Collect
 // is true, exact search emits (state, action, opt) samples into Samples for
-// TVF training.
+// TVF training: at most maxSamples a Plan call and maxRunSamples in all.
 type Search struct {
 	Opts    Options
 	Model   *tvf.Model
 	Collect bool
 	// Samples accumulates RL training data across Plan calls when Collect
-	// is set.
+	// is set, up to maxRunSamples.
 	Samples []tvf.Sample
 	// NodesLastPlan reports the search calls made by the most recent Plan:
 	// the nodes the exact search (or DFSearch_TVF) expanded plus, once a
@@ -334,7 +341,6 @@ type treeResult struct {
 	expanded             int
 	greedy               int
 	skipped              int
-	samples              []tvf.Sample
 }
 
 // Name implements Planner.
@@ -397,6 +403,12 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 	s.trees = 0
 	s.NodesLastPlan, s.GreedyCompletionsLastPlan, s.BudgetBoundTreesLastPlan, s.ExpandedLastPlan = 0, 0, 0, 0
 	s.SkippedCompletionsLastPlan = 0
+	run := &s.run
+	// A value-guided search collects nothing.
+	run.model, run.collect = s.Model, nil
+	if s.Collect && s.Model == nil {
+		run.collect, run.limit = &s.Samples, min(len(s.Samples)+maxSamples, maxRunSamples)
+	}
 	for si := range seps {
 		sep := &seps[si]
 		flat, offs := s.sep.Components(sep)
@@ -424,10 +436,7 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 		fresh := s.results[from:]
 		s.partition(sep, fresh)
 
-		run := &s.run
 		run.opts, run.sep, run.now = o, sep, now
-		// A value-guided search collects nothing.
-		run.model, run.collect = s.Model, s.Collect && s.Model == nil
 		run.reachOff, run.reachLocal, run.virtual = s.reachOff, s.reachLocal, s.virtual
 		for i := range fresh {
 			res := &fresh[i]
@@ -450,25 +459,6 @@ func (s *Search) plan(workers []*core.Worker, tasks []*core.Task, now float64, k
 			}
 		}
 		s.trees += len(forest)
-	}
-	if s.Collect {
-		// Each tree collects under its own maxSamples cap; the merged
-		// stream is re-capped so one Plan call still emits at most
-		// maxSamples, exactly as a serial traversal of the forest would.
-		added := 0
-		for i := range s.results {
-			samples := s.results[i].samples
-			s.results[i].samples = nil
-			room := maxSamples - added
-			if room <= 0 {
-				continue
-			}
-			if len(samples) > room {
-				samples = samples[:room]
-			}
-			added += len(samples)
-			s.Samples = append(s.Samples, samples...)
-		}
 	}
 }
 
@@ -633,11 +623,15 @@ func claim(n *wds.TreeNode, tree int32, sets []wds.WorkerSets, treeOf []int32) i
 // every task of q still free" is a test of q's universe bits against the
 // tree's availability (layout, transposition.go).
 type searchRun struct {
-	opts    Options
-	sep     *wds.Separation
-	now     float64
-	model   *tvf.Model
-	collect bool
+	opts  Options
+	sep   *wds.Separation
+	now   float64
+	model *tvf.Model
+	// collect is the Search's Samples under Collect, nil otherwise: the trees
+	// of a call, searched one after another, append to it until it holds
+	// limit samples.
+	collect *[]tvf.Sample
+	limit   int
 	// reachOff/reachLocal are Search's per-worker tree-local reachable sets,
 	// virtual its per-worker virtual-task words.
 	reachOff, reachLocal []int32
@@ -648,7 +642,6 @@ type searchRun struct {
 	nodes   int
 	greedy  int
 	skipped int
-	samples []tvf.Sample
 	// The tree's layout (transposition.go), relWords words a row — one per 64
 	// universe positions, bit p&63 of word p>>6 standing for position p. avail
 	// is the availability, saved a copy a greedy completion restores. The rows,
@@ -717,7 +710,6 @@ func (r *searchRun) searchTree(res *treeResult, universe []int32) {
 	root := res.root
 	r.tasks = universe
 	r.nodes, r.greedy, r.skipped, r.reused = 0, 0, 0, 0
-	r.samples = nil // escapes into the result; never reuse the backing
 	r.stack = r.stack[:0]
 	r.open = slices.Grow(r.open[:0], len(universe))
 	r.layout(root, len(universe))
@@ -726,7 +718,6 @@ func (r *searchRun) searchTree(res *treeResult, universe []int32) {
 	}
 	r.search(root, 0, 0)
 	res.nodes, res.expanded, res.greedy, res.skipped = r.nodes, r.nodes-r.reused, r.greedy, r.skipped
-	res.samples = r.samples
 }
 
 // value is the search objective contribution of sequence k of worker wi's
@@ -891,11 +882,11 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int, row int32) float64 {
 		for _, child := range n.Children {
 			from := len(r.stack)
 			total += r.search(child, 0, d+1)
-			if r.collect {
+			if r.collect != nil {
 				r.flipPlan(r.stack[from:])
 			}
 		}
-		if r.collect {
+		if r.collect != nil {
 			r.flipPlan(r.stack[base:])
 		}
 		return total
@@ -918,7 +909,7 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int, row int32) float64 {
 		best = r.search(n, j+1, d+1)
 	}
 
-	if r.collect {
+	if r.collect != nil {
 		r.stateFor(r.levelAt(d), n, j)
 	}
 	if !r.free(r.reachBits, row) {
@@ -941,7 +932,7 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int, row int32) float64 {
 			v = r.emptyCall()
 		// Every branch of a Collect run emits a sample of its own value, so
 		// there each completion is run.
-		case !r.collect && r.nodes >= r.opts.MaxNodes && value+r.completionBound(r.mostTaken(row+1, q, k)) <= best:
+		case r.collect == nil && r.nodes >= r.opts.MaxNodes && value+r.completionBound(r.mostTaken(row+1, q, k)) <= best:
 			v = r.skipCompletion()
 		default:
 			r.flip(q, k)
@@ -955,10 +946,10 @@ func (r *searchRun) expand(n *wds.TreeNode, j, d int, row int32) float64 {
 		} else {
 			r.stack = r.stack[:top]
 		}
-		if r.collect && len(r.samples) < maxSamples {
+		if r.collect != nil && len(*r.collect) < r.limit {
 			// Lines 9–11: record (s_t, a_t, opt).
 			feat := tvf.Featurize(r.state(r.levelAt(d)), r.action(wi, &r.sep.Sets[wi], k), r.opts.WDS.Travel)
-			r.samples = append(r.samples, tvf.Sample{Features: feat, Opt: total})
+			*r.collect = append(*r.collect, tvf.Sample{Features: feat, Opt: total})
 		}
 	}
 	return best

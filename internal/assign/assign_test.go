@@ -188,6 +188,43 @@ func TestSearchCollectsSamples(t *testing.T) {
 	}
 }
 
+// TestCollectStreamStopsAtRunCap drives one Collect Search over the 1x
+// event-spike crowd again and again, as a training prefix replans its crowds:
+// each call adds at most maxSamples, the stream reaches maxRunSamples and holds
+// there, and a call at the cap plans and counts what the first call did.
+func TestCollectStreamStopsAtRunCap(t *testing.T) {
+	a, _ := scenario.Get("event-spike")
+	in := atlasInstantsOf(a, 1)[0]
+	// Sized once: the stream's backing array is what the cap bounds.
+	s := &Search{Collect: true, Samples: make([]tvf.Sample, 0, maxRunSamples)}
+	first := s.Plan(in.workers, in.tasks, in.now)
+	nodes, work := s.NodesLastPlan, s.Work()
+	if len(s.Samples) != maxSamples {
+		t.Fatalf("the crowd collects %d samples a call, want the per-call cap %d", len(s.Samples), maxSamples)
+	}
+	for calls := 1; len(s.Samples) < maxRunSamples; calls++ {
+		if calls > maxRunSamples/maxSamples {
+			t.Fatalf("%d calls collected %d samples, want %d", calls, len(s.Samples), maxRunSamples)
+		}
+		before := len(s.Samples)
+		s.Plan(in.workers, in.tasks, in.now)
+		if added := len(s.Samples) - before; added < 1 || added > maxSamples {
+			t.Fatalf("call %d added %d samples, want 1 to %d", calls+1, added, maxSamples)
+		}
+	}
+	if len(s.Samples) != maxRunSamples || cap(s.Samples) != maxRunSamples {
+		t.Fatalf("stream holds %d samples (capacity %d), want %d", len(s.Samples), cap(s.Samples), maxRunSamples)
+	}
+	again := s.Plan(in.workers, in.tasks, in.now)
+	if len(s.Samples) != maxRunSamples {
+		t.Fatalf("a call at the cap grew the stream to %d", len(s.Samples))
+	}
+	samePlans(t, first, again)
+	if s.NodesLastPlan != nodes || s.Work() != work {
+		t.Fatalf("at the cap: %d nodes, %d work; the first call %d, %d", s.NodesLastPlan, s.Work(), nodes, work)
+	}
+}
+
 func TestSearchTVFProducesValidPlans(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	// Train a quick TVF on collected samples, then verify Algorithm 2

@@ -38,7 +38,7 @@ const tableMinWorkers = 3
 // useTable reports whether the tree under root, laid out, is searched with the
 // transposition table.
 func (r *searchRun) useTable(root *wds.TreeNode) bool {
-	return r.model == nil && !r.collect && r.relWords == 1 && root.Size() >= tableMinWorkers
+	return r.model == nil && r.collect == nil && r.relWords == 1 && root.Size() >= tableMinWorkers
 }
 
 // layout lays out the tree under root over a universe of the given size, every

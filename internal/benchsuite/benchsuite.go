@@ -15,13 +15,14 @@
 // on every load and Run enforces at generation time. The offline/live
 // fidelity gate skips them — shedding makes the two paths diverge by design.
 //
-// Outcomes (assigned/expired counts, plan calls, epochs, the admission and
-// governor counters) are deterministic given the archetype seed, at every
-// GOMAXPROCS and on every machine; wall-clock and allocation figures
-// are informational and host-dependent. Compare therefore gates the outcomes
-// on exact equality and — with a tolerance — the live path's epoch p95
-// latency, so a perf PR cannot silently trade epoch latency for throughput.
-// Timing claims are made on the repository benchmark (benchmark/), not here.
+// Outcomes (assigned/expired counts, plan calls, the planner work they cost,
+// epochs, the admission and governor counters) are deterministic given the
+// archetype seed, at every GOMAXPROCS and on every machine; wall-clock,
+// latency and allocation figures are informational and host-dependent.
+// Compare therefore gates the outcomes, planner work included, on exact
+// equality and nothing else: a change that makes planning dearer shows as more
+// work in a cell, not as a slower epoch. Timing claims are made on the
+// repository benchmark (benchmark/), not here.
 // docs/BENCHMARKS.md documents the schema and the regeneration policy.
 package benchsuite
 
@@ -37,7 +38,6 @@ import (
 
 	"repro"
 	"repro/internal/dispatch"
-	"repro/internal/predict"
 	"repro/internal/scenario"
 )
 
@@ -45,18 +45,7 @@ import (
 // the repo carries one snapshot, regenerated whenever the format or an
 // outcome changes, so there is no older file to keep loadable. Bump the
 // suffix on any incompatible change and regenerate the snapshot with it.
-const Schema = "datawa-bench-suite/8"
-
-// p95GateFloorNS clamps the baseline of Compare's latency gate from below:
-// growth is measured relative to max(baseline, 10 ms). Epoch latencies are
-// wall-clock — run-to-run variance reaches 2x on µs-scale cells and the
-// committed snapshot may come from a faster host than the CI runner — so a
-// purely relative threshold on small baselines would gate on scheduler and
-// hardware noise. The floor widens the allowance instead of exempting the
-// cell: a lightweight cell blowing up past ~15 ms still fails, while the
-// cells above the floor — the 5x flash crowds, tens of ms — are gated at the
-// tolerance itself.
-const p95GateFloorNS = int64(10 * time.Millisecond)
+const Schema = "datawa-bench-suite/9"
 
 // Options parameterizes one suite run. The zero value runs every registered
 // archetype with the training-free methods at 1x and 5x density.
@@ -118,9 +107,6 @@ type Report struct {
 	Step        float64   `json:"step_seconds"`
 	Shards      int       `json:"shards"`
 	Parallelism int       `json:"parallelism"`
-	// Samples echoes the demand futures SSP draws per forecast instant
-	// (predict.DefaultSamples); absent when no SSP cells were requested.
-	Samples int `json:"samples,omitempty"`
 	// Results holds one cell per scenario × scale × method, in scenario
 	// name order.
 	Results []Cell `json:"results"`
@@ -156,9 +142,6 @@ type Cell struct {
 	// governor costing epochs in counted planner work, then quiesced to a full
 	// drain. Validate asserts exact task conservation on these cells.
 	Overload bool `json:"overload,omitempty"`
-	// Samples echoes the demand futures an SSP cell drew per forecast
-	// instant. Zero on non-SSP cells.
-	Samples int `json:"samples,omitempty"`
 }
 
 // Path is one execution path's measurement.
@@ -168,9 +151,12 @@ type Path struct {
 	Assigned       int     `json:"assigned"`
 	Expired        int     `json:"expired"`
 	AssignmentRate float64 `json:"assignment_rate"`
-	// PlanCalls counts planner invocations; AvgPlanNS is the paper's
-	// CPU-per-instant metric in nanoseconds.
+	// PlanCalls counts planner invocations and PlanWork what they cost in
+	// counted planner work (stream.Stats.PlanWork, summed over the shards on
+	// the live path): the same on every host. AvgPlanNS is the paper's
+	// CPU-per-instant metric in nanoseconds, host-dependent.
 	PlanCalls int   `json:"plan_calls"`
+	PlanWork  int64 `json:"plan_work"`
 	AvgPlanNS int64 `json:"avg_plan_ns"`
 	// WallMS is the path's wall-clock time; EventsPerSec the replay
 	// throughput (worker + task arrivals per wall second).
@@ -218,12 +204,6 @@ func Run(opts Options) (*Report, error) {
 		Step:        opts.Step,
 		Shards:      opts.Shards,
 		Parallelism: runtime.GOMAXPROCS(0),
-	}
-	for _, m := range opts.Methods {
-		if datawa.Method(m) == datawa.MethodSSP {
-			r.Samples = predict.DefaultSamples
-			break
-		}
 	}
 	for _, name := range opts.Scenarios {
 		arch, ok := scenario.Get(name)
@@ -292,9 +272,6 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 		Scenario: arch.Name, Scale: f, Method: string(m),
 		Workers: len(sc.Workers), Tasks: len(sc.Tasks),
 	}
-	if m == datawa.MethodSSP {
-		cell.Samples = predict.DefaultSamples
-	}
 	events := len(sc.Workers) + len(sc.Tasks)
 	var m0, m1 runtime.MemStats
 
@@ -316,6 +293,7 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 		Assigned: res.Assigned, Expired: res.Expired,
 		AssignmentRate: rate(res.Assigned, len(sc.Tasks)),
 		PlanCalls:      res.PlanCalls,
+		PlanWork:       res.PlanWork,
 		AvgPlanNS:      res.AvgPlanTime.Nanoseconds(),
 		WallMS:         float64(wall.Microseconds()) / 1000,
 		EventsPerSec:   perSec(events, wall),
@@ -377,14 +355,18 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 			return Cell{}, fmt.Errorf("lifecycle ledger audit failed on overload cell (evictions %d): %v", evictions, issues)
 		}
 	}
-	avgPlan := int64(0)
+	avgPlan, work := int64(0), int64(0)
 	if met.PlanCalls > 0 {
 		avgPlan = met.PlanTime.Nanoseconds() / int64(met.PlanCalls)
+	}
+	for _, sh := range met.Shards {
+		work += sh.Stats.PlanWork
 	}
 	cell.Live = Path{
 		Assigned: met.Assigned, Expired: met.Expired,
 		AssignmentRate: rate(met.Assigned, len(sc.Tasks)),
 		PlanCalls:      met.PlanCalls,
+		PlanWork:       work,
 		AvgPlanNS:      avgPlan,
 		WallMS:         float64(lr.Wall.Microseconds()) / 1000,
 		EventsPerSec:   lr.AchievedRate,
@@ -545,9 +527,11 @@ var outcomeFields = []struct {
 	{"offline.assigned", func(c *Cell) int64 { return int64(c.Offline.Assigned) }},
 	{"offline.expired", func(c *Cell) int64 { return int64(c.Offline.Expired) }},
 	{"offline.plan_calls", func(c *Cell) int64 { return int64(c.Offline.PlanCalls) }},
+	{"offline.plan_work", func(c *Cell) int64 { return c.Offline.PlanWork }},
 	{"live.assigned", func(c *Cell) int64 { return int64(c.Live.Assigned) }},
 	{"live.expired", func(c *Cell) int64 { return int64(c.Live.Expired) }},
 	{"live.plan_calls", func(c *Cell) int64 { return int64(c.Live.PlanCalls) }},
+	{"live.plan_work", func(c *Cell) int64 { return c.Live.PlanWork }},
 	{"live.epochs", func(c *Cell) int64 { return int64(c.Live.Epochs) }},
 	{"live.cancelled", func(c *Cell) int64 { return int64(c.Live.Cancelled) }},
 	{"live.shed", func(c *Cell) int64 { return c.Live.Shed }},
@@ -561,15 +545,13 @@ var outcomeFields = []struct {
 // by scenario, scale and method, and for every matched cell each of
 // outcomeFields must be equal: outcomes are deterministic, so any difference
 // is a behavior change, and the PR that intends one regenerates the snapshot.
-// The live path's epoch p95 may not grow by more than maxRelP95 (e.g. 0.50 =
-// 50%; ≤ 0 disables the latency gate) over max(baseline, 10 ms) — see
-// p95GateFloorNS; the gate exists to catch epoch blowups, not host jitter.
-// Every other wall-clock and allocation figure is ungated. It returns the
-// number of cells compared.
+// Planner work is one of them, so a change that makes planning dearer fails
+// here on every host; wall-clock, latency and allocation figures are ungated.
+// It returns the number of cells compared.
 //
-// The two reports must have run the same configuration — shards, epoch
-// length and, on SSP cells, the sample count — or their outcomes are not
-// comparable at all, and that is an error rather than a list of differences.
+// The two reports must have run the same configuration — shards and epoch
+// length — or their outcomes are not comparable at all, and that is an error
+// rather than a list of differences.
 //
 // Coverage is also gated: a baseline cell whose scenario, scale, and method
 // all lie inside the candidate's echoed axes must appear in the candidate — a
@@ -577,7 +559,7 @@ var outcomeFields = []struct {
 // regression, not a skip. Baseline cells outside the candidate's axes (a CI
 // run at 1x compared against the 1x+5x snapshot, a methods subset) are
 // legitimately absent and don't count.
-func Compare(base, cur *Report, maxRelP95 float64) (int, error) {
+func Compare(base, cur *Report) (int, error) {
 	if err := base.Validate(); err != nil {
 		return 0, fmt.Errorf("baseline: %w", err)
 	}
@@ -619,27 +601,12 @@ func Compare(base, cur *Report, maxRelP95 float64) (int, error) {
 		if !ok {
 			continue
 		}
-		if b.Samples != c.Samples {
-			return 0, fmt.Errorf("configurations differ: %s %gx %s sampled %d futures in the baseline, %d in the new report",
-				c.Scenario, c.Scale, c.Method, b.Samples, c.Samples)
-		}
 		compared++
 		for _, f := range outcomeFields {
 			if was, is := f.get(b), f.get(c); was != is {
 				regressions = append(regressions, fmt.Sprintf("%s %gx %s: %s %d → %d",
 					c.Scenario, c.Scale, c.Method, f.name, was, is))
 			}
-		}
-		// No b.EpochP95NS > 0 guard: the floor already turns a degenerate
-		// zero baseline into a 10 ms one instead of disabling the gate.
-		baseP95 := max(b.Live.EpochP95NS, p95GateFloorNS)
-		if maxRelP95 > 0 &&
-			float64(c.Live.EpochP95NS) > float64(baseP95)*(1+maxRelP95) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s %gx %s live: epoch p95 %v → %v (>%.0f%% growth over max(baseline, %v))",
-				c.Scenario, c.Scale, c.Method,
-				time.Duration(b.Live.EpochP95NS), time.Duration(c.Live.EpochP95NS),
-				100*maxRelP95, time.Duration(p95GateFloorNS)))
 		}
 	}
 	if compared == 0 {

@@ -199,16 +199,16 @@ func TestSingleShardForecastMatchesStreamEngine(t *testing.T) {
 	}
 }
 
-// digest reduces a snapshot to its deterministic assignment outcome,
-// excluding wall-clock fields.
+// digest reduces a snapshot to its deterministic assignment outcome and the
+// planner work each shard spent on it, excluding wall-clock fields.
 func digest(m Metrics) string {
 	s := fmt.Sprintf("assigned=%d expired=%d cancelled=%d repositions=%d planCalls=%d epochs=%d ghosts=%d/%d conflicts=%d/%d;",
 		m.Assigned, m.Expired, m.Cancelled, m.Repositions, m.PlanCalls, m.Epochs,
 		m.GhostCopies, m.GhostHits, m.CommitConflicts, m.Retractions)
 	for _, sh := range m.Shards {
-		s += fmt.Sprintf(" shard%d{w=%d open=%d a=%d e=%d c=%d r=%d}",
+		s += fmt.Sprintf(" shard%d{w=%d open=%d a=%d e=%d c=%d r=%d work=%d}",
 			sh.Shard, sh.Workers, sh.Open, sh.Stats.Assigned, sh.Stats.Expired,
-			sh.Stats.Cancelled, sh.Stats.Repositions)
+			sh.Stats.Cancelled, sh.Stats.Repositions, sh.Stats.PlanWork)
 	}
 	return s
 }

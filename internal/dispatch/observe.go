@@ -86,13 +86,13 @@ func newObsState(cfg ObsConfig) *obsState {
 		o.stageHist[i] = obs.NewLatencyHistogram()
 	}
 	if o.cfg.Spans > 0 {
-		o.spans = obs.NewSpanRing(o.cfg.Spans)
+		o.spans = obs.NewRing[obs.EpochSpans](o.cfg.Spans)
 	}
 	if o.cfg.LedgerTasks > 0 {
 		o.ledger = obs.NewLedger(o.cfg.LedgerTasks)
 	}
 	if o.cfg.FlightDepth > 0 {
-		o.flight = obs.NewFlightRing(flightMax)
+		o.flight = obs.NewRing[obs.FlightDump](flightMax)
 	}
 	return o
 }

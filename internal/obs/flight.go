@@ -16,7 +16,3 @@ type FlightDump struct {
 	Spans []EpochSpans  `json:"spans"`
 	Tasks []TaskHistory `json:"tasks"`
 }
-
-// NewFlightRing builds a ring retaining the n most recent flight dumps
-// (n ≥ 1).
-func NewFlightRing(n int) *Ring[FlightDump] { return NewRing[FlightDump](n) }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/internal/fmath"
 )
 
 // Histogram is a log-bucketed latency histogram in the Prometheus shape:
@@ -21,14 +23,16 @@ type Histogram struct {
 }
 
 // NewLogHistogram builds a histogram with perDecade log-spaced bucket bounds
-// per factor of 10, spanning [lo, hi] (both > 0, hi > lo).
+// per factor of 10, spanning [lo, hi] (both > 0, hi > lo). The bounds come from
+// fmath.Pow, so the `le` labels /metrics exports are the same bits on every
+// CPU; math.Pow's differ with FMA on and off.
 func NewLogHistogram(lo, hi float64, perDecade int) *Histogram {
 	if !(lo > 0) || !(hi > lo) || perDecade < 1 {
 		panic("obs: NewLogHistogram needs 0 < lo < hi and perDecade >= 1")
 	}
 	var bounds []float64
 	for i := 0; ; i++ {
-		b := lo * math.Pow(10, float64(i)/float64(perDecade))
+		b := lo * fmath.Pow(10, float64(i)/float64(perDecade))
 		if b > hi*1.0000001 {
 			break
 		}

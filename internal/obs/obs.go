@@ -40,7 +40,7 @@ type EpochSpans struct {
 }
 
 // Ring keeps the last values added to it, a fixed number of them: the last
-// epochs' span sets (NewSpanRing), the latest flight dumps (NewFlightRing).
+// epochs' span sets, the latest flight dumps.
 type Ring[T any] struct {
 	buf  []T
 	next int
@@ -51,9 +51,6 @@ type Ring[T any] struct {
 func NewRing[T any](n int) *Ring[T] {
 	return &Ring[T]{buf: make([]T, max(n, 1))}
 }
-
-// NewSpanRing builds a ring retaining n epochs' span sets (n ≥ 1).
-func NewSpanRing(n int) *Ring[EpochSpans] { return NewRing[EpochSpans](n) }
 
 // Add appends one value, evicting the oldest once full.
 func (r *Ring[T]) Add(v T) {

@@ -18,7 +18,7 @@ func TestSpanRingWraparound(t *testing.T) {
 			if adds < 0 {
 				continue
 			}
-			r := NewSpanRing(depth)
+			r := NewRing[EpochSpans](depth)
 			for i := 0; i < adds; i++ {
 				r.Add(EpochSpans{Epoch: i})
 			}
@@ -243,6 +243,41 @@ func TestHistogramBucketsAndExposition(t *testing.T) {
 	}
 }
 
+// TestLatencyBoundsPinned pins the 41 `le` labels of the dispatcher's latency
+// histograms as /metrics prints them. They are fmath.Pow's bits, the same on
+// every CPU: CI runs this package with FMA off as well, where math.Pow would
+// print 1.5848931924611137e-06 and 0.00039810717055349735 instead.
+func TestLatencyBoundsPinned(t *testing.T) {
+	want := strings.Fields(`1e-06 1.5848931924611134e-06 2.5118864315095806e-06
+		3.981071705534972e-06 6.309573444801932e-06 9.999999999999999e-06
+		1.584893192461113e-05 2.5118864315095798e-05 3.9810717055349735e-05
+		6.309573444801932e-05 9.999999999999999e-05 0.00015848931924611142
+		0.00025118864315095795 0.0003981071705534973 0.0006309573444801929 0.001
+		0.0015848931924611143 0.00251188643150958 0.003981071705534973
+		0.006309573444801929 0.01 0.01584893192461114 0.025118864315095822
+		0.03981071705534968 0.06309573444801929 0.09999999999999999
+		0.15848931924611143 0.25118864315095824 0.39810717055349687
+		0.6309573444801929 1 1.584893192461114 2.5118864315095824
+		3.9810717055349683 6.309573444801928 10 15.848931924611142
+		25.118864315095824 39.810717055349684 63.095734448019286 100 +Inf`)
+	var b strings.Builder
+	NewLatencyHistogram().Snapshot().AppendProm(&b, "x_seconds", "")
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if le, ok := strings.CutPrefix(line, `x_seconds_bucket{le="`); ok {
+			got = append(got, le[:strings.IndexByte(le, '"')])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d bucket labels, want %d:\n%s", len(got), len(want), b.String())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("bucket %d: le=%q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
 // TestHistogramQuantile pins the histogram_quantile convention: an empty
 // histogram reads 0, a rank in the +Inf bucket reads the top finite bound,
 // quantiles are monotone in q, and on a seeded sample every estimate lands in
@@ -341,7 +376,7 @@ func TestChromeTraceShape(t *testing.T) {
 }
 
 func TestFlightRing(t *testing.T) {
-	r := NewFlightRing(2)
+	r := NewRing[FlightDump](2)
 	r.Add(FlightDump{Reason: "a", Epoch: 1})
 	r.Add(FlightDump{Reason: "b", Epoch: 2})
 	r.Add(FlightDump{Reason: "c", Epoch: 3})

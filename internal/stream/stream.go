@@ -67,22 +67,12 @@ type Input struct {
 	T0, T1  float64
 }
 
-// Result aggregates a run.
+// Result aggregates a run: the machine's Stats at its end (Assigned is the
+// paper's headline metric), and the paper's CPU-time metric.
 type Result struct {
-	// Assigned is the paper's headline metric: the number of real tasks
-	// assigned (every assignment here is also completed, since commitment
-	// revalidates the spatio-temporal constraints).
-	Assigned int
-	// Expired counts real tasks that left the system unserved.
-	Expired int
-	// PlanCalls is the number of planning instants executed.
-	PlanCalls int
-	// PlanTime is the total time spent inside the planner.
-	PlanTime time.Duration
+	Stats
 	// AvgPlanTime is PlanTime/PlanCalls — the paper's CPU-time metric.
 	AvgPlanTime time.Duration
-	// Repositions counts moves toward virtual tasks.
-	Repositions int
 }
 
 // Engine runs one scenario by replaying its presorted worker/task streams
@@ -119,16 +109,9 @@ func (e *Engine) Run() Result {
 	for t := e.in.T0; t < e.in.T1; t += e.cfg.Step {
 		e.stepOnce(t)
 	}
-	st := e.m.Stats()
-	res := Result{
-		Assigned:    st.Assigned,
-		Expired:     st.Expired,
-		PlanCalls:   st.PlanCalls,
-		PlanTime:    st.PlanTime,
-		Repositions: st.Repositions,
-	}
-	if st.PlanCalls > 0 {
-		res.AvgPlanTime = st.PlanTime / time.Duration(st.PlanCalls)
+	res := Result{Stats: e.m.Stats()}
+	if res.PlanCalls > 0 {
+		res.AvgPlanTime = res.PlanTime / time.Duration(res.PlanCalls)
 	}
 	return res
 }
