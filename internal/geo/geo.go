@@ -19,7 +19,7 @@ type Point struct {
 func Dist(a, b Point) float64 {
 	dx := a.X - b.X
 	dy := a.Y - b.Y
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // Lerp returns the point a + t*(b-a). t is clamped to [0,1].
@@ -30,7 +30,7 @@ func Lerp(a, b Point, t float64) Point {
 	if t >= 1 {
 		return b
 	}
-	return Point{X: a.X + t*(b.X-a.X), Y: a.Y + t*(b.Y-a.Y)}
+	return Point{X: a.X + float64(t*(b.X-a.X)), Y: a.Y + float64(t*(b.Y-a.Y))}
 }
 
 // TravelModel converts distances to travel times. The paper does not fix a
@@ -68,8 +68,8 @@ func (m TravelModel) TimeForDist(d float64) float64 {
 // TimeForDist(d) ≤ t is at most it, the rounding of both included. It is NaN
 // where t or the speed is.
 func (m TravelModel) DistWithin(t float64) float64 {
-	d := t * m.Speed
-	return d + d*0x1p-30 + 0x1p-1000
+	d := float64(t * m.Speed)
+	return d + float64(d*0x1p-30) + 0x1p-1000
 }
 
 // Rect is an axis-aligned rectangle with Min ≤ Max on both axes.
@@ -162,10 +162,10 @@ func (g Grid) CellRect(i int) Rect {
 	cw := g.Region.Width() / float64(g.Cols)
 	ch := g.Region.Height() / float64(g.Rows)
 	return Rect{
-		MinX: g.Region.MinX + float64(col)*cw,
-		MinY: g.Region.MinY + float64(row)*ch,
-		MaxX: g.Region.MinX + float64(col+1)*cw,
-		MaxY: g.Region.MinY + float64(row+1)*ch,
+		MinX: g.Region.MinX + float64(float64(col)*cw),
+		MinY: g.Region.MinY + float64(float64(row)*ch),
+		MaxX: g.Region.MinX + float64(float64(col+1)*cw),
+		MaxY: g.Region.MinY + float64(float64(row+1)*ch),
 	}
 }
 

@@ -4,12 +4,24 @@
 // predictors of the DATA-WA paper — LSTM, Graph-WaveNet and DDGNN — and its
 // task value function on a CPU.
 //
-// Its bits are the same on every CPU. The matrix products run through
-// internal/tensor's kernel, AVX2 assembly where the CPU has it and pure Go
-// elsewhere, both with the plain loop's bits. Exp, Log, Tanh and Pow come
-// from internal/fmath, never from math, whose amd64 assembly differs in the
-// last bit and with FMA; Tanh and Sigmoid run through fmath's slice kernels,
-// four lanes to an AVX2 register with the scalar functions' bits.
+// Its bits are the same on every CPU. The matrix products and the
+// element-wise loops run through internal/tensor's kernels, AVX2 assembly
+// where the CPU has it and pure Go elsewhere, both with the plain loop's
+// bits: the forward operations (Add, Sub, Mul, Scale, AddConst, AddBias,
+// ScaleRows, ScaleCols), the backward step of every kind (Mul's and Scale's
+// as one dst += x·y pass, Tanh's and Sigmoid's as one kernel each, AddBias's
+// bias gradient as column sums side by side), and Adam's update
+// (tensor.AdamVec). Three rules keep those bits. Backward keeps the graph's
+// post-order, which decides the order in which gradients accumulate into a
+// shared parameter (a convolution's taps and bias). No reduction is
+// reassociated: ClipGrads' sum of squares, RowSum and the dots of ScaleRows'
+// and SoftmaxRows' backward steps add in order. And every product is
+// rounded before it is added: the assembly has no fused multiply-add, and
+// the Go code converts every product that meets an add with float64(), so
+// arm64's compiler cannot fuse it. Exp, Log, Tanh and Pow come from
+// internal/fmath, never from math, whose amd64 assembly differs in the last
+// bit and with FMA; Tanh and Sigmoid run through fmath's slice kernels, four
+// lanes to an AVX2 register with the scalar functions' bits.
 //
 // Values are matrices (internal/tensor). A graph is data, not code: each
 // operation returns a *Node that records its kind, its operands (at most two)
@@ -269,10 +281,13 @@ func Release(root *Node) *tensor.Matrix {
 }
 
 // backward accumulates the operation's gradient, n.Grad, into its operands'.
+// The element-wise steps run through tensor's kernels; a step that sums
+// (the dots of ScaleRows' and SoftmaxRows' steps) adds its terms in order.
 //
 //datawa:hotpath
 func (n *Node) backward() {
 	a, b, out := n.a, n.b, n
+	g := out.Grad.Data
 	switch n.kind {
 	case opMatMul:
 		if a.needsBackward() {
@@ -301,26 +316,18 @@ func (n *Node) backward() {
 			tensor.AddInPlace(a.grad(), out.Grad)
 		}
 		if b.needsBackward() {
-			neg := tensor.Scale(out.Grad, -1)
-			tensor.AddInPlace(b.grad(), neg)
-			tensor.Recycle(neg)
+			tensor.ScaleAccVec(b.grad().Data, g, -1)
 		}
 	case opMul:
 		if a.needsBackward() {
-			ga := tensor.Hadamard(out.Grad, b.Val)
-			tensor.AddInPlace(a.grad(), ga)
-			tensor.Recycle(ga)
+			tensor.MulAccVec(a.grad().Data, g, b.Val.Data)
 		}
 		if b.needsBackward() {
-			gb := tensor.Hadamard(out.Grad, a.Val)
-			tensor.AddInPlace(b.grad(), gb)
-			tensor.Recycle(gb)
+			tensor.MulAccVec(b.grad().Data, g, a.Val.Data)
 		}
 	case opScale:
 		if a.needsBackward() {
-			ga := tensor.Scale(out.Grad, n.k)
-			tensor.AddInPlace(a.grad(), ga)
-			tensor.Recycle(ga)
+			tensor.ScaleAccVec(a.grad().Data, g, n.k)
 		}
 	case opAddConst:
 		if a.needsBackward() {
@@ -331,142 +338,123 @@ func (n *Node) backward() {
 			tensor.AddInPlace(a.grad(), out.Grad)
 		}
 		if b.needsBackward() {
-			g := b.grad()
-			for i := 0; i < out.Grad.Rows; i++ {
-				for j := 0; j < out.Grad.Cols; j++ {
-					g.Data[j] += out.Grad.At(i, j)
-				}
-			}
+			tensor.AddRowsInto(b.grad().Data, out.Grad)
 		}
 	case opTanh:
 		if a.needsBackward() {
-			g := a.grad()
-			for i := range g.Data {
-				t := out.Val.Data[i]
-				g.Data[i] += out.Grad.Data[i] * (1 - t*t)
-			}
+			tensor.TanhGradVec(a.grad().Data, g, out.Val.Data)
 		}
 	case opSigmoid:
 		if a.needsBackward() {
-			g := a.grad()
-			for i := range g.Data {
-				s := out.Val.Data[i]
-				g.Data[i] += out.Grad.Data[i] * s * (1 - s)
-			}
+			tensor.SigmoidGradVec(a.grad().Data, g, out.Val.Data)
 		}
 	case opReLU:
 		if a.needsBackward() {
-			g := a.grad()
-			for i := range g.Data {
-				if a.Val.Data[i] > 0 {
-					g.Data[i] += out.Grad.Data[i]
+			ga := a.grad().Data
+			x := a.Val.Data[:len(ga)]
+			g = g[:len(ga)]
+			for i, v := range x {
+				if v > 0 {
+					ga[i] += g[i]
 				}
 			}
 		}
 	case opPowElem:
 		if a.needsBackward() {
-			g, p := a.grad(), n.k
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i] * p * fmath.Pow(a.Val.Data[i], p-1)
+			ga, p := a.grad().Data, n.k
+			x := a.Val.Data[:len(ga)]
+			g = g[:len(ga)]
+			for i, v := range x {
+				ga[i] += float64(g[i] * p * fmath.Pow(v, p-1))
 			}
 		}
 	case opRowSum:
 		if a.needsBackward() {
-			g := a.grad()
-			for i := 0; i < a.Val.Rows; i++ {
-				gi := out.Grad.Data[i]
-				for j := 0; j < a.Val.Cols; j++ {
-					g.Data[i*a.Val.Cols+j] += gi
-				}
+			ga, cols := a.grad().Data, a.Val.Cols
+			for i, gi := range g {
+				row := ga[i*cols : (i+1)*cols]
+				tensor.AddConstVec(row, row, gi)
 			}
 		}
 	case opScaleRows:
+		cols := a.Val.Cols
 		if a.needsBackward() {
-			g := a.grad()
-			for i := 0; i < a.Val.Rows; i++ {
-				vi := b.Val.Data[i]
-				for j := 0; j < a.Val.Cols; j++ {
-					g.Data[i*a.Val.Cols+j] += out.Grad.At(i, j) * vi
-				}
+			ga := a.grad().Data
+			for i, vi := range b.Val.Data {
+				tensor.ScaleAccVec(ga[i*cols:(i+1)*cols], g[i*cols:(i+1)*cols], vi)
 			}
 		}
 		if b.needsBackward() {
-			g := b.grad()
-			for i := 0; i < a.Val.Rows; i++ {
+			gb := b.grad().Data
+			for i := range gb {
+				x := a.Val.Data[i*cols : (i+1)*cols]
 				s := 0.0
-				for j := 0; j < a.Val.Cols; j++ {
-					s += out.Grad.At(i, j) * a.Val.At(i, j)
+				for j, gj := range g[i*cols : (i+1)*cols][:len(x)] {
+					s += float64(gj * x[j])
 				}
-				g.Data[i] += s
+				gb[i] += s
 			}
 		}
 	case opScaleCols:
+		cols := a.Val.Cols
 		if a.needsBackward() {
-			g := a.grad()
+			ga := a.grad().Data
 			for i := 0; i < a.Val.Rows; i++ {
-				for j := 0; j < a.Val.Cols; j++ {
-					g.Data[i*a.Val.Cols+j] += out.Grad.At(i, j) * b.Val.Data[j]
-				}
+				tensor.MulAccVec(ga[i*cols:(i+1)*cols], g[i*cols:(i+1)*cols], b.Val.Data)
 			}
 		}
 		if b.needsBackward() {
-			g := b.grad()
-			for j := 0; j < a.Val.Cols; j++ {
-				s := 0.0
-				for i := 0; i < a.Val.Rows; i++ {
-					s += out.Grad.At(i, j) * a.Val.At(i, j)
-				}
-				g.Data[j] += s
+			// Column j's sum of g·a, rows in order, for every column side by side.
+			s := tensor.New(1, cols)
+			for i := 0; i < a.Val.Rows; i++ {
+				tensor.MulAccVec(s.Data, g[i*cols:(i+1)*cols], a.Val.Data[i*cols:(i+1)*cols])
 			}
+			gb := b.grad().Data
+			tensor.AddVec(gb, gb, s.Data)
+			tensor.Recycle(s)
 		}
 	case opSoftmaxRows:
 		if a.needsBackward() {
-			g, val := a.grad(), out.Val
-			for i := 0; i < val.Rows; i++ {
+			ga, val, cols := a.grad().Data, out.Val.Data, out.Val.Cols
+			for i := 0; i < out.Val.Rows; i++ {
+				gi, si, gai := g[i*cols:(i+1)*cols], val[i*cols:(i+1)*cols], ga[i*cols:(i+1)*cols]
+				si, gai = si[:len(gi)], gai[:len(gi)]
 				dot := 0.0
-				for j := 0; j < val.Cols; j++ {
-					dot += out.Grad.At(i, j) * val.At(i, j)
+				for j, v := range gi {
+					dot += float64(v * si[j])
 				}
-				for j := 0; j < val.Cols; j++ {
-					s := val.At(i, j)
-					g.Data[i*val.Cols+j] += s * (out.Grad.At(i, j) - dot)
+				for j, v := range gi {
+					gai[j] += float64(si[j] * (v - dot))
 				}
 			}
 		}
 	case opMeanAll:
 		if a.needsBackward() {
-			g := a.grad()
-			k := out.Grad.Data[0] / float64(len(a.Val.Data))
-			for i := range g.Data {
-				g.Data[i] += k
-			}
+			ga := a.grad().Data
+			tensor.AddConstVec(ga, ga, g[0]/float64(len(a.Val.Data)))
 		}
 	case opBCE:
 		if a.needsBackward() {
-			g := a.grad()
-			k := out.Grad.Data[0] / float64(len(a.Val.Data))
-			for i := range g.Data {
-				p := clampProb(a.Val.Data[i])
-				y := n.target.Data[i]
-				g.Data[i] += k * (p - y) / (p * (1 - p))
+			ga := a.grad().Data
+			k := g[0] / float64(len(a.Val.Data))
+			x, y := a.Val.Data[:len(ga)], n.target.Data[:len(ga)]
+			for i, v := range x {
+				p := clampProb(v)
+				ga[i] += k * (p - y[i]) / (p * (1 - p))
 			}
 		}
 	case opConcatCols:
 		rows, p, q := a.Val.Rows, a.Val.Cols, b.Val.Cols
 		if a.needsBackward() {
-			g := a.grad()
+			ga := a.grad().Data
 			for i := 0; i < rows; i++ {
-				for j := 0; j < p; j++ {
-					g.Data[i*p+j] += out.Grad.Data[i*(p+q)+j]
-				}
+				tensor.AddVec(ga[i*p:(i+1)*p], ga[i*p:(i+1)*p], g[i*(p+q):i*(p+q)+p])
 			}
 		}
 		if b.needsBackward() {
-			g := b.grad()
+			gb := b.grad().Data
 			for i := 0; i < rows; i++ {
-				for j := 0; j < q; j++ {
-					g.Data[i*q+j] += out.Grad.Data[i*(p+q)+p+j]
-				}
+				tensor.AddVec(gb[i*q:(i+1)*q], gb[i*q:(i+1)*q], g[i*(p+q)+p:(i+1)*(p+q)])
 			}
 		}
 	}
@@ -524,10 +512,8 @@ func Scale(a *Node, k float64) *Node {
 //
 //datawa:hotpath
 func AddConst(a *Node, k float64) *Node {
-	val := tensor.New(a.Val.Rows, a.Val.Cols)
-	for i, v := range a.Val.Data {
-		val.Data[i] = v + k
-	}
+	val := tensor.NewFull(a.Val.Rows, a.Val.Cols)
+	tensor.AddConstVec(val.Data, a.Val.Data, k)
 	return newNode(opAddConst, val, a, nil)
 }
 
@@ -542,7 +528,7 @@ func AddBias(a, bias *Node) *Node {
 //
 //datawa:hotpath
 func Tanh(a *Node) *Node {
-	val := tensor.New(a.Val.Rows, a.Val.Cols)
+	val := tensor.NewFull(a.Val.Rows, a.Val.Cols)
 	fmath.TanhSlice(val.Data, a.Val.Data)
 	return newNode(opTanh, val, a, nil)
 }
@@ -551,7 +537,7 @@ func Tanh(a *Node) *Node {
 //
 //datawa:hotpath
 func Sigmoid(a *Node) *Node {
-	val := tensor.New(a.Val.Rows, a.Val.Cols)
+	val := tensor.NewFull(a.Val.Rows, a.Val.Cols)
 	fmath.SigmoidSlice(val.Data, a.Val.Data)
 	return newNode(opSigmoid, val, a, nil)
 }
@@ -574,7 +560,7 @@ func ReLU(a *Node) *Node {
 //
 //datawa:hotpath
 func PowElem(a *Node, p float64) *Node {
-	val := tensor.New(a.Val.Rows, a.Val.Cols)
+	val := tensor.NewFull(a.Val.Rows, a.Val.Cols)
 	for i, v := range a.Val.Data {
 		val.Data[i] = fmath.Pow(v, p)
 	}
@@ -587,11 +573,12 @@ func PowElem(a *Node, p float64) *Node {
 //
 //datawa:hotpath
 func RowSum(a *Node) *Node {
-	val := tensor.New(a.Val.Rows, 1)
-	for i := 0; i < a.Val.Rows; i++ {
+	val := tensor.NewFull(a.Val.Rows, 1)
+	cols := a.Val.Cols
+	for i := range val.Data {
 		s := 0.0
-		for j := 0; j < a.Val.Cols; j++ {
-			s += a.Val.At(i, j)
+		for _, v := range a.Val.Data[i*cols : (i+1)*cols] {
+			s += v
 		}
 		val.Data[i] = s
 	}
@@ -606,12 +593,10 @@ func ScaleRows(a, v *Node) *Node {
 	if v.Val.Cols != 1 || v.Val.Rows != a.Val.Rows {
 		panic("nn: ScaleRows wants v of shape n x 1 matching a's rows")
 	}
-	val := tensor.New(a.Val.Rows, a.Val.Cols)
-	for i := 0; i < a.Val.Rows; i++ {
-		vi := v.Val.Data[i]
-		for j := 0; j < a.Val.Cols; j++ {
-			val.Data[i*a.Val.Cols+j] = a.Val.At(i, j) * vi
-		}
+	val := tensor.NewFull(a.Val.Rows, a.Val.Cols)
+	cols := a.Val.Cols
+	for i, vi := range v.Val.Data {
+		tensor.ScaleVec(val.Data[i*cols:(i+1)*cols], a.Val.Data[i*cols:(i+1)*cols], vi)
 	}
 	return newNode(opScaleRows, val, a, v)
 }
@@ -624,11 +609,10 @@ func ScaleCols(a, v *Node) *Node {
 	if v.Val.Rows != 1 || v.Val.Cols != a.Val.Cols {
 		panic("nn: ScaleCols wants v of shape 1 x m matching a's cols")
 	}
-	val := tensor.New(a.Val.Rows, a.Val.Cols)
+	val := tensor.NewFull(a.Val.Rows, a.Val.Cols)
+	cols := a.Val.Cols
 	for i := 0; i < a.Val.Rows; i++ {
-		for j := 0; j < a.Val.Cols; j++ {
-			val.Data[i*a.Val.Cols+j] = a.Val.At(i, j) * v.Val.Data[j]
-		}
+		tensor.MulVec(val.Data[i*cols:(i+1)*cols], a.Val.Data[i*cols:(i+1)*cols], v.Val.Data)
 	}
 	return newNode(opScaleCols, val, a, v)
 }
@@ -669,7 +653,7 @@ func BCE(pred *Node, target *tensor.Matrix) *Node {
 	for i, p := range pred.Val.Data {
 		p = clampProb(p)
 		y := target.Data[i]
-		loss += -(y*fmath.Log(p) + (1-y)*fmath.Log(1-p))
+		loss += -(float64(y*fmath.Log(p)) + float64((1-y)*fmath.Log(1-p)))
 	}
 	val.Data[0] = loss / float64(len(pred.Val.Data))
 	out := newNode(opBCE, val, pred, nil)
@@ -696,7 +680,7 @@ func ConcatCols(a, b *Node) *Node {
 		panic("nn: ConcatCols row mismatch")
 	}
 	n, p, q := a.Val.Rows, a.Val.Cols, b.Val.Cols
-	val := tensor.New(n, p+q)
+	val := tensor.NewFull(n, p+q)
 	for i := 0; i < n; i++ {
 		copy(val.Data[i*(p+q):i*(p+q)+p], a.Val.Data[i*p:(i+1)*p])
 		copy(val.Data[i*(p+q)+p:(i+1)*(p+q)], b.Val.Data[i*q:(i+1)*q])

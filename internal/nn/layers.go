@@ -71,7 +71,7 @@ func ClipGrads(params []*Node, max float64) float64 {
 			continue
 		}
 		for _, g := range n.Grad.Data {
-			total += g * g
+			total += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(total)
@@ -81,9 +81,7 @@ func ClipGrads(params []*Node, max float64) float64 {
 			if n.Grad == nil {
 				continue
 			}
-			for i := range n.Grad.Data {
-				n.Grad.Data[i] *= k
-			}
+			tensor.ScaleVec(n.Grad.Data, n.Grad.Data, k)
 		}
 	}
 	return norm
@@ -97,46 +95,40 @@ type Adam struct {
 	// per step, decoupled from the adaptive update.
 	WeightDecay float64
 
-	t int
-	m map[*Node][]float64
-	v map[*Node][]float64
+	t    int
+	m, v [][]float64 // the moments of params[i] of Step, nil until it has a gradient
 }
 
 // NewAdam returns an Adam optimizer with standard defaults and the given
 // learning rate.
 func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*Node][]float64), v: make(map[*Node][]float64),
-	}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one Adam update to every parameter with a gradient.
+// Step applies one Adam update to every parameter with a gradient, element
+// by element through tensor.AdamVec. Every step must be given the same
+// parameter list (a Params' All): the moments are kept by position in it.
 func (o *Adam) Step(params []*Node) {
 	o.t++
-	bc1 := 1 - fmath.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - fmath.Pow(o.Beta2, float64(o.t))
-	for _, n := range params {
+	c := tensor.AdamConsts{
+		Beta1: o.Beta1, OneMinusBeta1: 1 - o.Beta1,
+		Beta2: o.Beta2, OneMinusBeta2: 1 - o.Beta2,
+		Correct1: 1 - fmath.Pow(o.Beta1, float64(o.t)),
+		Correct2: 1 - fmath.Pow(o.Beta2, float64(o.t)),
+		LR:       o.LR, Eps: o.Eps,
+		Decay: o.LR * o.WeightDecay, Decays: o.WeightDecay > 0,
+	}
+	for len(o.m) < len(params) {
+		o.m, o.v = append(o.m, nil), append(o.v, nil)
+	}
+	for i, n := range params {
 		if n.Grad == nil {
 			continue
 		}
-		m, ok := o.m[n]
-		if !ok {
-			m = make([]float64, len(n.Val.Data))
-			o.m[n] = m
-			o.v[n] = make([]float64, len(n.Val.Data))
+		if o.m[i] == nil {
+			o.m[i], o.v[i] = make([]float64, len(n.Val.Data)), make([]float64, len(n.Val.Data))
 		}
-		v := o.v[n]
-		for i, g := range n.Grad.Data {
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mhat := m[i] / bc1
-			vhat := v[i] / bc2
-			n.Val.Data[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
-			if o.WeightDecay > 0 {
-				n.Val.Data[i] -= o.LR * o.WeightDecay * n.Val.Data[i]
-			}
-		}
+		tensor.AdamVec(n.Val.Data, o.m[i], o.v[i], n.Grad.Data, &c)
 	}
 }
 

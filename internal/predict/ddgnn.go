@@ -102,10 +102,7 @@ func (m *DDGNN) dependencyMatrix(inputs []*tensor.Matrix) *nn.Node {
 	for _, x := range inputs {
 		tensor.AddInPlace(ct, x)
 	}
-	k := 1 / float64(len(inputs))
-	for i, v := range ct.Data {
-		ct.Data[i] = k * v // tensor.Scale's product, in place
-	}
+	tensor.ScaleVec(ct.Data, ct.Data, 1/float64(len(inputs)))
 	c := nn.Temp(ct)
 	m1 := m.f1.Forward(c) // Eq. 4
 	m2 := m.f2.Forward(c) // Eq. 5

@@ -85,7 +85,7 @@ func (f *Forecaster) forecast(published []*core.Task, now float64) (probs *tenso
 	if horizon <= 0 {
 		horizon = 1
 	}
-	intervalStart = f.Cfg.T0 + float64(p+horizon-1)*f.Cfg.VectorSpan()
+	intervalStart = f.Cfg.T0 + float64(float64(p+horizon-1)*f.Cfg.VectorSpan())
 	return probs, intervalStart, true
 }
 

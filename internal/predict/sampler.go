@@ -149,7 +149,7 @@ func (sc *ScenarioSampler) Virtuals(published []*core.Task, now float64) []*core
 			if mask == 0 {
 				continue
 			}
-			pub := intervalStart + float64(j)*sc.F.Cfg.DeltaT
+			pub := intervalStart + float64(float64(j)*sc.F.Cfg.DeltaT)
 			out = append(out, &core.Task{
 				ID:         sc.nextSampledID,
 				Loc:        sc.F.Cfg.Grid.Center(cell),

@@ -59,12 +59,12 @@ func (c SeriesConfig) complete(until float64) int {
 // ΔT interval within it, per Eq. 2, or ok=false outside [c.T0, c.T0+p·kΔT).
 func (c SeriesConfig) bin(pub float64, p int) (vec, dim int, ok bool) {
 	span := c.VectorSpan()
-	if pub < c.T0 || pub >= c.T0+float64(p)*span {
+	if pub < c.T0 || pub >= c.T0+float64(float64(p)*span) {
 		return 0, 0, false
 	}
 	rel := pub - c.T0
 	vec = int(rel / span)
-	dim = int((rel - float64(vec)*span) / c.DeltaT)
+	dim = int((rel - float64(float64(vec)*span)) / c.DeltaT)
 	if dim >= c.K { // guard against float edge cases
 		dim = c.K - 1
 	}

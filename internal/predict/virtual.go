@@ -38,7 +38,7 @@ func VirtualTasks(probs *tensor.Matrix, cfg SeriesConfig, intervalStart, thresho
 			if probs.At(cell, j) < threshold {
 				continue
 			}
-			pub := intervalStart + float64(j)*cfg.DeltaT
+			pub := intervalStart + float64(float64(j)*cfg.DeltaT)
 			out = append(out, &core.Task{
 				ID:      id,
 				Loc:     cfg.Grid.Center(cell),

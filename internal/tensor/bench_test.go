@@ -19,13 +19,14 @@ func BenchmarkMatMul64(b *testing.B) {
 
 // BenchmarkMatMulShapes times the DDGNN's own products over 36 cells. The
 // forward MatMuls: the input lift (K = 3 to F = 16), an F×F layer, APPNP's
-// adjacency product and the output head. Then the two orientations
+// adjacency product and the output head; and the value network's output
+// layer on a mini-batch of 64 (a one-column product). Then the two orientations
 // nn.MatMul's backward runs, named by the stored shapes with a T on the
 // operand read transposed: b.grad += aᵀ·g through MatMulTAccum for an F×F
 // weight (16×36·36×16) and for the adjacency (36×36ᵀ·36×16), and
 // a.grad += g·bᵀ through a recycled transpose of an F×F weight.
 func BenchmarkMatMulShapes(b *testing.B) {
-	for _, s := range []struct{ m, k, n int }{{36, 3, 16}, {36, 16, 16}, {36, 36, 16}, {36, 16, 3}} {
+	for _, s := range []struct{ m, k, n int }{{36, 3, 16}, {36, 16, 16}, {36, 36, 16}, {36, 16, 3}, {64, 16, 1}} {
 		b.Run(fmt.Sprintf("%dx%d_%dx%d", s.m, s.k, s.k, s.n), func(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
 			x := Randn(s.m, s.k, 1, r)

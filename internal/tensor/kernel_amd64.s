@@ -1,7 +1,8 @@
 #include "textflag.h"
 
 // AVX2 row kernels for mulAddRows (see kernel_amd64.go), four columns to a
-// YMM register, then two to an XMM register and one scalar. Every
+// YMM register, the last one to three through a masked YMM register, and a
+// one-column product four rows to a register. Every
 // instruction is VEX-encoded and every function ends in VZEROUPPER, so no
 // legacy SSE instruction meets a dirty upper half.
 //
@@ -111,41 +112,61 @@ next:
 	VZEROUPPER
 	RET
 
-// func rowMulAdd2(o, a, b *float64, K, as, n int)
-TEXT ·rowMulAdd2(SB), NOSPLIT, $0-48
+// func rowMulAddMasked(o, a, b *float64, K, as, n int, mask *uint64)
+//
+// The 4-wide kernel on the lanes mask selects (the first one, two or three):
+// VMASKMOVPD neither reads nor writes the others, in o or in b.
+TEXT ·rowMulAddMasked(SB), NOSPLIT, $0-56
 	ARGS
-	VMOVUPD 0(DI), X0
+	MOVQ mask+48(FP), AX
+	VMOVDQU (AX), Y14
+	VMASKMOVPD (DI), Y14, Y0
 
 loop:
 	LOADA
 
 mul:
-	VMOVDDUP X8, X8
-	VMOVUPD 0(DX), X9
-	VMULPD X8, X9, X9
-	VADDPD X9, X0, X0
+	VBROADCASTSD X8, Y8
+	VMASKMOVPD (DX), Y14, Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD Y9, Y0, Y0
 
 next:
 	STEP
-	VMOVUPD X0, 0(DI)
+	VMASKMOVPD Y0, Y14, (DI)
 	VZEROUPPER
 	RET
 
-// func rowMulAdd1(o, a, b *float64, K, as, n int)
-TEXT ·rowMulAdd1(SB), NOSPLIT, $0-48
+// func colMulAdd4(o, a, b *float64, K, as, ai int)
+//
+// A one-column product four rows at a time: o[r] += Σ_{k<K} A[r][k]·b[k]
+// for r < 4, A[r][k] = a[r·ai + k·as]. The four rows' A[r][k] are gathered
+// into one register, each lane adds its product in ascending k, and a lane
+// whose A[r][k] is zero keeps its sum (VBLENDVPD on a not-equal-or-unordered
+// compare, so a NaN is not skipped), as the row kernels skip it.
+TEXT ·colMulAdd4(SB), NOSPLIT, $0-48
 	ARGS
-	VMOVSD 0(DI), X0
+	MOVQ ai+40(FP), R10
+	SHLQ $3, R10
+	VMOVUPD (DI), Y0
+	VXORPD Y10, Y10, Y10
 
 loop:
-	LOADA
-
-mul:
-	VMOVSD 0(DX), X9
-	VMULSD X8, X9, X9
-	VADDSD X9, X0, X0
-
-next:
-	STEP
-	VMOVSD X0, 0(DI)
+	LEAQ (SI)(R10*2), AX
+	VMOVSD (SI), X8
+	VMOVHPD (SI)(R10*1), X8, X8
+	VMOVSD (AX), X11
+	VMOVHPD (AX)(R10*1), X11, X11
+	VINSERTF128 $1, X11, Y8, Y8
+	VCMPPD $4, Y10, Y8, Y12
+	VBROADCASTSD (DX), Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD Y9, Y0, Y13
+	VBLENDVPD Y12, Y13, Y0, Y0
+	ADDQ R8, SI
+	ADDQ $8, DX
+	DECQ CX
+	JNZ loop
+	VMOVUPD Y0, (DI)
 	VZEROUPPER
 	RET

@@ -4,11 +4,31 @@
 // Everything is deterministic given a seeded *rand.Rand.
 //
 // The matrix products (MatMul, MatMulAccum, MatMulTAccum) run on amd64 CPUs
-// with AVX2 through assembly row kernels, four columns to a YMM register
-// (kernel_amd64.s), and everywhere else through a blocked pure-Go kernel
-// (mulAddGo); fmath.AVX2, one CPUID probe, picks. Both give the plain triple
-// loop's result bit for bit, so a model's bits do not depend on the CPU.
-// SoftmaxRows takes its exponentials from fmath, whose bits do not either.
+// with AVX2 through assembly row kernels, four columns to a YMM register and
+// the last one to three through a masked one, a one-column product four rows
+// to a register (kernel_amd64.s), and everywhere else through a blocked
+// pure-Go kernel (mulAddGo). The element-wise operations (Add, AddInPlace,
+// Sub, Hadamard, Scale, AddRowVector, and the Vec kernels of elementwise.go
+// the autodiff engine's backward steps and Adam run on) are assembly four
+// lanes to a YMM register there too (elementwise_amd64.s), and Go loops
+// without bounds checks elsewhere. fmath.AVX2, one CPUID probe, picks. Three
+// rules give every path the plain scalar loop's bits, so a model's bits do
+// not depend on the CPU:
+//
+//   - Vectorize only across independent outputs. No reduction is
+//     reassociated: a matrix product adds each element's products in
+//     ascending k, a bias gradient sums each column's rows in order, and the
+//     sums and dots of SoftmaxRows and Sum stay scalar loops.
+//   - Round every product before adding it. The assembly has no fused
+//     multiply-add instruction, and the Go code converts each product that
+//     meets an add with float64(), which forbids the fusion on targets whose
+//     compiler would emit one (arm64).
+//   - Keep the scalar loop's NaN. Where an operation meets two NaNs x86
+//     keeps the first source's payload, so the assembly orders its VEX
+//     sources as the scalar loop it replaced was compiled.
+//
+// SoftmaxRows takes its exponentials from fmath, whose bits do not depend on
+// the CPU either.
 package tensor
 
 import (
@@ -34,13 +54,20 @@ var recycled [65]sync.Pool
 // New returns a zero matrix of the given shape.
 // It panics on non-positive dimensions: shapes are static program structure.
 func New(rows, cols int) *Matrix {
+	m := NewFull(rows, cols)
+	clear(m.Data)
+	return m
+}
+
+// NewFull is New for an output its caller writes in full: recycled storage
+// comes back as it was, not cleared.
+func NewFull(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
 	n := rows * cols
 	if m, _ := recycled[bits.Len(uint(n))].Get().(*Matrix); m != nil && cap(m.Data) >= n {
 		m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
-		clear(m.Data)
 		return m
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n)}
@@ -90,11 +117,7 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Zero sets every element of m to zero, in place.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
+func (m *Matrix) Zero() { clear(m.Data) }
 
 // SameShape reports whether a and b have identical dimensions.
 func SameShape(a, b *Matrix) bool { return a.Rows == b.Rows && a.Cols == b.Cols }
@@ -217,12 +240,25 @@ func mulAddGo(out, a, b *Matrix) {
 	}
 }
 
-// Transpose returns aᵀ.
+// Transpose returns aᵀ. It reads a four rows at a time, so each output row
+// takes four consecutive writes.
 func Transpose(a *Matrix) *Matrix {
-	out := New(a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			out.Data[j*a.Rows+i] = a.Data[i*a.Cols+j]
+	R, C := a.Rows, a.Cols
+	out := NewFull(C, R)
+	i := 0
+	for ; i+4 <= R; i += 4 {
+		r0 := a.Data[i*C : (i+1)*C]
+		r1 := a.Data[(i+1)*C : (i+2)*C][:len(r0)]
+		r2 := a.Data[(i+2)*C : (i+3)*C][:len(r0)]
+		r3 := a.Data[(i+3)*C : (i+4)*C][:len(r0)]
+		for j, v := range r0 {
+			o := out.Data[j*R+i : j*R+i+4 : j*R+i+4]
+			o[0], o[1], o[2], o[3] = v, r1[j], r2[j], r3[j]
+		}
+	}
+	for ; i < R; i++ {
+		for j, v := range a.Data[i*C : (i+1)*C] {
+			out.Data[j*R+i] = v
 		}
 	}
 	return out
@@ -231,47 +267,37 @@ func Transpose(a *Matrix) *Matrix {
 // Add returns a + b.
 func Add(a, b *Matrix) *Matrix {
 	mustSameShape("add", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
+	out := NewFull(a.Rows, a.Cols)
+	AddVec(out.Data, a.Data, b.Data)
 	return out
 }
 
 // AddInPlace computes a += b.
 func AddInPlace(a, b *Matrix) {
 	mustSameShape("add", a, b)
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
-	}
+	AddVec(a.Data, a.Data, b.Data)
 }
 
 // Sub returns a − b.
 func Sub(a, b *Matrix) *Matrix {
 	mustSameShape("sub", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
+	out := NewFull(a.Rows, a.Cols)
+	subVec(out.Data, a.Data, b.Data)
 	return out
 }
 
 // Hadamard returns the element-wise product a ⊙ b.
 func Hadamard(a, b *Matrix) *Matrix {
 	mustSameShape("hadamard", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
+	out := NewFull(a.Rows, a.Cols)
+	MulVec(out.Data, a.Data, b.Data)
 	return out
 }
 
 // Scale returns k·a.
 func Scale(a *Matrix, k float64) *Matrix {
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = k * a.Data[i]
-	}
+	out := NewFull(a.Rows, a.Cols)
+	ScaleVec(out.Data, a.Data, k)
 	return out
 }
 
@@ -281,13 +307,32 @@ func AddRowVector(a, v *Matrix) *Matrix {
 	if v.Rows != 1 || v.Cols != a.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector wants 1x%d, got %dx%d", a.Cols, v.Rows, v.Cols))
 	}
-	out := New(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			out.Data[i*a.Cols+j] = a.Data[i*a.Cols+j] + v.Data[j]
-		}
-	}
+	out := NewFull(a.Rows, a.Cols)
+	addRows(out.Data, a.Data, v.Data, a.Rows, a.Cols, a.Cols, a.Cols, 0)
 	return out
+}
+
+// AddRowsInto adds the rows of m into dst, one after another: dst[j] =
+// m[i][j] + dst[j] for every row i in order. So each dst[j] sums its column
+// sequentially, and the columns run side by side (a bias's gradient).
+func AddRowsInto(dst []float64, m *Matrix) {
+	addRows(dst[:m.Cols], m.Data, dst, m.Rows, m.Cols, 0, m.Cols, 0)
+}
+
+// addRows sets dst[r·dstep+j] = x[r·xstep+j] + y[r·ystep+j] for every row
+// r < rows and column j < cols, row after row: through addRowsAVX2 where
+// fmath.AVX2 holds, else AddVec a row.
+func addRows(dst, x, y []float64, rows, cols, dstep, xstep, ystep int) {
+	_ = dst[(rows-1)*dstep+cols-1]
+	_ = x[(rows-1)*xstep+cols-1]
+	_ = y[(rows-1)*ystep+cols-1]
+	if fmath.AVX2 {
+		addRowsAVX2(&dst[0], &x[0], &y[0], rows, cols, dstep, xstep, ystep)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		AddVec(dst[r*dstep:r*dstep+cols], x[r*xstep:r*xstep+cols], y[r*ystep:r*ystep+cols])
+	}
 }
 
 // SoftmaxRows returns the row-wise softmax of a, numerically stabilized.

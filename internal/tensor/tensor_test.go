@@ -134,7 +134,9 @@ func naiveMulAdd(out, a, b *Matrix) {
 // columns, against the naive loop on an explicit transpose, and mulAddGo,
 // the portable kernel. It runs twice, the second time with fmath.AVX2
 // cleared, as on a CPU without AVX2. Output widths run from 1 to 48, through
-// every edge of the 16/8/4/2 column blocks and the scalar tail. The entries
+// every edge of the 16/8/4 column blocks and the masked tail of one to three
+// columns; rows run from 1 to 9, so a one-column product, four rows to a
+// register, ends on every remainder of rows. The entries
 // are what an assembly kernel can get wrong: zeros and negative zeros in a,
 // b and the starting out (the skip, which must look at a alone, and the
 // signed-zero sums), NaNs with distinct payloads in all three (the
@@ -200,8 +202,12 @@ func testMulAddMatchesNaive(t *testing.T) {
 	}
 	asm := fmath.AVX2
 	for cols := 1; cols <= 48; cols++ {
-		for trial := 0; trial < 25; trial++ {
-			rows, inner := 1+r.Intn(6), 1+r.Intn(40)
+		trials := 25
+		if cols <= 7 { // the masked tail alone, and one-column products
+			trials = 60
+		}
+		for trial := 0; trial < trials; trial++ {
+			rows, inner := 1+r.Intn(9), 1+r.Intn(40)
 			a, b := fill(rows, inner, 1), fill(inner, cols, 2)
 
 			want := New(rows, cols)

@@ -32,3 +32,15 @@ func BenchmarkPredictBatch(b *testing.B) {
 		m.PredictBatch(&batch, feats)
 	}
 }
+
+// BenchmarkTrain measures one epoch of value-model training over 4,096
+// samples in 64 mini-batches of 64, the unit nn.Fit repeats TrainConfig's
+// Epochs times at set-up.
+func BenchmarkTrain(b *testing.B) {
+	samples := randomSamples(4096, 43)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewModel(16, 43).Train(samples, TrainConfig{Epochs: 1, Seed: 43})
+	}
+}

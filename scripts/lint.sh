@@ -4,8 +4,9 @@
 #
 # Run it (or `make lint`) before pushing: every check here gates merges. It
 # is not the whole job: the Prometheus exposition lint, the builds, the
-# GOAMD64=v3 identity tests, the CLI and datawa-serve smokes and the fuzz
-# smokes of lint-build run only in CI.
+# arm64 fused-multiply-add check of the model stack, the GOAMD64=v3
+# identity tests, the CLI and datawa-serve smokes and the fuzz smokes of
+# lint-build run only in CI.
 #
 #   1. gofmt         — formatting, including analyzer testdata fixtures
 #   2. go vet        — the stock analyzers
